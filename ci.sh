@@ -112,4 +112,19 @@ else
   echo "           microsecond arms; columnar_speedup_vs_row_pipeline = $columnar_speedup recorded only)"
 fi
 
+echo "== benchmark package: its own tests, then a smoke run that must answer correctly =="
+# benchmark/ is a workspace of its own (BENCHMARK.json runs it from a fresh
+# checkout), so the root `cargo test` never builds it.
+(cd benchmark && timeout "$BUILD_TIMEOUT" cargo test --release --offline -q)
+smoke=$(timeout "$SUITE_TIMEOUT" cargo run --release --offline --quiet \
+  --manifest-path benchmark/Cargo.toml -- --workload olap_power --smoke | tail -n 1)
+echo "$smoke"
+case "$smoke" in
+  *'"correct": true'*'"failed": 0,'*) ;;
+  *)
+    echo "FAIL: the benchmark smoke run reported a wrong answer or a failed operation."
+    exit 1
+    ;;
+esac
+
 echo "ci: all green"

@@ -150,6 +150,12 @@ impl Database {
         self.catalog.get(name).map(|s| &self.tables[s.id as usize])
     }
 
+    /// The table a compiled plan fragment resolved by name earlier in the
+    /// same execution (ids index the table vector directly).
+    pub(crate) fn table_by_id(&self, id: TableId) -> &Table {
+        &self.tables[id as usize]
+    }
+
     fn table_mut(&mut self, id: TableId) -> &mut Table {
         &mut self.tables[id as usize]
     }

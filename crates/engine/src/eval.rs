@@ -1,24 +1,29 @@
-//! Expression evaluation with SQL three-valued logic and subquery support.
+//! Expression evaluation with SQL three-valued logic.
 //!
 //! Evaluation happens against a stack of [`Frame`]s: the innermost frame is
 //! the current tuple; outer frames belong to enclosing queries, which is how
 //! correlated subqueries (TPC-H Q4's `EXISTS`, Q21's `EXISTS`/`NOT EXISTS`)
 //! resolve their outer references.
 //!
-//! `EXISTS` over a single table is executed with a semi-join optimization:
-//! if the subquery has an equality conjunct between an indexed inner column
-//! and an expression computable from the outer frames, the evaluator probes
-//! the index instead of scanning — the same plan PostgreSQL picks for these
-//! queries, and essential for Q21 (three lineitem references) to finish.
+//! Subqueries are not analysed here. The three subquery forms hand their
+//! AST node and the frame stack to [`crate::subquery`], which keeps one
+//! per-execution memo keyed by the node: a single-table `EXISTS` is compiled
+//! once into a semi-/anti-join probe — by index when it has an equality on
+//! an indexed inner column, over the heap otherwise, stopping at the first
+//! match either way — and evaluated against the inner row positionally from
+//! then on; `IN (subquery)` and scalar subqueries that reference no outer
+//! column are executed once per statement execution; every other shape is
+//! run through [`exec::run_select`] with the frames, per evaluation.
+//! Predicates the physical operators pre-resolve (`ResidualPred`) hold
+//! their probe directly and never come through here.
 
-use apuama_sql::ast::{BinOp, ColumnRef, Expr, Select, TableRef, UnaryOp};
-use apuama_sql::value::HashableValue;
+use apuama_sql::ast::{BinOp, ColumnRef, Expr, UnaryOp};
 use apuama_sql::Value;
 use std::cmp::Ordering;
-use std::collections::HashSet;
 
 use crate::error::{EngineError, EngineResult};
 use crate::exec::{self, Binding, ExecContext};
+use crate::subquery;
 
 /// One scope level: the bindings describing a tuple's columns plus the
 /// tuple itself.
@@ -129,37 +134,21 @@ pub fn eval_expr(expr: &Expr, frames: &[Frame<'_>], ctx: &ExecContext<'_>) -> En
             if v.is_null() {
                 return Ok(Value::Null);
             }
-            let (set, saw_null) = subquery_value_set(query, frames, ctx)?;
+            let values = subquery::in_subquery_values(query, frames, ctx)?;
+            let (set, saw_null) = &*values;
             if set.contains(&v.hash_key()) {
                 Ok(Value::Bool(!negated))
-            } else if saw_null {
+            } else if *saw_null {
                 Ok(Value::Null)
             } else {
                 Ok(Value::Bool(*negated))
             }
         }
         Expr::Exists { negated, query } => {
-            let found = eval_exists(query, frames, ctx)?;
+            let found = subquery::eval_exists(query, frames, ctx)?;
             Ok(Value::Bool(found != *negated))
         }
-        Expr::ScalarSubquery(query) => {
-            let rel = exec::run_select(query, frames, ctx)?;
-            match rel.rows.len() {
-                0 => Ok(Value::Null),
-                1 => {
-                    let row = &rel.rows[0];
-                    if row.len() != 1 {
-                        return Err(EngineError::TypeError(
-                            "scalar subquery must return one column".into(),
-                        ));
-                    }
-                    Ok(row[0].clone())
-                }
-                _ => Err(EngineError::TypeError(
-                    "scalar subquery returned more than one row".into(),
-                )),
-            }
-        }
+        Expr::ScalarSubquery(query) => subquery::scalar_subquery(query, frames, ctx),
         Expr::Like {
             expr,
             negated,
@@ -436,137 +425,6 @@ pub(crate) fn bool3(a: Option<bool>) -> Value {
 /// Comparison used by predicates (NULL ⇒ None).
 pub fn compare(a: &Value, b: &Value) -> Option<Ordering> {
     a.sql_cmp(b)
-}
-
-// ---------------------------------------------------------------------------
-// Subquery execution
-// ---------------------------------------------------------------------------
-
-/// Executes an IN-subquery and collects its (single) output column into a
-/// hash set, noting whether any NULL appeared (SQL's NOT IN trap).
-fn subquery_value_set(
-    query: &Select,
-    frames: &[Frame<'_>],
-    ctx: &ExecContext<'_>,
-) -> EngineResult<(HashSet<HashableValue>, bool)> {
-    let rel = exec::run_select(query, frames, ctx)?;
-    let mut set = HashSet::with_capacity(rel.rows.len());
-    let mut saw_null = false;
-    for row in &rel.rows {
-        if row.len() != 1 {
-            return Err(EngineError::TypeError(
-                "IN subquery must return one column".into(),
-            ));
-        }
-        if row[0].is_null() {
-            saw_null = true;
-        } else {
-            set.insert(row[0].hash_key());
-        }
-    }
-    Ok((set, saw_null))
-}
-
-/// Evaluates `EXISTS (subquery)` for the current frame stack.
-///
-/// Fast path: single-table subquery with an equality conjunct
-/// `inner_indexed_col = outer_expr` — probe the index, check the residual
-/// predicate per candidate. Slow path: sequential scan with the predicate.
-fn eval_exists(query: &Select, frames: &[Frame<'_>], ctx: &ExecContext<'_>) -> EngineResult<bool> {
-    // General shapes (joins, grouping) fall back to full execution.
-    let single_table = match query.from.as_slice() {
-        [TableRef::Table { name, alias }] => Some((name.clone(), alias.clone())),
-        _ => None,
-    };
-    let Some((table_name, alias)) = single_table else {
-        let rel = exec::run_select(query, frames, ctx)?;
-        return Ok(!rel.rows.is_empty());
-    };
-    let table = ctx
-        .db
-        .table(&table_name)
-        .ok_or_else(|| EngineError::UnknownTable(table_name.clone()))?;
-    let bindings = exec::bindings_for_table(&table.schema, alias.as_deref());
-
-    // Split the predicate and look for an index-probe opportunity.
-    let conjuncts = split_conjuncts(query.selection.as_ref());
-    let mut probe: Option<(usize, Value)> = None;
-    for c in &conjuncts {
-        if let Expr::Binary {
-            left,
-            op: BinOp::Eq,
-            right,
-        } = c
-        {
-            for (a, b) in [(left, right), (right, left)] {
-                let Expr::Column(col) = a.as_ref() else {
-                    continue;
-                };
-                let Ok(ci) = exec::resolve_column(&bindings, col) else {
-                    continue;
-                };
-                if table.index_on(ci).is_none() {
-                    continue;
-                }
-                // The other side must be computable from the *outer* frames
-                // (i.e. not mention the inner table).
-                if let Ok(v) = eval_expr(b, frames, ctx) {
-                    probe = Some((ci, v));
-                    break;
-                }
-            }
-        }
-        if probe.is_some() {
-            break;
-        }
-    }
-
-    let check_row = |row: &[Value], ctx: &ExecContext<'_>| -> EngineResult<bool> {
-        let mut stack: Vec<Frame<'_>> = Vec::with_capacity(frames.len() + 1);
-        stack.push(Frame {
-            bindings: &bindings,
-            row,
-        });
-        stack.extend_from_slice(frames);
-        match &query.selection {
-            None => Ok(true),
-            Some(pred) => Ok(truthiness(&eval_expr(pred, &stack, ctx)?) == Some(true)),
-        }
-    };
-
-    if let Some((ci, val)) = probe {
-        ctx.bump_index_probes(1);
-        let idx = table.index_on(ci).expect("probe chose an indexed column");
-        for &rid in idx.get(&val) {
-            let Some(row) = table.heap.get(rid) else {
-                continue;
-            };
-            ctx.charge_row_fetch(table, rid);
-            if check_row(row, ctx)? {
-                return Ok(true);
-            }
-        }
-        return Ok(false);
-    }
-
-    // Sequential fallback.
-    let mut last_page = u64::MAX;
-    for (rid, row) in table.heap.iter() {
-        let page = table.heap.geometry().page_of(rid);
-        if page != last_page {
-            ctx.charge_page(
-                table.schema.id,
-                page,
-                apuama_storage::AccessKind::Sequential,
-            );
-            last_page = page;
-        }
-        ctx.bump_rows_scanned(1);
-        if check_row(row, ctx)? {
-            return Ok(true);
-        }
-    }
-    Ok(false)
 }
 
 /// Splits an optional predicate into its top-level AND conjuncts.

@@ -26,6 +26,7 @@ use crate::governor::QueryGovernor;
 use crate::physical;
 use crate::planner::AccessPath;
 use crate::stats::ExecStats;
+use crate::subquery::SubqueryMemo;
 use crate::table::Table;
 
 /// Describes one column of an intermediate relation.
@@ -96,6 +97,8 @@ pub struct ExecContext<'a> {
     /// released on drop so every exit path (success, error, cancel)
     /// returns the budget.
     mem_charged: Cell<u64>,
+    /// Compiled `EXISTS` probes and once-per-execution subquery results.
+    subqueries: SubqueryMemo,
 }
 
 impl<'a> ExecContext<'a> {
@@ -118,7 +121,12 @@ impl<'a> ExecContext<'a> {
             stats: RefCell::new(ExecStats::default()),
             gov,
             mem_charged: Cell::new(0),
+            subqueries: SubqueryMemo::default(),
         }
+    }
+
+    pub(crate) fn subqueries(&self) -> &SubqueryMemo {
+        &self.subqueries
     }
 
     /// Snapshot of the bound parameter values, for spawning worker-thread

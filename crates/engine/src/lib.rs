@@ -37,6 +37,7 @@ mod physical;
 mod plan_cache;
 pub mod planner;
 pub mod stats;
+mod subquery;
 pub mod table;
 
 pub use catalog::{Catalog, ColumnMeta, TableSchema};

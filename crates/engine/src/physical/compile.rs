@@ -10,6 +10,7 @@ use apuama_storage::{Row, RowId};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{self, eval_expr, truthiness, CompiledExpr, Frame};
 use crate::exec::{Binding, ExecContext, GroupState, Relation};
+use crate::subquery::RowProbe;
 use crate::table::Table;
 
 /// A filter predicate, pre-resolved to positional form where possible.
@@ -19,7 +20,9 @@ use crate::table::Table;
 /// so falling back to `Framed` never changes semantics. The batch-exec
 /// mode additionally specializes the hot `col <cmp> literal` shape to a
 /// direct comparison (`FastCmp`), skipping the expression walk and its
-/// per-operand `Value` clones.
+/// per-operand `Value` clones. A single-table `[NOT] EXISTS` that qualifies
+/// (see [`crate::subquery`]) becomes a semi-/anti-join probe whose outer
+/// side reads the operator's row positionally.
 pub(crate) enum ResidualPred {
     /// `col <op> lit`, normalized so the column is on the left. Semantics
     /// mirror [`eval::eval_binary_with`] for comparison operators: NULL on
@@ -31,6 +34,10 @@ pub(crate) enum ResidualPred {
         lit: Value,
     },
     Compiled(CompiledExpr),
+    Exists {
+        negated: bool,
+        probe: RowProbe,
+    },
     Framed(Expr),
 }
 
@@ -85,34 +92,46 @@ pub(crate) fn cmp_matches(op: BinOp, ord: Ordering) -> bool {
     }
 }
 
-/// Legacy (row-at-a-time) predicate resolution: compiled where possible,
-/// framed otherwise, parameters looked up per row — the seed interpreter's
-/// cost profile.
-pub(crate) fn resolve_preds(preds: &[Expr], bindings: &[Binding]) -> Vec<ResidualPred> {
-    preds
-        .iter()
-        .map(|e| match eval::compile_expr(e, bindings) {
-            Some(c) => ResidualPred::Compiled(c),
-            None => ResidualPred::Framed(e.clone()),
-        })
-        .collect()
-}
-
-/// Batch-exec predicate resolution: bound parameters are folded into the
-/// program once per execution and the `col <cmp> literal` shape is
-/// specialized. Values and errors are identical to [`resolve_preds`]'
-/// output; only the per-row cost differs.
-pub(crate) fn resolve_preds_batch(
-    preds: &[Expr],
+/// Resolves one predicate against an operator's row bindings, once per
+/// execution. Batch-exec mode folds bound parameters into the program and
+/// specializes `col <cmp> literal`; the legacy mode keeps the seed
+/// interpreter's per-row parameter lookups. Values and errors are the same
+/// in every form; only the per-row cost differs.
+fn resolve_pred(
+    e: &Expr,
     bindings: &[Binding],
     ctx: &ExecContext<'_>,
+    batch: bool,
+) -> ResidualPred {
+    if let Some(c) = eval::compile_expr(e, bindings) {
+        return if batch {
+            ResidualPred::from_compiled(eval::prebind_params(&c, ctx))
+        } else {
+            ResidualPred::Compiled(c)
+        };
+    }
+    if let Expr::Exists { negated, query } = e {
+        if let Some(probe) = RowProbe::for_row(query, bindings, ctx) {
+            return ResidualPred::Exists {
+                negated: *negated,
+                probe,
+            };
+        }
+    }
+    // Load-bearing clone: the operator owns its framed predicates.
+    ResidualPred::Framed(e.clone())
+}
+
+/// [`resolve_pred`] over an operator's predicate list.
+pub(crate) fn resolve_preds<'p>(
+    preds: impl IntoIterator<Item = &'p Expr>,
+    bindings: &[Binding],
+    ctx: &ExecContext<'_>,
+    batch: bool,
 ) -> Vec<ResidualPred> {
     preds
-        .iter()
-        .map(|e| match eval::compile_expr(e, bindings) {
-            Some(c) => ResidualPred::from_compiled(eval::prebind_params(&c, ctx)),
-            None => ResidualPred::Framed(e.clone()),
-        })
+        .into_iter()
+        .map(|e| resolve_pred(e, bindings, ctx, batch))
         .collect()
 }
 
@@ -151,6 +170,7 @@ pub(crate) fn keep_row_charged(
             ResidualPred::Compiled(c) => {
                 truthiness(&eval::eval_compiled(c, row, ctx)?) == Some(true)
             }
+            ResidualPred::Exists { negated, probe } => probe.eval(row, ctx)? != *negated,
             ResidualPred::Framed(e) => {
                 let frames = frames.get_or_insert_with(|| {
                     let mut f = Vec::with_capacity(outer.len() + 1);
@@ -657,7 +677,8 @@ impl FusedGroups {
 }
 
 /// Keeps only rows satisfying every predicate (materialized form, used by
-/// the join phase and derived tables).
+/// the join phase and derived tables): predicates are resolved once, then
+/// each row goes through them in order with one cpu charge per evaluation.
 pub(crate) fn filter_rows(
     rel: Relation,
     preds: &[Expr],
@@ -665,21 +686,12 @@ pub(crate) fn filter_rows(
     ctx: &ExecContext<'_>,
 ) -> EngineResult<Relation> {
     let bindings = rel.bindings;
+    let resolved = resolve_preds(preds, &bindings, ctx, ctx.db.batch_exec_enabled());
     let mut rows = Vec::with_capacity(rel.rows.len());
-    'rows: for row in rel.rows {
-        let mut frames = Vec::with_capacity(outer.len() + 1);
-        frames.push(Frame {
-            bindings: &bindings,
-            row: &row,
-        });
-        frames.extend_from_slice(outer);
-        for p in preds {
-            ctx.bump_cpu(1);
-            if truthiness(&eval_expr(p, &frames, ctx)?) != Some(true) {
-                continue 'rows;
-            }
+    for row in rel.rows {
+        if keep_row(&row, &bindings, &resolved, outer, ctx)? {
+            rows.push(row);
         }
-        rows.push(row);
     }
     Ok(Relation { bindings, rows })
 }

@@ -1,4 +1,5 @@
 use std::cell::RefCell;
+use std::sync::Arc;
 use std::time::Instant;
 
 use apuama_sql::ast::{Expr, Select, SetQuantifier};
@@ -8,6 +9,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::eval::eval_expr;
 use crate::exec::{self, Binding, ExecContext};
 use crate::planner::{self, AccessPath};
+use crate::subquery::{self, ProbeReport};
 use crate::table::Table;
 
 use crate::physical::*;
@@ -23,6 +25,15 @@ pub(crate) struct ProbeNode {
     rows: u64,
     batches: u64,
     nanos: u128,
+    kind: NodeKind,
+}
+
+enum NodeKind {
+    Operator,
+    /// The line of a subquery predicate: it reports the probe's own
+    /// counters (for the interpreted fallback, nothing) instead of rows and
+    /// time, which are part of the operator that evaluates it.
+    Subquery(Option<Arc<ProbeReport>>),
 }
 
 /// The `EXPLAIN ANALYZE` collector: a flat arena of probe nodes built as
@@ -48,8 +59,19 @@ impl Analyze {
             rows: 0,
             batches: 0,
             nanos: 0,
+            kind: NodeKind::Operator,
         });
         nodes.len() - 1
+    }
+
+    /// Lists an operator's subquery predicates under it, one line each.
+    fn attach_subquery_lines(&self, parent: usize, lines: Vec<SubqueryLine>) {
+        for line in lines {
+            let child = self.register(line.label, Vec::new());
+            let mut nodes = self.nodes.borrow_mut();
+            nodes[child].kind = NodeKind::Subquery(line.probe);
+            nodes[parent].children.push(child);
+        }
     }
 
     pub(crate) fn add_child(&self, parent: usize, child: usize) {
@@ -78,6 +100,8 @@ impl<'e> Operator<'e> for TimedExec<'e> {
         let start = Instant::now();
         let r = self.inner.open();
         self.az.record(self.idx, 0, 0, start.elapsed().as_nanos());
+        self.az
+            .attach_subquery_lines(self.idx, self.inner.subquery_lines());
         r
     }
 
@@ -128,6 +152,19 @@ pub(crate) fn explain_analyze(q: &Select, ctx: &ExecContext<'_>) -> EngineResult
 
 pub(crate) fn render_probe(nodes: &[ProbeNode], idx: usize, depth: usize, out: &mut Vec<String>) {
     let n = &nodes[idx];
+    if let NodeKind::Subquery(probe) = &n.kind {
+        let counters = probe.as_ref().map(|p| {
+            let (evaluations, candidates, matches) = p.counters();
+            format!(" (evaluations={evaluations} candidates={candidates} matches={matches})")
+        });
+        out.push(format!(
+            "{}{}{}",
+            "  ".repeat(depth),
+            n.label,
+            counters.unwrap_or_default()
+        ));
+        return;
+    }
     let child_nanos: u128 = n.children.iter().map(|&c| nodes[c].nanos).sum();
     let total_ms = n.nanos as f64 / 1e6;
     let self_ms = n.nanos.saturating_sub(child_nanos) as f64 / 1e6;
@@ -224,7 +261,56 @@ pub(crate) fn path_desc(table: &Table, path: &AccessPath) -> String {
     }
 }
 
-/// One scan line in the interpreter's long-standing format.
+/// How one subquery predicate of an operator is evaluated, for EXPLAIN:
+/// `semi-probe lineitem l2 via index(l_orderkey)`, `anti-probe …`, or
+/// `subquery (interpreted)`.
+pub(crate) struct SubqueryLine {
+    pub(crate) label: String,
+    /// The probe whose counters `EXPLAIN ANALYZE` reports on this line.
+    pub(crate) probe: Option<Arc<ProbeReport>>,
+}
+
+/// One line per subquery-bearing predicate. A predicate that stays with the
+/// framed interpreter (`EXISTS` under `OR`, `IN (subquery)`, …) is followed
+/// by a line for each `EXISTS` inside it that the interpreter will serve
+/// from the per-execution memo's probe.
+pub(crate) fn subquery_lines(preds: &[ResidualPred], ctx: &ExecContext<'_>) -> Vec<SubqueryLine> {
+    let probe_line = |negated: bool, probe: &Arc<ProbeReport>, via_memo: bool| SubqueryLine {
+        label: format!(
+            "{}-probe {}{}",
+            if negated { "anti" } else { "semi" },
+            probe.describe(),
+            if via_memo { " (memo)" } else { "" }
+        ),
+        probe: Some(probe.clone()),
+    };
+    let mut lines = Vec::new();
+    for pred in preds {
+        match pred {
+            ResidualPred::Exists { negated, probe } => {
+                lines.push(probe_line(*negated, probe.report(), false))
+            }
+            ResidualPred::Framed(e) if exec::contains_subquery(e) => {
+                lines.push(SubqueryLine {
+                    label: "subquery (interpreted)".to_string(),
+                    probe: None,
+                });
+                apuama_sql::visit::shallow_walk(e, &mut |x| {
+                    if let Expr::Exists { negated, query } = x {
+                        if let Some(probe) = subquery::memoized_probe(query, ctx) {
+                            lines.push(probe_line(*negated, probe.report(), true));
+                        }
+                    }
+                });
+            }
+            _ => {}
+        }
+    }
+    lines
+}
+
+/// One scan line in the interpreter's long-standing format, with the path
+/// each subquery predicate takes named after the filter count.
 pub(crate) fn scan_line(
     name: &str,
     binding_name: &str,
@@ -255,9 +341,26 @@ pub(crate) fn scan_line(
     } else {
         String::new()
     };
+    let alias = (binding_name != name).then_some(binding_name);
+    let bindings = exec::bindings_for_table(&table.schema, alias);
+    let residual = single
+        .iter()
+        .enumerate()
+        .filter(|(i, e)| !choice.consumed.contains(i) && exec::contains_subquery(e))
+        .map(|(_, e)| e);
+    let subqueries: Vec<String> =
+        subquery_lines(&resolve_preds(residual, &bindings, ctx, true), ctx)
+            .into_iter()
+            .map(|line| line.label)
+            .collect();
+    let subquery_note = if subqueries.is_empty() {
+        String::new()
+    } else {
+        format!(" [{}]", subqueries.join(", "))
+    };
     Ok((
         format!(
-            "scan {name}{alias_note}: {}, {} filter(s), ~{:.0} rows (cost {:.1})",
+            "scan {name}{alias_note}: {}, {} filter(s){subquery_note}, ~{:.0} rows (cost {:.1})",
             path_desc(table, &choice.path),
             single.len().saturating_sub(choice.consumed.len()),
             choice.estimated_rows,

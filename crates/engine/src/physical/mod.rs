@@ -313,6 +313,12 @@ pub(crate) fn compile_fused(q: &Select, db: &Database) -> Option<FusedPlan> {
 pub(crate) trait Operator<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>>;
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>>;
+
+    /// How the operator evaluates each of its subquery predicates (valid
+    /// after `open`), for `EXPLAIN ANALYZE` to list under it.
+    fn subquery_lines(&self) -> Vec<SubqueryLine> {
+        Vec::new()
+    }
 }
 
 /// Executes a lowered plan, draining the operator tree into a materialized

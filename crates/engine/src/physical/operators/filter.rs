@@ -121,12 +121,12 @@ impl<'e> FilterExec<'e> {
 impl<'e> Operator<'e> for FilterExec<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>> {
         self.in_bindings = self.child.open()?;
-        self.resolved = if self.batch_mode {
-            resolve_preds_batch(&self.preds, &self.in_bindings, self.ctx)
-        } else {
-            resolve_preds(&self.preds, &self.in_bindings)
-        };
+        self.resolved = resolve_preds(&self.preds, &self.in_bindings, self.ctx, self.batch_mode);
         Ok(self.in_bindings.clone())
+    }
+
+    fn subquery_lines(&self) -> Vec<SubqueryLine> {
+        subquery_lines(&self.resolved, self.ctx)
     }
 
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {

@@ -3,7 +3,7 @@ use apuama_sql::Value;
 use apuama_storage::{AccessKind, Row, RowId};
 
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{self, eval_expr, Frame};
+use crate::eval::{eval_expr, Frame};
 use crate::exec::{self, BatchedCounter, Binding, ExecContext, Relation};
 use crate::planner::{self, AccessPath};
 use crate::table::Table;
@@ -99,16 +99,12 @@ impl<'e> Operator<'e> for ScanExec<'e> {
             .filter(|(i, _)| !choice.consumed.contains(i))
             .map(|(_, e)| e)
             .collect();
-        let residual = residual_exprs
-            .iter()
-            .map(|e| match eval::compile_expr(e, &bindings) {
-                Some(c) if self.batch_mode => {
-                    ResidualPred::from_compiled(eval::prebind_params(&c, ctx))
-                }
-                Some(c) => ResidualPred::Compiled(c),
-                None => ResidualPred::Framed((*e).clone()),
-            })
-            .collect();
+        let residual = resolve_preds(
+            residual_exprs.iter().copied(),
+            &bindings,
+            ctx,
+            self.batch_mode,
+        );
         let (iter, kind) = match &choice.path {
             AccessPath::SeqScan => (
                 ScanIter::Heap(seq_scan_iter(table, &bindings, &residual_exprs, ctx)),
@@ -148,6 +144,11 @@ impl<'e> Operator<'e> for ScanExec<'e> {
         });
         self.bindings = bindings;
         Ok(self.bindings.clone())
+    }
+
+    fn subquery_lines(&self) -> Vec<SubqueryLine> {
+        let residual = self.state.as_ref().map_or(&[][..], |s| &s.residual);
+        subquery_lines(residual, self.ctx)
     }
 
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {

@@ -65,20 +65,33 @@ struct ColumnBounds {
 }
 
 impl ColumnBounds {
+    /// Both conjuncts are marked consumed, so the merged bound must imply
+    /// each of them: the larger value wins, and on equal values the
+    /// exclusive bound does (`k >= 2 and k > 2` is `k > 2`).
     fn tighten_low(&mut self, v: Value, inclusive: bool) {
         let better = match &self.low {
             None => true,
-            Some((cur, _)) => v.sort_cmp(cur) == std::cmp::Ordering::Greater,
+            Some((cur, cur_inclusive)) => match v.sort_cmp(cur) {
+                std::cmp::Ordering::Greater => true,
+                std::cmp::Ordering::Equal => *cur_inclusive && !inclusive,
+                std::cmp::Ordering::Less => false,
+            },
         };
         if better {
             self.low = Some((v, inclusive));
         }
     }
 
+    /// Mirror image of [`Self::tighten_low`]: the smaller value wins, the
+    /// exclusive bound on a tie.
     fn tighten_high(&mut self, v: Value, inclusive: bool) {
         let better = match &self.high {
             None => true,
-            Some((cur, _)) => v.sort_cmp(cur) == std::cmp::Ordering::Less,
+            Some((cur, cur_inclusive)) => match v.sort_cmp(cur) {
+                std::cmp::Ordering::Less => true,
+                std::cmp::Ordering::Equal => *cur_inclusive && !inclusive,
+                std::cmp::Ordering::Greater => false,
+            },
         };
         if better {
             self.high = Some((v, inclusive));
@@ -353,16 +366,30 @@ pub fn conjunct_bindings(
     catalog: &Catalog,
 ) -> HashSet<String> {
     let mut out = HashSet::new();
-    collect_refs(conjunct, &mut vec![], top, catalog, &mut out);
+    collect_refs(conjunct, &mut vec![], catalog, &mut |c| {
+        if let Some(name) = resolve_name(top, c) {
+            out.insert(name);
+        }
+    });
     out
 }
 
+/// True when every column the subquery mentions resolves in its own FROM
+/// (or a nested subquery's): it references nothing of an enclosing query,
+/// so its result does not depend on the outer row.
+pub fn subquery_is_uncorrelated(q: &Select, catalog: &Catalog) -> bool {
+    let mut escapes = false;
+    descend_subquery(q, &mut vec![], catalog, &mut |_| escapes = true);
+    !escapes
+}
+
+/// Walks `e`, reporting to `escaped` every column that no enclosing
+/// subquery scope (`inner_scopes`, innermost last) resolves.
 fn collect_refs(
     e: &Expr,
     inner_scopes: &mut Vec<Vec<BindingScope>>,
-    top: &[BindingScope],
     catalog: &Catalog,
-    out: &mut HashSet<String>,
+    escaped: &mut dyn FnMut(&apuama_sql::ColumnRef),
 ) {
     match e {
         Expr::Column(c) => {
@@ -372,27 +399,25 @@ fn collect_refs(
                     return;
                 }
             }
-            if let Some(name) = resolve_name(top, c) {
-                out.insert(name);
-            }
+            escaped(c);
         }
-        Expr::Exists { query, .. } => descend_subquery(query, inner_scopes, top, catalog, out),
+        Expr::Exists { query, .. } => descend_subquery(query, inner_scopes, catalog, escaped),
         Expr::InSubquery { expr, query, .. } => {
-            collect_refs(expr, inner_scopes, top, catalog, out);
-            descend_subquery(query, inner_scopes, top, catalog, out);
+            collect_refs(expr, inner_scopes, catalog, escaped);
+            descend_subquery(query, inner_scopes, catalog, escaped);
         }
-        Expr::ScalarSubquery(query) => descend_subquery(query, inner_scopes, top, catalog, out),
+        Expr::ScalarSubquery(query) => descend_subquery(query, inner_scopes, catalog, escaped),
         Expr::Literal(_) | Expr::Parameter(_) => {}
         Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => {
-            collect_refs(expr, inner_scopes, top, catalog, out)
+            collect_refs(expr, inner_scopes, catalog, escaped)
         }
         Expr::Binary { left, right, .. } => {
-            collect_refs(left, inner_scopes, top, catalog, out);
-            collect_refs(right, inner_scopes, top, catalog, out);
+            collect_refs(left, inner_scopes, catalog, escaped);
+            collect_refs(right, inner_scopes, catalog, escaped);
         }
         Expr::Function { args, .. } => {
             for a in args {
-                collect_refs(a, inner_scopes, top, catalog, out);
+                collect_refs(a, inner_scopes, catalog, escaped);
             }
         }
         Expr::Case {
@@ -400,29 +425,29 @@ fn collect_refs(
             else_expr,
         } => {
             for (c, r) in branches {
-                collect_refs(c, inner_scopes, top, catalog, out);
-                collect_refs(r, inner_scopes, top, catalog, out);
+                collect_refs(c, inner_scopes, catalog, escaped);
+                collect_refs(r, inner_scopes, catalog, escaped);
             }
             if let Some(el) = else_expr {
-                collect_refs(el, inner_scopes, top, catalog, out);
+                collect_refs(el, inner_scopes, catalog, escaped);
             }
         }
         Expr::Between {
             expr, low, high, ..
         } => {
-            collect_refs(expr, inner_scopes, top, catalog, out);
-            collect_refs(low, inner_scopes, top, catalog, out);
-            collect_refs(high, inner_scopes, top, catalog, out);
+            collect_refs(expr, inner_scopes, catalog, escaped);
+            collect_refs(low, inner_scopes, catalog, escaped);
+            collect_refs(high, inner_scopes, catalog, escaped);
         }
         Expr::InList { expr, list, .. } => {
-            collect_refs(expr, inner_scopes, top, catalog, out);
+            collect_refs(expr, inner_scopes, catalog, escaped);
             for i in list {
-                collect_refs(i, inner_scopes, top, catalog, out);
+                collect_refs(i, inner_scopes, catalog, escaped);
             }
         }
         Expr::Like { expr, pattern, .. } => {
-            collect_refs(expr, inner_scopes, top, catalog, out);
-            collect_refs(pattern, inner_scopes, top, catalog, out);
+            collect_refs(expr, inner_scopes, catalog, escaped);
+            collect_refs(pattern, inner_scopes, catalog, escaped);
         }
     }
 }
@@ -430,12 +455,11 @@ fn collect_refs(
 fn descend_subquery(
     q: &Select,
     inner_scopes: &mut Vec<Vec<BindingScope>>,
-    top: &[BindingScope],
     catalog: &Catalog,
-    out: &mut HashSet<String>,
+    escaped: &mut dyn FnMut(&apuama_sql::ColumnRef),
 ) {
     inner_scopes.push(scopes_for_from(&q.from, catalog));
-    let mut visit_expr = |e: &Expr| collect_refs(e, inner_scopes, top, catalog, out);
+    let mut visit_expr = |e: &Expr| collect_refs(e, inner_scopes, catalog, escaped);
     for item in &q.items {
         if let SelectItem::Expr { expr, .. } = item {
             visit_expr(expr);
@@ -456,7 +480,7 @@ fn descend_subquery(
     // Derived tables in the subquery's FROM also carry expressions.
     for t in &q.from {
         if let TableRef::Subquery { query, .. } = t {
-            descend_subquery(query, inner_scopes, top, catalog, out);
+            descend_subquery(query, inner_scopes, catalog, escaped);
         }
     }
     inner_scopes.pop();
@@ -641,6 +665,101 @@ mod tests {
                 assert_eq!(high, Bound::Excluded(Value::Int(20)));
             }
             other => panic!("expected range, got {other:?}"),
+        }
+    }
+
+    /// Two conjuncts on the same value, one inclusive and one exclusive:
+    /// both are consumed by the range, so the exclusive one must win
+    /// whichever comes first.
+    #[test]
+    fn equal_valued_bounds_keep_the_exclusive_one() {
+        let t = test_table(1_000);
+        for (pred, low, high) in [
+            (
+                "k between 1 and 7 and k < 7",
+                Bound::Included(Value::Int(1)),
+                Bound::Excluded(Value::Int(7)),
+            ),
+            (
+                "k < 7 and k between 1 and 7",
+                Bound::Included(Value::Int(1)),
+                Bound::Excluded(Value::Int(7)),
+            ),
+            (
+                "k >= 2 and k > 2 and k <= 7",
+                Bound::Excluded(Value::Int(2)),
+                Bound::Included(Value::Int(7)),
+            ),
+            (
+                "k > 2 and k >= 2 and k <= 7",
+                Bound::Excluded(Value::Int(2)),
+                Bound::Included(Value::Int(7)),
+            ),
+        ] {
+            let pred = parse_expression(pred).unwrap();
+            let conjuncts = crate::eval::split_conjuncts(Some(&pred));
+            let c = choose_access_path(&t, "t", &conjuncts, true, true, &const_eval);
+            assert_eq!(c.consumed.len(), conjuncts.len(), "{pred}");
+            match c.path {
+                AccessPath::IndexRange {
+                    low: l, high: h, ..
+                } => {
+                    assert_eq!(l, low, "{pred}");
+                    assert_eq!(h, high, "{pred}");
+                }
+                other => panic!("expected range for {pred}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn subquery_correlation_analysis() {
+        let mut catalog = Catalog::new();
+        for (id, name, col) in [(0, "a", "x"), (1, "b", "y")] {
+            catalog
+                .add(
+                    TableSchema::from_ddl(
+                        id,
+                        name,
+                        &[ColumnDef {
+                            name: col.into(),
+                            data_type: DataType::Int,
+                            not_null: false,
+                        }],
+                        &[],
+                        None,
+                    )
+                    .unwrap(),
+                )
+                .unwrap();
+        }
+        let subquery = |sql: &str| -> Select {
+            match apuama_sql::parse_statement(sql).unwrap() {
+                apuama_sql::Statement::Select(s) => s,
+                other => panic!("{other:?}"),
+            }
+        };
+        for (sql, uncorrelated) in [
+            ("select y from b where y > 3", true),
+            ("select y from b where y > $1", true),
+            ("select y from b where y in (select x from a)", true),
+            ("select y from b where y = x", false),
+            ("select y from b where y = a.x", false),
+            (
+                "select y from b where exists (select 1 from a where x = y)",
+                true,
+            ),
+            (
+                "select y from b where exists (select 1 from a where x = z)",
+                false,
+            ),
+            ("select d.y from (select y from b where y = x) d", false),
+        ] {
+            assert_eq!(
+                subquery_is_uncorrelated(&subquery(sql), &catalog),
+                uncorrelated,
+                "{sql}"
+            );
         }
     }
 

@@ -459,3 +459,205 @@ fn planner_prefers_tighter_of_two_indexes() {
         .join("\n");
     assert!(text.contains("secondary index range on part"), "{text}");
 }
+
+/// An `IN (subquery)` or scalar subquery that references no outer column
+/// runs once per statement execution, not once per outer row: the inner
+/// table is scanned once, so `rows_scanned` is inner + outer. A correlated
+/// one still runs per outer row.
+#[test]
+fn uncorrelated_subqueries_run_once_per_execution() {
+    let mut d = Database::in_memory();
+    d.execute("create table outer_t (k int not null, v int)")
+        .unwrap();
+    d.execute("create table inner_t (k int not null, v int)")
+        .unwrap();
+    let outer: Vec<Vec<Value>> = (0..200i64)
+        .map(|i| vec![Value::Int(i), Value::Int(i % 7)])
+        .collect();
+    let inner: Vec<Vec<Value>> = (0..50i64)
+        .map(|i| vec![Value::Int(i * 3), Value::Int(i % 5)])
+        .collect();
+    d.load_table("outer_t", outer).unwrap();
+    d.load_table("inner_t", inner).unwrap();
+
+    // Under OR the predicate cannot be pushed anywhere clever: it is
+    // evaluated for each of the 200 outer rows.
+    let in_sub = d
+        .query(
+            "select count(*) as n from outer_t \
+             where v = 6 or k in (select k from inner_t where v < 3)",
+        )
+        .unwrap();
+    // Keys 0, 3, …, 147 with (k / 3) % 5 < 3: 30 of them, 4 of which have
+    // v = 6 already; plus the 28 rows with v = 6 (k % 7 = 6, k < 200).
+    assert_eq!(in_sub.rows, vec![vec![Value::Int(54)]]);
+    assert_eq!(in_sub.stats.rows_scanned, 200 + 50);
+
+    let scalar = d
+        .query("select count(*) as n from outer_t where k > (select max(k) from inner_t)")
+        .unwrap();
+    assert_eq!(scalar.rows, vec![vec![Value::Int(52)]]);
+    assert_eq!(scalar.stats.rows_scanned, 200 + 50);
+
+    // The bound path reuses the cached plan but not a previous execution's
+    // result: a different parameter, a different set.
+    let bound = |limit: i64| {
+        d.query_bound(
+            "select count(*) as n from outer_t where k in (select k from inner_t where v < $1)",
+            &[Value::Int(limit)],
+        )
+        .unwrap()
+    };
+    assert_eq!(bound(3).rows, vec![vec![Value::Int(30)]]);
+    assert_eq!(bound(1).rows, vec![vec![Value::Int(10)]]);
+    assert_eq!(bound(1).stats.rows_scanned, 200 + 50);
+
+    // Correlated: the inner table is scanned once per outer row.
+    let correlated = d
+        .query(
+            "select count(*) as n from outer_t \
+             where k in (select k from inner_t where inner_t.v < outer_t.v)",
+        )
+        .unwrap();
+    assert_eq!(correlated.stats.rows_scanned, 200 + 200 * 50);
+}
+
+/// Two bounds on the same value, one inclusive and one exclusive, are both
+/// consumed by the index range — which therefore has to keep the exclusive
+/// one, whichever conjunct comes first.
+#[test]
+fn equal_valued_index_bounds_keep_the_exclusive_one() {
+    let mut d = Database::in_memory();
+    d.execute("create table orders (o_orderkey int not null, primary key (o_orderkey)) clustered by (o_orderkey)")
+        .unwrap();
+    let rows: Vec<Vec<Value>> = (1..=50i64).map(|k| vec![Value::Int(k)]).collect();
+    d.load_table("orders", rows).unwrap();
+    for (pred, want) in [
+        ("o_orderkey between 1 and 7 and o_orderkey < 7", 6),
+        ("o_orderkey < 7 and o_orderkey between 1 and 7", 6),
+        ("o_orderkey >= 2 and o_orderkey > 2 and o_orderkey <= 7", 5),
+        ("o_orderkey > 2 and o_orderkey >= 2 and o_orderkey <= 7", 5),
+        ("o_orderkey <= 7 and o_orderkey < 7 and o_orderkey >= 2", 5),
+        ("o_orderkey = 7 and o_orderkey < 7", 0),
+        ("o_orderkey > 7 and o_orderkey = 7", 0),
+    ] {
+        for seqscan in ["on", "off"] {
+            d.query(&format!("set enable_seqscan = {seqscan}")).unwrap();
+            let out = d
+                .query(&format!("select count(*) as n from orders where {pred}"))
+                .unwrap();
+            assert_eq!(
+                out.rows,
+                vec![vec![Value::Int(want)]],
+                "{pred} (enable_seqscan = {seqscan})"
+            );
+        }
+    }
+}
+
+/// The same uncorrelated subquery text used as both `IN (…)` and a scalar
+/// subquery in one grouped statement: aggregate substitution clones the
+/// HAVING expression and each select item per group, so the per-execution
+/// memo must tell the two uses apart however the clones are laid out.
+#[test]
+fn one_subquery_text_as_in_and_as_scalar() {
+    let mut d = Database::in_memory();
+    d.execute("create table outer_t (k int not null, v int)")
+        .unwrap();
+    d.execute("create table inner_t (k int not null, v int)")
+        .unwrap();
+    let outer: Vec<Vec<Value>> = (0..20i64)
+        .map(|i| vec![Value::Int(i), Value::Int(i % 7)])
+        .collect();
+    let inner: Vec<Vec<Value>> = (0..10i64)
+        .map(|i| vec![Value::Int(i), Value::Int(i % 5)])
+        .collect();
+    d.load_table("outer_t", outer).unwrap();
+    d.load_table("inner_t", inner).unwrap();
+
+    let having = d
+        .query(
+            "select v, (select max(v) from inner_t) from outer_t group by v \
+             having v in (select max(v) from inner_t)",
+        )
+        .unwrap();
+    assert_eq!(having.rows, vec![vec![Value::Int(4), Value::Int(4)]]);
+
+    let items = d
+        .query(
+            "select v, v in (select max(v) from inner_t), (select max(v) from inner_t) \
+             from outer_t group by v order by v",
+        )
+        .unwrap();
+    let want: Vec<Vec<Value>> = (0..7i64)
+        .map(|v| vec![Value::Int(v), Value::Bool(v == 4), Value::Int(4)])
+        .collect();
+    assert_eq!(items.rows, want);
+    // Each use runs once: the inner table is scanned twice, not per group.
+    assert_eq!(items.stats.rows_scanned, 20 + 2 * 10);
+}
+
+/// `EXISTS` over one un-indexed table stops at the first inner row that
+/// satisfies the subquery's predicate, whatever the predicate mentions:
+/// the inner table is never scanned to the end for an outer row that has
+/// a match. The counters are the ones the commit before the probe (e61a1d8,
+/// whose `eval_exists` had a sequential first-match path) reported.
+#[test]
+fn unindexed_exists_stops_at_the_first_match() {
+    let mut d = Database::in_memory();
+    d.execute("create table outer_t (k int not null, v int)")
+        .unwrap();
+    d.execute("create table inner_t (k int not null, v int)")
+        .unwrap();
+    let outer: Vec<Vec<Value>> = (0..200i64)
+        .map(|i| vec![Value::Int(i), Value::Int(i % 7)])
+        .collect();
+    let inner: Vec<Vec<Value>> = (0..50i64)
+        .map(|i| vec![Value::Int(i * 3), Value::Int(i % 5)])
+        .collect();
+    d.load_table("outer_t", outer).unwrap();
+    d.load_table("inner_t", inner).unwrap();
+    d.query("set parallel_workers = 1").unwrap();
+    // (count, rows_scanned, cpu_tuple_ops, index_probes, page accesses)
+    let run = |pred: &str| {
+        let out = d
+            .query(&format!("select count(*) as n from outer_t where {pred}"))
+            .unwrap();
+        (
+            out.rows[0][0].clone(),
+            out.stats.rows_scanned,
+            out.stats.cpu_tuple_ops,
+            out.stats.index_probes,
+            out.stats.buffer.accesses(),
+        )
+    };
+
+    // No WHERE: the first inner row answers for every outer row.
+    assert_eq!(
+        run("exists (select 1 from inner_t i)"),
+        (Value::Int(200), 200 + 200, 400, 0, 201)
+    );
+    // An outer-only conjunct is evaluated per inner row, like any other:
+    // true at the first row for the 84 outer rows with v > 3, false on all
+    // 50 for the other 116.
+    assert_eq!(
+        run("exists (select 1 from inner_t i where outer_t.v > 3)"),
+        (Value::Int(84), 200 + 84 + 116 * 50, 284, 0, 201)
+    );
+    // Correlated on an un-indexed column: inner key 3j sits at position
+    // j + 1, the 150 outer keys without a partner scan all 50 rows.
+    let scanned = 200 + (1..=50).sum::<u64>() + 150 * 50;
+    assert_eq!(
+        run("exists (select 1 from inner_t i where i.k = outer_t.k)"),
+        (Value::Int(50), scanned, 250, 0, 201)
+    );
+    assert_eq!(
+        run("not exists (select 1 from inner_t i where i.k = outer_t.k)"),
+        (Value::Int(150), scanned, 350, 0, 201)
+    );
+    // Under OR, through the memo's probe.
+    assert_eq!(
+        run("v = 6 or exists (select 1 from inner_t i where i.k = outer_t.k and i.v < 3)"),
+        (Value::Int(54), 8146, 254, 0, 173)
+    );
+}

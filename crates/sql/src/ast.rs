@@ -7,6 +7,7 @@
 
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// A possibly-qualified column reference (`l_orderkey`, `l.l_orderkey`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -140,16 +141,18 @@ pub enum Expr {
         negated: bool,
         list: Vec<Expr>,
     },
-    /// `expr [NOT] IN (subquery)`.
+    /// `expr [NOT] IN (subquery)`. The three subquery forms hold their
+    /// `Select` behind an `Arc`, so cloning an expression keeps the subquery
+    /// node itself: an executor can recognise it by pointer across clones.
     InSubquery {
         expr: Box<Expr>,
         negated: bool,
-        query: Box<Select>,
+        query: Arc<Select>,
     },
     /// `[NOT] EXISTS (subquery)`.
-    Exists { negated: bool, query: Box<Select> },
+    Exists { negated: bool, query: Arc<Select> },
     /// Scalar subquery used as a value.
-    ScalarSubquery(Box<Select>),
+    ScalarSubquery(Arc<Select>),
     /// `expr [NOT] LIKE pattern` (pattern is `%`/`_` SQL syntax).
     Like {
         expr: Box<Expr>,
@@ -750,7 +753,7 @@ mod tests {
         };
         let e = Expr::Exists {
             negated: false,
-            query: Box::new(inner),
+            query: Arc::new(inner),
         };
         assert!(!e.contains_aggregate());
     }

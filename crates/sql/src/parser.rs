@@ -24,6 +24,7 @@ use crate::ast::*;
 use crate::lexer::{Lexer, Symbol, Token};
 use crate::value::{Date, Interval, Value};
 use crate::{ParseError, ParseResult};
+use std::sync::Arc;
 
 /// Parses a single SQL statement (a trailing `;` is tolerated).
 pub fn parse_statement(sql: &str) -> ParseResult<Statement> {
@@ -575,7 +576,7 @@ impl Parser {
         if self.eat_kw("in") {
             self.expect_symbol(Symbol::LParen)?;
             if self.peek().is_kw("select") {
-                let query = Box::new(self.select()?);
+                let query = Arc::new(self.select()?);
                 self.expect_symbol(Symbol::RParen)?;
                 return Ok(Expr::InSubquery {
                     expr: Box::new(lhs),
@@ -703,7 +704,7 @@ impl Parser {
             Token::Symbol(Symbol::LParen) => {
                 self.advance();
                 if self.peek().is_kw("select") {
-                    let q = Box::new(self.select()?);
+                    let q = Arc::new(self.select()?);
                     self.expect_symbol(Symbol::RParen)?;
                     Ok(Expr::ScalarSubquery(q))
                 } else {
@@ -782,7 +783,7 @@ impl Parser {
             "exists" => {
                 self.advance();
                 self.expect_symbol(Symbol::LParen)?;
-                let query = Box::new(self.select()?);
+                let query = Arc::new(self.select()?);
                 self.expect_symbol(Symbol::RParen)?;
                 Ok(Expr::Exists {
                     negated: false,
@@ -793,7 +794,7 @@ impl Parser {
                 self.advance(); // not
                 self.advance(); // exists
                 self.expect_symbol(Symbol::LParen)?;
-                let query = Box::new(self.select()?);
+                let query = Arc::new(self.select()?);
                 self.expect_symbol(Symbol::RParen)?;
                 Ok(Expr::Exists {
                     negated: true,

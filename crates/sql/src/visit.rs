@@ -9,6 +9,7 @@
 //!   injection and aggregate decomposition).
 
 use crate::ast::{Expr, Select, SelectItem, Statement, TableRef};
+use std::sync::Arc;
 
 /// Calls `f` for every expression in the select, including inside
 /// subqueries. Traversal is pre-order.
@@ -273,10 +274,10 @@ pub fn rewrite_expr_deep(expr: &mut Expr, f: &mut dyn FnMut(&mut Expr)) {
         }
         Expr::InSubquery { expr, query, .. } => {
             rewrite_expr_deep(expr, f);
-            rewrite_select_exprs_deep(query, f);
+            rewrite_select_exprs_deep(Arc::make_mut(query), f);
         }
-        Expr::Exists { query, .. } => rewrite_select_exprs_deep(query, f),
-        Expr::ScalarSubquery(q) => rewrite_select_exprs_deep(q, f),
+        Expr::Exists { query, .. } => rewrite_select_exprs_deep(Arc::make_mut(query), f),
+        Expr::ScalarSubquery(q) => rewrite_select_exprs_deep(Arc::make_mut(q), f),
         Expr::Like { expr, pattern, .. } => {
             rewrite_expr_deep(expr, f);
             rewrite_expr_deep(pattern, f);

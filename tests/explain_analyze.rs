@@ -172,3 +172,143 @@ fn explain_analyze_runs_every_eval_query() {
         assert_eq!(field(root, "rows"), expected, "{}: {root}", q.label());
     }
 }
+
+/// Pulls `name=<integer>` out of a probe line.
+fn count(line: &str, name: &str) -> u64 {
+    field(line, name) as u64
+}
+
+/// Q4 and Q21 name the path each correlated subquery takes: plain EXPLAIN
+/// on the scan line, EXPLAIN ANALYZE as one line per probe under the scan,
+/// with evaluation / candidate / match counts that reconcile with the
+/// scan's output and the statement's `index_probes`.
+#[test]
+fn explain_names_the_exists_probes_of_q4_and_q21() {
+    let db = tpch_db();
+    db.query("set parallel_workers = 1").unwrap();
+    let params = QueryParams::default();
+
+    // Q4: one semi-join probe on the orders scan.
+    let q4 = ALL_QUERIES[2].sql(&params);
+    let plan = plan_lines(&db, &format!("explain {q4}"));
+    let scan = plan
+        .iter()
+        .find(|l| l.trim_start().starts_with("scan orders"))
+        .unwrap_or_else(|| panic!("{plan:?}"));
+    assert!(
+        scan.contains("3 filter(s) [semi-probe lineitem via index(l_orderkey)]"),
+        "{scan}"
+    );
+    let analyzed = plan_lines(&db, &format!("explain analyze {q4}"));
+    let at = analyzed
+        .iter()
+        .position(|l| l.trim_start().starts_with("scan orders"))
+        .unwrap_or_else(|| panic!("{analyzed:?}"));
+    let (scan, probe) = (&analyzed[at], &analyzed[at + 1]);
+    assert!(
+        probe
+            .trim_start()
+            .starts_with("semi-probe lineitem via index(l_orderkey) (evaluations="),
+        "{probe}"
+    );
+    // The probe line is a child of the scan, and every match is a scan row.
+    assert!(probe.len() - probe.trim_start().len() > scan.len() - scan.trim_start().len());
+    assert_eq!(count(probe, "matches"), count(scan, "rows"), "{analyzed:?}");
+    assert!(count(probe, "candidates") >= count(probe, "matches"));
+    let stats = db.query(&q4).unwrap().stats;
+    assert_eq!(count(probe, "evaluations"), stats.index_probes);
+
+    // Q21: a semi- and an anti-join probe on the l1 scan, in written order.
+    let q21 = ALL_QUERIES[7].sql(&params);
+    let plan = plan_lines(&db, &format!("explain {q21}"));
+    let scan = plan
+        .iter()
+        .find(|l| l.trim_start().starts_with("scan lineitem as l1"))
+        .unwrap_or_else(|| panic!("{plan:?}"));
+    assert!(
+        scan.contains(
+            "3 filter(s) [semi-probe lineitem l2 via index(l_orderkey), \
+             anti-probe lineitem l3 via index(l_orderkey)]"
+        ),
+        "{scan}"
+    );
+    let analyzed = plan_lines(&db, &format!("explain analyze {q21}"));
+    let at = analyzed
+        .iter()
+        .position(|l| l.trim_start().starts_with("scan lineitem as l1"))
+        .unwrap_or_else(|| panic!("{analyzed:?}"));
+    let (scan, semi, anti) = (&analyzed[at], &analyzed[at + 1], &analyzed[at + 2]);
+    assert!(
+        semi.trim_start()
+            .starts_with("semi-probe lineitem l2 via index(l_orderkey) (evaluations="),
+        "{semi}"
+    );
+    assert!(
+        anti.trim_start()
+            .starts_with("anti-probe lineitem l3 via index(l_orderkey) (evaluations="),
+        "{anti}"
+    );
+    // Rows that pass the semi-probe reach the anti-probe; rows the
+    // anti-probe finds no match for leave the scan.
+    assert_eq!(count(anti, "evaluations"), count(semi, "matches"));
+    assert_eq!(
+        count(scan, "rows"),
+        count(anti, "evaluations") - count(anti, "matches"),
+        "{analyzed:?}"
+    );
+    let stats = db.query(&q21).unwrap().stats;
+    assert_eq!(
+        count(semi, "evaluations") + count(anti, "evaluations"),
+        stats.index_probes
+    );
+}
+
+/// A subquery predicate the probe does not cover says so, a probe without
+/// a key says that, and an `EXISTS` the framed interpreter serves from the
+/// memo's probe is listed with it.
+#[test]
+fn explain_names_the_interpreted_fallback_and_memo_probes() {
+    let db = tpch_db();
+    db.query("set parallel_workers = 1").unwrap();
+    // Grouped subquery: not a probe shape.
+    let grouped = "select count(*) as n from orders where exists \
+        (select l_orderkey from lineitem where l_orderkey = o_orderkey group by l_orderkey)";
+    let plan = plan_lines(&db, &format!("explain {grouped}"));
+    assert!(
+        plan.iter()
+            .any(|l| l.contains("1 filter(s) [subquery (interpreted)]")),
+        "{plan:?}"
+    );
+    // No equality on an indexed column: the probe runs over the heap.
+    let unkeyed = "select count(*) as n from nation where exists \
+        (select * from region where r_name = n_name)";
+    let plan = plan_lines(&db, &format!("explain {unkeyed}"));
+    assert!(
+        plan.iter()
+            .any(|l| l.contains("1 filter(s) [semi-probe region via seq scan]")),
+        "{plan:?}"
+    );
+    // EXISTS under OR: the predicate is interpreted, the EXISTS inside it
+    // is still an index probe.
+    let under_or = "select count(*) as n from orders where o_orderstatus = 'F' or not exists \
+        (select * from lineitem where l_orderkey = o_orderkey and l_quantity > 49.0)";
+    let plan = plan_lines(&db, &format!("explain {under_or}"));
+    assert!(
+        plan.iter().any(|l| l.contains(
+            "[subquery (interpreted), anti-probe lineitem via index(l_orderkey) (memo)]"
+        )),
+        "{plan:?}"
+    );
+    let analyzed = plan_lines(&db, &format!("explain analyze {under_or}"));
+    let probe = analyzed
+        .iter()
+        .find(|l| l.trim_start().starts_with("anti-probe lineitem"))
+        .unwrap_or_else(|| panic!("{analyzed:?}"));
+    let stats = db.query(under_or).unwrap().stats;
+    assert!(stats.index_probes > 0);
+    assert_eq!(
+        count(probe, "evaluations"),
+        stats.index_probes,
+        "{analyzed:?}"
+    );
+}

@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 
-use apuama_engine::{Database, QueryOutput};
+use apuama_engine::{Database, EngineError, QueryOutput};
 use apuama_sql::Value;
 use apuama_tpch::{generate, load_into, QueryParams, TpchConfig, ALL_QUERIES};
 
@@ -145,6 +145,39 @@ const FAMILY: &[(&str, usize)] = &[
          where l_orderkey in (select o_orderkey from orders where o_priority = 'P0') \
          and l_orderkey >= $1 and l_orderkey < $2",
         2,
+    ),
+    // Correlated EXISTS compiled to an index semi-join probe, with a
+    // bound parameter on the probe's outer side.
+    (
+        "select count(*) as n from orders \
+         where o_orderkey >= $1 and o_orderkey < $2 \
+         and exists (select * from lineitem where l_orderkey = o_orderkey and l_quantity > $3)",
+        3,
+    ),
+    // Anti-join probe whose key is an expression over the outer row.
+    (
+        "select o_orderkey from orders \
+         where not exists (select * from lineitem l \
+                           where l.l_orderkey = o_orderkey + $1 and l.l_quantity > $3) \
+         order by o_orderkey limit 10",
+        3,
+    ),
+    // EXISTS under OR: not a top-level conjunct, so the framed evaluator
+    // reaches the probe through the per-execution memo.
+    (
+        "select count(*) as n from orders \
+         where o_priority = 'P0' \
+         or exists (select * from lineitem where l_orderkey = o_orderkey and l_quantity > $3)",
+        3,
+    ),
+    // A probe inside a derived table.
+    (
+        "select count(*) as n from \
+         (select o_orderkey from orders \
+          where exists (select * from lineitem \
+                        where l_orderkey = o_orderkey and l_quantity > $3)) d \
+         where d.o_orderkey >= $1",
+        3,
     ),
 ];
 
@@ -430,5 +463,593 @@ fn tpch_eval_queries_identical_with_kernel_on_and_off() {
         let legacy = db.query(&sql).unwrap();
         assert_identical(&legacy, &off, &format!("{} (legacy exec)", q.label()));
         db.query("set enable_batch_exec = on").unwrap();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Correlated EXISTS: the index semi-/anti-join probe against its references
+// ---------------------------------------------------------------------------
+
+type OuterRow = (Option<i64>, Option<i64>, u8);
+type InnerRow = (Option<i64>, Option<i64>, Option<i64>);
+
+fn opt_int(v: Option<i64>) -> Value {
+    v.map_or(Value::Null, Value::Int)
+}
+
+/// Two small tables that share the column names `a` and `s` (so an
+/// unqualified `a` inside the subquery shadows the outer one). With
+/// `indexed`, `i.k` carries a secondary index and a qualifying `EXISTS`
+/// probes it; without it the probe runs over the heap. The one-row table
+/// `unit` is what [`interpreted`] joins into a subquery to keep it from
+/// qualifying at all.
+fn probe_db(outer: &[OuterRow], inner: &[InnerRow], indexed: bool) -> Database {
+    let mut db = Database::in_memory();
+    db.execute("create table o (ok int, a int, g int, s text)")
+        .unwrap();
+    db.execute("create table i (k int, a int, b int, s text)")
+        .unwrap();
+    db.execute("create table unit (u int)").unwrap();
+    db.load_table("unit", vec![vec![Value::Int(0)]]).unwrap();
+    if indexed {
+        db.execute("create index ik on i (k)").unwrap();
+    }
+    let o_rows = outer
+        .iter()
+        .map(|(ok, a, g)| {
+            vec![
+                opt_int(*ok),
+                opt_int(*a),
+                Value::Int((*g % 2) as i64),
+                Value::Str(format!("s{}", g % 3)),
+            ]
+        })
+        .collect();
+    let i_rows = inner
+        .iter()
+        .map(|(k, a, b)| {
+            vec![
+                opt_int(*k),
+                opt_int(*a),
+                opt_int(*b),
+                b.map_or(Value::Null, |b| Value::Str(format!("s{}", b % 3))),
+            ]
+        })
+        .collect();
+    db.load_table("o", o_rows).unwrap();
+    db.load_table("i", i_rows).unwrap();
+    db
+}
+
+/// The same statement with every subquery over `i` cross-joined to the
+/// one-row `unit`: the same rows, but two tables in FROM, so `run_select`
+/// executes it with the frame stack — the interpreted reference.
+fn interpreted(sql: &str) -> String {
+    sql.replace("from i ", "from unit, i ")
+}
+
+fn nullable(range: std::ops::Range<i64>) -> impl Strategy<Value = Option<i64>> {
+    proptest::option::of(range)
+}
+
+/// Keys come from a narrow range so index buckets hold several rows.
+fn probe_rows_strategy() -> impl Strategy<Value = (Vec<OuterRow>, Vec<InnerRow>)> {
+    (
+        proptest::collection::vec((nullable(0..8), nullable(0..6), any::<u8>()), 0..40),
+        proptest::collection::vec((nullable(0..8), nullable(0..6), nullable(0..6)), 0..60),
+    )
+}
+
+/// `(statement, parameter count)`. No statement here pairs a nullable
+/// conjunct with a later failing one: that is the one place the probe
+/// (interpreter order, continue past NULL) and `run_select` (conjuncts
+/// split, stop at the first non-true) legitimately differ, and it is
+/// pinned by hand in `exists_probe_corner_cases`.
+const PROBE_FAMILY: &[(&str, usize)] = &[
+    (
+        "select ok, a from o where exists (select * from i where i.k = o.ok)",
+        0,
+    ),
+    // NULL outer key, NULL inner comparison column.
+    (
+        "select ok, a from o where not exists (select * from i where i.k = o.ok and i.b > o.a)",
+        0,
+    ),
+    // Unqualified `a` resolves to the inner table, shadowing `o.a`.
+    (
+        "select ok, a from o where exists (select * from i where i.k = o.ok and a > $1)",
+        1,
+    ),
+    // Outer side written on the left; inner column against inner column.
+    (
+        "select ok, a from o \
+         where exists (select 1 from i where o.ok = i.k and i.b <> o.a and i.a < i.b)",
+        0,
+    ),
+    // Under OR: reached through the framed evaluator's memo.
+    (
+        "select ok, a from o \
+         where g = 1 or not exists (select * from i where i.k = o.ok and i.b >= $1)",
+        1,
+    ),
+    // In a projection, keyed by an expression with a bound parameter.
+    (
+        "select ok, case when exists (select k from i where i.k = o.ok + $1) \
+         then 1 else 0 end as e from o",
+        1,
+    ),
+    // Inside a derived table.
+    (
+        "select count(*) as n from \
+         (select ok from o where exists (select * from i where i.k = o.ok and i.b > $1)) d",
+        1,
+    ),
+    // Text against int: a TypeError as soon as a candidate reaches it.
+    (
+        "select ok, a from o where exists (select * from i where i.k = o.ok and i.s > o.a)",
+        0,
+    ),
+    // The Q21 shape: a semi- and an anti-probe on one scan.
+    (
+        "select ok, a from o \
+         where exists (select * from i i2 where i2.k = o.ok and i2.a <> o.a) \
+         and not exists (select * from i i3 \
+                         where i3.k = o.ok and i3.a <> o.a and i3.b > i3.a)",
+        0,
+    ),
+    // `a` is the *inner* column here, so this is uncorrelated: true for
+    // every outer row as soon as some inner row has k = a.
+    (
+        "select count(*) as n from o where exists (select * from i where i.k = a)",
+        0,
+    ),
+];
+
+/// Rows, or the error's class.
+fn outcome(r: Result<QueryOutput, EngineError>) -> Result<Vec<Vec<Value>>, String> {
+    match r {
+        Ok(out) => Ok(out.rows),
+        Err(e) => Err(format!("{:?}", std::mem::discriminant(&e))),
+    }
+}
+
+/// What the probe must do for `exists (… i.k = o.ok [and i.b > o.a])`, from
+/// the data alone: whether it finds a match, and how many candidates it
+/// fetches on the way (index bucket in insertion order, NULL keys included,
+/// stop at the first match).
+fn model_probe(ok: Option<i64>, a: Option<i64>, inner: &[InnerRow], with_b: bool) -> (bool, u64) {
+    let mut fetched = 0;
+    for (k, _, b) in inner.iter().filter(|(k, ..)| *k == ok) {
+        fetched += 1;
+        let key_true = k.is_some();
+        let b_true = !with_b || matches!((b, a), (Some(b), Some(a)) if b > &a);
+        if key_true && b_true {
+            return (true, fetched);
+        }
+    }
+    (false, fetched)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every statement of the family answers with the same rows — or fails
+    /// with the same error class — through the index probe, on the text and
+    /// the bound path and under every `enable_kernel` × `enable_batch_exec`
+    /// × `parallel_workers` setting, and through the un-keyed probe on an
+    /// index-less copy of the data, as the interpreted `run_select`
+    /// reference does.
+    #[test]
+    fn exists_probe_matches_interpreted_reference(
+        tables in probe_rows_strategy(),
+        query_idx in 0usize..PROBE_FAMILY.len(),
+        p in 0i64..6,
+    ) {
+        let (outer, inner) = tables;
+        let (template, n_params) = PROBE_FAMILY[query_idx];
+        let params = vec![Value::Int(p); n_params];
+        let text = render(template, &params);
+        let plain = probe_db(&outer, &inner, false);
+        let want = outcome(plain.query(&interpreted(&text)));
+        prop_assert_eq!(&outcome(plain.query(&text)), &want, "un-keyed≡interpreted: {}", &text);
+
+        let db = probe_db(&outer, &inner, true);
+        db.query("set parallel_workers = 1").unwrap();
+        let serial = db.query(&text);
+        prop_assert_eq!(&outcome(serial.clone()), &want, "probe≡interpreted: {}", &text);
+        for workers in [1usize, 2, 4] {
+            db.query(&format!("set parallel_workers = {workers}")).unwrap();
+            for kernel in ["on", "off"] {
+                db.query(&format!("set enable_kernel = {kernel}")).unwrap();
+                for batch in ["on", "off"] {
+                    db.query(&format!("set enable_batch_exec = {batch}")).unwrap();
+                    let what = format!("kernel {kernel}, batch {batch}, workers {workers}: {text}");
+                    let got = db.query(&text);
+                    let bound = db.query_bound(template, &params);
+                    match (&serial, &got, &bound) {
+                        (Ok(s), Ok(g), Ok(b)) => {
+                            assert_identical(g, s, &what);
+                            assert_identical(b, s, &format!("bound, {what}"));
+                        }
+                        _ => {
+                            prop_assert_eq!(&outcome(got), &want, "{}", &what);
+                            prop_assert_eq!(&outcome(bound), &want, "bound, {}", &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rows and work counters of the two plainest probes against a model
+    /// computed from the data alone: one `index_probes` bump per outer row,
+    /// one page touch per candidate fetched up to the first match.
+    #[test]
+    fn exists_probe_rows_and_counters_match_the_data_model(
+        tables in probe_rows_strategy(),
+        anti_with_b in any::<bool>(),
+    ) {
+        let (outer, inner) = tables;
+        let db = probe_db(&outer, &inner, true);
+        db.query("set parallel_workers = 1").unwrap();
+        let sql = PROBE_FAMILY[anti_with_b as usize].0;
+        let out = db.query(sql).unwrap();
+        let mut rows = Vec::new();
+        let mut fetched = 0;
+        for (ok, a, _) in &outer {
+            let (found, n) = model_probe(*ok, *a, &inner, anti_with_b);
+            fetched += n;
+            // Template 0 is EXISTS, template 1 NOT EXISTS.
+            if found != anti_with_b {
+                rows.push(vec![opt_int(*ok), opt_int(*a)]);
+            }
+        }
+        prop_assert_eq!(&out.rows, &rows, "{}", sql);
+        prop_assert_eq!(out.stats.index_probes, outer.len() as u64);
+        prop_assert_eq!(out.stats.rows_scanned, outer.len() as u64);
+        // One charge per predicate evaluation, one per projected row.
+        prop_assert_eq!(out.stats.cpu_tuple_ops, (outer.len() + rows.len()) as u64);
+        let outer_pages = db.table("o").unwrap().pages();
+        prop_assert_eq!(out.stats.buffer.accesses(), outer_pages + fetched);
+    }
+}
+
+/// The fixed two-table data set the pinned counters below were recorded on.
+fn fixed_probe_tables() -> (Vec<OuterRow>, Vec<InnerRow>) {
+    let outer = (0..30i64)
+        .map(|n| {
+            (
+                (n % 7 != 6).then_some(n % 8),
+                (n % 5 != 4).then_some(n % 6),
+                n as u8,
+            )
+        })
+        .collect();
+    let inner = (0..50i64)
+        .map(|n| {
+            (
+                (n % 9 != 8).then_some((n * 3) % 8),
+                (n % 4 != 3).then_some((n * 5) % 6),
+                (n % 6 != 5).then_some((n * 7) % 6),
+            )
+        })
+        .collect();
+    (outer, inner)
+}
+
+/// `ExecStats` of the probe are the parent's, to the page touch: the
+/// counters below were recorded by running these statements on the commit
+/// before the probe existed (e61a1d8, whose `eval_exists` re-analysed the
+/// subquery per outer row and then probed the same index). The second set
+/// is after a delete, which leaves the index buckets in `swap_remove`
+/// order rather than heap order.
+#[test]
+fn exists_probe_counters_equal_the_parents() {
+    /// `(rows, rows_scanned, cpu_tuple_ops, index_probes, page accesses)`.
+    type Pinned = (usize, u64, u64, u64, u64);
+    const STATEMENTS: &[(&str, Pinned, Pinned)] = &[
+        (
+            "select ok, a from o where exists (select * from i where i.k = o.ok)",
+            (26, 30, 56, 30, 47),
+            (26, 30, 56, 30, 47),
+        ),
+        (
+            "select ok, a from o where not exists (select * from i where i.k = o.ok and i.b > o.a)",
+            (21, 30, 51, 30, 135),
+            (21, 30, 51, 30, 129),
+        ),
+        (
+            "select ok, a from o where exists (select * from i where i.k = o.ok and a > 2)",
+            (19, 30, 49, 30, 103),
+            (19, 30, 49, 30, 103),
+        ),
+        (
+            "select ok, a from o \
+             where exists (select 1 from i where o.ok = i.k and i.b <> o.a and i.a < i.b)",
+            (6, 30, 36, 30, 147),
+            (6, 30, 36, 30, 141),
+        ),
+        (
+            "select ok, a from o \
+             where g = 1 or not exists (select * from i where i.k = o.ok and i.b >= 2)",
+            (17, 30, 47, 15, 32),
+            (17, 30, 47, 15, 32),
+        ),
+        (
+            "select ok, case when exists (select k from i where i.k = o.ok + 2) \
+             then 1 else 0 end as e from o",
+            (30, 30, 30, 30, 42),
+            (30, 30, 30, 30, 42),
+        ),
+        (
+            "select count(*) as n from \
+             (select ok from o where exists (select * from i where i.k = o.ok and i.b > 2)) d",
+            (1, 30, 82, 30, 73),
+            (1, 30, 76, 30, 79),
+        ),
+        (
+            "select ok, a from o \
+             where exists (select * from i i2 where i2.k = o.ok and i2.a <> o.a) \
+             and not exists (select * from i i3 \
+                             where i3.k = o.ok and i3.a <> o.a and i3.b > i3.a)",
+            (8, 30, 53, 45, 163),
+            (8, 30, 53, 45, 159),
+        ),
+    ];
+    let (outer, inner) = fixed_probe_tables();
+    let mut db = probe_db(&outer, &inner, true);
+    let mut plain = probe_db(&outer, &inner, false);
+    db.query("set parallel_workers = 1").unwrap();
+    for after_delete in [false, true] {
+        if after_delete {
+            for d in [&mut db, &mut plain] {
+                d.execute("delete from i where k = 3 and a = 3").unwrap();
+            }
+        }
+        for (sql, before, after) in STATEMENTS {
+            let want = if after_delete { after } else { before };
+            let out = db.query(sql).unwrap();
+            let got = (
+                out.rows.len(),
+                out.stats.rows_scanned,
+                out.stats.cpu_tuple_ops,
+                out.stats.index_probes,
+                out.stats.buffer.accesses(),
+            );
+            assert_eq!(&got, want, "after_delete={after_delete}: {sql}");
+            assert_eq!(out.rows, plain.query(sql).unwrap().rows, "{sql}");
+            assert_eq!(
+                out.rows,
+                plain.query(&interpreted(sql)).unwrap().rows,
+                "{sql}"
+            );
+        }
+    }
+}
+
+/// The corners of the probe's contract, each with its expected outcome
+/// derived by hand.
+#[test]
+fn exists_probe_corner_cases() {
+    let class = |r: Result<QueryOutput, EngineError>| outcome(r).map(|rows| rows.len());
+    let type_error = Err(format!(
+        "{:?}",
+        std::mem::discriminant(&EngineError::TypeError(String::new()))
+    ));
+    // One outer row (ok = 1, a = 1, s = 's0'); the inner rows vary.
+    // `b` takes any value: the engine is dynamically typed, so a text
+    // value in the int column is how one candidate fails where another
+    // compares.
+    let build = |inner: &[(i64, Value, &str)], indexed: bool| {
+        let mut db = probe_db(&[(Some(1), Some(1), 0)], &[], indexed);
+        let rows = inner
+            .iter()
+            .map(|(k, b, s)| {
+                vec![
+                    Value::Int(*k),
+                    Value::Int(0),
+                    b.clone(),
+                    Value::Str(s.to_string()),
+                ]
+            })
+            .collect();
+        db.load_table("i", rows).unwrap();
+        db
+    };
+
+    // `NULL AND <error>`: the interpreter's AND stops at false, not at
+    // NULL, so a NULL comparison lets the failing one after it run …
+    let null_then_error = "select ok from o where exists \
+        (select * from i where i.k = o.ok and i.b > o.a and i.s > o.a)";
+    assert_eq!(
+        class(build(&[(1, Value::Null, "x")], true).query(null_then_error)),
+        type_error
+    );
+    // … a false one does not …
+    assert_eq!(
+        class(build(&[(1, Value::Int(0), "x")], true).query(null_then_error)),
+        Ok(0)
+    );
+    // … and a candidate that matches first ends the probe before a later
+    // candidate can fail, with or without an index to find them through.
+    let match_first = "select ok from o where exists \
+        (select * from i where i.k = o.ok and i.b > o.a)";
+    let two = [(1, Value::Int(5), "x"), (1, Value::Str("five".into()), "x")];
+    assert_eq!(class(build(&two, true).query(match_first)), Ok(1));
+    assert_eq!(class(build(&two, false).query(match_first)), Ok(1));
+    let failing_first = [two[1].clone(), two[0].clone()];
+    assert_eq!(
+        class(build(&failing_first, false).query(match_first)),
+        type_error
+    );
+    // The un-keyed probe evaluates the same AND chain over heap rows.
+    assert_eq!(
+        class(build(&[(1, Value::Null, "x")], false).query(null_then_error)),
+        type_error
+    );
+
+    // A key of the wrong type finds no bucket: no candidates, no error
+    // (the un-keyed probe compares it with the first row and fails).
+    let text_key = "select ok from o where exists (select * from i where i.k = o.s)";
+    let db = build(&[(1, Value::Int(1), "x")], true);
+    db.query("set parallel_workers = 1").unwrap();
+    let out = db.query(text_key).unwrap();
+    assert_eq!(
+        (
+            out.rows.len(),
+            out.stats.index_probes,
+            out.stats.buffer.accesses()
+        ),
+        (0, 1, 1)
+    );
+    assert_eq!(
+        class(build(&[(1, Value::Int(1), "x")], false).query(text_key)),
+        type_error
+    );
+
+    // A key expression that fails to evaluate makes the evaluation un-keyed:
+    // it fails when (and only when) an inner row reaches the comparison.
+    let bad_key = "select ok from o where exists (select * from i where i.k = -o.s)";
+    assert_eq!(
+        class(build(&[(1, Value::Int(1), "x")], true).query(bad_key)),
+        type_error
+    );
+    assert_eq!(class(build(&[], true).query(bad_key)), Ok(0));
+
+    // Empty inner table: one probe per outer row, nothing fetched.
+    let (outer, _) = fixed_probe_tables();
+    let db = probe_db(&outer, &[], true);
+    db.query("set parallel_workers = 1").unwrap();
+    let outer_pages = db.table("o").unwrap().pages();
+    for (sql, rows) in [(PROBE_FAMILY[0].0, 0), (PROBE_FAMILY[1].0, outer.len())] {
+        let out = db.query(sql).unwrap();
+        assert_eq!(out.rows.len(), rows, "{sql}");
+        assert_eq!(out.stats.index_probes, outer.len() as u64, "{sql}");
+        assert_eq!(out.stats.buffer.accesses(), outer_pages, "{sql}");
+    }
+
+    // Which path each family member takes: the top-level conjuncts are
+    // probes by index on the indexed copy and over the heap on the plain
+    // one; the shadowed key of the last member is no correlation at all.
+    let (outer, inner) = fixed_probe_tables();
+    let db = probe_db(&outer, &inner, true);
+    let plain = probe_db(&outer, &inner, false);
+    let plan = |db: &Database, sql: &str| -> String {
+        let out = db.query(&format!("explain {sql}")).unwrap();
+        out.rows
+            .iter()
+            .map(|r| r[0].as_str().unwrap().to_string())
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    for idx in [0, 1, 2, 3, 6, 7, 8] {
+        let sql = render(PROBE_FAMILY[idx].0, &[Value::Int(2)]);
+        let (keyed, unkeyed) = (plan(&db, &sql), plan(&plain, &sql));
+        assert!(
+            keyed.contains("-probe i") && keyed.contains("via index(k)"),
+            "{sql}"
+        );
+        assert!(
+            unkeyed.contains("-probe i") && unkeyed.contains("via seq scan"),
+            "{sql}"
+        );
+        assert!(
+            plan(&plain, &interpreted(&sql)).contains("subquery (interpreted)"),
+            "{sql}"
+        );
+    }
+    let under_or = render(PROBE_FAMILY[4].0, &[Value::Int(2)]);
+    assert!(plan(&db, &under_or).contains("anti-probe i via index(k) (memo)"));
+    let shadowed = PROBE_FAMILY[9].0;
+    assert!(!plan(&db, shadowed).contains("via index"), "{shadowed}");
+    assert_eq!(db.query(shadowed).unwrap().stats.index_probes, 0);
+}
+
+/// Q4 and Q21 under both benchmark parameter sets against formulations
+/// decorrelated by hand into joins and group-bys — an oracle that shares
+/// no code with the subquery machinery — with the work counters pinned to
+/// the ones the parent commit (e61a1d8) reported for the same statements.
+#[test]
+fn tpch_q4_q21_match_decorrelated_oracles_and_the_parents_counters() {
+    let data = generate(TpchConfig {
+        scale_factor: 0.01,
+        seed: 7,
+    });
+    let mut db = Database::in_memory();
+    load_into(&mut db, &data).unwrap();
+    db.query("set parallel_workers = 1").unwrap();
+    // (rows_scanned, cpu_tuple_ops, index_probes, page accesses) of
+    // (Q4, Q21) under the validation parameters and the benchmark's second
+    // parameter set.
+    type Pinned = (u64, u64, u64, u64);
+    let sets: [(QueryParams, Pinned, Pinned); 2] = [
+        (
+            QueryParams::default(),
+            (15_000, 27_730, 559, 1_060),
+            (75_740, 165_097, 75_698, 117_436),
+        ),
+        (
+            QueryParams::random(0x5EED_0001),
+            (15_000, 28_832, 572, 1_070),
+            (75_740, 165_156, 75_698, 117_436),
+        ),
+    ];
+    let pinned = |out: &QueryOutput| {
+        (
+            out.stats.rows_scanned,
+            out.stats.cpu_tuple_ops,
+            out.stats.index_probes,
+            out.stats.buffer.accesses(),
+        )
+    };
+    for (p, q4_counters, q21_counters) in sets {
+        let q4 = db.query(&ALL_QUERIES[2].sql(&p)).unwrap();
+        // An order qualifies when it has a late lineitem: join with the
+        // distinct order keys of late lineitems.
+        let q4_oracle = db
+            .query(&format!(
+                "select o_orderpriority, count(*) as order_count \
+                 from orders, \
+                      (select l_orderkey as late_key from lineitem \
+                       where l_commitdate < l_receiptdate group by l_orderkey) late \
+                 where o_orderkey = late.late_key \
+                   and o_orderdate >= date '{y}-{m:02}-01' \
+                   and o_orderdate < date '{y}-{m:02}-01' + interval '3' month \
+                 group by o_orderpriority order by o_orderpriority",
+                y = p.q4_year,
+                m = p.q4_month
+            ))
+            .unwrap();
+        assert!(!q4.rows.is_empty());
+        assert_eq!(q4.rows, q4_oracle.rows, "Q4");
+        assert_eq!(pinned(&q4), q4_counters, "Q4 counters");
+
+        let q21 = db.query(&ALL_QUERIES[7].sql(&p)).unwrap();
+        // l1 is late and in its order, so: another supplier in the order
+        // ⇔ the order has > 1 distinct suppliers; no *other* late supplier
+        // ⇔ the order's late lineitems have exactly 1 distinct supplier.
+        let q21_oracle = db
+            .query(&format!(
+                "select s_name, count(*) as numwait \
+                 from supplier, lineitem l1, orders, nation, \
+                      (select l_orderkey as all_key, count(distinct l_suppkey) as suppliers \
+                       from lineitem group by l_orderkey) every, \
+                      (select l_orderkey as late_key, count(distinct l_suppkey) as late_suppliers \
+                       from lineitem where l_receiptdate > l_commitdate group by l_orderkey) late \
+                 where s_suppkey = l1.l_suppkey \
+                   and o_orderkey = l1.l_orderkey \
+                   and o_orderstatus = 'F' \
+                   and l1.l_receiptdate > l1.l_commitdate \
+                   and every.all_key = l1.l_orderkey and every.suppliers > 1 \
+                   and late.late_key = l1.l_orderkey and late.late_suppliers = 1 \
+                   and s_nationkey = n_nationkey \
+                   and n_name = '{}' \
+                 group by s_name order by numwait desc, s_name limit 100",
+                p.q21_nation
+            ))
+            .unwrap();
+        assert!(!q21.rows.is_empty());
+        assert_eq!(q21.rows, q21_oracle.rows, "Q21");
+        assert_eq!(pinned(&q21), q21_counters, "Q21 counters");
     }
 }

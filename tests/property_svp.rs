@@ -368,6 +368,54 @@ fn regression_having_below_threshold_single_node() {
     }
 }
 
+/// `between lo and hi` with `hi` on a virtual-partition boundary: the
+/// sub-query that ends there carries `… between lo and hi and o_orderkey <
+/// hi`, two upper bounds on the same value that the index range consumes
+/// together. It used to keep the inclusive one and count the boundary
+/// order twice (PR 13's benchmark found it on one statement in 350 000).
+#[test]
+fn regression_between_ending_on_a_partition_boundary() {
+    let rows: Vec<(i64, i64, f64, u8)> = (1..=400).map(|k| (k, k % 10, 1.0, 0)).collect();
+    let reference = db_with_orders(&rows);
+    let catalog = DataCatalog::tpch(400);
+    let vp = catalog.get("orders").unwrap();
+    for nodes in [2usize, 4, 7] {
+        let rewriter = SvpRewriter::new(catalog.clone());
+        for i in 0..nodes {
+            // Every partition edge, as the upper and as the lower end.
+            let (lo, hi) = vp.partition_bounds(i, nodes);
+            for (from, to) in [(Some(3), hi), (lo, Some(390)), (lo, hi)] {
+                let (Some(from), Some(to)) = (from, to) else {
+                    continue;
+                };
+                let sql = format!(
+                    "select count(*) as n, sum(o_qty) as s from orders \
+                     where o_orderkey between {from} and {to}"
+                );
+                let expected = reference.query(&sql).unwrap();
+                let Rewritten::Svp(plan) = rewriter.rewrite(&sql, nodes).unwrap() else {
+                    panic!("expected SVP plan for {sql}");
+                };
+                let partials: Vec<QueryOutput> = plan
+                    .subqueries
+                    .iter()
+                    .map(|sub| {
+                        let replica = db_with_orders(&rows);
+                        // As on a cluster node: the index is forced.
+                        replica.query("set enable_seqscan = off").unwrap();
+                        replica.query(sub).unwrap()
+                    })
+                    .collect();
+                let composed = compose(&plan, &partials).unwrap();
+                assert_eq!(
+                    composed.output.rows, expected.rows,
+                    "{sql} on {nodes} nodes"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

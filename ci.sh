@@ -127,4 +127,17 @@ case "$smoke" in
     ;;
 esac
 
+echo "== benchmark counters: the traced smoke run's work per pass must equal ci/olap_power_smoke.counters =="
+traced=$(timeout "$SUITE_TIMEOUT" cargo run --release --offline --quiet \
+  --manifest-path benchmark/Cargo.toml -- --workload olap_power --smoke --trace 1 | tail -n 1)
+while read -r name want; do
+  case "$name" in ''|'#'*) continue ;; esac
+  got=$(printf '%s' "$traced" | sed -n "s/.*\"$name\": {\"value\": \([0-9]*\),.*/\1/p")
+  if [ "$got" != "$want" ]; then
+    echo "FAIL: $name = ${got:-missing}, expected $want (ci/olap_power_smoke.counters)."
+    exit 1
+  fi
+  echo "counter: $name = $got"
+done < ci/olap_power_smoke.counters
+
 echo "ci: all green"

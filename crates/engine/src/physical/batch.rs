@@ -173,13 +173,6 @@ impl<'e> RowBatch<'e> {
             keys,
         }
     }
-
-    pub(crate) fn borrowed(rows: Vec<&'e Row>) -> Self {
-        RowBatch {
-            rows: BatchRows::Borrowed(rows),
-            keys: KeyBuf::default(),
-        }
-    }
 }
 // ---------------------------------------------------------------------------
 // Shared pieces

@@ -322,14 +322,15 @@ pub(crate) enum KeyProg {
     Expr { expr: CompiledExpr, slot: usize },
 }
 
-/// Compiles group-by expressions into [`KeyProg`]s; `None` when any key
-/// needs framed evaluation (the caller falls back to the legacy fold).
-pub(crate) fn compile_key_progs(
-    exprs: &[Expr],
+/// Compiles key expressions (group-by keys, one side of a join's edges)
+/// into [`KeyProg`]s; `None` when any key needs framed evaluation (the
+/// caller falls back to evaluating with frames).
+pub(crate) fn compile_key_progs<'x>(
+    exprs: impl IntoIterator<Item = &'x Expr>,
     bindings: &[Binding],
     ctx: &ExecContext<'_>,
 ) -> Option<Vec<KeyProg>> {
-    let mut progs = Vec::with_capacity(exprs.len());
+    let mut progs = Vec::new();
     let mut slots = 0usize;
     for e in exprs {
         let c = eval::prebind_params(&eval::compile_expr(e, bindings)?, ctx);

@@ -34,6 +34,9 @@ enum NodeKind {
     /// counters (for the interpreted fallback, nothing) instead of rows and
     /// time, which are part of the operator that evaluates it.
     Subquery(Option<Arc<ProbeReport>>),
+    /// A line of counts an operator reports about its own phases (the join
+    /// block's steps); rendered as written, with no timing fields.
+    Note,
 }
 
 /// The `EXPLAIN ANALYZE` collector: a flat arena of probe nodes built as
@@ -72,6 +75,14 @@ impl Analyze {
             nodes[child].kind = NodeKind::Subquery(line.probe);
             nodes[parent].children.push(child);
         }
+    }
+
+    /// Lists `line` under `parent`, after the children attached so far.
+    pub(crate) fn add_note(&self, parent: usize, line: String) {
+        let child = self.register(line, Vec::new());
+        let mut nodes = self.nodes.borrow_mut();
+        nodes[child].kind = NodeKind::Note;
+        nodes[parent].children.push(child);
     }
 
     pub(crate) fn add_child(&self, parent: usize, child: usize) {
@@ -152,17 +163,16 @@ pub(crate) fn explain_analyze(q: &Select, ctx: &ExecContext<'_>) -> EngineResult
 
 pub(crate) fn render_probe(nodes: &[ProbeNode], idx: usize, depth: usize, out: &mut Vec<String>) {
     let n = &nodes[idx];
-    if let NodeKind::Subquery(probe) = &n.kind {
-        let counters = probe.as_ref().map(|p| {
+    let counters = match &n.kind {
+        NodeKind::Operator => None,
+        NodeKind::Note => Some(String::new()),
+        NodeKind::Subquery(probe) => Some(probe.as_ref().map_or(String::new(), |p| {
             let (evaluations, candidates, matches) = p.counters();
             format!(" (evaluations={evaluations} candidates={candidates} matches={matches})")
-        });
-        out.push(format!(
-            "{}{}{}",
-            "  ".repeat(depth),
-            n.label,
-            counters.unwrap_or_default()
-        ));
+        })),
+    };
+    if let Some(counters) = counters {
+        out.push(format!("{}{}{counters}", "  ".repeat(depth), n.label));
         return;
     }
     let child_nanos: u128 = n.children.iter().map(|&c| nodes[c].nanos).sum();
@@ -315,6 +325,7 @@ pub(crate) fn scan_line(
     name: &str,
     binding_name: &str,
     single: &[Expr],
+    keep: Option<&[String]>,
     ctx: &ExecContext<'_>,
 ) -> EngineResult<(String, f64)> {
     let table = ctx
@@ -358,9 +369,12 @@ pub(crate) fn scan_line(
     } else {
         format!(" [{}]", subqueries.join(", "))
     };
+    let cols = keep.map_or(String::new(), |keep| {
+        format!(", {}", cols_note(&table.schema, keep))
+    });
     Ok((
         format!(
-            "scan {name}{alias_note}: {}, {} filter(s){subquery_note}, ~{:.0} rows (cost {:.1})",
+            "scan {name}{alias_note}: {}, {} filter(s){subquery_note}{cols}, ~{:.0} rows (cost {:.1})",
             path_desc(table, &choice.path),
             single.len().saturating_sub(choice.consumed.len()),
             choice.estimated_rows,
@@ -380,8 +394,10 @@ pub(crate) fn explain_general(
     let mut estimates: Vec<f64> = Vec::with_capacity(g.inputs.len());
     for node in &g.inputs {
         match node {
-            InputNode::Table { name, single, .. } => {
-                let (line, est) = scan_line(name, node.scope_name(), single, ctx)?;
+            InputNode::Table {
+                name, single, keep, ..
+            } => {
+                let (line, est) = scan_line(name, node.scope_name(), single, keep.as_deref(), ctx)?;
                 input_blocks.push(Some(vec![(0, line)]));
                 estimates.push(est);
             }
@@ -491,7 +507,7 @@ pub(crate) fn explain_fused(
     f: &FusedPlan,
     ctx: &ExecContext<'_>,
 ) -> EngineResult<(Lines, f64)> {
-    let (line, scan_est) = scan_line(&f.table, &f.binding_name, &f.single, ctx)?;
+    let (line, scan_est) = scan_line(&f.table, &f.binding_name, &f.single, None, ctx)?;
     let mut child = vec![(0, line)];
     if !f.compiled_post.is_empty() {
         child = wrap(

@@ -29,8 +29,24 @@
 //!   `Filter`/`Project`/`Aggregate` stages materialize their input first,
 //!   which is exactly when the interpreter evaluated them. `Sort` and
 //!   `Limit` are always breakers (the interpreter never terminated a scan
-//!   early), and join inputs are materialized in FROM order before the
-//!   greedy join phase, again matching the interpreter's phases.
+//!   early).
+//! * **Join inputs are read whole, in FROM order, before the greedy join
+//!   phase** — the interpreter's phases, and the reason a join's page
+//!   touches and counters do not depend on the join order. What each
+//!   base-table input *keeps* of its rows is narrower than what it reads:
+//!   lowering records, by name, every column anything other than the
+//!   input's own pushed-down conjuncts can resolve to ([`join_input_columns`]),
+//!   the scan evaluates those conjuncts (and their `EXISTS` probes) on the
+//!   borrowed heap row as before, and only the recorded columns are cloned
+//!   into the join block. Everything downstream — join keys, post-filters,
+//!   the aggregate's representative row, memory charges — resolves columns
+//!   by name against the bindings it is handed, so it is narrower without
+//!   knowing why. By name, because a plan outlives the catalog it was
+//!   lowered against and an unqualified name has to stay ambiguous when
+//!   two inputs carry it. The driving (largest) input is still
+//!   materialized rather than streamed through the build tables: which
+//!   input drives is only known once every input has been read, and
+//!   reading it last would move when its pages are touched.
 //!
 //! The one accepted divergence: when a query *errors*, the streaming
 //! pipeline may surface a projection error from an early batch before a
@@ -38,7 +54,8 @@
 //! scan error first. Which error wins can differ; successful results and
 //! their statistics never do.
 
-use apuama_sql::ast::{Expr, Select, SelectItem, SetQuantifier, TableRef};
+use apuama_sql::ast::{ColumnRef, Expr, Select, SelectItem, SetQuantifier, TableRef};
+use apuama_sql::visit;
 
 use crate::db::Database;
 use crate::error::EngineResult;
@@ -98,6 +115,10 @@ pub(crate) enum InputNode {
         name: String,
         alias: Option<String>,
         single: Vec<Expr>,
+        /// Under a join: the column names the rest of the statement can
+        /// read from this input (see [`join_input_columns`]). `None` — a
+        /// lone FROM item, or a top-level `*` — keeps whole rows.
+        keep: Option<Vec<String>>,
     },
     Derived {
         alias: String,
@@ -189,12 +210,24 @@ pub(crate) fn lower_general(q: &Select, db: &Database, kernel_on: bool) -> Gener
         list.sort_by_key(exec::contains_subquery);
     }
 
+    let used = join_input_columns(q, &edges, &post);
     let inputs = q
         .from
         .iter()
         .zip(single)
         .map(|(item, single)| match item {
             TableRef::Table { name, alias } => InputNode::Table {
+                keep: used.as_ref().map(|used| {
+                    let scope = alias.as_deref().unwrap_or(name);
+                    let mut keep: Vec<String> = used
+                        .iter()
+                        .filter(|c| c.table.as_deref().is_none_or(|t| t == scope))
+                        .map(|c| c.column.clone())
+                        .collect();
+                    keep.sort_unstable();
+                    keep.dedup();
+                    keep
+                }),
                 name: name.clone(),
                 alias: alias.clone(),
                 single,
@@ -213,6 +246,52 @@ pub(crate) fn lower_general(q: &Select, db: &Database, kernel_on: bool) -> Gener
         post,
         aggregated: !q.group_by.is_empty() || exec::select_has_aggregates(q),
     }
+}
+
+/// Every column reference a join block's inputs may have to serve: the
+/// select list, GROUP BY, HAVING, ORDER BY, the join-edge expressions and
+/// the post-filters, descending into every nested subquery and derived
+/// table (a correlated reference is resolved against the joined row). An
+/// input's own pushed-down conjuncts are left out — the scan evaluates
+/// them on the whole heap row before it narrows it. Deliberately by name
+/// and conservative: an input keeps a column when a reference is
+/// unqualified or qualified with the input's scope name, whatever inner
+/// scope might shadow it, so a name two inputs share stays in both and
+/// still resolves to `AmbiguousColumn`. `None` when nothing is to be
+/// pruned: fewer than two FROM items, or a top-level `*`.
+fn join_input_columns<'q>(
+    q: &'q Select,
+    edges: &'q [planner::JoinEdge],
+    post: &'q [(Expr, Vec<String>)],
+) -> Option<Vec<&'q ColumnRef>> {
+    if q.from.len() < 2 || q.items.iter().any(|i| matches!(i, SelectItem::Wildcard)) {
+        return None;
+    }
+    let mut used: Vec<&ColumnRef> = Vec::new();
+    let mut note = |e: &'q Expr| {
+        if let Expr::Column(c) = e {
+            used.push(c);
+        }
+    };
+    for item in &q.items {
+        if let SelectItem::Expr { expr, .. } = item {
+            visit::walk_expr(expr, &mut note);
+        }
+    }
+    for t in &q.from {
+        if let TableRef::Subquery { query, .. } = t {
+            visit::walk_select_exprs(query, &mut note);
+        }
+    }
+    let clauses = (q.group_by.iter())
+        .chain(&q.having)
+        .chain(q.order_by.iter().map(|o| &o.expr))
+        .chain(edges.iter().flat_map(|e| [&e.left_expr, &e.right_expr]))
+        .chain(post.iter().map(|(e, _)| e));
+    for e in clauses {
+        visit::walk_expr(e, &mut note);
+    }
+    Some(used)
 }
 
 /// The fusion rule: a single-table aggregation with no subqueries anywhere
@@ -529,59 +608,55 @@ pub(crate) fn build_input<'e>(
             name,
             alias,
             single,
+            keep,
         } => {
             let workers = ctx.db.parallel_workers();
+            let scan = ScanExec::new(
+                name,
+                alias.as_deref(),
+                single,
+                keep.as_deref(),
+                outer,
+                ctx,
+                batch,
+            );
             // Subquery predicates need the coordinator's evaluation
             // context and correlated frames cannot cross threads; both
             // keep the serial scan.
-            if workers >= 2
+            let parallel = workers >= 2
                 && outer.is_empty()
-                && single.iter().all(|e| !exec::contains_subquery(e))
-            {
-                let label = match alias {
-                    Some(a) => format!("scan {name} as {a} [parallel ×{workers}]"),
-                    None => format!("scan {name} [parallel ×{workers}]"),
-                };
+                && single.iter().all(|e| !exec::contains_subquery(e));
+            let mut label = match alias {
+                Some(alias) => format!("scan {name} as {alias}"),
+                None => format!("scan {name}"),
+            };
+            if parallel {
+                label.push_str(&format!(" [parallel ×{workers}]"));
+            }
+            if let (Some(_), Some(keep)) = (az, keep) {
+                if let Some(table) = ctx.db.table(name) {
+                    label.push_str(&format!(" {}", cols_note(&table.schema, keep)));
+                }
+            }
+            if parallel {
+                // Registered up front so the worker breakdown can attach
+                // as children from run_parallel().
                 let pidx = az.map(|a| a.register(label, Vec::new()));
-                let op: Box<dyn Operator<'e> + 'e> = Box::new(ParallelScanExec::new(
-                    name,
-                    alias.as_deref(),
-                    single,
-                    outer,
-                    ctx,
-                    batch,
-                    workers,
-                    az,
-                    pidx,
-                ));
+                let op: Box<dyn Operator<'e> + 'e> =
+                    Box::new(ParallelScanExec::new(scan, workers, az, pidx));
                 match (az, pidx) {
                     (Some(a), Some(idx)) => (
                         Box::new(TimedExec {
                             inner: op,
                             az: a,
                             idx,
-                        }) as Box<dyn Operator<'e> + 'e>,
+                        }),
                         Some(idx),
                     ),
                     _ => (op, None),
                 }
             } else {
-                instrument(
-                    az,
-                    Box::new(ScanExec::new(
-                        name,
-                        alias.as_deref(),
-                        single,
-                        outer,
-                        ctx,
-                        batch,
-                    )),
-                    match alias {
-                        Some(a) => format!("scan {name} as {a}"),
-                        None => format!("scan {name}"),
-                    },
-                    Vec::new(),
-                )
+                instrument(az, Box::new(scan), label, Vec::new())
             }
         }
         InputNode::Derived {

@@ -198,11 +198,13 @@ pub(crate) fn record_worker_probes(
 pub(crate) struct PreparedScan<'e> {
     sm: ScanMorsels<'e>,
     residual: Vec<ResidualPred>,
-    bindings: Vec<Binding>,
+    /// Columns per emitted row (the kept ones, under a join).
+    width: usize,
 }
 
 /// Morsel-driven parallel base-table scan: workers pull morsels, filter
-/// rows against the pushed-down conjuncts, and clone survivors; the
+/// rows against the pushed-down conjuncts, and clone survivors (under a
+/// join, only the columns the scan keeps); the
 /// coordinator replays the serial page-charge sequence, sums the workers'
 /// counter tallies, and re-emits the survivors in morsel order as owned
 /// [`exec::SCAN_BATCH_ROWS`]-row batches — the same row stream, batch
@@ -226,20 +228,14 @@ pub(crate) struct ParallelScanExec<'e> {
 }
 
 impl<'e> ParallelScanExec<'e> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        name: &'e str,
-        alias: Option<&'e str>,
-        single: &'e [Expr],
-        outer: &'e [Frame<'e>],
-        ctx: &'e ExecContext<'e>,
-        batch_mode: bool,
+        inner: ScanExec<'e>,
         workers: usize,
         az: Option<&'e Analyze>,
         probe: Option<usize>,
     ) -> Self {
         ParallelScanExec {
-            inner: ScanExec::new(name, alias, single, outer, ctx, batch_mode),
+            inner,
             workers,
             az,
             probe,
@@ -266,7 +262,7 @@ impl<'e> ParallelScanExec<'e> {
         let tallies: Mutex<Vec<WorkerTally>> = Mutex::new(vec![(0, 0, 0); self.workers]);
         let db = ctx.db;
         let params = ctx.params_snapshot();
-        let width = prep.bindings.len();
+        let width = prep.width;
 
         let pool = db.worker_pool(self.workers);
         let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(self.workers);
@@ -274,7 +270,8 @@ impl<'e> ParallelScanExec<'e> {
             let params = params.clone();
             let gov = ctx.child_governor();
             let (next, abort, results, tallies) = (&next, &abort, &results, &tallies);
-            let (sm, residual, bindings) = (&sm, &prep.residual, &prep.bindings);
+            let (sm, residual) = (&sm, &prep.residual);
+            let (bindings, cols) = (&self.inner.bindings, &self.inner.cols);
             tasks.push(Box::new(move || {
                 let start = Instant::now();
                 let wctx = ExecContext::governed(db, params, gov);
@@ -297,7 +294,10 @@ impl<'e> ParallelScanExec<'e> {
                             {
                                 // Load-bearing clone: survivors cross the
                                 // worker thread boundary as owned rows.
-                                out.push(row.clone());
+                                out.push(match cols {
+                                    Some(cols) => project_row(row, cols),
+                                    None => row.clone(),
+                                });
                             }
                         }
                         // Transient survivor materialization, released when
@@ -367,7 +367,8 @@ impl<'e> Operator<'e> for ParallelScanExec<'e> {
             ctx.db.indexscan_enabled(),
             &eval_const,
         );
-        let bindings = exec::bindings_for_table(&table.schema, self.inner.alias);
+        let out_bindings = self.inner.bind(table);
+        let bindings = &self.inner.bindings;
         let residual_exprs: Vec<&Expr> = self
             .inner
             .single
@@ -383,19 +384,19 @@ impl<'e> Operator<'e> for ParallelScanExec<'e> {
         let residual: Option<Vec<ResidualPred>> = residual_exprs
             .iter()
             .map(|e| {
-                eval::compile_expr(e, &bindings)
+                eval::compile_expr(e, bindings)
                     .map(|c| ResidualPred::from_compiled(eval::prebind_params(&c, ctx)))
             })
             .collect();
         if let Some(residual) = residual {
-            let sm = plan_scan_morsels(table, &bindings, &residual_exprs, &choice, ctx);
+            let sm = plan_scan_morsels(table, bindings, &residual_exprs, &choice, ctx);
             if sm.morsels.len() >= 2 {
                 self.prepared = Some(PreparedScan {
                     sm,
                     residual,
-                    bindings: bindings.clone(),
+                    width: out_bindings.len(),
                 });
-                return Ok(bindings);
+                return Ok(out_bindings);
             }
         }
         self.inner.open()

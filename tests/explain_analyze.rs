@@ -312,3 +312,98 @@ fn explain_names_the_interpreted_fallback_and_memo_probes() {
         "{analyzed:?}"
     );
 }
+
+/// The join block's subtree of an `EXPLAIN ANALYZE`, each line reduced to
+/// its label and row count (timings vary run to run).
+fn join_block_lines(lines: &[String]) -> Vec<String> {
+    let at = lines
+        .iter()
+        .position(|l| l.trim_start().starts_with("hash join block"))
+        .unwrap_or_else(|| panic!("{lines:?}"));
+    let indent = |l: &str| l.len() - l.trim_start().len();
+    let depth = indent(&lines[at]);
+    lines[at + 1..]
+        .iter()
+        .take_while(|l| indent(l) > depth)
+        .map(|l| match l.find(" (actual rows=") {
+            Some(p) => format!("{} rows={}", l[..p].trim_start(), count(l, "rows")),
+            None => l.trim_start().to_string(),
+        })
+        .collect()
+}
+
+/// Q3 and Q5 say what their join block did: how many of its table's
+/// columns each input scan kept, which input drove, and per greedy step
+/// the keys, the build side and the row counts in and out. The step lines
+/// carry counts only — no `self_ms=` token, so a consumer summing operator
+/// self times never sees them — and every operator label keeps its prefix.
+#[test]
+fn explain_analyze_accounts_for_the_join_block_of_q3_and_q5() {
+    let db = tpch_db();
+    db.query("set parallel_workers = 1").unwrap();
+    let params = QueryParams::default();
+
+    let q3 = plan_lines(
+        &db,
+        &format!("explain analyze {}", ALL_QUERIES[1].sql(&params)),
+    );
+    assert_eq!(
+        join_block_lines(&q3),
+        [
+            "scan customer cols 1/8 rows=34",
+            "scan orders cols 4/9 rows=737",
+            "scan lineitem cols 3/16 rows=3171",
+            "drive lineitem: 3171 rows",
+            "⋈ orders on l_orderkey = o_orderkey: build orders 737, probe 3171 → 166",
+            "⋈ customer on c_custkey = o_custkey: build customer 34, probe 166 → 39",
+        ]
+    );
+    let q5 = plan_lines(
+        &db,
+        &format!("explain analyze {}", ALL_QUERIES[3].sql(&params)),
+    );
+    assert_eq!(
+        join_block_lines(&q5),
+        [
+            "scan customer cols 2/8 rows=150",
+            "scan orders cols 2/9 rows=206",
+            "scan lineitem cols 4/16 rows=5930",
+            "scan supplier cols 2/7 rows=10",
+            "scan nation cols 3/4 rows=25",
+            "scan region cols 1/3 rows=1",
+            "drive lineitem: 5930 rows",
+            "⋈ orders on l_orderkey = o_orderkey: build orders 206, probe 5930 → 799",
+            "⋈ customer on c_custkey = o_custkey: build customer 150, probe 799 → 799",
+            "⋈ supplier on l_suppkey = s_suppkey and c_nationkey = s_nationkey: \
+             build supplier 10, probe 799 → 42",
+            "⋈ nation on s_nationkey = n_nationkey: build nation 25, probe 42 → 42",
+            "⋈ region on n_regionkey = r_regionkey: build region 1, probe 42 → 3",
+        ]
+    );
+    // (The last line of each plan is the `execution time` footer.)
+    for line in q3[..q3.len() - 1].iter().chain(&q5[..q5.len() - 1]) {
+        let label = line.trim_start();
+        let is_step = label.starts_with("drive ") || label.starts_with('⋈');
+        assert_eq!(is_step, !line.contains("self_ms="), "{line}");
+    }
+
+    // Plain EXPLAIN names the kept columns on the scan lines of a join,
+    // and only there: Q1's lone scan computes no projection.
+    let plain = plan_lines(&db, &format!("explain {}", ALL_QUERIES[1].sql(&params)));
+    let scan = |table: &str| {
+        plain
+            .iter()
+            .find(|l| l.trim_start().starts_with(&format!("scan {table}")))
+            .unwrap_or_else(|| panic!("{plain:?}"))
+    };
+    assert!(
+        scan("lineitem").contains("1 filter(s), cols 3/16, ~"),
+        "{plain:?}"
+    );
+    assert!(
+        scan("customer").contains("1 filter(s), cols 1/8, ~"),
+        "{plain:?}"
+    );
+    let q1 = plan_lines(&db, &format!("explain {}", ALL_QUERIES[0].sql(&params)));
+    assert!(q1.iter().all(|l| !l.contains("cols ")), "{q1:?}");
+}

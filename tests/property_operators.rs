@@ -12,10 +12,15 @@
 //!    under either knob setting.
 //! 3. **TPC-H sweep** — the full evaluation-query set answers identically
 //!    with the fusion rewrite enabled and disabled.
+//! 4. **Join block** — generated 2–4-table joins against the same
+//!    statement with every base table wrapped as a derived table (the
+//!    un-pruned, whole-row path), the join table's key semantics by hand,
+//!    governed cross joins, memory accounting, and the evaluation set's
+//!    join queries pinned to the parent commit's rows and counters.
 
 use proptest::prelude::*;
 
-use apuama_engine::{Database, EngineError, QueryOutput};
+use apuama_engine::{Database, EngineError, QueryGovernor, QueryOutput};
 use apuama_sql::Value;
 use apuama_tpch::{generate, load_into, QueryParams, TpchConfig, ALL_QUERIES};
 
@@ -1051,5 +1056,608 @@ fn tpch_q4_q21_match_decorrelated_oracles_and_the_parents_counters() {
         assert!(!q21.rows.is_empty());
         assert_eq!(q21.rows, q21_oracle.rows, "Q21");
         assert_eq!(pinned(&q21), q21_counters, "Q21 counters");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The join block: column pruning at the scan, one chained join table
+// ---------------------------------------------------------------------------
+
+/// `(key or NULL, small value or NULL, payload byte)` — one generated row of
+/// any of the three join tables.
+type JoinRow = (Option<i64>, Option<i64>, u8);
+
+/// Four tables for 2–4-way joins. `a.x` and `b.x` share a name (so an
+/// unqualified `x` is ambiguous), `b.a_id` and `c.b_id` are nullable
+/// foreign keys with duplicates, `u` has one row. `b` is padded with 2500
+/// rows that join nothing, so its scan spans several morsels and the
+/// parallel scan engages when `parallel_workers` > 1.
+fn join_db(a: &[JoinRow], b: &[JoinRow], c: &[JoinRow]) -> Database {
+    let mut db = Database::in_memory();
+    db.execute("create table a (ak int, x int, s text, v float)")
+        .unwrap();
+    db.execute("create table b (bk int, a_id int, x int, y int)")
+        .unwrap();
+    db.execute("create table c (ck int, b_id int, z int, t text)")
+        .unwrap();
+    db.execute("create table u (one int)").unwrap();
+    db.execute("create table sink (n int, s float)").unwrap();
+    db.load_table("u", vec![vec![Value::Int(1)]]).unwrap();
+    let a_rows = a
+        .iter()
+        .enumerate()
+        .map(|(i, (_, x, g))| {
+            vec![
+                Value::Int(i as i64),
+                opt_int(*x),
+                Value::Str(format!("s{}", g % 3)),
+                Value::Float(*g as f64 * 0.25),
+            ]
+        })
+        .collect();
+    let mut b_rows: Vec<Vec<Value>> = b
+        .iter()
+        .enumerate()
+        .map(|(i, (a_id, x, g))| {
+            vec![
+                Value::Int(i as i64),
+                opt_int(*a_id),
+                opt_int(*x),
+                Value::Int((*g % 8) as i64),
+            ]
+        })
+        .collect();
+    for k in 0..2500i64 {
+        b_rows.push(vec![
+            Value::Int(1_000 + k),
+            Value::Int(100_000 + k),
+            Value::Null,
+            Value::Int(-1),
+        ]);
+    }
+    let c_rows = c
+        .iter()
+        .enumerate()
+        .map(|(i, (b_id, z, g))| {
+            vec![
+                Value::Int(i as i64),
+                opt_int(*b_id),
+                opt_int(*z),
+                Value::Str(format!("t{}", g % 2)),
+            ]
+        })
+        .collect();
+    db.load_table("a", a_rows).unwrap();
+    db.load_table("b", b_rows).unwrap();
+    db.load_table("c", c_rows).unwrap();
+    db
+}
+
+fn join_rows_strategy() -> impl Strategy<Value = (Vec<JoinRow>, Vec<JoinRow>, Vec<JoinRow>)> {
+    let rows = |keys: i64, n: usize| {
+        proptest::collection::vec((nullable(0..keys), nullable(0..5), any::<u8>()), 0..n)
+    };
+    (rows(1, 12), rows(12, 30), rows(30, 30))
+}
+
+/// `table` as a derived table that selects every column by name: the same
+/// rows under the same names, but an input the join block leaves alone
+/// and joins at full width — the path every input took before there was
+/// pruning. (By name because a derived `select *` does not tell the
+/// planner its column names.)
+fn whole_rows(db: &Database, table: &str, alias: &str) -> String {
+    let columns: Vec<&str> = db
+        .table(table)
+        .unwrap()
+        .schema
+        .columns
+        .iter()
+        .map(|c| c.name.as_str())
+        .collect();
+    format!("(select {} from {table}) {alias}", columns.join(", "))
+}
+
+/// Expands the FROM-item markers of a template: `@t` is base table `t`,
+/// `@t=alias` the same under an alias. Without `wrap_in` that is the table
+/// itself — a scan the join block prunes; with it, [`whole_rows`].
+fn from_items(template: &str, wrap_in: Option<&Database>) -> String {
+    let mut out = String::new();
+    let mut rest = template;
+    while let Some(at) = rest.find('@') {
+        out.push_str(&rest[..at]);
+        rest = &rest[at + 1..];
+        let ident = |s: &str| {
+            s.find(|c: char| !c.is_ascii_alphanumeric())
+                .unwrap_or(s.len())
+        };
+        let table = &rest[..ident(rest)];
+        rest = &rest[table.len()..];
+        let alias = rest.strip_prefix('=').map(|r| {
+            let alias = &r[..ident(r)];
+            rest = &r[alias.len()..];
+            alias
+        });
+        out.push_str(&match (wrap_in, alias) {
+            (None, None) => table.to_string(),
+            (None, Some(alias)) => format!("{table} {alias}"),
+            (Some(db), alias) => whole_rows(db, table, alias.unwrap_or(table)),
+        });
+    }
+    out + rest
+}
+
+/// `(statement, parameter count)`; `$1` is a small integer.
+const JOIN_FAMILY: &[(&str, usize)] = &[
+    // Qualified and unqualified names.
+    (
+        "select a.ak, b.bk, b.y from @a, @b where a.ak = b.a_id and b.y > $1",
+        1,
+    ),
+    (
+        "select ak, y, z from @a, @b, @c where ak = a_id and bk = b_id and z > $1",
+        1,
+    ),
+    // A name two inputs share: ambiguous unqualified, fine qualified.
+    ("select x from @a, @b where ak = a_id", 0),
+    (
+        "select a.x, b.x, a.x + b.x as t from @a, @b where a.ak = b.a_id",
+        0,
+    ),
+    // Columns used only in pushed-down filters.
+    (
+        "select a.ak, b.bk from @a, @b \
+         where a.ak = b.a_id and a.s = 's1' and b.y < $1 and a.x is not null",
+        1,
+    ),
+    // Only in HAVING; only in ORDER BY.
+    (
+        "select a.s, count(*) as n, sum(a.v) as sv from @a, @b where a.ak = b.a_id \
+         group by a.s having max(b.y) > $1 order by a.s",
+        1,
+    ),
+    (
+        "select a.ak from @a, @b where a.ak = b.a_id order by b.y desc, b.bk, a.ak limit 7",
+        0,
+    ),
+    // Only inside a correlated scalar subquery of the select list,
+    // qualified and unqualified.
+    (
+        "select a.ak, (select max(c.z) from c where c.b_id = b.bk) as m \
+         from @a, @b where a.ak = b.a_id",
+        0,
+    ),
+    (
+        "select a.ak, (select count(*) from c where b_id = bk and z >= $1) as n \
+         from @a, @b where a.ak = b.a_id",
+        1,
+    ),
+    // Only inside an EXISTS of a post-filter.
+    (
+        "select a.ak, b.bk from @a, @b where a.ak = b.a_id \
+         and (b.y > $1 or exists (select * from c where c.b_id = b.bk and c.z > a.v))",
+        1,
+    ),
+    // `*` keeps everything.
+    ("select * from @a, @b where ak = a_id and y <= $1", 1),
+    // An input that contributes no column.
+    ("select count(*) as n from @a, @u", 0),
+    (
+        "select count(*) as n, sum(y) as s from @b, @u where y > $1",
+        1,
+    ),
+    // A join inside a derived table.
+    (
+        "select d.s, d.n from (select a.s as s, count(*) as n from @a, @b \
+                               where a.ak = b.a_id group by a.s) d \
+         where d.n > $1 order by d.s",
+        1,
+    ),
+    // Four inputs, one table twice.
+    (
+        "select a.ak, a2.s, c.z from @a, @b, @c, @a=a2 \
+         where a.ak = b.a_id and b.bk = c.b_id and a2.ak = c.z",
+        0,
+    ),
+    // An expression key; a composite key from two edges.
+    ("select a.ak, b.bk from @a, @b where a.ak + 1 = b.a_id", 0),
+    (
+        "select a.ak, b.bk from @a, @b where a.ak = b.a_id and a.x = b.x",
+        0,
+    ),
+    // No join predicate at all.
+    ("select a.ak, u.one from @a, @u where a.ak < $1", 1),
+    // A join inside a correlated subquery: the outer reference in a pushed
+    // conjunct, and inside a join key (which then evaluates with frames).
+    (
+        "select a.ak from @a where exists \
+         (select * from @b, @c where b.bk = c.b_id and b.a_id = a.ak and c.z > $1)",
+        1,
+    ),
+    (
+        "select a.ak from @a where exists \
+         (select * from @b, @c where b.bk + a.ak = c.b_id)",
+        0,
+    ),
+    // Text against int in a post-filter: a TypeError once a row gets there.
+    (
+        "select a.ak from @a, @b where a.ak = b.a_id and a.s > b.y",
+        0,
+    ),
+    // DISTINCT, and an aggregate that reads nothing but the keys.
+    (
+        "select distinct a.s from @a, @b where a.ak = b.a_id order by a.s",
+        0,
+    ),
+    (
+        "select count(*) as n from @a, @b, @c where a.ak = b.a_id and b.bk = c.b_id",
+        0,
+    ),
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every statement of the family answers with the same rows in the
+    /// same order — or fails with the same error class — as the same
+    /// statement with every base table wrapped as a derived table, and,
+    /// rows and work counters, the same on the text and the bound path
+    /// under every `enable_kernel` × `enable_batch_exec` ×
+    /// `parallel_workers` setting.
+    #[test]
+    fn join_block_matches_the_unpruned_derived_table_form(
+        tables in join_rows_strategy(),
+        query_idx in 0usize..JOIN_FAMILY.len(),
+        p in 0i64..6,
+    ) {
+        let (a, b, c) = tables;
+        let (template, n_params) = JOIN_FAMILY[query_idx];
+        let params = vec![Value::Int(p); n_params];
+        let db = join_db(&a, &b, &c);
+        let unpruned = render(&from_items(template, Some(&db)), &params);
+        let template = from_items(template, None);
+        let text = render(&template, &params);
+        db.query("set parallel_workers = 1").unwrap();
+        let want = outcome(db.query(&unpruned));
+        let serial = db.query(&text);
+        prop_assert_eq!(&outcome(serial.clone()), &want, "pruned≡unpruned: {}", &text);
+        for workers in [1usize, 2, 4] {
+            db.query(&format!("set parallel_workers = {workers}")).unwrap();
+            for kernel in ["on", "off"] {
+                db.query(&format!("set enable_kernel = {kernel}")).unwrap();
+                for batch in ["on", "off"] {
+                    db.query(&format!("set enable_batch_exec = {batch}")).unwrap();
+                    let what = format!("kernel {kernel}, batch {batch}, workers {workers}: {text}");
+                    let got = db.query(&text);
+                    let bound = db.query_bound(&template, &params);
+                    match (&serial, &got, &bound) {
+                        (Ok(s), Ok(g), Ok(b)) => {
+                            assert_identical(g, s, &what);
+                            assert_identical(b, s, &format!("bound, {what}"));
+                        }
+                        _ => {
+                            prop_assert_eq!(&outcome(got), &want, "{}", &what);
+                            prop_assert_eq!(&outcome(bound), &want, "bound, {}", &what);
+                        }
+                    }
+                    prop_assert_eq!(&outcome(db.query(&unpruned)), &want, "unpruned, {}", &what);
+                }
+            }
+        }
+    }
+}
+
+/// A join evaluated for an `INSERT`: the engine has no `INSERT … SELECT`,
+/// so the join sits in scalar subqueries of the VALUES list.
+#[test]
+fn join_inside_an_insert_matches_the_unpruned_form() {
+    let rows: Vec<JoinRow> = (0..20)
+        .map(|n| (Some(n % 7), Some(n % 5), n as u8))
+        .collect();
+    let insert = "insert into sink values (\
+        (select count(*) from @a, @b where a.ak = b.a_id and b.y > 2), \
+        (select sum(a.v) from @a, @b, @c where a.ak = b.a_id and b.bk = c.b_id))";
+    let sinks: Vec<_> = [false, true]
+        .into_iter()
+        .map(|wrapped| {
+            let mut db = join_db(&rows[..9], &rows, &rows);
+            let insert = from_items(insert, wrapped.then_some(&db));
+            db.execute(&insert).unwrap();
+            db.query("select n, s from sink").unwrap().rows
+        })
+        .collect();
+    assert_eq!(sinks[0].len(), 1);
+    assert!(sinks[0][0][0] != Value::Int(0) && !sinks[0][0][1].is_null());
+    assert_eq!(sinks[0], sinks[1]);
+}
+
+/// The join table's key semantics, each outcome derived by hand, in both
+/// `enable_batch_exec` settings, serial and with scan workers.
+#[test]
+fn join_key_semantics_by_hand() {
+    let mut db = Database::in_memory();
+    db.execute("create table l (id int, k int, kf float, ks text, k2 int)")
+        .unwrap();
+    db.execute("create table r (id int, k int, k2 int)")
+        .unwrap();
+    db.execute("create table one (w int)").unwrap();
+    db.execute("create table m (id int, k int)").unwrap();
+    let int = Value::Int;
+    let l = |id: i64, k: Option<i64>, k2: i64| {
+        vec![
+            int(id),
+            opt_int(k),
+            k.map_or(Value::Null, |k| Value::Float(k as f64)),
+            k.map_or(Value::Null, |k| Value::Str(k.to_string())),
+            int(k2),
+        ]
+    };
+    // l: keys 1, 2, 2, NULL, 3 — the largest table, so it drives.
+    db.load_table(
+        "l",
+        vec![
+            l(0, Some(1), 10),
+            l(1, Some(2), 20),
+            l(2, Some(2), 21),
+            l(3, None, 30),
+            l(4, Some(3), 40),
+            l(5, Some(9), 90),
+        ],
+    )
+    .unwrap();
+    // r: key 2 twice (ids 0 and 2), a NULL key, key 1 once, key 4 unmatched.
+    db.load_table(
+        "r",
+        vec![
+            vec![int(0), int(2), int(20)],
+            vec![int(1), Value::Null, int(30)],
+            vec![int(2), int(2), int(21)],
+            vec![int(3), int(1), int(10)],
+            vec![int(4), int(4), int(0)],
+        ],
+    )
+    .unwrap();
+    db.load_table("one", vec![vec![int(2)]]).unwrap();
+    db.load_table(
+        "m",
+        vec![
+            vec![int(0), int(2)],
+            vec![int(1), int(7)],
+            vec![int(2), int(2)],
+            vec![int(3), Value::Null],
+        ],
+    )
+    .unwrap();
+    let ids = |sql: &str| -> Vec<Vec<i64>> {
+        db.query(sql)
+            .unwrap_or_else(|e| panic!("{sql}: {e}"))
+            .rows
+            .iter()
+            .map(|r| r.iter().map(|v| v.as_i64().unwrap()).collect())
+            .collect()
+    };
+    for workers in [1, 2] {
+        db.query(&format!("set parallel_workers = {workers}"))
+            .unwrap();
+        for batch in ["on", "off"] {
+            db.query(&format!("set enable_batch_exec = {batch}"))
+                .unwrap();
+            // Build on `r`: l-major, r ascending under each l row; NULL
+            // never matches NULL; duplicate build keys in row order.
+            assert_eq!(
+                ids("select l.id, r.id from l, r where l.k = r.k"),
+                [[0, 3], [1, 0], [1, 2], [2, 0], [2, 2]]
+            );
+            // `2 = 2.0`: the float column finds the same rows.
+            assert_eq!(
+                ids("select l.id, r.id from l, r where l.kf = r.k"),
+                [[0, 3], [1, 0], [1, 2], [2, 0], [2, 2]]
+            );
+            // Text never equals a number, and raises nothing.
+            assert!(ids("select l.id, r.id from l, r where l.ks = r.k").is_empty());
+            // A composite key from two edges.
+            assert_eq!(
+                ids("select l.id, r.id from l, r where l.k = r.k and l.k2 = r.k2"),
+                [[0, 3], [1, 0], [2, 2]]
+            );
+            // Expression keys, on either side.
+            assert_eq!(
+                ids("select l.id, r.id from l, r where l.k + 1 = r.k"),
+                [[0, 0], [0, 2], [4, 4]]
+            );
+            assert_eq!(
+                ids("select l.id, r.id from l, r where l.k = r.k - 1"),
+                [[0, 0], [0, 2], [4, 4]]
+            );
+            // Build on the current side: `one` cuts l down to its two
+            // key-2 rows, fewer than m's four, so the table is built on
+            // them and probed with m — and the output is still l-major
+            // with m ascending.
+            let shrunk = "select l.id, m.id from l, one, m where l.k = one.w and l.k = m.k";
+            assert_eq!(ids(shrunk), [[1, 0], [1, 2], [2, 0], [2, 2]]);
+            let plan = db.query(&format!("explain analyze {shrunk}")).unwrap();
+            assert!(
+                plan.rows.iter().any(|r| r[0]
+                    .as_str()
+                    .unwrap()
+                    .contains("⋈ m on l.k = m.k: build current 2, probe m 4 → 4")),
+                "{:?}",
+                plan.rows
+            );
+            // A key that does not resolve raises what it always raised.
+            assert!(matches!(
+                db.query("select l.id from l, r where l.k = r.nosuch"),
+                Err(EngineError::UnknownColumn(_))
+            ));
+        }
+    }
+}
+
+/// A FROM list without a join predicate is produced row by row under the
+/// statement's governor: the self-product of `lineitem` (3.6 · 10⁹ rows at
+/// this scale factor; the parent asked the allocator for all of them up
+/// front and aborted the process) ends in an error under a memory budget
+/// or a cancel, with the gauge drained, and a small product keeps its
+/// rows, order and counters.
+#[test]
+fn cross_join_is_governed_and_small_ones_are_unchanged() {
+    let data = generate(TpchConfig {
+        scale_factor: 0.01,
+        seed: 7,
+    });
+    let mut db = Database::in_memory();
+    load_into(&mut db, &data).unwrap();
+    let product = "select count(*) from lineitem a, lineitem b";
+    db.query("set mem_budget_bytes = 67108864").unwrap();
+    assert!(matches!(
+        db.query(product),
+        Err(EngineError::ResourceExhausted(_))
+    ));
+    assert_eq!(db.mem_gauge().used_bytes(), 0);
+    db.query("set mem_budget_bytes = 0").unwrap();
+    let gov = QueryGovernor::new();
+    // Past both scans (some 240 checks) and well into the product.
+    gov.cancel_token().cancel_after_checks(1_000);
+    assert!(matches!(
+        db.query_governed(product, &gov),
+        Err(EngineError::Cancelled(_))
+    ));
+    assert_eq!(db.mem_gauge().used_bytes(), 0);
+
+    // region (5 rows) drives, the two-row slice of nation varies fastest.
+    db.query("set parallel_workers = 1").unwrap();
+    let small = db
+        .query("select r_regionkey, n_nationkey from region, nation where n_nationkey < 2")
+        .unwrap();
+    let expected: Vec<Vec<Value>> = (0..5)
+        .flat_map(|r| (0..2).map(move |n| vec![Value::Int(r), Value::Int(n)]))
+        .collect();
+    assert_eq!(small.rows, expected);
+    // 25 filter evaluations, 10 product rows, 10 projected rows.
+    assert_eq!(small.stats.cpu_tuple_ops, 45);
+    assert_eq!(small.stats.rows_scanned, 30);
+}
+
+/// Memory accounting follows the width the join actually holds: Q5 runs
+/// inside a budget its whole-row form exceeds (the parent charged
+/// 15 175 352 bytes for this statement, the kept columns 5 763 400), and
+/// the gauge drains on success, error and cancel.
+#[test]
+fn join_memory_accounting_follows_the_kept_width() {
+    let data = generate(TpchConfig {
+        scale_factor: 0.01,
+        seed: 7,
+    });
+    let mut db = Database::in_memory();
+    load_into(&mut db, &data).unwrap();
+    let q5 = ALL_QUERIES[3].sql(&QueryParams::default());
+    let from = "from customer, orders, lineitem, supplier, nation, region";
+    assert!(q5.contains(from), "{q5}");
+    let items: Vec<String> = from["from ".len()..]
+        .split(", ")
+        .map(|t| whole_rows(&db, t, t))
+        .collect();
+    let whole_rows = q5.replace(from, &format!("from {}", items.join(", ")));
+
+    db.query("set mem_budget_bytes = 8000000").unwrap();
+    let out = db.query(&q5).unwrap();
+    assert_eq!(db.mem_peak_bytes(), 5_763_400);
+    assert_eq!(db.mem_gauge().used_bytes(), 0);
+    assert!(matches!(
+        db.query(&whole_rows),
+        Err(EngineError::ResourceExhausted(_))
+    ));
+    assert_eq!(db.mem_gauge().used_bytes(), 0);
+    db.query("set mem_budget_bytes = 1000000").unwrap();
+    assert!(matches!(
+        db.query(&q5),
+        Err(EngineError::ResourceExhausted(_))
+    ));
+    assert_eq!(db.mem_gauge().used_bytes(), 0);
+
+    db.query("set mem_budget_bytes = 0").unwrap();
+    let gov = QueryGovernor::new();
+    gov.cancel_token().cancel_after_checks(100);
+    assert!(matches!(
+        db.query_governed(&q5, &gov),
+        Err(EngineError::Cancelled(_))
+    ));
+    assert_eq!(db.mem_gauge().used_bytes(), 0);
+    // Unbudgeted, the whole-row form answers the same and charges exactly
+    // what the parent did.
+    assert_eq!(db.query(&whole_rows).unwrap().rows, out.rows);
+    assert_eq!(db.mem_peak_bytes(), 15_175_352);
+    assert_eq!(db.mem_gauge().used_bytes(), 0);
+}
+
+/// FNV-1a over the rows' debug rendering (float bits included).
+fn rows_digest(rows: &[Vec<Value>]) -> u64 {
+    format!("{rows:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        })
+}
+
+/// The five join queries of the evaluation set under both benchmark
+/// parameter sets: rows and every `ExecStats` counter — buffer hits and
+/// misses included, so the order pages are touched in as well — are the
+/// ones the parent commit (a35f20d) reported for the same statements in
+/// the same sequence.
+#[test]
+fn tpch_join_queries_match_the_parents_rows_and_counters() {
+    /// `(row count, digest, [rows_scanned, cpu_tuple_ops, rows_out,
+    /// bytes_out, index_probes, scan_batches, pages_pruned, hits,
+    /// misses_seq, misses_rand, evictions])`.
+    type Pinned = (usize, u64, [u64; 11]);
+    // Q3, Q5, Q12, Q14, Q21 per set.
+    const QUERIES: [usize; 5] = [1, 3, 5, 6, 7];
+    #[rustfmt::skip]
+    const PINNED: [[Pinned; 5]; 2] = [
+        [
+            (10, 0x4552763857b8489f, [77115, 122060, 10, 320, 0, 77, 0, 0, 1804, 0, 0]),
+            (5, 0xf94dc74c17491783, [77245, 127977, 5, 111, 0, 80, 0, 1804, 4, 0, 0]),
+            (2, 0x5f40c36d1c54f10f, [75615, 108659, 2, 56, 0, 75, 0, 1775, 0, 0, 0]),
+            (1, 0x4e67e3b9f10e7842, [62615, 93647, 1, 12, 0, 62, 0, 1516, 44, 0, 0]),
+            (2, 0x87b5895bdc88083f, [75740, 165097, 2, 68, 75698, 77, 0, 117436, 0, 0, 0]),
+        ],
+        [
+            (10, 0xc6faf75c795540b9, [77115, 122659, 10, 320, 0, 77, 0, 1804, 0, 0, 0]),
+            (5, 0x7ec6697e7fd8a09f, [77245, 121582, 5, 111, 0, 80, 0, 1808, 0, 0, 0]),
+            (2, 0x22655db92d38afaa, [75615, 108562, 2, 59, 0, 75, 0, 1775, 0, 0, 0]),
+            (1, 0x2287bbcc0be632e3, [62615, 99047, 1, 12, 0, 62, 0, 1560, 0, 0, 0]),
+            (5, 0x8d56f4c8920b5105, [75740, 165156, 5, 170, 75698, 77, 0, 117436, 0, 0, 0]),
+        ],
+    ];
+    let data = generate(TpchConfig {
+        scale_factor: 0.01,
+        seed: 7,
+    });
+    let mut db = Database::in_memory();
+    load_into(&mut db, &data).unwrap();
+    db.query("set parallel_workers = 1").unwrap();
+    let sets = [QueryParams::default(), QueryParams::random(0x5EED_0001)];
+    for (params, pinned) in sets.iter().zip(PINNED) {
+        for (q, want) in QUERIES.into_iter().zip(pinned) {
+            let out = db.query(&ALL_QUERIES[q].sql(params)).unwrap();
+            let s = out.stats;
+            let got: Pinned = (
+                out.rows.len(),
+                rows_digest(&out.rows),
+                [
+                    s.rows_scanned,
+                    s.cpu_tuple_ops,
+                    s.rows_out,
+                    s.bytes_out,
+                    s.index_probes,
+                    s.scan_batches,
+                    s.pages_pruned,
+                    s.buffer.hits,
+                    s.buffer.misses_seq,
+                    s.buffer.misses_rand,
+                    s.buffer.evictions,
+                ],
+            );
+            assert_eq!(got, want, "{}", ALL_QUERIES[q].label());
+        }
     }
 }

@@ -51,67 +51,6 @@ echo "== overload_soak: open-loop burst must shed, not hang =="
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-cjdbc --test overload_soak
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-sim --lib -- "overload"
 
-echo "== bench_smoke: prepared-plan and fused-kernel micro arms =="
-timeout "$SUITE_TIMEOUT" cargo bench -p apuama-bench --bench prepared -- 100
-cat BENCH_prepared.json
-
-echo "== bench_smoke: operator_pipeline arm =="
-timeout "$SUITE_TIMEOUT" cargo bench -p apuama-bench --bench operators -- 100
-cat BENCH_operators.json
-
-echo "== perf gate: unified pipeline must not regress below the seed =="
-bench_cores=$(sed -n 's/.*"cores": \([0-9]*\).*/\1/p' BENCH_operators.json)
-pipeline_speedup=$(sed -n 's/.*"pipeline_speedup_vs_seed": \([0-9.]*\).*/\1/p' BENCH_operators.json)
-if [ "$bench_cores" -ge 2 ]; then
-  if ! awk -v s="$pipeline_speedup" 'BEGIN { exit !(s >= 1.0) }'; then
-    echo "FAIL: pipeline_speedup_vs_seed = $pipeline_speedup < 1.0 — the general"
-    echo "      operator pipeline is slower than the seed interpreter again."
-    exit 1
-  fi
-  echo "perf gate: pipeline_speedup_vs_seed = $pipeline_speedup >= 1.0 on $bench_cores cores"
-else
-  echo "perf gate: skipped (single core — one noisy scheduler tick swamps the"
-  echo "           microsecond arms; pipeline_speedup_vs_seed = $pipeline_speedup recorded only)"
-fi
-
-echo "== bench_smoke: parallel_pipeline arm =="
-timeout "$SUITE_TIMEOUT" cargo bench -p apuama-bench --bench parallel -- 100
-cat BENCH_parallel.json
-
-echo "== perf gate: morsel parallelism must pay for itself on multi-core =="
-bench_cores=$(sed -n 's/.*"cores": \([0-9]*\).*/\1/p' BENCH_parallel.json)
-parallel_speedup=$(sed -n 's/.*"parallel_speedup_vs_serial": \([0-9.]*\).*/\1/p' BENCH_parallel.json)
-if [ "$bench_cores" -ge 2 ]; then
-  if ! awk -v s="$parallel_speedup" 'BEGIN { exit !(s >= 1.0) }'; then
-    echo "FAIL: parallel_speedup_vs_serial = $parallel_speedup < 1.0 on a"
-    echo "      $bench_cores-core machine — morsel workers are slower than serial."
-    exit 1
-  fi
-  echo "perf gate: parallel_speedup_vs_serial = $parallel_speedup >= 1.0 on $bench_cores cores"
-else
-  echo "perf gate: skipped (single core — morsel workers share one core, so the"
-  echo "           coordinator can only add overhead; parallel_speedup_vs_serial = $parallel_speedup recorded only)"
-fi
-
-echo "== bench_smoke: columnar_pipeline arm (DESIGN.md §13) =="
-timeout "$SUITE_TIMEOUT" cargo bench -p apuama-bench --bench columnar -- 100
-cat BENCH_columnar.json
-
-echo "== perf gate: columnar fold must not regress below the row pipeline =="
-bench_cores=$(sed -n 's/.*"cores": \([0-9]*\).*/\1/p' BENCH_columnar.json)
-columnar_speedup=$(sed -n 's/.*"columnar_speedup_vs_row_pipeline": \([0-9.]*\).*/\1/p' BENCH_columnar.json)
-if [ "$bench_cores" -ge 2 ]; then
-  if ! awk -v s="$columnar_speedup" 'BEGIN { exit !(s >= 1.0) }'; then
-    echo "FAIL: columnar_speedup_vs_row_pipeline = $columnar_speedup < 1.0 — the"
-    echo "      typed column-vector fold is slower than the row-batch pipeline."
-    exit 1
-  fi
-  echo "perf gate: columnar_speedup_vs_row_pipeline = $columnar_speedup >= 1.0 on $bench_cores cores"
-else
-  echo "perf gate: skipped (single core — one noisy scheduler tick swamps the"
-  echo "           microsecond arms; columnar_speedup_vs_row_pipeline = $columnar_speedup recorded only)"
-fi
-
 echo "== benchmark package: its own tests, then a smoke run that must answer correctly =="
 # benchmark/ is a workspace of its own (BENCHMARK.json runs it from a fresh
 # checkout), so the root `cargo test` never builds it.

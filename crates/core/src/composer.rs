@@ -394,8 +394,8 @@ pub trait Composer {
     /// no per-row allocation); the compute-heavy half of composition — the
     /// recombination query a staged composer runs over its scratch table —
     /// executes through the embedded engine, where the fused kernel
-    /// transposes each scan batch into typed column vectors
-    /// (`enable_columnar`) rather than re-walking rows of boxed values.
+    /// transposes each scan batch into typed column vectors rather than
+    /// re-walking rows of boxed values.
     fn accept_batched(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()> {
         if partial.rows.len() as u64 <= apuama_engine::SCAN_BATCH_ROWS {
             return self.accept(node, partial);

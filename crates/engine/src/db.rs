@@ -11,7 +11,7 @@
 //! sub-queries without opening a write transaction.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -27,7 +27,6 @@ use crate::exec::{self, ExecContext};
 use crate::governor::{MemoryGauge, QueryGovernor};
 use crate::physical;
 use crate::plan_cache::{self, CachedPlan, PlanCache, PlanCacheStats};
-use crate::planner;
 use crate::stats::ExecStats;
 use crate::table::Table;
 
@@ -44,26 +43,69 @@ pub struct QueryOutput {
     pub stats: ExecStats,
 }
 
-/// Session-level settings. Only `enable_seqscan` affects planning; other
-/// `SET` names are stored verbatim so drivers can round-trip them.
+/// Session-level settings, typed: every `SET` name the engine acts on is
+/// parsed once in [`Database::apply_set`] and read back as one atomic load,
+/// so no statement path locks a map or re-parses a string. Any other name
+/// is accepted and only echoed ([`Database::setting`]) so drivers can
+/// round-trip it.
 #[derive(Debug)]
 pub struct Settings {
     enable_seqscan: AtomicBool,
+    enable_indexscan: AtomicBool,
+    enable_kernel: AtomicBool,
+    /// `SET parallel_workers`, already clamped to `1..=64`. Starts at the
+    /// machine's core count, which is asked for here and nowhere else.
+    parallel_workers: AtomicUsize,
     /// Default per-statement deadline (`SET statement_timeout_ms`, 0 =
-    /// none). Cached out of `misc` so the hot read path pays one atomic
-    /// load, not a map lookup.
+    /// none).
     statement_timeout_ms: AtomicU64,
+    /// Every `SET` as written, known name or not: the echo behind
+    /// [`Database::setting`]. No statement path reads it.
     misc: Mutex<HashMap<String, String>>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How often this thread asked the OS for the core count.
+    static CORE_COUNT_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl Default for Settings {
     fn default() -> Self {
+        #[cfg(test)]
+        CORE_COUNT_READS.with(|n| n.set(n.get() + 1));
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         Settings {
             enable_seqscan: AtomicBool::new(true),
+            enable_indexscan: AtomicBool::new(true),
+            enable_kernel: AtomicBool::new(true),
+            parallel_workers: AtomicUsize::new(cores.clamp(1, MAX_PARALLEL_WORKERS)),
             statement_timeout_ms: AtomicU64::new(0),
             misc: Mutex::new(HashMap::new()),
         }
     }
+}
+
+const MAX_PARALLEL_WORKERS: usize = 64;
+
+/// A boolean `SET` value, in exactly the spellings PostgreSQL's common
+/// ones share.
+fn parse_bool_setting(name: &str, value: &str) -> EngineResult<bool> {
+    match value {
+        "on" | "true" | "1" | "yes" => Ok(true),
+        "off" | "false" | "0" | "no" => Ok(false),
+        _ => Err(EngineError::TypeError(format!(
+            "invalid value for {name}: '{value}' (expected on or off)"
+        ))),
+    }
+}
+
+fn parse_uint_setting(name: &str, value: &str) -> EngineResult<u64> {
+    value.trim().parse().map_err(|_| {
+        EngineError::TypeError(format!(
+            "invalid value for {name}: '{value}' (expected a non-negative integer)"
+        ))
+    })
 }
 
 /// Undo-log entry for transaction rollback.
@@ -110,26 +152,21 @@ impl Database {
     /// Creates a database whose buffer pool holds `pool_pages` pages. This
     /// is the per-node RAM knob of the reproduction.
     pub fn new(pool_pages: usize) -> Self {
-        Database {
-            catalog: Catalog::new(),
-            tables: Vec::new(),
-            pool: Mutex::new(BufferPool::new(pool_pages)),
-            settings: Settings::default(),
-            txn: None,
-            catalog_version: AtomicU64::new(0),
-            plan_cache: Mutex::new(PlanCache::default()),
-            mem_gauge: MemoryGauge::unlimited(),
-            workers: Mutex::new(None),
-        }
+        Self::with_pool(BufferPool::new(pool_pages))
     }
 
     /// An effectively-infinite buffer pool: the in-memory engine used for
     /// result composition (the paper's HSQLDB role).
     pub fn in_memory() -> Self {
+        Self::with_pool(BufferPool::unbounded())
+    }
+
+    /// An empty database over `pool`, with default session settings.
+    fn with_pool(pool: BufferPool) -> Self {
         Database {
             catalog: Catalog::new(),
             tables: Vec::new(),
-            pool: Mutex::new(BufferPool::unbounded()),
+            pool: Mutex::new(pool),
             settings: Settings::default(),
             txn: None,
             catalog_version: AtomicU64::new(0),
@@ -168,77 +205,26 @@ impl Database {
     /// Whether the planner may pick index scans (`SET enable_indexscan`,
     /// default on — PostgreSQL's matching knob).
     pub fn indexscan_enabled(&self) -> bool {
-        self.settings
-            .misc
-            .lock()
-            .get("enable_indexscan")
-            .map(|v| !matches!(v.as_str(), "off" | "false" | "0" | "no"))
-            .unwrap_or(true)
+        self.settings.enable_indexscan.load(Ordering::SeqCst)
     }
 
     /// Whether lowering may apply the fused scan→filter→aggregate plan
     /// rewrite (`SET enable_kernel`, default on). The knob toggles a plan
-    /// rewrite, not a second executor; it exists so the benches and the
-    /// property suite can compare the fused and general shapes on the same
-    /// statements.
+    /// rewrite, not a second executor: the general tree it leaves in place
+    /// is the reference the property suites compare the fused rule against.
     pub fn kernel_enabled(&self) -> bool {
-        self.settings
-            .misc
-            .lock()
-            .get("enable_kernel")
-            .map(|v| !matches!(v.as_str(), "off" | "false" | "0" | "no"))
-            .unwrap_or(true)
-    }
-
-    /// Whether the general pipeline may use the batch-exec fast paths
-    /// (`SET enable_batch_exec`, default on): borrowed scan batches,
-    /// compiled predicate/projection/aggregation programs with parameters
-    /// folded in, and per-batch statistics flushing. Off preserves the
-    /// seed interpreter's row-at-a-time cost profile verbatim — the
-    /// baseline arm of the operator benches. Results and statistics are
-    /// byte-identical either way, so the knob is not part of the plan
-    /// fingerprint (it is read at operator build time, not lowering time).
-    pub fn batch_exec_enabled(&self) -> bool {
-        self.settings
-            .misc
-            .lock()
-            .get("enable_batch_exec")
-            .map(|v| !matches!(v.as_str(), "off" | "false" | "0" | "no"))
-            .unwrap_or(true)
-    }
-
-    /// Whether the fused kernel may run its columnar fold
-    /// (`SET enable_columnar`, default on): referenced attributes are
-    /// transposed into typed column vectors per batch and predicates /
-    /// aggregates loop over them under a selection vector. Off keeps the
-    /// scalar row loop. Results, errors, and statistics are byte-identical
-    /// either way, so — like `enable_batch_exec` — the knob is not part of
-    /// the plan fingerprint; it is read at execution time.
-    pub fn columnar_enabled(&self) -> bool {
-        self.settings
-            .misc
-            .lock()
-            .get("enable_columnar")
-            .map(|v| !matches!(v.as_str(), "off" | "false" | "0" | "no"))
-            .unwrap_or(true)
+        self.settings.enable_kernel.load(Ordering::SeqCst)
     }
 
     /// Worker count for morsel-driven intra-node parallel execution
-    /// (`SET parallel_workers = N`). Defaults to the machine's available
-    /// cores; `0` and `1` both mean serial. Like `enable_batch_exec`, the
-    /// knob changes neither results nor statistics — execution stays
-    /// byte-identical to serial — so it is not part of the plan-cache
-    /// fingerprint: it is read at execution time, not lowering time.
+    /// (`SET parallel_workers = N`, `1..=64`; `0` and `1` both mean
+    /// serial). Defaults to the machine's cores as counted when this
+    /// database was built. The knob changes neither results nor statistics
+    /// — execution stays byte-identical to serial — so it is not part of
+    /// the plan-cache fingerprint: it is read at execution time, not
+    /// lowering time.
     pub fn parallel_workers(&self) -> usize {
-        let configured = self
-            .settings
-            .misc
-            .lock()
-            .get("parallel_workers")
-            .and_then(|v| v.trim().parse::<usize>().ok());
-        configured
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .clamp(1, 64)
+        self.settings.parallel_workers.load(Ordering::Relaxed)
     }
 
     /// The node's lazily-started pool of execution workers, grown to at
@@ -284,7 +270,8 @@ impl Database {
         }
     }
 
-    /// Reads back a miscellaneous session setting.
+    /// Reads back a session setting as it was written (`enable_seqscan`
+    /// also before it was ever set). Not on any statement path.
     pub fn setting(&self, name: &str) -> Option<String> {
         if name == "enable_seqscan" {
             return Some(if self.seqscan_enabled() { "on" } else { "off" }.to_string());
@@ -387,7 +374,7 @@ impl Database {
                 })
             }
             Statement::Set { name, value } => {
-                self.apply_set(name, value);
+                self.apply_set(name, value)?;
                 Ok(QueryOutput::default())
             }
             Statement::Explain { analyze, inner } => match inner.as_ref() {
@@ -616,25 +603,31 @@ impl Database {
         }
     }
 
-    fn apply_set(&self, name: &str, value: &str) {
-        if name == "enable_seqscan" {
-            let on = matches!(value, "on" | "true" | "1" | "yes");
-            self.settings.enable_seqscan.store(on, Ordering::SeqCst);
-            return;
-        }
-        if name == "statement_timeout_ms" {
-            let ms = value.parse::<u64>().unwrap_or(0);
-            self.settings
+    /// Applies one `SET`. A known name parses its value here, once, and a
+    /// malformed value is an error that leaves the previous one in force;
+    /// an unknown name is only echoed.
+    fn apply_set(&self, name: &str, value: &str) -> EngineResult<()> {
+        let s = &self.settings;
+        let flag = |slot: &AtomicBool| -> EngineResult<()> {
+            slot.store(parse_bool_setting(name, value)?, Ordering::SeqCst);
+            Ok(())
+        };
+        match name {
+            "enable_seqscan" => flag(&s.enable_seqscan)?,
+            "enable_indexscan" => flag(&s.enable_indexscan)?,
+            "enable_kernel" => flag(&s.enable_kernel)?,
+            "parallel_workers" => {
+                let n = parse_uint_setting(name, value)?.clamp(1, MAX_PARALLEL_WORKERS as u64);
+                s.parallel_workers.store(n as usize, Ordering::Relaxed);
+            }
+            "statement_timeout_ms" => s
                 .statement_timeout_ms
-                .store(ms, Ordering::Relaxed);
-        } else if name == "mem_budget_bytes" {
-            let bytes = value.parse::<u64>().unwrap_or(0);
-            self.mem_gauge.set_limit(bytes);
+                .store(parse_uint_setting(name, value)?, Ordering::Relaxed),
+            "mem_budget_bytes" => self.mem_gauge.set_limit(parse_uint_setting(name, value)?),
+            _ => {}
         }
-        self.settings
-            .misc
-            .lock()
-            .insert(name.to_string(), value.to_string());
+        s.misc.lock().insert(name.to_string(), value.to_string());
+        Ok(())
     }
 
     // -- DML -----------------------------------------------------------------
@@ -734,33 +727,7 @@ impl Database {
     ) -> EngineResult<Vec<RowId>> {
         let ctx = ExecContext::new(self);
         let conjuncts = split_conjuncts(selection);
-        let eval_const = |e: &Expr| -> Option<Value> {
-            let mut has_col = false;
-            apuama_sql::visit::shallow_walk(e, &mut |x| {
-                if matches!(x, Expr::Column(_)) {
-                    has_col = true;
-                }
-            });
-            if has_col {
-                None
-            } else {
-                eval_expr(e, &[], &ctx).ok()
-            }
-        };
-        let choice = planner::choose_access_path(
-            table,
-            &table.schema.name,
-            &conjuncts,
-            self.seqscan_enabled(),
-            self.indexscan_enabled(),
-            &eval_const,
-        );
-        let residual: Vec<Expr> = conjuncts
-            .iter()
-            .enumerate()
-            .filter(|(ci, _)| !choice.consumed.contains(ci))
-            .map(|(_, c)| c.clone())
-            .collect();
+        let (choice, residual) = physical::plan_scan(table, &table.schema.name, &conjuncts, &ctx);
         let rids = exec::scan_rids(&ctx, table, &choice.path, &residual)?;
         stats.merge(&ctx.take_stats());
         Ok(rids)
@@ -944,18 +911,14 @@ impl Database {
                 "cannot fork a database while a transaction is open".into(),
             ));
         }
+        // The clone starts with an empty plan cache (cached plans hold no
+        // data, only compiled shapes, and recompiling is cheap) and no
+        // worker pool.
         Ok(Database {
             catalog: self.catalog.clone(),
             tables: self.tables.clone(),
-            pool: Mutex::new(BufferPool::new(self.pool_capacity())),
-            settings: Settings::default(),
-            txn: None,
             catalog_version: AtomicU64::new(self.catalog_version.load(Ordering::SeqCst)),
-            // The clone starts with an empty cache: cached plans hold no
-            // data, only compiled shapes, and recompiling is cheap.
-            plan_cache: Mutex::new(PlanCache::default()),
-            mem_gauge: MemoryGauge::unlimited(),
-            workers: Mutex::new(None),
+            ..Self::with_pool(BufferPool::new(self.pool_capacity()))
         })
     }
 }
@@ -1100,6 +1063,105 @@ mod tests {
         assert_eq!(d.setting("enable_seqscan").as_deref(), Some("off"));
         d.query("set enable_seqscan = on").unwrap();
         assert!(d.seqscan_enabled());
+    }
+
+    /// A malformed value for a setting the engine acts on is an error, not
+    /// a silent default, and the previous value stays in force.
+    #[test]
+    fn malformed_setting_values_are_type_errors() {
+        let d = db();
+        for good in [
+            "set enable_seqscan = off",
+            "set enable_indexscan = no",
+            "set enable_kernel = 0",
+            "set parallel_workers = 3",
+            "set statement_timeout_ms = 60000",
+            "set mem_budget_bytes = 123456",
+        ] {
+            d.query(good).unwrap();
+        }
+        for bad in [
+            "set enable_seqscan = banana",
+            "set enable_indexscan = 2",
+            "set enable_kernel = maybe",
+            "set parallel_workers = two",
+            "set statement_timeout_ms = abc",
+            "set mem_budget_bytes = 1.5",
+        ] {
+            assert!(
+                matches!(d.query(bad), Err(EngineError::TypeError(_))),
+                "{bad}"
+            );
+        }
+        assert!(!d.seqscan_enabled());
+        assert!(!d.indexscan_enabled());
+        assert!(!d.kernel_enabled());
+        assert_eq!(d.parallel_workers(), 3);
+        assert_eq!(
+            d.settings.statement_timeout_ms.load(Ordering::Relaxed),
+            60_000
+        );
+        assert_eq!(d.mem_gauge().limit_bytes(), 123_456);
+        // The echo keeps the accepted spelling too.
+        assert_eq!(d.setting("parallel_workers").as_deref(), Some("3"));
+        assert_eq!(d.setting("enable_kernel").as_deref(), Some("0"));
+    }
+
+    /// A name the engine does not act on (a driver's own, or a knob this
+    /// engine has retired) is accepted and echoed, whatever the value.
+    #[test]
+    fn unknown_settings_are_accepted_and_echoed() {
+        let d = db();
+        assert_eq!(d.setting("enable_retired_knob"), None);
+        d.query("set enable_retired_knob = off").unwrap();
+        d.query("set application_name = 'psql'").unwrap();
+        assert_eq!(d.setting("enable_retired_knob").as_deref(), Some("off"));
+        assert_eq!(d.setting("application_name").as_deref(), Some("psql"));
+    }
+
+    #[test]
+    fn fork_starts_from_default_settings() {
+        let d = db();
+        let fresh = Database::in_memory();
+        for set in [
+            "set enable_seqscan = off",
+            "set enable_indexscan = off",
+            "set enable_kernel = off",
+            "set parallel_workers = 7",
+            "set statement_timeout_ms = 5",
+            "set some_driver_knob = x",
+        ] {
+            d.query(set).unwrap();
+        }
+        let f = d.fork().unwrap();
+        assert!(f.seqscan_enabled() && f.indexscan_enabled() && f.kernel_enabled());
+        assert_eq!(f.parallel_workers(), fresh.parallel_workers());
+        assert_eq!(f.settings.statement_timeout_ms.load(Ordering::Relaxed), 0);
+        assert_eq!(f.setting("some_driver_knob"), None);
+    }
+
+    /// The machine's core count is asked for when a database is built and
+    /// never on a statement path: with `parallel_workers` unset, a thousand
+    /// point reads (text and bound) leave the per-thread read count alone.
+    #[test]
+    fn statements_never_ask_the_os_for_the_core_count() {
+        let mut d = db();
+        for i in 0..64 {
+            d.execute(&format!("insert into t values ({i}, {i}.5, 'x')"))
+                .unwrap();
+        }
+        let before = CORE_COUNT_READS.with(|n| n.get());
+        assert!(before >= 1, "building the database reads it once");
+        for i in 0..500i64 {
+            let k = i % 64;
+            let text = d.query(&format!("select v from t where k = {k}")).unwrap();
+            let bound = d
+                .query_bound("select v from t where k = $1", &[Value::Int(k)])
+                .unwrap();
+            assert_eq!(text.rows, bound.rows);
+            assert_eq!(text.rows, vec![vec![Value::Float(k as f64 + 0.5)]]);
+        }
+        assert_eq!(CORE_COUNT_READS.with(|n| n.get()), before);
     }
 
     #[test]
@@ -1387,6 +1449,8 @@ mod prepared_tests {
         let d = lineitem_db(500);
         let params = [Value::Int(0), Value::Int(400)];
         let baseline = d.query_bound(Q1ISH, &params).unwrap();
+        assert_eq!(baseline.stats.rows_scanned, 500);
+        assert_eq!(baseline.stats.cpu_tuple_ops, 1402);
         d.query_bound(Q1ISH, &params).unwrap();
         let s = d.plan_cache_stats();
         assert_eq!((s.misses, s.hits), (1, 1), "{s:?}");
@@ -1402,25 +1466,6 @@ mod prepared_tests {
         let s = d.plan_cache_stats();
         assert_eq!((s.misses, s.hits), (2, 2), "{s:?}");
         assert_eq!(s.invalidations + s.replans + s.evictions, 0);
-    }
-
-    /// `enable_batch_exec` is an execution-mode knob, not a plan-shaping
-    /// one: toggling it reuses the same cached plan (no extra miss) and
-    /// the outputs stay byte-identical.
-    #[test]
-    fn batch_exec_toggle_shares_the_cached_plan() {
-        let d = lineitem_db(500);
-        let params = [Value::Int(0), Value::Int(400)];
-        let on = d.query_bound(Q1ISH, &params).unwrap();
-        d.query("set enable_batch_exec = off").unwrap();
-        let off = d.query_bound(Q1ISH, &params).unwrap();
-        let s = d.plan_cache_stats();
-        assert_eq!((s.misses, s.hits), (1, 1), "{s:?}");
-        assert_eq!(on.columns, off.columns);
-        assert_eq!(on.rows, off.rows);
-        assert_eq!(on.stats.rows_scanned, off.stats.rows_scanned);
-        assert_eq!(on.stats.cpu_tuple_ops, off.stats.cpu_tuple_ops);
-        d.query("set enable_batch_exec = on").unwrap();
     }
 
     #[test]
@@ -1659,7 +1704,7 @@ mod explain_tests {
     }
 
     /// The per-operator counters in EXPLAIN ANALYZE match what the plain
-    /// query returns, in both batch-exec modes.
+    /// query returns.
     #[test]
     fn explain_analyze_root_rows_match_query_output() {
         let d = db();
@@ -1667,17 +1712,10 @@ mod explain_tests {
                    where l_orderkey = o_orderkey and o_orderkey < 50 \
                    group by o_totalprice order by o_totalprice";
         let expected = d.query(sql).unwrap().rows.len();
-        for mode in ["on", "off"] {
-            d.query(&format!("set enable_batch_exec = {mode}")).unwrap();
-            let plan = plan_text(&d, &format!("explain analyze {sql}"));
-            let root = plan.lines().next().unwrap();
-            assert!(
-                root.contains(&format!("actual rows={expected}")),
-                "mode {mode}: {plan}"
-            );
-            assert!(plan.contains("hash join block"), "{plan}");
-        }
-        d.query("set enable_batch_exec = on").unwrap();
+        let plan = plan_text(&d, &format!("explain analyze {sql}"));
+        let root = plan.lines().next().unwrap();
+        assert!(root.contains(&format!("actual rows={expected}")), "{plan}");
+        assert!(plan.contains("hash join block"), "{plan}");
     }
 }
 

@@ -369,78 +369,25 @@ impl Drop for BatchedCounter<'_, '_> {
 
 /// Scans a base table through the chosen access path collecting matching
 /// row ids — the DML path (DELETE/UPDATE) needs ids to mutate through.
-/// Charges pages/rows under the same contract as the read pipeline's scan.
-pub fn scan_rids(
+/// Same cursor, same predicate programs and so the same charges as the
+/// read pipeline's scan.
+pub(crate) fn scan_rids(
     ctx: &ExecContext<'_>,
     table: &Table,
     path: &AccessPath,
-    residual: &[Expr],
+    residual: &[&Expr],
 ) -> EngineResult<Vec<RowId>> {
     let bindings = bindings_for_table(&table.schema, None);
+    let preds = physical::resolve_preds(residual.iter().copied(), &bindings, ctx);
     let mut out = Vec::new();
-    let keep = |row: &Row, ctx: &ExecContext<'_>| -> EngineResult<bool> {
-        let frames = [Frame {
-            bindings: &bindings,
-            row,
-        }];
-        for pred in residual {
-            ctx.bump_cpu(1);
-            if truthiness(&eval_expr(pred, &frames, ctx)?) != Some(true) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    };
     let mut scanned = BatchedCounter::new(ctx);
-    match path {
-        AccessPath::SeqScan => {
-            let residual_refs: Vec<&Expr> = residual.iter().collect();
-            let mut last_page = u64::MAX;
-            for (rid, row) in physical::seq_scan_iter(table, &bindings, &residual_refs, ctx) {
-                let page = table.heap.geometry().page_of(rid);
-                if page != last_page {
-                    ctx.charge_page(table.schema.id, page, AccessKind::Sequential);
-                    last_page = page;
-                }
-                scanned.row_scanned();
-                if keep(row, ctx)? {
-                    out.push(rid);
-                }
-            }
-        }
-        AccessPath::IndexRange {
-            column,
-            low,
-            high,
-            clustered,
-        } => {
-            let idx = table
-                .index_on(*column)
-                .expect("planner only chooses existing indexes");
-            ctx.bump_index_probes(1);
-            let kind = if *clustered {
-                AccessKind::Sequential
-            } else {
-                AccessKind::Random
-            };
-            let mut last_page = u64::MAX;
-            for (_, rid) in idx.range(bound_ref(low), bound_ref(high)) {
-                let Some(row) = table.heap.get(rid) else {
-                    continue;
-                };
-                let page = table.heap.geometry().page_of(rid);
-                if page != last_page {
-                    ctx.charge_page(table.schema.id, page, kind);
-                    last_page = page;
-                }
-                scanned.row_scanned();
-                if keep(row, ctx)? {
-                    out.push(rid);
-                }
-            }
+    let mut cursor = physical::ScanCursor::open(table, &bindings, path, residual, ctx);
+    while let Some((rid, row)) = cursor.next(ctx) {
+        scanned.row_scanned();
+        if physical::keep_row(row, &bindings, &preds, &[], ctx)? {
+            out.push(rid);
         }
     }
-    drop(scanned);
     Ok(out)
 }
 

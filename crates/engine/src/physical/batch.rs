@@ -7,11 +7,10 @@ use crate::exec::{self};
 // Operator contract
 // ---------------------------------------------------------------------------
 
-/// Rows of one batch: owned (a breaker's materialized output, or the
-/// legacy row-at-a-time mode's cloned scan output) or borrowed straight
-/// out of a table heap — the batch-exec fast path's form, which is what
-/// eliminates the seed interpreter's per-row `row.clone()` on the scan
-/// path.
+/// Rows of one batch: owned (a breaker's materialized output, a
+/// join-feeding scan's narrowed rows) or borrowed straight out of a table
+/// heap — what a whole-row scan hands out, so the scan path pays no
+/// per-row `row.clone()`.
 pub(crate) enum BatchRows<'e> {
     Owned(Vec<Row>),
     Borrowed(Vec<&'e Row>),
@@ -36,8 +35,7 @@ impl<'e> BatchRows<'e> {
         }
     }
 
-    /// Materializes the batch, cloning only when the rows were borrowed
-    /// (exactly the clone the legacy scan path would have paid up front).
+    /// Materializes the batch, cloning only when the rows were borrowed.
     pub(crate) fn into_owned(self) -> Vec<Row> {
         match self {
             BatchRows::Owned(v) => v,

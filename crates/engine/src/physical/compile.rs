@@ -9,7 +9,8 @@ use apuama_storage::{Row, RowId};
 
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{self, eval_expr, truthiness, CompiledExpr, Frame};
-use crate::exec::{Binding, ExecContext, GroupState, Relation};
+use crate::exec::{self, Binding, ExecContext, GroupState, Relation};
+use crate::planner;
 use crate::subquery::RowProbe;
 use crate::table::Table;
 
@@ -17,10 +18,10 @@ use crate::table::Table;
 /// Compilation succeeds exactly when every column resolves uniquely in the
 /// operator's own bindings and no subquery appears — in which case the
 /// compiled program is value- and error-identical to frame evaluation —
-/// so falling back to `Framed` never changes semantics. The batch-exec
-/// mode additionally specializes the hot `col <cmp> literal` shape to a
-/// direct comparison (`FastCmp`), skipping the expression walk and its
-/// per-operand `Value` clones. A single-table `[NOT] EXISTS` that qualifies
+/// so falling back to `Framed` never changes semantics. The hot
+/// `col <cmp> literal` shape is further specialized to a direct comparison
+/// (`FastCmp`), skipping the expression walk and its per-operand `Value`
+/// clones. A single-table `[NOT] EXISTS` that qualifies
 /// (see [`crate::subquery`]) becomes a semi-/anti-join probe whose outer
 /// side reads the operator's row positionally.
 pub(crate) enum ResidualPred {
@@ -93,22 +94,12 @@ pub(crate) fn cmp_matches(op: BinOp, ord: Ordering) -> bool {
 }
 
 /// Resolves one predicate against an operator's row bindings, once per
-/// execution. Batch-exec mode folds bound parameters into the program and
-/// specializes `col <cmp> literal`; the legacy mode keeps the seed
-/// interpreter's per-row parameter lookups. Values and errors are the same
-/// in every form; only the per-row cost differs.
-fn resolve_pred(
-    e: &Expr,
-    bindings: &[Binding],
-    ctx: &ExecContext<'_>,
-    batch: bool,
-) -> ResidualPred {
+/// execution: bound parameters are folded into the compiled program and
+/// `col <cmp> literal` is specialized. Values and errors are the same in
+/// every form; only the per-row cost differs.
+fn resolve_pred(e: &Expr, bindings: &[Binding], ctx: &ExecContext<'_>) -> ResidualPred {
     if let Some(c) = eval::compile_expr(e, bindings) {
-        return if batch {
-            ResidualPred::from_compiled(eval::prebind_params(&c, ctx))
-        } else {
-            ResidualPred::Compiled(c)
-        };
+        return ResidualPred::from_compiled(eval::prebind_params(&c, ctx));
     }
     if let Expr::Exists { negated, query } = e {
         if let Some(probe) = RowProbe::for_row(query, bindings, ctx) {
@@ -127,19 +118,18 @@ pub(crate) fn resolve_preds<'p>(
     preds: impl IntoIterator<Item = &'p Expr>,
     bindings: &[Binding],
     ctx: &ExecContext<'_>,
-    batch: bool,
 ) -> Vec<ResidualPred> {
     preds
         .into_iter()
-        .map(|e| resolve_pred(e, bindings, ctx, batch))
+        .map(|e| resolve_pred(e, bindings, ctx))
         .collect()
 }
 
 /// One row through a conjunctive predicate list: `charge` is called before
 /// each evaluation and the list short-circuits on the first non-true,
-/// exactly like the interpreter's scan/filter loops. The caller chooses
-/// whether charges land on the context per row (legacy mode) or in a local
-/// counter flushed per batch (batch-exec mode) — totals are identical.
+/// exactly like the interpreter's scan/filter loops. Streaming operators
+/// count the charges locally and flush them once per batch; materialized
+/// paths use [`keep_row`].
 pub(crate) fn keep_row_charged(
     row: &Row,
     bindings: &[Binding],
@@ -188,8 +178,9 @@ pub(crate) fn keep_row_charged(
     Ok(true)
 }
 
-/// Legacy per-row form: `cpu_tuple_ops` bumped on the context before each
-/// predicate evaluation.
+/// [`keep_row_charged`] with each charge bumped straight onto the context:
+/// the form for rows that are already materialized (pipeline breakers,
+/// derived tables, the join phase), where there is no batch to flush at.
 pub(crate) fn keep_row(
     row: &Row,
     bindings: &[Binding],
@@ -201,16 +192,54 @@ pub(crate) fn keep_row(
 }
 
 // ---------------------------------------------------------------------------
+// Access path
+// ---------------------------------------------------------------------------
+
+/// Chooses one base-table scan's access path from the values actually
+/// bound (column-free conjunct operands are evaluated here, parameters
+/// included) and returns it with the conjuncts it leaves to the row level —
+/// those the index range does not already imply — in plan order. Every
+/// scan, `EXPLAIN` and DML plan through here, so they agree on the path.
+pub(crate) fn plan_scan<'x>(
+    table: &Table,
+    binding_name: &str,
+    single: &'x [Expr],
+    ctx: &ExecContext<'_>,
+) -> (planner::ScanChoice, Vec<&'x Expr>) {
+    let eval_const = |e: &Expr| -> Option<Value> {
+        if exec::expr_has_columns(e) {
+            None
+        } else {
+            eval_expr(e, &[], ctx).ok()
+        }
+    };
+    let choice = planner::choose_access_path(
+        table,
+        binding_name,
+        single,
+        ctx.db.seqscan_enabled(),
+        ctx.db.indexscan_enabled(),
+        &eval_const,
+    );
+    let residual = single
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !choice.consumed.contains(i))
+        .map(|(_, e)| e)
+        .collect();
+    (choice, residual)
+}
+
+// ---------------------------------------------------------------------------
 // Zone-map page pruning
 // ---------------------------------------------------------------------------
 
 /// The `col <cmp> literal` residual conjuncts eligible for zone-map page
 /// pruning on `table`: exactly the [`ResidualPred::FastCmp`] shape,
-/// restricted to columns the heap keeps zone maps for. Extraction is
-/// independent of the execution mode — it recompiles from the raw
-/// expressions with bound parameters folded in — so every scan path
-/// (legacy, batch-exec, fused kernel, DML) prunes the same pages and the
-/// cross-mode counter identity holds.
+/// restricted to columns the heap keeps zone maps for. Extraction
+/// recompiles from the raw expressions with bound parameters folded in, so
+/// every scan (general, fused, morsel-parallel, DML) prunes the same pages
+/// whatever form its own residual predicates took.
 pub(crate) fn zone_prune_preds(
     table: &Table,
     bindings: &[Binding],
@@ -565,6 +594,47 @@ impl FusedGroups {
         )
     }
 
+    /// The group a probe key belongs to, if it has been seen: a linear
+    /// `matches` scan until the cut-over, the FNV index after. `probe_hash`
+    /// is only called in the indexed regime.
+    fn position(
+        &self,
+        probe_hash: impl FnOnce() -> u64,
+        matches: impl Fn(&[Value]) -> bool,
+    ) -> Option<usize> {
+        match &self.index {
+            None => self.keys.iter().position(|stored| matches(stored)),
+            Some(index) => index.get(&probe_hash()).and_then(|bucket| {
+                bucket
+                    .iter()
+                    .map(|&gi| gi as usize)
+                    .find(|&gi| matches(&self.keys[gi]))
+            }),
+        }
+    }
+
+    /// Appends a first-seen group, indexing it — or, when the table has
+    /// just outgrown [`LINEAR_GROUPS_MAX`], every group seen so far, once.
+    fn push(&mut self, key: Vec<Value>, state: GroupState) -> &mut GroupState {
+        let gi = self.states.len() as u32;
+        if let Some(index) = &mut self.index {
+            index.entry(Self::stored_hash(&key)).or_default().push(gi);
+        }
+        self.keys.push(key);
+        self.states.push(state);
+        if self.index.is_none() && self.keys.len() > LINEAR_GROUPS_MAX {
+            let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
+            for (i, key) in self.keys.iter().enumerate() {
+                index
+                    .entry(Self::stored_hash(key))
+                    .or_default()
+                    .push(i as u32);
+            }
+            self.index = Some(index);
+        }
+        self.states.last_mut().expect("just pushed")
+    }
+
     /// Generalized probe: the caller supplies how to hash, match, and
     /// materialize the probe key, so the columnar fold can probe with
     /// column cells without boxing them first. `probe_hash` is only called
@@ -578,36 +648,10 @@ impl FusedGroups {
         make_key: impl FnOnce() -> Vec<Value>,
         new_state: impl FnOnce() -> GroupState,
     ) -> &mut GroupState {
-        let gi = match &self.index {
-            None => self.keys.iter().position(|stored| matches(stored)),
-            Some(index) => index.get(&probe_hash()).and_then(|bucket| {
-                bucket
-                    .iter()
-                    .map(|&gi| gi as usize)
-                    .find(|&gi| matches(&self.keys[gi]))
-            }),
-        };
-        if let Some(gi) = gi {
-            return &mut self.states[gi];
+        match self.position(probe_hash, matches) {
+            Some(gi) => &mut self.states[gi],
+            None => self.push(make_key(), new_state()),
         }
-        let gi = self.states.len() as u32;
-        self.keys.push(make_key());
-        self.states.push(new_state());
-        if let Some(index) = &mut self.index {
-            let h = Self::stored_hash(&self.keys[gi as usize]);
-            index.entry(h).or_default().push(gi);
-        } else if self.keys.len() > LINEAR_GROUPS_MAX {
-            // Cut over: index every group seen so far, once.
-            let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
-            for (i, key) in self.keys.iter().enumerate() {
-                index
-                    .entry(Self::stored_hash(key))
-                    .or_default()
-                    .push(i as u32);
-            }
-            self.index = Some(index);
-        }
-        self.states.last_mut().expect("just pushed")
     }
 
     /// The accumulated group states, in first-seen order.
@@ -625,52 +669,28 @@ impl FusedGroups {
     /// lives in the earliest morsel containing it, so it is either already
     /// present (keeping its earlier representative row) or appended here
     /// exactly when the serial scan would have created it. Lookup follows
-    /// the same regime as [`Self::find_or_insert`] — linear `sort_cmp`
-    /// matching until the cut-over, the FNV index after — and
-    /// [`hash_value`] normalizes numerics, so hash and linear probes agree
-    /// on which keys are equal.
+    /// the same regime as [`Self::find_or_insert`], and [`hash_value`]
+    /// normalizes numerics, so hash and linear probes agree on which keys
+    /// are equal.
     pub(crate) fn merge(&mut self, other: FusedGroups) {
         for (key, state) in other.keys.into_iter().zip(other.states) {
-            let gi = {
-                let matches_key = |stored: &[Value]| {
+            let found = self.position(
+                || Self::stored_hash(&key),
+                |stored| {
                     stored
                         .iter()
                         .zip(&key)
                         .all(|(s, k)| s.sort_cmp(k) == Ordering::Equal)
-                };
-                match &self.index {
-                    None => self.keys.iter().position(|stored| matches_key(stored)),
-                    Some(index) => index.get(&Self::stored_hash(&key)).and_then(|bucket| {
-                        bucket
-                            .iter()
-                            .map(|&gi| gi as usize)
-                            .find(|&gi| matches_key(&self.keys[gi]))
-                    }),
-                }
-            };
-            match gi {
+                },
+            );
+            match found {
                 Some(gi) => {
                     for (acc, o) in self.states[gi].accs.iter_mut().zip(state.accs) {
                         acc.merge(o);
                     }
                 }
                 None => {
-                    let gi = self.states.len() as u32;
-                    self.keys.push(key);
-                    self.states.push(state);
-                    if let Some(index) = &mut self.index {
-                        let h = Self::stored_hash(&self.keys[gi as usize]);
-                        index.entry(h).or_default().push(gi);
-                    } else if self.keys.len() > LINEAR_GROUPS_MAX {
-                        let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
-                        for (i, key) in self.keys.iter().enumerate() {
-                            index
-                                .entry(Self::stored_hash(key))
-                                .or_default()
-                                .push(i as u32);
-                        }
-                        self.index = Some(index);
-                    }
+                    self.push(key, state);
                 }
             }
         }
@@ -687,7 +707,7 @@ pub(crate) fn filter_rows(
     ctx: &ExecContext<'_>,
 ) -> EngineResult<Relation> {
     let bindings = rel.bindings;
-    let resolved = resolve_preds(preds, &bindings, ctx, ctx.db.batch_exec_enabled());
+    let resolved = resolve_preds(preds, &bindings, ctx);
     let mut rows = Vec::with_capacity(rel.rows.len());
     for row in rel.rows {
         if keep_row(&row, &bindings, &resolved, outer, ctx)? {

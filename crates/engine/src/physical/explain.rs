@@ -6,9 +6,8 @@ use apuama_sql::ast::{Expr, Select, SetQuantifier};
 use apuama_sql::Value;
 
 use crate::error::{EngineError, EngineResult};
-use crate::eval::eval_expr;
 use crate::exec::{self, Binding, ExecContext};
-use crate::planner::{self, AccessPath};
+use crate::planner::AccessPath;
 use crate::subquery::{self, ProbeReport};
 use crate::table::Table;
 
@@ -332,21 +331,7 @@ pub(crate) fn scan_line(
         .db
         .table(name)
         .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
-    let eval_const = |e: &Expr| -> Option<Value> {
-        if exec::expr_has_columns(e) {
-            None
-        } else {
-            eval_expr(e, &[], ctx).ok()
-        }
-    };
-    let choice = planner::choose_access_path(
-        table,
-        binding_name,
-        single,
-        ctx.db.seqscan_enabled(),
-        ctx.db.indexscan_enabled(),
-        &eval_const,
-    );
+    let (choice, residual) = plan_scan(table, binding_name, single, ctx);
     let alias_note = if binding_name != name {
         format!(" as {binding_name}")
     } else {
@@ -354,13 +339,12 @@ pub(crate) fn scan_line(
     };
     let alias = (binding_name != name).then_some(binding_name);
     let bindings = exec::bindings_for_table(&table.schema, alias);
-    let residual = single
+    let with_subquery = residual
         .iter()
-        .enumerate()
-        .filter(|(i, e)| !choice.consumed.contains(i) && exec::contains_subquery(e))
-        .map(|(_, e)| e);
+        .copied()
+        .filter(|e| exec::contains_subquery(e));
     let subqueries: Vec<String> =
-        subquery_lines(&resolve_preds(residual, &bindings, ctx, true), ctx)
+        subquery_lines(&resolve_preds(with_subquery, &bindings, ctx), ctx)
             .into_iter()
             .map(|line| line.label)
             .collect();
@@ -376,7 +360,7 @@ pub(crate) fn scan_line(
         format!(
             "scan {name}{alias_note}: {}, {} filter(s){subquery_note}{cols}, ~{:.0} rows (cost {:.1})",
             path_desc(table, &choice.path),
-            single.len().saturating_sub(choice.consumed.len()),
+            residual.len(),
             choice.estimated_rows,
             choice.cost,
         ),

@@ -4,19 +4,30 @@
 //! operators (`SeqScan`/`IndexRangeScan`, `Filter`, `Project`, `HashJoin`,
 //! `HashAggregate`, `Sort`, `Limit`, `Distinct`) each implementing
 //! [`Operator::next_batch`] over [`RowBatch`]es of up to
-//! [`exec::SCAN_BATCH_ROWS`] rows. One executor serves every shape; the old
-//! fused aggregation kernel survives as the scan→filter→aggregate *fusion
-//! rule* applied during lowering ([`Shape::Fused`]), so `SET enable_kernel`
-//! toggles a plan rewrite, not a second executor, and there is no
-//! "unsupported shape" fallback left to take.
+//! [`exec::SCAN_BATCH_ROWS`] rows. One executor serves every shape, and
+//! each operator has one `next_batch` body: compiled positional programs,
+//! with interpreted (`Framed`) evaluation only where an expression does not
+//! compile or the operator is a pipeline breaker. The old fused aggregation
+//! kernel survives as the scan→filter→aggregate *fusion rule* applied
+//! during lowering ([`Shape::Fused`]), so `SET enable_kernel` toggles a plan
+//! rewrite, not a second executor, and there is no "unsupported shape"
+//! fallback left to take.
 //!
-//! # Byte-identity with the seed interpreter
+//! # What is fixed, and what is only consistent
 //!
-//! Query answers and [`crate::ExecStats`] counters are byte-identical to
-//! the fully-materialized interpreter this module replaced. Two invariants
-//! make that hold:
+//! **Rows and error classes are fixed forever**: every path answers a
+//! statement with the rows (order and float bits included) and the error
+//! class the row-at-a-time interpreter this module replaced gave it.
+//! **[`crate::ExecStats`] counters must agree across `enable_kernel` ×
+//! `parallel_workers` at HEAD** — the simulator prices from them, and the
+//! property suites compare the fused rule and the morsel tier against the
+//! general serial tree counter by counter — but they are no longer pinned
+//! to the interpreter's values: a change that legitimately lowers one
+//! re-records the affected EXPERIMENTS.md tables and
+//! `ci/olap_power_smoke.counters` in the same change (DESIGN.md §10).
+//! Today they still equal the interpreter's, because:
 //!
-//! * **Charging contracts are ported verbatim** — each operator charges the
+//! * **Charging contracts were ported verbatim** — each operator charges the
 //!   same counters in the same per-row pattern the interpreter did (scan
 //!   pages once per page change, `cpu_tuple_ops` before each predicate
 //!   evaluation, one `n·log n` charge per sort, ...). Totals are sums, so
@@ -434,19 +445,21 @@ pub(crate) fn instrument<'e>(
     label: String,
     children: Vec<usize>,
 ) -> (Box<dyn Operator<'e> + 'e>, Option<usize>) {
-    match az {
-        None => (op, None),
-        Some(a) => {
-            let idx = a.register(label, children);
-            (
-                Box::new(TimedExec {
-                    inner: op,
-                    az: a,
-                    idx,
-                }),
-                Some(idx),
-            )
-        }
+    let idx = az.map(|a| a.register(label, children));
+    timed(az, idx, op)
+}
+
+/// [`instrument`] for an operator whose probe node was registered before
+/// it was built, because it attaches children to the node as it runs (the
+/// join block its inputs, a parallel operator its workers).
+fn timed<'e>(
+    az: Option<&'e Analyze>,
+    idx: Option<usize>,
+    op: Box<dyn Operator<'e> + 'e>,
+) -> (Box<dyn Operator<'e> + 'e>, Option<usize>) {
+    match (az, idx) {
+        (Some(az), Some(idx)) => (Box::new(TimedExec { inner: op, az, idx }), Some(idx)),
+        _ => (op, None),
     }
 }
 
@@ -462,7 +475,6 @@ pub(crate) fn build_tree<'e>(
     ctx: &'e ExecContext<'e>,
     az: Option<&'e Analyze>,
 ) -> (Box<dyn Operator<'e> + 'e>, Option<usize>) {
-    let batch = ctx.db.batch_exec_enabled();
     let workers = ctx.db.parallel_workers();
     let (mut op, mut idx) = match shape {
         Shape::Fused(f) => {
@@ -481,19 +493,12 @@ pub(crate) fn build_tree<'e>(
                         Vec::new(),
                     )
                 });
-                let op: Box<dyn Operator<'e> + 'e> =
-                    Box::new(ParallelFusedExec::new(q, f, outer, ctx, workers, az, pidx));
-                match (az, pidx) {
-                    (Some(a), Some(idx)) => (
-                        Box::new(TimedExec {
-                            inner: op,
-                            az: a,
-                            idx,
-                        }) as Box<dyn Operator<'e> + 'e>,
-                        Some(idx),
-                    ),
-                    _ => (op, None),
-                }
+                let fused = FusedExec::new(q, f, outer, ctx);
+                timed(
+                    az,
+                    pidx,
+                    Box::new(ParallelFusedExec::new(fused, workers, az, pidx)),
+                )
             } else {
                 instrument(
                     az,
@@ -504,19 +509,19 @@ pub(crate) fn build_tree<'e>(
             }
         }
         Shape::General(g) => {
-            let (source, sidx) = build_source(g, outer, ctx, batch, az);
+            let (source, sidx) = build_source(g, outer, ctx, az);
             let children: Vec<usize> = sidx.into_iter().collect();
             if g.aggregated {
                 instrument(
                     az,
-                    Box::new(AggregateExec::new(q, source, outer, ctx, batch)),
+                    Box::new(AggregateExec::new(q, source, outer, ctx)),
                     "aggregate".to_string(),
                     children,
                 )
             } else {
                 instrument(
                     az,
-                    Box::new(ProjectExec::new(q, source, outer, ctx, batch)),
+                    Box::new(ProjectExec::new(q, source, outer, ctx)),
                     format!("project ({} column(s))", q.items.len()),
                     children,
                 )
@@ -558,11 +563,10 @@ pub(crate) fn build_source<'e>(
     g: &'e GeneralPlan,
     outer: &'e [Frame<'e>],
     ctx: &'e ExecContext<'e>,
-    batch: bool,
     az: Option<&'e Analyze>,
 ) -> (Box<dyn Operator<'e> + 'e>, Option<usize>) {
     if g.inputs.len() == 1 {
-        let (base, bidx) = build_input(&g.inputs[0], outer, ctx, batch, az);
+        let (base, bidx) = build_input(&g.inputs[0], outer, ctx, az);
         // With one scope every post predicate is scope-free (single-scope
         // conjuncts were pushed into the scan), so all of them apply here.
         if g.post.is_empty() {
@@ -572,7 +576,7 @@ pub(crate) fn build_source<'e>(
             let n = preds.len();
             instrument(
                 az,
-                Box::new(FilterExec::new(base, preds, outer, ctx, batch)),
+                Box::new(FilterExec::new(base, preds, outer, ctx)),
                 format!("filter ({n} predicate(s))"),
                 bidx.into_iter().collect(),
             )
@@ -581,18 +585,7 @@ pub(crate) fn build_source<'e>(
         // The join registers its probe node up front so it can attach its
         // input probes as children when it materializes them in open().
         let jidx = az.map(|a| a.register("hash join block (greedy order)".to_string(), Vec::new()));
-        let op: Box<dyn Operator<'e> + 'e> = Box::new(JoinExec::new(g, outer, ctx, az, jidx));
-        match (az, jidx) {
-            (Some(a), Some(idx)) => (
-                Box::new(TimedExec {
-                    inner: op,
-                    az: a,
-                    idx,
-                }),
-                Some(idx),
-            ),
-            _ => (op, None),
-        }
+        timed(az, jidx, Box::new(JoinExec::new(g, outer, ctx, az, jidx)))
     }
 }
 
@@ -600,7 +593,6 @@ pub(crate) fn build_input<'e>(
     node: &'e InputNode,
     outer: &'e [Frame<'e>],
     ctx: &'e ExecContext<'e>,
-    batch: bool,
     az: Option<&'e Analyze>,
 ) -> (Box<dyn Operator<'e> + 'e>, Option<usize>) {
     match node {
@@ -611,15 +603,7 @@ pub(crate) fn build_input<'e>(
             keep,
         } => {
             let workers = ctx.db.parallel_workers();
-            let scan = ScanExec::new(
-                name,
-                alias.as_deref(),
-                single,
-                keep.as_deref(),
-                outer,
-                ctx,
-                batch,
-            );
+            let scan = ScanExec::new(name, alias.as_deref(), single, keep.as_deref(), outer, ctx);
             // Subquery predicates need the coordinator's evaluation
             // context and correlated frames cannot cross threads; both
             // keep the serial scan.
@@ -642,19 +626,11 @@ pub(crate) fn build_input<'e>(
                 // Registered up front so the worker breakdown can attach
                 // as children from run_parallel().
                 let pidx = az.map(|a| a.register(label, Vec::new()));
-                let op: Box<dyn Operator<'e> + 'e> =
-                    Box::new(ParallelScanExec::new(scan, workers, az, pidx));
-                match (az, pidx) {
-                    (Some(a), Some(idx)) => (
-                        Box::new(TimedExec {
-                            inner: op,
-                            az: a,
-                            idx,
-                        }),
-                        Some(idx),
-                    ),
-                    _ => (op, None),
-                }
+                timed(
+                    az,
+                    pidx,
+                    Box::new(ParallelScanExec::new(scan, workers, az, pidx)),
+                )
             } else {
                 instrument(az, Box::new(scan), label, Vec::new())
             }

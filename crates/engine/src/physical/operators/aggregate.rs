@@ -19,8 +19,7 @@ use crate::physical::*;
 /// finalizes through [`exec::project_groups`] (HAVING, the select-list
 /// projection with aggregates substituted, ORDER BY keys). Folding streams
 /// unless a group-by key or aggregate argument contains a subquery.
-/// One aggregate argument, pre-compiled for the batch-exec fast fold:
-/// `None` covers both `count(*)` and zero-argument aggregates.
+/// One aggregate argument, pre-compiled: `None` covers both `count(*)` and zero-argument aggregates.
 pub(crate) enum AggArg {
     None,
     Expr(CompiledExpr),
@@ -32,11 +31,10 @@ pub(crate) struct AggregateExec<'e> {
     outer: &'e [Frame<'e>],
     ctx: &'e ExecContext<'e>,
     breaker: bool,
-    batch_mode: bool,
     specs: Vec<AggSpec>,
     in_bindings: Vec<Binding>,
-    /// Compiled group-key + aggregate-argument programs; `Some` only in
-    /// batch-exec mode when everything compiles (else the framed fold runs).
+    /// Compiled group-key + aggregate-argument programs; `Some` when the
+    /// fold streams and everything compiles (else the framed fold runs).
     progs: Option<(Vec<KeyProg>, Vec<AggArg>)>,
     emitter: Option<BatchEmitter>,
 }
@@ -47,7 +45,6 @@ impl<'e> AggregateExec<'e> {
         child: Box<dyn Operator<'e> + 'e>,
         outer: &'e [Frame<'e>],
         ctx: &'e ExecContext<'e>,
-        batch_mode: bool,
     ) -> Self {
         let specs = exec::collect_agg_specs(q);
         let breaker = q.group_by.iter().any(exec::contains_subquery)
@@ -60,7 +57,6 @@ impl<'e> AggregateExec<'e> {
             outer,
             ctx,
             breaker,
-            batch_mode,
             specs,
             in_bindings: Vec::new(),
             progs: None,
@@ -127,7 +123,7 @@ impl<'e> AggregateExec<'e> {
 impl<'e> Operator<'e> for AggregateExec<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>> {
         self.in_bindings = self.child.open()?;
-        if self.batch_mode && !self.breaker {
+        if !self.breaker {
             self.progs = self.compile_agg_progs();
         }
         Ok(exec::output_bindings(self.q, &self.in_bindings))
@@ -141,9 +137,9 @@ impl<'e> Operator<'e> for AggregateExec<'e> {
             let state_width = self.in_bindings.len() + self.specs.len();
             let mut charged_groups = 0u64;
             let states: Vec<GroupState> = if let Some((key_progs, arg_progs)) = &self.progs {
-                // Batch-exec fold: positional key/argument programs over
+                // Compiled fold: positional key/argument programs over
                 // borrowed rows, group lookup without key clones, cpu
-                // flushed once per batch (one op per row, as legacy).
+                // flushed once per batch (one op per row).
                 let mut table = GroupTable::new();
                 let mut scratch: Vec<Value> = Vec::new();
                 while let Some(batch) = self.child.next_batch()? {

@@ -19,7 +19,6 @@ pub(crate) struct FilterExec<'e> {
     child: Box<dyn Operator<'e> + 'e>,
     preds: Vec<Expr>,
     breaker: bool,
-    batch_mode: bool,
     outer: &'e [Frame<'e>],
     ctx: &'e ExecContext<'e>,
     in_bindings: Vec<Binding>,
@@ -33,14 +32,12 @@ impl<'e> FilterExec<'e> {
         preds: Vec<Expr>,
         outer: &'e [Frame<'e>],
         ctx: &'e ExecContext<'e>,
-        batch_mode: bool,
     ) -> Self {
         let breaker = preds.iter().any(exec::contains_subquery);
         FilterExec {
             child,
             preds,
             breaker,
-            batch_mode,
             outer,
             ctx,
             in_bindings: Vec::new(),
@@ -49,79 +46,49 @@ impl<'e> FilterExec<'e> {
         }
     }
 
-    /// Legacy per-row filtering over an owned batch, compacted in place —
-    /// the batch's allocation flows through instead of a fresh output
-    /// vector per batch.
-    pub(crate) fn filter_batch(&self, mut rows: Vec<Row>) -> EngineResult<Vec<Row>> {
+    /// Compacts the survivors into the batch's own allocation, whichever
+    /// way it holds its rows (borrowed rows stay borrowed), counting one
+    /// cpu charge per predicate evaluation into `cpu`.
+    fn retain_rows<R: std::borrow::Borrow<Row>>(
+        &self,
+        rows: &mut Vec<R>,
+        cpu: &mut u64,
+    ) -> EngineResult<()> {
         let mut kept = 0;
         for i in 0..rows.len() {
-            if keep_row(
-                &rows[i],
+            if keep_row_charged(
+                rows[i].borrow(),
                 &self.in_bindings,
                 &self.resolved,
                 self.outer,
                 self.ctx,
+                || *cpu += 1,
             )? {
                 rows.swap(kept, i);
                 kept += 1;
             }
         }
         rows.truncate(kept);
-        Ok(rows)
+        Ok(())
     }
 
-    /// Batch-exec filtering: preserves the batch's ownership (borrowed
-    /// rows stay borrowed), compacts survivors into the batch's own
-    /// allocation, and flushes cpu charges once per batch.
-    pub(crate) fn filter_batch_fast(&self, rows: BatchRows<'e>) -> EngineResult<BatchRows<'e>> {
+    /// Filters one streamed batch in place; cpu charges are flushed once
+    /// per batch.
+    fn filter_batch(&self, mut rows: BatchRows<'e>) -> EngineResult<BatchRows<'e>> {
         let mut cpu = 0u64;
-        let out = match rows {
-            BatchRows::Owned(mut v) => {
-                let mut kept = 0;
-                for i in 0..v.len() {
-                    if keep_row_charged(
-                        &v[i],
-                        &self.in_bindings,
-                        &self.resolved,
-                        self.outer,
-                        self.ctx,
-                        || cpu += 1,
-                    )? {
-                        v.swap(kept, i);
-                        kept += 1;
-                    }
-                }
-                v.truncate(kept);
-                BatchRows::Owned(v)
-            }
-            BatchRows::Borrowed(mut v) => {
-                let mut kept = 0;
-                for i in 0..v.len() {
-                    if keep_row_charged(
-                        v[i],
-                        &self.in_bindings,
-                        &self.resolved,
-                        self.outer,
-                        self.ctx,
-                        || cpu += 1,
-                    )? {
-                        v.swap(kept, i);
-                        kept += 1;
-                    }
-                }
-                v.truncate(kept);
-                BatchRows::Borrowed(v)
-            }
-        };
+        match &mut rows {
+            BatchRows::Owned(v) => self.retain_rows(v, &mut cpu)?,
+            BatchRows::Borrowed(v) => self.retain_rows(v, &mut cpu)?,
+        }
         self.ctx.bump_cpu(cpu);
-        Ok(out)
+        Ok(rows)
     }
 }
 
 impl<'e> Operator<'e> for FilterExec<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>> {
         self.in_bindings = self.child.open()?;
-        self.resolved = resolve_preds(&self.preds, &self.in_bindings, self.ctx, self.batch_mode);
+        self.resolved = resolve_preds(&self.preds, &self.in_bindings, self.ctx);
         Ok(self.in_bindings.clone())
     }
 
@@ -140,31 +107,22 @@ impl<'e> Operator<'e> for FilterExec<'e> {
                     self.ctx.check_interrupt()?;
                     batches.push(batch.rows);
                 }
+                let keep = |row: &Row| {
+                    keep_row(row, &self.in_bindings, &self.resolved, self.outer, self.ctx)
+                };
                 let mut kept: Vec<Row> = Vec::new();
                 for b in batches {
                     match b {
                         BatchRows::Owned(v) => {
                             for row in v {
-                                if keep_row(
-                                    &row,
-                                    &self.in_bindings,
-                                    &self.resolved,
-                                    self.outer,
-                                    self.ctx,
-                                )? {
+                                if keep(&row)? {
                                     kept.push(row);
                                 }
                             }
                         }
                         BatchRows::Borrowed(v) => {
                             for row in v {
-                                if keep_row(
-                                    row,
-                                    &self.in_bindings,
-                                    &self.resolved,
-                                    self.outer,
-                                    self.ctx,
-                                )? {
+                                if keep(row)? {
                                     // Load-bearing clone: survivors of a
                                     // borrowed batch must outlive the scan.
                                     kept.push(row.clone());
@@ -182,19 +140,12 @@ impl<'e> Operator<'e> for FilterExec<'e> {
             let Some(batch) = self.child.next_batch()? else {
                 return Ok(None);
             };
-            if self.batch_mode {
-                let rows = self.filter_batch_fast(batch.rows)?;
-                if !rows.is_empty() {
-                    return Ok(Some(RowBatch {
-                        rows,
-                        keys: KeyBuf::default(),
-                    }));
-                }
-            } else {
-                let rows = self.filter_batch(batch.rows.into_owned())?;
-                if !rows.is_empty() {
-                    return Ok(Some(RowBatch::owned(rows, KeyBuf::default())));
-                }
+            let rows = self.filter_batch(batch.rows)?;
+            if !rows.is_empty() {
+                return Ok(Some(RowBatch {
+                    rows,
+                    keys: KeyBuf::default(),
+                }));
             }
         }
     }

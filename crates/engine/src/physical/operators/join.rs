@@ -61,7 +61,6 @@ impl<'e> Operator<'e> for JoinExec<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>> {
         let g = self.general;
         let (outer, ctx) = (self.outer, self.ctx);
-        let batch_mode = ctx.db.batch_exec_enabled();
         let names: Vec<String> = g
             .inputs
             .iter()
@@ -73,7 +72,7 @@ impl<'e> Operator<'e> for JoinExec<'e> {
         // a scan that keeps everything hands out borrowed rows, cloned here.
         let mut inputs: Vec<Relation> = Vec::with_capacity(g.inputs.len());
         for node in &g.inputs {
-            let (mut op, cidx) = build_input(node, outer, ctx, batch_mode, self.az);
+            let (mut op, cidx) = build_input(node, outer, ctx, self.az);
             if let (Some(a), Some(i), Some(ci)) = (self.az, self.idx, cidx) {
                 a.add_child(i, ci);
             }
@@ -574,7 +573,7 @@ fn builds_on_current(current_rows: usize, right_rows: usize) -> bool {
 /// matches in ascending right-row order, whichever side the table was
 /// built on. NULL key components never match. Charges one cpu op per build
 /// row, per probe row and per output row (flushed once — totals are what
-/// the counters promise, in either `enable_batch_exec` setting).
+/// the counters promise).
 pub(crate) fn hash_join(
     current: Relation,
     right: &Relation,

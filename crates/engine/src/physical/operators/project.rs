@@ -16,7 +16,7 @@ use crate::physical::*;
 /// unless an item or ORDER BY expression contains a subquery. A pure
 /// `SELECT *` moves each input row into the output instead of cloning its
 /// values.
-/// One SELECT item, pre-compiled for the batch-exec fast path.
+/// One SELECT item, pre-compiled.
 pub(crate) enum ItemProg {
     Wildcard,
     Expr(CompiledExpr),
@@ -37,13 +37,12 @@ pub(crate) struct ProjectExec<'e> {
     outer: &'e [Frame<'e>],
     ctx: &'e ExecContext<'e>,
     breaker: bool,
-    batch_mode: bool,
     wildcard_only: bool,
     in_bindings: Vec<Binding>,
     out_bindings: Vec<Binding>,
     out_names: Vec<String>,
-    /// Compiled item + order-key programs; `Some` only in batch-exec mode
-    /// when every expression compiles (else the framed path runs).
+    /// Compiled item + order-key programs; `Some` when the projection
+    /// streams and every expression compiles (else the framed path runs).
     progs: Option<(Vec<ItemProg>, Vec<OrderKeyProg>)>,
     emitter: Option<BatchEmitter>,
 }
@@ -54,7 +53,6 @@ impl<'e> ProjectExec<'e> {
         child: Box<dyn Operator<'e> + 'e>,
         outer: &'e [Frame<'e>],
         ctx: &'e ExecContext<'e>,
-        batch_mode: bool,
     ) -> Self {
         let item_subquery = q.items.iter().any(|i| match i {
             SelectItem::Expr { expr, .. } => exec::contains_subquery(expr),
@@ -67,7 +65,6 @@ impl<'e> ProjectExec<'e> {
             outer,
             ctx,
             breaker: item_subquery || order_subquery,
-            batch_mode,
             wildcard_only: matches!(q.items.as_slice(), [SelectItem::Wildcard]),
             in_bindings: Vec::new(),
             out_bindings: Vec::new(),
@@ -128,9 +125,9 @@ impl<'e> ProjectExec<'e> {
         Ok(())
     }
 
-    /// Batch-exec projection: one output row built per input row (no
+    /// Compiled projection: one output row built per input row (no
     /// intermediate frame vectors), cpu flushed once per batch.
-    pub(crate) fn project_batch_fast(
+    pub(crate) fn project_compiled(
         &self,
         rows: BatchRows<'e>,
         items: &[ItemProg],
@@ -176,65 +173,17 @@ impl<'e> ProjectExec<'e> {
         Ok((out_rows, keys))
     }
 
-    pub(crate) fn project_batch(&self, in_rows: Vec<Row>) -> EngineResult<(Vec<Row>, KeyBuf)> {
+    /// The interpreted fallback — a pipeline breaker, or an expression that
+    /// does not compile: each row is evaluated with frames, one cpu charge
+    /// per row. An input row is moved (owned batch) or cloned (borrowed
+    /// batch) only when the select list re-emits it whole, `SELECT *`;
+    /// never just to feed expression evaluation.
+    fn project_framed(&self, in_rows: BatchRows<'e>) -> EngineResult<(Vec<Row>, KeyBuf)> {
         let names: Vec<&str> = self.out_names.iter().map(|s| s.as_str()).collect();
         let mut rows = Vec::with_capacity(in_rows.len());
         let mut keys = KeyBuf::with_capacity(self.q.order_by.len(), in_rows.len());
-        for row in in_rows {
-            self.ctx.bump_cpu(1);
-            let mut frames = Vec::with_capacity(self.outer.len() + 1);
-            frames.push(Frame {
-                bindings: &self.in_bindings,
-                row: &row,
-            });
-            frames.extend_from_slice(self.outer);
-            if self.wildcard_only {
-                // `SELECT *`: the output row IS the input row — compute the
-                // sort key against it and move it, no per-value clone.
-                let key = exec::sort_key_for_row(
-                    &self.q.order_by,
-                    &names,
-                    &row,
-                    &frames,
-                    self.ctx,
-                    None,
-                )?;
-                keys.push_key(key);
-                drop(frames);
-                rows.push(row);
-            } else {
-                let mut out_row = Vec::with_capacity(self.out_bindings.len());
-                for item in &self.q.items {
-                    match item {
-                        SelectItem::Wildcard => out_row.extend(row.iter().cloned()),
-                        SelectItem::Expr { expr, .. } => {
-                            out_row.push(eval_expr(expr, &frames, self.ctx)?)
-                        }
-                    }
-                }
-                let key = exec::sort_key_for_row(
-                    &self.q.order_by,
-                    &names,
-                    &out_row,
-                    &frames,
-                    self.ctx,
-                    None,
-                )?;
-                keys.push_key(key);
-                rows.push(out_row);
-            }
-        }
-        Ok((rows, keys))
-    }
-
-    /// [`Self::project_batch`] over borrowed rows: the input row is cloned
-    /// only when the select list actually re-emits it (a wildcard), never
-    /// just to feed expression evaluation. Charges are identical.
-    pub(crate) fn project_borrowed(&self, in_rows: &[&Row]) -> EngineResult<(Vec<Row>, KeyBuf)> {
-        let names: Vec<&str> = self.out_names.iter().map(|s| s.as_str()).collect();
-        let mut rows = Vec::with_capacity(in_rows.len());
-        let mut keys = KeyBuf::with_capacity(self.q.order_by.len(), in_rows.len());
-        for &row in in_rows {
+        // `None`: the output row IS the input row.
+        let mut project = |row: &Row| -> EngineResult<Option<Row>> {
             self.ctx.bump_cpu(1);
             let mut frames = Vec::with_capacity(self.outer.len() + 1);
             frames.push(Frame {
@@ -242,13 +191,9 @@ impl<'e> ProjectExec<'e> {
                 row,
             });
             frames.extend_from_slice(self.outer);
-            if self.wildcard_only {
-                let key =
-                    exec::sort_key_for_row(&self.q.order_by, &names, row, &frames, self.ctx, None)?;
-                keys.push_key(key);
-                rows.push(row.clone());
-            } else {
-                let mut out_row = Vec::with_capacity(self.out_bindings.len());
+            let mut out_row = None;
+            if !self.wildcard_only {
+                let out_row = out_row.insert(Vec::with_capacity(self.out_bindings.len()));
                 for item in &self.q.items {
                     match item {
                         SelectItem::Wildcard => out_row.extend(row.iter().cloned()),
@@ -257,16 +202,29 @@ impl<'e> ProjectExec<'e> {
                         }
                     }
                 }
-                let key = exec::sort_key_for_row(
-                    &self.q.order_by,
-                    &names,
-                    &out_row,
-                    &frames,
-                    self.ctx,
-                    None,
-                )?;
-                keys.push_key(key);
-                rows.push(out_row);
+            }
+            keys.push_key(exec::sort_key_for_row(
+                &self.q.order_by,
+                &names,
+                out_row.as_ref().unwrap_or(row),
+                &frames,
+                self.ctx,
+                None,
+            )?);
+            Ok(out_row)
+        };
+        match in_rows {
+            BatchRows::Owned(v) => {
+                for row in v {
+                    let out_row = project(&row)?;
+                    rows.push(out_row.unwrap_or(row));
+                }
+            }
+            BatchRows::Borrowed(v) => {
+                for row in v {
+                    let out_row = project(row)?;
+                    rows.push(out_row.unwrap_or_else(|| row.clone()));
+                }
             }
         }
         Ok((rows, keys))
@@ -278,7 +236,7 @@ impl<'e> Operator<'e> for ProjectExec<'e> {
         self.in_bindings = self.child.open()?;
         self.out_bindings = exec::output_bindings(self.q, &self.in_bindings);
         self.out_names = self.out_bindings.iter().map(|b| b.name.clone()).collect();
-        if self.batch_mode && !self.breaker {
+        if !self.breaker {
             self.progs = self.compile_progs();
         }
         Ok(self.out_bindings.clone())
@@ -287,8 +245,7 @@ impl<'e> Operator<'e> for ProjectExec<'e> {
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {
         if self.breaker {
             if self.emitter.is_none() {
-                // Drain first, then project in order; borrowed batches are
-                // projected by reference instead of being cloned wholesale.
+                // Drain first, then project in order.
                 let mut batches: Vec<BatchRows<'e>> = Vec::new();
                 while let Some(batch) = self.child.next_batch()? {
                     self.ctx.check_interrupt()?;
@@ -297,10 +254,7 @@ impl<'e> Operator<'e> for ProjectExec<'e> {
                 let mut rows = Vec::new();
                 let mut keys = KeyBuf::default();
                 for b in batches {
-                    let (mut r, k) = match b {
-                        BatchRows::Owned(v) => self.project_batch(v)?,
-                        BatchRows::Borrowed(v) => self.project_borrowed(&v)?,
-                    };
+                    let (mut r, k) = self.project_framed(b)?;
                     rows.append(&mut r);
                     keys.append(k);
                 }
@@ -312,8 +266,8 @@ impl<'e> Operator<'e> for ProjectExec<'e> {
             return Ok(None);
         };
         let (rows, keys) = match &self.progs {
-            Some((items, order)) => self.project_batch_fast(batch.rows, items, order)?,
-            None => self.project_batch(batch.rows.into_owned())?,
+            Some((items, order)) => self.project_compiled(batch.rows, items, order)?,
+            None => self.project_framed(batch.rows)?,
         };
         Ok(Some(RowBatch::owned(rows, keys)))
     }

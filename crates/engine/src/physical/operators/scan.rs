@@ -1,12 +1,11 @@
 use apuama_sql::ast::Expr;
-use apuama_sql::Value;
 use apuama_storage::{AccessKind, Row, RowId};
 
 use crate::catalog::TableSchema;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{eval_expr, Frame};
+use crate::eval::Frame;
 use crate::exec::{self, BatchedCounter, Binding, ExecContext, Relation};
-use crate::planner::{self, AccessPath};
+use crate::planner::{AccessPath, ScanChoice};
 use crate::table::Table;
 
 use crate::physical::*;
@@ -15,19 +14,97 @@ use crate::physical::*;
 // Scan operators (SeqScan / IndexRangeScan)
 // ---------------------------------------------------------------------------
 
-pub(crate) enum ScanIter<'e> {
+enum ScanIter<'e> {
     Heap(Box<dyn Iterator<Item = (RowId, &'e Row)> + 'e>),
     /// Index ranges pre-collect their row ids (index traversal is
-    /// charge-free); heap pages are still touched lazily, per batch, in
+    /// charge-free); heap pages are still touched lazily, row by row, in
     /// range order — identical LRU traffic to the interpreter.
     Rids(std::vec::IntoIter<RowId>),
 }
 
-pub(crate) struct ScanState<'e> {
+/// How an index range's heap fetches count against the buffer pool: a
+/// clustered range walks the heap in order, a secondary one hops.
+pub(crate) fn index_access_kind(clustered: bool) -> AccessKind {
+    if clustered {
+        AccessKind::Sequential
+    } else {
+        AccessKind::Random
+    }
+}
+
+/// One base-table scan in flight — the serial scan loop, written once: the
+/// live rows of the chosen access path in path order, each row's heap page
+/// charged to the statement once per page change. The general scan, the
+/// fused kernel and DML's row-id scan all pull from it.
+pub(crate) struct ScanCursor<'e> {
     table: &'e Table,
     iter: ScanIter<'e>,
     kind: AccessKind,
     last_page: u64,
+}
+
+impl<'e> ScanCursor<'e> {
+    /// Opens `path` over `table`, counting the index probe or the pages
+    /// the zone maps refute for `residual_exprs` (see [`seq_scan_iter`]).
+    pub(crate) fn open(
+        table: &'e Table,
+        bindings: &[Binding],
+        path: &AccessPath,
+        residual_exprs: &[&Expr],
+        ctx: &ExecContext<'_>,
+    ) -> Self {
+        let (iter, kind) = match path {
+            AccessPath::SeqScan => (
+                ScanIter::Heap(seq_scan_iter(table, bindings, residual_exprs, ctx)),
+                AccessKind::Sequential,
+            ),
+            AccessPath::IndexRange {
+                column,
+                low,
+                high,
+                clustered,
+            } => {
+                let idx = table
+                    .index_on(*column)
+                    .expect("planner only chooses existing indexes");
+                ctx.bump_index_probes(1);
+                let rids: Vec<RowId> = idx
+                    .range(exec::bound_ref(low), exec::bound_ref(high))
+                    .map(|(_, rid)| rid)
+                    .collect();
+                (
+                    ScanIter::Rids(rids.into_iter()),
+                    index_access_kind(*clustered),
+                )
+            }
+        };
+        ScanCursor {
+            table,
+            iter,
+            kind,
+            last_page: u64::MAX,
+        }
+    }
+
+    /// The next live row. A dead row id costs nothing, as in the
+    /// interpreter.
+    pub(crate) fn next(&mut self, ctx: &ExecContext<'_>) -> Option<(RowId, &'e Row)> {
+        let table = self.table;
+        let (rid, row) = match &mut self.iter {
+            ScanIter::Heap(it) => it.next()?,
+            ScanIter::Rids(it) => it.find_map(|rid| Some((rid, table.heap.get(rid)?)))?,
+        };
+        let page = table.heap.geometry().page_of(rid);
+        if page != self.last_page {
+            ctx.charge_page(table.schema.id, page, self.kind);
+            self.last_page = page;
+        }
+        Some((rid, row))
+    }
+}
+
+struct ScanState<'e> {
+    cursor: ScanCursor<'e>,
     residual: Vec<ResidualPred>,
     scanned: BatchedCounter<'e, 'e>,
 }
@@ -53,24 +130,33 @@ pub(crate) fn project_row(row: &Row, cols: &[usize]) -> Row {
     cols.iter().map(|&c| row[c].clone()).collect()
 }
 
+/// What [`ScanExec::plan`] decides before any row is read: the table, the
+/// access path chosen from the bound values, the conjuncts left to the row
+/// level, and the bindings the scan emits.
+pub(crate) struct PlannedScan<'e> {
+    pub(crate) table: &'e Table,
+    pub(crate) choice: ScanChoice,
+    pub(crate) residual_exprs: Vec<&'e Expr>,
+    pub(crate) out_bindings: Vec<Binding>,
+}
+
 /// Base-table scan: chooses the access path at open (from the actual bound
 /// parameter values), then streams surviving rows in batches. Under a join
 /// (`keep` set) the survivors are narrowed to the kept columns *after* the
 /// pushed-down predicates ran on the whole heap row; a scan that feeds no
-/// join computes no projection and hands out borrowed rows.
+/// join computes no projection and hands out rows borrowed from the heap.
 pub(crate) struct ScanExec<'e> {
-    pub(crate) name: &'e str,
-    pub(crate) alias: Option<&'e str>,
-    pub(crate) single: &'e [Expr],
-    pub(crate) keep: Option<&'e [String]>,
-    pub(crate) outer: &'e [Frame<'e>],
+    name: &'e str,
+    alias: Option<&'e str>,
+    single: &'e [Expr],
+    keep: Option<&'e [String]>,
+    outer: &'e [Frame<'e>],
     pub(crate) ctx: &'e ExecContext<'e>,
-    pub(crate) batch_mode: bool,
     /// The table's full bindings: what the predicates resolve against.
     pub(crate) bindings: Vec<Binding>,
     /// Kept column positions, when the output is narrower than the table.
     pub(crate) cols: Option<Vec<usize>>,
-    pub(crate) state: Option<ScanState<'e>>,
+    state: Option<ScanState<'e>>,
 }
 
 impl<'e> ScanExec<'e> {
@@ -81,7 +167,6 @@ impl<'e> ScanExec<'e> {
         keep: Option<&'e [String]>,
         outer: &'e [Frame<'e>],
         ctx: &'e ExecContext<'e>,
-        batch_mode: bool,
     ) -> Self {
         ScanExec {
             name,
@@ -90,105 +175,68 @@ impl<'e> ScanExec<'e> {
             keep,
             outer,
             ctx,
-            batch_mode,
             bindings: Vec::new(),
             cols: None,
             state: None,
         }
     }
 
-    /// Fixes the scan's bindings: records the full ones the predicates
-    /// use and the kept positions, and returns what the scan emits.
-    pub(crate) fn bind(&mut self, table: &Table) -> Vec<Binding> {
+    /// The first half of `open`: resolves the table, chooses the access
+    /// path and fixes the bindings (the full ones the predicates use, the
+    /// kept positions, and what the scan emits). [`ParallelScanExec`] plans
+    /// through here too and hands the result back to [`Self::start`] when
+    /// the scan is too small to split.
+    pub(crate) fn plan(&mut self) -> EngineResult<PlannedScan<'e>> {
+        let table = self
+            .ctx
+            .db
+            .table(self.name)
+            .ok_or_else(|| EngineError::UnknownTable(self.name.to_string()))?;
+        let (choice, residual_exprs) = plan_scan(
+            table,
+            self.alias.unwrap_or(self.name),
+            self.single,
+            self.ctx,
+        );
         self.bindings = exec::bindings_for_table(&table.schema, self.alias);
         self.cols = self
             .keep
             .and_then(|keep| kept_positions(&table.schema, keep));
-        match &self.cols {
+        let out_bindings = match &self.cols {
             Some(cols) => cols.iter().map(|&c| self.bindings[c].clone()).collect(),
             None => self.bindings.clone(),
-        }
+        };
+        Ok(PlannedScan {
+            table,
+            choice,
+            residual_exprs,
+            out_bindings,
+        })
+    }
+
+    /// The second half of `open`: resolves the residual predicates and
+    /// opens the cursor.
+    pub(crate) fn start(&mut self, planned: PlannedScan<'e>) -> Vec<Binding> {
+        let ctx = self.ctx;
+        self.state = Some(ScanState {
+            residual: resolve_preds(planned.residual_exprs.iter().copied(), &self.bindings, ctx),
+            cursor: ScanCursor::open(
+                planned.table,
+                &self.bindings,
+                &planned.choice.path,
+                &planned.residual_exprs,
+                ctx,
+            ),
+            scanned: BatchedCounter::new(ctx),
+        });
+        planned.out_bindings
     }
 }
 
 impl<'e> Operator<'e> for ScanExec<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>> {
-        let ctx = self.ctx;
-        let table = ctx
-            .db
-            .table(self.name)
-            .ok_or_else(|| EngineError::UnknownTable(self.name.to_string()))?;
-        let binding_name = self.alias.unwrap_or(self.name);
-        let eval_const = |e: &Expr| -> Option<Value> {
-            if exec::expr_has_columns(e) {
-                None
-            } else {
-                eval_expr(e, &[], ctx).ok()
-            }
-        };
-        let choice = planner::choose_access_path(
-            table,
-            binding_name,
-            self.single,
-            ctx.db.seqscan_enabled(),
-            ctx.db.indexscan_enabled(),
-            &eval_const,
-        );
-        let out_bindings = self.bind(table);
-        let bindings = &self.bindings;
-        // Predicates consumed by the index range are implied by the scan
-        // bounds; only the rest are re-checked per row.
-        let residual_exprs: Vec<&Expr> = self
-            .single
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !choice.consumed.contains(i))
-            .map(|(_, e)| e)
-            .collect();
-        let residual = resolve_preds(
-            residual_exprs.iter().copied(),
-            bindings,
-            ctx,
-            self.batch_mode,
-        );
-        let (iter, kind) = match &choice.path {
-            AccessPath::SeqScan => (
-                ScanIter::Heap(seq_scan_iter(table, bindings, &residual_exprs, ctx)),
-                AccessKind::Sequential,
-            ),
-            AccessPath::IndexRange {
-                column,
-                low,
-                high,
-                clustered,
-            } => {
-                let idx = table
-                    .index_on(*column)
-                    .expect("planner only chooses existing indexes");
-                ctx.bump_index_probes(1);
-                let rids: Vec<RowId> = idx
-                    .range(exec::bound_ref(low), exec::bound_ref(high))
-                    .map(|(_, rid)| rid)
-                    .collect();
-                (
-                    ScanIter::Rids(rids.into_iter()),
-                    if *clustered {
-                        AccessKind::Sequential
-                    } else {
-                        AccessKind::Random
-                    },
-                )
-            }
-        };
-        self.state = Some(ScanState {
-            table,
-            iter,
-            kind,
-            last_page: u64::MAX,
-            residual,
-            scanned: BatchedCounter::new(ctx),
-        });
-        Ok(out_bindings)
+        let planned = self.plan()?;
+        Ok(self.start(planned))
     }
 
     fn subquery_lines(&self) -> Vec<SubqueryLine> {
@@ -201,70 +249,35 @@ impl<'e> Operator<'e> for ScanExec<'e> {
         let Some(state) = self.state.as_mut() else {
             return Ok(None);
         };
-        let ScanState {
-            table,
-            iter,
-            kind,
-            last_page,
-            residual,
-            scanned,
-        } = state;
-        // Batch-exec survivors that keep every column are *borrowed* from
-        // the heap (no per-row clone). Narrowed survivors are cloned here,
-        // kept columns only — the clone the join's materialization would
-        // otherwise pay on whole rows — and the legacy (seed-profile) mode
-        // always hands out owned rows.
-        let mut out = if self.batch_mode && self.cols.is_none() {
-            BatchRows::Borrowed(Vec::new())
-        } else {
-            BatchRows::Owned(Vec::new())
-        };
+        // Survivors that keep every column are *borrowed* from the heap (no
+        // per-row clone). Narrowed survivors are cloned here, kept columns
+        // only — the clone the join's materialization would otherwise pay
+        // on whole rows.
+        let mut borrowed: Vec<&'e Row> = Vec::new();
+        let mut narrowed: Vec<Row> = Vec::new();
         let mut exhausted = false;
+        // cpu charges accumulate locally and flush once per batch.
         let mut cpu = 0u64;
-        loop {
-            let fetched = match iter {
-                ScanIter::Heap(it) => it.next(),
-                ScanIter::Rids(it) => match it.next() {
-                    None => None,
-                    Some(rid) => match table.heap.get(rid) {
-                        // A dead row id costs nothing, as in the interpreter.
-                        None => continue,
-                        Some(row) => Some((rid, row)),
-                    },
-                },
-            };
-            let Some((rid, row)) = fetched else {
+        while ((borrowed.len() + narrowed.len()) as u64) < exec::SCAN_BATCH_ROWS {
+            let Some((_, row)) = state.cursor.next(self.ctx) else {
                 exhausted = true;
                 break;
             };
-            let page = table.heap.geometry().page_of(rid);
-            if page != *last_page {
-                self.ctx.charge_page(table.schema.id, page, *kind);
-                *last_page = page;
-            }
-            scanned.row_scanned();
-            // Batch-exec mode accumulates cpu charges locally and flushes
-            // them once per batch; the legacy mode bumps the shared
-            // context per predicate evaluation (totals identical).
-            let keep = residual.is_empty()
-                || if self.batch_mode {
-                    keep_row_charged(row, &self.bindings, residual, self.outer, self.ctx, || {
-                        cpu += 1
-                    })?
-                } else {
-                    keep_row(row, &self.bindings, residual, self.outer, self.ctx)?
-                };
+            state.scanned.row_scanned();
+            let keep = state.residual.is_empty()
+                || keep_row_charged(
+                    row,
+                    &self.bindings,
+                    &state.residual,
+                    self.outer,
+                    self.ctx,
+                    || cpu += 1,
+                )?;
             if keep {
-                match (&mut out, &self.cols) {
-                    (BatchRows::Borrowed(rows), _) => rows.push(row),
-                    (BatchRows::Owned(rows), Some(cols)) => rows.push(project_row(row, cols)),
-                    // Load-bearing clone: the legacy row-at-a-time mode
-                    // hands out owned rows.
-                    (BatchRows::Owned(rows), None) => rows.push(row.clone()),
+                match &self.cols {
+                    Some(cols) => narrowed.push(project_row(row, cols)),
+                    None => borrowed.push(row),
                 }
-            }
-            if out.len() as u64 == exec::SCAN_BATCH_ROWS {
-                break;
             }
         }
         self.ctx.bump_cpu(cpu);
@@ -272,8 +285,12 @@ impl<'e> Operator<'e> for ScanExec<'e> {
             // Dropping the state flushes the batched row_scanned counter.
             self.state = None;
         }
-        Ok((!out.is_empty()).then(|| RowBatch {
-            rows: out,
+        let rows = match self.cols {
+            Some(_) => BatchRows::Owned(narrowed),
+            None => BatchRows::Borrowed(borrowed),
+        };
+        Ok((!rows.is_empty()).then(|| RowBatch {
+            rows,
             keys: KeyBuf::default(),
         }))
     }

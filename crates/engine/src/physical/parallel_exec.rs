@@ -3,14 +3,13 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use apuama_sql::ast::{Expr, Select};
-use apuama_sql::Value;
+use apuama_sql::ast::Expr;
 use apuama_storage::{AccessKind, Row, RowId};
 
 use crate::db::Database;
-use crate::error::{EngineError, EngineResult};
-use crate::eval::{self, eval_expr, Frame};
-use crate::exec::{self, Acc, Binding, ExecContext, GroupState, Relation};
+use crate::error::EngineResult;
+use crate::eval;
+use crate::exec::{self, Binding, ExecContext};
 use crate::planner::{self, AccessPath};
 use crate::table::Table;
 
@@ -31,9 +30,9 @@ pub(crate) enum MorselInput {
 
 /// The morsel decomposition of one base-table scan, planned without
 /// charging any statistics so the caller can still fall back to the serial
-/// operator (which does its own accounting). On commit the coordinator
-/// applies `pages_pruned` / `index_probes` itself and replays the page
-/// charges via [`precharge_morsel_pages`].
+/// operator (which does its own accounting). [`run_scan_morsels`] commits
+/// it: applies `pages_pruned` / `index_probes` and replays the page charges
+/// via [`precharge_morsel_pages`].
 pub(crate) struct ScanMorsels<'e> {
     table: &'e Table,
     kind: AccessKind,
@@ -94,11 +93,7 @@ pub(crate) fn plan_scan_morsels<'e>(
                 .collect();
             ScanMorsels {
                 table,
-                kind: if *clustered {
-                    AccessKind::Sequential
-                } else {
-                    AccessKind::Random
-                },
+                kind: index_access_kind(*clustered),
                 morsels: rids
                     .chunks(exec::SCAN_BATCH_ROWS as usize)
                     .map(|c| MorselInput::Rids(c.to_vec()))
@@ -193,37 +188,146 @@ pub(crate) fn record_worker_probes(
     }
 }
 
-/// A planned-and-committed parallel scan, produced by
-/// [`ParallelScanExec::open`] when the scan is wide enough to split.
-pub(crate) struct PreparedScan<'e> {
-    sm: ScanMorsels<'e>,
-    residual: Vec<ResidualPred>,
-    /// Columns per emitted row (the kept ones, under a join).
-    width: usize,
+/// What folding one morsel produced, with the counters it stands for.
+pub(crate) struct MorselOut<T> {
+    pub(crate) out: T,
+    /// Rows the morsel scanned.
+    pub(crate) rows: u64,
+    /// `cpu_tuple_ops` the morsel cost.
+    pub(crate) cpu: u64,
 }
 
-/// Morsel-driven parallel base-table scan: workers pull morsels, filter
-/// rows against the pushed-down conjuncts, and clone survivors (under a
-/// join, only the columns the scan keeps); the
-/// coordinator replays the serial page-charge sequence, sums the workers'
-/// counter tallies, and re-emits the survivors in morsel order as owned
-/// [`exec::SCAN_BATCH_ROWS`]-row batches — the same row stream, batch
-/// boundaries, and statistics the serial [`ScanExec`] produces. Safe under
-/// joins and streaming operators because non-breaker operators never touch
-/// heap pages and every subquery-evaluating operator is a pipeline breaker
-/// (the build layer only chooses this operator when the scan's own
-/// conjuncts are subquery-free and compile positionally).
+/// The morsel loop, written once: `workers` tasks on the node's pool claim
+/// morsel indices `0..n_morsels` from a shared atomic and run `work` on
+/// each, under a context of their own — the statement's parameters, a
+/// child [`crate::governor::QueryGovernor`] (cancelling the statement
+/// reaches the workers; a worker failing does not fire the statement's
+/// token) and the shared memory gauge, which gets back whatever the worker
+/// charged when its context drops. Workers never touch the statement's
+/// stats or the buffer pool.
 ///
-/// Holds the serial [`ScanExec`] and delegates to it whenever the parallel
-/// decomposition is not viable (residual needs frame evaluation, or fewer
-/// than two morsels), so planner errors and small-table behavior are
-/// untouched.
+/// Returns the results **in morsel order** with one tally per worker. The
+/// first failure stops every worker from claiming further, and the error
+/// returned is the failure earliest in scan order: indices are claimed in
+/// increasing order and a claimed morsel always runs (the abort flag is
+/// read before claiming, never after), so every slot below a filled one is
+/// filled and the first non-`Ok` slot is the earliest failure. The
+/// coordinator's per-morsel interrupt check mirrors the serial
+/// once-per-batch cancellation cadence.
+fn run_ordered<T: Send>(
+    ctx: &ExecContext<'_>,
+    workers: usize,
+    n_morsels: usize,
+    work: impl Fn(usize, &ExecContext<'_>) -> EngineResult<MorselOut<T>> + Sync,
+) -> EngineResult<(Vec<MorselOut<T>>, Vec<WorkerTally>)> {
+    let next = AtomicUsize::new(0);
+    let abort = AtomicBool::new(false);
+    let results: Mutex<Vec<Option<EngineResult<MorselOut<T>>>>> =
+        Mutex::new((0..n_morsels).map(|_| None).collect());
+    let tallies: Mutex<Vec<WorkerTally>> = Mutex::new(vec![(0, 0, 0); workers]);
+    let db = ctx.db;
+
+    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(workers);
+    for w in 0..workers {
+        let params = ctx.params_snapshot();
+        let gov = ctx.child_governor();
+        let (next, abort, results, tallies, work) = (&next, &abort, &results, &tallies, &work);
+        tasks.push(Box::new(move || {
+            let start = Instant::now();
+            let wctx = ExecContext::governed(db, params, gov);
+            let (mut wrows, mut wmorsels) = (0u64, 0u64);
+            while !abort.load(AtomicOrd::Relaxed) {
+                let i = next.fetch_add(1, AtomicOrd::Relaxed);
+                if i >= n_morsels {
+                    break;
+                }
+                let r = wctx.check_interrupt().and_then(|()| work(i, &wctx));
+                match &r {
+                    Ok(m) => wrows += m.rows,
+                    Err(_) => abort.store(true, AtomicOrd::Relaxed),
+                }
+                wmorsels += 1;
+                results.lock()[i] = Some(r);
+            }
+            tallies.lock()[w] = (wrows, wmorsels, start.elapsed().as_nanos());
+        }));
+    }
+    db.worker_pool(workers).scoped_run(tasks);
+
+    let mut outs = Vec::with_capacity(n_morsels);
+    for slot in results.into_inner() {
+        ctx.check_interrupt()?;
+        match slot {
+            Some(r) => outs.push(r?),
+            None => unreachable!("abandoned morsel precedes the slot that aborted it"),
+        }
+    }
+    Ok((outs, tallies.into_inner()))
+}
+
+/// Commits a scan's morsel decomposition and folds it on the worker pool.
+/// The coordinator applies the decomposition's `pages_pruned` /
+/// `index_probes` and replays the serial page-touch sequence up front —
+/// safe because no other page touch can interleave: workers never touch
+/// the pool, and every subquery-evaluating operator is a pipeline breaker.
+/// Each worker hands `fold` the live rows of one morsel and gets back the
+/// morsel's payload and cpu cost. Afterwards the coordinator bumps the
+/// summed `rows_scanned` / `cpu_tuple_ops` once (addition is order-free),
+/// with `scan_batches = ceil(rows / SCAN_BATCH_ROWS)` exactly as the
+/// serial batch loop counts them, records the per-worker probes, and
+/// returns the payloads in morsel order — so rows, first-seen group order,
+/// the error reported and every counter equal the serial scan's.
+pub(crate) fn run_scan_morsels<T: Send>(
+    sm: &ScanMorsels<'_>,
+    ctx: &ExecContext<'_>,
+    workers: usize,
+    az: Option<&Analyze>,
+    probe: Option<usize>,
+    fold: impl Fn(&[&Row], &ExecContext<'_>) -> EngineResult<(T, u64)> + Sync,
+) -> EngineResult<Vec<T>> {
+    ctx.bump_pages_pruned(sm.pages_pruned);
+    ctx.bump_index_probes(sm.index_probes);
+    precharge_morsel_pages(sm, ctx);
+
+    let (outs, tallies) = run_ordered(ctx, workers, sm.morsels.len(), |i, wctx| {
+        let rows: Vec<&Row> = morsel_rows(sm.table, &sm.morsels[i]).collect();
+        let (out, cpu) = fold(&rows, wctx)?;
+        Ok(MorselOut {
+            out,
+            rows: rows.len() as u64,
+            cpu,
+        })
+    })?;
+    let total_rows: u64 = outs.iter().map(|m| m.rows).sum();
+    ctx.bump_rows_scanned(total_rows);
+    ctx.bump_scan_batches(total_rows.div_ceil(exec::SCAN_BATCH_ROWS));
+    ctx.bump_cpu(outs.iter().map(|m| m.cpu).sum());
+    record_worker_probes(az, probe, &tallies);
+    Ok(outs.into_iter().map(|m| m.out).collect())
+}
+
+/// Morsel-driven parallel base-table scan: workers filter each morsel's
+/// rows against the pushed-down conjuncts and clone the survivors (under a
+/// join, only the columns the scan keeps); the coordinator re-emits them in
+/// morsel order as owned [`exec::SCAN_BATCH_ROWS`]-row batches — the same
+/// row stream, batch boundaries, and statistics the serial [`ScanExec`]
+/// produces ([`run_scan_morsels`]). Safe under joins and streaming
+/// operators because non-breaker operators never touch heap pages (the
+/// build layer only chooses this operator when the scan's own conjuncts
+/// are subquery-free).
+///
+/// Holds the serial [`ScanExec`] and hands the planned scan back to it
+/// whenever the parallel decomposition is not viable (a residual needs
+/// frame evaluation, or fewer than two morsels), so planner errors and
+/// small-table behavior are untouched.
 pub(crate) struct ParallelScanExec<'e> {
     inner: ScanExec<'e>,
     workers: usize,
     az: Option<&'e Analyze>,
     probe: Option<usize>,
-    prepared: Option<PreparedScan<'e>>,
+    /// The committed decomposition and its positional residual predicates,
+    /// between `open` and the first `next_batch`.
+    prepared: Option<(ScanMorsels<'e>, Vec<ResidualPred>)>,
     emitter: Option<BatchEmitter>,
 }
 
@@ -244,144 +348,48 @@ impl<'e> ParallelScanExec<'e> {
         }
     }
 
-    pub(crate) fn run_parallel(&self, prep: PreparedScan<'e>) -> EngineResult<BatchEmitter> {
+    fn run_parallel(
+        &self,
+        sm: ScanMorsels<'e>,
+        residual: &[ResidualPred],
+    ) -> EngineResult<Vec<Row>> {
+        let (bindings, cols) = (&self.inner.bindings, &self.inner.cols);
+        let width = cols.as_ref().map_or(bindings.len(), Vec::len);
         let ctx = self.inner.ctx;
-        let sm = prep.sm;
-        let n_morsels = sm.morsels.len();
-        // Commit the decomposition's accounting and replay the serial
-        // page-touch sequence before any worker runs.
-        ctx.bump_pages_pruned(sm.pages_pruned);
-        ctx.bump_index_probes(sm.index_probes);
-        precharge_morsel_pages(&sm, ctx);
-
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        type MorselOut = (Vec<Row>, u64, u64); // survivors, rows scanned, cpu
-        let results: Mutex<Vec<Option<EngineResult<MorselOut>>>> =
-            Mutex::new((0..n_morsels).map(|_| None).collect());
-        let tallies: Mutex<Vec<WorkerTally>> = Mutex::new(vec![(0, 0, 0); self.workers]);
-        let db = ctx.db;
-        let params = ctx.params_snapshot();
-        let width = prep.width;
-
-        let pool = db.worker_pool(self.workers);
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(self.workers);
-        for w in 0..self.workers {
-            let params = params.clone();
-            let gov = ctx.child_governor();
-            let (next, abort, results, tallies) = (&next, &abort, &results, &tallies);
-            let (sm, residual) = (&sm, &prep.residual);
-            let (bindings, cols) = (&self.inner.bindings, &self.inner.cols);
-            tasks.push(Box::new(move || {
-                let start = Instant::now();
-                let wctx = ExecContext::governed(db, params, gov);
-                let (mut wrows, mut wmorsels) = (0u64, 0u64);
-                loop {
-                    let i = next.fetch_add(1, AtomicOrd::Relaxed);
-                    if i >= n_morsels || abort.load(AtomicOrd::Relaxed) {
-                        break;
-                    }
-                    let r: EngineResult<MorselOut> = (|| {
-                        wctx.check_interrupt()?;
-                        let mut out: Vec<Row> = Vec::new();
-                        let (mut scanned, mut cpu) = (0u64, 0u64);
-                        for row in morsel_rows(sm.table, &sm.morsels[i]) {
-                            scanned += 1;
-                            if residual.is_empty()
-                                || keep_row_charged(row, bindings, residual, &[], &wctx, || {
-                                    cpu += 1
-                                })?
-                            {
-                                // Load-bearing clone: survivors cross the
-                                // worker thread boundary as owned rows.
-                                out.push(match cols {
-                                    Some(cols) => project_row(row, cols),
-                                    None => row.clone(),
-                                });
-                            }
-                        }
-                        // Transient survivor materialization, released when
-                        // this worker's context drops.
-                        wctx.charge_mem(exec::approx_state_bytes(out.len() as u64, width))?;
-                        Ok((out, scanned, cpu))
-                    })();
-                    let failed = r.is_err();
-                    if let Ok((_, scanned, _)) = &r {
-                        wrows += scanned;
-                    }
-                    wmorsels += 1;
-                    results.lock()[i] = Some(r);
-                    if failed {
-                        abort.store(true, AtomicOrd::Relaxed);
+        let survivors =
+            run_scan_morsels(&sm, ctx, self.workers, self.az, self.probe, |rows, wctx| {
+                let mut out: Vec<Row> = Vec::new();
+                let mut cpu = 0u64;
+                for &row in rows {
+                    if residual.is_empty()
+                        || keep_row_charged(row, bindings, residual, &[], wctx, || cpu += 1)?
+                    {
+                        // Load-bearing clone: survivors cross the worker
+                        // thread boundary as owned rows.
+                        out.push(match cols {
+                            Some(cols) => project_row(row, cols),
+                            None => row.clone(),
+                        });
                     }
                 }
-                tallies.lock()[w] = (wrows, wmorsels, start.elapsed().as_nanos());
-            }));
-        }
-        pool.scoped_run(tasks);
-
-        // Morsel-order merge; see ParallelFusedExec::run for why the first
-        // non-Ok slot is the earliest failure in scan order.
-        let mut rows: Vec<Row> = Vec::new();
-        let (mut total_scanned, mut total_cpu) = (0u64, 0u64);
-        for slot in results.into_inner() {
-            ctx.check_interrupt()?;
-            match slot {
-                Some(Ok((out, scanned, cpu))) => {
-                    total_scanned += scanned;
-                    total_cpu += cpu;
-                    rows.extend(out);
-                }
-                Some(Err(e)) => return Err(e),
-                None => unreachable!("abandoned morsel precedes the slot that aborted it"),
-            }
-        }
-        ctx.bump_rows_scanned(total_scanned);
-        ctx.bump_scan_batches(total_scanned.div_ceil(exec::SCAN_BATCH_ROWS));
-        ctx.bump_cpu(total_cpu);
-        record_worker_probes(self.az, self.probe, &tallies.into_inner());
-        Ok(BatchEmitter::rows_only(rows))
+                // Transient survivor materialization, released when this
+                // worker's context drops.
+                wctx.charge_mem(exec::approx_state_bytes(out.len() as u64, width))?;
+                Ok((out, cpu))
+            })?;
+        Ok(survivors.into_iter().flatten().collect())
     }
 }
 
 impl<'e> Operator<'e> for ParallelScanExec<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>> {
-        let ctx = self.inner.ctx;
-        let table = ctx
-            .db
-            .table(self.inner.name)
-            .ok_or_else(|| EngineError::UnknownTable(self.inner.name.to_string()))?;
-        let binding_name = self.inner.alias.unwrap_or(self.inner.name);
-        let eval_const = |e: &Expr| -> Option<Value> {
-            if exec::expr_has_columns(e) {
-                None
-            } else {
-                eval_expr(e, &[], ctx).ok()
-            }
-        };
-        let choice = planner::choose_access_path(
-            table,
-            binding_name,
-            self.inner.single,
-            ctx.db.seqscan_enabled(),
-            ctx.db.indexscan_enabled(),
-            &eval_const,
-        );
-        let out_bindings = self.inner.bind(table);
-        let bindings = &self.inner.bindings;
-        let residual_exprs: Vec<&Expr> = self
-            .inner
-            .single
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !choice.consumed.contains(i))
-            .map(|(_, e)| e)
-            .collect();
-        // Parallel workers evaluate predicates positionally; results and
-        // cpu charges are identical to both serial modes (one charge per
-        // evaluation, same values, same errors). A residual that needs
-        // frame evaluation falls back to the serial operator.
-        let residual: Option<Vec<ResidualPred>> = residual_exprs
+        let planned = self.inner.plan()?;
+        let (ctx, bindings) = (self.inner.ctx, &self.inner.bindings);
+        // Workers evaluate predicates positionally; results and cpu charges
+        // are identical to the serial scan's (one charge per evaluation,
+        // same values, same errors).
+        let residual: Option<Vec<ResidualPred>> = planned
+            .residual_exprs
             .iter()
             .map(|e| {
                 eval::compile_expr(e, bindings)
@@ -389,23 +397,26 @@ impl<'e> Operator<'e> for ParallelScanExec<'e> {
             })
             .collect();
         if let Some(residual) = residual {
-            let sm = plan_scan_morsels(table, bindings, &residual_exprs, &choice, ctx);
+            let sm = plan_scan_morsels(
+                planned.table,
+                bindings,
+                &planned.residual_exprs,
+                &planned.choice,
+                ctx,
+            );
             if sm.morsels.len() >= 2 {
-                self.prepared = Some(PreparedScan {
-                    sm,
-                    residual,
-                    width: out_bindings.len(),
-                });
-                return Ok(out_bindings);
+                self.prepared = Some((sm, residual));
+                return Ok(planned.out_bindings);
             }
         }
-        self.inner.open()
+        Ok(self.inner.start(planned))
     }
 
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {
-        if let Some(prep) = self.prepared.take() {
+        if let Some((sm, residual)) = self.prepared.take() {
             self.inner.ctx.check_interrupt()?;
-            self.emitter = Some(self.run_parallel(prep)?);
+            let rows = self.run_parallel(sm, &residual)?;
+            self.emitter = Some(BatchEmitter::rows_only(rows));
         }
         match &mut self.emitter {
             Some(em) => Ok(em.next()),
@@ -420,35 +431,21 @@ impl<'e> Operator<'e> for ParallelScanExec<'e> {
 
 /// Morsel-driven parallel variant of [`FusedExec`] — the engine's third
 /// parallelism tier (intra-node), below the cluster's inter-query and
-/// intra-query tiers. The scan is split into page-aligned morsels
-/// ([`plan_scan_morsels`]); each worker pulls morsel indices from a shared
-/// atomic and folds its morsels into private [`FusedGroups`] partials,
-/// which the coordinator merges **in morsel-index order** — preserving the
-/// serial first-seen group order — before finishing through the same
-/// [`exec::project_groups`].
+/// intra-query tiers. Each worker folds its morsels through the shared
+/// [`FusedFold`] into private [`FusedGroups`] partials, charging the
+/// transient partial state to the memory gauge through its own context;
+/// the coordinator merges the partials **in morsel-index order** —
+/// preserving the serial first-seen group order — charges the merged total
+/// exactly as the serial operator does, and finishes through the same
+/// [`exec::project_groups`]. Counter identity with the serial kernel is
+/// [`run_scan_morsels`]'s.
 ///
-/// Byte-identity with serial execution, counters included, is maintained
-/// by construction:
-/// - page charges are replayed on the coordinator in serial order
-///   ([`precharge_morsel_pages`]); workers never touch the buffer pool or
-///   the statement's stats;
-/// - workers tally `rows_scanned` / `cpu_tuple_ops` in plain integers that
-///   the coordinator sums and bumps once (addition is order-free), with
-///   `scan_batches = ceil(rows/SCAN_BATCH_ROWS)` exactly as the serial
-///   batch loop produces;
-/// - each worker runs under a child [`crate::governor::QueryGovernor`]
-///   (statement cancel reaches workers; a worker failure aborts peers) and
-///   charges its transient partial state to the shared memory gauge
-///   through its own context, released when the worker finishes.
-///
-/// Falls back to [`FusedExec`] at run time when the scan yields fewer than
-/// two morsels, so small tables pay no dispatch cost and errors (unknown
-/// table, type errors) surface identically.
+/// Plans through the [`FusedExec`] it holds and hands the scan back to its
+/// serial pass when there are fewer than two morsels, so small tables pay
+/// no dispatch cost and errors (unknown table, type errors) surface
+/// identically.
 pub(crate) struct ParallelFusedExec<'e> {
-    q: &'e Select,
-    plan: &'e FusedPlan,
-    outer: &'e [Frame<'e>],
-    ctx: &'e ExecContext<'e>,
+    inner: FusedExec<'e>,
     workers: usize,
     az: Option<&'e Analyze>,
     probe: Option<usize>,
@@ -456,21 +453,14 @@ pub(crate) struct ParallelFusedExec<'e> {
 }
 
 impl<'e> ParallelFusedExec<'e> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        q: &'e Select,
-        plan: &'e FusedPlan,
-        outer: &'e [Frame<'e>],
-        ctx: &'e ExecContext<'e>,
+        inner: FusedExec<'e>,
         workers: usize,
         az: Option<&'e Analyze>,
         probe: Option<usize>,
     ) -> Self {
         ParallelFusedExec {
-            q,
-            plan,
-            outer,
-            ctx,
+            inner,
             workers,
             az,
             probe,
@@ -478,219 +468,53 @@ impl<'e> ParallelFusedExec<'e> {
         }
     }
 
-    pub(crate) fn run(&self) -> EngineResult<(Relation, Vec<Vec<Value>>)> {
-        let (plan, ctx) = (self.plan, self.ctx);
-        let table = ctx
-            .db
-            .table(&plan.table)
-            .ok_or_else(|| EngineError::UnknownTable(plan.table.clone()))?;
-        let eval_const = |e: &Expr| -> Option<Value> {
-            if exec::expr_has_columns(e) {
-                None
-            } else {
-                eval_expr(e, &[], ctx).ok()
-            }
-        };
-        let choice = planner::choose_access_path(
-            table,
-            &plan.binding_name,
-            &plan.single,
-            ctx.db.seqscan_enabled(),
-            ctx.db.indexscan_enabled(),
-            &eval_const,
-        );
-        let residual_exprs: Vec<&Expr> = plan
-            .single
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !choice.consumed.contains(i))
-            .map(|(_, e)| e)
-            .collect();
-        let sm = plan_scan_morsels(table, &plan.bindings, &residual_exprs, &choice, ctx);
-        let n_morsels = sm.morsels.len();
-        if n_morsels < 2 {
-            return FusedExec::new(self.q, plan, self.outer, ctx).run();
-        }
-        // Committed to the parallel decomposition: apply its accounting and
-        // replay the serial page-touch sequence up front (safe because no
-        // other page touches can interleave — every subquery-evaluating
-        // operator is a pipeline breaker, and the fused shape has none).
-        ctx.bump_pages_pruned(sm.pages_pruned);
-        ctx.bump_index_probes(sm.index_probes);
-        precharge_morsel_pages(&sm, ctx);
-
-        let preds = resolve_fused_preds(plan, &choice, ctx);
-        let key_progs = key_progs_from_compiled(&plan.group_by, ctx);
-        let agg_args = resolve_fused_args(plan, ctx);
-        let state_width = plan.bindings.len() + plan.specs.len();
-        // Columnar eligibility is plan-shaped, so it is decided once here
-        // and shared read-only by every worker; the per-morsel type checks
-        // happen inside `fold`. Workers inherit the coordinator's knob
-        // reading — the setting is read exactly once per execution.
-        let columnar = if ctx.db.columnar_enabled() {
-            ColumnarFused::try_new(&preds, &key_progs, &agg_args, plan.bindings.len())
-        } else {
-            None
-        };
-
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        type MorselOut = (FusedGroups, u64, u64); // partial groups, rows, cpu
-        let results: Mutex<Vec<Option<EngineResult<MorselOut>>>> =
-            Mutex::new((0..n_morsels).map(|_| None).collect());
-        let tallies: Mutex<Vec<WorkerTally>> = Mutex::new(vec![(0, 0, 0); self.workers]);
-        let db = ctx.db;
-        let params = ctx.params_snapshot();
-
-        let pool = db.worker_pool(self.workers);
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(self.workers);
-        for w in 0..self.workers {
-            let params = params.clone();
-            let gov = ctx.child_governor();
-            let (next, abort, results, tallies) = (&next, &abort, &results, &tallies);
-            let (sm, preds, key_progs, agg_args) = (&sm, &preds, &key_progs, &agg_args);
-            let columnar = &columnar;
-            tasks.push(Box::new(move || {
-                let start = Instant::now();
-                let wctx = ExecContext::governed(db, params, gov);
-                let mut scratch: Vec<Value> = Vec::new();
-                let (mut wrows, mut wmorsels) = (0u64, 0u64);
-                loop {
-                    let i = next.fetch_add(1, AtomicOrd::Relaxed);
-                    if i >= n_morsels || abort.load(AtomicOrd::Relaxed) {
-                        break;
-                    }
-                    let r: EngineResult<MorselOut> = (|| {
-                        wctx.check_interrupt()?;
-                        let mut groups = FusedGroups::new();
-                        let (mut rows, mut cpu) = (0u64, 0u64);
-                        // The scalar per-row fold — the non-columnar path,
-                        // and the fallback when a morsel's columns extract
-                        // ineligible (mixed types, NaN under a predicate).
-                        let mut scalar_row = |row: &Row,
-                                              groups: &mut FusedGroups,
-                                              cpu: &mut u64|
-                         -> EngineResult<()> {
-                            if !preds.is_empty()
-                                && !keep_row_charged(
-                                    row,
-                                    &plan.bindings,
-                                    preds,
-                                    &[],
-                                    &wctx,
-                                    || *cpu += 1,
-                                )?
-                            {
-                                return Ok(());
-                            }
-                            *cpu += 1; // the aggregation update charge
-                            eval_key_scratch(key_progs, row, &wctx, &mut scratch)?;
-                            let group =
-                                groups.find_or_insert(key_progs, row, &scratch, || GroupState {
-                                    rep_row: row.to_vec(),
-                                    accs: plan.specs.iter().map(Acc::new).collect(),
-                                });
-                            for (arg, acc) in agg_args.iter().zip(group.accs.iter_mut()) {
-                                let v = match arg {
-                                    FusedArg::None => None,
-                                    FusedArg::Col(i) => Some(row[*i].clone()),
-                                    FusedArg::Expr(a) => Some(eval::eval_compiled(a, row, &wctx)?),
-                                };
-                                acc.update(v)?;
-                            }
-                            Ok(())
-                        };
-                        if let Some(cf) = columnar {
-                            // Whole-morsel columnar fold: counters are
-                            // totals and groups merge in morsel order, so
-                            // the coarser-than-SCAN_BATCH_ROWS grain
-                            // changes no observable statistic.
-                            let batch: Vec<&Row> = morsel_rows(sm.table, &sm.morsels[i]).collect();
-                            rows = batch.len() as u64;
-                            match cf.fold(&batch, preds, &plan.specs, &mut groups)? {
-                                Some(morsel_cpu) => cpu = morsel_cpu,
-                                None => {
-                                    for row in batch {
-                                        scalar_row(row, &mut groups, &mut cpu)?;
-                                    }
-                                }
-                            }
-                        } else {
-                            for row in morsel_rows(sm.table, &sm.morsels[i]) {
-                                rows += 1;
-                                scalar_row(row, &mut groups, &mut cpu)?;
-                            }
-                        }
-                        // Transient partial-state accounting: charged to the
-                        // shared gauge here, released when this worker's
-                        // context drops; the coordinator charges the merged
-                        // total exactly as the serial operator does.
-                        wctx.charge_mem(exec::approx_state_bytes(
-                            groups.len() as u64,
-                            state_width,
-                        ))?;
-                        Ok((groups, rows, cpu))
-                    })();
-                    let failed = r.is_err();
-                    if let Ok((_, rows, _)) = &r {
-                        wrows += rows;
-                    }
-                    wmorsels += 1;
-                    results.lock()[i] = Some(r);
-                    if failed {
-                        abort.store(true, AtomicOrd::Relaxed);
-                    }
-                }
-                tallies.lock()[w] = (wrows, wmorsels, start.elapsed().as_nanos());
-            }));
-        }
-        pool.scoped_run(tasks);
-
-        // Merge in morsel-index order. Walking in order also makes error
-        // reporting deterministic: morsel indices are claimed in increasing
-        // order and abandoned slots (after an abort) always sit beyond the
-        // erroring one, so the first non-Ok slot is the earliest failure in
-        // scan order. The per-morsel interrupt check mirrors the serial
-        // once-per-batch cancellation cadence.
-        let mut merged = FusedGroups::new();
-        let (mut total_rows, mut total_cpu) = (0u64, 0u64);
-        for slot in results.into_inner() {
-            ctx.check_interrupt()?;
-            match slot {
-                Some(Ok((groups, rows, cpu))) => {
-                    total_rows += rows;
-                    total_cpu += cpu;
-                    merged.merge(groups);
-                }
-                Some(Err(e)) => return Err(e),
-                None => unreachable!("abandoned morsel precedes the slot that aborted it"),
-            }
-        }
-        ctx.bump_rows_scanned(total_rows);
-        ctx.bump_scan_batches(total_rows.div_ceil(exec::SCAN_BATCH_ROWS));
-        ctx.bump_cpu(total_cpu);
-        ctx.charge_mem(exec::approx_state_bytes(merged.len() as u64, state_width))?;
-        record_worker_probes(self.az, self.probe, &tallies.into_inner());
-
-        exec::project_groups(
-            self.q,
-            &plan.bindings,
-            &plan.specs,
-            merged.into_states(),
-            self.outer,
+    fn fold_groups(&self) -> EngineResult<FusedGroups> {
+        let ctx = self.inner.ctx;
+        let scan = self.inner.plan_scan()?;
+        let sm = plan_scan_morsels(
+            scan.table,
+            &self.inner.plan.bindings,
+            &scan.residual_exprs,
+            &scan.choice,
             ctx,
-        )
+        );
+        if sm.morsels.len() < 2 {
+            return self.inner.fold_serial(&scan);
+        }
+        let fold = &scan.fold;
+        // Whole-morsel folds: counters are totals and groups merge in
+        // morsel order, so the coarser-than-SCAN_BATCH_ROWS grain changes
+        // no observable statistic.
+        let partials =
+            run_scan_morsels(&sm, ctx, self.workers, self.az, self.probe, |rows, wctx| {
+                let mut groups = FusedGroups::new();
+                let cpu = fold.fold(rows, &mut groups, wctx)?;
+                wctx.charge_mem(exec::approx_state_bytes(
+                    groups.len() as u64,
+                    fold.state_width(),
+                ))?;
+                Ok((groups, cpu))
+            })?;
+        let mut merged = FusedGroups::new();
+        for groups in partials {
+            merged.merge(groups);
+        }
+        ctx.charge_mem(exec::approx_state_bytes(
+            merged.len() as u64,
+            fold.state_width(),
+        ))?;
+        Ok(merged)
     }
 }
 
 impl<'e> Operator<'e> for ParallelFusedExec<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>> {
-        Ok(exec::output_bindings(self.q, &self.plan.bindings))
+        self.inner.open()
     }
 
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {
         if self.emitter.is_none() {
-            let (rel, keys) = self.run()?;
+            let (rel, keys) = self.inner.finish(self.fold_groups()?)?;
             self.emitter = Some(BatchEmitter::nested(rel.rows, keys));
         }
         Ok(self.emitter.as_mut().and_then(BatchEmitter::next))
@@ -748,4 +572,104 @@ pub(crate) fn parallel_sort_indices(
         heads[b] += 1;
     }
     *idx = merged;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::error::EngineError;
+    use crate::governor::QueryGovernor;
+
+    fn ten_rows(i: usize) -> EngineResult<MorselOut<usize>> {
+        Ok(MorselOut {
+            out: i,
+            rows: 10,
+            cpu: 0,
+        })
+    }
+
+    fn fails(i: usize) -> EngineResult<MorselOut<usize>> {
+        Err(EngineError::TypeError(format!("morsel {i}")))
+    }
+
+    #[test]
+    fn results_come_back_in_morsel_order_and_tallies_cover_every_morsel() {
+        let db = Database::in_memory();
+        let ctx = ExecContext::new(&db);
+        for (workers, n) in [(1, 0), (3, 0), (1, 1), (4, 1), (2, 7), (4, 100)] {
+            let (outs, tallies) = run_ordered(&ctx, workers, n, |i, _| ten_rows(i))
+                .unwrap_or_else(|e| panic!("×{workers} over {n}: {e}"));
+            let order: Vec<usize> = outs.iter().map(|m| m.out).collect();
+            assert_eq!(order, (0..n).collect::<Vec<_>>(), "×{workers} over {n}");
+            assert_eq!(tallies.len(), workers);
+            let (rows, morsels) = tallies.iter().fold((0, 0), |(r, m), t| (r + t.0, m + t.1));
+            assert_eq!((rows, morsels), (10 * n as u64, n as u64));
+        }
+    }
+
+    #[test]
+    fn the_earliest_failure_is_reported_and_ends_the_claiming() {
+        let db = Database::in_memory();
+        let ctx = ExecContext::new(&db);
+        // One worker makes the abort observable: nothing past the failing
+        // morsel runs.
+        let ran = AtomicUsize::new(0);
+        let r = run_ordered(&ctx, 1, 50, |i, _| {
+            ran.fetch_add(1, AtomicOrd::Relaxed);
+            if i == 3 {
+                fails(i)
+            } else {
+                ten_rows(i)
+            }
+        });
+        assert_eq!(
+            r.err().map(|e| e.to_string()),
+            fails(3).err().map(|e| e.to_string())
+        );
+        assert_eq!(ran.load(AtomicOrd::Relaxed), 4);
+        // With peers, several morsels fail, in any order; whichever of them
+        // ran, morsel 3 was claimed before them and is the one reported.
+        for _ in 0..50 {
+            let r = run_ordered(&ctx, 4, 64, |i, _| {
+                if i >= 3 && i % 3 == 0 {
+                    fails(i)
+                } else {
+                    ten_rows(i)
+                }
+            });
+            assert_eq!(
+                r.err().map(|e| e.to_string()),
+                fails(3).err().map(|e| e.to_string())
+            );
+        }
+    }
+
+    #[test]
+    fn a_cancelled_statement_stops_claiming() {
+        let db = Database::in_memory();
+        // Cancelled before the run: no morsel is worked on.
+        let gov = QueryGovernor::new();
+        gov.cancel();
+        let ctx = ExecContext::governed(&db, Vec::new(), Some(gov));
+        let ran = AtomicUsize::new(0);
+        let r = run_ordered(&ctx, 4, 100, |i, _| {
+            ran.fetch_add(1, AtomicOrd::Relaxed);
+            ten_rows(i)
+        });
+        assert!(matches!(r, Err(EngineError::Cancelled(_))));
+        assert_eq!(ran.load(AtomicOrd::Relaxed), 0);
+        // Cancelled while morsel 5 is folded: it is the last one.
+        let gov = QueryGovernor::new();
+        let ctx = ExecContext::governed(&db, Vec::new(), Some(gov.clone()));
+        let ran = AtomicUsize::new(0);
+        let r = run_ordered(&ctx, 1, 100, |i, _| {
+            ran.fetch_add(1, AtomicOrd::Relaxed);
+            if i == 5 {
+                gov.cancel();
+            }
+            ten_rows(i)
+        });
+        assert!(matches!(r, Err(EngineError::Cancelled(_))));
+        assert_eq!(ran.load(AtomicOrd::Relaxed), 6);
+    }
 }

@@ -47,7 +47,7 @@ pub(crate) struct CachedPlan {
 }
 
 /// Counters surfaced through `Database::plan_cache_stats` for tests and
-/// the benches.
+/// the benchmark.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups that returned a still-valid plan.
@@ -147,9 +147,9 @@ impl PlanCache {
 /// fingerprint. `enable_kernel` is part of the key because it selects the
 /// lowered shape (fused vs general); `enable_seqscan` because it steers
 /// the planner's access-path choice, so toggling it mid-session must never
-/// serve a plan compiled under the other setting. Execution-only knobs
-/// (like `enable_batch_exec`, which changes how a tree runs but not what
-/// is lowered) are deliberately *not* keyed.
+/// serve a plan compiled under the other setting. `parallel_workers`
+/// changes how a tree runs but not what is lowered, and is deliberately
+/// *not* keyed.
 pub(crate) fn fingerprint(sql: &str, kernel_on: bool, seqscan_on: bool) -> String {
     format!(
         "{}#k={}#s={}",

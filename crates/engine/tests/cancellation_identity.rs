@@ -2,10 +2,9 @@
 //! token fires at an arbitrary batch boundary (DESIGN.md §11) either
 //! completes normally or fails with `Cancelled` — and in both cases the
 //! engine answers the next, ungoverned run of the same statement
-//! byte-identically to a never-cancelled engine. Checked across the
-//! execution-mode matrix: `enable_kernel` on/off × `enable_batch_exec`
-//! on/off, so the interpreter, the batch fast paths, and the fused kernel
-//! all honor the same unwind contract — and `parallel_workers` ∈ {1, 2, 4},
+//! byte-identically to a never-cancelled engine. Checked with
+//! `enable_kernel` on and off, so the general tree and the fused kernel
+//! honor the same unwind contract — and `parallel_workers` ∈ {1, 2, 4},
 //! so a cancel that lands while morsel workers are in flight must likewise
 //! unwind cleanly (worker-side memory charges released, no partial state
 //! surviving into the replay).
@@ -37,11 +36,9 @@ fn db() -> Database {
     d
 }
 
-fn set_modes(d: &Database, kernel: bool, batch: bool, workers: usize) {
+fn set_modes(d: &Database, kernel: bool, workers: usize) {
     let onoff = |b: bool| if b { "on" } else { "off" };
     d.query(&format!("set enable_kernel = {}", onoff(kernel)))
-        .unwrap();
-    d.query(&format!("set enable_batch_exec = {}", onoff(batch)))
         .unwrap();
     d.query(&format!("set parallel_workers = {workers}"))
         .unwrap();
@@ -64,18 +61,17 @@ proptest! {
         query_idx in 0usize..QUERIES.len(),
         fuse in 0u64..48,
         kernel in any::<bool>(),
-        batch in any::<bool>(),
         workers in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
         let sql = QUERIES[query_idx];
 
         // Reference: an engine that never saw a cancellation.
         let clean = db();
-        set_modes(&clean, kernel, batch, workers);
+        set_modes(&clean, kernel, workers);
         let want = clean.query(sql).unwrap();
 
         let d = db();
-        set_modes(&d, kernel, batch, workers);
+        set_modes(&d, kernel, workers);
         let gov = QueryGovernor::new();
         gov.cancel_token().cancel_after_checks(fuse);
         match d.query_governed(sql, &gov) {

@@ -2,8 +2,8 @@
 //! any `parallel_workers` setting, a query answers with byte-identical
 //! rows AND identical work counters (`rows_scanned`, `cpu_tuple_ops`,
 //! `index_probes`, `pages_pruned`, `scan_batches`, buffer-pool touches) to
-//! the serial execution, across the full execution-mode matrix
-//! (`enable_kernel` × `enable_batch_exec`). The table spans many
+//! the serial execution, on the fused shape and the general tree
+//! (`enable_kernel` on and off). The table spans many
 //! page-aligned morsels so the parallel decomposition genuinely engages;
 //! float payloads are quarter-steps (exactly representable) so partial-sum
 //! merging cannot round differently from the serial fold.
@@ -74,27 +74,23 @@ fn parallel_execution_is_byte_identical_to_serial() {
     for sql in QUERIES {
         let d = db();
         for kernel in ["on", "off"] {
-            for batch in ["on", "off"] {
-                d.query(&format!("set enable_kernel = {kernel}")).unwrap();
-                d.query(&format!("set enable_batch_exec = {batch}"))
+            d.query(&format!("set enable_kernel = {kernel}")).unwrap();
+            d.query("set parallel_workers = 1").unwrap();
+            let serial = d.query(sql).unwrap();
+            for workers in [2usize, 4, 8] {
+                d.query(&format!("set parallel_workers = {workers}"))
                     .unwrap();
-                d.query("set parallel_workers = 1").unwrap();
-                let serial = d.query(sql).unwrap();
-                for workers in [2usize, 4, 8] {
-                    d.query(&format!("set parallel_workers = {workers}"))
-                        .unwrap();
-                    let parallel = d.query(sql).unwrap();
-                    assert_identical(
-                        &parallel,
-                        &serial,
-                        &format!("×{workers} kernel={kernel} batch={batch}: {sql}"),
-                    );
-                    assert_eq!(
-                        d.mem_gauge().used_bytes(),
-                        0,
-                        "worker memory charges must drain: {sql}"
-                    );
-                }
+                let parallel = d.query(sql).unwrap();
+                assert_identical(
+                    &parallel,
+                    &serial,
+                    &format!("×{workers} kernel={kernel}: {sql}"),
+                );
+                assert_eq!(
+                    d.mem_gauge().used_bytes(),
+                    0,
+                    "worker memory charges must drain: {sql}"
+                );
             }
         }
     }

@@ -71,10 +71,10 @@ impl CostModel {
 
     /// The same calibration with per-batch pipeline dispatch priced in.
     ///
-    /// Calibrate from `BENCH_operators.json`: the unified pipeline moves
-    /// rows in `SCAN_BATCH_ROWS`-row batches, so its measured µs/exec
-    /// divided by the batches it dispatched bounds the real per-batch
-    /// overhead (operator `next_batch` calls, batch assembly). On the
+    /// Calibrate from the benchmark's traced run: the pipeline moves rows
+    /// in `SCAN_BATCH_ROWS`-row batches, so `engine.scan_ms` divided by
+    /// the batches dispatched bounds the real per-batch overhead (operator
+    /// `next_batch` calls, batch assembly). On the
     /// current numbers that is well under 0.1 ms/batch — per-tuple CPU
     /// dominates — which is why [`CostModel::paper_2006`] keeps it at
     /// zero; experiments that want the dispatch term explicit set it here.

@@ -220,11 +220,11 @@ fn assert_identical(a: &QueryOutput, b: &QueryOutput, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// For every generated statement, all eight executions — text and
-    /// bound, fusion rewrite on and off, batch-exec fast paths on and off
-    /// — are byte-identical in rows and work counters, under every
-    /// `parallel_workers` setting; the parallel runs are additionally
-    /// anchored to an explicitly serial (`parallel_workers = 1`) reference.
+    /// For every generated statement, all four executions — text and
+    /// bound, fusion rewrite on and off — are byte-identical in rows and
+    /// work counters, under every `parallel_workers` setting; the parallel
+    /// runs are additionally anchored to an explicitly serial
+    /// (`parallel_workers = 1`) reference.
     #[test]
     fn pipeline_identical_across_kernel_toggle_and_bind_path(
         rows in rows_strategy(),
@@ -246,12 +246,6 @@ proptest! {
         let text_on = db.query(&text).unwrap();
         assert_identical(&text_on, &serial, &format!("parallel ×{workers}≡serial: {text}"));
         let bound_on = db.query_bound(template, &params).unwrap();
-        // The columnar fold (DESIGN.md §13) must be invisible: same rows,
-        // same counters, with the kernel's scalar row loop forced instead.
-        db.query("set enable_columnar = off").unwrap();
-        let scalar_fold = db.query(&text).unwrap();
-        assert_identical(&scalar_fold, &text_on, &format!("columnar off≡on: {text}"));
-        db.query("set enable_columnar = on").unwrap();
         db.query("set enable_kernel = off").unwrap();
         let text_off = db.query(&text).unwrap();
         let bound_off = db.query_bound(template, &params).unwrap();
@@ -259,23 +253,12 @@ proptest! {
         assert_identical(&bound_on, &text_on, &format!("bound≡text, kernel on: {text}"));
         assert_identical(&bound_off, &text_off, &format!("bound≡text, kernel off: {text}"));
         assert_identical(&text_off, &text_on, &format!("kernel off≡on: {text}"));
-
-        // The legacy row-at-a-time execution mode must be observationally
-        // identical to the batch-exec fast paths, on both lowered shapes.
-        db.query("set enable_batch_exec = off").unwrap();
-        let legacy_text = db.query(&text).unwrap();
-        let legacy_bound = db.query_bound(template, &params).unwrap();
-        assert_identical(&legacy_text, &text_off, &format!("legacy≡batch, kernel off: {text}"));
-        assert_identical(&legacy_bound, &bound_off, &format!("legacy bound≡batch, kernel off: {text}"));
-        db.query("set enable_kernel = on").unwrap();
-        let legacy_kernel = db.query(&text).unwrap();
-        assert_identical(&legacy_kernel, &text_on, &format!("legacy≡batch, kernel on: {text}"));
     }
 }
 
 /// ORDER BY is stable: rows whose sort keys tie on every component come
 /// out in input (clustered-key) order — across more than one scan batch,
-/// in both batch-exec modes, and on the bound path.
+/// serial and chunk-sorted, and on the bound path.
 #[test]
 fn sort_is_stable_for_equal_keys() {
     let mut db = Database::in_memory();
@@ -301,42 +284,32 @@ fn sort_is_stable_for_equal_keys() {
     for workers in [1usize, 4] {
         db.query(&format!("set parallel_workers = {workers}"))
             .unwrap();
-        for mode in ["on", "off"] {
-            db.query(&format!("set enable_batch_exec = {mode}"))
-                .unwrap();
-            let out = db.query(sql).unwrap();
-            assert_eq!(
-                out.rows, expected,
-                "ties must keep input order (mode {mode}, workers {workers})"
-            );
-            let bound = db.query_bound(sql, &[]).unwrap();
-            assert_eq!(
-                bound.rows, expected,
-                "bound path (mode {mode}, workers {workers})"
-            );
-            // DESC reverses key groups, not the tie order within a group.
-            let desc = db.query("select k, g from t order by g desc").unwrap();
-            let expected_desc: Vec<Vec<Value>> = (0..7i64)
-                .rev()
-                .flat_map(|g| {
-                    (0..3000i64)
-                        .filter(move |k| k % 7 == g)
-                        .map(move |k| vec![Value::Int(k), Value::Int(g)])
-                })
-                .collect();
-            assert_eq!(
-                desc.rows, expected_desc,
-                "desc ties (mode {mode}, workers {workers})"
-            );
-        }
+        let out = db.query(sql).unwrap();
+        assert_eq!(
+            out.rows, expected,
+            "ties must keep input order (workers {workers})"
+        );
+        let bound = db.query_bound(sql, &[]).unwrap();
+        assert_eq!(bound.rows, expected, "bound path (workers {workers})");
+        // DESC reverses key groups, not the tie order within a group.
+        let desc = db.query("select k, g from t order by g desc").unwrap();
+        let expected_desc: Vec<Vec<Value>> = (0..7i64)
+            .rev()
+            .flat_map(|g| {
+                (0..3000i64)
+                    .filter(move |k| k % 7 == g)
+                    .map(move |k| vec![Value::Int(k), Value::Int(g)])
+            })
+            .collect();
+        assert_eq!(desc.rows, expected_desc, "desc ties (workers {workers})");
     }
-    db.query("set enable_batch_exec = on").unwrap();
 }
 
-/// Columnar-substrate edge cases (DESIGN.md §13), each asserted
-/// byte-identical across the `enable_kernel` × `enable_batch_exec` ×
-/// `enable_columnar` × `parallel_workers` matrix against one pinned
-/// serial/scalar reference:
+/// Columnar-fold edge cases (DESIGN.md §13). Each statement must answer
+/// with the rows computed here from the data alone, and byte-identically —
+/// rows and counters — on the fused shape (whose inner loop is the
+/// columnar fold wherever a batch allows it) and the general tree, serial
+/// and morsel-parallel, text and bound:
 ///
 /// * **empty batches** — a predicate range matching zero rows, so column
 ///   extraction and the selection vector both see empty input;
@@ -361,85 +334,130 @@ fn columnar_edge_cases_identical_across_modes() {
     // NULL-heavy (two of three slots), p mixes Int and Float values
     // mid-column (quarter-step floats stay exactly representable), f is a
     // low-cardinality group key with occasional NULLs.
+    let q_of = |k: i64| (k % 3 == 0).then_some(k % 50);
+    let p_of = |k: i64| {
+        if k % 2 == 0 {
+            Value::Int(k % 89)
+        } else {
+            Value::Float((k % 89) as f64 * 0.25)
+        }
+    };
+    let f_of = |k: i64| (k % 11 != 0).then(|| format!("F{}", k % 3));
     let rows: Vec<Vec<Value>> = (0..3000i64)
         .map(|k| {
             vec![
                 Value::Int(k),
-                if k % 3 == 0 {
-                    Value::Int(k % 50)
-                } else {
-                    Value::Null
-                },
-                if k % 2 == 0 {
-                    Value::Int(k % 89)
-                } else {
-                    Value::Float((k % 89) as f64 * 0.25)
-                },
-                if k % 11 == 0 {
-                    Value::Null
-                } else {
-                    Value::Str(format!("F{}", k % 3))
-                },
+                opt_int(q_of(k)),
+                p_of(k),
+                f_of(k).map_or(Value::Null, Value::Str),
             ]
         })
         .collect();
     db.load_table("edge", rows).unwrap();
 
-    let cases: &[&str] = &[
+    // The answers, from the data alone. NULL is the first group under
+    // `order by f`, as `None` is the first key of the map.
+    let group_key = |f: &Option<String>| f.clone().map_or(Value::Null, Value::Str);
+    let mut by_f: std::collections::BTreeMap<Option<String>, Vec<i64>> = Default::default();
+    for k in 0..3000i64 {
+        by_f.entry(f_of(k)).or_default().push(k);
+    }
+    let null_heavy: Vec<Vec<Value>> = by_f
+        .iter()
+        .map(|(f, ks)| {
+            // q is NULL throughout F1 and F2 (it is set where k % 3 == 0):
+            // an all-NULL column sums and averages to NULL.
+            let qs: Vec<i64> = ks.iter().filter_map(|&k| q_of(k)).collect();
+            let sum: i64 = qs.iter().sum();
+            let (s, a) = if qs.is_empty() {
+                (Value::Null, Value::Null)
+            } else {
+                (Value::Int(sum), Value::Float(sum as f64 / qs.len() as f64))
+            };
+            vec![
+                group_key(f),
+                Value::Int(ks.len() as i64),
+                Value::Int(qs.len() as i64),
+                s,
+                a,
+            ]
+        })
+        .collect();
+    let as_f64 = |v: &Value| v.as_f64().unwrap();
+    let mixed: Vec<Vec<Value>> = by_f
+        .iter()
+        .map(|(f, ks)| {
+            let ps: Vec<Value> = (ks.iter().map(|&k| p_of(k)))
+                .filter(|p| as_f64(p) >= 1.0)
+                .collect();
+            // Strict comparisons: of equal values the first seen is kept,
+            // Int or Float as it was stored.
+            let pick = |better: fn(f64, f64) -> bool| {
+                ps.iter()
+                    .fold(None::<&Value>, |cur, p| match cur {
+                        Some(c) if !better(as_f64(p), as_f64(c)) => Some(c),
+                        _ => Some(p),
+                    })
+                    .unwrap()
+                    .clone()
+            };
+            vec![
+                group_key(f),
+                Value::Float(ps.iter().map(as_f64).sum()),
+                pick(|a, b| a < b),
+                pick(|a, b| a > b),
+            ]
+        })
+        .collect();
+    let nothing = vec![vec![Value::Int(0), Value::Null]];
+
+    let cases: &[(&str, &Vec<Vec<Value>>)] = &[
         // Empty batches: the range matches no rows at all.
-        "select count(*) as n, sum(q) as s from edge where k >= 90000 and k < 90010",
+        (
+            "select count(*) as n, sum(q) as s from edge where k >= 90000 and k < 90010",
+            &nothing,
+        ),
         // All rows filtered: the residual predicate kills every row the
         // scan produces, so the selection vector drains to empty.
-        "select count(*) as n, sum(q) as s from edge where k >= 0 and k < 3000 and q > 100",
+        (
+            "select count(*) as n, sum(q) as s from edge where k >= 0 and k < 3000 and q > 100",
+            &nothing,
+        ),
         // NULL-heavy aggregation: count/sum/avg skip the invalid slots,
         // count(*) counts them.
-        "select f, count(*) as n, count(q) as nq, sum(q) as s, avg(q) as a \
-         from edge where k >= 0 and k < 3000 group by f order by f",
+        (
+            "select f, count(*) as n, count(q) as nq, sum(q) as s, avg(q) as a \
+             from edge where k >= 0 and k < 3000 group by f order by f",
+            &null_heavy,
+        ),
         // Mixed Int/Float widening under both predicate and aggregate.
-        "select f, sum(p) as s, min(p) as lo, max(p) as hi from edge \
-         where k >= 0 and k < 3000 and p >= 1 group by f order by f",
+        (
+            "select f, sum(p) as s, min(p) as lo, max(p) as hi from edge \
+             where k >= 0 and k < 3000 and p >= 1 group by f order by f",
+            &mixed,
+        ),
     ];
-    for sql in cases {
-        // Pinned reference: serial, scalar, row-at-a-time.
+    for (sql, answer) in cases {
+        // Reference: the general tree, serial.
         db.query("set parallel_workers = 1").unwrap();
         db.query("set enable_kernel = off").unwrap();
-        db.query("set enable_batch_exec = off").unwrap();
-        db.query("set enable_columnar = off").unwrap();
         let want = db.query(sql).unwrap();
+        assert_eq!(&want.rows, *answer, "{sql}");
         for workers in [1usize, 4] {
             db.query(&format!("set parallel_workers = {workers}"))
                 .unwrap();
             for kernel in ["on", "off"] {
                 db.query(&format!("set enable_kernel = {kernel}")).unwrap();
-                for batch in ["on", "off"] {
-                    db.query(&format!("set enable_batch_exec = {batch}"))
-                        .unwrap();
-                    for columnar in ["on", "off"] {
-                        db.query(&format!("set enable_columnar = {columnar}"))
-                            .unwrap();
-                        let got = db.query(sql).unwrap();
-                        assert_identical(
-                            &got,
-                            &want,
-                            &format!(
-                                "kernel {kernel}, batch {batch}, columnar {columnar}, \
-                                 workers {workers}: {sql}"
-                            ),
-                        );
-                    }
-                }
+                let what = format!("kernel {kernel}, workers {workers}: {sql}");
+                assert_identical(&db.query(sql).unwrap(), &want, &what);
+                assert_identical(&db.query_bound(sql, &[]).unwrap(), &want, &what);
             }
         }
     }
-    db.query("set parallel_workers = 1").unwrap();
-    db.query("set enable_kernel = on").unwrap();
-    db.query("set enable_batch_exec = on").unwrap();
-    db.query("set enable_columnar = on").unwrap();
 }
 
 /// The full TPC-H evaluation-query set answers byte-identically — rows and
-/// counters — with the fusion rewrite enabled and disabled, and with the
-/// batch-exec fast paths enabled and disabled.
+/// counters — with the fusion rewrite enabled and disabled.
 #[test]
 fn tpch_eval_queries_identical_with_kernel_on_and_off() {
     let data = generate(TpchConfig {
@@ -464,10 +482,6 @@ fn tpch_eval_queries_identical_with_kernel_on_and_off() {
         let off = db.query(&sql).unwrap();
         assert!(!on.columns.is_empty(), "{}", q.label());
         assert_identical(&on, &off, &q.label());
-        db.query("set enable_batch_exec = off").unwrap();
-        let legacy = db.query(&sql).unwrap();
-        assert_identical(&legacy, &off, &format!("{} (legacy exec)", q.label()));
-        db.query("set enable_batch_exec = on").unwrap();
     }
 }
 
@@ -640,8 +654,8 @@ proptest! {
 
     /// Every statement of the family answers with the same rows — or fails
     /// with the same error class — through the index probe, on the text and
-    /// the bound path and under every `enable_kernel` × `enable_batch_exec`
-    /// × `parallel_workers` setting, and through the un-keyed probe on an
+    /// the bound path and under every `enable_kernel` × `parallel_workers`
+    /// setting, and through the un-keyed probe on an
     /// index-less copy of the data, as the interpreted `run_select`
     /// reference does.
     #[test]
@@ -666,20 +680,17 @@ proptest! {
             db.query(&format!("set parallel_workers = {workers}")).unwrap();
             for kernel in ["on", "off"] {
                 db.query(&format!("set enable_kernel = {kernel}")).unwrap();
-                for batch in ["on", "off"] {
-                    db.query(&format!("set enable_batch_exec = {batch}")).unwrap();
-                    let what = format!("kernel {kernel}, batch {batch}, workers {workers}: {text}");
-                    let got = db.query(&text);
-                    let bound = db.query_bound(template, &params);
-                    match (&serial, &got, &bound) {
-                        (Ok(s), Ok(g), Ok(b)) => {
-                            assert_identical(g, s, &what);
-                            assert_identical(b, s, &format!("bound, {what}"));
-                        }
-                        _ => {
-                            prop_assert_eq!(&outcome(got), &want, "{}", &what);
-                            prop_assert_eq!(&outcome(bound), &want, "bound, {}", &what);
-                        }
+                let what = format!("kernel {kernel}, workers {workers}: {text}");
+                let got = db.query(&text);
+                let bound = db.query_bound(template, &params);
+                match (&serial, &got, &bound) {
+                    (Ok(s), Ok(g), Ok(b)) => {
+                        assert_identical(g, s, &what);
+                        assert_identical(b, s, &format!("bound, {what}"));
+                    }
+                    _ => {
+                        prop_assert_eq!(&outcome(got), &want, "{}", &what);
+                        prop_assert_eq!(&outcome(bound), &want, "bound, {}", &what);
                     }
                 }
             }
@@ -1301,8 +1312,7 @@ proptest! {
     /// same order — or fails with the same error class — as the same
     /// statement with every base table wrapped as a derived table, and,
     /// rows and work counters, the same on the text and the bound path
-    /// under every `enable_kernel` × `enable_batch_exec` ×
-    /// `parallel_workers` setting.
+    /// under every `enable_kernel` × `parallel_workers` setting.
     #[test]
     fn join_block_matches_the_unpruned_derived_table_form(
         tables in join_rows_strategy(),
@@ -1324,23 +1334,20 @@ proptest! {
             db.query(&format!("set parallel_workers = {workers}")).unwrap();
             for kernel in ["on", "off"] {
                 db.query(&format!("set enable_kernel = {kernel}")).unwrap();
-                for batch in ["on", "off"] {
-                    db.query(&format!("set enable_batch_exec = {batch}")).unwrap();
-                    let what = format!("kernel {kernel}, batch {batch}, workers {workers}: {text}");
-                    let got = db.query(&text);
-                    let bound = db.query_bound(&template, &params);
-                    match (&serial, &got, &bound) {
-                        (Ok(s), Ok(g), Ok(b)) => {
-                            assert_identical(g, s, &what);
-                            assert_identical(b, s, &format!("bound, {what}"));
-                        }
-                        _ => {
-                            prop_assert_eq!(&outcome(got), &want, "{}", &what);
-                            prop_assert_eq!(&outcome(bound), &want, "bound, {}", &what);
-                        }
+                let what = format!("kernel {kernel}, workers {workers}: {text}");
+                let got = db.query(&text);
+                let bound = db.query_bound(&template, &params);
+                match (&serial, &got, &bound) {
+                    (Ok(s), Ok(g), Ok(b)) => {
+                        assert_identical(g, s, &what);
+                        assert_identical(b, s, &format!("bound, {what}"));
                     }
-                    prop_assert_eq!(&outcome(db.query(&unpruned)), &want, "unpruned, {}", &what);
+                    _ => {
+                        prop_assert_eq!(&outcome(got), &want, "{}", &what);
+                        prop_assert_eq!(&outcome(bound), &want, "bound, {}", &what);
+                    }
                 }
+                prop_assert_eq!(&outcome(db.query(&unpruned)), &want, "unpruned, {}", &what);
             }
         }
     }
@@ -1370,8 +1377,8 @@ fn join_inside_an_insert_matches_the_unpruned_form() {
     assert_eq!(sinks[0], sinks[1]);
 }
 
-/// The join table's key semantics, each outcome derived by hand, in both
-/// `enable_batch_exec` settings, serial and with scan workers.
+/// The join table's key semantics, each outcome derived by hand, serial
+/// and with scan workers.
 #[test]
 fn join_key_semantics_by_hand() {
     let mut db = Database::in_memory();
@@ -1438,57 +1445,53 @@ fn join_key_semantics_by_hand() {
     for workers in [1, 2] {
         db.query(&format!("set parallel_workers = {workers}"))
             .unwrap();
-        for batch in ["on", "off"] {
-            db.query(&format!("set enable_batch_exec = {batch}"))
-                .unwrap();
-            // Build on `r`: l-major, r ascending under each l row; NULL
-            // never matches NULL; duplicate build keys in row order.
-            assert_eq!(
-                ids("select l.id, r.id from l, r where l.k = r.k"),
-                [[0, 3], [1, 0], [1, 2], [2, 0], [2, 2]]
-            );
-            // `2 = 2.0`: the float column finds the same rows.
-            assert_eq!(
-                ids("select l.id, r.id from l, r where l.kf = r.k"),
-                [[0, 3], [1, 0], [1, 2], [2, 0], [2, 2]]
-            );
-            // Text never equals a number, and raises nothing.
-            assert!(ids("select l.id, r.id from l, r where l.ks = r.k").is_empty());
-            // A composite key from two edges.
-            assert_eq!(
-                ids("select l.id, r.id from l, r where l.k = r.k and l.k2 = r.k2"),
-                [[0, 3], [1, 0], [2, 2]]
-            );
-            // Expression keys, on either side.
-            assert_eq!(
-                ids("select l.id, r.id from l, r where l.k + 1 = r.k"),
-                [[0, 0], [0, 2], [4, 4]]
-            );
-            assert_eq!(
-                ids("select l.id, r.id from l, r where l.k = r.k - 1"),
-                [[0, 0], [0, 2], [4, 4]]
-            );
-            // Build on the current side: `one` cuts l down to its two
-            // key-2 rows, fewer than m's four, so the table is built on
-            // them and probed with m — and the output is still l-major
-            // with m ascending.
-            let shrunk = "select l.id, m.id from l, one, m where l.k = one.w and l.k = m.k";
-            assert_eq!(ids(shrunk), [[1, 0], [1, 2], [2, 0], [2, 2]]);
-            let plan = db.query(&format!("explain analyze {shrunk}")).unwrap();
-            assert!(
-                plan.rows.iter().any(|r| r[0]
-                    .as_str()
-                    .unwrap()
-                    .contains("⋈ m on l.k = m.k: build current 2, probe m 4 → 4")),
-                "{:?}",
-                plan.rows
-            );
-            // A key that does not resolve raises what it always raised.
-            assert!(matches!(
-                db.query("select l.id from l, r where l.k = r.nosuch"),
-                Err(EngineError::UnknownColumn(_))
-            ));
-        }
+        // Build on `r`: l-major, r ascending under each l row; NULL
+        // never matches NULL; duplicate build keys in row order.
+        assert_eq!(
+            ids("select l.id, r.id from l, r where l.k = r.k"),
+            [[0, 3], [1, 0], [1, 2], [2, 0], [2, 2]]
+        );
+        // `2 = 2.0`: the float column finds the same rows.
+        assert_eq!(
+            ids("select l.id, r.id from l, r where l.kf = r.k"),
+            [[0, 3], [1, 0], [1, 2], [2, 0], [2, 2]]
+        );
+        // Text never equals a number, and raises nothing.
+        assert!(ids("select l.id, r.id from l, r where l.ks = r.k").is_empty());
+        // A composite key from two edges.
+        assert_eq!(
+            ids("select l.id, r.id from l, r where l.k = r.k and l.k2 = r.k2"),
+            [[0, 3], [1, 0], [2, 2]]
+        );
+        // Expression keys, on either side.
+        assert_eq!(
+            ids("select l.id, r.id from l, r where l.k + 1 = r.k"),
+            [[0, 0], [0, 2], [4, 4]]
+        );
+        assert_eq!(
+            ids("select l.id, r.id from l, r where l.k = r.k - 1"),
+            [[0, 0], [0, 2], [4, 4]]
+        );
+        // Build on the current side: `one` cuts l down to its two
+        // key-2 rows, fewer than m's four, so the table is built on
+        // them and probed with m — and the output is still l-major
+        // with m ascending.
+        let shrunk = "select l.id, m.id from l, one, m where l.k = one.w and l.k = m.k";
+        assert_eq!(ids(shrunk), [[1, 0], [1, 2], [2, 0], [2, 2]]);
+        let plan = db.query(&format!("explain analyze {shrunk}")).unwrap();
+        assert!(
+            plan.rows.iter().any(|r| r[0]
+                .as_str()
+                .unwrap()
+                .contains("⋈ m on l.k = m.k: build current 2, probe m 4 → 4")),
+            "{:?}",
+            plan.rows
+        );
+        // A key that does not resolve raises what it always raised.
+        assert!(matches!(
+            db.query("select l.id from l, r where l.k = r.nosuch"),
+            Err(EngineError::UnknownColumn(_))
+        ));
     }
 }
 

@@ -27,6 +27,10 @@ timeout "$BUILD_TIMEOUT" cargo test -q
 echo "== operator pipeline: byte-identity property suite =="
 timeout "$SUITE_TIMEOUT" cargo test -q --test property_operators
 
+echo "== storage: column heap against its row model, buffer pool and index models =="
+# Outside tier-1 (the root package's tests) and every suite listed here.
+timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-storage
+
 echo "== fault injection: retry/reassignment/breaker suite =="
 timeout "$SUITE_TIMEOUT" cargo test -q --test fault_tolerance
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama --lib fault

@@ -816,7 +816,7 @@ impl Database {
                 };
                 let frames = [crate::eval::Frame {
                     bindings: &bindings,
-                    row,
+                    row: &row,
                 }];
                 let mut new_row = row.clone();
                 for ((_, expr), &slot) in assignments.iter().zip(&targets) {
@@ -866,7 +866,11 @@ impl Database {
     /// TPC-H loader to populate replicas quickly; clustered tables are
     /// sorted by their clustering key exactly as the paper's physical
     /// design prescribes.
-    pub fn load_table(&mut self, name: &str, rows: Vec<Row>) -> EngineResult<()> {
+    pub fn load_table<R: std::borrow::Borrow<Row>>(
+        &mut self,
+        name: &str,
+        rows: Vec<R>,
+    ) -> EngineResult<()> {
         let id = self
             .catalog
             .get(name)

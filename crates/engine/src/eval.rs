@@ -507,6 +507,64 @@ pub(crate) enum CompiledExpr {
     },
 }
 
+impl CompiledExpr {
+    /// Appends every row position the program reads to `out`.
+    pub(crate) fn collect_cols(&self, out: &mut Vec<usize>) {
+        match self {
+            CompiledExpr::Col(i) => out.push(*i),
+            CompiledExpr::Lit(_) | CompiledExpr::Param(_) => {}
+            CompiledExpr::Unary { expr, .. } | CompiledExpr::IsNull { expr, .. } => {
+                expr.collect_cols(out)
+            }
+            CompiledExpr::Binary { left, right, .. } => {
+                left.collect_cols(out);
+                right.collect_cols(out);
+            }
+            CompiledExpr::Func { args, .. } => args.iter().for_each(|a| a.collect_cols(out)),
+            CompiledExpr::Case {
+                branches,
+                else_expr,
+            } => {
+                for (cond, result) in branches {
+                    cond.collect_cols(out);
+                    result.collect_cols(out);
+                }
+                if let Some(e) = else_expr {
+                    e.collect_cols(out);
+                }
+            }
+            CompiledExpr::Between {
+                expr, low, high, ..
+            } => {
+                expr.collect_cols(out);
+                low.collect_cols(out);
+                high.collect_cols(out);
+            }
+            CompiledExpr::InList { expr, list, .. } => {
+                expr.collect_cols(out);
+                list.iter().for_each(|x| x.collect_cols(out));
+            }
+            CompiledExpr::Like { expr, pattern, .. } => {
+                expr.collect_cols(out);
+                pattern.collect_cols(out);
+            }
+        }
+    }
+
+    /// The program's value when it reads no column and evaluates without
+    /// error — the same for every row, so a caller may compute it once per
+    /// execution. `None` leaves the program (and its error, if it has one)
+    /// to per-row evaluation.
+    pub(crate) fn constant(&self, ctx: &ExecContext<'_>) -> Option<Value> {
+        let mut cols = Vec::new();
+        self.collect_cols(&mut cols);
+        if !cols.is_empty() {
+            return None;
+        }
+        eval_compiled(self, &[], ctx).ok()
+    }
+}
+
 /// Resolves columns and checks for supported node types; `None` means the
 /// expression cannot be pre-resolved (subqueries, aggregate calls, columns
 /// not found in `bindings` — e.g. correlated references to outer scopes)

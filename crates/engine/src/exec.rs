@@ -330,42 +330,10 @@ pub(crate) fn select_has_aggregates(q: &Select) -> bool {
 /// [`crate::physical`] batches of this many rows, and stats counters are
 /// charged once per batch (identical totals to per-row charging, a
 /// fraction of the borrow traffic). Public so the cluster layer's
-/// streaming sinks can chunk at the same grain.
-pub const SCAN_BATCH_ROWS: u64 = 1024;
-
-/// Accumulates per-row counter increments and flushes them to the context
-/// once per [`SCAN_BATCH_ROWS`] rows (and on drop), so totals are unchanged.
-pub(crate) struct BatchedCounter<'c, 'a> {
-    ctx: &'c ExecContext<'a>,
-    rows: u64,
-}
-
-impl<'c, 'a> BatchedCounter<'c, 'a> {
-    pub(crate) fn new(ctx: &'c ExecContext<'a>) -> Self {
-        BatchedCounter { ctx, rows: 0 }
-    }
-
-    pub(crate) fn row_scanned(&mut self) {
-        self.rows += 1;
-        if self.rows == SCAN_BATCH_ROWS {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.rows > 0 {
-            self.ctx.bump_rows_scanned(self.rows);
-            self.ctx.bump_scan_batches(1);
-            self.rows = 0;
-        }
-    }
-}
-
-impl Drop for BatchedCounter<'_, '_> {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
+/// streaming sinks can chunk at the same grain. It is the heap's segment
+/// size, so one stored segment is one batch of a scan and one morsel of a
+/// parallel one.
+pub const SCAN_BATCH_ROWS: u64 = apuama_storage::SEGMENT_SLOTS;
 
 /// Scans a base table through the chosen access path collecting matching
 /// row ids — the DML path (DELETE/UPDATE) needs ids to mutate through.
@@ -378,15 +346,23 @@ pub(crate) fn scan_rids(
     residual: &[&Expr],
 ) -> EngineResult<Vec<RowId>> {
     let bindings = bindings_for_table(&table.schema, None);
-    let preds = physical::resolve_preds(residual.iter().copied(), &bindings, ctx);
+    let preds = physical::ScanPreds::new(
+        physical::resolve_preds(residual.iter().copied(), &bindings, ctx),
+        bindings.len(),
+        ctx,
+    );
+    let mut scratch = preds.scratch();
+    let mut sel = physical::Sel::new();
     let mut out = Vec::new();
-    let mut scanned = BatchedCounter::new(ctx);
-    let mut cursor = physical::ScanCursor::open(table, &bindings, path, residual, ctx);
-    while let Some((rid, row)) = cursor.next(ctx) {
-        scanned.row_scanned();
-        if physical::keep_row(row, &bindings, &preds, &[], ctx)? {
-            out.push(rid);
-        }
+    let mut scanned = physical::ScanTally::new(ctx);
+    let mut cursor =
+        physical::ScanCursor::open(table, &bindings, path, residual, preds.touches_pool(), ctx);
+    while let Some((seg, base, slots)) = cursor.next(ctx) {
+        scanned.rows += slots.len() as u64;
+        let (survivors, cpu) =
+            preds.filter(seg, slots, &mut sel, &mut scratch, &bindings, &[], ctx)?;
+        ctx.bump_cpu(cpu);
+        out.extend(survivors.iter().map(|&slot| base + slot as u64));
     }
     Ok(out)
 }

@@ -7,58 +7,6 @@ use crate::exec::{self};
 // Operator contract
 // ---------------------------------------------------------------------------
 
-/// Rows of one batch: owned (a breaker's materialized output, a
-/// join-feeding scan's narrowed rows) or borrowed straight out of a table
-/// heap — what a whole-row scan hands out, so the scan path pays no
-/// per-row `row.clone()`.
-pub(crate) enum BatchRows<'e> {
-    Owned(Vec<Row>),
-    Borrowed(Vec<&'e Row>),
-}
-
-impl<'e> BatchRows<'e> {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            BatchRows::Owned(v) => v.len(),
-            BatchRows::Borrowed(v) => v.len(),
-        }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub(crate) fn iter(&self) -> BatchRowsIter<'_, 'e> {
-        match self {
-            BatchRows::Owned(v) => BatchRowsIter::Owned(v.iter()),
-            BatchRows::Borrowed(v) => BatchRowsIter::Borrowed(v.iter()),
-        }
-    }
-
-    /// Materializes the batch, cloning only when the rows were borrowed.
-    pub(crate) fn into_owned(self) -> Vec<Row> {
-        match self {
-            BatchRows::Owned(v) => v,
-            BatchRows::Borrowed(v) => v.into_iter().cloned().collect(),
-        }
-    }
-}
-
-pub(crate) enum BatchRowsIter<'a, 'e> {
-    Owned(std::slice::Iter<'a, Row>),
-    Borrowed(std::slice::Iter<'a, &'e Row>),
-}
-
-impl<'a> Iterator for BatchRowsIter<'a, '_> {
-    type Item = &'a Row;
-    fn next(&mut self) -> Option<&'a Row> {
-        match self {
-            BatchRowsIter::Owned(it) => it.next(),
-            BatchRowsIter::Borrowed(it) => it.next().map(|r| &**r),
-        }
-    }
-}
-
 /// Row-parallel ORDER BY sort keys in one flat buffer: row `i`'s key is
 /// `vals[i * stride..(i + 1) * stride]`. Replaces the former
 /// `Vec<Vec<Value>>` — one `Vec` allocation per projected row on every
@@ -159,18 +107,9 @@ impl KeyBuf {
 /// A batch of rows flowing between operators, with the ORDER BY sort keys
 /// computed alongside them. `keys` is row-parallel above the projection
 /// stage and empty below it.
-pub(crate) struct RowBatch<'e> {
-    pub(crate) rows: BatchRows<'e>,
+pub(crate) struct RowBatch {
+    pub(crate) rows: Vec<Row>,
     pub(crate) keys: KeyBuf,
-}
-
-impl<'e> RowBatch<'e> {
-    pub(crate) fn owned(rows: Vec<Row>, keys: KeyBuf) -> Self {
-        RowBatch {
-            rows: BatchRows::Owned(rows),
-            keys,
-        }
-    }
 }
 // ---------------------------------------------------------------------------
 // Shared pieces
@@ -204,7 +143,7 @@ impl BatchEmitter {
         Self::new(rows, KeyBuf::default())
     }
 
-    pub(crate) fn next<'e>(&mut self) -> Option<RowBatch<'e>> {
+    pub(crate) fn next(&mut self) -> Option<RowBatch> {
         let rows: Vec<Row> = self
             .rows
             .by_ref()
@@ -216,6 +155,6 @@ impl BatchEmitter {
         let vals: Vec<Value> = self.keys.by_ref().take(self.stride * rows.len()).collect();
         let keyed_rows = vals.len().checked_div(self.stride).unwrap_or(0);
         let keys = KeyBuf::from_parts(vals, self.stride, keyed_rows);
-        Some(RowBatch::owned(rows, keys))
+        Some(RowBatch { rows, keys })
     }
 }

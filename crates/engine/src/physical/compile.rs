@@ -5,13 +5,13 @@ use std::hash::Hasher;
 use apuama_sql::ast::{BinOp, Expr};
 use apuama_sql::value::hash_value;
 use apuama_sql::Value;
-use apuama_storage::{Row, RowId};
+use apuama_storage::Row;
 
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{self, eval_expr, truthiness, CompiledExpr, Frame};
 use crate::exec::{self, Binding, ExecContext, GroupState, Relation};
 use crate::planner;
-use crate::subquery::RowProbe;
+use crate::subquery::{probe_memos, ProbeMemo, RowProbe};
 use crate::table::Table;
 
 /// A filter predicate, pre-resolved to positional form where possible.
@@ -125,21 +125,26 @@ pub(crate) fn resolve_preds<'p>(
         .collect()
 }
 
-/// One row through a conjunctive predicate list: `charge` is called before
-/// each evaluation and the list short-circuits on the first non-true,
-/// exactly like the interpreter's scan/filter loops. Streaming operators
-/// count the charges locally and flush them once per batch; materialized
-/// paths use [`keep_row`].
+/// One row through a conjunctive predicate list — the one row-major
+/// predicate evaluator: `charge` is called before each evaluation and the
+/// list short-circuits on the first non-true, exactly like the
+/// interpreter's scan/filter loops. `memos` is the evaluating operator's,
+/// one per predicate ([`probe_memos`]). Streaming operators count the
+/// charges locally and flush them once per batch; materialized paths use
+/// [`keep_row`]. A scan reaches this only for the predicates its
+/// vectorized prefix does not cover ([`ScanPreds::filter`]).
 pub(crate) fn keep_row_charged(
     row: &Row,
     bindings: &[Binding],
     preds: &[ResidualPred],
+    memos: &mut [ProbeMemo],
     outer: &[Frame<'_>],
     ctx: &ExecContext<'_>,
     mut charge: impl FnMut(),
 ) -> EngineResult<bool> {
+    debug_assert_eq!(preds.len(), memos.len(), "one memo per predicate");
     let mut frames: Option<Vec<Frame<'_>>> = None;
-    for pred in preds {
+    for (pred, memo) in preds.iter().zip(memos) {
         charge();
         let keep = match pred {
             ResidualPred::FastCmp { col, op, lit } => {
@@ -160,7 +165,7 @@ pub(crate) fn keep_row_charged(
             ResidualPred::Compiled(c) => {
                 truthiness(&eval::eval_compiled(c, row, ctx)?) == Some(true)
             }
-            ResidualPred::Exists { negated, probe } => probe.eval(row, ctx)? != *negated,
+            ResidualPred::Exists { negated, probe } => probe.eval(row, memo, ctx)? != *negated,
             ResidualPred::Framed(e) => {
                 let frames = frames.get_or_insert_with(|| {
                     let mut f = Vec::with_capacity(outer.len() + 1);
@@ -185,10 +190,11 @@ pub(crate) fn keep_row(
     row: &Row,
     bindings: &[Binding],
     preds: &[ResidualPred],
+    memos: &mut [ProbeMemo],
     outer: &[Frame<'_>],
     ctx: &ExecContext<'_>,
 ) -> EngineResult<bool> {
-    keep_row_charged(row, bindings, preds, outer, ctx, || ctx.bump_cpu(1))
+    keep_row_charged(row, bindings, preds, memos, outer, ctx, || ctx.bump_cpu(1))
 }
 
 // ---------------------------------------------------------------------------
@@ -308,36 +314,25 @@ pub(crate) fn zone_page_refutes(
     })
 }
 
-/// Builds the heap iterator for a sequential scan, skipping — and counting
-/// as `pages_pruned` — pages whose zone maps refute a residual conjunct.
-/// Pruned pages are never iterated: no page charge, no `rows_scanned`.
-pub(crate) fn seq_scan_iter<'e>(
-    table: &'e Table,
+/// Which heap pages a sequential scan reads: `allowed[page]` is false for
+/// the pages whose zone maps refute a residual conjunct, which are never
+/// iterated — no page charge, no `rows_scanned` — and counted as
+/// `pages_pruned`. `None` when no conjunct is eligible: every page is read.
+pub(crate) fn zone_allowed_pages(
+    table: &Table,
     bindings: &[Binding],
     residual_exprs: &[&Expr],
     ctx: &ExecContext<'_>,
-) -> Box<dyn Iterator<Item = (RowId, &'e Row)> + 'e> {
+) -> (Option<Vec<bool>>, u64) {
     let preds = zone_prune_preds(table, bindings, residual_exprs, ctx);
     if preds.is_empty() {
-        return Box::new(table.heap.iter());
+        return (None, 0);
     }
-    let mut allowed: Vec<u64> = Vec::new();
-    let mut pruned = 0u64;
-    for page in 0..table.heap.pages() {
-        if zone_page_refutes(&table.heap, page, &preds) {
-            pruned += 1;
-        } else {
-            allowed.push(page);
-        }
-    }
-    ctx.bump_pages_pruned(pruned);
-    let heap = &table.heap;
-    let rpp = heap.geometry().rows_per_page;
-    Box::new(
-        allowed
-            .into_iter()
-            .flat_map(move |p| heap.iter_range(p * rpp, (p + 1) * rpp)),
-    )
+    let allowed: Vec<bool> = (0..table.heap.pages())
+        .map(|page| !zone_page_refutes(&table.heap, page, &preds))
+        .collect();
+    let pruned = allowed.iter().filter(|&&a| !a).count() as u64;
+    (Some(allowed), pruned)
 }
 
 // ---------------------------------------------------------------------------
@@ -534,6 +529,9 @@ pub(crate) struct FusedGroups {
     /// FNV hash → group indices (collision list); `None` in the linear
     /// regime, built exactly once at cut-over.
     index: Option<HashMap<u64, Vec<u32>>>,
+    /// The group the last probe found: tried first in the linear regime,
+    /// where neighbouring rows mostly share a group.
+    last: usize,
 }
 
 impl FusedGroups {
@@ -542,6 +540,7 @@ impl FusedGroups {
             keys: Vec::new(),
             states: Vec::new(),
             index: None,
+            last: 0,
         }
     }
 
@@ -598,12 +597,23 @@ impl FusedGroups {
     /// `matches` scan until the cut-over, the FNV index after. `probe_hash`
     /// is only called in the indexed regime.
     fn position(
-        &self,
+        &mut self,
         probe_hash: impl FnOnce() -> u64,
         matches: impl Fn(&[Value]) -> bool,
     ) -> Option<usize> {
         match &self.index {
-            None => self.keys.iter().position(|stored| matches(stored)),
+            None => {
+                if self
+                    .keys
+                    .get(self.last)
+                    .is_some_and(|stored| matches(stored))
+                {
+                    return Some(self.last);
+                }
+                let found = self.keys.iter().position(|stored| matches(stored));
+                self.last = found.unwrap_or(self.last);
+                found
+            }
             Some(index) => index.get(&probe_hash()).and_then(|bucket| {
                 bucket
                     .iter()
@@ -636,8 +646,8 @@ impl FusedGroups {
     }
 
     /// Generalized probe: the caller supplies how to hash, match, and
-    /// materialize the probe key, so the columnar fold can probe with
-    /// column cells without boxing them first. `probe_hash` is only called
+    /// materialize the probe key, so the fused fold probes with stored
+    /// cells without boxing them first. `probe_hash` is only called
     /// in the indexed regime (the linear regime never hashes) and
     /// `make_key` only when the group is first seen — the same cost
     /// profile as the row-based probe above, which delegates here.
@@ -708,9 +718,10 @@ pub(crate) fn filter_rows(
 ) -> EngineResult<Relation> {
     let bindings = rel.bindings;
     let resolved = resolve_preds(preds, &bindings, ctx);
+    let mut memos = probe_memos(resolved.len());
     let mut rows = Vec::with_capacity(rel.rows.len());
     for row in rel.rows {
-        if keep_row(&row, &bindings, &resolved, outer, ctx)? {
+        if keep_row(&row, &bindings, &resolved, &mut memos, outer, ctx)? {
             rows.push(row);
         }
     }

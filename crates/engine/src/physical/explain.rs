@@ -115,7 +115,7 @@ impl<'e> Operator<'e> for TimedExec<'e> {
         r
     }
 
-    fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {
+    fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         let start = Instant::now();
         let r = self.inner.next_batch();
         let nanos = start.elapsed().as_nanos();

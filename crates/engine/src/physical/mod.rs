@@ -31,7 +31,9 @@
 //!   same counters in the same per-row pattern the interpreter did (scan
 //!   pages once per page change, `cpu_tuple_ops` before each predicate
 //!   evaluation, one `n·log n` charge per sort, ...). Totals are sums, so
-//!   batching never changes them.
+//!   batching never changes them — nor does running a scan's leading
+//!   predicates predicate-major over stored column slices, which charges
+//!   each one `sel.len()` ([`columns`] has the argument).
 //! * **Pipeline breakers are explicit.** Streaming an operator is
 //!   order-safe only when its per-row expressions are subquery-free: then
 //!   the only interleaved charges are CPU counters, which commute. An
@@ -46,10 +48,10 @@
 //!   touches and counters do not depend on the join order. What each
 //!   base-table input *keeps* of its rows is narrower than what it reads:
 //!   lowering records, by name, every column anything other than the
-//!   input's own pushed-down conjuncts can resolve to ([`join_input_columns`]),
+//!   input's own pushed-down conjuncts can resolve to ([`input_columns`]),
 //!   the scan evaluates those conjuncts (and their `EXISTS` probes) on the
-//!   borrowed heap row as before, and only the recorded columns are cloned
-//!   into the join block. Everything downstream — join keys, post-filters,
+//!   stored columns — whichever of them they read — and only the recorded
+//!   columns of the survivors are materialized into the join block. Everything downstream — join keys, post-filters,
 //!   the aggregate's representative row, memory charges — resolves columns
 //!   by name against the bindings it is handed, so it is narrower without
 //!   knowing why. By name, because a plan outlives the catalog it was
@@ -126,9 +128,9 @@ pub(crate) enum InputNode {
         name: String,
         alias: Option<String>,
         single: Vec<Expr>,
-        /// Under a join: the column names the rest of the statement can
-        /// read from this input (see [`join_input_columns`]). `None` — a
-        /// lone FROM item, or a top-level `*` — keeps whole rows.
+        /// The column names the rest of the statement can read from this
+        /// input (see [`input_columns`]). `None` — a top-level `*` —
+        /// keeps whole rows.
         keep: Option<Vec<String>>,
     },
     Derived {
@@ -221,7 +223,7 @@ pub(crate) fn lower_general(q: &Select, db: &Database, kernel_on: bool) -> Gener
         list.sort_by_key(exec::contains_subquery);
     }
 
-    let used = join_input_columns(q, &edges, &post);
+    let used = input_columns(q, &edges, &post);
     let inputs = q
         .from
         .iter()
@@ -259,23 +261,26 @@ pub(crate) fn lower_general(q: &Select, db: &Database, kernel_on: bool) -> Gener
     }
 }
 
-/// Every column reference a join block's inputs may have to serve: the
+/// Every column reference a statement's inputs may have to serve: the
 /// select list, GROUP BY, HAVING, ORDER BY, the join-edge expressions and
 /// the post-filters, descending into every nested subquery and derived
 /// table (a correlated reference is resolved against the joined row). An
 /// input's own pushed-down conjuncts are left out — the scan evaluates
-/// them on the whole heap row before it narrows it. Deliberately by name
-/// and conservative: an input keeps a column when a reference is
-/// unqualified or qualified with the input's scope name, whatever inner
-/// scope might shadow it, so a name two inputs share stays in both and
-/// still resolves to `AmbiguousColumn`. `None` when nothing is to be
-/// pruned: fewer than two FROM items, or a top-level `*`.
-fn join_input_columns<'q>(
+/// them on the stored columns before it materializes anything.
+/// Deliberately by name and conservative: an input keeps a column when a
+/// reference is unqualified or qualified with the input's scope name,
+/// whatever inner scope might shadow it, so a name two inputs share stays
+/// in both and still resolves to `AmbiguousColumn`. `None` when nothing is
+/// to be pruned: a top-level `*`. A lone FROM item is narrowed like a join
+/// input — the heap stores columns, so a cell nothing reads is a cell not
+/// built (a primary-key read of three numeric columns used to borrow the
+/// row; it must not now pay for five strings).
+fn input_columns<'q>(
     q: &'q Select,
     edges: &'q [planner::JoinEdge],
     post: &'q [(Expr, Vec<String>)],
 ) -> Option<Vec<&'q ColumnRef>> {
-    if q.from.len() < 2 || q.items.iter().any(|i| matches!(i, SelectItem::Wildcard)) {
+    if q.items.iter().any(|i| matches!(i, SelectItem::Wildcard)) {
         return None;
     }
     let mut used: Vec<&ColumnRef> = Vec::new();
@@ -398,11 +403,11 @@ pub(crate) fn compile_fused(q: &Select, db: &Database) -> Option<FusedPlan> {
 /// The batch-at-a-time operator contract. `open` is called exactly once,
 /// before the first `next_batch`, and returns the operator's output
 /// bindings; `next_batch` returns a non-empty batch or `None` once the
-/// stream is exhausted. The `'e` lifetime lets scans hand rows out of the
-/// table heap by reference instead of cloning them per row.
+/// stream is exhausted. A batch owns its rows: the heap stores columns, so
+/// there is no row for a scan to lend.
 pub(crate) trait Operator<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>>;
-    fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>>;
+    fn next_batch(&mut self) -> EngineResult<Option<RowBatch>>;
 
     /// How the operator evaluates each of its subquery predicates (valid
     /// after `open`), for `EXPLAIN ANALYZE` to list under it.
@@ -432,7 +437,7 @@ pub(crate) fn execute_shape<'e>(
     let mut rows = Vec::new();
     while let Some(batch) = root.next_batch()? {
         ctx.check_interrupt()?;
-        rows.extend(batch.rows.into_owned());
+        rows.extend(batch.rows);
     }
     Ok(Relation { bindings, rows })
 }
@@ -481,31 +486,19 @@ pub(crate) fn build_tree<'e>(
             // DISTINCT accumulators cannot be merged across partials and
             // correlated frames cannot cross threads; both fall back to the
             // serial fused kernel.
-            if workers >= 2 && outer.is_empty() && !f.specs.iter().any(|s| s.distinct) {
-                // Register up front (like the join block) so worker
-                // breakdowns can attach as children from run().
-                let pidx = az.map(|a| {
-                    a.register(
-                        format!(
-                            "fused aggregate over {} [parallel ×{workers}]",
-                            f.binding_name
-                        ),
-                        Vec::new(),
-                    )
-                });
-                let fused = FusedExec::new(q, f, outer, ctx);
-                timed(
-                    az,
-                    pidx,
-                    Box::new(ParallelFusedExec::new(fused, workers, az, pidx)),
-                )
+            let parallel = workers >= 2 && outer.is_empty() && !f.specs.iter().any(|s| s.distinct);
+            let mut label = format!("fused aggregate over {}", f.binding_name);
+            if parallel {
+                label.push_str(&format!(" [parallel ×{workers}]"));
+            }
+            // Registered up front (like the join block) so the fold's tally
+            // and the workers' breakdowns can attach from the run.
+            let pidx = az.map(|a| a.register(label, Vec::new()));
+            let fused = FusedExec::new(q, f, outer, ctx, az, pidx);
+            if parallel {
+                timed(az, pidx, Box::new(ParallelFusedExec::new(fused, workers)))
             } else {
-                instrument(
-                    az,
-                    Box::new(FusedExec::new(q, f, outer, ctx)),
-                    format!("fused aggregate over {}", f.binding_name),
-                    Vec::new(),
-                )
+                timed(az, pidx, Box::new(fused))
             }
         }
         Shape::General(g) => {

@@ -129,7 +129,7 @@ impl<'e> Operator<'e> for AggregateExec<'e> {
         Ok(exec::output_bindings(self.q, &self.in_bindings))
     }
 
-    fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {
+    fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         if self.emitter.is_none() {
             // Group-state growth is charged against the memory budget at
             // batch grain: one charge per batch covering the groups it
@@ -137,15 +137,15 @@ impl<'e> Operator<'e> for AggregateExec<'e> {
             let state_width = self.in_bindings.len() + self.specs.len();
             let mut charged_groups = 0u64;
             let states: Vec<GroupState> = if let Some((key_progs, arg_progs)) = &self.progs {
-                // Compiled fold: positional key/argument programs over
-                // borrowed rows, group lookup without key clones, cpu
-                // flushed once per batch (one op per row).
+                // Compiled fold: positional key/argument programs over the
+                // batch's rows, group lookup without key clones, cpu flushed
+                // once per batch (one op per row).
                 let mut table = GroupTable::new();
                 let mut scratch: Vec<Value> = Vec::new();
                 while let Some(batch) = self.child.next_batch()? {
                     self.ctx.check_interrupt()?;
                     let mut cpu = 0u64;
-                    for row in batch.rows.iter() {
+                    for row in &batch.rows {
                         cpu += 1;
                         eval_key_scratch(key_progs, row, self.ctx, &mut scratch)?;
                         let specs = &self.specs;
@@ -175,11 +175,9 @@ impl<'e> Operator<'e> for AggregateExec<'e> {
                 let mut order: Vec<Vec<HashableValue>> = Vec::new();
                 if self.breaker {
                     // Drain first (subquery page touches land after the
-                    // child's), then fold each row by reference — borrowed
-                    // batches are never cloned just to be read once. The
-                    // memory charges are unchanged: the buffered input is
-                    // charged per batch as it arrives.
-                    let mut batches: Vec<BatchRows<'e>> = Vec::new();
+                    // child's), then fold each row by reference. The
+                    // buffered input is charged per batch as it arrives.
+                    let mut batches: Vec<Vec<Row>> = Vec::new();
                     while let Some(batch) = self.child.next_batch()? {
                         self.ctx.check_interrupt()?;
                         self.ctx.charge_mem(exec::approx_state_bytes(
@@ -189,7 +187,7 @@ impl<'e> Operator<'e> for AggregateExec<'e> {
                         batches.push(batch.rows);
                     }
                     for b in &batches {
-                        for row in b.iter() {
+                        for row in b {
                             self.fold_row(row, &self.specs, &mut groups, &mut order)?;
                         }
                     }
@@ -198,7 +196,7 @@ impl<'e> Operator<'e> for AggregateExec<'e> {
                 } else {
                     while let Some(batch) = self.child.next_batch()? {
                         self.ctx.check_interrupt()?;
-                        for row in batch.rows.iter() {
+                        for row in &batch.rows {
                             self.fold_row(row, &self.specs, &mut groups, &mut order)?;
                         }
                         let n = groups.len() as u64;

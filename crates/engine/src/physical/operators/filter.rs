@@ -4,6 +4,7 @@ use apuama_storage::Row;
 use crate::error::EngineResult;
 use crate::eval::Frame;
 use crate::exec::{self, Binding, ExecContext};
+use crate::subquery::{probe_memos, ProbeMemo};
 
 use crate::physical::*;
 
@@ -23,6 +24,8 @@ pub(crate) struct FilterExec<'e> {
     ctx: &'e ExecContext<'e>,
     in_bindings: Vec<Binding>,
     resolved: Vec<ResidualPred>,
+    /// The `EXISTS` probes' memos, one per predicate.
+    memos: Vec<ProbeMemo>,
     emitter: Option<BatchEmitter>,
 }
 
@@ -42,46 +45,34 @@ impl<'e> FilterExec<'e> {
             ctx,
             in_bindings: Vec::new(),
             resolved: Vec::new(),
+            memos: Vec::new(),
             emitter: None,
         }
     }
 
-    /// Compacts the survivors into the batch's own allocation, whichever
-    /// way it holds its rows (borrowed rows stay borrowed), counting one
-    /// cpu charge per predicate evaluation into `cpu`.
-    fn retain_rows<R: std::borrow::Borrow<Row>>(
-        &self,
-        rows: &mut Vec<R>,
-        cpu: &mut u64,
-    ) -> EngineResult<()> {
+    /// Filters one streamed batch in place — the survivors are compacted
+    /// into the batch's own allocation — with one cpu charge per predicate
+    /// evaluation, flushed once per batch.
+    fn filter_batch(&mut self, rows: &mut Vec<Row>) -> EngineResult<()> {
+        let mut cpu = 0u64;
         let mut kept = 0;
         for i in 0..rows.len() {
             if keep_row_charged(
-                rows[i].borrow(),
+                &rows[i],
                 &self.in_bindings,
                 &self.resolved,
+                &mut self.memos,
                 self.outer,
                 self.ctx,
-                || *cpu += 1,
+                || cpu += 1,
             )? {
                 rows.swap(kept, i);
                 kept += 1;
             }
         }
         rows.truncate(kept);
-        Ok(())
-    }
-
-    /// Filters one streamed batch in place; cpu charges are flushed once
-    /// per batch.
-    fn filter_batch(&self, mut rows: BatchRows<'e>) -> EngineResult<BatchRows<'e>> {
-        let mut cpu = 0u64;
-        match &mut rows {
-            BatchRows::Owned(v) => self.retain_rows(v, &mut cpu)?,
-            BatchRows::Borrowed(v) => self.retain_rows(v, &mut cpu)?,
-        }
         self.ctx.bump_cpu(cpu);
-        Ok(rows)
+        Ok(())
     }
 }
 
@@ -89,6 +80,7 @@ impl<'e> Operator<'e> for FilterExec<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>> {
         self.in_bindings = self.child.open()?;
         self.resolved = resolve_preds(&self.preds, &self.in_bindings, self.ctx);
+        self.memos = probe_memos(self.resolved.len());
         Ok(self.in_bindings.clone())
     }
 
@@ -96,39 +88,27 @@ impl<'e> Operator<'e> for FilterExec<'e> {
         subquery_lines(&self.resolved, self.ctx)
     }
 
-    fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {
+    fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         if self.breaker {
             if self.emitter.is_none() {
                 // Drain first (the subqueries' page touches must land
-                // after the child's), then filter in order; borrowed rows
-                // are cloned only when they survive.
-                let mut batches: Vec<BatchRows<'e>> = Vec::new();
+                // after the child's), then filter in order.
+                let mut rows: Vec<Row> = Vec::new();
                 while let Some(batch) = self.child.next_batch()? {
                     self.ctx.check_interrupt()?;
-                    batches.push(batch.rows);
+                    rows.extend(batch.rows);
                 }
-                let keep = |row: &Row| {
-                    keep_row(row, &self.in_bindings, &self.resolved, self.outer, self.ctx)
-                };
                 let mut kept: Vec<Row> = Vec::new();
-                for b in batches {
-                    match b {
-                        BatchRows::Owned(v) => {
-                            for row in v {
-                                if keep(&row)? {
-                                    kept.push(row);
-                                }
-                            }
-                        }
-                        BatchRows::Borrowed(v) => {
-                            for row in v {
-                                if keep(row)? {
-                                    // Load-bearing clone: survivors of a
-                                    // borrowed batch must outlive the scan.
-                                    kept.push(row.clone());
-                                }
-                            }
-                        }
+                for row in rows {
+                    if keep_row(
+                        &row,
+                        &self.in_bindings,
+                        &self.resolved,
+                        &mut self.memos,
+                        self.outer,
+                        self.ctx,
+                    )? {
+                        kept.push(row);
                     }
                 }
                 self.emitter = Some(BatchEmitter::rows_only(kept));
@@ -137,10 +117,10 @@ impl<'e> Operator<'e> for FilterExec<'e> {
         }
         loop {
             self.ctx.check_interrupt()?;
-            let Some(batch) = self.child.next_batch()? else {
+            let Some(RowBatch { mut rows, .. }) = self.child.next_batch()? else {
                 return Ok(None);
             };
-            let rows = self.filter_batch(batch.rows)?;
+            self.filter_batch(&mut rows)?;
             if !rows.is_empty() {
                 return Ok(Some(RowBatch {
                     rows,

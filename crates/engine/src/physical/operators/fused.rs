@@ -1,6 +1,9 @@
+use std::hash::Hasher;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use apuama_sql::ast::{Expr, Select};
 use apuama_sql::Value;
-use apuama_storage::Row;
+use apuama_storage::{Column, ColumnVec, Segment};
 
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{self, CompiledExpr, Frame};
@@ -15,30 +18,108 @@ use crate::physical::*;
 // ---------------------------------------------------------------------------
 
 /// One aggregate input, pre-resolved: no per-row work for `count(*)`,
-/// a direct positional read for plain-column arguments (the common
-/// kernel case), a compiled program otherwise.
+/// a direct read of the stored cell for plain-column arguments, a compiled
+/// program otherwise — with its vector form beside it when it is `+ − ×`
+/// over columns and numeric constants ([`F64Prog`]).
 pub(crate) enum FusedArg {
     None,
     Col(usize),
-    Expr(CompiledExpr),
+    Expr {
+        prog: CompiledExpr,
+        vector: Option<F64Prog>,
+    },
+}
+
+/// One aggregate input as one batch sees it.
+enum BatchArg<'a> {
+    None,
+    /// Read the stored cell.
+    Cell(&'a Column),
+    /// A `Float` column without NULLs: read the slot straight off the slice.
+    FloatCol(&'a [f64]),
+    /// Computed for the whole batch: one value per survivor.
+    Floats(Vec<f64>),
+    /// Evaluated per survivor on the scratch row.
+    Row(&'a CompiledExpr),
+}
+
+/// Where the fold reads a tuple's group key from.
+enum GroupKeys {
+    /// Every component is a stored column: the probe compares those cells
+    /// with the groups' keys, nothing is copied.
+    Cells(Vec<usize>),
+    /// A component is an expression: the key programs run on the scratch
+    /// row, filled with these cells.
+    Row(Vec<usize>),
+}
+
+/// How the batches of one execution ran, for `EXPLAIN ANALYZE` to say: the
+/// fold is chosen per batch by predicate shape and column representation,
+/// so nothing else shows whether a statement's batches took the vectorized
+/// form or fell to the row. Statistics only, hence relaxed.
+#[derive(Default)]
+pub(crate) struct FoldTally {
+    batches: AtomicU64,
+    /// Batches in which a predicate, a group key or an argument was
+    /// evaluated per tuple on the scratch row.
+    by_row: AtomicU64,
+}
+
+impl FoldTally {
+    fn count(&self, by_row: bool) {
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.by_row.fetch_add(by_row as u64, Ordering::Relaxed);
+    }
+
+    /// Lists the tally under the operator's `EXPLAIN ANALYZE` node.
+    pub(crate) fn note(&self, az: Option<&Analyze>, probe: Option<usize>) {
+        if let (Some(az), Some(probe)) = (az, probe) {
+            let (batches, by_row) = (
+                self.batches.load(Ordering::Relaxed),
+                self.by_row.load(Ordering::Relaxed),
+            );
+            az.add_note(
+                probe,
+                format!(
+                    "fold: {} batch(es) vectorized, {by_row} row-major",
+                    batches - by_row
+                ),
+            );
+        }
+    }
+}
+
+/// What one fold mutates from batch to batch: the predicates' scratch row
+/// and probe memos, the selection vector, and the buffers vectorized
+/// arguments are computed into. One per serial pass, one per morsel.
+pub(crate) struct FoldScratch {
+    row: RowScratch,
+    sel: Sel,
+    keys: Vec<Value>,
+    floats: Vec<Vec<f64>>,
 }
 
 /// The fused kernel's fold, specialized once per execution and then shared
 /// read-only: [`FusedExec`] folds scan batches through it, the workers of
 /// [`ParallelFusedExec`] fold morsels. Residual scan predicates run before
 /// post predicates, in plan order; all programs have bound parameters
-/// folded in, `col <cmp> literal` predicates are sunk to direct
-/// comparisons, group keys are positional programs.
+/// folded in, group keys are positional programs.
+///
+/// It reads the stored segment columns: the predicates through the
+/// vectorized prefix ([`ScanPreds`]), plain-column group keys and arguments
+/// cell by cell, `+ − ×` arguments once per batch over `f64` slices. What
+/// is left to the row — a predicate past the prefix, a key expression, an
+/// argument without a vector form or over a column that is not `Float` and
+/// NULL-free in this segment — is evaluated per survivor on a scratch row
+/// filled with just the cells it reads. That per-survivor evaluation is
+/// the one scalar fold body.
 pub(crate) struct FusedFold<'p> {
     plan: &'p FusedPlan,
-    preds: Vec<ResidualPred>,
+    preds: ScanPreds,
     key_progs: Vec<KeyProg>,
+    keys: GroupKeys,
     agg_args: Vec<FusedArg>,
-    /// The vectorized inner loop, when the plan shape is fully positional.
-    /// Per-batch eligibility (mixed-type or NaN-bearing predicate columns)
-    /// is re-checked inside [`ColumnarFused::fold`], which then declines
-    /// and the scalar row loop runs instead.
-    columnar: Option<ColumnarFused>,
+    pub(crate) tally: FoldTally,
 }
 
 impl<'p> FusedFold<'p> {
@@ -53,22 +134,41 @@ impl<'p> FusedFold<'p> {
             .map(|c| ResidualPred::from_compiled(eval::prebind_params(c, ctx)))
             .collect();
         let key_progs = key_progs_from_compiled(&plan.group_by, ctx);
+        let cells: Option<Vec<usize>> = (key_progs.iter())
+            .map(|k| match k {
+                KeyProg::Col(c) => Some(*c),
+                KeyProg::Expr { .. } => None,
+            })
+            .collect();
+        let keys = cells.map(GroupKeys::Cells).unwrap_or_else(|| {
+            let mut cols = Vec::new();
+            for k in &key_progs {
+                match k {
+                    KeyProg::Col(c) => cols.push(*c),
+                    KeyProg::Expr { expr, .. } => expr.collect_cols(&mut cols),
+                }
+            }
+            GroupKeys::Row(cols)
+        });
         let agg_args: Vec<FusedArg> = plan
             .agg_args
             .iter()
             .map(|a| match a.as_ref().map(|c| eval::prebind_params(c, ctx)) {
                 None => FusedArg::None,
                 Some(CompiledExpr::Col(i)) => FusedArg::Col(i),
-                Some(other) => FusedArg::Expr(other),
+                Some(prog) => FusedArg::Expr {
+                    vector: F64Prog::of(&prog, ctx),
+                    prog,
+                },
             })
             .collect();
-        let columnar = ColumnarFused::try_new(&preds, &key_progs, &agg_args, plan.bindings.len());
         FusedFold {
             plan,
-            preds,
+            preds: ScanPreds::new(preds, plan.bindings.len(), ctx),
             key_progs,
+            keys,
             agg_args,
-            columnar,
+            tally: FoldTally::default(),
         }
     }
 
@@ -78,44 +178,147 @@ impl<'p> FusedFold<'p> {
         self.plan.bindings.len() + self.plan.specs.len()
     }
 
-    /// Folds `rows` — a scan batch or a morsel — into `groups` and returns
-    /// the `cpu_tuple_ops` they cost: one per predicate evaluated, one per
-    /// surviving row's aggregation update. Columnar when the batch allows
-    /// it; a decline touches neither groups nor counters, so the scalar
-    /// loop then starts from the same state.
+    pub(crate) fn scratch(&self) -> FoldScratch {
+        FoldScratch {
+            row: self.preds.scratch(),
+            sel: Sel::new(),
+            keys: Vec::new(),
+            floats: Vec::new(),
+        }
+    }
+
+    /// The aggregate arguments as this segment's columns allow them. The
+    /// vectorized ones are computed here, over everything the prefix kept:
+    /// the programs cannot fail, so a value computed for a tuple the
+    /// row-major predicates then drop is only wasted, not observable. The
+    /// cells the row-evaluated ones read are appended to `row_cols`.
+    fn batch_args<'a>(
+        &'a self,
+        seg: &'a Segment,
+        sel: &[u32],
+        floats: &mut Vec<Vec<f64>>,
+        row_cols: &mut Vec<usize>,
+    ) -> Vec<BatchArg<'a>> {
+        let batch_arg = |arg: &'a FusedArg| match arg {
+            FusedArg::None => BatchArg::None,
+            FusedArg::Col(c) => {
+                let column = seg.column(*c);
+                match column.data() {
+                    ColumnVec::Float(v) if !column.validity().any_null() => BatchArg::FloatCol(v),
+                    _ => BatchArg::Cell(column),
+                }
+            }
+            FusedArg::Expr { prog, vector } => match vector {
+                Some(v) if v.applies(seg) => {
+                    let mut out = floats.pop().unwrap_or_default();
+                    out.clear();
+                    v.eval(seg, sel, &mut out, floats);
+                    BatchArg::Floats(out)
+                }
+                _ => {
+                    prog.collect_cols(row_cols);
+                    BatchArg::Row(prog)
+                }
+            },
+        };
+        self.agg_args.iter().map(batch_arg).collect()
+    }
+
+    /// Folds the `slots` of `seg` — a scan batch or a morsel — into
+    /// `groups` and returns the `cpu_tuple_ops` they cost: one per
+    /// predicate evaluated, one per surviving row's aggregation update.
     pub(crate) fn fold(
         &self,
-        rows: &[&Row],
+        seg: &Segment,
+        slots: &[u32],
+        scratch: &mut FoldScratch,
         groups: &mut FusedGroups,
         ctx: &ExecContext<'_>,
     ) -> EngineResult<u64> {
-        if let Some(cf) = &self.columnar {
-            if let Some(cpu) = cf.fold(rows, &self.preds, &self.plan.specs, groups)? {
-                return Ok(cpu);
-            }
+        let FoldScratch {
+            row,
+            sel,
+            keys: key_vals,
+            floats,
+        } = scratch;
+        let bindings = &self.plan.bindings;
+        let (done, mut cpu) = self.preds.filter_prefix(seg, slots, sel)?;
+        // What the prefix left to the row runs interleaved with the
+        // aggregation below, tuple by tuple, so a predicate that fails on a
+        // later row cannot overtake an aggregate that fails on an earlier
+        // one. (A prefix predicate cannot either: it fails on the first
+        // non-NULL row it sees or on none.)
+        let rest = self.preds.has_rest(done);
+        if sel.is_empty() {
+            self.tally.count(false);
+            return Ok(cpu);
         }
-        let mut cpu = 0u64;
-        let mut scratch: Vec<Value> = Vec::new();
-        for &row in rows {
+
+        // The scratch row carries the cells of the key programs and of the
+        // arguments this segment leaves to the row.
+        let mut row_cols = match &self.keys {
+            GroupKeys::Cells(_) => Vec::new(),
+            GroupKeys::Row(cols) => cols.clone(),
+        };
+        let args = self.batch_args(seg, sel, floats, &mut row_cols);
+        let row_cols = sorted_dedup(row_cols);
+        self.tally.count(
+            rest || matches!(self.keys, GroupKeys::Row(_))
+                || args.iter().any(|a| matches!(a, BatchArg::Row(_))),
+        );
+
+        for (k, &slot) in sel.iter().enumerate() {
+            let slot = slot as usize;
             // Fused predicates are all compiled, so no frame is consulted.
-            if !self.preds.is_empty()
-                && !keep_row_charged(row, &self.plan.bindings, &self.preds, &[], ctx, || cpu += 1)?
+            if rest
+                && !self
+                    .preds
+                    .keep_rest(done, seg, slot, row, bindings, &[], ctx, || cpu += 1)?
             {
                 continue;
             }
             cpu += 1; // the aggregation update the general loop charges
-            eval_key_scratch(&self.key_progs, row, ctx, &mut scratch)?;
-            let group = groups.find_or_insert(&self.key_progs, row, &scratch, || GroupState {
-                rep_row: row.to_vec(),
+            let row = row.fill(seg, slot, &row_cols);
+            let new_state = || GroupState {
+                rep_row: seg.row(slot),
                 accs: self.plan.specs.iter().map(Acc::new).collect(),
-            });
-            for (arg, acc) in self.agg_args.iter().zip(group.accs.iter_mut()) {
-                let v = match arg {
-                    FusedArg::None => None,
-                    FusedArg::Col(i) => Some(row[*i].clone()),
-                    FusedArg::Expr(a) => Some(eval::eval_compiled(a, row, ctx)?),
-                };
-                acc.update(v)?;
+            };
+            let group = match &self.keys {
+                GroupKeys::Cells(cols) => groups.find_or_insert_with(
+                    || {
+                        let mut hasher = FnvHasher::new();
+                        for &c in cols {
+                            hash_cell(seg.column(c), slot, &mut hasher);
+                        }
+                        hasher.finish()
+                    },
+                    |stored| {
+                        (cols.iter().zip(stored))
+                            .all(|(&c, s)| cell_matches(seg.column(c), slot, s))
+                    },
+                    || cols.iter().map(|&c| seg.column(c).value_at(slot)).collect(),
+                    new_state,
+                ),
+                GroupKeys::Row(_) => {
+                    eval_key_scratch(&self.key_progs, row, ctx, key_vals)?;
+                    groups.find_or_insert(&self.key_progs, row, key_vals, new_state)
+                }
+            };
+            for (arg, acc) in args.iter().zip(group.accs.iter_mut()) {
+                match arg {
+                    BatchArg::None => acc.update(None)?,
+                    BatchArg::Cell(col) => update_acc_cell(acc, col, slot)?,
+                    BatchArg::FloatCol(v) => update_acc_f64(acc, v[slot])?,
+                    BatchArg::Floats(xs) => update_acc_f64(acc, xs[k])?,
+                    BatchArg::Row(prog) => {
+                        acc.update(Some(eval::eval_compiled(prog, row, ctx)?))?
+                    }
+                }
+            }
+        }
+        for arg in args {
+            if let BatchArg::Floats(xs) = arg {
+                floats.push(xs);
             }
         }
         Ok(cpu)
@@ -132,16 +335,19 @@ pub(crate) struct FusedScan<'e> {
     pub(crate) fold: FusedFold<'e>,
 }
 
-/// The fusion rule's executor: one pass over the base table in borrowed
-/// [`exec::SCAN_BATCH_ROWS`]-row batches, predicates and aggregate updates
-/// evaluated positionally against borrowed rows, statistics charged once
-/// per batch. Finishes through the same [`exec::project_groups`] as the
-/// general tree, which is what keeps the two shapes byte-identical.
+/// The fusion rule's executor: one pass over the base table a stored
+/// segment at a time, predicates and aggregate updates evaluated on its
+/// columns ([`FusedFold`]), statistics charged once per batch. Finishes
+/// through the same [`exec::project_groups`] as the general tree, which is
+/// what keeps the two shapes byte-identical.
 pub(crate) struct FusedExec<'e> {
     q: &'e Select,
     pub(crate) plan: &'e FusedPlan,
     outer: &'e [Frame<'e>],
     pub(crate) ctx: &'e ExecContext<'e>,
+    /// The `EXPLAIN ANALYZE` collector and this operator's node in it.
+    pub(crate) az: Option<&'e Analyze>,
+    pub(crate) probe: Option<usize>,
     emitter: Option<BatchEmitter>,
 }
 
@@ -151,12 +357,16 @@ impl<'e> FusedExec<'e> {
         plan: &'e FusedPlan,
         outer: &'e [Frame<'e>],
         ctx: &'e ExecContext<'e>,
+        az: Option<&'e Analyze>,
+        probe: Option<usize>,
     ) -> Self {
         FusedExec {
             q,
             plan,
             outer,
             ctx,
+            az,
+            probe,
             emitter: None,
         }
     }
@@ -176,8 +386,8 @@ impl<'e> FusedExec<'e> {
         })
     }
 
-    /// The serial pass: the cursor's rows, a batch at a time, through the
-    /// fold. Each batch is also the kernel's cancellation point and
+    /// The serial pass: the cursor's units, one at a time, through the
+    /// fold. Each unit is also the kernel's cancellation point and
     /// memory-charge boundary.
     pub(crate) fn fold_serial(&self, scan: &FusedScan<'e>) -> EngineResult<FusedGroups> {
         let ctx = self.ctx;
@@ -188,25 +398,15 @@ impl<'e> FusedExec<'e> {
             &self.plan.bindings,
             &scan.choice.path,
             &scan.residual_exprs,
+            false, // a fused statement has no subquery
             ctx,
         );
-        let batch_cap = exec::SCAN_BATCH_ROWS as usize;
-        let mut batch: Vec<&Row> = Vec::with_capacity(batch_cap);
-        loop {
-            batch.clear();
-            while batch.len() < batch_cap {
-                let Some((_, row)) = cursor.next(ctx) else {
-                    break;
-                };
-                batch.push(row);
-            }
-            if batch.is_empty() {
-                return Ok(groups);
-            }
+        let mut scratch = scan.fold.scratch();
+        let mut scanned = ScanTally::new(ctx);
+        while let Some((seg, _, slots)) = cursor.next(ctx) {
             ctx.check_interrupt()?;
-            ctx.bump_rows_scanned(batch.len() as u64);
-            ctx.bump_scan_batches(1);
-            ctx.bump_cpu(scan.fold.fold(&batch, &mut groups, ctx)?);
+            scanned.rows += slots.len() as u64;
+            ctx.bump_cpu(scan.fold.fold(seg, slots, &mut scratch, &mut groups, ctx)?);
             let n = groups.len() as u64;
             ctx.charge_mem(exec::approx_state_bytes(
                 n - charged_groups,
@@ -214,6 +414,8 @@ impl<'e> FusedExec<'e> {
             ))?;
             charged_groups = n;
         }
+        scan.fold.tally.note(self.az, self.probe);
+        Ok(groups)
     }
 
     /// HAVING, the select list with aggregates substituted, ORDER BY keys.
@@ -234,98 +436,12 @@ impl<'e> Operator<'e> for FusedExec<'e> {
         Ok(exec::output_bindings(self.q, &self.plan.bindings))
     }
 
-    fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {
+    fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         if self.emitter.is_none() {
             let groups = self.fold_serial(&self.plan_scan()?)?;
             let (rel, keys) = self.finish(groups)?;
             self.emitter = Some(BatchEmitter::nested(rel.rows, keys));
         }
         Ok(self.emitter.as_mut().and_then(BatchEmitter::next))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::db::Database;
-    use apuama_sql::ast::Statement;
-
-    /// The predicate column is all-Int in the first and third scan batch
-    /// and mixes Int with Float in the second, so the columnar fold takes
-    /// batches one and three and declines the second mid-stream. Cpu cost
-    /// per batch, the groups, their first-seen order and every aggregate
-    /// equal the scalar row loop's.
-    #[test]
-    fn a_columnar_decline_mid_stream_equals_the_scalar_fold() {
-        let mut db = Database::in_memory();
-        db.execute(
-            "create table edge (k int not null, p float, f text, primary key (k)) \
-             clustered by (k)",
-        )
-        .unwrap();
-        let rows: Vec<Row> = (0..3000i64)
-            .map(|k| {
-                vec![
-                    Value::Int(k),
-                    if (1024..2048).contains(&k) && k % 2 == 1 {
-                        Value::Float((k % 89) as f64 * 0.25)
-                    } else {
-                        Value::Int(k % 89)
-                    },
-                    Value::Str(format!("F{}", (k * 7 + k / 1000) % 5)),
-                ]
-            })
-            .collect();
-        db.load_table("edge", rows).unwrap();
-        let sql = "select f, count(*) as n, sum(p) as s, min(p) as lo, max(p) as hi \
-                   from edge where p >= 1 group by f";
-        let Ok(Statement::Select(q)) = apuama_sql::parse_statement(sql) else {
-            panic!("{sql} parses to a SELECT");
-        };
-        let plan = compile_fused(&q, &db).expect("the statement fuses");
-        let ctx = ExecContext::new(&db);
-        let table = db.table("edge").unwrap();
-        let (choice, _) = plan_scan(table, "edge", &plan.single, &ctx);
-        let fold = FusedFold::new(&plan, &choice, &ctx);
-        let columnar = fold.columnar.as_ref().expect("a fully positional plan");
-        let scalar = FusedFold {
-            columnar: None,
-            ..FusedFold::new(&plan, &choice, &ctx)
-        };
-
-        let all: Vec<&Row> = table.heap.iter().map(|(_, row)| row).collect();
-        let declined: Vec<bool> = all
-            .chunks(1024)
-            .map(|batch| {
-                columnar
-                    .fold(batch, &fold.preds, &plan.specs, &mut FusedGroups::new())
-                    .unwrap()
-                    .is_none()
-            })
-            .collect();
-        assert_eq!(declined, [false, true, false]);
-
-        let (mut with_columnar, mut with_scalar) = (FusedGroups::new(), FusedGroups::new());
-        for batch in all.chunks(1024) {
-            let cpu = fold.fold(batch, &mut with_columnar, &ctx).unwrap();
-            assert_eq!(cpu, scalar.fold(batch, &mut with_scalar, &ctx).unwrap());
-            assert_eq!(with_columnar.len(), with_scalar.len());
-        }
-        let finish = |groups: FusedGroups| {
-            exec::project_groups(
-                &q,
-                &plan.bindings,
-                &plan.specs,
-                groups.into_states(),
-                &[],
-                &ctx,
-            )
-            .unwrap()
-            .0
-            .rows
-        };
-        let rows = finish(with_columnar);
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows, finish(with_scalar));
     }
 }

@@ -68,8 +68,7 @@ impl<'e> Operator<'e> for JoinExec<'e> {
             .collect();
 
         // Materialize each FROM item, in FROM order. Base-table scans have
-        // already narrowed their rows to the columns the statement reads;
-        // a scan that keeps everything hands out borrowed rows, cloned here.
+        // already narrowed their rows to the columns the statement reads.
         let mut inputs: Vec<Relation> = Vec::with_capacity(g.inputs.len());
         for node in &g.inputs {
             let (mut op, cidx) = build_input(node, outer, ctx, self.az);
@@ -86,7 +85,7 @@ impl<'e> Operator<'e> for JoinExec<'e> {
                     batch.rows.len() as u64,
                     bindings.len(),
                 ))?;
-                rows.extend(batch.rows.into_owned());
+                rows.extend(batch.rows);
             }
             inputs.push(Relation { bindings, rows });
         }
@@ -171,7 +170,7 @@ impl<'e> Operator<'e> for JoinExec<'e> {
         Ok(bindings)
     }
 
-    fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {
+    fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         Ok(self.emitter.as_mut().and_then(BatchEmitter::next))
     }
 }

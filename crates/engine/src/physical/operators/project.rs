@@ -129,7 +129,7 @@ impl<'e> ProjectExec<'e> {
     /// intermediate frame vectors), cpu flushed once per batch.
     pub(crate) fn project_compiled(
         &self,
-        rows: BatchRows<'e>,
+        rows: Vec<Row>,
         items: &[ItemProg],
         order: &[OrderKeyProg],
     ) -> EngineResult<(Vec<Row>, KeyBuf)> {
@@ -137,26 +137,14 @@ impl<'e> ProjectExec<'e> {
         let mut out_rows = Vec::with_capacity(rows.len());
         let mut keys = KeyBuf::with_capacity(order.len(), rows.len());
         if self.wildcard_only {
-            // `SELECT *`: the output row IS the input row — owned rows are
-            // moved, borrowed rows cloned exactly once here.
-            match rows {
-                BatchRows::Owned(v) => {
-                    for row in v {
-                        cpu += 1;
-                        Self::order_key_into(order, &row, &row, self.ctx, &mut keys)?;
-                        out_rows.push(row);
-                    }
-                }
-                BatchRows::Borrowed(v) => {
-                    for row in v {
-                        cpu += 1;
-                        Self::order_key_into(order, row, row, self.ctx, &mut keys)?;
-                        out_rows.push(row.clone());
-                    }
-                }
+            // `SELECT *`: the output row IS the input row, moved.
+            for row in rows {
+                cpu += 1;
+                Self::order_key_into(order, &row, &row, self.ctx, &mut keys)?;
+                out_rows.push(row);
             }
         } else {
-            for row in rows.iter() {
+            for row in &rows {
                 cpu += 1;
                 let mut out_row = Vec::with_capacity(self.out_bindings.len());
                 for item in items {
@@ -175,10 +163,9 @@ impl<'e> ProjectExec<'e> {
 
     /// The interpreted fallback — a pipeline breaker, or an expression that
     /// does not compile: each row is evaluated with frames, one cpu charge
-    /// per row. An input row is moved (owned batch) or cloned (borrowed
-    /// batch) only when the select list re-emits it whole, `SELECT *`;
-    /// never just to feed expression evaluation.
-    fn project_framed(&self, in_rows: BatchRows<'e>) -> EngineResult<(Vec<Row>, KeyBuf)> {
+    /// per row. An input row is moved into the output when the select list
+    /// re-emits it whole, `SELECT *`.
+    fn project_framed(&self, in_rows: Vec<Row>) -> EngineResult<(Vec<Row>, KeyBuf)> {
         let names: Vec<&str> = self.out_names.iter().map(|s| s.as_str()).collect();
         let mut rows = Vec::with_capacity(in_rows.len());
         let mut keys = KeyBuf::with_capacity(self.q.order_by.len(), in_rows.len());
@@ -213,19 +200,9 @@ impl<'e> ProjectExec<'e> {
             )?);
             Ok(out_row)
         };
-        match in_rows {
-            BatchRows::Owned(v) => {
-                for row in v {
-                    let out_row = project(&row)?;
-                    rows.push(out_row.unwrap_or(row));
-                }
-            }
-            BatchRows::Borrowed(v) => {
-                for row in v {
-                    let out_row = project(row)?;
-                    rows.push(out_row.unwrap_or_else(|| row.clone()));
-                }
-            }
+        for row in in_rows {
+            let out_row = project(&row)?;
+            rows.push(out_row.unwrap_or(row));
         }
         Ok((rows, keys))
     }
@@ -242,11 +219,11 @@ impl<'e> Operator<'e> for ProjectExec<'e> {
         Ok(self.out_bindings.clone())
     }
 
-    fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {
+    fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         if self.breaker {
             if self.emitter.is_none() {
                 // Drain first, then project in order.
-                let mut batches: Vec<BatchRows<'e>> = Vec::new();
+                let mut batches: Vec<Vec<Row>> = Vec::new();
                 while let Some(batch) = self.child.next_batch()? {
                     self.ctx.check_interrupt()?;
                     batches.push(batch.rows);
@@ -269,6 +246,6 @@ impl<'e> Operator<'e> for ProjectExec<'e> {
             Some((items, order)) => self.project_compiled(batch.rows, items, order)?,
             None => self.project_framed(batch.rows)?,
         };
-        Ok(Some(RowBatch::owned(rows, keys)))
+        Ok(Some(RowBatch { rows, keys }))
     }
 }

@@ -1,10 +1,10 @@
 use apuama_sql::ast::Expr;
-use apuama_storage::{AccessKind, Row, RowId};
+use apuama_storage::{AccessKind, Heap, Row, RowId, Segment};
 
 use crate::catalog::TableSchema;
 use crate::error::{EngineError, EngineResult};
 use crate::eval::Frame;
-use crate::exec::{self, BatchedCounter, Binding, ExecContext, Relation};
+use crate::exec::{self, Binding, ExecContext, Relation};
 use crate::planner::{AccessPath, ScanChoice};
 use crate::table::Table;
 
@@ -13,14 +13,6 @@ use crate::physical::*;
 // ---------------------------------------------------------------------------
 // Scan operators (SeqScan / IndexRangeScan)
 // ---------------------------------------------------------------------------
-
-enum ScanIter<'e> {
-    Heap(Box<dyn Iterator<Item = (RowId, &'e Row)> + 'e>),
-    /// Index ranges pre-collect their row ids (index traversal is
-    /// charge-free); heap pages are still touched lazily, row by row, in
-    /// range order — identical LRU traffic to the interpreter.
-    Rids(std::vec::IntoIter<RowId>),
-}
 
 /// How an index range's heap fetches count against the buffer pool: a
 /// clustered range walks the heap in order, a secondary one hops.
@@ -32,32 +24,62 @@ pub(crate) fn index_access_kind(clustered: bool) -> AccessKind {
     }
 }
 
-/// One base-table scan in flight — the serial scan loop, written once: the
-/// live rows of the chosen access path in path order, each row's heap page
-/// charged to the statement once per page change. The general scan, the
-/// fused kernel and DML's row-id scan all pull from it.
-pub(crate) struct ScanCursor<'e> {
-    table: &'e Table,
-    iter: ScanIter<'e>,
-    kind: AccessKind,
-    last_page: u64,
+/// Where a scan's units come from.
+enum UnitSource {
+    /// The segments in order, minus the pages the zone maps refuted
+    /// (`allowed[page]`; `None` reads every page).
+    Seq {
+        next_seg: usize,
+        allowed: Option<Vec<bool>>,
+    },
+    /// An index range's row ids, in index order. SVP sub-queries arrive
+    /// this way: a clustered range is a run of consecutive slots that
+    /// starts and ends wherever the partition does.
+    Rids { rids: Vec<RowId>, pos: usize },
 }
 
-impl<'e> ScanCursor<'e> {
-    /// Opens `path` over `table`, counting the index probe or the pages
-    /// the zone maps refute for `residual_exprs` (see [`seq_scan_iter`]).
-    pub(crate) fn open(
+/// One base-table access path as a sequence of *units*: `(segment,
+/// selection vector)` pairs that tile the path's live tuples in path
+/// order. A sequential scan yields one unit per segment; a row-id list is
+/// cut wherever the segment changes, and dead slots drop out by the
+/// tombstone bitmap. The serial cursor and the morsel planner both read
+/// their input from here, so they see the same tuples in the same order.
+pub(crate) struct ScanUnits<'e> {
+    heap: &'e Heap,
+    source: UnitSource,
+    pub(crate) kind: AccessKind,
+    /// Pages the zone maps let the scan skip.
+    pub(crate) pages_pruned: u64,
+    /// Index lookups the access path made.
+    pub(crate) index_probes: u64,
+}
+
+impl<'e> ScanUnits<'e> {
+    /// Resolves `path` over `table` without charging anything: the caller
+    /// applies `pages_pruned` / `index_probes` once it commits to the plan.
+    pub(crate) fn plan(
         table: &'e Table,
         bindings: &[Binding],
         path: &AccessPath,
         residual_exprs: &[&Expr],
         ctx: &ExecContext<'_>,
     ) -> Self {
-        let (iter, kind) = match path {
-            AccessPath::SeqScan => (
-                ScanIter::Heap(seq_scan_iter(table, bindings, residual_exprs, ctx)),
-                AccessKind::Sequential,
-            ),
+        let heap = &table.heap;
+        match path {
+            AccessPath::SeqScan => {
+                let (allowed, pages_pruned) =
+                    zone_allowed_pages(table, bindings, residual_exprs, ctx);
+                ScanUnits {
+                    heap,
+                    source: UnitSource::Seq {
+                        next_seg: 0,
+                        allowed,
+                    },
+                    kind: AccessKind::Sequential,
+                    pages_pruned,
+                    index_probes: 0,
+                }
+            }
             AccessPath::IndexRange {
                 column,
                 low,
@@ -67,50 +89,222 @@ impl<'e> ScanCursor<'e> {
                 let idx = table
                     .index_on(*column)
                     .expect("planner only chooses existing indexes");
-                ctx.bump_index_probes(1);
                 let rids: Vec<RowId> = idx
                     .range(exec::bound_ref(low), exec::bound_ref(high))
                     .map(|(_, rid)| rid)
                     .collect();
-                (
-                    ScanIter::Rids(rids.into_iter()),
-                    index_access_kind(*clustered),
-                )
+                ScanUnits {
+                    heap,
+                    source: UnitSource::Rids { rids, pos: 0 },
+                    kind: index_access_kind(*clustered),
+                    pages_pruned: 0,
+                    index_probes: 1,
+                }
             }
-        };
-        ScanCursor {
-            table,
-            iter,
+        }
+    }
+
+    /// Replaces `sel` with the next unit's slots and returns its segment's
+    /// index. Units without a live tuple are skipped.
+    pub(crate) fn next_into(&mut self, sel: &mut Sel) -> Option<usize> {
+        let heap = self.heap;
+        let slots = heap.segment_slots();
+        sel.clear();
+        match &mut self.source {
+            UnitSource::Seq { next_seg, allowed } => {
+                let rpp = heap.geometry().rows_per_page;
+                while let Some(seg) = heap.segments().get(*next_seg) {
+                    let i = *next_seg;
+                    *next_seg += 1;
+                    match allowed {
+                        None if seg.dead_count() == 0 => sel.extend(0..seg.len() as u32),
+                        None => sel.extend(seg.live_slots(0, seg.len()).map(|s| s as u32)),
+                        Some(allowed) => {
+                            let first_page = i as u64 * slots / rpp;
+                            for (p, lo) in (0..seg.len()).step_by(rpp as usize).enumerate() {
+                                if allowed[first_page as usize + p] {
+                                    sel.extend(
+                                        seg.live_slots(lo, lo + rpp as usize).map(|s| s as u32),
+                                    );
+                                }
+                            }
+                        }
+                    }
+                    if !sel.is_empty() {
+                        return Some(i);
+                    }
+                }
+                None
+            }
+            UnitSource::Rids { rids, pos } => {
+                // The unit is the run of row ids in the segment of the
+                // first live one; ids before it that are dead, in whichever
+                // segment, are skipped with it.
+                loop {
+                    let i = (*rids.get(*pos)? / slots) as usize;
+                    let base = i as u64 * slots;
+                    let seg = heap.segments().get(i);
+                    while let Some(&rid) = rids.get(*pos) {
+                        if !(base..base + slots).contains(&rid) {
+                            break;
+                        }
+                        *pos += 1;
+                        let slot = (rid - base) as usize;
+                        if seg.is_some_and(|seg| seg.is_live(slot)) {
+                            sel.push(slot as u32);
+                        }
+                    }
+                    if !sel.is_empty() {
+                        return Some(i);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Charges a scan's heap pages in the serial scan's order and multiplicity:
+/// each tuple's page once per page change along the path, pages without a
+/// selected tuple never. Shared by the serial cursor and the morsel
+/// pre-charge, so the pool sees one sequence whichever runs.
+pub(crate) struct PageCharger {
+    table: apuama_storage::TableId,
+    kind: AccessKind,
+    rows_per_page: u64,
+    last_page: u64,
+}
+
+impl PageCharger {
+    pub(crate) fn new(table: &Table, kind: AccessKind) -> Self {
+        PageCharger {
+            table: table.schema.id,
             kind,
+            rows_per_page: table.heap.geometry().rows_per_page,
             last_page: u64::MAX,
         }
     }
 
-    /// The next live row. A dead row id costs nothing, as in the
-    /// interpreter.
-    pub(crate) fn next(&mut self, ctx: &ExecContext<'_>) -> Option<(RowId, &'e Row)> {
-        let table = self.table;
-        let (rid, row) = match &mut self.iter {
-            ScanIter::Heap(it) => it.next()?,
-            ScanIter::Rids(it) => it.find_map(|rid| Some((rid, table.heap.get(rid)?)))?,
+    /// Charges the pages of the tuples `base + slot` for `slots` in order.
+    pub(crate) fn charge(&mut self, base: RowId, slots: &[u32], ctx: &ExecContext<'_>) {
+        let rpp = self.rows_per_page;
+        // Row ids `lo..hi` lie on `last_page`: most tuples follow their
+        // predecessor onto the same page, which then costs two compares.
+        let (mut lo, mut hi) = match self.last_page {
+            u64::MAX => (0, 0),
+            page => (page * rpp, (page + 1) * rpp),
         };
-        let page = table.heap.geometry().page_of(rid);
-        if page != self.last_page {
-            ctx.charge_page(table.schema.id, page, self.kind);
-            self.last_page = page;
+        for &slot in slots {
+            let rid = base + slot as u64;
+            if rid < lo || rid >= hi {
+                let page = rid / rpp;
+                ctx.charge_page(self.table, page, self.kind);
+                self.last_page = page;
+                (lo, hi) = (page * rpp, (page + 1) * rpp);
+            }
         }
-        Some((rid, row))
+    }
+}
+
+/// One base-table scan in flight — the serial scan loop, written once: the
+/// live tuples of the chosen access path in path order, handed out as
+/// `(segment, first row id of the segment, slots)`, their heap pages
+/// charged to the statement once per page change. The general scan, the
+/// fused kernel and DML's row-id scan all pull from it.
+pub(crate) struct ScanCursor<'e> {
+    units: ScanUnits<'e>,
+    pages: PageCharger,
+    /// Hand out one page's tuples at a time, each page charged right
+    /// before them ([`ScanPreds::touches_pool`]); otherwise a whole unit,
+    /// its pages charged in order on entry.
+    page_grain: bool,
+    /// The current unit, and how much of it was handed out.
+    seg: usize,
+    unit: Sel,
+    pos: usize,
+}
+
+impl<'e> ScanCursor<'e> {
+    /// Opens `path` over `table`, counting the index probe or the pages
+    /// the zone maps refute for `residual_exprs`.
+    pub(crate) fn open(
+        table: &'e Table,
+        bindings: &[Binding],
+        path: &AccessPath,
+        residual_exprs: &[&Expr],
+        page_grain: bool,
+        ctx: &ExecContext<'_>,
+    ) -> Self {
+        let units = ScanUnits::plan(table, bindings, path, residual_exprs, ctx);
+        ctx.bump_pages_pruned(units.pages_pruned);
+        ctx.bump_index_probes(units.index_probes);
+        ScanCursor {
+            pages: PageCharger::new(table, units.kind),
+            units,
+            page_grain,
+            seg: 0,
+            unit: Sel::new(),
+            pos: 0,
+        }
+    }
+
+    /// The next run of live tuples. A dead row id costs nothing, as in the
+    /// interpreter.
+    pub(crate) fn next(&mut self, ctx: &ExecContext<'_>) -> Option<(&'e Segment, RowId, &[u32])> {
+        let heap = self.units.heap;
+        if self.pos == self.unit.len() {
+            self.seg = self.units.next_into(&mut self.unit)?;
+            self.pos = 0;
+        }
+        let base = self.seg as u64 * heap.segment_slots();
+        let rest = &self.unit[self.pos..];
+        let run = if self.page_grain {
+            let rpp = heap.geometry().rows_per_page;
+            let first = (base + rest[0] as u64) / rpp * rpp;
+            let page = first..first + rpp;
+            let n = (rest.iter())
+                .take_while(|&&s| page.contains(&(base + s as u64)))
+                .count();
+            &rest[..n]
+        } else {
+            rest
+        };
+        self.pos += run.len();
+        self.pages.charge(base, run, ctx);
+        Some((&heap.segments()[self.seg], base, run))
+    }
+}
+
+/// A scan's `rows_scanned`, flushed with its `scan_batches` — by formula,
+/// `ceil(rows / SCAN_BATCH_ROWS)`, however the access path cut its units —
+/// when the scan ends, whichever way it ends.
+pub(crate) struct ScanTally<'c, 'a> {
+    ctx: &'c ExecContext<'a>,
+    pub(crate) rows: u64,
+}
+
+impl<'c, 'a> ScanTally<'c, 'a> {
+    pub(crate) fn new(ctx: &'c ExecContext<'a>) -> Self {
+        ScanTally { ctx, rows: 0 }
+    }
+}
+
+impl Drop for ScanTally<'_, '_> {
+    fn drop(&mut self) {
+        self.ctx.bump_rows_scanned(self.rows);
+        self.ctx
+            .bump_scan_batches(self.rows.div_ceil(exec::SCAN_BATCH_ROWS));
     }
 }
 
 struct ScanState<'e> {
     cursor: ScanCursor<'e>,
-    residual: Vec<ResidualPred>,
-    scanned: BatchedCounter<'e, 'e>,
+    residual: ScanPreds,
+    scratch: RowScratch,
+    sel: Sel,
+    scanned: ScanTally<'e, 'e>,
 }
 
-/// Schema positions of the columns a join-feeding scan keeps, in schema
-/// order; `None` when `keep` names every column, so nothing is narrowed.
+/// Schema positions of the columns a scan keeps, in schema order; `None` when `keep` names every column, so nothing is narrowed.
 pub(crate) fn kept_positions(schema: &TableSchema, keep: &[String]) -> Option<Vec<usize>> {
     let cols: Vec<usize> = (0..schema.columns.len())
         .filter(|&i| keep.binary_search(&schema.columns[i].name).is_ok())
@@ -118,16 +312,11 @@ pub(crate) fn kept_positions(schema: &TableSchema, keep: &[String]) -> Option<Ve
     (cols.len() < schema.columns.len()).then_some(cols)
 }
 
-/// `cols 4/16`: how many of its table's columns a join input keeps.
+/// `cols 4/16`: how many of its table's columns a scan keeps.
 pub(crate) fn cols_note(schema: &TableSchema, keep: &[String]) -> String {
     let all = schema.columns.len();
     let kept = kept_positions(schema, keep).map_or(all, |cols| cols.len());
     format!("cols {kept}/{all}")
-}
-
-/// The kept columns of one surviving row, cloned.
-pub(crate) fn project_row(row: &Row, cols: &[usize]) -> Row {
-    cols.iter().map(|&c| row[c].clone()).collect()
 }
 
 /// What [`ScanExec::plan`] decides before any row is read: the table, the
@@ -141,10 +330,10 @@ pub(crate) struct PlannedScan<'e> {
 }
 
 /// Base-table scan: chooses the access path at open (from the actual bound
-/// parameter values), then streams surviving rows in batches. Under a join
-/// (`keep` set) the survivors are narrowed to the kept columns *after* the
-/// pushed-down predicates ran on the whole heap row; a scan that feeds no
-/// join computes no projection and hands out rows borrowed from the heap.
+/// parameter values), then streams surviving rows in batches. The
+/// pushed-down predicates run on the stored columns ([`ScanPreds::filter`]);
+/// only the survivors become rows, and with `keep` set (anything but a
+/// top-level `*`) only their kept columns.
 pub(crate) struct ScanExec<'e> {
     name: &'e str,
     alias: Option<&'e str>,
@@ -218,16 +407,25 @@ impl<'e> ScanExec<'e> {
     /// opens the cursor.
     pub(crate) fn start(&mut self, planned: PlannedScan<'e>) -> Vec<Binding> {
         let ctx = self.ctx;
+        let width = self.bindings.len();
+        let residual = ScanPreds::new(
+            resolve_preds(planned.residual_exprs.iter().copied(), &self.bindings, ctx),
+            width,
+            ctx,
+        );
         self.state = Some(ScanState {
-            residual: resolve_preds(planned.residual_exprs.iter().copied(), &self.bindings, ctx),
             cursor: ScanCursor::open(
                 planned.table,
                 &self.bindings,
                 &planned.choice.path,
                 &planned.residual_exprs,
+                residual.touches_pool(),
                 ctx,
             ),
-            scanned: BatchedCounter::new(ctx),
+            scratch: residual.scratch(),
+            residual,
+            sel: Sel::new(),
+            scanned: ScanTally::new(ctx),
         });
         planned.out_bindings
     }
@@ -240,55 +438,44 @@ impl<'e> Operator<'e> for ScanExec<'e> {
     }
 
     fn subquery_lines(&self) -> Vec<SubqueryLine> {
-        let residual = self.state.as_ref().map_or(&[][..], |s| &s.residual);
+        let residual = self.state.as_ref().map_or(&[][..], |s| s.residual.preds());
         subquery_lines(residual, self.ctx)
     }
 
-    fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {
-        self.ctx.check_interrupt()?;
+    fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         let Some(state) = self.state.as_mut() else {
             return Ok(None);
         };
-        // Survivors that keep every column are *borrowed* from the heap (no
-        // per-row clone). Narrowed survivors are cloned here, kept columns
-        // only — the clone the join's materialization would otherwise pay
-        // on whole rows.
-        let mut borrowed: Vec<&'e Row> = Vec::new();
-        let mut narrowed: Vec<Row> = Vec::new();
+        // Survivors gather across cursor steps until a batch is full: a
+        // page-grained scan would otherwise emit a batch per page.
+        let mut rows: Vec<Row> = Vec::new();
         let mut exhausted = false;
         // cpu charges accumulate locally and flush once per batch.
         let mut cpu = 0u64;
-        while ((borrowed.len() + narrowed.len()) as u64) < exec::SCAN_BATCH_ROWS {
-            let Some((_, row)) = state.cursor.next(self.ctx) else {
+        while (rows.len() as u64) < exec::SCAN_BATCH_ROWS {
+            self.ctx.check_interrupt()?;
+            let Some((seg, _, slots)) = state.cursor.next(self.ctx) else {
                 exhausted = true;
                 break;
             };
-            state.scanned.row_scanned();
-            let keep = state.residual.is_empty()
-                || keep_row_charged(
-                    row,
-                    &self.bindings,
-                    &state.residual,
-                    self.outer,
-                    self.ctx,
-                    || cpu += 1,
-                )?;
-            if keep {
-                match &self.cols {
-                    Some(cols) => narrowed.push(project_row(row, cols)),
-                    None => borrowed.push(row),
-                }
-            }
+            state.scanned.rows += slots.len() as u64;
+            let (survivors, cost) = state.residual.filter(
+                seg,
+                slots,
+                &mut state.sel,
+                &mut state.scratch,
+                &self.bindings,
+                self.outer,
+                self.ctx,
+            )?;
+            cpu += cost;
+            materialize(seg, survivors, self.cols.as_deref(), &mut rows);
         }
         self.ctx.bump_cpu(cpu);
         if exhausted {
-            // Dropping the state flushes the batched row_scanned counter.
+            // Dropping the state flushes the scan tally.
             self.state = None;
         }
-        let rows = match self.cols {
-            Some(_) => BatchRows::Owned(narrowed),
-            None => BatchRows::Borrowed(borrowed),
-        };
         Ok((!rows.is_empty()).then(|| RowBatch {
             rows,
             keys: KeyBuf::default(),
@@ -340,7 +527,7 @@ impl<'e> Operator<'e> for DerivedExec<'e> {
         Ok(bindings)
     }
 
-    fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {
+    fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         Ok(self.emitter.as_mut().and_then(BatchEmitter::next))
     }
 }

@@ -38,13 +38,13 @@ impl<'e> Operator<'e> for DistinctExec<'e> {
         self.child.open()
     }
 
-    fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {
+    fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         loop {
             self.ctx.check_interrupt()?;
             let Some(batch) = self.child.next_batch()? else {
                 return Ok(None);
             };
-            let in_rows = batch.rows.into_owned();
+            let in_rows = batch.rows;
             let width = in_rows.first().map_or(0, Vec::len);
             let mut rows = Vec::with_capacity(in_rows.len());
             let stride = batch.keys.stride();
@@ -66,7 +66,7 @@ impl<'e> Operator<'e> for DistinctExec<'e> {
             self.ctx
                 .charge_mem(exec::approx_state_bytes(rows.len() as u64, width))?;
             if !rows.is_empty() {
-                return Ok(Some(RowBatch::owned(rows, keys)));
+                return Ok(Some(RowBatch { rows, keys }));
             }
         }
     }
@@ -107,19 +107,19 @@ impl<'e> Operator<'e> for SortExec<'e> {
         self.child.open()
     }
 
-    fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {
+    fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         if self.emitter.is_none() {
             let mut rows: Vec<Row> = Vec::new();
             let mut sort_keys = KeyBuf::default();
             let n_keys = self.q.order_by.len();
             while let Some(batch) = self.child.next_batch()? {
                 self.ctx.check_interrupt()?;
-                let width = batch.rows.iter().next().map_or(0, Vec::len);
+                let width = batch.rows.first().map_or(0, Vec::len);
                 self.ctx.charge_mem(exec::approx_state_bytes(
                     batch.rows.len() as u64,
                     width + n_keys,
                 ))?;
-                rows.extend(batch.rows.into_owned());
+                rows.extend(batch.rows);
                 sort_keys.append(batch.keys);
             }
             let descs: Vec<bool> = self.q.order_by.iter().map(|o| o.desc).collect();
@@ -184,7 +184,7 @@ impl<'e> Operator<'e> for LimitExec<'e> {
         self.child.open()
     }
 
-    fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {
+    fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         if self.emitter.is_none() {
             // The child is still drained in full (counters must not
             // change), but rows past the limit are dropped on arrival
@@ -194,12 +194,7 @@ impl<'e> Operator<'e> for LimitExec<'e> {
             while let Some(batch) = self.child.next_batch()? {
                 self.ctx.check_interrupt()?;
                 let room = limit.saturating_sub(rows.len());
-                if room > 0 {
-                    match batch.rows {
-                        BatchRows::Owned(v) => rows.extend(v.into_iter().take(room)),
-                        BatchRows::Borrowed(v) => rows.extend(v.into_iter().take(room).cloned()),
-                    }
-                }
+                rows.extend(batch.rows.into_iter().take(room));
             }
             self.emitter = Some(BatchEmitter::rows_only(rows));
         }

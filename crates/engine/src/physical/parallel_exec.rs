@@ -4,13 +4,13 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use apuama_sql::ast::Expr;
-use apuama_storage::{AccessKind, Row, RowId};
+use apuama_storage::{AccessKind, Row, Segment};
 
 use crate::db::Database;
 use crate::error::EngineResult;
 use crate::eval;
 use crate::exec::{self, Binding, ExecContext};
-use crate::planner::{self, AccessPath};
+use crate::planner;
 use crate::table::Table;
 
 use crate::physical::*;
@@ -19,33 +19,25 @@ use crate::physical::*;
 // Morsel-driven parallel scans (intra-node parallelism)
 // ---------------------------------------------------------------------------
 
-/// One morsel's row source: a slice of a sequential scan's page list or a
-/// slice of an index range's row-id list. Morsels tile the scan in global
-/// row order — concatenating their row streams in morsel-index order
-/// reproduces the serial scan exactly.
-pub(crate) enum MorselInput {
-    Pages(Vec<u64>),
-    Rids(Vec<RowId>),
-}
-
-/// The morsel decomposition of one base-table scan, planned without
-/// charging any statistics so the caller can still fall back to the serial
-/// operator (which does its own accounting). [`run_scan_morsels`] commits
-/// it: applies `pages_pruned` / `index_probes` and replays the page charges
-/// via [`precharge_morsel_pages`].
+/// The morsel decomposition of one base-table scan: the access path's
+/// units ([`ScanUnits`]), all of them, one morsel each — a stored segment
+/// and the slots of it the path selected. Morsels tile the scan in global
+/// row order: concatenating their tuples in morsel-index order reproduces
+/// the serial scan exactly. Planned without charging any statistics so the
+/// caller can still fall back to the serial operator (which does its own
+/// accounting); [`run_scan_morsels`] commits it: applies `pages_pruned` /
+/// `index_probes` and replays the page charges.
 pub(crate) struct ScanMorsels<'e> {
     table: &'e Table,
     kind: AccessKind,
-    morsels: Vec<MorselInput>,
+    morsels: Vec<(usize, Sel)>,
     pages_pruned: u64,
     index_probes: u64,
 }
 
-/// Splits a scan into ~[`exec::SCAN_BATCH_ROWS`]-row morsels: page-aligned
-/// chunks of the zone-allowed page list for sequential scans, row-id
-/// slices for index ranges. Zone-map pruning is evaluated here with the
-/// same predicates the serial path uses, so both modes skip — and count —
-/// the same pages.
+/// Splits a scan into its units. Zone-map pruning is evaluated here with
+/// the same predicates the serial path uses, so both modes skip — and
+/// count — the same pages.
 pub(crate) fn plan_scan_morsels<'e>(
     table: &'e Table,
     bindings: &[Binding],
@@ -53,116 +45,31 @@ pub(crate) fn plan_scan_morsels<'e>(
     choice: &planner::ScanChoice,
     ctx: &ExecContext<'_>,
 ) -> ScanMorsels<'e> {
-    match &choice.path {
-        AccessPath::SeqScan => {
-            let preds = zone_prune_preds(table, bindings, residual_exprs, ctx);
-            let mut pages: Vec<u64> = Vec::new();
-            let mut pruned = 0u64;
-            for page in 0..table.heap.pages() {
-                if !preds.is_empty() && zone_page_refutes(&table.heap, page, &preds) {
-                    pruned += 1;
-                } else {
-                    pages.push(page);
-                }
-            }
-            let rpp = table.heap.geometry().rows_per_page;
-            let per = (exec::SCAN_BATCH_ROWS.div_ceil(rpp.max(1)).max(1)) as usize;
-            ScanMorsels {
-                table,
-                kind: AccessKind::Sequential,
-                morsels: pages
-                    .chunks(per)
-                    .map(|c| MorselInput::Pages(c.to_vec()))
-                    .collect(),
-                pages_pruned: pruned,
-                index_probes: 0,
-            }
-        }
-        AccessPath::IndexRange {
-            column,
-            low,
-            high,
-            clustered,
-        } => {
-            let idx = table
-                .index_on(*column)
-                .expect("planner only chooses existing indexes");
-            let rids: Vec<RowId> = idx
-                .range(exec::bound_ref(low), exec::bound_ref(high))
-                .map(|(_, rid)| rid)
-                .collect();
-            ScanMorsels {
-                table,
-                kind: index_access_kind(*clustered),
-                morsels: rids
-                    .chunks(exec::SCAN_BATCH_ROWS as usize)
-                    .map(|c| MorselInput::Rids(c.to_vec()))
-                    .collect(),
-                pages_pruned: 0,
-                index_probes: 1,
-            }
-        }
+    let mut units = ScanUnits::plan(table, bindings, &choice.path, residual_exprs, ctx);
+    let mut morsels = Vec::new();
+    let mut sel = Sel::new();
+    while let Some(seg) = units.next_into(&mut sel) {
+        morsels.push((seg, std::mem::take(&mut sel)));
+    }
+    ScanMorsels {
+        table,
+        kind: units.kind,
+        morsels,
+        pages_pruned: units.pages_pruned,
+        index_probes: units.index_probes,
     }
 }
 
 /// Replays the serial scan's buffer-pool traffic on the coordinator:
 /// pages are touched in exactly the order and multiplicity the serial
-/// operator produces — ascending page order for sequential scans, row-id
-/// order for index ranges, one charge per page change, pages with no live
-/// row skipped — so the LRU state and hit/miss counters after a parallel
-/// scan are byte-identical to the serial ones. Workers never touch the
-/// pool.
+/// operator produces ([`PageCharger`]), so the LRU state and hit/miss
+/// counters after a parallel scan are byte-identical to the serial ones.
+/// Workers never touch the pool.
 pub(crate) fn precharge_morsel_pages(sm: &ScanMorsels<'_>, ctx: &ExecContext<'_>) {
-    let table = sm.table;
-    let rpp = table.heap.geometry().rows_per_page;
-    let mut last_page = u64::MAX;
-    for m in &sm.morsels {
-        match m {
-            MorselInput::Pages(pages) => {
-                for &p in pages {
-                    let live = table
-                        .heap
-                        .iter_range(p * rpp, (p + 1) * rpp)
-                        .next()
-                        .is_some();
-                    if live && p != last_page {
-                        ctx.charge_page(table.schema.id, p, sm.kind);
-                        last_page = p;
-                    }
-                }
-            }
-            MorselInput::Rids(rids) => {
-                for &rid in rids {
-                    if table.heap.get(rid).is_none() {
-                        continue; // dead row ids cost nothing, as in the serial path
-                    }
-                    let p = table.heap.geometry().page_of(rid);
-                    if p != last_page {
-                        ctx.charge_page(table.schema.id, p, sm.kind);
-                        last_page = p;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Iterates one morsel's live rows in scan order.
-pub(crate) fn morsel_rows<'a>(
-    table: &'a Table,
-    m: &'a MorselInput,
-) -> Box<dyn Iterator<Item = &'a Row> + 'a> {
-    match m {
-        MorselInput::Pages(pages) => {
-            let heap = &table.heap;
-            let rpp = heap.geometry().rows_per_page;
-            Box::new(
-                pages.iter().flat_map(move |&p| {
-                    heap.iter_range(p * rpp, (p + 1) * rpp).map(|(_, row)| row)
-                }),
-            )
-        }
-        MorselInput::Rids(rids) => Box::new(rids.iter().filter_map(|&rid| table.heap.get(rid))),
+    let slots = sm.table.heap.segment_slots();
+    let mut pages = PageCharger::new(sm.table, sm.kind);
+    for (seg, sel) in &sm.morsels {
+        pages.charge(*seg as u64 * slots, sel, ctx);
     }
 }
 
@@ -270,8 +177,9 @@ fn run_ordered<T: Send>(
 /// `index_probes` and replays the serial page-touch sequence up front —
 /// safe because no other page touch can interleave: workers never touch
 /// the pool, and every subquery-evaluating operator is a pipeline breaker.
-/// Each worker hands `fold` the live rows of one morsel and gets back the
-/// morsel's payload and cpu cost. Afterwards the coordinator bumps the
+/// Each worker hands `fold` one morsel — the segment and the slots selected
+/// of it — and gets back the morsel's payload and cpu cost. Afterwards the
+/// coordinator bumps the
 /// summed `rows_scanned` / `cpu_tuple_ops` once (addition is order-free),
 /// with `scan_batches = ceil(rows / SCAN_BATCH_ROWS)` exactly as the
 /// serial batch loop counts them, records the per-worker probes, and
@@ -283,18 +191,18 @@ pub(crate) fn run_scan_morsels<T: Send>(
     workers: usize,
     az: Option<&Analyze>,
     probe: Option<usize>,
-    fold: impl Fn(&[&Row], &ExecContext<'_>) -> EngineResult<(T, u64)> + Sync,
+    fold: impl Fn(&Segment, &[u32], &ExecContext<'_>) -> EngineResult<(T, u64)> + Sync,
 ) -> EngineResult<Vec<T>> {
     ctx.bump_pages_pruned(sm.pages_pruned);
     ctx.bump_index_probes(sm.index_probes);
     precharge_morsel_pages(sm, ctx);
 
     let (outs, tallies) = run_ordered(ctx, workers, sm.morsels.len(), |i, wctx| {
-        let rows: Vec<&Row> = morsel_rows(sm.table, &sm.morsels[i]).collect();
-        let (out, cpu) = fold(&rows, wctx)?;
+        let (seg, sel) = &sm.morsels[i];
+        let (out, cpu) = fold(&sm.table.heap.segments()[*seg], sel, wctx)?;
         Ok(MorselOut {
             out,
-            rows: rows.len() as u64,
+            rows: sel.len() as u64,
             cpu,
         })
     })?;
@@ -306,12 +214,12 @@ pub(crate) fn run_scan_morsels<T: Send>(
     Ok(outs.into_iter().map(|m| m.out).collect())
 }
 
-/// Morsel-driven parallel base-table scan: workers filter each morsel's
-/// rows against the pushed-down conjuncts and clone the survivors (under a
-/// join, only the columns the scan keeps); the coordinator re-emits them in
-/// morsel order as owned [`exec::SCAN_BATCH_ROWS`]-row batches — the same
-/// row stream, batch boundaries, and statistics the serial [`ScanExec`]
-/// produces ([`run_scan_morsels`]). Safe under joins and streaming
+/// Morsel-driven parallel base-table scan: workers filter each morsel
+/// against the pushed-down conjuncts on its stored columns and materialize
+/// the survivors (only the columns the scan keeps); the coordinator
+/// re-emits them in morsel order as [`exec::SCAN_BATCH_ROWS`]-row batches —
+/// the same row stream and statistics the serial [`ScanExec`] produces
+/// ([`run_scan_morsels`]). Safe under joins and streaming
 /// operators because non-breaker operators never touch heap pages (the
 /// build layer only chooses this operator when the scan's own conjuncts
 /// are subquery-free).
@@ -327,7 +235,7 @@ pub(crate) struct ParallelScanExec<'e> {
     probe: Option<usize>,
     /// The committed decomposition and its positional residual predicates,
     /// between `open` and the first `next_batch`.
-    prepared: Option<(ScanMorsels<'e>, Vec<ResidualPred>)>,
+    prepared: Option<(ScanMorsels<'e>, ScanPreds)>,
     emitter: Option<BatchEmitter>,
 }
 
@@ -348,35 +256,30 @@ impl<'e> ParallelScanExec<'e> {
         }
     }
 
-    fn run_parallel(
-        &self,
-        sm: ScanMorsels<'e>,
-        residual: &[ResidualPred],
-    ) -> EngineResult<Vec<Row>> {
-        let (bindings, cols) = (&self.inner.bindings, &self.inner.cols);
-        let width = cols.as_ref().map_or(bindings.len(), Vec::len);
+    fn run_parallel(&self, sm: ScanMorsels<'e>, residual: &ScanPreds) -> EngineResult<Vec<Row>> {
+        let (bindings, cols) = (&self.inner.bindings, self.inner.cols.as_deref());
+        let width = cols.map_or(bindings.len(), <[usize]>::len);
         let ctx = self.inner.ctx;
-        let survivors =
-            run_scan_morsels(&sm, ctx, self.workers, self.az, self.probe, |rows, wctx| {
+        let survivors = run_scan_morsels(
+            &sm,
+            ctx,
+            self.workers,
+            self.az,
+            self.probe,
+            |seg, slots, wctx| {
+                let mut sel = Sel::new();
+                let mut scratch = residual.scratch();
+                let (survivors, cpu) =
+                    residual.filter(seg, slots, &mut sel, &mut scratch, bindings, &[], wctx)?;
+                // Survivors cross the worker thread boundary as owned rows.
                 let mut out: Vec<Row> = Vec::new();
-                let mut cpu = 0u64;
-                for &row in rows {
-                    if residual.is_empty()
-                        || keep_row_charged(row, bindings, residual, &[], wctx, || cpu += 1)?
-                    {
-                        // Load-bearing clone: survivors cross the worker
-                        // thread boundary as owned rows.
-                        out.push(match cols {
-                            Some(cols) => project_row(row, cols),
-                            None => row.clone(),
-                        });
-                    }
-                }
+                materialize(seg, survivors, cols, &mut out);
                 // Transient survivor materialization, released when this
                 // worker's context drops.
                 wctx.charge_mem(exec::approx_state_bytes(out.len() as u64, width))?;
                 Ok((out, cpu))
-            })?;
+            },
+        )?;
         Ok(survivors.into_iter().flatten().collect())
     }
 }
@@ -405,6 +308,7 @@ impl<'e> Operator<'e> for ParallelScanExec<'e> {
                 ctx,
             );
             if sm.morsels.len() >= 2 {
+                let residual = ScanPreds::new(residual, bindings.len(), ctx);
                 self.prepared = Some((sm, residual));
                 return Ok(planned.out_bindings);
             }
@@ -412,7 +316,7 @@ impl<'e> Operator<'e> for ParallelScanExec<'e> {
         Ok(self.inner.start(planned))
     }
 
-    fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {
+    fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         if let Some((sm, residual)) = self.prepared.take() {
             self.inner.ctx.check_interrupt()?;
             let rows = self.run_parallel(sm, &residual)?;
@@ -447,23 +351,14 @@ impl<'e> Operator<'e> for ParallelScanExec<'e> {
 pub(crate) struct ParallelFusedExec<'e> {
     inner: FusedExec<'e>,
     workers: usize,
-    az: Option<&'e Analyze>,
-    probe: Option<usize>,
     emitter: Option<BatchEmitter>,
 }
 
 impl<'e> ParallelFusedExec<'e> {
-    pub(crate) fn new(
-        inner: FusedExec<'e>,
-        workers: usize,
-        az: Option<&'e Analyze>,
-        probe: Option<usize>,
-    ) -> Self {
+    pub(crate) fn new(inner: FusedExec<'e>, workers: usize) -> Self {
         ParallelFusedExec {
             inner,
             workers,
-            az,
-            probe,
             emitter: None,
         }
     }
@@ -482,19 +377,19 @@ impl<'e> ParallelFusedExec<'e> {
             return self.inner.fold_serial(&scan);
         }
         let fold = &scan.fold;
-        // Whole-morsel folds: counters are totals and groups merge in
-        // morsel order, so the coarser-than-SCAN_BATCH_ROWS grain changes
-        // no observable statistic.
-        let partials =
-            run_scan_morsels(&sm, ctx, self.workers, self.az, self.probe, |rows, wctx| {
-                let mut groups = FusedGroups::new();
-                let cpu = fold.fold(rows, &mut groups, wctx)?;
-                wctx.charge_mem(exec::approx_state_bytes(
-                    groups.len() as u64,
-                    fold.state_width(),
-                ))?;
-                Ok((groups, cpu))
-            })?;
+        // Counters are totals and groups merge in morsel order, so where
+        // the access path cut its morsels changes no observable statistic.
+        let (az, probe) = (self.inner.az, self.inner.probe);
+        let partials = run_scan_morsels(&sm, ctx, self.workers, az, probe, |seg, slots, wctx| {
+            let mut groups = FusedGroups::new();
+            let cpu = fold.fold(seg, slots, &mut fold.scratch(), &mut groups, wctx)?;
+            wctx.charge_mem(exec::approx_state_bytes(
+                groups.len() as u64,
+                fold.state_width(),
+            ))?;
+            Ok((groups, cpu))
+        })?;
+        fold.tally.note(az, probe);
         let mut merged = FusedGroups::new();
         for groups in partials {
             merged.merge(groups);
@@ -512,7 +407,7 @@ impl<'e> Operator<'e> for ParallelFusedExec<'e> {
         self.inner.open()
     }
 
-    fn next_batch(&mut self) -> EngineResult<Option<RowBatch<'e>>> {
+    fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         if self.emitter.is_none() {
             let (rel, keys) = self.inner.finish(self.fold_groups()?)?;
             self.emitter = Some(BatchEmitter::nested(rel.rows, keys));

@@ -14,9 +14,12 @@
 //! operand` ([`ProbeConjunct::Cmp`]), a positional program over the inner
 //! row ([`ProbeConjunct::Inner`]) or a predicate over the outer side alone
 //! ([`ProbeConjunct::Outer`]). Evaluating it is one `OrderedIndex::get`
-//! plus a handful of comparisons per candidate: no allocation, no name
-//! resolution, no [`Frame`] stack. Without a usable key the same conjuncts
-//! run over the heap in row order, still stopping at the first match.
+//! — none when the key equals the previous evaluation's, see [`ProbeMemo`]
+//! — plus a handful of comparisons per candidate, each on the candidate's
+//! own *cells*: the heap stores columns, and materializing a sixteen-column
+//! row per candidate would cost more than the probe. No name resolution,
+//! no [`Frame`] stack. Without a usable key the same conjuncts run over
+//! the heap in row order, still stopping at the first match.
 //!
 //! **What qualifies** ([`ExistsProbe::build`]): one base table in FROM; no
 //! GROUP BY, HAVING, aggregates, ORDER BY or LIMIT; a select list of `*`,
@@ -75,7 +78,7 @@ use std::sync::Arc;
 use apuama_sql::ast::{BinOp, Expr, Select, SelectItem, TableRef};
 use apuama_sql::value::HashableValue;
 use apuama_sql::{visit, Value};
-use apuama_storage::{AccessKind, TableId};
+use apuama_storage::{AccessKind, RowId, Segment, TableId};
 
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{self, eval_expr, truthiness, CompiledExpr, Frame};
@@ -144,14 +147,15 @@ enum Operand<O> {
 }
 
 impl<O: OuterSide> Operand<O> {
+    /// `inner` reads one cell of the candidate.
     fn value<'r>(
         &'r self,
-        inner: &'r [Value],
+        inner: impl FnOnce(usize) -> Value,
         outer: O::Env<'r>,
         ctx: &ExecContext<'_>,
     ) -> EngineResult<Cow<'r, Value>> {
         match self {
-            Operand::Inner(i) => Ok(Cow::Borrowed(&inner[*i])),
+            Operand::Inner(i) => Ok(Cow::Owned(inner(*i))),
             Operand::Lit(v) => Ok(Cow::Borrowed(v)),
             Operand::Outer(o) => o.value(outer, ctx),
         }
@@ -167,8 +171,12 @@ enum ProbeConjunct<O> {
         op: BinOp,
         rhs: Operand<O>,
     },
-    /// Any other predicate over the inner row alone.
-    Inner(CompiledExpr),
+    /// Any other predicate over the inner row alone, with the columns it
+    /// reads (the cells the scratch inner row is filled with).
+    Inner {
+        prog: CompiledExpr,
+        cols: Vec<usize>,
+    },
     /// A predicate over the outer scopes alone.
     Outer(O),
 }
@@ -203,6 +211,30 @@ impl ProbeReport {
     }
 }
 
+/// What one probe carries from one evaluation to the next. The probe itself
+/// is shared and immutable; this belongs to the operator evaluating it, one
+/// per execution, so nothing here outlives a statement (the index it
+/// remembers postings of cannot change while the statement holds the
+/// database).
+#[derive(Debug, Default)]
+pub(crate) struct ProbeMemo {
+    /// The last key looked up and the postings the index returned for it.
+    /// Outer rows arrive clustered on the probe key more often than not
+    /// (Q21's `l1` scan: about four rows per `l_orderkey`), and an equal
+    /// key then skips the B-tree walk. Equality is `Value`'s own, so a NaN
+    /// key never matches and `1` does not stand in for `1.0`.
+    key: Option<Value>,
+    postings: Vec<RowId>,
+    /// Scratch inner row for [`ProbeConjunct::Inner`] programs.
+    inner_row: Vec<Value>,
+}
+
+/// One empty memo per predicate of a list (see
+/// [`crate::physical::keep_row_charged`]).
+pub(crate) fn probe_memos(n: usize) -> Vec<ProbeMemo> {
+    (0..n).map(|_| ProbeMemo::default()).collect()
+}
+
 /// A compiled single-table `EXISTS`: see the module documentation.
 #[derive(Debug)]
 pub(crate) struct ExistsProbe<O> {
@@ -231,6 +263,28 @@ impl RowProbe {
         Self::build(query, ctx, &|e| {
             Some(eval::prebind_params(&eval::compile_expr(e, bindings)?, ctx))
         })
+    }
+
+    /// Appends every position of the operator's row the probe reads.
+    pub(crate) fn collect_outer_cols(&self, out: &mut Vec<usize>) {
+        let operands =
+            self.key
+                .iter()
+                .map(|(_, operand)| operand)
+                .chain(self.conjuncts.iter().filter_map(|c| match c {
+                    ProbeConjunct::Cmp { rhs, .. } => Some(rhs),
+                    _ => None,
+                }));
+        for operand in operands {
+            if let Operand::Outer(o) = operand {
+                o.collect_cols(out);
+            }
+        }
+        for c in &self.conjuncts {
+            if let ProbeConjunct::Outer(o) = c {
+                o.collect_cols(out);
+            }
+        }
     }
 }
 
@@ -323,30 +377,48 @@ impl<O: OuterSide + Clone> ExistsProbe<O> {
     pub(crate) fn eval<'r>(
         &'r self,
         outer: O::Env<'r>,
+        memo: &mut ProbeMemo,
         ctx: &'r ExecContext<'_>,
     ) -> EngineResult<bool> {
         let table = ctx.db.table_by_id(self.table);
+        let heap = &table.heap;
         // A key that fails to evaluate leaves the error to the conjunct it
         // came from, should a row get that far.
         let keyed = self.key.as_ref().and_then(|(col, operand)| {
-            let key = operand.value(&[], outer, ctx).ok()?;
+            let key = operand
+                .value(
+                    |_| unreachable!("a probe key is never an inner column"),
+                    outer,
+                    ctx,
+                )
+                .ok()?;
             Some((*col, key))
         });
+        let ProbeMemo {
+            key: last_key,
+            postings,
+            inner_row,
+        } = memo;
         let mut examined = 0u64;
         let mut found = false;
         match keyed {
             Some((col, key)) => {
-                let idx = table
-                    .index_on(col)
-                    .expect("probe key built on an indexed column");
                 ctx.bump_index_probes(1);
-                for &rid in idx.get(&key) {
-                    let Some(row) = table.heap.get(rid) else {
+                if last_key.as_ref() != Some(key.as_ref()) {
+                    let idx = table
+                        .index_on(col)
+                        .expect("probe key built on an indexed column");
+                    postings.clear();
+                    postings.extend_from_slice(idx.get(&key));
+                    *last_key = Some(key.into_owned());
+                }
+                for &rid in postings.iter() {
+                    let Some((seg, slot)) = heap.locate(rid) else {
                         continue; // tombstoned: costs nothing, as in the interpreter
                     };
                     ctx.charge_row_fetch(table, rid);
                     examined += 1;
-                    if self.matches(row, outer, ctx)? {
+                    if self.matches(seg, slot, outer, inner_row, ctx)? {
                         found = true;
                         break;
                     }
@@ -354,15 +426,15 @@ impl<O: OuterSide + Clone> ExistsProbe<O> {
             }
             None => {
                 let mut last_page = u64::MAX;
-                for (rid, row) in table.heap.iter() {
-                    let page = table.heap.geometry().page_of(rid);
+                for (rid, seg, slot) in heap.live_range(0, heap.slots()) {
+                    let page = heap.geometry().page_of(rid);
                     if page != last_page {
                         ctx.charge_page(table.schema.id, page, AccessKind::Sequential);
                         last_page = page;
                     }
                     ctx.bump_rows_scanned(1);
                     examined += 1;
-                    if self.matches(row, outer, ctx)? {
+                    if self.matches(seg, slot, outer, inner_row, ctx)? {
                         found = true;
                         break;
                     }
@@ -376,20 +448,24 @@ impl<O: OuterSide + Clone> ExistsProbe<O> {
         Ok(found)
     }
 
-    /// The interpreter's AND chain over one candidate: left to right, stop
-    /// at the first false, keep going past NULL (so later errors surface).
+    /// The interpreter's AND chain over one candidate — the tuple at `slot`
+    /// of `seg`, read cell by cell: left to right, stop at the first false,
+    /// keep going past NULL (so later errors surface).
     fn matches<'r>(
         &'r self,
-        inner: &'r [Value],
+        seg: &Segment,
+        slot: usize,
         outer: O::Env<'r>,
+        inner_row: &mut Vec<Value>,
         ctx: &ExecContext<'_>,
     ) -> EngineResult<bool> {
+        let cell = |col: usize| seg.column(col).value_at(slot);
         let mut all_true = true;
         for c in &self.conjuncts {
             let t = match c {
                 ProbeConjunct::Cmp { col, op, rhs } => {
-                    let l = &inner[*col];
-                    let r = rhs.value(inner, outer, ctx)?;
+                    let l = cell(*col);
+                    let r = rhs.value(cell, outer, ctx)?;
                     if l.is_null() || r.is_null() {
                         None
                     } else {
@@ -403,7 +479,15 @@ impl<O: OuterSide + Clone> ExistsProbe<O> {
                         }
                     }
                 }
-                ProbeConjunct::Inner(e) => truthiness(&eval::eval_compiled(e, inner, ctx)?),
+                ProbeConjunct::Inner { prog, cols } => {
+                    if inner_row.is_empty() {
+                        inner_row.resize(seg.width(), Value::Null);
+                    }
+                    for &col in cols {
+                        seg.column(col).read_into(slot, &mut inner_row[col]);
+                    }
+                    truthiness(&eval::eval_compiled(prog, inner_row, ctx)?)
+                }
                 ProbeConjunct::Outer(o) => truthiness(o.value(outer, ctx)?.as_ref()),
             };
             match t {
@@ -493,7 +577,12 @@ fn compile_conjunct<O>(
             });
         }
     }
-    Some(ProbeConjunct::Inner(compiled))
+    let mut cols = Vec::new();
+    compiled.collect_cols(&mut cols);
+    Some(ProbeConjunct::Inner {
+        prog: compiled,
+        cols,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -569,7 +658,9 @@ pub(crate) fn eval_exists(
     ctx: &ExecContext<'_>,
 ) -> EngineResult<bool> {
     match memoized_probe(query, ctx) {
-        Some(probe) => probe.eval(frames, ctx),
+        // No operator owns this evaluation, so nothing is remembered from
+        // one to the next: every call looks its key up.
+        Some(probe) => probe.eval(frames, &mut ProbeMemo::default(), ctx),
         None => Ok(!exec::run_select(query, frames, ctx)?.rows.is_empty()),
     }
 }

@@ -1,8 +1,8 @@
 //! A table: schema + heap + indexes, with index-maintaining mutations.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
-use apuama_sql::Value;
 use apuama_storage::{Heap, OrderedIndex, PageGeometry, Row, RowId};
 
 use crate::catalog::TableSchema;
@@ -23,7 +23,7 @@ impl Table {
     pub fn new(schema: TableSchema) -> Table {
         let geometry = PageGeometry::for_tuple_bytes(schema.tuple_bytes());
         let mut indexes = HashMap::new();
-        let mut heap = Heap::new(geometry);
+        let mut heap = Heap::new(geometry, schema.arity());
         if let Some(c) = schema.clustered_by {
             indexes.insert(c, OrderedIndex::new());
             // Indexed columns carry per-page zone maps so sequential scans
@@ -44,8 +44,8 @@ impl Table {
             return;
         }
         let mut idx = OrderedIndex::new();
-        for (rid, row) in self.heap.iter() {
-            idx.insert(row[column].clone(), rid);
+        for (rid, seg, slot) in self.heap.live_range(0, self.heap.slots()) {
+            idx.insert(seg.column(column).value_at(slot), rid);
         }
         self.indexes.insert(column, idx);
         let cols: Vec<usize> = self.indexes.keys().copied().collect();
@@ -86,20 +86,16 @@ impl Table {
     /// Inserts a row, maintaining all indexes. Returns the new row id.
     pub fn insert(&mut self, row: Row) -> EngineResult<RowId> {
         self.check_row(&row)?;
+        Ok(self.append(&row))
+    }
+
+    /// Appends a checked row to the heap and posts it to every index.
+    fn append(&mut self, row: &Row) -> RowId {
         let rid = self.heap.insert(row);
-        let row_ref = self.heap.get(rid).expect("row just inserted");
-        let keys: Vec<(usize, Value)> = self
-            .indexes
-            .keys()
-            .map(|&c| (c, row_ref[c].clone()))
-            .collect();
-        for (c, key) in keys {
-            self.indexes
-                .get_mut(&c)
-                .expect("key came from the map")
-                .insert(key, rid);
+        for (&c, idx) in self.indexes.iter_mut() {
+            idx.insert(row[c].clone(), rid);
         }
-        Ok(rid)
+        rid
     }
 
     /// Deletes a row by id, maintaining all indexes. Returns the old row.
@@ -115,13 +111,9 @@ impl Table {
     /// changed columns. Returns the previous row.
     pub fn update(&mut self, rid: RowId, new_row: Row) -> EngineResult<Option<Row>> {
         self.check_row(&new_row)?;
-        let Some(slot) = self.heap.get_mut(rid) else {
+        let Some(old) = self.heap.update(rid, &new_row) else {
             return Ok(None);
         };
-        let old = std::mem::replace(slot, new_row.clone());
-        // The in-place write bypassed the heap's insert path; re-derive the
-        // page's zone map entries from the new contents.
-        self.heap.refresh_zone_page(rid);
         for (&c, idx) in self.indexes.iter_mut() {
             if old[c] != new_row[c] {
                 idx.remove(&old[c], rid);
@@ -133,10 +125,12 @@ impl Table {
 
     /// Bulk load: sorts by the clustering column (if any) and appends,
     /// rebuilding indexes. Only valid on an empty table — the loader uses
-    /// it once per replica.
-    pub fn bulk_load(&mut self, mut rows: Vec<Row>) -> EngineResult<()> {
+    /// it once per replica, and hands every replica the same generated rows
+    /// by reference (`Vec<&Row>`): the heap copies cells, it never keeps a
+    /// row, so an owned `Vec<Row>` is only read too.
+    pub fn bulk_load<R: Borrow<Row>>(&mut self, mut rows: Vec<R>) -> EngineResult<()> {
         for r in &rows {
-            self.check_row(r)?;
+            self.check_row(r.borrow())?;
         }
         if self.heap.slots() != 0 {
             return Err(EngineError::Constraint(format!(
@@ -145,25 +139,13 @@ impl Table {
             )));
         }
         if let Some(c) = self.schema.clustered_by {
-            rows.sort_by(|a, b| a[c].sort_cmp(&b[c]));
+            rows.sort_by(|a, b| a.borrow()[c].sort_cmp(&b.borrow()[c]));
         }
         for idx in self.indexes.values_mut() {
             idx.clear();
         }
-        for row in rows {
-            let rid = self.heap.insert(row);
-            let row_ref = self.heap.get(rid).expect("just inserted");
-            let keys: Vec<(usize, Value)> = self
-                .indexes
-                .keys()
-                .map(|&c| (c, row_ref[c].clone()))
-                .collect();
-            for (c, key) in keys {
-                self.indexes
-                    .get_mut(&c)
-                    .expect("key from map")
-                    .insert(key, rid);
-            }
+        for row in &rows {
+            self.append(row.borrow());
         }
         Ok(())
     }
@@ -180,17 +162,10 @@ impl Table {
         for idx in self.indexes.values_mut() {
             idx.clear();
         }
-        let mut postings: Vec<(usize, Value, RowId)> = Vec::new();
-        for (rid, row) in self.heap.iter() {
-            for &c in self.indexes.keys() {
-                postings.push((c, row[c].clone(), rid));
+        for (rid, seg, slot) in self.heap.live_range(0, self.heap.slots()) {
+            for (&c, idx) in self.indexes.iter_mut() {
+                idx.insert(seg.column(c).value_at(slot), rid);
             }
-        }
-        for (c, key, rid) in postings {
-            self.indexes
-                .get_mut(&c)
-                .expect("column key came from the map")
-                .insert(key, rid);
         }
         before - self.heap.slots()
     }
@@ -214,7 +189,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apuama_sql::{ColumnDef, DataType};
+    use apuama_sql::{ColumnDef, DataType, Value};
     use std::ops::Bound;
 
     fn schema() -> TableSchema {

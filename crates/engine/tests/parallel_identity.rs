@@ -57,7 +57,9 @@ fn assert_identical(a: &QueryOutput, b: &QueryOutput, what: &str) {
 /// Every scan/aggregate/sort shape the parallel decomposition touches:
 /// global fused aggregation, grouped aggregation (partial-group merge),
 /// zone-map-pruned scans, index-range morsels, parallel filter + chunk
-/// sort, and DISTINCT.
+/// sort, DISTINCT, and the predicate shapes and expression arguments that
+/// run on the stored columns (`BETWEEN`, `IN`, column against column,
+/// `+ − ×` aggregate arguments).
 const QUERIES: &[&str] = &[
     "select count(*) as n, sum(v) as s, avg(v) as a, min(v) as lo, max(v) as hi from t",
     "select g, count(*) as n, sum(v) as s, avg(v) as a from t group by g order by g",
@@ -67,7 +69,48 @@ const QUERIES: &[&str] = &[
     "select k, v from t where k >= 100 and k < 4200 and g <> 3 order by v, k limit 50",
     "select distinct g from t order by g",
     "select k, g from t order by g",
+    "select count(*) as n, sum(v * (1.0 + v)) as s from t \
+     where g between 3 and 9 and z in (1, 3, 5, null)",
+    "select g, sum(v * 2.0 - 1.0) as s, avg(v * v) as a from t \
+     where k >= z and v not between 2.0 and 5.0 group by g order by g",
+    "select k from t where g not in (1, 2, 3) and z <= g and v < g order by k limit 40",
 ];
+
+/// The same statements with the scan forced through an index. A clustered
+/// range is how SVP sub-queries arrive: a row-id list cut into per-segment
+/// morsels, whatever the range's ends. A secondary range hops: its row ids
+/// come in key order, so the list re-enters every segment once per key.
+#[test]
+fn parallel_index_ranges_are_byte_identical_to_serial() {
+    let mut d = db();
+    d.execute("create index ig on t (g)").unwrap();
+    let hopping = "select count(*) as n, sum(v) as s, min(k) as lo from t \
+                   where g >= 5 and g < 9 and z <> 4";
+    let by_scan = d.query(hopping).unwrap();
+    d.query("set enable_seqscan = off").unwrap();
+    assert_eq!(d.query(hopping).unwrap().rows, by_scan.rows);
+    for sql in [
+        hopping,
+        "select count(*) as n, sum(v * (1.0 + v)) as s from t \
+         where k >= 700 and k < 4100 and g between 3 and 9",
+        "select g, sum(v) as s, count(*) as n from t \
+         where k >= 1023 and k <= 2049 and z in (2, 4) group by g order by g",
+        "select k, v from t where k > 30 and k < 4990 and g = z order by k",
+    ] {
+        for kernel in ["on", "off"] {
+            d.query(&format!("set enable_kernel = {kernel}")).unwrap();
+            d.query("set parallel_workers = 1").unwrap();
+            let serial = d.query(sql).unwrap();
+            assert_eq!(serial.stats.index_probes, 1, "{sql}");
+            for workers in [2usize, 4] {
+                d.query(&format!("set parallel_workers = {workers}"))
+                    .unwrap();
+                let what = format!("×{workers} kernel={kernel}: {sql}");
+                assert_identical(&d.query(sql).unwrap(), &serial, &what);
+            }
+        }
+    }
+}
 
 #[test]
 fn parallel_execution_is_byte_identical_to_serial() {

@@ -13,6 +13,7 @@
 //! eviction without per-access allocation.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::TableId;
 
@@ -68,6 +69,43 @@ impl BufferStats {
     }
 }
 
+/// Multiply-mix hasher for the page map. Its keys are a table id and a
+/// page number the engine computed — never input — so the map does not need
+/// SipHash's resistance to chosen keys, and a scan looks a page up for
+/// every page it enters.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl PageHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the low bits weakest; fold the high half in,
+        // since the table indexes buckets by them.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 const NIL: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy)]
@@ -81,7 +119,7 @@ struct Slot {
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
-    map: HashMap<PageKey, u32>,
+    map: HashMap<PageKey, u32, BuildHasherDefault<PageHasher>>,
     slots: Vec<Slot>,
     free: Vec<u32>,
     head: u32, // most recently used
@@ -96,7 +134,7 @@ impl BufferPool {
     pub fn new(capacity: usize) -> Self {
         BufferPool {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            map: HashMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
             slots: Vec::with_capacity(capacity.min(1 << 20)),
             free: Vec::new(),
             head: NIL,

@@ -1,23 +1,22 @@
-//! Typed column vectors extracted from heap tuples.
+//! Typed, appendable column vectors: the stored form of a heap segment.
 //!
-//! A [`Column`] is one attribute of a row batch in columnar form: a typed
+//! A [`Column`] is one attribute of one [`crate::heap::Segment`]: a typed
 //! vector ([`ColumnVec`]) plus a [`Validity`] bitmap marking which slots
-//! hold non-NULL values. Extraction sniffs the value type on the fly —
-//! a column whose non-NULL values are all `Int` lands in `Int(Vec<i64>)`,
-//! all-`Float` lands in `Float(Vec<f64>)`, strings share one byte arena
-//! with an offsets vector, and anything mixed or exotic (booleans,
-//! intervals, `Int`/`Float` widening mid-column) degrades to a flat
-//! `Vec<Value>` — still one allocation per column, never one per row.
+//! hold non-NULL values. The representation follows the values it is
+//! given — a column whose non-NULL values are all `Int` is an `Int(Vec<i64>)`,
+//! all-`Float` a `Float(Vec<f64>)`, strings share one byte arena with an
+//! offsets vector — and the first value that does not fit (a `Float` into
+//! an `Int` column, a boolean, an interval) degrades the whole column to a
+//! flat `Vec<Value>`, replaying the typed slots accumulated so far. Leading
+//! NULLs fix nothing: a column that is all NULL so far takes the
+//! representation of its first non-NULL value.
 //!
-//! The representation is storage-level on purpose: tuples live here as
-//! `Vec<Value>` rows, so the row→column transposition belongs next to the
-//! heap that owns the tuples. Execution-level machinery (selection
-//! vectors, vectorized predicates, aggregate updates) lives in the
-//! engine's `physical::columns`.
+//! The engine's vectorized predicates, aggregate arguments and probes read
+//! the typed vectors directly (`physical::columns` in the engine crate);
+//! rows are materialized from them only for the tuples a statement keeps.
 
+use apuama_sql::value::Date;
 use apuama_sql::Value;
-
-use crate::Row;
 
 /// Validity bitmap: bit `i` set ⇔ slot `i` holds a non-NULL value.
 #[derive(Debug, Clone, Default)]
@@ -42,6 +41,22 @@ impl Validity {
             self.nulls += 1;
         }
         self.len += 1;
+    }
+
+    /// Overwrites slot `i`'s bit.
+    pub fn set(&mut self, i: usize, valid: bool) {
+        let (word, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
+        match (*word & bit != 0, valid) {
+            (true, false) => {
+                *word &= !bit;
+                self.nulls += 1;
+            }
+            (false, true) => {
+                *word |= bit;
+                self.nulls -= 1;
+            }
+            _ => {}
+        }
     }
 
     #[inline]
@@ -78,26 +93,26 @@ pub enum ColumnVec {
     /// All string payloads back to back in one arena; string `i` is
     /// `arena[offsets[i] as usize..offsets[i + 1] as usize]`.
     Str {
-        arena: Vec<u8>,
+        arena: String,
         offsets: Vec<u32>,
     },
-    /// Mixed- or exotic-typed columns: one flat vector of boxed values.
+    /// Mixed- or exotic-typed columns, and columns that are all NULL so
+    /// far: one flat vector of boxed values.
     Val(Vec<Value>),
 }
 
 impl ColumnVec {
-    pub fn len(&self) -> usize {
+    /// The bytes of the string at slot `i` (callers guarantee the column is
+    /// `Str`): what comparisons read, since `str` orders bytewise and a
+    /// byte slice needs no char-boundary check.
+    #[inline]
+    pub fn bytes_at(&self, i: usize) -> &[u8] {
         match self {
-            ColumnVec::Int(v) => v.len(),
-            ColumnVec::Float(v) => v.len(),
-            ColumnVec::Date(v) => v.len(),
-            ColumnVec::Str { offsets, .. } => offsets.len().saturating_sub(1),
-            ColumnVec::Val(v) => v.len(),
+            ColumnVec::Str { arena, offsets } => {
+                &arena.as_bytes()[offsets[i] as usize..offsets[i + 1] as usize]
+            }
+            _ => unreachable!("bytes_at on a non-Str column"),
         }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The string at slot `i` (callers guarantee the column is `Str`).
@@ -105,200 +120,53 @@ impl ColumnVec {
     pub fn str_at(&self, i: usize) -> &str {
         match self {
             ColumnVec::Str { arena, offsets } => {
-                let s = &arena[offsets[i] as usize..offsets[i + 1] as usize];
-                // The arena is only ever filled from `Value::Str`, so the
-                // slice is valid UTF-8 by construction.
-                std::str::from_utf8(s).expect("arena holds UTF-8 by construction")
+                &arena[offsets[i] as usize..offsets[i + 1] as usize]
             }
             _ => unreachable!("str_at on a non-Str column"),
         }
     }
 }
 
-/// One extracted column: typed vector + validity bitmap.
+/// One stored column: typed vector + validity bitmap. The fields are
+/// private because they move together: every slot has a validity bit, and
+/// the representation only changes by the rules in the module header.
 #[derive(Debug, Clone)]
 pub struct Column {
-    pub data: ColumnVec,
-    pub validity: Validity,
-    /// Whether any valid `Float` slot holds a NaN — vectorized comparisons
+    data: ColumnVec,
+    validity: Validity,
+    /// Whether a `Float` slot has ever held a NaN — vectorized comparisons
     /// need to know up front, because NaN comparisons are per-row type
-    /// errors in SQL semantics.
-    pub has_nan: bool,
+    /// errors in SQL semantics. Sticky: overwriting the NaN does not clear
+    /// it, compaction (which rebuilds the column) does.
+    has_nan: bool,
 }
 
-/// Extraction state machine: typed until the first value that doesn't fit,
-/// then degraded to `Val` for the rest of the batch.
-enum Builder {
-    Int(Vec<i64>),
-    Float(Vec<f64>),
-    Date(Vec<i32>),
-    Str { arena: Vec<u8>, offsets: Vec<u32> },
-    Val(Vec<Value>),
+impl Default for Column {
+    fn default() -> Self {
+        Column::new()
+    }
 }
 
 impl Column {
-    /// Transposes one attribute of a borrowed row batch into columnar
-    /// form. Rows arrive in whatever order the caller scans them (for heap
-    /// scans: page order), and slot `i` of the column corresponds to
-    /// `rows[i]`.
-    ///
-    /// The common all-one-type column runs a tight per-variant loop; only
-    /// a mid-column type change pays for the degrade-to-`Val` replay.
-    pub fn from_row_refs(rows: &[&Row], col: usize) -> Column {
-        let mut validity = Validity::new();
-        let mut has_nan = false;
-        let n = rows.len();
-        // Leading NULLs buffer as placeholder slots until the first
-        // non-NULL value picks the representation.
-        let mut i = 0;
-        while i < n && matches!(rows[i][col], Value::Null) {
-            validity.push(false);
-            i += 1;
-        }
-        if i == n {
-            return Column {
-                data: ColumnVec::Val(vec![Value::Null; n]),
-                validity,
-                has_nan: false,
-            };
-        }
-        let mut b = match &rows[i][col] {
-            Value::Int(_) => Builder::Int(vec![0; i]),
-            Value::Float(_) => Builder::Float(vec![0.0; i]),
-            Value::Date(_) => Builder::Date(vec![0; i]),
-            Value::Str(_) => Builder::Str {
-                arena: Vec::new(),
-                offsets: vec![0; i + 1],
-            },
-            _ => Builder::Val(vec![Value::Null; i]),
-        };
-        loop {
-            // The typed fast loop: runs until the batch ends or a value
-            // stops fitting the representation.
-            match &mut b {
-                Builder::Int(vec) => {
-                    while i < n {
-                        match &rows[i][col] {
-                            Value::Int(x) => {
-                                vec.push(*x);
-                                validity.push(true);
-                            }
-                            Value::Null => {
-                                vec.push(0);
-                                validity.push(false);
-                            }
-                            _ => break,
-                        }
-                        i += 1;
-                    }
-                }
-                Builder::Float(vec) => {
-                    while i < n {
-                        match &rows[i][col] {
-                            Value::Float(x) => {
-                                has_nan |= x.is_nan();
-                                vec.push(*x);
-                                validity.push(true);
-                            }
-                            Value::Null => {
-                                vec.push(0.0);
-                                validity.push(false);
-                            }
-                            _ => break,
-                        }
-                        i += 1;
-                    }
-                }
-                Builder::Date(vec) => {
-                    while i < n {
-                        match &rows[i][col] {
-                            Value::Date(d) => {
-                                vec.push(d.0);
-                                validity.push(true);
-                            }
-                            Value::Null => {
-                                vec.push(0);
-                                validity.push(false);
-                            }
-                            _ => break,
-                        }
-                        i += 1;
-                    }
-                }
-                Builder::Str { arena, offsets } => {
-                    while i < n {
-                        match &rows[i][col] {
-                            Value::Str(s) => {
-                                arena.extend_from_slice(s.as_bytes());
-                                offsets.push(arena.len() as u32);
-                                validity.push(true);
-                            }
-                            Value::Null => {
-                                offsets.push(arena.len() as u32);
-                                validity.push(false);
-                            }
-                            _ => break,
-                        }
-                        i += 1;
-                    }
-                }
-                Builder::Val(vec) => {
-                    // Terminal representation: everything fits.
-                    while i < n {
-                        let v = &rows[i][col];
-                        validity.push(!matches!(v, Value::Null));
-                        vec.push(v.clone());
-                        i += 1;
-                    }
-                }
-            }
-            if i == n {
-                break;
-            }
-            // Type mismatch at slot `i` (never NULL — NULL fits every
-            // representation): degrade to boxed values, replaying the
-            // typed slots accumulated so far.
-            let mut vec: Vec<Value> = Vec::with_capacity(n);
-            for j in 0..i {
-                vec.push(if validity.is_valid(j) {
-                    replay(&b, j)
-                } else {
-                    Value::Null
-                });
-            }
-            validity.push(true);
-            vec.push(rows[i][col].clone());
-            i += 1;
-            b = Builder::Val(vec);
-        }
-        let data = match b {
-            Builder::Int(v) => ColumnVec::Int(v),
-            Builder::Float(v) => ColumnVec::Float(v),
-            Builder::Date(v) => ColumnVec::Date(v),
-            Builder::Str { arena, offsets } => ColumnVec::Str { arena, offsets },
-            Builder::Val(v) => ColumnVec::Val(v),
-        };
+    /// An empty column; its first non-NULL value picks the representation.
+    pub fn new() -> Column {
         Column {
-            data,
-            validity,
-            has_nan,
+            data: ColumnVec::Val(Vec::new()),
+            validity: Validity::new(),
+            has_nan: false,
         }
     }
 
-    /// Materializes slot `i` back into a boxed [`Value`] — the row-form
-    /// escape hatch used at materialization boundaries and in error
-    /// messages.
-    pub fn value_at(&self, i: usize) -> Value {
-        if !self.validity.is_valid(i) {
-            return Value::Null;
-        }
-        match &self.data {
-            ColumnVec::Int(v) => Value::Int(v[i]),
-            ColumnVec::Float(v) => Value::Float(v[i]),
-            ColumnVec::Date(v) => Value::Date(apuama_sql::value::Date(v[i])),
-            ColumnVec::Str { .. } => Value::Str(self.data.str_at(i).to_string()),
-            ColumnVec::Val(v) => v[i].clone(),
-        }
+    pub fn data(&self) -> &ColumnVec {
+        &self.data
+    }
+
+    pub fn validity(&self) -> &Validity {
+        &self.validity
+    }
+
+    pub fn has_nan(&self) -> bool {
+        self.has_nan
     }
 
     pub fn len(&self) -> usize {
@@ -308,20 +176,133 @@ impl Column {
     pub fn is_empty(&self) -> bool {
         self.validity.is_empty()
     }
-}
 
-/// Re-boxes slot `j` of a typed builder during the degrade-to-`Val` replay.
-fn replay(b: &Builder, j: usize) -> Value {
-    match b {
-        Builder::Int(v) => Value::Int(v[j]),
-        Builder::Float(v) => Value::Float(v[j]),
-        Builder::Date(v) => Value::Date(apuama_sql::value::Date(v[j])),
-        Builder::Str { arena, offsets } => Value::Str(
-            std::str::from_utf8(&arena[offsets[j] as usize..offsets[j + 1] as usize])
-                .expect("arena holds UTF-8 by construction")
-                .to_string(),
-        ),
-        Builder::Val(_) => unreachable!("replay only from typed builders"),
+    /// Appends one value.
+    pub fn push(&mut self, v: &Value) {
+        if v.is_null() {
+            match &mut self.data {
+                ColumnVec::Int(vec) => vec.push(0),
+                ColumnVec::Float(vec) => vec.push(0.0),
+                ColumnVec::Date(vec) => vec.push(0),
+                ColumnVec::Str { arena, offsets } => offsets.push(arena.len() as u32),
+                ColumnVec::Val(vec) => vec.push(Value::Null),
+            }
+            self.validity.push(false);
+            return;
+        }
+        self.make_room_for(v);
+        match (&mut self.data, v) {
+            (ColumnVec::Int(vec), Value::Int(x)) => vec.push(*x),
+            (ColumnVec::Float(vec), Value::Float(x)) => {
+                self.has_nan |= x.is_nan();
+                vec.push(*x);
+            }
+            (ColumnVec::Date(vec), Value::Date(d)) => vec.push(d.0),
+            (ColumnVec::Str { arena, offsets }, Value::Str(s)) => {
+                arena.push_str(s);
+                offsets.push(arena.len() as u32);
+            }
+            (ColumnVec::Val(vec), v) => vec.push(v.clone()),
+            _ => unreachable!("make_room_for left a representation the value fits"),
+        }
+        self.validity.push(true);
+    }
+
+    /// Overwrites slot `i`.
+    pub fn set(&mut self, i: usize, v: &Value) {
+        if v.is_null() {
+            if let ColumnVec::Val(vec) = &mut self.data {
+                vec[i] = Value::Null;
+            }
+            self.validity.set(i, false);
+            return;
+        }
+        // The slot being overwritten does not count against "all NULL so
+        // far": clear it first so a one-slot column can still retype.
+        self.validity.set(i, false);
+        self.make_room_for(v);
+        match (&mut self.data, v) {
+            (ColumnVec::Int(vec), Value::Int(x)) => vec[i] = *x,
+            (ColumnVec::Float(vec), Value::Float(x)) => {
+                self.has_nan |= x.is_nan();
+                vec[i] = *x;
+            }
+            (ColumnVec::Date(vec), Value::Date(d)) => vec[i] = d.0,
+            (ColumnVec::Str { arena, offsets }, Value::Str(s)) => {
+                let (start, end) = (offsets[i] as usize, offsets[i + 1] as usize);
+                arena.replace_range(start..end, s);
+                // Shift what follows by the change in length (modulo 2³²: a
+                // shrink is a wrapping add).
+                let delta = ((start + s.len()) as u32).wrapping_sub(end as u32);
+                for o in &mut offsets[i + 1..] {
+                    *o = o.wrapping_add(delta);
+                }
+            }
+            (ColumnVec::Val(vec), v) => vec[i] = v.clone(),
+            _ => unreachable!("make_room_for left a representation the value fits"),
+        }
+        self.validity.set(i, true);
+    }
+
+    /// Leaves the column in a representation the non-NULL `v` fits: a
+    /// column that is all NULL so far takes `v`'s type, a typed column
+    /// `v` does not fit degrades to boxed values.
+    fn make_room_for(&mut self, v: &Value) {
+        let n = self.len();
+        if self.validity.null_count() == n && matches!(self.data, ColumnVec::Val(_)) {
+            self.data = match v {
+                Value::Int(_) => ColumnVec::Int(vec![0; n]),
+                Value::Float(_) => ColumnVec::Float(vec![0.0; n]),
+                Value::Date(_) => ColumnVec::Date(vec![0; n]),
+                Value::Str(_) => ColumnVec::Str {
+                    arena: String::new(),
+                    offsets: vec![0; n + 1],
+                },
+                _ => return, // exotic types stay boxed
+            };
+        }
+        let fits = match (&self.data, v) {
+            (ColumnVec::Int(_), Value::Int(_))
+            | (ColumnVec::Float(_), Value::Float(_))
+            | (ColumnVec::Date(_), Value::Date(_))
+            | (ColumnVec::Val(_), _) => true,
+            // Offsets are 32-bit: an arena that would outgrow them holds
+            // its strings boxed instead.
+            (ColumnVec::Str { arena, .. }, Value::Str(s)) => {
+                u32::try_from(arena.len() + s.len()).is_ok()
+            }
+            _ => false,
+        };
+        if !fits {
+            self.data = ColumnVec::Val((0..n).map(|i| self.value_at(i)).collect());
+        }
+    }
+
+    /// Materializes slot `i` into a boxed [`Value`].
+    pub fn value_at(&self, i: usize) -> Value {
+        if !self.validity.is_valid(i) {
+            return Value::Null;
+        }
+        match &self.data {
+            ColumnVec::Int(v) => Value::Int(v[i]),
+            ColumnVec::Float(v) => Value::Float(v[i]),
+            ColumnVec::Date(v) => Value::Date(Date(v[i])),
+            ColumnVec::Str { .. } => Value::Str(self.data.str_at(i).to_string()),
+            ColumnVec::Val(v) => v[i].clone(),
+        }
+    }
+
+    /// [`Self::value_at`] into an existing value, reusing its string
+    /// allocation — the form for a scratch row refilled once per tuple.
+    pub fn read_into(&self, i: usize, out: &mut Value) {
+        if let (ColumnVec::Str { .. }, Value::Str(s), true) =
+            (&self.data, &mut *out, self.validity.is_valid(i))
+        {
+            s.clear();
+            s.push_str(self.data.str_at(i));
+        } else {
+            *out = self.value_at(i);
+        }
     }
 }
 
@@ -329,57 +310,129 @@ fn replay(b: &Builder, j: usize) -> Value {
 mod tests {
     use super::*;
 
-    fn rows(vals: Vec<Vec<Value>>) -> Vec<Row> {
-        vals
+    fn column(vals: &[Value]) -> Column {
+        let mut c = Column::new();
+        for v in vals {
+            c.push(v);
+        }
+        c
     }
 
-    #[test]
-    fn typed_extraction_and_roundtrip() {
-        let data = rows(vec![
-            vec![Value::Int(1), Value::Str("a".into())],
-            vec![Value::Null, Value::Str("bc".into())],
-            vec![Value::Int(3), Value::Null],
-        ]);
-        let refs: Vec<&Row> = data.iter().collect();
-        let ints = Column::from_row_refs(&refs, 0);
-        assert!(matches!(ints.data, ColumnVec::Int(_)));
-        assert_eq!(ints.validity.null_count(), 1);
-        let strs = Column::from_row_refs(&refs, 1);
-        assert!(matches!(strs.data, ColumnVec::Str { .. }));
-        assert_eq!(strs.data.str_at(1), "bc");
-        for (i, row) in data.iter().enumerate() {
-            assert_eq!(ints.value_at(i), row[0]);
-            assert_eq!(strs.value_at(i), row[1]);
+    fn assert_holds(c: &Column, vals: &[Value]) {
+        assert_eq!(c.len(), vals.len());
+        for (i, v) in vals.iter().enumerate() {
+            let got = c.value_at(i);
+            // NaN != NaN: compare through the total order.
+            assert_eq!(got.sort_cmp(v), std::cmp::Ordering::Equal, "slot {i}");
+            assert_eq!(
+                std::mem::discriminant(&got),
+                std::mem::discriminant(v),
+                "slot {i}"
+            );
         }
     }
 
     #[test]
-    fn mixed_types_degrade_to_val() {
-        let data = rows(vec![
-            vec![Value::Int(1)],
-            vec![Value::Null],
-            vec![Value::Float(2.5)],
-            vec![Value::Int(4)],
-        ]);
-        let refs: Vec<&Row> = data.iter().collect();
-        let c = Column::from_row_refs(&refs, 0);
-        assert!(matches!(c.data, ColumnVec::Val(_)));
-        for (i, row) in data.iter().enumerate() {
-            assert_eq!(c.value_at(i), row[0]);
-        }
+    fn typed_columns_and_roundtrip() {
+        let ints = [Value::Int(1), Value::Null, Value::Int(3)];
+        let c = column(&ints);
+        assert!(matches!(c.data(), ColumnVec::Int(_)));
+        assert_eq!(c.validity().null_count(), 1);
+        assert_holds(&c, &ints);
+
+        let strs = [
+            Value::Str("a".into()),
+            Value::Str("bc".into()),
+            Value::Null,
+            Value::Str(String::new()),
+            Value::Str("żółw".into()),
+        ];
+        let c = column(&strs);
+        assert!(matches!(c.data(), ColumnVec::Str { .. }));
+        assert_eq!(c.data().str_at(1), "bc");
+        assert_holds(&c, &strs);
     }
 
     #[test]
-    fn all_null_column_stays_val_and_nan_is_flagged() {
-        let data = rows(vec![vec![Value::Null], vec![Value::Null]]);
-        let refs: Vec<&Row> = data.iter().collect();
-        let c = Column::from_row_refs(&refs, 0);
-        assert!(matches!(c.data, ColumnVec::Val(_)));
-        assert!(!c.validity.is_valid(0) && !c.validity.is_valid(1));
+    fn leading_nulls_fix_no_type_and_mixed_types_degrade() {
+        let vals = [Value::Null, Value::Null, Value::Float(2.5)];
+        let c = column(&vals);
+        assert!(matches!(c.data(), ColumnVec::Float(_)));
+        assert_holds(&c, &vals);
 
-        let data = rows(vec![vec![Value::Float(1.0)], vec![Value::Float(f64::NAN)]]);
-        let refs: Vec<&Row> = data.iter().collect();
-        let c = Column::from_row_refs(&refs, 0);
-        assert!(c.has_nan);
+        let vals = [
+            Value::Int(1),
+            Value::Null,
+            Value::Float(2.5),
+            Value::Int(4),
+            Value::Bool(true),
+        ];
+        let c = column(&vals);
+        assert!(matches!(c.data(), ColumnVec::Val(_)));
+        assert_holds(&c, &vals);
+
+        let all_null = column(&[Value::Null, Value::Null]);
+        assert!(matches!(all_null.data(), ColumnVec::Val(_)));
+        assert_eq!(all_null.validity().null_count(), 2);
+    }
+
+    #[test]
+    fn nan_is_flagged_and_sticky() {
+        let mut c = column(&[Value::Float(1.0), Value::Float(f64::NAN)]);
+        assert!(c.has_nan());
+        c.set(1, &Value::Float(2.0));
+        assert!(c.has_nan());
+        assert_holds(&c, &[Value::Float(1.0), Value::Float(2.0)]);
+    }
+
+    #[test]
+    fn set_overwrites_in_every_representation() {
+        let mut c = column(&[Value::Int(1), Value::Int(2), Value::Int(3)]);
+        c.set(1, &Value::Int(20));
+        c.set(2, &Value::Null);
+        assert_holds(&c, &[Value::Int(1), Value::Int(20), Value::Null]);
+        // A value that does not fit degrades the column, keeping the rest.
+        c.set(0, &Value::Str("x".into()));
+        assert!(matches!(c.data(), ColumnVec::Val(_)));
+        assert_holds(&c, &[Value::Str("x".into()), Value::Int(20), Value::Null]);
+
+        // Strings: longer, shorter, empty, then back from NULL.
+        let mut vals = vec![
+            Value::Str("ab".into()),
+            Value::Str("cde".into()),
+            Value::Str("f".into()),
+        ];
+        let mut c = column(&vals);
+        for (i, s) in [(1, "a much longer string"), (0, ""), (2, "gh"), (1, "x")] {
+            vals[i] = Value::Str(s.into());
+            c.set(i, &vals[i]);
+            assert_holds(&c, &vals);
+        }
+        vals[0] = Value::Null;
+        c.set(0, &vals[0]);
+        vals[0] = Value::Str("back".into());
+        c.set(0, &vals[0]);
+        assert!(matches!(c.data(), ColumnVec::Str { .. }));
+        assert_holds(&c, &vals);
+
+        // A one-slot all-NULL column retypes on its first value.
+        let mut c = column(&[Value::Null]);
+        c.set(0, &Value::Date(Date(7)));
+        assert!(matches!(c.data(), ColumnVec::Date(_)));
+    }
+
+    #[test]
+    fn read_into_reuses_the_string_and_matches_value_at() {
+        let vals = [
+            Value::Str("abc".into()),
+            Value::Null,
+            Value::Str("de".into()),
+        ];
+        let c = column(&vals);
+        let mut out = Value::Str(String::with_capacity(64));
+        for (i, v) in vals.iter().enumerate() {
+            c.read_into(i, &mut out);
+            assert_eq!(&out, v);
+        }
     }
 }

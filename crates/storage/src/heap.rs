@@ -1,20 +1,29 @@
-//! Paged tuple heaps.
+//! Paged tuple heaps, stored column-wise.
 //!
-//! A [`Heap`] stores the rows of one table and assigns every row slot to a
-//! logical page through a [`PageGeometry`]. The geometry mimics a
+//! A [`Heap`] stores the tuples of one table and assigns every row slot to
+//! a logical page through a [`PageGeometry`]. The geometry mimics a
 //! fixed-size-page engine: pages hold `rows_per_page` slots, computed by the
 //! engine catalog from the schema's estimated tuple width and an 8 KiB page,
 //! so page counts (and therefore I/O charges) track table size the way they
 //! do in PostgreSQL.
+//!
+//! The stored form is the column, not the row: slots are grouped into
+//! [`Segment`]s of whole pages (about [`SEGMENT_SLOTS`] slots), and a
+//! segment holds one appendable [`Column`] per schema column plus a
+//! tombstone bitmap. Scans, pushed-down predicates, aggregate arguments
+//! and probes read the typed vectors; a row ([`Heap::get`], [`Heap::iter`])
+//! is derived from them on demand.
 //!
 //! Deletions leave tombstones (like a real heap before VACUUM) so row ids
 //! remain stable for the indexes; the engine compacts when the tombstone
 //! ratio gets large.
 
 use std::cmp::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrd};
 
 use apuama_sql::Value;
 
+use crate::column::Column;
 use crate::Row;
 
 /// A stable row identifier: the slot number within the heap.
@@ -88,26 +97,135 @@ struct ZoneColumn {
     pages: Vec<ZoneRange>,
 }
 
-/// The heap itself: a slab of optional rows plus the page geometry.
+/// How many slots a segment aims for: the engine's scan batch, so one
+/// segment is one batch of a scan and one morsel of a parallel one.
+pub const SEGMENT_SLOTS: u64 = 1024;
+
+/// A run of whole pages stored column-wise: slot `i` of every column is
+/// tuple `i` of the segment, dead or alive.
+#[derive(Debug, Clone)]
+pub struct Segment {
+    cols: Vec<Column>,
+    /// Tombstone bitmap: bit `i` set ⇔ slot `i` was deleted. Grown on the
+    /// first delete that needs the word, so a segment nothing was deleted
+    /// from carries none.
+    dead: Vec<u64>,
+    dead_count: usize,
+    len: usize,
+}
+
+impl Segment {
+    fn new(width: usize) -> Segment {
+        Segment {
+            cols: (0..width).map(|_| Column::new()).collect(),
+            dead: Vec::new(),
+            dead_count: 0,
+            len: 0,
+        }
+    }
+
+    /// Slots in use, tombstones included.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// How many of the slots are tombstones.
+    pub fn dead_count(&self) -> usize {
+        self.dead_count
+    }
+
+    /// Columns per tuple.
+    pub fn width(&self) -> usize {
+        self.cols.len()
+    }
+
+    pub fn column(&self, col: usize) -> &Column {
+        &self.cols[col]
+    }
+
+    #[inline]
+    pub fn is_live(&self, slot: usize) -> bool {
+        slot < self.len
+            && self
+                .dead
+                .get(slot / 64)
+                .is_none_or(|w| w & (1u64 << (slot % 64)) == 0)
+    }
+
+    /// The live slots within `lo..hi` (clamped to the segment), ascending.
+    pub fn live_slots(&self, lo: usize, hi: usize) -> impl Iterator<Item = usize> + '_ {
+        (lo..hi.min(self.len)).filter(|&s| self.dead_count == 0 || self.is_live(s))
+    }
+
+    /// Materializes the tuple at `slot`, whether or not it is live.
+    pub fn row(&self, slot: usize) -> Row {
+        self.cols.iter().map(|c| c.value_at(slot)).collect()
+    }
+
+    fn push(&mut self, row: &[Value]) {
+        for (col, v) in self.cols.iter_mut().zip(row) {
+            col.push(v);
+        }
+        self.len += 1;
+    }
+
+    fn kill(&mut self, slot: usize) {
+        if self.dead.len() <= slot / 64 {
+            self.dead.resize(slot / 64 + 1, 0);
+        }
+        self.dead[slot / 64] |= 1u64 << (slot % 64);
+        self.dead_count += 1;
+    }
+}
+
+/// How many rows the derived row API has built: what a reader that is
+/// meant to work on cells (a scan, a probe) can be shown not to move. A
+/// statistic, hence relaxed; a cloned heap starts its own count.
+#[derive(Debug, Default)]
+struct DerivedRows(AtomicU64);
+
+impl Clone for DerivedRows {
+    fn clone(&self) -> Self {
+        DerivedRows::default()
+    }
+}
+
+/// The heap itself: column segments plus the page geometry.
 #[derive(Debug, Clone)]
 pub struct Heap {
-    rows: Vec<Option<Row>>,
+    segments: Vec<Segment>,
+    /// Columns per tuple.
+    width: usize,
+    /// Slots per segment: a whole number of pages.
+    segment_slots: u64,
     geometry: PageGeometry,
+    slots: u64,
     live: u64,
     /// Zone maps for the columns the table asked to summarize (indexed /
     /// clustering columns). Maintained on insert, recomputed per page on
-    /// delete and in-place update, rebuilt on compaction.
+    /// delete and update, rebuilt on compaction.
     zones: Vec<ZoneColumn>,
+    derived: DerivedRows,
 }
 
 impl Heap {
-    /// Creates an empty heap with the given geometry.
-    pub fn new(geometry: PageGeometry) -> Self {
+    /// Creates an empty heap of `width`-column tuples with the given
+    /// geometry.
+    pub fn new(geometry: PageGeometry, width: usize) -> Self {
+        let rpp = geometry.rows_per_page;
         Heap {
-            rows: Vec::new(),
+            segments: Vec::new(),
+            width,
+            segment_slots: SEGMENT_SLOTS.div_ceil(rpp).max(1) * rpp,
             geometry,
+            slots: 0,
             live: 0,
             zones: Vec::new(),
+            derived: DerivedRows::default(),
         }
     }
 
@@ -125,7 +243,13 @@ impl Heap {
                 pages: Vec::new(),
             })
             .collect();
-        self.rebuild_zones();
+        let pages = self.pages() as usize;
+        for z in &mut self.zones {
+            z.pages.resize(pages, ZoneRange::Empty);
+        }
+        for page in 0..pages {
+            self.recompute_zone_page(page);
+        }
     }
 
     /// The columns currently covered by zone maps, ascending.
@@ -140,45 +264,34 @@ impl Heap {
         Some(z.pages.get(page as usize).unwrap_or(&ZoneRange::Empty))
     }
 
-    /// Recomputes every zone map entry for the page containing `id`
-    /// (in-place UPDATEs go through [`Heap::get_mut`], which cannot see the
-    /// new values; the table layer calls this afterwards).
-    pub fn refresh_zone_page(&mut self, id: RowId) {
-        let page = self.geometry.page_of(id) as usize;
-        self.recompute_zone_page(page);
-    }
-
-    fn note_insert(&mut self, id: RowId, row: &Row) {
+    fn note_insert(&mut self, id: RowId, row: &[Value]) {
         let page = self.geometry.page_of(id) as usize;
         for z in &mut self.zones {
             if z.pages.len() <= page {
                 z.pages.resize(page + 1, ZoneRange::Empty);
             }
-            if let Some(v) = row.get(z.col) {
-                if !v.is_null() {
-                    z.pages[page].widen(v);
-                }
+            if !row[z.col].is_null() {
+                z.pages[page].widen(&row[z.col]);
             }
         }
     }
 
+    /// Recomputes every zone map entry for `page` from its live cells.
     fn recompute_zone_page(&mut self, page: usize) {
         if self.zones.is_empty() {
             return;
         }
-        let lo = (page as u64 * self.geometry.rows_per_page) as usize;
-        let hi = (lo + self.geometry.rows_per_page as usize).min(self.rows.len());
-        let lo = lo.min(self.rows.len());
+        let rpp = self.geometry.rows_per_page;
+        let first = page as u64 * rpp;
         let fresh: Vec<ZoneRange> = self
             .zones
             .iter()
             .map(|z| {
                 let mut entry = ZoneRange::Empty;
-                for row in self.rows[lo..hi].iter().flatten() {
-                    if let Some(v) = row.get(z.col) {
-                        if !v.is_null() {
-                            entry.widen(v);
-                        }
+                for (_, seg, slot) in self.live_range(first, first + rpp) {
+                    let v = seg.column(z.col).value_at(slot);
+                    if !v.is_null() {
+                        entry.widen(&v);
                     }
                 }
                 entry
@@ -192,62 +305,101 @@ impl Heap {
         }
     }
 
-    fn rebuild_zones(&mut self) {
-        if self.zones.is_empty() {
-            return;
-        }
-        let pages = self.geometry.pages_for(self.rows.len() as u64) as usize;
-        for z in &mut self.zones {
-            z.pages.clear();
-            z.pages.resize(pages, ZoneRange::Empty);
-        }
-        for page in 0..pages {
-            self.recompute_zone_page(page);
-        }
-    }
-
     /// The page geometry in force.
     pub fn geometry(&self) -> PageGeometry {
         self.geometry
     }
 
-    /// Appends a row, returning its id.
-    pub fn insert(&mut self, row: Row) -> RowId {
-        let id = self.rows.len() as RowId;
-        self.note_insert(id, &row);
-        self.rows.push(Some(row));
+    /// Slots per segment: segment `i` holds row ids
+    /// `i * segment_slots() .. (i + 1) * segment_slots()`.
+    pub fn segment_slots(&self) -> u64 {
+        self.segment_slots
+    }
+
+    /// The segments, in slot order.
+    pub fn segments(&self) -> &[Segment] {
+        &self.segments
+    }
+
+    /// Appends a tuple, returning its id.
+    pub fn insert(&mut self, row: &[Value]) -> RowId {
+        assert_eq!(row.len(), self.width, "tuple width is fixed per heap");
+        let id = self.slots;
+        if id == self.segments.len() as u64 * self.segment_slots {
+            self.segments.push(Segment::new(self.width));
+        }
+        self.segments
+            .last_mut()
+            .expect("a segment with room was just ensured")
+            .push(row);
+        self.note_insert(id, row);
+        self.slots += 1;
         self.live += 1;
         id
     }
 
-    /// Bulk-appends rows (used by the loader after sorting by the
-    /// clustering key; clustered order is therefore slot order).
-    pub fn extend(&mut self, rows: impl IntoIterator<Item = Row>) {
-        for r in rows {
-            self.insert(r);
+    /// The segment and slot holding the live tuple `id`; `None` if the
+    /// slot is a tombstone or out of range.
+    pub fn locate(&self, id: RowId) -> Option<(&Segment, usize)> {
+        let (seg, slot) = self.split(id);
+        let seg = self.segments.get(seg)?;
+        seg.is_live(slot).then_some((seg, slot))
+    }
+
+    /// `(segment index, slot within it)` of a row id.
+    fn split(&self, id: RowId) -> (usize, usize) {
+        (
+            (id / self.segment_slots) as usize,
+            (id % self.segment_slots) as usize,
+        )
+    }
+
+    /// Materializes a row by id; `None` if the slot is a tombstone or out
+    /// of range.
+    pub fn get(&self, id: RowId) -> Option<Row> {
+        self.locate(id).map(|(seg, slot)| self.derive(seg, slot))
+    }
+
+    fn derive(&self, seg: &Segment, slot: usize) -> Row {
+        self.derived.0.fetch_add(1, AtomicOrd::Relaxed);
+        seg.row(slot)
+    }
+
+    /// Rows built so far by [`Self::get`], [`Self::iter`] and
+    /// [`Self::iter_range`] — `update`, `delete` and `compact` go through
+    /// them. Reading cells ([`Self::cell`], [`Self::locate`], the segments)
+    /// does not count.
+    pub fn rows_derived(&self) -> u64 {
+        self.derived.0.load(AtomicOrd::Relaxed)
+    }
+
+    /// Reads one value of a live tuple.
+    pub fn cell(&self, id: RowId, col: usize) -> Option<Value> {
+        self.locate(id)
+            .map(|(seg, slot)| seg.column(col).value_at(slot))
+    }
+
+    /// Overwrites a live tuple in place (UPDATE executes through this);
+    /// returns the previous row, `None` if there was no live tuple.
+    pub fn update(&mut self, id: RowId, row: &[Value]) -> Option<Row> {
+        assert_eq!(row.len(), self.width, "tuple width is fixed per heap");
+        let old = self.get(id)?;
+        let (seg, slot) = self.split(id);
+        for (col, v) in self.segments[seg].cols.iter_mut().zip(row) {
+            col.set(slot, v);
         }
-    }
-
-    /// Fetches a row by id; `None` if the slot is a tombstone or out of
-    /// range.
-    pub fn get(&self, id: RowId) -> Option<&Row> {
-        self.rows.get(id as usize).and_then(|r| r.as_ref())
-    }
-
-    /// Mutable fetch (UPDATE executes through this).
-    pub fn get_mut(&mut self, id: RowId) -> Option<&mut Row> {
-        self.rows.get_mut(id as usize).and_then(|r| r.as_mut())
+        self.recompute_zone_page(self.geometry.page_of(id) as usize);
+        Some(old)
     }
 
     /// Tombstones a row; returns the row if it was live.
     pub fn delete(&mut self, id: RowId) -> Option<Row> {
-        let slot = self.rows.get_mut(id as usize)?;
-        let old = slot.take();
-        if old.is_some() {
-            self.live -= 1;
-            self.refresh_zone_page(id);
-        }
-        old
+        let old = self.get(id)?;
+        let (seg, slot) = self.split(id);
+        self.segments[seg].kill(slot);
+        self.live -= 1;
+        self.recompute_zone_page(self.geometry.page_of(id) as usize);
+        Some(old)
     }
 
     /// Number of live rows.
@@ -258,7 +410,7 @@ impl Heap {
     /// Number of slots (live + tombstoned); page counts derive from this,
     /// matching a heap that has not been vacuumed.
     pub fn slots(&self) -> u64 {
-        self.rows.len() as u64
+        self.slots
     }
 
     /// Number of logical pages occupied.
@@ -268,61 +420,56 @@ impl Heap {
 
     /// Fraction of slots that are tombstones (compaction heuristic input).
     pub fn tombstone_ratio(&self) -> f64 {
-        if self.rows.is_empty() {
+        if self.slots == 0 {
             return 0.0;
         }
-        1.0 - self.live as f64 / self.rows.len() as f64
+        1.0 - self.live as f64 / self.slots as f64
+    }
+
+    /// The live tuples with ids in `start..end` (clamped), in slot order,
+    /// as `(row id, segment, slot)` — what a reader of single cells walks.
+    pub fn live_range(
+        &self,
+        start: RowId,
+        end: RowId,
+    ) -> impl Iterator<Item = (RowId, &Segment, usize)> + '_ {
+        let ss = self.segment_slots;
+        let end = end.min(self.slots);
+        let first = (start / ss) as usize;
+        let last = (end.div_ceil(ss) as usize).min(self.segments.len());
+        (first..last.max(first)).flat_map(move |i| {
+            let (seg, base) = (&self.segments[i], i as u64 * ss);
+            let lo = start.saturating_sub(base) as usize;
+            let hi = (end - base).min(ss) as usize;
+            seg.live_slots(lo, hi)
+                .map(move |slot| (base + slot as u64, seg, slot))
+        })
     }
 
     /// Iterates `(row_id, row)` over live rows in slot (clustered) order.
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().map(|row| (i as RowId, row)))
+    pub fn iter(&self) -> impl Iterator<Item = (RowId, Row)> + '_ {
+        self.iter_range(0, self.slots)
     }
 
-    /// Iterates live rows within a slot range (clustered-index range scans
-    /// land here: the index resolves the key range to a slot range).
-    pub fn iter_range(&self, start: RowId, end: RowId) -> impl Iterator<Item = (RowId, &Row)> {
-        let lo = (start as usize).min(self.rows.len());
-        let hi = (end as usize).min(self.rows.len());
-        self.rows[lo..hi]
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, r)| r.as_ref().map(|row| ((lo + i) as RowId, row)))
-    }
-
-    /// Extracts `cols` of one page's live tuples into typed column vectors,
-    /// in page (slot) order — the page-at-a-time columnar scan path.
-    /// Tombstoned slots are skipped, so column slot `k` is the page's
-    /// `k`-th live tuple, matching what [`Self::iter_range`] over the page
-    /// yields.
-    pub fn page_columns(&self, page: u64, cols: &[usize]) -> Vec<crate::column::Column> {
-        let rpp = self.geometry.rows_per_page;
-        let lo = (page * rpp) as usize;
-        let hi = ((page + 1) * rpp).min(self.rows.len() as u64) as usize;
-        let lo = lo.min(self.rows.len());
-        let live: Vec<&Row> = self.rows[lo..hi].iter().flatten().collect();
-        cols.iter()
-            .map(|&c| crate::column::Column::from_row_refs(&live, c))
-            .collect()
+    /// Iterates live rows within a slot range.
+    pub fn iter_range(&self, start: RowId, end: RowId) -> impl Iterator<Item = (RowId, Row)> + '_ {
+        self.live_range(start, end)
+            .map(|(id, seg, slot)| (id, self.derive(seg, slot)))
     }
 
     /// Rebuilds the heap without tombstones, returning the mapping from old
     /// row id to new row id so indexes can be rebuilt. Clustered order is
-    /// preserved (slot order is retained).
+    /// preserved (slot order is retained), and every column is rebuilt from
+    /// its live values, so a column degraded by a since-deleted value is
+    /// typed again.
     pub fn compact(&mut self) -> Vec<(RowId, RowId)> {
+        let mut fresh = Heap::new(self.geometry, self.width);
+        fresh.set_zone_columns(&self.zone_columns());
         let mut mapping = Vec::with_capacity(self.live as usize);
-        let mut new_rows = Vec::with_capacity(self.live as usize);
-        for (i, slot) in self.rows.drain(..).enumerate() {
-            if let Some(row) = slot {
-                mapping.push((i as RowId, new_rows.len() as RowId));
-                new_rows.push(Some(row));
-            }
+        for (id, row) in self.iter() {
+            mapping.push((id, fresh.insert(&row)));
         }
-        self.rows = new_rows;
-        self.rebuild_zones();
+        *self = fresh;
         mapping
     }
 }
@@ -334,6 +481,10 @@ mod tests {
 
     fn row(v: i64) -> Row {
         vec![Value::Int(v)]
+    }
+
+    fn heap(rows_per_page: u64) -> Heap {
+        Heap::new(PageGeometry { rows_per_page }, 1)
     }
 
     #[test]
@@ -354,22 +505,33 @@ mod tests {
     }
 
     #[test]
+    fn segments_hold_whole_pages() {
+        // 81 rows per page: 13 pages reach the 1024-slot target.
+        let h = Heap::new(PageGeometry::for_tuple_bytes(100), 1);
+        assert_eq!(h.segment_slots(), 13 * 81);
+        // A page wider than the target is a segment of its own.
+        assert_eq!(heap(5000).segment_slots(), 5000);
+    }
+
+    #[test]
     fn insert_get_delete() {
-        let mut h = Heap::new(PageGeometry { rows_per_page: 4 });
-        let a = h.insert(row(1));
-        let b = h.insert(row(2));
-        assert_eq!(h.get(a), Some(&row(1)));
+        let mut h = heap(4);
+        let a = h.insert(&row(1));
+        let b = h.insert(&row(2));
+        assert_eq!(h.get(a), Some(row(1)));
+        assert_eq!(h.cell(a, 0), Some(Value::Int(1)));
         assert_eq!(h.delete(a), Some(row(1)));
         assert_eq!(h.get(a), None);
-        assert_eq!(h.get(b), Some(&row(2)));
+        assert_eq!(h.cell(a, 0), None);
+        assert_eq!(h.get(b), Some(row(2)));
         assert_eq!(h.live_rows(), 1);
         assert_eq!(h.slots(), 2);
     }
 
     #[test]
     fn double_delete_is_none() {
-        let mut h = Heap::new(PageGeometry { rows_per_page: 4 });
-        let a = h.insert(row(1));
+        let mut h = heap(4);
+        let a = h.insert(&row(1));
         assert!(h.delete(a).is_some());
         assert!(h.delete(a).is_none());
         assert_eq!(h.live_rows(), 0);
@@ -377,9 +539,9 @@ mod tests {
 
     #[test]
     fn iter_skips_tombstones() {
-        let mut h = Heap::new(PageGeometry { rows_per_page: 4 });
+        let mut h = heap(4);
         for i in 0..5 {
-            h.insert(row(i));
+            h.insert(&row(i));
         }
         h.delete(2);
         let ids: Vec<RowId> = h.iter().map(|(id, _)| id).collect();
@@ -388,9 +550,9 @@ mod tests {
 
     #[test]
     fn range_iter_bounds() {
-        let mut h = Heap::new(PageGeometry { rows_per_page: 4 });
+        let mut h = heap(4);
         for i in 0..10 {
-            h.insert(row(i));
+            h.insert(&row(i));
         }
         let vals: Vec<i64> = h
             .iter_range(3, 7)
@@ -399,13 +561,27 @@ mod tests {
         assert_eq!(vals, vec![3, 4, 5, 6]);
         // Out-of-range end is clamped.
         assert_eq!(h.iter_range(8, 100).count(), 2);
+        assert_eq!(h.iter_range(50, 100).count(), 0);
+    }
+
+    #[test]
+    fn update_replaces_the_tuple_and_returns_the_old_one() {
+        let mut h = heap(4);
+        for i in 0..3 {
+            h.insert(&row(i));
+        }
+        assert_eq!(h.update(1, &row(10)), Some(row(1)));
+        assert_eq!(h.get(1), Some(row(10)));
+        h.delete(2);
+        assert_eq!(h.update(2, &row(20)), None);
+        assert_eq!(h.update(99, &row(20)), None);
     }
 
     #[test]
     fn compact_preserves_order_and_maps_ids() {
-        let mut h = Heap::new(PageGeometry { rows_per_page: 4 });
+        let mut h = heap(4);
         for i in 0..6 {
-            h.insert(row(i));
+            h.insert(&row(i));
         }
         h.delete(1);
         h.delete(4);
@@ -427,10 +603,10 @@ mod tests {
 
     #[test]
     fn zone_maps_widen_on_insert() {
-        let mut h = Heap::new(PageGeometry { rows_per_page: 4 });
+        let mut h = heap(4);
         h.set_zone_columns(&[0]);
         for i in 0..10 {
-            h.insert(row(i));
+            h.insert(&row(i));
         }
         assert_eq!(range_of(&h, 0, 0), Some((0, 3)));
         assert_eq!(range_of(&h, 0, 1), Some((4, 7)));
@@ -443,10 +619,10 @@ mod tests {
 
     #[test]
     fn zone_maps_rebuild_from_existing_rows_and_skip_nulls() {
-        let mut h = Heap::new(PageGeometry { rows_per_page: 2 });
-        h.insert(row(5));
-        h.insert(vec![Value::Null]);
-        h.insert(row(7));
+        let mut h = heap(2);
+        h.insert(&row(5));
+        h.insert(&[Value::Null]);
+        h.insert(&row(7));
         h.set_zone_columns(&[0]);
         assert_eq!(range_of(&h, 0, 0), Some((5, 5)));
         assert_eq!(range_of(&h, 0, 1), Some((7, 7)));
@@ -457,10 +633,10 @@ mod tests {
 
     #[test]
     fn zone_maps_tighten_on_delete_and_survive_compact() {
-        let mut h = Heap::new(PageGeometry { rows_per_page: 4 });
+        let mut h = heap(4);
         h.set_zone_columns(&[0]);
         for i in 0..8 {
-            h.insert(row(i));
+            h.insert(&row(i));
         }
         // Deleting the page max recomputes the page's bounds exactly.
         h.delete(3);
@@ -475,23 +651,23 @@ mod tests {
     }
 
     #[test]
-    fn zone_maps_refresh_after_in_place_update() {
-        let mut h = Heap::new(PageGeometry { rows_per_page: 4 });
+    fn zone_maps_follow_an_update() {
+        let mut h = heap(4);
         h.set_zone_columns(&[0]);
         for i in 0..4 {
-            h.insert(row(i));
+            h.insert(&row(i));
         }
-        *h.get_mut(2).unwrap() = row(100);
-        // get_mut cannot see the write; the explicit refresh does.
-        h.refresh_zone_page(2);
+        h.update(2, &row(100));
         assert_eq!(range_of(&h, 0, 0), Some((0, 100)));
+        h.update(2, &row(1));
+        assert_eq!(range_of(&h, 0, 0), Some((0, 3)));
     }
 
     #[test]
     fn pages_track_slots_not_live_rows() {
-        let mut h = Heap::new(PageGeometry { rows_per_page: 2 });
+        let mut h = heap(2);
         for i in 0..6 {
-            h.insert(row(i));
+            h.insert(&row(i));
         }
         for id in 0..6 {
             h.delete(id);
@@ -500,25 +676,5 @@ mod tests {
         assert_eq!(h.pages(), 3);
         h.compact();
         assert_eq!(h.pages(), 0);
-    }
-
-    #[test]
-    fn page_columns_extracts_live_tuples_in_slot_order() {
-        let mut h = Heap::new(PageGeometry { rows_per_page: 4 });
-        for v in 0..6 {
-            h.insert(row(v));
-        }
-        h.delete(1); // tombstone inside the first page
-        let cols = h.page_columns(0, &[0]);
-        assert_eq!(cols.len(), 1);
-        let c = &cols[0];
-        assert_eq!(c.len(), 3); // slots 0, 2, 3 live
-        assert_eq!(c.value_at(0), Value::Int(0));
-        assert_eq!(c.value_at(1), Value::Int(2));
-        assert_eq!(c.value_at(2), Value::Int(3));
-        // Second (partial) page.
-        let cols = h.page_columns(1, &[0]);
-        assert_eq!(cols[0].len(), 2);
-        assert_eq!(cols[0].value_at(0), Value::Int(4));
     }
 }

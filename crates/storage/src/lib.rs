@@ -3,12 +3,13 @@
 //! Each simulated cluster node runs one `apuama-engine` database instance
 //! whose tables live in this crate's structures:
 //!
-//! * [`heap::Heap`] — a paged tuple heap. Pages are *logical*: rows are kept
-//!   in memory, but every access is attributed to a page number so the
-//!   buffer pool can account for I/O exactly as a disk-resident engine
-//!   would. Clustered tables keep rows physically ordered by the clustering
-//!   key (TPC-H fact tables are clustered by their virtual-partitioning
-//!   attribute, the property the paper's SVP depends on).
+//! * [`heap::Heap`] — a paged tuple heap. Pages are *logical*: tuples are
+//!   kept in memory, as typed column segments of whole pages, but every
+//!   access is attributed to a page number so the buffer pool can account
+//!   for I/O exactly as a disk-resident engine would. Clustered tables keep
+//!   tuples physically ordered by the clustering key (TPC-H fact tables are
+//!   clustered by their virtual-partitioning attribute, the property the
+//!   paper's SVP depends on).
 //! * [`buffer::BufferPool`] — an LRU page cache with hit/miss/eviction
 //!   accounting. Its capacity is the knob that reproduces the paper's
 //!   memory-fit effects: the per-node pool is sized at the paper's RAM:DB
@@ -16,9 +17,10 @@
 //!   counts as in the original 32-node cluster.
 //! * [`index::OrderedIndex`] — a B-tree-backed secondary/clustered index
 //!   with range scans, the access path `SET enable_seqscan = off` forces.
-//! * [`column::Column`] — typed column vectors with validity bitmaps,
-//!   extracted from heap tuples in page order. The engine's vectorized
-//!   operators run over these instead of rows of boxed values.
+//! * [`column::Column`] — typed, appendable column vectors with validity
+//!   bitmaps: what a heap segment stores. The engine's scans, vectorized
+//!   predicates and folds run over these; rows are materialized from them
+//!   only for the tuples a statement keeps.
 //!
 //! The engine charges page accesses through [`buffer::BufferPool::access`];
 //! the simulator later converts the recorded sequential/random miss counts
@@ -31,7 +33,7 @@ pub mod index;
 
 pub use buffer::{AccessKind, BufferPool, BufferStats, PageKey};
 pub use column::{Column, ColumnVec, Validity};
-pub use heap::{Heap, PageGeometry, RowId, ZoneRange};
+pub use heap::{Heap, PageGeometry, RowId, Segment, ZoneRange, SEGMENT_SLOTS};
 pub use index::{IndexKey, OrderedIndex};
 
 /// A tuple: one dynamic value per column.

@@ -843,6 +843,99 @@ fn exists_probe_counters_equal_the_parents() {
     }
 }
 
+/// `(evaluations, candidates, matches)` of the one probe line of an
+/// `EXPLAIN ANALYZE`.
+fn probe_counters(db: &Database, sql: &str) -> (u64, u64, u64) {
+    let plan = db.query(&format!("explain analyze {sql}")).unwrap();
+    let line = (plan.rows.iter())
+        .map(|r| r[0].as_str().unwrap())
+        .find(|l| l.contains("-probe i via index(k)"))
+        .unwrap_or_else(|| panic!("{:?}", plan.rows));
+    let field = |name: &str| -> u64 {
+        let rest = &line[line.find(name).unwrap() + name.len()..];
+        rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap()]
+            .parse()
+            .unwrap()
+    };
+    (
+        field("evaluations="),
+        field("candidates="),
+        field("matches="),
+    )
+}
+
+/// A scan's probe remembers the last key it looked up and reuses the
+/// postings while the next outer row carries an equal key. Outer keys that
+/// repeat, alternate and go NULL answer exactly like the probe that
+/// remembers nothing — the framed evaluator's, which `EXISTS` under `OR`
+/// reaches through the per-execution memo — row for row and counter for
+/// counter, and nothing is remembered from one statement to the next: the
+/// index changes between two, and both probes see it.
+#[test]
+fn exists_probe_key_memo_matches_the_unmemoized_probe() {
+    let keys = [5, 5, 5, 1, 2, 1, 2, -1, -1, 5, 7, 7, 2, 2, 5];
+    let outer: Vec<OuterRow> = keys
+        .iter()
+        .map(|&k| ((k >= 0).then_some(k), Some(1), 0))
+        .collect();
+    let mut inner: Vec<InnerRow> = vec![
+        (Some(5), None, Some(0)),
+        (Some(5), None, Some(2)),
+        (Some(5), None, Some(9)),
+        (Some(1), None, Some(5)),
+        (Some(2), None, Some(1)),
+        (Some(2), None, Some(1)),
+        (None, None, Some(7)),
+        (None, None, Some(7)),
+    ];
+    let mut db = probe_db(&outer, &inner, true);
+    db.query("set parallel_workers = 1").unwrap();
+    let subquery = "(select * from i where i.k = o.ok and i.b > o.a)";
+    for negated in ["", "not "] {
+        let memoized = format!("select ok from o where {negated}exists {subquery}");
+        let unmemoized = format!("select ok from o where {negated}exists {subquery} or 1 = 0");
+        for round in 0..2 {
+            let (a, b) = (db.query(&memoized).unwrap(), db.query(&unmemoized).unwrap());
+            // From the data: which outer rows match, how many candidates
+            // each evaluation fetches.
+            let model: Vec<(bool, u64)> = outer
+                .iter()
+                .map(|(ok, a, _)| model_probe(*ok, *a, &inner, true))
+                .collect();
+            let want: Vec<Vec<Value>> = outer
+                .iter()
+                .zip(&model)
+                .filter(|(_, (found, _))| *found == negated.is_empty())
+                .map(|((ok, ..), _)| vec![opt_int(*ok)])
+                .collect();
+            assert_eq!(a.rows, want, "{memoized}, round {round}");
+            assert_eq!(b.rows, want, "{unmemoized}, round {round}");
+            let counters = (
+                outer.len() as u64,
+                model.iter().map(|(_, fetched)| fetched).sum::<u64>(),
+                model.iter().filter(|(found, _)| *found).count() as u64,
+            );
+            assert_eq!(probe_counters(&db, &memoized), counters, "{memoized}");
+            assert_eq!(probe_counters(&db, &unmemoized), counters, "{unmemoized}");
+            // One index probe per evaluation, remembered key or not, and
+            // the same heap fetches.
+            assert_eq!(a.stats.index_probes, outer.len() as u64);
+            assert_eq!(b.stats.index_probes, outer.len() as u64);
+            assert_eq!(a.stats.buffer.accesses(), b.stats.buffer.accesses());
+
+            // Between the statements the index changes under a key the
+            // probe looked up last: 5 loses its only match, 7 gains one.
+            if round == 0 && negated.is_empty() {
+                db.execute("delete from i where k = 5 and b > 1").unwrap();
+                db.execute("insert into i values (7, null, 3, 'z')")
+                    .unwrap();
+                inner.retain(|(k, _, b)| !(*k == Some(5) && b.is_some_and(|b| b > 1)));
+                inner.push((Some(7), None, Some(3)));
+            }
+        }
+    }
+}
+
 /// The corners of the probe's contract, each with its expected outcome
 /// derived by hand.
 #[test]
@@ -1663,4 +1756,618 @@ fn tpch_join_queries_match_the_parents_rows_and_counters() {
             assert_eq!(got, want, "{}", ALL_QUERIES[q].label());
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Stored columns: what runs vectorized against the general tree and the data
+// ---------------------------------------------------------------------------
+
+/// Runs `sql` on the general tree, serial — the reference — then under
+/// every kernel × workers × text/bound combination, which must agree with
+/// it: rows and counters, or the error's text.
+fn across_modes(db: &Database, sql: &str) -> Result<QueryOutput, String> {
+    db.query("set parallel_workers = 1").unwrap();
+    db.query("set enable_kernel = off").unwrap();
+    let want = db.query(sql).map_err(|e| e.to_string());
+    for workers in [1usize, 4] {
+        db.query(&format!("set parallel_workers = {workers}"))
+            .unwrap();
+        for kernel in ["on", "off"] {
+            db.query(&format!("set enable_kernel = {kernel}")).unwrap();
+            let what = format!("kernel {kernel}, workers {workers}: {sql}");
+            for got in [db.query(sql), db.query_bound(sql, &[])] {
+                match (&want, got.map_err(|e| e.to_string())) {
+                    (Ok(want), Ok(got)) => assert_identical(&got, want, &what),
+                    (Err(want), Err(got)) => assert_eq!(&got, want, "{what}"),
+                    (want, got) => panic!("{what}: {got:?} against the reference's {want:?}"),
+                }
+            }
+        }
+    }
+    db.query("set enable_kernel = on").unwrap();
+    want
+}
+
+/// One row of the table the vectorized predicate shapes run over.
+#[derive(Clone, Copy)]
+struct VecRow {
+    k: i64,
+    a: Option<i64>,
+    b: Option<f64>,
+    c: Option<i64>,
+    s: Option<&'static str>,
+    d: Option<i32>,
+}
+
+fn vec_rows() -> Vec<VecRow> {
+    const WORDS: [&str; 5] = ["x", "y", "zeta", "", "żółw"];
+    // 3100 rows: three stored segments, so batch boundaries land mid-table.
+    (0..3100i64)
+        .map(|k| VecRow {
+            k,
+            a: (k % 7 != 0).then_some((k * 37) % 41 - 5),
+            b: (k % 5 != 1).then_some(((k * 13) % 53) as f64 * 0.25),
+            c: (k % 11 != 3).then_some((k * 29) % 41 - 5),
+            s: (k % 6 != 2).then_some(WORDS[(k % 5) as usize]),
+            d: (k % 9 != 4).then_some(9_000 + ((k * 17) % 400) as i32),
+        })
+        .collect()
+}
+
+fn vec_db(rows: &[VecRow]) -> Database {
+    let mut db = Database::in_memory();
+    db.execute(
+        "create table v (k int not null, a int, b float, c int, s text, d date, \
+         primary key (k)) clustered by (k)",
+    )
+    .unwrap();
+    let rows: Vec<Vec<Value>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                Value::Int(r.k),
+                opt_int(r.a),
+                r.b.map_or(Value::Null, Value::Float),
+                opt_int(r.c),
+                r.s.map_or(Value::Null, |s| Value::Str(s.to_string())),
+                r.d.map_or(Value::Null, |d| Value::Date(apuama_sql::Date(d))),
+            ]
+        })
+        .collect();
+    db.load_table("v", rows).unwrap();
+    db
+}
+
+/// Three-valued AND, for the models below.
+fn and3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+    match (a, b) {
+        (Some(false), _) | (_, Some(false)) => Some(false),
+        (Some(true), Some(true)) => Some(true),
+        _ => None,
+    }
+}
+
+/// `v [not] in (members)`, `None` members being NULL or incomparable.
+fn in3<T: PartialEq>(v: Option<T>, members: &[Option<T>], negated: bool) -> Option<bool> {
+    let v = v?;
+    if members.iter().flatten().any(|m| *m == v) {
+        Some(!negated)
+    } else if members.iter().any(Option::is_none) {
+        None
+    } else {
+        Some(negated)
+    }
+}
+
+/// Each predicate shape the scan runs over typed column slices — NULLs on
+/// either side, an inverted `BETWEEN`, `IN` with a NULL and with an
+/// incomparable member, `NOT IN`, column against column across Int and
+/// Float, operands folded once per execution — answers with the rows the
+/// data says it should, on the fused shape (count and sum of the keys) and
+/// on the general scan (the keys themselves), identically in every mode.
+#[test]
+fn vectorized_predicate_shapes_match_the_data() {
+    type Model = fn(&VecRow) -> Option<bool>;
+    let day = |y: i32, m: u32, d: u32| apuama_sql::Date::from_ymd(y, m, d).unwrap().0;
+    let d0 = day(1994, 9, 1);
+    assert!(
+        (9_000..9_400).contains(&d0),
+        "the date literals hit the data"
+    );
+    let cases: &[(&str, Model)] = &[
+        ("a < 10", |r| r.a.map(|a| a < 10)),
+        ("10 > a", |r| r.a.map(|a| a < 10)),
+        ("a <= 3 + 4", |r| r.a.map(|a| a <= 7)),
+        ("a <> 2.0", |r| r.a.map(|a| a != 2)),
+        ("b >= 6.5", |r| r.b.map(|b| b >= 6.5)),
+        ("b < 3", |r| r.b.map(|b| b < 3.0)),
+        ("s >= 'y'", |r| r.s.map(|s| s >= "y")),
+        ("s = ''", |r| r.s.map(|s| s.is_empty())),
+        ("d < date '1994-09-01'", |r| r.d.map(|d| d < 9_009)),
+        ("d >= date '1994-06-01' + interval '3' month", |r| {
+            r.d.map(|d| d >= 9_009)
+        }),
+        ("a = c", |r| Some(r.a? == r.c?)),
+        ("c > a", |r| Some(r.c? > r.a?)),
+        ("b >= a", |r| Some(r.b? >= r.a? as f64)),
+        ("a < b", |r| Some((r.a? as f64) < r.b?)),
+        ("a between 5 and 20", |r| r.a.map(|a| (5..=20).contains(&a))),
+        ("a between 20 and 5", |_| Some(false)),
+        ("a not between 20 and 5", |r| r.a.map(|_| true)),
+        ("a not between 5 and 20", |r| {
+            r.a.map(|a| !(5..=20).contains(&a))
+        }),
+        ("b between 1 and 2.5", |r| {
+            r.b.map(|b| (1.0..=2.5).contains(&b))
+        }),
+        ("a between 2 + 3 and 40 / 2", |r| {
+            r.a.map(|a| (5..=20).contains(&a))
+        }),
+        // A NULL bound is unknown on its side: false beyond the other
+        // bound, unknown within it.
+        ("a between null and 20", |r| {
+            and3(None, r.a.map(|a| a <= 20))
+        }),
+        ("a not between null and 20", |r| {
+            and3(None, r.a.map(|a| a <= 20)).map(|w| !w)
+        }),
+        // So is a bound of another type class: no error, unknown.
+        ("a not between 'x' and 20", |r| {
+            and3(None, r.a.map(|a| a <= 20)).map(|w| !w)
+        }),
+        ("s in ('x', 'zeta')", |r| {
+            in3(r.s, &[Some("x"), Some("zeta")], false)
+        }),
+        ("s not in ('x', 'zeta')", |r| {
+            in3(r.s, &[Some("x"), Some("zeta")], true)
+        }),
+        ("s in ('x', null)", |r| in3(r.s, &[Some("x"), None], false)),
+        ("s not in ('x', null)", |r| {
+            in3(r.s, &[Some("x"), None], true)
+        }),
+        ("a in (1, 2.0, 30)", |r| {
+            in3(r.a, &[Some(1), Some(2), Some(30)], false)
+        }),
+        ("a not in (1, 'one')", |r| in3(r.a, &[Some(1), None], true)),
+        ("a in (0 - 1, 1 + 1)", |r| {
+            in3(r.a, &[Some(-1), Some(2)], false)
+        }),
+        // Prefixes of several shapes, and one ending in a predicate that
+        // has no vector form.
+        ("a >= 0 and b < 8 and s in ('x', 'y') and c <> a", |r| {
+            and3(
+                and3(r.a.map(|a| a >= 0), r.b.map(|b| b < 8.0)),
+                and3(
+                    in3(r.s, &[Some("x"), Some("y")], false),
+                    (|| Some(r.c? != r.a?))(),
+                ),
+            )
+        }),
+        ("a between 0 and 30 and abs(c) < 4", |r| {
+            and3(r.a.map(|a| (0..=30).contains(&a)), r.c.map(|c| c.abs() < 4))
+        }),
+    ];
+    assert_eq!(day(1994, 6, 1) + 92, d0);
+    let rows = vec_rows();
+    let db = vec_db(&rows);
+    for (pred, model) in cases {
+        let keys: Vec<i64> = (rows.iter())
+            .filter(|r| model(r) == Some(true))
+            .map(|r| r.k)
+            .collect();
+        let fused = format!("select count(*) as n, sum(k) as sk from v where {pred}");
+        let sum = match keys.len() {
+            0 => Value::Null,
+            _ => Value::Int(keys.iter().sum()),
+        };
+        assert_eq!(
+            across_modes(&db, &fused).unwrap().rows,
+            vec![vec![Value::Int(keys.len() as i64), sum]],
+            "{pred}"
+        );
+        let general = format!("select k from v where {pred} order by k");
+        let want: Vec<Vec<Value>> = keys.iter().map(|&k| vec![Value::Int(k)]).collect();
+        assert_eq!(across_modes(&db, &general).unwrap().rows, want, "{pred}");
+    }
+}
+
+/// Where the vectorized prefix ends, the list goes on row-major in plan
+/// order, so charges and errors are the row loop's:
+///
+/// * a vectorizable predicate *after* one without a vector form is
+///   evaluated only for the rows the first one keeps (`cpu_tuple_ops` is
+///   the sum the short-circuit gives);
+/// * a predicate that is a type error for every non-NULL cell, second in
+///   the list, raises exactly when a row survives the first with a
+///   non-NULL cell — the same message in every mode — and is never
+///   evaluated when the first predicate keeps nothing.
+#[test]
+fn the_vectorized_prefix_ends_where_the_row_loop_takes_over() {
+    let rows = vec_rows();
+    let db = vec_db(&rows);
+    let n = rows.len() as u64;
+
+    // abs(c) has no vector form; `a < 10` after it stays row-major.
+    let sql = "select count(*) as n from v where abs(c) < 4 and a < 10";
+    let first: u64 = (rows.iter())
+        .filter(|r| r.c.is_some_and(|c| c.abs() < 4))
+        .count() as u64;
+    let both = (rows.iter())
+        .filter(|r| r.c.is_some_and(|c| c.abs() < 4) && r.a.is_some_and(|a| a < 10))
+        .count() as u64;
+    let out = across_modes(&db, sql).unwrap();
+    assert_eq!(out.rows, vec![vec![Value::Int(both as i64)]]);
+    // One charge per predicate evaluation, one per aggregated row.
+    assert_eq!(out.stats.cpu_tuple_ops, n + first + both, "{sql}");
+    // The same two predicates the other way round: the prefix takes both.
+    let sql = "select count(*) as n from v where a < 10 and abs(c) < 4";
+    let a_first = rows.iter().filter(|r| r.a.is_some_and(|a| a < 10)).count() as u64;
+    let out = across_modes(&db, sql).unwrap();
+    assert_eq!(out.stats.cpu_tuple_ops, n + a_first + both, "{sql}");
+
+    // `s > 5` compares text with a number: an error for every non-NULL s,
+    // raised by the first row that gets there with one (and, against
+    // another column, with a non-NULL cell on that side too).
+    for (sql, needs_c) in [
+        ("select count(*) as n from v where a < 30 and s > 5", false),
+        ("select k from v where a < 30 and s > 5 order by k", false),
+        ("select count(*) as n from v where a < 30 and s > c", true),
+    ] {
+        let culprit = (rows.iter())
+            .find(|r| r.a.is_some_and(|a| a < 30) && r.s.is_some() && (r.c.is_some() || !needs_c))
+            .unwrap();
+        let err = across_modes(&db, sql).unwrap_err();
+        let s = Value::Str(culprit.s.unwrap().to_string());
+        let other = if needs_c { culprit.c.unwrap() } else { 5 };
+        assert!(
+            err.contains(&format!("cannot compare {s} with {other}")),
+            "{sql}: {err}"
+        );
+    }
+    // Nothing survives the first predicate: the second is never reached.
+    let sql = "select count(*) as n from v where a < -100 and s > 5";
+    let out = across_modes(&db, sql).unwrap();
+    assert_eq!(out.rows, vec![vec![Value::Int(0)]]);
+    assert_eq!(out.stats.cpu_tuple_ops, n, "{sql}");
+    // Only NULLs reach it: no error either.
+    let sql = "select count(*) as n from v where k in (2, 8, 14) and s > 5";
+    assert!(rows
+        .iter()
+        .filter(|r| [2, 8, 14].contains(&r.k))
+        .all(|r| r.s.is_none()));
+    let out = across_modes(&db, sql).unwrap();
+    assert_eq!(out.rows, vec![vec![Value::Int(0)]]);
+    assert_eq!(out.stats.cpu_tuple_ops, n + 3, "{sql}");
+}
+
+/// Expression aggregates (`sum(p * (1.0 - q))`) are computed once per
+/// batch over `f64` slices where the segment's columns are `Float`, and
+/// per tuple on the scratch row where they are not: the table below turns
+/// `p` boxed in its second segment (an `Int` among the floats), gives `q`
+/// a NULL in its third and `p` a NaN in its fourth, so one statement
+/// changes form three times mid-stream. Groups, their first-seen order and
+/// every float bit equal a fold over the data in key order; payloads are
+/// quarter steps, so morsel-parallel partial sums cannot round either.
+#[test]
+fn expression_aggregates_fall_back_mid_table_without_a_trace() {
+    let mut db = Database::in_memory();
+    db.execute(
+        "create table w (k int not null, g text, p float, q float, \
+         primary key (k)) clustered by (k)",
+    )
+    .unwrap();
+    let n = 4500i64;
+    let p_of = |k: i64| match k {
+        1500 => Value::Int(3),
+        3700 => Value::Float(f64::NAN),
+        _ => Value::Float(((k * 7) % 64) as f64 * 0.25),
+    };
+    let q_of = |k: i64| (k != 2500).then_some(((k * 3) % 4) as f64 * 0.25);
+    // Not in key order: the first-seen group order is not the sorted one.
+    let g_of = |k: i64| format!("G{}", (k * 5 + k / 1000) % 4);
+    let rows: Vec<Vec<Value>> = (0..n)
+        .map(|k| {
+            vec![
+                Value::Int(k),
+                Value::Str(g_of(k)),
+                p_of(k),
+                q_of(k).map_or(Value::Null, Value::Float),
+            ]
+        })
+        .collect();
+    db.load_table("w", rows).unwrap();
+
+    // `between` drops the NaN without raising (a comparison would).
+    let sql = "select g, sum(p * (1.0 - q)) as disc, sum(p * (1.0 - q) * (1.0 + q)) as charge, \
+               avg(p + q * 2) as a, count(*) as n \
+               from w where p between 0.0 and 100.0 group by g";
+    let mut order: Vec<String> = Vec::new();
+    let mut groups: std::collections::HashMap<String, (f64, f64, f64, i64, i64)> =
+        Default::default();
+    let (mut any_disc, mut scanned) = (std::collections::HashSet::new(), 0u64);
+    for k in 0..n {
+        scanned += 1;
+        let Some(p) = p_of(k).as_f64().filter(|p| (0.0..=100.0).contains(p)) else {
+            continue;
+        };
+        let g = g_of(k);
+        if !groups.contains_key(&g) {
+            order.push(g.clone());
+        }
+        let acc = groups.entry(g.clone()).or_default();
+        acc.4 += 1;
+        // A NULL q makes every expression over it NULL, which sum and avg skip.
+        if let Some(q) = q_of(k) {
+            any_disc.insert(g);
+            acc.0 += p * (1.0 - q);
+            acc.1 += p * (1.0 - q) * (1.0 + q);
+            acc.2 += p + q * 2.0;
+            acc.3 += 1;
+        }
+    }
+    let want: Vec<Vec<Value>> = order
+        .iter()
+        .map(|g| {
+            let (disc, charge, a, n_a, count) = groups[g];
+            assert!(any_disc.contains(g));
+            vec![
+                Value::Str(g.clone()),
+                Value::Float(disc),
+                Value::Float(charge),
+                Value::Float(a / n_a as f64),
+                Value::Int(count),
+            ]
+        })
+        .collect();
+    let out = across_modes(&db, sql).unwrap();
+    assert_eq!(out.rows, want);
+    assert_eq!(out.stats.rows_scanned, scanned);
+
+    // EXPLAIN ANALYZE says how the batches ran: the first segment takes the
+    // vectorized fold, the others fall to the row somewhere — the keys
+    // above sit in the second, third and fourth.
+    let heap = &db.table("w").unwrap().heap;
+    assert_eq!(heap.segments().len(), 4);
+    for (at, k) in [1500, 2500, 3700].into_iter().enumerate() {
+        assert_eq!(k / heap.segment_slots(), at as u64 + 1);
+    }
+    db.query("set parallel_workers = 1").unwrap();
+    let plan = db.query(&format!("explain analyze {sql}")).unwrap();
+    let fold = (plan.rows.iter())
+        .map(|r| r[0].as_str().unwrap().trim_start().to_string())
+        .find(|l| l.starts_with("fold: "))
+        .unwrap_or_else(|| panic!("{:?}", plan.rows));
+    assert_eq!(fold, "fold: 1 batch(es) vectorized, 3 row-major");
+}
+
+/// SVP sub-queries arrive as clustered index ranges with
+/// `enable_seqscan = off`: row-id lists that start and end anywhere, cross
+/// segment boundaries and run over tombstones. They are cut into
+/// per-segment selections; the answer is the data's, and everything but
+/// the access path's own counters equals the sequential scan's.
+#[test]
+fn clustered_ranges_cross_segments_and_skip_tombstones() {
+    let mut db = Database::in_memory();
+    db.execute("create table t (k int not null, g int, v float, primary key (k)) clustered by (k)")
+        .unwrap();
+    let n = 3300i64;
+    let rows: Vec<Vec<Value>> = (0..n)
+        .map(|k| {
+            vec![
+                Value::Int(k),
+                Value::Int(k * 7 / 3 - k * 2),
+                Value::Float(((k * 11) % 97) as f64 * 0.25),
+            ]
+        })
+        .collect();
+    db.load_table("t", rows).unwrap();
+    // Tombstones on both sides of the first two segment boundaries (row id
+    // = k; a segment is 1024 slots here), a sixth of the table in all —
+    // under the auto-vacuum threshold.
+    assert_eq!(db.table("t").unwrap().heap.segment_slots(), 1024);
+    let dead = |k: i64| (1000..1300).contains(&k) || (1990..2200).contains(&k) || k == 2999;
+    let out = db
+        .execute(
+            "delete from t where (k >= 1000 and k < 1300) or (k >= 1990 and k < 2200) or k = 2999",
+        )
+        .unwrap();
+    assert_eq!(out.rows_affected, 511);
+    let g_of = |k: i64| k * 7 / 3 - k * 2;
+
+    for (lo, hi) in [
+        (0, n),
+        (900, 2300),
+        (1100, 1250),
+        (1299, 1301),
+        (2150, 3299),
+        (3000, 9000),
+    ] {
+        let live: Vec<i64> = (lo..hi.min(n)).filter(|&k| !dead(k)).collect();
+        let kept: Vec<i64> = live.iter().copied().filter(|&k| g_of(k) <= k / 4).collect();
+        let sum: f64 = kept
+            .iter()
+            .map(|&k| ((k * 11) % 97) as f64 * 0.25 * 2.0)
+            .sum();
+        let want = vec![vec![
+            Value::Int(kept.len() as i64),
+            if kept.is_empty() {
+                Value::Null
+            } else {
+                Value::Float(sum)
+            },
+        ]];
+        let sql = format!(
+            "select count(*) as n, sum(v * 2.0) as s from t \
+             where k >= {lo} and k < {hi} and g <= k / 4"
+        );
+        db.query("set enable_seqscan = off").unwrap();
+        let by_index = across_modes(&db, &sql).unwrap();
+        db.query("set enable_seqscan = on").unwrap();
+        db.query("set enable_indexscan = off").unwrap();
+        let by_scan = across_modes(&db, &sql).unwrap();
+        db.query("set enable_indexscan = on").unwrap();
+        assert_eq!(by_index.rows, want, "{sql}");
+        assert_eq!(by_scan.rows, want, "{sql}");
+        assert_eq!(by_index.stats.index_probes, 1);
+        assert_eq!(by_index.stats.rows_scanned, live.len() as u64, "{sql}");
+        // The range is consumed by the index: one residual predicate per
+        // live row, one update per kept row.
+        assert_eq!(
+            by_index.stats.cpu_tuple_ops,
+            (live.len() + kept.len()) as u64,
+            "{sql}"
+        );
+        // The plain rows come back in key order, tombstones skipped.
+        let sql = format!("select k from t where k >= {lo} and k < {hi} and g <= k / 4 order by k");
+        db.query("set enable_seqscan = off").unwrap();
+        let rows = across_modes(&db, &sql).unwrap().rows;
+        db.query("set enable_seqscan = on").unwrap();
+        let want: Vec<Vec<Value>> = kept.iter().map(|&k| vec![Value::Int(k)]).collect();
+        assert_eq!(rows, want, "{sql}");
+    }
+}
+
+/// Insert, delete and update inside a transaction — appended cells, flipped
+/// tombstone bits, a string grown in place, an `Int` column handed a
+/// `Float` (its segment's column degrades to boxed values) — then scans
+/// inside the transaction and after rolling it back: every mode agrees
+/// with the data both times, and the rollback restores the rows exactly.
+#[test]
+fn scans_inside_and_after_a_rolled_back_transaction() {
+    let mut db = Database::in_memory();
+    db.execute("create table t (k int not null, q int, s text, primary key (k)) clustered by (k)")
+        .unwrap();
+    let n = 2500i64;
+    let s_of = |k: i64| format!("s{}", k % 13);
+    let rows: Vec<Vec<Value>> = (0..n)
+        .map(|k| vec![Value::Int(k), Value::Int(k % 50), Value::Str(s_of(k))])
+        .collect();
+    db.load_table("t", rows).unwrap();
+    let summary = "select count(*) as n, sum(q) as sq, min(s) as lo, max(s) as hi from t \
+                   where q between 10 and 45 and s <> 's3'";
+    let listing = "select k, q, s from t where q >= 48 and k >= 1000 and k < 1400 order by k";
+    let before = (
+        across_modes(&db, summary).unwrap().rows,
+        across_modes(&db, listing).unwrap().rows,
+    );
+    let count = |rows: &[Vec<Value>]| rows[0][0].as_i64().unwrap();
+    let in_range = |k: i64| (10..=45).contains(&(k % 50)) && k % 13 != 3;
+    assert_eq!(
+        count(&before.0),
+        (0..n).filter(|&k| in_range(k)).count() as i64
+    );
+
+    db.execute("begin").unwrap();
+    db.execute("insert into t values (5000, 20, 'new'), (5001, 49, 'new'), (5002, null, null)")
+        .unwrap();
+    assert_eq!(
+        db.execute("delete from t where k >= 1100 and k < 1200")
+            .unwrap()
+            .rows_affected,
+        100
+    );
+    // A longer string in place, and a float into the int column.
+    db.execute("update t set s = 'a considerably longer string than before' where k = 1049")
+        .unwrap();
+    db.execute("update t set q = 48.5 where k = 1348").unwrap();
+    db.execute("update t set q = 12 where k = 7").unwrap();
+
+    let inside = across_modes(&db, summary).unwrap().rows;
+    // +1 for the inserted (5000, 20, 'new'); k = 7 moves into the range
+    // (q was 7); the deleted block leaves it.
+    let gone = (1100..1200).filter(|&k| in_range(k)).count() as i64;
+    assert!(!in_range(7));
+    assert_eq!(count(&inside), count(&before.0) + 1 + 1 - gone);
+    let listed = across_modes(&db, listing).unwrap().rows;
+    let want: Vec<Vec<Value>> = (1000..1400)
+        .filter(|k| !(1100..1200).contains(k))
+        .filter_map(|k| {
+            let (q, s) = match k {
+                1348 => (Value::Float(48.5), s_of(k)),
+                1049 => (
+                    Value::Int(49),
+                    "a considerably longer string than before".into(),
+                ),
+                _ => (Value::Int(k % 50), s_of(k)),
+            };
+            (q.as_f64().unwrap() >= 48.0).then(|| vec![Value::Int(k), q, Value::Str(s)])
+        })
+        .collect();
+    assert_eq!(listed, want);
+
+    db.execute("rollback").unwrap();
+    let after = (
+        across_modes(&db, summary).unwrap().rows,
+        across_modes(&db, listing).unwrap().rows,
+    );
+    assert_eq!(after, before);
+    assert_eq!(
+        db.query("select count(*) as n from t").unwrap().rows,
+        vec![vec![Value::Int(n)]]
+    );
+}
+
+/// At SF 0.01 the fused fold takes every batch of Q1 and of Q6 in its
+/// vectorized form — `EXPLAIN ANALYZE` lists the tally, serial and
+/// morsel-parallel — and a `lineitem` scan that keeps 3 of its 16 columns
+/// (Q3's) builds no row through the heap's row API: survivors are
+/// materialized from the columns, kept columns only.
+#[test]
+fn q1_and_q6_fold_vectorized_and_scans_derive_no_rows() {
+    let data = generate(TpchConfig {
+        scale_factor: 0.01,
+        seed: 7,
+    });
+    let mut db = Database::in_memory();
+    load_into(&mut db, &data).unwrap();
+    let lineitem = db.table("lineitem").unwrap();
+    let segments = lineitem.heap.segments().len() as u64;
+    assert!(segments > 50);
+    for params in [QueryParams::default(), QueryParams::random(7)] {
+        for q in [ALL_QUERIES[0], ALL_QUERIES[4]] {
+            for workers in [1, 2] {
+                db.query(&format!("set parallel_workers = {workers}"))
+                    .unwrap();
+                let plan = db
+                    .query(&format!("explain analyze {}", q.sql(&params)))
+                    .unwrap();
+                let lines: Vec<&str> = plan.rows.iter().map(|r| r[0].as_str().unwrap()).collect();
+                assert!(lines[..2]
+                    .iter()
+                    .any(|l| l.contains("fused aggregate over lineitem")));
+                let fold = (lines.iter().map(|l| l.trim_start()))
+                    .find(|l| l.starts_with("fold: "))
+                    .unwrap_or_else(|| panic!("{lines:?}"));
+                assert_eq!(
+                    fold,
+                    format!("fold: {segments} batch(es) vectorized, 0 row-major"),
+                    "{} ×{workers}",
+                    q.label()
+                );
+            }
+        }
+    }
+
+    let derived = || db.table("lineitem").unwrap().heap.rows_derived();
+    let before = derived();
+    for workers in [1, 2] {
+        db.query(&format!("set parallel_workers = {workers}"))
+            .unwrap();
+        let plan = db
+            .query(&format!(
+                "explain analyze {}",
+                ALL_QUERIES[1].sql(&QueryParams::default())
+            ))
+            .unwrap();
+        assert!(
+            (plan.rows.iter()).any(|r| r[0].as_str().unwrap().contains("scan lineitem")
+                && r[0].as_str().unwrap().contains("cols 3/16")),
+            "{:?}",
+            plan.rows
+        );
+        for q in ALL_QUERIES {
+            db.query(&q.sql(&QueryParams::default())).unwrap();
+        }
+    }
+    assert_eq!(derived(), before, "a SELECT went through Heap::get");
 }

@@ -41,13 +41,14 @@ timeout "$SUITE_TIMEOUT" cargo test -q --test recovery_rejoin
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-cjdbc --lib -- "recovery::"
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-sim --lib -- "recovery::"
 
-echo "== parallel: morsel-driven byte-identity suite (DESIGN.md §12) =="
-timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine --test parallel_identity
-timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine --lib parallel
+echo "== sql: parser unit tests, nesting bound, Display round-trip property =="
+# Outside tier-1 like the engine crate's suites below.
+timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-sql
 
-echo "== governance: cancellation/deadline/budget/admission suite (DESIGN.md §11) =="
-timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine --lib governor
-timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine --test cancellation_identity
+echo "== engine: the crate's whole suite — evaluator against its reference, SQL surface and evaluation contract, three-valued logic, morsel-driven byte identity (DESIGN.md §12), cancellation/deadline/budget (DESIGN.md §11) =="
+timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine
+
+echo "== governance: cancellation/deadline/budget/admission suite above the engine (DESIGN.md §11) =="
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama --lib governance
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-cjdbc --lib -- "admission::" "governance"
 

@@ -1,5 +1,6 @@
 //! The driver seam: how the controller reaches a backend.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -34,6 +35,26 @@ pub fn classify(sql: &str) -> EngineResult<StatementKind> {
     })
 }
 
+/// The text of `sql` with `params` substituted for its `$N` placeholders:
+/// what a bound statement is for a connection that only takes text.
+/// Byte-identical to what the template would have produced with the
+/// literals inlined.
+pub fn render_bound<'s>(sql: &'s str, params: &[Value]) -> EngineResult<Cow<'s, str>> {
+    if params.is_empty() {
+        return Ok(Cow::Borrowed(sql));
+    }
+    let mut stmts = parse_statements(sql)?;
+    match stmts.as_mut_slice() {
+        [Statement::Select(q)] => {
+            visit::bind_parameters(q, params).map_err(EngineError::TypeError)?;
+            Ok(Cow::Owned(stmts[0].to_string()))
+        }
+        _ => Err(EngineError::Unsupported(
+            "parameters are only supported on single SELECT statements".into(),
+        )),
+    }
+}
+
 /// The JDBC-driver equivalent: an opaque handle that accepts SQL text and
 /// returns rows. The controller, the Apuama engine, and tests all speak
 /// this interface.
@@ -60,25 +81,13 @@ pub trait Connection: Send + Sync {
 
     /// Executes a statement with bound parameter values — the
     /// `PreparedStatement.execute()` of this JDBC stand-in. The default
-    /// implementation substitutes the values into the statement text and
-    /// calls [`Connection::execute`], so interposing connections (fault
-    /// injection, instrumentation) keep observing plain SQL; engine-backed
-    /// connections override it to execute from the cached plan without
-    /// re-parsing.
+    /// implementation substitutes the values into the statement text
+    /// ([`render_bound`]) and calls [`Connection::execute`], so interposing
+    /// connections (fault injection, instrumentation) keep observing plain
+    /// SQL; engine-backed connections override it to execute from the
+    /// cached plan without re-parsing.
     fn execute_bound(&self, sql: &str, params: &[Value]) -> EngineResult<QueryOutput> {
-        if params.is_empty() {
-            return self.execute(sql);
-        }
-        let mut stmts = parse_statements(sql)?;
-        match stmts.as_mut_slice() {
-            [Statement::Select(q)] => {
-                visit::bind_parameters(q, params).map_err(EngineError::TypeError)?;
-                self.execute(&stmts[0].to_string())
-            }
-            _ => Err(EngineError::Unsupported(
-                "parameters are only supported on single SELECT statements".into(),
-            )),
-        }
+        self.execute(&render_bound(sql, params)?)
     }
 
     /// Executes under a [`QueryGovernor`] (cancel token + deadline).
@@ -91,16 +100,17 @@ pub trait Connection: Send + Sync {
         self.execute(sql)
     }
 
-    /// Bound execution under a [`QueryGovernor`]; same contract as
-    /// [`Connection::execute_governed`].
+    /// Bound execution under a [`QueryGovernor`]. The default substitutes
+    /// the values into the text, like [`Connection::execute_bound`]'s, and
+    /// hands it to [`Connection::execute_governed`] — so a connection that
+    /// overrides only the text pair keeps its bound statements governed.
     fn execute_bound_governed(
         &self,
         sql: &str,
         params: &[Value],
         gov: &QueryGovernor,
     ) -> EngineResult<QueryOutput> {
-        gov.check()?;
-        self.execute_bound(sql, params)
+        self.execute_governed(&render_bound(sql, params)?, gov)
     }
 
     /// High-water mark of pipeline-breaker memory on this backend (bytes);
@@ -338,6 +348,57 @@ mod tests {
         assert!(rec
             .execute_bound("select count(*) as n from t where a > $1", &[])
             .is_err());
+    }
+
+    /// A connection that overrides the text pair only — `ApuamaConnection`
+    /// is one — has its bound statements governed too: the default hands
+    /// the rendered text to *its* `execute_governed`, governor and all.
+    #[test]
+    fn default_execute_bound_governed_keeps_the_governor() {
+        struct Recording {
+            inner: NodeConnection,
+            governed: parking_lot::Mutex<Vec<String>>,
+        }
+        impl Connection for Recording {
+            fn execute(&self, sql: &str) -> EngineResult<QueryOutput> {
+                panic!("ungoverned: {sql}");
+            }
+            fn execute_governed(
+                &self,
+                sql: &str,
+                gov: &QueryGovernor,
+            ) -> EngineResult<QueryOutput> {
+                self.governed.lock().push(sql.to_string());
+                self.inner.execute_governed(sql, gov)
+            }
+            fn name(&self) -> &str {
+                self.inner.name()
+            }
+        }
+        let mut db = Database::in_memory();
+        db.execute("create table t (a int)").unwrap();
+        db.execute("insert into t values (1), (2), (3)").unwrap();
+        let rec = Recording {
+            inner: NodeConnection::new(EngineNode::new("n0", db)),
+            governed: parking_lot::Mutex::new(Vec::new()),
+        };
+        let sql = "select count(*) as n from t where a > $1";
+        let gov = QueryGovernor::new();
+        let out = rec
+            .execute_bound_governed(sql, &[Value::Int(1)], &gov)
+            .unwrap();
+        assert_eq!(out.rows[0][0], Value::Int(2));
+        assert_eq!(
+            *rec.governed.lock(),
+            ["select count(*) as n from t where (a > 1)"]
+        );
+        // The governor it was handed is the caller's: once that fires the
+        // statement is refused.
+        gov.cancel();
+        assert!(matches!(
+            rec.execute_bound_governed(sql, &[Value::Int(1)], &gov),
+            Err(EngineError::Cancelled(_))
+        ));
     }
 
     #[test]

@@ -425,62 +425,105 @@ impl ApuamaEngine {
                 composer.abort();
                 return Err(e);
             }
-            let mut per_node: Vec<Option<ExecStats>> = vec![None; n];
-            let mut failed: Vec<(usize, EngineError)> = Vec::new();
-            let mut tried: Vec<Vec<usize>> = vec![Vec::new(); n];
-            let mut accept_error: Option<EngineError> = None;
-            let mut timing = PhaseTiming::default();
-            let mut first_composed = false;
-            let mut outstanding = n;
-            for (range, node_idx, attempts, result) in rx.iter() {
-                outstanding -= 1;
-                recovery.retries += attempts.saturating_sub(1);
-                match result {
-                    Ok(out) => {
-                        recovery.failed_attempts += attempts - 1;
-                        per_node[range] = Some(out.stats);
-                        if accept_error.is_none() {
-                            let t = Instant::now();
-                            let ok = match composer.accept_batched(range, out) {
-                                Ok(()) => true,
-                                Err(e) => {
-                                    accept_error = Some(e);
-                                    false
+
+            /// What a finished sub-query updates, in the first wave and in
+            /// every reassignment round alike.
+            struct Settling<'a> {
+                composer: &'a mut (dyn Composer + Send),
+                gov: &'a QueryGovernor,
+                reassign: bool,
+                dispatched: Instant,
+                recovery: RecoveryReport,
+                per_node: Vec<Option<ExecStats>>,
+                tried: Vec<Vec<usize>>,
+                accept_error: Option<EngineError>,
+                timing: PhaseTiming,
+                first_composed: bool,
+            }
+            impl Settling<'_> {
+                /// Accounts for `range`'s outcome on `node` and, when it is
+                /// a partial, composes it — into the overlap while siblings
+                /// are still `outstanding`, into the tail after the last.
+                /// `rerouted` marks a partial a reassignment round
+                /// produced. Returns the failure, if it was one.
+                fn settle(
+                    &mut self,
+                    (range, node, attempts, result): (usize, usize, u32, EngineResult<QueryOutput>),
+                    outstanding: usize,
+                    rerouted: bool,
+                ) -> Option<(usize, EngineError)> {
+                    self.recovery.retries += attempts.saturating_sub(1);
+                    let failure = match result {
+                        Ok(out) => {
+                            self.recovery.failed_attempts += attempts - 1;
+                            if rerouted {
+                                self.recovery.reassigned.push((range, node));
+                            }
+                            self.per_node[range] = Some(out.stats);
+                            if self.accept_error.is_none() {
+                                let t = Instant::now();
+                                let accepted = self.composer.accept_batched(range, out);
+                                let spent = t.elapsed().as_secs_f64() * 1e3;
+                                if outstanding == 0 {
+                                    self.timing.compose_tail_ms += spent;
+                                } else {
+                                    self.timing.compose_overlap_ms += spent;
                                 }
-                            };
-                            let spent = t.elapsed().as_secs_f64() * 1e3;
-                            if outstanding == 0 {
-                                timing.compose_tail_ms += spent;
-                            } else {
-                                timing.compose_overlap_ms += spent;
+                                match accepted {
+                                    // Stamped only by a successfully
+                                    // composed partial — errored partials
+                                    // used to skew this under fault
+                                    // injection.
+                                    Ok(()) if !self.first_composed => {
+                                        self.first_composed = true;
+                                        self.timing.first_partial_ms =
+                                            self.dispatched.elapsed().as_secs_f64() * 1e3;
+                                    }
+                                    Ok(()) => {}
+                                    Err(e) => self.accept_error = Some(e),
+                                }
                             }
-                            if ok && !first_composed {
-                                // Stamped only by a successfully composed
-                                // partial — errored partials used to skew
-                                // this under fault injection.
-                                first_composed = true;
-                                timing.first_partial_ms = dispatched.elapsed().as_secs_f64() * 1e3;
+                            None
+                        }
+                        Err(e) => {
+                            self.recovery.failed_attempts += attempts;
+                            self.tried[range].push(node);
+                            // With reassignment off a single failure dooms
+                            // the query — cancel the siblings so they stop
+                            // at their next batch boundary instead of
+                            // finishing work nobody will compose.
+                            if !self.reassign {
+                                self.gov.cancel();
                             }
+                            Some((range, e))
                         }
+                    };
+                    if self.accept_error.is_some() {
+                        // Composition is broken: nothing else can be
+                        // accepted, so the query is doomed regardless of
+                        // reassignment.
+                        self.gov.cancel();
                     }
-                    Err(e) => {
-                        recovery.failed_attempts += attempts;
-                        tried[range].push(node_idx);
-                        failed.push((range, e));
-                        // With reassignment off a single failure dooms the
-                        // query — cancel the siblings so they stop at their
-                        // next batch boundary instead of finishing work
-                        // nobody will compose.
-                        if !policy.reassign {
-                            gov.cancel();
-                        }
-                    }
+                    failure
                 }
-                if accept_error.is_some() {
-                    // Composition is broken: nothing else can be accepted,
-                    // so the query is doomed regardless of reassignment.
-                    gov.cancel();
-                }
+            }
+            let mut st = Settling {
+                composer: &mut **composer,
+                gov: &gov,
+                reassign: policy.reassign,
+                dispatched,
+                recovery,
+                per_node: vec![None; n],
+                tried: vec![Vec::new(); n],
+                accept_error: None,
+                timing: PhaseTiming::default(),
+                first_composed: false,
+            };
+            let mut failed: Vec<(usize, EngineError)> = Vec::new();
+            let mut outstanding = n;
+            for partial in rx.iter() {
+                outstanding -= 1;
+                failed.extend(st.settle(partial, outstanding, false));
             }
 
             // 5. Reassignment rounds: every still-missing range goes whole
@@ -488,14 +531,14 @@ impl ApuamaEngine {
             //    ranges composed or some range has nowhere left to go.
             while policy.reassign
                 && !failed.is_empty()
-                && accept_error.is_none()
+                && st.accept_error.is_none()
                 && !gov.is_cancelled()
             {
                 let mut batch: Vec<(usize, usize)> = Vec::with_capacity(failed.len());
                 let mut stuck = false;
                 for (rr, (range, _)) in failed.iter().enumerate() {
                     let candidates: Vec<usize> = (0..n)
-                        .filter(|j| !tried[*range].contains(j))
+                        .filter(|j| !st.tried[*range].contains(j))
                         .filter(|&j| self.health.is_available(j))
                         .collect();
                     if candidates.is_empty() {
@@ -530,46 +573,19 @@ impl ApuamaEngine {
                 }
                 drop(rtx);
                 let mut outstanding = batch.len();
-                let mut still_failed: Vec<(usize, EngineError)> = Vec::new();
-                for (range, target, attempts, result) in rrx.iter() {
+                failed.clear();
+                for partial in rrx.iter() {
                     outstanding -= 1;
-                    recovery.retries += attempts.saturating_sub(1);
-                    match result {
-                        Ok(out) => {
-                            recovery.failed_attempts += attempts - 1;
-                            recovery.reassigned.push((range, target));
-                            per_node[range] = Some(out.stats);
-                            if accept_error.is_none() {
-                                let t = Instant::now();
-                                let ok = match composer.accept_batched(range, out) {
-                                    Ok(()) => true,
-                                    Err(e) => {
-                                        accept_error = Some(e);
-                                        false
-                                    }
-                                };
-                                let spent = t.elapsed().as_secs_f64() * 1e3;
-                                if outstanding == 0 {
-                                    timing.compose_tail_ms += spent;
-                                } else {
-                                    timing.compose_overlap_ms += spent;
-                                }
-                                if ok && !first_composed {
-                                    first_composed = true;
-                                    timing.first_partial_ms =
-                                        dispatched.elapsed().as_secs_f64() * 1e3;
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            recovery.failed_attempts += attempts;
-                            tried[range].push(target);
-                            still_failed.push((range, e));
-                        }
-                    }
+                    failed.extend(st.settle(partial, outstanding, true));
                 }
-                failed = still_failed;
             }
+            let Settling {
+                recovery,
+                per_node,
+                accept_error,
+                mut timing,
+                ..
+            } = st;
 
             // 6. Error out cleanly — the pooled composer must never be left
             //    mid-composition (the seed corrupted the next same-template
@@ -1374,6 +1390,41 @@ mod governance_tests {
         for node in 0..3 {
             assert_eq!(engine.health().failures(node), 0, "node {node}");
         }
+    }
+
+    /// A bound read through the driver connection is governed like its
+    /// text form: `ApuamaConnection` overrides the text pair only, and the
+    /// trait's bound default used to check the governor once and then run
+    /// the statement without it — rows after the delay, no deadline.
+    #[test]
+    fn bound_read_through_the_connection_observes_its_deadline() {
+        let (engine, faulties) = faulty_cluster(3, ApuamaConfig::default());
+        delay_all(&faulties, 80);
+        let conn = engine.connection(0);
+        let sql = "select count(*) as n from orders where o_totalprice > $1";
+        let gov = QueryGovernor::new().with_deadline_in(Duration::from_millis(10));
+        let err = conn
+            .execute_bound_governed(sql, &[Value::Float(10.0)], &gov)
+            .unwrap_err();
+        assert!(matches!(err, EngineError::Timeout(_)), "{err:?}");
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while engine
+            .node_processors()
+            .iter()
+            .any(|n| n.subqueries_in_flight() > 0)
+        {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "sub-queries still in flight"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+
+        heal_all(&faulties);
+        let out = conn
+            .execute_bound_governed(sql, &[Value::Float(10.0)], &QueryGovernor::new())
+            .unwrap();
+        assert_eq!(out.rows, vec![vec![Value::Int(53)]]);
     }
 
     /// `ApuamaConfig::query_deadline_ms` bounds every statement without

@@ -22,7 +22,7 @@ use apuama_storage::{AccessKind, BufferPool, BufferStats, PageKey, Row, RowId, T
 
 use crate::catalog::{Catalog, TableSchema};
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{eval_expr, split_conjuncts};
+use crate::eval::{self, split_conjuncts, Scope};
 use crate::exec::{self, ExecContext};
 use crate::governor::{MemoryGauge, QueryGovernor};
 use crate::physical;
@@ -671,7 +671,7 @@ impl Database {
                 }
                 let mut row = vec![Value::Null; schema.arity()];
                 for (expr, &slot) in exprs.iter().zip(&mapping) {
-                    row[slot] = eval_expr(expr, &[], &ctx)?;
+                    row[slot] = eval::eval_once(expr, &ctx)?;
                 }
                 out.push(row);
             }
@@ -810,17 +810,17 @@ impl Database {
             let ctx = ExecContext::new(self);
             let table = &self.tables[schema.id as usize];
             let bindings = exec::bindings_for_table(&table.schema, None);
+            let scope = Scope::new(&bindings, &[], &ctx);
+            let progs: Vec<_> = (assignments.iter())
+                .map(|(_, expr)| eval::compile_expr(expr, &scope))
+                .collect();
             for &rid in &rids {
                 let Some(row) = table.heap.get(rid) else {
                     continue;
                 };
-                let frames = [crate::eval::Frame {
-                    bindings: &bindings,
-                    row: &row,
-                }];
                 let mut new_row = row.clone();
-                for ((_, expr), &slot) in assignments.iter().zip(&targets) {
-                    new_row[slot] = eval_expr(expr, &frames, &ctx)?;
+                for (prog, &slot) in progs.iter().zip(&targets) {
+                    new_row[slot] = eval::eval_compiled(prog, &row, &[], &ctx)?;
                 }
                 updates.push((rid, new_row));
             }

@@ -11,7 +11,6 @@
 //! must not drift between read and write paths.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 
 use apuama_sql::ast::{is_aggregate_name, Expr, Select, SelectItem};
 use apuama_sql::value::HashableValue;
@@ -21,7 +20,7 @@ use apuama_storage::{AccessKind, PageKey, Row, RowId, TableId};
 use crate::catalog::TableSchema;
 use crate::db::Database;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{eval_expr, truthiness, Frame};
+use crate::eval::Frame;
 use crate::governor::QueryGovernor;
 use crate::physical;
 use crate::planner::AccessPath;
@@ -97,7 +96,7 @@ pub struct ExecContext<'a> {
     /// released on drop so every exit path (success, error, cancel)
     /// returns the budget.
     mem_charged: Cell<u64>,
-    /// Compiled `EXISTS` probes and once-per-execution subquery results.
+    /// Once-per-execution subquery results.
     subqueries: SubqueryMemo,
 }
 
@@ -347,7 +346,7 @@ pub(crate) fn scan_rids(
 ) -> EngineResult<Vec<RowId>> {
     let bindings = bindings_for_table(&table.schema, None);
     let preds = physical::ScanPreds::new(
-        physical::resolve_preds(residual.iter().copied(), &bindings, ctx),
+        physical::resolve_preds(residual.iter().copied(), &bindings, &[], ctx),
         bindings.len(),
         ctx,
     );
@@ -355,12 +354,10 @@ pub(crate) fn scan_rids(
     let mut sel = physical::Sel::new();
     let mut out = Vec::new();
     let mut scanned = physical::ScanTally::new(ctx);
-    let mut cursor =
-        physical::ScanCursor::open(table, &bindings, path, residual, preds.touches_pool(), ctx);
+    let mut cursor = physical::ScanCursor::open(table, path, &preds, ctx);
     while let Some((seg, base, slots)) = cursor.next(ctx) {
         scanned.rows += slots.len() as u64;
-        let (survivors, cpu) =
-            preds.filter(seg, slots, &mut sel, &mut scratch, &bindings, &[], ctx)?;
+        let (survivors, cpu) = preds.filter(seg, slots, &mut sel, &mut scratch, &[], ctx)?;
         ctx.bump_cpu(cpu);
         out.extend(survivors.iter().map(|&slot| base + slot as u64));
     }
@@ -378,10 +375,6 @@ pub(crate) fn bound_ref(b: &std::ops::Bound<Value>) -> std::ops::Bound<&Value> {
 // ---------------------------------------------------------------------------
 // Projection helpers (shared by the physical pipeline's operators)
 // ---------------------------------------------------------------------------
-
-/// Row-parallel ORDER BY sort keys, produced by the projection/aggregation
-/// stage and consumed by the sort.
-pub(crate) type SortKeys = Vec<Vec<Value>>;
 
 /// Output bindings of a SELECT list over the given input bindings.
 pub(crate) fn output_bindings(q: &Select, input: &[Binding]) -> Vec<Binding> {
@@ -401,39 +394,6 @@ pub(crate) fn output_bindings(q: &Select, input: &[Binding]) -> Vec<Binding> {
     out
 }
 
-/// Computes ORDER BY sort keys for one output row: a bare column matching an
-/// output name uses the projected value; anything else is evaluated (with
-/// aggregates substituted when `agg_subst` is provided).
-pub(crate) fn sort_key_for_row(
-    order_by: &[apuama_sql::OrderByItem],
-    out_names: &[&str],
-    out_row: &[Value],
-    frames: &[Frame<'_>],
-    ctx: &ExecContext<'_>,
-    agg_subst: Option<&HashMap<String, Value>>,
-) -> EngineResult<Vec<Value>> {
-    let mut key = Vec::with_capacity(order_by.len());
-    for o in order_by {
-        if let Expr::Column(c) = &o.expr {
-            if c.table.is_none() {
-                if let Some(pos) = out_names.iter().position(|n| *n == c.column) {
-                    key.push(out_row[pos].clone());
-                    continue;
-                }
-            }
-        }
-        let v = match agg_subst {
-            Some(map) => {
-                let replaced = substitute_aggregates(&o.expr, map);
-                eval_expr(&replaced, frames, ctx)?
-            }
-            None => eval_expr(&o.expr, frames, ctx)?,
-        };
-        key.push(v);
-    }
-    Ok(key)
-}
-
 // ---------------------------------------------------------------------------
 // Aggregation
 // ---------------------------------------------------------------------------
@@ -442,7 +402,7 @@ pub(crate) fn sort_key_for_row(
 /// identical calls share an accumulator.
 #[derive(Debug, Clone)]
 pub(crate) struct AggSpec {
-    key: String,
+    pub(crate) key: String,
     name: String,
     pub(crate) arg: Option<Expr>,
     pub(crate) distinct: bool,
@@ -670,7 +630,7 @@ impl Acc {
         }
     }
 
-    fn finalize(self) -> Value {
+    pub(crate) fn finalize(self) -> Value {
         match self {
             Acc::CountStar(n) => Value::Int(n),
             Acc::Count { n, .. } => Value::Int(n),
@@ -743,182 +703,10 @@ pub(crate) fn collect_agg_specs(q: &Select) -> Vec<AggSpec> {
     specs
 }
 
-/// Replaces aggregate calls with their computed values (as literals), so the
-/// remaining expression can be evaluated by the ordinary evaluator.
-fn substitute_aggregates(e: &Expr, values: &HashMap<String, Value>) -> Expr {
-    match e {
-        Expr::Function { name, .. } if is_aggregate_name(name) => {
-            let key = e.to_string();
-            match values.get(&key) {
-                Some(v) => Expr::Literal(v.clone()),
-                None => e.clone(),
-            }
-        }
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(substitute_aggregates(left, values)),
-            op: *op,
-            right: Box::new(substitute_aggregates(right, values)),
-        },
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(substitute_aggregates(expr, values)),
-        },
-        Expr::Function {
-            name,
-            args,
-            distinct,
-            star,
-        } => Expr::Function {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| substitute_aggregates(a, values))
-                .collect(),
-            distinct: *distinct,
-            star: *star,
-        },
-        Expr::Case {
-            branches,
-            else_expr,
-        } => Expr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, r)| {
-                    (
-                        substitute_aggregates(c, values),
-                        substitute_aggregates(r, values),
-                    )
-                })
-                .collect(),
-            else_expr: else_expr
-                .as_ref()
-                .map(|x| Box::new(substitute_aggregates(x, values))),
-        },
-        Expr::Between {
-            expr,
-            negated,
-            low,
-            high,
-        } => Expr::Between {
-            expr: Box::new(substitute_aggregates(expr, values)),
-            negated: *negated,
-            low: Box::new(substitute_aggregates(low, values)),
-            high: Box::new(substitute_aggregates(high, values)),
-        },
-        Expr::InList {
-            expr,
-            negated,
-            list,
-        } => Expr::InList {
-            expr: Box::new(substitute_aggregates(expr, values)),
-            negated: *negated,
-            list: list
-                .iter()
-                .map(|x| substitute_aggregates(x, values))
-                .collect(),
-        },
-        Expr::Like {
-            expr,
-            negated,
-            pattern,
-        } => Expr::Like {
-            expr: Box::new(substitute_aggregates(expr, values)),
-            negated: *negated,
-            pattern: Box::new(substitute_aggregates(pattern, values)),
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(substitute_aggregates(expr, values)),
-            negated: *negated,
-        },
-        // Subqueries and leaves are left intact.
-        other => other.clone(),
-    }
-}
-
-/// Accumulator state for one group: a representative input row (group-by
-/// expressions are re-evaluated against it at projection time) plus one
-/// accumulator per aggregate spec.
+/// Accumulator state for one group: a representative input row (what a
+/// group's projection reads columns from) plus one accumulator per aggregate
+/// spec.
 pub(crate) struct GroupState {
     pub(crate) rep_row: Row,
     pub(crate) accs: Vec<Acc>,
-}
-
-/// Finalizes accumulated groups into output rows: the empty-input global
-/// group, HAVING, the select-list projection with aggregates substituted,
-/// and ORDER BY keys. `groups` arrives in first-seen order (the group keys
-/// themselves are not needed here: group-by expressions are re-evaluated
-/// against each group's representative row). Shared by the general
-/// aggregation operator and the fused pipeline (which supplies its own
-/// accumulation loop) so both shapes finish identically.
-pub(crate) fn project_groups(
-    q: &Select,
-    input_bindings: &[Binding],
-    specs: &[AggSpec],
-    mut groups: Vec<GroupState>,
-    outer: &[Frame<'_>],
-    ctx: &ExecContext<'_>,
-) -> EngineResult<(Relation, SortKeys)> {
-    // Global aggregation over an empty input still yields one group.
-    if groups.is_empty() && q.group_by.is_empty() {
-        groups.push(GroupState {
-            rep_row: vec![Value::Null; input_bindings.len()],
-            accs: specs.iter().map(Acc::new).collect(),
-        });
-    }
-
-    let out_bindings = output_bindings(q, input_bindings);
-    let out_names: Vec<&str> = out_bindings.iter().map(|b| b.name.as_str()).collect();
-    let mut rows = Vec::with_capacity(groups.len());
-    let mut keys = Vec::with_capacity(groups.len());
-    for group in groups {
-        let mut agg_values: HashMap<String, Value> = HashMap::with_capacity(specs.len());
-        for (spec, acc) in specs.iter().zip(group.accs) {
-            agg_values.insert(spec.key.clone(), acc.finalize());
-        }
-        let rep = group.rep_row;
-        let mut frames = Vec::with_capacity(outer.len() + 1);
-        frames.push(Frame {
-            bindings: input_bindings,
-            row: &rep,
-        });
-        frames.extend_from_slice(outer);
-
-        // HAVING.
-        if let Some(h) = &q.having {
-            let replaced = substitute_aggregates(h, &agg_values);
-            if truthiness(&eval_expr(&replaced, &frames, ctx)?) != Some(true) {
-                continue;
-            }
-        }
-
-        let mut out_row = Vec::with_capacity(out_names.len());
-        for item in &q.items {
-            match item {
-                SelectItem::Wildcard => {
-                    return Err(EngineError::Unsupported("SELECT * with aggregation".into()))
-                }
-                SelectItem::Expr { expr, .. } => {
-                    let replaced = substitute_aggregates(expr, &agg_values);
-                    out_row.push(eval_expr(&replaced, &frames, ctx)?);
-                }
-            }
-        }
-        let key = sort_key_for_row(
-            &q.order_by,
-            &out_names,
-            &out_row,
-            &frames,
-            ctx,
-            Some(&agg_values),
-        )?;
-        rows.push(out_row);
-        keys.push(key);
-    }
-    Ok((
-        Relation {
-            bindings: out_bindings,
-            rows,
-        },
-        keys,
-    ))
 }

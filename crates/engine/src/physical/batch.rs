@@ -8,9 +8,8 @@ use crate::exec::{self};
 // ---------------------------------------------------------------------------
 
 /// Row-parallel ORDER BY sort keys in one flat buffer: row `i`'s key is
-/// `vals[i * stride..(i + 1) * stride]`. Replaces the former
-/// `Vec<Vec<Value>>` — one `Vec` allocation per projected row on every
-/// ORDER BY path — with a single buffer per batch. `stride` is the ORDER
+/// `vals[i * stride..(i + 1) * stride]` — a single buffer per batch, not
+/// one `Vec` per projected row. `stride` is the ORDER
 /// BY component count (0 when the statement has no ORDER BY, in which
 /// case the buffer stays empty and only the row count is tracked).
 #[derive(Default)]
@@ -27,19 +26,6 @@ impl KeyBuf {
             stride,
             rows: 0,
         }
-    }
-
-    /// Bridges from nested per-row keys (the shape `exec::project_groups`
-    /// and the framed evaluation paths still produce).
-    pub(crate) fn from_nested(keys: Vec<Vec<Value>>) -> Self {
-        let rows = keys.len();
-        let stride = keys.first().map_or(0, Vec::len);
-        let mut vals = Vec::with_capacity(stride * rows);
-        for k in keys {
-            debug_assert_eq!(k.len(), stride, "ragged sort keys");
-            vals.extend(k);
-        }
-        KeyBuf { vals, stride, rows }
     }
 
     pub(crate) fn from_parts(vals: Vec<Value>, stride: usize, rows: usize) -> Self {
@@ -74,17 +60,6 @@ impl KeyBuf {
     pub(crate) fn end_row(&mut self) {
         self.rows += 1;
         debug_assert_eq!(self.vals.len(), self.rows * self.stride);
-    }
-
-    /// Appends a whole per-row key (bridge for the framed paths that still
-    /// build one `Vec` per row). The first pushed key fixes the stride.
-    pub(crate) fn push_key(&mut self, key: Vec<Value>) {
-        if self.rows == 0 && self.vals.is_empty() {
-            self.stride = key.len();
-        }
-        debug_assert_eq!(key.len(), self.stride, "ragged sort keys");
-        self.vals.extend(key);
-        self.rows += 1;
     }
 
     /// Moves another buffer's keys onto the end of this one. An empty
@@ -131,12 +106,6 @@ impl BatchEmitter {
             keys: keys.into_vals().into_iter(),
             stride,
         }
-    }
-
-    /// Bridge for producers still emitting nested per-row keys
-    /// (`exec::project_groups`).
-    pub(crate) fn nested(rows: Vec<Row>, keys: Vec<Vec<Value>>) -> Self {
-        Self::new(rows, KeyBuf::from_nested(keys))
     }
 
     pub(crate) fn rows_only(rows: Vec<Row>) -> Self {

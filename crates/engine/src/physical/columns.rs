@@ -68,8 +68,8 @@ use apuama_sql::Value;
 use apuama_storage::{Column, ColumnVec, Row, Segment, Validity};
 
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{and3, not3, CompiledExpr, Frame};
-use crate::exec::{Acc, Binding, ExecContext};
+use crate::eval::{and3, cmp_matches, not3, CompiledExpr, Frame};
+use crate::exec::{Acc, ExecContext};
 use crate::subquery::{probe_memos, ProbeMemo};
 
 use crate::physical::*;
@@ -276,7 +276,7 @@ impl VecPred {
                 })
             }
             ResidualPred::Compiled(c) => c,
-            ResidualPred::Exists { .. } | ResidualPred::Framed(_) => return None,
+            ResidualPred::Exists { .. } => return None,
         };
         match c {
             CompiledExpr::Binary { left, op, right } if op.is_comparison() => {
@@ -555,17 +555,18 @@ pub(crate) struct ScanPreds {
 }
 
 impl ScanPreds {
-    /// `width` is the table's column count: a framed predicate resolves
-    /// columns by name, so it is handed every cell.
+    /// `width` is the table's column count: a predicate that evaluates a
+    /// subquery is handed every cell, because the subquery resolves names
+    /// against the row when it runs.
     pub(crate) fn new(preds: Vec<ResidualPred>, width: usize, ctx: &ExecContext<'_>) -> ScanPreds {
         let prefix: Vec<VecPred> = preds.iter().map_while(|p| VecPred::of(p, ctx)).collect();
         let cols_of = |p: &ResidualPred| -> Vec<usize> {
             let mut cols = Vec::new();
             match p {
                 ResidualPred::FastCmp { col, .. } => cols.push(*col),
+                ResidualPred::Compiled(c) if c.has_subquery() => cols.extend(0..width),
                 ResidualPred::Compiled(c) => c.collect_cols(&mut cols),
                 ResidualPred::Exists { probe, .. } => probe.collect_outer_cols(&mut cols),
-                ResidualPred::Framed(_) => cols.extend(0..width),
             }
             cols
         };
@@ -586,11 +587,13 @@ impl ScanPreds {
     /// A predicate that evaluates a subquery touches the buffer pool, and
     /// the pool's LRU makes the order of touches observable: the scan must
     /// then charge each heap page before the probes of that page's rows,
-    /// as the row loop did, so it advances page by page.
+    /// as a row-at-a-time scan does, so it advances page by page.
     pub(crate) fn touches_pool(&self) -> bool {
-        self.preds
-            .iter()
-            .any(|p| matches!(p, ResidualPred::Exists { .. } | ResidualPred::Framed(_)))
+        self.preds.iter().any(|p| match p {
+            ResidualPred::FastCmp { .. } => false,
+            ResidualPred::Compiled(c) => c.has_subquery(),
+            ResidualPred::Exists { .. } => true,
+        })
     }
 
     /// A scratch for this list.
@@ -640,7 +643,6 @@ impl ScanPreds {
         seg: &Segment,
         slot: usize,
         scratch: &mut RowScratch,
-        bindings: &[Binding],
         outer: &[Frame<'_>],
         ctx: &ExecContext<'_>,
         charge: impl FnMut(),
@@ -648,7 +650,6 @@ impl ScanPreds {
         scratch.fill(seg, slot, &self.row_cols[done]);
         keep_row_charged(
             &scratch.row,
-            bindings,
             &self.preds[done..],
             &mut scratch.memos[done..],
             outer,
@@ -660,14 +661,12 @@ impl ScanPreds {
     /// The `slots` of `seg` whose tuple satisfies every predicate — left in
     /// `sel`, or `slots` themselves when there is no predicate, so a bare
     /// scan copies nothing — and the `cpu_tuple_ops` finding them cost.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn filter<'s>(
         &self,
         seg: &Segment,
         slots: &'s [u32],
         sel: &'s mut Sel,
         scratch: &mut RowScratch,
-        bindings: &[Binding],
         outer: &[Frame<'_>],
         ctx: &ExecContext<'_>,
     ) -> EngineResult<(&'s [u32], u64)> {
@@ -679,7 +678,7 @@ impl ScanPreds {
             let mut kept = 0;
             for k in 0..sel.len() {
                 let slot = sel[k] as usize;
-                if self.keep_rest(done, seg, slot, scratch, bindings, outer, ctx, || cpu += 1)? {
+                if self.keep_rest(done, seg, slot, scratch, outer, ctx, || cpu += 1)? {
                     sel[kept] = sel[k];
                     kept += 1;
                 }

@@ -1,6 +1,7 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::Hasher;
+use std::sync::Arc;
 
 use apuama_sql::ast::{BinOp, Expr};
 use apuama_sql::value::hash_value;
@@ -8,27 +9,23 @@ use apuama_sql::Value;
 use apuama_storage::Row;
 
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{self, eval_expr, truthiness, CompiledExpr, Frame};
+use crate::eval::{self, cmp_matches, truthiness, CompiledExpr, Frame, Scope};
 use crate::exec::{self, Binding, ExecContext, GroupState, Relation};
 use crate::planner;
-use crate::subquery::{probe_memos, ProbeMemo, RowProbe};
+use crate::subquery::{probe_memos, ExistsProbe, ProbeMemo};
 use crate::table::Table;
 
-/// A filter predicate, pre-resolved to positional form where possible.
-/// Compilation succeeds exactly when every column resolves uniquely in the
-/// operator's own bindings and no subquery appears — in which case the
-/// compiled program is value- and error-identical to frame evaluation —
-/// so falling back to `Framed` never changes semantics. The hot
-/// `col <cmp> literal` shape is further specialized to a direct comparison
-/// (`FastCmp`), skipping the expression walk and its per-operand `Value`
-/// clones. A single-table `[NOT] EXISTS` that qualifies
-/// (see [`crate::subquery`]) becomes a semi-/anti-join probe whose outer
-/// side reads the operator's row positionally.
+/// A filter predicate, compiled. The hot `col <cmp> literal` shape is
+/// specialized to a direct comparison (`FastCmp`), skipping the expression
+/// walk and its per-operand `Value` clones. A single-table `[NOT] EXISTS`
+/// that qualifies (see [`crate::subquery`]) and reads nothing but the
+/// operator's row becomes a semi-/anti-join probe the operator holds, with
+/// a memo of its own from row to row.
 pub(crate) enum ResidualPred {
     /// `col <op> lit`, normalized so the column is on the left. Semantics
-    /// mirror [`eval::eval_binary_with`] for comparison operators: NULL on
-    /// either side filters the row (three-valued logic), incomparable
-    /// non-null operands are a type error with the same message.
+    /// are the evaluator's for comparison operators: NULL on either side
+    /// filters the row (three-valued logic), incomparable non-null operands
+    /// are a type error with the same message.
     FastCmp {
         col: usize,
         op: BinOp,
@@ -37,36 +34,33 @@ pub(crate) enum ResidualPred {
     Compiled(CompiledExpr),
     Exists {
         negated: bool,
-        probe: RowProbe,
+        probe: Arc<ExistsProbe>,
     },
-    Framed(Expr),
 }
 
 impl ResidualPred {
-    /// Re-sinks a compiled predicate into its fastest evaluable form.
+    /// Sinks a compiled predicate into its fastest evaluable form.
     pub(crate) fn from_compiled(c: CompiledExpr) -> ResidualPred {
-        if let CompiledExpr::Binary { left, op, right } = &c {
-            if op.is_comparison() {
+        let fast = match &c {
+            CompiledExpr::Binary { left, op, right } if op.is_comparison() => {
                 match (left.as_ref(), right.as_ref()) {
-                    (CompiledExpr::Col(i), CompiledExpr::Lit(v)) => {
-                        return ResidualPred::FastCmp {
-                            col: *i,
-                            op: *op,
-                            lit: v.clone(),
-                        }
-                    }
-                    (CompiledExpr::Lit(v), CompiledExpr::Col(i)) => {
-                        return ResidualPred::FastCmp {
-                            col: *i,
-                            op: flip_cmp(*op),
-                            lit: v.clone(),
-                        }
-                    }
-                    _ => {}
+                    (CompiledExpr::Col(i), CompiledExpr::Lit(v)) => Some((*i, *op, v)),
+                    (CompiledExpr::Lit(v), CompiledExpr::Col(i)) => Some((*i, flip_cmp(*op), v)),
+                    _ => None,
                 }
             }
+            _ => None,
+        };
+        if let Some((col, op, lit)) = fast {
+            let lit = lit.clone();
+            return ResidualPred::FastCmp { col, op, lit };
         }
-        ResidualPred::Compiled(c)
+        match c {
+            CompiledExpr::Probe { negated, probe } if probe.is_positional() => {
+                ResidualPred::Exists { negated, probe }
+            }
+            c => ResidualPred::Compiled(c),
+        }
     }
 }
 
@@ -81,61 +75,32 @@ pub(crate) fn flip_cmp(op: BinOp) -> BinOp {
     }
 }
 
-pub(crate) fn cmp_matches(op: BinOp, ord: Ordering) -> bool {
-    match op {
-        BinOp::Eq => ord == Ordering::Equal,
-        BinOp::NotEq => ord != Ordering::Equal,
-        BinOp::Lt => ord == Ordering::Less,
-        BinOp::LtEq => ord != Ordering::Greater,
-        BinOp::Gt => ord == Ordering::Greater,
-        BinOp::GtEq => ord != Ordering::Less,
-        _ => unreachable!("FastCmp only built for comparison operators"),
-    }
-}
-
-/// Resolves one predicate against an operator's row bindings, once per
-/// execution: bound parameters are folded into the compiled program and
+/// Compiles an operator's predicate list against its row bindings and the
+/// frames around it, once per execution: bound parameters are folded in,
 /// `col <cmp> literal` is specialized. Values and errors are the same in
 /// every form; only the per-row cost differs.
-fn resolve_pred(e: &Expr, bindings: &[Binding], ctx: &ExecContext<'_>) -> ResidualPred {
-    if let Some(c) = eval::compile_expr(e, bindings) {
-        return ResidualPred::from_compiled(eval::prebind_params(&c, ctx));
-    }
-    if let Expr::Exists { negated, query } = e {
-        if let Some(probe) = RowProbe::for_row(query, bindings, ctx) {
-            return ResidualPred::Exists {
-                negated: *negated,
-                probe,
-            };
-        }
-    }
-    // Load-bearing clone: the operator owns its framed predicates.
-    ResidualPred::Framed(e.clone())
-}
-
-/// [`resolve_pred`] over an operator's predicate list.
 pub(crate) fn resolve_preds<'p>(
     preds: impl IntoIterator<Item = &'p Expr>,
     bindings: &[Binding],
+    outer: &[Frame<'_>],
     ctx: &ExecContext<'_>,
 ) -> Vec<ResidualPred> {
+    let scope = Scope::new(bindings, outer, ctx);
     preds
         .into_iter()
-        .map(|e| resolve_pred(e, bindings, ctx))
+        .map(|e| ResidualPred::from_compiled(eval::compile_expr(e, &scope)))
         .collect()
 }
 
 /// One row through a conjunctive predicate list — the one row-major
 /// predicate evaluator: `charge` is called before each evaluation and the
-/// list short-circuits on the first non-true, exactly like the
-/// interpreter's scan/filter loops. `memos` is the evaluating operator's,
-/// one per predicate ([`probe_memos`]). Streaming operators count the
-/// charges locally and flush them once per batch; materialized paths use
-/// [`keep_row`]. A scan reaches this only for the predicates its
+/// list short-circuits on the first non-true. `memos` is the evaluating
+/// operator's, one per predicate ([`probe_memos`]). Streaming operators
+/// count the charges locally and flush them once per batch; materialized
+/// paths use [`keep_row`]. A scan reaches this only for the predicates its
 /// vectorized prefix does not cover ([`ScanPreds::filter`]).
 pub(crate) fn keep_row_charged(
     row: &Row,
-    bindings: &[Binding],
     preds: &[ResidualPred],
     memos: &mut [ProbeMemo],
     outer: &[Frame<'_>],
@@ -143,7 +108,6 @@ pub(crate) fn keep_row_charged(
     mut charge: impl FnMut(),
 ) -> EngineResult<bool> {
     debug_assert_eq!(preds.len(), memos.len(), "one memo per predicate");
-    let mut frames: Option<Vec<Frame<'_>>> = None;
     for (pred, memo) in preds.iter().zip(memos) {
         charge();
         let keep = match pred {
@@ -163,17 +127,10 @@ pub(crate) fn keep_row_charged(
                 }
             }
             ResidualPred::Compiled(c) => {
-                truthiness(&eval::eval_compiled(c, row, ctx)?) == Some(true)
+                truthiness(&eval::eval_compiled(c, row, outer, ctx)?) == Some(true)
             }
-            ResidualPred::Exists { negated, probe } => probe.eval(row, memo, ctx)? != *negated,
-            ResidualPred::Framed(e) => {
-                let frames = frames.get_or_insert_with(|| {
-                    let mut f = Vec::with_capacity(outer.len() + 1);
-                    f.push(Frame { bindings, row });
-                    f.extend_from_slice(outer);
-                    f
-                });
-                truthiness(&eval_expr(e, frames, ctx)?) == Some(true)
+            ResidualPred::Exists { negated, probe } => {
+                probe.eval(row, outer, memo, ctx)? != *negated
             }
         };
         if !keep {
@@ -188,13 +145,12 @@ pub(crate) fn keep_row_charged(
 /// derived tables, the join phase), where there is no batch to flush at.
 pub(crate) fn keep_row(
     row: &Row,
-    bindings: &[Binding],
     preds: &[ResidualPred],
     memos: &mut [ProbeMemo],
     outer: &[Frame<'_>],
     ctx: &ExecContext<'_>,
 ) -> EngineResult<bool> {
-    keep_row_charged(row, bindings, preds, memos, outer, ctx, || ctx.bump_cpu(1))
+    keep_row_charged(row, preds, memos, outer, ctx, || ctx.bump_cpu(1))
 }
 
 // ---------------------------------------------------------------------------
@@ -216,7 +172,7 @@ pub(crate) fn plan_scan<'x>(
         if exec::expr_has_columns(e) {
             None
         } else {
-            eval_expr(e, &[], ctx).ok()
+            eval::eval_once(e, ctx).ok()
         }
     };
     let choice = planner::choose_access_path(
@@ -239,36 +195,6 @@ pub(crate) fn plan_scan<'x>(
 // ---------------------------------------------------------------------------
 // Zone-map page pruning
 // ---------------------------------------------------------------------------
-
-/// The `col <cmp> literal` residual conjuncts eligible for zone-map page
-/// pruning on `table`: exactly the [`ResidualPred::FastCmp`] shape,
-/// restricted to columns the heap keeps zone maps for. Extraction
-/// recompiles from the raw expressions with bound parameters folded in, so
-/// every scan (general, fused, morsel-parallel, DML) prunes the same pages
-/// whatever form its own residual predicates took.
-pub(crate) fn zone_prune_preds(
-    table: &Table,
-    bindings: &[Binding],
-    residual_exprs: &[&Expr],
-    ctx: &ExecContext<'_>,
-) -> Vec<(usize, BinOp, Value)> {
-    let zone_cols = table.heap.zone_columns();
-    if zone_cols.is_empty() {
-        return Vec::new();
-    }
-    residual_exprs
-        .iter()
-        .filter_map(|e| {
-            let c = eval::compile_expr(e, bindings)?;
-            match ResidualPred::from_compiled(eval::prebind_params(&c, ctx)) {
-                ResidualPred::FastCmp { col, op, lit } if zone_cols.contains(&col) => {
-                    Some((col, op, lit))
-                }
-                _ => None,
-            }
-        })
-        .collect()
-}
 
 /// Does `page`'s zone map prove no live row can satisfy `col <op> lit`?
 ///
@@ -317,19 +243,28 @@ pub(crate) fn zone_page_refutes(
 /// Which heap pages a sequential scan reads: `allowed[page]` is false for
 /// the pages whose zone maps refute a residual conjunct, which are never
 /// iterated — no page charge, no `rows_scanned` — and counted as
-/// `pages_pruned`. `None` when no conjunct is eligible: every page is read.
+/// `pages_pruned`. The eligible conjuncts are exactly the
+/// [`ResidualPred::FastCmp`] ones on a column the heap keeps zone maps for;
+/// `None` when there is none: every page is read.
 pub(crate) fn zone_allowed_pages(
     table: &Table,
-    bindings: &[Binding],
-    residual_exprs: &[&Expr],
-    ctx: &ExecContext<'_>,
+    preds: &[ResidualPred],
 ) -> (Option<Vec<bool>>, u64) {
-    let preds = zone_prune_preds(table, bindings, residual_exprs, ctx);
-    if preds.is_empty() {
+    let zone_cols = table.heap.zone_columns();
+    let eligible: Vec<(usize, BinOp, Value)> = preds
+        .iter()
+        .filter_map(|pred| match pred {
+            ResidualPred::FastCmp { col, op, lit } if zone_cols.contains(col) => {
+                Some((*col, *op, lit.clone()))
+            }
+            _ => None,
+        })
+        .collect();
+    if eligible.is_empty() {
         return (None, 0);
     }
     let allowed: Vec<bool> = (0..table.heap.pages())
-        .map(|page| !zone_page_refutes(&table.heap, page, &preds))
+        .map(|page| !zone_page_refutes(&table.heap, page, &eligible))
         .collect();
     let pruned = allowed.iter().filter(|&&a| !a).count() as u64;
     (Some(allowed), pruned)
@@ -346,45 +281,18 @@ pub(crate) enum KeyProg {
     Expr { expr: CompiledExpr, slot: usize },
 }
 
-/// Compiles key expressions (group-by keys, one side of a join's edges)
-/// into [`KeyProg`]s; `None` when any key needs framed evaluation (the
-/// caller falls back to evaluating with frames).
-pub(crate) fn compile_key_progs<'x>(
-    exprs: impl IntoIterator<Item = &'x Expr>,
-    bindings: &[Binding],
-    ctx: &ExecContext<'_>,
-) -> Option<Vec<KeyProg>> {
-    let mut progs = Vec::new();
-    let mut slots = 0usize;
-    for e in exprs {
-        let c = eval::prebind_params(&eval::compile_expr(e, bindings)?, ctx);
-        progs.push(match c {
-            CompiledExpr::Col(i) => KeyProg::Col(i),
-            other => {
-                let slot = slots;
-                slots += 1;
-                KeyProg::Expr { expr: other, slot }
-            }
-        });
-    }
-    Some(progs)
-}
-
-/// Prebound [`KeyProg`]s from already-compiled group-by programs (the
-/// fused plan carries those from lowering).
-pub(crate) fn key_progs_from_compiled(
-    exprs: &[CompiledExpr],
-    ctx: &ExecContext<'_>,
-) -> Vec<KeyProg> {
+/// [`KeyProg`]s of compiled key expressions (group-by keys, one side of a
+/// join's edges), in order.
+pub(crate) fn key_progs(exprs: impl IntoIterator<Item = CompiledExpr>) -> Vec<KeyProg> {
     let mut slots = 0usize;
     exprs
-        .iter()
-        .map(|c| match eval::prebind_params(c, ctx) {
+        .into_iter()
+        .map(|c| match c {
             CompiledExpr::Col(i) => KeyProg::Col(i),
-            other => {
+            expr => {
                 let slot = slots;
                 slots += 1;
-                KeyProg::Expr { expr: other, slot }
+                KeyProg::Expr { expr, slot }
             }
         })
         .collect()
@@ -395,13 +303,14 @@ pub(crate) fn key_progs_from_compiled(
 pub(crate) fn eval_key_scratch(
     progs: &[KeyProg],
     row: &[Value],
+    outer: &[Frame<'_>],
     ctx: &ExecContext<'_>,
     scratch: &mut Vec<Value>,
 ) -> EngineResult<()> {
     scratch.clear();
     for p in progs {
         if let KeyProg::Expr { expr, .. } = p {
-            scratch.push(eval::eval_compiled(expr, row, ctx)?);
+            scratch.push(eval::eval_compiled(expr, row, outer, ctx)?);
         }
     }
     Ok(())
@@ -419,77 +328,9 @@ pub(crate) fn key_component<'a>(
     }
 }
 
-/// Hash-grouping table replacing `HashMap<Vec<HashableValue>, GroupState>`
-/// on the hot aggregation paths: groups are matched by *borrowed* key
-/// components (no per-row key `Vec` or `Value` clones — the key is cloned
-/// exactly once, when its group is first seen) and states come out in
-/// first-seen order, ready for [`exec::project_groups`]. Hashing uses the
-/// same canonicalization as [`HashableValue`] and equality is
-/// `sort_cmp == Equal` per component, so grouping is identical to the
-/// legacy map (NULLs form one group, `1` and `1.0` share a group).
-pub(crate) struct GroupTable {
-    /// Canonical hash → indices into `keys`/`states` (collision list).
-    index: HashMap<u64, Vec<u32>>,
-    keys: Vec<Vec<Value>>,
-    states: Vec<GroupState>,
-}
-
-impl GroupTable {
-    pub(crate) fn new() -> Self {
-        GroupTable {
-            index: HashMap::new(),
-            keys: Vec::new(),
-            states: Vec::new(),
-        }
-    }
-
-    pub(crate) fn find_or_insert(
-        &mut self,
-        progs: &[KeyProg],
-        row: &[Value],
-        scratch: &[Value],
-        new_state: impl FnOnce() -> GroupState,
-    ) -> &mut GroupState {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        for i in 0..progs.len() {
-            hash_value(key_component(progs, i, row, scratch), &mut hasher);
-        }
-        let h = hasher.finish();
-        if let Some(bucket) = self.index.get(&h) {
-            for &gi in bucket {
-                let stored = &self.keys[gi as usize];
-                if stored.iter().enumerate().all(|(i, s)| {
-                    s.sort_cmp(key_component(progs, i, row, scratch)) == Ordering::Equal
-                }) {
-                    return &mut self.states[gi as usize];
-                }
-            }
-        }
-        let gi = self.states.len() as u32;
-        self.index.entry(h).or_default().push(gi);
-        self.keys.push(
-            (0..progs.len())
-                .map(|i| key_component(progs, i, row, scratch).clone())
-                .collect(),
-        );
-        self.states.push(new_state());
-        self.states.last_mut().expect("just pushed")
-    }
-
-    /// The accumulated group states, in first-seen order.
-    pub(crate) fn into_states(self) -> Vec<GroupState> {
-        self.states
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.states.len()
-    }
-}
-
-/// FNV-1a, the fused kernel's bucketing hash. Only bucket placement
-/// depends on the hash — grouping equality is `sort_cmp` and output order
-/// is first-seen — so the kernel is free to use a cheaper function than
-/// the general table's SipHash.
+/// FNV-1a, the bucketing hash of the group table and the join table. Only
+/// bucket placement depends on the hash — key equality is `sort_cmp` and
+/// output order is first-seen — so a cheap function will do.
 pub(crate) struct FnvHasher(u64);
 
 impl FnvHasher {
@@ -510,20 +351,22 @@ impl Hasher for FnvHasher {
     }
 }
 
-/// How many groups the fused kernel matches by linear scan before cutting
-/// over to a hashed index.
+/// How many groups the table matches by linear scan before cutting over to
+/// a hashed index.
 pub(crate) const LINEAR_GROUPS_MAX: usize = 16;
 
-/// The fused kernel's group table. Grouping semantics are identical to
-/// [`GroupTable`] (equality is `sort_cmp == Equal` per component, states
-/// come out in first-seen order), but the lookup is specialized for the
-/// kernel's profile: the scan→filter→aggregate shape the fusion rule
-/// accepts almost always has tiny group cardinality (TPC-H Q1 has four),
-/// where a couple of direct comparisons beat hashing the key on every row.
-/// The table runs hash-free until the group count outgrows
+/// The group table of every aggregation, fused or general. Groups are
+/// matched by *borrowed* key components (no per-row key `Vec` or `Value`
+/// clones — the key is cloned exactly once, when its group is first seen);
+/// equality is `sort_cmp == Equal` per component, so NULLs form one group
+/// and `1` and `1.0` share one; states come out in first-seen order, ready
+/// for [`project_groups`]. The lookup is specialized for small group
+/// counts — an aggregation over one table almost always has few (TPC-H Q1
+/// has four), where a couple of direct comparisons beat hashing the key on
+/// every row: the table runs hash-free until the group count outgrows
 /// [`LINEAR_GROUPS_MAX`], then builds an FNV index once and probes it from
 /// there on.
-pub(crate) struct FusedGroups {
+pub(crate) struct Groups {
     keys: Vec<Vec<Value>>,
     states: Vec<GroupState>,
     /// FNV hash → group indices (collision list); `None` in the linear
@@ -534,9 +377,9 @@ pub(crate) struct FusedGroups {
     last: usize,
 }
 
-impl FusedGroups {
+impl Groups {
     pub(crate) fn new() -> Self {
-        FusedGroups {
+        Groups {
             keys: Vec::new(),
             states: Vec::new(),
             index: None,
@@ -682,7 +525,7 @@ impl FusedGroups {
     /// the same regime as [`Self::find_or_insert`], and [`hash_value`]
     /// normalizes numerics, so hash and linear probes agree on which keys
     /// are equal.
-    pub(crate) fn merge(&mut self, other: FusedGroups) {
+    pub(crate) fn merge(&mut self, other: Groups) {
         for (key, state) in other.keys.into_iter().zip(other.states) {
             let found = self.position(
                 || Self::stored_hash(&key),
@@ -717,11 +560,11 @@ pub(crate) fn filter_rows(
     ctx: &ExecContext<'_>,
 ) -> EngineResult<Relation> {
     let bindings = rel.bindings;
-    let resolved = resolve_preds(preds, &bindings, ctx);
+    let resolved = resolve_preds(preds, &bindings, outer, ctx);
     let mut memos = probe_memos(resolved.len());
     let mut rows = Vec::with_capacity(rel.rows.len());
     for row in rel.rows {
-        if keep_row(&row, &bindings, &resolved, &mut memos, outer, ctx)? {
+        if keep_row(&row, &resolved, &mut memos, outer, ctx)? {
             rows.push(row);
         }
     }

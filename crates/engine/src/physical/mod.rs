@@ -5,13 +5,17 @@
 //! `HashAggregate`, `Sort`, `Limit`, `Distinct`) each implementing
 //! [`Operator::next_batch`] over [`RowBatch`]es of up to
 //! [`exec::SCAN_BATCH_ROWS`] rows. One executor serves every shape, and
-//! each operator has one `next_batch` body: compiled positional programs,
-//! with interpreted (`Framed`) evaluation only where an expression does not
-//! compile or the operator is a pipeline breaker. The old fused aggregation
-//! kernel survives as the scan→filter→aggregate *fusion rule* applied
-//! during lowering ([`Shape::Fused`]), so `SET enable_kernel` toggles a plan
-//! rewrite, not a second executor, and there is no "unsupported shape"
-//! fallback left to take.
+//! each operator has one `next_batch` body, over programs compiled once at
+//! `open` ([`crate::eval::compile_expr`], which never fails): there is no
+//! interpreted arm beside it. What such an arm would stand for is carried
+//! by the program instead — one that evaluates a subquery
+//! ([`CompiledExpr::has_subquery`]) is not vectorized, is handed the whole
+//! row, and keeps its scan page-grained and off the morsel tier; a stage
+//! whose expressions hold a subquery is a pipeline breaker. The old fused
+//! aggregation kernel survives as the scan→filter→aggregate *fusion rule*
+//! applied during lowering ([`Shape::Fused`]), so `SET enable_kernel`
+//! toggles a plan rewrite, not a second executor, and there is no
+//! "unsupported shape" fallback left to take.
 //!
 //! # What is fixed, and what is only consistent
 //!
@@ -72,7 +76,7 @@ use apuama_sql::visit;
 
 use crate::db::Database;
 use crate::error::EngineResult;
-use crate::eval::{self, CompiledExpr, Frame};
+use crate::eval::{self, CompiledExpr, Frame, Scope};
 use crate::exec::{self, AggSpec, Binding, ExecContext, Relation};
 use crate::planner::{self};
 
@@ -365,25 +369,26 @@ pub(crate) fn compile_fused(q: &Select, db: &Database) -> Option<FusedPlan> {
         }
     }
 
-    let compiled_single = single
-        .iter()
-        .map(|c| eval::compile_expr(c, &bindings))
-        .collect::<Option<Vec<_>>>()?;
-    let compiled_post = post
-        .iter()
-        .map(|c| eval::compile_expr(c, &bindings))
-        .collect::<Option<Vec<_>>>()?;
-    let group_by = q
-        .group_by
-        .iter()
-        .map(|g| eval::compile_expr(g, &bindings))
-        .collect::<Option<Vec<_>>>()?;
+    // Compiled without an execution in hand (the plan outlives it) and
+    // against the table alone: anything that reaches past the row — a name
+    // it does not have, an aggregate inside an aggregate — stays general.
+    let scope = Scope {
+        bindings: &bindings,
+        outer: &[],
+        aggs: &[],
+        ctx: None,
+    };
+    let positional = |e: &Expr| Some(eval::compile_expr(e, &scope)).filter(|c| c.is_positional());
+    let all = |es: &[Expr]| es.iter().map(positional).collect::<Option<Vec<_>>>();
+    let compiled_single = all(&single)?;
+    let compiled_post = all(&post)?;
+    let group_by = all(&q.group_by)?;
     let specs = exec::collect_agg_specs(q);
     let agg_args = specs
         .iter()
         .map(|s| match (&s.arg, s.star) {
             (_, true) | (None, _) => Some(None),
-            (Some(a), false) => eval::compile_expr(a, &bindings).map(Some),
+            (Some(a), false) => positional(a).map(Some),
         })
         .collect::<Option<Vec<_>>>()?;
 

@@ -1,12 +1,9 @@
-use std::collections::HashMap;
-
 use apuama_sql::ast::Select;
-use apuama_sql::value::HashableValue;
 use apuama_sql::Value;
 use apuama_storage::Row;
 
-use crate::error::EngineResult;
-use crate::eval::{self, eval_expr, CompiledExpr, Frame};
+use crate::error::{EngineError, EngineResult};
+use crate::eval::{self, truthiness, CompiledExpr, Frame, Scope};
 use crate::exec::{self, Acc, AggSpec, Binding, ExecContext, GroupState};
 
 use crate::physical::*;
@@ -16,15 +13,10 @@ use crate::physical::*;
 // ---------------------------------------------------------------------------
 
 /// Hash aggregation: folds input batches into group accumulators, then
-/// finalizes through [`exec::project_groups`] (HAVING, the select-list
-/// projection with aggregates substituted, ORDER BY keys). Folding streams
-/// unless a group-by key or aggregate argument contains a subquery.
-/// One aggregate argument, pre-compiled: `None` covers both `count(*)` and zero-argument aggregates.
-pub(crate) enum AggArg {
-    None,
-    Expr(CompiledExpr),
-}
-
+/// finalizes through [`project_groups`] (HAVING, the select-list projection,
+/// ORDER BY keys). Folding streams unless a group-by key or aggregate
+/// argument contains a subquery: then the child is drained first, so the
+/// subqueries' page touches land after the child's.
 pub(crate) struct AggregateExec<'e> {
     q: &'e Select,
     child: Box<dyn Operator<'e> + 'e>,
@@ -33,9 +25,9 @@ pub(crate) struct AggregateExec<'e> {
     breaker: bool,
     specs: Vec<AggSpec>,
     in_bindings: Vec<Binding>,
-    /// Compiled group-key + aggregate-argument programs; `Some` when the
-    /// fold streams and everything compiles (else the framed fold runs).
-    progs: Option<(Vec<KeyProg>, Vec<AggArg>)>,
+    /// Group-key programs and one argument program per spec (`None` covers
+    /// both `count(*)` and zero-argument aggregates), compiled at `open`.
+    progs: (Vec<KeyProg>, Vec<Option<CompiledExpr>>),
     emitter: Option<BatchEmitter>,
 }
 
@@ -59,63 +51,30 @@ impl<'e> AggregateExec<'e> {
             breaker,
             specs,
             in_bindings: Vec::new(),
-            progs: None,
+            progs: (Vec::new(), Vec::new()),
             emitter: None,
         }
     }
 
-    pub(crate) fn compile_agg_progs(&self) -> Option<(Vec<KeyProg>, Vec<AggArg>)> {
-        let keys = compile_key_progs(&self.q.group_by, &self.in_bindings, self.ctx)?;
-        let mut args = Vec::with_capacity(self.specs.len());
-        for spec in &self.specs {
-            args.push(match (&spec.arg, spec.star) {
-                (_, true) | (None, _) => AggArg::None,
-                (Some(arg), false) => AggArg::Expr(eval::prebind_params(
-                    &eval::compile_expr(arg, &self.in_bindings)?,
-                    self.ctx,
-                )),
+    /// Folds one batch: positional key/argument programs over its rows,
+    /// group lookup without key clones, cpu flushed once (one op per row).
+    fn fold(&self, rows: &[Row], table: &mut Groups, scratch: &mut Vec<Value>) -> EngineResult<()> {
+        let (key_progs, arg_progs) = &self.progs;
+        let (outer, ctx) = (self.outer, self.ctx);
+        for row in rows {
+            eval_key_scratch(key_progs, row, outer, ctx, scratch)?;
+            let group = table.find_or_insert(key_progs, row, scratch, || GroupState {
+                rep_row: row.to_vec(),
+                accs: self.specs.iter().map(Acc::new).collect(),
             });
-        }
-        Some((keys, args))
-    }
-
-    pub(crate) fn fold_row(
-        &self,
-        row: &Row,
-        specs: &[AggSpec],
-        groups: &mut HashMap<Vec<HashableValue>, GroupState>,
-        order: &mut Vec<Vec<HashableValue>>,
-    ) -> EngineResult<()> {
-        self.ctx.bump_cpu(1);
-        let mut frames = Vec::with_capacity(self.outer.len() + 1);
-        frames.push(Frame {
-            bindings: &self.in_bindings,
-            row,
-        });
-        frames.extend_from_slice(self.outer);
-        let mut key = Vec::with_capacity(self.q.group_by.len());
-        for g in &self.q.group_by {
-            key.push(eval_expr(g, &frames, self.ctx)?.hash_key());
-        }
-        let group = match groups.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                // Key clone only on first sight of a group: the map owns the
-                // key, the first-seen order list needs its own copy.
-                order.push(e.key().clone());
-                e.insert(GroupState {
-                    rep_row: row.clone(),
-                    accs: specs.iter().map(Acc::new).collect(),
-                })
+            for (prog, acc) in arg_progs.iter().zip(group.accs.iter_mut()) {
+                let arg = prog
+                    .as_ref()
+                    .map(|c| eval::eval_compiled(c, row, outer, ctx));
+                acc.update(arg.transpose()?)?;
             }
-        };
-        for (spec, acc) in specs.iter().zip(group.accs.iter_mut()) {
-            let v = match (&spec.arg, spec.star) {
-                (_, true) | (None, _) => None,
-                (Some(arg), false) => Some(eval_expr(arg, &frames, self.ctx)?),
-            };
-            acc.update(v)?;
         }
+        ctx.bump_cpu(rows.len() as u64);
         Ok(())
     }
 }
@@ -123,9 +82,20 @@ impl<'e> AggregateExec<'e> {
 impl<'e> Operator<'e> for AggregateExec<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>> {
         self.in_bindings = self.child.open()?;
-        if !self.breaker {
-            self.progs = self.compile_agg_progs();
-        }
+        let scope = Scope::new(&self.in_bindings, self.outer, self.ctx);
+        let keys = key_progs(
+            self.q
+                .group_by
+                .iter()
+                .map(|g| eval::compile_expr(g, &scope)),
+        );
+        let args = (self.specs.iter())
+            .map(|spec| match (&spec.arg, spec.star) {
+                (_, true) | (None, _) => None,
+                (Some(arg), false) => Some(eval::compile_expr(arg, &scope)),
+            })
+            .collect();
+        self.progs = (keys, args);
         Ok(exec::output_bindings(self.q, &self.in_bindings))
     }
 
@@ -135,33 +105,30 @@ impl<'e> Operator<'e> for AggregateExec<'e> {
             // batch grain: one charge per batch covering the groups it
             // created (state width ≈ rep row + one accumulator per spec).
             let state_width = self.in_bindings.len() + self.specs.len();
-            let mut charged_groups = 0u64;
-            let states: Vec<GroupState> = if let Some((key_progs, arg_progs)) = &self.progs {
-                // Compiled fold: positional key/argument programs over the
-                // batch's rows, group lookup without key clones, cpu flushed
-                // once per batch (one op per row).
-                let mut table = GroupTable::new();
-                let mut scratch: Vec<Value> = Vec::new();
+            let mut table = Groups::new();
+            let mut scratch: Vec<Value> = Vec::new();
+            if self.breaker {
+                // Drain first, then fold each row by reference. The
+                // buffered input is charged per batch as it arrives.
+                let mut batches: Vec<Vec<Row>> = Vec::new();
                 while let Some(batch) = self.child.next_batch()? {
                     self.ctx.check_interrupt()?;
-                    let mut cpu = 0u64;
-                    for row in &batch.rows {
-                        cpu += 1;
-                        eval_key_scratch(key_progs, row, self.ctx, &mut scratch)?;
-                        let specs = &self.specs;
-                        let group = table.find_or_insert(key_progs, row, &scratch, || GroupState {
-                            rep_row: row.to_vec(),
-                            accs: specs.iter().map(Acc::new).collect(),
-                        });
-                        for (prog, acc) in arg_progs.iter().zip(group.accs.iter_mut()) {
-                            let v = match prog {
-                                AggArg::None => None,
-                                AggArg::Expr(c) => Some(eval::eval_compiled(c, row, self.ctx)?),
-                            };
-                            acc.update(v)?;
-                        }
-                    }
-                    self.ctx.bump_cpu(cpu);
+                    self.ctx.charge_mem(exec::approx_state_bytes(
+                        batch.rows.len() as u64,
+                        self.in_bindings.len(),
+                    ))?;
+                    batches.push(batch.rows);
+                }
+                for rows in &batches {
+                    self.fold(rows, &mut table, &mut scratch)?;
+                }
+                self.ctx
+                    .charge_mem(exec::approx_state_bytes(table.len() as u64, state_width))?;
+            } else {
+                let mut charged_groups = 0u64;
+                while let Some(batch) = self.child.next_batch()? {
+                    self.ctx.check_interrupt()?;
+                    self.fold(&batch.rows, &mut table, &mut scratch)?;
                     let groups = table.len() as u64;
                     self.ctx.charge_mem(exec::approx_state_bytes(
                         groups - charged_groups,
@@ -169,59 +136,78 @@ impl<'e> Operator<'e> for AggregateExec<'e> {
                     ))?;
                     charged_groups = groups;
                 }
-                table.into_states()
-            } else {
-                let mut groups: HashMap<Vec<HashableValue>, GroupState> = HashMap::new();
-                let mut order: Vec<Vec<HashableValue>> = Vec::new();
-                if self.breaker {
-                    // Drain first (subquery page touches land after the
-                    // child's), then fold each row by reference. The
-                    // buffered input is charged per batch as it arrives.
-                    let mut batches: Vec<Vec<Row>> = Vec::new();
-                    while let Some(batch) = self.child.next_batch()? {
-                        self.ctx.check_interrupt()?;
-                        self.ctx.charge_mem(exec::approx_state_bytes(
-                            batch.rows.len() as u64,
-                            self.in_bindings.len(),
-                        ))?;
-                        batches.push(batch.rows);
-                    }
-                    for b in &batches {
-                        for row in b {
-                            self.fold_row(row, &self.specs, &mut groups, &mut order)?;
-                        }
-                    }
-                    self.ctx
-                        .charge_mem(exec::approx_state_bytes(groups.len() as u64, state_width))?;
-                } else {
-                    while let Some(batch) = self.child.next_batch()? {
-                        self.ctx.check_interrupt()?;
-                        for row in &batch.rows {
-                            self.fold_row(row, &self.specs, &mut groups, &mut order)?;
-                        }
-                        let n = groups.len() as u64;
-                        self.ctx.charge_mem(exec::approx_state_bytes(
-                            n - charged_groups,
-                            state_width,
-                        ))?;
-                        charged_groups = n;
-                    }
-                }
-                order
-                    .into_iter()
-                    .map(|k| groups.remove(&k).expect("order tracks the map's keys"))
-                    .collect()
-            };
-            let (rel, keys) = exec::project_groups(
+            }
+            let (rows, keys) = project_groups(
                 self.q,
                 &self.in_bindings,
                 &self.specs,
-                states,
+                table.into_states(),
                 self.outer,
                 self.ctx,
             )?;
-            self.emitter = Some(BatchEmitter::nested(rel.rows, keys));
+            self.emitter = Some(BatchEmitter::new(rows, keys));
         }
         Ok(self.emitter.as_mut().and_then(BatchEmitter::next))
     }
+}
+
+/// Finalizes accumulated groups into output rows: the empty-input global
+/// group, HAVING, the select list and ORDER BY keys. `groups` arrives in
+/// first-seen order. HAVING, items and keys are compiled once, against the
+/// *group row* — a group's representative input row followed by the
+/// finalized value of each aggregate, which is where an aggregate call in
+/// them reads its value from ([`Scope::aggs`]) — and evaluated per group in
+/// that order, so a group HAVING rejects raises nothing from its select
+/// list. Shared by the general aggregation operator and the fused pipeline
+/// (which supplies its own accumulation loop) so both shapes finish
+/// identically.
+pub(crate) fn project_groups(
+    q: &Select,
+    input_bindings: &[Binding],
+    specs: &[AggSpec],
+    mut groups: Vec<GroupState>,
+    outer: &[Frame<'_>],
+    ctx: &ExecContext<'_>,
+) -> EngineResult<(Vec<Row>, KeyBuf)> {
+    // Global aggregation over an empty input still yields one group.
+    if groups.is_empty() && q.group_by.is_empty() {
+        groups.push(GroupState {
+            rep_row: vec![Value::Null; input_bindings.len()],
+            accs: specs.iter().map(Acc::new).collect(),
+        });
+    }
+
+    let scope = Scope {
+        aggs: specs,
+        ..Scope::new(input_bindings, outer, ctx)
+    };
+    let having = q.having.as_ref().map(|h| eval::compile_expr(h, &scope));
+    let out_names: Vec<String> = (exec::output_bindings(q, input_bindings).into_iter())
+        .map(|b| b.name)
+        .collect();
+    let (items, order) = compile_output(q, &out_names, &scope);
+
+    let mut rows = Vec::with_capacity(groups.len());
+    let mut keys = KeyBuf::with_capacity(order.len(), groups.len());
+    for group in groups {
+        let mut row = group.rep_row;
+        row.extend(group.accs.into_iter().map(Acc::finalize));
+        if let Some(h) = &having {
+            if truthiness(&eval::eval_compiled(h, &row, outer, ctx)?) != Some(true) {
+                continue;
+            }
+        }
+        let mut out_row = Vec::with_capacity(items.len());
+        for item in &items {
+            match item {
+                ItemProg::Wildcard => {
+                    return Err(EngineError::Unsupported("SELECT * with aggregation".into()))
+                }
+                ItemProg::Expr(c) => out_row.push(eval::eval_compiled(c, &row, outer, ctx)?),
+            }
+        }
+        order_key_into(&order, &row, &out_row, outer, ctx, &mut keys)?;
+        rows.push(out_row);
+    }
+    Ok((rows, keys))
 }

@@ -14,15 +14,13 @@ use crate::physical::*;
 
 /// Streaming conjunctive filter. Subquery-bearing predicates make it a
 /// pipeline breaker: the child is drained first, then filtered in order,
-/// so the subqueries' page touches land after the child's — exactly the
-/// interpreter's sequencing.
+/// so the subqueries' page touches land after the child's.
 pub(crate) struct FilterExec<'e> {
     child: Box<dyn Operator<'e> + 'e>,
     preds: Vec<Expr>,
     breaker: bool,
     outer: &'e [Frame<'e>],
     ctx: &'e ExecContext<'e>,
-    in_bindings: Vec<Binding>,
     resolved: Vec<ResidualPred>,
     /// The `EXISTS` probes' memos, one per predicate.
     memos: Vec<ProbeMemo>,
@@ -43,7 +41,6 @@ impl<'e> FilterExec<'e> {
             breaker,
             outer,
             ctx,
-            in_bindings: Vec::new(),
             resolved: Vec::new(),
             memos: Vec::new(),
             emitter: None,
@@ -59,7 +56,6 @@ impl<'e> FilterExec<'e> {
         for i in 0..rows.len() {
             if keep_row_charged(
                 &rows[i],
-                &self.in_bindings,
                 &self.resolved,
                 &mut self.memos,
                 self.outer,
@@ -78,14 +74,14 @@ impl<'e> FilterExec<'e> {
 
 impl<'e> Operator<'e> for FilterExec<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>> {
-        self.in_bindings = self.child.open()?;
-        self.resolved = resolve_preds(&self.preds, &self.in_bindings, self.ctx);
+        let bindings = self.child.open()?;
+        self.resolved = resolve_preds(&self.preds, &bindings, self.outer, self.ctx);
         self.memos = probe_memos(self.resolved.len());
-        Ok(self.in_bindings.clone())
+        Ok(bindings)
     }
 
     fn subquery_lines(&self) -> Vec<SubqueryLine> {
-        subquery_lines(&self.resolved, self.ctx)
+        subquery_lines(&self.resolved)
     }
 
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
@@ -100,14 +96,7 @@ impl<'e> Operator<'e> for FilterExec<'e> {
                 }
                 let mut kept: Vec<Row> = Vec::new();
                 for row in rows {
-                    if keep_row(
-                        &row,
-                        &self.in_bindings,
-                        &self.resolved,
-                        &mut self.memos,
-                        self.outer,
-                        self.ctx,
-                    )? {
+                    if keep_row(&row, &self.resolved, &mut self.memos, self.outer, self.ctx)? {
                         kept.push(row);
                     }
                 }

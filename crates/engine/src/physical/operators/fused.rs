@@ -1,13 +1,14 @@
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use apuama_sql::ast::{Expr, Select};
+use apuama_sql::ast::Select;
 use apuama_sql::Value;
+use apuama_storage::Row;
 use apuama_storage::{Column, ColumnVec, Segment};
 
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{self, CompiledExpr, Frame};
-use crate::exec::{self, Acc, Binding, ExecContext, GroupState, Relation};
+use crate::exec::{self, Acc, Binding, ExecContext, GroupState};
 use crate::planner::ScanChoice;
 use crate::table::Table;
 
@@ -115,7 +116,7 @@ pub(crate) struct FoldScratch {
 /// the one scalar fold body.
 pub(crate) struct FusedFold<'p> {
     plan: &'p FusedPlan,
-    preds: ScanPreds,
+    pub(crate) preds: ScanPreds,
     key_progs: Vec<KeyProg>,
     keys: GroupKeys,
     agg_args: Vec<FusedArg>,
@@ -133,7 +134,7 @@ impl<'p> FusedFold<'p> {
             .chain(plan.compiled_post.iter())
             .map(|c| ResidualPred::from_compiled(eval::prebind_params(c, ctx)))
             .collect();
-        let key_progs = key_progs_from_compiled(&plan.group_by, ctx);
+        let key_progs = key_progs(plan.group_by.iter().map(|c| eval::prebind_params(c, ctx)));
         let cells: Option<Vec<usize>> = (key_progs.iter())
             .map(|k| match k {
                 KeyProg::Col(c) => Some(*c),
@@ -232,7 +233,7 @@ impl<'p> FusedFold<'p> {
         seg: &Segment,
         slots: &[u32],
         scratch: &mut FoldScratch,
-        groups: &mut FusedGroups,
+        groups: &mut Groups,
         ctx: &ExecContext<'_>,
     ) -> EngineResult<u64> {
         let FoldScratch {
@@ -241,7 +242,6 @@ impl<'p> FusedFold<'p> {
             keys: key_vals,
             floats,
         } = scratch;
-        let bindings = &self.plan.bindings;
         let (done, mut cpu) = self.preds.filter_prefix(seg, slots, sel)?;
         // What the prefix left to the row runs interleaved with the
         // aggregation below, tuple by tuple, so a predicate that fails on a
@@ -269,11 +269,12 @@ impl<'p> FusedFold<'p> {
 
         for (k, &slot) in sel.iter().enumerate() {
             let slot = slot as usize;
-            // Fused predicates are all compiled, so no frame is consulted.
+            // A fused statement's programs are positional: no frame is
+            // consulted.
             if rest
                 && !self
                     .preds
-                    .keep_rest(done, seg, slot, row, bindings, &[], ctx, || cpu += 1)?
+                    .keep_rest(done, seg, slot, row, &[], ctx, || cpu += 1)?
             {
                 continue;
             }
@@ -300,7 +301,7 @@ impl<'p> FusedFold<'p> {
                     new_state,
                 ),
                 GroupKeys::Row(_) => {
-                    eval_key_scratch(&self.key_progs, row, ctx, key_vals)?;
+                    eval_key_scratch(&self.key_progs, row, &[], ctx, key_vals)?;
                     groups.find_or_insert(&self.key_progs, row, key_vals, new_state)
                 }
             };
@@ -311,7 +312,7 @@ impl<'p> FusedFold<'p> {
                     BatchArg::FloatCol(v) => update_acc_f64(acc, v[slot])?,
                     BatchArg::Floats(xs) => update_acc_f64(acc, xs[k])?,
                     BatchArg::Row(prog) => {
-                        acc.update(Some(eval::eval_compiled(prog, row, ctx)?))?
+                        acc.update(Some(eval::eval_compiled(prog, row, &[], ctx)?))?
                     }
                 }
             }
@@ -326,20 +327,19 @@ impl<'p> FusedFold<'p> {
 }
 
 /// What one fused execution decides before any row is read: the table, the
-/// access path chosen from the bound values, the conjuncts left to the row
-/// level, and the fold specialized for them.
+/// access path chosen from the bound values, and the fold specialized for
+/// the conjuncts it leaves to the row level.
 pub(crate) struct FusedScan<'e> {
     pub(crate) table: &'e Table,
     pub(crate) choice: ScanChoice,
-    pub(crate) residual_exprs: Vec<&'e Expr>,
     pub(crate) fold: FusedFold<'e>,
 }
 
 /// The fusion rule's executor: one pass over the base table a stored
 /// segment at a time, predicates and aggregate updates evaluated on its
 /// columns ([`FusedFold`]), statistics charged once per batch. Finishes
-/// through the same [`exec::project_groups`] as the general tree, which is
-/// what keeps the two shapes byte-identical.
+/// through the same [`project_groups`] as the general tree, which is what
+/// keeps the two shapes byte-identical.
 pub(crate) struct FusedExec<'e> {
     q: &'e Select,
     pub(crate) plan: &'e FusedPlan,
@@ -377,30 +377,22 @@ impl<'e> FusedExec<'e> {
             .db
             .table(&plan.table)
             .ok_or_else(|| EngineError::UnknownTable(plan.table.clone()))?;
-        let (choice, residual_exprs) = plan_scan(table, &plan.binding_name, &plan.single, ctx);
+        let (choice, _) = plan_scan(table, &plan.binding_name, &plan.single, ctx);
         Ok(FusedScan {
             table,
             fold: FusedFold::new(plan, &choice, ctx),
             choice,
-            residual_exprs,
         })
     }
 
     /// The serial pass: the cursor's units, one at a time, through the
     /// fold. Each unit is also the kernel's cancellation point and
     /// memory-charge boundary.
-    pub(crate) fn fold_serial(&self, scan: &FusedScan<'e>) -> EngineResult<FusedGroups> {
+    pub(crate) fn fold_serial(&self, scan: &FusedScan<'e>) -> EngineResult<Groups> {
         let ctx = self.ctx;
-        let mut groups = FusedGroups::new();
+        let mut groups = Groups::new();
         let mut charged_groups = 0u64;
-        let mut cursor = ScanCursor::open(
-            scan.table,
-            &self.plan.bindings,
-            &scan.choice.path,
-            &scan.residual_exprs,
-            false, // a fused statement has no subquery
-            ctx,
-        );
+        let mut cursor = ScanCursor::open(scan.table, &scan.choice.path, &scan.fold.preds, ctx);
         let mut scratch = scan.fold.scratch();
         let mut scanned = ScanTally::new(ctx);
         while let Some((seg, _, slots)) = cursor.next(ctx) {
@@ -418,9 +410,9 @@ impl<'e> FusedExec<'e> {
         Ok(groups)
     }
 
-    /// HAVING, the select list with aggregates substituted, ORDER BY keys.
-    pub(crate) fn finish(&self, groups: FusedGroups) -> EngineResult<(Relation, Vec<Vec<Value>>)> {
-        exec::project_groups(
+    /// HAVING, the select list, ORDER BY keys.
+    pub(crate) fn finish(&self, groups: Groups) -> EngineResult<(Vec<Row>, KeyBuf)> {
+        project_groups(
             self.q,
             &self.plan.bindings,
             &self.plan.specs,
@@ -439,8 +431,8 @@ impl<'e> Operator<'e> for FusedExec<'e> {
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         if self.emitter.is_none() {
             let groups = self.fold_serial(&self.plan_scan()?)?;
-            let (rel, keys) = self.finish(groups)?;
-            self.emitter = Some(BatchEmitter::nested(rel.rows, keys));
+            let (rows, keys) = self.finish(groups)?;
+            self.emitter = Some(BatchEmitter::new(rows, keys));
         }
         Ok(self.emitter.as_mut().and_then(BatchEmitter::next))
     }

@@ -7,7 +7,7 @@ use apuama_sql::Value;
 use apuama_storage::Row;
 
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{self, eval_expr, Frame};
+use crate::eval::{self, Frame, Scope};
 use crate::exec::{self, Binding, ExecContext, Relation};
 use crate::planner::JoinEdge;
 
@@ -272,7 +272,7 @@ pub(crate) fn distinct_join_keys(
     ctx: &ExecContext<'_>,
 ) -> usize {
     let (_, mine) = edge_sides(edges, my_name);
-    let keys = SideKeys::new(mine, &input.bindings, ctx);
+    let keys = SideKeys::new(&mine, &Scope::new(&input.bindings, outer, ctx));
     let Ok(mut table) = JoinTable::new(&keys, &input.rows) else {
         return input.rows.len();
     };
@@ -290,44 +290,29 @@ pub(crate) fn distinct_join_keys(
     distinct
 }
 
-/// One join side's composite key, one component per edge: column reads and
-/// compiled programs with parameters prebound when every key expression
-/// compiles against the side's bindings, the framed expressions otherwise
-/// (a correlated reference inside a key, or a name that does not resolve —
-/// whose error then surfaces from evaluation, as it always did).
-enum SideKeys<'a> {
-    Compiled(Vec<KeyProg>),
-    Framed {
-        exprs: Vec<&'a Expr>,
-        bindings: &'a [Binding],
-    },
-}
+/// One join side's composite key, one component per edge, compiled against
+/// the side's bindings: column reads in place, programs for the rest. (A
+/// name that does not resolve compiles too; its error surfaces from
+/// evaluation.)
+struct SideKeys(Vec<KeyProg>);
 
-impl<'a> SideKeys<'a> {
-    fn new(exprs: Vec<&'a Expr>, bindings: &'a [Binding], ctx: &ExecContext<'_>) -> Self {
-        match compile_key_progs(exprs.iter().copied(), bindings, ctx) {
-            Some(progs) => SideKeys::Compiled(progs),
-            None => SideKeys::Framed { exprs, bindings },
-        }
+impl SideKeys {
+    fn new(exprs: &[&Expr], scope: &Scope<'_>) -> Self {
+        SideKeys(key_progs(
+            exprs.iter().map(|e| eval::compile_expr(e, scope)),
+        ))
     }
 
     fn len(&self) -> usize {
-        match self {
-            SideKeys::Compiled(progs) => progs.len(),
-            SideKeys::Framed { exprs, .. } => exprs.len(),
-        }
+        self.0.len()
     }
 
     /// How many components are evaluated into the scratch buffer rather
     /// than read from the row in place.
     fn evaluated(&self) -> usize {
-        match self {
-            SideKeys::Compiled(progs) => progs
-                .iter()
-                .filter(|p| matches!(p, KeyProg::Expr { .. }))
-                .count(),
-            SideKeys::Framed { exprs, .. } => exprs.len(),
-        }
+        (self.0.iter())
+            .filter(|p| matches!(p, KeyProg::Expr { .. }))
+            .count()
     }
 
     /// Evaluates `row`'s non-column components into `scratch` (cleared
@@ -345,37 +330,19 @@ impl<'a> SideKeys<'a> {
     ) -> EngineResult<bool> {
         scratch.clear();
         let mut all_set = true;
-        match self {
-            SideKeys::Compiled(progs) => {
-                for p in progs {
-                    let null = match p {
-                        KeyProg::Col(c) => row[*c].is_null(),
-                        KeyProg::Expr { expr, .. } => {
-                            let v = eval::eval_compiled(expr, row, ctx)?;
-                            let null = v.is_null();
-                            scratch.push(v);
-                            null
-                        }
-                    };
-                    all_set &= !null;
-                    if null && stop_at_null {
-                        break;
-                    }
-                }
-            }
-            SideKeys::Framed { exprs, bindings } => {
-                let mut frames = Vec::with_capacity(outer.len() + 1);
-                frames.push(Frame { bindings, row });
-                frames.extend_from_slice(outer);
-                for e in exprs {
-                    let v = eval_expr(e, &frames, ctx)?;
+        for p in &self.0 {
+            let null = match p {
+                KeyProg::Col(c) => row[*c].is_null(),
+                KeyProg::Expr { expr, .. } => {
+                    let v = eval::eval_compiled(expr, row, outer, ctx)?;
                     let null = v.is_null();
                     scratch.push(v);
-                    all_set &= !null;
-                    if null && stop_at_null {
-                        break;
-                    }
+                    null
                 }
+            };
+            all_set &= !null;
+            if null && stop_at_null {
+                break;
             }
         }
         Ok(all_set)
@@ -383,10 +350,7 @@ impl<'a> SideKeys<'a> {
 
     /// Component `i` of a fully evaluated key.
     fn component<'r>(&self, i: usize, row: &'r [Value], scratch: &'r [Value]) -> &'r Value {
-        match self {
-            SideKeys::Compiled(progs) => key_component(progs, i, row, scratch),
-            SideKeys::Framed { .. } => &scratch[i],
-        }
+        key_component(&self.0, i, row, scratch)
     }
 
     /// Canonical hash of a fully evaluated key (`1` and `1.0` agree).
@@ -411,7 +375,7 @@ const NIL: u32 = u32::MAX;
 /// [`hash_value`] into [`FnvHasher`], mixed once more for the bucket index
 /// because FNV's low bits only see the low bits of its input.
 struct JoinTable<'a> {
-    keys: &'a SideKeys<'a>,
+    keys: &'a SideKeys,
     rows: &'a [Row],
     /// Bucket → first and last row of its chain.
     heads: Vec<u32>,
@@ -426,7 +390,7 @@ struct JoinTable<'a> {
 }
 
 impl<'a> JoinTable<'a> {
-    fn new(keys: &'a SideKeys<'a>, rows: &'a [Row]) -> EngineResult<Self> {
+    fn new(keys: &'a SideKeys, rows: &'a [Row]) -> EngineResult<Self> {
         if rows.len() >= NIL as usize {
             return Err(EngineError::ResourceExhausted(format!(
                 "join build side of {} rows exceeds the hash table's row ids",
@@ -473,7 +437,7 @@ impl<'a> JoinTable<'a> {
     fn matches<'t>(
         &'t self,
         hash: u64,
-        probe_keys: &'t SideKeys<'_>,
+        probe_keys: &'t SideKeys,
         probe_row: &'t [Value],
         probe_scratch: &'t [Value],
     ) -> impl Iterator<Item = usize> + 't {
@@ -582,8 +546,8 @@ pub(crate) fn hash_join(
     ctx: &ExecContext<'_>,
 ) -> EngineResult<Relation> {
     let (left_exprs, right_exprs) = edge_sides(edges, right_name);
-    let left_keys = SideKeys::new(left_exprs, &current.bindings, ctx);
-    let right_keys = SideKeys::new(right_exprs, &right.bindings, ctx);
+    let left_keys = SideKeys::new(&left_exprs, &Scope::new(&current.bindings, outer, ctx));
+    let right_keys = SideKeys::new(&right_exprs, &Scope::new(&right.bindings, outer, ctx));
     let on_current = builds_on_current(current.rows.len(), right.rows.len());
     let (build_keys, build_rows, probe_keys, probe_rows) = if on_current {
         (&left_keys, &current.rows, &right_keys, &right.rows)

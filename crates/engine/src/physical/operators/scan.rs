@@ -55,20 +55,15 @@ pub(crate) struct ScanUnits<'e> {
 }
 
 impl<'e> ScanUnits<'e> {
-    /// Resolves `path` over `table` without charging anything: the caller
-    /// applies `pages_pruned` / `index_probes` once it commits to the plan.
-    pub(crate) fn plan(
-        table: &'e Table,
-        bindings: &[Binding],
-        path: &AccessPath,
-        residual_exprs: &[&Expr],
-        ctx: &ExecContext<'_>,
-    ) -> Self {
+    /// Resolves `path` over `table` — a sequential scan skips the pages the
+    /// zone maps refute for the scan's `preds` — without charging anything:
+    /// the caller applies `pages_pruned` / `index_probes` once it commits to
+    /// the plan.
+    pub(crate) fn plan(table: &'e Table, path: &AccessPath, preds: &[ResidualPred]) -> Self {
         let heap = &table.heap;
         match path {
             AccessPath::SeqScan => {
-                let (allowed, pages_pruned) =
-                    zone_allowed_pages(table, bindings, residual_exprs, ctx);
+                let (allowed, pages_pruned) = zone_allowed_pages(table, preds);
                 ScanUnits {
                     heap,
                     source: UnitSource::Seq {
@@ -224,31 +219,28 @@ pub(crate) struct ScanCursor<'e> {
 }
 
 impl<'e> ScanCursor<'e> {
-    /// Opens `path` over `table`, counting the index probe or the pages
-    /// the zone maps refute for `residual_exprs`.
+    /// Opens `path` over `table` for a scan evaluating `preds`, counting the
+    /// index probe or the pages the zone maps refute for them.
     pub(crate) fn open(
         table: &'e Table,
-        bindings: &[Binding],
         path: &AccessPath,
-        residual_exprs: &[&Expr],
-        page_grain: bool,
+        preds: &ScanPreds,
         ctx: &ExecContext<'_>,
     ) -> Self {
-        let units = ScanUnits::plan(table, bindings, path, residual_exprs, ctx);
+        let units = ScanUnits::plan(table, path, preds.preds());
         ctx.bump_pages_pruned(units.pages_pruned);
         ctx.bump_index_probes(units.index_probes);
         ScanCursor {
             pages: PageCharger::new(table, units.kind),
             units,
-            page_grain,
+            page_grain: preds.touches_pool(),
             seg: 0,
             unit: Sel::new(),
             pos: 0,
         }
     }
 
-    /// The next run of live tuples. A dead row id costs nothing, as in the
-    /// interpreter.
+    /// The next run of live tuples. A dead row id costs nothing.
     pub(crate) fn next(&mut self, ctx: &ExecContext<'_>) -> Option<(&'e Segment, RowId, &[u32])> {
         let heap = self.units.heap;
         if self.pos == self.unit.len() {
@@ -403,25 +395,27 @@ impl<'e> ScanExec<'e> {
         })
     }
 
-    /// The second half of `open`: resolves the residual predicates and
-    /// opens the cursor.
-    pub(crate) fn start(&mut self, planned: PlannedScan<'e>) -> Vec<Binding> {
+    /// The planned scan's residual predicates, compiled.
+    pub(crate) fn resolve(&self, planned: &PlannedScan<'e>) -> Vec<ResidualPred> {
+        resolve_preds(
+            planned.residual_exprs.iter().copied(),
+            &self.bindings,
+            self.outer,
+            self.ctx,
+        )
+    }
+
+    /// The second half of `open`: opens the cursor over the planned scan
+    /// for its `residual` predicates ([`Self::resolve`]).
+    pub(crate) fn start(
+        &mut self,
+        planned: PlannedScan<'e>,
+        residual: Vec<ResidualPred>,
+    ) -> Vec<Binding> {
         let ctx = self.ctx;
-        let width = self.bindings.len();
-        let residual = ScanPreds::new(
-            resolve_preds(planned.residual_exprs.iter().copied(), &self.bindings, ctx),
-            width,
-            ctx,
-        );
+        let residual = ScanPreds::new(residual, self.bindings.len(), ctx);
         self.state = Some(ScanState {
-            cursor: ScanCursor::open(
-                planned.table,
-                &self.bindings,
-                &planned.choice.path,
-                &planned.residual_exprs,
-                residual.touches_pool(),
-                ctx,
-            ),
+            cursor: ScanCursor::open(planned.table, &planned.choice.path, &residual, ctx),
             scratch: residual.scratch(),
             residual,
             sel: Sel::new(),
@@ -434,12 +428,13 @@ impl<'e> ScanExec<'e> {
 impl<'e> Operator<'e> for ScanExec<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>> {
         let planned = self.plan()?;
-        Ok(self.start(planned))
+        let residual = self.resolve(&planned);
+        Ok(self.start(planned, residual))
     }
 
     fn subquery_lines(&self) -> Vec<SubqueryLine> {
         let residual = self.state.as_ref().map_or(&[][..], |s| s.residual.preds());
-        subquery_lines(residual, self.ctx)
+        subquery_lines(residual)
     }
 
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
@@ -464,7 +459,6 @@ impl<'e> Operator<'e> for ScanExec<'e> {
                 slots,
                 &mut state.sel,
                 &mut state.scratch,
-                &self.bindings,
                 self.outer,
                 self.ctx,
             )?;

@@ -3,12 +3,10 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use apuama_sql::ast::Expr;
 use apuama_storage::{AccessKind, Row, Segment};
 
 use crate::db::Database;
 use crate::error::EngineResult;
-use crate::eval;
 use crate::exec::{self, Binding, ExecContext};
 use crate::planner;
 use crate::table::Table;
@@ -40,12 +38,10 @@ pub(crate) struct ScanMorsels<'e> {
 /// count — the same pages.
 pub(crate) fn plan_scan_morsels<'e>(
     table: &'e Table,
-    bindings: &[Binding],
-    residual_exprs: &[&Expr],
+    preds: &[ResidualPred],
     choice: &planner::ScanChoice,
-    ctx: &ExecContext<'_>,
 ) -> ScanMorsels<'e> {
-    let mut units = ScanUnits::plan(table, bindings, &choice.path, residual_exprs, ctx);
+    let mut units = ScanUnits::plan(table, &choice.path, preds);
     let mut morsels = Vec::new();
     let mut sel = Sel::new();
     while let Some(seg) = units.next_into(&mut sel) {
@@ -225,9 +221,8 @@ pub(crate) fn run_scan_morsels<T: Send>(
 /// are subquery-free).
 ///
 /// Holds the serial [`ScanExec`] and hands the planned scan back to it
-/// whenever the parallel decomposition is not viable (a residual needs
-/// frame evaluation, or fewer than two morsels), so planner errors and
-/// small-table behavior are untouched.
+/// when there are fewer than two morsels, so planner errors and small-table
+/// behavior are untouched.
 pub(crate) struct ParallelScanExec<'e> {
     inner: ScanExec<'e>,
     workers: usize,
@@ -270,7 +265,7 @@ impl<'e> ParallelScanExec<'e> {
                 let mut sel = Sel::new();
                 let mut scratch = residual.scratch();
                 let (survivors, cpu) =
-                    residual.filter(seg, slots, &mut sel, &mut scratch, bindings, &[], wctx)?;
+                    residual.filter(seg, slots, &mut sel, &mut scratch, &[], wctx)?;
                 // Survivors cross the worker thread boundary as owned rows.
                 let mut out: Vec<Row> = Vec::new();
                 materialize(seg, survivors, cols, &mut out);
@@ -287,33 +282,19 @@ impl<'e> ParallelScanExec<'e> {
 impl<'e> Operator<'e> for ParallelScanExec<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>> {
         let planned = self.inner.plan()?;
-        let (ctx, bindings) = (self.inner.ctx, &self.inner.bindings);
-        // Workers evaluate predicates positionally; results and cpu charges
-        // are identical to the serial scan's (one charge per evaluation,
-        // same values, same errors).
-        let residual: Option<Vec<ResidualPred>> = planned
-            .residual_exprs
-            .iter()
-            .map(|e| {
-                eval::compile_expr(e, bindings)
-                    .map(|c| ResidualPred::from_compiled(eval::prebind_params(&c, ctx)))
-            })
-            .collect();
-        if let Some(residual) = residual {
-            let sm = plan_scan_morsels(
-                planned.table,
-                bindings,
-                &planned.residual_exprs,
-                &planned.choice,
-                ctx,
-            );
-            if sm.morsels.len() >= 2 {
-                let residual = ScanPreds::new(residual, bindings.len(), ctx);
-                self.prepared = Some((sm, residual));
-                return Ok(planned.out_bindings);
-            }
+        // Workers evaluate the predicates the serial scan would, compiled
+        // once for whichever runs: this operator is only chosen without
+        // enclosing frames and without a subquery in the scan's conjuncts,
+        // so the programs need nothing a worker's context lacks.
+        let residual = self.inner.resolve(&planned);
+        let sm = plan_scan_morsels(planned.table, &residual, &planned.choice);
+        if sm.morsels.len() >= 2 {
+            let width = self.inner.bindings.len();
+            let residual = ScanPreds::new(residual, width, self.inner.ctx);
+            self.prepared = Some((sm, residual));
+            return Ok(planned.out_bindings);
         }
-        Ok(self.inner.start(planned))
+        Ok(self.inner.start(planned, residual))
     }
 
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
@@ -336,12 +317,12 @@ impl<'e> Operator<'e> for ParallelScanExec<'e> {
 /// Morsel-driven parallel variant of [`FusedExec`] — the engine's third
 /// parallelism tier (intra-node), below the cluster's inter-query and
 /// intra-query tiers. Each worker folds its morsels through the shared
-/// [`FusedFold`] into private [`FusedGroups`] partials, charging the
+/// [`FusedFold`] into private [`Groups`] partials, charging the
 /// transient partial state to the memory gauge through its own context;
 /// the coordinator merges the partials **in morsel-index order** —
 /// preserving the serial first-seen group order — charges the merged total
 /// exactly as the serial operator does, and finishes through the same
-/// [`exec::project_groups`]. Counter identity with the serial kernel is
+/// [`project_groups`]. Counter identity with the serial kernel is
 /// [`run_scan_morsels`]'s.
 ///
 /// Plans through the [`FusedExec`] it holds and hands the scan back to its
@@ -363,16 +344,10 @@ impl<'e> ParallelFusedExec<'e> {
         }
     }
 
-    fn fold_groups(&self) -> EngineResult<FusedGroups> {
+    fn fold_groups(&self) -> EngineResult<Groups> {
         let ctx = self.inner.ctx;
         let scan = self.inner.plan_scan()?;
-        let sm = plan_scan_morsels(
-            scan.table,
-            &self.inner.plan.bindings,
-            &scan.residual_exprs,
-            &scan.choice,
-            ctx,
-        );
+        let sm = plan_scan_morsels(scan.table, scan.fold.preds.preds(), &scan.choice);
         if sm.morsels.len() < 2 {
             return self.inner.fold_serial(&scan);
         }
@@ -381,7 +356,7 @@ impl<'e> ParallelFusedExec<'e> {
         // the access path cut its morsels changes no observable statistic.
         let (az, probe) = (self.inner.az, self.inner.probe);
         let partials = run_scan_morsels(&sm, ctx, self.workers, az, probe, |seg, slots, wctx| {
-            let mut groups = FusedGroups::new();
+            let mut groups = Groups::new();
             let cpu = fold.fold(seg, slots, &mut fold.scratch(), &mut groups, wctx)?;
             wctx.charge_mem(exec::approx_state_bytes(
                 groups.len() as u64,
@@ -390,7 +365,7 @@ impl<'e> ParallelFusedExec<'e> {
             Ok((groups, cpu))
         })?;
         fold.tally.note(az, probe);
-        let mut merged = FusedGroups::new();
+        let mut merged = Groups::new();
         for groups in partials {
             merged.merge(groups);
         }
@@ -409,8 +384,8 @@ impl<'e> Operator<'e> for ParallelFusedExec<'e> {
 
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         if self.emitter.is_none() {
-            let (rel, keys) = self.inner.finish(self.fold_groups()?)?;
-            self.emitter = Some(BatchEmitter::nested(rel.rows, keys));
+            let (rows, keys) = self.inner.finish(self.fold_groups()?)?;
+            self.emitter = Some(BatchEmitter::new(rows, keys));
         }
         Ok(self.emitter.as_mut().and_then(BatchEmitter::next))
     }

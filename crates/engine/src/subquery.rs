@@ -18,7 +18,7 @@
 //! — plus a handful of comparisons per candidate, each on the candidate's
 //! own *cells*: the heap stores columns, and materializing a sixteen-column
 //! row per candidate would cost more than the probe. No name resolution,
-//! no [`Frame`] stack. Without a usable key the same conjuncts run over
+//! no subquery execution. Without a usable key the same conjuncts run over
 //! the heap in row order, still stopping at the first match.
 //!
 //! **What qualifies** ([`ExistsProbe::build`]): one base table in FROM; no
@@ -29,45 +29,48 @@
 //! scopes. The first such comparison, in written order, that is an equality
 //! on an indexed column becomes the probe key. Everything else (joins,
 //! grouping, nested subqueries, conjuncts mixing both sides any other way)
-//! is executed by [`exec::run_select`] with the frame stack, unchanged.
+//! is executed by [`exec::run_select`] with the frame stack, per evaluation.
 //!
-//! **Semantics** are the framed interpreter's, conjunct for conjunct: the
-//! predicate is evaluated left to right per candidate, stops at the first
-//! *false* (not at NULL — `NULL AND <error>` still surfaces the error), and
-//! the candidate matches when every conjunct is true. Keyed candidates come
-//! from the index bucket in posting order; tombstoned row ids are skipped
-//! uncharged. Accounting is the interpreter's too: one `index_probes` bump
-//! per keyed evaluation and one random row fetch per live candidate until
-//! the first match; un-keyed, one sequential page charge per page entered
-//! and one `rows_scanned` per row until the first match. A key expression
-//! that fails to evaluate makes that evaluation un-keyed, which surfaces
-//! the error exactly when some inner row reaches that conjunct.
+//! **Semantics** are those of evaluating the subquery's WHERE as one AND
+//! chain, conjunct for conjunct: the predicate is evaluated left to right
+//! per candidate, stops at the first *false* (not at NULL — `NULL AND
+//! <error>` still surfaces the error), and the candidate matches when every
+//! conjunct is true. Keyed candidates come from the index bucket in posting
+//! order; tombstoned row ids are skipped uncharged. Accounting: one
+//! `index_probes` bump per keyed evaluation and one random row fetch per
+//! live candidate until the first match; un-keyed, one sequential page
+//! charge per page entered and one `rows_scanned` per row until the first
+//! match. A key expression that fails to evaluate makes that evaluation
+//! un-keyed, which surfaces the error exactly when some inner row reaches
+//! that conjunct.
 //!
-//! A probe borrows nothing from the statement's frames. Its outer side is
-//! an [`OuterSide`]: positional programs over the operator's own row
-//! ([`RowProbe`], built at `open`), or expressions resolved through the
-//! frame stack each evaluation hands it (the memo's form, reached from
-//! [`eval::eval_expr`]) — the probe type says which, so an operand can only
-//! ever meet the environment it was compiled for. A probe is immutable, so
+//! There is one probe type. Its outer side — the key operand, the right-hand
+//! sides of comparisons, the outer-only conjuncts — is [`CompiledExpr`]s
+//! compiled against the [`Scope`] of the expression the `EXISTS` stands in:
+//! the operator's row and the frames around it, bound parameters folded in.
+//! A probe borrows nothing from the statement's frames and is immutable, so
 //! it would be safe to evaluate on morsel workers; scans carrying subquery
-//! predicates are still kept serial today.
+//! predicates are still kept serial today. What differs between probes is
+//! who evaluates them: a top-level `EXISTS` conjunct whose outer side is
+//! positional is held by its operator, which keeps a [`ProbeMemo`] for it
+//! from row to row; an `EXISTS` anywhere else (under `OR`/`CASE`, in a
+//! projection, in DML, reaching into an enclosing frame) is a node of a
+//! compiled expression and looks its key up on every evaluation.
 //!
 //! # The memo
 //!
-//! [`SubqueryMemo`] lives in the [`ExecContext`]. It holds the probe (or
-//! the fact that the subquery does not qualify) for every `EXISTS` reached
-//! through the framed evaluator — under `OR`/`CASE`, in a projection, in
-//! DML — and the result of every `IN (subquery)` / scalar subquery that
-//! references no outer column, which is therefore computed once per
-//! execution instead of once per outer row.
+//! [`SubqueryMemo`] lives in the [`ExecContext`] and holds the result of
+//! every `IN (subquery)` / scalar subquery that references no outer column,
+//! which is therefore computed once per execution instead of once per outer
+//! row.
 //!
 //! Entries are keyed by the subquery node itself. The AST holds subqueries
-//! behind an `Arc`, so every clone of an expression (aggregate substitution
-//! per group, an operator's own copy of its predicates) still points at the
+//! behind an `Arc`, so every compilation of an expression (an operator's own
+//! program, a correlated subquery re-run per outer row) still points at the
 //! one node, and each entry keeps a handle on its node, so the address
 //! cannot be reused while the entry lives: pointer equality is identity.
-//! The three subquery kinds have a table each, so a node that some
-//! hand-built AST shares between two kinds still gets one entry per kind.
+//! The two subquery kinds have a table each, so a node that some hand-built
+//! AST shares between them still gets one entry per kind.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -81,96 +84,48 @@ use apuama_sql::{visit, Value};
 use apuama_storage::{AccessKind, RowId, Segment, TableId};
 
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{self, eval_expr, truthiness, CompiledExpr, Frame};
-use crate::exec::{self, Binding, ExecContext};
+use crate::eval::{self, truthiness, CompiledExpr, Frame, Scope};
+use crate::exec::{self, Binding, ExecContext, Relation};
 use crate::planner;
 
 // ---------------------------------------------------------------------------
 // Probe
 // ---------------------------------------------------------------------------
 
-/// An expression over the scopes enclosing the subquery (no inner column,
-/// no subquery), in the form one kind of caller can evaluate.
-pub(crate) trait OuterSide: Sized {
-    /// What the caller has in hand for the current outer row.
-    type Env<'r>: Copy
-    where
-        Self: 'r;
-
-    fn value<'r>(
-        &'r self,
-        env: Self::Env<'r>,
-        ctx: &ExecContext<'_>,
-    ) -> EngineResult<Cow<'r, Value>>;
-}
-
-/// Operator form: a positional program over the operator's own row, bound
-/// parameters folded in.
-impl OuterSide for CompiledExpr {
-    type Env<'r> = &'r [Value];
-
-    fn value<'r>(
-        &'r self,
-        row: &'r [Value],
-        ctx: &ExecContext<'_>,
-    ) -> EngineResult<Cow<'r, Value>> {
-        Ok(match self {
-            CompiledExpr::Col(i) => Cow::Borrowed(&row[*i]),
-            CompiledExpr::Lit(v) => Cow::Borrowed(v),
-            other => Cow::Owned(eval::eval_compiled(other, row, ctx)?),
-        })
-    }
-}
-
-/// Memo form: resolved by name through whatever frame stack the evaluation
-/// arrives with, because the memo cannot know the callers' row layouts.
-impl OuterSide for Expr {
-    type Env<'r> = &'r [Frame<'r>];
-
-    fn value<'r>(
-        &'r self,
-        frames: &'r [Frame<'r>],
-        ctx: &ExecContext<'_>,
-    ) -> EngineResult<Cow<'r, Value>> {
-        Ok(Cow::Owned(eval_expr(self, frames, ctx)?))
-    }
-}
-
 /// One side of a probe comparison.
 #[derive(Debug, Clone)]
-enum Operand<O> {
+enum Operand {
     /// Column of the candidate (inner) row.
     Inner(usize),
     Lit(Value),
-    /// Evaluated each time a candidate reaches it, as the interpreter did.
-    Outer(O),
+    /// An expression over the scopes enclosing the subquery, evaluated each
+    /// time a candidate reaches it.
+    Outer(CompiledExpr),
 }
 
-impl<O: OuterSide> Operand<O> {
+impl Operand {
     /// `inner` reads one cell of the candidate.
     fn value<'r>(
         &'r self,
         inner: impl FnOnce(usize) -> Value,
-        outer: O::Env<'r>,
+        row: &'r [Value],
+        outer: &[Frame<'_>],
         ctx: &ExecContext<'_>,
     ) -> EngineResult<Cow<'r, Value>> {
-        match self {
-            Operand::Inner(i) => Ok(Cow::Owned(inner(*i))),
-            Operand::Lit(v) => Ok(Cow::Borrowed(v)),
-            Operand::Outer(o) => o.value(outer, ctx),
-        }
+        Ok(match self {
+            Operand::Inner(i) => Cow::Owned(inner(*i)),
+            Operand::Lit(v) => Cow::Borrowed(v),
+            Operand::Outer(CompiledExpr::Col(i)) => Cow::Borrowed(&row[*i]),
+            Operand::Outer(o) => Cow::Owned(eval::eval_compiled(o, row, outer, ctx)?),
+        })
     }
 }
 
 /// One WHERE conjunct of the subquery, in its evaluable form.
 #[derive(Debug)]
-enum ProbeConjunct<O> {
+enum ProbeConjunct {
     /// `inner[col] <op> rhs`, normalized so the inner column is on the left.
-    Cmp {
-        col: usize,
-        op: BinOp,
-        rhs: Operand<O>,
-    },
+    Cmp { col: usize, op: BinOp, rhs: Operand },
     /// Any other predicate over the inner row alone, with the columns it
     /// reads (the cells the scratch inner row is filled with).
     Inner {
@@ -178,12 +133,8 @@ enum ProbeConjunct<O> {
         cols: Vec<usize>,
     },
     /// A predicate over the outer scopes alone.
-    Outer(O),
+    Outer(CompiledExpr),
 }
-
-/// How the builder turns an outer-side expression into the probe's form;
-/// `None` disqualifies the probe in that form.
-type CompileOuter<'f, O> = &'f dyn Fn(&Expr) -> Option<O>;
 
 /// What `EXPLAIN` shows of one probe: the fragment naming its access path
 /// and, under `ANALYZE`, its counters.
@@ -237,63 +188,21 @@ pub(crate) fn probe_memos(n: usize) -> Vec<ProbeMemo> {
 
 /// A compiled single-table `EXISTS`: see the module documentation.
 #[derive(Debug)]
-pub(crate) struct ExistsProbe<O> {
+pub(crate) struct ExistsProbe {
     table: TableId,
     /// Index column and the operand (never [`Operand::Inner`]) looked up in
     /// it; `None` scans the heap.
-    key: Option<(usize, Operand<O>)>,
-    conjuncts: Vec<ProbeConjunct<O>>,
+    key: Option<(usize, Operand)>,
+    conjuncts: Vec<ProbeConjunct>,
     report: Arc<ProbeReport>,
 }
 
-/// The probe an operator holds for one of its own predicates.
-pub(crate) type RowProbe = ExistsProbe<CompiledExpr>;
-/// The probe the memo holds for a node the framed evaluator reaches.
-pub(crate) type FramedProbe = ExistsProbe<Expr>;
-
-impl RowProbe {
-    /// `None` when the subquery does not qualify or an outer operand
-    /// reaches past `bindings` into an enclosing frame — the predicate then
-    /// stays framed and is served by the memo's probe.
-    pub(crate) fn for_row(
-        query: &Select,
-        bindings: &[Binding],
-        ctx: &ExecContext<'_>,
-    ) -> Option<RowProbe> {
-        Self::build(query, ctx, &|e| {
-            Some(eval::prebind_params(&eval::compile_expr(e, bindings)?, ctx))
-        })
-    }
-
-    /// Appends every position of the operator's row the probe reads.
-    pub(crate) fn collect_outer_cols(&self, out: &mut Vec<usize>) {
-        let operands =
-            self.key
-                .iter()
-                .map(|(_, operand)| operand)
-                .chain(self.conjuncts.iter().filter_map(|c| match c {
-                    ProbeConjunct::Cmp { rhs, .. } => Some(rhs),
-                    _ => None,
-                }));
-        for operand in operands {
-            if let Operand::Outer(o) = operand {
-                o.collect_cols(out);
-            }
-        }
-        for c in &self.conjuncts {
-            if let ProbeConjunct::Outer(o) = c {
-                o.collect_cols(out);
-            }
-        }
-    }
-}
-
-impl<O: OuterSide + Clone> ExistsProbe<O> {
-    fn build(
-        query: &Select,
-        ctx: &ExecContext<'_>,
-        compile_outer: CompileOuter<'_, O>,
-    ) -> Option<Self> {
+impl ExistsProbe {
+    /// The probe for `query` standing in an expression compiled in `scope`;
+    /// `None` when the subquery does not qualify, or there is no execution
+    /// to build it for.
+    pub(crate) fn build(query: &Select, scope: &Scope<'_>) -> Option<Self> {
+        let ctx = scope.ctx?;
         let [TableRef::Table { name, alias }] = query.from.as_slice() else {
             return None;
         };
@@ -310,18 +219,30 @@ impl<O: OuterSide + Clone> ExistsProbe<O> {
         // EXISTS ignores what the subquery selects, so the select list only
         // has to be something that cannot fail.
         let harmless = |item: &SelectItem| match item {
-            SelectItem::Wildcard => true,
-            SelectItem::Expr { expr, .. } => matches!(
-                eval::compile_expr(expr, &inner),
-                Some(CompiledExpr::Col(_) | CompiledExpr::Lit(_))
-            ),
+            SelectItem::Wildcard
+            | SelectItem::Expr {
+                expr: Expr::Literal(_),
+                ..
+            } => true,
+            SelectItem::Expr {
+                expr: Expr::Column(c),
+                ..
+            } => exec::resolve_column(&inner, c).is_ok(),
+            SelectItem::Expr { .. } => false,
         };
         if !query.items.iter().all(harmless) {
             return None;
         }
+        // The subquery's aggregates, had it any, would not be the enclosing
+        // aggregation's: its outer side sees none.
+        let outer_scope = Scope {
+            aggs: &[],
+            ..*scope
+        };
+        let inner_scope = Scope::new(&inner, &[], ctx);
 
         let mut conjuncts = Vec::new();
-        let mut key: Option<(usize, Operand<O>)> = None;
+        let mut key: Option<(usize, Operand)> = None;
         let mut pending: Vec<&Expr> = query.selection.iter().collect();
         while let Some(e) = pending.pop() {
             if let Expr::Binary {
@@ -338,7 +259,7 @@ impl<O: OuterSide + Clone> ExistsProbe<O> {
             if exec::contains_subquery(e) {
                 return None;
             }
-            let conjunct = compile_conjunct(e, &inner, ctx, compile_outer)?;
+            let conjunct = compile_conjunct(e, &inner_scope, &outer_scope, ctx)?;
             // The first equality between an indexed inner column and an
             // outer-side operand is what the probe looks up.
             if let (None, ProbeConjunct::Cmp { col, op, rhs }) = (&key, &conjunct) {
@@ -372,13 +293,45 @@ impl<O: OuterSide + Clone> ExistsProbe<O> {
         })
     }
 
+    /// The probe's outer-side programs.
+    fn outer_side(&self) -> impl Iterator<Item = &CompiledExpr> {
+        let operands =
+            self.key
+                .iter()
+                .map(|(_, operand)| operand)
+                .chain(self.conjuncts.iter().filter_map(|c| match c {
+                    ProbeConjunct::Cmp { rhs, .. } => Some(rhs),
+                    _ => None,
+                }));
+        let compared = operands.filter_map(|operand| match operand {
+            Operand::Outer(o) => Some(o),
+            _ => None,
+        });
+        compared.chain(self.conjuncts.iter().filter_map(|c| match c {
+            ProbeConjunct::Outer(o) => Some(o),
+            _ => None,
+        }))
+    }
+
+    /// Whether the outer side reads nothing but the row it is evaluated on:
+    /// the probe an operator can hold for one of its own predicates.
+    pub(crate) fn is_positional(&self) -> bool {
+        self.outer_side().all(CompiledExpr::is_positional)
+    }
+
+    /// Appends every position of the row the outer side reads.
+    pub(crate) fn collect_outer_cols(&self, out: &mut Vec<usize>) {
+        self.outer_side().for_each(|o| o.collect_cols(out));
+    }
+
     /// Does the subquery return a row for this outer row? Stops at the
     /// first candidate that satisfies every conjunct.
-    pub(crate) fn eval<'r>(
-        &'r self,
-        outer: O::Env<'r>,
+    pub(crate) fn eval(
+        &self,
+        row: &[Value],
+        outer: &[Frame<'_>],
         memo: &mut ProbeMemo,
-        ctx: &'r ExecContext<'_>,
+        ctx: &ExecContext<'_>,
     ) -> EngineResult<bool> {
         let table = ctx.db.table_by_id(self.table);
         let heap = &table.heap;
@@ -388,6 +341,7 @@ impl<O: OuterSide + Clone> ExistsProbe<O> {
             let key = operand
                 .value(
                     |_| unreachable!("a probe key is never an inner column"),
+                    row,
                     outer,
                     ctx,
                 )
@@ -414,11 +368,11 @@ impl<O: OuterSide + Clone> ExistsProbe<O> {
                 }
                 for &rid in postings.iter() {
                     let Some((seg, slot)) = heap.locate(rid) else {
-                        continue; // tombstoned: costs nothing, as in the interpreter
+                        continue; // tombstoned: costs nothing
                     };
                     ctx.charge_row_fetch(table, rid);
                     examined += 1;
-                    if self.matches(seg, slot, outer, inner_row, ctx)? {
+                    if self.matches(seg, slot, row, outer, inner_row, ctx)? {
                         found = true;
                         break;
                     }
@@ -434,7 +388,7 @@ impl<O: OuterSide + Clone> ExistsProbe<O> {
                     }
                     ctx.bump_rows_scanned(1);
                     examined += 1;
-                    if self.matches(seg, slot, outer, inner_row, ctx)? {
+                    if self.matches(seg, slot, row, outer, inner_row, ctx)? {
                         found = true;
                         break;
                     }
@@ -448,14 +402,15 @@ impl<O: OuterSide + Clone> ExistsProbe<O> {
         Ok(found)
     }
 
-    /// The interpreter's AND chain over one candidate — the tuple at `slot`
-    /// of `seg`, read cell by cell: left to right, stop at the first false,
-    /// keep going past NULL (so later errors surface).
-    fn matches<'r>(
-        &'r self,
+    /// The AND chain over one candidate — the tuple at `slot` of `seg`,
+    /// read cell by cell: left to right, stop at the first false, keep
+    /// going past NULL (so later errors surface).
+    fn matches(
+        &self,
         seg: &Segment,
         slot: usize,
-        outer: O::Env<'r>,
+        row: &[Value],
+        outer: &[Frame<'_>],
         inner_row: &mut Vec<Value>,
         ctx: &ExecContext<'_>,
     ) -> EngineResult<bool> {
@@ -465,12 +420,12 @@ impl<O: OuterSide + Clone> ExistsProbe<O> {
             let t = match c {
                 ProbeConjunct::Cmp { col, op, rhs } => {
                     let l = cell(*col);
-                    let r = rhs.value(cell, outer, ctx)?;
+                    let r = rhs.value(cell, row, outer, ctx)?;
                     if l.is_null() || r.is_null() {
                         None
                     } else {
                         match l.sql_cmp(&r) {
-                            Some(ord) => Some(crate::physical::cmp_matches(*op, ord)),
+                            Some(ord) => Some(eval::cmp_matches(*op, ord)),
                             None => {
                                 return Err(EngineError::TypeError(format!(
                                     "cannot compare {l} with {r}"
@@ -486,9 +441,9 @@ impl<O: OuterSide + Clone> ExistsProbe<O> {
                     for &col in cols {
                         seg.column(col).read_into(slot, &mut inner_row[col]);
                     }
-                    truthiness(&eval::eval_compiled(prog, inner_row, ctx)?)
+                    truthiness(&eval::eval_compiled(prog, inner_row, &[], ctx)?)
                 }
-                ProbeConjunct::Outer(o) => truthiness(o.value(outer, ctx)?.as_ref()),
+                ProbeConjunct::Outer(o) => truthiness(&eval::eval_compiled(o, row, outer, ctx)?),
             };
             match t {
                 Some(true) => {}
@@ -505,7 +460,7 @@ impl<O: OuterSide + Clone> ExistsProbe<O> {
 }
 
 /// Does any column of `e` (subquery-free) resolve in the inner bindings?
-/// `None` when one is ambiguous there — the interpreter must report that.
+/// `None` when one is ambiguous there — evaluation must report that.
 fn mentions_inner(e: &Expr, inner: &[Binding]) -> Option<bool> {
     let mut seen = Some(false);
     visit::shallow_walk(e, &mut |x| {
@@ -524,12 +479,12 @@ fn mentions_inner(e: &Expr, inner: &[Binding]) -> Option<bool> {
 /// with an outer-side expression or another inner column becomes a `Cmp`,
 /// any other predicate over one side alone a program for that side, and
 /// everything else (`None`) disqualifies the probe.
-fn compile_conjunct<O>(
+fn compile_conjunct(
     e: &Expr,
-    inner: &[Binding],
+    inner: &Scope<'_>,
+    outer: &Scope<'_>,
     ctx: &ExecContext<'_>,
-    compile_outer: CompileOuter<'_, O>,
-) -> Option<ProbeConjunct<O>> {
+) -> Option<ProbeConjunct> {
     if let Expr::Binary { left, op, right } = e {
         if op.is_comparison() {
             let sides = [
@@ -540,32 +495,34 @@ fn compile_conjunct<O>(
                 let Expr::Column(c) = a.as_ref() else {
                     continue;
                 };
-                let col = match exec::resolve_column(inner, c) {
+                let col = match exec::resolve_column(inner.bindings, c) {
                     Ok(i) => i,
                     Err(EngineError::AmbiguousColumn(_)) => return None,
                     Err(_) => continue,
                 };
-                if mentions_inner(b, inner)? {
+                if mentions_inner(b, inner.bindings)? {
                     continue;
                 }
                 // A column-free side that evaluates is a constant; one that
-                // fails keeps failing lazily, where the interpreter did.
-                let rhs = match (b.as_ref(), exec::expr_has_columns(b)) {
-                    (Expr::Literal(v), _) => Operand::Lit(v.clone()),
-                    (_, false) => match eval_expr(b, &[], ctx) {
-                        Ok(v) => Operand::Lit(v),
-                        Err(_) => Operand::Outer(compile_outer(b)?),
-                    },
-                    (_, true) => Operand::Outer(compile_outer(b)?),
+                // fails keeps failing lazily, on the candidate that reaches
+                // it.
+                let b = eval::compile_expr(b, outer);
+                let rhs = match b.constant(ctx) {
+                    Some(v) => Operand::Lit(v),
+                    None => Operand::Outer(b),
                 };
                 return Some(ProbeConjunct::Cmp { col, op, rhs });
             }
         }
     }
-    if !mentions_inner(e, inner)? && exec::expr_has_columns(e) {
-        return Some(ProbeConjunct::Outer(compile_outer(e)?));
+    if !mentions_inner(e, inner.bindings)? && exec::expr_has_columns(e) {
+        return Some(ProbeConjunct::Outer(eval::compile_expr(e, outer)));
     }
-    let compiled = eval::prebind_params(&eval::compile_expr(e, inner)?, ctx);
+    // What is left has to be a predicate over the inner row alone.
+    let compiled = eval::compile_expr(e, inner);
+    if !compiled.is_positional() {
+        return None;
+    }
     if let CompiledExpr::Binary { left, op, right } = &compiled {
         if let (true, CompiledExpr::Col(l), CompiledExpr::Col(r)) =
             (op.is_comparison(), left.as_ref(), right.as_ref())
@@ -586,8 +543,42 @@ fn compile_conjunct<O>(
 }
 
 // ---------------------------------------------------------------------------
-// Memo
+// Executed subqueries and their memo
 // ---------------------------------------------------------------------------
+
+/// A subquery node that is executed: the statement, and the names of the
+/// row it stands in — which becomes the statement's innermost enclosing
+/// frame.
+#[derive(Debug, Clone)]
+pub(crate) struct Subquery {
+    query: Arc<Select>,
+    bindings: Arc<[Binding]>,
+}
+
+impl Subquery {
+    pub(crate) fn new(query: &Arc<Select>, scope: &Scope<'_>) -> Self {
+        Subquery {
+            query: query.clone(),
+            bindings: scope.bindings.into(),
+        }
+    }
+
+    /// Executes the statement for the current row.
+    pub(crate) fn run(
+        &self,
+        row: &[Value],
+        outer: &[Frame<'_>],
+        ctx: &ExecContext<'_>,
+    ) -> EngineResult<Relation> {
+        let mut frames = Vec::with_capacity(outer.len() + 1);
+        frames.push(Frame {
+            bindings: &self.bindings,
+            row,
+        });
+        frames.extend_from_slice(outer);
+        exec::run_select(&self.query, &frames, ctx)
+    }
+}
 
 /// The distinct values of an `IN (subquery)` column plus whether a NULL
 /// appeared (SQL's NOT IN trap).
@@ -626,43 +617,10 @@ impl<T: Clone> NodeMemo<T> {
 /// Per-execution subquery state; see the module documentation.
 #[derive(Default)]
 pub(crate) struct SubqueryMemo {
-    /// `None`: the subquery does not qualify for a probe.
-    probes: NodeMemo<Option<Arc<FramedProbe>>>,
     /// `None`: the subquery references an outer column, nothing to reuse.
     /// An uncorrelated one is entered by its first successful evaluation.
     sets: NodeMemo<Option<Arc<ValueSet>>>,
     scalars: NodeMemo<Option<Value>>,
-}
-
-/// The memo's probe for an `EXISTS` node, built on first use; `None` when
-/// the subquery does not qualify.
-pub(crate) fn memoized_probe(
-    query: &Arc<Select>,
-    ctx: &ExecContext<'_>,
-) -> Option<Arc<FramedProbe>> {
-    let memo = &ctx.subqueries().probes;
-    if let Some(known) = memo.get(query) {
-        return known;
-    }
-    // Load-bearing clone: each outer operand once per node per execution.
-    let probe = FramedProbe::build(query, ctx, &|e| Some(e.clone())).map(Arc::new);
-    memo.set(query, probe.clone());
-    probe
-}
-
-/// Evaluates `EXISTS (subquery)` for the current frame stack: through the
-/// memoized probe when the subquery qualifies, by full execution otherwise.
-pub(crate) fn eval_exists(
-    query: &Arc<Select>,
-    frames: &[Frame<'_>],
-    ctx: &ExecContext<'_>,
-) -> EngineResult<bool> {
-    match memoized_probe(query, ctx) {
-        // No operator owns this evaluation, so nothing is remembered from
-        // one to the next: every call looks its key up.
-        Some(probe) => probe.eval(frames, &mut ProbeMemo::default(), ctx),
-        None => Ok(!exec::run_select(query, frames, ctx)?.rows.is_empty()),
-    }
 }
 
 /// Runs `compute` once per execution when the subquery references no
@@ -688,71 +646,56 @@ fn once_if_uncorrelated<T: Clone>(
     Ok(result)
 }
 
-/// The value set of an `IN (subquery)`.
+/// The value set of an `IN (subquery)`: its (single) output column.
 pub(crate) fn in_subquery_values(
-    query: &Arc<Select>,
-    frames: &[Frame<'_>],
+    sub: &Subquery,
+    row: &[Value],
+    outer: &[Frame<'_>],
     ctx: &ExecContext<'_>,
 ) -> EngineResult<Arc<ValueSet>> {
-    once_if_uncorrelated(&ctx.subqueries().sets, query, ctx, || {
-        Ok(Arc::new(value_set(query, frames, ctx)?))
+    once_if_uncorrelated(&ctx.subqueries().sets, &sub.query, ctx, || {
+        let rel = sub.run(row, outer, ctx)?;
+        let mut set = HashSet::with_capacity(rel.rows.len());
+        let mut saw_null = false;
+        for row in &rel.rows {
+            if row.len() != 1 {
+                return Err(EngineError::TypeError(
+                    "IN subquery must return one column".into(),
+                ));
+            }
+            if row[0].is_null() {
+                saw_null = true;
+            } else {
+                set.insert(row[0].hash_key());
+            }
+        }
+        Ok(Arc::new((set, saw_null)))
     })
 }
 
 /// The value of a scalar subquery.
 pub(crate) fn scalar_subquery(
-    query: &Arc<Select>,
-    frames: &[Frame<'_>],
+    sub: &Subquery,
+    row: &[Value],
+    outer: &[Frame<'_>],
     ctx: &ExecContext<'_>,
 ) -> EngineResult<Value> {
-    once_if_uncorrelated(&ctx.subqueries().scalars, query, ctx, || {
-        scalar_value(query, frames, ctx)
-    })
-}
-
-/// Executes an IN-subquery and collects its (single) output column.
-fn value_set(
-    query: &Select,
-    frames: &[Frame<'_>],
-    ctx: &ExecContext<'_>,
-) -> EngineResult<ValueSet> {
-    let rel = exec::run_select(query, frames, ctx)?;
-    let mut set = HashSet::with_capacity(rel.rows.len());
-    let mut saw_null = false;
-    for row in &rel.rows {
-        if row.len() != 1 {
-            return Err(EngineError::TypeError(
-                "IN subquery must return one column".into(),
-            ));
-        }
-        if row[0].is_null() {
-            saw_null = true;
-        } else {
-            set.insert(row[0].hash_key());
-        }
-    }
-    Ok((set, saw_null))
-}
-
-fn scalar_value(
-    query: &Select,
-    frames: &[Frame<'_>],
-    ctx: &ExecContext<'_>,
-) -> EngineResult<Value> {
-    let mut rel = exec::run_select(query, frames, ctx)?;
-    match rel.rows.len() {
-        0 => Ok(Value::Null),
-        1 => {
-            let mut row = rel.rows.pop().expect("len checked");
-            if row.len() != 1 {
-                return Err(EngineError::TypeError(
-                    "scalar subquery must return one column".into(),
-                ));
+    once_if_uncorrelated(&ctx.subqueries().scalars, &sub.query, ctx, || {
+        let mut rel = sub.run(row, outer, ctx)?;
+        match rel.rows.len() {
+            0 => Ok(Value::Null),
+            1 => {
+                let mut row = rel.rows.pop().expect("len checked");
+                if row.len() != 1 {
+                    return Err(EngineError::TypeError(
+                        "scalar subquery must return one column".into(),
+                    ));
+                }
+                Ok(row.pop().expect("len checked"))
             }
-            Ok(row.pop().expect("len checked"))
+            _ => Err(EngineError::TypeError(
+                "scalar subquery returned more than one row".into(),
+            )),
         }
-        _ => Err(EngineError::TypeError(
-            "scalar subquery returned more than one row".into(),
-        )),
-    }
+    })
 }

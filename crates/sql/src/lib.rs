@@ -32,7 +32,7 @@ pub use ast::{
     Statement, TableRef, UnaryOp,
 };
 pub use lexer::{Lexer, Token};
-pub use parser::{parse_expression, parse_statement, parse_statements, Parser};
+pub use parser::{parse_expression, parse_statement, parse_statements, Parser, MAX_NESTING};
 pub use value::{Date, HashableValue, Interval, Value};
 
 /// Errors produced while lexing or parsing SQL text.

@@ -19,12 +19,47 @@
 //! primary     := literal | date/interval literal | column | function(...)
 //!              | (expr) | (select) | CASE ... END | EXISTS (select)
 //! ```
+//!
+//! # Nesting is bounded
+//!
+//! The descent recurses on nesting, and so does everything that later walks
+//! the tree: `Display`, the visitors, the engine's compiler and evaluator,
+//! `Drop`. A statement that nests deeper than [`MAX_NESTING`] is therefore
+//! refused here, with a [`ParseError`], before anything can recurse on it —
+//! whether it opens that many scopes at once (parentheses, function
+//! arguments, `CASE` branches, `IN` lists, subqueries and derived tables,
+//! which the parser descends into) or builds a syntax tree that tall (which
+//! is how a long `a + 1 + 1 …`, `p OR q OR …` or `- - - x` grows: the
+//! parser loops over it, the tree is left-deep or a spine).
+//!
+//! `Display` parenthesizes every operator and the parser opens a scope per
+//! parenthesis, so a rendering can need more scopes than the text it was
+//! parsed from — up to one more per `IN` list or clause on the way down. A
+//! statement within a few levels of the bound may therefore be refused
+//! when its rendering is re-parsed (by a cluster node, after the SVP
+//! rewrite): an error there too, never a crash.
 
 use crate::ast::*;
 use crate::lexer::{Lexer, Symbol, Token};
 use crate::value::{Date, Interval, Value};
 use crate::{ParseError, ParseResult};
 use std::sync::Arc;
+
+/// The deepest a statement may nest: the most scopes the parser has open at
+/// once, and the height of the syntax tree it builds (a subquery counts with
+/// its `SELECT`, so each level of subquery nesting takes two).
+///
+/// Chosen from what a *debug* build survives on a 2 MiB thread — the stack
+/// of the cluster's node threads and of the engine's morsel workers —
+/// through parse, plan, evaluation and drop. Unbounded, the descent gives
+/// out first there: at about 100 nested function calls or `CASE`s, 125
+/// scopes of nested subqueries, 160 parentheses; evaluation gives out on a
+/// tree about 300 tall. At 64 the worst of those shapes (function calls
+/// nested to the bound) runs in 1.4 MiB, parentheses in 0.9 MiB and every
+/// other shape in under 0.6 MiB, and 64 is several times what the TPC-H
+/// statements and their SVP rewrites nest. An optimized build uses a
+/// twentieth of that.
+pub const MAX_NESTING: usize = 64;
 
 /// Parses a single SQL statement (a trailing `;` is tolerated).
 pub fn parse_statement(sql: &str) -> ParseResult<Statement> {
@@ -61,6 +96,11 @@ pub fn parse_expression(sql: &str) -> ParseResult<Expr> {
 pub struct Parser {
     tokens: Vec<(Token, usize)>,
     pos: usize,
+    /// Scopes the descent has open (see [`MAX_NESTING`]).
+    depth: usize,
+    /// Height of the syntax tree the expression or `SELECT` parsed last
+    /// came to: how a parent learns how tall it is.
+    height: usize,
 }
 
 impl Parser {
@@ -68,7 +108,47 @@ impl Parser {
         Ok(Parser {
             tokens: Lexer::new(sql).tokenize()?,
             pos: 0,
+            depth: 0,
+            height: 0,
         })
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.error(format!(
+            "statement nests more than {MAX_NESTING} levels deep"
+        ))
+    }
+
+    /// Opens a scope; the caller closes it (`depth -= 1`) once its content
+    /// has parsed. An error abandons the parse, so it closes nothing.
+    fn descend(&mut self) -> ParseResult<()> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(())
+    }
+
+    /// Records that a node was built over children the tallest of which is
+    /// `below` high.
+    fn built(&mut self, below: usize) -> ParseResult<usize> {
+        self.height = below + 1;
+        if self.height > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(self.height)
+    }
+
+    /// Parses one child of the node being built, keeping `below` the height
+    /// of its tallest.
+    fn under(
+        &mut self,
+        below: &mut usize,
+        parse: fn(&mut Self) -> ParseResult<Expr>,
+    ) -> ParseResult<Expr> {
+        let child = parse(self)?;
+        *below = (*below).max(self.height);
+        Ok(child)
     }
 
     fn peek(&self) -> &Token {
@@ -167,10 +247,10 @@ impl Parser {
                 "explain" => {
                     self.advance();
                     let analyze = self.eat_kw("analyze");
-                    Ok(Statement::Explain {
-                        analyze,
-                        inner: Box::new(self.statement()?),
-                    })
+                    self.descend()?;
+                    let inner = Box::new(self.statement()?);
+                    self.depth -= 1;
+                    Ok(Statement::Explain { analyze, inner })
                 }
                 "insert" => self.insert(),
                 "delete" => self.delete(),
@@ -198,6 +278,8 @@ impl Parser {
 
     /// Parses a SELECT (entry point also used for subqueries).
     pub fn select(&mut self) -> ParseResult<Select> {
+        self.descend()?;
+        let mut below = 0;
         self.expect_kw("select")?;
         let quantifier = if self.eat_kw("distinct") {
             SetQuantifier::Distinct
@@ -210,7 +292,7 @@ impl Parser {
             if self.eat_symbol(Symbol::Star) {
                 items.push(SelectItem::Wildcard);
             } else {
-                let expr = self.expr()?;
+                let expr = self.under(&mut below, Self::expr)?;
                 let alias = if self.eat_kw("as") {
                     Some(self.ident()?)
                 } else if let Token::Ident(name) = self.peek().clone() {
@@ -235,13 +317,14 @@ impl Parser {
         if self.eat_kw("from") {
             loop {
                 from.push(self.table_ref()?);
+                below = below.max(self.height);
                 if !self.eat_symbol(Symbol::Comma) {
                     break;
                 }
             }
         }
         let selection = if self.eat_kw("where") {
-            Some(self.expr()?)
+            Some(self.under(&mut below, Self::expr)?)
         } else {
             None
         };
@@ -249,14 +332,14 @@ impl Parser {
         if self.eat_kw("group") {
             self.expect_kw("by")?;
             loop {
-                group_by.push(self.expr()?);
+                group_by.push(self.under(&mut below, Self::expr)?);
                 if !self.eat_symbol(Symbol::Comma) {
                     break;
                 }
             }
         }
         let having = if self.eat_kw("having") {
-            Some(self.expr()?)
+            Some(self.under(&mut below, Self::expr)?)
         } else {
             None
         };
@@ -264,7 +347,7 @@ impl Parser {
         if self.eat_kw("order") {
             self.expect_kw("by")?;
             loop {
-                let expr = self.expr()?;
+                let expr = self.under(&mut below, Self::expr)?;
                 let desc = if self.eat_kw("desc") {
                     true
                 } else {
@@ -285,6 +368,8 @@ impl Parser {
         } else {
             None
         };
+        self.depth -= 1;
+        self.built(below)?;
         Ok(Select {
             quantifier,
             items,
@@ -305,6 +390,7 @@ impl Parser {
             let alias = self.ident()?;
             return Ok(TableRef::Subquery { query, alias });
         }
+        self.height = 0;
         let name = self.ident()?;
         let alias = if self.eat_kw("as") {
             Some(self.ident()?)
@@ -510,35 +596,51 @@ impl Parser {
 
     // -- expressions --------------------------------------------------------
 
-    /// Parses an expression at the lowest precedence (OR).
+    /// Parses an expression at the lowest precedence (OR). Everything that
+    /// nests an expression inside another comes through here, so this is
+    /// one of the scopes [`MAX_NESTING`] counts.
     pub fn expr(&mut self) -> ParseResult<Expr> {
+        self.descend()?;
         let mut lhs = self.and_expr()?;
+        let mut height = self.height;
         while self.eat_kw("or") {
             let rhs = self.and_expr()?;
+            height = self.built(height.max(self.height))?;
             lhs = Expr::binary(lhs, BinOp::Or, rhs);
         }
+        self.height = height;
+        self.depth -= 1;
         Ok(lhs)
     }
 
     fn and_expr(&mut self) -> ParseResult<Expr> {
         let mut lhs = self.not_expr()?;
+        let mut height = self.height;
         while self.eat_kw("and") {
             let rhs = self.not_expr()?;
+            height = self.built(height.max(self.height))?;
             lhs = Expr::binary(lhs, BinOp::And, rhs);
         }
+        self.height = height;
         Ok(lhs)
     }
 
     fn not_expr(&mut self) -> ParseResult<Expr> {
-        if self.peek().is_kw("not") && !self.peek_is_not_exists() {
+        // A run of NOTs is counted, not descended into.
+        let mut nots = 0usize;
+        while self.peek().is_kw("not") && !self.peek_is_not_exists() {
             self.advance();
-            let inner = self.not_expr()?;
-            return Ok(Expr::Unary {
-                op: UnaryOp::Not,
-                expr: Box::new(inner),
-            });
+            nots += 1;
         }
-        self.cmp_expr()
+        let mut e = self.cmp_expr()?;
+        for _ in 0..nots {
+            self.built(self.height)?;
+            e = Expr::Unary {
+                op: UnaryOp::Not,
+                expr: Box::new(e),
+            };
+        }
+        Ok(e)
     }
 
     /// `NOT EXISTS` is handled inside `primary` so the negation attaches to
@@ -552,6 +654,7 @@ impl Parser {
 
     fn cmp_expr(&mut self) -> ParseResult<Expr> {
         let lhs = self.add_expr()?;
+        let mut below = self.height;
         // Postfix predicates.
         let negated = if self.peek().is_kw("not")
             && matches!(&self.tokens.get(self.pos + 1),
@@ -562,80 +665,79 @@ impl Parser {
         } else {
             false
         };
-        if self.eat_kw("between") {
-            let low = self.add_expr()?;
+        let node = if self.eat_kw("between") {
+            let low = self.under(&mut below, Self::add_expr)?;
             self.expect_kw("and")?;
-            let high = self.add_expr()?;
-            return Ok(Expr::Between {
+            let high = self.under(&mut below, Self::add_expr)?;
+            Expr::Between {
                 expr: Box::new(lhs),
                 negated,
                 low: Box::new(low),
                 high: Box::new(high),
-            });
-        }
-        if self.eat_kw("in") {
+            }
+        } else if self.eat_kw("in") {
             self.expect_symbol(Symbol::LParen)?;
             if self.peek().is_kw("select") {
                 let query = Arc::new(self.select()?);
+                below = below.max(self.height);
                 self.expect_symbol(Symbol::RParen)?;
-                return Ok(Expr::InSubquery {
+                Expr::InSubquery {
                     expr: Box::new(lhs),
                     negated,
                     query,
-                });
-            }
-            let mut list = Vec::new();
-            loop {
-                list.push(self.expr()?);
-                if !self.eat_symbol(Symbol::Comma) {
-                    break;
+                }
+            } else {
+                let mut list = Vec::new();
+                loop {
+                    list.push(self.under(&mut below, Self::expr)?);
+                    if !self.eat_symbol(Symbol::Comma) {
+                        break;
+                    }
+                }
+                self.expect_symbol(Symbol::RParen)?;
+                Expr::InList {
+                    expr: Box::new(lhs),
+                    negated,
+                    list,
                 }
             }
-            self.expect_symbol(Symbol::RParen)?;
-            return Ok(Expr::InList {
-                expr: Box::new(lhs),
-                negated,
-                list,
-            });
-        }
-        if self.eat_kw("like") {
-            let pattern = self.add_expr()?;
-            return Ok(Expr::Like {
+        } else if self.eat_kw("like") {
+            let pattern = self.under(&mut below, Self::add_expr)?;
+            Expr::Like {
                 expr: Box::new(lhs),
                 negated,
                 pattern: Box::new(pattern),
-            });
-        }
-        if negated {
+            }
+        } else if negated {
             return Err(self.error("dangling NOT before comparison"));
-        }
-        if self.eat_kw("is") {
+        } else if self.eat_kw("is") {
             let negated = self.eat_kw("not");
             self.expect_kw("null")?;
-            return Ok(Expr::IsNull {
+            Expr::IsNull {
                 expr: Box::new(lhs),
                 negated,
-            });
-        }
-        let op = match self.peek() {
-            Token::Symbol(Symbol::Eq) => Some(BinOp::Eq),
-            Token::Symbol(Symbol::NotEq) => Some(BinOp::NotEq),
-            Token::Symbol(Symbol::Lt) => Some(BinOp::Lt),
-            Token::Symbol(Symbol::LtEq) => Some(BinOp::LtEq),
-            Token::Symbol(Symbol::Gt) => Some(BinOp::Gt),
-            Token::Symbol(Symbol::GtEq) => Some(BinOp::GtEq),
-            _ => None,
-        };
-        if let Some(op) = op {
+            }
+        } else {
+            let op = match self.peek() {
+                Token::Symbol(Symbol::Eq) => BinOp::Eq,
+                Token::Symbol(Symbol::NotEq) => BinOp::NotEq,
+                Token::Symbol(Symbol::Lt) => BinOp::Lt,
+                Token::Symbol(Symbol::LtEq) => BinOp::LtEq,
+                Token::Symbol(Symbol::Gt) => BinOp::Gt,
+                Token::Symbol(Symbol::GtEq) => BinOp::GtEq,
+                _ => return Ok(lhs),
+            };
             self.advance();
-            let rhs = self.add_expr()?;
-            return Ok(Expr::binary(lhs, op, rhs));
-        }
-        Ok(lhs)
+            let rhs = self.under(&mut below, Self::add_expr)?;
+            Expr::binary(lhs, op, rhs)
+        };
+        self.built(below)?;
+        Ok(node)
     }
 
     fn add_expr(&mut self) -> ParseResult<Expr> {
         let mut lhs = self.mul_expr()?;
+        let mut height = self.height;
         loop {
             let op = match self.peek() {
                 Token::Symbol(Symbol::Plus) => BinOp::Add,
@@ -644,13 +746,16 @@ impl Parser {
             };
             self.advance();
             let rhs = self.mul_expr()?;
+            height = self.built(height.max(self.height))?;
             lhs = Expr::binary(lhs, op, rhs);
         }
+        self.height = height;
         Ok(lhs)
     }
 
     fn mul_expr(&mut self) -> ParseResult<Expr> {
         let mut lhs = self.unary()?;
+        let mut height = self.height;
         loop {
             let op = match self.peek() {
                 Token::Symbol(Symbol::Star) => BinOp::Mul,
@@ -659,31 +764,44 @@ impl Parser {
             };
             self.advance();
             let rhs = self.unary()?;
+            height = self.built(height.max(self.height))?;
             lhs = Expr::binary(lhs, op, rhs);
         }
+        self.height = height;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> ParseResult<Expr> {
-        if self.eat_symbol(Symbol::Minus) {
-            let inner = self.unary()?;
-            // Fold negation into numeric literals for cleaner trees.
-            return Ok(match inner {
+        // A run of signs is counted, not descended into.
+        let mut negations = 0usize;
+        loop {
+            if self.eat_symbol(Symbol::Minus) {
+                negations += 1;
+            } else if !self.eat_symbol(Symbol::Plus) {
+                break;
+            }
+        }
+        let mut e = self.primary()?;
+        for _ in 0..negations {
+            e = match e {
+                // Fold negation into numeric literals for cleaner trees.
                 Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
                 Expr::Literal(Value::Float(x)) => Expr::Literal(Value::Float(-x)),
-                other => Expr::Unary {
-                    op: UnaryOp::Neg,
-                    expr: Box::new(other),
-                },
-            });
+                other => {
+                    self.built(self.height)?;
+                    Expr::Unary {
+                        op: UnaryOp::Neg,
+                        expr: Box::new(other),
+                    }
+                }
+            };
         }
-        if self.eat_symbol(Symbol::Plus) {
-            return self.unary();
-        }
-        self.primary()
+        Ok(e)
     }
 
     fn primary(&mut self) -> ParseResult<Expr> {
+        // A leaf, unless an arm below builds on children.
+        self.height = 1;
         match self.peek().clone() {
             Token::Int(i) => {
                 self.advance();
@@ -706,6 +824,7 @@ impl Parser {
                 if self.peek().is_kw("select") {
                     let q = Arc::new(self.select()?);
                     self.expect_symbol(Symbol::RParen)?;
+                    self.built(self.height)?;
                     Ok(Expr::ScalarSubquery(q))
                 } else {
                     let e = self.expr()?;
@@ -760,14 +879,15 @@ impl Parser {
             "case" => {
                 self.advance();
                 let mut branches = Vec::new();
+                let mut below = 0;
                 while self.eat_kw("when") {
-                    let cond = self.expr()?;
+                    let cond = self.under(&mut below, Self::expr)?;
                     self.expect_kw("then")?;
-                    let result = self.expr()?;
+                    let result = self.under(&mut below, Self::expr)?;
                     branches.push((cond, result));
                 }
                 let else_expr = if self.eat_kw("else") {
-                    Some(Box::new(self.expr()?))
+                    Some(Box::new(self.under(&mut below, Self::expr)?))
                 } else {
                     None
                 };
@@ -775,6 +895,7 @@ impl Parser {
                 if branches.is_empty() {
                     return Err(self.error("CASE requires at least one WHEN branch"));
                 }
+                self.built(below)?;
                 Ok(Expr::Case {
                     branches,
                     else_expr,
@@ -785,6 +906,7 @@ impl Parser {
                 self.expect_symbol(Symbol::LParen)?;
                 let query = Arc::new(self.select()?);
                 self.expect_symbol(Symbol::RParen)?;
+                self.built(self.height)?;
                 Ok(Expr::Exists {
                     negated: false,
                     query,
@@ -796,6 +918,7 @@ impl Parser {
                 self.expect_symbol(Symbol::LParen)?;
                 let query = Arc::new(self.select()?);
                 self.expect_symbol(Symbol::RParen)?;
+                self.built(self.height)?;
                 Ok(Expr::Exists {
                     negated: true,
                     query,
@@ -816,15 +939,17 @@ impl Parser {
                     }
                     let distinct = self.eat_kw("distinct");
                     let mut args = Vec::new();
+                    let mut below = 0;
                     if !self.eat_symbol(Symbol::RParen) {
                         loop {
-                            args.push(self.expr()?);
+                            args.push(self.under(&mut below, Self::expr)?);
                             if !self.eat_symbol(Symbol::Comma) {
                                 break;
                             }
                         }
                         self.expect_symbol(Symbol::RParen)?;
                     }
+                    self.built(below)?;
                     return Ok(Expr::Function {
                         name,
                         args,
@@ -1090,5 +1215,102 @@ mod tests {
     fn count_distinct() {
         let e = parse_expression("count(distinct x)").unwrap();
         assert!(matches!(e, Expr::Function { distinct: true, .. }));
+    }
+
+    /// One statement per way of nesting, `n` levels of it.
+    fn nested(shape: &str, n: usize) -> String {
+        match shape {
+            "(" => format!("select {}a{} from t", "(".repeat(n), ")".repeat(n)),
+            "- " => format!("select {}a from t", "- ".repeat(n)),
+            "not " => format!("select a from t where {}b", "not ".repeat(n)),
+            "+ 1" => format!("select a{} from t", " + 1".repeat(n)),
+            "or" => format!("select a from t where b{}", " or b".repeat(n)),
+            "f(" => format!("select {}a{} from t", "abs(".repeat(n), ")".repeat(n)),
+            "case" => format!(
+                "select {}a{} from t",
+                "case when b then 1 else ".repeat(n),
+                " end".repeat(n)
+            ),
+            "(select" => (0..n).fold("select a from t".to_string(), |q, _| {
+                format!("select ({q}) from t")
+            }),
+            "from (select" => (0..n).fold("select a from t".to_string(), |q, _| {
+                format!("select a from ({q}) d")
+            }),
+            "explain" => format!("{}select a from t", "explain ".repeat(n)),
+            other => panic!("no shape {other}"),
+        }
+    }
+
+    const SHAPES: [&str; 10] = [
+        "explain",
+        "(",
+        "- ",
+        "not ",
+        "+ 1",
+        "or",
+        "f(",
+        "case",
+        "(select",
+        "from (select",
+    ];
+
+    /// On the stack of a node thread or a morsel worker.
+    fn on_a_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_parse_error_not_a_stack_overflow() {
+        on_a_small_stack(|| {
+            for shape in SHAPES {
+                for n in [MAX_NESTING, 2 * MAX_NESTING, 50_000] {
+                    let err = parse_statements(&nested(shape, n))
+                        .expect_err(&format!("{n} levels of `{shape}`"));
+                    assert!(err.message.contains("levels deep"), "{shape}: {err}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn nesting_up_to_the_bound_parses_renders_and_drops() {
+        on_a_small_stack(|| {
+            for shape in SHAPES {
+                // A scalar subquery is two levels, the node and its SELECT.
+                let levels = if shape == "(select" { 2 } else { 1 };
+                // The statement's SELECT and the innermost leaf are the
+                // other two levels.
+                let n = (MAX_NESTING - 2) / levels;
+                let stmt =
+                    parse_statement(&nested(shape, n)).unwrap_or_else(|e| panic!("{shape}: {e}"));
+                assert!(!stmt.to_string().is_empty());
+                assert!(parse_statement(&nested(shape, n + 1)).is_err(), "{shape}");
+                // Rendering adds scopes, never as many again.
+                let stmt = parse_statement(&nested(shape, n / 2)).unwrap();
+                assert_eq!(parse_statement(&stmt.to_string()).unwrap(), stmt, "{shape}");
+            }
+        });
+    }
+
+    /// Width is not depth: long lists, many items and many statements are
+    /// no taller than one of their members.
+    #[test]
+    fn wide_statements_are_not_deep() {
+        let list: Vec<String> = (0..5_000).map(|i| (i % 7 + 1).to_string()).collect();
+        let items = vec!["a * b + 1"; 500].join(", ");
+        let sql = format!(
+            "select {items} from t where a in ({}) and coalesce({}) > 0; \
+             insert into t values {}",
+            list.join(", "),
+            list.join(", "),
+            vec!["(1 + 1, 'x')"; 2_000].join(", "),
+        );
+        assert_eq!(parse_statements(&sql).unwrap().len(), 2);
     }
 }

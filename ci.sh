@@ -27,6 +27,9 @@ timeout "$BUILD_TIMEOUT" cargo test -q
 echo "== operator pipeline: byte-identity property suite =="
 timeout "$SUITE_TIMEOUT" cargo test -q --test property_operators
 
+echo "== join block: answers against nested loops over the heap, probe placement (DESIGN.md §10) =="
+timeout "$SUITE_TIMEOUT" cargo test -q --test join_oracle
+
 echo "== storage: column heap against its row model, buffer pool and index models =="
 # Outside tier-1 (the root package's tests) and every suite listed here.
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-storage
@@ -60,16 +63,20 @@ echo "== benchmark package: its own tests, then a smoke run that must answer cor
 # benchmark/ is a workspace of its own (BENCHMARK.json runs it from a fresh
 # checkout), so the root `cargo test` never builds it.
 (cd benchmark && timeout "$BUILD_TIMEOUT" cargo test --release --offline -q)
-smoke=$(timeout "$SUITE_TIMEOUT" cargo run --release --offline --quiet \
-  --manifest-path benchmark/Cargo.toml -- --workload olap_power --smoke | tail -n 1)
-echo "$smoke"
-case "$smoke" in
-  *'"correct": true'*'"failed": 0,'*) ;;
-  *)
-    echo "FAIL: the benchmark smoke run reported a wrong answer or a failed operation."
-    exit 1
-    ;;
-esac
+# One client alone, two streams at once, refresh beside reads, pass-through:
+# no other suite runs the last three, and each smoke takes about a second.
+for workload in olap_power olap_streams mixed_refresh oltp_passthrough; do
+  smoke=$(timeout "$SUITE_TIMEOUT" cargo run --release --offline --quiet \
+    --manifest-path benchmark/Cargo.toml -- --workload "$workload" --smoke | tail -n 1)
+  echo "$smoke"
+  case "$smoke" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *)
+      echo "FAIL: the $workload smoke run reported a wrong answer or a failed operation."
+      exit 1
+      ;;
+  esac
+done
 
 echo "== benchmark counters: the traced smoke run's work per pass must equal ci/olap_power_smoke.counters =="
 traced=$(timeout "$SUITE_TIMEOUT" cargo run --release --offline --quiet \

@@ -552,36 +552,56 @@ pub(crate) struct ScanPreds {
     /// `row_cols[j]`: the scratch-row cells `preds[j..]` read, for every
     /// `j` row-major evaluation can start at (`0..=prefix.len()`).
     row_cols: Vec<Vec<usize>>,
+    /// `col <op> const` bounds a zone map can refute a page with: the `Cmp`
+    /// vector forms of the list and each `BETWEEN`'s two bounds, so what
+    /// prunes is what the prefix folds.
+    zone: Vec<(usize, BinOp, Value)>,
 }
 
 impl ScanPreds {
-    /// `width` is the table's column count: a predicate that evaluates a
-    /// subquery is handed every cell, because the subquery resolves names
-    /// against the row when it runs.
+    /// `width` is the table's column count ([`ResidualPred::collect_cols`]).
     pub(crate) fn new(preds: Vec<ResidualPred>, width: usize, ctx: &ExecContext<'_>) -> ScanPreds {
-        let prefix: Vec<VecPred> = preds.iter().map_while(|p| VecPred::of(p, ctx)).collect();
-        let cols_of = |p: &ResidualPred| -> Vec<usize> {
-            let mut cols = Vec::new();
-            match p {
-                ResidualPred::FastCmp { col, .. } => cols.push(*col),
-                ResidualPred::Compiled(c) if c.has_subquery() => cols.extend(0..width),
-                ResidualPred::Compiled(c) => c.collect_cols(&mut cols),
-                ResidualPred::Exists { probe, .. } => probe.collect_outer_cols(&mut cols),
-            }
-            cols
-        };
+        let mut forms: Vec<Option<VecPred>> = preds.iter().map(|p| VecPred::of(p, ctx)).collect();
+        let zone = (forms.iter().flatten())
+            .flat_map(|form| match form {
+                VecPred::Cmp { col, op, lit } => vec![(*col, *op, lit.clone())],
+                VecPred::Between {
+                    col,
+                    negated: false,
+                    low,
+                    high,
+                } => vec![
+                    (*col, BinOp::GtEq, low.clone()),
+                    (*col, BinOp::LtEq, high.clone()),
+                ],
+                _ => Vec::new(),
+            })
+            .collect();
+        let prefix: Vec<VecPred> = forms.iter_mut().map_while(Option::take).collect();
         let row_cols = (0..=prefix.len())
-            .map(|j| sorted_dedup(preds[j..].iter().flat_map(cols_of).collect()))
+            .map(|j| {
+                let mut cols = Vec::new();
+                preds[j..]
+                    .iter()
+                    .for_each(|p| p.collect_cols(width, &mut cols));
+                sorted_dedup(cols)
+            })
             .collect();
         ScanPreds {
             preds,
             prefix,
             row_cols,
+            zone,
         }
     }
 
     pub(crate) fn preds(&self) -> &[ResidualPred] {
         &self.preds
+    }
+
+    /// The bounds [`zone_allowed_pages`] prunes with.
+    pub(crate) fn zone_bounds(&self) -> &[(usize, BinOp, Value)] {
+        &self.zone
     }
 
     /// A predicate that evaluates a subquery touches the buffer pool, and
@@ -693,12 +713,27 @@ impl ScanPreds {
 // Materialization
 // ---------------------------------------------------------------------------
 
+#[cfg(test)]
+thread_local! {
+    /// Rows [`materialize`] built on this thread.
+    pub(crate) static ROWS_MATERIALIZED: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+}
+
 /// Appends the selected tuples of `seg` to `out` as rows, `cols` of them
 /// when the scan narrows (the statement names what it reads), every column
-/// otherwise (`SELECT *`). Built column-major: the representation is
-/// matched once per column, not per cell.
-pub(crate) fn materialize(seg: &Segment, sel: &[u32], cols: Option<&[usize]>, out: &mut Vec<Row>) {
-    let width = cols.map_or(seg.width(), <[usize]>::len);
+/// otherwise (`SELECT *`); each row is allocated for `width` cells (the
+/// join block appends the joined inputs' to them). Built column-major: the
+/// representation is matched once per column, not per cell.
+pub(crate) fn materialize(
+    seg: &Segment,
+    sel: &[u32],
+    cols: Option<&[usize]>,
+    width: usize,
+    out: &mut Vec<Row>,
+) {
+    #[cfg(test)]
+    ROWS_MATERIALIZED.set(ROWS_MATERIALIZED.get() + sel.len());
     let start = out.len();
     out.extend(sel.iter().map(|_| Vec::with_capacity(width)));
     let rows = &mut out[start..];
@@ -877,15 +912,23 @@ pub(crate) fn cell_matches(col: &Column, i: usize, stored: &Value) -> bool {
     stored.sort_cmp(&col.value_at(i)) == Ordering::Equal
 }
 
-/// [`hash_value`] of a cell, without boxing a string.
+/// [`hash_value`] of a cell, without boxing a string or leaving the typed
+/// slice for a call.
+#[inline]
 pub(crate) fn hash_cell<H: Hasher>(col: &Column, i: usize, state: &mut H) {
+    if !col.validity().is_valid(i) {
+        return hash_value(&Value::Null, state);
+    }
     match col.data() {
-        data @ ColumnVec::Str { .. } if col.validity().is_valid(i) => {
+        ColumnVec::Int(v) => hash_value(&Value::Int(v[i]), state),
+        ColumnVec::Float(v) => hash_value(&Value::Float(v[i]), state),
+        ColumnVec::Date(v) => hash_value(&Value::Date(apuama_sql::value::Date(v[i])), state),
+        data @ ColumnVec::Str { .. } => {
             // `hash_value`'s `Str` arm, on the borrowed string.
             3u8.hash(state);
             data.str_at(i).hash(state);
         }
-        _ => hash_value(&col.value_at(i), state),
+        ColumnVec::Val(v) => hash_value(&v[i], state),
     }
 }
 

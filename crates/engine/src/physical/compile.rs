@@ -15,6 +15,8 @@ use crate::planner;
 use crate::subquery::{probe_memos, ExistsProbe, ProbeMemo};
 use crate::table::Table;
 
+use crate::physical::ScanPreds;
+
 /// A filter predicate, compiled. The hot `col <cmp> literal` shape is
 /// specialized to a direct comparison (`FastCmp`), skipping the expression
 /// walk and its per-operand `Value` clones. A single-table `[NOT] EXISTS`
@@ -60,6 +62,18 @@ impl ResidualPred {
                 ResidualPred::Exists { negated, probe }
             }
             c => ResidualPred::Compiled(c),
+        }
+    }
+
+    /// Appends the positions of the `width`-cell row the predicate reads: a
+    /// predicate that evaluates a subquery is handed every cell, because
+    /// the subquery resolves names against the row when it runs.
+    pub(crate) fn collect_cols(&self, width: usize, out: &mut Vec<usize>) {
+        match self {
+            ResidualPred::FastCmp { col, .. } => out.push(*col),
+            ResidualPred::Compiled(c) if c.has_subquery() => out.extend(0..width),
+            ResidualPred::Compiled(c) => c.collect_cols(out),
+            ResidualPred::Exists { probe, .. } => probe.collect_outer_cols(out),
         }
     }
 }
@@ -198,7 +212,7 @@ pub(crate) fn plan_scan<'x>(
 
 /// Does `page`'s zone map prove no live row can satisfy `col <op> lit`?
 ///
-/// Decisions mirror the row-level `FastCmp` semantics ([`Value::sql_cmp`]):
+/// Decisions mirror the row-level comparison semantics ([`Value::sql_cmp`]):
 /// a NULL literal or an all-NULL page can never produce a `true`
 /// comparison (NULL operands short-circuit to false before comparing), so
 /// both always prune; an incomparable min or max means some row might
@@ -243,22 +257,15 @@ pub(crate) fn zone_page_refutes(
 /// Which heap pages a sequential scan reads: `allowed[page]` is false for
 /// the pages whose zone maps refute a residual conjunct, which are never
 /// iterated — no page charge, no `rows_scanned` — and counted as
-/// `pages_pruned`. The eligible conjuncts are exactly the
-/// [`ResidualPred::FastCmp`] ones on a column the heap keeps zone maps for;
-/// `None` when there is none: every page is read.
-pub(crate) fn zone_allowed_pages(
-    table: &Table,
-    preds: &[ResidualPred],
-) -> (Option<Vec<bool>>, u64) {
+/// `pages_pruned`. The eligible conjuncts are the list's
+/// [`ScanPreds::zone_bounds`] — `col <cmp> const` however the constant is
+/// spelled, `BETWEEN` as its two bounds — on a column the heap keeps zone
+/// maps for; `None` when there is none: every page is read.
+pub(crate) fn zone_allowed_pages(table: &Table, preds: &ScanPreds) -> (Option<Vec<bool>>, u64) {
     let zone_cols = table.heap.zone_columns();
-    let eligible: Vec<(usize, BinOp, Value)> = preds
-        .iter()
-        .filter_map(|pred| match pred {
-            ResidualPred::FastCmp { col, op, lit } if zone_cols.contains(col) => {
-                Some((*col, *op, lit.clone()))
-            }
-            _ => None,
-        })
+    let eligible: Vec<(usize, BinOp, Value)> = (preds.zone_bounds().iter())
+        .filter(|(col, ..)| zone_cols.contains(col))
+        .cloned()
         .collect();
     if eligible.is_empty() {
         return (None, 0);
@@ -328,24 +335,49 @@ pub(crate) fn key_component<'a>(
     }
 }
 
-/// FNV-1a, the bucketing hash of the group table and the join table. Only
-/// bucket placement depends on the hash — key equality is `sort_cmp` and
-/// output order is first-seen — so a cheap function will do.
+/// FNV-1a, the bucketing hash of the group table and the join table —
+/// byte by byte over strings, a word at a time over the fixed-width values
+/// [`hash_value`] writes (a key is mostly one integer: a tag and a word,
+/// two rounds instead of nine). Only bucket placement depends on the hash —
+/// key equality is `sort_cmp` and output order is first-seen — so a cheap
+/// function will do.
 pub(crate) struct FnvHasher(u64);
 
 impl FnvHasher {
     pub(crate) fn new() -> Self {
         FnvHasher(0xcbf2_9ce4_8422_2325)
     }
+
+    #[inline]
+    fn round(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x100_0000_01b3);
+    }
 }
 
 impl Hasher for FnvHasher {
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            self.round(b as u64);
         }
     }
 
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.round(n as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.round(n as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.round(n);
+    }
+
+    #[inline]
     fn finish(&self) -> u64 {
         self.0
     }

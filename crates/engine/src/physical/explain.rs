@@ -274,6 +274,7 @@ pub(crate) fn path_desc(table: &Table, path: &AccessPath) -> String {
 /// How one subquery predicate of an operator is evaluated, for EXPLAIN:
 /// `semi-probe lineitem l2 via index(l_orderkey)`, `anti-probe …`, or
 /// `subquery (interpreted)`.
+#[derive(Clone)]
 pub(crate) struct SubqueryLine {
     pub(crate) label: String,
     /// The probe whose counters `EXPLAIN ANALYZE` reports on this line.

@@ -29,7 +29,11 @@
 //! to the interpreter's values: a change that legitimately lowers one
 //! re-records the affected EXPERIMENTS.md tables and
 //! `ci/olap_power_smoke.counters` in the same change (DESIGN.md §10).
-//! Today they still equal the interpreter's, because:
+//! One statement shape has moved so far — a join block with a subquery
+//! conjunct on one of its inputs (Q21; third bullet) — and a planner change
+//! that moves which input drives also moves *unordered* row order and float
+//! association for that shape, which DESIGN.md §10 records. Everywhere else
+//! the counters still equal the interpreter's, because:
 //!
 //! * **Charging contracts were ported verbatim** — each operator charges the
 //!   same counters in the same per-row pattern the interpreter did (scan
@@ -47,29 +51,37 @@
 //!   which is exactly when the interpreter evaluated them. `Sort` and
 //!   `Limit` are always breakers (the interpreter never terminated a scan
 //!   early).
-//! * **Join inputs are read whole, in FROM order, before the greedy join
-//!   phase** — the interpreter's phases, and the reason a join's page
-//!   touches and counters do not depend on the join order. What each
-//!   base-table input *keeps* of its rows is narrower than what it reads:
-//!   lowering records, by name, every column anything other than the
-//!   input's own pushed-down conjuncts can resolve to ([`input_columns`]),
-//!   the scan evaluates those conjuncts (and their `EXISTS` probes) on the
-//!   stored columns — whichever of them they read — and only the recorded
-//!   columns of the survivors are materialized into the join block. Everything downstream — join keys, post-filters,
+//! * **Join inputs are read in FROM order, to their selections, before
+//!   anything is joined** — the interpreter's phases, and the reason a
+//!   join's page touches and counters do not depend on the join order. A
+//!   base-table input is read to the `(segment, slots)` survivors of its
+//!   pushed-down conjuncts ([`ScanExec::select`]): every page charge and
+//!   counter of the scan, no `Value` built. That is the count the greedy
+//!   order needs. The largest input then *drives*: its tuples stream from
+//!   the segments through one [`JoinExec`] hash table per other input, and
+//!   only what leaves the last step becomes rows. The other inputs are
+//!   materialized in the columns they *keep*, which is narrower than what
+//!   they read: lowering records, by name, every column anything other than
+//!   the input's own pushed-down conjuncts can resolve to
+//!   ([`input_columns`]). Everything downstream — join keys, post-filters,
 //!   the aggregate's representative row, memory charges — resolves columns
 //!   by name against the bindings it is handed, so it is narrower without
 //!   knowing why. By name, because a plan outlives the catalog it was
 //!   lowered against and an unqualified name has to stay ambiguous when
-//!   two inputs carry it. The driving (largest) input is still
-//!   materialized rather than streamed through the build tables: which
-//!   input drives is only known once every input has been read, and
-//!   reading it last would move when its pages are touched.
+//!   two inputs carry it. A pushed-down conjunct that evaluates a subquery
+//!   is the exception to "before anything is joined": in a block of two or
+//!   more inputs it runs where the fewest tuples reach it — behind the
+//!   joins that cannot expand the stream when its input drives, over the
+//!   selection before it is materialized otherwise (DESIGN.md §10) — so a
+//!   statement with one (Q21) touches its probe pages after every scan's,
+//!   not between them.
 //!
-//! The one accepted divergence: when a query *errors*, the streaming
-//! pipeline may surface a projection error from an early batch before a
-//! scan error from a later row, where the interpreter would surface the
-//! scan error first. Which error wins can differ; successful results and
-//! their statistics never do.
+//! The accepted divergences are about *errors*: the streaming pipeline
+//! may surface a projection error from an early batch before a scan error
+//! from a later row, where the interpreter would surface the scan error
+//! first — which error wins can differ; successful results and their
+//! statistics never do — and an error only a tuple the joins eliminate
+//! would have raised in a relocated subquery conjunct no longer surfaces.
 
 use apuama_sql::ast::{ColumnRef, Expr, Select, SelectItem, SetQuantifier, TableRef};
 use apuama_sql::visit;
@@ -554,8 +566,8 @@ pub(crate) fn build_tree<'e>(
 }
 
 /// The source block under projection/aggregation. A single FROM item
-/// streams through a `Filter`; several are materialized and joined by
-/// `HashJoin` (the greedy join phase needs full cardinalities, exactly as
+/// streams through a `Filter`; several are counted and joined by
+/// [`JoinExec`] (the greedy join phase needs full cardinalities, exactly as
 /// the interpreter did).
 pub(crate) fn build_source<'e>(
     g: &'e GeneralPlan,
@@ -587,6 +599,28 @@ pub(crate) fn build_source<'e>(
     }
 }
 
+/// A base-table scan's `EXPLAIN ANALYZE` label: `scan lineitem as l1
+/// [parallel ×2] cols 4/16`.
+pub(crate) fn scan_label(
+    name: &str,
+    alias: Option<&str>,
+    workers: Option<usize>,
+    keep: Option<&[String]>,
+    ctx: &ExecContext<'_>,
+) -> String {
+    let mut label = match alias {
+        Some(alias) => format!("scan {name} as {alias}"),
+        None => format!("scan {name}"),
+    };
+    if let Some(workers) = workers {
+        label.push_str(&format!(" [parallel ×{workers}]"));
+    }
+    if let (Some(keep), Some(table)) = (keep, ctx.db.table(name)) {
+        label.push_str(&format!(" {}", cols_note(&table.schema, keep)));
+    }
+    label
+}
+
 pub(crate) fn build_input<'e>(
     node: &'e InputNode,
     outer: &'e [Frame<'e>],
@@ -601,25 +635,17 @@ pub(crate) fn build_input<'e>(
             keep,
         } => {
             let workers = ctx.db.parallel_workers();
-            let scan = ScanExec::new(name, alias.as_deref(), single, keep.as_deref(), outer, ctx);
+            let (alias, keep) = (alias.as_deref(), keep.as_deref());
+            let scan = ScanExec::new(name, alias, single, keep, outer, ctx);
             // Subquery predicates need the coordinator's evaluation
             // context and correlated frames cannot cross threads; both
             // keep the serial scan.
             let parallel = workers >= 2
                 && outer.is_empty()
                 && single.iter().all(|e| !exec::contains_subquery(e));
-            let mut label = match alias {
-                Some(alias) => format!("scan {name} as {alias}"),
-                None => format!("scan {name}"),
-            };
-            if parallel {
-                label.push_str(&format!(" [parallel ×{workers}]"));
-            }
-            if let (Some(_), Some(keep)) = (az, keep) {
-                if let Some(table) = ctx.db.table(name) {
-                    label.push_str(&format!(" {}", cols_note(&table.schema, keep)));
-                }
-            }
+            let label = az.map_or_else(String::new, |_| {
+                scan_label(name, alias, parallel.then_some(workers), keep, ctx)
+            });
             if parallel {
                 // Registered up front so the worker breakdown can attach
                 // as children from run_parallel().

@@ -1,15 +1,17 @@
 use std::cmp::Ordering;
 use std::hash::Hasher;
+use std::time::Instant;
 
 use apuama_sql::ast::Expr;
 use apuama_sql::value::hash_value;
 use apuama_sql::Value;
-use apuama_storage::Row;
+use apuama_storage::{Column, Row, Segment};
 
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{self, Frame, Scope};
+use crate::eval::{self, CompiledExpr, Frame, Scope};
 use crate::exec::{self, Binding, ExecContext, Relation};
 use crate::planner::JoinEdge;
+use crate::subquery::{probe_memos, ProbeMemo};
 
 use crate::physical::*;
 
@@ -17,17 +19,55 @@ use crate::physical::*;
 // HashJoin
 // ---------------------------------------------------------------------------
 
-/// Multi-input join block: materializes every FROM item in order, then
-/// runs the greedy join phase (largest input drives; each step picks the
-/// connected input minimizing the classic output-cardinality estimate),
-/// applying post-filters as soon as their scopes are bound.
+/// Multi-input join block, a probe pipeline over selection vectors.
+///
+/// **Count first.** Every FROM item is read in FROM order: a base table to
+/// the `(segment, slots)` survivors of its subquery-free conjuncts
+/// ([`ScanExec::select`] — every page charge and counter of the scan, no
+/// `Value` built), a derived table to the relation [`DerivedExec`] makes.
+/// The largest drives; the others become rows of their kept columns.
+///
+/// **Build once.** The greedy order (each round picks the connected input
+/// minimizing `driver × candidate / distinct(candidate keys)`) is fixed
+/// before the driver moves: every (input, connecting edges) candidate gets
+/// one [`JoinTable`], built on it, and the pass that builds it counts its
+/// distinct keys.
+///
+/// **Probe in a stream.** The driver's units flow through the stages —
+/// post-filters as soon as their scopes are bound, one hash or cross step
+/// per joined input, the driver's subquery conjuncts where the fewest
+/// tuples reach them ([`driver_preds_after`]) — as [`Chunk`]s of driver
+/// slots plus one match vector per joined input. Key components are read
+/// where they lie ([`Cell`]); whatever needs a row (an expression key, a
+/// post-filter) gets a scratch joined row filled with the cells it reads.
+/// Only what leaves the last stage is materialized, `driver ++ joined
+/// inputs` in bound order, driver-major.
 pub(crate) struct JoinExec<'e> {
     general: &'e GeneralPlan,
     outer: &'e [Frame<'e>],
     ctx: &'e ExecContext<'e>,
     az: Option<&'e Analyze>,
     idx: Option<usize>,
+    /// The inputs' subquery conjuncts, which the block evaluates and
+    /// `EXPLAIN ANALYZE` therefore lists under it.
+    subqueries: Vec<SubqueryLine>,
     emitter: Option<BatchEmitter>,
+}
+
+/// One FROM item after the counting pass.
+enum Input<'e> {
+    /// A base table, still on its segments, with its scan's probe node.
+    Selected(ScanSelection<'e>, Option<usize>),
+    Rows(Relation),
+}
+
+impl Input<'_> {
+    fn rows(&self) -> usize {
+        match self {
+            Input::Selected(scan, _) => scan.rows(),
+            Input::Rows(rel) => rel.rows.len(),
+        }
+    }
 }
 
 impl<'e> JoinExec<'e> {
@@ -44,15 +84,76 @@ impl<'e> JoinExec<'e> {
             ctx,
             az,
             idx,
+            subqueries: Vec::new(),
             emitter: None,
         }
+    }
+
+    /// The `EXPLAIN ANALYZE` collector and the block's node in it.
+    fn probe(&self) -> Option<(&'e Analyze, usize)> {
+        self.az.zip(self.idx)
     }
 
     /// One line of the block's `EXPLAIN ANALYZE` account; the text is only
     /// built when a collector is listening.
     fn note(&self, line: impl FnOnce() -> String) {
-        if let (Some(a), Some(i)) = (self.az, self.idx) {
-            a.add_note(i, line());
+        if let Some((az, idx)) = self.probe() {
+            az.add_note(idx, line());
+        }
+    }
+
+    /// Reads one FROM item, charging what reading it charges today.
+    fn read_input(&self, node: &'e InputNode) -> EngineResult<Input<'e>> {
+        let (outer, ctx) = (self.outer, self.ctx);
+        let InputNode::Table {
+            name,
+            alias,
+            single,
+            keep,
+        } = node
+        else {
+            let (mut op, child) = build_input(node, outer, ctx, self.az);
+            if let (Some((az, idx)), Some(child)) = (self.probe(), child) {
+                az.add_child(idx, child);
+            }
+            let bindings = op.open()?;
+            let mut rows = Vec::new();
+            while let Some(batch) = op.next_batch()? {
+                ctx.check_interrupt()?;
+                // The relation is held whole, whichever role it gets.
+                ctx.charge_mem(exec::approx_state_bytes(
+                    batch.rows.len() as u64,
+                    bindings.len(),
+                ))?;
+                rows.extend(batch.rows);
+            }
+            return Ok(Input::Rows(Relation { bindings, rows }));
+        };
+        // Correlated frames cannot cross threads; the conjuncts that need
+        // the coordinator's context — subqueries — the scan leaves alone.
+        let workers = match outer {
+            [] => ctx.db.parallel_workers(),
+            _ => 1,
+        };
+        let (alias, keep) = (alias.as_deref(), keep.as_deref());
+        let child = self.probe().map(|(az, idx)| {
+            let label = scan_label(name, alias, (workers >= 2).then_some(workers), keep, ctx);
+            let child = az.register(label, Vec::new());
+            az.add_child(idx, child);
+            child
+        });
+        let start = Instant::now();
+        let scan =
+            ScanExec::new(name, alias, single, keep, outer, ctx).select(workers, self.az, child)?;
+        self.record(child, 0, start);
+        Ok(Input::Selected(scan, child))
+    }
+
+    /// Adds `rows` and the time since `start` to an input scan's node.
+    fn record(&self, child: Option<usize>, rows: usize, start: Instant) {
+        if let (Some(az), Some(child)) = (self.az, child) {
+            let batches = (rows as u64).div_ceil(exec::SCAN_BATCH_ROWS);
+            az.record(child, rows as u64, batches, start.elapsed().as_nanos());
         }
     }
 }
@@ -66,114 +167,250 @@ impl<'e> Operator<'e> for JoinExec<'e> {
             .iter()
             .map(|n| n.scope_name().to_string())
             .collect();
-
-        // Materialize each FROM item, in FROM order. Base-table scans have
-        // already narrowed their rows to the columns the statement reads.
-        let mut inputs: Vec<Relation> = Vec::with_capacity(g.inputs.len());
-        for node in &g.inputs {
-            let (mut op, cidx) = build_input(node, outer, ctx, self.az);
-            if let (Some(a), Some(i), Some(ci)) = (self.az, self.idx, cidx) {
-                a.add_child(i, ci);
-            }
-            let bindings = op.open()?;
-            let mut rows = Vec::new();
-            while let Some(batch) = op.next_batch()? {
-                ctx.check_interrupt()?;
-                // Join inputs are materialized in full: charge the build-
-                // side growth against the memory budget at batch grain.
-                ctx.charge_mem(exec::approx_state_bytes(
-                    batch.rows.len() as u64,
-                    bindings.len(),
-                ))?;
-                rows.extend(batch.rows);
-            }
-            inputs.push(Relation { bindings, rows });
-        }
-
         // Load-bearing clone: the pending-predicate list is consumed as
         // scopes bind, but the plan is shared across executions.
         let mut post = g.post.clone();
-        let mut current = if inputs.is_empty() {
-            Relation {
+        if g.inputs.is_empty() {
+            // No FROM: one empty row, if the predicates let it through.
+            let one = Relation {
                 bindings: vec![],
                 rows: vec![vec![]],
-            }
-        } else {
-            let driving = inputs
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, r)| r.rows.len())
-                .map(|(i, _)| i)
-                .expect("inputs nonempty");
-            let mut bound: Vec<usize> = vec![driving];
-            // The driving input is never revisited: move it out instead of
-            // cloning the whole relation.
-            let mut current = std::mem::take(&mut inputs[driving]);
-            self.note(|| format!("drive {}: {} rows", names[driving], current.rows.len()));
-            current = apply_ready_post_filters(current, &mut post, &names, &bound, outer, ctx)?;
-            let mut distinct = DistinctKeys::default();
-            while bound.len() < inputs.len() {
-                let (next, my_edges) = pick_next_input(
-                    current.rows.len(),
-                    &inputs,
-                    &names,
-                    &g.edges,
-                    &bound,
-                    &mut distinct,
-                    outer,
-                    ctx,
-                );
-                let next_rel = &inputs[next];
-                let my_edges: Vec<&JoinEdge> = my_edges.iter().map(|&e| &g.edges[e]).collect();
-                ctx.check_interrupt()?;
-                let (n_current, n_next) = (current.rows.len(), next_rel.rows.len());
-                // Each greedy step materializes a fresh intermediate and
-                // charges it as it grows (a conservative running total —
-                // earlier intermediates are freed but stay charged until
-                // the statement completes).
-                current = if my_edges.is_empty() {
-                    cross_join(current, next_rel, ctx)?
-                } else {
-                    hash_join(current, next_rel, &my_edges, &names[next], outer, ctx)?
-                };
-                self.note(|| {
-                    let (name, out) = (&names[next], current.rows.len());
-                    if my_edges.is_empty() {
-                        return format!("× {name}: {n_current} × {n_next} → {out}");
-                    }
-                    let on: Vec<String> = my_edges
-                        .iter()
-                        .map(|e| format!("{} = {}", e.left_expr, e.right_expr))
-                        .collect();
-                    let sides = if builds_on_current(n_current, n_next) {
-                        format!("build current {n_current}, probe {name} {n_next}")
-                    } else {
-                        format!("build {name} {n_next}, probe {n_current}")
-                    };
-                    format!("⋈ {name} on {}: {sides} → {out}", on.join(" and "))
-                });
-                bound.push(next);
-                current = apply_ready_post_filters(current, &mut post, &names, &bound, outer, ctx)?;
-            }
-            current
-        };
-
-        // Any post filters left reference nothing in FROM (constant or
-        // purely correlated predicates): apply them row-wise now.
-        if !post.is_empty() {
-            let leftovers: Vec<Expr> = post.drain(..).map(|(e, _)| e).collect();
-            current = filter_rows(current, &leftovers, outer, ctx)?;
+            };
+            let preds: Vec<Expr> = post.into_iter().map(|(e, _)| e).collect();
+            let Relation { bindings, rows } = filter_rows(one, &preds, outer, ctx)?;
+            self.emitter = Some(BatchEmitter::rows_only(rows));
+            return Ok(bindings);
         }
 
-        let Relation { bindings, rows } = current;
-        self.emitter = Some(BatchEmitter::rows_only(rows));
+        let inputs = (g.inputs.iter())
+            .map(|node| self.read_input(node))
+            .collect::<EngineResult<Vec<_>>>()?;
+        let driving = (0..inputs.len())
+            .max_by_key(|&i| inputs[i].rows())
+            .expect("inputs nonempty");
+
+        // Every input but the driver becomes rows; a driving base table
+        // stays the selection it is.
+        let mut driver_scan = None;
+        let mut relations: Vec<Relation> = Vec::with_capacity(inputs.len());
+        for (i, input) in inputs.into_iter().enumerate() {
+            relations.push(match input {
+                Input::Rows(rel) => rel,
+                Input::Selected(scan, child) if i == driving => {
+                    self.record(child, scan.rows(), Instant::now());
+                    let bindings = scan.bindings.clone();
+                    driver_scan = Some(scan);
+                    Relation {
+                        bindings,
+                        rows: Vec::new(),
+                    }
+                }
+                Input::Selected(mut scan, child) => {
+                    let start = Instant::now();
+                    scan.apply_deferred(outer, ctx)?;
+                    let rows = scan.materialize();
+                    ctx.charge_mem(exec::approx_state_bytes(
+                        rows.len() as u64,
+                        scan.bindings.len(),
+                    ))?;
+                    self.record(child, rows.len(), start);
+                    self.subqueries
+                        .extend(subquery_lines(scan.deferred.preds()));
+                    Relation {
+                        bindings: scan.bindings,
+                        rows,
+                    }
+                }
+            });
+        }
+        let driver = match &driver_scan {
+            Some(scan) => Driver::Selected(scan),
+            None => Driver::Rows(&relations[driving].rows),
+        };
+        let driver_rows = driver.rows();
+        self.note(|| format!("drive {}: {driver_rows} rows", names[driving]));
+
+        let steps = greedy_steps(
+            driving,
+            driver_rows,
+            &relations,
+            &names,
+            &g.edges,
+            outer,
+            ctx,
+        )?;
+
+        // The stages, in the order a tuple meets them.
+        let mut bound = vec![driving];
+        let mut bindings = relations[driving].bindings.clone();
+        let mut offsets = vec![0];
+        let mut builds: Vec<&[Row]> = Vec::new();
+        let mut stages: Vec<Stage<'_>> = Vec::new();
+        // `step_stage[k]`: the stage that is step `k`.
+        let mut step_stage = Vec::with_capacity(steps.len());
+        let driver_preds = driver_scan
+            .as_ref()
+            .map(|scan| &scan.deferred)
+            .filter(|preds| preds.has_rest(0));
+        let preds_after = driver_preds_after(&steps);
+        let src = |offsets: &[usize], pos: usize| match offsets.partition_point(|&o| o <= pos) - 1 {
+            0 => Src::Driver(pos),
+            k => Src::Joined(k - 1, pos - offsets[k]),
+        };
+        for done in 0..=steps.len() {
+            if let Some(step) = done.checked_sub(1).map(|k| &steps[k]) {
+                let right = &relations[step.input];
+                let kind = match &step.table {
+                    None => StageKind::Cross(right.rows.len()),
+                    Some(JoinTable { error: Some(e), .. }) => return Err(e.clone()),
+                    Some(table) => {
+                        let edges: Vec<&JoinEdge> =
+                            step.edges.iter().map(|&e| &g.edges[e]).collect();
+                        let (others, _) = edge_sides(&edges, &names[step.input]);
+                        let scope = Scope::new(&bindings, outer, ctx);
+                        let mut cols = Vec::new();
+                        let mut evaluated = 0;
+                        let probe = (others.iter())
+                            .map(|e| match eval::compile_expr(e, &scope) {
+                                CompiledExpr::Col(pos) => ProbeComp::Cell(src(&offsets, pos)),
+                                expr => {
+                                    if expr.has_subquery() {
+                                        cols.extend(0..bindings.len());
+                                    }
+                                    expr.collect_cols(&mut cols);
+                                    evaluated += 1;
+                                    ProbeComp::Expr(expr, evaluated - 1)
+                                }
+                            })
+                            .collect();
+                        StageKind::Hash {
+                            table,
+                            probe,
+                            fills: fills(cols, &|pos| src(&offsets, pos)),
+                            keys: Vec::new(),
+                        }
+                    }
+                };
+                step_stage.push(stages.len());
+                stages.push(Stage::new(kind));
+                offsets.push(bindings.len());
+                bindings.extend(right.bindings.iter().cloned());
+                builds.push(&right.rows);
+                bound.push(step.input);
+            }
+            // Post-filters run as soon as their scopes are bound; once every
+            // input is, so do those that name nothing in FROM.
+            let ready = ready_post_filters(&mut post, &names, &bound, done == steps.len());
+            if !ready.is_empty() {
+                let preds = resolve_preds(&ready, &bindings, outer, ctx);
+                let mut cols = Vec::new();
+                (preds.iter()).for_each(|p| p.collect_cols(bindings.len(), &mut cols));
+                stages.push(Stage::new(StageKind::Filter {
+                    memos: probe_memos(preds.len()),
+                    preds,
+                    fills: fills(cols, &|pos| src(&offsets, pos)),
+                }));
+            }
+            if let (Some(preds), true) = (driver_preds, done == preds_after) {
+                stages.push(Stage::new(StageKind::DriverPreds {
+                    preds,
+                    scratch: preds.scratch(),
+                }));
+                self.subqueries.extend(subquery_lines(preds.preds()));
+            }
+        }
+
+        let mut env = Env {
+            outer,
+            ctx,
+            builds,
+            row: vec![Value::Null; bindings.len()],
+            out: Vec::new(),
+            settled: 0,
+            cpu: 0,
+        };
+        driver.stream(&mut stages, &mut env)?;
+        env.settle()?;
+
+        // One cpu op per build row, per tuple probing and per tuple out of
+        // a hash step; per tuple out of a cross step; per evaluation of a
+        // filter (counted as it ran). Flushed once — totals are what the
+        // counters promise.
+        let mut cpu = env.cpu;
+        for (step, at) in steps.iter().zip(step_stage) {
+            let (name, right_rows) = (&names[step.input], relations[step.input].rows.len());
+            let Stage { seen, kept, .. } = stages[at];
+            cpu += kept;
+            if step.table.is_none() {
+                self.note(|| format!("× {name}: {seen} × {right_rows} → {kept}"));
+                continue;
+            }
+            cpu += seen + right_rows as u64;
+            self.note(|| {
+                let on: Vec<String> = (step.edges.iter())
+                    .map(|&e| format!("{} = {}", g.edges[e].left_expr, g.edges[e].right_expr))
+                    .collect();
+                format!(
+                    "⋈ {name} on {}: build {name} {right_rows}, probe {seen} → {kept}",
+                    on.join(" and ")
+                )
+            });
+        }
+        ctx.bump_cpu(cpu);
+        self.emitter = Some(BatchEmitter::rows_only(env.out));
         Ok(bindings)
+    }
+
+    fn subquery_lines(&self) -> Vec<SubqueryLine> {
+        self.subqueries.clone()
     }
 
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         Ok(self.emitter.as_mut().and_then(BatchEmitter::next))
     }
 }
+
+/// The scratch-row cells `cols` name, each with where a tuple holds it.
+fn fills(cols: Vec<usize>, layout: &dyn Fn(usize) -> Src) -> Vec<(usize, Src)> {
+    sorted_dedup(cols)
+        .into_iter()
+        .map(|pos| (pos, layout(pos)))
+        .collect()
+}
+
+/// Moves the post-filters whose scopes are all bound out of `post`; every
+/// one that is left when `all` is set.
+fn ready_post_filters(
+    post: &mut Vec<(Expr, Vec<String>)>,
+    names: &[String],
+    bound: &[usize],
+    all: bool,
+) -> Vec<Expr> {
+    let is_bound = |n: &String| bound.iter().any(|&b| &names[b] == n);
+    let (ready, pending) = std::mem::take(post)
+        .into_iter()
+        .partition(|(_, needs)| all || needs.iter().all(is_bound));
+    *post = pending;
+    ready.into_iter().map(|(e, _)| e).collect()
+}
+
+/// After how many steps the driving scan's subquery conjuncts run: after
+/// the longest leading run of hash steps whose build side is unique on its
+/// key. Each stream tuple matches at most once along such a run, so the
+/// stage sees no more tuples than the scan would have shown its conjuncts,
+/// and sees them in the driver's order — which an `EXISTS` probe's
+/// last-key memo depends on — while every step of the run has had its
+/// chance to drop the tuple first. Decided by the plan's shape and the
+/// build sides' key counts alone.
+fn driver_preds_after(steps: &[Step<'_>]) -> usize {
+    (steps.iter())
+        .take_while(|s| (s.table.as_ref()).is_some_and(|t| t.error.is_none() && t.unique))
+        .count()
+}
+
+// ---------------------------------------------------------------------------
+// Join order
+// ---------------------------------------------------------------------------
 
 /// Indices of the equi-join edges that connect input `i` to an already
 /// bound input.
@@ -202,95 +439,95 @@ fn edge_sides<'p>(edges: &[&'p JoinEdge], name: &str) -> (Vec<&'p Expr>, Vec<&'p
         .unzip()
 }
 
-/// Per-execution memo of [`distinct_join_keys`] by (input, connecting
-/// edges): an input stays a candidate over several greedy rounds, and its
-/// distinct count only changes when another edge starts connecting it.
-#[derive(Default)]
-pub(crate) struct DistinctKeys(Vec<(usize, Vec<usize>, usize)>);
+/// One step of the join order: the input joined in, the edges connecting
+/// it to the inputs bound before it, and its table over them (none: a
+/// cross join).
+struct Step<'a> {
+    input: usize,
+    edges: Vec<usize>,
+    table: Option<JoinTable<'a>>,
+}
 
-/// Picks the next FROM-item to join in: among inputs connected to the
-/// current result by an equi-join edge, the one minimizing the classic
-/// output-cardinality estimate `current × candidate / distinct(candidate
-/// join keys)` — which keeps low-distinct edges (TPC-H's nation-key joins)
-/// from exploding the intermediate result. On equal estimates the first
-/// candidate in FROM order wins. Returns the input and the edges that
-/// connect it (none: a cross join).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pick_next_input(
-    current_rows: usize,
-    inputs: &[Relation],
+/// The greedy join order from `driving` on. Each round picks, among the
+/// inputs connected to a bound one by an equi-join edge, the one minimizing
+/// the classic output-cardinality estimate `current × candidate /
+/// distinct(candidate join keys)` — which keeps low-distinct edges (TPC-H's
+/// nation-key joins) from exploding the intermediate result; on equal
+/// estimates the first candidate in FROM order wins, and with no connected
+/// input the smallest unbound one is cross-joined. `current` scales a
+/// round's estimates alike, so the driver's cardinality stands in for it
+/// and the order is known before a tuple moves. A candidate's distinct
+/// count comes out of building its [`JoinTable`], once per (input,
+/// connecting edges): the table of the pair that is picked is the step's.
+fn greedy_steps<'a>(
+    driving: usize,
+    driver_rows: usize,
+    relations: &'a [Relation],
     names: &[String],
     edges: &[JoinEdge],
-    bound: &[usize],
-    distinct: &mut DistinctKeys,
     outer: &[Frame<'_>],
     ctx: &ExecContext<'_>,
-) -> (usize, Vec<usize>) {
-    let mut best: Option<(usize, f64, Vec<usize>)> = None;
-    for i in (0..inputs.len()).filter(|i| !bound.contains(i)) {
-        let my_edges = connecting_edges(edges, names, bound, i);
-        if my_edges.is_empty() {
-            continue;
-        }
-        let known = distinct
-            .0
-            .iter()
-            .find(|(n, e, _)| *n == i && *e == my_edges);
-        let keys = match known {
-            Some(&(_, _, keys)) => keys,
-            None => {
-                let refs: Vec<&JoinEdge> = my_edges.iter().map(|&e| &edges[e]).collect();
-                let keys = distinct_join_keys(&inputs[i], &refs, &names[i], outer, ctx);
-                distinct.0.push((i, my_edges.clone(), keys));
-                keys
+) -> EngineResult<Vec<Step<'a>>> {
+    let mut bound = vec![driving];
+    let mut tables: Vec<(usize, Vec<usize>, JoinTable<'a>)> = Vec::new();
+    let mut steps = Vec::new();
+    while bound.len() < relations.len() {
+        let mut best: Option<(f64, usize)> = None;
+        for i in (0..relations.len()).filter(|i| !bound.contains(i)) {
+            let my_edges = connecting_edges(edges, names, &bound, i);
+            if my_edges.is_empty() {
+                continue;
             }
+            let known = tables
+                .iter()
+                .position(|(n, e, _)| *n == i && *e == my_edges);
+            let at = match known {
+                Some(at) => at,
+                None => {
+                    let refs: Vec<&JoinEdge> = my_edges.iter().map(|&e| &edges[e]).collect();
+                    let (_, mine) = edge_sides(&refs, &names[i]);
+                    let rel = &relations[i];
+                    let keys = SideKeys::new(&mine, &Scope::new(&rel.bindings, outer, ctx));
+                    tables.push((i, my_edges, JoinTable::build(keys, &rel.rows, outer, ctx)?));
+                    tables.len() - 1
+                }
+            };
+            let (rows, keys) = (relations[i].rows.len(), tables[at].2.distinct);
+            let est = driver_rows as f64 * rows as f64 / keys.max(1) as f64;
+            if best.is_none_or(|(b, _)| est < b) {
+                best = Some((est, at));
+            }
+        }
+        let step = match best {
+            Some((_, at)) => {
+                let (input, edges, table) = tables.swap_remove(at);
+                Step {
+                    input,
+                    edges,
+                    table: Some(table),
+                }
+            }
+            // No connected input: the smallest unbound one.
+            None => Step {
+                input: (0..relations.len())
+                    .filter(|i| !bound.contains(i))
+                    .min_by_key(|&i| relations[i].rows.len())
+                    .expect("an unbound input exists"),
+                edges: Vec::new(),
+                table: None,
+            },
         };
-        let est = current_rows as f64 * inputs[i].rows.len() as f64 / keys.max(1) as f64;
-        if best.as_ref().is_none_or(|(_, b, _)| est < *b) {
-            best = Some((i, est, my_edges));
-        }
+        bound.push(step.input);
+        steps.push(step);
     }
-    if let Some((b, _, my_edges)) = best {
-        return (b, my_edges);
-    }
-    // No connected input: fall back to the smallest unbound one (cross join).
-    let smallest = (0..inputs.len())
-        .filter(|i| !bound.contains(i))
-        .min_by_key(|&i| inputs[i].rows.len())
-        .expect("caller ensures an unbound input exists");
-    (smallest, Vec::new())
+    Ok(steps)
 }
 
-/// Number of distinct composite join keys a candidate input exposes over
-/// the given edges, NULLs counting as a value (evaluation errors degrade
-/// to "all distinct", which simply keeps the old smallest-input heuristic).
-pub(crate) fn distinct_join_keys(
-    input: &Relation,
-    edges: &[&JoinEdge],
-    my_name: &str,
-    outer: &[Frame<'_>],
-    ctx: &ExecContext<'_>,
-) -> usize {
-    let (_, mine) = edge_sides(edges, my_name);
-    let keys = SideKeys::new(&mine, &Scope::new(&input.bindings, outer, ctx));
-    let Ok(mut table) = JoinTable::new(&keys, &input.rows) else {
-        return input.rows.len();
-    };
-    let mut scratch = Vec::new();
-    let mut distinct = 0;
-    for row in &input.rows {
-        if keys.eval(row, outer, ctx, false, &mut scratch).is_err() {
-            return input.rows.len();
-        }
-        let hash = keys.hash(row, &scratch);
-        let seen = table.matches(hash, &keys, row, &scratch).next().is_some();
-        table.push((!seen).then_some(hash), &mut scratch);
-        distinct += usize::from(!seen);
-    }
-    distinct
-}
+// ---------------------------------------------------------------------------
+// Join table
+// ---------------------------------------------------------------------------
 
-/// One join side's composite key, one component per edge, compiled against
+/// A build side's composite key, one component per edge, compiled against
 /// the side's bindings: column reads in place, programs for the rest. (A
 /// name that does not resolve compiles too; its error surfaces from
 /// evaluation.)
@@ -316,44 +553,39 @@ impl SideKeys {
     }
 
     /// Evaluates `row`'s non-column components into `scratch` (cleared
-    /// first), in edge order, and reports whether every component is
-    /// non-NULL. With `stop_at_null` evaluation ends at the first NULL
-    /// component — a NULL key never matches, so the components after it
-    /// are never computed (nor their errors raised).
+    /// first), in edge order. An error comes back with whether a NULL
+    /// component precedes it: a NULL key never matches, so a join stops
+    /// evaluating at the first one and would not have raised it.
     fn eval(
         &self,
         row: &[Value],
         outer: &[Frame<'_>],
         ctx: &ExecContext<'_>,
-        stop_at_null: bool,
         scratch: &mut Vec<Value>,
-    ) -> EngineResult<bool> {
+    ) -> Result<(), (EngineError, bool)> {
         scratch.clear();
-        let mut all_set = true;
+        let mut null_seen = false;
         for p in &self.0 {
-            let null = match p {
+            null_seen |= match p {
                 KeyProg::Col(c) => row[*c].is_null(),
                 KeyProg::Expr { expr, .. } => {
-                    let v = eval::eval_compiled(expr, row, outer, ctx)?;
+                    let v =
+                        eval::eval_compiled(expr, row, outer, ctx).map_err(|e| (e, null_seen))?;
                     let null = v.is_null();
                     scratch.push(v);
                     null
                 }
             };
-            all_set &= !null;
-            if null && stop_at_null {
-                break;
-            }
         }
-        Ok(all_set)
+        Ok(())
     }
 
-    /// Component `i` of a fully evaluated key.
+    /// Component `i` of an evaluated key.
     fn component<'r>(&self, i: usize, row: &'r [Value], scratch: &'r [Value]) -> &'r Value {
         key_component(&self.0, i, row, scratch)
     }
 
-    /// Canonical hash of a fully evaluated key (`1` and `1.0` agree).
+    /// Canonical hash of an evaluated key (`1` and `1.0` agree).
     fn hash(&self, row: &[Value], scratch: &[Value]) -> u64 {
         let mut hasher = FnvHasher::new();
         for i in 0..self.len() {
@@ -366,16 +598,19 @@ impl SideKeys {
 /// End of a bucket chain.
 const NIL: u32 = u32::MAX;
 
-/// The one join hash table: rows of the build side chained per bucket in
+/// The one join hash table: the rows of a build side chained per bucket in
 /// ascending row order through `next`, keyed on their *borrowed* key
 /// components — column components are read from the build row in place,
 /// only expression-valued ones are stored. Equality is `sort_cmp == Equal`
 /// per component, i.e. [`apuama_sql::value::HashableValue`]'s (`1 = 1.0`
 /// matches, text never equals a number and raises nothing); hashing is
 /// [`hash_value`] into [`FnvHasher`], mixed once more for the bucket index
-/// because FNV's low bits only see the low bits of its input.
+/// because FNV's low bits only see the low bits of its input. A key with a
+/// NULL component is chained like any other — the greedy order's distinct
+/// count takes NULL for a value — and is never found: a probe key has no
+/// NULL component, and NULL equals only NULL.
 struct JoinTable<'a> {
-    keys: &'a SideKeys,
+    keys: SideKeys,
     rows: &'a [Row],
     /// Bucket → first and last row of its chain.
     heads: Vec<u32>,
@@ -387,32 +622,81 @@ struct JoinTable<'a> {
     hashes: Vec<u64>,
     /// Expression-valued key components, `keys.evaluated()` per row.
     evaluated: Vec<Value>,
+    /// Distinct keys among the rows, NULL counting as a value; the row
+    /// count ("all distinct") when a key failed to evaluate.
+    distinct: usize,
+    /// No two chained rows share a key (two NULL keys count as sharing
+    /// one): a probe matches at most one row.
+    unique: bool,
+    /// The error the first key a join would evaluate in full raised. It
+    /// costs a candidate nothing; the step that joins through this table
+    /// raises it.
+    error: Option<EngineError>,
 }
 
 impl<'a> JoinTable<'a> {
-    fn new(keys: &'a SideKeys, rows: &'a [Row]) -> EngineResult<Self> {
+    /// Chains every row of `rows` under its key, counting the distinct ones
+    /// on the way: one pass serves the order's estimate and the step.
+    fn build(
+        keys: SideKeys,
+        rows: &'a [Row],
+        outer: &[Frame<'_>],
+        ctx: &ExecContext<'_>,
+    ) -> EngineResult<Self> {
         if rows.len() >= NIL as usize {
             return Err(EngineError::ResourceExhausted(format!(
                 "join build side of {} rows exceeds the hash table's row ids",
                 rows.len()
             )));
         }
+        #[cfg(test)]
+        TABLES_BUILT.set(TABLES_BUILT.get() + 1);
         let bits = (rows.len() * 2).next_power_of_two().trailing_zeros().max(1);
-        Ok(JoinTable {
-            keys,
-            rows,
+        let mut table = JoinTable {
             heads: vec![NIL; 1 << bits],
             tails: vec![NIL; 1 << bits],
             shift: 64 - bits,
             next: Vec::with_capacity(rows.len()),
             hashes: Vec::with_capacity(rows.len()),
             evaluated: Vec::with_capacity(rows.len() * keys.evaluated()),
-        })
+            distinct: 0,
+            unique: true,
+            error: None,
+            keys,
+            rows,
+        };
+        let mut scratch = Vec::new();
+        let mut exact = true;
+        for row in rows {
+            match table.keys.eval(row, outer, ctx, &mut scratch) {
+                Ok(()) => {
+                    let hash = table.keys.hash(row, &scratch);
+                    let key = |i| Cell::Value(table.keys.component(i, row, &scratch));
+                    let first = table.matches(hash, key).next().is_none();
+                    table.distinct += usize::from(first);
+                    table.unique &= first;
+                    table.push(Some(hash), &mut scratch);
+                }
+                // The key is NULL before it fails: unmatchable, no error.
+                Err((_, true)) => {
+                    exact = false;
+                    table.push(None, &mut scratch);
+                }
+                Err((e, false)) => {
+                    table.error = Some(e);
+                    break;
+                }
+            }
+        }
+        if !exact || table.error.is_some() {
+            table.distinct = rows.len();
+        }
+        Ok(table)
     }
 
     /// Adds the next row of `rows` (they arrive in order), taking its
     /// evaluated components from `scratch`. `hash` is `None` for a row that
-    /// must not be found: it is stored but not chained.
+    /// has no key: it is stored but not chained.
     fn push(&mut self, hash: Option<u64>, scratch: &mut Vec<Value>) {
         let row = self.next.len();
         self.next.push(NIL);
@@ -433,13 +717,12 @@ impl<'a> JoinTable<'a> {
         (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
-    /// The chained rows whose key equals the probe's, ascending.
-    fn matches<'t>(
+    /// The chained rows whose key equals the probe's, ascending; `probe`
+    /// gives the probe key's component `i`.
+    fn matches<'t, 'c>(
         &'t self,
         hash: u64,
-        probe_keys: &'t SideKeys,
-        probe_row: &'t [Value],
-        probe_scratch: &'t [Value],
+        probe: impl Fn(usize) -> Cell<'c> + 't,
     ) -> impl Iterator<Item = usize> + 't {
         let width = self.keys.evaluated();
         let mut at = self.heads[self.bucket(hash)];
@@ -449,12 +732,8 @@ impl<'a> JoinTable<'a> {
                 at = self.next[row];
                 let stored = &self.evaluated[row * width..(row + 1) * width];
                 if self.hashes[row] == hash
-                    && (0..self.keys.len()).all(|i| {
-                        self.keys
-                            .component(i, &self.rows[row], stored)
-                            .sort_cmp(probe_keys.component(i, probe_row, probe_scratch))
-                            == Ordering::Equal
-                    })
+                    && (0..self.keys.len())
+                        .all(|i| probe(i).equals(self.keys.component(i, &self.rows[row], stored)))
                 {
                     return Some(row);
                 }
@@ -464,36 +743,282 @@ impl<'a> JoinTable<'a> {
     }
 }
 
-/// The rows one join step produces, grown as they are emitted: every
-/// [`exec::SCAN_BATCH_ROWS`] rows the statement's governor is consulted and
-/// the growth charged to the memory budget, so a step whose output does
-/// not fit ends in `Cancelled` / `ResourceExhausted` instead of asking the
-/// allocator for it.
-struct StepOutput<'c, 'a> {
-    rows: Vec<Row>,
-    width: usize,
-    settled: usize,
-    ctx: &'c ExecContext<'a>,
+// ---------------------------------------------------------------------------
+// The stream
+// ---------------------------------------------------------------------------
+
+/// One value of a stream tuple, where it lies: a stored cell of the driving
+/// segment, or a `Value` — of a build row, of a derived driver's row, an
+/// evaluated key component. Hash and equality are the join table's
+/// ([`hash_value`], `sort_cmp == Equal`) on either.
+#[derive(Clone, Copy)]
+enum Cell<'a> {
+    Stored(&'a Column, usize),
+    Value(&'a Value),
 }
 
-impl<'c, 'a> StepOutput<'c, 'a> {
-    fn new(width: usize, ctx: &'c ExecContext<'a>) -> Self {
-        StepOutput {
-            rows: Vec::new(),
-            width,
-            settled: 0,
-            ctx,
+impl Cell<'_> {
+    fn is_null(&self) -> bool {
+        match self {
+            Cell::Stored(col, i) => !col.validity().is_valid(*i),
+            Cell::Value(v) => v.is_null(),
         }
     }
 
-    /// Concatenates a row of each side, cloning each value exactly once
-    /// into a right-sized output row.
-    fn push(&mut self, left: &Row, right: &Row) -> EngineResult<()> {
-        let mut combined = Vec::with_capacity(self.width);
-        combined.extend_from_slice(left);
-        combined.extend_from_slice(right);
-        self.rows.push(combined);
-        if (self.rows.len() - self.settled) as u64 == exec::SCAN_BATCH_ROWS {
+    fn hash(&self, state: &mut FnvHasher) {
+        match self {
+            Cell::Stored(col, i) => hash_cell(col, *i, state),
+            Cell::Value(v) => hash_value(v, state),
+        }
+    }
+
+    fn equals(&self, stored: &Value) -> bool {
+        match self {
+            Cell::Stored(col, i) => cell_matches(col, *i, stored),
+            Cell::Value(v) => stored.sort_cmp(v) == Ordering::Equal,
+        }
+    }
+
+    fn read_into(&self, out: &mut Value) {
+        match self {
+            Cell::Stored(col, i) => col.read_into(*i, out),
+            Cell::Value(v) => out.clone_from(v),
+        }
+    }
+}
+
+/// Where a stream tuple holds a position of the joined row: a kept column
+/// of the driving input, or a column of the row it matched in the `k`-th
+/// joined input.
+#[derive(Clone, Copy)]
+enum Src {
+    Driver(usize),
+    Joined(usize, usize),
+}
+
+/// A run of the stream: tuple `t` is the driving input's tuple at
+/// `slots[t]` joined with row `matches[k][t]` of the `k`-th joined input.
+#[derive(Default)]
+struct Chunk {
+    slots: Vec<u32>,
+    matches: Vec<Vec<u32>>,
+}
+
+impl Chunk {
+    /// Replaces this chunk with the `parents` tuples of `input`, in that
+    /// order, each extended by its entry of `matched` (a join stage's).
+    fn gather(&mut self, input: &Chunk, parents: &[u32], matched: Option<&[u32]>) {
+        let pick = |from: &[u32], to: &mut Vec<u32>| {
+            to.clear();
+            to.extend(parents.iter().map(|&p| from[p as usize]));
+        };
+        pick(&input.slots, &mut self.slots);
+        self.matches
+            .resize_with(input.matches.len() + matched.is_some() as usize, Vec::new);
+        for (to, from) in self.matches.iter_mut().zip(&input.matches) {
+            pick(from, to);
+        }
+        if let (Some(matched), Some(last)) = (matched, self.matches.last_mut()) {
+            last.clear();
+            last.extend_from_slice(matched);
+        }
+    }
+}
+
+/// The tuples a stage hands on at a time, at most (plus the matches of the
+/// tuple that crosses the line): what bounds the stream's memory when a
+/// step expands.
+const CHUNK_TUPLES: usize = exec::SCAN_BATCH_ROWS as usize;
+
+/// The driving input: the selection of a base table, or a derived table's
+/// rows (streamed through the same stages, cells read from the row).
+enum Driver<'a> {
+    Selected(&'a ScanSelection<'a>),
+    Rows(&'a [Row]),
+}
+
+/// What a chunk's slots index.
+#[derive(Clone, Copy)]
+enum DriverUnit<'a> {
+    Segment(&'a Segment, Option<&'a [usize]>),
+    Rows(&'a [Row]),
+}
+
+impl<'a> DriverUnit<'a> {
+    /// The driving tuple's cell at position `pos` of the input's bindings.
+    fn cell(&self, pos: usize, slot: u32) -> Cell<'a> {
+        match self {
+            DriverUnit::Segment(seg, cols) => {
+                Cell::Stored(seg.column(cols.map_or(pos, |c| c[pos])), slot as usize)
+            }
+            DriverUnit::Rows(rows) => Cell::Value(&rows[slot as usize][pos]),
+        }
+    }
+}
+
+impl Driver<'_> {
+    fn rows(&self) -> usize {
+        match self {
+            Driver::Selected(scan) => scan.rows(),
+            Driver::Rows(rows) => rows.len(),
+        }
+    }
+
+    /// Sends the input through the stages, unit by unit, consulting the
+    /// governor before each.
+    fn stream(&self, stages: &mut [Stage<'_>], env: &mut Env<'_>) -> EngineResult<()> {
+        let mut chunk = Chunk::default();
+        match self {
+            Driver::Selected(scan) => {
+                for (seg, sel) in &scan.units {
+                    env.ctx.check_interrupt()?;
+                    chunk.slots.clone_from(sel);
+                    let unit = DriverUnit::Segment(seg, scan.cols.as_deref());
+                    run(stages, env, unit, &chunk)?;
+                }
+            }
+            Driver::Rows(rows) => {
+                if rows.len() >= NIL as usize {
+                    return Err(EngineError::ResourceExhausted(format!(
+                        "driving relation of {} rows exceeds the join stream's row ids",
+                        rows.len()
+                    )));
+                }
+                for lo in (0..rows.len()).step_by(CHUNK_TUPLES) {
+                    env.ctx.check_interrupt()?;
+                    let hi = (lo + CHUNK_TUPLES).min(rows.len());
+                    chunk.slots.clear();
+                    chunk.slots.extend(lo as u32..hi as u32);
+                    run(stages, env, DriverUnit::Rows(rows), &chunk)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One component of a hash step's probe key.
+enum ProbeComp {
+    /// A column of a bound input: hashed and compared where it lies.
+    Cell(Src),
+    /// Anything else: evaluated on the scratch joined row, into this slot
+    /// of the stage's `keys`.
+    Expr(CompiledExpr, usize),
+}
+
+enum StageKind<'a> {
+    /// Equi-join with the next input, through its table.
+    Hash {
+        table: &'a JoinTable<'a>,
+        probe: Vec<ProbeComp>,
+        /// The cells the expression-valued components read.
+        fills: Vec<(usize, Src)>,
+        /// Their values for the tuple at hand.
+        keys: Vec<Value>,
+    },
+    /// Cartesian product with an input of this many rows (only reached for
+    /// disconnected FROM items, which the TPC-H workload never produces but
+    /// the engine stays total for).
+    Cross(usize),
+    /// Post-filters, on the scratch joined row.
+    Filter {
+        preds: Vec<ResidualPred>,
+        memos: Vec<ProbeMemo>,
+        fills: Vec<(usize, Src)>,
+    },
+    /// The driving scan's subquery conjuncts: its own programs and probe
+    /// memos, on the driving tuple's cells through the scan's scratch row.
+    DriverPreds {
+        preds: &'a ScanPreds,
+        scratch: RowScratch,
+    },
+}
+
+struct Stage<'a> {
+    kind: StageKind<'a>,
+    /// Tuples that reached the stage, and that left it.
+    seen: u64,
+    kept: u64,
+    /// The tuples leaving, as indices into the chunk at hand, with the row
+    /// each matched (join stages); gathered into `out` and handed on.
+    parents: Vec<u32>,
+    matched: Vec<u32>,
+    out: Chunk,
+}
+
+impl<'a> Stage<'a> {
+    fn new(kind: StageKind<'a>) -> Self {
+        Stage {
+            kind,
+            seen: 0,
+            kept: 0,
+            parents: Vec::new(),
+            matched: Vec::new(),
+            out: Chunk::default(),
+        }
+    }
+}
+
+/// What every stage works with: the joined inputs' rows, the scratch joined
+/// row, and the block's output as it grows.
+struct Env<'a> {
+    outer: &'a [Frame<'a>],
+    ctx: &'a ExecContext<'a>,
+    /// The joined inputs' rows, in bound order.
+    builds: Vec<&'a [Row]>,
+    /// The scratch joined row: as wide as the block's output, holding of
+    /// the tuple at hand only the cells the evaluating stage asked for.
+    row: Vec<Value>,
+    /// The rows leaving the last stage. Every [`exec::SCAN_BATCH_ROWS`] of
+    /// them the governor is consulted and the growth charged to the memory
+    /// budget, so a block whose output does not fit ends in `Cancelled` /
+    /// `ResourceExhausted` instead of asking the allocator for it.
+    out: Vec<Row>,
+    settled: usize,
+    /// Filter evaluations so far, one cpu op each.
+    cpu: u64,
+}
+
+impl<'a> Env<'a> {
+    /// Where tuple `t` of `chunk` holds `src`.
+    fn cell<'x>(&self, src: Src, unit: DriverUnit<'x>, chunk: &Chunk, t: usize) -> Cell<'x>
+    where
+        'a: 'x,
+    {
+        match src {
+            Src::Driver(pos) => unit.cell(pos, chunk.slots[t]),
+            Src::Joined(k, col) => Cell::Value(&self.builds[k][chunk.matches[k][t] as usize][col]),
+        }
+    }
+
+    /// Refills the scratch joined row's `fills` cells from tuple `t`.
+    fn fill(&mut self, fills: &[(usize, Src)], unit: DriverUnit<'_>, chunk: &Chunk, t: usize) {
+        for &(pos, src) in fills {
+            let cell = self.cell(src, unit, chunk, t);
+            cell.read_into(&mut self.row[pos]);
+        }
+    }
+
+    /// Materializes a chunk that left the last stage: each tuple's kept
+    /// driver columns, then its matched rows in bound order.
+    fn emit(&mut self, unit: DriverUnit<'_>, chunk: &Chunk) -> EngineResult<()> {
+        let (width, start) = (self.row.len(), self.out.len());
+        match unit {
+            DriverUnit::Segment(seg, cols) => {
+                materialize(seg, &chunk.slots, cols, width, &mut self.out)
+            }
+            DriverUnit::Rows(rows) => self.out.extend(chunk.slots.iter().map(|&s| {
+                let mut row = Vec::with_capacity(width);
+                row.extend_from_slice(&rows[s as usize]);
+                row
+            })),
+        }
+        for (rows, matched) in self.builds.iter().zip(&chunk.matches) {
+            for (row, &m) in self.out[start..].iter_mut().zip(matched) {
+                row.extend_from_slice(&rows[m as usize]);
+            }
+        }
+        if self.out.len() - self.settled >= CHUNK_TUPLES {
             self.settle()?;
         }
         Ok(())
@@ -501,137 +1026,127 @@ impl<'c, 'a> StepOutput<'c, 'a> {
 
     fn settle(&mut self) -> EngineResult<()> {
         self.ctx.check_interrupt()?;
-        let grown = (self.rows.len() - self.settled) as u64;
-        self.settled = self.rows.len();
+        let grown = (self.out.len() - self.settled) as u64;
+        self.settled = self.out.len();
         self.ctx
-            .charge_mem(exec::approx_state_bytes(grown, self.width))
-    }
-
-    /// Charges the final partial batch and hands back the rows, having
-    /// charged one cpu op per row.
-    fn finish(mut self, bindings: Vec<Binding>, cpu: u64) -> EngineResult<Relation> {
-        self.settle()?;
-        self.ctx.bump_cpu(cpu + self.rows.len() as u64);
-        Ok(Relation {
-            bindings,
-            rows: self.rows,
-        })
+            .charge_mem(exec::approx_state_bytes(grown, self.row.len()))
     }
 }
 
-fn joined_bindings(current: &Relation, right: &Relation) -> Vec<Binding> {
-    let mut bindings = current.bindings.clone();
-    bindings.extend(right.bindings.iter().cloned());
-    bindings
-}
-
-/// The hash table goes on the smaller side; equal sizes build on the new
-/// input.
-fn builds_on_current(current_rows: usize, right_rows: usize) -> bool {
-    current_rows < right_rows
-}
-
-/// Hash join of `current` with the newly added `right` input. Output rows
-/// are always `current ++ right` columns, emitted current-major with right
-/// matches in ascending right-row order, whichever side the table was
-/// built on. NULL key components never match. Charges one cpu op per build
-/// row, per probe row and per output row (flushed once — totals are what
-/// the counters promise).
-pub(crate) fn hash_join(
-    current: Relation,
-    right: &Relation,
-    edges: &[&JoinEdge],
-    right_name: &str,
-    outer: &[Frame<'_>],
-    ctx: &ExecContext<'_>,
-) -> EngineResult<Relation> {
-    let (left_exprs, right_exprs) = edge_sides(edges, right_name);
-    let left_keys = SideKeys::new(&left_exprs, &Scope::new(&current.bindings, outer, ctx));
-    let right_keys = SideKeys::new(&right_exprs, &Scope::new(&right.bindings, outer, ctx));
-    let on_current = builds_on_current(current.rows.len(), right.rows.len());
-    let (build_keys, build_rows, probe_keys, probe_rows) = if on_current {
-        (&left_keys, &current.rows, &right_keys, &right.rows)
-    } else {
-        (&right_keys, &right.rows, &left_keys, &current.rows)
+/// Sends `chunk` through `stages`, depth first: a stage hands what it keeps
+/// to the next in runs of [`CHUNK_TUPLES`], so tuples leave the last stage
+/// in stream order — driver-major, matches ascending — whatever expands on
+/// the way, and no stage holds more than a run.
+fn run(
+    stages: &mut [Stage<'_>],
+    env: &mut Env<'_>,
+    unit: DriverUnit<'_>,
+    chunk: &Chunk,
+) -> EngineResult<()> {
+    let Some((stage, rest)) = stages.split_first_mut() else {
+        return env.emit(unit, chunk);
     };
-
-    let mut scratch = Vec::new();
-    let mut table = JoinTable::new(build_keys, build_rows)?;
-    for row in build_rows {
-        let keyed = build_keys.eval(row, outer, ctx, true, &mut scratch)?;
-        let hash = keyed.then(|| build_keys.hash(row, &scratch));
-        table.push(hash, &mut scratch);
-    }
-
-    let bindings = joined_bindings(&current, right);
-    let mut out = StepOutput::new(bindings.len(), ctx);
-    // Probing with `right` finds its matches right-major; they are put
-    // back in current-major order (stably, so right rows stay ascending
-    // under each current row) before anything is emitted.
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for (p, row) in probe_rows.iter().enumerate() {
-        if !probe_keys.eval(row, outer, ctx, true, &mut scratch)? {
-            continue;
-        }
-        let hash = probe_keys.hash(row, &scratch);
-        for b in table.matches(hash, probe_keys, row, &scratch) {
-            if on_current {
-                pairs.push((b, p));
-            } else {
-                out.push(row, &build_rows[b])?;
+    let Stage {
+        kind,
+        seen,
+        kept,
+        parents,
+        matched,
+        out,
+    } = stage;
+    *seen += chunk.slots.len() as u64;
+    let joins = matches!(kind, StageKind::Hash { .. } | StageKind::Cross(_));
+    let mut hand_on = |env: &mut Env<'_>, parents: &mut Vec<u32>, matched: &mut Vec<u32>| {
+        *kept += parents.len() as u64;
+        out.gather(chunk, parents, joins.then_some(matched));
+        parents.clear();
+        matched.clear();
+        run(rest, env, unit, out)
+    };
+    for t in 0..chunk.slots.len() {
+        match kind {
+            StageKind::Hash {
+                table,
+                probe,
+                fills,
+                keys,
+            } => {
+                // A NULL component never matches: evaluation stops at it.
+                keys.clear();
+                if !fills.is_empty() {
+                    env.fill(fills, unit, chunk, t);
+                }
+                let mut hasher = FnvHasher::new();
+                let mut null = false;
+                for comp in probe.iter() {
+                    null = match comp {
+                        ProbeComp::Cell(src) => {
+                            let cell = env.cell(*src, unit, chunk, t);
+                            cell.hash(&mut hasher);
+                            cell.is_null()
+                        }
+                        ProbeComp::Expr(expr, _) => {
+                            let v = eval::eval_compiled(expr, &env.row, env.outer, env.ctx)?;
+                            hash_value(&v, &mut hasher);
+                            keys.push(v);
+                            keys.last().is_some_and(Value::is_null)
+                        }
+                    };
+                    if null {
+                        break;
+                    }
+                }
+                if null {
+                    continue;
+                }
+                let key = |i: usize| match &probe[i] {
+                    ProbeComp::Cell(src) => env.cell(*src, unit, chunk, t),
+                    ProbeComp::Expr(_, slot) => Cell::Value(&keys[*slot]),
+                };
+                for m in table.matches(hasher.finish(), key) {
+                    parents.push(t as u32);
+                    matched.push(m as u32);
+                }
+            }
+            StageKind::Cross(rows) => {
+                parents.extend(std::iter::repeat_n(t as u32, *rows));
+                matched.extend(0..*rows as u32);
+            }
+            StageKind::Filter {
+                preds,
+                memos,
+                fills,
+            } => {
+                env.fill(fills, unit, chunk, t);
+                let (outer, ctx) = (env.outer, env.ctx);
+                if keep_row_charged(&env.row, preds, memos, outer, ctx, || env.cpu += 1)? {
+                    parents.push(t as u32);
+                }
+            }
+            StageKind::DriverPreds { preds, scratch } => {
+                let DriverUnit::Segment(seg, _) = unit else {
+                    unreachable!("only a base table's scan defers conjuncts")
+                };
+                let slot = chunk.slots[t] as usize;
+                if preds.keep_rest(0, seg, slot, scratch, env.outer, env.ctx, || env.cpu += 1)? {
+                    parents.push(t as u32);
+                }
             }
         }
-    }
-    pairs.sort_by_key(|&(c, _)| c);
-    for (c, r) in pairs {
-        out.push(&current.rows[c], &right.rows[r])?;
-    }
-    out.finish(bindings, (build_rows.len() + probe_rows.len()) as u64)
-}
-
-/// Cartesian product (only reached for disconnected FROM items, which the
-/// TPC-H workload never produces but the engine stays total for).
-pub(crate) fn cross_join(
-    current: Relation,
-    right: &Relation,
-    ctx: &ExecContext<'_>,
-) -> EngineResult<Relation> {
-    let bindings = joined_bindings(&current, right);
-    let mut out = StepOutput::new(bindings.len(), ctx);
-    for l in &current.rows {
-        for r in &right.rows {
-            out.push(l, r)?;
+        if parents.len() >= CHUNK_TUPLES {
+            hand_on(env, parents, matched)?;
         }
     }
-    out.finish(bindings, 0)
+    if !parents.is_empty() {
+        hand_on(env, parents, matched)?;
+    }
+    Ok(())
 }
 
-pub(crate) fn apply_ready_post_filters(
-    current: Relation,
-    post: &mut Vec<(Expr, Vec<String>)>,
-    names: &[String],
-    bound: &[usize],
-    outer: &[Frame<'_>],
-    ctx: &ExecContext<'_>,
-) -> EngineResult<Relation> {
-    let bound_names: Vec<&str> = bound.iter().map(|&b| names[b].as_str()).collect();
-    // Partition by moving: ready predicates leave the pending list instead
-    // of being cloned out of it.
-    let mut ready = Vec::new();
-    let mut pending = Vec::new();
-    for (e, needs) in post.drain(..) {
-        if needs.iter().all(|n| bound_names.contains(&n.as_str())) {
-            ready.push(e);
-        } else {
-            pending.push((e, needs));
-        }
-    }
-    *post = pending;
-    if ready.is_empty() {
-        Ok(current)
-    } else {
-        filter_rows(current, &ready, outer, ctx)
-    }
+#[cfg(test)]
+thread_local! {
+    /// Tables built on this thread.
+    static TABLES_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -665,35 +1180,28 @@ mod tests {
         }
     }
 
-    /// The greedy order from `driving` on, and how many distinct counts
-    /// were computed on the way. `current × |candidate|` scales every
-    /// estimate alike, so the order does not depend on the intermediate
-    /// sizes and one fixed `current_rows` stands in for them.
+    /// The greedy order from `driving` on, how many tables were built on
+    /// the way, and after how many steps a driving scan's subquery
+    /// conjuncts would run.
     fn order(
         inputs: &[Relation],
         names: &[&str],
         edges: &[JoinEdge],
         driving: usize,
-    ) -> (Vec<usize>, usize) {
+    ) -> (Vec<usize>, usize, usize) {
         let db = Database::in_memory();
         let ctx = ExecContext::new(&db);
         let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        let before = TABLES_BUILT.get();
+        let driver_rows = inputs[driving].rows.len();
+        let steps = greedy_steps(driving, driver_rows, inputs, &names, edges, &[], &ctx).unwrap();
         let mut bound = vec![driving];
-        let mut distinct = DistinctKeys::default();
-        while bound.len() < inputs.len() {
-            let (next, _) = pick_next_input(
-                1000,
-                inputs,
-                &names,
-                edges,
-                &bound,
-                &mut distinct,
-                &[],
-                &ctx,
-            );
-            bound.push(next);
-        }
-        (bound, distinct.0.len())
+        bound.extend(steps.iter().map(|s| s.input));
+        (
+            bound,
+            TABLES_BUILT.get() - before,
+            driver_preds_after(&steps),
+        )
     }
 
     #[test]
@@ -711,14 +1219,16 @@ mod tests {
             edge("customer", "c_custkey", "orders", "o_custkey"),
             edge("lineitem", "l_orderkey", "orders", "o_orderkey"),
         ];
-        let (got, counted) = order(
+        let (got, built, _) = order(
             &[customer.clone(), orders.clone(), lineitem.clone()],
             &["customer", "orders", "lineitem"],
             &q3,
             2,
         );
         assert_eq!(got, [2, 1, 0]);
-        assert_eq!(counted, 2);
+        // One table per step: the pass that counts an input's keys is the
+        // pass that builds what the step probes.
+        assert_eq!(built, 2);
 
         // Q5: customer, orders, lineitem, supplier, nation, region. Against
         // lineitem, orders (700 / 700 distinct keys → 1 per probe) beats
@@ -743,7 +1253,7 @@ mod tests {
             edge("supplier", "s_nationkey", "nation", "n_nationkey"),
             edge("nation", "n_regionkey", "region", "r_regionkey"),
         ];
-        let (got, counted) = order(
+        let (got, built, preds_after) = order(
             &[
                 customer5,
                 orders.clone(),
@@ -759,13 +1269,19 @@ mod tests {
             2,
         );
         assert_eq!(got, [2, 1, 0, 3, 4, 5]);
-        // supplier is a candidate in three rounds but counted twice: once
+        // supplier is a candidate in three rounds but built twice: once
         // over its lineitem edge, once more when customer's edge joins in.
-        assert_eq!(counted, 6);
+        assert_eq!(built, 6);
+        // Every build side is unique on its key: conjuncts deferred from a
+        // driving lineitem scan would run after all five steps.
+        assert_eq!(preds_after, 5);
 
-        // Q21: supplier, l1, orders, nation with orders driving.
-        let l1 = rel("l1", &["l_orderkey", "l_suppkey"], 200, |r, c| {
-            [(r * 3) as i64, (r % 10) as i64][c]
+        // Q21: supplier, l1, orders, nation with l1 driving — its `EXISTS`
+        // conjuncts no longer count toward its cardinality. supplier and
+        // orders tie at one match per probe and supplier is first in FROM
+        // order; the one nation row comes last.
+        let l1 = rel("l1", &["l_orderkey", "l_suppkey"], 2000, |r, c| {
+            [(r / 3) as i64, (r % 10) as i64][c]
         });
         let nation1 = rel("nation", &["n_nationkey"], 1, |_, _| 3);
         let q21 = [
@@ -773,13 +1289,75 @@ mod tests {
             edge("orders", "o_orderkey", "l1", "l1.l_orderkey"),
             edge("supplier", "s_nationkey", "nation", "n_nationkey"),
         ];
-        let (got, _) = order(
+        let (got, _, preds_after) = order(
             &[supplier, l1, orders, nation1],
             &["supplier", "l1", "orders", "nation"],
             &q21,
-            2,
+            1,
         );
-        assert_eq!(got, [2, 1, 0, 3]);
+        assert_eq!(got, [1, 0, 2, 3]);
+        assert_eq!(preds_after, 3);
+    }
+
+    /// The driving input is never rows: of a Q5-shaped block's 5 000-tuple
+    /// `fact` selection, the only rows built are the 200 that leave the
+    /// last stage — beside the build sides, once each.
+    #[test]
+    fn only_build_sides_and_the_blocks_output_become_rows() {
+        let mut db = Database::in_memory();
+        db.execute_script(
+            "create table fact (f_id int not null, f_okey int, f_skey int, f_price float, \
+                                f_note text, primary key (f_id)) clustered by (f_id);
+             create table ords (o_key int not null, o_ckey int, o_flag int, primary key (o_key));
+             create table cust (c_key int not null, c_nat int, primary key (c_key));
+             create table supp (s_key int not null, s_nat int, primary key (s_key));",
+        )
+        .unwrap();
+        let ints = |n: i64, f: &dyn Fn(i64) -> Vec<i64>| -> Vec<Row> {
+            (0..n)
+                .map(|i| f(i).into_iter().map(Value::Int).collect())
+                .collect()
+        };
+        let fact: Vec<Row> = (0..5000i64)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Int(i % 500),
+                    Value::Int(i % 20),
+                    Value::Float(i as f64 * 0.25),
+                    Value::Str(format!("note {i}")),
+                ]
+            })
+            .collect();
+        db.load_table("fact", fact).unwrap();
+        db.load_table("ords", ints(500, &|j| vec![j, j % 50, (j % 5 == 0) as i64]))
+            .unwrap();
+        db.load_table("cust", ints(50, &|k| vec![k, k / 10]))
+            .unwrap();
+        db.load_table("supp", ints(20, &|s| vec![s, s % 5]))
+            .unwrap();
+        let body = "from cust, ords, fact, supp where c_key = o_ckey and f_okey = o_key \
+                    and f_skey = s_key and c_nat = s_nat and o_flag = 1";
+        for workers in [1, 2] {
+            db.query(&format!("set parallel_workers = {workers}"))
+                .unwrap();
+            let before = ROWS_MATERIALIZED.get();
+            let out = db
+                .query(&format!(
+                    "select c_nat, sum(f_price) as s {body} group by c_nat"
+                ))
+                .unwrap();
+            assert_eq!(out.rows.len(), 1);
+            assert_eq!(out.stats.rows_scanned, 5000 + 500 + 50 + 20);
+            // cust, the 100 flagged ords, supp — and the block's output.
+            assert_eq!(
+                ROWS_MATERIALIZED.get() - before,
+                50 + 100 + 20 + 200,
+                "×{workers}"
+            );
+            let n = db.query(&format!("select count(*) as n {body}")).unwrap();
+            assert_eq!(n.rows[0][0], Value::Int(200));
+        }
     }
 
     #[test]
@@ -790,14 +1368,16 @@ mod tests {
         let p = rel("p", &["pk"], 20, |r, _| (r % 10) as i64);
         let q = rel("q", &["qk"], 20, |r, _| (r % 10) as i64);
         let edges = [edge("big", "k", "q", "qk"), edge("big", "j", "p", "pk")];
-        let (got, _) = order(
+        let (got, _, preds_after) = order(
             &[big.clone(), p.clone(), q.clone()],
             &["big", "p", "q"],
             &edges,
             0,
         );
         assert_eq!(got, [0, 1, 2]);
-        let (got, _) = order(
+        // The first step expands: a deferred conjunct runs ahead of it.
+        assert_eq!(preds_after, 0);
+        let (got, ..) = order(
             &[big.clone(), q.clone(), p.clone()],
             &["big", "q", "p"],
             &edges,
@@ -806,20 +1386,51 @@ mod tests {
         assert_eq!(got, [0, 1, 2]);
 
         // A key that cannot be evaluated makes its input "all distinct"
-        // (20 / 20 → 1), which now beats the honest 2.
+        // (20 / 20 → 1), which now beats the honest 2. The step through
+        // its table is what raises the error.
         let broken = [edge("big", "k", "q", "nosuch"), edge("big", "j", "p", "pk")];
-        let (got, _) = order(&[big, p, q], &["big", "p", "q"], &broken, 0);
+        let (got, ..) = order(&[big, p, q], &["big", "p", "q"], &broken, 0);
         assert_eq!(got, [0, 2, 1]);
 
         // NULL is a key value like any other for the estimate, and `1`
-        // and `1.0` are the same one.
+        // and `1.0` are the same one; a probe finds the two rows keyed 1
+        // in row order and never the NULL ones.
         let db = Database::in_memory();
         let ctx = ExecContext::new(&db);
         let mut mixed = rel("m", &["mk"], 4, |_, _| 1);
         mixed.rows[1][0] = Value::Float(1.0);
         mixed.rows[2][0] = Value::Null;
         mixed.rows[3][0] = Value::Null;
-        let e = edge("big", "k", "m", "mk");
-        assert_eq!(distinct_join_keys(&mixed, &[&e], "m", &[], &ctx), 2);
+        let mk = apuama_sql::parse_expression("mk").unwrap();
+        let keys = SideKeys::new(&[&mk], &Scope::new(&mixed.bindings, &[], &ctx));
+        let table = JoinTable::build(keys, &mixed.rows, &[], &ctx).unwrap();
+        assert_eq!(table.distinct, 2);
+        assert!(!table.unique);
+        let find = |v: Value| {
+            let mut hasher = FnvHasher::new();
+            hash_value(&v, &mut hasher);
+            let found: Vec<usize> = table
+                .matches(hasher.finish(), |_| Cell::Value(&v))
+                .collect();
+            found
+        };
+        assert_eq!(find(Value::Int(1)), [0, 1]);
+        assert_eq!(find(Value::Float(1.0)), [0, 1]);
+        assert_eq!(find(Value::Int(2)), [] as [usize; 0]);
+
+        // A key that is NULL before it fails (`'x' + 1`) cannot match and
+        // raises nothing; it makes the estimate "all distinct" but not the
+        // side unique — the other two rows still share a key.
+        let mut dup = rel("d", &["dk", "z"], 3, |_, _| 1);
+        dup.rows[2] = vec![Value::Null, Value::Str("x".into())];
+        let (dk, z1) = (
+            apuama_sql::parse_expression("dk").unwrap(),
+            apuama_sql::parse_expression("z + 1").unwrap(),
+        );
+        let keys = SideKeys::new(&[&dk, &z1], &Scope::new(&dup.bindings, &[], &ctx));
+        let table = JoinTable::build(keys, &dup.rows, &[], &ctx).unwrap();
+        assert!(table.error.is_none());
+        assert_eq!(table.distinct, 3);
+        assert!(!table.unique);
     }
 }

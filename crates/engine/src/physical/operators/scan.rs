@@ -59,7 +59,7 @@ impl<'e> ScanUnits<'e> {
     /// zone maps refute for the scan's `preds` — without charging anything:
     /// the caller applies `pages_pruned` / `index_probes` once it commits to
     /// the plan.
-    pub(crate) fn plan(table: &'e Table, path: &AccessPath, preds: &[ResidualPred]) -> Self {
+    pub(crate) fn plan(table: &'e Table, path: &AccessPath, preds: &ScanPreds) -> Self {
         let heap = &table.heap;
         match path {
             AccessPath::SeqScan => {
@@ -227,7 +227,7 @@ impl<'e> ScanCursor<'e> {
         preds: &ScanPreds,
         ctx: &ExecContext<'_>,
     ) -> Self {
-        let units = ScanUnits::plan(table, path, preds.preds());
+        let units = ScanUnits::plan(table, path, preds);
         ctx.bump_pages_pruned(units.pages_pruned);
         ctx.bump_index_probes(units.index_probes);
         ScanCursor {
@@ -294,6 +294,8 @@ struct ScanState<'e> {
     scratch: RowScratch,
     sel: Sel,
     scanned: ScanTally<'e, 'e>,
+    /// Cells per emitted row.
+    width: usize,
 }
 
 /// Schema positions of the columns a scan keeps, in schema order; `None` when `keep` names every column, so nothing is narrowed.
@@ -395,40 +397,150 @@ impl<'e> ScanExec<'e> {
         })
     }
 
+    /// `exprs` of the planned scan's residual predicates, compiled against
+    /// the table's row.
+    fn resolve(&self, exprs: &[&'e Expr]) -> ScanPreds {
+        let preds = resolve_preds(exprs.iter().copied(), &self.bindings, self.outer, self.ctx);
+        ScanPreds::new(preds, self.bindings.len(), self.ctx)
+    }
+
     /// The planned scan's residual predicates, compiled.
-    pub(crate) fn resolve(&self, planned: &PlannedScan<'e>) -> Vec<ResidualPred> {
-        resolve_preds(
-            planned.residual_exprs.iter().copied(),
-            &self.bindings,
-            self.outer,
-            self.ctx,
-        )
+    pub(crate) fn residual(&self, planned: &PlannedScan<'e>) -> ScanPreds {
+        self.resolve(&planned.residual_exprs)
     }
 
     /// The second half of `open`: opens the cursor over the planned scan
-    /// for its `residual` predicates ([`Self::resolve`]).
-    pub(crate) fn start(
-        &mut self,
-        planned: PlannedScan<'e>,
-        residual: Vec<ResidualPred>,
-    ) -> Vec<Binding> {
+    /// for its `residual` predicates ([`Self::residual`]).
+    pub(crate) fn start(&mut self, planned: PlannedScan<'e>, residual: ScanPreds) -> Vec<Binding> {
         let ctx = self.ctx;
-        let residual = ScanPreds::new(residual, self.bindings.len(), ctx);
         self.state = Some(ScanState {
             cursor: ScanCursor::open(planned.table, &planned.choice.path, &residual, ctx),
             scratch: residual.scratch(),
             residual,
             sel: Sel::new(),
             scanned: ScanTally::new(ctx),
+            width: planned.out_bindings.len(),
         });
         planned.out_bindings
+    }
+}
+
+/// A base-table input of a join block, read to its *selection*: the
+/// `(segment, slots)` survivors of its subquery-free conjuncts, in access
+/// path order, with every statistic and page charge of the scan behind
+/// them and not one `Value` built. The block counts them, and only then
+/// decides whether the input drives the probe chain (its tuples are read
+/// from the segments as they flow) or is materialized as a build side.
+pub(crate) struct ScanSelection<'e> {
+    /// What the scan emits: the kept columns.
+    pub(crate) bindings: Vec<Binding>,
+    /// Kept column positions, when narrower than the table.
+    pub(crate) cols: Option<Vec<usize>>,
+    pub(crate) units: Vec<(&'e Segment, Sel)>,
+    /// The conjuncts that evaluate a subquery, compiled against the table's
+    /// whole row. They cost an index probe or a statement per tuple, so
+    /// the block runs them where the fewest tuples reach them: as a stage
+    /// of the chain when the input drives, over the selection before it is
+    /// materialized otherwise.
+    pub(crate) deferred: ScanPreds,
+}
+
+impl ScanSelection<'_> {
+    pub(crate) fn rows(&self) -> usize {
+        self.units.iter().map(|(_, sel)| sel.len()).sum()
+    }
+
+    /// Narrows the selection to the tuples the deferred conjuncts keep.
+    pub(crate) fn apply_deferred(
+        &mut self,
+        outer: &[Frame<'_>],
+        ctx: &ExecContext<'_>,
+    ) -> EngineResult<()> {
+        if !self.deferred.has_rest(0) {
+            return Ok(());
+        }
+        let (mut scratch, mut kept, mut cpu) = (self.deferred.scratch(), Sel::new(), 0u64);
+        for (seg, sel) in &mut self.units {
+            ctx.check_interrupt()?;
+            let (_, cost) =
+                (self.deferred).filter(seg, sel, &mut kept, &mut scratch, outer, ctx)?;
+            cpu += cost;
+            std::mem::swap(sel, &mut kept);
+        }
+        self.units.retain(|(_, sel)| !sel.is_empty());
+        ctx.bump_cpu(cpu);
+        Ok(())
+    }
+
+    /// The selected tuples as rows of the kept columns.
+    pub(crate) fn materialize(&self) -> Vec<Row> {
+        let mut rows = Vec::with_capacity(self.rows());
+        for (seg, sel) in &self.units {
+            let cols = self.cols.as_deref();
+            materialize(seg, sel, cols, self.bindings.len(), &mut rows);
+        }
+        rows
+    }
+}
+
+impl<'e> ScanExec<'e> {
+    /// Reads the scan to its selection instead of to rows — how the join
+    /// block reads a base-table input. The subquery-free conjuncts run as
+    /// in `next_batch`, on `workers` of the morsel tier when the scan
+    /// splits (workers hand back slots, not rows); the others are compiled
+    /// and handed on unevaluated.
+    pub(crate) fn select(
+        mut self,
+        workers: usize,
+        az: Option<&Analyze>,
+        probe: Option<usize>,
+    ) -> EngineResult<ScanSelection<'e>> {
+        let planned = self.plan()?;
+        let (outer, ctx) = (self.outer, self.ctx);
+        let (deferred, free): (Vec<&Expr>, Vec<&Expr>) =
+            (planned.residual_exprs.iter()).partition(|e| exec::contains_subquery(e));
+        let residual = self.resolve(&free);
+        let morsels = (workers >= 2)
+            .then(|| plan_scan_morsels(planned.table, &residual, &planned.choice))
+            .filter(|sm| sm.len() >= 2);
+        let units = match morsels {
+            Some(sm) => sm.select(&residual, ctx, workers, az, probe)?,
+            None => {
+                let mut cursor =
+                    ScanCursor::open(planned.table, &planned.choice.path, &residual, ctx);
+                let mut scanned = ScanTally::new(ctx);
+                let (mut scratch, mut sel, mut cpu) = (residual.scratch(), Sel::new(), 0u64);
+                let mut units = Vec::new();
+                loop {
+                    ctx.check_interrupt()?;
+                    let Some((seg, _, slots)) = cursor.next(ctx) else {
+                        break;
+                    };
+                    scanned.rows += slots.len() as u64;
+                    let (kept, cost) =
+                        residual.filter(seg, slots, &mut sel, &mut scratch, outer, ctx)?;
+                    cpu += cost;
+                    if !kept.is_empty() {
+                        units.push((seg, kept.to_vec()));
+                    }
+                }
+                ctx.bump_cpu(cpu);
+                units
+            }
+        };
+        Ok(ScanSelection {
+            bindings: planned.out_bindings,
+            deferred: self.resolve(&deferred),
+            cols: self.cols,
+            units,
+        })
     }
 }
 
 impl<'e> Operator<'e> for ScanExec<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>> {
         let planned = self.plan()?;
-        let residual = self.resolve(&planned);
+        let residual = self.residual(&planned);
         Ok(self.start(planned, residual))
     }
 
@@ -463,7 +575,7 @@ impl<'e> Operator<'e> for ScanExec<'e> {
                 self.ctx,
             )?;
             cpu += cost;
-            materialize(seg, survivors, self.cols.as_deref(), &mut rows);
+            materialize(seg, survivors, self.cols.as_deref(), state.width, &mut rows);
         }
         self.ctx.bump_cpu(cpu);
         if exhausted {

@@ -38,7 +38,7 @@ pub(crate) struct ScanMorsels<'e> {
 /// count — the same pages.
 pub(crate) fn plan_scan_morsels<'e>(
     table: &'e Table,
-    preds: &[ResidualPred],
+    preds: &ScanPreds,
     choice: &planner::ScanChoice,
 ) -> ScanMorsels<'e> {
     let mut units = ScanUnits::plan(table, &choice.path, preds);
@@ -53,6 +53,40 @@ pub(crate) fn plan_scan_morsels<'e>(
         morsels,
         pages_pruned: units.pages_pruned,
         index_probes: units.index_probes,
+    }
+}
+
+impl<'e> ScanMorsels<'e> {
+    /// How many morsels the scan splits into; fewer than two run serial.
+    pub(crate) fn len(&self) -> usize {
+        self.morsels.len()
+    }
+
+    /// Commits the decomposition and filters every morsel against
+    /// `residual` on the worker pool: the surviving slots of each segment,
+    /// in morsel order, morsels without a survivor dropped — the selection
+    /// the serial [`ScanExec::select`] loop produces, with its statistics
+    /// ([`run_scan_morsels`]). No row is built on either side of the
+    /// thread boundary.
+    pub(crate) fn select(
+        self,
+        residual: &ScanPreds,
+        ctx: &ExecContext<'_>,
+        workers: usize,
+        az: Option<&Analyze>,
+        probe: Option<usize>,
+    ) -> EngineResult<Vec<(&'e Segment, Sel)>> {
+        let survivors = run_scan_morsels(&self, ctx, workers, az, probe, |seg, slots, wctx| {
+            let mut sel = Sel::new();
+            let mut scratch = residual.scratch();
+            let (kept, cpu) = residual.filter(seg, slots, &mut sel, &mut scratch, &[], wctx)?;
+            Ok((kept.to_vec(), cpu))
+        })?;
+        let segments = self.table.heap.segments();
+        Ok((self.morsels.iter().zip(survivors))
+            .filter(|(_, kept)| !kept.is_empty())
+            .map(|((seg, _), kept)| (&segments[*seg], kept))
+            .collect())
     }
 }
 
@@ -268,7 +302,7 @@ impl<'e> ParallelScanExec<'e> {
                     residual.filter(seg, slots, &mut sel, &mut scratch, &[], wctx)?;
                 // Survivors cross the worker thread boundary as owned rows.
                 let mut out: Vec<Row> = Vec::new();
-                materialize(seg, survivors, cols, &mut out);
+                materialize(seg, survivors, cols, width, &mut out);
                 // Transient survivor materialization, released when this
                 // worker's context drops.
                 wctx.charge_mem(exec::approx_state_bytes(out.len() as u64, width))?;
@@ -286,11 +320,9 @@ impl<'e> Operator<'e> for ParallelScanExec<'e> {
         // once for whichever runs: this operator is only chosen without
         // enclosing frames and without a subquery in the scan's conjuncts,
         // so the programs need nothing a worker's context lacks.
-        let residual = self.inner.resolve(&planned);
+        let residual = self.inner.residual(&planned);
         let sm = plan_scan_morsels(planned.table, &residual, &planned.choice);
-        if sm.morsels.len() >= 2 {
-            let width = self.inner.bindings.len();
-            let residual = ScanPreds::new(residual, width, self.inner.ctx);
+        if sm.len() >= 2 {
             self.prepared = Some((sm, residual));
             return Ok(planned.out_bindings);
         }
@@ -347,8 +379,8 @@ impl<'e> ParallelFusedExec<'e> {
     fn fold_groups(&self) -> EngineResult<Groups> {
         let ctx = self.inner.ctx;
         let scan = self.inner.plan_scan()?;
-        let sm = plan_scan_morsels(scan.table, scan.fold.preds.preds(), &scan.choice);
-        if sm.morsels.len() < 2 {
+        let sm = plan_scan_morsels(scan.table, &scan.fold.preds, &scan.choice);
+        if sm.len() < 2 {
             return self.inner.fold_serial(&scan);
         }
         let fold = &scan.fold;

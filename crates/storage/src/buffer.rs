@@ -108,6 +108,9 @@ impl Hasher for PageHasher {
 
 const NIL: u32 = u32::MAX;
 
+/// Pages a new pool has room for before its map and slab first grow.
+const INITIAL_PAGES: usize = 1 << 10;
+
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     key: PageKey,
@@ -132,10 +135,14 @@ impl BufferPool {
     /// means "nothing is ever cached" (every access is a miss); use
     /// [`BufferPool::unbounded`] for a pure in-memory engine.
     pub fn new(capacity: usize) -> Self {
+        // Sized for a small pool and grown on demand: an unbounded pool
+        // pre-sized for its capacity maps tens of megabytes to hold a few
+        // thousand pages, each looked up on a memory page of its own.
+        let initial = capacity.min(INITIAL_PAGES);
         BufferPool {
             capacity,
-            map: HashMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
-            slots: Vec::with_capacity(capacity.min(1 << 20)),
+            map: HashMap::with_capacity_and_hasher(initial, Default::default()),
+            slots: Vec::with_capacity(initial),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -401,6 +408,38 @@ mod tests {
         assert_eq!(pool.resident(), 0);
         assert_eq!(pool.stats().misses_seq, 1);
         assert!(!pool.access(key(1), AccessKind::Sequential));
+    }
+
+    /// An unbounded pool starts small and grows: taking more pages than it
+    /// was created with room for evicts nothing, and every hit and miss is
+    /// the one a set of the pages seen so far predicts.
+    #[test]
+    fn unbounded_pool_grows_past_its_initial_capacity() {
+        let mut pool = BufferPool::unbounded();
+        assert!(pool.slots.capacity() <= INITIAL_PAGES);
+        let pages = 5 * INITIAL_PAGES as u64 + 7;
+        let mut seen = std::collections::HashSet::new();
+        let (mut hits, mut misses) = (0u64, 0u64);
+        // A stride coprime with the page count visits every page; the
+        // second lap hits all of them.
+        for i in 0..2 * pages {
+            let page = (i * 7919) % pages;
+            let kind = if i % 3 == 0 {
+                AccessKind::Random
+            } else {
+                AccessKind::Sequential
+            };
+            let hit = pool.access(key(page), kind);
+            assert_eq!(hit, !seen.insert(page), "access {i} of page {page}");
+            hits += hit as u64;
+            misses += !hit as u64;
+        }
+        let stats = pool.stats();
+        assert_eq!((stats.hits, stats.misses()), (hits, misses));
+        assert_eq!((hits, misses), (pages, pages));
+        assert_eq!(stats.evictions, 0);
+        assert_eq!(pool.resident() as u64, pages);
+        assert!(pool.slots.capacity() as u64 >= pages);
     }
 
     #[test]

@@ -179,9 +179,10 @@ fn count(line: &str, name: &str) -> u64 {
 }
 
 /// Q4 and Q21 name the path each correlated subquery takes: plain EXPLAIN
-/// on the scan line, EXPLAIN ANALYZE as one line per probe under the scan,
-/// with evaluation / candidate / match counts that reconcile with the
-/// scan's output and the statement's `index_probes`.
+/// on the scan line, EXPLAIN ANALYZE as one line per probe under the
+/// operator that evaluates it — Q4's scan, Q21's join block — with
+/// evaluation / candidate / match counts that reconcile with the
+/// operator's output and the statement's `index_probes`.
 #[test]
 fn explain_names_the_exists_probes_of_q4_and_q21() {
     let db = tpch_db();
@@ -232,12 +233,31 @@ fn explain_names_the_exists_probes_of_q4_and_q21() {
         ),
         "{scan}"
     );
+    // Executed, `l1` drives its join block and the two probes run behind
+    // the joins, on the tuples that survive them: they are listed under
+    // the block, after its steps, not under the scan.
     let analyzed = plan_lines(&db, &format!("explain analyze {q21}"));
-    let at = analyzed
+    let at = |prefix: &str| {
+        analyzed
+            .iter()
+            .position(|l| l.trim_start().starts_with(prefix))
+            .unwrap_or_else(|| panic!("no {prefix}: {analyzed:?}"))
+    };
+    let indent = |l: &str| l.len() - l.trim_start().len();
+    let block = &analyzed[at("hash join block")];
+    let scan = &analyzed[at("scan lineitem as l1")];
+    assert!(analyzed[at("scan lineitem as l1") + 1]
+        .trim_start()
+        .starts_with("scan orders"));
+    assert_eq!(
+        analyzed[at("drive ")].trim_start(),
+        format!("drive l1: {} rows", count(scan, "rows"))
+    );
+    let last_step = analyzed
         .iter()
-        .position(|l| l.trim_start().starts_with("scan lineitem as l1"))
-        .unwrap_or_else(|| panic!("{analyzed:?}"));
-    let (scan, semi, anti) = (&analyzed[at], &analyzed[at + 1], &analyzed[at + 2]);
+        .rposition(|l| l.trim_start().starts_with('⋈'));
+    let last_step = last_step.unwrap_or_else(|| panic!("{analyzed:?}"));
+    let (semi, anti) = (&analyzed[last_step + 1], &analyzed[last_step + 2]);
     assert!(
         semi.trim_start()
             .starts_with("semi-probe lineitem l2 via index(l_orderkey) (evaluations="),
@@ -248,11 +268,21 @@ fn explain_names_the_exists_probes_of_q4_and_q21() {
             .starts_with("anti-probe lineitem l3 via index(l_orderkey) (evaluations="),
         "{anti}"
     );
-    // Rows that pass the semi-probe reach the anti-probe; rows the
-    // anti-probe finds no match for leave the scan.
+    assert_eq!(indent(semi), indent(scan));
+    assert_eq!(indent(anti), indent(scan));
+    // Every tuple the joins keep is probed once; rows that pass the
+    // semi-probe reach the anti-probe; rows the anti-probe finds no match
+    // for leave the block.
+    let joined: u64 = analyzed[last_step]
+        .rsplit("→ ")
+        .next()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("{}", analyzed[last_step]));
+    assert_eq!(count(semi, "evaluations"), joined, "{analyzed:?}");
+    assert!(joined < count(scan, "rows") / 10, "{analyzed:?}");
     assert_eq!(count(anti, "evaluations"), count(semi, "matches"));
     assert_eq!(
-        count(scan, "rows"),
+        count(block, "rows"),
         count(anti, "evaluations") - count(anti, "matches"),
         "{analyzed:?}"
     );

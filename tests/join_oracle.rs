@@ -1,0 +1,700 @@
+//! Join answers checked against the data, not against another build of
+//! the engine: generated statements over two to four small tables run
+//! through the join block — serial and on the morsel tier, as text and
+//! bound — and their rows must be the ones nested loops over
+//! [`apuama_storage::Heap::iter`], written here, produce: the same multiset
+//! always, the same sequence for the `ORDER BY` forms.
+//!
+//! The second half is about *where* the block evaluates an input's
+//! subquery conjuncts (DESIGN.md §10): behind the joins that cannot expand
+//! the stream when the input drives, over its selection before it is
+//! materialized when it does not — the same answers as the oracle's and as
+//! the conjunct hoisted by hand through a derived table, with the probe
+//! counts the placement rule promises; and the two divergences from the
+//! scan-first order that rule accepts, each pinned.
+
+use proptest::prelude::*;
+
+use apuama_engine::{Database, EngineError, QueryOutput};
+use apuama_sql::Value;
+use apuama_storage::Row;
+
+// Every table has these columns: `id` is unique and the clustering key, `k`
+// a nullable key with duplicates, `f` the same number as a float (or
+// NULL, or off by a half), `s` the same as text (or NULL), `w` a small int.
+const ID: usize = 0;
+const K: usize = 1;
+const F: usize = 2;
+const S: usize = 3;
+const W: usize = 4;
+const COLUMNS: &str = "id, k, f, s, w";
+
+/// A generated row: its key and a byte the other columns derive from.
+type Gen = (Option<i64>, u8);
+
+fn row(id: i64, (k, byte): Gen) -> Row {
+    let num = |k: i64| match byte % 8 {
+        0 | 4 => Value::Null,
+        1 => Value::Float(k as f64 + 0.5),
+        _ => Value::Float(k as f64),
+    };
+    vec![
+        Value::Int(id),
+        k.map_or(Value::Null, Value::Int),
+        k.map_or(Value::Null, num),
+        k.filter(|_| byte % 5 != 0)
+            .map_or(Value::Null, |k| Value::Str(format!("s{k}"))),
+        Value::Int((byte % 4) as i64),
+    ]
+}
+
+/// How many rows `b` is padded to: three stored segments, so its scan
+/// splits into morsels and a clustered range can cross a segment boundary.
+const B_ROWS: i64 = 2_200;
+
+/// The tables of one case. `b` is the large one (it drives every join it
+/// is in), `e` is empty, `u` has one row per key (`id = k`), `p` is what
+/// `EXISTS` probes through its index on `k`.
+fn build(a: &[Gen], b: &[Gen], c: &[Gen], d: &[Gen], p: &[Gen], tombstones: bool) -> Database {
+    let mut db = Database::in_memory();
+    for t in ["a", "b", "c", "d", "e", "u", "p"] {
+        db.execute(&format!(
+            "create table {t} (id int not null, k int, f float, s text, w int, \
+             primary key (id)) clustered by (id)"
+        ))
+        .unwrap();
+    }
+    db.execute("create index p_k on p (k)").unwrap();
+    let rows = |gen: &[Gen]| -> Vec<Row> {
+        (gen.iter().enumerate())
+            .map(|(i, g)| row(i as i64, *g))
+            .collect()
+    };
+    let mut b_rows = rows(b);
+    // Padding keys mostly miss the small tables' 0..6, sometimes hit.
+    b_rows.extend(
+        (b.len() as i64..B_ROWS).map(|i| row(i, (Some((i * 7) % 40), (i * 13 % 251) as u8))),
+    );
+    db.load_table("a", rows(a)).unwrap();
+    db.load_table("b", b_rows).unwrap();
+    db.load_table("c", rows(c)).unwrap();
+    db.load_table("d", rows(d)).unwrap();
+    db.load_table("p", rows(p)).unwrap();
+    let unique: Vec<Row> = (0..8).map(|k| row(k, (Some(k), 2 + k as u8))).collect();
+    db.load_table("u", unique).unwrap();
+    if tombstones {
+        for dml in [
+            "delete from a where w = 1",
+            "delete from b where id - (id / 5) * 5 = 2",
+            "delete from c where id = 0",
+            "delete from p where w = 3",
+        ] {
+            db.execute(dml).unwrap();
+        }
+    }
+    db
+}
+
+/// The live rows of `table`, in heap order — ascending `id`.
+fn live(db: &Database, table: &str) -> Vec<Row> {
+    let rows: Vec<Row> = (db.table(table).unwrap().heap.iter())
+        .map(|(_, r)| r)
+        .collect();
+    assert!(rows
+        .windows(2)
+        .all(|w| w[0][ID].as_i64() < w[1][ID].as_i64()));
+    rows
+}
+
+fn num(v: &Value) -> Option<f64> {
+    match v {
+        Value::Int(i) => Some(*i as f64),
+        Value::Float(f) => Some(*f),
+        _ => None,
+    }
+}
+
+/// SQL `=` over the values the tables hold: unknown on NULL, numbers by
+/// value (`1 = 1.0`), text by bytes.
+fn eq(a: &Value, b: &Value) -> Option<bool> {
+    match (a, b) {
+        (Value::Null, _) | (_, Value::Null) => None,
+        (Value::Str(x), Value::Str(y)) => Some(x == y),
+        _ => Some(num(a).expect("a number") == num(b).expect("a number")),
+    }
+}
+
+fn and(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+    match (a, b) {
+        (Some(false), _) | (_, Some(false)) => Some(false),
+        (Some(true), Some(true)) => Some(true),
+        _ => None,
+    }
+}
+
+fn int(v: &Value) -> Option<i64> {
+    v.as_i64()
+}
+
+/// Does `p` hold a row whose `k` equals `key`?
+fn exists(p: &[Row], key: &Value) -> bool {
+    p.iter().any(|r| eq(&r[K], key) == Some(true))
+}
+
+/// A case's conjuncts over more than one FROM item, on one row of each.
+type Keep<'a> = Box<dyn Fn(&[&Row]) -> Option<bool> + 'a>;
+
+/// One statement and what the data says it answers.
+struct Case<'a> {
+    /// `from … where …`, with `$1` where the parameter goes.
+    body: String,
+    /// The scope name of each FROM item, in FROM order.
+    names: Vec<&'static str>,
+    /// The rows each FROM item stands for, its own conjuncts applied.
+    inputs: Vec<Vec<Row>>,
+    /// The conjuncts over more than one item.
+    keep: Keep<'a>,
+}
+
+impl Case<'_> {
+    /// `id`, `s` and `w` of every FROM item: which rows met, and that the
+    /// right cells came along.
+    fn select(&self) -> String {
+        format!("select {} {}", self.items(), self.body)
+    }
+
+    fn items(&self) -> String {
+        self.list(|i, n| format!("{n}.id as i{i}, {n}.s as s{i}, {n}.w as w{i}"))
+    }
+
+    /// `item(position, scope name)` of every FROM item, comma-separated.
+    fn list(&self, item: impl Fn(usize, &str) -> String) -> String {
+        let items: Vec<String> = (self.names.iter().enumerate())
+            .map(|(i, n)| item(i, n))
+            .collect();
+        items.join(", ")
+    }
+
+    fn ordered(&self) -> String {
+        let ids = self.list(|i, _| format!("i{i}"));
+        format!("{} order by {ids}", self.select())
+    }
+
+    /// Nested loops, first item outermost: the answer in `ORDER BY` order,
+    /// since every item's rows ascend in `id`.
+    fn oracle(&self) -> Vec<Row> {
+        let mut out = Vec::new();
+        let mut at = vec![0usize; self.inputs.len()];
+        if self.inputs.iter().any(Vec::is_empty) {
+            return out;
+        }
+        loop {
+            let tuple: Vec<&Row> = (at.iter().zip(&self.inputs))
+                .map(|(&i, rows)| &rows[i])
+                .collect();
+            if (self.keep)(&tuple) == Some(true) {
+                out.push(
+                    (tuple.iter())
+                        .flat_map(|r| [r[ID].clone(), r[S].clone(), r[W].clone()])
+                        .collect(),
+                );
+            }
+            // Advance the innermost item first.
+            let mut i = at.len();
+            loop {
+                if i == 0 {
+                    return out;
+                }
+                i -= 1;
+                at[i] += 1;
+                if at[i] < self.inputs[i].len() {
+                    break;
+                }
+                at[i] = 0;
+            }
+        }
+    }
+}
+
+/// The rows' `id` columns: unique per answer row, so sorting on them makes
+/// any order of a correct answer the oracle's.
+fn ids(row: &Row) -> Vec<i64> {
+    row.iter().step_by(3).map(|v| v.as_i64().unwrap()).collect()
+}
+
+/// Work counters that must not depend on workers or on text against bound.
+fn counters(out: &QueryOutput) -> [u64; 7] {
+    let s = &out.stats;
+    [
+        s.rows_scanned,
+        s.cpu_tuple_ops,
+        s.index_probes,
+        s.scan_batches,
+        s.rows_out,
+        s.bytes_out,
+        s.buffer.accesses(),
+    ]
+}
+
+/// Runs the case's two forms under workers × text/bound: the unordered
+/// form's rows are a permutation of the oracle's, the ordered form's are
+/// the oracle's, and the counters agree across the four executions.
+fn check(db: &Database, case: &Case<'_>, p: i64) {
+    let want = case.oracle();
+    for (sql, ordered) in [(case.select(), false), (case.ordered(), true)] {
+        let text = sql.replace("$1", &p.to_string());
+        let params: Vec<Value> = sql
+            .contains("$1")
+            .then_some(Value::Int(p))
+            .into_iter()
+            .collect();
+        let mut reference: Option<QueryOutput> = None;
+        for workers in [1, 4] {
+            db.query(&format!("set parallel_workers = {workers}"))
+                .unwrap();
+            for (path, out) in [
+                ("text", db.query(&text)),
+                ("bound", db.query_bound(&sql, &params)),
+            ] {
+                let what = format!("{path} ×{workers}: {text}");
+                let out = out.unwrap_or_else(|e| panic!("{what}: {e}"));
+                let mut got = out.rows.clone();
+                if !ordered {
+                    got.sort_by_key(ids);
+                }
+                assert_eq!(got, want, "{what}");
+                match &reference {
+                    None => reference = Some(out),
+                    Some(first) => {
+                        assert_eq!(out.rows, first.rows, "{what}");
+                        assert_eq!(counters(&out), counters(first), "{what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The equi-join and post-filter shapes the block has a path for.
+fn family<'a>(db: &Database, p: i64) -> Vec<Case<'a>> {
+    let t = |name: &str| live(db, name);
+    let (a, b, c, d) = (t("a"), t("b"), t("c"), t("d"));
+    let case = |body: &str, names: &[&'static str], inputs: Vec<Vec<Row>>, keep: Keep<'a>| Case {
+        body: body.to_string(),
+        names: names.to_vec(),
+        inputs,
+        keep,
+    };
+    let only = |rows: &[Row], f: &dyn Fn(&Row) -> bool| -> Vec<Row> {
+        rows.iter().filter(|r| f(r)).cloned().collect()
+    };
+    let w_below = |n: i64| move |r: &Row| int(&r[W]).is_some_and(|w| w < n);
+    vec![
+        // NULL keys and duplicate keys, on both sides.
+        case(
+            "from a, b where a.k = b.k",
+            &["a", "b"],
+            vec![a.clone(), b.clone()],
+            Box::new(|r| eq(&r[0][K], &r[1][K])),
+        ),
+        // Int against Float; text keys.
+        case(
+            "from a, b where a.f = b.k",
+            &["a", "b"],
+            vec![a.clone(), b.clone()],
+            Box::new(|r| eq(&r[0][F], &r[1][K])),
+        ),
+        case(
+            "from b, c where b.s = c.s",
+            &["b", "c"],
+            vec![b.clone(), c.clone()],
+            Box::new(|r| eq(&r[0][S], &r[1][S])),
+        ),
+        // An expression key, on the build side and on the probing one.
+        case(
+            "from a, b where a.k + 1 = b.k",
+            &["a", "b"],
+            vec![a.clone(), b.clone()],
+            Box::new(|r| {
+                eq(
+                    &int(&r[0][K]).map_or(Value::Null, |k| Value::Int(k + 1)),
+                    &r[1][K],
+                )
+            }),
+        ),
+        case(
+            "from a, b where a.k = b.k - b.w",
+            &["a", "b"],
+            vec![a.clone(), b.clone()],
+            Box::new(|r| {
+                let key = int(&r[1][K]).zip(int(&r[1][W])).map(|(k, w)| k - w);
+                eq(&r[0][K], &key.map_or(Value::Null, Value::Int))
+            }),
+        ),
+        // A composite key whose components come from two bound inputs.
+        case(
+            "from a, b, c where a.k = b.k and c.k = b.w and c.w = a.w",
+            &["a", "b", "c"],
+            vec![a.clone(), b.clone(), c.clone()],
+            Box::new(|r| {
+                and(
+                    eq(&r[0][K], &r[1][K]),
+                    and(eq(&r[2][K], &r[1][W]), eq(&r[2][W], &r[0][W])),
+                )
+            }),
+        ),
+        // A post-filter across two inputs, with the parameter in it.
+        case(
+            "from a, b where a.k = b.k and a.w + b.w > $1",
+            &["a", "b"],
+            vec![a.clone(), b.clone()],
+            Box::new(move |r| {
+                let sum = int(&r[0][W]).zip(int(&r[1][W])).map(|(x, y)| x + y > p);
+                and(eq(&r[0][K], &r[1][K]), sum)
+            }),
+        ),
+        // A disconnected input (cross step), with a filter of its own.
+        case(
+            "from a, b, d where a.k = b.k and d.w < $1",
+            &["a", "b", "d"],
+            vec![a.clone(), b.clone(), only(&d, &w_below(p))],
+            Box::new(|r| eq(&r[0][K], &r[1][K])),
+        ),
+        // An empty input, joined and crossed.
+        case(
+            "from a, b, e where a.k = b.k and e.k = b.w",
+            &["a", "b", "e"],
+            vec![a.clone(), b.clone(), Vec::new()],
+            Box::new(|_| Some(true)),
+        ),
+        case(
+            "from c, e",
+            &["c", "e"],
+            vec![c.clone(), Vec::new()],
+            Box::new(|_| Some(true)),
+        ),
+        // A derived table as the largest input, and as a smaller one.
+        case(
+            &format!("from a, (select {COLUMNS} from b where w < 3) x where a.k = x.k"),
+            &["a", "x"],
+            vec![a.clone(), only(&b, &w_below(3))],
+            Box::new(|r| eq(&r[0][K], &r[1][K])),
+        ),
+        case(
+            &format!("from b, (select {COLUMNS} from a where w < $1) x where b.k = x.k"),
+            &["b", "x"],
+            vec![b.clone(), only(&a, &w_below(p))],
+            Box::new(|r| eq(&r[0][K], &r[1][K])),
+        ),
+        // Four inputs.
+        case(
+            "from a, b, c, d where a.k = b.k and b.w = c.w and c.k = d.k",
+            &["a", "b", "c", "d"],
+            vec![a.clone(), b.clone(), c.clone(), d.clone()],
+            Box::new(|r| {
+                and(
+                    eq(&r[0][K], &r[1][K]),
+                    and(eq(&r[1][W], &r[2][W]), eq(&r[2][K], &r[3][K])),
+                )
+            }),
+        ),
+    ]
+}
+
+/// `b` restricted to a key range that crosses its first segment boundary
+/// (slot 1024), joined as the driver and — against an unrestricted alias
+/// of itself — as a build side.
+fn ranges<'a>(db: &Database, p: i64) -> Vec<Case<'a>> {
+    let (a, b) = (live(db, "a"), live(db, "b"));
+    let (lo, hi) = (1_000 - 20 * p, 1_040 + 20 * p);
+    let in_range: Vec<Row> = (b.iter())
+        .filter(|r| int(&r[ID]).is_some_and(|id| id >= lo && id < hi))
+        .cloned()
+        .collect();
+    vec![
+        Case {
+            body: format!("from a, b where a.k = b.k and b.id >= {lo} and b.id < {hi}"),
+            names: vec!["a", "b"],
+            inputs: vec![a, in_range.clone()],
+            keep: Box::new(|r| eq(&r[0][K], &r[1][K])),
+        },
+        Case {
+            body: format!(
+                "from b, b x where b.w = x.k and x.id >= {lo} and x.id < {hi} and b.k < 2"
+            ),
+            names: vec!["b", "x"],
+            inputs: vec![
+                (b.iter())
+                    .filter(|r| int(&r[K]).is_some_and(|k| k < 2))
+                    .cloned()
+                    .collect(),
+                in_range,
+            ],
+            keep: Box::new(|r| eq(&r[0][W], &r[1][K])),
+        },
+    ]
+}
+
+fn gens(keys: i64, n: usize) -> impl Strategy<Value = Vec<Gen>> {
+    proptest::collection::vec((proptest::option::of(0..keys), any::<u8>()), 0..n)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn joins_answer_what_nested_loops_over_the_heap_answer(
+        a in gens(6, 12),
+        b in gens(6, 30),
+        c in gens(6, 12),
+        d in gens(6, 4),
+        tombstones in any::<bool>(),
+        p in 1i64..4,
+    ) {
+        let db = build(&a, &b, &c, &d, &[], tombstones);
+        for case in family(&db, p) {
+            check(&db, &case, p);
+        }
+        // Clustered ranges arrive as row ids cut at segment boundaries
+        // under `enable_seqscan = off`, as filtered segments otherwise.
+        for seqscan in ["off", "on"] {
+            db.query(&format!("set enable_seqscan = {seqscan}")).unwrap();
+            for case in ranges(&db, p) {
+                check(&db, &case, p);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Where a subquery conjunct runs
+// ---------------------------------------------------------------------------
+
+/// `(evaluations, matches)` of the one probe line in the statement's
+/// `EXPLAIN ANALYZE`, and the counts on its `⋈` lines as `(in, out)`.
+fn probe_account(db: &Database, sql: &str) -> ((u64, u64), Vec<(u64, u64)>) {
+    let plan = db.query(&format!("explain analyze {sql}")).unwrap();
+    let lines: Vec<&str> = plan.rows.iter().map(|r| r[0].as_str().unwrap()).collect();
+    let field = |line: &str, name: &str| -> u64 {
+        let rest = line.split(&format!("{name}=")).nth(1).unwrap();
+        let digits = rest.split(|c: char| !c.is_ascii_digit()).next().unwrap();
+        digits.parse().unwrap()
+    };
+    let probes: Vec<&&str> = lines.iter().filter(|l| l.contains("-probe p ")).collect();
+    assert_eq!(probes.len(), 1, "{lines:?}");
+    let steps = (lines.iter())
+        .filter(|l| l.trim_start().starts_with('⋈'))
+        .map(|l| {
+            let counts = l.rsplit("probe ").next().unwrap();
+            let (seen, kept) = counts.split_once(" → ").unwrap();
+            (seen.parse().unwrap(), kept.parse().unwrap())
+        })
+        .collect();
+    (
+        (field(probes[0], "evaluations"), field(probes[0], "matches")),
+        steps,
+    )
+}
+
+/// A placement case — its body ends in the `[NOT] EXISTS` conjunct — with
+/// that conjunct hoisted by hand: the join in a derived table that also
+/// carries the probe `key`, the `EXISTS` outside it, in the oracle's order.
+fn hoisted(case: &Case<'_>, key: &str, not: &str) -> String {
+    let (join, _) = (case.body)
+        .rsplit_once(&format!(" and {not}exists "))
+        .expect("the body ends in the conjunct");
+    format!(
+        "select {} from (select {}, {key} as key {join}) j \
+         where {not}exists (select * from p where p.k = j.key) order by {}",
+        case.list(|i, _| format!("j.i{i}, j.s{i}, j.w{i}")),
+        case.items(),
+        case.list(|i, _| format!("j.i{i}")),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn subquery_conjuncts_run_where_the_fewest_tuples_reach_them(
+        a in gens(6, 12),
+        b in gens(6, 30),
+        p_rows in gens(8, 20),
+        tombstones in any::<bool>(),
+        negated in any::<bool>(),
+    ) {
+        let db = build(&a, &b, &[], &[], &p_rows, tombstones);
+        let (a, b, u, p) = (live(&db, "a"), live(&db, "b"), live(&db, "u"), live(&db, "p"));
+        let not = if negated { "not " } else { "" };
+        let found = |key: &Value| Some(exists(&p, key) != negated);
+
+        // On the largest input, every build side unique: the probe runs
+        // behind both joins, once per tuple that survives them. Its key is
+        // NULL where `b.f` is — no row exists then, whatever `p` holds.
+        let unique = Case {
+            body: format!(
+                "from b, u, u v where b.k = u.id and b.w = v.id \
+                 and {not}exists (select * from p where p.k = b.f)"
+            ),
+            names: vec!["b", "u", "v"],
+            inputs: vec![b.clone(), u.clone(), u.clone()],
+            keep: Box::new(|r| {
+                and(and(eq(&r[0][K], &r[1][ID]), eq(&r[0][W], &r[2][ID])), found(&r[0][F]))
+            }),
+        };
+        check(&db, &unique, 0);
+        let joined = Case {
+            keep: Box::new(|r| and(eq(&r[0][K], &r[1][ID]), eq(&r[0][W], &r[2][ID]))),
+            inputs: unique.inputs.clone(),
+            names: unique.names.clone(),
+            body: String::new(),
+        };
+        let joined = joined.oracle().len() as u64;
+        let ((evaluations, matches), steps) = probe_account(&db, &unique.select());
+        prop_assert_eq!(evaluations, joined);
+        prop_assert_eq!(steps.last().map(|s| s.1), Some(joined));
+        prop_assert_eq!(steps[0].0, b.len() as u64);
+        let kept = if negated { evaluations - matches } else { matches };
+        prop_assert_eq!(kept, unique.oracle().len() as u64);
+        prop_assert_eq!(
+            db.query(&hoisted(&unique, "b.f", not)).unwrap().rows,
+            unique.oracle()
+        );
+
+        // An expanding step ahead (`a.k` repeats): the probe runs before
+        // it, once per tuple of `b` — never more than the scan would have
+        // shown it. Should `a` happen to be unique on `k`, it moves behind.
+        let expanding = Case {
+            body: format!(
+                "from a, b where a.k = b.k and {not}exists (select * from p where p.k = b.w)"
+            ),
+            names: vec!["a", "b"],
+            inputs: vec![a.clone(), b.clone()],
+            keep: Box::new(|r| and(eq(&r[0][K], &r[1][K]), found(&r[1][W]))),
+        };
+        check(&db, &expanding, 0);
+        let ((evaluations, matches), steps) = probe_account(&db, &expanding.select());
+        let mut keys: Vec<Option<i64>> = a.iter().map(|r| int(&r[K])).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        if keys.len() < a.len() {
+            prop_assert_eq!(evaluations, b.len() as u64);
+            let kept = if negated { evaluations - matches } else { matches };
+            prop_assert_eq!(steps[0].0, kept);
+        } else {
+            prop_assert_eq!(evaluations, steps[0].1);
+        }
+        prop_assert!(evaluations <= b.len() as u64);
+        prop_assert_eq!(
+            db.query(&hoisted(&expanding, "b.w", not)).unwrap().rows,
+            expanding.oracle()
+        );
+
+        // On an input that does not drive: over its selection, before it
+        // becomes a build side.
+        let smaller = Case {
+            body: format!(
+                "from a, b where a.k = b.k and a.w < 3 \
+                 and {not}exists (select * from p where p.k = a.w + 1)"
+            ),
+            names: vec!["a", "b"],
+            inputs: vec![
+                (a.iter())
+                    .filter(|r| int(&r[W]).is_some_and(|w| w < 3))
+                    .filter(|r| found(&Value::Int(int(&r[W]).unwrap() + 1)) == Some(true))
+                    .cloned()
+                    .collect(),
+                b.clone(),
+            ],
+            keep: Box::new(|r| eq(&r[0][K], &r[1][K])),
+        };
+        check(&db, &smaller, 0);
+        let ((evaluations, _), steps) = probe_account(&db, &smaller.select());
+        let selected = a.iter().filter(|r| int(&r[W]).is_some_and(|w| w < 3)).count();
+        prop_assert_eq!(evaluations, selected as u64);
+        prop_assert_eq!(
+            db.query(&hoisted(&smaller, "a.w + 1", not)).unwrap().rows,
+            smaller.oracle()
+        );
+        // What the step builds on is what the probe kept.
+        let plan = db.query(&format!("explain analyze {}", smaller.select())).unwrap();
+        let built = format!("build a {}, probe {}", smaller.inputs[0].len(), steps[0].0);
+        prop_assert!(
+            plan.rows.iter().any(|r| r[0].as_str().unwrap().contains(&built)),
+            "{built}: {:?}", plan.rows
+        );
+    }
+}
+
+/// The two documented divergences from evaluating an input's subquery
+/// conjuncts in its scan, each on a statement built to show it.
+#[test]
+fn probe_placement_divergences_are_the_documented_ones() {
+    // `b`: 2 000 rows, `k = id`; the small `u` keeps keys 0..8 only.
+    let b: Vec<Gen> = Vec::new();
+    let mut db = build(&[], &b, &[], &[], &[], false);
+    db.execute("delete from b where id >= 2000").unwrap();
+    db.execute("update b set k = id where id >= 0").unwrap();
+    // `p.s > b.w` compares text with a number: a type error, raised when a
+    // candidate of `p` reaches it. Only `b.id = 500` has a candidate, and
+    // the join with `u` drops that tuple first.
+    db.execute("insert into p values (0, 500, 500.0, 'x', 0)")
+        .unwrap();
+    let sql = "select b.id from b, u where b.k = u.id \
+               and exists (select * from p where p.k = b.id and p.s > b.w)";
+    for workers in [1, 4] {
+        db.query(&format!("set parallel_workers = {workers}"))
+            .unwrap();
+        // **Error divergence.** Evaluated in `b`'s scan — as the lone-input
+        // statement still does, and as the parent did under the join —
+        // tuple 500 raises. Behind the join nothing reaches the conjunct
+        // that would: the statement answers (with no row: `p` matches
+        // nothing the join keeps).
+        let scan_first = "select b.id from b \
+                          where exists (select * from p where p.k = b.id and p.s > b.w)";
+        assert!(matches!(
+            db.query(scan_first),
+            Err(EngineError::TypeError(_))
+        ));
+        assert_eq!(db.query(sql).unwrap().rows, Vec::<Row>::new());
+    }
+
+    // **Unordered output follows the new driver.** `x` is 1 000 rows of
+    // which its `EXISTS` keeps 8, `y` is 40. Counting `x` after its probe,
+    // the parent drove with `y` and emitted `y`-major; the conjunct no
+    // longer counts toward `x`'s cardinality, so `x` drives (the probe
+    // ahead of the expanding step on `w`) and the output is `x`-major. An
+    // `ORDER BY` form answers as it always did.
+    db.execute("delete from p where id >= 0").unwrap();
+    for k in 0..8 {
+        db.execute(&format!("insert into p values ({k}, {k}, {k}.0, 'x', 0)"))
+            .unwrap();
+    }
+    let body = "from b x, b y where x.w = y.w and y.id < 40 and x.id < 1000 \
+                and exists (select * from p where p.k = x.id)";
+    let (x, y) = (live(&db, "b"), live(&db, "b"));
+    let mut x_major = Vec::new();
+    for xr in x.iter().filter(|r| int(&r[ID]).unwrap() < 8) {
+        for yr in y.iter().filter(|r| int(&r[ID]).unwrap() < 40) {
+            if eq(&xr[W], &yr[W]) == Some(true) {
+                x_major.push(vec![xr[ID].clone(), yr[ID].clone()]);
+            }
+        }
+    }
+    assert!(x_major.len() > 40);
+    let mut y_major = x_major.clone();
+    y_major.sort_by_key(|r| (r[1].as_i64(), r[0].as_i64()));
+    assert_ne!(x_major, y_major);
+    for workers in [1, 4] {
+        db.query(&format!("set parallel_workers = {workers}"))
+            .unwrap();
+        let unordered = db.query(&format!("select x.id, y.id {body}")).unwrap();
+        assert_eq!(unordered.rows, x_major, "×{workers}");
+        let ordered = db
+            .query(&format!(
+                "select x.id as xi, y.id as yi {body} order by yi, xi"
+            ))
+            .unwrap();
+        assert_eq!(ordered.rows, y_major, "×{workers}");
+    }
+}

@@ -61,12 +61,15 @@ timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-sim --lib -- "overload"
 
 echo "== benchmark package: its own tests, then a smoke run that must answer correctly =="
 # benchmark/ is a workspace of its own (BENCHMARK.json runs it from a fresh
-# checkout), so the root `cargo test` never builds it.
-(cd benchmark && timeout "$BUILD_TIMEOUT" cargo test --release --offline -q)
+# checkout), so the root `cargo test` never builds it. `--locked`: a change
+# to a crate's dependencies that would make cargo rewrite
+# benchmark/Cargo.lock fails here instead of editing a file under
+# benchmark/.
+(cd benchmark && timeout "$BUILD_TIMEOUT" cargo test --release --offline --locked -q)
 # One client alone, two streams at once, refresh beside reads, pass-through:
 # no other suite runs the last three, and each smoke takes about a second.
 for workload in olap_power olap_streams mixed_refresh oltp_passthrough; do
-  smoke=$(timeout "$SUITE_TIMEOUT" cargo run --release --offline --quiet \
+  smoke=$(timeout "$SUITE_TIMEOUT" cargo run --release --offline --locked --quiet \
     --manifest-path benchmark/Cargo.toml -- --workload "$workload" --smoke | tail -n 1)
   echo "$smoke"
   case "$smoke" in
@@ -79,7 +82,7 @@ for workload in olap_power olap_streams mixed_refresh oltp_passthrough; do
 done
 
 echo "== benchmark counters: the traced smoke run's work per pass must equal ci/olap_power_smoke.counters =="
-traced=$(timeout "$SUITE_TIMEOUT" cargo run --release --offline --quiet \
+traced=$(timeout "$SUITE_TIMEOUT" cargo run --release --offline --locked --quiet \
   --manifest-path benchmark/Cargo.toml -- --workload olap_power --smoke --trace 1 | tail -n 1)
 while read -r name want; do
   case "$name" in ''|'#'*) continue ;; esac

@@ -2,8 +2,9 @@
 //!
 //! 1. **SVP vs inter-query-only** — Apuama against the plain C-JDBC
 //!    baseline (the paper's implicit comparator).
-//! 2. **Optimizer interference** — `SET enable_seqscan = off` on/off; the
-//!    paper (§3) claims SVP "can be severely hurt" without it.
+//! 2. **Optimizer interference** — sub-queries planned as under
+//!    `enable_seqscan = off`, on/off; the paper (§3) claims SVP "can be
+//!    severely hurt" without it.
 //! 3. **Consistency cost** — read-only vs mixed workload at a fixed size.
 //! 4. **SVP vs AVP** — static partitions vs adaptive chunks + stealing.
 //! 5. **Load-balancer policy** — pass-through read balancing arms.

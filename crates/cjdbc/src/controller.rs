@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use apuama_engine::{EngineError, EngineResult, QueryGovernor, QueryOutput};
+use apuama_engine::{EngineError, EngineResult, QueryOutput, ReadRequest};
 use parking_lot::Mutex;
 
 use crate::admission::{AdmissionController, AdmissionPolicy};
@@ -459,64 +459,28 @@ impl Controller {
         self.scheduler.writes_scheduled()
     }
 
-    /// Executes a request, classifying it as the real controller does.
-    /// Returns the output and the index of the backend that served it
-    /// (writes report backend 0 — they ran everywhere).
+    /// Executes a request, classifying it as the real controller does —
+    /// once, here: a read goes down as a [`ReadRequest`] and nothing below
+    /// parses it again to find out what it is. Returns the output and the
+    /// index of the backend that served it (writes report backend 0 —
+    /// they ran everywhere).
     pub fn execute(&self, sql: &str) -> EngineResult<(QueryOutput, usize)> {
         match classify(sql)? {
-            StatementKind::Read => self.execute_read(sql),
+            StatementKind::Read => self.read(&ReadRequest::text(sql)),
             StatementKind::Write => self.execute_write(sql).map(|o| (o, 0)),
         }
     }
 
-    /// Prepares a read statement on every enabled backend so later
-    /// [`Controller::execute_read_bound`] calls find a warm plan cache no
-    /// matter which backend the balancer picks. Returns the statement's
-    /// parameter count.
-    pub fn prepare_read(&self, sql: &str) -> EngineResult<usize> {
-        let mut n = 0;
-        for i in self.enabled_backends() {
-            n = self.backends[i].conn.prepare(sql)?;
-        }
-        Ok(n)
-    }
-
-    /// Load-balanced bound execution: same routing, health accounting, and
-    /// failure policy as [`Controller::execute_read`], but the chosen
-    /// backend executes from its prepared plan instead of re-parsing text.
-    pub fn execute_read_bound(
-        &self,
-        sql: &str,
-        params: &[apuama_sql::Value],
-    ) -> EngineResult<(QueryOutput, usize)> {
-        self.routed_read(|conn| conn.execute_bound(sql, params))
-    }
-
-    /// Load-balanced read over the enabled backends whose circuits admit
-    /// traffic. If every enabled backend's circuit is open, fall back to
-    /// the full enabled set — serving a request into a tripped backend
-    /// beats refusing the query outright (the attempt doubles as a probe).
-    pub fn execute_read(&self, sql: &str) -> EngineResult<(QueryOutput, usize)> {
-        self.routed_read(|conn| conn.execute(sql))
-    }
-
-    /// [`Controller::execute_read`] under a caller-supplied
-    /// [`QueryGovernor`] — client cancellation and deadline ride into the
-    /// backend (engine-backed backends stop within one batch).
-    pub fn execute_read_governed(
-        &self,
-        sql: &str,
-        gov: &QueryGovernor,
-    ) -> EngineResult<(QueryOutput, usize)> {
-        self.routed_read(|conn| conn.execute_governed(sql, gov))
-    }
-
-    /// The shared read path: admission, balancer choice, pending
-    /// accounting, health recording, and the disable-on-failure policy.
-    fn routed_read(
-        &self,
-        run: impl Fn(&dyn Connection) -> EngineResult<QueryOutput>,
-    ) -> EngineResult<(QueryOutput, usize)> {
+    /// The read path: admission, then a load-balanced choice over the
+    /// enabled backends whose circuits admit traffic (if every enabled
+    /// backend's circuit is open, the full enabled set — serving a request
+    /// into a tripped backend beats refusing the query outright, and the
+    /// attempt doubles as a probe), pending accounting, health recording,
+    /// and the disable-on-failure policy. Bound values, client
+    /// cancellation and deadline ride into the backend with the request
+    /// (engine-backed backends run bound statements from their plan cache
+    /// and stop within one batch of a cancel).
+    pub fn read(&self, req: &ReadRequest<'_>) -> EngineResult<(QueryOutput, usize)> {
         let _permit = self.admission.admit(StatementKind::Read)?;
         let enabled = self.enabled_backends();
         if enabled.is_empty() {
@@ -539,7 +503,7 @@ impl Controller {
         let chosen = candidates[self.balancer.choose(&pending)];
         let backend = &self.backends[chosen];
         backend.pending.fetch_add(1, Ordering::SeqCst);
-        let result = run(backend.conn.as_ref());
+        let result = backend.conn.read(req);
         backend.pending.fetch_sub(1, Ordering::SeqCst);
         self.note_outcome(&result);
         match &result {
@@ -760,27 +724,29 @@ mod tests {
                 .unwrap();
         }
         let sql = "select count(*) as n from t where a >= $1 and a < $2";
-        assert_eq!(c.prepare_read(sql).unwrap(), 2);
-        let (bound, backend) = c
-            .execute_read_bound(sql, &[Value::Int(5), Value::Int(15)])
-            .unwrap();
+        let params = [Value::Int(5), Value::Int(15)];
+        let (bound, backend) = c.read(&ReadRequest::bound(sql, &params)).unwrap();
         assert!(backend < 3);
         let (text, _) = c
-            .execute_read("select count(*) as n from t where a >= 5 and a < 15")
+            .execute("select count(*) as n from t where a >= 5 and a < 15")
             .unwrap();
         assert_eq!(bound.rows, text.rows);
         assert_eq!(bound.rows[0][0], Value::Int(10));
-        // prepare_read warmed every backend: the bound execution was a
-        // cache hit wherever it landed.
+        // Serial reads tie at zero pending and land on the same backend,
+        // so the second bound execution is a plan-cache hit there.
+        let (_, again) = c.read(&ReadRequest::bound(sql, &params)).unwrap();
+        assert_eq!(again, backend);
         let stats = nodes[backend].with_db(|db| db.plan_cache_stats());
-        assert!(stats.hits >= 1, "{stats:?}");
+        assert_eq!((stats.misses, stats.hits), (1, 1), "{stats:?}");
     }
 
     #[test]
     fn bound_read_failures_follow_the_disable_policy() {
         let (c, _nodes) = cluster(2);
         // An unparseable bound read surfaces an error without disabling.
-        assert!(c.execute_read_bound("select nonsense from", &[]).is_err());
+        assert!(c
+            .read(&ReadRequest::bound("select nonsense from", &[]))
+            .is_err());
         assert_eq!(c.enabled_backends(), vec![0, 1]);
     }
 }
@@ -1178,7 +1144,7 @@ mod governance_tests {
     use crate::admission::AdmissionPolicy;
     use crate::connection::{EngineNode, NodeConnection};
     use crate::fault::{FaultPlan, FaultyConnection};
-    use apuama_engine::Database;
+    use apuama_engine::{Database, QueryGovernor};
     use std::time::Duration;
 
     fn node(i: usize) -> Arc<EngineNode> {
@@ -1218,14 +1184,14 @@ mod governance_tests {
         let cancelled = QueryGovernor::new();
         cancelled.cancel();
         let err = c
-            .execute_read_governed("select count(*) as n from t", &cancelled)
+            .read(&ReadRequest::text("select count(*) as n from t").governed(&cancelled))
             .unwrap_err();
         assert!(matches!(err, EngineError::Cancelled(_)), "{err:?}");
 
         // Deadline already passed: counted deadline_exceeded.
         let expired = QueryGovernor::new().with_deadline_in(Duration::ZERO);
         let err = c
-            .execute_read_governed("select count(*) as n from t", &expired)
+            .read(&ReadRequest::text("select count(*) as n from t").governed(&expired))
             .unwrap_err();
         assert!(matches!(err, EngineError::Timeout(_)), "{err:?}");
 

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use apuama_engine::{EngineError, EngineResult, QueryOutput};
+use apuama_engine::{EngineError, EngineResult, QueryOutput, ReadRequest};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -49,7 +49,7 @@ pub struct FaultPlan {
     /// Restrict injection to a statement class.
     pub target: FaultTarget,
     /// Only statements containing this fragment are targeted (e.g.
-    /// `"enable_seqscan"` to fail just the optimizer-interference SETs).
+    /// `"from orders"` to fail just the sub-queries on the fact table).
     pub only_matching: Option<String>,
     /// Scripted fail-at-call-N / recover-at-call-M windows: half-open
     /// `[from, to)` ranges over the 1-based *lifetime* call counter (all
@@ -157,27 +157,31 @@ impl FaultyConnection {
         self.injected_stalls.load(Ordering::SeqCst)
     }
 
-    fn matches(&self, plan: &FaultPlan, sql: &str) -> bool {
+    /// `kind` is what the caller already knows the statement to be (a
+    /// request down [`Connection::read`] is a read); `None` classifies the
+    /// text, and only when the plan's target needs to know.
+    fn matches(&self, plan: &FaultPlan, sql: &str, kind: Option<StatementKind>) -> bool {
         if let Some(frag) = &plan.only_matching {
             if !sql.contains(frag.as_str()) {
                 return false;
             }
         }
-        match plan.target {
-            FaultTarget::All => true,
-            // If the statement does not even classify, let the backend
-            // produce its own (real) parse error.
-            FaultTarget::Reads => matches!(classify(sql), Ok(StatementKind::Read)),
-            FaultTarget::Writes => matches!(classify(sql), Ok(StatementKind::Write)),
-        }
+        let wanted = match plan.target {
+            FaultTarget::All => return true,
+            FaultTarget::Reads => StatementKind::Read,
+            FaultTarget::Writes => StatementKind::Write,
+        };
+        // If the statement does not even classify, let the backend
+        // produce its own (real) parse error.
+        kind.or_else(|| classify(sql).ok()) == Some(wanted)
     }
 
     /// Runs the plan against one statement: sleeps for delays/stalls and
     /// returns the injected error, if any. `Ok(())` means "pass through".
-    fn inject(&self, sql: &str) -> EngineResult<()> {
+    fn inject(&self, sql: &str, kind: Option<StatementKind>) -> EngineResult<()> {
         let call = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
         let plan = self.plan.lock().clone();
-        if self.matches(&plan, sql) {
+        if self.matches(&plan, sql, kind) {
             let matching = self.matching_calls.fetch_add(1, Ordering::SeqCst) + 1;
             if !plan.delay.is_zero() {
                 std::thread::sleep(plan.delay);
@@ -214,27 +218,16 @@ impl FaultyConnection {
 
 impl Connection for FaultyConnection {
     fn execute(&self, sql: &str) -> EngineResult<QueryOutput> {
-        self.inject(sql)?;
+        self.inject(sql, None)?;
         self.inner.execute(sql)
     }
 
-    fn execute_governed(
-        &self,
-        sql: &str,
-        gov: &apuama_engine::QueryGovernor,
-    ) -> EngineResult<QueryOutput> {
-        self.inject(sql)?;
-        self.inner.execute_governed(sql, gov)
-    }
-
-    fn execute_bound_governed(
-        &self,
-        sql: &str,
-        params: &[apuama_sql::Value],
-        gov: &apuama_engine::QueryGovernor,
-    ) -> EngineResult<QueryOutput> {
-        self.inject(sql)?;
-        self.inner.execute_bound_governed(sql, params, gov)
+    /// One request is one call: the fault (matched against the statement
+    /// text as sent, placeholders included) and then the whole request,
+    /// governor and hint with it, to the wrapped connection.
+    fn read(&self, req: &ReadRequest<'_>) -> EngineResult<QueryOutput> {
+        self.inject(req.sql, Some(StatementKind::Read))?;
+        self.inner.read(req)
     }
 
     fn mem_peak_bytes(&self) -> u64 {

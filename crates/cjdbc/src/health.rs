@@ -54,10 +54,6 @@ struct NodeHealth {
     opened_at: Option<Instant>,
     successes: u64,
     failures: u64,
-    /// `SET enable_seqscan = on` restores that failed after a successful
-    /// sub-query — the result was kept, but the node's session state is
-    /// suspect (see `NodeProcessor`'s seqscan guard).
-    restore_failures: u64,
     /// Administratively fenced off (recovery-log catch-up in progress):
     /// unlike the breaker, quarantine never lifts on its own — the rejoin
     /// protocol clears it once the replica is consistent again. A
@@ -73,7 +69,6 @@ impl NodeHealth {
             opened_at: None,
             successes: 0,
             failures: 0,
-            restore_failures: 0,
             quarantined: false,
         }
     }
@@ -141,18 +136,6 @@ impl HealthTracker {
         }
     }
 
-    /// Records a session-restore failure (e.g. `SET enable_seqscan = on`
-    /// failing after a successful sub-query). Counted separately for
-    /// diagnostics but treated as a failure by the breaker: the node
-    /// answered the query, yet its session state can no longer be trusted.
-    pub fn record_restore_failure(&self, node: usize) {
-        {
-            let mut nodes = self.nodes.lock();
-            nodes[node].restore_failures += 1;
-        }
-        self.record_failure(node);
-    }
-
     /// Fences `node` off (or readmits it). Quarantine is the rejoin
     /// protocol's hard exclusion: while set, the node is unavailable to the
     /// read balancer and the SVP dispatcher no matter what the circuit
@@ -213,11 +196,6 @@ impl HealthTracker {
     /// Total successful requests recorded for `node`.
     pub fn successes(&self, node: usize) -> u64 {
         self.nodes.lock()[node].successes
-    }
-
-    /// Session-restore failures recorded for `node`.
-    pub fn restore_failures(&self, node: usize) -> u64 {
-        self.nodes.lock()[node].restore_failures
     }
 
     /// Current consecutive-failure streak for `node`.
@@ -309,14 +287,5 @@ mod tests {
         assert_eq!(t.available_nodes(), vec![0, 2]);
         t.set_quarantined(1, false);
         assert!(t.is_available(1));
-    }
-
-    #[test]
-    fn restore_failures_count_toward_the_breaker() {
-        let t = tracker(2, 60_000);
-        t.record_restore_failure(1);
-        t.record_restore_failure(1);
-        assert_eq!(t.restore_failures(1), 2);
-        assert_eq!(t.state(1), CircuitState::Open);
     }
 }

@@ -422,8 +422,6 @@ mod tests {
         // Keys outside the catalog range must still be owned by the first
         // or last chunk (the refresh-stream property SVP also has).
         let t = template("select count(*) as n from orders");
-        let db = replica();
-        db.query("set enable_seqscan = on").unwrap();
         // Insert a key far beyond the range via a separate write handle.
         let mut db2 = replica();
         db2.execute("insert into orders values (100000, 1)")

@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use apuama_cjdbc::{classify, Connection, HealthTracker, StatementKind};
 use apuama_engine::{
-    EngineError, EngineResult, ExecStats, PhaseTiming, QueryGovernor, QueryOutput,
+    EngineError, EngineResult, ExecStats, PhaseTiming, QueryGovernor, QueryOutput, ReadRequest,
 };
 use apuama_sql::Value;
 
@@ -32,7 +32,9 @@ use parking_lot::Mutex;
 pub struct ApuamaConfig {
     /// Intra-query parallelism on/off. Off = plain C-JDBC behaviour.
     pub svp_enabled: bool,
-    /// `SET enable_seqscan = off` interference around SVP sub-queries.
+    /// Optimizer interference on SVP sub-queries: each one is planned as
+    /// under `SET enable_seqscan = off` (the hint rides on the sub-query's
+    /// request; the node's session setting is never touched).
     pub force_index: bool,
     /// Replica-consistency protocol.
     pub consistency: ConsistencyMode,
@@ -207,37 +209,22 @@ impl ApuamaEngine {
     }
 
     /// Read entry point: SVP when eligible, pass-through to the
-    /// controller-chosen node otherwise.
-    pub fn execute_read(&self, preferred_node: usize, sql: &str) -> EngineResult<QueryOutput> {
+    /// controller-chosen node otherwise. An SVP query derives its
+    /// per-query governor from the request's; a pass-through hands the
+    /// request on as it came (a bound one runs from that node's plan
+    /// cache).
+    pub fn read(&self, preferred_node: usize, req: &ReadRequest<'_>) -> EngineResult<QueryOutput> {
         if self.config.svp_enabled {
-            match self.rewriter.rewrite(sql, self.nodes.len())? {
-                Rewritten::Svp(plan) => return self.execute_svp(&plan).map(|e| e.output),
-                Rewritten::Passthrough { .. } => {}
-            }
-        }
-        self.nodes[preferred_node].execute_read(sql)
-    }
-
-    /// [`ApuamaEngine::execute_read`] under a caller-supplied governor:
-    /// SVP-eligible queries derive their per-query governor from it,
-    /// pass-throughs run the statement governed on the preferred node.
-    pub fn execute_read_governed(
-        &self,
-        preferred_node: usize,
-        sql: &str,
-        gov: &QueryGovernor,
-    ) -> EngineResult<QueryOutput> {
-        if self.config.svp_enabled {
-            match self.rewriter.rewrite(sql, self.nodes.len())? {
+            match self.rewriter.rewrite(&req.rendered()?, self.nodes.len())? {
                 Rewritten::Svp(plan) => {
                     return self
-                        .execute_svp_governed(&plan, Some(gov))
+                        .execute_svp_governed(&plan, req.governor)
                         .map(|e| e.output)
                 }
                 Rewritten::Passthrough { .. } => {}
             }
         }
-        self.nodes[preferred_node].execute_read_governed(sql, gov)
+        self.nodes[preferred_node].execute_read(req)
     }
 
     /// The per-node processors, in node order (governance diagnostics:
@@ -264,12 +251,13 @@ impl ApuamaEngine {
     /// happens strictly after the release point.
     ///
     /// Sub-queries are dispatched as *prepared statements*
-    /// ([`SvpPlan::prepared`]): each worker registers its statement text
-    /// with the node's plan cache once, then every execution — including
-    /// retries and repeated runs of the same eval query — binds range
-    /// values into the cached plan instead of re-parsing and re-planning
-    /// the rendered SQL. Connections without a plan cache transparently
-    /// fall back to executing the identically rendered text.
+    /// ([`SvpPlan::prepared`]): the first execution of a statement text on
+    /// a node parses and lowers it into that node's plan cache, and every
+    /// later one — retries and repeated runs of the same eval query
+    /// included — binds range values into the cached plan instead of
+    /// re-parsing and re-planning the rendered SQL. Connections without a
+    /// plan cache transparently fall back to executing the identically
+    /// rendered text.
     ///
     /// Fault handling (see DESIGN.md §8, driven by [`FaultPolicy`]):
     ///
@@ -391,14 +379,6 @@ impl ApuamaEngine {
                 let policy = &policy;
                 let gov = &gov;
                 s.spawn(move || {
-                    // Warm the node's plan cache before taking the snapshot
-                    // ticket: interior ranges share one statement text, so
-                    // this is one parse+plan per node per eval query, and
-                    // every execution below re-binds instead of re-planning.
-                    // Errors are ignored — execution reports anything real.
-                    for &range in &my_ranges {
-                        let _ = node.prepare_subquery(&plan.prepared[range].0);
-                    }
                     let ticket = node.begin_subquery();
                     barrier.wait();
                     for range in my_ranges {
@@ -564,7 +544,6 @@ impl ApuamaEngine {
                     let (lo, hi) = plan.ranges[range];
                     let (sql, bound) = plan.template.prepared_for_range(lo, hi);
                     s.spawn(move || {
-                        let _ = node.prepare_subquery(&sql);
                         let ticket = node.begin_subquery();
                         let (attempts, result) = run_with_retries(node, &sql, &bound, policy, gov);
                         drop(ticket);
@@ -713,7 +692,7 @@ fn run_attempt(
     gov: &QueryGovernor,
 ) -> EngineResult<QueryOutput> {
     let Some(ms) = timeout_ms else {
-        return node.run_subquery_bound_governed(sql, params, gov);
+        return node.run_guarded(&ReadRequest::bound(sql, params).governed(gov));
     };
     let (tx, rx) = std::sync::mpsc::channel();
     let worker_node = Arc::clone(node);
@@ -722,7 +701,8 @@ fn run_attempt(
     let attempt_gov = gov.child();
     let worker_gov = attempt_gov.clone();
     std::thread::spawn(move || {
-        let _ = tx.send(worker_node.run_subquery_bound_governed(&statement, &bound, &worker_gov));
+        let req = ReadRequest::bound(&statement, &bound).governed(&worker_gov);
+        let _ = tx.send(worker_node.run_guarded(&req));
     });
     match rx.recv_timeout(std::time::Duration::from_millis(ms)) {
         Ok(result) => result,
@@ -754,22 +734,13 @@ impl ApuamaConnection {
 impl Connection for ApuamaConnection {
     fn execute(&self, sql: &str) -> EngineResult<QueryOutput> {
         match classify(sql)? {
-            StatementKind::Read => self.engine.execute_read(self.node, sql),
+            StatementKind::Read => self.read(&ReadRequest::text(sql)),
             StatementKind::Write => self.engine.execute_write(self.node, sql),
         }
     }
 
-    fn execute_governed(&self, sql: &str, gov: &QueryGovernor) -> EngineResult<QueryOutput> {
-        match classify(sql)? {
-            StatementKind::Read => self.engine.execute_read_governed(self.node, sql, gov),
-            // Writes stay short replicated statements: governed only by a
-            // pre-dispatch check (a half-cancelled broadcast would diverge
-            // the replicas).
-            StatementKind::Write => {
-                gov.check()?;
-                self.engine.execute_write(self.node, sql)
-            }
-        }
+    fn read(&self, req: &ReadRequest<'_>) -> EngineResult<QueryOutput> {
+        self.engine.read(self.node, req)
     }
 
     fn mem_peak_bytes(&self) -> u64 {
@@ -817,7 +788,7 @@ mod tests {
         let sql = "select count(*) as n, sum(o_totalprice) as t, avg(o_totalprice) as a \
                    from orders";
         let reference = nodes[0].with_db(|db| db.query(sql).unwrap());
-        let out = engine.execute_read(0, sql).unwrap();
+        let out = engine.read(0, &ReadRequest::text(sql)).unwrap();
         assert_eq!(out.columns, vec!["n", "t", "a"]);
         assert_eq!(out.rows[0][0], reference.rows[0][0]);
         assert_eq!(out.rows[0][1], reference.rows[0][1]);
@@ -846,7 +817,10 @@ mod tests {
         // And execution under the knob still answers correctly: sum of
         // 1..=60 (integer-valued floats, exact at any association).
         let out = engine
-            .execute_read(0, "select sum(o_totalprice) as s from orders")
+            .read(
+                0,
+                &ReadRequest::text("select sum(o_totalprice) as s from orders"),
+            )
             .unwrap();
         assert_eq!(out.rows, vec![vec![Value::Float(1830.0)]]);
         // Default config leaves the node's own default untouched.
@@ -879,18 +853,15 @@ mod tests {
         let sql = "select count(*) as n, sum(o_totalprice) as t from orders";
         let reference = nodes[0].with_db(|db| db.query(sql).unwrap());
         for _ in 0..5 {
-            let out = engine.execute_read(0, sql).unwrap();
+            let out = engine.read(0, &ReadRequest::text(sql)).unwrap();
             assert_eq!(out.rows, reference.rows);
         }
         // Each node saw one statement text five times (interior nodes share
         // the two-parameter text; outer nodes have their own one-sided
-        // text). The cache fingerprints on `enable_seqscan`, so the warm-up
-        // prepare (seqscan on) and the force-index sub-query executions
-        // (seqscan off) plan once each; every later run hits.
+        // text): the first execution plans it, every later one hits.
         for node in &nodes {
             let stats = node.with_db(|db| db.plan_cache_stats());
-            assert_eq!(stats.misses, 2, "{stats:?}");
-            assert!(stats.hits >= 5, "{stats:?}");
+            assert_eq!((stats.misses, stats.hits), (1, 4), "{stats:?}");
         }
     }
 
@@ -905,7 +876,9 @@ mod tests {
                 engine.execute_write(i, stmt).unwrap();
             }
         }
-        let out = engine.execute_read(2, "select d from dim").unwrap();
+        let out = engine
+            .read(2, &ReadRequest::text("select d from dim"))
+            .unwrap();
         assert_eq!(out.rows, vec![vec![Value::Int(7)]]);
     }
 
@@ -919,7 +892,7 @@ mod tests {
             },
         );
         let out = engine
-            .execute_read(1, "select count(*) as n from orders")
+            .read(1, &ReadRequest::text("select count(*) as n from orders"))
             .unwrap();
         // Still correct, just single-node.
         assert_eq!(out.rows[0][0], Value::Int(60));
@@ -1057,7 +1030,7 @@ mod fault_tests {
             target: FaultTarget::Reads,
             ..FaultPlan::fail_all()
         });
-        let want = healthy.execute_read(0, SQL).unwrap();
+        let want = healthy.read(0, &ReadRequest::text(SQL)).unwrap();
         let Rewritten::Svp(plan) = engine.rewriter().rewrite(SQL, 4).unwrap() else {
             panic!()
         };
@@ -1088,11 +1061,11 @@ mod fault_tests {
             target: FaultTarget::Reads,
             ..FaultPlan::fail_all()
         });
-        assert!(engine.execute_read(0, SQL).is_err());
+        assert!(engine.read(0, &ReadRequest::text(SQL)).is_err());
         faulties[2].heal();
-        let replay = engine.execute_read(0, SQL).unwrap();
+        let replay = engine.read(0, &ReadRequest::text(SQL)).unwrap();
         let (fresh, _) = faulty_cluster(3, ApuamaConfig::default());
-        let want = fresh.execute_read(0, SQL).unwrap();
+        let want = fresh.read(0, &ReadRequest::text(SQL)).unwrap();
         assert_eq!(replay.rows, want.rows);
     }
 
@@ -1144,7 +1117,7 @@ mod fault_tests {
             only_matching: Some("from orders".into()),
             ..FaultPlan::default()
         });
-        let want = healthy.execute_read(0, SQL).unwrap();
+        let want = healthy.read(0, &ReadRequest::text(SQL)).unwrap();
         let Rewritten::Svp(plan) = engine.rewriter().rewrite(SQL, 3).unwrap() else {
             panic!()
         };
@@ -1177,7 +1150,7 @@ mod fault_tests {
         });
         // First query trips node 1's breaker (2 attempts fail), recovers by
         // reassignment.
-        engine.execute_read(0, SQL).unwrap();
+        engine.read(0, &ReadRequest::text(SQL)).unwrap();
         assert_eq!(engine.health().state(1), apuama_cjdbc::CircuitState::Open);
         let calls_before = faulties[1].calls();
         // Second query never touches node 1: its range is pre-routed.
@@ -1191,6 +1164,40 @@ mod fault_tests {
             .reassigned
             .iter()
             .any(|&(range, node)| range == 1 && node != 1));
+    }
+
+    /// A sub-query is one request to its node: no SET before it, none
+    /// after it, no warm-up prepare — on the first run and on every later
+    /// one.
+    #[test]
+    fn svp_query_makes_exactly_one_call_per_node() {
+        let (engine, faulties) = faulty_cluster(4, ApuamaConfig::default());
+        for run in 1..=3 {
+            engine.read(0, &ReadRequest::text(SQL)).unwrap();
+            for (i, f) in faulties.iter().enumerate() {
+                assert_eq!(f.calls(), run, "node {i} after run {run}");
+            }
+        }
+    }
+
+    /// A request down `read` is a read by construction; when a caller gets
+    /// that wrong, the node's read entry is what refuses it — every layer
+    /// above passed it on unparsed.
+    #[test]
+    fn write_text_down_the_read_path_is_refused_and_changes_nothing() {
+        let (engine, faulties) = faulty_cluster(4, ApuamaConfig::default());
+        let conn = engine.connection(2);
+        for sql in [
+            "insert into orders values (1000, 1.0)",
+            "delete from orders where o_orderkey > 0",
+        ] {
+            let err = conn.read(&ReadRequest::text(sql)).unwrap_err();
+            assert!(matches!(err, EngineError::Unsupported(_)), "{err:?}");
+        }
+        assert_eq!(faulties[2].calls(), 2, "both reached the node");
+        let out = engine.read(2, &ReadRequest::text(SQL)).unwrap();
+        assert_eq!(out.rows[0][0], Value::Int(60));
+        assert_eq!(engine.txn_counters(), vec![0; 4]);
     }
 
     #[test]
@@ -1332,9 +1339,9 @@ mod governance_tests {
         assert!(matches!(err, EngineError::Timeout(_)), "{err:?}");
 
         heal_all(&faulties);
-        let replay = engine.execute_read(0, SQL).unwrap();
+        let replay = engine.read(0, &ReadRequest::text(SQL)).unwrap();
         let (fresh, _) = faulty_cluster(3, ApuamaConfig::default());
-        let want = fresh.execute_read(0, SQL).unwrap();
+        let want = fresh.read(0, &ReadRequest::text(SQL)).unwrap();
         assert_eq!(replay.rows, want.rows);
     }
 
@@ -1361,9 +1368,9 @@ mod governance_tests {
         assert!(matches!(err, EngineError::Cancelled(_)), "{err:?}");
 
         heal_all(&faulties);
-        let replay = engine.execute_read(0, SQL).unwrap();
+        let replay = engine.read(0, &ReadRequest::text(SQL)).unwrap();
         let (fresh, _) = faulty_cluster(3, ApuamaConfig::default());
-        let want = fresh.execute_read(0, SQL).unwrap();
+        let want = fresh.read(0, &ReadRequest::text(SQL)).unwrap();
         assert_eq!(replay.rows, want.rows);
     }
 
@@ -1393,9 +1400,7 @@ mod governance_tests {
     }
 
     /// A bound read through the driver connection is governed like its
-    /// text form: `ApuamaConnection` overrides the text pair only, and the
-    /// trait's bound default used to check the governor once and then run
-    /// the statement without it — rows after the delay, no deadline.
+    /// text form: the request reaches the SVP executor whole.
     #[test]
     fn bound_read_through_the_connection_observes_its_deadline() {
         let (engine, faulties) = faulty_cluster(3, ApuamaConfig::default());
@@ -1403,8 +1408,9 @@ mod governance_tests {
         let conn = engine.connection(0);
         let sql = "select count(*) as n from orders where o_totalprice > $1";
         let gov = QueryGovernor::new().with_deadline_in(Duration::from_millis(10));
+        let params = [Value::Float(10.0)];
         let err = conn
-            .execute_bound_governed(sql, &[Value::Float(10.0)], &gov)
+            .read(&ReadRequest::bound(sql, &params).governed(&gov))
             .unwrap_err();
         assert!(matches!(err, EngineError::Timeout(_)), "{err:?}");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -1421,9 +1427,7 @@ mod governance_tests {
         }
 
         heal_all(&faulties);
-        let out = conn
-            .execute_bound_governed(sql, &[Value::Float(10.0)], &QueryGovernor::new())
-            .unwrap();
+        let out = conn.read(&ReadRequest::bound(sql, &params)).unwrap();
         assert_eq!(out.rows, vec![vec![Value::Int(53)]]);
     }
 
@@ -1440,13 +1444,13 @@ mod governance_tests {
             },
         );
         delay_all(&faulties, 80);
-        let err = engine.execute_read(0, SQL).unwrap_err();
+        let err = engine.read(0, &ReadRequest::text(SQL)).unwrap_err();
         assert!(matches!(err, EngineError::Timeout(_)), "{err:?}");
 
         heal_all(&faulties);
-        let out = engine.execute_read(0, SQL).unwrap();
+        let out = engine.read(0, &ReadRequest::text(SQL)).unwrap();
         let (fresh, _) = faulty_cluster(3, ApuamaConfig::default());
-        let want = fresh.execute_read(0, SQL).unwrap();
+        let want = fresh.read(0, &ReadRequest::text(SQL)).unwrap();
         assert_eq!(out.rows, want.rows);
     }
 }

@@ -15,8 +15,8 @@
 //!   (`avg → sum + count`, `count → sum` of partial counts), and
 //!   synthesizing the composition query that re-aggregates partial results;
 //! * **Node Processor** ([`node`]) — per-node connection pool, and the
-//!   optimizer interference (`SET enable_seqscan = off` while SVP
-//!   sub-queries run, restored afterwards);
+//!   optimizer interference (every SVP sub-query is planned as under
+//!   `enable_seqscan = off`; the hint rides on the statement's request);
 //! * **Result Composer** ([`composer`]) — loads partial results into an
 //!   in-memory engine (the paper uses HSQLDB) and runs the composition
 //!   query;

@@ -1,6 +1,16 @@
 //! Node Processors: per-node connection pools, optimizer interference, and
 //! the snapshot ordering SVP sub-queries need.
 //!
+//! The interference (paper §3: "Apuama disables full scans only before
+//! starting to process a query using intra-query parallelism. When the
+//! query processing is finished, the original settings are
+//! re-established") rides on each sub-query's request as the
+//! avoid-sequential-scans hint. In PostgreSQL the `SET enable_seqscan` the
+//! paper sends is scoped to one session of the pool; here every pool slot
+//! of a node shares one session, so the per-statement hint is what gives
+//! the setting the scope the paper relied on — no pass-through read that
+//! overlaps a sub-query sees it, and there is nothing to restore.
+//!
 //! Paper §4: "For each connection established by C-JDBC using Apuama, a
 //! Node Processor is created and is responsible for mediating and
 //! monitoring requests sent to its corresponding DBMS. To be able to
@@ -13,7 +23,8 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use apuama_cjdbc::{BreakerPolicy, Connection, HealthTracker};
-use apuama_engine::{EngineError, EngineResult, QueryGovernor, QueryOutput};
+use apuama_engine::{EngineError, EngineResult, QueryOutput, ReadRequest};
+use apuama_sql::Value;
 
 /// A counting semaphore bounding concurrent statements per node — the
 /// connection pool. (In-process we do not hold real sockets; the pool's
@@ -61,22 +72,10 @@ impl Drop for PoolSlot<'_> {
     }
 }
 
-/// State of the `enable_seqscan` interference: how many SVP sub-queries are
-/// currently running on this node. The setting is flipped off when the
-/// count leaves zero and restored when it returns to zero — the paper's
-/// "Apuama disables full scans only before starting to process a query
-/// using intra-query parallelism. When the query processing is finished,
-/// the original settings are re-established."
-#[derive(Debug, Default)]
-struct SvpActivity {
-    active: Mutex<u64>,
-}
-
 /// One node's processor.
 pub struct NodeProcessor {
     conn: Arc<dyn Connection>,
     pool: ConnectionPool,
-    svp: SvpActivity,
     /// Committed write transactions observed through this processor — the
     /// consistency protocol's per-node transaction counter.
     txn_counter: AtomicU64,
@@ -129,7 +128,6 @@ impl NodeProcessor {
         Arc::new(NodeProcessor {
             conn,
             pool: ConnectionPool::new(pool_size),
-            svp: SvpActivity::default(),
             txn_counter: AtomicU64::new(0),
             snapshot: RwLock::new(()),
             force_index,
@@ -142,11 +140,6 @@ impl NodeProcessor {
     /// The health tracker this processor reports into.
     pub fn health(&self) -> &Arc<HealthTracker> {
         &self.health
-    }
-
-    /// SVP sub-queries currently holding the seqscan interference.
-    pub fn svp_active(&self) -> u64 {
-        *self.svp.active.lock()
     }
 
     /// Node name (from the wrapped connection).
@@ -170,24 +163,13 @@ impl NodeProcessor {
         self.txn_counter.load(Ordering::SeqCst)
     }
 
-    /// Pass-through read (non-SVP OLTP/OLAP query, or SET).
-    pub fn execute_read(&self, sql: &str) -> EngineResult<QueryOutput> {
+    /// Pass-through read (non-SVP OLTP/OLAP query, or SET), as the
+    /// request describes it.
+    pub fn execute_read(&self, req: &ReadRequest<'_>) -> EngineResult<QueryOutput> {
         self.pool.acquire();
         let _slot = PoolSlot(&self.pool);
         let _shared = self.snapshot.read();
-        self.conn.execute(sql)
-    }
-
-    /// Pass-through read under a [`QueryGovernor`].
-    pub fn execute_read_governed(
-        &self,
-        sql: &str,
-        gov: &QueryGovernor,
-    ) -> EngineResult<QueryOutput> {
-        self.pool.acquire();
-        let _slot = PoolSlot(&self.pool);
-        let _shared = self.snapshot.read();
-        self.conn.execute_governed(sql, gov)
+        self.conn.read(req)
     }
 
     /// Peak pipeline-breaker memory reported by the wrapped backend.
@@ -212,79 +194,29 @@ impl NodeProcessor {
     /// ticket.
     pub fn begin_subquery(&self) -> SubqueryTicket<'_> {
         SubqueryTicket {
-            node: self,
             _shared: self.snapshot.read(),
         }
     }
 
-    /// Runs one SVP sub-query statement — pool slot, optimizer
-    /// interference, execution — *without* touching the snapshot lock.
-    /// Snapshot ordering is the ticket's job; splitting the statement out
-    /// lets the engine run it on a detached thread under a deadline (the
-    /// ticket guard is not `Send`) while the worker keeps holding the
-    /// ticket. Outcomes are reported to the health tracker.
-    pub fn run_subquery_statement(&self, sql: &str) -> EngineResult<QueryOutput> {
-        self.run_guarded(|conn| conn.execute(sql))
-    }
-
-    /// Like [`NodeProcessor::run_subquery_statement`], but executes a
-    /// prepared statement with bound range values. Engine-backed
-    /// connections serve this from their plan cache — the dispatcher's
-    /// "parse and plan once per node" path; interposing connections fall
-    /// back to the trait's text-substitution default, which renders the
-    /// identical SQL the literal path would send.
-    pub fn run_subquery_bound(
-        &self,
-        sql: &str,
-        params: &[apuama_sql::Value],
-    ) -> EngineResult<QueryOutput> {
-        self.run_guarded(|conn| conn.execute_bound(sql, params))
-    }
-
-    /// Like [`NodeProcessor::run_subquery_bound`], but the statement runs
-    /// under a [`QueryGovernor`]: a cancelled or expired governor stops it
-    /// at the next batch boundary instead of letting it run to completion.
-    /// This is how the engine reclaims an abandoned (timed-out) attempt —
-    /// the detached thread observes the cancel, unwinds, and releases its
-    /// pool slot.
-    pub fn run_subquery_bound_governed(
-        &self,
-        sql: &str,
-        params: &[apuama_sql::Value],
-        gov: &QueryGovernor,
-    ) -> EngineResult<QueryOutput> {
-        self.run_guarded(|conn| conn.execute_bound_governed(sql, params, gov))
-    }
-
-    /// Registers a sub-query statement with the node's plan cache ahead of
-    /// execution (dispatch warm-up). Failures are the caller's to ignore:
-    /// execution re-reports anything real.
-    pub fn prepare_subquery(&self, sql: &str) -> EngineResult<usize> {
-        self.conn.prepare(sql)
-    }
-
-    fn run_guarded(
-        &self,
-        run: impl FnOnce(&dyn Connection) -> EngineResult<QueryOutput>,
-    ) -> EngineResult<QueryOutput> {
+    /// Runs one SVP sub-query — pool slot, optimizer interference,
+    /// execution — *without* touching the snapshot lock. Snapshot ordering
+    /// is the ticket's job; splitting the statement out lets the engine
+    /// run it on a detached thread under a deadline (the ticket guard is
+    /// not `Send`) while the worker keeps holding the ticket. A bound
+    /// request is served from the node's plan cache — the dispatcher's
+    /// "parse and plan once per node" path — and a governed one stops at
+    /// the next batch boundary once its governor fires, which is how the
+    /// engine reclaims an abandoned (timed-out) attempt: the detached
+    /// thread observes the cancel, unwinds, and releases its pool slot.
+    /// The interference is the request's avoid-sequential-scans hint, set
+    /// here from `force_index`; nothing else is sent. Outcomes are
+    /// reported to the health tracker.
+    pub(crate) fn run_guarded(&self, req: &ReadRequest<'_>) -> EngineResult<QueryOutput> {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         let _in_flight = InFlightGuard(&self.in_flight);
         self.pool.acquire();
         let _slot = PoolSlot(&self.pool);
-        let guard = if self.force_index {
-            match SeqscanGuard::engage(self) {
-                Ok(g) => Some(g),
-                Err(e) => {
-                    // The interference SET itself failed: the sub-query
-                    // never ran. Plain failure, refcount untouched.
-                    self.health.record_failure(self.index);
-                    return Err(e);
-                }
-            }
-        } else {
-            None
-        };
-        let result = run(self.conn.as_ref());
+        let result = self.conn.read(&req.avoiding_seqscan(self.force_index));
         match &result {
             Ok(_) => self.health.record_success(self.index),
             // A cooperative cancel is the *coordinator* abandoning the
@@ -294,11 +226,19 @@ impl NodeProcessor {
             Err(EngineError::Cancelled(_)) => {}
             Err(_) => self.health.record_failure(self.index),
         }
-        // Dropping the guard *after* recording lets a failed
-        // `enable_seqscan = on` restore stand as the node's latest health
-        // event without clobbering a successful result.
-        drop(guard);
         result
+    }
+
+    /// [`NodeProcessor::run_guarded`] on a statement's text (`EXPLAIN
+    /// ANALYZE` of a sub-query included: it plans under the same hint).
+    pub fn run_subquery_statement(&self, sql: &str) -> EngineResult<QueryOutput> {
+        self.run_guarded(&ReadRequest::text(sql))
+    }
+
+    /// [`NodeProcessor::run_guarded`] on a prepared sub-query
+    /// ([`crate::rewrite::SvpPlan::prepared`]) with its range values bound.
+    pub fn run_subquery_bound(&self, sql: &str, params: &[Value]) -> EngineResult<QueryOutput> {
+        self.run_guarded(&ReadRequest::bound(sql, params))
     }
 
     /// Marks an externally detected failure (the engine's sub-query
@@ -308,73 +248,21 @@ impl NodeProcessor {
     }
 }
 
-/// RAII for the `enable_seqscan` interference refcount.
-///
-/// The count is bumped only after `set enable_seqscan = off` succeeds, and
-/// the drop handler always decrements — so a failed SET can no longer leak
-/// the refcount and permanently disable the interference (the seed's bug).
-/// A failed restore (`set enable_seqscan = on`) is *reported*, not
-/// propagated: the sub-query's result stands, and the node's suspect
-/// session state is surfaced through the health tracker.
-struct SeqscanGuard<'a> {
-    node: &'a NodeProcessor,
-}
-
-impl<'a> SeqscanGuard<'a> {
-    fn engage(node: &'a NodeProcessor) -> EngineResult<Self> {
-        let mut active = node.svp.active.lock();
-        if *active == 0 {
-            // Fallible part first: only a successful SET owns a count.
-            node.conn.execute("set enable_seqscan = off")?;
-        }
-        *active += 1;
-        Ok(SeqscanGuard { node })
-    }
-}
-
-impl Drop for SeqscanGuard<'_> {
-    fn drop(&mut self) {
-        let node = self.node;
-        let mut active = node.svp.active.lock();
-        *active -= 1;
-        if *active == 0 {
-            // Restore the original setting even if the query failed; if the
-            // restore itself fails, surface it through the health tracker —
-            // never clobber the sub-query result from a drop handler.
-            if node.conn.execute("set enable_seqscan = on").is_err() {
-                node.health.record_restore_failure(node.index);
-            }
-        }
-    }
-}
-
 /// The dispatch ticket: holding it keeps this node's updates ordered after
-/// the sub-query. Execute the sub-query through [`SubqueryTicket::run`].
+/// the sub-query. It is only the snapshot guard — the sub-query itself runs
+/// through the processor ([`NodeProcessor::run_subquery_bound`]), on
+/// whichever thread the dispatcher chooses.
 pub struct SubqueryTicket<'a> {
-    node: &'a NodeProcessor,
     _shared: parking_lot::RwLockReadGuard<'a, ()>,
-}
-
-impl SubqueryTicket<'_> {
-    /// Runs the SVP sub-query, applying the optimizer interference.
-    pub fn run(&self, sql: &str) -> EngineResult<QueryOutput> {
-        self.node.run_subquery_statement(sql)
-    }
-
-    /// Runs the SVP sub-query from a prepared statement with bound range
-    /// values, applying the optimizer interference.
-    pub fn run_bound(&self, sql: &str, params: &[apuama_sql::Value]) -> EngineResult<QueryOutput> {
-        self.node.run_subquery_bound(sql, params)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apuama_cjdbc::{EngineNode, NodeConnection};
+    use apuama_cjdbc::{EngineNode, FaultPlan, FaultyConnection, NodeConnection};
     use apuama_engine::Database;
 
-    fn node(force_index: bool) -> (Arc<NodeProcessor>, Arc<EngineNode>) {
+    fn engine_node() -> Arc<EngineNode> {
         let mut db = Database::new(64);
         db.execute("create table t (k int not null, v float, primary key (k)) clustered by (k)")
             .unwrap();
@@ -382,9 +270,23 @@ mod tests {
             db.execute(&format!("insert into t values ({i}, {i}.0)"))
                 .unwrap();
         }
-        let engine_node = EngineNode::new("n0", db);
+        EngineNode::new("n0", db)
+    }
+
+    fn node(force_index: bool) -> (Arc<NodeProcessor>, Arc<EngineNode>) {
+        let engine_node = engine_node();
         let conn: Arc<dyn Connection> = Arc::new(NodeConnection::new(engine_node.clone()));
         (NodeProcessor::new(conn, 4, force_index), engine_node)
+    }
+
+    /// A range on the clustered key wide enough that the planner's own
+    /// choice is the sequential scan: the access path follows the
+    /// sequential-scan permission and nothing else.
+    const WIDE: &str = "select sum(v) as s from t where k >= 0";
+
+    fn plan_of(out: &QueryOutput) -> String {
+        let lines: Vec<&str> = out.rows.iter().filter_map(|r| r[0].as_str()).collect();
+        lines.join("\n")
     }
 
     #[test]
@@ -394,80 +296,97 @@ mod tests {
         np.execute_write("insert into t values (1000, 0.0)")
             .unwrap();
         assert_eq!(np.txn_count(), 1);
-        let out = np.execute_read("select count(*) as n from t").unwrap();
-        assert_eq!(out.rows[0][0], apuama_sql::Value::Int(101));
+        let out = np
+            .execute_read(&ReadRequest::text("select count(*) as n from t"))
+            .unwrap();
+        assert_eq!(out.rows[0][0], Value::Int(101));
         // Reads do not bump the counter.
         assert_eq!(np.txn_count(), 1);
     }
 
     #[test]
-    fn subquery_toggles_seqscan_off_and_back() {
-        let (np, engine_node) = node(true);
-        assert!(engine_node.with_db(|db| db.seqscan_enabled()));
-        let ticket = np.begin_subquery();
-        ticket
-            .run("select sum(v) as s from t where k >= 10 and k < 20")
-            .unwrap();
+    fn subquery_carries_the_hint_and_the_session_keeps_its_setting() {
+        let (forced, forced_node) = node(true);
+        let (plain, plain_node) = node(false);
+        let ticket = forced.begin_subquery();
+        let with_hint = forced.run_subquery_statement(WIDE).unwrap();
         drop(ticket);
-        // Restored afterwards.
-        assert!(engine_node.with_db(|db| db.seqscan_enabled()));
+        let without = plain.run_subquery_statement(WIDE).unwrap();
+        assert_eq!(with_hint.rows, without.rows);
+        assert_ne!(with_hint.stats, without.stats, "the index was forced");
+        // EXPLAIN of a sub-query plans under the same hint.
+        let explain = format!("explain {WIDE}");
+        let forced_plan = plan_of(&forced.run_subquery_statement(&explain).unwrap());
+        assert!(forced_plan.contains("index range"), "{forced_plan}");
+        let plain_plan = plan_of(&plain.run_subquery_statement(&explain).unwrap());
+        assert!(plain_plan.contains("seq scan"), "{plain_plan}");
+        // Neither processor sent a SET: the hint is the whole interference.
+        assert!(forced_node.with_db(|db| db.seqscan_enabled()));
+        assert!(plain_node.with_db(|db| db.seqscan_enabled()));
     }
 
     #[test]
     fn bound_subquery_matches_literal_and_uses_the_plan_cache() {
-        use apuama_sql::Value;
         let (np, engine_node) = node(true);
         let sql = "select sum(v) as s from t where k >= $1 and k < $2";
-        np.prepare_subquery(sql).unwrap();
         let ticket = np.begin_subquery();
-        let want = ticket
-            .run("select sum(v) as s from t where k >= 10 and k < 20")
+        let want = np
+            .run_subquery_statement("select sum(v) as s from t where k >= 10 and k < 20")
             .unwrap();
         for _ in 0..3 {
-            let got = ticket
-                .run_bound(sql, &[Value::Int(10), Value::Int(20)])
+            let got = np
+                .run_subquery_bound(sql, &[Value::Int(10), Value::Int(20)])
                 .unwrap();
             assert_eq!(got.rows, want.rows);
         }
         drop(ticket);
-        // Interference restored, and the three bound runs shared one plan.
-        // The cache fingerprints on `enable_seqscan`, so the prepare (run
-        // with seqscan on) and the ticketed executions (forced off) are
-        // two entries — a plan chosen under one access-path setting is
-        // never served under the other.
-        assert!(engine_node.with_db(|db| db.seqscan_enabled()));
+        // The three bound runs shared one plan, lowered by the first.
         let stats = engine_node.with_db(|db| db.plan_cache_stats());
-        assert_eq!(
-            stats.misses, 2,
-            "one plan per seqscan setting for the bound statement"
+        assert_eq!((stats.misses, stats.hits), (1, 2), "{stats:?}");
+    }
+
+    /// A pass-through read that overlaps an SVP sub-query on the same node
+    /// is planned exactly as on an idle node: the sub-query's interference
+    /// is its own request's, not the session every pool slot shares.
+    #[test]
+    fn passthrough_read_is_untouched_by_a_subquery_in_flight() {
+        let read = ReadRequest::text(WIDE);
+        let idle = {
+            let (np, _) = node(true);
+            np.execute_read(&read).unwrap()
+        };
+
+        let engine_node = engine_node();
+        // Holds the sub-query (and only it) inside the connection.
+        let faulty = FaultyConnection::new(
+            Arc::new(NodeConnection::new(engine_node.clone())),
+            FaultPlan {
+                delay: std::time::Duration::from_millis(300),
+                only_matching: Some("count(*)".into()),
+                ..FaultPlan::default()
+            },
         );
-        assert!(stats.hits >= 2, "{stats:?}");
-    }
-
-    #[test]
-    fn force_index_disabled_leaves_setting_alone() {
-        let (np, engine_node) = node(false);
-        let ticket = np.begin_subquery();
-        // Run and make sure the setting never flipped (we can't observe
-        // mid-flight here, but with force_index=false the toggle path is
-        // never taken, so a poisoned 'off' would persist if it ran).
-        ticket.run("select count(*) as n from t").unwrap();
-        drop(ticket);
-        assert!(engine_node.with_db(|db| db.seqscan_enabled()));
-    }
-
-    #[test]
-    fn nested_subqueries_share_the_toggle() {
-        let (np, engine_node) = node(true);
-        let t1 = np.begin_subquery();
-        let t2 = np.begin_subquery();
-        t1.run("select count(*) as a from t").unwrap();
-        // After t1's statement the refcount is back to 0 only if t2 hasn't
-        // run yet; run t2 and ensure the final state is restored.
-        t2.run("select count(*) as b from t").unwrap();
-        drop(t1);
-        drop(t2);
-        assert!(engine_node.with_db(|db| db.seqscan_enabled()));
+        let np = NodeProcessor::new(faulty.clone() as Arc<dyn Connection>, 4, true);
+        let seqscan_on = || engine_node.with_db(|db| db.seqscan_enabled());
+        let overlapped = std::thread::scope(|s| {
+            let sub = s.spawn(|| {
+                let _ticket = np.begin_subquery();
+                np.run_subquery_statement("select count(*) as n from t where k >= 0")
+            });
+            while faulty.matching_calls() == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(np.subqueries_in_flight(), 1);
+            assert!(seqscan_on(), "session setting flipped under a sub-query");
+            let out = np.execute_read(&read);
+            assert!(seqscan_on());
+            assert_eq!(sub.join().unwrap().unwrap().rows[0][0], Value::Int(100));
+            out.unwrap()
+        });
+        assert_eq!(overlapped.rows, idle.rows);
+        assert_eq!(overlapped.stats, idle.stats);
+        assert!(seqscan_on());
+        assert_eq!(faulty.calls(), 2, "one call per statement, no SET");
     }
 
     #[test]
@@ -488,71 +407,14 @@ mod tests {
     }
 
     #[test]
-    fn failed_seqscan_set_does_not_leak_the_refcount() {
-        use apuama_cjdbc::{FaultPlan, FaultyConnection};
-        let (np, engine_node) = node(true);
-        let faulty = FaultyConnection::new(
-            Arc::new(NodeConnection::new(engine_node.clone())),
-            FaultPlan {
-                only_matching: Some("enable_seqscan = off".into()),
-                ..FaultPlan::fail_all()
-            },
-        );
-        drop(np);
-        let np = NodeProcessor::new(faulty.clone() as Arc<dyn Connection>, 4, true);
-        // The interference SET fails; the sub-query surfaces the error…
-        let ticket = np.begin_subquery();
-        assert!(ticket.run("select count(*) as n from t").is_err());
-        drop(ticket);
-        // …but the refcount did not leak (the seed bug left it at 1,
-        // permanently suppressing the restore).
-        assert_eq!(np.svp_active(), 0);
-        // After the fault clears, the toggle works end to end again.
-        faulty.heal();
-        let ticket = np.begin_subquery();
-        ticket.run("select count(*) as n from t").unwrap();
-        drop(ticket);
-        assert!(engine_node.with_db(|db| db.seqscan_enabled()));
-    }
-
-    #[test]
-    fn failed_restore_keeps_the_result_and_reports_health() {
-        use apuama_cjdbc::{FaultPlan, FaultyConnection};
-        let (np, engine_node) = node(true);
-        let faulty = FaultyConnection::new(
-            Arc::new(NodeConnection::new(engine_node.clone())),
-            FaultPlan {
-                only_matching: Some("enable_seqscan = on".into()),
-                ..FaultPlan::fail_all()
-            },
-        );
-        drop(np);
-        let np = NodeProcessor::new(faulty.clone() as Arc<dyn Connection>, 4, true);
-        let ticket = np.begin_subquery();
-        // The sub-query succeeds; the restore SET fails. The seed discarded
-        // the successful result here — it must survive.
-        let out = ticket.run("select count(*) as n from t").unwrap();
-        assert_eq!(out.rows[0][0], apuama_sql::Value::Int(100));
-        drop(ticket);
-        assert_eq!(np.svp_active(), 0);
-        // The failure is surfaced through the health tracker instead.
-        assert_eq!(np.health().restore_failures(0), 1);
-        // Seqscan is genuinely still off (the restore failed)…
-        assert!(!engine_node.with_db(|db| db.seqscan_enabled()));
-        // …and the next successful round trip restores it.
-        faulty.heal();
-        let ticket = np.begin_subquery();
-        ticket.run("select count(*) as n from t").unwrap();
-        drop(ticket);
-        assert!(engine_node.with_db(|db| db.seqscan_enabled()));
-    }
-
-    #[test]
     fn statement_outcomes_feed_the_health_tracker() {
         let (np, _) = node(true);
         let ticket = np.begin_subquery();
-        ticket.run("select count(*) as n from t").unwrap();
-        assert!(ticket.run("select nope from missing").is_err());
+        np.run_subquery_statement("select count(*) as n from t")
+            .unwrap();
+        assert!(np
+            .run_subquery_statement("select nope from missing")
+            .is_err());
         drop(ticket);
         assert_eq!(np.health().successes(0), 1);
         assert_eq!(np.health().failures(0), 1);
@@ -568,7 +430,8 @@ mod tests {
                 let np = Arc::clone(&np);
                 s.spawn(move || {
                     for _ in 0..10 {
-                        np.execute_read("select count(*) as n from t").unwrap();
+                        np.execute_read(&ReadRequest::text("select count(*) as n from t"))
+                            .unwrap();
                     }
                 });
             }

@@ -1,14 +1,16 @@
 //! The database façade: statement dispatch, sessions settings, transactions.
 //!
 //! One [`Database`] instance is one cluster node's DBMS. Reads
-//! ([`Database::query`]) take `&self` and may run concurrently from many
+//! ([`Database::read`]) take `&self` and may run concurrently from many
 //! threads (the buffer pool serializes internally); writes
 //! ([`Database::execute`]) take `&mut self`, matching the cluster layer's
 //! reader-writer locking and C-JDBC's totally ordered write broadcast.
 //!
-//! `SET enable_seqscan = on|off` is accepted on the read path because that
-//! is exactly how Apuama interferes with the optimizer around SVP
-//! sub-queries without opening a write transaction.
+//! `SET` is accepted on the read path (a session setting opens no write
+//! transaction). `SET enable_seqscan = off` is the session-wide form of
+//! the optimizer interference; Apuama's SVP sub-queries carry it per
+//! statement instead ([`ReadRequest::avoid_seqscan`]), because every
+//! connection to one node shares this one session.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -27,6 +29,7 @@ use crate::exec::{self, ExecContext};
 use crate::governor::{MemoryGauge, QueryGovernor};
 use crate::physical;
 use crate::plan_cache::{self, CachedPlan, PlanCache, PlanCacheStats};
+use crate::request::ReadRequest;
 use crate::stats::ExecStats;
 use crate::table::Table;
 
@@ -106,6 +109,14 @@ fn parse_uint_setting(name: &str, value: &str) -> EngineResult<u64> {
             "invalid value for {name}: '{value}' (expected a non-negative integer)"
         ))
     })
+}
+
+/// What [`Database::plan_for`] made of a statement text.
+enum Planned {
+    /// A SELECT, lowered and cached.
+    Select(Arc<CachedPlan>),
+    /// Anything else, as parsed.
+    Other(Box<Statement>),
 }
 
 /// Undo-log entry for transaction rollback.
@@ -343,35 +354,81 @@ impl Database {
         Ok(last)
     }
 
-    /// Read-only entry point usable from `&self` (concurrent readers).
-    /// Accepts SELECT and SET; anything else is rejected.
+    /// Read-only text entry (see [`Database::read`]).
     pub fn query(&self, sql: &str) -> EngineResult<QueryOutput> {
-        self.query_opt_governed(sql, None)
+        self.read(&ReadRequest::text(sql))
     }
 
-    /// [`Database::query`] under a [`QueryGovernor`]: the statement is
-    /// cancellable and deadline-bounded at scan-batch grain.
-    pub fn query_governed(&self, sql: &str, gov: &QueryGovernor) -> EngineResult<QueryOutput> {
-        self.query_opt_governed(sql, Some(gov))
+    /// The read entry point, usable from `&self` (concurrent readers):
+    /// runs SELECT, SET and EXPLAIN and refuses anything else, so a write
+    /// that reaches it by mistake changes nothing. With bound values
+    /// (`req.params`) a SELECT runs from the plan cache — parsed and
+    /// lowered once per statement text and `enable_kernel` setting, not
+    /// once per execution — and the result is byte-identical to rendering
+    /// the literals into the text. The statement observes `req.governor`
+    /// at scan-batch grain, and `req.avoid_seqscan` plans it as under
+    /// `SET enable_seqscan = off` without touching the session.
+    pub fn read(&self, req: &ReadRequest<'_>) -> EngineResult<QueryOutput> {
+        let Some(params) = req.params else {
+            return self.read_stmt(&parse_statement(req.sql)?, req.governor, req.avoid_seqscan);
+        };
+        let plan = match self.plan_for(req.sql)? {
+            Planned::Select(plan) => plan,
+            // SET / EXPLAIN take no parameters and are never cached.
+            Planned::Other(_) if !params.is_empty() => {
+                return Err(EngineError::Unsupported(
+                    "parameters are only supported on SELECT statements".into(),
+                ));
+            }
+            Planned::Other(stmt) => return self.read_stmt(&stmt, req.governor, req.avoid_seqscan),
+        };
+        if params.len() != plan.n_params {
+            return Err(EngineError::TypeError(format!(
+                "statement takes {} parameter(s), got {}",
+                plan.n_params,
+                params.len()
+            )));
+        }
+        let ctx = self.read_context(params.to_vec(), req.governor, req.avoid_seqscan);
+        let rel = physical::execute(&plan.physical, &[], &ctx)?;
+        Ok(Self::select_output(rel, &ctx))
     }
 
-    fn query_opt_governed(
+    /// The context one read statement executes in: the caller's governor
+    /// tightened by the session default, and the sequential-scan
+    /// permission left after the request's hint.
+    fn read_context(
         &self,
-        sql: &str,
+        params: Vec<Value>,
         gov: Option<&QueryGovernor>,
+        avoid_seqscan: bool,
+    ) -> ExecContext<'_> {
+        ExecContext::governed(self, params, self.statement_governor(gov))
+            .restrict_seqscan(!avoid_seqscan)
+    }
+
+    fn select_output(rel: exec::Relation, ctx: &ExecContext<'_>) -> QueryOutput {
+        ctx.record_output(&rel);
+        QueryOutput {
+            columns: rel.column_names(),
+            rows: rel.rows,
+            rows_affected: 0,
+            stats: ctx.take_stats(),
+        }
+    }
+
+    /// Runs one parsed statement on the read path.
+    fn read_stmt(
+        &self,
+        stmt: &Statement,
+        gov: Option<&QueryGovernor>,
+        avoid_seqscan: bool,
     ) -> EngineResult<QueryOutput> {
-        let stmt = parse_statement(sql)?;
-        match &stmt {
+        match stmt {
             Statement::Select(q) => {
-                let ctx = ExecContext::governed(self, Vec::new(), self.statement_governor(gov));
+                let ctx = self.read_context(Vec::new(), gov, avoid_seqscan);
                 let rel = exec::run_select(q, &[], &ctx)?;
-                ctx.record_output(&rel);
-                Ok(QueryOutput {
-                    columns: rel.column_names(),
-                    rows: rel.rows,
-                    rows_affected: 0,
-                    stats: ctx.take_stats(),
-                })
+                Ok(Self::select_output(rel, &ctx))
             }
             Statement::Set { name, value } => {
                 self.apply_set(name, value)?;
@@ -379,7 +436,7 @@ impl Database {
             }
             Statement::Explain { analyze, inner } => match inner.as_ref() {
                 Statement::Select(q) => {
-                    let ctx = ExecContext::new(self);
+                    let ctx = ExecContext::new(self).restrict_seqscan(!avoid_seqscan);
                     let lines = if *analyze {
                         physical::explain_analyze(q, &ctx)?
                     } else {
@@ -421,22 +478,22 @@ impl Database {
     }
 
     /// Fetches (or compiles and caches) the plan for a SELECT statement.
-    /// `Ok(None)` means the statement parsed but is not a SELECT — those
-    /// are never cached.
-    fn plan_for(&self, sql: &str) -> EngineResult<Option<Arc<CachedPlan>>> {
+    /// Anything else that parses comes back as parsed — those are never
+    /// cached.
+    fn plan_for(&self, sql: &str) -> EngineResult<Planned> {
         let kernel_on = self.kernel_enabled();
-        let fp = plan_cache::fingerprint(sql, kernel_on, self.seqscan_enabled());
+        let fp = plan_cache::fingerprint(sql, kernel_on);
         let version = self.catalog_version.load(Ordering::SeqCst);
         if let Some(plan) = self
             .plan_cache
             .lock()
             .lookup(&fp, version, |token| self.current_stats_token(token))
         {
-            return Ok(Some(plan));
+            return Ok(Planned::Select(plan));
         }
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(q) = stmt else {
-            return Ok(None);
+        let q = match parse_statement(sql)? {
+            Statement::Select(q) => q,
+            other => return Ok(Planned::Other(Box::new(other))),
         };
         let n_params = visit::parameter_count(&q);
         let physical = physical::lower(&q, self, kernel_on);
@@ -451,69 +508,24 @@ impl Database {
             stats_token,
         });
         self.plan_cache.lock().insert(fp, Arc::clone(&plan));
-        Ok(Some(plan))
+        Ok(Planned::Select(plan))
     }
 
     /// Parses, plans, and caches a statement without executing it; returns
-    /// the number of `$N` parameters it takes. Subsequent
-    /// [`Database::query_bound`] calls with the same text skip parsing and
-    /// planning entirely. Non-SELECT statements are accepted (C-JDBC
-    /// prepares writes too) but take no parameters and are not cached.
+    /// the number of `$N` parameters it takes. Subsequent bound reads of
+    /// the same text skip parsing and planning entirely. Non-SELECT
+    /// statements are accepted (C-JDBC prepares writes too) but take no
+    /// parameters and are not cached.
     pub fn prepare(&self, sql: &str) -> EngineResult<usize> {
-        Ok(self.plan_for(sql)?.map_or(0, |p| p.n_params))
-    }
-
-    /// Executes a (usually prepared) statement with bound parameter
-    /// values. SELECTs run from the plan cache — parsed and lowered once
-    /// per statement text (and per `enable_kernel` setting), not once per
-    /// execution. Results are byte-identical to rendering the literals
-    /// into the text and calling [`Database::query`].
-    pub fn query_bound(&self, sql: &str, params: &[Value]) -> EngineResult<QueryOutput> {
-        self.query_bound_opt_governed(sql, params, None)
-    }
-
-    /// [`Database::query_bound`] under a [`QueryGovernor`]: the statement
-    /// is cancellable and deadline-bounded at scan-batch grain.
-    pub fn query_bound_governed(
-        &self,
-        sql: &str,
-        params: &[Value],
-        gov: &QueryGovernor,
-    ) -> EngineResult<QueryOutput> {
-        self.query_bound_opt_governed(sql, params, Some(gov))
-    }
-
-    fn query_bound_opt_governed(
-        &self,
-        sql: &str,
-        params: &[Value],
-        gov: Option<&QueryGovernor>,
-    ) -> EngineResult<QueryOutput> {
-        let Some(plan) = self.plan_for(sql)? else {
-            if !params.is_empty() {
-                return Err(EngineError::Unsupported(
-                    "parameters are only supported on SELECT statements".into(),
-                ));
-            }
-            // SET / EXPLAIN take the plain read path.
-            return self.query_opt_governed(sql, gov);
-        };
-        if params.len() != plan.n_params {
-            return Err(EngineError::TypeError(format!(
-                "statement takes {} parameter(s), got {}",
-                plan.n_params,
-                params.len()
-            )));
-        }
-        let ctx = ExecContext::governed(self, params.to_vec(), self.statement_governor(gov));
-        let rel = physical::execute(&plan.physical, &[], &ctx)?;
-        ctx.record_output(&rel);
-        Ok(QueryOutput {
-            columns: rel.column_names(),
-            rows: rel.rows,
-            rows_affected: 0,
-            stats: ctx.take_stats(),
+        Ok(match self.plan_for(sql)? {
+            Planned::Select(plan) => plan.n_params,
+            Planned::Other(_) => 0,
         })
+    }
+
+    /// Bound read entry (see [`Database::read`]).
+    pub fn query_bound(&self, sql: &str, params: &[Value]) -> EngineResult<QueryOutput> {
+        self.read(&ReadRequest::bound(sql, params))
     }
 
     /// Plan-cache counters (hits, misses, evictions, invalidations,
@@ -526,8 +538,8 @@ impl Database {
     pub fn execute_stmt(&mut self, stmt: &Statement) -> EngineResult<QueryOutput> {
         match stmt {
             Statement::Select(_) | Statement::Set { .. } | Statement::Explain { .. } => {
-                // Delegate to the read path (it covers all three).
-                self.query(&stmt.to_string())
+                // The read path covers all three.
+                self.read_stmt(stmt, None, false)
             }
             Statement::Insert {
                 table,
@@ -1444,31 +1456,43 @@ mod prepared_tests {
         assert_eq!(s.invalidations + s.replans + s.evictions, 0);
     }
 
-    /// Toggling `enable_seqscan` mid-session likewise gets its own cache
-    /// entries — a plan compiled while seq scans were allowed is never
-    /// served after the knob turns them off, and the two variants coexist.
-    /// Results are identical either way (only the access path differs).
+    /// `enable_seqscan` steers the access path per execution and nothing
+    /// that is lowered: one cached plan serves both settings and the
+    /// per-request hint, the rows are the same, and the path still follows
+    /// whichever of the two is in force for that execution.
     #[test]
-    fn seqscan_toggle_never_reuses_the_other_settings_plan() {
+    fn seqscan_setting_and_hint_share_one_plan_and_steer_each_execution() {
         let d = lineitem_db(500);
         let params = [Value::Int(0), Value::Int(400)];
+        // What the access path decides (pool residency aside).
+        let work = |s: &ExecStats| {
+            let pages = s.buffer.accesses();
+            (s.rows_scanned, s.cpu_tuple_ops, s.index_probes, pages)
+        };
         let baseline = d.query_bound(Q1ISH, &params).unwrap();
         assert_eq!(baseline.stats.rows_scanned, 500);
         assert_eq!(baseline.stats.cpu_tuple_ops, 1402);
-        d.query_bound(Q1ISH, &params).unwrap();
-        let s = d.plan_cache_stats();
-        assert_eq!((s.misses, s.hits), (1, 1), "{s:?}");
-        // Flipping the knob compiles a fresh plan under the new setting...
         d.query("set enable_seqscan = off").unwrap();
         let no_seq = d.query_bound(Q1ISH, &params).unwrap();
-        let s = d.plan_cache_stats();
-        assert_eq!((s.misses, s.hits), (2, 1), "{s:?}");
         assert_eq!(no_seq.rows, baseline.rows);
-        // ...and flipping back hits the original entry — both coexist.
+        assert_eq!(no_seq.stats.rows_scanned, 400, "the index range");
+        assert_ne!(work(&no_seq.stats), work(&baseline.stats));
         d.query("set enable_seqscan = on").unwrap();
-        d.query_bound(Q1ISH, &params).unwrap();
+        let back_on = d.query_bound(Q1ISH, &params).unwrap();
+        assert_eq!(work(&back_on.stats), work(&baseline.stats));
+        // The hint is the setting for one statement: same path, session
+        // untouched, text or bound.
+        let hinted = ReadRequest::bound(Q1ISH, &params).avoiding_seqscan(true);
+        assert_eq!(work(&d.read(&hinted).unwrap().stats), work(&no_seq.stats));
+        let text = rendered(0, 400);
+        let hinted_text = ReadRequest::text(&text).avoiding_seqscan(true);
+        assert_eq!(
+            work(&d.read(&hinted_text).unwrap().stats),
+            work(&no_seq.stats)
+        );
+        assert!(d.seqscan_enabled());
         let s = d.plan_cache_stats();
-        assert_eq!((s.misses, s.hits), (2, 2), "{s:?}");
+        assert_eq!((s.misses, s.hits), (1, 3), "{s:?}");
         assert_eq!(s.invalidations + s.replans + s.evictions, 0);
     }
 

@@ -92,6 +92,9 @@ pub struct ExecContext<'a> {
     params: Vec<Value>,
     stats: RefCell<ExecStats>,
     gov: Option<QueryGovernor>,
+    /// Whether this statement's scans may be sequential: the session's
+    /// `enable_seqscan`, unless the request asked to avoid them.
+    seqscan: bool,
     /// Bytes this statement has charged to the node's [`MemoryGauge`];
     /// released on drop so every exit path (success, error, cancel)
     /// returns the budget.
@@ -119,9 +122,23 @@ impl<'a> ExecContext<'a> {
             params,
             stats: RefCell::new(ExecStats::default()),
             gov,
+            seqscan: db.seqscan_enabled(),
             mem_charged: Cell::new(0),
             subqueries: SubqueryMemo::default(),
         }
+    }
+
+    /// Narrows the sequential-scan permission: `allowed = false` is the
+    /// request's avoid-sequential-scans hint (or, on a morsel worker, the
+    /// coordinating statement's own permission).
+    pub(crate) fn restrict_seqscan(mut self, allowed: bool) -> Self {
+        self.seqscan &= allowed;
+        self
+    }
+
+    /// Whether the planner may pick a sequential scan for this statement.
+    pub(crate) fn seqscan_allowed(&self) -> bool {
+        self.seqscan
     }
 
     pub(crate) fn subqueries(&self) -> &SubqueryMemo {

@@ -7,9 +7,10 @@
 //! performance arguments rest on:
 //!
 //! 1. **A cost-based access-path choice** between full sequential scans and
-//!    clustered-index range scans, overridable with
-//!    `SET enable_seqscan = off` — the knob Apuama flips around SVP
-//!    sub-queries (paper §3: "Apuama directly interferes in optimizer
+//!    clustered-index range scans, overridable per session with
+//!    `SET enable_seqscan = off` and per statement with
+//!    [`ReadRequest::avoid_seqscan`] — the interference Apuama applies to
+//!    SVP sub-queries (paper §3: "Apuama directly interferes in optimizer
 //!    choices in order to force index usage").
 //! 2. **Exact I/O accounting** through a per-node LRU buffer pool, so the
 //!    simulator can convert page faults into time and reproduce the paper's
@@ -36,6 +37,7 @@ pub mod parallel;
 mod physical;
 mod plan_cache;
 pub mod planner;
+mod request;
 pub mod stats;
 mod subquery;
 pub mod table;
@@ -46,5 +48,6 @@ pub use error::{EngineError, EngineResult};
 pub use exec::SCAN_BATCH_ROWS;
 pub use governor::{CancelToken, MemoryGauge, QueryGovernor};
 pub use plan_cache::PlanCacheStats;
+pub use request::ReadRequest;
 pub use stats::{ExecStats, PhaseTiming};
 pub use table::Table;

@@ -193,7 +193,7 @@ pub(crate) fn plan_scan<'x>(
         table,
         binding_name,
         single,
-        ctx.db.seqscan_enabled(),
+        ctx.seqscan_allowed(),
         ctx.db.indexscan_enabled(),
         &eval_const,
     );

@@ -168,10 +168,11 @@ fn run_ordered<T: Send>(
     for w in 0..workers {
         let params = ctx.params_snapshot();
         let gov = ctx.child_governor();
+        let seqscan = ctx.seqscan_allowed();
         let (next, abort, results, tallies, work) = (&next, &abort, &results, &tallies, &work);
         tasks.push(Box::new(move || {
             let start = Instant::now();
-            let wctx = ExecContext::governed(db, params, gov);
+            let wctx = ExecContext::governed(db, params, gov).restrict_seqscan(seqscan);
             let (mut wrows, mut wmorsels) = (0u64, 0u64);
             while !abort.load(AtomicOrd::Relaxed) {
                 let i = next.fetch_add(1, AtomicOrd::Relaxed);

@@ -3,12 +3,13 @@
 //! Entries are keyed by the normalized statement fingerprint: the trimmed
 //! SQL text — parameter placeholders like `$1` are already part of the
 //! text, so structurally identical statements share one entry no matter
-//! what values they are later bound with — plus the plan-shaping session
-//! knobs: `enable_kernel`, because it changes what lowering produces (the
-//! fused plan vs the general tree), and `enable_seqscan`, because it
-//! steers the access-path choice. Keying on them means toggling a knob
-//! can never serve a plan compiled under the other setting; the variants
-//! simply coexist in the cache. A cached plan is the lowered
+//! what values they are later bound with — plus the one session knob that
+//! shapes what lowering produces: `enable_kernel` (the fused plan vs the
+//! general tree). Keying on it means toggling the knob can never serve a
+//! plan compiled under the other setting; the two variants simply coexist
+//! in the cache. Nothing lowered depends on `enable_seqscan` or on a
+//! request's avoid-sequential-scans hint — the access path is chosen per
+//! execution — so one entry serves both. A cached plan is the lowered
 //! [`PhysicalPlan`] (which carries the parsed `Select`) and its parameter
 //! count.
 //!
@@ -143,20 +144,14 @@ impl PlanCache {
     }
 }
 
-/// Normalizes raw SQL plus the plan-shaping session knobs into the cache
+/// Normalizes raw SQL plus the plan-shaping session knob into the cache
 /// fingerprint. `enable_kernel` is part of the key because it selects the
-/// lowered shape (fused vs general); `enable_seqscan` because it steers
-/// the planner's access-path choice, so toggling it mid-session must never
-/// serve a plan compiled under the other setting. `parallel_workers`
-/// changes how a tree runs but not what is lowered, and is deliberately
-/// *not* keyed.
-pub(crate) fn fingerprint(sql: &str, kernel_on: bool, seqscan_on: bool) -> String {
-    format!(
-        "{}#k={}#s={}",
-        sql.trim(),
-        kernel_on as u8,
-        seqscan_on as u8
-    )
+/// lowered shape (fused vs general). `enable_seqscan` and
+/// `parallel_workers` change how a lowered tree runs (which access path,
+/// how many workers), not what is lowered, and are deliberately *not*
+/// keyed.
+pub(crate) fn fingerprint(sql: &str, kernel_on: bool) -> String {
+    format!("{}#k={}", sql.trim(), kernel_on as u8)
 }
 
 #[cfg(test)]
@@ -223,17 +218,8 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_trims_whitespace_and_keys_on_the_session_knobs() {
-        assert_eq!(fingerprint("  select 1\n", true, true), "select 1#k=1#s=1");
-        assert_eq!(fingerprint("  select 1\n", false, true), "select 1#k=0#s=1");
-        assert_eq!(fingerprint("select 1", true, false), "select 1#k=1#s=0");
-        assert_ne!(
-            fingerprint("select 1", true, true),
-            fingerprint("select 1", false, true)
-        );
-        assert_ne!(
-            fingerprint("select 1", true, true),
-            fingerprint("select 1", true, false)
-        );
+    fn fingerprint_trims_whitespace_and_keys_on_the_kernel_knob() {
+        assert_eq!(fingerprint("  select 1\n", true), "select 1#k=1");
+        assert_eq!(fingerprint("  select 1\n", false), "select 1#k=0");
     }
 }

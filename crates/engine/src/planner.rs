@@ -5,9 +5,9 @@
 //! `random_page_cost = 4`, `cpu_tuple_cost = 0.01`) because the paper's SVP
 //! argument hinges on reproducing a PostgreSQL behaviour: *a full table scan
 //! can look cheaper than a clustered-index range scan for an isolated
-//! sub-query, which destroys virtual partitioning* — Apuama therefore issues
-//! `SET enable_seqscan = off`, which this planner honours the way PostgreSQL
-//! does (a discouragement penalty, not a hard ban).
+//! sub-query, which destroys virtual partitioning* — Apuama therefore turns
+//! `enable_seqscan` off for its sub-queries, which this planner honours the
+//! way PostgreSQL does (a discouragement penalty, not a hard ban).
 
 use std::collections::HashSet;
 use std::ops::Bound;

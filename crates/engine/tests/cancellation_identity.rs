@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 
-use apuama_engine::{Database, EngineError, QueryGovernor};
+use apuama_engine::{Database, EngineError, QueryGovernor, ReadRequest};
 use apuama_sql::Value;
 
 /// Rows spanning several 1024-row scan batches, with enough groups to put
@@ -74,7 +74,7 @@ proptest! {
         set_modes(&d, kernel, workers);
         let gov = QueryGovernor::new();
         gov.cancel_token().cancel_after_checks(fuse);
-        match d.query_governed(sql, &gov) {
+        match d.read(&ReadRequest::text(sql).governed(&gov)) {
             // Fuse fired past the last check: the run completed, and it
             // must already be byte-identical.
             Ok(out) => {
@@ -91,7 +91,9 @@ proptest! {
         // The replay — same statement, no governor — must not observe any
         // residue of the cancelled attempt (plan cache, operator state,
         // buffer pool bookkeeping, memory gauge).
-        let replay = d.query_governed(sql, &QueryGovernor::new()).unwrap();
+        let replay = d
+            .read(&ReadRequest::text(sql).governed(&QueryGovernor::new()))
+            .unwrap();
         prop_assert_eq!(&replay.columns, &want.columns);
         prop_assert_eq!(&replay.rows, &want.rows);
         prop_assert_eq!(d.mem_gauge().used_bytes(), 0, "cancel must release its memory charge");

@@ -2,7 +2,7 @@
 //! driven single-threaded by the event loop.
 
 use apuama::{ComposerStrategy, DataCatalog, Rewritten, SvpPlan, SvpRewriter};
-use apuama_engine::{Database, EngineResult, ExecStats, QueryOutput};
+use apuama_engine::{Database, EngineResult, ExecStats, QueryOutput, ReadRequest};
 use apuama_tpch::{load_into, TpchData};
 
 use crate::cost::CostModel;
@@ -18,7 +18,8 @@ pub struct SimClusterConfig {
     /// Apuama on (SVP intra-query parallelism) or off (plain C-JDBC
     /// inter-query baseline).
     pub svp: bool,
-    /// `SET enable_seqscan = off` around SVP sub-queries (ablation knob).
+    /// Plan SVP sub-queries as under `SET enable_seqscan = off` (ablation
+    /// knob; the hint rides on each sub-query's request).
     pub force_index: bool,
     /// CPUs per node — each node is a k-server queue (the testbed's dual
     /// Opterons ⇒ 2).
@@ -240,15 +241,8 @@ impl SimCluster {
     /// Executes one SVP sub-query on a node **now** (in event-loop order),
     /// applying the optimizer interference, and prices it.
     pub fn exec_subquery(&self, node: usize, sql: &str) -> EngineResult<(QueryOutput, f64)> {
-        let db = &self.nodes[node];
-        if self.config.force_index {
-            db.query("set enable_seqscan = off")?;
-        }
-        let result = db.query(sql);
-        if self.config.force_index {
-            db.query("set enable_seqscan = on")?;
-        }
-        let out = result?;
+        let req = ReadRequest::text(sql).avoiding_seqscan(self.config.force_index);
+        let out = self.nodes[node].read(&req)?;
         let ms = self.config.cost.statement_ms(&out.stats);
         Ok((out, ms))
     }

@@ -10,7 +10,7 @@ use apuama_cjdbc::{
     CircuitState, Connection, Controller, ControllerConfig, EngineNode, FaultPlan, FaultTarget,
     FaultyConnection, NodeConnection, RecoveryConfig,
 };
-use apuama_engine::Database;
+use apuama_engine::{Database, ReadRequest};
 use apuama_tpch::{generate, load_into, QueryParams, TpchConfig, TpchData};
 
 fn dataset() -> TpchData {
@@ -76,8 +76,12 @@ fn dead_node_cluster_answers_every_eval_query_byte_identically() {
     let params = QueryParams::default();
     for q in apuama_tpch::ALL_QUERIES {
         let sql = q.sql(&params);
-        let want = healthy.execute_read(0, &sql).expect("healthy run");
-        let got = engine.execute_read(0, &sql).expect("degraded run");
+        let want = healthy
+            .read(0, &ReadRequest::text(&sql))
+            .expect("healthy run");
+        let got = engine
+            .read(0, &ReadRequest::text(&sql))
+            .expect("degraded run");
         assert_eq!(got.columns, want.columns, "{}", q.label());
         assert_eq!(
             got.rows,
@@ -153,12 +157,14 @@ fn retry_exhaustion_yields_clean_error_and_engine_stays_usable() {
     let (engine, controller, faulties) = faulty_cluster(&data, 3, ApuamaConfig::default());
     let (reference, _, _) = faulty_cluster(&data, 3, ApuamaConfig::default());
     const SQL: &str = "select count(*) as n, sum(o_totalprice) as t from orders";
-    let want = reference.execute_read(0, SQL).unwrap();
+    let want = reference.read(0, &ReadRequest::text(SQL)).unwrap();
 
     for f in &faulties {
         f.set_plan(fail_reads());
     }
-    let err = engine.execute_read(0, SQL).expect_err("all replicas down");
+    let err = engine
+        .read(0, &ReadRequest::text(SQL))
+        .expect_err("all replicas down");
     assert!(
         !err.to_string().is_empty(),
         "exhaustion must surface a real error"
@@ -179,7 +185,7 @@ fn retry_exhaustion_yields_clean_error_and_engine_stays_usable() {
     for f in &faulties {
         f.heal();
     }
-    let got = engine.execute_read(0, SQL).expect("healed run");
+    let got = engine.read(0, &ReadRequest::text(SQL)).expect("healed run");
     let n = got.rows[0][0].as_i64().unwrap();
     assert_eq!(n, want.rows[0][0].as_i64().unwrap() + 1);
     assert_eq!(engine.txn_counters(), vec![1, 1, 1]);
@@ -282,9 +288,9 @@ fn stalling_node_is_timed_out_and_worked_around() {
         ..FaultPlan::default()
     });
     const SQL: &str = "select count(*) as n, avg(o_totalprice) as a from orders";
-    let want = reference.execute_read(0, SQL).unwrap();
+    let want = reference.read(0, &ReadRequest::text(SQL)).unwrap();
     let got = engine
-        .execute_read(0, SQL)
+        .read(0, &ReadRequest::text(SQL))
         .expect("timed-out range reassigned");
     assert_eq!(got.rows, want.rows);
     assert!(faulties[0].injected_stalls() > 0);

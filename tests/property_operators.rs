@@ -20,7 +20,7 @@
 
 use proptest::prelude::*;
 
-use apuama_engine::{Database, EngineError, QueryGovernor, QueryOutput};
+use apuama_engine::{Database, EngineError, QueryGovernor, QueryOutput, ReadRequest};
 use apuama_sql::Value;
 use apuama_tpch::{generate, load_into, QueryParams, TpchConfig, ALL_QUERIES};
 
@@ -1614,7 +1614,7 @@ fn cross_join_is_governed_and_small_ones_are_unchanged() {
     // Past both scans (some 240 checks) and well into the product.
     gov.cancel_token().cancel_after_checks(1_000);
     assert!(matches!(
-        db.query_governed(product, &gov),
+        db.read(&ReadRequest::text(product).governed(&gov)),
         Err(EngineError::Cancelled(_))
     ));
     assert_eq!(db.mem_gauge().used_bytes(), 0);
@@ -1713,7 +1713,7 @@ fn join_memory_accounting_follows_the_kept_width() {
     let gov = QueryGovernor::new();
     gov.cancel_token().cancel_after_checks(100);
     assert!(matches!(
-        db.query_governed(&q5, &gov),
+        db.read(&ReadRequest::text(&q5).governed(&gov)),
         Err(EngineError::Cancelled(_))
     ));
     assert_eq!(db.mem_gauge().used_bytes(), 0);

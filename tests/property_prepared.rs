@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 
 use apuama_cjdbc::{Connection, Controller, ControllerConfig, EngineNode, NodeConnection};
-use apuama_engine::Database;
+use apuama_engine::{Database, ReadRequest};
 use apuama_sql::Value;
 
 /// A lineitem-shaped fact table: clustered integer key, an integer
@@ -213,9 +213,13 @@ fn ddl_through_controller_evicts_cached_plans_on_every_backend() {
     let sql = "select l_returnflag, sum(l_extendedprice) as s, count(*) as n \
                from lineitem where l_quantity >= $1 and l_quantity < $2 \
                group by l_returnflag order by l_returnflag";
-    assert_eq!(controller.prepare_read(sql).unwrap(), 2);
+    // Warm every backend's plan cache, whichever the balancer picks later.
+    for node in &nodes {
+        assert_eq!(node.with_db(|db| db.prepare(sql)).unwrap(), 2);
+    }
     let params = [Value::Int(3), Value::Int(12)];
-    let (before, _) = controller.execute_read_bound(sql, &params).unwrap();
+    let bound = ReadRequest::bound(sql, &params);
+    let (before, _) = controller.read(&bound).unwrap();
 
     // Broadcast DDL: a secondary index on the filtered column changes what
     // the planner would choose for this very statement.
@@ -233,7 +237,7 @@ fn ddl_through_controller_evicts_cached_plans_on_every_backend() {
     // Every backend must replan; drain the balancer until both served.
     let mut served_after = Vec::new();
     for _ in 0..8 {
-        let (after, node) = controller.execute_read_bound(sql, &params).unwrap();
+        let (after, node) = controller.read(&bound).unwrap();
         assert_eq!(after.rows, before.rows, "stale plan changed the answer");
         served_after.push(node);
     }
@@ -255,6 +259,6 @@ fn ddl_through_controller_evicts_cached_plans_on_every_backend() {
     // And the replanned statement still matches a text execution.
     let text = render(sql, &params);
     let (text_out, _) = controller.execute(&text).unwrap();
-    let (bound_out, _) = controller.execute_read_bound(sql, &params).unwrap();
+    let (bound_out, _) = controller.read(&bound).unwrap();
     assert_eq!(bound_out.rows, text_out.rows);
 }

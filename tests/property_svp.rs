@@ -26,7 +26,7 @@ use apuama::{
 use apuama_cjdbc::{
     Connection, EngineNode, FaultPlan, FaultTarget, FaultyConnection, NodeConnection,
 };
-use apuama_engine::{Database, QueryOutput};
+use apuama_engine::{Database, QueryOutput, ReadRequest};
 use apuama_sql::{parse_statement, Value};
 
 /// Builds a fresh database with an `orders`-like fact table holding the
@@ -287,12 +287,12 @@ proptest! {
         nodes in 2usize..6,
         query_idx in 0usize..QUERIES.len(),
         fault_node in 0usize..6,
-        stage in 0usize..4,
+        stage in 0usize..3,
     ) {
         let sql = QUERIES[query_idx];
         let f = fault_node % nodes;
-        // Stage 3 (stall) needs the per-sub-query timeout armed.
-        let config = if stage == 3 {
+        // Stage 2 (stall) needs the per-sub-query timeout armed.
+        let config = if stage == 2 {
             ApuamaConfig {
                 fault: FaultPolicy {
                     subquery_timeout_ms: Some(30),
@@ -309,13 +309,8 @@ proptest! {
         let plan = match stage {
             // Sub-query execution fails outright on node f.
             0 => FaultPlan { target: FaultTarget::Reads, ..FaultPlan::fail_all() },
-            // Only the optimizer-interference SET fails (ticket engage).
-            1 => FaultPlan {
-                only_matching: Some("enable_seqscan".into()),
-                ..FaultPlan::fail_all()
-            },
             // Pure latency: slow but correct.
-            2 => FaultPlan {
+            1 => FaultPlan {
                 delay: std::time::Duration::from_millis(15),
                 ..FaultPlan::default()
             },
@@ -329,8 +324,8 @@ proptest! {
         };
         faulties[f].set_plan(plan);
 
-        let want = healthy.execute_read(0, sql).unwrap();
-        let got = engine.execute_read(0, sql).unwrap();
+        let want = healthy.read(0, &ReadRequest::text(sql)).unwrap();
+        let got = engine.read(0, &ReadRequest::text(sql)).unwrap();
         prop_assert_eq!(&got.columns, &want.columns);
         prop_assert_eq!(&got.rows, &want.rows,
             "{} on {} nodes, fault stage {} at node {}", sql, nodes, stage, f);
@@ -400,10 +395,10 @@ fn regression_between_ending_on_a_partition_boundary() {
                     .subqueries
                     .iter()
                     .map(|sub| {
-                        let replica = db_with_orders(&rows);
                         // As on a cluster node: the index is forced.
-                        replica.query("set enable_seqscan = off").unwrap();
-                        replica.query(sub).unwrap()
+                        db_with_orders(&rows)
+                            .read(&ReadRequest::text(sub).avoiding_seqscan(true))
+                            .unwrap()
                     })
                     .collect();
                 let composed = compose(&plan, &partials).unwrap();

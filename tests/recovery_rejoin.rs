@@ -13,7 +13,7 @@ use apuama_cjdbc::{
     engine_node_clone_fn, Connection, Controller, ControllerConfig, EngineNode, FaultPlan,
     FaultyConnection, NodeConnection, RecoveryConfig, RejoinState, RoundRobinBalancer,
 };
-use apuama_engine::Database;
+use apuama_engine::{Database, ReadRequest};
 use apuama_tpch::{generate, load_into, QueryParams, TpchConfig, TpchData};
 use proptest::prelude::*;
 
@@ -119,8 +119,12 @@ fn killed_node_catches_up_from_the_log_and_rejoins_rotation() {
     let params = QueryParams::default();
     for q in apuama_tpch::ALL_QUERIES {
         let sql = q.sql(&params);
-        let want = reference.execute_read(0, &sql).expect("reference run");
-        let got = engine.execute_read(0, &sql).expect("degraded run");
+        let want = reference
+            .read(0, &ReadRequest::text(&sql))
+            .expect("reference run");
+        let got = engine
+            .read(0, &ReadRequest::text(&sql))
+            .expect("degraded run");
         assert_eq!(
             got.rows,
             want.rows,
@@ -146,8 +150,12 @@ fn killed_node_catches_up_from_the_log_and_rejoins_rotation() {
     // Post-rejoin answers are byte-identical to the never-failed cluster.
     for q in apuama_tpch::ALL_QUERIES {
         let sql = q.sql(&params);
-        let want = reference.execute_read(0, &sql).expect("reference run");
-        let got = engine.execute_read(0, &sql).expect("rejoined run");
+        let want = reference
+            .read(0, &ReadRequest::text(&sql))
+            .expect("reference run");
+        let got = engine
+            .read(0, &ReadRequest::text(&sql))
+            .expect("rejoined run");
         assert_eq!(
             got.rows,
             want.rows,
@@ -159,7 +167,7 @@ fn killed_node_catches_up_from_the_log_and_rejoins_rotation() {
     // Node 1 is back in SVP dispatch: an eligible query reaches it again.
     let calls_before = faulties[1].calls();
     engine
-        .execute_read(0, "select count(*) as n from orders")
+        .read(0, &ReadRequest::text("select count(*) as n from orders"))
         .unwrap();
     assert!(
         faulties[1].calls() > calls_before,
@@ -258,7 +266,7 @@ fn expired_retention_degrades_rejoin_to_a_full_reclone() {
         assert_eq!(rows, reference);
     }
     let out = engine
-        .execute_read(0, "select count(*) as n from orders")
+        .read(0, &ReadRequest::text("select count(*) as n from orders"))
         .unwrap();
     assert_eq!(out.rows[0][0].as_i64().unwrap(), base + 11);
 }

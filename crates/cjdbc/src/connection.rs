@@ -19,6 +19,13 @@ pub enum StatementKind {
 /// Classifies a (possibly multi-statement) SQL script. A script containing
 /// any write is a write.
 pub fn classify(sql: &str) -> EngineResult<StatementKind> {
+    classify_script(sql, StatementKind::Read)
+}
+
+/// [`classify`] with the kind of a session `SET` left to the caller: to one
+/// connection it is a read, to the controller it is a statement that has to
+/// reach every replica's session.
+pub(crate) fn classify_script(sql: &str, set_is: StatementKind) -> EngineResult<StatementKind> {
     let stmts = parse_statements(sql)?;
     let any_write = stmts.iter().any(|s| {
         s.is_write()
@@ -26,6 +33,7 @@ pub fn classify(sql: &str) -> EngineResult<StatementKind> {
                 s,
                 Statement::Begin | Statement::Commit | Statement::Rollback
             )
+            || (set_is == StatementKind::Write && matches!(s, Statement::Set { .. }))
     });
     Ok(if any_write {
         StatementKind::Write

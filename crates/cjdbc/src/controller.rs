@@ -15,7 +15,7 @@ use parking_lot::Mutex;
 
 use crate::admission::{AdmissionController, AdmissionPolicy};
 use crate::balancer::{LeastPendingBalancer, LoadBalancer};
-use crate::connection::{classify, Connection, StatementKind};
+use crate::connection::{classify_script, Connection, StatementKind};
 use crate::health::{BreakerPolicy, HealthTracker};
 use crate::recovery::{
     NoRejoinHooks, RecoveryConfig, RecoveryLog, RejoinHooks, RejoinOutcome, RejoinState,
@@ -463,9 +463,13 @@ impl Controller {
     /// once, here: a read goes down as a [`ReadRequest`] and nothing below
     /// parses it again to find out what it is. Returns the output and the
     /// index of the backend that served it (writes report backend 0 —
-    /// they ran everywhere).
+    /// they ran everywhere). A script that contains a session `SET` takes
+    /// the write path: load-balanced, it would land on one backend and the
+    /// replicas' sessions would diverge; broadcast in the scheduler's order
+    /// and recorded in the recovery log, every enabled backend has it and a
+    /// rejoining one replays it.
     pub fn execute(&self, sql: &str) -> EngineResult<(QueryOutput, usize)> {
-        match classify(sql)? {
+        match classify_script(sql, StatementKind::Write)? {
             StatementKind::Read => self.read(&ReadRequest::text(sql)),
             StatementKind::Write => self.execute_write(sql).map(|o| (o, 0)),
         }

@@ -12,10 +12,8 @@
 //! simulator can price the composition step (the paper measures it at under
 //! a second even for large partials).
 
-use std::collections::HashMap;
-
-use apuama_engine::{Database, EngineError, EngineResult, ExecStats, QueryOutput};
-use apuama_sql::{HashableValue, Value};
+use apuama_engine::{Database, EngineError, EngineResult, ExecStats, PartialAgg, QueryOutput};
+use apuama_sql::Value;
 use apuama_storage::Row;
 
 use crate::rewrite::{ComposeSpec, FoldFn, SvpPlan, PARTIALS_TABLE};
@@ -51,44 +49,10 @@ fn infer_type(rows: &[&Row], col: usize) -> &'static str {
 }
 
 /// Loads the partial outputs into an in-memory staging table and runs the
-/// plan's composition query.
+/// plan's composition query: one composition on a fresh
+/// [`ReusableComposer`].
 pub fn compose(plan: &SvpPlan, partials: &[QueryOutput]) -> EngineResult<Composed> {
-    let arity = plan.partial_columns.len();
-    for (i, p) in partials.iter().enumerate() {
-        for row in &p.rows {
-            if row.len() != arity {
-                return Err(EngineError::Constraint(format!(
-                    "partial result {i} has arity {} but the plan expects {arity}",
-                    row.len()
-                )));
-            }
-        }
-    }
-    let all_rows: Vec<&Row> = partials.iter().flat_map(|p| p.rows.iter()).collect();
-
-    let mut mem = Database::in_memory();
-    let columns_ddl = plan
-        .partial_columns
-        .iter()
-        .enumerate()
-        .map(|(i, name)| format!("{name} {}", infer_type(&all_rows, i)))
-        .collect::<Vec<_>>()
-        .join(", ");
-    mem.execute(&format!("create table {PARTIALS_TABLE} ({columns_ddl})"))?;
-    let partial_rows = all_rows.len() as u64;
-    mem.load_table(
-        PARTIALS_TABLE,
-        all_rows.into_iter().cloned().collect::<Vec<Row>>(),
-    )?;
-
-    let mut output = mem.query(&plan.composition_sql)?;
-    let composition_stats = output.stats;
-    output.stats = ExecStats::default();
-    Ok(Composed {
-        output,
-        composition_stats,
-        partial_rows,
-    })
+    ReusableComposer::new().compose(plan, partials)
 }
 
 #[cfg(test)]
@@ -288,20 +252,13 @@ impl ReusableComposer {
         }
     }
 
-    /// Composes like [`compose`], reusing the staging table when the
-    /// partial schema matches the previous call. Falls back to a fresh
-    /// engine when the shape changes (different query template).
+    /// Loads the partial outputs into the staging table and runs the plan's
+    /// composition query, reusing the table when the partial schema matches
+    /// the previous call. Falls back to a fresh engine when the shape
+    /// changes (different query template).
     pub fn compose(&mut self, plan: &SvpPlan, partials: &[QueryOutput]) -> EngineResult<Composed> {
-        let arity = plan.partial_columns.len();
         for (i, p) in partials.iter().enumerate() {
-            for row in &p.rows {
-                if row.len() != arity {
-                    return Err(EngineError::Constraint(format!(
-                        "partial result {i} has arity {} but the plan expects {arity}",
-                        row.len()
-                    )));
-                }
-            }
+            check_arity(plan, &i, p)?;
         }
         let all_rows: Vec<&Row> = partials.iter().flat_map(|p| p.rows.iter()).collect();
         let reuse = self.staged_columns.as_ref() == Some(&plan.partial_columns);
@@ -447,10 +404,21 @@ pub fn compose_with(
     composer.finish()
 }
 
-fn arity_error(node: usize, got: usize, want: usize) -> EngineError {
-    EngineError::Constraint(format!(
-        "partial result from node {node} has arity {got} but the plan expects {want}"
-    ))
+/// Every row of `partial` has the plan's arity; `who` names the partial in
+/// the error.
+fn check_arity(
+    plan: &SvpPlan,
+    who: &dyn std::fmt::Display,
+    partial: &QueryOutput,
+) -> EngineResult<()> {
+    let arity = plan.partial_columns.len();
+    match partial.rows.iter().find(|r| r.len() != arity) {
+        Some(bad) => Err(EngineError::Constraint(format!(
+            "partial result {who} has arity {} but the plan expects {arity}",
+            bad.len()
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// [`Composer`] port of the staging-table path: buffers partials per node
@@ -487,10 +455,7 @@ impl Composer for StagedComposer {
 
     fn accept(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()> {
         let plan = self.plan.as_ref().expect("begin() before accept()");
-        let arity = plan.partial_columns.len();
-        if let Some(bad) = partial.rows.iter().find(|r| r.len() != arity) {
-            return Err(arity_error(node, bad.len(), arity));
-        }
+        check_arity(plan, &format_args!("from node {node}"), &partial)?;
         if self.nodes.len() <= node {
             self.nodes.resize_with(node + 1, Vec::new);
         }
@@ -513,193 +478,15 @@ impl Composer for StagedComposer {
     }
 }
 
-/// Accumulator for one re-aggregated partial column within one group.
-///
-/// Mirrors the engine executor's aggregate accumulator exactly — same NULL
-/// skipping, same int/float dual tracking with `wrapping_add`, same
-/// `sql_cmp`-based min/max — so folding partials here and then running the
-/// composition query over the folded rows produces bit-identical results
-/// to staging every raw partial row.
-#[derive(Debug, Clone)]
-enum FoldAcc {
-    Sum {
-        int: i64,
-        float: f64,
-        any_float: bool,
-        n: i64,
-    },
-    Min(Option<Value>),
-    Max(Option<Value>),
-}
-
-impl FoldAcc {
-    fn new(fold: FoldFn) -> FoldAcc {
-        match fold {
-            FoldFn::Sum => FoldAcc::Sum {
-                int: 0,
-                float: 0.0,
-                any_float: false,
-                n: 0,
-            },
-            FoldFn::Min => FoldAcc::Min(None),
-            FoldFn::Max => FoldAcc::Max(None),
-        }
-    }
-
-    fn update(&mut self, v: &Value) -> EngineResult<()> {
-        match self {
-            FoldAcc::Sum {
-                int,
-                float,
-                any_float,
-                n,
-            } => {
-                if v.is_null() {
-                    return Ok(());
-                }
-                match v {
-                    Value::Int(i) => {
-                        *int = int.wrapping_add(*i);
-                        *float += *i as f64;
-                    }
-                    Value::Float(x) => {
-                        *any_float = true;
-                        *float += x;
-                    }
-                    other => return Err(EngineError::TypeError(format!("sum() over {other}"))),
-                }
-                *n += 1;
-            }
-            FoldAcc::Min(cur) => {
-                if v.is_null() {
-                    return Ok(());
-                }
-                let replace = match cur {
-                    None => true,
-                    Some(c) => v.sql_cmp(c) == Some(std::cmp::Ordering::Less),
-                };
-                if replace {
-                    *cur = Some(v.clone());
-                }
-            }
-            FoldAcc::Max(cur) => {
-                if v.is_null() {
-                    return Ok(());
-                }
-                let replace = match cur {
-                    None => true,
-                    Some(c) => v.sql_cmp(c) == Some(std::cmp::Ordering::Greater),
-                };
-                if replace {
-                    *cur = Some(v.clone());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Folds another accumulator into this one (cross-node reduction, in
-    /// node-index order).
-    fn absorb(&mut self, other: &FoldAcc) -> EngineResult<()> {
-        match (self, other) {
-            (
-                FoldAcc::Sum {
-                    int,
-                    float,
-                    any_float,
-                    n,
-                },
-                FoldAcc::Sum {
-                    int: oi,
-                    float: of,
-                    any_float: oa,
-                    n: on,
-                },
-            ) => {
-                *int = int.wrapping_add(*oi);
-                *float += of;
-                *any_float |= oa;
-                *n += on;
-                Ok(())
-            }
-            (acc @ (FoldAcc::Min(_) | FoldAcc::Max(_)), FoldAcc::Min(v) | FoldAcc::Max(v)) => {
-                if let Some(v) = v {
-                    acc.update(v)?;
-                }
-                Ok(())
-            }
-            _ => unreachable!("fold shapes come from the same plan"),
-        }
-    }
-
-    fn finalize(&self) -> Value {
-        match self {
-            FoldAcc::Sum {
-                int,
-                float,
-                any_float,
-                n,
-            } => {
-                if *n == 0 {
-                    Value::Null
-                } else if *any_float {
-                    Value::Float(*float)
-                } else {
-                    Value::Int(*int)
-                }
-            }
-            FoldAcc::Min(v) | FoldAcc::Max(v) => v.clone().unwrap_or(Value::Null),
-        }
-    }
-}
-
-/// Per-group folded state: first-seen group-key values plus one
-/// accumulator per aggregate column.
-#[derive(Debug, Clone)]
-struct FoldGroup {
-    keys: Vec<Value>,
-    accs: Vec<FoldAcc>,
-}
-
-/// One node's running fold, groups in first-seen order (which is what the
-/// engine's hash aggregation reports, so the final composition sees groups
-/// in the same order the staged path would).
-#[derive(Debug, Default)]
-struct NodeFold {
-    index: HashMap<Vec<HashableValue>, usize>,
-    groups: Vec<FoldGroup>,
-}
-
-impl NodeFold {
-    fn fold_row(&mut self, group_cols: usize, folds: &[FoldFn], row: &Row) -> EngineResult<()> {
-        let key: Vec<HashableValue> = row[..group_cols].iter().map(Value::hash_key).collect();
-        let gi = match self.index.get(&key) {
-            Some(&gi) => gi,
-            None => {
-                self.groups.push(FoldGroup {
-                    keys: row[..group_cols].to_vec(),
-                    accs: folds.iter().map(|&f| FoldAcc::new(f)).collect(),
-                });
-                self.index.insert(key, self.groups.len() - 1);
-                self.groups.len() - 1
-            }
-        };
-        let group = &mut self.groups[gi];
-        for (acc, v) in group.accs.iter_mut().zip(&row[group_cols..]) {
-            acc.update(v)?;
-        }
-        Ok(())
-    }
-}
-
 /// Streaming state, chosen at `begin()` from the plan's [`ComposeSpec`].
 enum StreamState {
     Idle,
-    /// Aggregated query: group-wise fold per node.
+    /// Aggregated query: one of the engine's partial-aggregate tables per
+    /// node, each folding that node's partial rows in its own order.
     Reagg {
         group_cols: usize,
         folds: Vec<FoldFn>,
-        nodes: Vec<NodeFold>,
+        nodes: Vec<PartialAgg>,
     },
     /// Plain union: buffer rows tagged `(node, seq)`, pruning to the top
     /// `limit` under the ORDER BY comparator when both are available.
@@ -714,11 +501,12 @@ enum StreamState {
     },
 }
 
-/// The streaming Result Composer: folds partial rows into per-node,
-/// per-group accumulators as they arrive, reduces across nodes in node
+/// The streaming Result Composer: folds partial rows into one of the
+/// engine's partial-aggregate tables per node as they arrive — its group
+/// table, its accumulators ([`PartialAgg`]) — merges the tables in node
 /// order at `finish()`, and runs the plan's composition query over the
 /// folded rows (one per group) so HAVING / ORDER BY / LIMIT / output
-/// expressions get exactly the engine's semantics.
+/// expressions get exactly the engine's semantics (DESIGN.md §5.4).
 ///
 /// For non-aggregated queries with `ORDER BY … LIMIT k` over output
 /// columns, arriving rows are cut off at the global top `k` (stable
@@ -801,10 +589,7 @@ impl Composer for StreamingComposer {
 
     fn accept(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()> {
         let plan = self.plan.as_ref().expect("begin() before accept()");
-        let arity = plan.partial_columns.len();
-        if let Some(bad) = partial.rows.iter().find(|r| r.len() != arity) {
-            return Err(arity_error(node, bad.len(), arity));
-        }
+        check_arity(plan, &format_args!("from node {node}"), &partial)?;
         self.accepted_rows += partial.rows.len() as u64;
         match &mut self.state {
             StreamState::Idle => panic!("begin() before accept()"),
@@ -814,10 +599,11 @@ impl Composer for StreamingComposer {
                 nodes,
             } => {
                 if nodes.len() <= node {
-                    nodes.resize_with(node + 1, NodeFold::default);
+                    nodes.resize_with(node + 1, || PartialAgg::new(folds));
                 }
                 for row in &partial.rows {
-                    nodes[node].fold_row(*group_cols, folds, row)?;
+                    let (keys, args) = row.split_at(*group_cols);
+                    nodes[node].fold(keys, args)?;
                 }
             }
             StreamState::Union {
@@ -850,42 +636,15 @@ impl Composer for StreamingComposer {
         let plan = self.plan.take().expect("begin() before finish()");
         let folded: Vec<Row> = match std::mem::replace(&mut self.state, StreamState::Idle) {
             StreamState::Idle => panic!("begin() before finish()"),
-            StreamState::Reagg {
-                group_cols: _,
-                folds: _,
-                nodes,
-            } => {
-                // Cross-node reduction in node-index order; group output
-                // order is global first-seen order, matching the staged
-                // path's hash aggregation over node-major staging rows.
-                let mut index: HashMap<Vec<HashableValue>, usize> = HashMap::new();
-                let mut merged: Vec<FoldGroup> = Vec::new();
-                for node in nodes {
-                    for group in node.groups {
-                        let key: Vec<HashableValue> =
-                            group.keys.iter().map(Value::hash_key).collect();
-                        match index.get(&key) {
-                            Some(&gi) => {
-                                let target = &mut merged[gi];
-                                for (acc, other) in target.accs.iter_mut().zip(&group.accs) {
-                                    acc.absorb(other)?;
-                                }
-                            }
-                            None => {
-                                index.insert(key, merged.len());
-                                merged.push(group);
-                            }
-                        }
-                    }
-                }
-                merged
-                    .into_iter()
-                    .map(|g| {
-                        let mut row = g.keys;
-                        row.extend(g.accs.iter().map(FoldAcc::finalize));
-                        row
-                    })
-                    .collect()
+            // Node-index order, whatever order the partials arrived in:
+            // group order is then global first-seen order, as the staged
+            // path's aggregation over node-major staging rows has it.
+            StreamState::Reagg { nodes, .. } => {
+                let merged = nodes.into_iter().reduce(|mut merged, node| {
+                    merged.merge(node);
+                    merged
+                });
+                merged.map(PartialAgg::into_rows).unwrap_or_default()
             }
             StreamState::Union { mut rows, .. } => {
                 // Restore staging insertion order (node-major, per-node
@@ -1117,6 +876,69 @@ mod incremental_tests {
                 );
             }
         }
+    }
+
+    /// Hand-made partials for a per-key count and sum, one `QueryOutput`
+    /// per node.
+    fn keyed_plan_and_partials(nodes: Vec<Vec<Row>>) -> (SvpPlan, Vec<QueryOutput>) {
+        let sql = "select o_orderkey, count(*) as n, sum(o_totalprice) as t from orders \
+                   group by o_orderkey order by o_orderkey";
+        let (plan, _) = plan_and_partials(sql, nodes.len());
+        let partials = (nodes.into_iter())
+            .map(|rows| QueryOutput {
+                columns: plan.partial_columns.clone(),
+                rows,
+                ..QueryOutput::default()
+            })
+            .collect();
+        (plan, partials)
+    }
+
+    /// `1` from one node and `1.0` from another are one group, spelled as
+    /// the lower-numbered node spelled it — whichever arrived first.
+    #[test]
+    fn int_and_float_spellings_of_a_key_are_one_group() {
+        let (plan, partials) = keyed_plan_and_partials(vec![
+            vec![vec![Value::Int(1), Value::Int(2), Value::Float(0.5)]],
+            vec![
+                vec![Value::Float(1.0), Value::Int(3), Value::Float(0.25)],
+                vec![Value::Float(2.0), Value::Int(1), Value::Float(4.0)],
+            ],
+        ]);
+        let want = vec![
+            vec![Value::Int(1), Value::Int(5), Value::Float(0.75)],
+            vec![Value::Float(2.0), Value::Int(1), Value::Float(4.0)],
+        ];
+        let staged = compose_with(ComposerStrategy::Staged, &plan, &partials).unwrap();
+        assert_eq!(staged.output.rows, want);
+        for order in [[0usize, 1], [1, 0]] {
+            let mut composer = StreamingComposer::new();
+            composer.begin(&plan).unwrap();
+            for node in order {
+                composer.accept(node, partials[node].clone()).unwrap();
+            }
+            assert_eq!(composer.finish().unwrap().output.rows, want, "{order:?}");
+        }
+    }
+
+    /// Past sixteen groups a node's table probes its hash index; the
+    /// answer is the staged one all the same, overlapping groups included.
+    #[test]
+    fn a_node_reporting_more_than_sixteen_groups_composes_like_staging() {
+        let node = |keys: std::ops::Range<i64>| -> Vec<Row> {
+            keys.rev()
+                .map(|k| vec![Value::Int(k), Value::Int(1), Value::Float(k as f64 / 4.0)])
+                .collect()
+        };
+        let (plan, partials) = keyed_plan_and_partials(vec![node(0..40), node(30..50)]);
+        let staged = compose_with(ComposerStrategy::Staged, &plan, &partials).unwrap();
+        let streaming = compose_with(ComposerStrategy::Streaming, &plan, &partials).unwrap();
+        assert_eq!(streaming.output.rows.len(), 50);
+        assert_eq!(streaming.output.rows, staged.output.rows);
+        assert_eq!(
+            streaming.output.rows[35],
+            vec![Value::Int(35), Value::Int(2), Value::Float(17.5)]
+        );
     }
 
     #[test]

@@ -919,6 +919,40 @@ mod tests {
         assert_eq!(out.rows[0][0], Value::Int(61));
     }
 
+    /// A session `SET` sent through the controller is a statement every
+    /// replica's session must see: load-balanced like a read it would land
+    /// on one backend and the sessions would diverge.
+    #[test]
+    fn set_through_the_controller_reaches_every_replica_session() {
+        let (engine, nodes) = cluster(3, ApuamaConfig::default());
+        let controller = Controller::with_health(
+            engine.connections(),
+            ControllerConfig {
+                rejoin_hooks: engine.rejoin_hooks(),
+                ..ControllerConfig::default()
+            },
+            Arc::clone(engine.health()),
+        );
+        let workers = |i: usize| nodes[i].with_db(|db| db.setting("parallel_workers"));
+        controller.disable_backend(2);
+        controller.execute("set parallel_workers = 3").unwrap();
+        assert_eq!(workers(0).as_deref(), Some("3"));
+        assert_eq!(workers(1).as_deref(), Some("3"));
+        assert_eq!(workers(2), None, "disabled during the SET");
+        // A SELECT after it is still one read on one backend.
+        let reads = |c: &Controller| c.reads_served().iter().sum::<usize>();
+        let before = reads(&controller);
+        let (out, _) = controller
+            .execute("select o_totalprice from orders where o_orderkey = 7")
+            .unwrap();
+        assert_eq!(out.rows, vec![vec![Value::Float(7.0)]]);
+        assert_eq!(reads(&controller), before + 1);
+        // The SET went into the recovery log: rejoining replays it.
+        let rejoined = controller.rejoin_backend(2).unwrap();
+        assert_eq!(rejoined.live_replayed + rejoined.pause_replayed, 1);
+        assert_eq!(workers(2).as_deref(), Some("3"));
+    }
+
     #[test]
     fn updates_and_svp_interleave_consistently() {
         let (engine, _) = cluster(3, ApuamaConfig::default());

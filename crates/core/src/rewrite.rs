@@ -30,6 +30,9 @@ use apuama_sql::ast::{
 };
 use apuama_sql::{parse_statement, visit, ParseError};
 
+pub use apuama_engine::FoldFn;
+use apuama_engine::{eval::split_conjuncts, exec::select_has_aggregates};
+
 use crate::catalog::DataCatalog;
 
 /// Name of the staging table the composition query reads. The Result
@@ -107,16 +110,6 @@ pub enum ComposeSpec {
     },
 }
 
-/// Re-aggregation function for one partial aggregate column. `count`
-/// re-aggregates as `Sum` of partial counts and `avg` decomposes into two
-/// `Sum` columns, so three folds cover every decomposable aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FoldFn {
-    Sum,
-    Min,
-    Max,
-}
-
 /// A reusable virtual-partitioning template: the decomposed sub-query with
 /// a *hole* where the range predicate goes, plus the composition plan.
 ///
@@ -161,10 +154,12 @@ impl QueryTemplate {
             .collect()
     }
 
-    /// Renders the sub-query restricted to VPA keys in `[lo, hi)`; `None`
-    /// on either side leaves that side unbounded.
-    pub fn subquery_for_range(&self, lo: Option<i64>, hi: Option<i64>) -> String {
-        use apuama_sql::{BinOp, Value};
+    /// The sub-query with `vpa >= lo AND vpa < hi` added for every
+    /// partitioned binding, `lo` and `hi` being whatever expression stands
+    /// for a present bound — the one rendering both forms below share, so
+    /// their texts differ in the bounds' spelling and nothing else.
+    fn ranged(&self, lo: Option<Expr>, hi: Option<Expr>) -> String {
+        use apuama_sql::BinOp;
         let mut sub = self.partial.clone();
         for (binding, vp) in &self.partitioned {
             let col = || {
@@ -173,23 +168,19 @@ impl QueryTemplate {
                     vp.vpa.clone(),
                 ))
             };
-            let lo_pred =
-                lo.map(|v| Expr::binary(col(), BinOp::GtEq, Expr::Literal(Value::Int(v))));
-            let hi_pred = hi.map(|v| Expr::binary(col(), BinOp::Lt, Expr::Literal(Value::Int(v))));
-            let pred = match (lo_pred, hi_pred) {
-                (Some(a), Some(b)) => Some(a.and(b)),
-                (Some(a), None) => Some(a),
-                (None, Some(b)) => Some(b),
-                (None, None) => None,
-            };
-            if let Some(pred) = pred {
-                sub.selection = Some(match sub.selection.take() {
-                    Some(w) => w.and(pred),
-                    None => pred,
-                });
-            }
+            let lo_pred = lo.clone().map(|b| Expr::binary(col(), BinOp::GtEq, b));
+            let hi_pred = hi.clone().map(|b| Expr::binary(col(), BinOp::Lt, b));
+            let range = lo_pred.into_iter().chain(hi_pred).reduce(Expr::and);
+            sub.selection = (sub.selection.take().into_iter().chain(range)).reduce(Expr::and);
         }
         sub.to_string()
+    }
+
+    /// Renders the sub-query restricted to VPA keys in `[lo, hi)`; `None`
+    /// on either side leaves that side unbounded.
+    pub fn subquery_for_range(&self, lo: Option<i64>, hi: Option<i64>) -> String {
+        let literal = |v| Expr::Literal(apuama_sql::Value::Int(v));
+        self.ranged(lo.map(literal), hi.map(literal))
     }
 
     /// Renders the sub-query for `[lo, hi)` as a prepared statement:
@@ -206,40 +197,13 @@ impl QueryTemplate {
         lo: Option<i64>,
         hi: Option<i64>,
     ) -> (String, Vec<apuama_sql::Value>) {
-        use apuama_sql::{BinOp, Value};
-        let mut sub = self.partial.clone();
-        let mut params = Vec::new();
-        let lo_param = lo.map(|v| {
-            params.push(Value::Int(v));
-            params.len()
-        });
-        let hi_param = hi.map(|v| {
-            params.push(Value::Int(v));
-            params.len()
-        });
-        for (binding, vp) in &self.partitioned {
-            let col = || {
-                Expr::Column(apuama_sql::ColumnRef::qualified(
-                    binding.clone(),
-                    vp.vpa.clone(),
-                ))
-            };
-            let lo_pred = lo_param.map(|n| Expr::binary(col(), BinOp::GtEq, Expr::Parameter(n)));
-            let hi_pred = hi_param.map(|n| Expr::binary(col(), BinOp::Lt, Expr::Parameter(n)));
-            let pred = match (lo_pred, hi_pred) {
-                (Some(a), Some(b)) => Some(a.and(b)),
-                (Some(a), None) => Some(a),
-                (None, Some(b)) => Some(b),
-                (None, None) => None,
-            };
-            if let Some(pred) = pred {
-                sub.selection = Some(match sub.selection.take() {
-                    Some(w) => w.and(pred),
-                    None => pred,
-                });
-            }
-        }
-        (sub.to_string(), params)
+        let params: Vec<_> = (lo.into_iter().chain(hi).map(apuama_sql::Value::Int)).collect();
+        // `lo` binds first when present, so `hi` is the last parameter.
+        let text = self.ranged(
+            lo.map(|_| Expr::Parameter(1)),
+            hi.map(|_| Expr::Parameter(params.len())),
+        );
+        (text, params)
     }
 
     /// Instantiates the paper's static SVP plan: `n` aligned partitions of
@@ -377,7 +341,7 @@ impl SvpRewriter {
         }
 
         // -- decomposition ----------------------------------------------------
-        let aggregated = !q.group_by.is_empty() || query_has_aggregates(q);
+        let aggregated = !q.group_by.is_empty() || select_has_aggregates(q);
         let decomposition = if aggregated {
             decompose_aggregated(q)?
         } else {
@@ -431,29 +395,6 @@ struct Decomposition {
     compose: ComposeSpec,
 }
 
-/// Splits a predicate into top-level conjuncts (local copy to avoid a
-/// dependency on engine internals).
-fn split_conjuncts(pred: Option<&Expr>) -> Vec<Expr> {
-    fn go(e: &Expr, out: &mut Vec<Expr>) {
-        if let Expr::Binary {
-            left,
-            op: apuama_sql::BinOp::And,
-            right,
-        } = e
-        {
-            go(left, out);
-            go(right, out);
-        } else {
-            out.push(e.clone());
-        }
-    }
-    let mut out = Vec::new();
-    if let Some(p) = pred {
-        go(p, &mut out);
-    }
-    out
-}
-
 /// True if the conjunct is `a.vpa_a = b.vpa_b` in either order.
 fn is_vpa_equality(c: &Expr, binding_a: &str, vpa_a: &str, binding_b: &str, vpa_b: &str) -> bool {
     let Expr::Binary {
@@ -478,16 +419,6 @@ fn is_vpa_equality(c: &Expr, binding_a: &str, vpa_a: &str, binding_b: &str, vpa_
     };
     (is_ref(left, binding_a, vpa_a) && is_ref(right, binding_b, vpa_b))
         || (is_ref(left, binding_b, vpa_b) && is_ref(right, binding_a, vpa_a))
-}
-
-fn query_has_aggregates(q: &Select) -> bool {
-    let item_agg = q.items.iter().any(|i| match i {
-        SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-        SelectItem::Wildcard => false,
-    });
-    item_agg
-        || q.having.as_ref().is_some_and(|h| h.contains_aggregate())
-        || q.order_by.iter().any(|o| o.expr.contains_aggregate())
 }
 
 fn has_distinct_aggregate(q: &Select) -> bool {

@@ -36,8 +36,9 @@ use std::sync::Arc;
 use apuama_sql::ast::{is_aggregate_name, BinOp, ColumnRef, Expr, UnaryOp};
 use apuama_sql::Value;
 
+use crate::agg::AggSpec;
 use crate::error::{EngineError, EngineResult};
-use crate::exec::{self, AggSpec, Binding, ExecContext};
+use crate::exec::{self, Binding, ExecContext};
 use crate::subquery::{self, ExistsProbe, ProbeMemo, Subquery};
 
 /// One scope level: the bindings describing a tuple's columns plus the
@@ -1469,7 +1470,7 @@ mod tests {
         else {
             panic!("a select");
         };
-        let specs = exec::collect_agg_specs(&q);
+        let specs = crate::agg::collect_agg_specs(&q);
         let scope = Scope {
             aggs: &specs,
             ..Scope::new(&names, &[], &ctx)

@@ -1,6 +1,6 @@
 //! Execution infrastructure shared across the engine: the per-statement
-//! context and statistics, column binding/resolution, the aggregation
-//! machinery, and the row-id scan the DML path mutates through.
+//! context and statistics, column binding/resolution, and the row-id scan
+//! the DML path mutates through (aggregation is [`crate::agg`]'s).
 //!
 //! SELECT execution itself lives in [`crate::physical`]: the planner lowers
 //! every query to a batch-at-a-time physical operator tree, and
@@ -12,8 +12,7 @@
 
 use std::cell::{Cell, RefCell};
 
-use apuama_sql::ast::{is_aggregate_name, Expr, Select, SelectItem};
-use apuama_sql::value::HashableValue;
+use apuama_sql::ast::{Expr, Select, SelectItem};
 use apuama_sql::{visit, Value};
 use apuama_storage::{AccessKind, PageKey, Row, RowId, TableId};
 
@@ -328,7 +327,9 @@ pub(crate) fn expr_has_columns(e: &Expr) -> bool {
     found
 }
 
-pub(crate) fn select_has_aggregates(q: &Select) -> bool {
+/// Whether any output clause of `q` (select list, HAVING, ORDER BY) calls an
+/// aggregate — with GROUP BY, what makes a SELECT an aggregation.
+pub fn select_has_aggregates(q: &Select) -> bool {
     let item_agg = q.items.iter().any(|i| match i {
         SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
         SelectItem::Wildcard => false,
@@ -409,321 +410,4 @@ pub(crate) fn output_bindings(q: &Select, input: &[Binding]) -> Vec<Binding> {
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Aggregation
-// ---------------------------------------------------------------------------
-
-/// One aggregate call discovered in the query, keyed by its rendered SQL so
-/// identical calls share an accumulator.
-#[derive(Debug, Clone)]
-pub(crate) struct AggSpec {
-    pub(crate) key: String,
-    name: String,
-    pub(crate) arg: Option<Expr>,
-    pub(crate) distinct: bool,
-    pub(crate) star: bool,
-}
-
-/// Accumulator state for one aggregate within one group.
-#[derive(Debug, Clone)]
-pub(crate) enum Acc {
-    CountStar(i64),
-    Count {
-        n: i64,
-        distinct: Option<std::collections::HashSet<HashableValue>>,
-    },
-    Sum {
-        int: i64,
-        float: f64,
-        any_float: bool,
-        n: i64,
-        distinct: Option<std::collections::HashSet<HashableValue>>,
-    },
-    Avg {
-        sum: f64,
-        n: i64,
-        distinct: Option<std::collections::HashSet<HashableValue>>,
-    },
-    Min(Option<Value>),
-    Max(Option<Value>),
-}
-
-impl Acc {
-    pub(crate) fn new(spec: &AggSpec) -> Acc {
-        let set = || {
-            if spec.distinct {
-                Some(std::collections::HashSet::new())
-            } else {
-                None
-            }
-        };
-        match spec.name.as_str() {
-            "count" if spec.star => Acc::CountStar(0),
-            "count" => Acc::Count {
-                n: 0,
-                distinct: set(),
-            },
-            "sum" => Acc::Sum {
-                int: 0,
-                float: 0.0,
-                any_float: false,
-                n: 0,
-                distinct: set(),
-            },
-            "avg" => Acc::Avg {
-                sum: 0.0,
-                n: 0,
-                distinct: set(),
-            },
-            "min" => Acc::Min(None),
-            "max" => Acc::Max(None),
-            other => unreachable!("not an aggregate: {other}"),
-        }
-    }
-
-    pub(crate) fn update(&mut self, v: Option<Value>) -> EngineResult<()> {
-        match self {
-            Acc::CountStar(n) => *n += 1,
-            Acc::Count { n, distinct } => {
-                if let Some(v) = v {
-                    if v.is_null() {
-                        return Ok(());
-                    }
-                    if let Some(set) = distinct {
-                        if !set.insert(v.hash_key()) {
-                            return Ok(());
-                        }
-                    }
-                    *n += 1;
-                }
-            }
-            Acc::Sum {
-                int,
-                float,
-                any_float,
-                n,
-                distinct,
-            } => {
-                if let Some(v) = v {
-                    if v.is_null() {
-                        return Ok(());
-                    }
-                    if let Some(set) = distinct {
-                        if !set.insert(v.hash_key()) {
-                            return Ok(());
-                        }
-                    }
-                    match v {
-                        Value::Int(i) => {
-                            *int = int.wrapping_add(i);
-                            *float += i as f64;
-                        }
-                        Value::Float(x) => {
-                            *any_float = true;
-                            *float += x;
-                        }
-                        other => return Err(EngineError::TypeError(format!("sum() over {other}"))),
-                    }
-                    *n += 1;
-                }
-            }
-            Acc::Avg { sum, n, distinct } => {
-                if let Some(v) = v {
-                    if v.is_null() {
-                        return Ok(());
-                    }
-                    if let Some(set) = distinct {
-                        if !set.insert(v.hash_key()) {
-                            return Ok(());
-                        }
-                    }
-                    let Some(x) = v.as_f64() else {
-                        return Err(EngineError::TypeError(format!("avg() over {v}")));
-                    };
-                    *sum += x;
-                    *n += 1;
-                }
-            }
-            Acc::Min(cur) => {
-                if let Some(v) = v {
-                    if v.is_null() {
-                        return Ok(());
-                    }
-                    let replace = match cur {
-                        None => true,
-                        Some(c) => v.sql_cmp(c) == Some(std::cmp::Ordering::Less),
-                    };
-                    if replace {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            Acc::Max(cur) => {
-                if let Some(v) = v {
-                    if v.is_null() {
-                        return Ok(());
-                    }
-                    let replace = match cur {
-                        None => true,
-                        Some(c) => v.sql_cmp(c) == Some(std::cmp::Ordering::Greater),
-                    };
-                    if replace {
-                        *cur = Some(v);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Folds another accumulator of the same shape into this one — the
-    /// combine step of morsel-driven partial aggregation. Merging `other`
-    /// after every row of the earlier partial has been applied is exactly
-    /// equivalent to updating one accumulator with both partials' rows in
-    /// morsel order: counts add, sums add (the wrapping integer add and the
-    /// float add are both associative over the engine's exact test data),
-    /// and min/max keep the earlier value on ties (`update` replaces only
-    /// on strict inequality, so first-seen wins there too). DISTINCT
-    /// accumulators are never merged — the parallel planner excludes them,
-    /// because replaying a hash set's insertion order is not order-free.
-    pub(crate) fn merge(&mut self, other: Acc) {
-        match (self, other) {
-            (Acc::CountStar(n), Acc::CountStar(m)) => *n += m,
-            (Acc::Count { n, distinct: None }, Acc::Count { n: m, .. }) => *n += m,
-            (
-                Acc::Sum {
-                    int,
-                    float,
-                    any_float,
-                    n,
-                    distinct: None,
-                },
-                Acc::Sum {
-                    int: oi,
-                    float: of,
-                    any_float: oa,
-                    n: on,
-                    ..
-                },
-            ) => {
-                *int = int.wrapping_add(oi);
-                *float += of;
-                *any_float |= oa;
-                *n += on;
-            }
-            (
-                Acc::Avg {
-                    sum,
-                    n,
-                    distinct: None,
-                },
-                Acc::Avg { sum: os, n: on, .. },
-            ) => {
-                *sum += os;
-                *n += on;
-            }
-            (Acc::Min(cur), Acc::Min(Some(v))) => {
-                let replace = match cur {
-                    None => true,
-                    Some(c) => v.sql_cmp(c) == Some(std::cmp::Ordering::Less),
-                };
-                if replace {
-                    *cur = Some(v);
-                }
-            }
-            (Acc::Max(cur), Acc::Max(Some(v))) => {
-                let replace = match cur {
-                    None => true,
-                    Some(c) => v.sql_cmp(c) == Some(std::cmp::Ordering::Greater),
-                };
-                if replace {
-                    *cur = Some(v);
-                }
-            }
-            (Acc::Min(_), Acc::Min(None)) | (Acc::Max(_), Acc::Max(None)) => {}
-            _ => unreachable!("merging mismatched or DISTINCT accumulators"),
-        }
-    }
-
-    pub(crate) fn finalize(self) -> Value {
-        match self {
-            Acc::CountStar(n) => Value::Int(n),
-            Acc::Count { n, .. } => Value::Int(n),
-            Acc::Sum {
-                int,
-                float,
-                any_float,
-                n,
-                ..
-            } => {
-                if n == 0 {
-                    Value::Null
-                } else if any_float {
-                    Value::Float(float)
-                } else {
-                    Value::Int(int)
-                }
-            }
-            Acc::Avg { sum, n, .. } => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(sum / n as f64)
-                }
-            }
-            Acc::Min(v) | Acc::Max(v) => v.unwrap_or(Value::Null),
-        }
-    }
-}
-
-/// Finds every aggregate call in the query's output clauses (not descending
-/// into subqueries — their aggregates belong to the inner query).
-pub(crate) fn collect_agg_specs(q: &Select) -> Vec<AggSpec> {
-    let mut specs: Vec<AggSpec> = Vec::new();
-    let mut add = |e: &Expr| {
-        visit::shallow_walk(e, &mut |x| {
-            if let Expr::Function {
-                name,
-                args,
-                distinct,
-                star,
-            } = x
-            {
-                if is_aggregate_name(name) {
-                    let key = x.to_string();
-                    if !specs.iter().any(|s| s.key == key) {
-                        specs.push(AggSpec {
-                            key,
-                            name: name.clone(),
-                            arg: args.first().cloned(),
-                            distinct: *distinct,
-                            star: *star,
-                        });
-                    }
-                }
-            }
-        });
-    };
-    for item in &q.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            add(expr);
-        }
-    }
-    if let Some(h) = &q.having {
-        add(h);
-    }
-    for o in &q.order_by {
-        add(&o.expr);
-    }
-    specs
-}
-
-/// Accumulator state for one group: a representative input row (what a
-/// group's projection reads columns from) plus one accumulator per aggregate
-/// spec.
-pub(crate) struct GroupState {
-    pub(crate) rep_row: Row,
-    pub(crate) accs: Vec<Acc>,
 }

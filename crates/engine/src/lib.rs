@@ -27,6 +27,7 @@
 //! single-session transactions with an undo log — the granularity C-JDBC
 //! needs for its totally ordered write broadcast.
 
+mod agg;
 pub mod catalog;
 pub mod db;
 pub mod error;
@@ -42,6 +43,7 @@ pub mod stats;
 mod subquery;
 pub mod table;
 
+pub use agg::{FoldFn, PartialAgg};
 pub use catalog::{Catalog, ColumnMeta, TableSchema};
 pub use db::{Database, QueryOutput, Settings};
 pub use error::{EngineError, EngineResult};

@@ -69,7 +69,7 @@ use apuama_storage::{Column, ColumnVec, Row, Segment, Validity};
 
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{and3, cmp_matches, not3, CompiledExpr, Frame};
-use crate::exec::{Acc, ExecContext};
+use crate::exec::ExecContext;
 use crate::subquery::{probe_memos, ProbeMemo};
 
 use crate::physical::*;
@@ -866,35 +866,6 @@ impl F64Prog {
     }
 }
 
-/// One aggregate update from a computed `Float`, value-identical to
-/// `acc.update(Some(Value::Float(x)))` without the box on the accumulators
-/// a vectorized argument feeds in practice.
-pub(crate) fn update_acc_f64(acc: &mut Acc, x: f64) -> EngineResult<()> {
-    match acc {
-        Acc::Sum {
-            float,
-            any_float,
-            n,
-            distinct: None,
-            ..
-        } => {
-            *any_float = true;
-            *float += x;
-            *n += 1;
-        }
-        Acc::Avg {
-            sum,
-            n,
-            distinct: None,
-        } => {
-            *sum += x;
-            *n += 1;
-        }
-        other => other.update(Some(Value::Float(x)))?,
-    }
-    Ok(())
-}
-
 /// Whether a stored group-key component equals a cell — `stored.sort_cmp(cell)
 /// == Equal`, the group tables' equality — without boxing the cell for the
 /// pairs a typed column produces.
@@ -930,129 +901,4 @@ pub(crate) fn hash_cell<H: Hasher>(col: &Column, i: usize, state: &mut H) {
         }
         ColumnVec::Val(v) => hash_value(&v[i], state),
     }
-}
-
-/// `cell sql_cmp cur == Some(order)`, for min/max replacement. `None`
-/// comparisons (NaN, cross-class) never replace, exactly like
-/// [`Acc::update`]'s strict-inequality rule.
-fn cell_sql_is(col: &Column, i: usize, cur: &Value, order: Ordering) -> bool {
-    let ord = match (col.data(), cur) {
-        (ColumnVec::Int(v), Value::Int(b)) => Some(v[i].cmp(b)),
-        (ColumnVec::Int(v), Value::Float(b)) => (v[i] as f64).partial_cmp(b),
-        (ColumnVec::Float(v), Value::Int(b)) => v[i].partial_cmp(&(*b as f64)),
-        (ColumnVec::Float(v), Value::Float(b)) => v[i].partial_cmp(b),
-        (data @ ColumnVec::Str { .. }, Value::Str(s)) => Some(data.str_at(i).cmp(s.as_str())),
-        (ColumnVec::Date(v), Value::Date(d)) => Some(v[i].cmp(&d.0)),
-        (ColumnVec::Val(v), c) => v[i].sql_cmp(c),
-        _ => None,
-    };
-    ord == Some(order)
-}
-
-/// One aggregate update from a stored cell, value- and error-identical to
-/// `acc.update(Some(cell))` but without boxing the cell for the hot numeric
-/// accumulators. DISTINCT accumulators and exotic cases materialize the
-/// cell and take the boxed path — correctness over speed off the hot path.
-pub(crate) fn update_acc_cell(acc: &mut Acc, col: &Column, i: usize) -> EngineResult<()> {
-    if !col.validity().is_valid(i) {
-        // NULL argument: every accumulator ignores it except count(*).
-        if let Acc::CountStar(n) = acc {
-            *n += 1;
-        }
-        return Ok(());
-    }
-    match acc {
-        Acc::CountStar(n) => *n += 1,
-        Acc::Count { n, distinct } => {
-            if let Some(set) = distinct {
-                if !set.insert(col.value_at(i).hash_key()) {
-                    return Ok(());
-                }
-            }
-            *n += 1;
-        }
-        Acc::Sum {
-            int,
-            float,
-            any_float,
-            n,
-            distinct,
-        } => {
-            if let Some(set) = distinct {
-                if !set.insert(col.value_at(i).hash_key()) {
-                    return Ok(());
-                }
-            }
-            match col.data() {
-                ColumnVec::Int(v) => {
-                    *int = int.wrapping_add(v[i]);
-                    *float += v[i] as f64;
-                }
-                ColumnVec::Float(v) => {
-                    *any_float = true;
-                    *float += v[i];
-                }
-                ColumnVec::Val(v) => match &v[i] {
-                    Value::Int(x) => {
-                        *int = int.wrapping_add(*x);
-                        *float += *x as f64;
-                    }
-                    Value::Float(x) => {
-                        *any_float = true;
-                        *float += x;
-                    }
-                    other => return Err(EngineError::TypeError(format!("sum() over {other}"))),
-                },
-                _ => {
-                    return Err(EngineError::TypeError(format!(
-                        "sum() over {}",
-                        col.value_at(i)
-                    )))
-                }
-            }
-            *n += 1;
-        }
-        Acc::Avg { sum, n, distinct } => {
-            if let Some(set) = distinct {
-                if !set.insert(col.value_at(i).hash_key()) {
-                    return Ok(());
-                }
-            }
-            let x = match col.data() {
-                ColumnVec::Int(v) => v[i] as f64,
-                ColumnVec::Float(v) => v[i],
-                ColumnVec::Val(v) => match v[i].as_f64() {
-                    Some(x) => x,
-                    None => return Err(EngineError::TypeError(format!("avg() over {}", v[i]))),
-                },
-                _ => {
-                    return Err(EngineError::TypeError(format!(
-                        "avg() over {}",
-                        col.value_at(i)
-                    )))
-                }
-            };
-            *sum += x;
-            *n += 1;
-        }
-        Acc::Min(cur) => {
-            let replace = match cur {
-                None => true,
-                Some(c) => cell_sql_is(col, i, c, Ordering::Less),
-            };
-            if replace {
-                *cur = Some(col.value_at(i));
-            }
-        }
-        Acc::Max(cur) => {
-            let replace = match cur {
-                None => true,
-                Some(c) => cell_sql_is(col, i, c, Ordering::Greater),
-            };
-            if replace {
-                *cur = Some(col.value_at(i));
-            }
-        }
-    }
-    Ok(())
 }

@@ -1,16 +1,14 @@
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::hash::Hasher;
 use std::sync::Arc;
 
 use apuama_sql::ast::{BinOp, Expr};
-use apuama_sql::value::hash_value;
 use apuama_sql::Value;
 use apuama_storage::Row;
 
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{self, cmp_matches, truthiness, CompiledExpr, Frame, Scope};
-use crate::exec::{self, Binding, ExecContext, GroupState, Relation};
+use crate::exec::{self, Binding, ExecContext, Relation};
 use crate::planner;
 use crate::subquery::{probe_memos, ExistsProbe, ProbeMemo};
 use crate::table::Table;
@@ -278,7 +276,7 @@ pub(crate) fn zone_allowed_pages(table: &Table, preds: &ScanPreds) -> (Option<Ve
 }
 
 // ---------------------------------------------------------------------------
-// Group table
+// Key programs
 // ---------------------------------------------------------------------------
 
 /// One group-by key component program: a direct column read (no clone per
@@ -380,205 +378,6 @@ impl Hasher for FnvHasher {
     #[inline]
     fn finish(&self) -> u64 {
         self.0
-    }
-}
-
-/// How many groups the table matches by linear scan before cutting over to
-/// a hashed index.
-pub(crate) const LINEAR_GROUPS_MAX: usize = 16;
-
-/// The group table of every aggregation, fused or general. Groups are
-/// matched by *borrowed* key components (no per-row key `Vec` or `Value`
-/// clones — the key is cloned exactly once, when its group is first seen);
-/// equality is `sort_cmp == Equal` per component, so NULLs form one group
-/// and `1` and `1.0` share one; states come out in first-seen order, ready
-/// for [`project_groups`]. The lookup is specialized for small group
-/// counts — an aggregation over one table almost always has few (TPC-H Q1
-/// has four), where a couple of direct comparisons beat hashing the key on
-/// every row: the table runs hash-free until the group count outgrows
-/// [`LINEAR_GROUPS_MAX`], then builds an FNV index once and probes it from
-/// there on.
-pub(crate) struct Groups {
-    keys: Vec<Vec<Value>>,
-    states: Vec<GroupState>,
-    /// FNV hash → group indices (collision list); `None` in the linear
-    /// regime, built exactly once at cut-over.
-    index: Option<HashMap<u64, Vec<u32>>>,
-    /// The group the last probe found: tried first in the linear regime,
-    /// where neighbouring rows mostly share a group.
-    last: usize,
-}
-
-impl Groups {
-    pub(crate) fn new() -> Self {
-        Groups {
-            keys: Vec::new(),
-            states: Vec::new(),
-            index: None,
-            last: 0,
-        }
-    }
-
-    pub(crate) fn probe_hash(progs: &[KeyProg], row: &[Value], scratch: &[Value]) -> u64 {
-        let mut hasher = FnvHasher::new();
-        for i in 0..progs.len() {
-            hash_value(key_component(progs, i, row, scratch), &mut hasher);
-        }
-        hasher.finish()
-    }
-
-    pub(crate) fn stored_hash(key: &[Value]) -> u64 {
-        let mut hasher = FnvHasher::new();
-        for v in key {
-            hash_value(v, &mut hasher);
-        }
-        hasher.finish()
-    }
-
-    pub(crate) fn matches(
-        stored: &[Value],
-        progs: &[KeyProg],
-        row: &[Value],
-        scratch: &[Value],
-    ) -> bool {
-        stored
-            .iter()
-            .enumerate()
-            .all(|(i, s)| s.sort_cmp(key_component(progs, i, row, scratch)) == Ordering::Equal)
-    }
-
-    pub(crate) fn find_or_insert(
-        &mut self,
-        progs: &[KeyProg],
-        row: &[Value],
-        scratch: &[Value],
-        new_state: impl FnOnce() -> GroupState,
-    ) -> &mut GroupState {
-        self.find_or_insert_with(
-            || Self::probe_hash(progs, row, scratch),
-            |stored| Self::matches(stored, progs, row, scratch),
-            || {
-                // Load-bearing clone: a new group's key is materialized
-                // once; probes compare against row/scratch without cloning.
-                (0..progs.len())
-                    .map(|i| key_component(progs, i, row, scratch).clone())
-                    .collect()
-            },
-            new_state,
-        )
-    }
-
-    /// The group a probe key belongs to, if it has been seen: a linear
-    /// `matches` scan until the cut-over, the FNV index after. `probe_hash`
-    /// is only called in the indexed regime.
-    fn position(
-        &mut self,
-        probe_hash: impl FnOnce() -> u64,
-        matches: impl Fn(&[Value]) -> bool,
-    ) -> Option<usize> {
-        match &self.index {
-            None => {
-                if self
-                    .keys
-                    .get(self.last)
-                    .is_some_and(|stored| matches(stored))
-                {
-                    return Some(self.last);
-                }
-                let found = self.keys.iter().position(|stored| matches(stored));
-                self.last = found.unwrap_or(self.last);
-                found
-            }
-            Some(index) => index.get(&probe_hash()).and_then(|bucket| {
-                bucket
-                    .iter()
-                    .map(|&gi| gi as usize)
-                    .find(|&gi| matches(&self.keys[gi]))
-            }),
-        }
-    }
-
-    /// Appends a first-seen group, indexing it — or, when the table has
-    /// just outgrown [`LINEAR_GROUPS_MAX`], every group seen so far, once.
-    fn push(&mut self, key: Vec<Value>, state: GroupState) -> &mut GroupState {
-        let gi = self.states.len() as u32;
-        if let Some(index) = &mut self.index {
-            index.entry(Self::stored_hash(&key)).or_default().push(gi);
-        }
-        self.keys.push(key);
-        self.states.push(state);
-        if self.index.is_none() && self.keys.len() > LINEAR_GROUPS_MAX {
-            let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
-            for (i, key) in self.keys.iter().enumerate() {
-                index
-                    .entry(Self::stored_hash(key))
-                    .or_default()
-                    .push(i as u32);
-            }
-            self.index = Some(index);
-        }
-        self.states.last_mut().expect("just pushed")
-    }
-
-    /// Generalized probe: the caller supplies how to hash, match, and
-    /// materialize the probe key, so the fused fold probes with stored
-    /// cells without boxing them first. `probe_hash` is only called
-    /// in the indexed regime (the linear regime never hashes) and
-    /// `make_key` only when the group is first seen — the same cost
-    /// profile as the row-based probe above, which delegates here.
-    pub(crate) fn find_or_insert_with(
-        &mut self,
-        probe_hash: impl FnOnce() -> u64,
-        matches: impl Fn(&[Value]) -> bool,
-        make_key: impl FnOnce() -> Vec<Value>,
-        new_state: impl FnOnce() -> GroupState,
-    ) -> &mut GroupState {
-        match self.position(probe_hash, matches) {
-            Some(gi) => &mut self.states[gi],
-            None => self.push(make_key(), new_state()),
-        }
-    }
-
-    /// The accumulated group states, in first-seen order.
-    pub(crate) fn into_states(self) -> Vec<GroupState> {
-        self.states
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Folds another group table — one morsel's partial aggregate — into
-    /// this one. The parallel coordinator calls this in morsel order, which
-    /// preserves global first-seen group order: a group's first occurrence
-    /// lives in the earliest morsel containing it, so it is either already
-    /// present (keeping its earlier representative row) or appended here
-    /// exactly when the serial scan would have created it. Lookup follows
-    /// the same regime as [`Self::find_or_insert`], and [`hash_value`]
-    /// normalizes numerics, so hash and linear probes agree on which keys
-    /// are equal.
-    pub(crate) fn merge(&mut self, other: Groups) {
-        for (key, state) in other.keys.into_iter().zip(other.states) {
-            let found = self.position(
-                || Self::stored_hash(&key),
-                |stored| {
-                    stored
-                        .iter()
-                        .zip(&key)
-                        .all(|(s, k)| s.sort_cmp(k) == Ordering::Equal)
-                },
-            );
-            match found {
-                Some(gi) => {
-                    for (acc, o) in self.states[gi].accs.iter_mut().zip(state.accs) {
-                        acc.merge(o);
-                    }
-                }
-                None => {
-                    self.push(key, state);
-                }
-            }
-        }
     }
 }
 

@@ -15,7 +15,10 @@
 //! aggregation kernel survives as the scan→filter→aggregate *fusion rule*
 //! applied during lowering ([`Shape::Fused`]), so `SET enable_kernel`
 //! toggles a plan rewrite, not a second executor, and there is no
-//! "unsupported shape" fallback left to take.
+//! "unsupported shape" fallback left to take. What the aggregating operators
+//! accumulate into — `Acc`, the `Groups` table, the merge of two partial
+//! aggregates — is [`crate::agg`]'s, shared with the morsel tier's combine
+//! step and, above the engine, the cluster's result composer.
 //!
 //! # What is fixed, and what is only consistent
 //!
@@ -86,10 +89,11 @@
 use apuama_sql::ast::{ColumnRef, Expr, Select, SelectItem, SetQuantifier, TableRef};
 use apuama_sql::visit;
 
+use crate::agg::{self, AggSpec};
 use crate::db::Database;
 use crate::error::EngineResult;
 use crate::eval::{self, CompiledExpr, Frame, Scope};
-use crate::exec::{self, AggSpec, Binding, ExecContext, Relation};
+use crate::exec::{self, Binding, ExecContext, Relation};
 use crate::planner::{self};
 
 mod batch;
@@ -395,7 +399,7 @@ pub(crate) fn compile_fused(q: &Select, db: &Database) -> Option<FusedPlan> {
     let compiled_single = all(&single)?;
     let compiled_post = all(&post)?;
     let group_by = all(&q.group_by)?;
-    let specs = exec::collect_agg_specs(q);
+    let specs = agg::collect_agg_specs(q);
     let agg_args = specs
         .iter()
         .map(|s| match (&s.arg, s.star) {

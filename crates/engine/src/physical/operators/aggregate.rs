@@ -2,9 +2,10 @@ use apuama_sql::ast::Select;
 use apuama_sql::Value;
 use apuama_storage::Row;
 
+use crate::agg::{self, Acc, AggSpec, GroupState, Groups};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{self, truthiness, CompiledExpr, Frame, Scope};
-use crate::exec::{self, Acc, AggSpec, Binding, ExecContext, GroupState};
+use crate::exec::{self, Binding, ExecContext};
 
 use crate::physical::*;
 
@@ -38,7 +39,7 @@ impl<'e> AggregateExec<'e> {
         outer: &'e [Frame<'e>],
         ctx: &'e ExecContext<'e>,
     ) -> Self {
-        let specs = exec::collect_agg_specs(q);
+        let specs = agg::collect_agg_specs(q);
         let breaker = q.group_by.iter().any(exec::contains_subquery)
             || specs
                 .iter()

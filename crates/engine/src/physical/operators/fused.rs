@@ -6,9 +6,10 @@ use apuama_sql::Value;
 use apuama_storage::Row;
 use apuama_storage::{Column, ColumnVec, Segment};
 
+use crate::agg::{Acc, GroupState, Groups};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{self, CompiledExpr, Frame};
-use crate::exec::{self, Acc, Binding, ExecContext, GroupState};
+use crate::exec::{self, Binding, ExecContext};
 use crate::planner::ScanChoice;
 use crate::table::Table;
 
@@ -308,9 +309,9 @@ impl<'p> FusedFold<'p> {
             for (arg, acc) in args.iter().zip(group.accs.iter_mut()) {
                 match arg {
                     BatchArg::None => acc.update(None)?,
-                    BatchArg::Cell(col) => update_acc_cell(acc, col, slot)?,
-                    BatchArg::FloatCol(v) => update_acc_f64(acc, v[slot])?,
-                    BatchArg::Floats(xs) => update_acc_f64(acc, xs[k])?,
+                    BatchArg::Cell(col) => acc.update_cell(col, slot)?,
+                    BatchArg::FloatCol(v) => acc.update_f64(v[slot])?,
+                    BatchArg::Floats(xs) => acc.update_f64(xs[k])?,
                     BatchArg::Row(prog) => {
                         acc.update(Some(eval::eval_compiled(prog, row, &[], ctx)?))?
                     }

@@ -5,6 +5,7 @@ use parking_lot::Mutex;
 
 use apuama_storage::{AccessKind, Row, Segment};
 
+use crate::agg::Groups;
 use crate::db::Database;
 use crate::error::EngineResult;
 use crate::exec::{self, Binding, ExecContext};

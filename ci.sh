@@ -34,6 +34,12 @@ echo "== storage: column heap against its row model, buffer pool and index model
 # Outside tier-1 (the root package's tests) and every suite listed here.
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-storage
 
+echo "== clustered ranges: ordered prefix and tail against the slot model (DESIGN.md §13), sub-query counters and range ≡ scan on the TPC-H set =="
+# By name: the model is one unit test of the engine crate's suite below, and
+# the one to look at first when a virtual partition answers wrongly.
+timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine --lib clustered_model
+timeout "$SUITE_TIMEOUT" cargo test -q --test clustered_range
+
 echo "== fault injection: retry/reassignment/breaker suite =="
 timeout "$SUITE_TIMEOUT" cargo test -q --test fault_tolerance
 

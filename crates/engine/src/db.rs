@@ -745,6 +745,15 @@ impl Database {
         Ok(rids)
     }
 
+    /// Compacts and re-clusters one table ([`Table::vacuum`]) and drops its
+    /// pages from the pool: the page numbers mean other tuples afterwards.
+    /// Returns the slots reclaimed.
+    pub(crate) fn vacuum_table(&mut self, id: TableId) -> u64 {
+        let reclaimed = self.table_mut(id).vacuum();
+        self.pool_invalidate(id);
+        reclaimed
+    }
+
     fn exec_delete(
         &mut self,
         table_name: &str,
@@ -783,9 +792,7 @@ impl Database {
         if self.txn.is_none() {
             let table = &self.tables[id as usize];
             if table.tombstone_ratio() > 0.34 && table.heap.slots() > 128 {
-                let reclaimed = self.table_mut(id).vacuum();
-                self.pool_invalidate(id);
-                stats.cpu_tuple_ops += reclaimed;
+                stats.cpu_tuple_ops += self.vacuum_table(id);
             }
         }
         Ok(QueryOutput {

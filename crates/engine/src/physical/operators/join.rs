@@ -193,7 +193,12 @@ impl<'e> Operator<'e> for JoinExec<'e> {
         // stays the selection it is.
         let mut driver_scan = None;
         let mut relations: Vec<Relation> = Vec::with_capacity(inputs.len());
+        let mut base_rows = Vec::with_capacity(inputs.len());
         for (i, input) in inputs.into_iter().enumerate() {
+            base_rows.push(match &input {
+                Input::Rows(rel) => rel.rows.len(),
+                Input::Selected(scan, _) => scan.table_rows,
+            });
             relations.push(match input {
                 Input::Rows(rel) => rel,
                 Input::Selected(scan, child) if i == driving => {
@@ -223,22 +228,45 @@ impl<'e> Operator<'e> for JoinExec<'e> {
                 }
             });
         }
+        let driver_rows = match &driver_scan {
+            Some(scan) => scan.rows(),
+            None => relations[driving].rows.len(),
+        };
+        self.note(|| format!("drive {}: {driver_rows} rows", names[driving]));
+
+        let on = |step_edges: &[usize]| {
+            let on: Vec<String> = (step_edges.iter())
+                .map(|&e| format!("{} = {}", g.edges[e].left_expr, g.edges[e].right_expr))
+                .collect();
+            on.join(" and ")
+        };
+        // One cpu op per row a reduction probes and per row it keeps, as
+        // for a hash step; the leaf's build is charged with its step.
+        let (tables, reductions) =
+            reduce_by_leaves(driving, &mut relations, &names, &g.edges, outer, ctx)?;
+        let mut cpu = 0;
+        for r in &reductions {
+            cpu += (r.before + r.after) as u64;
+            self.note(|| {
+                let (parent, leaf) = (&names[r.parent], &names[r.leaf]);
+                let (before, after) = (r.before, r.after);
+                format!(
+                    "⋉ {parent} by {leaf} on {}: {before} → {after}",
+                    on(&r.edges)
+                )
+            });
+        }
+        let order_inputs = OrderInputs {
+            relations: &relations,
+            base_rows: &base_rows,
+            names: &names,
+            edges: &g.edges,
+        };
+        let steps = greedy_steps(driving, driver_rows, &order_inputs, tables, outer, ctx)?;
         let driver = match &driver_scan {
             Some(scan) => Driver::Selected(scan),
             None => Driver::Rows(&relations[driving].rows),
         };
-        let driver_rows = driver.rows();
-        self.note(|| format!("drive {}: {driver_rows} rows", names[driving]));
-
-        let steps = greedy_steps(
-            driving,
-            driver_rows,
-            &relations,
-            &names,
-            &g.edges,
-            outer,
-            ctx,
-        )?;
 
         // The stages, in the order a tuple meets them.
         let mut bound = vec![driving];
@@ -285,6 +313,7 @@ impl<'e> Operator<'e> for JoinExec<'e> {
                             .collect();
                         StageKind::Hash {
                             table,
+                            rows: &right.rows,
                             probe,
                             fills: fills(cols, &|pos| src(&offsets, pos)),
                             keys: Vec::new(),
@@ -336,7 +365,7 @@ impl<'e> Operator<'e> for JoinExec<'e> {
         // a hash step; per tuple out of a cross step; per evaluation of a
         // filter (counted as it ran). Flushed once — totals are what the
         // counters promise.
-        let mut cpu = env.cpu;
+        cpu += env.cpu;
         for (step, at) in steps.iter().zip(step_stage) {
             let (name, right_rows) = (&names[step.input], relations[step.input].rows.len());
             let Stage { seen, kept, .. } = stages[at];
@@ -347,12 +376,9 @@ impl<'e> Operator<'e> for JoinExec<'e> {
             }
             cpu += seen + right_rows as u64;
             self.note(|| {
-                let on: Vec<String> = (step.edges.iter())
-                    .map(|&e| format!("{} = {}", g.edges[e].left_expr, g.edges[e].right_expr))
-                    .collect();
                 format!(
                     "⋈ {name} on {}: build {name} {right_rows}, probe {seen} → {kept}",
-                    on.join(" and ")
+                    on(&step.edges)
                 )
             });
         }
@@ -402,7 +428,7 @@ fn ready_post_filters(
 /// last-key memo depends on — while every step of the run has had its
 /// chance to drop the tuple first. Decided by the plan's shape and the
 /// build sides' key counts alone.
-fn driver_preds_after(steps: &[Step<'_>]) -> usize {
+fn driver_preds_after(steps: &[Step]) -> usize {
     (steps.iter())
         .take_while(|s| (s.table.as_ref()).is_some_and(|t| t.error.is_none() && t.unique))
         .count()
@@ -442,37 +468,182 @@ fn edge_sides<'p>(edges: &[&'p JoinEdge], name: &str) -> (Vec<&'p Expr>, Vec<&'p
 /// One step of the join order: the input joined in, the edges connecting
 /// it to the inputs bound before it, and its table over them (none: a
 /// cross join).
-struct Step<'a> {
+struct Step {
     input: usize,
     edges: Vec<usize>,
-    table: Option<JoinTable<'a>>,
+    table: Option<JoinTable>,
+}
+
+/// What the join order is decided from: the inputs as rows (the driver's
+/// are still on its segments), per input the row count of what it was
+/// selected from — its table's, or its own for a derived table, taken
+/// before [`reduce_by_leaves`] — and the block's names and edges.
+struct OrderInputs<'a> {
+    relations: &'a [Relation],
+    base_rows: &'a [usize],
+    names: &'a [String],
+    edges: &'a [JoinEdge],
+}
+
+/// A join table with the input it is built on and the edges it is keyed
+/// over: what the order looks a candidate's table up by.
+type KeyedTable = (usize, Vec<usize>, JoinTable);
+
+/// Builds the table of the input `rel`, called `name`, over `my_edges`.
+fn build_table(
+    rel: &Relation,
+    name: &str,
+    edges: &[JoinEdge],
+    my_edges: &[usize],
+    outer: &[Frame<'_>],
+    ctx: &ExecContext<'_>,
+) -> EngineResult<JoinTable> {
+    let refs: Vec<&JoinEdge> = my_edges.iter().map(|&e| &edges[e]).collect();
+    let (_, mine) = edge_sides(&refs, name);
+    let keys = SideKeys::new(&mine, &Scope::new(&rel.bindings, outer, ctx));
+    JoinTable::build(keys, &rel.rows, outer, ctx)
+}
+
+/// One semi-join reduction, for the block's account.
+struct Reduction {
+    leaf: usize,
+    parent: usize,
+    edges: Vec<usize>,
+    before: usize,
+    after: usize,
+}
+
+/// Sheds from the build sides what a *leaf* already excludes, before the
+/// order is fixed. A leaf is a non-driving input all of whose edges go to
+/// one other non-driving input, its parent (`nation` under `supplier` in
+/// TPC-H Q21; `region` under `nation` under `supplier` in Q5). Every edge
+/// is a conjunct of the block, so a parent row whose key finds no row in
+/// the leaf's table can be in no tuple the block emits: it is dropped
+/// here, and the parent's own table — and every step downstream of it —
+/// is that much smaller. The leaf then counts as gone and the rule
+/// applies again, to fixpoint, leaves first, so an input's rows are final
+/// before a table is built over them. The leaf's table is over exactly the
+/// edges its step connects by, so it is handed to [`greedy_steps`] and
+/// nothing is hashed twice.
+///
+/// Only rows the leaf's step could never match are dropped, by that step's
+/// own rule: a key with a NULL component matches nothing, a key that fails
+/// to evaluate before any NULL keeps its row (the step raises the error if
+/// a tuple brings the row that far). A leaf whose table holds an error
+/// reduces nothing — its step raises it — and neither does an edge with a
+/// subquery on either side, which would be evaluated twice. Inputs on a
+/// cycle are nobody's leaf, and a leaf of the driver is left to its step.
+fn reduce_by_leaves(
+    driving: usize,
+    relations: &mut [Relation],
+    names: &[String],
+    edges: &[JoinEdge],
+    outer: &[Frame<'_>],
+    ctx: &ExecContext<'_>,
+) -> EngineResult<(Vec<KeyedTable>, Vec<Reduction>)> {
+    let mut gone = vec![false; relations.len()];
+    let mut tables = Vec::new();
+    let mut reductions = Vec::new();
+    // The first input in FROM order whose edges to inputs still there all
+    // go to one of them, with that one and the edges.
+    let next_leaf = |gone: &[bool]| {
+        (0..gone.len())
+            .filter(|&l| l != driving && !gone[l])
+            .find_map(|l| {
+                let (mut parent, mut mine) = (None, Vec::new());
+                for (e, edge) in edges.iter().enumerate() {
+                    let other = match (edge.left == names[l], edge.right == names[l]) {
+                        (true, false) => &edge.right,
+                        (false, true) => &edge.left,
+                        _ => continue,
+                    };
+                    let other = names.iter().position(|n| n == other)?;
+                    if gone[other] {
+                        continue;
+                    }
+                    if parent.is_some_and(|p| p != other) {
+                        return None;
+                    }
+                    parent = Some(other);
+                    mine.push(e);
+                }
+                let parent = parent.filter(|&p| p != driving)?;
+                Some((l, parent, mine))
+            })
+    };
+    while let Some((leaf, parent, my_edges)) = next_leaf(&gone) {
+        gone[leaf] = true;
+        let table = build_table(&relations[leaf], &names[leaf], edges, &my_edges, outer, ctx)?;
+        let refs: Vec<&JoinEdge> = my_edges.iter().map(|&e| &edges[e]).collect();
+        let (theirs, _) = edge_sides(&refs, &names[leaf]);
+        let probe = SideKeys::new(
+            &theirs,
+            &Scope::new(&relations[parent].bindings, outer, ctx),
+        );
+        if table.error.is_none() && !table.keys.has_subquery() && !probe.has_subquery() {
+            let before = relations[parent].rows.len();
+            let rows = std::mem::take(&mut relations[parent].rows);
+            let leaf_rows = &relations[leaf].rows;
+            let mut scratch = Vec::new();
+            let kept = (rows.into_iter())
+                .filter(|row| match probe.eval(row, outer, ctx, &mut scratch) {
+                    Ok(()) => {
+                        let key = |i| Cell::Value(probe.component(i, row, &scratch));
+                        (0..probe.len()).all(|i| !key(i).is_null())
+                            && (table.matches(leaf_rows, probe.hash(row, &scratch), key))
+                                .next()
+                                .is_some()
+                    }
+                    Err((_, null_first)) => !null_first,
+                })
+                .collect();
+            relations[parent].rows = kept;
+            reductions.push(Reduction {
+                leaf,
+                parent,
+                edges: my_edges.clone(),
+                before,
+                after: relations[parent].rows.len(),
+            });
+        }
+        tables.push((leaf, my_edges, table));
+    }
+    Ok((tables, reductions))
 }
 
 /// The greedy join order from `driving` on. Each round picks, among the
 /// inputs connected to a bound one by an equi-join edge, the one minimizing
 /// the classic output-cardinality estimate `current × candidate /
 /// distinct(candidate join keys)` — which keeps low-distinct edges (TPC-H's
-/// nation-key joins) from exploding the intermediate result; on equal
-/// estimates the first candidate in FROM order wins, and with no connected
-/// input the smallest unbound one is cross-joined. `current` scales a
-/// round's estimates alike, so the driver's cardinality stands in for it
-/// and the order is known before a tuple moves. A candidate's distinct
-/// count comes out of building its [`JoinTable`], once per (input,
-/// connecting edges): the table of the pair that is picked is the step's.
-fn greedy_steps<'a>(
+/// nation-key joins) from exploding the intermediate result. The estimate
+/// does not see that a filtered build side drops the probing tuples it has
+/// no row for, so on equal estimates the candidate that kept the smaller
+/// share of what it was selected from wins — it passes the fewest tuples
+/// on — then the first in FROM order; with no connected input the smallest
+/// unbound one is cross-joined. `current` scales a round's estimates
+/// alike, so the driver's cardinality stands in for it and the order is
+/// known before a tuple moves. A candidate's distinct count comes out of
+/// building its [`JoinTable`], once per (input, connecting edges) —
+/// `tables` holds the ones [`reduce_by_leaves`] built already: the table of
+/// the pair that is picked is the step's.
+fn greedy_steps(
     driving: usize,
     driver_rows: usize,
-    relations: &'a [Relation],
-    names: &[String],
-    edges: &[JoinEdge],
+    inputs: &OrderInputs<'_>,
+    mut tables: Vec<KeyedTable>,
     outer: &[Frame<'_>],
     ctx: &ExecContext<'_>,
-) -> EngineResult<Vec<Step<'a>>> {
+) -> EngineResult<Vec<Step>> {
+    let OrderInputs {
+        relations,
+        base_rows,
+        names,
+        edges,
+    } = *inputs;
     let mut bound = vec![driving];
-    let mut tables: Vec<(usize, Vec<usize>, JoinTable<'a>)> = Vec::new();
     let mut steps = Vec::new();
     while bound.len() < relations.len() {
-        let mut best: Option<(f64, usize)> = None;
+        let mut best: Option<(f64, f64, usize)> = None;
         for i in (0..relations.len()).filter(|i| !bound.contains(i)) {
             let my_edges = connecting_edges(edges, names, &bound, i);
             if my_edges.is_empty() {
@@ -484,22 +655,21 @@ fn greedy_steps<'a>(
             let at = match known {
                 Some(at) => at,
                 None => {
-                    let refs: Vec<&JoinEdge> = my_edges.iter().map(|&e| &edges[e]).collect();
-                    let (_, mine) = edge_sides(&refs, &names[i]);
-                    let rel = &relations[i];
-                    let keys = SideKeys::new(&mine, &Scope::new(&rel.bindings, outer, ctx));
-                    tables.push((i, my_edges, JoinTable::build(keys, &rel.rows, outer, ctx)?));
+                    let table =
+                        build_table(&relations[i], &names[i], edges, &my_edges, outer, ctx)?;
+                    tables.push((i, my_edges, table));
                     tables.len() - 1
                 }
             };
             let (rows, keys) = (relations[i].rows.len(), tables[at].2.distinct);
             let est = driver_rows as f64 * rows as f64 / keys.max(1) as f64;
-            if best.is_none_or(|(b, _)| est < b) {
-                best = Some((est, at));
+            let share = rows as f64 / base_rows[i].max(1) as f64;
+            if best.is_none_or(|(b, s, _)| est < b || (est == b && share < s)) {
+                best = Some((est, share, at));
             }
         }
         let step = match best {
-            Some((_, at)) => {
+            Some((_, _, at)) => {
                 let (input, edges, table) = tables.swap_remove(at);
                 Step {
                     input,
@@ -550,6 +720,10 @@ impl SideKeys {
         (self.0.iter())
             .filter(|p| matches!(p, KeyProg::Expr { .. }))
             .count()
+    }
+
+    fn has_subquery(&self) -> bool {
+        (self.0.iter()).any(|p| matches!(p, KeyProg::Expr { expr, .. } if expr.has_subquery()))
     }
 
     /// Evaluates `row`'s non-column components into `scratch` (cleared
@@ -608,10 +782,10 @@ const NIL: u32 = u32::MAX;
 /// because FNV's low bits only see the low bits of its input. A key with a
 /// NULL component is chained like any other — the greedy order's distinct
 /// count takes NULL for a value — and is never found: a probe key has no
-/// NULL component, and NULL equals only NULL.
-struct JoinTable<'a> {
+/// NULL component, and NULL equals only NULL. The table holds row numbers,
+/// not the rows: [`Self::matches`] is handed the rows it was built over.
+struct JoinTable {
     keys: SideKeys,
-    rows: &'a [Row],
     /// Bucket → first and last row of its chain.
     heads: Vec<u32>,
     tails: Vec<u32>,
@@ -634,12 +808,12 @@ struct JoinTable<'a> {
     error: Option<EngineError>,
 }
 
-impl<'a> JoinTable<'a> {
+impl JoinTable {
     /// Chains every row of `rows` under its key, counting the distinct ones
     /// on the way: one pass serves the order's estimate and the step.
     fn build(
         keys: SideKeys,
-        rows: &'a [Row],
+        rows: &[Row],
         outer: &[Frame<'_>],
         ctx: &ExecContext<'_>,
     ) -> EngineResult<Self> {
@@ -663,7 +837,6 @@ impl<'a> JoinTable<'a> {
             unique: true,
             error: None,
             keys,
-            rows,
         };
         let mut scratch = Vec::new();
         let mut exact = true;
@@ -672,7 +845,7 @@ impl<'a> JoinTable<'a> {
                 Ok(()) => {
                     let hash = table.keys.hash(row, &scratch);
                     let key = |i| Cell::Value(table.keys.component(i, row, &scratch));
-                    let first = table.matches(hash, key).next().is_none();
+                    let first = table.matches(rows, hash, key).next().is_none();
                     table.distinct += usize::from(first);
                     table.unique &= first;
                     table.push(Some(hash), &mut scratch);
@@ -717,10 +890,12 @@ impl<'a> JoinTable<'a> {
         (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
-    /// The chained rows whose key equals the probe's, ascending; `probe`
-    /// gives the probe key's component `i`.
+    /// The chained rows — numbers into `rows`, the rows the table was built
+    /// over — whose key equals the probe's, ascending; `probe` gives the
+    /// probe key's component `i`.
     fn matches<'t, 'c>(
         &'t self,
+        rows: &'t [Row],
         hash: u64,
         probe: impl Fn(usize) -> Cell<'c> + 't,
     ) -> impl Iterator<Item = usize> + 't {
@@ -733,7 +908,7 @@ impl<'a> JoinTable<'a> {
                 let stored = &self.evaluated[row * width..(row + 1) * width];
                 if self.hashes[row] == hash
                     && (0..self.keys.len())
-                        .all(|i| probe(i).equals(self.keys.component(i, &self.rows[row], stored)))
+                        .all(|i| probe(i).equals(self.keys.component(i, &rows[row], stored)))
                 {
                     return Some(row);
                 }
@@ -857,13 +1032,6 @@ impl<'a> DriverUnit<'a> {
 }
 
 impl Driver<'_> {
-    fn rows(&self) -> usize {
-        match self {
-            Driver::Selected(scan) => scan.rows(),
-            Driver::Rows(rows) => rows.len(),
-        }
-    }
-
     /// Sends the input through the stages, unit by unit, consulting the
     /// governor before each.
     fn stream(&self, stages: &mut [Stage<'_>], env: &mut Env<'_>) -> EngineResult<()> {
@@ -909,7 +1077,9 @@ enum ProbeComp {
 enum StageKind<'a> {
     /// Equi-join with the next input, through its table.
     Hash {
-        table: &'a JoinTable<'a>,
+        table: &'a JoinTable,
+        /// The rows `table` was built over.
+        rows: &'a [Row],
         probe: Vec<ProbeComp>,
         /// The cells the expression-valued components read.
         fills: Vec<(usize, Src)>,
@@ -1067,6 +1237,7 @@ fn run(
         match kind {
             StageKind::Hash {
                 table,
+                rows,
                 probe,
                 fills,
                 keys,
@@ -1103,7 +1274,7 @@ fn run(
                     ProbeComp::Cell(src) => env.cell(*src, unit, chunk, t),
                     ProbeComp::Expr(_, slot) => Cell::Value(&keys[*slot]),
                 };
-                for m in table.matches(hasher.finish(), key) {
+                for m in table.matches(rows, hasher.finish(), key) {
                     parents.push(t as u32);
                     matched.push(m as u32);
                 }
@@ -1180,34 +1351,48 @@ mod tests {
         }
     }
 
-    /// The greedy order from `driving` on, how many tables were built on
-    /// the way, and after how many steps a driving scan's subquery
-    /// conjuncts would run.
+    /// The greedy order from `driving` on — after the leaf reductions, as
+    /// `open` runs it, every input counting as a whole table — with how
+    /// many tables were built on the way, after how many steps a driving
+    /// scan's subquery conjuncts would run, and each input's rows left.
     fn order(
         inputs: &[Relation],
         names: &[&str],
         edges: &[JoinEdge],
         driving: usize,
-    ) -> (Vec<usize>, usize, usize) {
+    ) -> (Vec<usize>, usize, usize, Vec<usize>) {
         let db = Database::in_memory();
         let ctx = ExecContext::new(&db);
         let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
         let before = TABLES_BUILT.get();
         let driver_rows = inputs[driving].rows.len();
-        let steps = greedy_steps(driving, driver_rows, inputs, &names, edges, &[], &ctx).unwrap();
+        let base_rows: Vec<usize> = inputs.iter().map(|r| r.rows.len()).collect();
+        let mut relations = inputs.to_vec();
+        let (tables, _) =
+            reduce_by_leaves(driving, &mut relations, &names, edges, &[], &ctx).unwrap();
+        let order_inputs = OrderInputs {
+            relations: &relations,
+            base_rows: &base_rows,
+            names: &names,
+            edges,
+        };
+        let steps = greedy_steps(driving, driver_rows, &order_inputs, tables, &[], &ctx).unwrap();
         let mut bound = vec![driving];
         bound.extend(steps.iter().map(|s| s.input));
         (
             bound,
             TABLES_BUILT.get() - before,
             driver_preds_after(&steps),
+            relations.iter().map(|r| r.rows.len()).collect(),
         )
     }
 
     #[test]
     fn greedy_order_of_q3_q5_and_q21_shaped_inputs() {
-        // Q3: customer, orders, lineitem — orders is the only input
-        // connected to the driving lineitem; customer follows.
+        // Q3: customer, orders, lineitem — customer hangs off orders alone,
+        // so orders first sheds the rows of the other 120 customers; it is
+        // the only input connected to the driving lineitem, which it hangs
+        // off in turn and is left to. customer follows.
         let customer = rel("customer", &["c_custkey"], 30, |r, _| r as i64);
         let orders = rel("orders", &["o_orderkey", "o_custkey"], 700, |r, c| {
             [r as i64, (r % 150) as i64][c]
@@ -1219,22 +1404,28 @@ mod tests {
             edge("customer", "c_custkey", "orders", "o_custkey"),
             edge("lineitem", "l_orderkey", "orders", "o_orderkey"),
         ];
-        let (got, built, _) = order(
+        let (got, built, _, left) = order(
             &[customer.clone(), orders.clone(), lineitem.clone()],
             &["customer", "orders", "lineitem"],
             &q3,
             2,
         );
         assert_eq!(got, [2, 1, 0]);
+        assert_eq!(left, [30, 150, 3000]);
         // One table per step: the pass that counts an input's keys is the
-        // pass that builds what the step probes.
+        // pass that builds what the step probes, and customer's is the one
+        // orders was reduced through.
         assert_eq!(built, 2);
 
-        // Q5: customer, orders, lineitem, supplier, nation, region. Against
-        // lineitem, orders (700 / 700 distinct keys → 1 per probe) beats
-        // supplier (10 / 10 → 1 as well, but later in FROM order); then
-        // customer (30/30) ties with supplier again and comes first; the
-        // nation-key edges come last because they are the low-distinct ones.
+        // Q5: customer, orders, lineitem, supplier, nation, region. The
+        // one region leaves nation 5 of its rows, those leave supplier 2;
+        // customer, orders and supplier lie on a cycle with lineitem and
+        // are nobody's leaf. Against lineitem, orders (700 / 700 distinct
+        // keys → 1 per probe) ties with supplier (2 / 2) and supplier kept
+        // the smaller share of itself; so does nation against orders next.
+        // orders then ties with the one region on estimate and share and is
+        // first in FROM order; customer (30 / 30 once both its edges
+        // connect) ties with region again and comes first.
         let supplier = rel("supplier", &["s_suppkey", "s_nationkey"], 10, |r, c| {
             [r as i64, (r % 5) as i64][c]
         });
@@ -1253,7 +1444,7 @@ mod tests {
             edge("supplier", "s_nationkey", "nation", "n_nationkey"),
             edge("nation", "n_regionkey", "region", "r_regionkey"),
         ];
-        let (got, built, preds_after) = order(
+        let (got, built, preds_after, left) = order(
             &[
                 customer5,
                 orders.clone(),
@@ -1268,18 +1459,21 @@ mod tests {
             &q5,
             2,
         );
-        assert_eq!(got, [2, 1, 0, 3, 4, 5]);
-        // supplier is a candidate in three rounds but built twice: once
-        // over its lineitem edge, once more when customer's edge joins in.
+        assert_eq!(got, [2, 3, 4, 1, 0, 5]);
+        assert_eq!(left, [30, 700, 3000, 2, 5, 1]);
+        // region's and nation's tables come from the reductions; customer
+        // is built twice, over its supplier edge and again when orders'
+        // edge joins in.
         assert_eq!(built, 6);
         // Every build side is unique on its key: conjuncts deferred from a
         // driving lineitem scan would run after all five steps.
         assert_eq!(preds_after, 5);
 
         // Q21: supplier, l1, orders, nation with l1 driving — its `EXISTS`
-        // conjuncts no longer count toward its cardinality. supplier and
-        // orders tie at one match per probe and supplier is first in FROM
-        // order; the one nation row comes last.
+        // conjuncts no longer count toward its cardinality. The one nation
+        // leaves supplier 2 rows; orders hangs off the driver and is left
+        // alone. supplier and orders tie at one match per probe and
+        // supplier kept the smaller share; the one nation row comes last.
         let l1 = rel("l1", &["l_orderkey", "l_suppkey"], 2000, |r, c| {
             [(r / 3) as i64, (r % 10) as i64][c]
         });
@@ -1289,13 +1483,14 @@ mod tests {
             edge("orders", "o_orderkey", "l1", "l1.l_orderkey"),
             edge("supplier", "s_nationkey", "nation", "n_nationkey"),
         ];
-        let (got, _, preds_after) = order(
+        let (got, _, preds_after, left) = order(
             &[supplier, l1, orders, nation1],
             &["supplier", "l1", "orders", "nation"],
             &q21,
             1,
         );
         assert_eq!(got, [1, 0, 2, 3]);
+        assert_eq!(left, [2, 2000, 700, 1]);
         assert_eq!(preds_after, 3);
     }
 
@@ -1368,7 +1563,7 @@ mod tests {
         let p = rel("p", &["pk"], 20, |r, _| (r % 10) as i64);
         let q = rel("q", &["qk"], 20, |r, _| (r % 10) as i64);
         let edges = [edge("big", "k", "q", "qk"), edge("big", "j", "p", "pk")];
-        let (got, _, preds_after) = order(
+        let (got, _, preds_after, _) = order(
             &[big.clone(), p.clone(), q.clone()],
             &["big", "p", "q"],
             &edges,
@@ -1410,7 +1605,7 @@ mod tests {
             let mut hasher = FnvHasher::new();
             hash_value(&v, &mut hasher);
             let found: Vec<usize> = table
-                .matches(hasher.finish(), |_| Cell::Value(&v))
+                .matches(&mixed.rows, hasher.finish(), |_| Cell::Value(&v))
                 .collect();
             found
         };

@@ -4,6 +4,8 @@
 //! always-breaker stages (Distinct, Sort, Limit).
 
 mod aggregate;
+#[cfg(test)]
+mod clustered_model;
 mod filter;
 mod fused;
 mod join;

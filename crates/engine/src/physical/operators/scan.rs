@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 use apuama_sql::ast::Expr;
 use apuama_storage::{AccessKind, Heap, Row, RowId, Segment};
 
@@ -6,7 +8,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::eval::Frame;
 use crate::exec::{self, Binding, ExecContext, Relation};
 use crate::planner::{AccessPath, ScanChoice};
-use crate::table::Table;
+use crate::table::{KeyRange, Table};
 
 use crate::physical::*;
 
@@ -32,17 +34,31 @@ enum UnitSource {
         next_seg: usize,
         allowed: Option<Vec<bool>>,
     },
-    /// An index range's row ids, in index order. SVP sub-queries arrive
-    /// this way: a clustered range is a run of consecutive slots that
-    /// starts and ends wherever the partition does.
+    /// A key range on the clustering column, by position. SVP sub-queries
+    /// arrive this way. `prefix` is the run of slots of the table's ordered
+    /// prefix whose keys the range admits ([`Table::prefix_slots`]: two
+    /// binary searches, no posting read); the slots from `tail` on were
+    /// appended or updated out of key order and are tested one by one.
+    /// Both halves come out in slot order — what a sequential scan of the
+    /// same rows yields, equal keys in arrival order — one unit per
+    /// segment, the segments between the run's end and the tail skipped.
+    Clustered {
+        column: usize,
+        range: KeyRange,
+        prefix: Range<RowId>,
+        tail: RowId,
+        next_seg: usize,
+    },
+    /// A secondary index range's row ids, in index order: by key, equal
+    /// keys in posting-list order.
     Rids { rids: Vec<RowId>, pos: usize },
 }
 
 /// One base-table access path as a sequence of *units*: `(segment,
 /// selection vector)` pairs that tile the path's live tuples in path
-/// order. A sequential scan yields one unit per segment; a row-id list is
-/// cut wherever the segment changes, and dead slots drop out by the
-/// tombstone bitmap. The serial cursor and the morsel planner both read
+/// order. A sequential scan and a clustered range yield one unit per
+/// segment; a row-id list is cut wherever the segment changes, and dead
+/// slots drop out by the tombstone bitmap. The serial cursor and the morsel planner both read
 /// their input from here, so they see the same tuples in the same order.
 pub(crate) struct ScanUnits<'e> {
     heap: &'e Heap,
@@ -81,16 +97,34 @@ impl<'e> ScanUnits<'e> {
                 high,
                 clustered,
             } => {
-                let idx = table
-                    .index_on(*column)
-                    .expect("planner only chooses existing indexes");
-                let rids: Vec<RowId> = idx
-                    .range(exec::bound_ref(low), exec::bound_ref(high))
-                    .map(|(_, rid)| rid)
-                    .collect();
+                let source = if *clustered {
+                    let range = KeyRange::new(low, high);
+                    let (prefix, tail) = (table.prefix_slots(&range), table.ordered_prefix());
+                    let first = if prefix.is_empty() {
+                        tail
+                    } else {
+                        prefix.start
+                    };
+                    UnitSource::Clustered {
+                        column: *column,
+                        range,
+                        prefix,
+                        tail,
+                        next_seg: (first / heap.segment_slots()) as usize,
+                    }
+                } else {
+                    let idx = table
+                        .index_on(*column)
+                        .expect("planner only chooses existing indexes");
+                    let rids = idx
+                        .range(exec::bound_ref(low), exec::bound_ref(high))
+                        .map(|(_, rid)| rid)
+                        .collect();
+                    UnitSource::Rids { rids, pos: 0 }
+                };
                 ScanUnits {
                     heap,
-                    source: UnitSource::Rids { rids, pos: 0 },
+                    source,
                     kind: index_access_kind(*clustered),
                     pages_pruned: 0,
                     index_probes: 1,
@@ -124,6 +158,51 @@ impl<'e> ScanUnits<'e> {
                                 }
                             }
                         }
+                    }
+                    if !sel.is_empty() {
+                        return Some(i);
+                    }
+                }
+                None
+            }
+            UnitSource::Clustered {
+                column,
+                range,
+                prefix,
+                tail,
+                next_seg,
+            } => {
+                while let Some(seg) = heap.segments().get(*next_seg) {
+                    let i = *next_seg;
+                    let base = i as u64 * slots;
+                    let end = base + seg.len() as u64;
+                    // Past the run's last segment nothing is in the range
+                    // before the tail's first.
+                    *next_seg = if end < prefix.end {
+                        i + 1
+                    } else {
+                        (i + 1).max((*tail / slots) as usize)
+                    };
+                    let (lo, hi) = (prefix.start.max(base), prefix.end.min(end));
+                    if lo < hi {
+                        let (lo, hi) = ((lo - base) as usize, (hi - base) as usize);
+                        if seg.dead_count() == 0 {
+                            sel.extend(lo as u32..hi as u32);
+                        } else {
+                            sel.extend(seg.live_slots(lo, hi).map(|s| s as u32));
+                        }
+                    }
+                    let col = seg.column(*column);
+                    let mut slot = ((*tail).max(base) - base) as usize;
+                    while slot < seg.len() {
+                        if slot.is_multiple_of(64) && seg.dead_word(slot) {
+                            slot += 64;
+                            continue;
+                        }
+                        if seg.is_live(slot) && range.contains(col, slot) {
+                            sel.push(slot as u32);
+                        }
+                        slot += 1;
                     }
                     if !sel.is_empty() {
                         return Some(i);
@@ -437,6 +516,8 @@ pub(crate) struct ScanSelection<'e> {
     /// Kept column positions, when narrower than the table.
     pub(crate) cols: Option<Vec<usize>>,
     pub(crate) units: Vec<(&'e Segment, Sel)>,
+    /// Live rows of the table the selection was made from.
+    pub(crate) table_rows: usize,
     /// The conjuncts that evaluate a subquery, compiled against the table's
     /// whole row. They cost an index probe or a statement per tuple, so
     /// the block runs them where the fewest tuples reach them: as a stage
@@ -533,6 +614,7 @@ impl<'e> ScanExec<'e> {
             deferred: self.resolve(&deferred),
             cols: self.cols,
             units,
+            table_rows: planned.table.row_count() as usize,
         })
     }
 }

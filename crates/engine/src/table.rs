@@ -1,9 +1,19 @@
 //! A table: schema + heap + indexes, with index-maintaining mutations.
+//!
+//! A clustered table also tracks its *ordered prefix*: how many leading
+//! slots of the heap are in clustering-key order. A key range on the
+//! clustering column is a slot interval of the prefix — two binary
+//! searches on the stored key column ([`Table::prefix_slots`]) — plus
+//! whichever rows of the *tail* behind it fall in the range
+//! ([`KeyRange::contains`]).
 
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::{Bound, Range};
 
-use apuama_storage::{Heap, OrderedIndex, PageGeometry, Row, RowId};
+use apuama_sql::Value;
+use apuama_storage::{Column, Heap, OrderedIndex, PageGeometry, Row, RowId};
 
 use crate::catalog::TableSchema;
 use crate::error::{EngineError, EngineResult};
@@ -15,6 +25,98 @@ pub struct Table {
     pub heap: Heap,
     /// Secondary (and clustered) indexes keyed by column index.
     indexes: HashMap<usize, OrderedIndex>,
+    /// Slots `0..ordered_prefix` hold non-decreasing clustering keys
+    /// ([`Value::sort_cmp`]: NULLs first, equal keys in arrival order),
+    /// tombstones included — a deleted tuple keeps its cells. `bulk_load`
+    /// and `vacuum` sort, so they leave the whole heap prefix; an append
+    /// extends the prefix while its key is not before the last one and
+    /// starts the tail otherwise; an update that changes the key of a
+    /// prefix slot cuts the prefix there. Always 0 without a clustering
+    /// column.
+    ordered_prefix: u64,
+}
+
+/// Whether a tuple keyed `key`, stored at slot `prefix`, continues the key
+/// order of the `prefix` slots before it. NaN never does: `sort_cmp` calls
+/// it equal to every integer, which is no order to search by.
+fn extends_prefix(heap: &Heap, prefix: u64, col: usize, key: &Value) -> bool {
+    if matches!(key, Value::Float(f) if f.is_nan()) {
+        return false;
+    }
+    prefix == 0 || {
+        let (last, slot) = heap.stored_cell(prefix - 1, col);
+        last.sort_cmp_at(slot, key) != Ordering::Greater
+    }
+}
+
+/// The keys a clustered index range admits. A range with a bound admits no
+/// NULL key, and a NULL bound admits nothing (`k > NULL` is true of no
+/// row); the range without bounds — no conjunct consumed — admits every
+/// row. Otherwise bounds compare as [`Value::sort_cmp`] does, like the
+/// B-tree's.
+#[derive(Debug, Clone)]
+pub(crate) struct KeyRange {
+    low: Bound<Value>,
+    high: Bound<Value>,
+}
+
+impl KeyRange {
+    pub(crate) fn new(low: &Bound<Value>, high: &Bound<Value>) -> Self {
+        let null =
+            |b: &Bound<Value>| matches!(b, Bound::Included(v) | Bound::Excluded(v) if v.is_null());
+        KeyRange {
+            low: low.clone(),
+            // No key sorts before NULL: as an excluded high bound it admits
+            // nothing, which is what a NULL bound on either side means.
+            high: if null(low) || null(high) {
+                Bound::Excluded(Value::Null)
+            } else {
+                high.clone()
+            },
+        }
+    }
+
+    /// The key at `slot` of `col` lies before the range: it fails the low
+    /// bound, or it is NULL — NULLs sort first — under a high bound alone.
+    fn below(&self, col: &Column, slot: usize) -> bool {
+        match &self.low {
+            Bound::Unbounded => {
+                !matches!(self.high, Bound::Unbounded) && !col.validity().is_valid(slot)
+            }
+            Bound::Included(v) => col.sort_cmp_at(slot, v) == Ordering::Less,
+            Bound::Excluded(v) => col.sort_cmp_at(slot, v) != Ordering::Greater,
+        }
+    }
+
+    /// The key at `slot` of `col` lies past the range.
+    fn above(&self, col: &Column, slot: usize) -> bool {
+        match &self.high {
+            Bound::Unbounded => false,
+            Bound::Included(v) => col.sort_cmp_at(slot, v) == Ordering::Greater,
+            Bound::Excluded(v) => col.sort_cmp_at(slot, v) != Ordering::Less,
+        }
+    }
+
+    /// Whether the range admits the key at `slot` of `col` — the test a
+    /// tail row gets.
+    pub(crate) fn contains(&self, col: &Column, slot: usize) -> bool {
+        !(self.below(col, slot) || self.above(col, slot))
+    }
+}
+
+/// The first of `0..n` that `before` does not hold for, `before` holding
+/// for a leading run only.
+fn partition_point(n: u64, before: impl Fn(u64) -> bool) -> u64 {
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if before(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 impl Table {
@@ -34,7 +136,34 @@ impl Table {
             schema,
             heap,
             indexes,
+            ordered_prefix: 0,
         }
+    }
+
+    /// How many leading slots of the heap are in clustering-key order;
+    /// the slots from there on are the tail.
+    pub fn ordered_prefix(&self) -> u64 {
+        self.ordered_prefix
+    }
+
+    /// The slots of the ordered prefix whose keys `range` admits — a
+    /// contiguous run, found by binary search on the stored key column
+    /// (tombstones order like the tuples they were). Only meaningful on a
+    /// clustered table.
+    pub(crate) fn prefix_slots(&self, range: &KeyRange) -> Range<RowId> {
+        let Some(c) = self.schema.clustered_by else {
+            return 0..0;
+        };
+        let n = self.ordered_prefix;
+        let lo = partition_point(n, |id| {
+            let (col, slot) = self.heap.stored_cell(id, c);
+            range.below(col, slot)
+        });
+        let hi = partition_point(n, |id| {
+            let (col, slot) = self.heap.stored_cell(id, c);
+            !range.above(col, slot)
+        });
+        lo..hi.max(lo)
     }
 
     /// Adds a secondary index on `column` and back-fills it (plus the zone
@@ -89,9 +218,16 @@ impl Table {
         Ok(self.append(&row))
     }
 
-    /// Appends a checked row to the heap and posts it to every index.
+    /// Appends a checked row to the heap and posts it to every index; a
+    /// clustered table's ordered prefix grows with it while the keys keep
+    /// arriving in order.
     fn append(&mut self, row: &Row) -> RowId {
         let rid = self.heap.insert(row);
+        if let Some(c) = self.schema.clustered_by {
+            if rid == self.ordered_prefix && extends_prefix(&self.heap, rid, c, &row[c]) {
+                self.ordered_prefix += 1;
+            }
+        }
         for (&c, idx) in self.indexes.iter_mut() {
             idx.insert(row[c].clone(), rid);
         }
@@ -108,12 +244,18 @@ impl Table {
     }
 
     /// Replaces the values of a row in place, maintaining indexes for the
-    /// changed columns. Returns the previous row.
+    /// changed columns; a new clustering key in a slot of the ordered
+    /// prefix ends the prefix at that slot. Returns the previous row.
     pub fn update(&mut self, rid: RowId, new_row: Row) -> EngineResult<Option<Row>> {
         self.check_row(&new_row)?;
         let Some(old) = self.heap.update(rid, &new_row) else {
             return Ok(None);
         };
+        if let Some(c) = self.schema.clustered_by {
+            if rid < self.ordered_prefix && old[c].sort_cmp(&new_row[c]) != Ordering::Equal {
+                self.ordered_prefix = rid;
+            }
+        }
         for (&c, idx) in self.indexes.iter_mut() {
             if old[c] != new_row[c] {
                 idx.remove(&old[c], rid);
@@ -151,20 +293,30 @@ impl Table {
     }
 
     /// Rebuilds the heap without tombstones and re-keys every index —
-    /// VACUUM FULL in miniature. Clustered order is preserved. Returns the
-    /// number of slots reclaimed.
+    /// VACUUM FULL in miniature. A clustered table is re-clustered on the
+    /// way: its live rows go back in stable key order, so rows appended or
+    /// updated out of order rejoin the ordered prefix, which is the whole
+    /// heap afterwards. Returns the number of slots reclaimed.
     pub fn vacuum(&mut self) -> u64 {
         let before = self.heap.slots();
+        let clustered = self.schema.clustered_by;
         // Row ids are internal to the engine: nothing outside the table
         // holds one across statements, so the compaction mapping can be
         // dropped once the indexes are rebuilt below.
-        let _mapping = self.heap.compact();
+        let _mapping = self.heap.compact(clustered);
         for idx in self.indexes.values_mut() {
             idx.clear();
         }
+        self.ordered_prefix = 0;
         for (rid, seg, slot) in self.heap.live_range(0, self.heap.slots()) {
             for (&c, idx) in self.indexes.iter_mut() {
                 idx.insert(seg.column(c).value_at(slot), rid);
+            }
+            if let Some(c) = clustered {
+                let key = seg.column(c).value_at(slot);
+                if rid == self.ordered_prefix && extends_prefix(&self.heap, rid, c, &key) {
+                    self.ordered_prefix += 1;
+                }
             }
         }
         before - self.heap.slots()
@@ -351,6 +503,11 @@ mod vacuum_tests {
         assert_eq!(keys, vec![1, 3, 5, 7, 9]);
     }
 
+    /// Keys in slot order, NULL as `None`.
+    fn keys(t: &Table) -> Vec<Option<i64>> {
+        t.heap.iter().map(|(_, row)| row[0].as_i64()).collect()
+    }
+
     #[test]
     fn vacuum_preserves_clustered_order() {
         let mut t = loaded_table(100);
@@ -358,12 +515,57 @@ mod vacuum_tests {
             t.delete(rid);
         }
         t.vacuum();
-        let mut last = i64::MIN;
-        for (_, row) in t.heap.iter() {
-            let k = row[0].as_i64().unwrap();
-            assert!(k > last, "clustered order broken at {k}");
-            last = k;
+        assert_eq!(
+            keys(&t),
+            (0..20).chain(40..100).map(Some).collect::<Vec<_>>()
+        );
+        assert_eq!(t.ordered_prefix(), 80);
+    }
+
+    #[test]
+    fn the_ordered_prefix_follows_appends_and_key_updates_and_vacuum_restores_it() {
+        let mut t = loaded_table(100);
+        assert_eq!(t.ordered_prefix(), 100);
+        // In-order appends — a duplicate of the last key included — extend
+        // the prefix; the first one out of order starts the tail, and
+        // nothing after it rejoins.
+        for k in [99, 150, 150, 7, 200] {
+            t.insert(vec![Value::Int(k)]).unwrap();
         }
+        assert_eq!(t.ordered_prefix(), 103);
+        // Deleting does not move it: the tombstone keeps its key.
+        t.delete(50);
+        t.delete(103);
+        assert_eq!(t.ordered_prefix(), 103);
+        // A new key in a tail slot changes nothing; in a prefix slot it
+        // ends the prefix there, an unchanged one does not.
+        t.update(104, vec![Value::Int(3)]).unwrap();
+        assert_eq!(t.ordered_prefix(), 103);
+        t.update(60, vec![Value::Int(60)]).unwrap();
+        assert_eq!(t.ordered_prefix(), 103);
+        t.update(60, vec![Value::Int(500)]).unwrap();
+        assert_eq!(t.ordered_prefix(), 60);
+        // The range is still the rows whose keys lie in it, in slot order.
+        let range = KeyRange::new(
+            &Bound::Included(Value::Int(58)),
+            &Bound::Excluded(Value::Int(151)),
+        );
+        assert_eq!(t.prefix_slots(&range), 58..60);
+        let tail: Vec<RowId> = (t.heap.live_range(60, t.heap.slots()))
+            .filter(|(_, seg, slot)| range.contains(seg.column(0), *slot))
+            .map(|(rid, _, _)| rid)
+            .collect();
+        assert_eq!(tail, (61..=102).collect::<Vec<RowId>>());
+
+        // Vacuum re-clusters: stable key order, and the whole heap is
+        // prefix again.
+        t.vacuum();
+        let mut want: Vec<i64> = (0..100).filter(|k| ![50, 60].contains(k)).collect();
+        want.extend([99, 150, 150, 3, 500]);
+        want.sort();
+        assert_eq!(keys(&t), want.into_iter().map(Some).collect::<Vec<_>>());
+        assert_eq!(t.ordered_prefix(), t.heap.slots());
+        assert_eq!(t.prefix_slots(&range), 58..102);
     }
 
     #[test]

@@ -170,3 +170,99 @@ fn aggregates_skip_nulls_but_count_star_does_not() {
     assert_eq!(out.rows[0][2], Value::Int(4));
     assert_eq!(out.rows[0][3], Value::Float(2.0));
 }
+
+/// An index range is a conjunct the scan does not re-check, so the range
+/// itself must hold the 3VL line: `k < 5` is UNKNOWN of a NULL `k` and
+/// keeps no such row, whichever kind of index resolves it — the clustered
+/// column by position (loaded in key order: the NULLs head the ordered
+/// prefix; inserted in arrival order: they sit in the tail), the secondary
+/// one by its B-tree, whose NULL postings sort first — serial and on the
+/// morsel tier, as text and bound. (Before PR 22 an open low bound began at
+/// the NULL keys: `k < 5` counted 4.)
+#[test]
+fn an_index_range_with_a_bound_keeps_no_null_key() {
+    // k = j ∈ {1, NULL, 3, 7, NULL, 10, 11, …}; v is the row number. Three
+    // stored segments, so the wide ranges split into morsels.
+    let rows: Vec<Vec<Value>> = (0..2500i64)
+        .map(|v| {
+            let k = match v {
+                0 => Value::Int(1),
+                1 | 4 => Value::Null,
+                2 => Value::Int(3),
+                3 => Value::Int(7),
+                v => Value::Int(v + 5),
+            };
+            vec![k.clone(), k, Value::Int(v)]
+        })
+        .collect();
+    let ddl = "create table t (k int, j int, v int not null, primary key (v)) clustered by (k)";
+    let mut loaded = Database::in_memory();
+    loaded.execute(ddl).unwrap();
+    loaded.load_table("t", rows.clone()).unwrap();
+    let mut inserted = Database::in_memory();
+    inserted.execute(ddl).unwrap();
+    inserted.append_rows("t", rows).unwrap();
+    for d in [&mut loaded, &mut inserted] {
+        d.execute("create index t_j on t (j)").unwrap();
+    }
+    assert_eq!(loaded.table("t").unwrap().ordered_prefix(), 2500);
+    assert_eq!(inserted.table("t").unwrap().ordered_prefix(), 1);
+
+    // (predicate over `c`, bound form and its values, matching rows)
+    let cases: [(&str, &str, Vec<Value>, i64); 7] = [
+        ("c < 5", "c < $1", vec![Value::Int(5)], 2),
+        ("c <= 3", "c <= $1", vec![Value::Int(3)], 2),
+        ("c <= 7", "c <= $1", vec![Value::Int(7)], 3),
+        (
+            "c between 0 and 7",
+            "c between $1 and $2",
+            vec![Value::Int(0), Value::Int(7)],
+            3,
+        ),
+        ("c < 2000", "c < $1", vec![Value::Int(2000)], 3 + 1990),
+        (
+            "c between -5 and 2400",
+            "c between $1 and $2",
+            vec![Value::Int(-5), Value::Int(2400)],
+            3 + 2391,
+        ),
+        // A NULL bound is UNKNOWN of every row.
+        ("c > null", "c > $1", vec![Value::Null], 0),
+    ];
+    for (d, how) in [(&loaded, "loaded"), (&inserted, "inserted")] {
+        for seqscan in ["off", "on"] {
+            d.query(&format!("set enable_seqscan = {seqscan}")).unwrap();
+            for workers in [1, 2] {
+                d.query(&format!("set parallel_workers = {workers}"))
+                    .unwrap();
+                for col in ["k", "j"] {
+                    for (text, bound, params, want) in &cases {
+                        let what = format!("{how}, seqscan {seqscan}, ×{workers}: {col} / {text}");
+                        let (text, bound) = (text.replace('c', col), bound.replace('c', col));
+                        let count = format!("select count(*) as n from t where {text}");
+                        let out = d.query(&count).unwrap();
+                        assert_eq!(out.rows[0][0], Value::Int(*want), "{what}");
+                        if seqscan == "off" {
+                            assert_eq!(out.stats.index_probes, 1, "{what}");
+                        }
+                        let count = format!("select count(*) as n from t where {bound}");
+                        let out = d.query_bound(&count, params).unwrap();
+                        assert_eq!(out.rows[0][0], Value::Int(*want), "{what} (bound)");
+                        // The rows themselves: none has a NULL key.
+                        let list = format!("select {col}, v from t where {text}");
+                        let out = d.query(&list).unwrap();
+                        assert_eq!(out.rows.len() as i64, *want, "{what}");
+                        assert!(out.rows.iter().all(|r| !r[0].is_null()), "{what}");
+                    }
+                }
+            }
+        }
+    }
+    // Without a bound the index path is every row, NULL keys included.
+    for d in [&loaded, &inserted] {
+        d.query("set enable_seqscan = off").unwrap();
+        let out = d.query("select count(*) as n from t").unwrap();
+        assert_eq!(out.rows[0][0], Value::Int(2500));
+        assert_eq!(out.stats.index_probes, 1);
+    }
+}

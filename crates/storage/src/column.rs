@@ -292,6 +292,21 @@ impl Column {
         }
     }
 
+    /// Orders slot `i` against `v` as [`Value::sort_cmp`] orders the slot's
+    /// value against it (a NULL slot first), comparing an `Int` or `Date`
+    /// column with a value of its own type in place.
+    #[inline]
+    pub fn sort_cmp_at(&self, i: usize, v: &Value) -> std::cmp::Ordering {
+        if self.validity.is_valid(i) {
+            match (&self.data, v) {
+                (ColumnVec::Int(col), Value::Int(x)) => return col[i].cmp(x),
+                (ColumnVec::Date(col), Value::Date(d)) => return col[i].cmp(&d.0),
+                _ => {}
+            }
+        }
+        self.value_at(i).sort_cmp(v)
+    }
+
     /// [`Self::value_at`] into an existing value, reusing its string
     /// allocation — the form for a scratch row refilled once per tuple.
     pub fn read_into(&self, i: usize, out: &mut Value) {
@@ -419,6 +434,31 @@ mod tests {
         let mut c = column(&[Value::Null]);
         c.set(0, &Value::Date(Date(7)));
         assert!(matches!(c.data(), ColumnVec::Date(_)));
+    }
+
+    #[test]
+    fn sort_cmp_at_is_sort_cmp_of_the_slot() {
+        let probes = [
+            Value::Null,
+            Value::Int(2),
+            Value::Float(2.5),
+            Value::Str("b".into()),
+            Value::Date(Date(2)),
+            Value::Bool(true),
+        ];
+        let columns = [
+            column(&[Value::Int(1), Value::Null, Value::Int(2), Value::Int(3)]),
+            column(&[Value::Date(Date(1)), Value::Null, Value::Date(Date(3))]),
+            column(&[Value::Str("a".into()), Value::Str("c".into()), Value::Null]),
+            column(&[Value::Int(1), Value::Float(2.5), Value::Str("b".into())]),
+        ];
+        for c in &columns {
+            for i in 0..c.len() {
+                for p in &probes {
+                    assert_eq!(c.sort_cmp_at(i, p), c.value_at(i).sort_cmp(p), "{i} {p:?}");
+                }
+            }
+        }
     }
 
     #[test]

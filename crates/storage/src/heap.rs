@@ -173,6 +173,14 @@ impl Segment {
         self.len += 1;
     }
 
+    /// Whether `slot`'s bitmap word — it and the 63 slots sharing the word
+    /// — is all tombstones: what lets a reader of single slots step over a
+    /// deleted run a word at a time.
+    #[inline]
+    pub fn dead_word(&self, slot: usize) -> bool {
+        self.dead.get(slot / 64) == Some(&u64::MAX)
+    }
+
     fn kill(&mut self, slot: usize) {
         if self.dead.len() <= slot / 64 {
             self.dead.resize(slot / 64 + 1, 0);
@@ -354,6 +362,15 @@ impl Heap {
         )
     }
 
+    /// Where slot `id` keeps its cell of column `col` — live or tombstoned:
+    /// a deleted tuple keeps its cells until compaction, so a reader that
+    /// only orders slots (a binary search on a key column) needs no
+    /// liveness test. Panics past the last slot.
+    pub fn stored_cell(&self, id: RowId, col: usize) -> (&Column, usize) {
+        let (seg, slot) = self.split(id);
+        (self.segments[seg].column(col), slot)
+    }
+
     /// Materializes a row by id; `None` if the slot is a tombstone or out
     /// of range.
     pub fn get(&self, id: RowId) -> Option<Row> {
@@ -458,15 +475,30 @@ impl Heap {
     }
 
     /// Rebuilds the heap without tombstones, returning the mapping from old
-    /// row id to new row id so indexes can be rebuilt. Clustered order is
-    /// preserved (slot order is retained), and every column is rebuilt from
-    /// its live values, so a column degraded by a since-deleted value is
-    /// typed again.
-    pub fn compact(&mut self) -> Vec<(RowId, RowId)> {
+    /// row id to new row id, in new-id order, so indexes can be rebuilt.
+    /// With `order_by` the live tuples are re-inserted in the stable
+    /// [`Value::sort_cmp`] order of that column (ties keep slot order) —
+    /// how a clustered table gets its out-of-order appends back into key
+    /// order; without, slot order is retained. Every column is rebuilt
+    /// from its live values, so a column degraded by a since-deleted value
+    /// is typed again.
+    pub fn compact(&mut self, order_by: Option<usize>) -> Vec<(RowId, RowId)> {
         let mut fresh = Heap::new(self.geometry, self.width);
         fresh.set_zone_columns(&self.zone_columns());
-        let mut mapping = Vec::with_capacity(self.live as usize);
-        for (id, row) in self.iter() {
+        // Sorted by a copy of the key column alone: the rows are still
+        // built one at a time.
+        let mut live: Vec<(RowId, Value)> = (self.live_range(0, self.slots))
+            .map(|(id, seg, slot)| {
+                let key = order_by.map_or(Value::Null, |col| seg.column(col).value_at(slot));
+                (id, key)
+            })
+            .collect();
+        if order_by.is_some() {
+            live.sort_by(|(_, a), (_, b)| a.sort_cmp(b));
+        }
+        let mut mapping = Vec::with_capacity(live.len());
+        for (id, _) in live {
+            let row = self.get(id).expect("a live row id");
             mapping.push((id, fresh.insert(&row)));
         }
         *self = fresh;
@@ -585,7 +617,7 @@ mod tests {
         }
         h.delete(1);
         h.delete(4);
-        let mapping = h.compact();
+        let mapping = h.compact(None);
         assert_eq!(h.slots(), 4);
         assert_eq!(h.live_rows(), 4);
         assert_eq!(h.tombstone_ratio(), 0.0);
@@ -644,7 +676,7 @@ mod tests {
         h.delete(4);
         assert_eq!(range_of(&h, 0, 1), Some((5, 7)));
         // Compaction shifts rows across page boundaries; the maps follow.
-        h.compact();
+        h.compact(None);
         assert_eq!(h.slots(), 6);
         assert_eq!(range_of(&h, 0, 0), Some((0, 5)));
         assert_eq!(range_of(&h, 0, 1), Some((6, 7)));
@@ -664,6 +696,24 @@ mod tests {
     }
 
     #[test]
+    fn compact_by_a_column_is_a_stable_sort_of_the_live_tuples() {
+        let mut h = Heap::new(PageGeometry { rows_per_page: 4 }, 2);
+        let keys = [Some(5), Some(1), None, Some(5), Some(3), Some(1), None];
+        for (i, k) in keys.iter().enumerate() {
+            h.insert(&[k.map_or(Value::Null, Value::Int), Value::Int(i as i64)]);
+        }
+        h.delete(4);
+        let mapping = h.compact(Some(0));
+        // NULLs first, equal keys in their old slot order, the dead row gone.
+        let old_ids: Vec<RowId> = mapping.iter().map(|&(old, _)| old).collect();
+        assert_eq!(old_ids, [2, 6, 1, 5, 0, 3]);
+        let new_ids: Vec<RowId> = mapping.iter().map(|&(_, new)| new).collect();
+        assert_eq!(new_ids, [0, 1, 2, 3, 4, 5]);
+        let tags: Vec<i64> = h.iter().map(|(_, r)| r[1].as_i64().unwrap()).collect();
+        assert_eq!(tags, [2, 6, 1, 5, 0, 3]);
+    }
+
+    #[test]
     fn pages_track_slots_not_live_rows() {
         let mut h = heap(2);
         for i in 0..6 {
@@ -674,7 +724,7 @@ mod tests {
         }
         // All dead but the heap still spans 3 pages until compaction.
         assert_eq!(h.pages(), 3);
-        h.compact();
+        h.compact(None);
         assert_eq!(h.pages(), 0);
     }
 }

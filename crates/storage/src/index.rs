@@ -1,17 +1,27 @@
 //! Ordered (B-tree) indexes.
 //!
-//! One index covers one column. The same structure serves two roles:
+//! One index covers one column: key → row-id postings, in a
+//! `std::collections::BTreeMap` (a B-tree) over [`IndexKey`], which gives
+//! [`apuama_sql::Value`] the total order SQL sorting defines (NULLs first).
+//! What it is used for depends on the column:
 //!
-//! * **clustered index** — built on the clustering key of a clustered table;
-//!   because the heap keeps clustered tables in key order, a key-range
-//!   lookup resolves to a contiguous *slot range* and the scan touches the
-//!   minimal set of pages (the property SVP's virtual partitions need), and
-//! * **secondary index** — key → row-id postings, probed randomly (each
-//!   posting charged as a random page access).
+//! * **secondary index** — point probes ([`OrderedIndex::get`]) and key
+//!   ranges ([`OrderedIndex::range`]: postings in key order, equal keys in
+//!   posting-list order, which `remove`'s `swap_remove` perturbs), every
+//!   posting a random heap-page access;
+//! * **index on the clustering column** — point probes (the `EXISTS`
+//!   probe, key lookups) and the planner's statistics
+//!   ([`OrderedIndex::min_max`], [`OrderedIndex::range_selectivity`]) only.
+//!   A key *range* on a clustering column never walks the postings: the
+//!   table keeps its heap in key order up to an *ordered prefix* and
+//!   resolves the range to a slot interval of it by binary search on the
+//!   stored key column, plus the rows appended out of order behind it (the
+//!   *tail*), in slot order (`apuama_engine::Table::clustered_slots`,
+//!   `physical::operators::scan` there).
 //!
-//! Backed by `std::collections::BTreeMap`, which is a B-tree; we wrap
-//! [`apuama_sql::Value`] in [`IndexKey`] to give it the total order SQL
-//! sorting defines (NULLs first).
+//! A range with a bound holds no NULL key — `k < 5` is not true of a NULL
+//! `k` — and a NULL bound (`k > NULL`) is true of nothing; only the range
+//! without bounds, which stands for no predicate at all, is every posting.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -81,7 +91,8 @@ impl OrderedIndex {
     }
 
     /// Iterates postings with keys in `[low, high)` / `[low, high]` etc.,
-    /// expressed as bounds on [`Value`]s, in key order.
+    /// expressed as bounds on [`Value`]s, in key order. NULL keys are in no
+    /// range that has a bound, and a NULL bound makes the range empty.
     pub fn range<'a>(
         &'a self,
         low: Bound<&'a Value>,
@@ -90,7 +101,7 @@ impl OrderedIndex {
         // An inverted or empty range (which conflicting predicates
         // legitimately produce — e.g. a point lookup intersected with a
         // disjoint virtual-partition range) must yield nothing rather than
-        // panic inside BTreeMap::range.
+        // panic inside BTreeMap::range; so must a NULL bound.
         let empty = match (&low, &high) {
             (Bound::Included(l) | Bound::Excluded(l), Bound::Included(h) | Bound::Excluded(h)) => {
                 let cmp = l.sort_cmp(h);
@@ -100,7 +111,9 @@ impl OrderedIndex {
                             && matches!(high, Bound::Included(_))))
             }
             _ => false,
-        };
+        } || [&low, &high]
+            .iter()
+            .any(|b| matches!(b, Bound::Included(v) | Bound::Excluded(v) if v.is_null()));
         let (lo, hi) = if empty {
             // A canonical always-empty interval (x < k ≤ x matches no key;
             // BTreeMap accepts it, unlike doubly-excluded equal bounds).
@@ -109,7 +122,15 @@ impl OrderedIndex {
                 Bound::Included(IndexKey(Value::Null)),
             )
         } else {
-            (map_bound(low), map_bound(high))
+            // NULL keys sort first: under a high bound alone, the range
+            // starts after them.
+            let lo = match (low, &high) {
+                (Bound::Unbounded, Bound::Included(_) | Bound::Excluded(_)) => {
+                    Bound::Excluded(IndexKey(Value::Null))
+                }
+                (low, _) => map_bound(low),
+            };
+            (lo, map_bound(high))
         };
         self.map
             .range::<IndexKey, _>((lo, hi))
@@ -229,6 +250,25 @@ mod tests {
             idx.insert(iv(i), i as RowId);
         }
         assert_eq!(idx.range(Bound::Unbounded, Bound::Unbounded).count(), 10);
+    }
+
+    #[test]
+    fn a_bounded_range_holds_no_null_key() {
+        let mut idx = OrderedIndex::new();
+        idx.insert(Value::Null, 0);
+        idx.insert(iv(1), 1);
+        idx.insert(Value::Null, 2);
+        idx.insert(iv(3), 3);
+        let (zero, three, null) = (iv(0), iv(3), Value::Null);
+        let rows = |low, high| -> Vec<RowId> { idx.range(low, high).map(|(_, r)| r).collect() };
+        assert_eq!(rows(Bound::Unbounded, Bound::Unbounded), [0, 2, 1, 3]);
+        assert_eq!(rows(Bound::Unbounded, Bound::Excluded(&three)), [1]);
+        assert_eq!(rows(Bound::Unbounded, Bound::Included(&three)), [1, 3]);
+        assert_eq!(rows(Bound::Included(&zero), Bound::Unbounded), [1, 3]);
+        // A NULL bound is true of no key.
+        assert_eq!(rows(Bound::Excluded(&null), Bound::Unbounded), []);
+        assert_eq!(rows(Bound::Included(&null), Bound::Included(&null)), []);
+        assert_eq!(rows(Bound::Unbounded, Bound::Included(&null)), []);
     }
 
     #[test]

@@ -280,7 +280,7 @@ fn run(seed: u64, rows_per_page: u64, preload: usize, steps: usize) {
                 "clone"
             }
             _ => {
-                let mapping = heap.compact();
+                let mapping = heap.compact(None);
                 let want: Vec<(RowId, RowId)> = (model.iter().enumerate())
                     .filter(|(_, r)| r.is_some())
                     .enumerate()
@@ -375,7 +375,7 @@ fn segment_boundaries() {
     }
 
     // Compaction closes the gap: two segments and one slot again.
-    let mapping = heap.compact();
+    let mapping = heap.compact(None);
     model.retain(Option::is_some);
     assert_eq!(mapping.len() as u64, 2 * slots + 1);
     assert_eq!(mapping[slots as usize], (2 * slots, slots));

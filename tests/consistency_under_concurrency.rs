@@ -6,30 +6,44 @@ use std::sync::Arc;
 
 use apuama::{ApuamaConfig, ApuamaEngine, DataCatalog};
 use apuama_cjdbc::{Connection, Controller, ControllerConfig, EngineNode, NodeConnection};
-use apuama_engine::Database;
+use apuama_engine::{Database, ReadRequest};
 use apuama_tpch::{generate, load_into, TpchConfig};
 
 fn cluster(nodes: usize) -> (Arc<ApuamaEngine>, Arc<Controller>, i64) {
+    let (engine, controller, orders, _) = cluster_with_nodes(nodes);
+    (engine, controller, orders)
+}
+
+/// The cluster with its replicas, for a look inside them afterwards.
+fn cluster_with_nodes(
+    nodes: usize,
+) -> (
+    Arc<ApuamaEngine>,
+    Arc<Controller>,
+    i64,
+    Vec<Arc<EngineNode>>,
+) {
     let data = generate(TpchConfig {
         scale_factor: 0.001,
         seed: 17,
     });
-    let mut conns: Vec<Arc<dyn Connection>> = Vec::new();
-    for i in 0..nodes {
-        let mut db = Database::in_memory();
-        load_into(&mut db, &data).expect("replica loads");
-        conns.push(Arc::new(NodeConnection::new(EngineNode::new(
-            format!("node-{i}"),
-            db,
-        ))));
-    }
+    let replicas: Vec<Arc<EngineNode>> = (0..nodes)
+        .map(|i| {
+            let mut db = Database::in_memory();
+            load_into(&mut db, &data).expect("replica loads");
+            EngineNode::new(format!("node-{i}"), db)
+        })
+        .collect();
+    let conns: Vec<Arc<dyn Connection>> = (replicas.iter())
+        .map(|node| Arc::new(NodeConnection::new(Arc::clone(node))) as Arc<dyn Connection>)
+        .collect();
     let orders = data.config.orders() as i64;
     let engine = ApuamaEngine::new(conns, DataCatalog::tpch(orders), ApuamaConfig::default());
     let controller = Arc::new(Controller::new(
         engine.connections(),
         ControllerConfig::default(),
     ));
-    (engine, controller, orders)
+    (engine, controller, orders, replicas)
 }
 
 #[test]
@@ -185,4 +199,118 @@ fn many_writers_one_svp_reader_no_deadlock() {
         });
     });
     assert_eq!(engine.txn_counters(), vec![30, 30, 30, 30]);
+}
+
+/// Refresh transactions from three writers in disjoint key blocks reach
+/// every replica in the scheduler's one order, so the order keys arrive out
+/// of order — the same way everywhere: beside SVP readers whose ranges run
+/// through the growing tail, every replica ends with the same ordered
+/// prefix and the same tail, and answers a key range alike.
+#[test]
+fn interleaved_refreshes_leave_every_replica_the_same_prefix_and_answers() {
+    let (engine, controller, base_orders, replicas) = cluster_with_nodes(4);
+    let insert = |key: i64| {
+        [
+            format!(
+                "insert into orders values ({key}, 1, 'O', 1.0, \
+                 date '2005-01-01', '5-LOW', 'c', 0, 'probe')"
+            ),
+            format!(
+                "insert into lineitem values ({key}, 1, 1, 1, 1.0, 1.0, 0.0, 0.0, \
+                 'N', 'O', date '2005-02-01', date '2005-02-01', date '2005-02-02', \
+                 'NONE', 'MAIL', 'probe')"
+            ),
+        ]
+    };
+    std::thread::scope(|s| {
+        for w in 0..3i64 {
+            let c = Arc::clone(&controller);
+            s.spawn(move || {
+                let first = base_orders + 1 + w * 100;
+                // Highest key first: whatever the race between the writers,
+                // a writer's second order arrives behind a higher key.
+                for key in (first..first + 12).rev() {
+                    c.execute_write_transaction(&insert(key)).unwrap();
+                }
+                // Every other one goes again: tombstones in prefix and tail.
+                for key in (first..first + 12).step_by(2) {
+                    c.execute_write_transaction(&[
+                        format!("delete from lineitem where l_orderkey = {key}"),
+                        format!("delete from orders where o_orderkey = {key}"),
+                    ])
+                    .unwrap();
+                }
+            });
+        }
+        let c = Arc::clone(&controller);
+        s.spawn(move || {
+            for _ in 0..10 {
+                // One snapshot: an order above the loaded keys has its one
+                // lineitem or is gone with it.
+                let (out, _) = c
+                    .execute(&format!(
+                        "select count(*) as pairs, count(distinct o_orderkey) as orders \
+                         from orders, lineitem \
+                         where l_orderkey = o_orderkey and o_orderkey > {base_orders}"
+                    ))
+                    .unwrap();
+                assert_eq!(out.rows[0][0], out.rows[0][1], "torn snapshot");
+            }
+        });
+    });
+    assert_eq!(engine.txn_counters(), vec![54; 4]);
+
+    let inside = |node: &Arc<EngineNode>| {
+        node.with_db(|db| {
+            let prefixes: Vec<(u64, u64)> = ["orders", "lineitem"]
+                .iter()
+                .map(|t| {
+                    let table = db.table(t).unwrap();
+                    (table.ordered_prefix(), table.heap.slots())
+                })
+                .collect();
+            let answer = db
+                .read(
+                    &ReadRequest::text(&format!(
+                        "select o_orderkey, l_linenumber from orders, lineitem \
+                         where l_orderkey = o_orderkey and o_orderkey >= {} \
+                           and l_orderkey >= {}",
+                        base_orders - 5,
+                        base_orders - 5
+                    ))
+                    .avoiding_seqscan(true),
+                )
+                .unwrap();
+            (prefixes, answer.rows)
+        })
+    };
+    let first = inside(&replicas[0]);
+    // The loaded rows are prefix; the first arrival extends it; behind the
+    // first one out of order everything is tail.
+    let (orders_prefix, orders_slots) = first.0[0];
+    assert!(orders_prefix > base_orders as u64 && orders_prefix < orders_slots);
+    assert_eq!(orders_slots, base_orders as u64 + 36);
+    // The last six loaded orders and the eighteen that stayed, in whatever
+    // slot order the writers' race left them.
+    assert_eq!(
+        first.1.len(),
+        6 * 3 + inside_loaded(&replicas[0], base_orders)
+    );
+    for node in &replicas[1..] {
+        assert_eq!(inside(node), first, "{}", node.name());
+    }
+}
+
+/// Lineitems of the last six loaded orders on a replica.
+fn inside_loaded(node: &Arc<EngineNode>, base_orders: i64) -> usize {
+    node.with_db(|db| {
+        let out = db
+            .query(&format!(
+                "select count(*) as n from lineitem \
+                 where l_orderkey >= {} and l_orderkey <= {base_orders}",
+                base_orders - 5
+            ))
+            .unwrap();
+        out.rows[0][0].as_i64().unwrap() as usize
+    })
 }

@@ -253,6 +253,24 @@ fn explain_names_the_exists_probes_of_q4_and_q21() {
         analyzed[at("drive ")].trim_start(),
         format!("drive l1: {} rows", count(scan, "rows"))
     );
+    // `nation` hangs off `supplier` alone: the suppliers of the other
+    // nations are shed before the order is fixed, one line for it between
+    // the `drive` line and the steps, and `l1`'s first step builds on the
+    // suppliers that are left.
+    let shed = analyzed[at("drive ") + 1].trim_start();
+    assert!(
+        shed.starts_with("⋉ supplier by nation on s_nationkey = n_nationkey: "),
+        "{analyzed:?}"
+    );
+    let left = shed.rsplit("→ ").next().unwrap();
+    assert!(
+        analyzed[at("drive ") + 2]
+            .trim_start()
+            .starts_with(&format!(
+                "⋈ supplier on s_suppkey = l1.l_suppkey: build supplier {left},"
+            )),
+        "{analyzed:?}"
+    );
     let last_step = analyzed
         .iter()
         .rposition(|l| l.trim_start().starts_with('⋈'));
@@ -363,8 +381,10 @@ fn join_block_lines(lines: &[String]) -> Vec<String> {
 }
 
 /// Q3 and Q5 say what their join block did: how many of its table's
-/// columns each input scan kept, which input drove, and per greedy step
-/// the keys, the build side and the row counts in and out. The step lines
+/// columns each input scan kept, which input drove, which build sides
+/// were reduced through a leaf (one `⋉` line each: the edge and the rows
+/// before and after) and per greedy step the keys, the build side and the
+/// row counts in and out. The step lines
 /// carry counts only — no `self_ms=` token, so a consumer summing operator
 /// self times never sees them — and every operator label keeps its prefix.
 #[test]
@@ -384,8 +404,9 @@ fn explain_analyze_accounts_for_the_join_block_of_q3_and_q5() {
             "scan orders cols 4/9 rows=737",
             "scan lineitem cols 3/16 rows=3171",
             "drive lineitem: 3171 rows",
-            "⋈ orders on l_orderkey = o_orderkey: build orders 737, probe 3171 → 166",
-            "⋈ customer on c_custkey = o_custkey: build customer 34, probe 166 → 39",
+            "⋉ orders by customer on c_custkey = o_custkey: 737 → 166",
+            "⋈ orders on l_orderkey = o_orderkey: build orders 166, probe 3171 → 39",
+            "⋈ customer on c_custkey = o_custkey: build customer 34, probe 39 → 39",
         ]
     );
     let q5 = plan_lines(
@@ -402,18 +423,20 @@ fn explain_analyze_accounts_for_the_join_block_of_q3_and_q5() {
             "scan nation cols 3/4 rows=25",
             "scan region cols 1/3 rows=1",
             "drive lineitem: 5930 rows",
-            "⋈ orders on l_orderkey = o_orderkey: build orders 206, probe 5930 → 799",
-            "⋈ customer on c_custkey = o_custkey: build customer 150, probe 799 → 799",
-            "⋈ supplier on l_suppkey = s_suppkey and c_nationkey = s_nationkey: \
-             build supplier 10, probe 799 → 42",
-            "⋈ nation on s_nationkey = n_nationkey: build nation 25, probe 42 → 42",
-            "⋈ region on n_regionkey = r_regionkey: build region 1, probe 42 → 3",
+            "⋉ nation by region on n_regionkey = r_regionkey: 25 → 5",
+            "⋉ supplier by nation on s_nationkey = n_nationkey: 10 → 1",
+            "⋈ supplier on l_suppkey = s_suppkey: build supplier 1, probe 5930 → 599",
+            "⋈ orders on l_orderkey = o_orderkey: build orders 206, probe 599 → 85",
+            "⋈ nation on s_nationkey = n_nationkey: build nation 5, probe 85 → 85",
+            "⋈ region on n_regionkey = r_regionkey: build region 1, probe 85 → 85",
+            "⋈ customer on c_custkey = o_custkey and c_nationkey = s_nationkey: \
+             build customer 150, probe 85 → 3",
         ]
     );
     // (The last line of each plan is the `execution time` footer.)
     for line in q3[..q3.len() - 1].iter().chain(&q5[..q5.len() - 1]) {
         let label = line.trim_start();
-        let is_step = label.starts_with("drive ") || label.starts_with('⋈');
+        let is_step = ["drive ", "⋉", "⋈"].iter().any(|p| label.starts_with(p));
         assert_eq!(is_step, !line.contains("self_ms="), "{line}");
     }
 

@@ -5,6 +5,10 @@
 //! [`apuama_storage::Heap::iter`], written here, produce: the same multiset
 //! always, the same sequence for the `ORDER BY` forms.
 //!
+//! Between the two halves: the shapes in which the block sheds build rows
+//! through a *leaf* input before it fixes its order (DESIGN.md §10) — the
+//! same oracle, plus which reductions `EXPLAIN ANALYZE` says ran.
+//!
 //! The second half is about *where* the block evaluates an input's
 //! subquery conjuncts (DESIGN.md §10): behind the joins that cannot expand
 //! the stream when the input drives, over its selection before it is
@@ -467,6 +471,209 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Build sides reduced through their leaves
+// ---------------------------------------------------------------------------
+
+/// The `⋉` lines of the statement's `EXPLAIN ANALYZE`, each as
+/// `(parent by leaf, rows before, rows after)`.
+fn reductions(db: &Database, sql: &str) -> Vec<(String, u64, u64)> {
+    let plan = db.query(&format!("explain analyze {sql}")).unwrap();
+    (plan.rows.iter())
+        .filter_map(|r| r[0].as_str().unwrap().trim_start().strip_prefix("⋉ "))
+        .map(|line| {
+            let (pair, rest) = line.split_once(" on ").unwrap();
+            let (before, after) = rest.rsplit_once(": ").unwrap().1.split_once(" → ").unwrap();
+            (
+                pair.to_string(),
+                before.parse().unwrap(),
+                after.parse().unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// Shapes with a leaf — an input all of whose edges go to one other input —
+/// under a build side, and the shapes next to them that must be left
+/// alone: each case with the `parent by leaf` pairs the block reduces, in
+/// the order it does. `b` drives all of them.
+fn leaves<'a>(db: &Database, p: i64) -> Vec<(Case<'a>, Vec<&'static str>)> {
+    let t = |name: &str| live(db, name);
+    let (a, b, c, d) = (t("a"), t("b"), t("c"), t("d"));
+    let case = |body: &str, names: &[&'static str], inputs: Vec<Vec<Row>>, keep: Keep<'a>| Case {
+        body: body.to_string(),
+        names: names.to_vec(),
+        inputs,
+        keep,
+    };
+    let only = |rows: &[Row], f: &dyn Fn(&Row) -> bool| -> Vec<Row> {
+        rows.iter().filter(|r| f(r)).cloned().collect()
+    };
+    vec![
+        // One deep; the leaf's keys repeat and some are NULL.
+        (
+            case(
+                "from b, c, d where b.w = c.w and c.k = d.k",
+                &["b", "c", "d"],
+                vec![b.clone(), c.clone(), d.clone()],
+                Box::new(|r| and(eq(&r[0][W], &r[1][W]), eq(&r[1][K], &r[2][K]))),
+            ),
+            vec!["c by d"],
+        ),
+        // Two deep, leaves first: `a` under `d` under `c`.
+        (
+            case(
+                "from a, d, c, b where b.w = c.w and c.k = d.k and d.w = a.w",
+                &["a", "d", "c", "b"],
+                vec![a.clone(), d.clone(), c.clone(), b.clone()],
+                Box::new(|r| {
+                    and(
+                        eq(&r[3][W], &r[2][W]),
+                        and(eq(&r[2][K], &r[1][K]), eq(&r[1][W], &r[0][W])),
+                    )
+                }),
+            ),
+            vec!["d by a", "c by d"],
+        ),
+        // Float against int keys, and text keys with NULLs among them.
+        (
+            case(
+                "from b, c, d where b.w = c.w and c.f = d.k",
+                &["b", "c", "d"],
+                vec![b.clone(), c.clone(), d.clone()],
+                Box::new(|r| and(eq(&r[0][W], &r[1][W]), eq(&r[1][F], &r[2][K]))),
+            ),
+            vec!["c by d"],
+        ),
+        (
+            case(
+                "from b, c, a where b.w = c.w and c.s = a.s",
+                &["b", "c", "a"],
+                vec![b.clone(), c.clone(), a.clone()],
+                Box::new(|r| and(eq(&r[0][W], &r[1][W]), eq(&r[1][S], &r[2][S]))),
+            ),
+            vec!["c by a"],
+        ),
+        // A leaf that empties its parent: the empty table, and a filter
+        // nothing passes.
+        (
+            case(
+                "from b, c, e where b.w = c.w and c.k = e.k",
+                &["b", "c", "e"],
+                vec![b.clone(), c.clone(), Vec::new()],
+                Box::new(|_| Some(true)),
+            ),
+            vec!["c by e"],
+        ),
+        (
+            case(
+                "from b, c, d where b.w = c.w and c.k = d.k and d.w > 100",
+                &["b", "c", "d"],
+                vec![b.clone(), c.clone(), Vec::new()],
+                Box::new(|_| Some(true)),
+            ),
+            vec!["c by d"],
+        ),
+        // An expression with the parameter on the parent's side of the
+        // edge, a filter on the leaf, and a post-filter across the parent.
+        (
+            case(
+                "from b, c, d where b.w = c.w and c.k + $1 = d.k + 2 and d.w < $1 \
+                 and b.id + c.id > 10",
+                &["b", "c", "d"],
+                vec![
+                    b.clone(),
+                    c.clone(),
+                    only(&d, &|r| int(&r[W]).is_some_and(|w| w < p)),
+                ],
+                Box::new(move |r| {
+                    let plus =
+                        |v: &Value, n: i64| int(v).map_or(Value::Null, |k| Value::Int(k + n));
+                    let far = int(&r[0][ID]).zip(int(&r[1][ID])).map(|(x, y)| x + y > 10);
+                    and(
+                        and(
+                            eq(&r[0][W], &r[1][W]),
+                            eq(&plus(&r[1][K], p), &plus(&r[2][K], 2)),
+                        ),
+                        far,
+                    )
+                }),
+            ),
+            vec!["c by d"],
+        ),
+        // A leaf of the driver is left to its step.
+        (
+            case(
+                "from a, b, c where a.k = b.k and c.w = b.w",
+                &["a", "b", "c"],
+                vec![a.clone(), b.clone(), c.clone()],
+                Box::new(|r| and(eq(&r[0][K], &r[1][K]), eq(&r[2][W], &r[1][W]))),
+            ),
+            vec![],
+        ),
+        // A cycle (Q5's customer – supplier – lineitem – orders): nothing
+        // on it is a leaf, and what hangs off it still reduces it.
+        (
+            case(
+                "from b, a, c, d where b.k = a.k and a.w = c.w and c.k = b.w and d.k = c.k",
+                &["b", "a", "c", "d"],
+                vec![b.clone(), a.clone(), c.clone(), d.clone()],
+                Box::new(|r| {
+                    and(
+                        and(eq(&r[0][K], &r[1][K]), eq(&r[1][W], &r[2][W])),
+                        and(eq(&r[2][K], &r[0][W]), eq(&r[3][K], &r[2][K])),
+                    )
+                }),
+            ),
+            vec!["c by d"],
+        ),
+        // Two inputs joined to each other and crossed with the rest: the
+        // first of them in FROM order is the other's leaf.
+        (
+            case(
+                "from a, b, c, d where a.k = b.k and c.k = d.k and a.w < 2",
+                &["a", "b", "c", "d"],
+                vec![
+                    only(&a, &|r| int(&r[W]).is_some_and(|w| w < 2)),
+                    b.clone(),
+                    c.clone(),
+                    d.clone(),
+                ],
+                Box::new(|r| and(eq(&r[0][K], &r[1][K]), eq(&r[2][K], &r[3][K]))),
+            ),
+            vec!["d by c"],
+        ),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn build_sides_reduced_through_leaves_answer_what_nested_loops_answer(
+        a in gens(6, 12),
+        b in gens(6, 30),
+        c in gens(6, 12),
+        d in gens(6, 6),
+        tombstones in any::<bool>(),
+        p in 1i64..4,
+    ) {
+        let db = build(&a, &b, &c, &d, &[], tombstones);
+        for (case, reduced) in leaves(&db, p) {
+            check(&db, &case, p);
+            let text = case.select().replace("$1", &p.to_string());
+            let ran = reductions(&db, &text);
+            let pairs: Vec<&str> = ran.iter().map(|(pair, ..)| pair.as_str()).collect();
+            prop_assert_eq!(&pairs, &reduced, "{}", text);
+            // A reduction only sheds: what it leaves is what the parent's
+            // step then builds on.
+            for (pair, before, after) in &ran {
+                prop_assert!(after <= before, "{}: {}", text, pair);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Where a subquery conjunct runs
 // ---------------------------------------------------------------------------
 
@@ -627,7 +834,8 @@ proptest! {
 }
 
 /// The two documented divergences from evaluating an input's subquery
-/// conjuncts in its scan, each on a statement built to show it.
+/// conjuncts in its scan, each on a statement built to show it — the first
+/// also as a leaf reduction produces it.
 #[test]
 fn probe_placement_divergences_are_the_documented_ones() {
     // `b`: 2 000 rows, `k = id`; the small `u` keeps keys 0..8 only.
@@ -657,6 +865,34 @@ fn probe_placement_divergences_are_the_documented_ones() {
             Err(EngineError::TypeError(_))
         ));
         assert_eq!(db.query(sql).unwrap().rows, Vec::<Row>::new());
+    }
+
+    // The same divergence, from a build row shed through a leaf: `c`'s key
+    // towards `b` is `c.s + 1`, a type error on the row whose `s` is text
+    // — raised when `c`'s table is built, as the two-table statement shows
+    // and as the parent did here. `d` keeps only `c`'s other row, whose key
+    // is NULL + 1: no error is left to raise, and no match.
+    db.execute("insert into c values (0, 1, 1.0, 's1', 0), (1, 2, 2.0, null, 0)")
+        .unwrap();
+    db.execute("insert into d values (0, 2, 2.0, 's2', 0)")
+        .unwrap();
+    for workers in [1, 4] {
+        db.query(&format!("set parallel_workers = {workers}"))
+            .unwrap();
+        assert!(matches!(
+            db.query("select b.id from b, c where b.w = c.s + 1"),
+            Err(EngineError::TypeError(_))
+        ));
+        let shed = "select b.id from b, c, d where b.w = c.s + 1 and c.k = d.k";
+        assert_eq!(db.query(shed).unwrap().rows, Vec::<Row>::new());
+        assert_eq!(reductions(&db, shed), [("c by d".to_string(), 2, 1)]);
+        // A row whose key fails on the *probing* side of the leaf's edge is
+        // not shed — nothing says it matches nothing — and its step raises
+        // as it always did.
+        assert!(matches!(
+            db.query("select b.id from b, c, d where b.w = c.w and c.s + 1 = d.k"),
+            Err(EngineError::TypeError(_))
+        ));
     }
 
     // **Unordered output follows the new driver.** `x` is 1 000 rows of

@@ -17,50 +17,23 @@ timeout "$BUILD_TIMEOUT" cargo fmt --check
 echo "== cargo clippy (workspace, all targets, warnings are errors) =="
 timeout "$BUILD_TIMEOUT" cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== explain analyze smoke: per-operator timing harness =="
-timeout "$SUITE_TIMEOUT" cargo test -q --test explain_analyze
-
 echo "== tier-1: cargo build --release && cargo test -q =="
 timeout "$BUILD_TIMEOUT" cargo build --release
 timeout "$BUILD_TIMEOUT" cargo test -q
 
-echo "== operator pipeline: byte-identity property suite =="
-timeout "$SUITE_TIMEOUT" cargo test -q --test property_operators
+echo "== every other suite once: storage, sql, engine, tpch, cjdbc, core, sim, crates/bench, compat/* =="
+# Tier-1 is the root package (every file under tests/); this is every other
+# package of the workspace, each suite whole: the column heap against its row
+# model, parser and Display round-trip, evaluator against its reference and
+# morsel byte identity (DESIGN.md §12), cancellation/deadline/budget (§11),
+# rewriter, composer, gate, fault and governance paths, controller,
+# admission, health, recovery log, overload_soak, the simulator.
+timeout "$SUITE_TIMEOUT" cargo test -q --workspace --exclude apuama-suite
 
-echo "== join block: answers against nested loops over the heap, probe placement (DESIGN.md §10) =="
-timeout "$SUITE_TIMEOUT" cargo test -q --test join_oracle
-
-echo "== storage: column heap against its row model, buffer pool and index models =="
-# Outside tier-1 (the root package's tests) and every suite listed here.
-timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-storage
-
-echo "== clustered ranges: ordered prefix and tail against the slot model (DESIGN.md §13), sub-query counters and range ≡ scan on the TPC-H set =="
-# By name: the model is one unit test of the engine crate's suite below, and
+echo "== clustered ranges: ordered prefix and tail against the slot model (DESIGN.md §13) =="
+# By name: the model is one unit test of the engine crate's suite above, and
 # the one to look at first when a virtual partition answers wrongly.
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine --lib clustered_model
-timeout "$SUITE_TIMEOUT" cargo test -q --test clustered_range
-
-echo "== fault injection: retry/reassignment/breaker suite =="
-timeout "$SUITE_TIMEOUT" cargo test -q --test fault_tolerance
-
-echo "== recovery: log/rejoin/re-clone suite =="
-timeout "$SUITE_TIMEOUT" cargo test -q --test recovery_rejoin
-
-echo "== cluster crates, whole suites: core (rewriter, composer, gate, fault and governance paths), cjdbc (controller, admission, health, recovery log, overload_soak), sim, tpch =="
-# Outside tier-1 like the engine crate's suites below: name-filtered runs of
-# these crates used to leave the composer's and the rewriter's own unit
-# tests to no line of this script.
-timeout "$SUITE_TIMEOUT" cargo test -q -p apuama
-timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-cjdbc
-timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-sim
-timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-tpch
-
-echo "== sql: parser unit tests, nesting bound, Display round-trip property =="
-# Outside tier-1 like the engine crate's suites below.
-timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-sql
-
-echo "== engine: the crate's whole suite — evaluator against its reference, SQL surface and evaluation contract, three-valued logic, morsel-driven byte identity (DESIGN.md §12), cancellation/deadline/budget (DESIGN.md §11) =="
-timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine
 
 echo "== benchmark package: its own tests, then a smoke run that must answer correctly =="
 # benchmark/ is a workspace of its own (BENCHMARK.json runs it from a fresh

@@ -11,6 +11,14 @@
 //! them. The composition's own [`ExecStats`] are reported separately so the
 //! simulator can price the composition step (the paper measures it at under
 //! a second even for large partials).
+//!
+//! Composition is a per-query step and a composer is a per-query value: it
+//! borrows the plan of the query that built it, is fed with
+//! [`Composer::accept`] and consumed by [`Composer::finish`]. A query that
+//! errors out drops its composer, staging database included; nothing is
+//! shared between queries, so nothing is locked or cleaned between them.
+//! The engine streams ([`StreamingComposer`]); [`StagedComposer`] is the
+//! reference the fold is tested against and the simulator's other arm.
 
 use apuama_engine::{Database, EngineError, EngineResult, ExecStats, PartialAgg, QueryOutput};
 use apuama_sql::Value;
@@ -33,7 +41,7 @@ pub struct Composed {
 /// SQL type name for a staging column, inferred from the first non-null
 /// value seen in that column (all-NULL columns degrade to text, which
 /// compares fine for our dialect).
-fn infer_type(rows: &[&Row], col: usize) -> &'static str {
+fn infer_type(rows: &[Row], col: usize) -> &'static str {
     for row in rows {
         match &row[col] {
             Value::Null => continue,
@@ -48,11 +56,293 @@ fn infer_type(rows: &[&Row], col: usize) -> &'static str {
     "text"
 }
 
-/// Loads the partial outputs into an in-memory staging table and runs the
-/// plan's composition query: one composition on a fresh
-/// [`ReusableComposer`].
+/// Loads `rows` — already of the plan's arity — into the staging table of a
+/// fresh in-memory database and runs the plan's composition query over it.
+fn stage_and_compose(plan: &SvpPlan, rows: Vec<Row>) -> EngineResult<Composed> {
+    let columns_ddl = plan
+        .partial_columns
+        .iter()
+        .enumerate()
+        .map(|(i, name)| format!("{name} {}", infer_type(&rows, i)))
+        .collect::<Vec<_>>()
+        .join(", ");
+    let mut mem = Database::in_memory();
+    mem.execute(&format!("create table {PARTIALS_TABLE} ({columns_ddl})"))?;
+    let partial_rows = rows.len() as u64;
+    mem.append_rows(PARTIALS_TABLE, rows)?;
+    let mut output = mem.query(&plan.composition_sql)?;
+    let composition_stats = output.stats;
+    output.stats = ExecStats::default();
+    Ok(Composed {
+        output,
+        composition_stats,
+        partial_rows,
+    })
+}
+
+/// One-shot composition: loads the partial outputs, in the order given,
+/// into an in-memory staging table and runs the plan's composition query.
 pub fn compose(plan: &SvpPlan, partials: &[QueryOutput]) -> EngineResult<Composed> {
-    ReusableComposer::new().compose(plan, partials)
+    for (i, p) in partials.iter().enumerate() {
+        check_arity(plan, &i, p)?;
+    }
+    let rows = partials.iter().flat_map(|p| p.rows.iter().cloned());
+    stage_and_compose(plan, rows.collect())
+}
+
+/// Every row of `partial` has the plan's arity; `who` names the partial in
+/// the error.
+fn check_arity(
+    plan: &SvpPlan,
+    who: &dyn std::fmt::Display,
+    partial: &QueryOutput,
+) -> EngineResult<()> {
+    let arity = plan.partial_columns.len();
+    match partial.rows.iter().find(|r| r.len() != arity) {
+        Some(bad) => Err(EngineError::Constraint(format!(
+            "partial result {who} has arity {} but the plan expects {arity}",
+            bad.len()
+        ))),
+        None => Ok(()),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Incremental composition
+// ---------------------------------------------------------------------------
+
+/// The two Result Composer implementations [`compose_with`] chooses
+/// between.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ComposerStrategy {
+    /// Buffer every partial row, then stage + compose once at the end (the
+    /// original HSQLDB-style path).
+    Staged,
+    /// Fold each partial into running per-group state as it arrives;
+    /// composition work overlaps the still-running sub-queries and the
+    /// final query runs over one folded row per group.
+    #[default]
+    Streaming,
+}
+
+/// Incremental result composition: built for one query's plan,
+/// `accept(node, partial)` per arriving partial, then `finish()`.
+///
+/// Implementations key all state on the *node index*, never on arrival
+/// order, so the composed result is a function of the per-node partial
+/// sequences alone — sub-queries may complete in any interleaving and the
+/// output (rows, ordering, floating-point bit patterns) does not change.
+pub trait Composer {
+    /// Feeds one partial result produced by `node`. A node may contribute
+    /// several partials (AVP chunks); their relative order is the node's
+    /// own execution order.
+    fn accept(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()>;
+    /// Completes the composition and returns the final result. Abandoning
+    /// one instead is dropping the composer.
+    fn finish(self) -> EngineResult<Composed>;
+}
+
+/// Runs a full accept/finish cycle over per-node partials (partial `i`
+/// attributed to node `i`) — the one-shot convenience the benchmark, the
+/// simulator and the tests use.
+pub fn compose_with(
+    strategy: ComposerStrategy,
+    plan: &SvpPlan,
+    partials: &[QueryOutput],
+) -> EngineResult<Composed> {
+    fn run(mut composer: impl Composer, partials: &[QueryOutput]) -> EngineResult<Composed> {
+        for (node, p) in partials.iter().enumerate() {
+            composer.accept(node, p.clone())?;
+        }
+        composer.finish()
+    }
+    match strategy {
+        ComposerStrategy::Staged => run(StagedComposer::new(plan), partials),
+        ComposerStrategy::Streaming => run(StreamingComposer::new(plan), partials),
+    }
+}
+
+/// [`Composer`] port of the staging-table path: buffers partial rows per
+/// node and stages them node-major at `finish()`.
+pub struct StagedComposer<'p> {
+    plan: &'p SvpPlan,
+    nodes: Vec<Vec<Row>>,
+}
+
+impl<'p> StagedComposer<'p> {
+    pub fn new(plan: &'p SvpPlan) -> Self {
+        StagedComposer {
+            plan,
+            nodes: Vec::new(),
+        }
+    }
+}
+
+impl Composer for StagedComposer<'_> {
+    fn accept(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()> {
+        check_arity(self.plan, &format_args!("from node {node}"), &partial)?;
+        if self.nodes.len() <= node {
+            self.nodes.resize_with(node + 1, Vec::new);
+        }
+        self.nodes[node].extend(partial.rows);
+        Ok(())
+    }
+
+    fn finish(self) -> EngineResult<Composed> {
+        stage_and_compose(self.plan, self.nodes.into_iter().flatten().collect())
+    }
+}
+
+/// Streaming state, chosen from the plan's [`ComposeSpec`].
+enum StreamState<'p> {
+    /// Aggregated query: one of the engine's partial-aggregate tables per
+    /// node, each folding that node's partial rows in its own order.
+    Reagg {
+        group_cols: usize,
+        folds: &'p [FoldFn],
+        nodes: Vec<PartialAgg>,
+    },
+    /// Plain union: buffer rows tagged `(node, seq)`, pruning to the top
+    /// `limit` under the ORDER BY comparator when both are available.
+    Union {
+        /// ORDER BY keys as partial-column indices, and the LIMIT; `None`
+        /// disables the cutoff (no LIMIT, or an un-analyzable ORDER BY
+        /// expression).
+        cutoff: Option<(&'p [(usize, bool)], usize)>,
+        rows: Vec<(usize, u64, Row)>,
+        /// Per-node row sequence counters.
+        seqs: Vec<u64>,
+    },
+}
+
+/// The streaming Result Composer: folds partial rows into one of the
+/// engine's partial-aggregate tables per node as they arrive — its group
+/// table, its accumulators ([`PartialAgg`]) — merges the tables in node
+/// order at `finish()`, and runs the plan's composition query over the
+/// folded rows (one per group) so HAVING / ORDER BY / LIMIT / output
+/// expressions get exactly the engine's semantics (DESIGN.md §5.4).
+///
+/// For non-aggregated queries with `ORDER BY … LIMIT k` over output
+/// columns, arriving rows are cut off at the global top `k` (stable
+/// comparator: ORDER BY keys via `Value::sort_cmp`, then `(node, seq)` —
+/// the same tie-break a stable sort over the staging table gives), so
+/// memory stays `O(k)` instead of `O(total partial rows)`.
+pub struct StreamingComposer<'p> {
+    plan: &'p SvpPlan,
+    state: StreamState<'p>,
+    accepted_rows: u64,
+}
+
+impl<'p> StreamingComposer<'p> {
+    pub fn new(plan: &'p SvpPlan) -> Self {
+        let state = match &plan.compose {
+            ComposeSpec::Reaggregate { group_cols, folds } => StreamState::Reagg {
+                group_cols: *group_cols,
+                folds,
+                nodes: Vec::new(),
+            },
+            ComposeSpec::Union { order, limit } => StreamState::Union {
+                cutoff: order.as_deref().zip(limit.map(|k| k as usize)),
+                rows: Vec::new(),
+                seqs: Vec::new(),
+            },
+        };
+        StreamingComposer {
+            plan,
+            state,
+            accepted_rows: 0,
+        }
+    }
+
+    /// Inserts a row into the pruned union buffer, keeping `rows` sorted by
+    /// (ORDER BY keys, node, seq) and truncated to `limit`.
+    fn union_insert(
+        rows: &mut Vec<(usize, u64, Row)>,
+        keys: &[(usize, bool)],
+        limit: usize,
+        entry: (usize, u64, Row),
+    ) {
+        let cmp = |a: &(usize, u64, Row), b: &(usize, u64, Row)| {
+            for &(col, desc) in keys {
+                let ord = a.2[col].sort_cmp(&b.2[col]);
+                let ord = if desc { ord.reverse() } else { ord };
+                if ord != std::cmp::Ordering::Equal {
+                    return ord;
+                }
+            }
+            (a.0, a.1).cmp(&(b.0, b.1))
+        };
+        let pos = rows
+            .binary_search_by(|probe| cmp(probe, &entry))
+            .unwrap_or_else(|p| p);
+        if pos >= limit {
+            return;
+        }
+        rows.insert(pos, entry);
+        rows.truncate(limit);
+    }
+}
+
+impl Composer for StreamingComposer<'_> {
+    fn accept(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()> {
+        check_arity(self.plan, &format_args!("from node {node}"), &partial)?;
+        self.accepted_rows += partial.rows.len() as u64;
+        match &mut self.state {
+            StreamState::Reagg {
+                group_cols,
+                folds,
+                nodes,
+            } => {
+                if nodes.len() <= node {
+                    nodes.resize_with(node + 1, || PartialAgg::new(folds));
+                }
+                for row in &partial.rows {
+                    let (keys, args) = row.split_at(*group_cols);
+                    nodes[node].fold(keys, args)?;
+                }
+            }
+            StreamState::Union { cutoff, rows, seqs } => {
+                if seqs.len() <= node {
+                    seqs.resize(node + 1, 0);
+                }
+                for row in partial.rows {
+                    let seq = seqs[node];
+                    seqs[node] += 1;
+                    match *cutoff {
+                        Some((keys, k)) => Self::union_insert(rows, keys, k, (node, seq, row)),
+                        None => rows.push((node, seq, row)),
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> EngineResult<Composed> {
+        let folded: Vec<Row> = match self.state {
+            // Node-index order, whatever order the partials arrived in:
+            // group order is then global first-seen order, as the staged
+            // path's aggregation over node-major staging rows has it.
+            StreamState::Reagg { nodes, .. } => {
+                let merged = nodes.into_iter().reduce(|mut merged, node| {
+                    merged.merge(node);
+                    merged
+                });
+                merged.map(PartialAgg::into_rows).unwrap_or_default()
+            }
+            StreamState::Union { mut rows, .. } => {
+                // Restore staging insertion order (node-major, per-node
+                // sequence); the composition query re-applies ORDER BY.
+                rows.sort_by_key(|(node, seq, _)| (*node, *seq));
+                rows.into_iter().map(|(_, _, row)| row).collect()
+            }
+        };
+        let mut composed = stage_and_compose(self.plan, folded)?;
+        // Report rows *accepted*, not rows staged after folding — callers
+        // use this as "partial rows shipped to the composer".
+        composed.partial_rows = self.accepted_rows;
+        Ok(composed)
+    }
 }
 
 #[cfg(test)]
@@ -226,452 +516,6 @@ mod tests {
     }
 }
 
-/// A composer that keeps its in-memory engine and staging table alive
-/// across queries of the same shape, clearing rows instead of rebuilding
-/// schema — the "connection-pooled HSQLDB" variant of the paper's design
-/// (DESIGN.md §5, ablation candidate 4). For repeated OLAP queries this
-/// trades one `DELETE` for a `CREATE TABLE` + loader per composition.
-pub struct ReusableComposer {
-    mem: Database,
-    /// The staging schema currently materialized (column names); `None`
-    /// until first use.
-    staged_columns: Option<Vec<String>>,
-}
-
-impl Default for ReusableComposer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ReusableComposer {
-    pub fn new() -> Self {
-        ReusableComposer {
-            mem: Database::in_memory(),
-            staged_columns: None,
-        }
-    }
-
-    /// Loads the partial outputs into the staging table and runs the plan's
-    /// composition query, reusing the table when the partial schema matches
-    /// the previous call. Falls back to a fresh engine when the shape
-    /// changes (different query template).
-    pub fn compose(&mut self, plan: &SvpPlan, partials: &[QueryOutput]) -> EngineResult<Composed> {
-        for (i, p) in partials.iter().enumerate() {
-            check_arity(plan, &i, p)?;
-        }
-        let all_rows: Vec<&Row> = partials.iter().flat_map(|p| p.rows.iter()).collect();
-        let reuse = self.staged_columns.as_ref() == Some(&plan.partial_columns);
-        if reuse {
-            self.mem.execute(&format!("delete from {PARTIALS_TABLE}"))?;
-        } else {
-            // Shape changed: start a fresh engine (our dialect has no DROP
-            // TABLE — a fresh in-memory instance is equivalent and cheap).
-            self.mem = Database::in_memory();
-            let columns_ddl = plan
-                .partial_columns
-                .iter()
-                .enumerate()
-                .map(|(i, name)| format!("{name} {}", infer_type(&all_rows, i)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            self.mem
-                .execute(&format!("create table {PARTIALS_TABLE} ({columns_ddl})"))?;
-            self.staged_columns = Some(plan.partial_columns.clone());
-        }
-        let partial_rows = all_rows.len() as u64;
-        // Row-wise inserts through the table API (bulk_load requires an
-        // empty heap; after a reuse-DELETE the heap may hold tombstones).
-        let staged: Vec<Row> = all_rows.into_iter().cloned().collect();
-        self.mem.append_rows(PARTIALS_TABLE, staged)?;
-        let mut output = self.mem.query(&plan.composition_sql)?;
-        let composition_stats = output.stats;
-        output.stats = ExecStats::default();
-        Ok(Composed {
-            output,
-            composition_stats,
-            partial_rows,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Incremental composition
-// ---------------------------------------------------------------------------
-
-/// Which Result Composer implementation the engine pipelines partials into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ComposerStrategy {
-    /// Buffer every partial row, then stage + compose once at the end (the
-    /// original HSQLDB-style path, pooled across queries).
-    Staged,
-    /// Fold each partial into running per-group state as it arrives;
-    /// composition work overlaps the still-running sub-queries and the
-    /// final query runs over one folded row per group.
-    #[default]
-    Streaming,
-}
-
-impl ComposerStrategy {
-    /// Builds a fresh composer for this strategy.
-    pub fn new_composer(self) -> Box<dyn Composer + Send> {
-        match self {
-            ComposerStrategy::Staged => Box::new(StagedComposer::new()),
-            ComposerStrategy::Streaming => Box::new(StreamingComposer::new()),
-        }
-    }
-}
-
-/// Incremental result composition: `begin(plan)` → `accept(node, partial)`
-/// per arriving partial → `finish()`.
-///
-/// Implementations key all state on the *node index*, never on arrival
-/// order, so the composed result is a function of the per-node partial
-/// sequences alone — sub-queries may complete in any interleaving and the
-/// output (rows, ordering, floating-point bit patterns) does not change.
-pub trait Composer {
-    /// Starts a new composition for `plan`, discarding any prior state.
-    fn begin(&mut self, plan: &SvpPlan) -> EngineResult<()>;
-    /// Feeds one partial result produced by `node`. A node may contribute
-    /// several partials (AVP chunks); their relative order is the node's
-    /// own execution order.
-    fn accept(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()>;
-    /// Feeds one partial result, re-chunking oversized row sets to the
-    /// engine's scan-batch grain ([`apuama_engine::SCAN_BATCH_ROWS`]) before
-    /// handing them to [`Composer::accept`]. The engine's operator pipeline
-    /// produces rows batch-at-a-time; consuming them at the same grain keeps
-    /// the composer's working set bounded per call. Composers key state on
-    /// the node index and fold partials in arrival order, so splitting one
-    /// partial into consecutive chunks composes the identical result. The
-    /// partial's stats are not forwarded — per-node statement stats are
-    /// recorded by the orchestrator before composition, and no composer
-    /// reads them from an accepted partial.
-    ///
-    /// Re-chunking moves each row exactly once into its chunk (no clone,
-    /// no per-row allocation); the compute-heavy half of composition — the
-    /// recombination query a staged composer runs over its scratch table —
-    /// executes through the embedded engine, where the fused kernel
-    /// transposes each scan batch into typed column vectors rather than
-    /// re-walking rows of boxed values.
-    fn accept_batched(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()> {
-        if partial.rows.len() as u64 <= apuama_engine::SCAN_BATCH_ROWS {
-            return self.accept(node, partial);
-        }
-        let QueryOutput { columns, rows, .. } = partial;
-        let mut iter = rows.into_iter();
-        loop {
-            let chunk: Vec<Row> = iter
-                .by_ref()
-                .take(apuama_engine::SCAN_BATCH_ROWS as usize)
-                .collect();
-            if chunk.is_empty() {
-                return Ok(());
-            }
-            self.accept(
-                node,
-                QueryOutput {
-                    columns: columns.clone(),
-                    rows: chunk,
-                    ..Default::default()
-                },
-            )?;
-        }
-    }
-    /// Completes the composition and returns the final result.
-    fn finish(&mut self) -> EngineResult<Composed>;
-    /// Abandons the in-progress composition, discarding staged partials.
-    /// Pooled composers live across queries, so every error path between
-    /// `begin()` and `finish()` must call this — otherwise the next query's
-    /// `begin()` is the only thing standing between it and stale state.
-    /// Must be callable at any point (idempotent, including before
-    /// `begin()`).
-    fn abort(&mut self);
-}
-
-/// Runs a full begin/accept/finish cycle over per-node partials (partial
-/// `i` attributed to node `i`) — the one-shot convenience the benches and
-/// tests use.
-pub fn compose_with(
-    strategy: ComposerStrategy,
-    plan: &SvpPlan,
-    partials: &[QueryOutput],
-) -> EngineResult<Composed> {
-    let mut composer = strategy.new_composer();
-    composer.begin(plan)?;
-    for (node, p) in partials.iter().enumerate() {
-        composer.accept(node, p.clone())?;
-    }
-    composer.finish()
-}
-
-/// Every row of `partial` has the plan's arity; `who` names the partial in
-/// the error.
-fn check_arity(
-    plan: &SvpPlan,
-    who: &dyn std::fmt::Display,
-    partial: &QueryOutput,
-) -> EngineResult<()> {
-    let arity = plan.partial_columns.len();
-    match partial.rows.iter().find(|r| r.len() != arity) {
-        Some(bad) => Err(EngineError::Constraint(format!(
-            "partial result {who} has arity {} but the plan expects {arity}",
-            bad.len()
-        ))),
-        None => Ok(()),
-    }
-}
-
-/// [`Composer`] port of the staging-table path: buffers partials per node
-/// and replays them node-major through the pooled [`ReusableComposer`] at
-/// `finish()`.
-pub struct StagedComposer {
-    pool: ReusableComposer,
-    plan: Option<SvpPlan>,
-    nodes: Vec<Vec<QueryOutput>>,
-}
-
-impl Default for StagedComposer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StagedComposer {
-    pub fn new() -> Self {
-        StagedComposer {
-            pool: ReusableComposer::new(),
-            plan: None,
-            nodes: Vec::new(),
-        }
-    }
-}
-
-impl Composer for StagedComposer {
-    fn begin(&mut self, plan: &SvpPlan) -> EngineResult<()> {
-        self.plan = Some(plan.clone());
-        self.nodes.clear();
-        Ok(())
-    }
-
-    fn accept(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()> {
-        let plan = self.plan.as_ref().expect("begin() before accept()");
-        check_arity(plan, &format_args!("from node {node}"), &partial)?;
-        if self.nodes.len() <= node {
-            self.nodes.resize_with(node + 1, Vec::new);
-        }
-        self.nodes[node].push(partial);
-        Ok(())
-    }
-
-    fn finish(&mut self) -> EngineResult<Composed> {
-        let plan = self.plan.take().expect("begin() before finish()");
-        let flat: Vec<QueryOutput> = std::mem::take(&mut self.nodes)
-            .into_iter()
-            .flatten()
-            .collect();
-        self.pool.compose(&plan, &flat)
-    }
-
-    fn abort(&mut self) {
-        self.plan = None;
-        self.nodes.clear();
-    }
-}
-
-/// Streaming state, chosen at `begin()` from the plan's [`ComposeSpec`].
-enum StreamState {
-    Idle,
-    /// Aggregated query: one of the engine's partial-aggregate tables per
-    /// node, each folding that node's partial rows in its own order.
-    Reagg {
-        group_cols: usize,
-        folds: Vec<FoldFn>,
-        nodes: Vec<PartialAgg>,
-    },
-    /// Plain union: buffer rows tagged `(node, seq)`, pruning to the top
-    /// `limit` under the ORDER BY comparator when both are available.
-    Union {
-        /// ORDER BY keys as partial-column indices; `None` disables the
-        /// cutoff (un-analyzable ORDER BY expression).
-        order: Option<Vec<(usize, bool)>>,
-        limit: Option<u64>,
-        rows: Vec<(usize, u64, Row)>,
-        /// Per-node row sequence counters.
-        seqs: Vec<u64>,
-    },
-}
-
-/// The streaming Result Composer: folds partial rows into one of the
-/// engine's partial-aggregate tables per node as they arrive — its group
-/// table, its accumulators ([`PartialAgg`]) — merges the tables in node
-/// order at `finish()`, and runs the plan's composition query over the
-/// folded rows (one per group) so HAVING / ORDER BY / LIMIT / output
-/// expressions get exactly the engine's semantics (DESIGN.md §5.4).
-///
-/// For non-aggregated queries with `ORDER BY … LIMIT k` over output
-/// columns, arriving rows are cut off at the global top `k` (stable
-/// comparator: ORDER BY keys via `Value::sort_cmp`, then `(node, seq)` —
-/// the same tie-break a stable sort over the staging table gives), so
-/// memory stays `O(k)` instead of `O(total partial rows)`.
-pub struct StreamingComposer {
-    /// The final mini-composition reuses the pooled staging machinery —
-    /// folded rows form a tiny `svp_partials` table.
-    pool: ReusableComposer,
-    plan: Option<SvpPlan>,
-    state: StreamState,
-    accepted_rows: u64,
-}
-
-impl Default for StreamingComposer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StreamingComposer {
-    pub fn new() -> Self {
-        StreamingComposer {
-            pool: ReusableComposer::new(),
-            plan: None,
-            state: StreamState::Idle,
-            accepted_rows: 0,
-        }
-    }
-
-    /// Inserts a row into the pruned union buffer, keeping `rows` sorted by
-    /// (ORDER BY keys, node, seq) and truncated to `limit`.
-    fn union_insert(
-        rows: &mut Vec<(usize, u64, Row)>,
-        keys: &[(usize, bool)],
-        limit: usize,
-        entry: (usize, u64, Row),
-    ) {
-        let cmp = |a: &(usize, u64, Row), b: &(usize, u64, Row)| {
-            for &(col, desc) in keys {
-                let ord = a.2[col].sort_cmp(&b.2[col]);
-                let ord = if desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            (a.0, a.1).cmp(&(b.0, b.1))
-        };
-        let pos = rows
-            .binary_search_by(|probe| cmp(probe, &entry))
-            .unwrap_or_else(|p| p);
-        if pos >= limit {
-            return;
-        }
-        rows.insert(pos, entry);
-        rows.truncate(limit);
-    }
-}
-
-impl Composer for StreamingComposer {
-    fn begin(&mut self, plan: &SvpPlan) -> EngineResult<()> {
-        self.state = match &plan.compose {
-            ComposeSpec::Reaggregate { group_cols, folds } => StreamState::Reagg {
-                group_cols: *group_cols,
-                folds: folds.clone(),
-                nodes: Vec::new(),
-            },
-            ComposeSpec::Union { order, limit } => StreamState::Union {
-                order: order.clone(),
-                limit: *limit,
-                rows: Vec::new(),
-                seqs: Vec::new(),
-            },
-        };
-        self.plan = Some(plan.clone());
-        self.accepted_rows = 0;
-        Ok(())
-    }
-
-    fn accept(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()> {
-        let plan = self.plan.as_ref().expect("begin() before accept()");
-        check_arity(plan, &format_args!("from node {node}"), &partial)?;
-        self.accepted_rows += partial.rows.len() as u64;
-        match &mut self.state {
-            StreamState::Idle => panic!("begin() before accept()"),
-            StreamState::Reagg {
-                group_cols,
-                folds,
-                nodes,
-            } => {
-                if nodes.len() <= node {
-                    nodes.resize_with(node + 1, || PartialAgg::new(folds));
-                }
-                for row in &partial.rows {
-                    let (keys, args) = row.split_at(*group_cols);
-                    nodes[node].fold(keys, args)?;
-                }
-            }
-            StreamState::Union {
-                order,
-                limit,
-                rows,
-                seqs,
-            } => {
-                if seqs.len() <= node {
-                    seqs.resize(node + 1, 0);
-                }
-                let cutoff = match (&order, limit) {
-                    (Some(keys), Some(k)) => Some((keys.clone(), *k as usize)),
-                    _ => None,
-                };
-                for row in partial.rows {
-                    let seq = seqs[node];
-                    seqs[node] += 1;
-                    match &cutoff {
-                        Some((keys, k)) => Self::union_insert(rows, keys, *k, (node, seq, row)),
-                        None => rows.push((node, seq, row)),
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self) -> EngineResult<Composed> {
-        let plan = self.plan.take().expect("begin() before finish()");
-        let folded: Vec<Row> = match std::mem::replace(&mut self.state, StreamState::Idle) {
-            StreamState::Idle => panic!("begin() before finish()"),
-            // Node-index order, whatever order the partials arrived in:
-            // group order is then global first-seen order, as the staged
-            // path's aggregation over node-major staging rows has it.
-            StreamState::Reagg { nodes, .. } => {
-                let merged = nodes.into_iter().reduce(|mut merged, node| {
-                    merged.merge(node);
-                    merged
-                });
-                merged.map(PartialAgg::into_rows).unwrap_or_default()
-            }
-            StreamState::Union { mut rows, .. } => {
-                // Restore staging insertion order (node-major, per-node
-                // sequence); the composition query re-applies ORDER BY.
-                rows.sort_by_key(|(node, seq, _)| (*node, *seq));
-                rows.into_iter().map(|(_, _, row)| row).collect()
-            }
-        };
-        let folded_output = QueryOutput {
-            columns: plan.partial_columns.clone(),
-            rows: folded,
-            ..QueryOutput::default()
-        };
-        let mut composed = self.pool.compose(&plan, &[folded_output])?;
-        // Report rows *accepted*, not rows staged after folding — callers
-        // use this as "partial rows shipped to the composer".
-        composed.partial_rows = self.accepted_rows;
-        Ok(composed)
-    }
-
-    fn abort(&mut self) {
-        self.plan = None;
-        self.state = StreamState::Idle;
-        self.accepted_rows = 0;
-    }
-}
-
 #[cfg(test)]
 mod incremental_tests {
     use super::*;
@@ -747,8 +591,7 @@ mod incremental_tests {
             let baseline = compose_with(ComposerStrategy::Streaming, &plan, &partials).unwrap();
             // Reverse and interleave arrival orders.
             for order in [vec![3usize, 2, 1, 0], vec![2, 0, 3, 1]] {
-                let mut composer = StreamingComposer::new();
-                composer.begin(&plan).unwrap();
+                let mut composer = StreamingComposer::new(&plan);
                 for &node in &order {
                     composer.accept(node, partials[node].clone()).unwrap();
                 }
@@ -774,33 +617,11 @@ mod incremental_tests {
     }
 
     #[test]
-    fn composer_instances_are_reusable_across_plans() {
-        let mut composer = StreamingComposer::new();
-        for round in 0..2 {
-            for sql in [
-                "select count(*) as n from orders",
-                "select o_orderpriority, sum(o_totalprice) as t from orders \
-                 group by o_orderpriority order by o_orderpriority",
-            ] {
-                let (plan, partials) = plan_and_partials(sql, 3);
-                composer.begin(&plan).unwrap();
-                for (i, p) in partials.iter().enumerate() {
-                    composer.accept(i, p.clone()).unwrap();
-                }
-                let got = composer.finish().unwrap();
-                let want = compose(&plan, &partials).unwrap();
-                assert_eq!(got.output.rows, want.output.rows, "round {round}: {sql}");
-            }
-        }
-    }
-
-    #[test]
     fn streaming_cutoff_bounds_the_union_buffer() {
         let sql = "select o_orderkey, o_totalprice from orders \
                    order by o_totalprice desc limit 5";
         let (plan, partials) = plan_and_partials(sql, 4);
-        let mut composer = StreamingComposer::new();
-        composer.begin(&plan).unwrap();
+        let mut composer = StreamingComposer::new(&plan);
         for (i, p) in partials.iter().enumerate() {
             composer.accept(i, p.clone()).unwrap();
         }
@@ -822,60 +643,6 @@ mod incremental_tests {
         let (plan, partials) = plan_and_partials("select sum(o_totalprice) as s from orders", 3);
         let got = compose_with(ComposerStrategy::Streaming, &plan, &partials).unwrap();
         assert_eq!(got.partial_rows, 3);
-    }
-
-    /// `accept_batched` re-chunks oversized partials to the engine's
-    /// scan-batch grain; the composed result must not change for either
-    /// strategy, aggregated or union-shaped.
-    #[test]
-    fn accept_batched_rechunks_oversized_partials_identically() {
-        const BATCH: usize = apuama_engine::SCAN_BATCH_ROWS as usize;
-        for sql in [
-            "select o_orderpriority, count(*) as n, sum(o_totalprice) as t from orders \
-             group by o_orderpriority order by o_orderpriority",
-            "select o_orderkey, o_totalprice from orders where o_totalprice > 100.0 \
-             order by o_totalprice desc, o_orderkey limit 7",
-        ] {
-            let (plan, partials) = plan_and_partials(sql, 2);
-            // Inflate each partial well past one batch, to a size that is
-            // not a multiple of it, so re-chunking actually splits.
-            let inflated: Vec<QueryOutput> = partials
-                .iter()
-                .map(|p| {
-                    assert!(!p.rows.is_empty(), "{sql}");
-                    let mut rows = Vec::new();
-                    while rows.len() <= 2 * BATCH {
-                        rows.extend(p.rows.iter().cloned());
-                    }
-                    QueryOutput {
-                        columns: p.columns.clone(),
-                        rows,
-                        ..QueryOutput::default()
-                    }
-                })
-                .collect();
-            for strategy in [ComposerStrategy::Staged, ComposerStrategy::Streaming] {
-                let run = |batched: bool| {
-                    let mut c = strategy.new_composer();
-                    c.begin(&plan).unwrap();
-                    for (i, p) in inflated.iter().enumerate() {
-                        if batched {
-                            c.accept_batched(i, p.clone()).unwrap();
-                        } else {
-                            c.accept(i, p.clone()).unwrap();
-                        }
-                    }
-                    c.finish().unwrap()
-                };
-                let whole = run(false);
-                let chunked = run(true);
-                assert_eq!(chunked.output.rows, whole.output.rows, "{sql} {strategy:?}");
-                assert_eq!(
-                    chunked.partial_rows, whole.partial_rows,
-                    "{sql} {strategy:?}"
-                );
-            }
-        }
     }
 
     /// Hand-made partials for a per-key count and sum, one `QueryOutput`
@@ -912,8 +679,7 @@ mod incremental_tests {
         let staged = compose_with(ComposerStrategy::Staged, &plan, &partials).unwrap();
         assert_eq!(staged.output.rows, want);
         for order in [[0usize, 1], [1, 0]] {
-            let mut composer = StreamingComposer::new();
-            composer.begin(&plan).unwrap();
+            let mut composer = StreamingComposer::new(&plan);
             for node in order {
                 composer.accept(node, partials[node].clone()).unwrap();
             }
@@ -944,16 +710,13 @@ mod incremental_tests {
     #[test]
     fn accept_rejects_arity_mismatch() {
         let (plan, _) = plan_and_partials("select sum(o_totalprice) as s from orders", 2);
-        for strategy in [ComposerStrategy::Staged, ComposerStrategy::Streaming] {
-            let mut composer = strategy.new_composer();
-            composer.begin(&plan).unwrap();
-            let bad = QueryOutput {
-                columns: vec!["a".into(), "b".into()],
-                rows: vec![vec![Value::Int(1), Value::Int(2)]],
-                ..QueryOutput::default()
-            };
-            assert!(composer.accept(0, bad).is_err(), "{strategy:?}");
-        }
+        let bad = QueryOutput {
+            columns: vec!["a".into(), "b".into()],
+            rows: vec![vec![Value::Int(1), Value::Int(2)]],
+            ..QueryOutput::default()
+        };
+        assert!(StagedComposer::new(&plan).accept(0, bad.clone()).is_err());
+        assert!(StreamingComposer::new(&plan).accept(0, bad).is_err());
     }
 
     #[test]
@@ -975,166 +738,28 @@ mod incremental_tests {
         assert_eq!(staged.output.rows, vec![vec![Value::Null]]);
         assert_eq!(streaming.output.rows, staged.output.rows);
     }
-}
 
-#[cfg(test)]
-mod reusable_tests {
-    use super::*;
-    use crate::catalog::DataCatalog;
-    use crate::rewrite::{Rewritten, SvpRewriter};
-    use apuama_sql::Value;
-
-    fn plan_for(sql: &str, n: usize) -> SvpPlan {
-        match SvpRewriter::new(DataCatalog::tpch(100))
-            .rewrite(sql, n)
-            .unwrap()
-        {
-            Rewritten::Svp(p) => p,
-            _ => panic!("eligible"),
-        }
-    }
-
-    fn partial(plan: &SvpPlan, rows: Vec<Row>) -> QueryOutput {
-        QueryOutput {
-            columns: plan.partial_columns.clone(),
-            rows,
-            ..QueryOutput::default()
-        }
-    }
-
+    /// Abandoning a composition is dropping the composer: nothing outlives
+    /// it, so a second composition of the same plan on the same thread
+    /// sees none of what the first accepted — aggregated and union-shaped.
     #[test]
-    fn abort_discards_staged_partials_for_both_strategies() {
-        let plan = plan_for(
-            "select count(*) as n, sum(o_totalprice) as s from orders",
-            2,
-        );
-        for strategy in [ComposerStrategy::Staged, ComposerStrategy::Streaming] {
-            let mut composer = strategy.new_composer();
-            // Abort before begin is a no-op.
-            composer.abort();
-            // Stage poison partials, then abort mid-composition.
-            composer.begin(&plan).unwrap();
-            composer
-                .accept(
-                    0,
-                    partial(&plan, vec![vec![Value::Int(999), Value::Float(999.0)]]),
-                )
-                .unwrap();
-            composer.abort();
-            // A fresh composition after the abort sees none of it.
-            let good = [
-                partial(&plan, vec![vec![Value::Int(2), Value::Float(5.0)]]),
-                partial(&plan, vec![vec![Value::Int(3), Value::Float(7.0)]]),
-            ];
-            let mut fresh = strategy.new_composer();
-            fresh.begin(&plan).unwrap();
-            composer.begin(&plan).unwrap();
-            for (node, p) in good.iter().enumerate() {
-                fresh.accept(node, p.clone()).unwrap();
-                composer.accept(node, p.clone()).unwrap();
+    fn a_composer_dropped_before_finish_leaves_nothing_behind() {
+        for sql in [
+            "select o_orderpriority, count(*) as n, sum(o_totalprice) as t from orders \
+             group by o_orderpriority order by o_orderpriority",
+            "select o_orderkey, o_totalprice from orders where o_totalprice > 100.0 \
+             order by o_totalprice desc, o_orderkey limit 7",
+        ] {
+            let (plan, partials) = plan_and_partials(sql, 3);
+            let want = compose(&plan, &partials).unwrap();
+            {
+                let mut abandoned = StreamingComposer::new(&plan);
+                abandoned.accept(2, partials[2].clone()).unwrap();
+                abandoned.accept(0, partials[0].clone()).unwrap();
             }
-            let want = fresh.finish().unwrap();
-            let got = composer.finish().unwrap();
-            assert_eq!(got.output.rows, want.output.rows, "{strategy:?}");
-            assert_eq!(got.partial_rows, want.partial_rows, "{strategy:?}");
+            let got = compose_with(ComposerStrategy::Streaming, &plan, &partials).unwrap();
+            assert_eq!(got.output.rows, want.output.rows, "{sql}");
+            assert_eq!(got.partial_rows, want.partial_rows, "{sql}");
         }
-    }
-
-    #[test]
-    fn reusable_matches_one_shot_composer_across_repeats() {
-        let plan = plan_for(
-            "select o_orderpriority, count(*) as n from orders group by o_orderpriority \
-             order by o_orderpriority",
-            3,
-        );
-        let mut reusable = ReusableComposer::new();
-        for round in 1..=3i64 {
-            let partials: Vec<QueryOutput> = (0..3)
-                .map(|node| {
-                    partial(
-                        &plan,
-                        vec![vec![
-                            Value::Str(format!("P{}", node % 2)),
-                            Value::Int(round * (node + 1)),
-                        ]],
-                    )
-                })
-                .collect();
-            let fresh = compose(&plan, &partials).unwrap();
-            let reused = reusable.compose(&plan, &partials).unwrap();
-            assert_eq!(reused.output.rows, fresh.output.rows, "round {round}");
-            assert_eq!(reused.partial_rows, fresh.partial_rows);
-        }
-    }
-
-    #[test]
-    fn shape_change_rebuilds_cleanly() {
-        let mut reusable = ReusableComposer::new();
-        let p1 = plan_for("select count(*) as n from orders", 2);
-        let r1 = reusable
-            .compose(
-                &p1,
-                &[
-                    partial(&p1, vec![vec![Value::Int(3)]]),
-                    partial(&p1, vec![vec![Value::Int(4)]]),
-                ],
-            )
-            .unwrap();
-        assert_eq!(r1.output.rows, vec![vec![Value::Int(7)]]);
-        // Different template: more columns.
-        let p2 = plan_for(
-            "select min(o_totalprice) as lo, max(o_totalprice) as hi from orders",
-            2,
-        );
-        let r2 = reusable
-            .compose(
-                &p2,
-                &[
-                    partial(&p2, vec![vec![Value::Float(1.0), Value::Float(9.0)]]),
-                    partial(&p2, vec![vec![Value::Float(0.5), Value::Float(7.0)]]),
-                ],
-            )
-            .unwrap();
-        assert_eq!(
-            r2.output.rows,
-            vec![vec![Value::Float(0.5), Value::Float(9.0)]]
-        );
-        // And back to the first shape (forces another rebuild).
-        let r3 = reusable
-            .compose(
-                &p1,
-                &[
-                    partial(&p1, vec![vec![Value::Int(1)]]),
-                    partial(&p1, vec![vec![Value::Int(1)]]),
-                ],
-            )
-            .unwrap();
-        assert_eq!(r3.output.rows, vec![vec![Value::Int(2)]]);
-    }
-
-    #[test]
-    fn leftover_rows_never_leak_between_queries() {
-        let plan = plan_for("select sum(o_totalprice) as s from orders", 2);
-        let mut reusable = ReusableComposer::new();
-        let big = reusable
-            .compose(
-                &plan,
-                &[
-                    partial(&plan, vec![vec![Value::Float(100.0)]]),
-                    partial(&plan, vec![vec![Value::Float(200.0)]]),
-                ],
-            )
-            .unwrap();
-        assert_eq!(big.output.rows, vec![vec![Value::Float(300.0)]]);
-        let small = reusable
-            .compose(
-                &plan,
-                &[
-                    partial(&plan, vec![vec![Value::Float(1.0)]]),
-                    partial(&plan, vec![vec![Value::Float(2.0)]]),
-                ],
-            )
-            .unwrap();
-        assert_eq!(small.output.rows, vec![vec![Value::Float(3.0)]]);
     }
 }

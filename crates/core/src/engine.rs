@@ -19,12 +19,11 @@ use apuama_engine::{
 use apuama_sql::Value;
 
 use crate::catalog::DataCatalog;
-use crate::composer::{Composer, ComposerStrategy};
+use crate::composer::{Composer, StreamingComposer};
 use crate::consistency::{ConsistencyMode, UpdateGate};
 use crate::fault::{FaultPolicy, RecoveryReport};
 use crate::node::NodeProcessor;
 use crate::rewrite::{Rewritten, SvpPlan, SvpRewriter};
-use parking_lot::Mutex;
 
 /// Configuration knobs (defaults reproduce the paper; the alternatives are
 /// ablation arms).
@@ -40,9 +39,6 @@ pub struct ApuamaConfig {
     pub consistency: ConsistencyMode,
     /// Per-node connection-pool size.
     pub pool_size: usize,
-    /// Result-composition strategy (staged staging table vs streaming
-    /// fold).
-    pub composer: ComposerStrategy,
     /// What to do when a sub-query fails: timeout, retries, reassignment,
     /// circuit breaker (see [`FaultPolicy`]).
     pub fault: FaultPolicy,
@@ -67,7 +63,6 @@ impl Default for ApuamaConfig {
             force_index: true,
             consistency: ConsistencyMode::Blocking,
             pool_size: 8,
-            composer: ComposerStrategy::default(),
             fault: FaultPolicy::default(),
             query_deadline_ms: None,
             parallel_workers: None,
@@ -95,15 +90,16 @@ pub struct SvpExecution {
 }
 
 /// The engine: Cluster Administrator + Node Processors (paper Fig. 1b).
+///
+/// What it holds is what queries share: the nodes, the rewriter, the update
+/// gate and the breaker. Per-query state — the governor, the composer — is
+/// local to [`ApuamaEngine::execute_svp_governed`], so concurrent SVP
+/// queries meet only at the gate and on the nodes.
 pub struct ApuamaEngine {
     nodes: Vec<Arc<NodeProcessor>>,
     rewriter: SvpRewriter,
     gate: UpdateGate,
     config: ApuamaConfig,
-    /// Pooled incremental composer (strategy fixed at construction). Kept
-    /// across queries so the staging engine survives between same-template
-    /// compositions.
-    composer: Mutex<Box<dyn Composer + Send>>,
     /// Cluster-wide circuit breaker: fed by every node processor, consulted
     /// by the SVP dispatcher (and shareable with the C-JDBC read balancer
     /// via [`apuama_cjdbc::Controller::with_health`]).
@@ -146,7 +142,6 @@ impl ApuamaEngine {
             rewriter: SvpRewriter::new(catalog),
             gate: UpdateGate::new(n, config.consistency),
             config,
-            composer: Mutex::new(config.composer.new_composer()),
             health,
         })
     }
@@ -246,6 +241,7 @@ impl ApuamaEngine {
     ///
     /// Sub-query results are not join-all'ed: each node thread sends its
     /// partial through a channel the moment it completes, and the composer
+    /// — a [`StreamingComposer`] this call builds for its plan and owns —
     /// folds it in while the remaining sub-queries are still running. The
     /// update gate still releases at "dispatched and started" — composition
     /// happens strictly after the release point.
@@ -265,10 +261,10 @@ impl ApuamaEngine {
     ///   available replicas at dispatch time.
     /// * Each sub-query runs under an optional deadline and bounded
     ///   same-node retries with exponential backoff.
-    /// * A range whose node exhausted its retries is re-rendered through
-    ///   the rewriter ([`crate::rewrite::QueryTemplate::prepared_for_range`]
-    ///   on the residual range) and handed whole to one surviving replica,
-    ///   with the partial attributed to the *original* range index — so the
+    /// * A range whose node exhausted its retries is handed whole to one
+    ///   surviving replica — the residual is the node's entire range, so
+    ///   the survivor runs the planned statement ([`SvpPlan::prepared`]) —
+    ///   with the partial attributed to the *original* range index, so the
     ///   composed result is byte-identical to the healthy run (splitting
     ///   the residual across survivors would change float-fold order).
     /// * Reassigned sub-queries take fresh snapshot tickets after the gate
@@ -400,16 +396,12 @@ impl ApuamaEngine {
             let dispatched = Instant::now();
 
             // 4. Pipelined composition: consume partials as they complete.
-            let mut composer = self.composer.lock();
-            if let Err(e) = composer.begin(plan) {
-                composer.abort();
-                return Err(e);
-            }
-
+            //    The composer is this query's own — every early return
+            //    below drops it, and no other query waits on it.
             /// What a finished sub-query updates, in the first wave and in
             /// every reassignment round alike.
             struct Settling<'a> {
-                composer: &'a mut (dyn Composer + Send),
+                composer: StreamingComposer<'a>,
                 gov: &'a QueryGovernor,
                 reassign: bool,
                 dispatched: Instant,
@@ -442,7 +434,7 @@ impl ApuamaEngine {
                             self.per_node[range] = Some(out.stats);
                             if self.accept_error.is_none() {
                                 let t = Instant::now();
-                                let accepted = self.composer.accept_batched(range, out);
+                                let accepted = self.composer.accept(range, out);
                                 let spent = t.elapsed().as_secs_f64() * 1e3;
                                 if outstanding == 0 {
                                     self.timing.compose_tail_ms += spent;
@@ -488,7 +480,7 @@ impl ApuamaEngine {
                 }
             }
             let mut st = Settling {
-                composer: &mut **composer,
+                composer: StreamingComposer::new(plan),
                 gov: &gov,
                 reassign: policy.reassign,
                 dispatched,
@@ -536,16 +528,14 @@ impl ApuamaEngine {
                     let rtx = rtx.clone();
                     let policy = &policy;
                     let gov = &gov;
-                    // Re-invoke the rewriter on the residual range. A whole
-                    // failed node's residual is its entire original range,
-                    // so the prepared statement binds the same values — and
-                    // therefore the composed result is byte-identical to the
-                    // planned sub-query.
-                    let (lo, hi) = plan.ranges[range];
-                    let (sql, bound) = plan.template.prepared_for_range(lo, hi);
+                    // A whole failed node's residual is its entire original
+                    // range, so the survivor runs the planned statement with
+                    // the planned values — and the composed result is
+                    // byte-identical to the healthy run's.
+                    let (sql, bound) = &plan.prepared[range];
                     s.spawn(move || {
                         let ticket = node.begin_subquery();
-                        let (attempts, result) = run_with_retries(node, &sql, &bound, policy, gov);
+                        let (attempts, result) = run_with_retries(node, sql, bound, policy, gov);
                         drop(ticket);
                         let _ = rtx.send((range, target, attempts, result));
                     });
@@ -559,6 +549,7 @@ impl ApuamaEngine {
                 }
             }
             let Settling {
+                composer,
                 recovery,
                 per_node,
                 accept_error,
@@ -566,17 +557,14 @@ impl ApuamaEngine {
                 ..
             } = st;
 
-            // 6. Error out cleanly — the pooled composer must never be left
-            //    mid-composition (the seed corrupted the next same-template
-            //    query here).
+            // 6. Error out: the siblings are cancelled and the composer,
+            //    with whatever it accepted, is dropped.
             if let Some(e) = accept_error {
                 gov.cancel();
-                composer.abort();
                 return Err(e);
             }
             if !failed.is_empty() {
                 gov.cancel();
-                composer.abort();
                 // Surface the root cause: a sibling's `Cancelled` is fallout
                 // from the doom-cancel above, not the reason the query died.
                 failed.sort_by_key(|(range, _)| *range);
@@ -589,13 +577,7 @@ impl ApuamaEngine {
 
             // 7. Finish the composition (serial tail).
             let t = Instant::now();
-            let composed = match composer.finish() {
-                Ok(c) => c,
-                Err(e) => {
-                    composer.abort();
-                    return Err(e);
-                }
-            };
+            let composed = composer.finish()?;
             timing.compose_tail_ms += t.elapsed().as_secs_f64() * 1e3;
             timing.total_ms = dispatched.elapsed().as_secs_f64() * 1e3;
 
@@ -1019,10 +1001,15 @@ mod tests {
 mod fault_tests {
     use super::*;
     use crate::fault::FaultPolicy;
-    use apuama_cjdbc::{EngineNode, FaultPlan, FaultTarget, FaultyConnection, NodeConnection};
+    use apuama_cjdbc::{
+        Controller, ControllerConfig, EngineNode, FaultPlan, FaultTarget, FaultyConnection,
+        NodeConnection,
+    };
     use apuama_engine::Database;
     use apuama_sql::Value;
+    use apuama_storage::Row;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     /// A cluster whose every connection is wrapped in a (initially inert)
     /// fault injector.
@@ -1081,9 +1068,9 @@ mod fault_tests {
     }
 
     #[test]
-    fn failed_svp_leaves_pooled_composer_clean_for_same_template() {
-        // Satellite regression: a failed SVP followed by a successful
-        // same-template SVP must be byte-identical to a fresh engine.
+    fn failed_svp_leaves_nothing_behind_for_same_template() {
+        // A failed SVP followed by a successful same-template SVP must be
+        // byte-identical to a fresh engine.
         let (engine, faulties) = faulty_cluster(
             3,
             ApuamaConfig {
@@ -1101,6 +1088,107 @@ mod fault_tests {
         let (fresh, _) = faulty_cluster(3, ApuamaConfig::default());
         let want = fresh.read(0, &ReadRequest::text(SQL)).unwrap();
         assert_eq!(replay.rows, want.rows);
+    }
+
+    /// A query whose sub-queries fold `min(` and `max(` and never `sum(`,
+    /// so a fault plan matching `sum(` leaves it alone.
+    const FAST_SQL: &str = "select min(o_totalprice) as lo, max(o_totalprice) as hi from orders";
+
+    fn healthy_answer(sql: &str) -> Vec<Row> {
+        let (healthy, _) = faulty_cluster(3, ApuamaConfig::default());
+        healthy.read(0, &ReadRequest::text(sql)).unwrap().rows
+    }
+
+    /// Blocks until `node` has counted a statement its plan targets: the
+    /// query that sent it has dispatched, and that sub-query is now inside
+    /// its injected delay.
+    fn wait_for_targeted_subquery(node: &FaultyConnection) {
+        let start = Instant::now();
+        while node.matching_calls() == 0 {
+            assert!(start.elapsed() < Duration::from_secs(10), "never sent");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Inter-query parallelism reaches the composer: with one node's
+    /// sub-query of [`SQL`] held for 350 ms, [`FAST_SQL`] sent after it
+    /// through the same seam (`run` answers one statement) is back long
+    /// before it — anything the slow query held from dispatch to `finish`
+    /// would keep it waiting for that node too.
+    fn assert_fast_query_is_not_queued_behind_slow(
+        delayed: &FaultyConnection,
+        run: impl Fn(&str) -> Vec<Row> + Sync,
+    ) {
+        delayed.set_plan(FaultPlan {
+            delay: Duration::from_millis(350),
+            only_matching: Some("sum(".into()),
+            ..FaultPlan::default()
+        });
+        let timed = |sql: &str| {
+            let t = Instant::now();
+            (run(sql), t.elapsed())
+        };
+        let ((slow, slow_took), (fast, fast_took)) = std::thread::scope(|s| {
+            let slow = s.spawn(|| timed(SQL));
+            wait_for_targeted_subquery(delayed);
+            let fast = timed(FAST_SQL);
+            (slow.join().expect("slow query's thread"), fast)
+        });
+        assert_eq!(fast, healthy_answer(FAST_SQL));
+        assert_eq!(slow, healthy_answer(SQL));
+        assert!(
+            fast_took * 4 < slow_took,
+            "the fast query took {fast_took:?} of the slow one's {slow_took:?}"
+        );
+    }
+
+    #[test]
+    fn fast_svp_query_returns_while_a_slow_one_waits_for_its_node() {
+        let (engine, faulties) = faulty_cluster(3, ApuamaConfig::default());
+        assert_fast_query_is_not_queued_behind_slow(&faulties[1], |sql| {
+            engine.read(0, &ReadRequest::text(sql)).unwrap().rows
+        });
+    }
+
+    /// The same through the C-JDBC seam, one client thread per query.
+    #[test]
+    fn fast_svp_query_overtakes_a_slow_one_through_the_controller() {
+        let (engine, faulties) = faulty_cluster(3, ApuamaConfig::default());
+        let controller = Controller::new(engine.connections(), ControllerConfig::default());
+        assert_fast_query_is_not_queued_behind_slow(&faulties[1], |sql| {
+            controller.read(&ReadRequest::text(sql)).unwrap().0.rows
+        });
+    }
+
+    /// A query that fails while another is mid-composition takes only its
+    /// own composer down: node 1 fails A's sub-query under the fail-fast
+    /// policy while B waits for node 2 with two partials already folded.
+    #[test]
+    fn a_failing_query_leaves_a_concurrent_composition_alone() {
+        let (engine, faulties) = faulty_cluster(
+            3,
+            ApuamaConfig {
+                fault: FaultPolicy::fail_fast(),
+                ..ApuamaConfig::default()
+            },
+        );
+        faulties[1].set_plan(FaultPlan {
+            only_matching: Some("sum(".into()),
+            ..FaultPlan::fail_all()
+        });
+        faulties[2].set_plan(FaultPlan {
+            delay: Duration::from_millis(150),
+            only_matching: Some("min(".into()),
+            ..FaultPlan::default()
+        });
+        let b = std::thread::scope(|s| {
+            let b = s.spawn(|| engine.read(0, &ReadRequest::text(FAST_SQL)));
+            wait_for_targeted_subquery(&faulties[2]);
+            assert!(engine.read(1, &ReadRequest::text(SQL)).is_err());
+            assert!(!b.is_finished(), "A failed while B was still composing");
+            b.join().expect("B's thread")
+        });
+        assert_eq!(b.unwrap().rows, healthy_answer(FAST_SQL));
     }
 
     #[test]
@@ -1358,11 +1446,11 @@ mod governance_tests {
         }
     }
 
-    /// Satellite (b): the deadline outcome must leave the pooled composer
-    /// as clean as the failure outcome — a same-template replay after a
-    /// deadline-killed SVP is byte-identical to a fresh engine.
+    /// The deadline outcome leaves as little behind as the failure outcome:
+    /// a same-template replay after a deadline-killed SVP is byte-identical
+    /// to a fresh engine.
     #[test]
-    fn deadline_exceeded_svp_leaves_pooled_composer_clean() {
+    fn deadline_exceeded_svp_leaves_nothing_behind() {
         let (engine, faulties) = faulty_cluster(3, ApuamaConfig::default());
         delay_all(&faulties, 60);
         let Rewritten::Svp(plan) = engine.rewriter().rewrite(SQL, 3).unwrap() else {
@@ -1379,11 +1467,11 @@ mod governance_tests {
         assert_eq!(replay.rows, want.rows);
     }
 
-    /// Satellite (b), cancellation outcome: a caller that abandons the
-    /// query mid-flight (cancel fires while sub-queries are delayed) must
-    /// not poison the template's pooled composer either.
+    /// Cancellation outcome: a caller that abandons the query mid-flight
+    /// (cancel fires while sub-queries are delayed) must not poison the
+    /// template's next run either.
     #[test]
-    fn cancelled_svp_leaves_pooled_composer_clean() {
+    fn cancelled_svp_leaves_nothing_behind() {
         let (engine, faulties) = faulty_cluster(3, ApuamaConfig::default());
         delay_all(&faulties, 60);
         let Rewritten::Svp(plan) = engine.rewriter().rewrite(SQL, 3).unwrap() else {

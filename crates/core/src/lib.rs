@@ -17,9 +17,9 @@
 //! * **Node Processor** ([`node`]) — per-node connection pool, and the
 //!   optimizer interference (every SVP sub-query is planned as under
 //!   `enable_seqscan = off`; the hint rides on the statement's request);
-//! * **Result Composer** ([`composer`]) — loads partial results into an
-//!   in-memory engine (the paper uses HSQLDB) and runs the composition
-//!   query;
+//! * **Result Composer** ([`composer`]) — one per query: folds partial
+//!   results as they arrive, loads what is left into an in-memory engine
+//!   (the paper uses HSQLDB) and runs the composition query;
 //! * **consistency protocol** ([`consistency`]) — per-node transaction
 //!   counters plus the update-blocking gate: an SVP query waits for all
 //!   replicas to converge, blocks newly arriving update transactions until
@@ -41,8 +41,7 @@ pub mod rewrite;
 pub use avp::{execute_avp, execute_avp_streaming, AvpConfig, AvpOutcome, AvpRun, NodeTrace};
 pub use catalog::{DataCatalog, VirtualPartitioning};
 pub use composer::{
-    compose, compose_with, Composed, Composer, ComposerStrategy, ReusableComposer, StagedComposer,
-    StreamingComposer,
+    compose, compose_with, Composed, Composer, ComposerStrategy, StagedComposer, StreamingComposer,
 };
 pub use consistency::{ConsistencyMode, UpdateGate};
 pub use engine::{ApuamaConfig, ApuamaConnection, ApuamaEngine, SvpExecution};

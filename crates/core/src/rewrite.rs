@@ -65,9 +65,11 @@ pub struct SvpPlan {
     /// several ranges parses and plans once and re-binds per range.
     pub prepared: Vec<(String, Vec<apuama_sql::Value>)>,
     /// The VPA bounds behind each sub-query, `(lo, hi)` half-open with
-    /// `None` = unbounded — what fault recovery feeds back into
-    /// [`QueryTemplate::subquery_for_range`] to re-render a failed node's
-    /// residual range for a surviving replica.
+    /// `None` = unbounded: `prepared[i]` is the template rendered for
+    /// `ranges[i]`, which is why the executor can hand a failed node's
+    /// whole range to a surviving replica as the planned statement. The
+    /// simulator prices that residual by re-rendering it
+    /// ([`QueryTemplate::subquery_for_range`]).
     pub ranges: Vec<(Option<i64>, Option<i64>)>,
     /// Column names of the partial results (the staging table's schema).
     pub partial_columns: Vec<String>,
@@ -81,8 +83,8 @@ pub struct SvpPlan {
     /// fold partials incrementally instead of replaying `composition_sql`
     /// over a full staging table.
     pub compose: ComposeSpec,
-    /// The template this plan was instantiated from, kept so the executor
-    /// can re-invoke the rewriter on a residual range during reassignment.
+    /// The template this plan was instantiated from, kept so a residual
+    /// range can be rendered again (the simulator's reassignment pricing).
     pub template: QueryTemplate,
 }
 
@@ -1100,6 +1102,29 @@ mod tests {
                 }
                 Rewritten::Passthrough { reason } => {
                     panic!("{} unexpectedly passthrough: {reason}", q.label())
+                }
+            }
+        }
+    }
+
+    /// Fault recovery hands a failed range to a survivor as
+    /// `plan.prepared[range]`: that is only "the rewriter re-invoked on the
+    /// residual range" while the two are the same statement and values.
+    #[test]
+    fn planned_statement_is_the_template_rendered_for_its_range() {
+        use apuama_tpch::{QueryParams, ALL_QUERIES};
+        let p = QueryParams::default();
+        for q in ALL_QUERIES {
+            for n in [1usize, 2, 4] {
+                let plan = svp(&q.sql(&p), n);
+                assert_eq!(plan.prepared.len(), n, "{}", q.label());
+                for (i, &(lo, hi)) in plan.ranges.iter().enumerate() {
+                    assert_eq!(
+                        plan.prepared[i],
+                        plan.template.prepared_for_range(lo, hi),
+                        "{} range {i} of {n}",
+                        q.label()
+                    );
                 }
             }
         }

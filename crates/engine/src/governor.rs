@@ -4,13 +4,13 @@
 //! The engine never preempts a statement; instead every operator checks a
 //! [`QueryGovernor`] at batch boundaries ([`crate::SCAN_BATCH_ROWS`] rows),
 //! so a cancelled or expired statement stops within one batch of work and
-//! unwinds through ordinary `Result` propagation — buffer-pool state,
-//! seqscan refcounts, and pooled composers are released by the same drop
-//! paths an error takes. Memory used by pipeline breakers (hash join
-//! build sides, aggregation tables, sorts, distinct sets) is charged to a
-//! [`MemoryGauge`] at the same batch grain; exceeding the node's budget
-//! fails the statement with [`EngineError::ResourceExhausted`] instead of
-//! letting state grow without bound.
+//! unwinds through ordinary `Result` propagation — buffer-pool state and
+//! a query's composer are released by the same drop paths an error takes.
+//! Memory used by pipeline breakers (hash join build sides, aggregation
+//! tables, sorts, distinct sets) is charged to a [`MemoryGauge`] at the
+//! same batch grain; exceeding the node's budget fails the statement with
+//! [`EngineError::ResourceExhausted`] instead of letting state grow
+//! without bound.
 //!
 //! See DESIGN.md §11 "Resource governance" for the deadline hierarchy
 //! (statement < SVP query < admission queue) and shed policy.

@@ -239,8 +239,7 @@ proptest! {
         prop_assert_eq!(streaming.partial_rows, staged.partial_rows);
 
         // A shuffled arrival order must not change a single byte.
-        let mut composer = StreamingComposer::new();
-        composer.begin(&plan).unwrap();
+        let mut composer = StreamingComposer::new(&plan);
         for &i in &permutation(nodes, shuffle_seed) {
             composer.accept(i, partials[i].clone()).unwrap();
         }

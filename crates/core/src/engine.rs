@@ -185,9 +185,10 @@ impl ApuamaEngine {
         Arc::clone(self) as Arc<dyn apuama_cjdbc::RejoinHooks>
     }
 
-    /// The per-node connection C-JDBC's backend `node` plugs into.
+    /// The per-node connection C-JDBC's backend `node` plugs into. `node`
+    /// indexes the cluster like a slice: out of range, this call panics (it
+    /// reads the node's name), not a later use of the connection.
     pub fn connection(self: &Arc<Self>, node: usize) -> Arc<ApuamaConnection> {
-        assert!(node < self.nodes.len());
         Arc::new(ApuamaConnection {
             engine: Arc::clone(self),
             node,
@@ -261,16 +262,17 @@ impl ApuamaEngine {
     ///   available replicas at dispatch time.
     /// * Each sub-query runs under an optional deadline and bounded
     ///   same-node retries with exponential backoff.
-    /// * A range whose node exhausted its retries is handed whole to one
-    ///   surviving replica — the residual is the node's entire range, so
-    ///   the survivor runs the planned statement ([`SvpPlan::prepared`]) —
-    ///   with the partial attributed to the *original* range index, so the
-    ///   composed result is byte-identical to the healthy run (splitting
-    ///   the residual across survivors would change float-fold order).
-    /// * Reassigned sub-queries take fresh snapshot tickets after the gate
-    ///   released, so they may observe a slightly later snapshot than the
-    ///   original dispatch wave (documented relaxation; the paper does not
-    ///   specify failure behaviour).
+    /// * A range whose node exhausted its retries is requeued whole to
+    ///   another node this query dispatched to that is still running, or
+    ///   the first to have served all its ranges — the residual is the node's
+    ///   entire range, so the survivor runs the planned statement
+    ///   ([`SvpPlan::prepared`]) — with the partial attributed to the
+    ///   *original* range index, so the composed result is byte-identical to
+    ///   the healthy run (splitting the residual across survivors would
+    ///   change float-fold order).
+    /// * A requeued range runs on the calling thread, under the snapshot
+    ///   ticket this call took for the survivor before the gate released:
+    ///   every partial of the query sees the same converged prefix.
     pub fn execute_svp(&self, plan: &SvpPlan) -> EngineResult<SvpExecution> {
         self.execute_svp_governed(plan, None)
     }
@@ -286,11 +288,13 @@ impl ApuamaEngine {
         plan: &SvpPlan,
         caller: Option<&QueryGovernor>,
     ) -> EngineResult<SvpExecution> {
-        assert_eq!(
-            plan.subqueries.len(),
-            self.nodes.len(),
-            "plan was rewritten for a different cluster size"
-        );
+        let n = self.nodes.len();
+        if plan.subqueries.len() != n || plan.prepared.len() != n {
+            return Err(EngineError::Unsupported(format!(
+                "plan was rewritten for {} nodes, the cluster has {n}",
+                plan.subqueries.len()
+            )));
+        }
         // Per-query governor: a child of the caller's (so our internal
         // doom-cancel never fires the caller's token) with the configured
         // whole-query deadline. The clock starts *before* the consistency
@@ -312,72 +316,65 @@ impl ApuamaEngine {
             return Err(e);
         }
 
-        let n = self.nodes.len();
         let policy = self.config.fault;
-        let mut recovery = RecoveryReport::default();
 
-        // 2. Assign ranges: node i owns range i unless its circuit is open
-        //    or it is quarantined (disabled / catching up after a failure),
-        //    in which case the range is spread round-robin over available
-        //    nodes. If every circuit is open, dispatch to the non-quarantined
-        //    nodes as planned — those attempts double as probes; quarantine,
-        //    by contrast, is a hard fence (a catching-up replica would
-        //    return stale rows), so a quarantined node never receives a
-        //    range, and an all-quarantined cluster is an error.
-        let quarantined: Vec<bool> = (0..n).map(|i| self.health.is_quarantined(i)).collect();
-        if quarantined.iter().all(|&q| q) {
-            self.gate.release_updates();
-            return Err(EngineError::Unsupported(
-                "every node is quarantined: no replica may serve SVP ranges".into(),
-            ));
-        }
-        let assignment: Vec<usize> = {
+        // 2. Fill one queue per node: node i serves range i unless its
+        //    circuit is open or it is quarantined (disabled / catching up
+        //    after a failure), in which case `route` sends the range to an
+        //    available node. If every circuit is open, dispatch to the
+        //    non-quarantined nodes as planned — those attempts double as
+        //    probes; quarantine, by contrast, is a hard fence (a catching-up
+        //    replica would return stale rows), so a quarantined node never
+        //    receives a range, and an all-quarantined cluster is an error.
+        let may_serve: Vec<bool> = {
             let available: Vec<bool> = (0..n).map(|i| self.health.is_available(i)).collect();
-            let targets: Vec<usize> = if available.iter().any(|&a| a) {
-                (0..n).filter(|&i| available[i]).collect()
+            if available.contains(&true) {
+                available
             } else {
-                (0..n).filter(|&i| !quarantined[i]).collect()
-            };
-            let mut rr = 0usize;
-            (0..n)
-                .map(|range| {
-                    if targets.contains(&range) {
-                        range
-                    } else {
-                        let t = targets[rr % targets.len()];
-                        rr += 1;
-                        t
-                    }
-                })
-                .collect()
-        };
-        for (range, &node) in assignment.iter().enumerate() {
-            if node != range {
-                recovery.reassigned.push((range, node));
+                (0..n).map(|i| !self.health.is_quarantined(i)).collect()
             }
+        };
+        let mut outstanding = vec![0usize; n];
+        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let (home, away): (Vec<usize>, Vec<usize>) = (0..n).partition(|&r| may_serve[r]);
+        for range in home.into_iter().chain(away) {
+            let Some(node) = route(range, &outstanding, |j| may_serve[j]) else {
+                self.gate.release_updates();
+                return Err(EngineError::Unsupported(
+                    "every node is quarantined: no replica may serve SVP ranges".into(),
+                ));
+            };
+            outstanding[node] += 1;
+            queues[node].push(range);
         }
-        let mut units: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (range, &node) in assignment.iter().enumerate() {
-            units[node].push(range);
-        }
-        let workers: Vec<usize> = (0..n).filter(|&i| !units[i].is_empty()).collect();
 
-        // 3. Dispatch; release updates once every worker has its snapshot
-        //    ticket ("sent and started").
-        let barrier = std::sync::Barrier::new(workers.len() + 1);
+        // 3. Take the snapshot ticket of every node with a range to run, then
+        //    release updates: every sub-query — and every range requeued
+        //    later under one of these tickets — now reads the converged
+        //    prefix however late it starts ("sent and started", paper §3).
+        //    The tickets live here, on the coordinator, so no worker waits
+        //    for a requeue that may never come. A node with nothing to run
+        //    holds no ticket and so can take no requeued range.
+        let mut tickets: Vec<_> = (0..n)
+            .map(|i| (outstanding[i] > 0).then(|| self.nodes[i].begin_subquery()))
+            .collect();
+        self.gate.release_updates();
+        let dispatched = Instant::now();
+
+        // 4. One worker per node with ranges; each sends a partial the moment
+        //    it completes.
         let (tx, rx) = crossbeam::channel::unbounded();
         std::thread::scope(|s| {
-            for &i in &workers {
+            for (i, ranges) in queues.into_iter().enumerate() {
+                if ranges.is_empty() {
+                    continue;
+                }
                 let node = &self.nodes[i];
-                let my_ranges = units[i].clone();
-                let barrier = &barrier;
                 let tx = tx.clone();
                 let policy = &policy;
                 let gov = &gov;
                 s.spawn(move || {
-                    let ticket = node.begin_subquery();
-                    barrier.wait();
-                    for range in my_ranges {
+                    for range in ranges {
                         let (sql, params) = &plan.prepared[range];
                         let (attempts, result) = run_with_retries(node, sql, params, policy, gov);
                         // The receiver drains every message, but ignore send
@@ -385,186 +382,121 @@ impl ApuamaEngine {
                         // node.
                         let _ = tx.send((range, i, attempts, result));
                     }
-                    drop(ticket);
                 });
             }
             drop(tx);
-            barrier.wait();
-            // All sub-queries dispatched and snapshot-ordered: updates may
-            // flow again (paper §3).
-            self.gate.release_updates();
-            let dispatched = Instant::now();
 
-            // 4. Pipelined composition: consume partials as they complete.
-            //    The composer is this query's own — every early return
-            //    below drops it, and no other query waits on it.
-            /// What a finished sub-query updates, in the first wave and in
-            /// every reassignment round alike.
-            struct Settling<'a> {
-                composer: StreamingComposer<'a>,
-                gov: &'a QueryGovernor,
-                reassign: bool,
-                dispatched: Instant,
-                recovery: RecoveryReport,
-                per_node: Vec<Option<ExecStats>>,
-                tried: Vec<Vec<usize>>,
-                accept_error: Option<EngineError>,
-                timing: PhaseTiming,
-                first_composed: bool,
-            }
-            impl Settling<'_> {
-                /// Accounts for `range`'s outcome on `node` and, when it is
-                /// a partial, composes it — into the overlap while siblings
-                /// are still `outstanding`, into the tail after the last.
-                /// `rerouted` marks a partial a reassignment round
-                /// produced. Returns the failure, if it was one.
-                fn settle(
-                    &mut self,
-                    (range, node, attempts, result): (usize, usize, u32, EngineResult<QueryOutput>),
-                    outstanding: usize,
-                    rerouted: bool,
-                ) -> Option<(usize, EngineError)> {
-                    self.recovery.retries += attempts.saturating_sub(1);
-                    let failure = match result {
-                        Ok(out) => {
-                            self.recovery.failed_attempts += attempts - 1;
-                            if rerouted {
-                                self.recovery.reassigned.push((range, node));
-                            }
-                            self.per_node[range] = Some(out.stats);
-                            if self.accept_error.is_none() {
-                                let t = Instant::now();
-                                let accepted = self.composer.accept(range, out);
-                                let spent = t.elapsed().as_secs_f64() * 1e3;
-                                if outstanding == 0 {
-                                    self.timing.compose_tail_ms += spent;
-                                } else {
-                                    self.timing.compose_overlap_ms += spent;
-                                }
-                                match accepted {
-                                    // Stamped only by a successfully
-                                    // composed partial — errored partials
-                                    // used to skew this under fault
-                                    // injection.
-                                    Ok(()) if !self.first_composed => {
-                                        self.first_composed = true;
-                                        self.timing.first_partial_ms =
-                                            self.dispatched.elapsed().as_secs_f64() * 1e3;
-                                    }
-                                    Ok(()) => {}
-                                    Err(e) => self.accept_error = Some(e),
-                                }
-                            }
-                            None
-                        }
-                        Err(e) => {
-                            self.recovery.failed_attempts += attempts;
-                            self.tried[range].push(node);
-                            // With reassignment off a single failure dooms
-                            // the query — cancel the siblings so they stop
-                            // at their next batch boundary instead of
-                            // finishing work nobody will compose.
-                            if !self.reassign {
-                                self.gov.cancel();
-                            }
-                            Some((range, e))
-                        }
-                    };
-                    if self.accept_error.is_some() {
-                        // Composition is broken: nothing else can be
-                        // accepted, so the query is doomed regardless of
-                        // reassignment.
-                        self.gov.cancel();
-                    }
-                    failure
-                }
-            }
-            let mut st = Settling {
-                composer: StreamingComposer::new(plan),
-                gov: &gov,
-                reassign: policy.reassign,
-                dispatched,
-                recovery,
-                per_node: vec![None; n],
-                tried: vec![Vec::new(); n],
-                accept_error: None,
-                timing: PhaseTiming::default(),
-                first_composed: false,
-            };
+            // 5. Pipelined composition: consume partials as they complete,
+            //    requeue failures as they arrive. The composer is this
+            //    query's own — every early return below drops it, and no
+            //    other query waits on it.
+            let mut composer = StreamingComposer::new(plan);
+            let mut recovery = RecoveryReport::default();
+            let mut timing = PhaseTiming::default();
+            let mut per_node = vec![ExecStats::default(); n];
+            let mut tried: Vec<Vec<usize>> = vec![Vec::new(); n];
             let mut failed: Vec<(usize, EngineError)> = Vec::new();
-            let mut outstanding = n;
-            for partial in rx.iter() {
-                outstanding -= 1;
-                failed.extend(st.settle(partial, outstanding, false));
-            }
-
-            // 5. Reassignment rounds: every still-missing range goes whole
-            //    to a surviving replica it has not been tried on, until all
-            //    ranges composed or some range has nowhere left to go.
-            while policy.reassign
-                && !failed.is_empty()
-                && st.accept_error.is_none()
-                && !gov.is_cancelled()
+            let mut accept_error: Option<EngineError> = None;
+            let mut first_composed = false;
+            let mut remaining = n;
+            let mut spare = None;
+            let mut requeued = None;
+            while let Some((range, node, attempts, result)) =
+                requeued.take().or_else(|| rx.recv().ok())
             {
-                let mut batch: Vec<(usize, usize)> = Vec::with_capacity(failed.len());
-                let mut stuck = false;
-                for (rr, (range, _)) in failed.iter().enumerate() {
-                    let candidates: Vec<usize> = (0..n)
-                        .filter(|j| !st.tried[*range].contains(j))
-                        .filter(|&j| self.health.is_available(j))
-                        .collect();
-                    if candidates.is_empty() {
-                        stuck = true;
-                        break;
-                    }
-                    batch.push((*range, candidates[rr % candidates.len()]));
+                // A node done with its ranges drops its ticket, unless it is
+                // the first to have served them all: with reassignment on it
+                // keeps the ticket, the spare a failure can go to once every
+                // other node is done.
+                outstanding[node] -= 1;
+                if outstanding[node] == 0
+                    && !(policy.reassign && result.is_ok() && *spare.get_or_insert(node) == node)
+                {
+                    tickets[node] = None;
                 }
-                if stuck {
+                recovery.retries += attempts.saturating_sub(1);
+                match result {
+                    Ok(out) => {
+                        remaining -= 1;
+                        if remaining == 0 {
+                            // Every partial is in: no ticket covers the
+                            // composition tail.
+                            tickets.clear();
+                        }
+                        recovery.failed_attempts += attempts - 1;
+                        if node != range {
+                            recovery.reassigned.push((range, node));
+                        }
+                        per_node[range] = out.stats;
+                        if accept_error.is_none() {
+                            let t = Instant::now();
+                            let accepted = composer.accept(range, out);
+                            let spent = t.elapsed().as_secs_f64() * 1e3;
+                            if remaining == 0 {
+                                timing.compose_tail_ms += spent;
+                            } else {
+                                timing.compose_overlap_ms += spent;
+                            }
+                            match accepted {
+                                // Stamped only by a successfully composed
+                                // partial — errored partials used to skew
+                                // this under fault injection.
+                                Ok(()) if !first_composed => {
+                                    first_composed = true;
+                                    timing.first_partial_ms =
+                                        dispatched.elapsed().as_secs_f64() * 1e3;
+                                }
+                                Ok(()) => {}
+                                Err(e) => accept_error = Some(e),
+                            }
+                        }
+                    }
+                    Err(e) => {
+                        recovery.failed_attempts += attempts;
+                        tried[range].push(node);
+                        // A live query runs the whole range here, on a node
+                        // whose ticket it still holds and that has not
+                        // failed it yet; the partials that arrive meanwhile
+                        // wait in the channel.
+                        let live = policy.reassign
+                            && failed.is_empty()
+                            && accept_error.is_none()
+                            && gov.check().is_ok();
+                        let target = route(range, &outstanding, |j| {
+                            live && tickets[j].is_some()
+                                && !tried[range].contains(&j)
+                                && self.health.is_available(j)
+                        });
+                        match target {
+                            Some(j) => {
+                                outstanding[j] += 1;
+                                let (sql, params) = &plan.prepared[range];
+                                let (attempts, result) =
+                                    run_with_retries(&self.nodes[j], sql, params, &policy, &gov);
+                                requeued = Some((range, j, attempts, result));
+                            }
+                            None => failed.push((range, e)),
+                        }
+                    }
+                }
+                // A range with nowhere left to go, or a broken composition:
+                // the query is doomed, so cancel the siblings — they stop at
+                // their next batch boundary instead of finishing work nobody
+                // will compose.
+                if accept_error.is_some() || !failed.is_empty() {
+                    gov.cancel();
+                }
+                if remaining == 0 {
                     break;
                 }
-                let (rtx, rrx) = crossbeam::channel::unbounded();
-                for &(range, target) in &batch {
-                    let node = &self.nodes[target];
-                    let rtx = rtx.clone();
-                    let policy = &policy;
-                    let gov = &gov;
-                    // A whole failed node's residual is its entire original
-                    // range, so the survivor runs the planned statement with
-                    // the planned values — and the composed result is
-                    // byte-identical to the healthy run's.
-                    let (sql, bound) = &plan.prepared[range];
-                    s.spawn(move || {
-                        let ticket = node.begin_subquery();
-                        let (attempts, result) = run_with_retries(node, sql, bound, policy, gov);
-                        drop(ticket);
-                        let _ = rtx.send((range, target, attempts, result));
-                    });
-                }
-                drop(rtx);
-                let mut outstanding = batch.len();
-                failed.clear();
-                for partial in rrx.iter() {
-                    outstanding -= 1;
-                    failed.extend(st.settle(partial, outstanding, true));
-                }
             }
-            let Settling {
-                composer,
-                recovery,
-                per_node,
-                accept_error,
-                mut timing,
-                ..
-            } = st;
 
-            // 6. Error out: the siblings are cancelled and the composer,
-            //    with whatever it accepted, is dropped.
+            // 6. Error out: the composer, with whatever it accepted, is
+            //    dropped.
             if let Some(e) = accept_error {
-                gov.cancel();
                 return Err(e);
             }
             if !failed.is_empty() {
-                gov.cancel();
                 // Surface the root cause: a sibling's `Cancelled` is fallout
                 // from the doom-cancel above, not the reason the query died.
                 failed.sort_by_key(|(range, _)| *range);
@@ -575,16 +507,13 @@ impl ApuamaEngine {
                 return Err(failed.swap_remove(root).1);
             }
 
-            // 7. Finish the composition (serial tail).
+            // 7. Finish the composition (serial tail). Every ticket is
+            //    dropped, so no write waits for it.
             let t = Instant::now();
             let composed = composer.finish()?;
             timing.compose_tail_ms += t.elapsed().as_secs_f64() * 1e3;
             timing.total_ms = dispatched.elapsed().as_secs_f64() * 1e3;
 
-            let per_node: Vec<ExecStats> = per_node
-                .into_iter()
-                .map(|s| s.expect("every range composed"))
-                .collect();
             let mut merged = ExecStats::default();
             for s in &per_node {
                 merged.merge(s);
@@ -602,6 +531,19 @@ impl ApuamaEngine {
             })
         })
     }
+}
+
+/// The node `range` runs on: its home node when `may_serve` allows it,
+/// else the allowed node with the fewest ranges outstanding, the lowest
+/// index on ties — at dispatch, once every home range is placed, that is
+/// round-robin over the allowed nodes. `None` when no node is allowed.
+fn route(range: usize, outstanding: &[usize], may_serve: impl Fn(usize) -> bool) -> Option<usize> {
+    if may_serve(range) {
+        return Some(range);
+    }
+    (0..outstanding.len())
+        .filter(|&j| may_serve(j))
+        .min_by_key(|&j| outstanding[j])
 }
 
 /// The engine side of the controller's rejoin protocol: a node leaving
@@ -633,15 +575,8 @@ fn run_with_retries(
     policy: &FaultPolicy,
     gov: &QueryGovernor,
 ) -> (u32, EngineResult<QueryOutput>) {
-    let max_attempts = policy.max_retries.saturating_add(1);
-    let mut last = None;
-    for attempt in 1..=max_attempts {
-        if attempt > 1 {
-            let backoff = policy.backoff(attempt - 1);
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff);
-            }
-        }
+    let mut attempt = 1;
+    loop {
         // The query may have been doomed before this attempt (or while we
         // slept in backoff): bail without burning another execution.
         if let Err(e) = gov.check() {
@@ -649,18 +584,23 @@ fn run_with_retries(
         }
         match run_attempt(node, sql, params, policy.subquery_timeout_ms, gov) {
             Ok(out) => return (attempt, Ok(out)),
-            Err(e) => last = Some(e),
+            Err(e) if attempt > policy.max_retries => return (attempt, Err(e)),
+            Err(_) => {}
         }
+        let backoff = policy.backoff(attempt);
+        if !backoff.is_zero() {
+            std::thread::sleep(backoff);
+        }
+        attempt += 1;
     }
-    (max_attempts, Err(last.expect("at least one attempt ran")))
 }
 
 /// One attempt, under a deadline when the policy sets one.
 ///
-/// The snapshot ticket guard is not `Send`, so the deadline cannot simply
-/// join the statement thread: the statement runs on a detached thread over
-/// a cloned `Arc<NodeProcessor>` (the *caller* keeps holding the ticket)
-/// and the attempt gives up after the deadline. The abandoned statement is
+/// The deadline cannot simply join the statement thread: the statement
+/// runs on a detached thread over a cloned `Arc<NodeProcessor>` (the node's
+/// snapshot ticket stays with the query's coordinator) and the attempt
+/// gives up after the deadline. The abandoned statement is
 /// *cancelled* through a per-attempt child of the query governor — it
 /// observes the token at its next batch boundary, unwinds, and releases
 /// its pool slot. (The seed left it running to completion, pinning a slot
@@ -1286,6 +1226,161 @@ mod fault_tests {
             .reassigned
             .iter()
             .any(|&(range, node)| range == 1 && node != 1));
+    }
+
+    /// Opens node 1's circuit for a minute and makes node 0 — where range 1
+    /// is routed at dispatch — fail its sub-queries of [`SQL`] after
+    /// `delay_ms`.
+    fn open_node_1_and_fail_node_0(
+        delay_ms: u64,
+    ) -> (Arc<ApuamaEngine>, Vec<Arc<FaultyConnection>>) {
+        let (engine, faulties) = faulty_cluster(
+            3,
+            ApuamaConfig {
+                fault: FaultPolicy {
+                    max_retries: 0,
+                    breaker_threshold: 1,
+                    probe_after_ms: 60_000,
+                    ..FaultPolicy::default()
+                },
+                ..ApuamaConfig::default()
+            },
+        );
+        engine.health().record_failure(1);
+        assert_eq!(engine.health().state(1), apuama_cjdbc::CircuitState::Open);
+        faulties[0].set_plan(FaultPlan {
+            delay: Duration::from_millis(delay_ms),
+            only_matching: Some("from orders".into()),
+            ..FaultPlan::fail_all()
+        });
+        (engine, faulties)
+    }
+
+    /// `reassigned` names each range once, with the node that produced its
+    /// partial: range 1, routed around node 1's open circuit to node 0 and
+    /// failing there, is listed as produced by node 2 only.
+    #[test]
+    fn a_range_routed_around_a_node_then_requeued_is_reported_once() {
+        let (engine, faulties) = open_node_1_and_fail_node_0(0);
+        let Rewritten::Svp(plan) = engine.rewriter().rewrite(SQL, 3).unwrap() else {
+            panic!()
+        };
+        let exec = engine.execute_svp(&plan).unwrap();
+        assert_eq!(exec.output.rows, healthy_answer(SQL));
+        let mut reassigned = exec.recovery.reassigned.clone();
+        reassigned.sort();
+        assert_eq!(reassigned, vec![(0, 2), (1, 2)], "{:?}", exec.recovery);
+        assert_eq!(faulties[1].calls(), 0);
+    }
+
+    /// A node whose circuit was open at dispatch took no ticket for the
+    /// query, so it never receives a requeued range — even once it is
+    /// available again by the time the failure arrives.
+    #[test]
+    fn a_node_open_at_dispatch_never_receives_a_requeued_range() {
+        let (engine, faulties) = open_node_1_and_fail_node_0(150);
+        let exec = std::thread::scope(|s| {
+            let query = s.spawn(|| engine.read(0, &ReadRequest::text(SQL)));
+            wait_for_targeted_subquery(&faulties[0]);
+            // Node 1 recovers while node 0 is still inside its delay.
+            engine.health().record_success(1);
+            assert!(engine.health().is_available(1));
+            query.join().expect("query thread")
+        });
+        assert_eq!(exec.unwrap().rows, healthy_answer(SQL));
+        assert_eq!(faulties[1].calls(), 0, "node 1 ran a requeued range");
+        assert_eq!(faulties[2].calls(), 3, "range 2, then ranges 0 and 1");
+    }
+
+    /// A requeued range needs a pool slot on a node whose ticket the query
+    /// still holds. A write queued behind that ticket, and a pass-through read
+    /// queued behind the write, wait on the snapshot lock holding no slot,
+    /// so with a pool of two the range still runs and the query completes.
+    #[test]
+    fn a_requeued_range_gets_a_slot_past_a_queued_write_and_reads() {
+        let (engine, faulties) = faulty_cluster(
+            3,
+            ApuamaConfig {
+                pool_size: 2,
+                fault: FaultPolicy {
+                    max_retries: 0,
+                    ..FaultPolicy::default()
+                },
+                ..ApuamaConfig::default()
+            },
+        );
+        faulties[2].set_plan(FaultPlan {
+            delay: Duration::from_millis(150),
+            only_matching: Some("from orders".into()),
+            ..FaultPlan::fail_all()
+        });
+        let want = healthy_answer(SQL);
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let query = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                let _ = done_tx.send(engine.read(0, &ReadRequest::text(SQL)));
+            })
+        };
+        wait_for_targeted_subquery(&faulties[2]);
+        let mut others = Vec::new();
+        for node in 0..3 {
+            let engine = Arc::clone(&engine);
+            others.push(std::thread::spawn(move || {
+                engine
+                    .execute_write(node, "insert into orders values (61, 1.0)")
+                    .map(|_| ())
+            }));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        for node in 0..2 {
+            let engine = Arc::clone(&engine);
+            others.push(std::thread::spawn(move || {
+                engine.node_processors()[node]
+                    .execute_read(&ReadRequest::text(
+                        "select o_totalprice from orders where o_orderkey = 5",
+                    ))
+                    .map(|_| ())
+            }));
+        }
+        let out = done
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the query is stuck: its requeued range never got a pool slot")
+            .unwrap();
+        assert_eq!(out.rows, want);
+        query.join().unwrap();
+        for other in others {
+            other.join().unwrap().unwrap();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn a_connection_to_a_node_outside_the_cluster_panics_when_made() {
+        let (engine, _) = faulty_cluster(2, ApuamaConfig::default());
+        engine.connection(2);
+    }
+
+    /// A plan rewritten for another cluster size is caller input, refused
+    /// before the update gate is touched: a write and a correct SVP query
+    /// both go through afterwards.
+    #[test]
+    fn a_plan_for_another_cluster_size_is_an_error_not_a_panic() {
+        let (engine, _) = faulty_cluster(4, ApuamaConfig::default());
+        let Rewritten::Svp(plan) = engine.rewriter().rewrite(SQL, 3).unwrap() else {
+            panic!()
+        };
+        let err = engine.execute_svp(&plan).unwrap_err();
+        assert!(matches!(err, EngineError::Unsupported(_)), "{err:?}");
+        let controller = Controller::new(engine.connections(), ControllerConfig::default());
+        controller
+            .execute("insert into orders values (61, 1.0)")
+            .unwrap();
+        assert_eq!(engine.txn_counters(), vec![1; 4]);
+        let (out, _) = controller
+            .execute("select count(*) as n from orders")
+            .unwrap();
+        assert_eq!(out.rows, vec![vec![Value::Int(61)]]);
     }
 
     /// A sub-query is one request to its node: no SET before it, none

@@ -15,17 +15,22 @@ use apuama_cjdbc::BreakerPolicy;
 pub struct FaultPolicy {
     /// Per-sub-query deadline. `None` waits forever (the seed behaviour).
     /// A timed-out statement counts as a failure for retry/reassignment;
-    /// the abandoned statement keeps running on its detached worker and
-    /// holds one pool slot until it completes (read-only, so harmless).
+    /// the abandoned statement is cancelled through a per-attempt child of
+    /// the query governor and stops at its next batch boundary, releasing
+    /// its pool slot (an injected stall, which never reaches a batch
+    /// boundary, sleeps on to its end).
     pub subquery_timeout_ms: Option<u64>,
     /// Same-node retries after the first failed attempt.
     pub max_retries: u32,
     /// Backoff before retry `k` (1-based): `retry_backoff_ms << (k - 1)`.
     pub retry_backoff_ms: u64,
-    /// After same-node retries are exhausted, re-render the failed VPA
-    /// range through the rewriter and run it on a surviving replica,
-    /// attributing the partial to the original range index so composition
-    /// is byte-identical to the healthy run.
+    /// After same-node retries are exhausted, requeue the failed range's
+    /// planned statement (`SvpPlan::prepared[range]`) to another node this
+    /// query dispatched to whose ticket the query still holds (one still
+    /// running, or the first to have served all its ranges), where it runs
+    /// under the snapshot ticket taken for that node before the update gate
+    /// released; the partial is attributed to the original range index, so
+    /// composition is byte-identical to the healthy run.
     pub reassign: bool,
     /// Consecutive failures that open a node's circuit (SVP dispatch and
     /// the C-JDBC read balancer both skip open circuits).
@@ -88,8 +93,9 @@ pub struct RecoveryReport {
     /// Failed attempts observed (including exhausted retries).
     pub failed_attempts: u32,
     /// Ranges that ended up on a different node than planned, as
-    /// `(range index, node that produced the partial)` — covers both
-    /// up-front routing around open circuits and post-failure reassignment.
+    /// `(range index, node that produced the partial)`, each range at most
+    /// once — covers both up-front routing around open circuits and
+    /// post-failure requeues.
     pub reassigned: Vec<(usize, usize)>,
 }
 

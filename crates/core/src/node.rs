@@ -164,11 +164,13 @@ impl NodeProcessor {
     }
 
     /// Pass-through read (non-SVP OLTP/OLAP query, or SET), as the
-    /// request describes it.
+    /// request describes it. The snapshot lock is taken before the pool
+    /// slot, so a read queued behind a writer holds no slot a sub-query may
+    /// need.
     pub fn execute_read(&self, req: &ReadRequest<'_>) -> EngineResult<QueryOutput> {
+        let _shared = self.snapshot.read();
         self.pool.acquire();
         let _slot = PoolSlot(&self.pool);
-        let _shared = self.snapshot.read();
         self.conn.read(req)
     }
 
@@ -178,11 +180,14 @@ impl NodeProcessor {
     }
 
     /// Write (single statement or transaction script): serialized against
-    /// in-flight SVP sub-queries, counted on success.
+    /// in-flight SVP sub-queries, counted on success. The snapshot lock is
+    /// taken before the pool slot: a write waiting for the tickets of an
+    /// SVP query holds no slot, so the query's sub-queries — a range
+    /// requeued under a ticket included — can always get one.
     pub fn execute_write(&self, sql: &str) -> EngineResult<QueryOutput> {
+        let _exclusive = self.snapshot.write();
         self.pool.acquire();
         let _slot = PoolSlot(&self.pool);
-        let _exclusive = self.snapshot.write();
         let out = self.conn.execute(sql)?;
         self.txn_counter.fetch_add(1, Ordering::SeqCst);
         Ok(out)
@@ -201,8 +206,9 @@ impl NodeProcessor {
     /// Runs one SVP sub-query — pool slot, optimizer interference,
     /// execution — *without* touching the snapshot lock. Snapshot ordering
     /// is the ticket's job; splitting the statement out lets the engine
-    /// run it on a detached thread under a deadline (the ticket guard is
-    /// not `Send`) while the worker keeps holding the ticket. A bound
+    /// run it on any thread — a worker, or a detached one under a deadline
+    /// — while the query's coordinator holds the ticket (the guard is not
+    /// `Send`). A bound
     /// request is served from the node's plan cache — the dispatcher's
     /// "parse and plan once per node" path — and a governed one stops at
     /// the next batch boundary once its governor fires, which is how the

@@ -49,8 +49,9 @@ pub struct SimClusterConfig {
 /// sub-queries. Mirrors `apuama::FaultPolicy`'s recovery protocol in
 /// virtual time: each attempt burns `detect_ms` (error round trip or
 /// timeout), `retries` same-node retries are exhausted, and the range then
-/// runs whole on the least-loaded survivor — serialized after that
-/// survivor's own range, exactly like the engine's reassignment.
+/// runs whole on a survivor, serialized after that survivor's own range
+/// (the engine picks its survivor differently: see
+/// `run_query_svp_degraded`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimFault {
     /// The failing node.
@@ -390,12 +391,17 @@ impl SimCluster {
     /// SVP execution with one node down, priced against the recovery
     /// protocol: survivors run their ranges normally; the failed range
     /// burns `detect_ms × (retries + 1)` of virtual time being detected,
-    /// then runs *whole* (re-rendered through the rewriter, so the SQL is
-    /// byte-identical to the planned sub-query) on the least-loaded
-    /// survivor, serialized after that survivor's own range. The partial
-    /// keeps its original range index, so composition — and the answer —
-    /// match the healthy cluster exactly; only the arrival schedule the
-    /// composer is priced against degrades.
+    /// then runs *whole* (re-rendered from the plan's template: the text of
+    /// `plan.subqueries[range]`, which the engine runs bound, as
+    /// `plan.prepared[range]`) on the survivor whose own range finishes
+    /// earliest, serialized after it. The engine instead runs it as soon as
+    /// the failure arrives, on the node with the fewest ranges outstanding
+    /// (lowest index on ties) among those whose snapshot ticket the query
+    /// still holds: the nodes still running and the first to have served
+    /// all its ranges. The
+    /// partial keeps its original range index, so composition — and the
+    /// answer — match the healthy cluster exactly; only the arrival
+    /// schedule the composer is priced against degrades.
     fn run_query_svp_degraded(
         &self,
         plan: &SvpPlan,
@@ -415,7 +421,7 @@ impl SimCluster {
         // Failure detection: every attempt on the dead node costs one
         // detection interval (timeout or error round trip).
         let detected_at = fault.detect_ms * (fault.retries + 1) as f64;
-        // Reassign to the least-loaded survivor; it serializes the extra
+        // Requeue to the earliest-finishing survivor; it serializes the extra
         // range after its own, and cannot start before detection.
         let survivor = (0..n)
             .filter(|&j| j != fault.node)

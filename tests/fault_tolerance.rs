@@ -295,3 +295,60 @@ fn stalling_node_is_timed_out_and_worked_around() {
     assert_eq!(got.rows, want.rows);
     assert!(faulties[0].injected_stalls() > 0);
 }
+
+/// Paper §3–4: every SVP sub-query runs after one converged prefix, a
+/// requeued one included. Node 2 fails its range after a delay; an insert
+/// into that range arrives once the gate has released. The range is rerun
+/// on a survivor under the ticket it took before the release, so the answer
+/// is the count from before the insert — and the next query counts it.
+#[test]
+fn a_requeued_range_sees_its_siblings_prefix() {
+    let data = dataset();
+    let config = ApuamaConfig {
+        fault: FaultPolicy {
+            max_retries: 0,
+            ..FaultPolicy::default()
+        },
+        ..ApuamaConfig::default()
+    };
+    let (_engine, controller, faulties) = faulty_cluster(&data, 3, config);
+    faulties[2].set_plan(FaultPlan {
+        delay: std::time::Duration::from_millis(150),
+        only_matching: Some("from orders".into()),
+        ..fail_reads()
+    });
+    let base_orders = data.config.orders() as i64;
+
+    let counted = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let (out, _) = controller
+                .execute("select count(*) as n from orders")
+                .unwrap();
+            out.rows[0][0].as_i64().unwrap()
+        });
+        let start = std::time::Instant::now();
+        while faulties[2].matching_calls() < 1 {
+            assert!(start.elapsed().as_secs() < 10, "range 2 never sent");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        // Node 2's range is dispatched, so the gate has released; this
+        // order's key lies in node 2's (last, unbounded) range.
+        controller
+            .execute(&format!(
+                "insert into orders values ({}, 1, 'O', 1.0, \
+                 date '1997-01-01', '5-LOW', 'c', 0, 'p')",
+                base_orders + 1
+            ))
+            .unwrap();
+        reader.join().unwrap()
+    });
+    assert_eq!(
+        counted, base_orders,
+        "the requeued range saw a later prefix"
+    );
+    faulties[2].heal();
+    let (out, _) = controller
+        .execute("select count(*) as n from orders")
+        .unwrap();
+    assert_eq!(out.rows[0][0].as_i64().unwrap(), base_orders + 1);
+}

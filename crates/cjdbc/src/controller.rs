@@ -26,9 +26,6 @@ use crate::scheduler::WriteScheduler;
 struct Backend {
     conn: Arc<dyn Connection>,
     pending: AtomicUsize,
-    /// Writes successfully applied to this backend (replica freshness
-    /// diagnostic; Apuama keeps its own counters at the driver seam).
-    writes_applied: AtomicUsize,
     /// Rejoin state machine position ([`RejoinState`] as u8). Only
     /// `Enabled` backends receive routed traffic; a backend that failed a
     /// request moves to `Disabled` (C-JDBC's backend-disable) and comes
@@ -147,7 +144,6 @@ impl Controller {
                 .map(|conn| Backend {
                     conn,
                     pending: AtomicUsize::new(0),
-                    writes_applied: AtomicUsize::new(0),
                     state: AtomicU8::new(RejoinState::Enabled.as_u8()),
                     reads_served: AtomicUsize::new(0),
                 })
@@ -303,9 +299,6 @@ impl Controller {
                     self.abort_rejoin(i);
                     return Err(e);
                 }
-                self.backends[i]
-                    .writes_applied
-                    .fetch_add(1, Ordering::SeqCst);
                 self.log.mark_applied(i, entry.seq);
                 out.live_replayed += 1;
             }
@@ -340,10 +333,6 @@ impl Controller {
                 return Err(e);
             }
             self.log.force_set_applied(i, self.log.head());
-            self.backends[i].writes_applied.store(
-                self.backends[source].writes_applied.load(Ordering::SeqCst),
-                Ordering::SeqCst,
-            );
             out.recloned = true;
         } else {
             for entry in self.log.suffix_for(i, 0) {
@@ -351,9 +340,6 @@ impl Controller {
                     self.abort_rejoin(i);
                     return Err(e);
                 }
-                self.backends[i]
-                    .writes_applied
-                    .fetch_add(1, Ordering::SeqCst);
                 self.log.mark_applied(i, entry.seq);
                 out.pause_replayed += 1;
             }
@@ -434,14 +420,6 @@ impl Controller {
         self.backends
             .iter()
             .map(|b| b.reads_served.load(Ordering::SeqCst))
-            .collect()
-    }
-
-    /// Writes applied per backend; equal values mean converged replicas.
-    pub fn writes_applied(&self) -> Vec<usize> {
-        self.backends
-            .iter()
-            .map(|b| b.writes_applied.load(Ordering::SeqCst))
             .collect()
     }
 
@@ -552,7 +530,6 @@ impl Controller {
             // the tracker.
             match backend.conn.execute(sql) {
                 Ok(out) => {
-                    backend.writes_applied.fetch_add(1, Ordering::SeqCst);
                     self.health.record_success(i);
                     applied_on.push(i);
                     if first.is_none() {
@@ -632,7 +609,7 @@ mod tests {
             let n = node.with_db(|db| db.table("t").unwrap().row_count());
             assert_eq!(n, 2);
         }
-        assert_eq!(c.writes_applied(), vec![2, 2, 2, 2]);
+        assert_eq!(c.write_counters(), vec![2, 2, 2, 2]);
         assert_eq!(c.writes_scheduled(), 2);
     }
 

@@ -149,8 +149,9 @@ where
 
 /// Streaming variant of [`execute_avp`]: every chunk's partial output is
 /// handed to `sink(node, partial)` the moment the chunk completes, instead
-/// of accumulating a `partials` vector. Feed the sink into an incremental
-/// [`crate::composer::Composer`] and composition overlaps chunk execution.
+/// of accumulating a `partials` vector. Feed the sink into a
+/// [`crate::composer::StreamingComposer`] and composition overlaps chunk
+/// execution.
 pub fn execute_avp_streaming<F, S>(
     template: &QueryTemplate,
     nodes: usize,

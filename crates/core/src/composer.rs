@@ -12,13 +12,14 @@
 //! simulator can price the composition step (the paper measures it at under
 //! a second even for large partials).
 //!
-//! Composition is a per-query step and a composer is a per-query value: it
-//! borrows the plan of the query that built it, is fed with
-//! [`Composer::accept`] and consumed by [`Composer::finish`]. A query that
-//! errors out drops its composer, staging database included; nothing is
-//! shared between queries, so nothing is locked or cleaned between them.
-//! The engine streams ([`StreamingComposer`]); [`StagedComposer`] is the
-//! reference the fold is tested against and the simulator's other arm.
+//! Composition is a per-query step and a composer is a per-query value: a
+//! [`StreamingComposer`] borrows the plan of the query that built it, is
+//! fed with [`StreamingComposer::accept`] and consumed by
+//! [`StreamingComposer::finish`]. A query that errors out drops its
+//! composer, staging database included; nothing is shared between queries,
+//! so nothing is locked or cleaned between them. The one-shot [`compose`]
+//! stages every partial at once — the paper's HSQLDB timeline — and is the
+//! reference the fold is tested against.
 
 use apuama_engine::{Database, EngineError, EngineResult, ExecStats, PartialAgg, QueryOutput};
 use apuama_sql::Value;
@@ -111,12 +112,11 @@ fn check_arity(
 // Incremental composition
 // ---------------------------------------------------------------------------
 
-/// The two Result Composer implementations [`compose_with`] chooses
-/// between.
+/// The two compositions [`compose_with`] chooses between.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ComposerStrategy {
-    /// Buffer every partial row, then stage + compose once at the end (the
-    /// original HSQLDB-style path).
+    /// Stage every partial row, then compose once at the end (the original
+    /// HSQLDB-style path): the one-shot [`compose`].
     Staged,
     /// Fold each partial into running per-group state as it arrives;
     /// composition work overlaps the still-running sub-queries and the
@@ -125,71 +125,23 @@ pub enum ComposerStrategy {
     Streaming,
 }
 
-/// Incremental result composition: built for one query's plan,
-/// `accept(node, partial)` per arriving partial, then `finish()`.
-///
-/// Implementations key all state on the *node index*, never on arrival
-/// order, so the composed result is a function of the per-node partial
-/// sequences alone — sub-queries may complete in any interleaving and the
-/// output (rows, ordering, floating-point bit patterns) does not change.
-pub trait Composer {
-    /// Feeds one partial result produced by `node`. A node may contribute
-    /// several partials (AVP chunks); their relative order is the node's
-    /// own execution order.
-    fn accept(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()>;
-    /// Completes the composition and returns the final result. Abandoning
-    /// one instead is dropping the composer.
-    fn finish(self) -> EngineResult<Composed>;
-}
-
-/// Runs a full accept/finish cycle over per-node partials (partial `i`
-/// attributed to node `i`) — the one-shot convenience the benchmark, the
-/// simulator and the tests use.
+/// Composes per-node partials (partial `i` attributed to node `i`) with the
+/// chosen strategy — the one-shot convenience the benchmark and the
+/// simulator use. Staging is node-major, so both give the same rows.
 pub fn compose_with(
     strategy: ComposerStrategy,
     plan: &SvpPlan,
     partials: &[QueryOutput],
 ) -> EngineResult<Composed> {
-    fn run(mut composer: impl Composer, partials: &[QueryOutput]) -> EngineResult<Composed> {
-        for (node, p) in partials.iter().enumerate() {
-            composer.accept(node, p.clone())?;
-        }
-        composer.finish()
-    }
     match strategy {
-        ComposerStrategy::Staged => run(StagedComposer::new(plan), partials),
-        ComposerStrategy::Streaming => run(StreamingComposer::new(plan), partials),
-    }
-}
-
-/// [`Composer`] port of the staging-table path: buffers partial rows per
-/// node and stages them node-major at `finish()`.
-pub struct StagedComposer<'p> {
-    plan: &'p SvpPlan,
-    nodes: Vec<Vec<Row>>,
-}
-
-impl<'p> StagedComposer<'p> {
-    pub fn new(plan: &'p SvpPlan) -> Self {
-        StagedComposer {
-            plan,
-            nodes: Vec::new(),
+        ComposerStrategy::Staged => compose(plan, partials),
+        ComposerStrategy::Streaming => {
+            let mut composer = StreamingComposer::new(plan);
+            for (node, p) in partials.iter().enumerate() {
+                composer.accept(node, p.clone())?;
+            }
+            composer.finish()
         }
-    }
-}
-
-impl Composer for StagedComposer<'_> {
-    fn accept(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()> {
-        check_arity(self.plan, &format_args!("from node {node}"), &partial)?;
-        if self.nodes.len() <= node {
-            self.nodes.resize_with(node + 1, Vec::new);
-        }
-        self.nodes[node].extend(partial.rows);
-        Ok(())
-    }
-
-    fn finish(self) -> EngineResult<Composed> {
-        stage_and_compose(self.plan, self.nodes.into_iter().flatten().collect())
     }
 }
 
@@ -215,10 +167,11 @@ enum StreamState<'p> {
     },
 }
 
-/// The streaming Result Composer: folds partial rows into one of the
-/// engine's partial-aggregate tables per node as they arrive — its group
-/// table, its accumulators ([`PartialAgg`]) — merges the tables in node
-/// order at `finish()`, and runs the plan's composition query over the
+/// The Result Composer: built for one query's plan, fed
+/// `accept(node, partial)` per arriving partial, then `finish()`. It folds
+/// partial rows into one of the engine's partial-aggregate tables per node
+/// as they arrive — its group table, its accumulators ([`PartialAgg`]) —
+/// merges the tables in node order at `finish()`, and runs the plan's composition query over the
 /// folded rows (one per group) so HAVING / ORDER BY / LIMIT / output
 /// expressions get exactly the engine's semantics (DESIGN.md §5.4).
 ///
@@ -227,6 +180,11 @@ enum StreamState<'p> {
 /// comparator: ORDER BY keys via `Value::sort_cmp`, then `(node, seq)` —
 /// the same tie-break a stable sort over the staging table gives), so
 /// memory stays `O(k)` instead of `O(total partial rows)`.
+///
+/// All state is keyed on the *node index*, never on arrival order, so the
+/// composed result is a function of the per-node partial sequences alone —
+/// sub-queries may complete in any interleaving and the output (rows,
+/// ordering, floating-point bit patterns) does not change.
 pub struct StreamingComposer<'p> {
     plan: &'p SvpPlan,
     state: StreamState<'p>,
@@ -281,10 +239,11 @@ impl<'p> StreamingComposer<'p> {
         rows.insert(pos, entry);
         rows.truncate(limit);
     }
-}
 
-impl Composer for StreamingComposer<'_> {
-    fn accept(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()> {
+    /// Feeds one partial result produced by `node`. A node may contribute
+    /// several partials (AVP chunks); their relative order is the node's
+    /// own execution order.
+    pub fn accept(&mut self, node: usize, partial: QueryOutput) -> EngineResult<()> {
         check_arity(self.plan, &format_args!("from node {node}"), &partial)?;
         self.accepted_rows += partial.rows.len() as u64;
         match &mut self.state {
@@ -318,7 +277,9 @@ impl Composer for StreamingComposer<'_> {
         Ok(())
     }
 
-    fn finish(self) -> EngineResult<Composed> {
+    /// Completes the composition and returns the final result. Abandoning
+    /// one instead is dropping the composer.
+    pub fn finish(self) -> EngineResult<Composed> {
         let folded: Vec<Row> = match self.state {
             // Node-index order, whatever order the partials arrived in:
             // group order is then global first-seen order, as the staged
@@ -715,7 +676,7 @@ mod incremental_tests {
             rows: vec![vec![Value::Int(1), Value::Int(2)]],
             ..QueryOutput::default()
         };
-        assert!(StagedComposer::new(&plan).accept(0, bad.clone()).is_err());
+        assert!(compose(&plan, std::slice::from_ref(&bad)).is_err());
         assert!(StreamingComposer::new(&plan).accept(0, bad).is_err());
     }
 

@@ -21,28 +21,6 @@ use std::collections::HashSet;
 
 use parking_lot::{Condvar, Mutex};
 
-/// Whether SVP queries synchronize with updates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConsistencyMode {
-    /// The paper's protocol: wait for convergence, block new updates until
-    /// dispatch.
-    #[default]
-    Blocking,
-    /// The paper's future-work direction (§7, after Refresco): SVP
-    /// dispatches as soon as every pair of replicas is within `max_lag`
-    /// committed transactions of each other, and updates are never
-    /// blocked. `max_lag = 0` still waits for convergence but without
-    /// blocking updates, so convergence may starve under a steady write
-    /// stream — use `Blocking` for the paper's guarantee.
-    BoundedStaleness {
-        /// Largest tolerated spread between any two replicas' counters.
-        max_lag: u64,
-    },
-    /// No synchronization at all: SVP proceeds immediately; results may mix
-    /// replica states. Used by the ablation bench.
-    Relaxed,
-}
-
 #[derive(Debug)]
 struct GateState {
     /// Number of SVP queries currently holding updates blocked.
@@ -55,9 +33,9 @@ struct GateState {
     /// Nodes excluded from the protocol (disabled / catching up after a
     /// failure). An excluded node neither holds up convergence nor keeps a
     /// broadcast in flight — without this, one disabled replica would
-    /// wedge every Blocking-mode write forever, since its begin/end calls
-    /// never come. Its counter still tracks (catch-up replay bumps it) but
-    /// carries no weight until the node is readmitted.
+    /// wedge every write forever, since its begin/end calls never come.
+    /// Its counter still tracks (catch-up replay bumps it) but carries no
+    /// weight until the node is readmitted.
     excluded: Vec<bool>,
 }
 
@@ -80,13 +58,6 @@ impl GateState {
         }
     }
 
-    /// Counter spread over the non-excluded nodes within `max_lag`.
-    fn within_lag(&self, max_lag: u64) -> bool {
-        let min = self.active_counters().min().unwrap_or(0);
-        let max = self.active_counters().max().unwrap_or(0);
-        max - min <= max_lag
-    }
-
     /// Whether the in-flight broadcast has reached every non-excluded node.
     fn inflight_drained(&self) -> bool {
         match &self.inflight {
@@ -106,11 +77,10 @@ impl GateState {
 pub struct UpdateGate {
     state: Mutex<GateState>,
     changed: Condvar,
-    mode: ConsistencyMode,
 }
 
 impl UpdateGate {
-    pub fn new(nodes: usize, mode: ConsistencyMode) -> Self {
+    pub fn new(nodes: usize) -> Self {
         assert!(nodes > 0);
         UpdateGate {
             state: Mutex::new(GateState {
@@ -120,13 +90,7 @@ impl UpdateGate {
                 excluded: vec![false; nodes],
             }),
             changed: Condvar::new(),
-            mode,
         }
-    }
-
-    /// The configured mode.
-    pub fn mode(&self) -> ConsistencyMode {
-        self.mode
     }
 
     /// Snapshot of the per-node transaction counters.
@@ -171,8 +135,8 @@ impl UpdateGate {
     }
 
     /// Called before executing a write on `node`. Blocks while SVP holds
-    /// the gate (Blocking mode only) — unless this call *continues* the
-    /// broadcast already in flight, which must be allowed to finish.
+    /// the gate — unless this call *continues* the broadcast already in
+    /// flight, which must be allowed to finish.
     ///
     /// Writes on an excluded node bypass the gate entirely: they are
     /// catch-up replay traffic, invisible to SVP (which never reads from an
@@ -190,18 +154,14 @@ impl UpdateGate {
                     // Continuation of the in-flight broadcast: admit.
                     return;
                 }
-                Some(_) => {
-                    // A different broadcast is mid-flight; the scheduler
-                    // normally prevents this — wait for it to drain.
-                    self.changed.wait(&mut st);
-                }
+                // A different broadcast is mid-flight (the scheduler normally
+                // prevents this — wait for it to drain), or SVP holds the
+                // gate.
+                Some(_) => self.changed.wait(&mut st),
+                None if st.blocks > 0 => self.changed.wait(&mut st),
                 None => {
-                    if st.blocks > 0 && self.mode == ConsistencyMode::Blocking {
-                        self.changed.wait(&mut st);
-                    } else {
-                        st.inflight = Some((script.to_string(), HashSet::new()));
-                        return;
-                    }
+                    st.inflight = Some((script.to_string(), HashSet::new()));
+                    return;
                 }
             }
         }
@@ -229,36 +189,18 @@ impl UpdateGate {
         self.changed.notify_all();
     }
 
-    /// SVP entry. In `Blocking` mode: blocks new updates, then waits until
-    /// no broadcast is in flight and all counters are equal. In
-    /// `BoundedStaleness` mode: waits (without blocking updates) until the
-    /// counter spread is within the bound. In `Relaxed` mode: returns
-    /// immediately.
+    /// SVP entry: blocks new updates, then waits until no broadcast is in
+    /// flight and all counters are equal.
     pub fn block_updates_and_wait(&self) {
-        match self.mode {
-            ConsistencyMode::Relaxed => {}
-            ConsistencyMode::BoundedStaleness { max_lag } => {
-                let mut st = self.state.lock();
-                while !st.within_lag(max_lag) {
-                    self.changed.wait(&mut st);
-                }
-            }
-            ConsistencyMode::Blocking => {
-                let mut st = self.state.lock();
-                st.blocks += 1;
-                while st.inflight.is_some() || !st.converged() {
-                    self.changed.wait(&mut st);
-                }
-            }
+        let mut st = self.state.lock();
+        st.blocks += 1;
+        while st.inflight.is_some() || !st.converged() {
+            self.changed.wait(&mut st);
         }
     }
 
-    /// SVP dispatch complete: updates may flow again (Blocking mode only —
-    /// the other modes never held them).
+    /// SVP dispatch complete: updates may flow again.
     pub fn release_updates(&self) {
-        if self.mode != ConsistencyMode::Blocking {
-            return;
-        }
         let mut st = self.state.lock();
         debug_assert!(st.blocks > 0, "release without matching block");
         st.blocks = st.blocks.saturating_sub(1);
@@ -282,7 +224,7 @@ mod tests {
 
     #[test]
     fn broadcast_lifecycle_converges() {
-        let g = UpdateGate::new(3, ConsistencyMode::Blocking);
+        let g = UpdateGate::new(3);
         let script = "insert into t values (1)";
         for node in 0..3 {
             g.begin_node_write(node, script);
@@ -294,7 +236,7 @@ mod tests {
 
     #[test]
     fn inflight_broadcast_is_not_converged() {
-        let g = UpdateGate::new(2, ConsistencyMode::Blocking);
+        let g = UpdateGate::new(2);
         g.begin_node_write(0, "w");
         g.end_node_write(0, "w", true);
         assert!(!g.is_converged(), "counters diverge mid-broadcast");
@@ -305,7 +247,7 @@ mod tests {
 
     #[test]
     fn svp_waits_for_inflight_broadcast() {
-        let g = Arc::new(UpdateGate::new(2, ConsistencyMode::Blocking));
+        let g = Arc::new(UpdateGate::new(2));
         g.begin_node_write(0, "w");
         g.end_node_write(0, "w", true);
         let g2 = Arc::clone(&g);
@@ -322,7 +264,7 @@ mod tests {
 
     #[test]
     fn new_update_blocks_while_svp_holds_gate() {
-        let g = Arc::new(UpdateGate::new(1, ConsistencyMode::Blocking));
+        let g = Arc::new(UpdateGate::new(1));
         g.block_updates_and_wait();
         let g2 = Arc::clone(&g);
         let writer = std::thread::spawn(move || {
@@ -345,7 +287,7 @@ mod tests {
         // closes between node 0 and node 1 — impossible through the public
         // API because block_updates_and_wait waits for the drain. We assert
         // exactly that: the SVP call does not return early.
-        let g = Arc::new(UpdateGate::new(2, ConsistencyMode::Blocking));
+        let g = Arc::new(UpdateGate::new(2));
         g.begin_node_write(0, "w");
         g.end_node_write(0, "w", true);
         let g2 = Arc::clone(&g);
@@ -359,18 +301,8 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_mode_never_blocks() {
-        let g = UpdateGate::new(2, ConsistencyMode::Relaxed);
-        g.block_updates_and_wait(); // returns immediately
-        g.begin_node_write(0, "w"); // not blocked
-        g.end_node_write(0, "w", true);
-        g.release_updates();
-        assert_eq!(g.counters(), vec![1, 0]);
-    }
-
-    #[test]
     fn failed_writes_do_not_bump_counters() {
-        let g = UpdateGate::new(1, ConsistencyMode::Blocking);
+        let g = UpdateGate::new(1);
         g.begin_node_write(0, "w");
         g.end_node_write(0, "w", false);
         assert_eq!(g.counters(), vec![0]);
@@ -379,7 +311,7 @@ mod tests {
 
     #[test]
     fn excluded_node_does_not_hold_up_convergence() {
-        let g = UpdateGate::new(3, ConsistencyMode::Blocking);
+        let g = UpdateGate::new(3);
         g.set_excluded(2, true);
         for node in 0..2 {
             g.begin_node_write(node, "w");
@@ -393,19 +325,19 @@ mod tests {
 
     #[test]
     fn excluding_a_node_mid_broadcast_drains_the_inflight_write() {
-        let g = UpdateGate::new(2, ConsistencyMode::Blocking);
+        let g = UpdateGate::new(2);
         g.begin_node_write(0, "w");
         g.end_node_write(0, "w", true);
         assert!(!g.is_converged(), "broadcast still in flight on node 1");
         // Node 1 dies: without exclusion this broadcast would never drain
-        // and every Blocking-mode SVP query would wedge forever.
+        // and every SVP query would wedge forever.
         g.set_excluded(1, true);
         assert!(g.is_converged());
     }
 
     #[test]
     fn excluded_replay_writes_bypass_a_closed_gate() {
-        let g = Arc::new(UpdateGate::new(2, ConsistencyMode::Blocking));
+        let g = Arc::new(UpdateGate::new(2));
         g.set_excluded(1, true);
         g.block_updates_and_wait(); // SVP holds the gate
                                     // Catch-up replay on the excluded node must not block and must not
@@ -419,7 +351,7 @@ mod tests {
 
     #[test]
     fn seed_and_readmit_restores_convergence() {
-        let g = UpdateGate::new(2, ConsistencyMode::Blocking);
+        let g = UpdateGate::new(2);
         g.set_excluded(1, true);
         for _ in 0..3 {
             g.begin_node_write(0, "w");
@@ -433,56 +365,5 @@ mod tests {
         assert!(g.is_converged());
         assert_eq!(g.counters(), vec![3, 3]);
         assert!(!g.is_excluded(1));
-    }
-}
-
-#[cfg(test)]
-mod staleness_tests {
-    use super::*;
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    #[test]
-    fn bounded_staleness_never_blocks_writers() {
-        let g = UpdateGate::new(2, ConsistencyMode::BoundedStaleness { max_lag: 3 });
-        // A pending SVP "block" must not stop writers.
-        g.begin_node_write(0, "w");
-        g.end_node_write(0, "w", true);
-        g.begin_node_write(1, "w");
-        g.end_node_write(1, "w", true);
-        assert_eq!(g.counters(), vec![1, 1]);
-        g.block_updates_and_wait(); // spread 0 ≤ 3: immediate
-        g.release_updates(); // no-op in this mode
-    }
-
-    #[test]
-    fn bounded_staleness_admits_svp_within_lag() {
-        let g = UpdateGate::new(2, ConsistencyMode::BoundedStaleness { max_lag: 2 });
-        // Node 0 is two transactions ahead: spread = 2 ≤ 2 → admitted.
-        g.begin_node_write(0, "w1");
-        g.end_node_write(0, "w1", true);
-        g.begin_node_write(1, "w1");
-        g.end_node_write(1, "w1", true);
-        g.begin_node_write(0, "w2");
-        g.end_node_write(0, "w2", true);
-        // w2 still in flight on node 1; spread is 1.
-        g.block_updates_and_wait();
-    }
-
-    #[test]
-    fn bounded_staleness_waits_beyond_lag() {
-        let g = Arc::new(UpdateGate::new(
-            2,
-            ConsistencyMode::BoundedStaleness { max_lag: 0 },
-        ));
-        g.begin_node_write(0, "w");
-        g.end_node_write(0, "w", true); // spread now 1 > 0
-        let g2 = Arc::clone(&g);
-        let svp = std::thread::spawn(move || g2.block_updates_and_wait());
-        std::thread::sleep(Duration::from_millis(40));
-        assert!(!svp.is_finished(), "spread 1 must hold the SVP query");
-        g.begin_node_write(1, "w");
-        g.end_node_write(1, "w", true); // spread back to 0
-        svp.join().unwrap();
     }
 }

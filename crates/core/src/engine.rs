@@ -19,24 +19,21 @@ use apuama_engine::{
 use apuama_sql::Value;
 
 use crate::catalog::DataCatalog;
-use crate::composer::{Composer, StreamingComposer};
-use crate::consistency::{ConsistencyMode, UpdateGate};
+use crate::composer::StreamingComposer;
+use crate::consistency::UpdateGate;
 use crate::fault::{FaultPolicy, RecoveryReport};
 use crate::node::NodeProcessor;
 use crate::rewrite::{Rewritten, SvpPlan, SvpRewriter};
 
-/// Configuration knobs (defaults reproduce the paper; the alternatives are
-/// ablation arms).
+/// What a deployment sizes and bounds. The paper's mechanisms themselves
+/// are not configurable: every eligible read runs SVP, every sub-query
+/// carries the avoid-sequential-scans hint, and updates block until every
+/// sub-query is dispatched and started. A session setting such as
+/// `parallel_workers` goes through the controller
+/// (`Controller::execute("set parallel_workers = N")`), which broadcasts it
+/// in total order and records it in the recovery log.
 #[derive(Debug, Clone, Copy)]
 pub struct ApuamaConfig {
-    /// Intra-query parallelism on/off. Off = plain C-JDBC behaviour.
-    pub svp_enabled: bool,
-    /// Optimizer interference on SVP sub-queries: each one is planned as
-    /// under `SET enable_seqscan = off` (the hint rides on the sub-query's
-    /// request; the node's session setting is never touched).
-    pub force_index: bool,
-    /// Replica-consistency protocol.
-    pub consistency: ConsistencyMode,
     /// Per-node connection-pool size.
     pub pool_size: usize,
     /// What to do when a sub-query fails: timeout, retries, reassignment,
@@ -48,24 +45,14 @@ pub struct ApuamaConfig {
     /// so every sibling sub-query is cancelled rather than reassigned.
     /// `None` = no deadline.
     pub query_deadline_ms: Option<u64>,
-    /// Per-node morsel-parallel worker count (the third parallelism tier:
-    /// intra-node, across one node's cores — the paper's testbed machines
-    /// were 2-way SMPs). Applied to every node as
-    /// `SET parallel_workers = N` at construction, so SVP sub-queries
-    /// inherit it. `None` leaves each node's default (its own core count).
-    pub parallel_workers: Option<usize>,
 }
 
 impl Default for ApuamaConfig {
     fn default() -> Self {
         ApuamaConfig {
-            svp_enabled: true,
-            force_index: true,
-            consistency: ConsistencyMode::Blocking,
             pool_size: 8,
             fault: FaultPolicy::default(),
             query_deadline_ms: None,
-            parallel_workers: None,
         }
     }
 }
@@ -115,32 +102,15 @@ impl ApuamaEngine {
     ) -> Arc<ApuamaEngine> {
         assert!(!conns.is_empty(), "a cluster needs at least one node");
         let n = conns.len();
-        if let Some(w) = config.parallel_workers {
-            // Session-level: every statement the middleware sends — SVP
-            // sub-queries included — runs under this intra-node worker
-            // count. Results are byte-identical at any setting, so a
-            // failure here only costs the knob, not correctness.
-            for c in &conns {
-                let _ = c.execute(&format!("set parallel_workers = {w}"));
-            }
-        }
         let health = Arc::new(HealthTracker::new(n, config.fault.breaker()));
         Arc::new(ApuamaEngine {
             nodes: conns
                 .into_iter()
                 .enumerate()
-                .map(|(i, c)| {
-                    NodeProcessor::with_health(
-                        c,
-                        config.pool_size,
-                        config.force_index,
-                        Arc::clone(&health),
-                        i,
-                    )
-                })
+                .map(|(i, c)| NodeProcessor::new(c, config.pool_size, Arc::clone(&health), i))
                 .collect(),
             rewriter: SvpRewriter::new(catalog),
-            gate: UpdateGate::new(n, config.consistency),
+            gate: UpdateGate::new(n),
             config,
             health,
         })
@@ -210,17 +180,12 @@ impl ApuamaEngine {
     /// request on as it came (a bound one runs from that node's plan
     /// cache).
     pub fn read(&self, preferred_node: usize, req: &ReadRequest<'_>) -> EngineResult<QueryOutput> {
-        if self.config.svp_enabled {
-            match self.rewriter.rewrite(&req.rendered()?, self.nodes.len())? {
-                Rewritten::Svp(plan) => {
-                    return self
-                        .execute_svp_governed(&plan, req.governor)
-                        .map(|e| e.output)
-                }
-                Rewritten::Passthrough { .. } => {}
-            }
+        match self.rewriter.rewrite(&req.rendered()?, self.nodes.len())? {
+            Rewritten::Svp(plan) => self
+                .execute_svp_governed(&plan, req.governor)
+                .map(|e| e.output),
+            Rewritten::Passthrough { .. } => self.nodes[preferred_node].execute_read(req),
         }
-        self.nodes[preferred_node].execute_read(req)
     }
 
     /// The per-node processors, in node order (governance diagnostics:
@@ -721,33 +686,27 @@ mod tests {
         assert!((a - b).abs() < 1e-9);
     }
 
+    /// The worker count is a session setting every replica must share: sent
+    /// through the controller it lands on each of them, and the SVP answer
+    /// is the one the nodes' own default gives.
     #[test]
-    fn parallel_workers_config_reaches_every_node() {
-        let (engine, nodes) = cluster(
-            3,
-            ApuamaConfig {
-                parallel_workers: Some(3),
-                ..ApuamaConfig::default()
-            },
-        );
-        // The session knob landed on every backend, so SVP sub-queries
-        // dispatched over these connections inherit it.
+    fn parallel_workers_set_through_the_controller_reaches_every_node() {
+        let (engine, nodes) = cluster(3, ApuamaConfig::default());
+        let sql = "select sum(o_totalprice) as s from orders";
+        let before = engine.read(0, &ReadRequest::text(sql)).unwrap();
+        for node in &nodes {
+            assert_eq!(node.with_db(|db| db.setting("parallel_workers")), None);
+        }
+        let controller = Controller::new(engine.connections(), ControllerConfig::default());
+        controller.execute("set parallel_workers = 3").unwrap();
         for node in &nodes {
             let setting = node.with_db(|db| db.setting("parallel_workers"));
             assert_eq!(setting.as_deref(), Some("3"), "{}", node.name());
         }
-        // And execution under the knob still answers correctly: sum of
-        // 1..=60 (integer-valued floats, exact at any association).
-        let out = engine
-            .read(
-                0,
-                &ReadRequest::text("select sum(o_totalprice) as s from orders"),
-            )
-            .unwrap();
-        assert_eq!(out.rows, vec![vec![Value::Float(1830.0)]]);
-        // Default config leaves the node's own default untouched.
-        let (_, nodes) = cluster(1, ApuamaConfig::default());
-        assert_eq!(nodes[0].with_db(|db| db.setting("parallel_workers")), None);
+        // Sum of 1..=60: integer-valued floats, exact at any association.
+        let (after, _) = controller.execute(sql).unwrap();
+        assert_eq!(after.rows, vec![vec![Value::Float(1830.0)]]);
+        assert_eq!(after.rows, before.rows);
     }
 
     #[test]
@@ -802,22 +761,6 @@ mod tests {
             .read(2, &ReadRequest::text("select d from dim"))
             .unwrap();
         assert_eq!(out.rows, vec![vec![Value::Int(7)]]);
-    }
-
-    #[test]
-    fn svp_disabled_config_behaves_like_cjdbc() {
-        let (engine, _) = cluster(
-            3,
-            ApuamaConfig {
-                svp_enabled: false,
-                ..ApuamaConfig::default()
-            },
-        );
-        let out = engine
-            .read(1, &ReadRequest::text("select count(*) as n from orders"))
-            .unwrap();
-        // Still correct, just single-node.
-        assert_eq!(out.rows[0][0], Value::Int(60));
     }
 
     #[test]

@@ -40,10 +40,8 @@ pub mod rewrite;
 
 pub use avp::{execute_avp, execute_avp_streaming, AvpConfig, AvpOutcome, AvpRun, NodeTrace};
 pub use catalog::{DataCatalog, VirtualPartitioning};
-pub use composer::{
-    compose, compose_with, Composed, Composer, ComposerStrategy, StagedComposer, StreamingComposer,
-};
-pub use consistency::{ConsistencyMode, UpdateGate};
+pub use composer::{compose, compose_with, Composed, ComposerStrategy, StreamingComposer};
+pub use consistency::UpdateGate;
 pub use engine::{ApuamaConfig, ApuamaConnection, ApuamaEngine, SvpExecution};
 pub use fault::{FaultPolicy, RecoveryReport};
 pub use node::NodeProcessor;

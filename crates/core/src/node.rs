@@ -17,12 +17,12 @@
 //! process multiple requests, the Node Processor creates a pool of
 //! connections."
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use apuama_cjdbc::{BreakerPolicy, Connection, HealthTracker};
+use apuama_cjdbc::{Connection, HealthTracker};
 use apuama_engine::{EngineError, EngineResult, QueryOutput, ReadRequest};
 use apuama_sql::Value;
 
@@ -76,18 +76,12 @@ impl Drop for PoolSlot<'_> {
 pub struct NodeProcessor {
     conn: Arc<dyn Connection>,
     pool: ConnectionPool,
-    /// Committed write transactions observed through this processor — the
-    /// consistency protocol's per-node transaction counter.
-    txn_counter: AtomicU64,
     /// Ordering lock standing in for the DBMS's snapshot isolation: SVP
     /// sub-queries hold it shared, updates exclusively, so an update
     /// admitted after sub-query dispatch cannot slip *before* a sub-query
     /// on one replica and *after* it on another (our engine has no MVCC —
     /// see DESIGN.md).
     snapshot: RwLock<()>,
-    /// Whether to force index usage during SVP sub-queries (ablation knob;
-    /// the paper always does).
-    force_index: bool,
     /// Shared cluster health tracker this processor reports into.
     health: Arc<HealthTracker>,
     /// This node's index in the tracker.
@@ -109,18 +103,12 @@ impl Drop for InFlightGuard<'_> {
 }
 
 impl NodeProcessor {
-    pub fn new(conn: Arc<dyn Connection>, pool_size: usize, force_index: bool) -> Arc<Self> {
-        let health = Arc::new(HealthTracker::new(1, BreakerPolicy::default()));
-        Self::with_health(conn, pool_size, force_index, health, 0)
-    }
-
-    /// Builds a processor that reports request outcomes into a shared
-    /// [`HealthTracker`] as node `index` — how the engine wires all
-    /// processors to one cluster-wide breaker.
-    pub fn with_health(
+    /// Builds node `index`'s processor over its connection, reporting
+    /// request outcomes into the cluster's shared [`HealthTracker`] — one
+    /// breaker for every processor of the engine.
+    pub fn new(
         conn: Arc<dyn Connection>,
         pool_size: usize,
-        force_index: bool,
         health: Arc<HealthTracker>,
         index: usize,
     ) -> Arc<Self> {
@@ -128,9 +116,7 @@ impl NodeProcessor {
         Arc::new(NodeProcessor {
             conn,
             pool: ConnectionPool::new(pool_size),
-            txn_counter: AtomicU64::new(0),
             snapshot: RwLock::new(()),
-            force_index,
             health,
             index,
             in_flight: AtomicUsize::new(0),
@@ -158,11 +144,6 @@ impl NodeProcessor {
         self.in_flight.load(Ordering::SeqCst)
     }
 
-    /// Committed write transactions seen by this node.
-    pub fn txn_count(&self) -> u64 {
-        self.txn_counter.load(Ordering::SeqCst)
-    }
-
     /// Pass-through read (non-SVP OLTP/OLAP query, or SET), as the
     /// request describes it. The snapshot lock is taken before the pool
     /// slot, so a read queued behind a writer holds no slot a sub-query may
@@ -180,17 +161,15 @@ impl NodeProcessor {
     }
 
     /// Write (single statement or transaction script): serialized against
-    /// in-flight SVP sub-queries, counted on success. The snapshot lock is
-    /// taken before the pool slot: a write waiting for the tickets of an
-    /// SVP query holds no slot, so the query's sub-queries — a range
+    /// in-flight SVP sub-queries; the update gate counts it. The snapshot
+    /// lock is taken before the pool slot: a write waiting for the tickets
+    /// of an SVP query holds no slot, so the query's sub-queries — a range
     /// requeued under a ticket included — can always get one.
     pub fn execute_write(&self, sql: &str) -> EngineResult<QueryOutput> {
         let _exclusive = self.snapshot.write();
         self.pool.acquire();
         let _slot = PoolSlot(&self.pool);
-        let out = self.conn.execute(sql)?;
-        self.txn_counter.fetch_add(1, Ordering::SeqCst);
-        Ok(out)
+        self.conn.execute(sql)
     }
 
     /// Acquires the shared snapshot ticket for an SVP sub-query. The
@@ -215,14 +194,14 @@ impl NodeProcessor {
     /// engine reclaims an abandoned (timed-out) attempt: the detached
     /// thread observes the cancel, unwinds, and releases its pool slot.
     /// The interference is the request's avoid-sequential-scans hint, set
-    /// here from `force_index`; nothing else is sent. Outcomes are
+    /// here on every sub-query; nothing else is sent. Outcomes are
     /// reported to the health tracker.
     pub(crate) fn run_guarded(&self, req: &ReadRequest<'_>) -> EngineResult<QueryOutput> {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         let _in_flight = InFlightGuard(&self.in_flight);
         self.pool.acquire();
         let _slot = PoolSlot(&self.pool);
-        let result = self.conn.read(&req.avoiding_seqscan(self.force_index));
+        let result = self.conn.read(&req.avoiding_seqscan(true));
         match &result {
             Ok(_) => self.health.record_success(self.index),
             // A cooperative cancel is the *coordinator* abandoning the
@@ -265,7 +244,7 @@ pub struct SubqueryTicket<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apuama_cjdbc::{EngineNode, FaultPlan, FaultyConnection, NodeConnection};
+    use apuama_cjdbc::{BreakerPolicy, EngineNode, FaultPlan, FaultyConnection, NodeConnection};
     use apuama_engine::Database;
 
     fn engine_node() -> Arc<EngineNode> {
@@ -279,10 +258,20 @@ mod tests {
         EngineNode::new("n0", db)
     }
 
-    fn node(force_index: bool) -> (Arc<NodeProcessor>, Arc<EngineNode>) {
+    /// A one-node cluster's processor: pool of 4, its own breaker.
+    fn processor(conn: Arc<dyn Connection>) -> Arc<NodeProcessor> {
+        let health = Arc::new(HealthTracker::new(1, BreakerPolicy::default()));
+        NodeProcessor::new(conn, 4, health, 0)
+    }
+
+    fn node() -> (Arc<NodeProcessor>, Arc<EngineNode>) {
         let engine_node = engine_node();
-        let conn: Arc<dyn Connection> = Arc::new(NodeConnection::new(engine_node.clone()));
-        (NodeProcessor::new(conn, 4, force_index), engine_node)
+        let conn = Arc::new(NodeConnection::new(engine_node.clone()));
+        (processor(conn), engine_node)
+    }
+
+    fn rows_in_t(node: &EngineNode) -> u64 {
+        node.with_db(|db| db.table("t").unwrap().row_count())
     }
 
     /// A range on the clustered key wide enough that the planner's own
@@ -297,43 +286,41 @@ mod tests {
 
     #[test]
     fn passthrough_read_and_write_count() {
-        let (np, _) = node(true);
-        assert_eq!(np.txn_count(), 0);
+        let (np, engine_node) = node();
+        assert_eq!(rows_in_t(&engine_node), 100);
         np.execute_write("insert into t values (1000, 0.0)")
             .unwrap();
-        assert_eq!(np.txn_count(), 1);
+        assert_eq!(rows_in_t(&engine_node), 101);
         let out = np
             .execute_read(&ReadRequest::text("select count(*) as n from t"))
             .unwrap();
         assert_eq!(out.rows[0][0], Value::Int(101));
-        // Reads do not bump the counter.
-        assert_eq!(np.txn_count(), 1);
+        assert_eq!(rows_in_t(&engine_node), 101);
     }
 
     #[test]
     fn subquery_carries_the_hint_and_the_session_keeps_its_setting() {
-        let (forced, forced_node) = node(true);
-        let (plain, plain_node) = node(false);
-        let ticket = forced.begin_subquery();
-        let with_hint = forced.run_subquery_statement(WIDE).unwrap();
+        let (np, engine_node) = node();
+        let ticket = np.begin_subquery();
+        let with_hint = np.run_subquery_statement(WIDE).unwrap();
         drop(ticket);
-        let without = plain.run_subquery_statement(WIDE).unwrap();
+        let without = np.execute_read(&ReadRequest::text(WIDE)).unwrap();
         assert_eq!(with_hint.rows, without.rows);
         assert_ne!(with_hint.stats, without.stats, "the index was forced");
-        // EXPLAIN of a sub-query plans under the same hint.
+        // EXPLAIN of a sub-query plans under the same hint; a pass-through
+        // EXPLAIN plans as the session would.
         let explain = format!("explain {WIDE}");
-        let forced_plan = plan_of(&forced.run_subquery_statement(&explain).unwrap());
-        assert!(forced_plan.contains("index range"), "{forced_plan}");
-        let plain_plan = plan_of(&plain.run_subquery_statement(&explain).unwrap());
+        let hinted_plan = plan_of(&np.run_subquery_statement(&explain).unwrap());
+        assert!(hinted_plan.contains("index range"), "{hinted_plan}");
+        let plain_plan = plan_of(&np.execute_read(&ReadRequest::text(&explain)).unwrap());
         assert!(plain_plan.contains("seq scan"), "{plain_plan}");
-        // Neither processor sent a SET: the hint is the whole interference.
-        assert!(forced_node.with_db(|db| db.seqscan_enabled()));
-        assert!(plain_node.with_db(|db| db.seqscan_enabled()));
+        // No SET was sent: the hint is the whole interference.
+        assert!(engine_node.with_db(|db| db.seqscan_enabled()));
     }
 
     #[test]
     fn bound_subquery_matches_literal_and_uses_the_plan_cache() {
-        let (np, engine_node) = node(true);
+        let (np, engine_node) = node();
         let sql = "select sum(v) as s from t where k >= $1 and k < $2";
         let ticket = np.begin_subquery();
         let want = np
@@ -357,10 +344,7 @@ mod tests {
     #[test]
     fn passthrough_read_is_untouched_by_a_subquery_in_flight() {
         let read = ReadRequest::text(WIDE);
-        let idle = {
-            let (np, _) = node(true);
-            np.execute_read(&read).unwrap()
-        };
+        let idle = node().0.execute_read(&read).unwrap();
 
         let engine_node = engine_node();
         // Holds the sub-query (and only it) inside the connection.
@@ -372,7 +356,7 @@ mod tests {
                 ..FaultPlan::default()
             },
         );
-        let np = NodeProcessor::new(faulty.clone() as Arc<dyn Connection>, 4, true);
+        let np = processor(faulty.clone());
         let seqscan_on = || engine_node.with_db(|db| db.seqscan_enabled());
         let overlapped = std::thread::scope(|s| {
             let sub = s.spawn(|| {
@@ -397,7 +381,7 @@ mod tests {
 
     #[test]
     fn writes_wait_for_held_tickets() {
-        let (np, _) = node(true);
+        let (np, engine_node) = node();
         let ticket = np.begin_subquery();
         let np2 = Arc::clone(&np);
         let writer = std::thread::spawn(move || {
@@ -406,15 +390,19 @@ mod tests {
         });
         // Give the writer a moment to block on the snapshot lock.
         std::thread::sleep(std::time::Duration::from_millis(50));
-        assert_eq!(np.txn_count(), 0, "write must wait for the ticket");
+        assert_eq!(
+            rows_in_t(&engine_node),
+            100,
+            "write must wait for the ticket"
+        );
         drop(ticket);
         writer.join().unwrap();
-        assert_eq!(np.txn_count(), 1);
+        assert_eq!(rows_in_t(&engine_node), 101);
     }
 
     #[test]
     fn statement_outcomes_feed_the_health_tracker() {
-        let (np, _) = node(true);
+        let (np, _) = node();
         let ticket = np.begin_subquery();
         np.run_subquery_statement("select count(*) as n from t")
             .unwrap();
@@ -428,7 +416,7 @@ mod tests {
 
     #[test]
     fn pool_bounds_concurrency() {
-        let (np, _) = node(false);
+        let (np, _) = node();
         // 16 threads over a pool of 4: everything completes (no deadlock)
         // and results are correct.
         std::thread::scope(|s| {

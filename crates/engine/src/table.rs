@@ -37,12 +37,10 @@ pub struct Table {
 }
 
 /// Whether a tuple keyed `key`, stored at slot `prefix`, continues the key
-/// order of the `prefix` slots before it. NaN never does: `sort_cmp` calls
-/// it equal to every integer, which is no order to search by.
+/// order of the `prefix` slots before it. `sort_cmp` is a total order — a
+/// NaN ranks above every number, integers included — so a NaN key extends
+/// the prefix like any other: after a load or a vacuum the NaNs close it.
 fn extends_prefix(heap: &Heap, prefix: u64, col: usize, key: &Value) -> bool {
-    if matches!(key, Value::Float(f) if f.is_nan()) {
-        return false;
-    }
     prefix == 0 || {
         let (last, slot) = heap.stored_cell(prefix - 1, col);
         last.sort_cmp_at(slot, key) != Ordering::Greater

@@ -288,7 +288,8 @@ impl Value {
     }
 
     /// Total order for sorting and grouping: NULL sorts first, then by type
-    /// rank, then by value. NaN floats sort after all other floats.
+    /// rank, then by value. NaN ranks above every number, `Int` included,
+    /// and equal to itself — the one numeric pair `sql_cmp` cannot order.
     pub fn sort_cmp(&self, other: &Value) -> Ordering {
         fn rank(v: &Value) -> u8 {
             match v {
@@ -304,14 +305,9 @@ impl Value {
             (Value::Null, Value::Null) => Ordering::Equal,
             _ => rank(self).cmp(&rank(other)).then_with(|| {
                 self.sql_cmp(other).unwrap_or_else(|| match (self, other) {
-                    (Value::Float(a), Value::Float(b)) => {
-                        // NaN handling for the total order.
-                        match (a.is_nan(), b.is_nan()) {
-                            (true, true) => Ordering::Equal,
-                            (true, false) => Ordering::Greater,
-                            (false, true) => Ordering::Less,
-                            _ => Ordering::Equal,
-                        }
+                    (Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_)) => {
+                        let nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
+                        nan(self).cmp(&nan(other))
                     }
                     (Value::Interval(a), Value::Interval(b)) => {
                         (a.months, a.days).cmp(&(b.months, b.days))
@@ -524,6 +520,51 @@ mod tests {
         vals.sort_by(|a, b| a.sort_cmp(b));
         assert_eq!(vals[0], Value::Null);
         assert_eq!(vals[1], Value::Int(1));
+    }
+
+    /// Antisymmetric and transitive over every triple. Under a comparator
+    /// that is not — NaN equal to both 1 and 3 while 1 < 3 — the standard
+    /// library's sort may panic.
+    #[test]
+    fn sort_cmp_is_a_total_order_over_nulls_numbers_and_nan() {
+        let vals = [
+            Value::Null,
+            Value::Int(i64::MIN),
+            Value::Int(-3),
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(3),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(-0.0),
+            Value::Float(0.5),
+            Value::Float(1.0),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+        ];
+        for a in &vals {
+            for b in &vals {
+                let ab = a.sort_cmp(b);
+                assert_eq!(ab, b.sort_cmp(a).reverse(), "{a:?} vs {b:?}");
+                for c in &vals {
+                    let bc = b.sort_cmp(c);
+                    if ab != Ordering::Greater && bc != Ordering::Greater {
+                        let ac = a.sort_cmp(c);
+                        assert_ne!(ac, Ordering::Greater, "{a:?} ≤ {b:?} ≤ {c:?}");
+                        if ab == Ordering::Less || bc == Ordering::Less {
+                            assert_eq!(ac, Ordering::Less, "{a:?} ≤ {b:?} ≤ {c:?}");
+                        }
+                    }
+                }
+            }
+        }
+        let nan = Value::Float(f64::NAN);
+        assert_eq!(nan.sort_cmp(&Value::Int(i64::MAX)), Ordering::Greater);
+        assert_eq!(
+            nan.sort_cmp(&Value::Float(f64::INFINITY)),
+            Ordering::Greater
+        );
+        assert_eq!(nan.sort_cmp(&Value::Float(f64::NAN)), Ordering::Equal);
     }
 
     #[test]

@@ -35,24 +35,24 @@ impl RefreshTransaction {
     }
 }
 
-/// Builds a refresh stream of `txn_count` transactions: the first half
+/// Builds a refresh stream of `transactions` transactions: the first half
 /// inserts orders `start_key..`, the second half deletes them in the same
 /// order. Odd counts get the extra transaction in the insert half (it is
 /// then never deleted — callers who need exact restoration pass an even
 /// count, as the paper's two-phase stream implies).
 pub fn refresh_stream(
     config: &TpchConfig,
-    txn_count: usize,
+    transactions: usize,
     start_key: i64,
     seed: u64,
 ) -> Vec<RefreshTransaction> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let inserts = txn_count.div_ceil(2);
-    let deletes = txn_count / 2;
+    let inserts = transactions.div_ceil(2);
+    let deletes = transactions / 2;
     let n_part = config.parts() as i64;
     let n_supp = config.suppliers() as i64;
     let n_cust = config.customers() as i64;
-    let mut out = Vec::with_capacity(txn_count);
+    let mut out = Vec::with_capacity(transactions);
     for i in 0..inserts {
         let ok = start_key + i as i64;
         let odate = Date(start_date().0 + rng.random_range(0..2_400));

@@ -8,20 +8,21 @@
 //! 3. **SQL round-trip** — rendering a parsed statement and re-parsing it
 //!    is a fixed point.
 //! 4. **Composer equivalence** — the incremental [`StreamingComposer`]
-//!    produces byte-identical rows to the staging-table path, for every
-//!    query in the family, every node count, and every arrival order.
+//!    produces byte-identical rows to the one-shot staging-table
+//!    [`compose`], for every query in the family, every node count, and
+//!    every arrival order.
 //! 5. **Fault equivalence** — injecting a fault at any stage of the SVP
-//!    pipeline (sub-query execution, the optimizer-interference `SET`,
-//!    pure latency, or a stall caught by the timeout) must not change a
-//!    byte of the answer relative to the same cluster running healthy.
+//!    pipeline (sub-query execution, pure latency, or a stall caught by
+//!    the timeout) must not change a byte of the answer relative to the
+//!    same cluster running healthy.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use apuama::{
-    compose, compose_with, ApuamaConfig, ApuamaEngine, Composer, ComposerStrategy, DataCatalog,
-    FaultPolicy, Rewritten, StreamingComposer, SvpRewriter, VirtualPartitioning,
+    compose, compose_with, ApuamaConfig, ApuamaEngine, ComposerStrategy, DataCatalog, FaultPolicy,
+    Rewritten, StreamingComposer, SvpRewriter, VirtualPartitioning,
 };
 use apuama_cjdbc::{
     Connection, EngineNode, FaultPlan, FaultTarget, FaultyConnection, NodeConnection,

@@ -45,6 +45,16 @@ echo "== clustered ranges: ordered prefix and tail against the slot model (DESIG
 # the one to look at first when a virtual partition answers wrongly.
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine --lib clustered_model
 
+echo "== dictionary-coded strings: the column heap against its row model (DESIGN.md §13) =="
+# By name, as the clustered model above: the heap model checks after every
+# step that a segment's strings are coded exactly while their distinct
+# values fit the dictionary, and the column's own test walks the fallback.
+timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-storage --test heap_model
+timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-storage --lib strings_are_coded_until_the_dictionary_is_full
+
+echo "== key filters on a join's driving scan against nested loops (DESIGN.md §10) =="
+timeout "$SUITE_TIMEOUT" cargo test -q --test join_oracle -- key_filters_answer_what_nested_loops_answer probe_placement_divergences_are_the_documented_ones
+
 echo "== benchmark package: its own tests, then a smoke run that must answer correctly =="
 # benchmark/ is a workspace of its own (BENCHMARK.json runs it from a fresh
 # checkout), so the root `cargo test` never builds it. `--locked`: a change

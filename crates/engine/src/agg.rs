@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::Hasher;
 
 use apuama_sql::ast::{is_aggregate_name, Expr, Select, SelectItem};
-use apuama_sql::value::{hash_value, HashableValue};
+use apuama_sql::value::{cmp_int_float, hash_value, HashableValue};
 use apuama_sql::{visit, Value};
 use apuama_storage::{Column, ColumnVec, Row};
 
@@ -78,6 +78,31 @@ pub(crate) fn collect_agg_specs(q: &Select) -> Vec<AggSpec> {
         add(&o.expr);
     }
     specs
+}
+
+/// What one aggregate folds over a batch's survivors, in survivor order.
+pub(crate) enum BatchValues<'a> {
+    /// No argument: `count(*)`.
+    None,
+    /// Computed, one per survivor.
+    Floats(&'a [f64]),
+    /// A NULL-free `Float` column at the survivors' slots.
+    FloatCol(&'a [f64], &'a [u32]),
+    /// The stored cells at the survivors' slots.
+    Cells(&'a Column, &'a [u32]),
+}
+
+impl AggSpec {
+    /// Whether folding `values` can raise no error: `sum` and `avg` reject
+    /// what is not a number, every other aggregate takes any value.
+    pub(crate) fn folds_without_error(&self, values: &BatchValues<'_>) -> bool {
+        match (self.name.as_str(), values) {
+            ("sum" | "avg", BatchValues::Cells(col, _)) => {
+                matches!(col.data(), ColumnVec::Int(_) | ColumnVec::Float(_))
+            }
+            _ => true,
+        }
+    }
 }
 
 /// Re-aggregation function for one column of a partial aggregate. `count`
@@ -410,10 +435,10 @@ impl Acc {
 fn cell_sql_cmp(col: &Column, i: usize, cur: &Value) -> Option<Ordering> {
     match (col.data(), cur) {
         (ColumnVec::Int(v), Value::Int(b)) => Some(v[i].cmp(b)),
-        (ColumnVec::Int(v), Value::Float(b)) => (v[i] as f64).partial_cmp(b),
-        (ColumnVec::Float(v), Value::Int(b)) => v[i].partial_cmp(&(*b as f64)),
+        (ColumnVec::Int(v), Value::Float(b)) => cmp_int_float(v[i], *b),
+        (ColumnVec::Float(v), Value::Int(b)) => cmp_int_float(*b, v[i]).map(Ordering::reverse),
         (ColumnVec::Float(v), Value::Float(b)) => v[i].partial_cmp(b),
-        (data @ ColumnVec::Str { .. }, Value::Str(s)) => Some(data.str_at(i).cmp(s.as_str())),
+        (ColumnVec::Str(strs), Value::Str(s)) => Some(strs.str_at(i).cmp(s.as_str())),
         (ColumnVec::Date(v), Value::Date(d)) => Some(v[i].cmp(&d.0)),
         (ColumnVec::Val(v), c) => v[i].sql_cmp(c),
         _ => None,
@@ -490,8 +515,20 @@ impl Groups {
         scratch: &[Value],
         new_state: impl FnOnce() -> GroupState,
     ) -> &mut GroupState {
+        let gi = self.index_by_progs(progs, row, scratch, new_state);
+        &mut self.states[gi]
+    }
+
+    /// [`Self::find_or_insert`], answering with the group's index.
+    pub(crate) fn index_by_progs(
+        &mut self,
+        progs: &[KeyProg],
+        row: &[Value],
+        scratch: &[Value],
+        new_state: impl FnOnce() -> GroupState,
+    ) -> usize {
         let component = |i| key_component(progs, i, row, scratch);
-        self.find_or_insert_with(
+        self.index_of(
             || {
                 let mut hasher = FnvHasher::new();
                 for i in 0..progs.len() {
@@ -575,10 +612,75 @@ impl Groups {
         make_key: impl FnOnce() -> Vec<Value>,
         new_state: impl FnOnce() -> GroupState,
     ) -> &mut GroupState {
+        let gi = self.index_of(probe_hash, matches, make_key, new_state);
+        &mut self.states[gi]
+    }
+
+    /// [`Self::find_or_insert_with`], answering with the group's index —
+    /// what a batch's group ids are.
+    pub(crate) fn index_of(
+        &mut self,
+        probe_hash: impl FnOnce() -> u64,
+        matches: impl Fn(&[Value]) -> bool,
+        make_key: impl FnOnce() -> Vec<Value>,
+        new_state: impl FnOnce() -> GroupState,
+    ) -> usize {
         match self.position(probe_hash, matches) {
-            Some(gi) => &mut self.states[gi],
-            None => self.push(make_key(), new_state()),
+            Some(gi) => gi,
+            None => {
+                self.push(make_key(), new_state());
+                self.states.len() - 1
+            }
         }
+    }
+
+    /// Folds the batch's values into accumulator `j`: value `k` into group
+    /// `ids[k]`'s, `k` ascending. Each group's accumulator takes its values
+    /// in the order the row loop hands them to it, so the result is the row
+    /// loop's bit for bit; only the interleaving with the other
+    /// accumulators differs, which no accumulator sees. The caller folds
+    /// this way only values [`AggSpec::folds_without_error`] admits: an
+    /// error here could overtake one an earlier row raises in another
+    /// accumulator.
+    pub(crate) fn fold_column(
+        &mut self,
+        j: usize,
+        ids: &[u32],
+        values: BatchValues<'_>,
+    ) -> EngineResult<()> {
+        let states = &mut self.states;
+        macro_rules! acc {
+            ($g:expr) => {
+                states[$g as usize].accs[j]
+            };
+        }
+        match values {
+            BatchValues::None => {
+                for &g in ids {
+                    acc!(g).update(None)?;
+                }
+            }
+            BatchValues::Floats(xs) => {
+                for (&g, &x) in ids.iter().zip(xs) {
+                    acc!(g).update_f64(x)?;
+                }
+            }
+            BatchValues::FloatCol(v, slots) => {
+                for (&g, &s) in ids.iter().zip(slots) {
+                    acc!(g).update_f64(v[s as usize])?;
+                }
+            }
+            BatchValues::Cells(col, slots) => {
+                for (&g, &s) in ids.iter().zip(slots) {
+                    acc!(g).update_cell(col, s as usize)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    pub(crate) fn state_mut(&mut self, gi: usize) -> &mut GroupState {
+        &mut self.states[gi]
     }
 
     /// The accumulated group states, in first-seen order.

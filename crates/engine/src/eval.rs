@@ -782,32 +782,35 @@ fn eval_scalar_function(
 }
 
 /// SQL LIKE matcher (`%` = any run, `_` = any single char); iterative
-/// two-pointer algorithm, O(n·m) worst case, no allocation.
+/// two-pointer algorithm over char boundaries, O(n·m) worst case, no
+/// allocation. A `%` or `_` in the text matches itself literally too.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
+    let at = |t: &str, i: usize| t[i..].chars().next();
     let (mut si, mut pi) = (0usize, 0usize);
-    let (mut star_p, mut star_s) = (usize::MAX, 0usize);
-    while si < s.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
-            si += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star_p = pi;
-            star_s = si;
-            pi += 1;
-        } else if star_p != usize::MAX {
-            star_s += 1;
-            si = star_s;
-            pi = star_p + 1;
-        } else {
-            return false;
+    // Where the last `%` is in the pattern, and where in the text its run
+    // currently ends.
+    let mut star: Option<(usize, usize)> = None;
+    while let Some(c) = at(s, si) {
+        match at(pattern, pi) {
+            Some(p) if p == '_' || p == c => {
+                si += c.len_utf8();
+                pi += p.len_utf8();
+            }
+            Some('%') => {
+                star = Some((pi, si));
+                pi += 1;
+            }
+            _ => match &mut star {
+                Some((star_p, star_s)) => {
+                    *star_s += at(s, *star_s).map_or(1, char::len_utf8);
+                    si = *star_s;
+                    pi = *star_p + 1;
+                }
+                None => return false,
+            },
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    pattern[pi..].bytes().all(|b| b == b'%')
 }
 
 /// SQL truthiness: NULL ⇒ None, Bool(b) ⇒ Some(b); anything else is a type
@@ -1494,6 +1497,50 @@ mod tests {
             eval("sum(b)", &plain),
             Err(EngineError::TypeError(_))
         ));
+    }
+
+    /// The matcher before it went allocation-free: both sides collected
+    /// into `Vec<char>`, indices in chars.
+    fn like_match_by_chars(s: &str, pattern: &str) -> bool {
+        let s: Vec<char> = s.chars().collect();
+        let p: Vec<char> = pattern.chars().collect();
+        let (mut si, mut pi) = (0usize, 0usize);
+        let (mut star_p, mut star_s) = (usize::MAX, 0usize);
+        while si < s.len() {
+            if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
+                si += 1;
+                pi += 1;
+            } else if pi < p.len() && p[pi] == '%' {
+                star_p = pi;
+                star_s = si;
+                pi += 1;
+            } else if star_p != usize::MAX {
+                star_s += 1;
+                si = star_s;
+                pi = star_p + 1;
+            } else {
+                return false;
+            }
+        }
+        while pi < p.len() && p[pi] == '%' {
+            pi += 1;
+        }
+        pi == p.len()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// Over an alphabet of one- to four-byte chars, wildcards in the
+        /// text as well as the pattern, and `%` runs: the same answer as
+        /// the char-vector matcher.
+        #[test]
+        fn like_match_equals_the_char_vector_matcher(
+            s in "[aż日🦀%_]{0,8}",
+            p in "[aż日🦀%_]{0,6}",
+        ) {
+            proptest::prop_assert_eq!(like_match(&s, &p), like_match_by_chars(&s, &p), "{:?} like {:?}", s, p);
+        }
     }
 
     #[test]

@@ -56,16 +56,17 @@
 //! * **Arithmetic.** A vectorized aggregate argument ([`F64Prog`]) is
 //!   `+ − ×` over `Float` columns and numeric constants: infallible, the
 //!   same IEEE operations in the same order as the scalar evaluator, one
-//!   node at a time over the survivors. Accumulation stays row-major over
-//!   survivors in spec order, so sums are bit-identical.
+//!   node at a time over the survivors. Each accumulator still takes its
+//!   values in survivor order, whether the fold runs row- or column-major
+//!   (`FusedFold::fold`), so sums are bit-identical.
 
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 
 use apuama_sql::ast::BinOp;
-use apuama_sql::value::hash_value;
+use apuama_sql::value::{cmp_int_float, hash_value};
 use apuama_sql::Value;
-use apuama_storage::{Column, ColumnVec, Row, Segment, Validity};
+use apuama_storage::{Column, ColumnVec, Row, Segment, StrArena, StrVec, Validity, DICT_CAP};
 
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{and3, cmp_matches, not3, CompiledExpr, Frame};
@@ -94,6 +95,13 @@ fn fcmp(a: f64, b: f64) -> Ordering {
     }
 }
 
+/// An integer against a float that is not NaN, exactly, as
+/// [`Value::sql_cmp`] compares them.
+#[inline]
+fn int_fcmp(a: i64, b: f64) -> Ordering {
+    cmp_int_float(a, b).expect("not NaN")
+}
+
 /// The cells of one typed, NaN-free column against constants prepared for
 /// its type: [`Value::sql_cmp`] with the type dispatch done once per
 /// (segment, predicate) instead of once per row.
@@ -110,14 +118,26 @@ trait TypedCells<'v> {
     fn eq(&self, i: usize, lit: &Self::Lit) -> bool {
         self.cmp(i, lit) == Ordering::Equal
     }
+
+    /// Keeps the selected slots that are non-NULL and satisfy `keep`, a
+    /// test of the cell's value alone.
+    fn retain(&self, sel: &mut Sel, validity: &Validity, keep: impl FnMut(usize) -> bool) {
+        retain_valid(sel, validity, keep)
+    }
 }
 
 struct IntCells<'a>(&'a [i64]);
 struct FloatCells<'a>(&'a [f64]);
 struct DateCells<'a>(&'a [i32]);
-struct StrCells<'a>(&'a ColumnVec);
+struct StrCells<'a>(&'a StrArena);
+/// A dictionary-coded string column: equal codes are equal strings.
+struct CodedCells<'a> {
+    dict: StrCells<'a>,
+    codes: &'a [u8],
+}
 
-/// An `Int` column compares exactly with integers and as `f64` with floats.
+/// A numeric constant: integers and floats compare exactly with either
+/// column type.
 enum NumLit {
     Int(i64),
     Float(f64),
@@ -138,21 +158,28 @@ impl<'v> TypedCells<'v> for IntCells<'_> {
     fn cmp(&self, i: usize, lit: &NumLit) -> Ordering {
         match lit {
             NumLit::Int(b) => self.0[i].cmp(b),
-            NumLit::Float(b) => fcmp(self.0[i] as f64, *b),
+            NumLit::Float(b) => int_fcmp(self.0[i], *b),
         }
     }
 }
 
 impl<'v> TypedCells<'v> for FloatCells<'_> {
-    type Lit = f64;
+    type Lit = NumLit;
 
-    fn lit(&self, v: &'v Value) -> Option<f64> {
-        v.as_f64().filter(|b| !b.is_nan())
+    fn lit(&self, v: &'v Value) -> Option<NumLit> {
+        match v {
+            Value::Int(b) => Some(NumLit::Int(*b)),
+            Value::Float(b) if !b.is_nan() => Some(NumLit::Float(*b)),
+            _ => None,
+        }
     }
 
     #[inline]
-    fn cmp(&self, i: usize, lit: &f64) -> Ordering {
-        fcmp(self.0[i], *lit)
+    fn cmp(&self, i: usize, lit: &NumLit) -> Ordering {
+        match lit {
+            NumLit::Int(b) => int_fcmp(*b, self.0[i]).reverse(),
+            NumLit::Float(b) => fcmp(self.0[i], *b),
+        }
     }
 }
 
@@ -187,6 +214,38 @@ impl<'v> TypedCells<'v> for StrCells<'_> {
     }
 }
 
+impl<'v> TypedCells<'v> for CodedCells<'_> {
+    type Lit = &'v str;
+
+    fn lit(&self, v: &'v Value) -> Option<&'v str> {
+        self.dict.lit(v)
+    }
+
+    #[inline]
+    fn cmp(&self, i: usize, lit: &&'v str) -> Ordering {
+        self.dict.cmp(self.codes[i] as usize, lit)
+    }
+
+    #[inline]
+    fn eq(&self, i: usize, lit: &&'v str) -> bool {
+        self.dict.eq(self.codes[i] as usize, lit)
+    }
+
+    /// `keep` runs once per code the selection holds; every other slot
+    /// with that code takes its answer.
+    fn retain(&self, sel: &mut Sel, validity: &Validity, mut keep: impl FnMut(usize) -> bool) {
+        // Per code: 0 not yet decided, 1 dropped, 2 kept.
+        let mut decided = [0u8; DICT_CAP];
+        retain_valid(sel, validity, |i| {
+            let code = self.codes[i] as usize;
+            if decided[code] == 0 {
+                decided[code] = 1 + keep(i) as u8;
+            }
+            decided[code] == 2
+        })
+    }
+}
+
 /// Runs `$body` with `$cells` bound to the typed view of `$col`.
 macro_rules! with_cells {
     ($col:expr, |$cells:ident| $body:expr) => {
@@ -203,8 +262,15 @@ macro_rules! with_cells {
                 let $cells = DateCells(v);
                 $body
             }
-            data @ ColumnVec::Str { .. } => {
-                let $cells = StrCells(data);
+            ColumnVec::Str(StrVec::Plain(arena)) => {
+                let $cells = StrCells(arena);
+                $body
+            }
+            ColumnVec::Str(StrVec::Coded(coded)) => {
+                let $cells = CodedCells {
+                    dict: StrCells(coded.dict()),
+                    codes: coded.codes(),
+                };
                 $body
             }
             ColumnVec::Val(_) => unreachable!("a boxed column ends the vectorized prefix"),
@@ -214,7 +280,7 @@ macro_rules! with_cells {
 
 /// Keeps the selected slots that are non-NULL and satisfy `keep`.
 #[inline]
-fn retain_valid(sel: &mut Sel, validity: &Validity, keep: impl Fn(usize) -> bool) {
+fn retain_valid(sel: &mut Sel, validity: &Validity, mut keep: impl FnMut(usize) -> bool) {
     if validity.any_null() {
         sel.retain(|&i| validity.is_valid(i as usize) && keep(i as usize));
     } else {
@@ -411,7 +477,7 @@ fn filter_cmp<'v, C: TypedCells<'v>>(
         return Ok(());
     }
     match cells.lit(lit) {
-        Some(l) => retain_valid(sel, validity, |i| cmp_matches(op, cells.cmp(i, &l))),
+        Some(l) => cells.retain(sel, validity, |i| cmp_matches(op, cells.cmp(i, &l))),
         None => {
             if let Some(i) = first_valid(sel, |i| validity.is_valid(i)) {
                 return Err(cannot_compare(column.value_at(i), lit));
@@ -443,13 +509,11 @@ fn filter_col_cmp(a: &Column, op: BinOp, b: &Column, sel: &mut Sel) -> EngineRes
     }
     match (a.data(), b.data()) {
         (ColumnVec::Int(x), ColumnVec::Int(y)) => retain!(|i| x[i].cmp(&y[i])),
-        (ColumnVec::Int(x), ColumnVec::Float(y)) => retain!(|i| fcmp(x[i] as f64, y[i])),
-        (ColumnVec::Float(x), ColumnVec::Int(y)) => retain!(|i| fcmp(x[i], y[i] as f64)),
+        (ColumnVec::Int(x), ColumnVec::Float(y)) => retain!(|i| int_fcmp(x[i], y[i])),
+        (ColumnVec::Float(x), ColumnVec::Int(y)) => retain!(|i| int_fcmp(y[i], x[i]).reverse()),
         (ColumnVec::Float(x), ColumnVec::Float(y)) => retain!(|i| fcmp(x[i], y[i])),
         (ColumnVec::Date(x), ColumnVec::Date(y)) => retain!(|i| x[i].cmp(&y[i])),
-        (x @ ColumnVec::Str { .. }, y @ ColumnVec::Str { .. }) => {
-            retain!(|i| x.bytes_at(i).cmp(y.bytes_at(i)))
-        }
+        (ColumnVec::Str(x), ColumnVec::Str(y)) => retain!(|i| x.bytes_at(i).cmp(y.bytes_at(i))),
         // Two typed columns of different classes: every pair of non-NULL
         // cells is incomparable.
         _ => {
@@ -474,7 +538,7 @@ fn filter_between<'v, C: TypedCells<'v>>(
     sel: &mut Sel,
 ) {
     let (low, high) = (cells.lit(low), cells.lit(high));
-    retain_valid(sel, validity, |i| {
+    cells.retain(sel, validity, |i| {
         let ge = low.as_ref().map(|l| cells.cmp(i, l) != Ordering::Less);
         let le = high.as_ref().map(|h| cells.cmp(i, h) != Ordering::Greater);
         let within = and3(ge, le);
@@ -493,7 +557,7 @@ fn filter_in<'v, C: TypedCells<'v>>(
 ) {
     let lits: Vec<C::Lit> = list.iter().filter_map(|w| cells.lit(w)).collect();
     let unknown = lits.len() < list.len();
-    retain_valid(sel, validity, |i| {
+    cells.retain(sel, validity, |i| {
         if lits.iter().any(|l| cells.eq(i, l)) {
             !negated
         } else {
@@ -756,9 +820,7 @@ pub(crate) fn materialize(
             ColumnVec::Int(v) => push_cells!(|i| Value::Int(v[i])),
             ColumnVec::Float(v) => push_cells!(|i| Value::Float(v[i])),
             ColumnVec::Date(v) => push_cells!(|i| Value::Date(apuama_sql::value::Date(v[i]))),
-            data @ ColumnVec::Str { .. } => {
-                push_cells!(|i| Value::Str(data.str_at(i).to_string()))
-            }
+            ColumnVec::Str(strs) => push_cells!(|i| Value::Str(strs.str_at(i).to_string())),
             ColumnVec::Val(v) => push_cells!(|i| v[i].clone()),
         }
     };
@@ -874,9 +936,7 @@ pub(crate) fn cell_matches(col: &Column, i: usize, stored: &Value) -> bool {
         match (col.data(), stored) {
             (ColumnVec::Int(v), Value::Int(b)) => return v[i] == *b,
             (ColumnVec::Date(v), Value::Date(d)) => return v[i] == d.0,
-            (data @ ColumnVec::Str { .. }, Value::Str(s)) => {
-                return data.bytes_at(i) == s.as_bytes()
-            }
+            (ColumnVec::Str(strs), Value::Str(s)) => return strs.bytes_at(i) == s.as_bytes(),
             _ => {}
         }
     }
@@ -894,10 +954,10 @@ pub(crate) fn hash_cell<H: Hasher>(col: &Column, i: usize, state: &mut H) {
         ColumnVec::Int(v) => hash_value(&Value::Int(v[i]), state),
         ColumnVec::Float(v) => hash_value(&Value::Float(v[i]), state),
         ColumnVec::Date(v) => hash_value(&Value::Date(apuama_sql::value::Date(v[i])), state),
-        data @ ColumnVec::Str { .. } => {
+        ColumnVec::Str(strs) => {
             // `hash_value`'s `Str` arm, on the borrowed string.
             3u8.hash(state);
-            data.str_at(i).hash(state);
+            strs.str_at(i).hash(state);
         }
         ColumnVec::Val(v) => hash_value(&v[i], state),
     }

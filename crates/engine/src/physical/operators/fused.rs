@@ -4,9 +4,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use apuama_sql::ast::Select;
 use apuama_sql::Value;
 use apuama_storage::Row;
-use apuama_storage::{Column, ColumnVec, Segment};
+use apuama_storage::{Column, ColumnVec, Segment, Validity};
 
-use crate::agg::{Acc, GroupState, Groups};
+use crate::agg::{Acc, BatchValues, GroupState, Groups};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{self, CompiledExpr, Frame};
 use crate::exec::{self, Binding, ExecContext};
@@ -45,6 +45,60 @@ enum BatchArg<'a> {
     Row(&'a CompiledExpr),
 }
 
+impl<'a> BatchArg<'a> {
+    /// The argument over the survivors `sel`, as the column-major fold
+    /// takes it; `None` for one evaluated per survivor.
+    fn values(&'a self, sel: &'a [u32]) -> Option<BatchValues<'a>> {
+        Some(match self {
+            BatchArg::None => BatchValues::None,
+            BatchArg::Cell(col) => BatchValues::Cells(col, sel),
+            BatchArg::FloatCol(v) => BatchValues::FloatCol(v, sel),
+            BatchArg::Floats(xs) => BatchValues::Floats(xs),
+            BatchArg::Row(_) => return None,
+        })
+    }
+}
+
+/// The group keys of one segment as codes, when every key column is a
+/// dictionary-coded string column: the codes, validity and radix
+/// (dictionary entries plus one for NULL) of each.
+struct CodedKeys<'a>(Vec<(&'a [u8], &'a Validity, usize)>);
+
+impl<'a> CodedKeys<'a> {
+    /// The keys `cols` of `seg` as codes, with the span of their code
+    /// tuples (one table slot per combination of the key columns'
+    /// dictionary entries and NULL) when it is at most `limit`.
+    fn of(seg: &'a Segment, cols: &[usize], limit: usize) -> Option<(CodedKeys<'a>, usize)> {
+        let keys: Vec<_> = (cols.iter())
+            .map(|&c| {
+                let col = seg.column(c);
+                match col.data() {
+                    ColumnVec::Str(strs) => {
+                        (strs.coded()).map(|(dict, codes)| (codes, col.validity(), dict.len() + 1))
+                    }
+                    _ => None,
+                }
+            })
+            .collect::<Option<_>>()?;
+        let span = (keys.iter()).try_fold(1usize, |n, &(_, _, radix)| {
+            n.checked_mul(radix).filter(|&n| n <= limit)
+        })?;
+        Some((CodedKeys(keys), span))
+    }
+
+    /// The slot of the tuple at `slot`'s code tuple in a table of `span`.
+    #[inline]
+    fn at(&self, slot: usize) -> usize {
+        (self.0.iter()).fold(0, |at, &(codes, valid, radix)| {
+            let code = match valid.is_valid(slot) {
+                true => codes[slot] as usize,
+                false => radix - 1,
+            };
+            at * radix + code
+        })
+    }
+}
+
 /// Where the fold reads a tuple's group key from.
 enum GroupKeys {
     /// Every component is a stored column: the probe compares those cells
@@ -65,12 +119,27 @@ pub(crate) struct FoldTally {
     /// Batches in which a predicate, a group key or an argument was
     /// evaluated per tuple on the scratch row.
     by_row: AtomicU64,
+    /// Batches whose survivors were folded one accumulator at a time.
+    column_major: AtomicU64,
+    /// Of those, batches whose group ids came from their key codes.
+    coded: AtomicU64,
+}
+
+/// How one batch was folded.
+#[derive(Default)]
+struct BatchForm {
+    by_row: bool,
+    column_major: bool,
+    coded: bool,
 }
 
 impl FoldTally {
-    fn count(&self, by_row: bool) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.by_row.fetch_add(by_row as u64, Ordering::Relaxed);
+    fn count(&self, form: BatchForm) {
+        let add = |n: &AtomicU64, yes: bool| n.fetch_add(yes as u64, Ordering::Relaxed);
+        add(&self.batches, true);
+        add(&self.by_row, form.by_row);
+        add(&self.column_major, form.column_major);
+        add(&self.coded, form.coded);
     }
 
     /// Lists the tally under the operator's `EXPLAIN ANALYZE` node.
@@ -87,6 +156,14 @@ impl FoldTally {
                     batches - by_row
                 ),
             );
+            let (column_major, coded) = (
+                self.column_major.load(Ordering::Relaxed),
+                self.coded.load(Ordering::Relaxed),
+            );
+            az.add_note(
+                probe,
+                format!("column-major: {column_major} batch(es), {coded} by coded group keys"),
+            );
         }
     }
 }
@@ -99,6 +176,9 @@ pub(crate) struct FoldScratch {
     sel: Sel,
     keys: Vec<Value>,
     floats: Vec<Vec<f64>>,
+    /// The survivors' group ids, and the code-tuple table they come from.
+    ids: Vec<u32>,
+    code_groups: Vec<u32>,
 }
 
 /// The fused kernel's fold, specialized once per execution and then shared
@@ -109,12 +189,12 @@ pub(crate) struct FoldScratch {
 ///
 /// It reads the stored segment columns: the predicates through the
 /// vectorized prefix ([`ScanPreds`]), plain-column group keys and arguments
-/// cell by cell, `+ − ×` arguments once per batch over `f64` slices. What
-/// is left to the row — a predicate past the prefix, a key expression, an
-/// argument without a vector form or over a column that is not `Float` and
-/// NULL-free in this segment — is evaluated per survivor on a scratch row
-/// filled with just the cells it reads. That per-survivor evaluation is
-/// the one scalar fold body.
+/// cell by cell — group keys by their codes where the segment stores them
+/// dictionary-coded — and `+ − ×` arguments once per batch over `f64`
+/// slices. What is left to the row — a predicate past the prefix, a key
+/// expression, an argument without a vector form or over a column that is
+/// not `Float` and NULL-free in this segment — is evaluated per survivor on
+/// a scratch row filled with just the cells it reads.
 pub(crate) struct FusedFold<'p> {
     plan: &'p FusedPlan,
     pub(crate) preds: ScanPreds,
@@ -186,6 +266,8 @@ impl<'p> FusedFold<'p> {
             sel: Sel::new(),
             keys: Vec::new(),
             floats: Vec::new(),
+            ids: Vec::new(),
+            code_groups: Vec::new(),
         }
     }
 
@@ -226,9 +308,110 @@ impl<'p> FusedFold<'p> {
         self.agg_args.iter().map(batch_arg).collect()
     }
 
+    /// The group of the tuple at `slot`, found or created as the row loop
+    /// finds it: a new group's representative is that tuple. `row` is the
+    /// scratch row, holding the cells the key programs read.
+    fn group_of(
+        &self,
+        seg: &Segment,
+        slot: usize,
+        row: &[Value],
+        key_vals: &mut Vec<Value>,
+        groups: &mut Groups,
+        ctx: &ExecContext<'_>,
+    ) -> EngineResult<usize> {
+        let new_state = || GroupState {
+            rep_row: seg.row(slot),
+            accs: self.plan.specs.iter().map(Acc::new).collect(),
+        };
+        Ok(match &self.keys {
+            GroupKeys::Cells(cols) => groups.index_of(
+                || {
+                    let mut hasher = FnvHasher::new();
+                    for &c in cols {
+                        hash_cell(seg.column(c), slot, &mut hasher);
+                    }
+                    hasher.finish()
+                },
+                |stored| {
+                    (cols.iter().zip(stored)).all(|(&c, s)| cell_matches(seg.column(c), slot, s))
+                },
+                || cols.iter().map(|&c| seg.column(c).value_at(slot)).collect(),
+                new_state,
+            ),
+            GroupKeys::Row(_) => {
+                // A fused statement's programs are positional: no frame is
+                // consulted.
+                eval_key_scratch(&self.key_progs, row, &[], ctx, key_vals)?;
+                groups.index_by_progs(&self.key_progs, row, key_vals, new_state)
+            }
+        })
+    }
+
+    /// Each survivor's group, in survivor order, into `ids`: the groups
+    /// are found and created in the order, and with the representatives,
+    /// the row loop finds and creates them. Without GROUP BY every id is
+    /// the one group's; over key columns that are all dictionary-coded in
+    /// this segment, a code tuple's group is looked up once and its id
+    /// kept in `table` for the tuples after it (two tuples share a code
+    /// tuple exactly when they share a key) — when the table has no more
+    /// slots than the batch has survivors, so resetting it costs no more
+    /// than the probes it saves; otherwise each is looked up.
+    /// Returns whether the ids came from the codes.
+    #[allow(clippy::too_many_arguments)]
+    fn group_ids(
+        &self,
+        seg: &Segment,
+        sel: &[u32],
+        row_cols: &[usize],
+        scratch: &mut RowScratch,
+        key_vals: &mut Vec<Value>,
+        ids: &mut Vec<u32>,
+        table: &mut Vec<u32>,
+        groups: &mut Groups,
+        ctx: &ExecContext<'_>,
+    ) -> EngineResult<bool> {
+        ids.clear();
+        if let GroupKeys::Cells(cols) = &self.keys {
+            if cols.is_empty() {
+                let gi = self.group_of(seg, sel[0] as usize, &[], key_vals, groups, ctx)?;
+                ids.resize(sel.len(), gi as u32);
+                return Ok(false);
+            }
+            if let Some((coded, span)) = CodedKeys::of(seg, cols, sel.len()) {
+                table.clear();
+                table.resize(span, u32::MAX);
+                for &slot in sel {
+                    let slot = slot as usize;
+                    let at = coded.at(slot);
+                    if table[at] == u32::MAX {
+                        table[at] = self.group_of(seg, slot, &[], key_vals, groups, ctx)? as u32;
+                    }
+                    ids.push(table[at]);
+                }
+                return Ok(true);
+            }
+        }
+        for &slot in sel {
+            let slot = slot as usize;
+            let row = scratch.fill(seg, slot, row_cols);
+            ids.push(self.group_of(seg, slot, row, key_vals, groups, ctx)? as u32);
+        }
+        Ok(false)
+    }
+
     /// Folds the `slots` of `seg` — a scan batch or a morsel — into
     /// `groups` and returns the `cpu_tuple_ops` they cost: one per
     /// predicate evaluated, one per surviving row's aggregation update.
+    ///
+    /// A batch is folded column-major — every survivor's group id first
+    /// ([`Self::group_ids`]), then one accumulator at a time over all of
+    /// them ([`Groups::fold_column`]) — when that cannot change which
+    /// error surfaces first: no predicate is left to the row, no argument
+    /// is evaluated per row, and no accumulator can fail on the values the
+    /// batch hands it. Then the only error left is a key program's, raised
+    /// in row order either way. Otherwise the batch runs the row loop:
+    /// predicates, key and every accumulator tuple by tuple.
     pub(crate) fn fold(
         &self,
         seg: &Segment,
@@ -242,6 +425,8 @@ impl<'p> FusedFold<'p> {
             sel,
             keys: key_vals,
             floats,
+            ids,
+            code_groups,
         } = scratch;
         let (done, mut cpu) = self.preds.filter_prefix(seg, slots, sel)?;
         // What the prefix left to the row runs interleaved with the
@@ -251,7 +436,7 @@ impl<'p> FusedFold<'p> {
         // non-NULL row it sees or on none.)
         let rest = self.preds.has_rest(done);
         if sel.is_empty() {
-            self.tally.count(false);
+            self.tally.count(BatchForm::default());
             return Ok(cpu);
         }
 
@@ -263,57 +448,64 @@ impl<'p> FusedFold<'p> {
         };
         let args = self.batch_args(seg, sel, floats, &mut row_cols);
         let row_cols = sorted_dedup(row_cols);
-        self.tally.count(
-            rest || matches!(self.keys, GroupKeys::Row(_))
-                || args.iter().any(|a| matches!(a, BatchArg::Row(_))),
-        );
+        let by_row = rest
+            || matches!(self.keys, GroupKeys::Row(_))
+            || args.iter().any(|a| matches!(a, BatchArg::Row(_)));
+        let columns: Option<Vec<BatchValues<'_>>> = match rest {
+            true => None,
+            false => (args.iter().zip(&self.plan.specs))
+                .map(|(arg, spec)| arg.values(sel).filter(|v| spec.folds_without_error(v)))
+                .collect(),
+        };
 
-        for (k, &slot) in sel.iter().enumerate() {
-            let slot = slot as usize;
-            // A fused statement's programs are positional: no frame is
-            // consulted.
-            if rest
-                && !self
-                    .preds
-                    .keep_rest(done, seg, slot, row, &[], ctx, || cpu += 1)?
-            {
-                continue;
+        if let Some(columns) = columns {
+            cpu += sel.len() as u64; // one aggregation update per survivor
+            let coded = self.group_ids(
+                seg,
+                sel,
+                &row_cols,
+                row,
+                key_vals,
+                ids,
+                code_groups,
+                groups,
+                ctx,
+            )?;
+            for (j, values) in columns.into_iter().enumerate() {
+                groups.fold_column(j, ids, values)?;
             }
-            cpu += 1; // the aggregation update the general loop charges
-            let row = row.fill(seg, slot, &row_cols);
-            let new_state = || GroupState {
-                rep_row: seg.row(slot),
-                accs: self.plan.specs.iter().map(Acc::new).collect(),
-            };
-            let group = match &self.keys {
-                GroupKeys::Cells(cols) => groups.find_or_insert_with(
-                    || {
-                        let mut hasher = FnvHasher::new();
-                        for &c in cols {
-                            hash_cell(seg.column(c), slot, &mut hasher);
-                        }
-                        hasher.finish()
-                    },
-                    |stored| {
-                        (cols.iter().zip(stored))
-                            .all(|(&c, s)| cell_matches(seg.column(c), slot, s))
-                    },
-                    || cols.iter().map(|&c| seg.column(c).value_at(slot)).collect(),
-                    new_state,
-                ),
-                GroupKeys::Row(_) => {
-                    eval_key_scratch(&self.key_progs, row, &[], ctx, key_vals)?;
-                    groups.find_or_insert(&self.key_progs, row, key_vals, new_state)
+            self.tally.count(BatchForm {
+                by_row,
+                column_major: true,
+                coded,
+            });
+        } else {
+            self.tally.count(BatchForm {
+                by_row,
+                ..BatchForm::default()
+            });
+            for (k, &slot) in sel.iter().enumerate() {
+                let slot = slot as usize;
+                if rest
+                    && !self
+                        .preds
+                        .keep_rest(done, seg, slot, row, &[], ctx, || cpu += 1)?
+                {
+                    continue;
                 }
-            };
-            for (arg, acc) in args.iter().zip(group.accs.iter_mut()) {
-                match arg {
-                    BatchArg::None => acc.update(None)?,
-                    BatchArg::Cell(col) => acc.update_cell(col, slot)?,
-                    BatchArg::FloatCol(v) => acc.update_f64(v[slot])?,
-                    BatchArg::Floats(xs) => acc.update_f64(xs[k])?,
-                    BatchArg::Row(prog) => {
-                        acc.update(Some(eval::eval_compiled(prog, row, &[], ctx)?))?
+                cpu += 1; // the aggregation update the general loop charges
+                let row = row.fill(seg, slot, &row_cols);
+                let gi = self.group_of(seg, slot, row, key_vals, groups, ctx)?;
+                let group = groups.state_mut(gi);
+                for (arg, acc) in args.iter().zip(group.accs.iter_mut()) {
+                    match arg {
+                        BatchArg::None => acc.update(None)?,
+                        BatchArg::Cell(col) => acc.update_cell(col, slot)?,
+                        BatchArg::FloatCol(v) => acc.update_f64(v[slot])?,
+                        BatchArg::Floats(xs) => acc.update_f64(xs[k])?,
+                        BatchArg::Row(prog) => {
+                            acc.update(Some(eval::eval_compiled(prog, row, &[], ctx)?))?
+                        }
                     }
                 }
             }

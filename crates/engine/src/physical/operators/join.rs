@@ -5,7 +5,7 @@ use std::time::Instant;
 use apuama_sql::ast::Expr;
 use apuama_sql::value::hash_value;
 use apuama_sql::Value;
-use apuama_storage::{Column, Row, Segment};
+use apuama_storage::{Column, ColumnVec, Row, Segment};
 
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{self, CompiledExpr, Frame, Scope};
@@ -263,6 +263,19 @@ impl<'e> Operator<'e> for JoinExec<'e> {
             edges: &g.edges,
         };
         let steps = greedy_steps(driving, driver_rows, &order_inputs, tables, outer, ctx)?;
+        if let Some(scan) = &mut driver_scan {
+            let filters = key_filters(&steps, driving, &relations, &g.edges, &names, outer, ctx);
+            for (step, filter) in filters {
+                let before = scan.rows();
+                cpu += filter.narrow(scan);
+                let after = scan.rows();
+                self.note(|| {
+                    let on = on(&steps[step].edges);
+                    let name = &names[steps[step].input];
+                    format!("∈ keys of {name} on {on}: {before} → {after}")
+                });
+            }
+        }
         let driver = match &driver_scan {
             Some(scan) => Driver::Selected(scan),
             None => Driver::Rows(&relations[driving].rows),
@@ -432,6 +445,129 @@ fn driver_preds_after(steps: &[Step]) -> usize {
     (steps.iter())
         .take_while(|s| (s.table.as_ref()).is_some_and(|t| t.error.is_none() && t.unique))
         .count()
+}
+
+// ---------------------------------------------------------------------------
+// Key filters
+// ---------------------------------------------------------------------------
+
+/// The build keys of one hash step as a membership test on a column of
+/// the driving base table: a tuple whose key is not among them can match
+/// no row of the step, so it is dropped from the driving selection before
+/// the stream starts — never probed, gathered or tested by a deferred
+/// conjunct. A step yields one when it joins by one edge, its probing
+/// side is a column of the driving input, and its build keys that are not
+/// NULL are all `Int`. The test then acts only on segments that store the
+/// driving column as `Int`: there a tuple matches a row exactly when its
+/// key is one of the row keys, and a NULL key matches none. (`1 = 1.0`
+/// matches, so over a column that holds a `Float` the step decides.)
+/// Only a tuple the step would drop is dropped; what changes is where: an
+/// error a stage before the step would have raised on it no longer
+/// surfaces (DESIGN.md §10).
+struct KeyFilter {
+    /// The column's position in the driving input's bindings.
+    pos: usize,
+    keys: IntKeys,
+}
+
+/// A set of integers: a bitset over `[min, max]`, or the sorted keys when
+/// the bitset would be larger than they are. The sorted form alone bounds
+/// memory; the bitset is kept because it pays on the dense keys TPC-H's
+/// filters see: traced `olap_power` runs on a two-vCPU host, alternating
+/// with a build that binary-searches the sorted keys everywhere, read
+/// Q5's node time 7.42 → 5.27 ms in the median, lower in 9 of 10 pairs, a
+/// gap wider than the sorted build's inter-quartile distance (1.58 ms);
+/// Q21's did not move (BENCH_HISTORY.md).
+enum IntKeys {
+    Bits { min: i64, bits: Vec<u64> },
+    Sorted(Vec<i64>),
+}
+
+impl IntKeys {
+    fn new(mut keys: Vec<i64>) -> IntKeys {
+        keys.sort_unstable();
+        keys.dedup();
+        match (keys.first(), keys.last()) {
+            (Some(&min), Some(&max)) if max.abs_diff(min) / 64 < keys.len() as u64 => {
+                let mut bits = vec![0u64; (max.abs_diff(min) / 64 + 1) as usize];
+                for k in keys {
+                    let at = k.abs_diff(min);
+                    bits[(at / 64) as usize] |= 1 << (at % 64);
+                }
+                IntKeys::Bits { min, bits }
+            }
+            _ => IntKeys::Sorted(keys),
+        }
+    }
+
+    #[inline]
+    fn contains(&self, k: i64) -> bool {
+        match self {
+            IntKeys::Bits { min, bits } => {
+                let at = k.abs_diff(*min);
+                k >= *min
+                    && (bits.get((at / 64) as usize)).is_some_and(|w| w & (1 << (at % 64)) != 0)
+            }
+            IntKeys::Sorted(keys) => keys.binary_search(&k).is_ok(),
+        }
+    }
+}
+
+impl KeyFilter {
+    /// Drops the tuples of `scan` the filter rules out; returns how many it
+    /// tested, one cpu op each.
+    fn narrow(&self, scan: &mut ScanSelection<'_>) -> u64 {
+        let col = scan.cols.as_ref().map_or(self.pos, |cols| cols[self.pos]);
+        let mut tested = 0;
+        for (seg, sel) in &mut scan.units {
+            let column = seg.column(col);
+            if let ColumnVec::Int(v) = column.data() {
+                tested += sel.len() as u64;
+                let valid = column.validity();
+                sel.retain(|&s| valid.is_valid(s as usize) && self.keys.contains(v[s as usize]));
+            }
+        }
+        scan.units.retain(|(_, sel)| !sel.is_empty());
+        tested
+    }
+}
+
+/// The key filters the steps yield, each with its step's index, in step
+/// order. A step's probing side is compiled as its stage compiles it:
+/// against the bindings of the driver and the inputs bound before it.
+fn key_filters(
+    steps: &[Step],
+    driving: usize,
+    relations: &[Relation],
+    edges: &[JoinEdge],
+    names: &[String],
+    outer: &[Frame<'_>],
+    ctx: &ExecContext<'_>,
+) -> Vec<(usize, KeyFilter)> {
+    let width = relations[driving].bindings.len();
+    let mut bindings = relations[driving].bindings.clone();
+    let mut filters = Vec::new();
+    for (k, step) in steps.iter().enumerate() {
+        let build = &relations[step.input];
+        let filter = match (&step.table, &step.edges[..]) {
+            (Some(table @ JoinTable { error: None, .. }), &[e]) => {
+                let (others, _) = edge_sides(&[&edges[e]], &names[step.input]);
+                match eval::compile_expr(others[0], &Scope::new(&bindings, outer, ctx)) {
+                    CompiledExpr::Col(pos) if pos < width => {
+                        (table.int_keys(&build.rows)).map(|keys| KeyFilter {
+                            pos,
+                            keys: IntKeys::new(keys),
+                        })
+                    }
+                    _ => None,
+                }
+            }
+            _ => None,
+        };
+        filters.extend(filter.map(|f| (k, f)));
+        bindings.extend(build.bindings.iter().cloned());
+    }
+    filters
 }
 
 // ---------------------------------------------------------------------------
@@ -865,6 +1001,22 @@ impl JoinTable {
             table.distinct = rows.len();
         }
         Ok(table)
+    }
+
+    /// The keys of a one-component table over `rows` that are not NULL,
+    /// when every one is an `Int`.
+    fn int_keys(&self, rows: &[Row]) -> Option<Vec<i64>> {
+        let width = self.keys.evaluated();
+        let mut keys = Vec::with_capacity(rows.len());
+        for (r, row) in rows.iter().enumerate() {
+            let stored = &self.evaluated[r * width..(r + 1) * width];
+            match self.keys.component(0, row, stored) {
+                Value::Null => {}
+                Value::Int(k) => keys.push(*k),
+                _ => return None,
+            }
+        }
+        Some(keys)
     }
 
     /// Adds the next row of `rows` (they arrive in order), taking its

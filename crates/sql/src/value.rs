@@ -278,8 +278,8 @@ impl Value {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).partial_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.partial_cmp(&(*b as f64)),
+            (Value::Int(a), Value::Float(b)) => cmp_int_float(*a, *b),
+            (Value::Float(a), Value::Int(b)) => cmp_int_float(*b, *a).map(Ordering::reverse),
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             (Value::Date(a), Value::Date(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
@@ -326,6 +326,28 @@ impl Value {
     }
 }
 
+/// An integer against a float, exactly: `None` only for NaN. Converting the
+/// integer to `f64` would round beyond 2^53 and make `2^53 + 1` equal to
+/// the float `2^53` while greater than the integer `2^53` — no order a sort
+/// may rely on. The float's integral part is compared as an integer
+/// instead, then its fraction; every `i64` equal to a float converts to
+/// that float exactly, so [`hash_value`] still hashes equal values alike.
+pub fn cmp_int_float(a: i64, b: f64) -> Option<Ordering> {
+    // 2^63, exactly representable: every float at or above it exceeds
+    // every `i64`, every float below -2^63 is below them.
+    const LIMIT: f64 = 9_223_372_036_854_775_808.0;
+    if b.is_nan() {
+        None
+    } else if b >= LIMIT {
+        Some(Ordering::Less)
+    } else if b < -LIMIT {
+        Some(Ordering::Greater)
+    } else {
+        let whole = b.trunc();
+        Some(a.cmp(&(whole as i64)).then(0.0.partial_cmp(&(b - whole))?))
+    }
+}
+
 /// Wrapper giving [`Value`] `Eq + Hash` semantics suitable for hash tables
 /// (NULL equals NULL — SQL GROUP BY treats NULLs as one group; hash joins in
 /// the engine filter NULL keys before probing, matching SQL join semantics).
@@ -364,7 +386,12 @@ pub fn hash_value<H: std::hash::Hasher>(v: &Value, state: &mut H) {
         }
         Value::Float(f) => {
             2u8.hash(state);
-            let canon = if *f == 0.0 { 0.0 } else { *f };
+            // `sort_cmp` equates the zeros and the NaNs: so must the hash.
+            let canon = match *f {
+                0.0 => 0.0,
+                f if f.is_nan() => f64::NAN,
+                f => f,
+            };
             canon.to_bits().hash(state);
         }
         Value::Str(s) => {
@@ -522,6 +549,99 @@ mod tests {
         assert_eq!(vals[1], Value::Int(1));
     }
 
+    /// `sort_cmp` is antisymmetric and transitive over every triple of
+    /// `vals`, and values it calls equal hash alike.
+    fn assert_total_order(vals: &[Value]) {
+        let hash = |v: &Value| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            hash_value(v, &mut h);
+            std::hash::Hasher::finish(&h)
+        };
+        for a in vals {
+            for b in vals {
+                let ab = a.sort_cmp(b);
+                assert_eq!(ab, b.sort_cmp(a).reverse(), "{a:?} vs {b:?}");
+                if ab == Ordering::Equal {
+                    assert_eq!(hash(a), hash(b), "{a:?} vs {b:?}");
+                }
+                for c in vals {
+                    let bc = b.sort_cmp(c);
+                    if ab != Ordering::Greater && bc != Ordering::Greater {
+                        let ac = a.sort_cmp(c);
+                        assert_ne!(ac, Ordering::Greater, "{a:?} ≤ {b:?} ≤ {c:?}");
+                        if ab == Ordering::Less || bc == Ordering::Less {
+                            assert_eq!(ac, Ordering::Less, "{a:?} ≤ {b:?} ≤ {c:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Beyond 2^53 an `i64` has no `f64` of its own: rounded, `2^53 + 1`
+    /// would equal the float `2^53` that equals the integer `2^53`, while
+    /// the two integers differ — and a sort over the three may panic. The
+    /// comparison is exact instead, out to the ends of `i64`, and `1 = 1.0`
+    /// still holds.
+    #[test]
+    fn integers_beyond_2_pow_53_compare_exactly_with_floats() {
+        let p53 = 1i64 << 53;
+        let vals = [
+            Value::Int(p53 - 1),
+            Value::Int(p53),
+            Value::Int(p53 + 1),
+            Value::Int(p53 + 2),
+            Value::Float(p53 as f64),
+            Value::Float((p53 + 2) as f64),
+            Value::Float(p53 as f64 + 0.5),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MAX - 1),
+            Value::Float(i64::MAX as f64),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MIN + 1),
+            Value::Float(i64::MIN as f64),
+            Value::Float(-9.3e18),
+            Value::Int(-1),
+            Value::Float(-1.5),
+            Value::Float(-1.0),
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(f64::NAN),
+        ];
+        assert_total_order(&vals);
+        let (int, float) = (Value::Int, Value::Float);
+        assert_eq!(int(p53).sql_cmp(&float(p53 as f64)), Some(Ordering::Equal));
+        assert_eq!(
+            int(p53 + 1).sql_cmp(&float(p53 as f64)),
+            Some(Ordering::Greater)
+        );
+        assert_eq!(
+            float(p53 as f64).sql_cmp(&int(p53 + 1)),
+            Some(Ordering::Less)
+        );
+        assert_eq!(
+            int(i64::MAX).sql_cmp(&float(i64::MAX as f64)),
+            Some(Ordering::Less)
+        );
+        assert_eq!(
+            int(i64::MIN).sql_cmp(&float(i64::MIN as f64)),
+            Some(Ordering::Equal)
+        );
+        assert_eq!(int(1).sql_cmp(&float(1.0)), Some(Ordering::Equal));
+        assert_eq!(int(-2).sql_cmp(&float(-1.5)), Some(Ordering::Less));
+        assert_eq!(int(0).sql_cmp(&float(-0.0)), Some(Ordering::Equal));
+        assert_eq!(int(0).sql_cmp(&float(f64::NAN)), None);
+        let mut sorted = vals.to_vec();
+        sorted.sort_by(|a, b| a.sort_cmp(b));
+        assert!(sorted
+            .windows(2)
+            .all(|w| w[0].sort_cmp(&w[1]) != Ordering::Greater));
+    }
+
     /// Antisymmetric and transitive over every triple. Under a comparator
     /// that is not — NaN equal to both 1 and 3 while 1 < 3 — the standard
     /// library's sort may panic.
@@ -542,22 +662,7 @@ mod tests {
             Value::Float(f64::NAN),
             Value::Float(-f64::NAN),
         ];
-        for a in &vals {
-            for b in &vals {
-                let ab = a.sort_cmp(b);
-                assert_eq!(ab, b.sort_cmp(a).reverse(), "{a:?} vs {b:?}");
-                for c in &vals {
-                    let bc = b.sort_cmp(c);
-                    if ab != Ordering::Greater && bc != Ordering::Greater {
-                        let ac = a.sort_cmp(c);
-                        assert_ne!(ac, Ordering::Greater, "{a:?} ≤ {b:?} ≤ {c:?}");
-                        if ab == Ordering::Less || bc == Ordering::Less {
-                            assert_eq!(ac, Ordering::Less, "{a:?} ≤ {b:?} ≤ {c:?}");
-                        }
-                    }
-                }
-            }
-        }
+        assert_total_order(&vals);
         let nan = Value::Float(f64::NAN);
         assert_eq!(nan.sort_cmp(&Value::Int(i64::MAX)), Ordering::Greater);
         assert_eq!(

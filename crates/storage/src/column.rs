@@ -4,12 +4,21 @@
 //! vector ([`ColumnVec`]) plus a [`Validity`] bitmap marking which slots
 //! hold non-NULL values. The representation follows the values it is
 //! given — a column whose non-NULL values are all `Int` is an `Int(Vec<i64>)`,
-//! all-`Float` a `Float(Vec<f64>)`, strings share one byte arena with an
-//! offsets vector — and the first value that does not fit (a `Float` into
-//! an `Int` column, a boolean, an interval) degrades the whole column to a
-//! flat `Vec<Value>`, replaying the typed slots accumulated so far. Leading
-//! NULLs fix nothing: a column that is all NULL so far takes the
-//! representation of its first non-NULL value.
+//! all-`Float` a `Float(Vec<f64>)`, strings a [`StrVec`] — and the first
+//! value that does not fit (a `Float` into an `Int` column, a boolean, an
+//! interval) degrades the whole column to a flat `Vec<Value>`, replaying the
+//! typed slots accumulated so far. Leading NULLs fix nothing: a column that
+//! is all NULL so far takes the representation of its first non-NULL value.
+//!
+//! Strings degrade in one more step of the same kind. A string column
+//! starts dictionary-coded: one byte per slot, a code into the segment's
+//! own dictionary of the distinct strings written to it, while there are at
+//! most [`DICT_CAP`] of them. The first string past the cap falls the
+//! column back, once, to a per-slot arena (every string back to back, an
+//! offsets vector) — TPC-H's flags, modes and priorities stay coded, its
+//! comments do not. A dictionary keeps an entry an overwrite left unused
+//! until the column is rebuilt ([`crate::Heap::compact`]), so a code is
+//! never reassigned under a reader.
 //!
 //! The engine's vectorized predicates, aggregate arguments and probes read
 //! the typed vectors directly (`physical::columns` in the engine crate);
@@ -81,50 +90,264 @@ impl Validity {
     }
 }
 
+/// How many distinct strings a segment's dictionary holds at most: what a
+/// one-byte code can name.
+pub const DICT_CAP: usize = 256;
+
+/// Strings back to back in one arena; string `i` is
+/// `arena[offsets[i] as usize..offsets[i + 1] as usize]`.
+#[derive(Debug, Clone)]
+pub struct StrArena {
+    arena: String,
+    offsets: Vec<u32>,
+}
+
+impl Default for StrArena {
+    fn default() -> Self {
+        StrArena {
+            arena: String::new(),
+            offsets: vec![0],
+        }
+    }
+}
+
+impl StrArena {
+    /// How many strings it holds.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The bytes of string `i`: what comparisons read, since `str` orders
+    /// bytewise and a byte slice needs no char-boundary check.
+    #[inline]
+    pub fn bytes_at(&self, i: usize) -> &[u8] {
+        &self.arena.as_bytes()[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    #[inline]
+    pub fn str_at(&self, i: usize) -> &str {
+        &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Offsets are 32-bit: whether `extra` more bytes still fit.
+    fn fits(&self, extra: usize) -> bool {
+        u32::try_from(self.arena.len() + extra).is_ok()
+    }
+
+    fn push(&mut self, s: &str) {
+        self.arena.push_str(s);
+        self.offsets.push(self.arena.len() as u32);
+    }
+
+    fn set(&mut self, i: usize, s: &str) {
+        let (start, end) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
+        self.arena.replace_range(start..end, s);
+        // Shift what follows by the change in length (modulo 2³²: a shrink
+        // is a wrapping add).
+        let delta = ((start + s.len()) as u32).wrapping_sub(end as u32);
+        for o in &mut self.offsets[i + 1..] {
+            *o = o.wrapping_add(delta);
+        }
+    }
+}
+
+/// A string column's slots. Slots whose validity bit is clear hold an
+/// arbitrary code or the empty string.
+#[derive(Debug, Clone)]
+pub enum StrVec {
+    Coded(Coded),
+    /// One arena entry per slot: a column that outgrew [`DICT_CAP`].
+    Plain(StrArena),
+}
+
+/// Dictionary-coded strings: slot `i` is `dict` entry `codes[i]`. Entries
+/// are distinct, so two slots hold equal strings exactly when they hold
+/// equal codes.
+#[derive(Debug, Clone, Default)]
+pub struct Coded {
+    dict: StrArena,
+    /// A fingerprint of each entry ([`fingerprint`]): a string's bytes are
+    /// compared only with the entries whose fingerprint matches its own.
+    prints: Vec<u32>,
+    /// An open-addressing index over the fingerprints: slot → code + 1, 0
+    /// for empty. A power of two at least twice the entries, so a probe
+    /// ends at an empty slot after a few steps.
+    slots: Vec<u16>,
+    codes: Vec<u8>,
+}
+
+/// A cheap hash of a string: its length and its first and last eight
+/// bytes, which tell apart the strings that share a prefix (`Clerk#…`) or a
+/// length. Short strings are read in two overlapping loads, not a byte at
+/// a time.
+#[inline]
+fn fingerprint(s: &[u8]) -> u32 {
+    let word = |b: &[u8]| -> u64 {
+        let n = b.len();
+        let at = |i: usize, w: usize| {
+            (b[i..i + w].iter().rev()).fold(0u64, |acc, &x| (acc << 8) | x as u64)
+        };
+        match n {
+            8.. => at(0, 8),
+            4..=7 => at(0, 4) | at(n - 4, 4) << 32,
+            1..=3 => b[0] as u64 | (b[n / 2] as u64) << 8 | (b[n - 1] as u64) << 16,
+            0 => 0,
+        }
+    };
+    let n = s.len();
+    let head = word(&s[..n.min(8)]);
+    let tail = if n <= 8 { head } else { word(&s[n - 8..]) };
+    let h = (head ^ tail.rotate_left(29) ^ n as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    (h >> 32) as u32
+}
+
+impl Coded {
+    pub fn dict(&self) -> &StrArena {
+        &self.dict
+    }
+
+    pub fn codes(&self) -> &[u8] {
+        &self.codes
+    }
+
+    /// Where `s`, whose fingerprint is `print`, is in the dictionary, if it
+    /// is.
+    fn position(&self, s: &str, print: u32) -> Option<usize> {
+        // Compared inline: a dictionary's strings are mostly a few bytes,
+        // shorter than a call to compare them takes.
+        let same = |at: usize| {
+            let entry = self.dict.bytes_at(at);
+            self.prints[at] == print
+                && entry.len() == s.len()
+                && entry.iter().zip(s.as_bytes()).all(|(a, b)| a == b)
+        };
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = print as usize & mask;
+        loop {
+            match self.slots[slot] {
+                0 => return None,
+                code if same(code as usize - 1) => return Some(code as usize - 1),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Enters `s`, absent so far, as the next entry; returns its position.
+    fn enter(&mut self, s: &str, print: u32) -> usize {
+        self.dict.push(s);
+        self.prints.push(print);
+        let at = self.prints.len() - 1;
+        if 2 * self.prints.len() > self.slots.len() {
+            // Twice the slots: every entry is indexed again.
+            self.slots = vec![0; (2 * self.slots.len()).max(8)];
+            for (entry, &p) in self.prints.iter().enumerate() {
+                Self::index(&mut self.slots, p, entry);
+            }
+        } else {
+            Self::index(&mut self.slots, print, at);
+        }
+        at
+    }
+
+    fn index(slots: &mut [u16], print: u32, entry: usize) {
+        let mask = slots.len() - 1;
+        let mut slot = print as usize & mask;
+        while slots[slot] != 0 {
+            slot = (slot + 1) & mask;
+        }
+        slots[slot] = entry as u16 + 1;
+    }
+
+    /// Whether `s` can be coded: it has a code, or there is room for one.
+    fn takes(&self, s: &str) -> bool {
+        (self.dict.len() < DICT_CAP && self.dict.fits(s.len()))
+            || self.position(s, fingerprint(s.as_bytes())).is_some()
+    }
+
+    /// The code `s` has, entering it into the dictionary if it has none;
+    /// `None` when it has none and there is no room for it.
+    fn code(&mut self, s: &str) -> Option<u8> {
+        let print = fingerprint(s.as_bytes());
+        let at = match self.position(s, print) {
+            Some(at) => at,
+            None if self.dict.len() < DICT_CAP && self.dict.fits(s.len()) => self.enter(s, print),
+            None => return None,
+        };
+        Some(u8::try_from(at).expect("a dictionary holds at most DICT_CAP entries"))
+    }
+}
+
+impl StrVec {
+    #[inline]
+    pub fn bytes_at(&self, i: usize) -> &[u8] {
+        match self {
+            StrVec::Coded(c) => c.dict.bytes_at(c.codes[i] as usize),
+            StrVec::Plain(arena) => arena.bytes_at(i),
+        }
+    }
+
+    #[inline]
+    pub fn str_at(&self, i: usize) -> &str {
+        match self {
+            StrVec::Coded(c) => c.dict.str_at(c.codes[i] as usize),
+            StrVec::Plain(arena) => arena.str_at(i),
+        }
+    }
+
+    /// The dictionary and the codes of a coded column.
+    #[inline]
+    pub fn coded(&self) -> Option<(&StrArena, &[u8])> {
+        match self {
+            StrVec::Coded(c) => Some((&c.dict, &c.codes)),
+            StrVec::Plain(_) => None,
+        }
+    }
+
+    /// The arena holding what these slots hold — the empty string where
+    /// `validity` says NULL — when its offsets can address it.
+    fn plain(&self, validity: &Validity) -> Option<StrArena> {
+        let n = validity.len();
+        let valid = || (0..n).filter(|&i| validity.is_valid(i));
+        let bytes: usize = valid().map(|i| self.bytes_at(i).len()).sum();
+        let mut arena = StrArena {
+            arena: String::with_capacity(bytes),
+            offsets: Vec::with_capacity(n + 1),
+        };
+        arena.offsets.push(0);
+        if !arena.fits(bytes) {
+            return None;
+        }
+        for i in 0..n {
+            arena.push(if validity.is_valid(i) {
+                self.str_at(i)
+            } else {
+                ""
+            });
+        }
+        Some(arena)
+    }
+}
+
 /// One column's values in typed, flat form. Slots whose validity bit is
-/// clear hold an arbitrary placeholder (0, 0.0, the empty string) and must
-/// never be read as data.
+/// clear hold an arbitrary placeholder (0, 0.0, the empty string, any
+/// code) and must never be read as data.
 #[derive(Debug, Clone)]
 pub enum ColumnVec {
     Int(Vec<i64>),
     Float(Vec<f64>),
     /// Days since the epoch — [`apuama_sql::value::Date`]'s wire form.
     Date(Vec<i32>),
-    /// All string payloads back to back in one arena; string `i` is
-    /// `arena[offsets[i] as usize..offsets[i + 1] as usize]`.
-    Str {
-        arena: String,
-        offsets: Vec<u32>,
-    },
+    Str(StrVec),
     /// Mixed- or exotic-typed columns, and columns that are all NULL so
     /// far: one flat vector of boxed values.
     Val(Vec<Value>),
-}
-
-impl ColumnVec {
-    /// The bytes of the string at slot `i` (callers guarantee the column is
-    /// `Str`): what comparisons read, since `str` orders bytewise and a
-    /// byte slice needs no char-boundary check.
-    #[inline]
-    pub fn bytes_at(&self, i: usize) -> &[u8] {
-        match self {
-            ColumnVec::Str { arena, offsets } => {
-                &arena.as_bytes()[offsets[i] as usize..offsets[i + 1] as usize]
-            }
-            _ => unreachable!("bytes_at on a non-Str column"),
-        }
-    }
-
-    /// The string at slot `i` (callers guarantee the column is `Str`).
-    #[inline]
-    pub fn str_at(&self, i: usize) -> &str {
-        match self {
-            ColumnVec::Str { arena, offsets } => {
-                &arena[offsets[i] as usize..offsets[i + 1] as usize]
-            }
-            _ => unreachable!("str_at on a non-Str column"),
-        }
-    }
 }
 
 /// One stored column: typed vector + validity bitmap. The fields are
@@ -179,18 +402,35 @@ impl Column {
 
     /// Appends one value.
     pub fn push(&mut self, v: &Value) {
+        if self.push_held(v) {
+            return;
+        }
         if v.is_null() {
             match &mut self.data {
                 ColumnVec::Int(vec) => vec.push(0),
                 ColumnVec::Float(vec) => vec.push(0.0),
                 ColumnVec::Date(vec) => vec.push(0),
-                ColumnVec::Str { arena, offsets } => offsets.push(arena.len() as u32),
+                ColumnVec::Str(StrVec::Coded(c)) => c.codes.push(0),
+                ColumnVec::Str(StrVec::Plain(arena)) => arena.push(""),
                 ColumnVec::Val(vec) => vec.push(Value::Null),
             }
             self.validity.push(false);
             return;
         }
         self.make_room_for(v);
+        if let ColumnVec::Val(vec) = &mut self.data {
+            vec.push(v.clone());
+            self.validity.push(true);
+        } else {
+            let held = self.push_held(v);
+            assert!(held, "make_room_for left a representation the value fits");
+        }
+    }
+
+    /// Appends the non-NULL `v` if the column's typed representation holds
+    /// it as it is — the common case, tried first — and says whether it
+    /// did.
+    fn push_held(&mut self, v: &Value) -> bool {
         match (&mut self.data, v) {
             (ColumnVec::Int(vec), Value::Int(x)) => vec.push(*x),
             (ColumnVec::Float(vec), Value::Float(x)) => {
@@ -198,14 +438,17 @@ impl Column {
                 vec.push(*x);
             }
             (ColumnVec::Date(vec), Value::Date(d)) => vec.push(d.0),
-            (ColumnVec::Str { arena, offsets }, Value::Str(s)) => {
-                arena.push_str(s);
-                offsets.push(arena.len() as u32);
+            (ColumnVec::Str(StrVec::Coded(c)), Value::Str(s)) => match c.code(s) {
+                Some(code) => c.codes.push(code),
+                None => return false,
+            },
+            (ColumnVec::Str(StrVec::Plain(arena)), Value::Str(s)) if arena.fits(s.len()) => {
+                arena.push(s)
             }
-            (ColumnVec::Val(vec), v) => vec.push(v.clone()),
-            _ => unreachable!("make_room_for left a representation the value fits"),
+            _ => return false,
         }
         self.validity.push(true);
+        true
     }
 
     /// Overwrites slot `i`.
@@ -228,16 +471,10 @@ impl Column {
                 vec[i] = *x;
             }
             (ColumnVec::Date(vec), Value::Date(d)) => vec[i] = d.0,
-            (ColumnVec::Str { arena, offsets }, Value::Str(s)) => {
-                let (start, end) = (offsets[i] as usize, offsets[i + 1] as usize);
-                arena.replace_range(start..end, s);
-                // Shift what follows by the change in length (modulo 2³²: a
-                // shrink is a wrapping add).
-                let delta = ((start + s.len()) as u32).wrapping_sub(end as u32);
-                for o in &mut offsets[i + 1..] {
-                    *o = o.wrapping_add(delta);
-                }
+            (ColumnVec::Str(StrVec::Coded(c)), Value::Str(s)) => {
+                c.codes[i] = c.code(s).expect("make_room_for made room")
             }
+            (ColumnVec::Str(StrVec::Plain(arena)), Value::Str(s)) => arena.set(i, s),
             (ColumnVec::Val(vec), v) => vec[i] = v.clone(),
             _ => unreachable!("make_room_for left a representation the value fits"),
         }
@@ -245,8 +482,9 @@ impl Column {
     }
 
     /// Leaves the column in a representation the non-NULL `v` fits: a
-    /// column that is all NULL so far takes `v`'s type, a typed column
-    /// `v` does not fit degrades to boxed values.
+    /// column that is all NULL so far takes `v`'s type, a coded string
+    /// column whose dictionary has no room for `v` falls back to the arena,
+    /// a typed column `v` does not fit degrades to boxed values.
     fn make_room_for(&mut self, v: &Value) {
         let n = self.len();
         if self.validity.null_count() == n && matches!(self.data, ColumnVec::Val(_)) {
@@ -254,23 +492,30 @@ impl Column {
                 Value::Int(_) => ColumnVec::Int(vec![0; n]),
                 Value::Float(_) => ColumnVec::Float(vec![0.0; n]),
                 Value::Date(_) => ColumnVec::Date(vec![0; n]),
-                Value::Str(_) => ColumnVec::Str {
-                    arena: String::new(),
-                    offsets: vec![0; n + 1],
-                },
+                Value::Str(_) => ColumnVec::Str(StrVec::Coded(Coded {
+                    codes: vec![0; n],
+                    ..Coded::default()
+                })),
                 _ => return, // exotic types stay boxed
             };
+        }
+        if let (ColumnVec::Str(strs @ StrVec::Coded(c)), Value::Str(s)) = (&self.data, v) {
+            if !c.takes(s) {
+                self.data = match strs.plain(&self.validity) {
+                    Some(arena) => ColumnVec::Str(StrVec::Plain(arena)),
+                    None => ColumnVec::Val((0..n).map(|i| self.value_at(i)).collect()),
+                };
+            }
         }
         let fits = match (&self.data, v) {
             (ColumnVec::Int(_), Value::Int(_))
             | (ColumnVec::Float(_), Value::Float(_))
             | (ColumnVec::Date(_), Value::Date(_))
+            | (ColumnVec::Str(StrVec::Coded(_)), Value::Str(_))
             | (ColumnVec::Val(_), _) => true,
             // Offsets are 32-bit: an arena that would outgrow them holds
             // its strings boxed instead.
-            (ColumnVec::Str { arena, .. }, Value::Str(s)) => {
-                u32::try_from(arena.len() + s.len()).is_ok()
-            }
+            (ColumnVec::Str(StrVec::Plain(arena)), Value::Str(s)) => arena.fits(s.len()),
             _ => false,
         };
         if !fits {
@@ -287,7 +532,7 @@ impl Column {
             ColumnVec::Int(v) => Value::Int(v[i]),
             ColumnVec::Float(v) => Value::Float(v[i]),
             ColumnVec::Date(v) => Value::Date(Date(v[i])),
-            ColumnVec::Str { .. } => Value::Str(self.data.str_at(i).to_string()),
+            ColumnVec::Str(strs) => Value::Str(strs.str_at(i).to_string()),
             ColumnVec::Val(v) => v[i].clone(),
         }
     }
@@ -310,11 +555,11 @@ impl Column {
     /// [`Self::value_at`] into an existing value, reusing its string
     /// allocation — the form for a scratch row refilled once per tuple.
     pub fn read_into(&self, i: usize, out: &mut Value) {
-        if let (ColumnVec::Str { .. }, Value::Str(s), true) =
+        if let (ColumnVec::Str(strs), Value::Str(s), true) =
             (&self.data, &mut *out, self.validity.is_valid(i))
         {
             s.clear();
-            s.push_str(self.data.str_at(i));
+            s.push_str(strs.str_at(i));
         } else {
             *out = self.value_at(i);
         }
@@ -363,8 +608,10 @@ mod tests {
             Value::Str("żółw".into()),
         ];
         let c = column(&strs);
-        assert!(matches!(c.data(), ColumnVec::Str { .. }));
-        assert_eq!(c.data().str_at(1), "bc");
+        let ColumnVec::Str(coded @ StrVec::Coded(_)) = c.data() else {
+            panic!("{:?}", c.data())
+        };
+        assert_eq!(coded.str_at(1), "bc");
         assert_holds(&c, &strs);
     }
 
@@ -427,13 +674,62 @@ mod tests {
         c.set(0, &vals[0]);
         vals[0] = Value::Str("back".into());
         c.set(0, &vals[0]);
-        assert!(matches!(c.data(), ColumnVec::Str { .. }));
+        assert!(matches!(c.data(), ColumnVec::Str(StrVec::Coded(_))));
         assert_holds(&c, &vals);
 
         // A one-slot all-NULL column retypes on its first value.
         let mut c = column(&[Value::Null]);
         c.set(0, &Value::Date(Date(7)));
         assert!(matches!(c.data(), ColumnVec::Date(_)));
+    }
+
+    /// Strings stay coded while the distinct ones fit the dictionary —
+    /// NULLs and repeats take no entry — and the first string past the cap
+    /// falls the column back to the arena once, through `push` or `set`,
+    /// keeping every slot.
+    #[test]
+    fn strings_are_coded_until_the_dictionary_is_full() {
+        let coded = |c: &Column| match c.data() {
+            ColumnVec::Str(strs) => strs.coded().map(|(dict, _)| dict.len()),
+            other => panic!("{other:?}"),
+        };
+        let text = |i: usize| Value::Str(format!("v{i}"));
+        let mut vals = vec![Value::Null, text(0), text(1), Value::Null, text(0)];
+        let mut c = column(&vals);
+        assert_eq!(coded(&c), Some(2));
+        let ColumnVec::Str(strs) = c.data() else {
+            unreachable!()
+        };
+        assert_eq!(strs.coded().unwrap().1[1..3], [0, 1]);
+        assert_eq!(strs.coded().unwrap().1[4], 0);
+        assert_holds(&c, &vals);
+
+        // Up to the cap through push, one more through set: the arena.
+        for i in 2..DICT_CAP {
+            vals.push(text(i));
+            c.push(&vals[vals.len() - 1]);
+        }
+        assert_eq!(coded(&c), Some(DICT_CAP));
+        vals[1] = text(3);
+        c.set(1, &vals[1]);
+        assert_eq!(coded(&c), Some(DICT_CAP));
+        assert_holds(&c, &vals);
+        vals[3] = text(DICT_CAP);
+        c.set(3, &vals[3]);
+        assert_eq!(coded(&c), None);
+        assert_holds(&c, &vals);
+        // Past the fallback the arena takes anything, as before.
+        vals.push(text(DICT_CAP + 1));
+        c.push(&vals[vals.len() - 1]);
+        vals[2] = Value::Null;
+        c.set(2, &vals[2]);
+        assert_holds(&c, &vals);
+
+        // A string column still degrades to boxed values on a non-string.
+        let mut c = column(&[text(0), Value::Null]);
+        c.push(&Value::Int(1));
+        assert!(matches!(c.data(), ColumnVec::Val(_)));
+        assert_holds(&c, &[text(0), Value::Null, Value::Int(1)]);
     }
 
     #[test]

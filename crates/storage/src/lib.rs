@@ -37,7 +37,7 @@ pub mod heap;
 pub mod index;
 
 pub use buffer::{AccessKind, BufferPool, BufferStats, PageKey};
-pub use column::{Column, ColumnVec, Validity};
+pub use column::{Coded, Column, ColumnVec, StrArena, StrVec, Validity, DICT_CAP};
 pub use heap::{Heap, PageGeometry, RowId, Segment, ZoneRange, SEGMENT_SLOTS};
 pub use index::{IndexKey, OrderedIndex};
 

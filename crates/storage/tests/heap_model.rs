@@ -8,15 +8,22 @@
 //! the columns, so everything it answers must equal the model: `get`,
 //! `cell`, `iter`, `iter_range`, `live_rows`, `slots`, `pages`,
 //! `tombstone_ratio`, `zone_range`, and the row-id mapping of `compact`.
-//! Segment-boundary cases follow.
+//! Two string columns — one over seven strings, one over four hundred —
+//! also have their stored form checked: a segment's strings stay
+//! dictionary-coded while the distinct ones written to it fit
+//! [`DICT_CAP`], and are in the arena from the first one past it until
+//! compaction rebuilds the segment. Segment-boundary cases follow.
 
 use std::cmp::Ordering;
+use std::collections::HashSet;
 
 use apuama_sql::value::{Date, Interval};
 use apuama_sql::Value;
-use apuama_storage::{Heap, PageGeometry, Row, RowId, ZoneRange};
+use apuama_storage::{ColumnVec, Heap, PageGeometry, Row, RowId, ZoneRange, DICT_CAP};
 
-const WIDTH: usize = 6;
+const WIDTH: usize = 7;
+/// The string columns: `s` over [`STRINGS`], `t` over four hundred.
+const STR_COLS: [usize; 2] = [2, 6];
 const ZONE_COLS: [usize; 2] = [0, 2];
 
 /// xorshift64*: the test's only randomness, so a failure replays from its
@@ -46,8 +53,9 @@ const STRINGS: [&str; 7] = [
     "x",
 ];
 
-/// `(k, n, s, f, d, x)`: `n` is an `Int` column until `floats_in_n` lets a
-/// `Float` in; `x` holds the exotic types and is boxed from its first value.
+/// `(k, n, s, f, d, x, t)`: `n` is an `Int` column until `floats_in_n` lets
+/// a `Float` in; `x` holds the exotic types and is boxed from its first
+/// value; `t` has more distinct strings than a segment's dictionary holds.
 fn random_row(rng: &mut Rng, k: i64, floats_in_n: bool) -> Row {
     let nullable = |rng: &mut Rng, v: Value| if rng.below(5) == 0 { Value::Null } else { v };
     let s = Value::Str(STRINGS[rng.below(7) as usize].to_string());
@@ -62,6 +70,7 @@ fn random_row(rng: &mut Rng, k: i64, floats_in_n: bool) -> Row {
         1 => -0.0,
         _ => rng.below(10_000) as f64 * 0.25 - 100.0,
     };
+    let t = Value::Str(format!("t{}", rng.below(400)));
     let x = match rng.below(3) {
         0 => Value::Bool(rng.below(2) == 0),
         1 => Value::Interval(Interval::days(rng.below(90) as i32)),
@@ -74,6 +83,7 @@ fn random_row(rng: &mut Rng, k: i64, floats_in_n: bool) -> Row {
         nullable(rng, Value::Float(f)),
         nullable(rng, d),
         nullable(rng, x),
+        nullable(rng, t),
     ]
 }
 
@@ -204,11 +214,56 @@ fn check(heap: &Heap, model: &[Option<Row>], rng: &mut Rng, what: &str) {
     assert!(heap.zone_range(1, 0).is_none(), "{what}: unmapped column");
 }
 
+/// Per segment and string column, the distinct strings written to it since
+/// it was built.
+type Written = Vec<[HashSet<String>; 2]>;
+
+/// Records `row` written to slot `rid`.
+fn note_written(written: &mut Written, slots: u64, rid: RowId, row: &Row) {
+    let seg = (rid / slots) as usize;
+    if written.len() <= seg {
+        written.resize(seg + 1, Default::default());
+    }
+    for (set, col) in written[seg].iter_mut().zip(STR_COLS) {
+        if let Value::Str(s) = &row[col] {
+            set.insert(s.clone());
+        }
+    }
+}
+
+/// What compaction leaves: segments built from the live rows alone.
+fn rewritten(model: &[Option<Row>], slots: u64) -> Written {
+    let mut written = Written::new();
+    for (rid, row) in model.iter().enumerate() {
+        note_written(&mut written, slots, rid as RowId, row.as_ref().unwrap());
+    }
+    written
+}
+
+/// Each segment's string columns are coded exactly while the strings
+/// written to them fit the dictionary.
+fn check_coding(heap: &Heap, written: &Written, what: &str) {
+    assert_eq!(heap.segments().len(), written.len(), "{what}: segments");
+    for (i, (seg, sets)) in heap.segments().iter().zip(written).enumerate() {
+        for (col, set) in STR_COLS.into_iter().zip(sets) {
+            let coded = match seg.column(col).data() {
+                ColumnVec::Val(_) if set.is_empty() => continue,
+                ColumnVec::Str(strs) => strs.coded().map(|(dict, _)| dict.len()),
+                other => panic!("{what}: segment {i} column {col}: {other:?}"),
+            };
+            let want = (set.len() <= DICT_CAP).then_some(set.len());
+            assert_eq!(coded, want, "{what}: segment {i} column {col}");
+        }
+    }
+}
+
 fn run(seed: u64, rows_per_page: u64, preload: usize, steps: usize) {
     let mut rng = Rng(seed | 1);
     let mut heap = Heap::new(PageGeometry { rows_per_page }, WIDTH);
     heap.set_zone_columns(&[2, 0, 2]); // duplicates collapse
     let mut model: Vec<Option<Row>> = Vec::new();
+    let mut written = Written::new();
+    let slots = heap.segment_slots();
     let mut next_key = 0i64;
     let what = |step: usize, op: &str| format!("seed {seed} rpp {rows_per_page} step {step} {op}");
 
@@ -218,12 +273,14 @@ fn run(seed: u64, rows_per_page: u64, preload: usize, steps: usize) {
         let row = random_row(&mut rng, next_key, false);
         next_key += 1;
         assert_eq!(heap.insert(&row), model.len() as RowId);
+        note_written(&mut written, slots, model.len() as RowId, &row);
         model.push(Some(row));
         if i % 97 == 0 {
             check(&heap, &model, &mut rng, &what(i, "preload"));
         }
     }
     check(&heap, &model, &mut rng, &what(preload, "preloaded"));
+    check_coding(&heap, &written, &what(preload, "preloaded"));
 
     for step in 0..steps {
         // The `n` column stays `Int` for the first third of the run, so the
@@ -235,6 +292,7 @@ fn run(seed: u64, rows_per_page: u64, preload: usize, steps: usize) {
                 let row = random_row(&mut rng, next_key, floats_in_n);
                 next_key += 1;
                 assert_eq!(heap.insert(&row), model.len() as RowId);
+                note_written(&mut written, slots, model.len() as RowId, &row);
                 model.push(Some(row));
                 "insert"
             }
@@ -260,6 +318,9 @@ fn run(seed: u64, rows_per_page: u64, preload: usize, steps: usize) {
                     }
                 }
                 let got = heap.update(rid, &row);
+                if got.is_some() {
+                    note_written(&mut written, slots, rid, &row);
+                }
                 let want = match model.get_mut(rid as usize) {
                     Some(slot @ Some(_)) => slot.replace(row),
                     _ => None,
@@ -288,10 +349,12 @@ fn run(seed: u64, rows_per_page: u64, preload: usize, steps: usize) {
                     .collect();
                 assert_eq!(mapping, want, "{}", what(step, "compact mapping"));
                 model.retain(Option::is_some);
+                written = rewritten(&model, slots);
                 "compact"
             }
         };
         check(&heap, &model, &mut rng, &what(step, op));
+        check_coding(&heap, &written, &what(step, op));
     }
 }
 

@@ -256,7 +256,8 @@ fn explain_names_the_exists_probes_of_q4_and_q21() {
     // `nation` hangs off `supplier` alone: the suppliers of the other
     // nations are shed before the order is fixed, one line for it between
     // the `drive` line and the steps, and `l1`'s first step builds on the
-    // suppliers that are left.
+    // suppliers that are left. Before the steps, the keys of the two build
+    // sides `l1` probes narrow its selection, the suppliers' first.
     let shed = analyzed[at("drive ") + 1].trim_start();
     assert!(
         shed.starts_with("⋉ supplier by nation on s_nationkey = n_nationkey: "),
@@ -265,6 +266,18 @@ fn explain_names_the_exists_probes_of_q4_and_q21() {
     let left = shed.rsplit("→ ").next().unwrap();
     assert!(
         analyzed[at("drive ") + 2]
+            .trim_start()
+            .starts_with(&format!(
+                "∈ keys of supplier on s_suppkey = l1.l_suppkey: {} → ",
+                count(scan, "rows")
+            )),
+        "{analyzed:?}"
+    );
+    assert!(analyzed[at("drive ") + 3]
+        .trim_start()
+        .starts_with("∈ keys of orders on o_orderkey = l1.l_orderkey: "));
+    assert!(
+        analyzed[at("drive ") + 4]
             .trim_start()
             .starts_with(&format!(
                 "⋈ supplier on s_suppkey = l1.l_suppkey: build supplier {left},"
@@ -383,8 +396,9 @@ fn join_block_lines(lines: &[String]) -> Vec<String> {
 /// Q3 and Q5 say what their join block did: how many of its table's
 /// columns each input scan kept, which input drove, which build sides
 /// were reduced through a leaf (one `⋉` line each: the edge and the rows
-/// before and after) and per greedy step the keys, the build side and the
-/// row counts in and out. The step lines
+/// before and after), which build sides' keys narrowed the driving
+/// selection (one `∈` line each, rows in and out) and per greedy step the
+/// keys, the build side and the row counts in and out. The step lines
 /// carry counts only — no `self_ms=` token, so a consumer summing operator
 /// self times never sees them — and every operator label keeps its prefix.
 #[test]
@@ -405,7 +419,8 @@ fn explain_analyze_accounts_for_the_join_block_of_q3_and_q5() {
             "scan lineitem cols 3/16 rows=3171",
             "drive lineitem: 3171 rows",
             "⋉ orders by customer on c_custkey = o_custkey: 737 → 166",
-            "⋈ orders on l_orderkey = o_orderkey: build orders 166, probe 3171 → 39",
+            "∈ keys of orders on l_orderkey = o_orderkey: 3171 → 39",
+            "⋈ orders on l_orderkey = o_orderkey: build orders 166, probe 39 → 39",
             "⋈ customer on c_custkey = o_custkey: build customer 34, probe 39 → 39",
         ]
     );
@@ -425,8 +440,10 @@ fn explain_analyze_accounts_for_the_join_block_of_q3_and_q5() {
             "drive lineitem: 5930 rows",
             "⋉ nation by region on n_regionkey = r_regionkey: 25 → 5",
             "⋉ supplier by nation on s_nationkey = n_nationkey: 10 → 1",
-            "⋈ supplier on l_suppkey = s_suppkey: build supplier 1, probe 5930 → 599",
-            "⋈ orders on l_orderkey = o_orderkey: build orders 206, probe 599 → 85",
+            "∈ keys of supplier on l_suppkey = s_suppkey: 5930 → 599",
+            "∈ keys of orders on l_orderkey = o_orderkey: 599 → 85",
+            "⋈ supplier on l_suppkey = s_suppkey: build supplier 1, probe 85 → 85",
+            "⋈ orders on l_orderkey = o_orderkey: build orders 206, probe 85 → 85",
             "⋈ nation on s_nationkey = n_nationkey: build nation 5, probe 85 → 85",
             "⋈ region on n_regionkey = r_regionkey: build region 1, probe 85 → 85",
             "⋈ customer on c_custkey = o_custkey and c_nationkey = s_nationkey: \
@@ -436,7 +453,9 @@ fn explain_analyze_accounts_for_the_join_block_of_q3_and_q5() {
     // (The last line of each plan is the `execution time` footer.)
     for line in q3[..q3.len() - 1].iter().chain(&q5[..q5.len() - 1]) {
         let label = line.trim_start();
-        let is_step = ["drive ", "⋉", "⋈"].iter().any(|p| label.starts_with(p));
+        let is_step = ["drive ", "⋉", "∈", "⋈"]
+            .iter()
+            .any(|p| label.starts_with(p));
         assert_eq!(is_step, !line.contains("self_ms="), "{line}");
     }
 
@@ -459,4 +478,114 @@ fn explain_analyze_accounts_for_the_join_block_of_q3_and_q5() {
     );
     let q1 = plan_lines(&db, &format!("explain {}", ALL_QUERIES[0].sql(&params)));
     assert!(q1.iter().all(|l| !l.contains("cols ")), "{q1:?}");
+}
+
+/// The lines of `lines` that start, once trimmed, with one of `prefixes`.
+fn lines_starting<'a>(lines: &'a [String], prefixes: &[&str]) -> Vec<&'a str> {
+    (lines.iter().map(|l| l.trim_start()))
+        .filter(|l| prefixes.iter().any(|p| l.starts_with(p)))
+        .collect()
+}
+
+/// The two loops a pass spends its node time in take their dense-key
+/// forms, visibly, at SF 0.002: Q1's and Q6's fused folds run every batch
+/// vectorized and column-major, Q1's group ids from its two coded flag
+/// columns; and every join query's block narrows its driving selection by
+/// the integer keys of the build sides it probes, before any tuple is
+/// probed — each `∈` line with its exact counts, and the step behind it
+/// probing only what the filter kept.
+#[test]
+fn explain_analyze_shows_coded_group_ids_and_key_filters() {
+    let data = generate(TpchConfig {
+        scale_factor: 0.002,
+        seed: 7,
+    });
+    let mut db = Database::in_memory();
+    load_into(&mut db, &data).unwrap();
+    let params = QueryParams::random(7);
+    let segments = db.table("lineitem").unwrap().heap.segments().len();
+    assert_eq!(segments, 12);
+    for workers in [1, 2] {
+        db.query(&format!("set parallel_workers = {workers}"))
+            .unwrap();
+        for (q, coded) in [(0, segments), (4, 0)] {
+            let plan = plan_lines(
+                &db,
+                &format!("explain analyze {}", ALL_QUERIES[q].sql(&params)),
+            );
+            assert_eq!(
+                lines_starting(&plan, &["fold: ", "column-major: "]),
+                [
+                    format!("fold: {segments} batch(es) vectorized, 0 row-major"),
+                    format!("column-major: {segments} batch(es), {coded} by coded group keys"),
+                ],
+                "{} ×{workers}",
+                ALL_QUERIES[q].label()
+            );
+        }
+    }
+
+    db.query("set parallel_workers = 1").unwrap();
+    let blocks: [(usize, &[&str]); 5] = [
+        (
+            1,
+            &[
+                "∈ keys of orders on l_orderkey = o_orderkey: 6469 → 68",
+                "⋈ orders on l_orderkey = o_orderkey: build orders 249, probe 68 → 68",
+                "⋈ customer on c_custkey = o_custkey: build customer 54, probe 68 → 68",
+            ],
+        ),
+        (
+            3,
+            &[
+                "∈ keys of orders on l_orderkey = o_orderkey: 11970 → 1804",
+                "∈ keys of supplier on l_suppkey = s_suppkey: 1804 → 441",
+                "⋈ orders on l_orderkey = o_orderkey: build orders 449, probe 441 → 441",
+                "⋈ supplier on l_suppkey = s_suppkey: build supplier 5, probe 441 → 441",
+                "⋈ nation on s_nationkey = n_nationkey: build nation 5, probe 441 → 441",
+                "⋈ region on n_regionkey = r_regionkey: build region 1, probe 441 → 441",
+                "⋈ customer on c_custkey = o_custkey and c_nationkey = s_nationkey: \
+                 build customer 300, probe 441 → 16",
+            ],
+        ),
+        (
+            5,
+            &[
+                "∈ keys of lineitem on o_orderkey = l_orderkey: 3000 → 57",
+                "⋈ lineitem on o_orderkey = l_orderkey: build lineitem 61, probe 57 → 61",
+            ],
+        ),
+        (
+            6,
+            &[
+                "∈ keys of lineitem on l_partkey = p_partkey: 400 → 129",
+                "⋈ lineitem on l_partkey = p_partkey: build lineitem 154, probe 129 → 154",
+            ],
+        ),
+        (
+            7,
+            &[
+                "∈ keys of supplier on s_suppkey = l1.l_suppkey: 7715 → 402",
+                "∈ keys of orders on o_orderkey = l1.l_orderkey: 402 → 200",
+                "⋈ supplier on s_suppkey = l1.l_suppkey: build supplier 1, probe 200 → 200",
+                "⋈ nation on s_nationkey = n_nationkey: build nation 1, probe 200 → 200",
+                "⋈ orders on o_orderkey = l1.l_orderkey: build orders 1459, probe 200 → 200",
+            ],
+        ),
+    ];
+    for (q, want) in blocks {
+        let plan = plan_lines(
+            &db,
+            &format!("explain analyze {}", ALL_QUERIES[q].sql(&params)),
+        );
+        assert_eq!(
+            lines_starting(&plan, &["∈", "⋈"]),
+            want,
+            "{}",
+            ALL_QUERIES[q].label()
+        );
+        for line in lines_starting(&plan, &["∈"]) {
+            assert!(!line.contains("self_ms="), "{line}");
+        }
+    }
 }

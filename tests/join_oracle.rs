@@ -6,8 +6,10 @@
 //! always, the same sequence for the `ORDER BY` forms.
 //!
 //! Between the two halves: the shapes in which the block sheds build rows
-//! through a *leaf* input before it fixes its order (DESIGN.md §10) — the
-//! same oracle, plus which reductions `EXPLAIN ANALYZE` says ran.
+//! through a *leaf* input before it fixes its order, and those in which a
+//! build side's integer keys narrow the driving selection before the
+//! stream starts (DESIGN.md §10) — the same oracle, plus which reductions
+//! and which key filters `EXPLAIN ANALYZE` says ran.
 //!
 //! The second half is about *where* the block evaluates an input's
 //! subquery conjuncts (DESIGN.md §10): behind the joins that cannot expand
@@ -21,7 +23,7 @@ use proptest::prelude::*;
 
 use apuama_engine::{Database, EngineError, QueryOutput};
 use apuama_sql::Value;
-use apuama_storage::Row;
+use apuama_storage::{ColumnVec, Row};
 
 // Every table has these columns: `id` is unique and the clustering key, `k`
 // a nullable key with duplicates, `f` the same number as a float (or
@@ -674,6 +676,166 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// The driving selection narrowed by build keys
+// ---------------------------------------------------------------------------
+
+/// The `∈` lines of the statement's `EXPLAIN ANALYZE`, each as
+/// `(build side, rows in, rows out)`.
+fn key_filters(db: &Database, sql: &str) -> Vec<(String, u64, u64)> {
+    let plan = db.query(&format!("explain analyze {sql}")).unwrap();
+    (plan.rows.iter())
+        .filter_map(|r| {
+            r[0].as_str()
+                .unwrap()
+                .trim_start()
+                .strip_prefix("∈ keys of ")
+        })
+        .map(|line| {
+            let (name, rest) = line.split_once(" on ").unwrap();
+            let (before, after) = rest.rsplit_once(": ").unwrap().1.split_once(" → ").unwrap();
+            (
+                name.to_string(),
+                before.parse().unwrap(),
+                after.parse().unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// How many of `rows` have a `col` that is an integer among `keys`' —
+/// what a key filter keeps of an `Int` driving column.
+fn among(rows: &[Row], col: usize, keys: &[Row], key: usize) -> u64 {
+    let set: Vec<i64> = keys.iter().filter_map(|r| int(&r[key])).collect();
+    (rows.iter())
+        .filter(|r| int(&r[col]).is_some_and(|k| set.contains(&k)))
+        .count() as u64
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A hash step joined by one edge whose probing side is a column of
+    /// the driving table filters that table's selection by its integer
+    /// build keys: dense ones (a bitset) and sparse ones (sorted keys),
+    /// NULLs on either side, an empty build side. A `Float` driving column
+    /// is left to the step, and so is a segment whose `Int` column took a
+    /// `Float`; `Float` build keys yield no filter. Answers are the
+    /// oracle's throughout.
+    #[test]
+    fn key_filters_answer_what_nested_loops_answer(
+        a in gens(6, 12),
+        b in gens(6, 30),
+        c in gens(6, 12),
+        tombstones in any::<bool>(),
+    ) {
+        let mut db = build(&a, &b, &c, &[], &[], tombstones);
+        let t = |name: &str| live(&db, name);
+        let (a, b, c, u) = (t("a"), t("b"), t("c"), t("u"));
+        let n = b.len() as u64;
+        let case = |body: &str, names: &[&'static str], inputs: Vec<Vec<Row>>, keep: Keep<'static>| Case {
+            body: body.to_string(),
+            names: names.to_vec(),
+            inputs,
+            keep,
+        };
+        // Dense keys: `u`'s 0..8, a bitset.
+        let dense = case(
+            "from b, u where b.k = u.id",
+            &["b", "u"],
+            vec![b.clone(), u.clone()],
+            Box::new(|r| eq(&r[0][K], &r[1][ID])),
+        );
+        check(&db, &dense, 0);
+        let kept = among(&b, K, &u, ID);
+        prop_assert_eq!(key_filters(&db, &dense.select()), [("u".to_string(), n, kept)]);
+        // Sparse keys: `c.k * 500` spans 0..2 500 with at most six keys —
+        // sorted keys — and hits `b.id` at 0, 500, 1 000, 1 500, 2 000.
+        let sparse = case(
+            "from b, c where b.id = c.k * 500",
+            &["b", "c"],
+            vec![b.clone(), c.clone()],
+            Box::new(|r| {
+                let key = int(&r[1][K]).map_or(Value::Null, |k| Value::Int(k * 500));
+                eq(&r[0][ID], &key)
+            }),
+        );
+        check(&db, &sparse, 0);
+        let spread: Vec<Row> = (c.iter())
+            .map(|r| vec![int(&r[K]).map_or(Value::Null, |k| Value::Int(k * 500))])
+            .collect();
+        let kept = among(&b, ID, &spread, 0);
+        prop_assert_eq!(key_filters(&db, &sparse.select()), [("c".to_string(), n, kept)]);
+        // NULL keys on both sides: neither meets anything.
+        let nulls = case(
+            "from a, b where a.k = b.k",
+            &["a", "b"],
+            vec![a.clone(), b.clone()],
+            Box::new(|r| eq(&r[0][K], &r[1][K])),
+        );
+        check(&db, &nulls, 0);
+        let kept = among(&b, K, &a, K);
+        prop_assert_eq!(key_filters(&db, &nulls.select()), [("a".to_string(), n, kept)]);
+        // A `Float` driving column: the step decides (`1 = 1.0`).
+        let float_driver = case(
+            "from a, b where a.k = b.f",
+            &["a", "b"],
+            vec![a.clone(), b.clone()],
+            Box::new(|r| eq(&r[0][K], &r[1][F])),
+        );
+        check(&db, &float_driver, 0);
+        prop_assert_eq!(key_filters(&db, &float_driver.select()), [("a".to_string(), n, n)]);
+        // `Float` build keys: no filter — unless `a` has no key at all,
+        // when the step can match nothing.
+        let float_keys = case(
+            "from a, b where a.f = b.k",
+            &["a", "b"],
+            vec![a.clone(), b.clone()],
+            Box::new(|r| eq(&r[0][F], &r[1][K])),
+        );
+        check(&db, &float_keys, 0);
+        let want = match a.iter().all(|r| r[F].is_null()) {
+            true => vec![("a".to_string(), n, 0)],
+            false => vec![],
+        };
+        prop_assert_eq!(key_filters(&db, &float_keys.select()), want);
+        // An empty build side keeps nothing.
+        let empty = case(
+            "from b, e where b.k = e.k",
+            &["b", "e"],
+            vec![b.clone(), Vec::new()],
+            Box::new(|_| Some(true)),
+        );
+        check(&db, &empty, 0);
+        prop_assert_eq!(key_filters(&db, &empty.select()), [("e".to_string(), n, 0)]);
+
+        // A `Float` that equals an integer key, in `b`'s last segment: that
+        // segment's `k` is boxed from then on and left to the step, which
+        // matches it with `u`'s 3; the other segments are filtered.
+        db.execute("insert into b values (5000, 3.0, 3.0, 's3', 0)").unwrap();
+        let b = live(&db, "b");
+        let mixed = case(
+            "from b, u where b.k = u.id",
+            &["b", "u"],
+            vec![b.clone(), u.clone()],
+            Box::new(|r| eq(&r[0][K], &r[1][ID])),
+        );
+        check(&db, &mixed, 0);
+        let heap = &db.table("b").unwrap().heap;
+        let last = heap.segments().len() as u64 - 1;
+        let boxed = heap.segments()[last as usize].column(K).data();
+        prop_assert!(matches!(boxed, ColumnVec::Val(_)));
+        let first_of_last = (last * heap.segment_slots()) as i64;
+        let (filtered, left): (Vec<Row>, Vec<Row>) =
+            b.iter().cloned().partition(|r| int(&r[ID]).unwrap() < first_of_last);
+        let kept = among(&filtered, K, &u, ID) + left.len() as u64;
+        prop_assert_eq!(
+            key_filters(&db, &mixed.select()),
+            [("u".to_string(), b.len() as u64, kept)]
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Where a subquery conjunct runs
 // ---------------------------------------------------------------------------
 
@@ -738,6 +900,8 @@ proptest! {
         // On the largest input, every build side unique: the probe runs
         // behind both joins, once per tuple that survives them. Its key is
         // NULL where `b.f` is — no row exists then, whatever `p` holds.
+        // Both steps' integer keys narrow `b` first, to exactly the tuples
+        // the steps keep.
         let unique = Case {
             body: format!(
                 "from b, u, u v where b.k = u.id and b.w = v.id \
@@ -760,7 +924,10 @@ proptest! {
         let ((evaluations, matches), steps) = probe_account(&db, &unique.select());
         prop_assert_eq!(evaluations, joined);
         prop_assert_eq!(steps.last().map(|s| s.1), Some(joined));
-        prop_assert_eq!(steps[0].0, b.len() as u64);
+        prop_assert_eq!(steps[0].0, joined);
+        let filters = key_filters(&db, &unique.select());
+        prop_assert_eq!(filters.len(), 2);
+        prop_assert_eq!((filters[0].1, filters[1].2), (b.len() as u64, joined));
         let kept = if negated { evaluations - matches } else { matches };
         prop_assert_eq!(kept, unique.oracle().len() as u64);
         prop_assert_eq!(
@@ -769,8 +936,10 @@ proptest! {
         );
 
         // An expanding step ahead (`a.k` repeats): the probe runs before
-        // it, once per tuple of `b` — never more than the scan would have
-        // shown it. Should `a` happen to be unique on `k`, it moves behind.
+        // it, once per tuple of `b` whose key `a` holds — the others are
+        // filtered out before the stream starts — never more than the scan
+        // would have shown it. Should `a` happen to be unique on `k`, it
+        // moves behind.
         let expanding = Case {
             body: format!(
                 "from a, b where a.k = b.k and {not}exists (select * from p where p.k = b.w)"
@@ -784,8 +953,13 @@ proptest! {
         let mut keys: Vec<Option<i64>> = a.iter().map(|r| int(&r[K])).collect();
         keys.sort_unstable();
         keys.dedup();
+        let reach = among(&b, K, &a, K);
+        prop_assert_eq!(
+            key_filters(&db, &expanding.select()),
+            [("a".to_string(), b.len() as u64, reach)]
+        );
         if keys.len() < a.len() {
-            prop_assert_eq!(evaluations, b.len() as u64);
+            prop_assert_eq!(evaluations, reach);
             let kept = if negated { evaluations - matches } else { matches };
             prop_assert_eq!(steps[0].0, kept);
         } else {
@@ -835,7 +1009,7 @@ proptest! {
 
 /// The two documented divergences from evaluating an input's subquery
 /// conjuncts in its scan, each on a statement built to show it — the first
-/// also as a leaf reduction produces it.
+/// also as a leaf reduction and as a key filter produce it.
 #[test]
 fn probe_placement_divergences_are_the_documented_ones() {
     // `b`: 2 000 rows, `k = id`; the small `u` keeps keys 0..8 only.
@@ -893,6 +1067,35 @@ fn probe_placement_divergences_are_the_documented_ones() {
             db.query("select b.id from b, c, d where b.w = c.w and c.s + 1 = d.k"),
             Err(EngineError::TypeError(_))
         ));
+    }
+
+    // The same divergence, from a tuple a key filter drops: `d` holds key
+    // 2 twice, so its step expands and the conjunct runs ahead of it — on
+    // the tuples of `b` whose key is 2, since `d`'s keys narrow `b` before
+    // the stream starts. Tuple 500, which raises, is not among them. With
+    // an expression on the probing side there is no filter, and the
+    // conjunct meets tuple 500 as it did under the parent.
+    db.execute("insert into d values (1, 2, 2.0, 's2', 0)")
+        .unwrap();
+    db.execute("insert into p values (1, 500, 500.0, 'x', 0)")
+        .unwrap();
+    for workers in [1, 4] {
+        db.query(&format!("set parallel_workers = {workers}"))
+            .unwrap();
+        let conjunct = "exists (select * from p where p.k = b.id and p.s > b.w)";
+        let filtered = format!("select b.id from b, d where b.k = d.k and {conjunct}");
+        assert_eq!(db.query(&filtered).unwrap().rows, Vec::<Row>::new());
+        assert_eq!(
+            key_filters(&db, &filtered),
+            [("d".to_string(), 2000, 1)],
+            "×{workers}"
+        );
+        let unfiltered = format!("select b.id from b, d where b.k + 0 = d.k and {conjunct}");
+        assert!(matches!(
+            db.query(&unfiltered),
+            Err(EngineError::TypeError(_))
+        ));
+        assert!(key_filters(&db, "select b.id from b, d where b.k + 0 = d.k").is_empty());
     }
 
     // **Unordered output follows the new driver.** `x` is 1 000 rows of

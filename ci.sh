@@ -34,11 +34,17 @@ echo "== interleaving-sensitive tests, 20 times each =="
 # The OS picks one interleaving per run; repetition stands in for the seeded
 # scheduler of ROADMAP.md item 7, which replaces this loop once it exists.
 # The update gate's own unit tests (`consistency::tests`) race an SVP block
-# against writers on real threads, so they repeat too.
+# against writers on real threads, so they repeat too, and so does the
+# README cluster's disable_backend test, which races writes against the gate.
 for _ in $(seq 20); do
-  timeout "$SUITE_TIMEOUT" cargo test -q --test fault_tolerance --test consistency_under_concurrency -- a_requeued_range_sees_its_siblings_prefix faulted_svp_under_concurrent_writes_neither_deadlocks_nor_skews_counters interleaved_refreshes_leave_every_replica_the_same_prefix_and_answers
+  timeout "$SUITE_TIMEOUT" cargo test -q --test fault_tolerance --test consistency_under_concurrency -- a_requeued_range_sees_its_siblings_prefix faulted_svp_under_concurrent_writes_neither_deadlocks_nor_skews_counters interleaved_refreshes_leave_every_replica_the_same_prefix_and_answers the_readme_cluster_keeps_serving_after_disable_backend
   timeout "$SUITE_TIMEOUT" cargo test -q -p apuama --lib consistency
 done
+
+echo "== failure classes: only a node's fault counts against it (DESIGN.md §8) =="
+# By name: a statement error in SVP sub-queries, in a pass-through read and
+# in a write strikes no breaker and disables no backend.
+timeout "$SUITE_TIMEOUT" cargo test -q --test fault_tolerance -- statement_error
 
 echo "== clustered ranges: ordered prefix and tail against the slot model (DESIGN.md §13) =="
 # By name: the model is one unit test of the engine crate's suite above, and

@@ -7,6 +7,9 @@ use parking_lot::RwLock;
 use apuama_engine::{Database, EngineResult, QueryOutput, ReadRequest};
 use apuama_sql::{parse_statements, Statement};
 
+use crate::health::HealthTracker;
+use crate::recovery::RejoinHooks;
+
 /// What a piece of SQL does, from the cluster's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StatementKind {
@@ -79,6 +82,18 @@ pub trait Connection: Send + Sync {
     /// 0 when the backend does not track it. Governance diagnostics.
     fn mem_peak_bytes(&self) -> u64 {
         0
+    }
+
+    /// What an interposing cluster engine shares with a controller over
+    /// its connections: its health tracker, one breaker for pass-through
+    /// reads and sub-queries alike, and the hooks that keep its update
+    /// gate in step with backend disable and rejoin. [`Controller::new`]
+    /// uses them when every connection it is given returns the same
+    /// engine's; `None`, the default, is a plain backend.
+    ///
+    /// [`Controller::new`]: crate::Controller::new
+    fn engine_seam(&self) -> Option<(Arc<HealthTracker>, Arc<dyn RejoinHooks>)> {
+        None
     }
 }
 

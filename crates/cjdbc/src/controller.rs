@@ -14,7 +14,6 @@ use apuama_engine::{EngineError, EngineResult, QueryOutput, ReadRequest};
 use parking_lot::Mutex;
 
 use crate::admission::{AdmissionController, AdmissionPolicy};
-use crate::balancer::{LeastPendingBalancer, LoadBalancer};
 use crate::connection::{classify_script, Connection, StatementKind};
 use crate::health::{BreakerPolicy, HealthTracker};
 use crate::recovery::{
@@ -32,47 +31,30 @@ struct Backend {
     /// back through [`Controller::rejoin_backend`]'s
     /// `CatchingUp → Probing → Enabled` path.
     state: AtomicU8,
-    /// Reads this backend has served (balancer diagnostics).
+    /// Reads this backend has served (load-balance diagnostics).
     reads_served: AtomicUsize,
 }
 
 /// Controller construction options.
+#[derive(Default)]
 pub struct ControllerConfig {
-    /// Read load-balancing policy; the paper uses least-pending.
-    pub balancer: Box<dyn LoadBalancer>,
     /// On a backend failure, disable that backend and keep serving from
     /// the rest (C-JDBC's behaviour); the recovery log keeps tracking what
     /// the disabled backend misses so [`Controller::rejoin_backend`] can
     /// catch it up later. When false, a failing write surfaces the error
     /// and all backends stay enabled.
     pub disable_failed_backends: bool,
-    /// Circuit-breaker tuning for the per-backend health tracker. Unlike
+    /// Circuit-breaker tuning for the per-backend health tracker, when the
+    /// controller builds its own (its connections front no engine). Unlike
     /// `disable_failed_backends` (permanent until rejoin), the breaker is
     /// transient: it opens after consecutive failures and recovers on its
     /// own through a timed probe.
     pub breaker: BreakerPolicy,
     /// Recovery-log retention and rejoin-protocol tuning.
     pub recovery: RecoveryConfig,
-    /// Callbacks fired at rejoin state transitions, so an interposing
-    /// engine (Apuama's `UpdateGate`) can mirror the controller's view of
-    /// the cluster. Defaults to no-ops.
-    pub rejoin_hooks: Arc<dyn RejoinHooks>,
     /// Admission limits and shed policy consulted before every client
     /// statement is dispatched. Defaults to fully open (no governance).
     pub admission: AdmissionPolicy,
-}
-
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig {
-            balancer: Box::new(LeastPendingBalancer),
-            disable_failed_backends: false,
-            breaker: BreakerPolicy::default(),
-            recovery: RecoveryConfig::default(),
-            rejoin_hooks: Arc::new(NoRejoinHooks),
-            admission: AdmissionPolicy::default(),
-        }
-    }
 }
 
 /// Governance counters surfaced by [`Controller::governance_counts`]
@@ -97,7 +79,6 @@ pub struct GovernanceCounters {
 pub struct Controller {
     backends: Vec<Backend>,
     scheduler: WriteScheduler,
-    balancer: Box<dyn LoadBalancer>,
     disable_failed: bool,
     health: Arc<HealthTracker>,
     log: Arc<RecoveryLog>,
@@ -113,26 +94,29 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// Builds a controller over the given backend connections.
+    /// Builds a controller over the given backend connections. When they
+    /// are one engine's connections, in node order
+    /// ([`Connection::engine_seam`]), the controller shares that engine's
+    /// health tracker — the read balancer and the SVP dispatcher consult
+    /// the same circuits — and fires its rejoin hooks, so disabling a
+    /// backend takes it out of the engine's update gate too. Otherwise it
+    /// builds its own tracker from [`ControllerConfig::breaker`] and fires
+    /// no hooks.
     pub fn new(conns: Vec<Arc<dyn Connection>>, config: ControllerConfig) -> Controller {
-        let health = Arc::new(HealthTracker::new(conns.len().max(1), config.breaker));
-        Controller::with_health(conns, config, health)
-    }
-
-    /// Like [`Controller::new`], but sharing an existing health tracker —
-    /// so the read balancer and an external dispatcher (Apuama's SVP
-    /// executor) consult the same per-node circuits.
-    pub fn with_health(
-        conns: Vec<Arc<dyn Connection>>,
-        config: ControllerConfig,
-        health: Arc<HealthTracker>,
-    ) -> Controller {
         assert!(!conns.is_empty(), "a cluster needs at least one backend");
-        assert_eq!(
-            health.node_count(),
-            conns.len(),
-            "health tracker sized for a different cluster"
-        );
+        let seam = conns[0].engine_seam().filter(|(health, _)| {
+            health.node_count() == conns.len()
+                && conns[1..].iter().all(|c| {
+                    c.engine_seam()
+                        .is_some_and(|(other, _)| Arc::ptr_eq(health, &other))
+                })
+        });
+        let (health, hooks) = seam.unwrap_or_else(|| {
+            (
+                Arc::new(HealthTracker::new(conns.len(), config.breaker)),
+                Arc::new(NoRejoinHooks) as Arc<dyn RejoinHooks>,
+            )
+        });
         let log = Arc::new(RecoveryLog::new(
             conns.len(),
             config.recovery.max_entries,
@@ -149,12 +133,11 @@ impl Controller {
                 })
                 .collect(),
             scheduler: WriteScheduler::new(),
-            balancer: config.balancer,
             disable_failed: config.disable_failed_backends,
             health,
             log,
             recovery: config.recovery,
-            hooks: config.rejoin_hooks,
+            hooks,
             rejoin_token: Mutex::new(()),
             admission: AdmissionController::new(config.admission),
             cancelled: AtomicU64::new(0),
@@ -453,12 +436,16 @@ impl Controller {
         }
     }
 
-    /// The read path: admission, then a load-balanced choice over the
-    /// enabled backends whose circuits admit traffic (if every enabled
+    /// The read path: admission, then the paper's balancer — the backend
+    /// with the fewest pending requests, the lowest index on ties — over
+    /// the enabled backends whose circuits admit traffic (if every enabled
     /// backend's circuit is open, the full enabled set — serving a request
     /// into a tripped backend beats refusing the query outright, and the
     /// attempt doubles as a probe), pending accounting, health recording,
-    /// and the disable-on-failure policy. Bound values, client
+    /// and the disable-on-failure policy. Only a backend that did not
+    /// serve the request ([`EngineError::Unavailable`]) is charged with
+    /// the failure; any other error is the statement's own and leaves the
+    /// backend's health alone. Bound values, client
     /// cancellation and deadline ride into the backend with the request
     /// (engine-backed backends run bound statements from their plan cache
     /// and stop within one batch of a cancel).
@@ -478,11 +465,10 @@ impl Controller {
         if candidates.is_empty() {
             candidates = enabled;
         }
-        let pending: Vec<usize> = candidates
-            .iter()
-            .map(|&i| self.backends[i].pending.load(Ordering::SeqCst))
-            .collect();
-        let chosen = candidates[self.balancer.choose(&pending)];
+        let chosen = candidates
+            .into_iter()
+            .min_by_key(|&i| self.backends[i].pending.load(Ordering::SeqCst))
+            .expect("candidates are never empty");
         let backend = &self.backends[chosen];
         backend.pending.fetch_add(1, Ordering::SeqCst);
         let result = backend.conn.read(req);
@@ -493,32 +479,38 @@ impl Controller {
                 backend.reads_served.fetch_add(1, Ordering::SeqCst);
                 self.health.record_success(chosen);
             }
-            // A cooperative cancel is the client's doing, not the
-            // backend's: health-neutral, never a reason to disable.
-            Err(EngineError::Cancelled(_)) => {}
-            Err(_) => {
-                self.health.record_failure(chosen);
-                if self.disable_failed {
-                    self.disable_backend(chosen);
-                }
-            }
+            Err(EngineError::Unavailable(_)) => self.fail_backend(chosen),
+            Err(_) => {}
         }
         result.map(|o| (o, chosen))
+    }
+
+    /// Charges backend `i` with a request it did not serve: a breaker
+    /// strike, and under `disable_failed_backends` the backend leaves
+    /// rotation.
+    fn fail_backend(&self, i: usize) {
+        self.health.record_failure(i);
+        if self.disable_failed {
+            self.disable_backend(i);
+        }
     }
 
     /// Totally ordered write broadcast: every enabled backend executes the
     /// script; the first success's output is returned.
     ///
-    /// Failure policy follows `disable_failed_backends`: when set, a
-    /// failing backend is taken out of rotation and the write succeeds if
-    /// at least one backend applied it (C-JDBC's model); otherwise the
-    /// first error is surfaced after the remaining backends were still
-    /// given the write, keeping replicas maximally aligned.
+    /// A statement error — the script itself fails, as it then does on
+    /// every replica — is surfaced and charges no backend. A backend that
+    /// did not serve the write ([`EngineError::Unavailable`]) follows
+    /// `disable_failed_backends`: when set, it is taken out of rotation and
+    /// the write succeeds if at least one backend applied it (C-JDBC's
+    /// model); otherwise the first error is surfaced after the remaining
+    /// backends were still given the write, keeping replicas maximally
+    /// aligned.
     pub fn execute_write(&self, sql: &str) -> EngineResult<QueryOutput> {
         let _permit = self.admission.admit(StatementKind::Write)?;
         let ticket = self.scheduler.begin_write();
         let mut first: Option<QueryOutput> = None;
-        let mut failure: Option<EngineError> = None;
+        let (mut unavailable, mut statement_error) = (None, None);
         let mut applied_on: Vec<usize> = Vec::new();
         for (i, backend) in self.backends.iter().enumerate() {
             if self.backend_state(i) != RejoinState::Enabled {
@@ -536,14 +528,12 @@ impl Controller {
                         first = Some(out);
                     }
                 }
+                Err(e @ EngineError::Unavailable(_)) => {
+                    self.fail_backend(i);
+                    unavailable.get_or_insert(e);
+                }
                 Err(e) => {
-                    self.health.record_failure(i);
-                    if self.disable_failed {
-                        self.disable_backend(i);
-                    }
-                    if failure.is_none() {
-                        failure = Some(e);
-                    }
+                    statement_error.get_or_insert(e);
                 }
             }
         }
@@ -555,9 +545,10 @@ impl Controller {
             self.log.checkpoint();
         }
         drop(ticket);
-        let result = match (first, failure) {
+        // A statement error outranks a backend that did not serve.
+        let result = match (first, statement_error.or(unavailable)) {
             (Some(out), None) => Ok(out),
-            (Some(out), Some(_)) if self.disable_failed => Ok(out),
+            (Some(out), Some(EngineError::Unavailable(_))) if self.disable_failed => Ok(out),
             (_, Some(e)) => Err(e),
             (None, None) => Err(EngineError::Unsupported(
                 "no enabled backends remain".into(),
@@ -748,7 +739,7 @@ mod failure_tests {
     impl Connection for Flaky {
         fn execute(&self, sql: &str) -> EngineResult<QueryOutput> {
             if self.failing.load(Ordering::SeqCst) {
-                return Err(EngineError::Unsupported("injected failure".into()));
+                return Err(EngineError::Unavailable("injected failure".into()));
             }
             self.inner.execute(sql)
         }
@@ -998,11 +989,10 @@ mod failure_tests {
 #[cfg(test)]
 mod balance_tests {
     use super::*;
-    use crate::balancer::RoundRobinBalancer;
     use crate::connection::{EngineNode, NodeConnection};
     use apuama_engine::Database;
 
-    fn cluster_with(balancer: Box<dyn LoadBalancer>, n: usize) -> Controller {
+    fn cluster(n: usize) -> Controller {
         let mut conns: Vec<Arc<dyn Connection>> = Vec::new();
         for i in 0..n {
             let mut db = Database::in_memory();
@@ -1013,27 +1003,12 @@ mod balance_tests {
                 db,
             ))));
         }
-        Controller::new(
-            conns,
-            ControllerConfig {
-                balancer,
-                ..ControllerConfig::default()
-            },
-        )
-    }
-
-    #[test]
-    fn round_robin_spreads_serial_reads_evenly() {
-        let c = cluster_with(Box::new(RoundRobinBalancer::default()), 3);
-        for _ in 0..9 {
-            c.execute("select a from t").unwrap();
-        }
-        assert_eq!(c.reads_served(), vec![3, 3, 3]);
+        Controller::new(conns, ControllerConfig::default())
     }
 
     #[test]
     fn concurrent_reads_all_complete_and_are_counted() {
-        let c = Arc::new(cluster_with(Box::new(LeastPendingBalancer), 4));
+        let c = Arc::new(cluster(4));
         std::thread::scope(|s| {
             for _ in 0..8 {
                 let c = Arc::clone(&c);

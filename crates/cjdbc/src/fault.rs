@@ -17,6 +17,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::connection::{classify, Connection, StatementKind};
+use crate::health::HealthTracker;
+use crate::recovery::RejoinHooks;
 
 /// Which statements a fault plan applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -196,7 +198,7 @@ impl FaultyConnection {
                 .any(|&(from, to)| call >= from && call < to)
             {
                 self.injected_errors.fetch_add(1, Ordering::SeqCst);
-                return Err(EngineError::Unsupported(format!(
+                return Err(EngineError::Unavailable(format!(
                     "injected fault (scheduled outage) on {}",
                     self.inner.name()
                 )));
@@ -205,7 +207,7 @@ impl FaultyConnection {
                 let hit = plan.error_rate >= 1.0 || self.rng.lock().random_bool(plan.error_rate);
                 if hit {
                     self.injected_errors.fetch_add(1, Ordering::SeqCst);
-                    return Err(EngineError::Unsupported(format!(
+                    return Err(EngineError::Unavailable(format!(
                         "injected fault on {}",
                         self.inner.name()
                     )));
@@ -232,6 +234,10 @@ impl Connection for FaultyConnection {
 
     fn mem_peak_bytes(&self) -> u64 {
         self.inner.mem_peak_bytes()
+    }
+
+    fn engine_seam(&self) -> Option<(Arc<HealthTracker>, Arc<dyn RejoinHooks>)> {
+        self.inner.engine_seam()
     }
 
     fn name(&self) -> &str {

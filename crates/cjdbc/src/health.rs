@@ -12,7 +12,10 @@
 //! The tracker is shared: the controller's load balancer consults it when
 //! routing pass-through reads, and the Apuama engine consults the same
 //! instance when assigning SVP ranges, so a node that fails OLTP traffic is
-//! also routed around for OLAP sub-queries and vice versa.
+//! also routed around for OLAP sub-queries and vice versa. A failure is a
+//! request the node did not serve (`EngineError::Unavailable`, or an SVP
+//! sub-query past its deadline); a statement error is the statement's own
+//! and is recorded as neither success nor failure.
 
 use std::time::{Duration, Instant};
 
@@ -216,6 +219,14 @@ mod tests {
                 probe_after: Duration::from_millis(probe_ms),
             },
         )
+    }
+
+    #[test]
+    fn breaker_slice_clamps_threshold() {
+        let t = tracker(0, 60_000);
+        assert_eq!(t.policy().threshold, 1);
+        t.record_failure(0);
+        assert_eq!(t.state(0), CircuitState::Open);
     }
 
     #[test]

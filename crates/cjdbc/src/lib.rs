@@ -14,14 +14,15 @@
 //! * [`scheduler::WriteScheduler`] — total ordering of update requests:
 //!   "makes sure that update requests are executed in the same order by
 //!   all DBMSs", while reads proceed concurrently.
-//! * [`balancer`] — read load balancing; the paper configures
-//!   "the node with the least number of pending requests", provided here
-//!   along with round-robin and random for the ablation bench.
 //! * [`controller::Controller`] — the virtual-database façade gluing the
-//!   above together.
+//!   above together. It balances reads as the paper configures C-JDBC:
+//!   "the node with the least number of pending requests".
 //!
 //! * [`health::HealthTracker`] — per-node consecutive-failure circuit
-//!   breaker shared between the read balancer and Apuama's SVP dispatcher.
+//!   breaker shared between the read balancer and Apuama's SVP dispatcher:
+//!   over an engine's connections, [`Controller::new`] takes the engine's
+//!   own ([`Connection::engine_seam`]). Only a backend that did not serve a
+//!   request (`EngineError::Unavailable`) is charged with a failure.
 //! * [`fault::FaultyConnection`] — deterministic fault injection at the
 //!   `Connection` seam for tests and the ablation bench.
 //! * [`recovery::RecoveryLog`] — C-JDBC's recovery log: every committed
@@ -39,7 +40,6 @@
 //! controller crash still loses the virtual database.
 
 pub mod admission;
-pub mod balancer;
 pub mod connection;
 pub mod controller;
 pub mod fault;
@@ -48,7 +48,6 @@ pub mod recovery;
 pub mod scheduler;
 
 pub use admission::{AdmissionController, AdmissionPermit, AdmissionPolicy};
-pub use balancer::{LeastPendingBalancer, LoadBalancer, RandomBalancer, RoundRobinBalancer};
 pub use connection::{classify, Connection, EngineNode, NodeConnection, StatementKind};
 pub use controller::{Controller, ControllerConfig, GovernanceCounters};
 pub use fault::{FaultPlan, FaultTarget, FaultyConnection};

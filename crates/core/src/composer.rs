@@ -154,17 +154,8 @@ enum StreamState<'p> {
         folds: &'p [FoldFn],
         nodes: Vec<PartialAgg>,
     },
-    /// Plain union: buffer rows tagged `(node, seq)`, pruning to the top
-    /// `limit` under the ORDER BY comparator when both are available.
-    Union {
-        /// ORDER BY keys as partial-column indices, and the LIMIT; `None`
-        /// disables the cutoff (no LIMIT, or an un-analyzable ORDER BY
-        /// expression).
-        cutoff: Option<(&'p [(usize, bool)], usize)>,
-        rows: Vec<(usize, u64, Row)>,
-        /// Per-node row sequence counters.
-        seqs: Vec<u64>,
-    },
+    /// Plain union: one row buffer per node, in the node's own order.
+    Union { nodes: Vec<Vec<Row>> },
 }
 
 /// The Result Composer: built for one query's plan, fed
@@ -175,11 +166,10 @@ enum StreamState<'p> {
 /// folded rows (one per group) so HAVING / ORDER BY / LIMIT / output
 /// expressions get exactly the engine's semantics (DESIGN.md §5.4).
 ///
-/// For non-aggregated queries with `ORDER BY … LIMIT k` over output
-/// columns, arriving rows are cut off at the global top `k` (stable
-/// comparator: ORDER BY keys via `Value::sort_cmp`, then `(node, seq)` —
-/// the same tie-break a stable sort over the staging table gives), so
-/// memory stays `O(k)` instead of `O(total partial rows)`.
+/// A non-aggregated query's rows are buffered per node and concatenated in
+/// node order at `finish()` — the staging order — and the composition
+/// query applies ORDER BY and LIMIT. Sub-queries carry neither, so every
+/// partial is whole at its node and there is nothing to cut off earlier.
 ///
 /// All state is keyed on the *node index*, never on arrival order, so the
 /// composed result is a function of the per-node partial sequences alone —
@@ -199,45 +189,13 @@ impl<'p> StreamingComposer<'p> {
                 folds,
                 nodes: Vec::new(),
             },
-            ComposeSpec::Union { order, limit } => StreamState::Union {
-                cutoff: order.as_deref().zip(limit.map(|k| k as usize)),
-                rows: Vec::new(),
-                seqs: Vec::new(),
-            },
+            ComposeSpec::Union => StreamState::Union { nodes: Vec::new() },
         };
         StreamingComposer {
             plan,
             state,
             accepted_rows: 0,
         }
-    }
-
-    /// Inserts a row into the pruned union buffer, keeping `rows` sorted by
-    /// (ORDER BY keys, node, seq) and truncated to `limit`.
-    fn union_insert(
-        rows: &mut Vec<(usize, u64, Row)>,
-        keys: &[(usize, bool)],
-        limit: usize,
-        entry: (usize, u64, Row),
-    ) {
-        let cmp = |a: &(usize, u64, Row), b: &(usize, u64, Row)| {
-            for &(col, desc) in keys {
-                let ord = a.2[col].sort_cmp(&b.2[col]);
-                let ord = if desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            (a.0, a.1).cmp(&(b.0, b.1))
-        };
-        let pos = rows
-            .binary_search_by(|probe| cmp(probe, &entry))
-            .unwrap_or_else(|p| p);
-        if pos >= limit {
-            return;
-        }
-        rows.insert(pos, entry);
-        rows.truncate(limit);
     }
 
     /// Feeds one partial result produced by `node`. A node may contribute
@@ -260,18 +218,11 @@ impl<'p> StreamingComposer<'p> {
                     nodes[node].fold(keys, args)?;
                 }
             }
-            StreamState::Union { cutoff, rows, seqs } => {
-                if seqs.len() <= node {
-                    seqs.resize(node + 1, 0);
+            StreamState::Union { nodes } => {
+                if nodes.len() <= node {
+                    nodes.resize_with(node + 1, Vec::new);
                 }
-                for row in partial.rows {
-                    let seq = seqs[node];
-                    seqs[node] += 1;
-                    match *cutoff {
-                        Some((keys, k)) => Self::union_insert(rows, keys, k, (node, seq, row)),
-                        None => rows.push((node, seq, row)),
-                    }
-                }
+                nodes[node].extend(partial.rows);
             }
         }
         Ok(())
@@ -291,12 +242,7 @@ impl<'p> StreamingComposer<'p> {
                 });
                 merged.map(PartialAgg::into_rows).unwrap_or_default()
             }
-            StreamState::Union { mut rows, .. } => {
-                // Restore staging insertion order (node-major, per-node
-                // sequence); the composition query re-applies ORDER BY.
-                rows.sort_by_key(|(node, seq, _)| (*node, *seq));
-                rows.into_iter().map(|(_, _, row)| row).collect()
-            }
+            StreamState::Union { nodes } => nodes.concat(),
         };
         let mut composed = stage_and_compose(self.plan, folded)?;
         // Report rows *accepted*, not rows staged after folding — callers
@@ -575,26 +521,6 @@ mod incremental_tests {
                 assert_eq!(got.output.rows, reference.output.rows, "{sql} {strategy:?}");
             }
         }
-    }
-
-    #[test]
-    fn streaming_cutoff_bounds_the_union_buffer() {
-        let sql = "select o_orderkey, o_totalprice from orders \
-                   order by o_totalprice desc limit 5";
-        let (plan, partials) = plan_and_partials(sql, 4);
-        let mut composer = StreamingComposer::new(&plan);
-        for (i, p) in partials.iter().enumerate() {
-            composer.accept(i, p.clone()).unwrap();
-        }
-        if let StreamState::Union { rows, .. } = &composer.state {
-            assert_eq!(rows.len(), 5, "buffer should hold only the top LIMIT rows");
-        } else {
-            panic!("plain ORDER BY/LIMIT query should stream as a union");
-        }
-        let got = composer.finish().unwrap();
-        let want = compose(&plan, &partials).unwrap();
-        assert_eq!(got.output.rows, want.output.rows);
-        assert_eq!(got.partial_rows, want.partial_rows);
     }
 
     #[test]

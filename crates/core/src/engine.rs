@@ -12,7 +12,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use apuama_cjdbc::{classify, Connection, HealthTracker, StatementKind};
+use apuama_cjdbc::{classify, Connection, HealthTracker, RejoinHooks, StatementKind};
 use apuama_engine::{
     EngineError, EngineResult, ExecStats, PhaseTiming, QueryGovernor, QueryOutput, ReadRequest,
 };
@@ -88,8 +88,8 @@ pub struct ApuamaEngine {
     gate: UpdateGate,
     config: ApuamaConfig,
     /// Cluster-wide circuit breaker: fed by every node processor, consulted
-    /// by the SVP dispatcher (and shareable with the C-JDBC read balancer
-    /// via [`apuama_cjdbc::Controller::with_health`]).
+    /// by the SVP dispatcher, and shared with the C-JDBC read balancer of a
+    /// controller built over [`ApuamaEngine::connections`].
     health: Arc<HealthTracker>,
 }
 
@@ -102,7 +102,7 @@ impl ApuamaEngine {
     ) -> Arc<ApuamaEngine> {
         assert!(!conns.is_empty(), "a cluster needs at least one node");
         let n = conns.len();
-        let health = Arc::new(HealthTracker::new(n, config.fault.breaker()));
+        let health = Arc::new(HealthTracker::new(n, config.fault.breaker));
         Arc::new(ApuamaEngine {
             nodes: conns
                 .into_iter()
@@ -147,14 +147,6 @@ impl ApuamaEngine {
         &self.gate
     }
 
-    /// This engine as controller rejoin hooks — wire into
-    /// [`apuama_cjdbc::ControllerConfig`]'s `rejoin_hooks` so backend
-    /// disable/rejoin transitions keep the update gate's view of the
-    /// cluster in sync (see the [`apuama_cjdbc::RejoinHooks`] impl below).
-    pub fn rejoin_hooks(self: &Arc<Self>) -> Arc<dyn apuama_cjdbc::RejoinHooks> {
-        Arc::clone(self) as Arc<dyn apuama_cjdbc::RejoinHooks>
-    }
-
     /// The per-node connection C-JDBC's backend `node` plugs into. `node`
     /// indexes the cluster like a slice: out of range, this call panics (it
     /// reads the node's name), not a later use of the connection.
@@ -167,7 +159,9 @@ impl ApuamaEngine {
     }
 
     /// Connections for all nodes, in order — what you hand to
-    /// [`apuama_cjdbc::Controller::new`].
+    /// [`apuama_cjdbc::Controller::new`], which then shares this engine's
+    /// health tracker and fires its rejoin hooks
+    /// ([`Connection::engine_seam`]).
     pub fn connections(self: &Arc<Self>) -> Vec<Arc<dyn Connection>> {
         (0..self.nodes.len())
             .map(|i| self.connection(i) as Arc<dyn Connection>)
@@ -227,6 +221,10 @@ impl ApuamaEngine {
     ///   available replicas at dispatch time.
     /// * Each sub-query runs under an optional deadline and bounded
     ///   same-node retries with exponential backoff.
+    /// * Only a failure that is the node's — it did not serve the request
+    ///   (`EngineError::Unavailable`) or outran the deadline — is retried
+    ///   or requeued. Any other error is the statement's own and fails the
+    ///   query at once.
     /// * A range whose node exhausted its retries is requeued whole to
     ///   another node this query dispatched to that is still running, or
     ///   the first to have served all its ranges — the residual is the node's
@@ -416,14 +414,15 @@ impl ApuamaEngine {
                             }
                         }
                     }
-                    Err(e) => {
+                    Err(f) => {
                         recovery.failed_attempts += attempts;
                         tried[range].push(node);
-                        // A live query runs the whole range here, on a node
-                        // whose ticket it still holds and that has not
-                        // failed it yet; the partials that arrive meanwhile
-                        // wait in the channel.
+                        // A live query runs a range its node failed here, on
+                        // a node whose ticket it still holds and that has
+                        // not failed it yet; the partials that arrive
+                        // meanwhile wait in the channel.
                         let live = policy.reassign
+                            && f.node_fault
                             && failed.is_empty()
                             && accept_error.is_none()
                             && gov.check().is_ok();
@@ -440,7 +439,7 @@ impl ApuamaEngine {
                                     run_with_retries(&self.nodes[j], sql, params, &policy, &gov);
                                 requeued = Some((range, j, attempts, result));
                             }
-                            None => failed.push((range, e)),
+                            None => failed.push((range, f.error)),
                         }
                     }
                 }
@@ -517,7 +516,7 @@ fn route(range: usize, outstanding: &[usize], may_serve: impl Fn(usize) -> bool)
 /// Blocking-mode write); a node re-entering has its transaction counter
 /// seeded to the active maximum — the controller calls `on_enable` under
 /// its write pause, so nothing is in flight and the seed is exact.
-impl apuama_cjdbc::RejoinHooks for ApuamaEngine {
+impl RejoinHooks for ApuamaEngine {
     fn on_disable(&self, node: usize) {
         self.gate.set_excluded(node, true);
     }
@@ -525,6 +524,23 @@ impl apuama_cjdbc::RejoinHooks for ApuamaEngine {
     fn on_enable(&self, node: usize, _applied_seq: u64) {
         self.gate.seed_counter(node, self.gate.active_max_counter());
         self.gate.set_excluded(node, false);
+    }
+}
+
+/// A failed attempt, and whether it counts against its node (DESIGN.md §8):
+/// the backend did not serve the request ([`EngineError::Unavailable`]), or
+/// the attempt outran the sub-query deadline. Only such a failure is
+/// retried or requeued; any other is the statement's own and fails the
+/// query at once.
+struct Failure {
+    error: EngineError,
+    node_fault: bool,
+}
+
+impl Failure {
+    fn of(error: EngineError) -> Failure {
+        let node_fault = matches!(error, EngineError::Unavailable(_));
+        Failure { error, node_fault }
     }
 }
 
@@ -539,17 +555,17 @@ fn run_with_retries(
     params: &[Value],
     policy: &FaultPolicy,
     gov: &QueryGovernor,
-) -> (u32, EngineResult<QueryOutput>) {
+) -> (u32, Result<QueryOutput, Failure>) {
     let mut attempt = 1;
     loop {
         // The query may have been doomed before this attempt (or while we
         // slept in backoff): bail without burning another execution.
         if let Err(e) = gov.check() {
-            return (attempt - 1, Err(e));
+            return (attempt - 1, Err(Failure::of(e)));
         }
         match run_attempt(node, sql, params, policy.subquery_timeout_ms, gov) {
             Ok(out) => return (attempt, Ok(out)),
-            Err(e) if attempt > policy.max_retries => return (attempt, Err(e)),
+            Err(f) if !f.node_fault || attempt > policy.max_retries => return (attempt, Err(f)),
             Err(_) => {}
         }
         let backoff = policy.backoff(attempt);
@@ -577,9 +593,11 @@ fn run_attempt(
     params: &[Value],
     timeout_ms: Option<u64>,
     gov: &QueryGovernor,
-) -> EngineResult<QueryOutput> {
+) -> Result<QueryOutput, Failure> {
     let Some(ms) = timeout_ms else {
-        return node.run_guarded(&ReadRequest::bound(sql, params).governed(gov));
+        return node
+            .run_guarded(&ReadRequest::bound(sql, params).governed(gov))
+            .map_err(Failure::of);
     };
     let (tx, rx) = std::sync::mpsc::channel();
     let worker_node = Arc::clone(node);
@@ -592,14 +610,17 @@ fn run_attempt(
         let _ = tx.send(worker_node.run_guarded(&req));
     });
     match rx.recv_timeout(std::time::Duration::from_millis(ms)) {
-        Ok(result) => result,
+        Ok(result) => result.map_err(Failure::of),
         Err(_) => {
             attempt_gov.cancel();
             node.record_timeout();
-            Err(EngineError::Timeout(format!(
-                "sub-query exceeded {ms} ms on {}",
-                node.name()
-            )))
+            Err(Failure {
+                error: EngineError::Timeout(format!(
+                    "sub-query exceeded {ms} ms on {}",
+                    node.name()
+                )),
+                node_fault: true,
+            })
         }
     }
 }
@@ -632,6 +653,11 @@ impl Connection for ApuamaConnection {
 
     fn mem_peak_bytes(&self) -> u64 {
         self.engine.nodes[self.node].mem_peak_bytes()
+    }
+
+    fn engine_seam(&self) -> Option<(Arc<HealthTracker>, Arc<dyn RejoinHooks>)> {
+        let hooks = Arc::clone(&self.engine) as Arc<dyn RejoinHooks>;
+        Some((Arc::clone(&self.engine.health), hooks))
     }
 
     fn name(&self) -> &str {
@@ -790,14 +816,7 @@ mod tests {
     #[test]
     fn set_through_the_controller_reaches_every_replica_session() {
         let (engine, nodes) = cluster(3, ApuamaConfig::default());
-        let controller = Controller::with_health(
-            engine.connections(),
-            ControllerConfig {
-                rejoin_hooks: engine.rejoin_hooks(),
-                ..ControllerConfig::default()
-            },
-            Arc::clone(engine.health()),
-        );
+        let controller = Controller::new(engine.connections(), ControllerConfig::default());
         let workers = |i: usize| nodes[i].with_db(|db| db.setting("parallel_workers"));
         controller.disable_backend(2);
         controller.execute("set parallel_workers = 3").unwrap();
@@ -885,8 +904,8 @@ mod fault_tests {
     use super::*;
     use crate::fault::FaultPolicy;
     use apuama_cjdbc::{
-        Controller, ControllerConfig, EngineNode, FaultPlan, FaultTarget, FaultyConnection,
-        NodeConnection,
+        BreakerPolicy, Controller, ControllerConfig, EngineNode, FaultPlan, FaultTarget,
+        FaultyConnection, NodeConnection,
     };
     use apuama_engine::Database;
     use apuama_sql::Value;
@@ -1142,8 +1161,10 @@ mod fault_tests {
             3,
             ApuamaConfig {
                 fault: FaultPolicy {
-                    breaker_threshold: 2,
-                    probe_after_ms: 60_000,
+                    breaker: BreakerPolicy {
+                        threshold: 2,
+                        probe_after: Duration::from_secs(60),
+                    },
                     ..FaultPolicy::default()
                 },
                 ..ApuamaConfig::default()
@@ -1182,8 +1203,10 @@ mod fault_tests {
             ApuamaConfig {
                 fault: FaultPolicy {
                     max_retries: 0,
-                    breaker_threshold: 1,
-                    probe_after_ms: 60_000,
+                    breaker: BreakerPolicy {
+                        threshold: 1,
+                        probe_after: Duration::from_secs(60),
+                    },
                     ..FaultPolicy::default()
                 },
                 ..ApuamaConfig::default()

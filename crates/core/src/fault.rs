@@ -10,7 +10,11 @@ use std::time::Duration;
 
 use apuama_cjdbc::BreakerPolicy;
 
-/// What the Intra-Query Executor does when a sub-query fails.
+/// What the Intra-Query Executor does when a sub-query fails on its node's
+/// account: the backend did not serve it (`EngineError::Unavailable`) or
+/// it outran `subquery_timeout_ms`. Any other error is the statement's
+/// own — it would fail the same way on every replica — so it is neither
+/// retried nor requeued, strikes no breaker, and fails the query at once.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPolicy {
     /// Per-sub-query deadline. `None` waits forever (the seed behaviour).
@@ -32,11 +36,9 @@ pub struct FaultPolicy {
     /// released; the partial is attributed to the original range index, so
     /// composition is byte-identical to the healthy run.
     pub reassign: bool,
-    /// Consecutive failures that open a node's circuit (SVP dispatch and
-    /// the C-JDBC read balancer both skip open circuits).
-    pub breaker_threshold: u32,
-    /// How long an open circuit waits before admitting a probe.
-    pub probe_after_ms: u64,
+    /// The engine's circuit breaker: SVP dispatch and the C-JDBC read
+    /// balancer both skip open circuits.
+    pub breaker: BreakerPolicy,
 }
 
 impl Default for FaultPolicy {
@@ -46,8 +48,7 @@ impl Default for FaultPolicy {
             max_retries: 1,
             retry_backoff_ms: 1,
             reassign: true,
-            breaker_threshold: 3,
-            probe_after_ms: 100,
+            breaker: BreakerPolicy::default(),
         }
     }
 }
@@ -62,14 +63,6 @@ impl FaultPolicy {
             retry_backoff_ms: 0,
             reassign: false,
             ..FaultPolicy::default()
-        }
-    }
-
-    /// The circuit-breaker slice of this policy.
-    pub fn breaker(&self) -> BreakerPolicy {
-        BreakerPolicy {
-            threshold: self.breaker_threshold.max(1),
-            probe_after: Duration::from_millis(self.probe_after_ms),
         }
     }
 
@@ -136,14 +129,5 @@ mod tests {
         assert_eq!(p.backoff(3), Duration::from_millis(8));
         // Never overflows even for absurd attempt numbers.
         assert!(p.backoff(u32::MAX) >= p.backoff(17));
-    }
-
-    #[test]
-    fn breaker_slice_clamps_threshold() {
-        let p = FaultPolicy {
-            breaker_threshold: 0,
-            ..FaultPolicy::default()
-        };
-        assert_eq!(p.breaker().threshold, 1);
     }
 }

@@ -194,8 +194,10 @@ impl NodeProcessor {
     /// engine reclaims an abandoned (timed-out) attempt: the detached
     /// thread observes the cancel, unwinds, and releases its pool slot.
     /// The interference is the request's avoid-sequential-scans hint, set
-    /// here on every sub-query; nothing else is sent. Outcomes are
-    /// reported to the health tracker.
+    /// here on every sub-query; nothing else is sent. A success, and a
+    /// request the backend did not serve (`EngineError::Unavailable`), are
+    /// reported to the health tracker; any other error is the statement's
+    /// own and health-neutral.
     pub(crate) fn run_guarded(&self, req: &ReadRequest<'_>) -> EngineResult<QueryOutput> {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         let _in_flight = InFlightGuard(&self.in_flight);
@@ -204,12 +206,11 @@ impl NodeProcessor {
         let result = self.conn.read(&req.avoiding_seqscan(true));
         match &result {
             Ok(_) => self.health.record_success(self.index),
-            // A cooperative cancel is the *coordinator* abandoning the
-            // attempt (timeout reassignment, sibling failure, client
-            // cancel) — the node did nothing wrong, so it is
-            // health-neutral: neither a success nor a breaker strike.
-            Err(EngineError::Cancelled(_)) => {}
-            Err(_) => self.health.record_failure(self.index),
+            Err(EngineError::Unavailable(_)) => self.health.record_failure(self.index),
+            // A cooperative cancel is the coordinator abandoning the
+            // attempt; a type error or a constraint fails on every replica.
+            // Neither is the node's doing.
+            Err(_) => {}
         }
         result
     }
@@ -410,8 +411,19 @@ mod tests {
             .run_subquery_statement("select nope from missing")
             .is_err());
         drop(ticket);
+        // The unknown table is the statement's error, not the node's.
         assert_eq!(np.health().successes(0), 1);
-        assert_eq!(np.health().failures(0), 1);
+        assert_eq!(np.health().failures(0), 0);
+        // A backend that does not serve the request is charged with it.
+        let dead = processor(FaultyConnection::new(
+            Arc::new(NodeConnection::new(engine_node())),
+            FaultPlan::fail_all(),
+        ));
+        let err = dead
+            .run_subquery_statement("select count(*) as n from t")
+            .unwrap_err();
+        assert!(matches!(err, EngineError::Unavailable(_)), "{err:?}");
+        assert_eq!(dead.health().failures(0), 1);
     }
 
     #[test]

@@ -95,14 +95,7 @@ pub struct SvpPlan {
 pub enum ComposeSpec {
     /// Non-aggregated query: partial rows *are* result rows; composition
     /// only unions them, then applies the global ORDER BY / LIMIT.
-    Union {
-        /// ORDER BY keys as `(partial column index, descending)` — `Some`
-        /// only when every key is a bare output column, which is what
-        /// enables streaming top-k cutoff.
-        order: Option<Vec<(usize, bool)>>,
-        /// Global LIMIT, if any.
-        limit: Option<u64>,
-    },
+    Union,
     /// Aggregated query: the first `group_cols` partial columns are the
     /// grouping keys and column `group_cols + i` re-aggregates with
     /// `folds[i]`.
@@ -477,31 +470,11 @@ fn decompose_plain(q: &Select) -> Decomposition {
         limit: q.limit,
         ..Select::default()
     };
-    // Streaming cutoff needs every ORDER BY key to be a bare output column
-    // (anything else cannot be evaluated against a partial row alone).
-    let order = if q.order_by.is_empty() {
-        Some(vec![])
-    } else {
-        q.order_by
-            .iter()
-            .map(|o| match &o.expr {
-                Expr::Column(c) => output_columns
-                    .iter()
-                    .position(|n| *n == c.column)
-                    .map(|i| (i, o.desc)),
-                _ => None,
-            })
-            .collect()
-    };
-    let compose = ComposeSpec::Union {
-        order,
-        limit: q.limit,
-    };
     Decomposition {
         partial_items,
         composition,
         output_columns,
-        compose,
+        compose: ComposeSpec::Union,
     }
 }
 

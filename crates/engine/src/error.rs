@@ -34,6 +34,11 @@ pub enum EngineError {
     /// admission queue shedding load). The statement failed cleanly and
     /// the engine remains usable.
     ResourceExhausted(String),
+    /// The backend did not serve the request: it is down, unreachable, or
+    /// failed on its own account. The one statement error that is a
+    /// node's fault — the cluster retries, requeues and counts it against
+    /// the node; every other error is the statement's own.
+    Unavailable(String),
 }
 
 impl std::fmt::Display for EngineError {
@@ -51,6 +56,7 @@ impl std::fmt::Display for EngineError {
             EngineError::Timeout(m) => write!(f, "timeout: {m}"),
             EngineError::Cancelled(m) => write!(f, "cancelled: {m}"),
             EngineError::ResourceExhausted(m) => write!(f, "resource exhausted: {m}"),
+            EngineError::Unavailable(m) => write!(f, "unavailable: {m}"),
         }
     }
 }

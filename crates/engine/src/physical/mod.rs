@@ -501,26 +501,24 @@ pub(crate) fn build_tree<'e>(
     ctx: &'e ExecContext<'e>,
     az: Option<&'e Analyze>,
 ) -> (Box<dyn Operator<'e> + 'e>, Option<usize>) {
-    let workers = ctx.db.parallel_workers();
     let (mut op, mut idx) = match shape {
         Shape::Fused(f) => {
             // DISTINCT accumulators cannot be merged across partials and
-            // correlated frames cannot cross threads; both fall back to the
-            // serial fused kernel.
-            let parallel = workers >= 2 && outer.is_empty() && !f.specs.iter().any(|s| s.distinct);
+            // correlated frames cannot cross threads; both keep the serial
+            // pass.
+            let workers = match ctx.db.parallel_workers() {
+                w if outer.is_empty() && !f.specs.iter().any(|s| s.distinct) => w,
+                _ => 1,
+            };
             let mut label = format!("fused aggregate over {}", f.binding_name);
-            if parallel {
+            if workers >= 2 {
                 label.push_str(&format!(" [parallel ×{workers}]"));
             }
             // Registered up front (like the join block) so the fold's tally
             // and the workers' breakdowns can attach from the run.
             let pidx = az.map(|a| a.register(label, Vec::new()));
-            let fused = FusedExec::new(q, f, outer, ctx, az, pidx);
-            if parallel {
-                timed(az, pidx, Box::new(ParallelFusedExec::new(fused, workers)))
-            } else {
-                timed(az, pidx, Box::new(fused))
-            }
+            let fused = FusedExec::new(q, f, outer, ctx, workers, az, pidx);
+            timed(az, pidx, Box::new(fused))
         }
         Shape::General(g) => {
             let (source, sidx) = build_source(g, outer, ctx, az);
@@ -638,30 +636,10 @@ pub(crate) fn build_input<'e>(
             single,
             keep,
         } => {
-            let workers = ctx.db.parallel_workers();
             let (alias, keep) = (alias.as_deref(), keep.as_deref());
             let scan = ScanExec::new(name, alias, single, keep, outer, ctx);
-            // Subquery predicates need the coordinator's evaluation
-            // context and correlated frames cannot cross threads; both
-            // keep the serial scan.
-            let parallel = workers >= 2
-                && outer.is_empty()
-                && single.iter().all(|e| !exec::contains_subquery(e));
-            let label = az.map_or_else(String::new, |_| {
-                scan_label(name, alias, parallel.then_some(workers), keep, ctx)
-            });
-            if parallel {
-                // Registered up front so the worker breakdown can attach
-                // as children from run_parallel().
-                let pidx = az.map(|a| a.register(label, Vec::new()));
-                timed(
-                    az,
-                    pidx,
-                    Box::new(ParallelScanExec::new(scan, workers, az, pidx)),
-                )
-            } else {
-                instrument(az, Box::new(scan), label, Vec::new())
-            }
+            let label = az.map_or_else(String::new, |_| scan_label(name, alias, None, keep, ctx));
+            instrument(az, Box::new(scan), label, Vec::new())
         }
         InputNode::Derived {
             alias,

@@ -182,8 +182,8 @@ pub(crate) struct FoldScratch {
 }
 
 /// The fused kernel's fold, specialized once per execution and then shared
-/// read-only: [`FusedExec`] folds scan batches through it, the workers of
-/// [`ParallelFusedExec`] fold morsels. Residual scan predicates run before
+/// read-only: [`FusedExec`] folds scan batches through it on its serial
+/// pass, and morsels on its workers. Residual scan predicates run before
 /// post predicates, in plan order; all programs have bound parameters
 /// folded in, group keys are positional programs.
 ///
@@ -522,10 +522,10 @@ impl<'p> FusedFold<'p> {
 /// What one fused execution decides before any row is read: the table, the
 /// access path chosen from the bound values, and the fold specialized for
 /// the conjuncts it leaves to the row level.
-pub(crate) struct FusedScan<'e> {
-    pub(crate) table: &'e Table,
-    pub(crate) choice: ScanChoice,
-    pub(crate) fold: FusedFold<'e>,
+struct FusedScan<'e> {
+    table: &'e Table,
+    choice: ScanChoice,
+    fold: FusedFold<'e>,
 }
 
 /// The fusion rule's executor: one pass over the base table a stored
@@ -533,14 +533,27 @@ pub(crate) struct FusedScan<'e> {
 /// columns ([`FusedFold`]), statistics charged once per batch. Finishes
 /// through the same [`project_groups`] as the general tree, which is what
 /// keeps the two shapes byte-identical.
+///
+/// With `workers` of two or more and a scan that splits into two or more
+/// morsels, the pass runs on the morsel tier — the engine's third
+/// parallelism tier (intra-node), below the cluster's inter-query and
+/// intra-query tiers. Each worker folds its morsels through the shared
+/// fold into private [`Groups`] partials, charging the transient partial
+/// state to the memory gauge through its own context; the coordinator
+/// merges the partials **in morsel-index order** — preserving the serial
+/// first-seen group order — and charges the merged total as the serial
+/// pass does. Counter identity with the serial pass is
+/// [`run_scan_morsels`]'s; a smaller scan takes the serial pass, so it pays
+/// no dispatch cost.
 pub(crate) struct FusedExec<'e> {
     q: &'e Select,
-    pub(crate) plan: &'e FusedPlan,
+    plan: &'e FusedPlan,
     outer: &'e [Frame<'e>],
-    pub(crate) ctx: &'e ExecContext<'e>,
+    ctx: &'e ExecContext<'e>,
+    workers: usize,
     /// The `EXPLAIN ANALYZE` collector and this operator's node in it.
-    pub(crate) az: Option<&'e Analyze>,
-    pub(crate) probe: Option<usize>,
+    az: Option<&'e Analyze>,
+    probe: Option<usize>,
     emitter: Option<BatchEmitter>,
 }
 
@@ -550,6 +563,7 @@ impl<'e> FusedExec<'e> {
         plan: &'e FusedPlan,
         outer: &'e [Frame<'e>],
         ctx: &'e ExecContext<'e>,
+        workers: usize,
         az: Option<&'e Analyze>,
         probe: Option<usize>,
     ) -> Self {
@@ -558,13 +572,14 @@ impl<'e> FusedExec<'e> {
             plan,
             outer,
             ctx,
+            workers,
             az,
             probe,
             emitter: None,
         }
     }
 
-    pub(crate) fn plan_scan(&self) -> EngineResult<FusedScan<'e>> {
+    fn plan_scan(&self) -> EngineResult<FusedScan<'e>> {
         let (plan, ctx) = (self.plan, self.ctx);
         let table = ctx
             .db
@@ -578,10 +593,24 @@ impl<'e> FusedExec<'e> {
         })
     }
 
+    /// The pass: on the morsel tier when the scan splits, serial otherwise.
+    fn fold_groups(&self) -> EngineResult<Groups> {
+        let scan = self.plan_scan()?;
+        let morsels = (self.workers >= 2)
+            .then(|| plan_scan_morsels(scan.table, &scan.fold.preds, &scan.choice))
+            .filter(|sm| sm.len() >= 2);
+        let groups = match morsels {
+            Some(sm) => self.fold_morsels(&scan.fold, &sm)?,
+            None => self.fold_serial(&scan)?,
+        };
+        scan.fold.tally.note(self.az, self.probe);
+        Ok(groups)
+    }
+
     /// The serial pass: the cursor's units, one at a time, through the
     /// fold. Each unit is also the kernel's cancellation point and
     /// memory-charge boundary.
-    pub(crate) fn fold_serial(&self, scan: &FusedScan<'e>) -> EngineResult<Groups> {
+    fn fold_serial(&self, scan: &FusedScan<'e>) -> EngineResult<Groups> {
         let ctx = self.ctx;
         let mut groups = Groups::new();
         let mut charged_groups = 0u64;
@@ -599,12 +628,43 @@ impl<'e> FusedExec<'e> {
             ))?;
             charged_groups = n;
         }
-        scan.fold.tally.note(self.az, self.probe);
         Ok(groups)
     }
 
+    /// The morsel pass. Counters are totals and groups merge in morsel
+    /// order, so where the access path cut its morsels changes no
+    /// observable statistic.
+    fn fold_morsels(&self, fold: &FusedFold<'e>, sm: &ScanMorsels<'_>) -> EngineResult<Groups> {
+        let ctx = self.ctx;
+        let partials = run_scan_morsels(
+            sm,
+            ctx,
+            self.workers,
+            self.az,
+            self.probe,
+            |seg, slots, wctx| {
+                let mut groups = Groups::new();
+                let cpu = fold.fold(seg, slots, &mut fold.scratch(), &mut groups, wctx)?;
+                wctx.charge_mem(exec::approx_state_bytes(
+                    groups.len() as u64,
+                    fold.state_width(),
+                ))?;
+                Ok((groups, cpu))
+            },
+        )?;
+        let mut merged = Groups::new();
+        for groups in partials {
+            merged.merge(groups);
+        }
+        ctx.charge_mem(exec::approx_state_bytes(
+            merged.len() as u64,
+            fold.state_width(),
+        ))?;
+        Ok(merged)
+    }
+
     /// HAVING, the select list, ORDER BY keys.
-    pub(crate) fn finish(&self, groups: Groups) -> EngineResult<(Vec<Row>, KeyBuf)> {
+    fn finish(&self, groups: Groups) -> EngineResult<(Vec<Row>, KeyBuf)> {
         project_groups(
             self.q,
             &self.plan.bindings,
@@ -623,8 +683,7 @@ impl<'e> Operator<'e> for FusedExec<'e> {
 
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         if self.emitter.is_none() {
-            let groups = self.fold_serial(&self.plan_scan()?)?;
-            let (rows, keys) = self.finish(groups)?;
+            let (rows, keys) = self.finish(self.fold_groups()?)?;
             self.emitter = Some(BatchEmitter::new(rows, keys));
         }
         Ok(self.emitter.as_mut().and_then(BatchEmitter::next))

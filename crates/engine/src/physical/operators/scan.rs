@@ -395,11 +395,11 @@ pub(crate) fn cols_note(schema: &TableSchema, keep: &[String]) -> String {
 /// What [`ScanExec::plan`] decides before any row is read: the table, the
 /// access path chosen from the bound values, the conjuncts left to the row
 /// level, and the bindings the scan emits.
-pub(crate) struct PlannedScan<'e> {
-    pub(crate) table: &'e Table,
-    pub(crate) choice: ScanChoice,
-    pub(crate) residual_exprs: Vec<&'e Expr>,
-    pub(crate) out_bindings: Vec<Binding>,
+struct PlannedScan<'e> {
+    table: &'e Table,
+    choice: ScanChoice,
+    residual_exprs: Vec<&'e Expr>,
+    out_bindings: Vec<Binding>,
 }
 
 /// Base-table scan: chooses the access path at open (from the actual bound
@@ -413,11 +413,11 @@ pub(crate) struct ScanExec<'e> {
     single: &'e [Expr],
     keep: Option<&'e [String]>,
     outer: &'e [Frame<'e>],
-    pub(crate) ctx: &'e ExecContext<'e>,
+    ctx: &'e ExecContext<'e>,
     /// The table's full bindings: what the predicates resolve against.
-    pub(crate) bindings: Vec<Binding>,
+    bindings: Vec<Binding>,
     /// Kept column positions, when the output is narrower than the table.
-    pub(crate) cols: Option<Vec<usize>>,
+    cols: Option<Vec<usize>>,
     state: Option<ScanState<'e>>,
 }
 
@@ -443,12 +443,10 @@ impl<'e> ScanExec<'e> {
         }
     }
 
-    /// The first half of `open`: resolves the table, chooses the access
-    /// path and fixes the bindings (the full ones the predicates use, the
-    /// kept positions, and what the scan emits). [`ParallelScanExec`] plans
-    /// through here too and hands the result back to [`Self::start`] when
-    /// the scan is too small to split.
-    pub(crate) fn plan(&mut self) -> EngineResult<PlannedScan<'e>> {
+    /// Resolves the table, chooses the access path and fixes the bindings
+    /// (the full ones the predicates use, the kept positions, and what the
+    /// scan emits): what `open` and [`Self::select`] share.
+    fn plan(&mut self) -> EngineResult<PlannedScan<'e>> {
         let table = self
             .ctx
             .db
@@ -481,26 +479,6 @@ impl<'e> ScanExec<'e> {
     fn resolve(&self, exprs: &[&'e Expr]) -> ScanPreds {
         let preds = resolve_preds(exprs.iter().copied(), &self.bindings, self.outer, self.ctx);
         ScanPreds::new(preds, self.bindings.len(), self.ctx)
-    }
-
-    /// The planned scan's residual predicates, compiled.
-    pub(crate) fn residual(&self, planned: &PlannedScan<'e>) -> ScanPreds {
-        self.resolve(&planned.residual_exprs)
-    }
-
-    /// The second half of `open`: opens the cursor over the planned scan
-    /// for its `residual` predicates ([`Self::residual`]).
-    pub(crate) fn start(&mut self, planned: PlannedScan<'e>, residual: ScanPreds) -> Vec<Binding> {
-        let ctx = self.ctx;
-        self.state = Some(ScanState {
-            cursor: ScanCursor::open(planned.table, &planned.choice.path, &residual, ctx),
-            scratch: residual.scratch(),
-            residual,
-            sel: Sel::new(),
-            scanned: ScanTally::new(ctx),
-            width: planned.out_bindings.len(),
-        });
-        planned.out_bindings
     }
 }
 
@@ -622,8 +600,17 @@ impl<'e> ScanExec<'e> {
 impl<'e> Operator<'e> for ScanExec<'e> {
     fn open(&mut self) -> EngineResult<Vec<Binding>> {
         let planned = self.plan()?;
-        let residual = self.residual(&planned);
-        Ok(self.start(planned, residual))
+        let residual = self.resolve(&planned.residual_exprs);
+        let ctx = self.ctx;
+        self.state = Some(ScanState {
+            cursor: ScanCursor::open(planned.table, &planned.choice.path, &residual, ctx),
+            scratch: residual.scratch(),
+            residual,
+            sel: Sel::new(),
+            scanned: ScanTally::new(ctx),
+            width: planned.out_bindings.len(),
+        });
+        Ok(planned.out_bindings)
     }
 
     fn subquery_lines(&self) -> Vec<SubqueryLine> {

@@ -126,8 +126,8 @@ impl<'e> Operator<'e> for SortExec<'e> {
             let n = rows.len();
             self.ctx
                 .bump_cpu((n as f64 * (n.max(2) as f64).log2()) as u64);
-            let mut idx: Vec<usize> = (0..rows.len()).collect();
-            let cmp = |a: usize, b: usize| -> std::cmp::Ordering {
+            let mut idx: Vec<usize> = (0..n).collect();
+            idx.sort_by(|&a, &b| {
                 for (k, desc) in sort_keys.key(a).iter().zip(sort_keys.key(b)).zip(&descs) {
                     let ((x, y), desc) = (k, *desc);
                     let ord = x.sort_cmp(y);
@@ -137,13 +137,7 @@ impl<'e> Operator<'e> for SortExec<'e> {
                     }
                 }
                 std::cmp::Ordering::Equal
-            };
-            let workers = self.ctx.db.parallel_workers();
-            if workers >= 2 && n >= 2 * exec::SCAN_BATCH_ROWS as usize {
-                parallel_sort_indices(&mut idx, workers, self.ctx.db, &cmp);
-            } else {
-                idx.sort_by(|&a, &b| cmp(a, b));
-            }
+            });
             let mut sorted = Vec::with_capacity(rows.len());
             for i in idx {
                 sorted.push(std::mem::take(&mut rows[i]));

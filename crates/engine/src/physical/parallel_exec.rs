@@ -3,12 +3,10 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use apuama_storage::{AccessKind, Row, Segment};
+use apuama_storage::{AccessKind, Segment};
 
-use crate::agg::Groups;
-use crate::db::Database;
 use crate::error::EngineResult;
-use crate::exec::{self, Binding, ExecContext};
+use crate::exec::{self, ExecContext};
 use crate::planner;
 use crate::table::Table;
 
@@ -244,238 +242,6 @@ pub(crate) fn run_scan_morsels<T: Send>(
     ctx.bump_cpu(outs.iter().map(|m| m.cpu).sum());
     record_worker_probes(az, probe, &tallies);
     Ok(outs.into_iter().map(|m| m.out).collect())
-}
-
-/// Morsel-driven parallel base-table scan: workers filter each morsel
-/// against the pushed-down conjuncts on its stored columns and materialize
-/// the survivors (only the columns the scan keeps); the coordinator
-/// re-emits them in morsel order as [`exec::SCAN_BATCH_ROWS`]-row batches —
-/// the same row stream and statistics the serial [`ScanExec`] produces
-/// ([`run_scan_morsels`]). Safe under joins and streaming
-/// operators because non-breaker operators never touch heap pages (the
-/// build layer only chooses this operator when the scan's own conjuncts
-/// are subquery-free).
-///
-/// Holds the serial [`ScanExec`] and hands the planned scan back to it
-/// when there are fewer than two morsels, so planner errors and small-table
-/// behavior are untouched.
-pub(crate) struct ParallelScanExec<'e> {
-    inner: ScanExec<'e>,
-    workers: usize,
-    az: Option<&'e Analyze>,
-    probe: Option<usize>,
-    /// The committed decomposition and its positional residual predicates,
-    /// between `open` and the first `next_batch`.
-    prepared: Option<(ScanMorsels<'e>, ScanPreds)>,
-    emitter: Option<BatchEmitter>,
-}
-
-impl<'e> ParallelScanExec<'e> {
-    pub(crate) fn new(
-        inner: ScanExec<'e>,
-        workers: usize,
-        az: Option<&'e Analyze>,
-        probe: Option<usize>,
-    ) -> Self {
-        ParallelScanExec {
-            inner,
-            workers,
-            az,
-            probe,
-            prepared: None,
-            emitter: None,
-        }
-    }
-
-    fn run_parallel(&self, sm: ScanMorsels<'e>, residual: &ScanPreds) -> EngineResult<Vec<Row>> {
-        let (bindings, cols) = (&self.inner.bindings, self.inner.cols.as_deref());
-        let width = cols.map_or(bindings.len(), <[usize]>::len);
-        let ctx = self.inner.ctx;
-        let survivors = run_scan_morsels(
-            &sm,
-            ctx,
-            self.workers,
-            self.az,
-            self.probe,
-            |seg, slots, wctx| {
-                let mut sel = Sel::new();
-                let mut scratch = residual.scratch();
-                let (survivors, cpu) =
-                    residual.filter(seg, slots, &mut sel, &mut scratch, &[], wctx)?;
-                // Survivors cross the worker thread boundary as owned rows.
-                let mut out: Vec<Row> = Vec::new();
-                materialize(seg, survivors, cols, width, &mut out);
-                // Transient survivor materialization, released when this
-                // worker's context drops.
-                wctx.charge_mem(exec::approx_state_bytes(out.len() as u64, width))?;
-                Ok((out, cpu))
-            },
-        )?;
-        Ok(survivors.into_iter().flatten().collect())
-    }
-}
-
-impl<'e> Operator<'e> for ParallelScanExec<'e> {
-    fn open(&mut self) -> EngineResult<Vec<Binding>> {
-        let planned = self.inner.plan()?;
-        // Workers evaluate the predicates the serial scan would, compiled
-        // once for whichever runs: this operator is only chosen without
-        // enclosing frames and without a subquery in the scan's conjuncts,
-        // so the programs need nothing a worker's context lacks.
-        let residual = self.inner.residual(&planned);
-        let sm = plan_scan_morsels(planned.table, &residual, &planned.choice);
-        if sm.len() >= 2 {
-            self.prepared = Some((sm, residual));
-            return Ok(planned.out_bindings);
-        }
-        Ok(self.inner.start(planned, residual))
-    }
-
-    fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
-        if let Some((sm, residual)) = self.prepared.take() {
-            self.inner.ctx.check_interrupt()?;
-            let rows = self.run_parallel(sm, &residual)?;
-            self.emitter = Some(BatchEmitter::rows_only(rows));
-        }
-        match &mut self.emitter {
-            Some(em) => Ok(em.next()),
-            None => self.inner.next_batch(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel fused scan→filter→partial-aggregate
-// ---------------------------------------------------------------------------
-
-/// Morsel-driven parallel variant of [`FusedExec`] — the engine's third
-/// parallelism tier (intra-node), below the cluster's inter-query and
-/// intra-query tiers. Each worker folds its morsels through the shared
-/// [`FusedFold`] into private [`Groups`] partials, charging the
-/// transient partial state to the memory gauge through its own context;
-/// the coordinator merges the partials **in morsel-index order** —
-/// preserving the serial first-seen group order — charges the merged total
-/// exactly as the serial operator does, and finishes through the same
-/// [`project_groups`]. Counter identity with the serial kernel is
-/// [`run_scan_morsels`]'s.
-///
-/// Plans through the [`FusedExec`] it holds and hands the scan back to its
-/// serial pass when there are fewer than two morsels, so small tables pay
-/// no dispatch cost and errors (unknown table, type errors) surface
-/// identically.
-pub(crate) struct ParallelFusedExec<'e> {
-    inner: FusedExec<'e>,
-    workers: usize,
-    emitter: Option<BatchEmitter>,
-}
-
-impl<'e> ParallelFusedExec<'e> {
-    pub(crate) fn new(inner: FusedExec<'e>, workers: usize) -> Self {
-        ParallelFusedExec {
-            inner,
-            workers,
-            emitter: None,
-        }
-    }
-
-    fn fold_groups(&self) -> EngineResult<Groups> {
-        let ctx = self.inner.ctx;
-        let scan = self.inner.plan_scan()?;
-        let sm = plan_scan_morsels(scan.table, &scan.fold.preds, &scan.choice);
-        if sm.len() < 2 {
-            return self.inner.fold_serial(&scan);
-        }
-        let fold = &scan.fold;
-        // Counters are totals and groups merge in morsel order, so where
-        // the access path cut its morsels changes no observable statistic.
-        let (az, probe) = (self.inner.az, self.inner.probe);
-        let partials = run_scan_morsels(&sm, ctx, self.workers, az, probe, |seg, slots, wctx| {
-            let mut groups = Groups::new();
-            let cpu = fold.fold(seg, slots, &mut fold.scratch(), &mut groups, wctx)?;
-            wctx.charge_mem(exec::approx_state_bytes(
-                groups.len() as u64,
-                fold.state_width(),
-            ))?;
-            Ok((groups, cpu))
-        })?;
-        fold.tally.note(az, probe);
-        let mut merged = Groups::new();
-        for groups in partials {
-            merged.merge(groups);
-        }
-        ctx.charge_mem(exec::approx_state_bytes(
-            merged.len() as u64,
-            fold.state_width(),
-        ))?;
-        Ok(merged)
-    }
-}
-
-impl<'e> Operator<'e> for ParallelFusedExec<'e> {
-    fn open(&mut self) -> EngineResult<Vec<Binding>> {
-        self.inner.open()
-    }
-
-    fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
-        if self.emitter.is_none() {
-            let (rows, keys) = self.inner.finish(self.fold_groups()?)?;
-            self.emitter = Some(BatchEmitter::new(rows, keys));
-        }
-        Ok(self.emitter.as_mut().and_then(BatchEmitter::next))
-    }
-}
-
-/// Sorts an index permutation on the worker pool: each worker stable-sorts
-/// one contiguous chunk, then the coordinator k-way merges the chunks. On
-/// equal keys the earlier chunk wins, and within a chunk `sort_by` keeps
-/// input order — since the chunks partition the (initially ascending)
-/// index vector in order, the result is exactly what a stable sort of the
-/// whole vector produces, so parallel and serial sorts emit identical row
-/// orders.
-pub(crate) fn parallel_sort_indices(
-    idx: &mut Vec<usize>,
-    workers: usize,
-    db: &Database,
-    cmp: &(dyn Fn(usize, usize) -> std::cmp::Ordering + Sync),
-) {
-    let n = idx.len();
-    let chunk = n.div_ceil(workers).max(1);
-    let pool = db.worker_pool(workers);
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = idx
-        .chunks_mut(chunk)
-        .map(|part| {
-            Box::new(move || part.sort_by(|&a, &b| cmp(a, b))) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    pool.scoped_run(tasks);
-
-    let bounds: Vec<(usize, usize)> = (0..n)
-        .step_by(chunk)
-        .map(|s| (s, (s + chunk).min(n)))
-        .collect();
-    let mut heads: Vec<usize> = bounds.iter().map(|&(s, _)| s).collect();
-    let mut merged = Vec::with_capacity(n);
-    loop {
-        let mut best: Option<usize> = None;
-        for (c, &(_, end)) in bounds.iter().enumerate() {
-            if heads[c] >= end {
-                continue;
-            }
-            match best {
-                None => best = Some(c),
-                // Strict `Less` only: ties keep the earliest chunk.
-                Some(b) => {
-                    if cmp(idx[heads[c]], idx[heads[b]]) == std::cmp::Ordering::Less {
-                        best = Some(c);
-                    }
-                }
-            }
-        }
-        let Some(b) = best else { break };
-        merged.push(idx[heads[b]]);
-        heads[b] += 1;
-    }
-    *idx = merged;
 }
 
 #[cfg(test)]

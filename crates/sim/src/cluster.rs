@@ -89,8 +89,9 @@ impl SimClusterConfig {
     }
 }
 
-/// Read load-balancing policies available in workload simulations —
-/// the counterparts of `apuama_cjdbc::balancer`.
+/// Read load-balancing policies available in workload simulations. The
+/// real controller (`apuama_cjdbc::Controller::read`) runs only the first,
+/// the paper's; the other two exist for the balancer ablation (table 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimBalancer {
     /// The paper's configuration: fewest queued+running requests.

@@ -46,6 +46,52 @@ fn cluster_with_nodes(
     (engine, controller, orders, replicas)
 }
 
+/// The cluster as the README builds it keeps serving after an operator
+/// takes a backend out. The controller over the engine's connections
+/// shares the engine's breaker, and its rejoin hooks take the node out of
+/// the update gate; without them the gate waits forever for the disabled
+/// node to complete the first broadcast.
+#[test]
+fn the_readme_cluster_keeps_serving_after_disable_backend() {
+    let (engine, controller, base_orders) = cluster(3);
+    let (tx, rx) = std::sync::mpsc::channel();
+    // Not scoped: a hung client must fail the test, not block it.
+    let client = {
+        let controller = Arc::clone(&controller);
+        std::thread::spawn(move || {
+            controller.disable_backend(1);
+            for k in 1..=3 {
+                controller
+                    .execute(&format!(
+                        "insert into orders values ({}, 1, 'O', 1.0, \
+                         date '1997-01-01', '5-LOW', 'c', 0, 'd')",
+                        base_orders + k
+                    ))
+                    .unwrap();
+            }
+            let (out, _) = controller
+                .execute("select count(*) as n from orders")
+                .unwrap();
+            let _ = tx.send(out.rows[0][0].as_i64());
+        })
+    };
+    let counted = match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+        Ok(counted) => {
+            client.join().expect("client thread");
+            counted
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!(
+                "the cluster hung after disable_backend (gate {:?})",
+                engine.txn_counters()
+            )
+        }
+        Err(e) => panic!("the client thread failed: {e}"),
+    };
+    assert_eq!(counted, Some(base_orders + 3));
+    assert!(Arc::ptr_eq(&controller.health(), engine.health()));
+}
+
 #[test]
 fn snapshot_counts_never_tear() {
     let (engine, controller, base_orders) = cluster(3);

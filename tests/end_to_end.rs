@@ -162,7 +162,7 @@ mod svp_failure {
             if self.failing.load(Ordering::SeqCst)
                 && sql.trim_start().to_ascii_lowercase().starts_with("select")
             {
-                return Err(apuama_engine::EngineError::Unsupported(
+                return Err(apuama_engine::EngineError::Unavailable(
                     "injected sub-query failure".into(),
                 ));
             }

@@ -4,7 +4,7 @@
 //! internally consistent with the reported total execution time.
 
 use apuama_engine::Database;
-use apuama_tpch::{generate, load_into, QueryParams, TpchConfig, ALL_QUERIES};
+use apuama_tpch::{generate, load_into, QueryParams, TpchConfig, TpchQuery, ALL_QUERIES};
 
 fn tpch_db() -> Database {
     let data = generate(TpchConfig {
@@ -146,9 +146,11 @@ fn explain_analyze_shows_parallel_marker_and_worker_breakdown() {
     assert_eq!(scanned, serial_scanned, "{fused:?}");
     assert_eq!(field(&fused[0], "rows"), expected_rows, "{fused:?}");
 
-    // General shape: the base-table scan carries the marker instead.
-    db.query("set enable_kernel = off").unwrap();
-    let lines = plan_lines(&db, &format!("explain analyze {sql}"));
+    // General shape: a join block's input scans carry the marker instead
+    // (a lone scan outside a join or a fused fold runs serially).
+    let join = TpchQuery::Q3.sql(&QueryParams::random(7));
+    let expected_rows = db.query(&join).unwrap().rows.len() as f64;
+    let lines = plan_lines(&db, &format!("explain analyze {join}"));
     assert!(
         lines
             .iter()

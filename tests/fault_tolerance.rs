@@ -10,7 +10,7 @@ use apuama_cjdbc::{
     CircuitState, Connection, Controller, ControllerConfig, EngineNode, FaultPlan, FaultTarget,
     FaultyConnection, NodeConnection, RecoveryConfig,
 };
-use apuama_engine::{Database, ReadRequest};
+use apuama_engine::{Database, EngineError, ReadRequest};
 use apuama_tpch::{generate, load_into, QueryParams, TpchConfig, TpchData};
 
 fn dataset() -> TpchData {
@@ -199,13 +199,13 @@ fn retry_exhaustion_yields_clean_error_and_engine_stays_usable() {
 fn retry_exhaustion_then_rejoin_restores_the_node_consistently() {
     let data = dataset();
     let (engine, _, faulties) = faulty_cluster(&data, 3, ApuamaConfig::default());
-    // A controller sharing the engine's health tracker (quarantine fences
-    // SVP) and driving its update gate through the rejoin hooks.
-    let controller = Arc::new(Controller::with_health(
+    // A controller over the engine's connections shares its health
+    // tracker (quarantine fences SVP) and drives its update gate through
+    // the rejoin hooks.
+    let controller = Arc::new(Controller::new(
         engine.connections(),
         ControllerConfig {
             disable_failed_backends: true,
-            rejoin_hooks: engine.rejoin_hooks(),
             recovery: RecoveryConfig {
                 // Pass-through (nation is not virtually partitioned), so
                 // the probe really targets the one recovering node.
@@ -214,7 +214,6 @@ fn retry_exhaustion_then_rejoin_restores_the_node_consistently() {
             },
             ..ControllerConfig::default()
         },
-        Arc::clone(engine.health()),
     ));
     let base = data.config.orders() as i64;
 
@@ -351,4 +350,97 @@ fn a_requeued_range_sees_its_siblings_prefix() {
         .execute("select count(*) as n from orders")
         .unwrap();
     assert_eq!(out.rows[0][0].as_i64().unwrap(), base_orders + 1);
+}
+
+/// An SVP query whose sub-queries fail a type check, as they do on every
+/// replica.
+const TYPE_ERROR_SVP: &str = "select count(*) as n from orders where o_comment + 1 > 0";
+
+fn assert_no_strikes(health: &apuama_cjdbc::HealthTracker, nodes: usize) {
+    for i in 0..nodes {
+        assert_eq!(health.failures(i), 0, "node {i} was charged");
+        assert_eq!(health.state(i), CircuitState::Closed, "node {i}");
+    }
+}
+
+/// DESIGN.md §8: only a node's fault counts against it. A statement error
+/// in the sub-queries is the statement's: each range runs once — no retry,
+/// no requeue — the error comes back as it is, and no circuit opens, however
+/// often the query is sent.
+#[test]
+fn statement_error_in_svp_subqueries_strikes_no_breaker() {
+    let data = dataset();
+    let (engine, _, faulties) = faulty_cluster(&data, 3, ApuamaConfig::default());
+    for run in 1..=2 {
+        let err = engine
+            .read(0, &ReadRequest::text(TYPE_ERROR_SVP))
+            .unwrap_err();
+        assert!(matches!(err, EngineError::TypeError(_)), "{err:?}");
+        let calls: u64 = faulties.iter().map(|f| f.calls()).sum();
+        assert!(calls <= 3 * run, "{calls} sub-queries for {run} × 3 ranges");
+    }
+    assert_no_strikes(engine.health(), 3);
+    // The healthy answer is still one query away.
+    let out = engine
+        .read(0, &ReadRequest::text("select count(*) as n from orders"))
+        .unwrap();
+    assert_eq!(
+        out.rows[0][0].as_i64().unwrap(),
+        data.config.orders() as i64
+    );
+}
+
+/// The controller charges a backend with the same rule: two failed SVP
+/// queries and a malformed pass-through read leave every circuit closed.
+#[test]
+fn statement_error_in_a_pass_through_read_strikes_no_breaker() {
+    let data = dataset();
+    let (_engine, controller, _) = faulty_cluster(&data, 3, ApuamaConfig::default());
+    for _ in 0..2 {
+        let err = controller.execute(TYPE_ERROR_SVP).unwrap_err();
+        assert!(matches!(err, EngineError::TypeError(_)), "{err:?}");
+    }
+    let err = controller
+        .execute("select n_name + 1 from nation")
+        .unwrap_err();
+    assert!(matches!(err, EngineError::TypeError(_)), "{err:?}");
+    assert_no_strikes(&controller.health(), 3);
+    assert_eq!(controller.enabled_backends(), vec![0, 1, 2]);
+}
+
+/// Under `disable_failed_backends`, a write every replica refuses disables
+/// none of them: the client gets the constraint error and the cluster
+/// keeps serving reads and writes on every backend.
+#[test]
+fn statement_error_in_a_write_disables_no_backend() {
+    let data = dataset();
+    let (engine, _, _) = faulty_cluster(&data, 3, ApuamaConfig::default());
+    let controller = Controller::new(
+        engine.connections(),
+        ControllerConfig {
+            disable_failed_backends: true,
+            ..ControllerConfig::default()
+        },
+    );
+    let err = controller
+        .execute("insert into orders values (1)")
+        .unwrap_err();
+    assert!(matches!(err, EngineError::Constraint(_)), "{err:?}");
+    assert_eq!(controller.enabled_backends(), vec![0, 1, 2]);
+    assert_no_strikes(&controller.health(), 3);
+    let base = data.config.orders() as i64;
+    controller
+        .execute(&format!(
+            "insert into orders values ({}, 1, 'O', 1.0, \
+             date '1997-01-01', '5-LOW', 'c', 0, 's')",
+            base + 1
+        ))
+        .unwrap();
+    let (out, _) = controller
+        .execute("select count(*) as n from orders")
+        .unwrap();
+    assert_eq!(out.rows[0][0].as_i64().unwrap(), base + 1);
+    // Every backend applied the good write; the refused one's sequence
+    // number is a gap in the log.
+    assert_eq!(controller.write_counters(), vec![2, 2, 2]);
 }

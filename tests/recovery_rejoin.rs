@@ -11,7 +11,7 @@ use std::time::Duration;
 use apuama::{ApuamaConfig, ApuamaEngine, DataCatalog};
 use apuama_cjdbc::{
     engine_node_clone_fn, Connection, Controller, ControllerConfig, EngineNode, FaultPlan,
-    FaultyConnection, NodeConnection, RecoveryConfig, RejoinState, RoundRobinBalancer,
+    FaultyConnection, NodeConnection, RecoveryConfig, RejoinState,
 };
 use apuama_engine::{Database, ReadRequest};
 use apuama_tpch::{generate, load_into, QueryParams, TpchConfig, TpchData};
@@ -29,9 +29,10 @@ fn dataset() -> TpchData {
 /// recovering node instead of fanning out.
 const PROBE: &str = "select n_nationkey from nation order by n_nationkey limit 1";
 
-/// The full Apuama stack over fault-injectable TPC-H replicas: engine and
-/// controller share one health tracker (quarantine fences SVP dispatch),
-/// the engine's update gate rides the controller's rejoin hooks, and the
+/// The full Apuama stack over fault-injectable TPC-H replicas, built as the
+/// README builds it: the controller over the engine's connections shares
+/// its health tracker (quarantine fences SVP dispatch) and fires its
+/// rejoin hooks (the update gate follows disable and rejoin), and the
 /// recovery config gets this cluster's probe and re-clone path filled in.
 type ApuamaHarness = (
     Arc<ApuamaEngine>,
@@ -60,18 +61,13 @@ fn apuama_cluster(data: &TpchData, nodes: usize, mut recovery: RecoveryConfig) -
     let engine = ApuamaEngine::new(conns, DataCatalog::tpch(orders), ApuamaConfig::default());
     recovery.probe_sql = Some(PROBE.into());
     recovery.clone_via = Some(engine_node_clone_fn(engine_nodes.clone()));
-    let controller = Arc::new(Controller::with_health(
+    let controller = Arc::new(Controller::new(
         engine.connections(),
         ControllerConfig {
-            // Round-robin makes read rotation observable: sequential idle
-            // reads visit every enabled backend instead of tying to 0.
-            balancer: Box::new(RoundRobinBalancer::default()),
             disable_failed_backends: true,
-            rejoin_hooks: engine.rejoin_hooks(),
             recovery,
             ..ControllerConfig::default()
         },
-        Arc::clone(engine.health()),
     ));
     (engine, controller, faulties, engine_nodes)
 }
@@ -176,11 +172,26 @@ fn killed_node_catches_up_from_the_log_and_rejoins_rotation() {
 
     // And back in read rotation: pass-through reads reach it through the
     // controller again (the probe/read is not SVP-eligible, so it is
-    // served by exactly one backend).
+    // served by exactly one backend). Least-pending sends an idle read to
+    // backend 0, so one read is held there while a second is routed: with
+    // node 1 enabled, the fewest pending requests are on node 1.
+    faulties[0].set_plan(FaultPlan {
+        delay: Duration::from_millis(300),
+        only_matching: Some("from nation".into()),
+        ..FaultPlan::default()
+    });
     let served_before = controller.reads_served()[1];
-    for _ in 0..10 {
-        controller.execute(PROBE).unwrap();
-    }
+    let served_by = std::thread::scope(|s| {
+        let held = s.spawn(|| controller.execute(PROBE).unwrap().1);
+        while controller.pending_counts()[0] == 0 {
+            std::thread::yield_now();
+        }
+        let (_, served_by) = controller.execute(PROBE).unwrap();
+        assert_eq!(held.join().unwrap(), 0);
+        served_by
+    });
+    faulties[0].heal();
+    assert_eq!(served_by, 1, "the rejoined node served no reads");
     assert!(
         controller.reads_served()[1] > served_before,
         "the rejoined node served no reads"

@@ -58,6 +58,16 @@ echo "== dictionary-coded strings: the column heap against its row model (DESIGN
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-storage --test heap_model
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-storage --lib strings_are_coded_until_the_dictionary_is_full
 
+echo "== lifted text reads: plan-cache equivalence and hit accounting (DESIGN.md §9) =="
+# By name: a text SELECT runs from the plan cache with its WHERE literals
+# lifted into bound values; it must answer what the statement with its
+# literals in place answers, counter for counter, and a thousand point
+# reads through the controller must cost each serving node one miss.
+timeout "$SUITE_TIMEOUT" cargo test -q --test property_prepared -- lifted
+timeout "$SUITE_TIMEOUT" cargo test -q --test end_to_end -- distinct_key_point_reads_miss_once_per_serving_node
+timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine --lib lifted_tests
+timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-sql --lib lift
+
 echo "== key filters on a join's driving scan against nested loops (DESIGN.md §10) =="
 timeout "$SUITE_TIMEOUT" cargo test -q --test join_oracle -- key_filters_answer_what_nested_loops_answer probe_placement_divergences_are_the_documented_ones
 

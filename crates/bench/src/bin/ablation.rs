@@ -203,8 +203,8 @@ fn svp_vs_avp(cfg: &HarnessConfig, data: &apuama_tpch::TpchData, n: usize) {
             // Warm run (cold pass first, as in Fig. 2 methodology).
             for _ in 0..2 {
                 svp_ms = 0.0;
-                for (node, sub) in plan.subqueries.iter().enumerate() {
-                    let (_, ms) = cluster.exec_subquery(node, sub).expect("subquery");
+                for node in 0..plan.ranges.len() {
+                    let (_, ms) = cluster.exec_range(node, &plan, node).expect("subquery");
                     svp_ms = svp_ms.max(slowdown(node, ms));
                 }
             }
@@ -310,8 +310,10 @@ fn composer_strategies(_cfg: &HarnessConfig, data: &apuama_tpch::TpchData, n: us
         staged_cluster.drop_caches();
         let mut partials = Vec::with_capacity(n);
         let mut durs = Vec::with_capacity(n);
-        for (node, sub) in plan.subqueries.iter().enumerate() {
-            let (out, ms) = staged_cluster.exec_subquery(node, sub).expect("subquery");
+        for node in 0..plan.ranges.len() {
+            let (out, ms) = staged_cluster
+                .exec_range(node, &plan, node)
+                .expect("subquery");
             partials.push(out);
             durs.push(ms);
         }

@@ -22,14 +22,18 @@ pub enum StatementKind {
 /// Classifies a (possibly multi-statement) SQL script. A script containing
 /// any write is a write.
 pub fn classify(sql: &str) -> EngineResult<StatementKind> {
-    classify_script(sql, StatementKind::Read)
+    Ok(classify_script(
+        &parse_statements(sql)?,
+        StatementKind::Read,
+    ))
 }
 
-/// [`classify`] with the kind of a session `SET` left to the caller: to one
-/// connection it is a read, to the controller it is a statement that has to
-/// reach every replica's session.
-pub(crate) fn classify_script(sql: &str, set_is: StatementKind) -> EngineResult<StatementKind> {
-    let stmts = parse_statements(sql)?;
+/// [`classify`] over a script already parsed, with the kind of a session
+/// `SET` left to the caller: to one connection it is a read, to the
+/// controller it is a statement that has to reach every replica's session.
+/// The caller keeps the statements, so a read goes down carrying them
+/// ([`ReadRequest::script`]) and is not parsed again.
+pub fn classify_script(stmts: &[Statement], set_is: StatementKind) -> StatementKind {
     let any_write = stmts.iter().any(|s| {
         s.is_write()
             || matches!(
@@ -38,11 +42,11 @@ pub(crate) fn classify_script(sql: &str, set_is: StatementKind) -> EngineResult<
             )
             || (set_is == StatementKind::Write && matches!(s, Statement::Set { .. }))
     });
-    Ok(if any_write {
+    if any_write {
         StatementKind::Write
     } else {
         StatementKind::Read
-    })
+    }
 }
 
 /// The JDBC-driver equivalent: an opaque handle that accepts SQL and
@@ -151,8 +155,9 @@ impl NodeConnection {
 
 impl Connection for NodeConnection {
     fn execute(&self, sql: &str) -> EngineResult<QueryOutput> {
-        match classify(sql)? {
-            StatementKind::Read => self.node.db.read().query(sql),
+        let stmts = parse_statements(sql)?;
+        match classify_script(&stmts, StatementKind::Read) {
+            StatementKind::Read => self.node.db.read().read(&ReadRequest::script(sql, &stmts)),
             StatementKind::Write => self.node.db.write().execute_script(sql),
         }
     }

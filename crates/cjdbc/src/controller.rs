@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use apuama_engine::{EngineError, EngineResult, QueryOutput, ReadRequest};
+use apuama_sql::parse_statements;
 use parking_lot::Mutex;
 
 use crate::admission::{AdmissionController, AdmissionPolicy};
@@ -421,8 +422,9 @@ impl Controller {
     }
 
     /// Executes a request, classifying it as the real controller does —
-    /// once, here: a read goes down as a [`ReadRequest`] and nothing below
-    /// parses it again to find out what it is. Returns the output and the
+    /// once, here: a read goes down as a [`ReadRequest`] carrying the
+    /// statement this classification parsed, and nothing below parses it
+    /// again. Returns the output and the
     /// index of the backend that served it (writes report backend 0 —
     /// they ran everywhere). A script that contains a session `SET` takes
     /// the write path: load-balanced, it would land on one backend and the
@@ -430,8 +432,9 @@ impl Controller {
     /// and recorded in the recovery log, every enabled backend has it and a
     /// rejoining one replays it.
     pub fn execute(&self, sql: &str) -> EngineResult<(QueryOutput, usize)> {
-        match classify_script(sql, StatementKind::Write)? {
-            StatementKind::Read => self.read(&ReadRequest::text(sql)),
+        let stmts = parse_statements(sql)?;
+        match classify_script(&stmts, StatementKind::Write) {
+            StatementKind::Read => self.read(&ReadRequest::script(sql, &stmts)),
             StatementKind::Write => self.execute_write(sql).map(|o| (o, 0)),
         }
     }
@@ -705,11 +708,12 @@ mod tests {
         assert_eq!(bound.rows, text.rows);
         assert_eq!(bound.rows[0][0], Value::Int(10));
         // Serial reads tie at zero pending and land on the same backend,
-        // so the second bound execution is a plan-cache hit there.
+        // so the second bound execution is a plan-cache hit there. The
+        // text read lowered its lifted form, a key of its own.
         let (_, again) = c.read(&ReadRequest::bound(sql, &params)).unwrap();
         assert_eq!(again, backend);
         let stats = nodes[backend].with_db(|db| db.plan_cache_stats());
-        assert_eq!((stats.misses, stats.hits), (1, 1), "{stats:?}");
+        assert_eq!((stats.misses, stats.hits), (2, 1), "{stats:?}");
     }
 
     #[test]

@@ -48,7 +48,9 @@ pub mod recovery;
 pub mod scheduler;
 
 pub use admission::{AdmissionController, AdmissionPermit, AdmissionPolicy};
-pub use connection::{classify, Connection, EngineNode, NodeConnection, StatementKind};
+pub use connection::{
+    classify, classify_script, Connection, EngineNode, NodeConnection, StatementKind,
+};
 pub use controller::{Controller, ControllerConfig, GovernanceCounters};
 pub use fault::{FaultPlan, FaultTarget, FaultyConnection};
 pub use health::{BreakerPolicy, CircuitState, HealthTracker};

@@ -297,10 +297,11 @@ mod tests {
             panic!("expected SVP plan for {sql}");
         };
         let replica = build();
-        let partials: Vec<QueryOutput> = plan
-            .subqueries
-            .iter()
-            .map(|s| replica.query(s).unwrap())
+        let partials: Vec<QueryOutput> = (plan.ranges.iter())
+            .map(|&(lo, hi)| {
+                let sub = plan.template.subquery_for_range(lo, hi);
+                replica.query(&sub).unwrap()
+            })
             .collect();
         let composed = compose(&plan, &partials).unwrap();
         assert_eq!(composed.output.columns, reference.columns, "{sql}");
@@ -453,10 +454,8 @@ mod incremental_tests {
             panic!("expected SVP plan for {sql}");
         };
         let db = replica();
-        let partials = plan
-            .subqueries
-            .iter()
-            .map(|s| db.query(s).unwrap())
+        let partials = (plan.ranges.iter())
+            .map(|&(lo, hi)| db.query(&plan.template.subquery_for_range(lo, hi)).unwrap())
             .collect();
         (plan, partials)
     }

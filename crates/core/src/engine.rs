@@ -9,14 +9,15 @@
 //! node the controller picked, so C-JDBC's inter-query parallelism and
 //! write ordering are preserved bit-for-bit.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
-use apuama_cjdbc::{classify, Connection, HealthTracker, RejoinHooks, StatementKind};
+use apuama_cjdbc::{classify_script, Connection, HealthTracker, RejoinHooks, StatementKind};
 use apuama_engine::{
     EngineError, EngineResult, ExecStats, PhaseTiming, QueryGovernor, QueryOutput, ReadRequest,
 };
-use apuama_sql::Value;
+use apuama_sql::{parse_statements, Value};
 
 use crate::catalog::DataCatalog;
 use crate::composer::StreamingComposer;
@@ -169,16 +170,26 @@ impl ApuamaEngine {
     }
 
     /// Read entry point: SVP when eligible, pass-through to the
-    /// controller-chosen node otherwise. An SVP query derives its
-    /// per-query governor from the request's; a pass-through hands the
-    /// request on as it came (a bound one runs from that node's plan
-    /// cache).
+    /// controller-chosen node otherwise. The rewriter reads the statement
+    /// the request carries, or the one parsed here when it carries none
+    /// (with its bound values substituted, when it has them). An SVP query
+    /// derives its per-query governor from the request's; a pass-through
+    /// hands the request on — with this parse, when it was a text read
+    /// that came without one — so the node runs it from its plan cache
+    /// without parsing it again.
     pub fn read(&self, preferred_node: usize, req: &ReadRequest<'_>) -> EngineResult<QueryOutput> {
-        match self.rewriter.rewrite(&req.rendered()?, self.nodes.len())? {
+        let stmt = req.statement()?;
+        match self.rewriter.rewrite_statement(&stmt, self.nodes.len()) {
             Rewritten::Svp(plan) => self
                 .execute_svp_governed(&plan, req.governor)
                 .map(|e| e.output),
-            Rewritten::Passthrough { .. } => self.nodes[preferred_node].execute_read(req),
+            Rewritten::Passthrough { .. } => {
+                let node = &self.nodes[preferred_node];
+                match (&stmt, req.params) {
+                    (Cow::Owned(parsed), None) => node.execute_read(&req.parsed(parsed)),
+                    _ => node.execute_read(req),
+                }
+            }
         }
     }
 
@@ -252,10 +263,10 @@ impl ApuamaEngine {
         caller: Option<&QueryGovernor>,
     ) -> EngineResult<SvpExecution> {
         let n = self.nodes.len();
-        if plan.subqueries.len() != n || plan.prepared.len() != n {
+        if plan.prepared.len() != n {
             return Err(EngineError::Unsupported(format!(
                 "plan was rewritten for {} nodes, the cluster has {n}",
-                plan.subqueries.len()
+                plan.prepared.len()
             )));
         }
         // Per-query governor: a child of the caller's (so our internal
@@ -641,8 +652,9 @@ impl ApuamaConnection {
 
 impl Connection for ApuamaConnection {
     fn execute(&self, sql: &str) -> EngineResult<QueryOutput> {
-        match classify(sql)? {
-            StatementKind::Read => self.read(&ReadRequest::text(sql)),
+        let stmts = parse_statements(sql)?;
+        match classify_script(&stmts, StatementKind::Read) {
+            StatementKind::Read => self.read(&ReadRequest::script(sql, &stmts)),
             StatementKind::Write => self.engine.execute_write(self.node, sql),
         }
     }
@@ -759,6 +771,10 @@ mod tests {
         let (engine, nodes) = cluster(4, ApuamaConfig::default());
         let sql = "select count(*) as n, sum(o_totalprice) as t from orders";
         let reference = nodes[0].with_db(|db| db.query(sql).unwrap());
+        let before: Vec<_> = nodes
+            .iter()
+            .map(|n| n.with_db(|db| db.plan_cache_stats()))
+            .collect();
         for _ in 0..5 {
             let out = engine.read(0, &ReadRequest::text(sql)).unwrap();
             assert_eq!(out.rows, reference.rows);
@@ -766,9 +782,10 @@ mod tests {
         // Each node saw one statement text five times (interior nodes share
         // the two-parameter text; outer nodes have their own one-sided
         // text): the first execution plans it, every later one hits.
-        for node in &nodes {
+        for (node, before) in nodes.iter().zip(before) {
             let stats = node.with_db(|db| db.plan_cache_stats());
-            assert_eq!((stats.misses, stats.hits), (1, 4), "{stats:?}");
+            let (misses, hits) = (stats.misses - before.misses, stats.hits - before.hits);
+            assert_eq!((misses, hits), (1, 4), "{stats:?}");
         }
     }
 

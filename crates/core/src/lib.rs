@@ -45,4 +45,6 @@ pub use consistency::UpdateGate;
 pub use engine::{ApuamaConfig, ApuamaConnection, ApuamaEngine, SvpExecution};
 pub use fault::{FaultPolicy, RecoveryReport};
 pub use node::NodeProcessor;
-pub use rewrite::{ComposeSpec, FoldFn, QueryTemplate, Rewritten, SvpPlan, SvpRewriter};
+pub use rewrite::{
+    ComposeSpec, FoldFn, LiteralSubqueries, QueryTemplate, Rewritten, SvpPlan, SvpRewriter,
+};

@@ -29,6 +29,7 @@ use apuama_sql::ast::{
     is_aggregate_name, Expr, Select, SelectItem, SetQuantifier, Statement, TableRef,
 };
 use apuama_sql::{parse_statement, visit, ParseError};
+use std::sync::{Arc, OnceLock};
 
 pub use apuama_engine::FoldFn;
 use apuama_engine::{eval::split_conjuncts, exec::select_has_aggregates};
@@ -57,20 +58,23 @@ pub enum Rewritten {
 /// A complete SVP execution plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SvpPlan {
-    /// One sub-query per partition, in partition order.
-    pub subqueries: Vec<String>,
-    /// The same sub-queries in prepared form: statement text with `$N`
-    /// placeholders for the range bounds, plus the bound values. All
-    /// interior partitions share one statement text, so a node executing
-    /// several ranges parses and plans once and re-binds per range.
+    /// One sub-query per partition, in partition order, in prepared form:
+    /// statement text with `$N` placeholders for the range bounds, plus the
+    /// bound values. All interior partitions share one statement text, so
+    /// a node executing several ranges parses and plans once and re-binds
+    /// per range.
     pub prepared: Vec<(String, Vec<apuama_sql::Value>)>,
     /// The VPA bounds behind each sub-query, `(lo, hi)` half-open with
     /// `None` = unbounded: `prepared[i]` is the template rendered for
     /// `ranges[i]`, which is why the executor can hand a failed node's
-    /// whole range to a surviving replica as the planned statement. The
-    /// simulator prices that residual by re-rendering it
+    /// whole range to a surviving replica as the planned statement. Whoever
+    /// wants a range's sub-query with its bounds as literals — the
+    /// simulator, which runs text — renders it from these
     /// ([`QueryTemplate::subquery_for_range`]).
     pub ranges: Vec<(Option<i64>, Option<i64>)>,
+    /// The same sub-queries with their bounds as literals, rendered on
+    /// first index and not before: nothing that runs a plan reads them.
+    pub subqueries: LiteralSubqueries,
     /// Column names of the partial results (the staging table's schema).
     pub partial_columns: Vec<String>,
     /// Composition query over [`PARTIALS_TABLE`].
@@ -83,9 +87,41 @@ pub struct SvpPlan {
     /// fold partials incrementally instead of replaying `composition_sql`
     /// over a full staging table.
     pub compose: ComposeSpec,
-    /// The template this plan was instantiated from, kept so a residual
-    /// range can be rendered again (the simulator's reassignment pricing).
-    pub template: QueryTemplate,
+    /// The template this plan was instantiated from, kept so a range can
+    /// be rendered again (the simulator's sub-queries and its reassignment
+    /// pricing).
+    pub template: Arc<QueryTemplate>,
+}
+
+/// [`SvpPlan::subqueries`]: each range's sub-query with its bounds inlined,
+/// `plan.subqueries[i]` being `template.subquery_for_range(ranges[i])`. The
+/// texts are rendered together on the first index, so a plan that is only
+/// executed never pays for them.
+#[derive(Debug, Clone)]
+pub struct LiteralSubqueries {
+    template: Arc<QueryTemplate>,
+    ranges: Vec<(Option<i64>, Option<i64>)>,
+    texts: OnceLock<Vec<String>>,
+}
+
+impl std::ops::Index<usize> for LiteralSubqueries {
+    type Output = String;
+
+    fn index(&self, range: usize) -> &String {
+        let texts = self.texts.get_or_init(|| {
+            (self.ranges.iter())
+                .map(|&(lo, hi)| self.template.subquery_for_range(lo, hi))
+                .collect()
+        });
+        &texts[range]
+    }
+}
+
+/// Equal when they render the same texts, rendered yet or not.
+impl PartialEq for LiteralSubqueries {
+    fn eq(&self, other: &Self) -> bool {
+        self.template == other.template && self.ranges == other.ranges
+    }
 }
 
 /// How partial rows combine into the final result — derived during
@@ -204,27 +240,30 @@ impl QueryTemplate {
     /// Instantiates the paper's static SVP plan: `n` aligned partitions of
     /// the key range, first/last partitions unbounded outward.
     pub fn svp_plan(&self, n: usize) -> SvpPlan {
+        Arc::new(self.clone()).into_svp_plan(n)
+    }
+
+    /// [`QueryTemplate::svp_plan`] on a template the plan may keep.
+    fn into_svp_plan(self: Arc<Self>, n: usize) -> SvpPlan {
         assert!(n > 0);
         let vp = &self.partitioned[0].1;
-        let mut subqueries = Vec::with_capacity(n);
-        let mut prepared = Vec::with_capacity(n);
-        let mut ranges = Vec::with_capacity(n);
-        for i in 0..n {
-            let (lo, hi) = vp.partition_bounds(i, n);
-            subqueries.push(self.subquery_for_range(lo, hi));
-            prepared.push(self.prepared_for_range(lo, hi));
-            ranges.push((lo, hi));
-        }
+        let ranges: Vec<_> = (0..n).map(|i| vp.partition_bounds(i, n)).collect();
         SvpPlan {
-            subqueries,
-            prepared,
+            prepared: (ranges.iter())
+                .map(|&(lo, hi)| self.prepared_for_range(lo, hi))
+                .collect(),
+            subqueries: LiteralSubqueries {
+                template: Arc::clone(&self),
+                ranges: ranges.clone(),
+                texts: OnceLock::new(),
+            },
             ranges,
             partial_columns: self.partial_columns.clone(),
             composition_sql: self.composition_sql.clone(),
             output_columns: self.output_columns.clone(),
             partitioned_tables: self.partitioned_tables(),
             compose: self.compose.clone(),
-            template: self.clone(),
+            template: self,
         }
     }
 }
@@ -256,18 +295,23 @@ impl SvpRewriter {
     /// Rewrites SQL text for `n` nodes. Parse errors bubble; eligibility
     /// failures return [`Rewritten::Passthrough`].
     pub fn rewrite(&self, sql: &str, n: usize) -> Result<Rewritten, ParseError> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Ok(passthrough("not a SELECT"));
-        };
-        Ok(self.rewrite_select(&select, n))
+        Ok(self.rewrite_statement(&parse_statement(sql)?, n))
+    }
+
+    /// Rewrites a parsed statement for `n` nodes: only a SELECT can be
+    /// eligible.
+    pub fn rewrite_statement(&self, stmt: &Statement, n: usize) -> Rewritten {
+        match stmt {
+            Statement::Select(q) => self.rewrite_select(q, n),
+            _ => passthrough("not a SELECT"),
+        }
     }
 
     /// Rewrites a parsed SELECT for `n` nodes.
     pub fn rewrite_select(&self, q: &Select, n: usize) -> Rewritten {
         assert!(n > 0, "cluster has at least one node");
         match self.build_template(q) {
-            Ok(template) => Rewritten::Svp(template.svp_plan(n)),
+            Ok(template) => Rewritten::Svp(Arc::new(template).into_svp_plan(n)),
             Err(reason) => passthrough(reason),
         }
     }
@@ -800,13 +844,21 @@ mod tests {
         }
     }
 
+    /// Each range's sub-query with its bounds as literals.
+    fn literal_subqueries(plan: &SvpPlan) -> Vec<String> {
+        (plan.ranges.iter())
+            .map(|&(lo, hi)| plan.template.subquery_for_range(lo, hi))
+            .collect()
+    }
+
     #[test]
     fn paper_running_example() {
         // §2: "select sum(l_extendedprice) from lineitem" over 4 nodes.
         let plan = svp("select sum(l_extendedprice) from lineitem", 4);
-        assert_eq!(plan.subqueries.len(), 4);
-        assert!(plan.subqueries[1].contains("lineitem.l_orderkey >= 1500001"));
-        assert!(plan.subqueries[1].contains("lineitem.l_orderkey < 3000001"));
+        let subs = literal_subqueries(&plan);
+        assert_eq!(subs.len(), 4);
+        assert!(subs[1].contains("lineitem.l_orderkey >= 1500001"));
+        assert!(subs[1].contains("lineitem.l_orderkey < 3000001"));
         // Partial sums recomposed by a global sum.
         assert!(plan.composition_sql.contains("sum(svp_agg0)"));
         assert!(plan.composition_sql.contains(PARTIALS_TABLE));
@@ -820,7 +872,7 @@ mod tests {
              from lineitem group by l_returnflag order by l_returnflag",
             3,
         );
-        for sub in &plan.subqueries {
+        for sub in &literal_subqueries(&plan) {
             apuama_sql::parse_statement(sub).unwrap_or_else(|e| panic!("{e}\n{sub}"));
         }
         apuama_sql::parse_statement(&plan.composition_sql).unwrap();
@@ -840,7 +892,7 @@ mod tests {
         let plan = svp("select count(*) as n from orders", 2);
         assert!(plan.composition_sql.contains("sum(svp_agg0) as n"));
         // Partition predicate applies to orders via its own VPA.
-        assert!(plan.subqueries[0].contains("orders.o_orderkey <"));
+        assert!(literal_subqueries(&plan)[0].contains("orders.o_orderkey <"));
     }
 
     #[test]
@@ -859,8 +911,8 @@ mod tests {
             "select count(*) as n from orders, lineitem where l_orderkey = o_orderkey",
             4,
         );
-        assert!(plan.subqueries[1].contains("orders.o_orderkey"));
-        assert!(plan.subqueries[1].contains("lineitem.l_orderkey"));
+        assert!(literal_subqueries(&plan)[1].contains("orders.o_orderkey"));
+        assert!(literal_subqueries(&plan)[1].contains("lineitem.l_orderkey"));
         assert_eq!(plan.partitioned_tables.len(), 2);
     }
 
@@ -872,13 +924,13 @@ mod tests {
             4,
         );
         assert_eq!(plan.partitioned_tables, vec!["orders".to_string()]);
-        assert!(!plan.subqueries[1].contains("lineitem.l_orderkey >="));
+        assert!(!literal_subqueries(&plan)[1].contains("lineitem.l_orderkey >="));
     }
 
     #[test]
     fn aliased_fact_table_uses_alias_qualifier() {
         let plan = svp("select count(*) as n from lineitem l1", 2);
-        assert!(plan.subqueries[1].contains("l1.l_orderkey >="));
+        assert!(literal_subqueries(&plan)[1].contains("l1.l_orderkey >="));
         assert_eq!(plan.partitioned_tables, vec!["lineitem (l1)".to_string()]);
     }
 
@@ -891,7 +943,8 @@ mod tests {
              group by o_orderpriority order by o_orderpriority",
             4,
         );
-        let sub = &plan.subqueries[2];
+        let subs = literal_subqueries(&plan);
+        let sub = &subs[2];
         // The exists body is between the parens; crude but effective check:
         // the only l_orderkey range predicates mention the *outer* orders VPA.
         assert!(sub.contains("orders.o_orderkey >="));
@@ -904,7 +957,7 @@ mod tests {
             "select o_orderpriority, count(*) as c from orders group by o_orderpriority",
             2,
         );
-        for sub in &plan.subqueries {
+        for sub in &literal_subqueries(&plan) {
             assert!(sub.contains("group by o_orderpriority"));
         }
         assert!(plan.composition_sql.contains("group by o_orderpriority"));
@@ -918,7 +971,7 @@ mod tests {
              order by c desc limit 3",
             2,
         );
-        for sub in &plan.subqueries {
+        for sub in &literal_subqueries(&plan) {
             assert!(!sub.contains("having"));
             assert!(!sub.contains("order by"));
             assert!(!sub.contains("limit"));
@@ -957,8 +1010,8 @@ mod tests {
     #[test]
     fn one_node_plan_has_no_range_predicate() {
         let plan = svp("select count(*) as n from lineitem", 1);
-        assert_eq!(plan.subqueries.len(), 1);
-        assert!(!plan.subqueries[0].contains("l_orderkey"));
+        assert_eq!(literal_subqueries(&plan).len(), 1);
+        assert!(!literal_subqueries(&plan)[0].contains("l_orderkey"));
     }
 
     #[test]
@@ -1000,7 +1053,7 @@ mod tests {
              order by l_orderkey limit 5",
             2,
         );
-        for sub in &plan.subqueries {
+        for sub in &literal_subqueries(&plan) {
             assert!(!sub.contains("limit"));
         }
         assert!(plan.composition_sql.contains("order by l_orderkey"));
@@ -1016,14 +1069,17 @@ mod tests {
              from lineitem group by l_returnflag",
             4,
         );
-        assert_eq!(plan.prepared.len(), plan.subqueries.len());
+        let subs = literal_subqueries(&plan);
+        assert_eq!(plan.prepared.len(), subs.len());
         for (i, (text, params)) in plan.prepared.iter().enumerate() {
             let Statement::Select(mut q) = parse_statement(text).unwrap() else {
                 panic!()
             };
             assert_eq!(visit::parameter_count(&q), params.len());
             visit::bind_parameters(&mut q, params).unwrap();
-            assert_eq!(q.to_string(), plan.subqueries[i], "partition {i}");
+            assert_eq!(q.to_string(), subs[i], "partition {i}");
+            // The plan's own literal texts, rendered on this first index.
+            assert_eq!(plan.subqueries[i], subs[i], "partition {i}");
         }
         // Outer partitions carry one bound side each; interior partitions
         // carry both and share one statement text (one plan per node).
@@ -1054,7 +1110,7 @@ mod tests {
     fn one_node_prepared_plan_has_no_parameters() {
         let plan = svp("select count(*) as n from lineitem", 1);
         assert_eq!(plan.prepared[0].1, vec![]);
-        assert_eq!(plan.prepared[0].0, plan.subqueries[0]);
+        assert_eq!(plan.prepared[0].0, literal_subqueries(&plan)[0]);
     }
 
     #[test]
@@ -1065,8 +1121,8 @@ mod tests {
         for q in ALL_QUERIES {
             match r.rewrite(&q.sql(&p), 8).unwrap() {
                 Rewritten::Svp(plan) => {
-                    assert_eq!(plan.subqueries.len(), 8, "{}", q.label());
-                    for sub in &plan.subqueries {
+                    assert_eq!(literal_subqueries(&plan).len(), 8, "{}", q.label());
+                    for sub in &literal_subqueries(&plan) {
                         apuama_sql::parse_statement(sub)
                             .unwrap_or_else(|e| panic!("{}: {e}\n{sub}", q.label()));
                     }

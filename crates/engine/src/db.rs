@@ -18,7 +18,7 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use apuama_sql::ast::{Expr, Statement};
+use apuama_sql::ast::{Expr, Select, Statement};
 use apuama_sql::{parse_statement, parse_statements, visit, Value};
 use apuama_storage::{AccessKind, BufferPool, BufferStats, PageKey, Row, RowId, TableId};
 
@@ -128,6 +128,15 @@ enum Planned {
     Select(Arc<CachedPlan>),
     /// Anything else, as parsed.
     Other(Box<Statement>),
+}
+
+/// What a plan-cache miss in [`Database::plan_for`] compiles.
+enum Source<'s> {
+    /// A prepared or bound statement's exact text, parsed.
+    Text(&'s str),
+    /// A text SELECT's parse, with the literals its key lifted replaced by
+    /// their placeholders.
+    Lifted(&'s Select),
 }
 
 /// Undo-log entry for transaction rollback.
@@ -372,35 +381,62 @@ impl Database {
 
     /// The read entry point, usable from `&self` (concurrent readers):
     /// runs SELECT, SET and EXPLAIN and refuses anything else, so a write
-    /// that reaches it by mistake changes nothing. With bound values
-    /// (`req.params`) a SELECT runs from the plan cache — parsed and
-    /// lowered once per statement text and `enable_kernel` setting, not
-    /// once per execution — and the result is byte-identical to rendering
-    /// the literals into the text. The statement observes `req.governor`
-    /// at scan-batch grain, and `req.avoid_seqscan` plans it as under
-    /// `SET enable_seqscan = off` without touching the session.
+    /// that reaches it by mistake changes nothing. A SELECT runs from the
+    /// plan cache — parsed and lowered once per key and `enable_kernel`
+    /// setting, not once per execution. With bound values (`req.params`)
+    /// the key is the exact text; a text SELECT is a bound read whose
+    /// values were lifted: its key is its text with the WHERE literals
+    /// [`visit::lift_where_literals`] lifts written as placeholders, and
+    /// the lifted literals are the values. Either way the result is
+    /// byte-identical to running the literals in place. The statement comes
+    /// from `req.stmt` when the request carries it; otherwise `req.sql` is
+    /// parsed here, once. The statement observes `req.governor` at
+    /// scan-batch grain, and `req.avoid_seqscan` plans it as under `SET
+    /// enable_seqscan = off` without touching the session.
     pub fn read(&self, req: &ReadRequest<'_>) -> EngineResult<QueryOutput> {
-        let Some(params) = req.params else {
-            return self.read_stmt(&parse_statement(req.sql)?, req.governor, req.avoid_seqscan);
+        let kernel_on = self.kernel_enabled();
+        let parsed;
+        let (fp, source, values) = match req.params {
+            Some(params) => (
+                plan_cache::fingerprint(req.sql, kernel_on),
+                Source::Text(req.sql),
+                params.to_vec(),
+            ),
+            None => {
+                let stmt = match req.stmt {
+                    Some(stmt) => stmt,
+                    None => {
+                        parsed = parse_statement(req.sql)?;
+                        &parsed
+                    }
+                };
+                let Statement::Select(q) = stmt else {
+                    return self.read_stmt(stmt, req.governor, req.avoid_seqscan);
+                };
+                let visit::Lifted { text, values } = visit::lift_where_literals(q);
+                ((text, kernel_on), Source::Lifted(q), values)
+            }
         };
-        let plan = match self.plan_for(req.sql)? {
+        let plan = match self.plan_for(fp, source)? {
             Planned::Select(plan) => plan,
             // SET / EXPLAIN take no parameters and are never cached.
-            Planned::Other(_) if !params.is_empty() => {
+            Planned::Other(_) if !values.is_empty() => {
                 return Err(EngineError::Unsupported(
                     "parameters are only supported on SELECT statements".into(),
                 ));
             }
             Planned::Other(stmt) => return self.read_stmt(&stmt, req.governor, req.avoid_seqscan),
         };
-        if params.len() != plan.n_params {
+        // Lifted values fill the lifted placeholders by construction; a
+        // client's must fill the client's.
+        if req.params.is_some() && values.len() != plan.n_params {
             return Err(EngineError::TypeError(format!(
                 "statement takes {} parameter(s), got {}",
                 plan.n_params,
-                params.len()
+                values.len()
             )));
         }
-        let ctx = self.read_context(params.to_vec(), req.governor, req.avoid_seqscan);
+        let ctx = self.read_context(values, req.governor, req.avoid_seqscan);
         let rel = physical::execute(&plan.physical, &[], &ctx)?;
         Ok(Self::select_output(rel, &ctx))
     }
@@ -428,7 +464,9 @@ impl Database {
         }
     }
 
-    /// Runs one parsed statement on the read path.
+    /// Runs one parsed read statement uncached: a SET or EXPLAIN for
+    /// [`Database::read`], and any read for [`Database::execute_stmt`],
+    /// whose SELECT runs with its literals in place.
     fn read_stmt(
         &self,
         stmt: &Statement,
@@ -481,39 +519,47 @@ impl Database {
         }
     }
 
-    fn current_stats_token(&self, token: &[(String, u64, u64)]) -> Vec<(String, u64, u64)> {
-        token
-            .iter()
-            .map(|(t, _, _)| self.table_stats_entry(t))
-            .collect()
+    /// Whether every table of a cached plan's stats token still has the
+    /// pages and rows it had when the plan was compiled.
+    fn stats_token_current(&self, token: &[(String, u64, u64)]) -> bool {
+        token.iter().all(|(t, pages, rows)| match self.table(t) {
+            Some(t) => (t.pages(), t.row_count()) == (*pages, *rows),
+            None => (*pages, *rows) == (u64::MAX, u64::MAX),
+        })
     }
 
-    /// Fetches (or compiles and caches) the plan for a SELECT statement.
-    /// Anything else that parses comes back as parsed — those are never
-    /// cached.
-    fn plan_for(&self, sql: &str) -> EngineResult<Planned> {
-        let kernel_on = self.kernel_enabled();
-        let fp = plan_cache::fingerprint(sql, kernel_on);
+    /// Fetches (or compiles and caches) the plan keyed `fp`. A miss
+    /// compiles what `source` says, under the kernel setting `fp` names; a
+    /// text that parses to anything but a SELECT comes back as parsed —
+    /// those are never cached.
+    fn plan_for(&self, fp: plan_cache::Fingerprint, source: Source<'_>) -> EngineResult<Planned> {
         let version = self.catalog_version.load(Ordering::SeqCst);
         if let Some(plan) = self
             .plan_cache
             .lock()
-            .lookup(&fp, version, |token| self.current_stats_token(token))
+            .lookup(&fp, version, |token| self.stats_token_current(token))
         {
             return Ok(Planned::Select(plan));
         }
-        let q = match parse_statement(sql)? {
-            Statement::Select(q) => q,
-            other => return Ok(Planned::Other(Box::new(other))),
+        let q = match source {
+            Source::Text(sql) => match parse_statement(sql)? {
+                Statement::Select(q) => q,
+                other => return Ok(Planned::Other(Box::new(other))),
+            },
+            Source::Lifted(q) => {
+                let mut q = q.clone();
+                visit::parameterize_where_literals(&mut q);
+                debug_assert_eq!(q.to_string(), fp.0, "the lifted statement is its key");
+                q
+            }
         };
         let n_params = visit::parameter_count(&q);
-        let physical = physical::lower(&q, self, kernel_on);
         let stats_token = visit::referenced_tables(&q)
             .iter()
             .map(|t| self.table_stats_entry(t))
             .collect();
         let plan = Arc::new(CachedPlan {
-            physical,
+            physical: physical::lower(q, self, fp.1),
             n_params,
             catalog_version: version,
             stats_token,
@@ -528,7 +574,8 @@ impl Database {
     /// statements are accepted (C-JDBC prepares writes too) but take no
     /// parameters and are not cached.
     pub fn prepare(&self, sql: &str) -> EngineResult<usize> {
-        Ok(match self.plan_for(sql)? {
+        let fp = plan_cache::fingerprint(sql, self.kernel_enabled());
+        Ok(match self.plan_for(fp, Source::Text(sql))? {
             Planned::Select(plan) => plan.n_params,
             Planned::Other(_) => 0,
         })
@@ -1515,8 +1562,9 @@ mod prepared_tests {
             work(&no_seq.stats)
         );
         assert!(d.seqscan_enabled());
+        // The text read lowered its lifted form, a key of its own.
         let s = d.plan_cache_stats();
-        assert_eq!((s.misses, s.hits), (1, 3), "{s:?}");
+        assert_eq!((s.misses, s.hits), (2, 3), "{s:?}");
         assert_eq!(s.invalidations + s.replans + s.evictions, 0);
     }
 
@@ -1586,6 +1634,130 @@ mod prepared_tests {
             .unwrap();
         assert_eq!(f.plan_cache_stats().misses, 1);
         assert_eq!(f.plan_cache_stats().hits, 0);
+    }
+}
+
+#[cfg(test)]
+mod lifted_tests {
+    use super::*;
+
+    fn customer_db(n: i64) -> Database {
+        let mut d = Database::in_memory();
+        d.execute(
+            "create table customer (c_custkey int not null, c_nationkey int, \
+             c_acctbal float, primary key (c_custkey)) clustered by (c_custkey)",
+        )
+        .unwrap();
+        let rows: Vec<Row> = (1..=n)
+            .map(|k| {
+                vec![
+                    Value::Int(k),
+                    Value::Int(k % 25),
+                    Value::Float(k as f64 * 0.5),
+                ]
+            })
+            .collect();
+        d.load_table("customer", rows).unwrap();
+        d
+    }
+
+    fn point_read(k: i64) -> String {
+        format!("select c_custkey, c_nationkey, c_acctbal from customer where c_custkey = {k}")
+    }
+
+    /// Point reads of distinct keys share one lifted entry: the first
+    /// lowers it, every later one hits, and each still probes the index
+    /// for its own key.
+    #[test]
+    fn distinct_key_point_reads_share_one_lifted_plan() {
+        let d = customer_db(2_000);
+        for k in 1..=200 {
+            let out = d.query(&point_read(k * 7)).unwrap();
+            let want = vec![
+                Value::Int(k * 7),
+                Value::Int(k * 7 % 25),
+                Value::Float(k as f64 * 3.5),
+            ];
+            assert_eq!(out.rows, vec![want]);
+            assert_eq!(
+                out.stats.rows_scanned, 1,
+                "the key's index probe, not a scan"
+            );
+        }
+        let s = d.plan_cache_stats();
+        assert_eq!((s.misses, s.hits), (1, 199), "{s:?}");
+        // The bound form of the same statement is a text of its own: the
+        // client chose its placeholders, and the key is its exact text.
+        d.query_bound(
+            "select c_custkey, c_nationkey, c_acctbal from customer where c_custkey = $1",
+            &[Value::Int(3)],
+        )
+        .unwrap();
+        assert_eq!(d.plan_cache_stats().misses, 2);
+    }
+
+    #[test]
+    fn create_index_evicts_a_lifted_entry() {
+        let mut d = customer_db(2_000);
+        let by_nation =
+            |n: i64| format!("select count(*) as n from customer where c_nationkey = {n}");
+        let before = d.query(&by_nation(3)).unwrap();
+        d.query(&by_nation(4)).unwrap();
+        assert_eq!(d.plan_cache_stats().hits, 1);
+        d.execute("create index c_nation on customer (c_nationkey)")
+            .unwrap();
+        let after = d.query(&by_nation(3)).unwrap();
+        let s = d.plan_cache_stats();
+        assert_eq!((s.invalidations, s.misses, s.hits), (1, 2, 1), "{s:?}");
+        assert_eq!(after.rows, before.rows);
+        assert_eq!(
+            after.stats.index_probes, 1,
+            "the replanned read uses the index"
+        );
+        assert_eq!(before.stats.index_probes, 0);
+    }
+
+    #[test]
+    fn growing_customer_forces_a_replan() {
+        let mut d = customer_db(2_000);
+        d.query(&point_read(5)).unwrap();
+        d.execute("insert into customer values (2001, 1, 0.5)")
+            .unwrap();
+        let out = d.query(&point_read(2_001)).unwrap();
+        assert_eq!(out.rows.len(), 1);
+        let s = d.plan_cache_stats();
+        assert_eq!((s.replans, s.misses, s.hits), (1, 2, 0), "{s:?}");
+        d.query(&point_read(6)).unwrap();
+        assert_eq!(
+            d.plan_cache_stats().hits,
+            1,
+            "the replanned entry serves again"
+        );
+    }
+
+    #[test]
+    fn fork_starts_without_lifted_entries() {
+        let d = customer_db(100);
+        d.query(&point_read(5)).unwrap();
+        d.query(&point_read(6)).unwrap();
+        let f = d.fork().unwrap();
+        assert_eq!(f.plan_cache_stats(), PlanCacheStats::default());
+        f.query(&point_read(7)).unwrap();
+        let s = f.plan_cache_stats();
+        assert_eq!((s.misses, s.hits), (1, 0), "{s:?}");
+    }
+
+    /// Text that already carries placeholders lifts nothing and keeps its
+    /// unbound-parameter error: reading it with no values fails on the
+    /// first row that needs one, as the unlifted statement does.
+    #[test]
+    fn text_with_its_own_placeholders_is_not_renumbered() {
+        let mut d = customer_db(10);
+        let sql = "select c_custkey from customer where c_custkey = $1 and c_nationkey = 3";
+        let lifted = d.query(sql).map_err(|e| std::mem::discriminant(&e));
+        let unlifted = d.execute(sql).map_err(|e| std::mem::discriminant(&e));
+        assert!(matches!(d.query(sql), Err(EngineError::TypeError(_))));
+        assert_eq!(lifted.map(|o| o.rows), unlifted.map(|o| o.rows));
     }
 }
 

@@ -193,12 +193,12 @@ pub(crate) struct FusedPlan {
 /// Lowers a SELECT to its physical shape. Infallible by design: unknown
 /// tables and other execution-time errors surface when the tree is opened,
 /// exactly where the interpreter surfaced them.
-pub(crate) fn lower(q: &Select, db: &Database, kernel_on: bool) -> PhysicalPlan {
+pub(crate) fn lower(q: Select, db: &Database, kernel_on: bool) -> PhysicalPlan {
     PhysicalPlan {
-        // Load-bearing clone: the plan owns its statement so prepared
-        // statements can cache it past the parse.
-        select: q.clone(),
-        shape: lower_shape(q, db, kernel_on),
+        shape: lower_shape(&q, db, kernel_on),
+        // The plan owns its statement so the plan cache can keep it past
+        // the parse.
+        select: q,
     }
 }
 
@@ -267,7 +267,7 @@ pub(crate) fn lower_general(q: &Select, db: &Database, kernel_on: bool) -> Gener
             },
             TableRef::Subquery { query, alias } => InputNode::Derived {
                 alias: alias.clone(),
-                plan: Box::new(lower(query, db, kernel_on)),
+                plan: Box::new(lower(query.as_ref().clone(), db, kernel_on)),
                 single,
             },
         })
@@ -464,14 +464,15 @@ pub(crate) fn execute_shape<'e>(
 }
 
 /// Wraps a freshly built operator in a timing probe when an `EXPLAIN
-/// ANALYZE` collector is active; otherwise passes it through untouched.
+/// ANALYZE` collector is active; otherwise passes it through untouched,
+/// and its label is never built.
 pub(crate) fn instrument<'e>(
     az: Option<&'e Analyze>,
     op: Box<dyn Operator<'e> + 'e>,
-    label: String,
+    label: impl FnOnce() -> String,
     children: Vec<usize>,
 ) -> (Box<dyn Operator<'e> + 'e>, Option<usize>) {
-    let idx = az.map(|a| a.register(label, children));
+    let idx = az.map(|a| a.register(label(), children));
     timed(az, idx, op)
 }
 
@@ -510,13 +511,16 @@ pub(crate) fn build_tree<'e>(
                 w if outer.is_empty() && !f.specs.iter().any(|s| s.distinct) => w,
                 _ => 1,
             };
-            let mut label = format!("fused aggregate over {}", f.binding_name);
-            if workers >= 2 {
-                label.push_str(&format!(" [parallel ×{workers}]"));
-            }
+            let label = || {
+                let mut label = format!("fused aggregate over {}", f.binding_name);
+                if workers >= 2 {
+                    label.push_str(&format!(" [parallel ×{workers}]"));
+                }
+                label
+            };
             // Registered up front (like the join block) so the fold's tally
             // and the workers' breakdowns can attach from the run.
-            let pidx = az.map(|a| a.register(label, Vec::new()));
+            let pidx = az.map(|a| a.register(label(), Vec::new()));
             let fused = FusedExec::new(q, f, outer, ctx, workers, az, pidx);
             timed(az, pidx, Box::new(fused))
         }
@@ -527,14 +531,14 @@ pub(crate) fn build_tree<'e>(
                 instrument(
                     az,
                     Box::new(AggregateExec::new(q, source, outer, ctx)),
-                    "aggregate".to_string(),
+                    || "aggregate".to_string(),
                     children,
                 )
             } else {
                 instrument(
                     az,
                     Box::new(ProjectExec::new(q, source, outer, ctx)),
-                    format!("project ({} column(s))", q.items.len()),
+                    || format!("project ({} column(s))", q.items.len()),
                     children,
                 )
             }
@@ -544,7 +548,7 @@ pub(crate) fn build_tree<'e>(
         (op, idx) = instrument(
             az,
             Box::new(DistinctExec::new(op, ctx)),
-            "distinct".to_string(),
+            || "distinct".to_string(),
             idx.into_iter().collect(),
         );
     }
@@ -552,7 +556,7 @@ pub(crate) fn build_tree<'e>(
         (op, idx) = instrument(
             az,
             Box::new(SortExec::new(q, op, ctx)),
-            format!("sort ({} key(s))", q.order_by.len()),
+            || format!("sort ({} key(s))", q.order_by.len()),
             idx.into_iter().collect(),
         );
     }
@@ -560,7 +564,7 @@ pub(crate) fn build_tree<'e>(
         (op, idx) = instrument(
             az,
             Box::new(LimitExec::new(l, op, ctx)),
-            format!("limit {l}"),
+            || format!("limit {l}"),
             idx.into_iter().collect(),
         );
     }
@@ -589,7 +593,7 @@ pub(crate) fn build_source<'e>(
             instrument(
                 az,
                 Box::new(FilterExec::new(base, preds, outer, ctx)),
-                format!("filter ({n} predicate(s))"),
+                || format!("filter ({n} predicate(s))"),
                 bidx.into_iter().collect(),
             )
         }
@@ -638,7 +642,7 @@ pub(crate) fn build_input<'e>(
         } => {
             let (alias, keep) = (alias.as_deref(), keep.as_deref());
             let scan = ScanExec::new(name, alias, single, keep, outer, ctx);
-            let label = az.map_or_else(String::new, |_| scan_label(name, alias, None, keep, ctx));
+            let label = || scan_label(name, alias, None, keep, ctx);
             instrument(az, Box::new(scan), label, Vec::new())
         }
         InputNode::Derived {
@@ -648,7 +652,7 @@ pub(crate) fn build_input<'e>(
         } => instrument(
             az,
             Box::new(DerivedExec::new(alias, plan, single, outer, ctx)),
-            format!("derived table {alias}"),
+            || format!("derived table {alias}"),
             Vec::new(),
         ),
     }

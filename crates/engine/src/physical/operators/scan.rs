@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::ops::Range;
 
 use apuama_sql::ast::Expr;
@@ -415,7 +416,8 @@ pub(crate) struct ScanExec<'e> {
     outer: &'e [Frame<'e>],
     ctx: &'e ExecContext<'e>,
     /// The table's full bindings: what the predicates resolve against.
-    bindings: Vec<Binding>,
+    /// Borrowed from the table when the scan has no alias.
+    bindings: Cow<'e, [Binding]>,
     /// Kept column positions, when the output is narrower than the table.
     cols: Option<Vec<usize>>,
     state: Option<ScanState<'e>>,
@@ -437,7 +439,7 @@ impl<'e> ScanExec<'e> {
             keep,
             outer,
             ctx,
-            bindings: Vec::new(),
+            bindings: Cow::Borrowed(&[]),
             cols: None,
             state: None,
         }
@@ -458,13 +460,16 @@ impl<'e> ScanExec<'e> {
             self.single,
             self.ctx,
         );
-        self.bindings = exec::bindings_for_table(&table.schema, self.alias);
+        self.bindings = match self.alias {
+            None => Cow::Borrowed(table.bindings()),
+            alias => Cow::Owned(exec::bindings_for_table(&table.schema, alias)),
+        };
         self.cols = self
             .keep
             .and_then(|keep| kept_positions(&table.schema, keep));
         let out_bindings = match &self.cols {
             Some(cols) => cols.iter().map(|&c| self.bindings[c].clone()).collect(),
-            None => self.bindings.clone(),
+            None => self.bindings.to_vec(),
         };
         Ok(PlannedScan {
             table,

@@ -1,17 +1,30 @@
-//! LRU plan cache for the prepared-statement path.
+//! LRU plan cache for every SELECT on the read path.
 //!
-//! Entries are keyed by the normalized statement fingerprint: the trimmed
-//! SQL text — parameter placeholders like `$1` are already part of the
-//! text, so structurally identical statements share one entry no matter
-//! what values they are later bound with — plus the one session knob that
-//! shapes what lowering produces: `enable_kernel` (the fused plan vs the
-//! general tree). Keying on it means toggling the knob can never serve a
-//! plan compiled under the other setting; the two variants simply coexist
-//! in the cache. Nothing lowered depends on `enable_seqscan` or on a
-//! request's avoid-sequential-scans hint — the access path is chosen per
-//! execution — so one entry serves both. A cached plan is the lowered
-//! [`PhysicalPlan`] (which carries the parsed `Select`) and its parameter
-//! count.
+//! Entries are keyed by the normalized statement fingerprint: a statement
+//! text plus the one session knob that shapes what lowering produces:
+//! `enable_kernel` (the fused plan vs the general tree). Which text depends
+//! on who chose the placeholders:
+//!
+//! * **A bound read or [`Database::prepare`]** keys on its exact (trimmed)
+//!   text. Its `$N` placeholders are already part of the text, so
+//!   statements the client parameterised alike share one entry whatever
+//!   values they are later bound with.
+//! * **A text read** keys on its *lifted* text
+//!   ([`apuama_sql::visit::lift_where_literals`]): the statement with its
+//!   top-level WHERE comparison literals written as placeholders. Point
+//!   reads of different keys share one entry, and the lifted literals are
+//!   bound as values; a miss lowers the parsed statement with those
+//!   literals replaced.
+//!
+//! Keying on `enable_kernel` means toggling the knob can never serve a plan
+//! compiled under the other setting; the two variants simply coexist in
+//! the cache. Nothing lowered depends on `enable_seqscan` or on a request's
+//! avoid-sequential-scans hint — the access path is chosen per execution
+//! from the bound values — so one entry serves both. A cached plan is the
+//! lowered [`PhysicalPlan`] (which carries the parsed `Select`) and its
+//! parameter count.
+//!
+//! [`Database::prepare`]: crate::Database::prepare
 //!
 //! Staleness is handled two ways so the planner's access-path choice stays
 //! honest:
@@ -72,21 +85,21 @@ struct Entry {
 
 #[derive(Debug, Default)]
 pub(crate) struct PlanCache {
-    entries: HashMap<String, Entry>,
+    entries: HashMap<Fingerprint, Entry>,
     tick: u64,
     stats: PlanCacheStats,
 }
 
 impl PlanCache {
     /// Looks up a plan by fingerprint, validating it against the current
-    /// catalog version and table stats. `current_stats` recomputes the
-    /// stats token for a cached entry's referenced tables; a mismatch
+    /// catalog version and table stats. `stats_current` says whether a
+    /// cached entry's stats token still matches its tables; a mismatch
     /// counts as a replan and the stale entry is dropped.
     pub(crate) fn lookup(
         &mut self,
-        fingerprint: &str,
+        fingerprint: &Fingerprint,
         catalog_version: u64,
-        current_stats: impl Fn(&[(String, u64, u64)]) -> Vec<(String, u64, u64)>,
+        stats_current: impl Fn(&[(String, u64, u64)]) -> bool,
     ) -> Option<Arc<CachedPlan>> {
         self.tick += 1;
         let Some(entry) = self.entries.get_mut(fingerprint) else {
@@ -99,7 +112,7 @@ impl PlanCache {
             self.entries.remove(fingerprint);
             return None;
         }
-        if current_stats(&entry.plan.stats_token) != entry.plan.stats_token {
+        if !stats_current(&entry.plan.stats_token) {
             self.stats.replans += 1;
             self.stats.misses += 1;
             self.entries.remove(fingerprint);
@@ -112,7 +125,7 @@ impl PlanCache {
 
     /// Inserts a freshly compiled plan, evicting the least-recently-used
     /// entry if the cache is at capacity.
-    pub(crate) fn insert(&mut self, fingerprint: String, plan: Arc<CachedPlan>) {
+    pub(crate) fn insert(&mut self, fingerprint: Fingerprint, plan: Arc<CachedPlan>) {
         self.tick += 1;
         if self.entries.len() >= PLAN_CACHE_CAPACITY && !self.entries.contains_key(&fingerprint) {
             if let Some(victim) = self
@@ -144,19 +157,27 @@ impl PlanCache {
     }
 }
 
-/// Normalizes raw SQL plus the plan-shaping session knob into the cache
-/// fingerprint. `enable_kernel` is part of the key because it selects the
-/// lowered shape (fused vs general). `enable_seqscan` and
+/// The cache key: a statement text (exact or lifted) plus the
+/// plan-shaping session knob. `enable_kernel` is part of the key because it
+/// selects the lowered shape (fused vs general). `enable_seqscan` and
 /// `parallel_workers` change how a lowered tree runs (which access path,
 /// how many workers), not what is lowered, and are deliberately *not*
 /// keyed.
-pub(crate) fn fingerprint(sql: &str, kernel_on: bool) -> String {
-    format!("{}#k={}", sql.trim(), kernel_on as u8)
+pub(crate) type Fingerprint = (String, bool);
+
+/// The fingerprint of an exact statement text: trimmed, so surrounding
+/// whitespace does not split entries.
+pub(crate) fn fingerprint(sql: &str, kernel_on: bool) -> Fingerprint {
+    (sql.trim().to_owned(), kernel_on)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn key(text: &str) -> Fingerprint {
+        (text.into(), true)
+    }
 
     fn plan(version: u64) -> Arc<CachedPlan> {
         let select = apuama_sql::parse_statement("select 1")
@@ -168,7 +189,7 @@ mod tests {
             .expect("trivial select parses");
         let db = crate::db::Database::in_memory();
         Arc::new(CachedPlan {
-            physical: crate::physical::lower(&select, &db, false),
+            physical: crate::physical::lower(select, &db, false),
             n_params: 0,
             catalog_version: version,
             stats_token: Vec::new(),
@@ -178,9 +199,9 @@ mod tests {
     #[test]
     fn hit_after_insert_and_miss_when_version_bumps() {
         let mut cache = PlanCache::default();
-        cache.insert("q".into(), plan(1));
-        assert!(cache.lookup("q", 1, |t| t.to_vec()).is_some());
-        assert!(cache.lookup("q", 2, |t| t.to_vec()).is_none());
+        cache.insert(key("q"), plan(1));
+        assert!(cache.lookup(&key("q"), 1, |_| true).is_some());
+        assert!(cache.lookup(&key("q"), 2, |_| true).is_none());
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
@@ -192,13 +213,13 @@ mod tests {
         let mut cache = PlanCache::default();
         let mut p = plan(1);
         Arc::get_mut(&mut p).unwrap().stats_token = vec![("t".into(), 1, 10)];
-        cache.insert("q".into(), p);
+        cache.insert(key("q"), p);
+        // The live stats of the entry's tables, as a token check sees them.
+        let live = |pages, rows| move |t: &[(String, u64, u64)]| t == [("t".into(), pages, rows)];
         // Same catalog, same stats: hit.
-        assert!(cache.lookup("q", 1, |t| t.to_vec()).is_some());
+        assert!(cache.lookup(&key("q"), 1, live(1, 10)).is_some());
         // Table grew: replan.
-        assert!(cache
-            .lookup("q", 1, |_| vec![("t".into(), 2, 500)])
-            .is_none());
+        assert!(cache.lookup(&key("q"), 1, live(2, 500)).is_none());
         assert_eq!(cache.stats().replans, 1);
     }
 
@@ -206,20 +227,23 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         let mut cache = PlanCache::default();
         for i in 0..PLAN_CACHE_CAPACITY {
-            cache.insert(format!("q{i}"), plan(1));
+            cache.insert(key(&format!("q{i}")), plan(1));
         }
         // Touch q0 so q1 becomes the coldest entry.
-        assert!(cache.lookup("q0", 1, |t| t.to_vec()).is_some());
-        cache.insert("overflow".into(), plan(1));
+        assert!(cache.lookup(&key("q0"), 1, |_| true).is_some());
+        cache.insert(key("overflow"), plan(1));
         assert_eq!(cache.len(), PLAN_CACHE_CAPACITY);
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.lookup("q0", 1, |t| t.to_vec()).is_some());
-        assert!(cache.lookup("q1", 1, |t| t.to_vec()).is_none());
+        assert!(cache.lookup(&key("q0"), 1, |_| true).is_some());
+        assert!(cache.lookup(&key("q1"), 1, |_| true).is_none());
     }
 
     #[test]
     fn fingerprint_trims_whitespace_and_keys_on_the_kernel_knob() {
-        assert_eq!(fingerprint("  select 1\n", true), "select 1#k=1");
-        assert_eq!(fingerprint("  select 1\n", false), "select 1#k=0");
+        assert_eq!(fingerprint("  select 1\n", true), ("select 1".into(), true));
+        assert_ne!(
+            fingerprint("select 1", true),
+            fingerprint("select 1", false)
+        );
     }
 }

@@ -17,11 +17,15 @@ use apuama_storage::{Column, Heap, OrderedIndex, PageGeometry, Row, RowId};
 
 use crate::catalog::TableSchema;
 use crate::error::{EngineError, EngineResult};
+use crate::exec::{self, Binding};
 
 /// One table of one node's database.
 #[derive(Debug, Clone)]
 pub struct Table {
     pub schema: TableSchema,
+    /// What a scan of the table under its own name binds, built once: a
+    /// scan without an alias borrows it.
+    bindings: Vec<Binding>,
     pub heap: Heap,
     /// Secondary (and clustered) indexes keyed by column index.
     indexes: HashMap<usize, OrderedIndex>,
@@ -131,11 +135,17 @@ impl Table {
             heap.set_zone_columns(&[c]);
         }
         Table {
+            bindings: exec::bindings_for_table(&schema, None),
             schema,
             heap,
             indexes,
             ordered_prefix: 0,
         }
+    }
+
+    /// The bindings of a scan of this table under its own name.
+    pub(crate) fn bindings(&self) -> &[Binding] {
+        &self.bindings
     }
 
     /// How many leading slots of the heap are in clustering-key order;

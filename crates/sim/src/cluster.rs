@@ -249,6 +249,18 @@ impl SimCluster {
         Ok((out, ms))
     }
 
+    /// Executes range `range` of `plan` on `node` — the template rendered
+    /// with the range's bounds as literals — and prices it.
+    pub fn exec_range(
+        &self,
+        node: usize,
+        plan: &SvpPlan,
+        range: usize,
+    ) -> EngineResult<(QueryOutput, f64)> {
+        let (lo, hi) = plan.ranges[range];
+        self.exec_subquery(node, &plan.template.subquery_for_range(lo, hi))
+    }
+
     /// Executes a pass-through read on one node and prices it (query time
     /// plus result transfer).
     pub fn exec_read(&self, node: usize, sql: &str) -> EngineResult<(QueryOutput, f64)> {
@@ -360,8 +372,8 @@ impl SimCluster {
                 }
                 let mut partials = Vec::with_capacity(self.nodes.len());
                 let mut node_task_ms = Vec::with_capacity(self.nodes.len());
-                for (i, sub) in plan.subqueries.iter().enumerate() {
-                    let (out, ms) = self.exec_subquery(i, sub)?;
+                for i in 0..plan.ranges.len() {
+                    let (out, ms) = self.exec_range(i, &plan, i)?;
                     node_task_ms.push(ms);
                     partials.push(out);
                 }
@@ -392,9 +404,9 @@ impl SimCluster {
     /// SVP execution with one node down, priced against the recovery
     /// protocol: survivors run their ranges normally; the failed range
     /// burns `detect_ms × (retries + 1)` of virtual time being detected,
-    /// then runs *whole* (re-rendered from the plan's template: the text of
-    /// `plan.subqueries[range]`, which the engine runs bound, as
-    /// `plan.prepared[range]`) on the survivor whose own range finishes
+    /// then runs *whole* (rendered from the plan's template for the range,
+    /// which the engine runs bound, as `plan.prepared[range]`) on the
+    /// survivor whose own range finishes
     /// earliest, serialized after it. The engine instead runs it as soon as
     /// the failure arrives, on the node with the fewest ranges outstanding
     /// (lowest index on ties) among those whose snapshot ticket the query
@@ -411,11 +423,11 @@ impl SimCluster {
         let n = self.nodes.len();
         let mut partials: Vec<Option<QueryOutput>> = vec![None; n];
         let mut finish_ms = vec![0.0f64; n];
-        for (i, sub) in plan.subqueries.iter().enumerate() {
+        for i in 0..n {
             if i == fault.node {
                 continue;
             }
-            let (out, ms) = self.exec_subquery(i, sub)?;
+            let (out, ms) = self.exec_range(i, plan, i)?;
             finish_ms[i] = ms;
             partials[i] = Some(out);
         }
@@ -428,10 +440,7 @@ impl SimCluster {
             .filter(|&j| j != fault.node)
             .min_by(|&a, &b| finish_ms[a].total_cmp(&finish_ms[b]).then(a.cmp(&b)))
             .expect("at least one survivor");
-        let (lo, hi) = plan.ranges[fault.node];
-        let residual_sql = plan.template.subquery_for_range(lo, hi);
-        debug_assert_eq!(residual_sql, plan.subqueries[fault.node]);
-        let (out, ms) = self.exec_subquery(survivor, &residual_sql)?;
+        let (out, ms) = self.exec_range(survivor, plan, fault.node)?;
         finish_ms[fault.node] = finish_ms[survivor].max(detected_at) + ms;
         partials[fault.node] = Some(out);
         let partials: Vec<QueryOutput> = partials.into_iter().map(Option::unwrap).collect();
@@ -763,11 +772,8 @@ mod composer_strategy_tests {
         let Rewritten::Svp(plan) = c.rewrite(&sql).unwrap() else {
             panic!("Q1 is SVP-eligible");
         };
-        let partials: Vec<_> = plan
-            .subqueries
-            .iter()
-            .enumerate()
-            .map(|(i, sub)| c.exec_subquery(i, sub).unwrap().0)
+        let partials: Vec<_> = (0..plan.ranges.len())
+            .map(|i| c.exec_range(i, &plan, i).unwrap().0)
             .collect();
         let timed = c
             .compose_timed(&plan, &partials, &[1.0, 2.0, 3.0, 10_000.0])

@@ -214,10 +214,10 @@ pub fn run_workload(cluster: &mut SimCluster, spec: WorkloadSpec) -> EngineResul
                         label: String,
                         plan: &SvpPlan|
      -> EngineResult<()> {
-        let mut partials = Vec::with_capacity(plan.subqueries.len());
-        let mut durs = Vec::with_capacity(plan.subqueries.len());
-        for (i, sub) in plan.subqueries.iter().enumerate() {
-            let (out, ms) = cluster.exec_subquery(i, sub)?;
+        let mut partials = Vec::with_capacity(plan.ranges.len());
+        let mut durs = Vec::with_capacity(plan.ranges.len());
+        for i in 0..plan.ranges.len() {
+            let (out, ms) = cluster.exec_range(i, plan, i)?;
             partials.push(out);
             durs.push(ms);
         }
@@ -547,10 +547,10 @@ pub fn run_overload(cluster: &SimCluster, spec: OverloadSpec) -> EngineResult<Ov
      -> EngineResult<()> {
         match cluster.rewrite(sql)? {
             Rewritten::Svp(plan) => {
-                let mut partials = Vec::with_capacity(plan.subqueries.len());
-                let mut durs = Vec::with_capacity(plan.subqueries.len());
-                for (i, sub) in plan.subqueries.iter().enumerate() {
-                    let (out, ms) = cluster.exec_subquery(i, sub)?;
+                let mut partials = Vec::with_capacity(plan.ranges.len());
+                let mut durs = Vec::with_capacity(plan.ranges.len());
+                for i in 0..plan.ranges.len() {
+                    let (out, ms) = cluster.exec_range(i, &plan, i)?;
                     partials.push(out);
                     durs.push(ms);
                 }

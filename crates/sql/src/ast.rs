@@ -551,6 +551,20 @@ impl fmt::Display for TableRef {
 
 impl fmt::Display for Select {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.fmt_with_selection(f, self.selection.as_ref().map(|w| w as &dyn fmt::Display))
+    }
+}
+
+impl Select {
+    /// Renders the statement with `selection` written as its WHERE clause:
+    /// `Display` passes the statement's own, the literal lifting
+    /// ([`crate::visit::lift_where_literals`]) a rendering that writes
+    /// placeholders for the literals it lifts.
+    pub(crate) fn fmt_with_selection(
+        &self,
+        f: &mut fmt::Formatter<'_>,
+        selection: Option<&dyn fmt::Display>,
+    ) -> fmt::Result {
         write!(f, "select ")?;
         if self.quantifier == SetQuantifier::Distinct {
             write!(f, "distinct ")?;
@@ -570,7 +584,7 @@ impl fmt::Display for Select {
                 write!(f, "{t}")?;
             }
         }
-        if let Some(w) = &self.selection {
+        if let Some(w) = selection {
             write!(f, " where {w}")?;
         }
         if !self.group_by.is_empty() {

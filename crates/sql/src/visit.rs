@@ -1,14 +1,22 @@
 //! AST walkers and in-place mutators.
 //!
-//! The Apuama middleware needs exactly two tree operations, both provided
-//! here in a general form:
+//! The Apuama middleware needs two tree operations, both provided here in a
+//! general form:
 //!
 //! * **discovery** — which base tables does a query reference (the paper's
 //!   Query Parser component feeding the Data Catalog lookup), and
 //! * **mutation** — rewriting expressions in place (SVP's range-predicate
 //!   injection and aggregate decomposition).
+//!
+//! A node's plan cache needs a third: **literal lifting**
+//! ([`lift_where_literals`]), the key under which a text SELECT shares a
+//! cached plan with every statement that differs from it only in its WHERE
+//! clause's comparison literals.
 
-use crate::ast::{Expr, Select, SelectItem, Statement, TableRef};
+use crate::ast::{BinOp, Expr, Select, SelectItem, Statement, TableRef, UnaryOp};
+use crate::value::Value;
+use std::cell::RefCell;
+use std::fmt::{self, Write};
 use std::sync::Arc;
 
 /// Calls `f` for every expression in the select, including inside
@@ -350,6 +358,223 @@ pub fn bind_parameters(select: &mut Select, params: &[crate::Value]) -> Result<(
     }
 }
 
+// ---------------------------------------------------------------------------
+// Literal lifting (auto-parameterisation)
+// ---------------------------------------------------------------------------
+
+/// A SELECT's auto-parameterised form: its text with each literal
+/// [`lift_where_literals`] lifts written as a `$N` placeholder, and those
+/// literals in placeholder order. Two statements that differ only in lifted
+/// literals share one text, so a plan cache keyed on it serves both.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Lifted {
+    /// The statement rendered with placeholders where the lifted literals
+    /// were; what [`parameterize_where_literals`] leaves renders to it.
+    pub text: String,
+    /// The lifted literals; `values[N - 1]` is what `$N` stands for.
+    pub values: Vec<Value>,
+}
+
+/// Lifts the literals of the top-level WHERE clause that are a direct
+/// operand of a comparison, a `BETWEEN` or an `IN` list against a column,
+/// looking through `AND`, `OR` and `NOT`: `c_custkey = 7` becomes
+/// `c_custkey = $1` with `7` bound. Every other literal — in arithmetic,
+/// select items, subqueries, `GROUP BY`, `HAVING`, `ORDER BY` — stays in the
+/// text. Nothing is cloned but the lifted values. A statement that already
+/// has placeholders lifts nothing: numbering the lifted literals after its
+/// own would give its text another meaning.
+pub fn lift_where_literals(select: &Select) -> Lifted {
+    let values = RefCell::new(Vec::new());
+    // Room for a short statement up front, so rendering one does not
+    // regrow the buffer piece by piece.
+    let mut text = String::with_capacity(128);
+    let rendered = match &select.selection {
+        Some(expr) if parameter_count(select) == 0 => {
+            let selection = LiftedExpr {
+                expr,
+                values: &values,
+            };
+            write!(text, "{}", WithSelection(select, &selection))
+        }
+        _ => write!(text, "{select}"),
+    };
+    rendered.expect("rendering into a String does not fail");
+    Lifted {
+        text,
+        values: values.into_inner(),
+    }
+}
+
+/// Replaces, in place, exactly the literals [`lift_where_literals`] lifts by
+/// their placeholders: the statement left renders to [`Lifted::text`].
+pub fn parameterize_where_literals(select: &mut Select) {
+    if parameter_count(select) > 0 {
+        return;
+    }
+    if let Some(expr) = &mut select.selection {
+        parameterize(expr, &mut 0);
+    }
+}
+
+/// Whether `operand` is a literal [`lift_where_literals`] lifts, `against`
+/// being what it is compared with — the one rule both lifting walks share.
+fn lifts(operand: &Expr, against: &Expr) -> bool {
+    matches!(operand, Expr::Literal(_)) && matches!(against, Expr::Column(_))
+}
+
+fn parameterize(expr: &mut Expr, next: &mut usize) {
+    let place = |operand: &mut Expr, lifted: bool, next: &mut usize| {
+        if lifted {
+            *next += 1;
+            *operand = Expr::Parameter(*next);
+        }
+    };
+    match expr {
+        Expr::Binary {
+            left,
+            op: BinOp::And | BinOp::Or,
+            right,
+        } => {
+            parameterize(left, next);
+            parameterize(right, next);
+        }
+        Expr::Unary {
+            op: UnaryOp::Not,
+            expr,
+        } => parameterize(expr, next),
+        Expr::Binary { left, op, right } if op.is_comparison() => {
+            let (l, r) = (lifts(left, right), lifts(right, left));
+            place(left, l, next);
+            place(right, r, next);
+        }
+        Expr::Between {
+            expr, low, high, ..
+        } => {
+            let (l, h) = (lifts(low, expr), lifts(high, expr));
+            place(low, l, next);
+            place(high, h, next);
+        }
+        Expr::InList { expr, list, .. } => {
+            for item in list {
+                let lifted = lifts(item, expr);
+                place(item, lifted, next);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// A select rendered with another WHERE clause.
+struct WithSelection<'a>(&'a Select, &'a dyn fmt::Display);
+
+impl fmt::Display for WithSelection<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt_with_selection(f, Some(self.1))
+    }
+}
+
+/// Renders a WHERE expression as `Expr`'s `Display` does, except that each
+/// literal [`lifts`] admits is written as the next placeholder and its value
+/// appended to `values` — in text order, which is placeholder order.
+struct LiftedExpr<'a> {
+    expr: &'a Expr,
+    values: &'a RefCell<Vec<Value>>,
+}
+
+/// One operand of a lifting site: its placeholder, or itself.
+struct Operand<'a> {
+    expr: &'a Expr,
+    lifted: bool,
+    values: &'a RefCell<Vec<Value>>,
+}
+
+impl<'a> LiftedExpr<'a> {
+    fn sub(&self, expr: &'a Expr) -> LiftedExpr<'a> {
+        LiftedExpr {
+            expr,
+            values: self.values,
+        }
+    }
+
+    fn operand(&self, expr: &'a Expr, against: &Expr) -> Operand<'a> {
+        Operand {
+            expr,
+            lifted: lifts(expr, against),
+            values: self.values,
+        }
+    }
+}
+
+impl fmt::Display for Operand<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.expr {
+            Expr::Literal(v) if self.lifted => {
+                let mut values = self.values.borrow_mut();
+                values.push(v.clone());
+                write!(f, "${}", values.len())
+            }
+            other => write!(f, "{other}"),
+        }
+    }
+}
+
+impl fmt::Display for LiftedExpr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let not = |negated: bool| if negated { "not " } else { "" };
+        match self.expr {
+            Expr::Binary {
+                left,
+                op: op @ (BinOp::And | BinOp::Or),
+                right,
+            } => write!(
+                f,
+                "({} {} {})",
+                self.sub(left),
+                op.symbol(),
+                self.sub(right)
+            ),
+            Expr::Unary {
+                op: UnaryOp::Not,
+                expr,
+            } => write!(f, "(not {})", self.sub(expr)),
+            Expr::Binary { left, op, right } if op.is_comparison() => write!(
+                f,
+                "({} {} {})",
+                self.operand(left, right),
+                op.symbol(),
+                self.operand(right, left)
+            ),
+            Expr::Between {
+                expr,
+                negated,
+                low,
+                high,
+            } => write!(
+                f,
+                "({expr} {}between {} and {})",
+                not(*negated),
+                self.operand(low, expr),
+                self.operand(high, expr)
+            ),
+            Expr::InList {
+                expr,
+                negated,
+                list,
+            } => {
+                write!(f, "({expr} {}in (", not(*negated))?;
+                for (i, item) in list.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, ", ")?;
+                    }
+                    write!(f, "{}", self.operand(item, expr))?;
+                }
+                write!(f, "))")
+            }
+            other => write!(f, "{other}"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,6 +676,72 @@ mod tests {
             panic!()
         };
         assert!(bind_parameters(&mut s, &[crate::Value::Int(10)]).is_err());
+    }
+
+    fn select_of(sql: &str) -> Select {
+        match parse_statement(sql).unwrap() {
+            Statement::Select(s) => s,
+            _ => panic!("expected select"),
+        }
+    }
+
+    #[test]
+    fn lifting_writes_placeholders_for_comparison_operands_against_columns() {
+        let s = select_of(
+            "select a + 1 from t where a = 7 and (3 < b or not c between 2 and 4.5) \
+             and d in ('x', 'y', e) and a + 1 = 2 and 1 = 1 and f like 'p%' \
+             and exists (select 1 from u where u.k = 9) order by a limit 3",
+        );
+        let lifted = lift_where_literals(&s);
+        assert_eq!(
+            lifted.text,
+            "select (a + 1) from t where (((((((a = $1) and (($2 < b) or \
+             (not (c between $3 and $4)))) and (d in ($5, $6, e))) and ((a + 1) = 2)) \
+             and (1 = 1)) and (f like 'p%')) and (exists (select 1 from u where (u.k = 9)))) \
+             order by a limit 3"
+        );
+        assert_eq!(
+            lifted.values,
+            vec![
+                Value::Int(7),
+                Value::Int(3),
+                Value::Int(2),
+                Value::Float(4.5),
+                Value::Str("x".into()),
+                Value::Str("y".into()),
+            ]
+        );
+        // The in-place form is the same statement, placeholders and all.
+        let mut p = s.clone();
+        parameterize_where_literals(&mut p);
+        assert_eq!(p.to_string(), lifted.text);
+        assert_eq!(parameter_count(&p), 6);
+        bind_parameters(&mut p, &lifted.values).unwrap();
+        assert_eq!(p, s);
+    }
+
+    #[test]
+    fn a_statement_with_placeholders_lifts_nothing() {
+        let s = select_of("select a from t where a = $1 and b = 2");
+        let lifted = lift_where_literals(&s);
+        assert_eq!(lifted.text, s.to_string());
+        assert!(lifted.values.is_empty());
+        let mut p = s.clone();
+        parameterize_where_literals(&mut p);
+        assert_eq!(p, s);
+    }
+
+    #[test]
+    fn literals_differing_statements_share_one_lifted_text() {
+        let a = lift_where_literals(&select_of("select x from t where k = 1"));
+        let b = lift_where_literals(&select_of("select x from t where k = 'z'"));
+        let c = lift_where_literals(&select_of("select x from t where 1 = k"));
+        assert_eq!(a.text, b.text);
+        assert_ne!(a.text, c.text, "the side the literal stands on is kept");
+        assert_eq!(c.values, vec![Value::Int(1)]);
+        let none = lift_where_literals(&select_of("select 1 from t"));
+        assert_eq!(none.text, "select 1 from t");
+        assert!(none.values.is_empty());
     }
 
     #[test]

@@ -36,8 +36,8 @@ fn main() {
         };
         let mut svp_makespan = 0.0f64;
         print!("SVP  per-node ms:");
-        for (node, sub) in plan.subqueries.iter().enumerate() {
-            let (_, ms) = cluster.exec_subquery(node, sub).expect("subquery");
+        for node in 0..plan.ranges.len() {
+            let (_, ms) = cluster.exec_range(node, &plan, node).expect("subquery");
             let ms = slowdown(node, ms);
             print!(" {ms:7.1}");
             svp_makespan = svp_makespan.max(ms);

@@ -75,8 +75,8 @@ fn main() {
             match engine.rewriter().rewrite(query, engine.node_count()) {
                 Ok(Rewritten::Svp(plan)) => {
                     println!("partitioned: {:?}", plan.partitioned_tables);
-                    for (i, sub) in plan.subqueries.iter().enumerate() {
-                        println!("node {i}: {sub}");
+                    for (i, &(lo, hi)) in plan.ranges.iter().enumerate() {
+                        println!("node {i}: {}", plan.template.subquery_for_range(lo, hi));
                     }
                     println!("compose: {}", plan.composition_sql);
                 }

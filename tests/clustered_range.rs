@@ -33,7 +33,9 @@ fn replica(data: &TpchData) -> Database {
 fn subqueries(data: &TpchData, q: usize, params: &QueryParams) -> Vec<String> {
     let rewriter = SvpRewriter::new(DataCatalog::tpch(data.config.orders() as i64));
     match rewriter.rewrite(&ALL_QUERIES[q].sql(params), 4).unwrap() {
-        Rewritten::Svp(plan) => plan.subqueries,
+        Rewritten::Svp(plan) => (plan.ranges.iter())
+            .map(|&(lo, hi)| plan.template.subquery_for_range(lo, hi))
+            .collect(),
         Rewritten::Passthrough { reason } => panic!("{}: {reason}", ALL_QUERIES[q].label()),
     }
 }

@@ -241,3 +241,60 @@ mod svp_failure {
         assert_eq!(engine.txn_counters(), vec![1, 1, 1]);
     }
 }
+
+/// Pass-through point reads run from each node's plan cache: the
+/// controller's parse rides down to the node, which lifts the key into a
+/// bound value. A thousand reads of distinct keys cost each node that
+/// serves them one miss; every other read is a hit.
+#[test]
+fn distinct_key_point_reads_miss_once_per_serving_node() {
+    const CUSTOMERS: i64 = 1_200;
+    let nodes: Vec<Arc<EngineNode>> = (0..4)
+        .map(|i| {
+            let mut db = Database::in_memory();
+            db.execute(
+                "create table customer (c_custkey int not null, c_nationkey int, \
+                 c_acctbal float, primary key (c_custkey)) clustered by (c_custkey)",
+            )
+            .unwrap();
+            let rows: Vec<Vec<Value>> = (1..=CUSTOMERS)
+                .map(|k| vec![Value::Int(k), Value::Int(k % 25), Value::Float(k as f64)])
+                .collect();
+            db.load_table("customer", rows).unwrap();
+            EngineNode::new(format!("node-{i}"), db)
+        })
+        .collect();
+    let conns = nodes
+        .iter()
+        .map(|n| Arc::new(NodeConnection::new(Arc::clone(n))) as Arc<dyn Connection>)
+        .collect();
+    let engine = ApuamaEngine::new(conns, DataCatalog::tpch(1_000), ApuamaConfig::default());
+    let controller = Controller::new(engine.connections(), ControllerConfig::default());
+
+    for i in 0..1_000i64 {
+        let key = (i * 7) % CUSTOMERS + 1;
+        let (out, _) = controller
+            .execute(&format!(
+                "select c_custkey, c_nationkey, c_acctbal from customer where c_custkey = {key}"
+            ))
+            .unwrap();
+        let want = vec![
+            Value::Int(key),
+            Value::Int(key % 25),
+            Value::Float(key as f64),
+        ];
+        assert_eq!(out.rows, vec![want]);
+    }
+    let served = controller.reads_served();
+    assert_eq!(served.iter().sum::<usize>(), 1_000);
+    for (node, served) in nodes.iter().zip(served) {
+        let stats = node.with_db(|db| db.plan_cache_stats());
+        let misses = u64::from(served > 0);
+        assert_eq!(
+            (stats.misses, stats.hits),
+            (misses, served as u64 - misses),
+            "{}: {stats:?}",
+            node.name()
+        );
+    }
+}

@@ -10,12 +10,23 @@
 //! 3. **DDL invalidation** — a schema change broadcast through the
 //!    controller evicts cached plans on every backend; subsequent bound
 //!    reads replan instead of serving a stale access path.
+//! 4. **Lifted/unlifted equivalence** — a text SELECT runs from the plan
+//!    cache with its WHERE comparison literals lifted into bound values;
+//!    that answers exactly what running the statement with its literals in
+//!    place (`Database::execute`, which never consults the cache) answers:
+//!    rows, column names and every `ExecStats` counter, or an error of the
+//!    same class. Random data mixes NULL, NaN, integers beyond 2^53 against
+//!    float literals, dictionary-coded and over-cap string segments; random
+//!    predicates mix comparisons with the literal on either side, BETWEEN
+//!    and IN lists of varying length. The eight TPC-H evaluation queries
+//!    are checked the same way as pass-through text.
 
 use proptest::prelude::*;
 
 use apuama_cjdbc::{Connection, Controller, ControllerConfig, EngineNode, NodeConnection};
-use apuama_engine::{Database, ReadRequest};
-use apuama_sql::Value;
+use apuama_engine::{Database, EngineError, EngineResult, ExecStats, QueryOutput, ReadRequest};
+use apuama_sql::{parse_statement, visit, Statement, Value};
+use apuama_tpch::{generate, load_into, QueryParams, TpchConfig, ALL_QUERIES};
 
 /// A lineitem-shaped fact table: clustered integer key, an integer
 /// quantity, a float price, and a low-cardinality flag.
@@ -261,4 +272,257 @@ fn ddl_through_controller_evicts_cached_plans_on_every_backend() {
     let (text_out, _) = controller.execute(&text).unwrap();
     let (bound_out, _) = controller.read(&bound).unwrap();
     assert_eq!(bound_out.rows, text_out.rows);
+}
+
+// ---------------------------------------------------------------------------
+// Lifted/unlifted equivalence
+// ---------------------------------------------------------------------------
+
+/// What one route made of a statement: column names, rows (as debug text,
+/// so NaN equals NaN and -0.0 differs from 0.0) and every counter — or the
+/// class of its error.
+type Outcome = Result<(Vec<String>, String, ExecStats), std::mem::Discriminant<EngineError>>;
+
+fn outcome(result: EngineResult<QueryOutput>) -> Outcome {
+    result
+        .map(|out| (out.columns, format!("{:?}", out.rows), out.stats))
+        .map_err(|e| std::mem::discriminant(&e))
+}
+
+/// Runs `sql` lifted — from the plan cache, after `warm` (the same shape
+/// with other literals) had the chance to compile it, on a cold pool — and
+/// unlifted, each on its own fork of `base`, so the buffer pool starts the
+/// same for both.
+fn lifted_and_unlifted(
+    base: &Database,
+    warm: &str,
+    sql: &str,
+    kernel_on: bool,
+) -> (Outcome, Outcome) {
+    let knob = format!(
+        "set enable_kernel = {}",
+        if kernel_on { "on" } else { "off" }
+    );
+    let lifted = base.fork().unwrap();
+    lifted.query(&knob).unwrap();
+    let _ = lifted.query(warm);
+    lifted.drop_caches();
+    let mut unlifted = base.fork().unwrap();
+    unlifted.query(&knob).unwrap();
+    (outcome(lifted.query(sql)), outcome(unlifted.execute(sql)))
+}
+
+/// 2^53 + 1: the first integer a float cannot hold.
+const BIG: i64 = (1 << 53) + 1;
+
+type MixedRow = (Option<i64>, Option<f64>, Option<u8>, Option<u16>);
+
+/// `m (k, i, f, code, wide)`: `i` an integer column reaching past 2^53,
+/// `f` a float column holding NaN, `code` a handful of strings (every
+/// segment dictionary-coded), `wide` a string per row (past a few hundred
+/// rows, a segment outgrows its dictionary). Every payload may be NULL.
+fn mixed_db(rows: &[MixedRow]) -> Database {
+    let mut db = Database::in_memory();
+    db.execute(
+        "create table m (k int not null, i int, f float, code text, wide text, \
+         primary key (k)) clustered by (k)",
+    )
+    .unwrap();
+    let or_null = |v: Option<Value>| v.unwrap_or(Value::Null);
+    let data: Vec<Vec<Value>> = (rows.iter().enumerate())
+        .map(|(k, (i, f, code, wide))| {
+            vec![
+                Value::Int(k as i64),
+                or_null(i.map(Value::Int)),
+                or_null(f.map(Value::Float)),
+                or_null(code.map(|c| Value::Str(format!("c{}", c % 5)))),
+                or_null(wide.map(|w| Value::Str(format!("w{w:04}")))),
+            ]
+        })
+        .collect();
+    db.load_table("m", data).unwrap();
+    db
+}
+
+fn mixed_rows() -> impl Strategy<Value = Vec<MixedRow>> {
+    const WIDE_INTS: [i64; 5] = [BIG, -BIG, BIG - 1, BIG + 1, i64::MAX];
+    const ODD_FLOATS: [f64; 5] = [
+        f64::NAN,
+        -0.0,
+        9007199254740992.0,
+        -9007199254740992.0,
+        1e300,
+    ];
+    let int = prop_oneof![
+        Just(None),
+        (-40i64..40).prop_map(Some),
+        (0..WIDE_INTS.len()).prop_map(|i| Some(WIDE_INTS[i])),
+    ];
+    let float = prop_oneof![
+        Just(None),
+        (0..ODD_FLOATS.len()).prop_map(|i| Some(ODD_FLOATS[i])),
+        (-160i32..160).prop_map(|x| Some(x as f64 * 0.25)),
+    ];
+    let code = proptest::option::of(any::<u8>());
+    let wide = proptest::option::of(0u16..2000);
+    proptest::collection::vec((int, float, code, wide), 0..700)
+}
+
+/// Literals a predicate compares with.
+const LITERALS: &[&str] = &[
+    "0",
+    "7",
+    "-3",
+    "9007199254740993",
+    "-9007199254740993",
+    "9007199254740992.0",
+    "2.5",
+    "-0.25",
+    "null",
+    "'c1'",
+    "'c3'",
+    "'w0500'",
+    "'zz'",
+];
+
+/// One predicate of a generated WHERE clause; `usize`s index [`LITERALS`].
+#[derive(Debug, Clone)]
+enum Pred {
+    Cmp(&'static str, &'static str, usize, bool),
+    Between(&'static str, usize, usize, bool),
+    In(&'static str, Vec<usize>, bool),
+    /// A literal inside arithmetic: never lifted.
+    Arith(&'static str, usize),
+    IsNull(&'static str),
+    And(Box<Pred>, Box<Pred>),
+    Or(Box<Pred>, Box<Pred>),
+    Not(Box<Pred>),
+}
+
+impl Pred {
+    /// The predicate as SQL, each literal index moved on by `shift`.
+    fn render(&self, shift: usize) -> String {
+        let lit = |i: &usize| LITERALS[(i + shift) % LITERALS.len()];
+        let not = |n: &bool| if *n { "not " } else { "" };
+        match self {
+            Pred::Cmp(col, op, l, true) => format!("{} {op} {col}", lit(l)),
+            Pred::Cmp(col, op, l, false) => format!("{col} {op} {}", lit(l)),
+            Pred::Between(col, lo, hi, n) => {
+                format!("{col} {}between {} and {}", not(n), lit(lo), lit(hi))
+            }
+            Pred::In(col, list, n) => {
+                let items: Vec<&str> = list.iter().map(lit).collect();
+                format!("{col} {}in ({})", not(n), items.join(", "))
+            }
+            Pred::Arith(col, l) => format!("{col} + 1 > {}", lit(l)),
+            Pred::IsNull(col) => format!("{col} is null"),
+            Pred::And(a, b) => format!("({} and {})", a.render(shift), b.render(shift)),
+            Pred::Or(a, b) => format!("({} or {})", a.render(shift), b.render(shift)),
+            Pred::Not(a) => format!("not ({})", a.render(shift)),
+        }
+    }
+}
+
+fn pred() -> impl Strategy<Value = Pred> {
+    const COLUMNS: [&str; 5] = ["k", "i", "f", "code", "wide"];
+    const OPS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
+    let col = || (0..COLUMNS.len()).prop_map(|c| COLUMNS[c]);
+    let lit = || 0..LITERALS.len();
+    let cmp = (col(), (0..OPS.len()), lit(), any::<bool>())
+        .prop_map(|(c, o, l, left)| Pred::Cmp(c, OPS[o], l, left));
+    let leaf = prop_oneof![
+        cmp.clone(),
+        cmp,
+        (col(), lit(), lit(), any::<bool>()).prop_map(|(c, lo, hi, n)| Pred::Between(c, lo, hi, n)),
+        (col(), proptest::collection::vec(lit(), 1..6), any::<bool>())
+            .prop_map(|(c, l, n)| Pred::In(c, l, n)),
+        ((0..3usize), lit()).prop_map(|(c, l)| Pred::Arith(COLUMNS[c], l)),
+        col().prop_map(Pred::IsNull),
+    ];
+    leaf.prop_recursive(2, 8, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Pred::And(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Pred::Or(Box::new(a), Box::new(b))),
+            inner.prop_map(|a| Pred::Not(Box::new(a))),
+        ]
+    })
+}
+
+/// Statement shapes around a generated WHERE clause: the general tree,
+/// the fused aggregate, an index-range candidate, LIMIT and DISTINCT.
+const SHAPES: &[&str] = &[
+    "select k, i, f, code, wide from m where {} order by k",
+    "select code, count(*) as n, sum(f) as s, min(i) as lo, max(wide) as w from m \
+     where {} group by code order by code",
+    "select count(*) as n, sum(i) as s from m where {}",
+    "select k, f from m where {} order by f desc, k limit 5",
+    "select distinct code from m where {} order by code",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A text read lifted into the plan cache answers what the statement
+    /// with its literals in place answers, counter for counter — whether
+    /// the plan it ran was compiled for these literals or others.
+    #[test]
+    fn lifted_text_reads_equal_unlifted_execution(
+        rows in mixed_rows(),
+        pred in pred(),
+        shape in 0..SHAPES.len(),
+        shift in 0..LITERALS.len(),
+        kernel_on in any::<bool>(),
+    ) {
+        let base = mixed_db(&rows);
+        let sql = SHAPES[shape].replace("{}", &pred.render(0));
+        let warm = SHAPES[shape].replace("{}", &pred.render(shift));
+        let (lifted, unlifted) = lifted_and_unlifted(&base, &warm, &sql, kernel_on);
+        prop_assert_eq!(lifted, unlifted, "{}", sql);
+    }
+}
+
+/// The eight TPC-H evaluation queries, sent as pass-through text under two
+/// parameter sets: lifted (each run after the other set compiled its
+/// shape) equals unlifted, and the second set of each shape is a hit.
+#[test]
+fn tpch_eval_queries_lifted_equal_unlifted() {
+    let mut base = Database::in_memory();
+    load_into(
+        &mut base,
+        &generate(TpchConfig {
+            scale_factor: 0.002,
+            seed: 5,
+        }),
+    )
+    .unwrap();
+    let sets = [QueryParams::default(), QueryParams::random(11)];
+    let mut shapes_shared = 0;
+    for q in ALL_QUERIES {
+        for (i, params) in sets.iter().enumerate() {
+            let sql = q.sql(params);
+            let warm = q.sql(&sets[1 - i]);
+            for kernel_on in [true, false] {
+                let (lifted, unlifted) = lifted_and_unlifted(&base, &warm, &sql, kernel_on);
+                assert!(lifted.is_ok(), "{}: {lifted:?}", q.label());
+                assert_eq!(lifted, unlifted, "{} kernel {kernel_on}", q.label());
+            }
+        }
+        // The second set hits the first's entry exactly when both lift to
+        // one text (a literal inside date arithmetic stays in the text).
+        let lifted = |p: &QueryParams| match parse_statement(&q.sql(p)).unwrap() {
+            Statement::Select(s) => visit::lift_where_literals(&s).text,
+            _ => unreachable!("evaluation queries are SELECTs"),
+        };
+        let shared = lifted(&sets[0]) == lifted(&sets[1]);
+        let db = base.fork().unwrap();
+        db.query(&q.sql(&sets[0])).unwrap();
+        db.query(&q.sql(&sets[1])).unwrap();
+        let stats = db.plan_cache_stats();
+        let want = if shared { (1, 1) } else { (2, 0) };
+        assert_eq!((stats.misses, stats.hits), want, "{}: {stats:?}", q.label());
+        shapes_shared += shared as usize;
+    }
+    // Q3 and Q21 compare columns with plain literals only; the others add
+    // an interval to a date literal, and arithmetic stays in the text.
+    assert_eq!(shapes_shared, 2, "{shapes_shared} of 8 shapes shared");
 }

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 
 use apuama::{
     compose, compose_with, ApuamaConfig, ApuamaEngine, ComposerStrategy, DataCatalog, FaultPolicy,
-    Rewritten, StreamingComposer, SvpRewriter, VirtualPartitioning,
+    Rewritten, StreamingComposer, SvpPlan, SvpRewriter, VirtualPartitioning,
 };
 use apuama_cjdbc::{
     Connection, EngineNode, FaultPlan, FaultTarget, FaultyConnection, NodeConnection,
@@ -78,6 +78,13 @@ const QUERIES: &[&str] = &[
      group by o_tag order by n desc, o_tag limit 3",
 ];
 
+/// Each range's sub-query with its bounds as literals.
+fn literal_subqueries(plan: &SvpPlan) -> Vec<String> {
+    (plan.ranges.iter())
+        .map(|&(lo, hi)| plan.template.subquery_for_range(lo, hi))
+        .collect()
+}
+
 fn values_close(a: &Value, b: &Value) -> bool {
     match (a.as_f64(), b.as_f64()) {
         (Some(x), Some(y)) => {
@@ -110,8 +117,7 @@ proptest! {
             }
         };
         // Each "node" is a full replica.
-        let partials: Vec<QueryOutput> = plan
-            .subqueries
+        let partials: Vec<QueryOutput> = literal_subqueries(&plan)
             .iter()
             .map(|sub| db_with_orders(&rows).query(sub).unwrap())
             .collect();
@@ -226,8 +232,7 @@ proptest! {
                 unreachable!()
             }
         };
-        let partials: Vec<QueryOutput> = plan
-            .subqueries
+        let partials: Vec<QueryOutput> = literal_subqueries(&plan)
             .iter()
             .map(|sub| db_with_orders(&rows).query(sub).unwrap())
             .collect();
@@ -350,8 +355,7 @@ fn regression_having_below_threshold_single_node() {
     let Rewritten::Svp(plan) = rewriter.rewrite(sql, 1).unwrap() else {
         panic!("expected SVP plan");
     };
-    let partials: Vec<QueryOutput> = plan
-        .subqueries
+    let partials: Vec<QueryOutput> = literal_subqueries(&plan)
         .iter()
         .map(|sub| db_with_orders(&rows).query(sub).unwrap())
         .collect();
@@ -391,8 +395,7 @@ fn regression_between_ending_on_a_partition_boundary() {
                 let Rewritten::Svp(plan) = rewriter.rewrite(&sql, nodes).unwrap() else {
                     panic!("expected SVP plan for {sql}");
                 };
-                let partials: Vec<QueryOutput> = plan
-                    .subqueries
+                let partials: Vec<QueryOutput> = literal_subqueries(&plan)
                     .iter()
                     .map(|sub| {
                         // As on a cluster node: the index is forced.
@@ -427,7 +430,7 @@ proptest! {
         let rewriter = SvpRewriter::new(DataCatalog::tpch(500));
         // (orders-family queries are always eligible here)
         if let Rewritten::Svp(plan) = rewriter.rewrite(sql, nodes).unwrap() {
-            for sub in &plan.subqueries {
+            for sub in &literal_subqueries(&plan) {
                 let p = parse_statement(sub).unwrap();
                 prop_assert_eq!(&p.to_string(), sub);
             }

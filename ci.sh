@@ -30,6 +30,24 @@ echo "== every other suite once: storage, sql, engine, tpch, cjdbc, core, sim, c
 # admission, health, recovery log, overload_soak, the simulator.
 timeout "$SUITE_TIMEOUT" cargo test -q --workspace --exclude apuama-suite
 
+echo "== simulator tables: fig all and ablation at SF 0.002 must equal ci/sim_tables_sf0002.txt =="
+# Every figure and ablation table is priced on the simulator's virtual clock,
+# so the same code prints the same bytes. A change that means to move a table
+# re-records the file and names the moved rows, and why, in CHANGES.md.
+timeout "$BUILD_TIMEOUT" cargo build --release -p apuama-bench --bins
+sim_tables=$(mktemp)
+sim_log=$(mktemp)
+(
+  export APUAMA_SF=0.002 APUAMA_NODES=1,2,4,8,16,32 APUAMA_SEED=42
+  timeout "$SUITE_TIMEOUT" ./target/release/fig all &&
+    timeout "$SUITE_TIMEOUT" ./target/release/ablation
+) > "$sim_tables" 2> "$sim_log" || { cat "$sim_log"; exit 1; }
+if ! diff -u ci/sim_tables_sf0002.txt "$sim_tables"; then
+  echo "FAIL: the simulator's tables moved (ci/sim_tables_sf0002.txt)."
+  exit 1
+fi
+rm -f "$sim_tables" "$sim_log"
+
 echo "== interleaving-sensitive tests, 20 times each =="
 # The OS picks one interleaving per run; repetition stands in for the seeded
 # scheduler of ROADMAP.md item 7, which replaces this loop once it exists.

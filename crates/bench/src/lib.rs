@@ -11,9 +11,10 @@
 //!   what matters).
 //! * `APUAMA_NODES` — comma-separated node counts (default `1,2,4,8,16,32`).
 //! * `APUAMA_SEED` — generator/parameter seed (default 42).
-//! * `APUAMA_MODE` — `svp` (default) or `avp`: which intra-query execution
-//!   strategy isolated-query figures use (Fig. 2 under AVP shows the
-//!   chunking overhead and is the full-sweep companion of ablation 4).
+//!
+//! Every cluster runs the paper's configuration, SVP; the `ablation`
+//! binary builds its comparison arms (the inter-query baseline, AVP, the
+//! balancer policies, the failure arm) itself.
 
 use std::io::Write as _;
 
@@ -26,8 +27,6 @@ pub struct HarnessConfig {
     pub scale_factor: f64,
     pub node_counts: Vec<usize>,
     pub seed: u64,
-    /// Use AVP instead of SVP for isolated-query experiments.
-    pub avp: bool,
 }
 
 impl HarnessConfig {
@@ -50,14 +49,10 @@ impl HarnessConfig {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(42);
-        let avp = std::env::var("APUAMA_MODE")
-            .map(|v| v.eq_ignore_ascii_case("avp"))
-            .unwrap_or(false);
         HarnessConfig {
             scale_factor,
             node_counts,
             seed,
-            avp,
         }
     }
 
@@ -69,14 +64,10 @@ impl HarnessConfig {
         })
     }
 
-    /// Builds a paper-configured cluster of `n` nodes over `data`,
-    /// honouring `APUAMA_MODE`.
+    /// Builds a paper-configured cluster of `n` nodes over `data`.
     pub fn cluster(&self, data: &TpchData, n: usize) -> SimCluster {
-        let mut cfg = SimClusterConfig::paper(n);
-        if self.avp {
-            cfg.avp = Some(apuama::AvpConfig::default());
-        }
-        SimCluster::new(data, cfg).expect("replica loading cannot fail on generated data")
+        SimCluster::new(data, SimClusterConfig::paper(n))
+            .expect("replica loading cannot fail on generated data")
     }
 
     /// Refresh-transaction count for the mixed-workload figures: the
@@ -169,12 +160,10 @@ mod tests {
 
     #[test]
     fn env_defaults() {
-        // Note: relies on the vars being unset in the test environment.
         let c = HarnessConfig {
             scale_factor: 0.01,
             node_counts: vec![1, 2, 4],
             seed: 42,
-            avp: false,
         };
         assert_eq!(c.update_txns(), 104);
     }

@@ -83,18 +83,6 @@ pub struct AvpOutcome {
     pub makespan_cost: f64,
 }
 
-/// Result of a streaming AVP run: the execution trace alone — chunk
-/// partials were delivered to the sink as they completed instead of being
-/// accumulated here.
-#[derive(Debug, Clone)]
-pub struct AvpRun {
-    /// Per-node execution traces.
-    pub per_node: Vec<NodeTrace>,
-    /// Virtual makespan: the largest per-node cost (nodes run in
-    /// parallel).
-    pub makespan_cost: f64,
-}
-
 /// One node's unprocessed key region.
 #[derive(Debug, Clone, Copy)]
 struct Region {
@@ -130,43 +118,16 @@ pub fn execute_avp<F>(
     template: &QueryTemplate,
     nodes: usize,
     config: AvpConfig,
-    exec: F,
+    mut exec: F,
 ) -> EngineResult<AvpOutcome>
 where
     F: FnMut(usize, &str) -> EngineResult<(QueryOutput, f64)>,
-{
-    let mut partials = Vec::new();
-    let run = execute_avp_streaming(template, nodes, config, exec, |_, out| {
-        partials.push(out);
-        Ok(())
-    })?;
-    Ok(AvpOutcome {
-        partials,
-        per_node: run.per_node,
-        makespan_cost: run.makespan_cost,
-    })
-}
-
-/// Streaming variant of [`execute_avp`]: every chunk's partial output is
-/// handed to `sink(node, partial)` the moment the chunk completes, instead
-/// of accumulating a `partials` vector. Feed the sink into a
-/// [`crate::composer::StreamingComposer`] and composition overlaps chunk
-/// execution.
-pub fn execute_avp_streaming<F, S>(
-    template: &QueryTemplate,
-    nodes: usize,
-    config: AvpConfig,
-    mut exec: F,
-    mut sink: S,
-) -> EngineResult<AvpRun>
-where
-    F: FnMut(usize, &str) -> EngineResult<(QueryOutput, f64)>,
-    S: FnMut(usize, QueryOutput) -> EngineResult<()>,
 {
     assert!(nodes > 0, "AVP needs at least one node");
     assert!(config.initial_chunk > 0 && config.max_chunk >= config.initial_chunk);
     let (lo, hi) = template.key_range();
     let span = (hi - lo).max(1);
+    let mut partials = Vec::new();
 
     // Initial regions: the same aligned split SVP would use.
     let mut states: Vec<NodeState> = (0..nodes)
@@ -251,7 +212,7 @@ where
         st.trace.keys += width;
         st.trace.cost += cost;
         st.trace.chunk_sizes.push(width);
-        sink(node, out)?;
+        partials.push(out);
 
         // Adapt: double while cost-per-key stays near the best observed,
         // shrink otherwise.
@@ -266,7 +227,8 @@ where
 
     let per_node: Vec<NodeTrace> = states.into_iter().map(|s| s.trace).collect();
     let makespan_cost = per_node.iter().map(|t| t.cost).fold(0.0, f64::max);
-    Ok(AvpRun {
+    Ok(AvpOutcome {
+        partials,
         per_node,
         makespan_cost,
     })

@@ -512,7 +512,12 @@ impl ApuamaEngine {
 /// else the allowed node with the fewest ranges outstanding, the lowest
 /// index on ties — at dispatch, once every home range is placed, that is
 /// round-robin over the allowed nodes. `None` when no node is allowed.
-fn route(range: usize, outstanding: &[usize], may_serve: impl Fn(usize) -> bool) -> Option<usize> {
+/// The simulator's degraded arm requeues a failed range through it too.
+pub fn route(
+    range: usize,
+    outstanding: &[usize],
+    may_serve: impl Fn(usize) -> bool,
+) -> Option<usize> {
     if may_serve(range) {
         return Some(range);
     }

@@ -38,11 +38,11 @@ pub mod fault;
 pub mod node;
 pub mod rewrite;
 
-pub use avp::{execute_avp, execute_avp_streaming, AvpConfig, AvpOutcome, AvpRun, NodeTrace};
+pub use avp::{execute_avp, AvpConfig, AvpOutcome, NodeTrace};
 pub use catalog::{DataCatalog, VirtualPartitioning};
 pub use composer::{compose, compose_with, Composed, ComposerStrategy, StreamingComposer};
 pub use consistency::UpdateGate;
-pub use engine::{ApuamaConfig, ApuamaConnection, ApuamaEngine, SvpExecution};
+pub use engine::{route, ApuamaConfig, ApuamaConnection, ApuamaEngine, SvpExecution};
 pub use fault::{FaultPolicy, RecoveryReport};
 pub use node::NodeProcessor;
 pub use rewrite::{

@@ -68,9 +68,9 @@ pub struct SvpPlan {
     /// `None` = unbounded: `prepared[i]` is the template rendered for
     /// `ranges[i]`, which is why the executor can hand a failed node's
     /// whole range to a surviving replica as the planned statement. Whoever
-    /// wants a range's sub-query with its bounds as literals — the
-    /// simulator, which runs text — renders it from these
-    /// ([`QueryTemplate::subquery_for_range`]).
+    /// wants a range's sub-query with its bounds as literals — a shell
+    /// printing the rewrite, a test comparing against the literal text —
+    /// renders it from these ([`QueryTemplate::subquery_for_range`]).
     pub ranges: Vec<(Option<i64>, Option<i64>)>,
     /// The same sub-queries with their bounds as literals, rendered on
     /// first index and not before: nothing that runs a plan reads them.
@@ -88,8 +88,7 @@ pub struct SvpPlan {
     /// over a full staging table.
     pub compose: ComposeSpec,
     /// The template this plan was instantiated from, kept so a range can
-    /// be rendered again (the simulator's sub-queries and its reassignment
-    /// pricing).
+    /// be rendered again with its bounds as literals.
     pub template: Arc<QueryTemplate>,
 }
 

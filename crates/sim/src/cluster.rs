@@ -1,7 +1,14 @@
 //! The simulated cluster: N real replicas plus the Apuama machinery,
 //! driven single-threaded by the event loop.
+//!
+//! An SVP query runs here as the engine runs it: range `i`'s bound
+//! sub-query (`plan.prepared[i]`) on node `i`, one composition through the
+//! [`apuama::StreamingComposer`], and, with a node failing, the failed
+//! range requeued by the engine's own [`apuama::route`]. Only time is
+//! priced: [`SimCluster::exec_svp`] is the one place a plan executes, and
+//! [`SimCluster::compose_timed`] prices its composition on two timelines.
 
-use apuama::{ComposerStrategy, DataCatalog, Rewritten, SvpPlan, SvpRewriter};
+use apuama::{DataCatalog, Rewritten, StreamingComposer, SvpPlan, SvpRewriter};
 use apuama_engine::{Database, EngineResult, ExecStats, QueryOutput, ReadRequest};
 use apuama_tpch::{load_into, TpchData};
 
@@ -24,19 +31,9 @@ pub struct SimClusterConfig {
     /// CPUs per node — each node is a k-server queue (the testbed's dual
     /// Opterons ⇒ 2).
     pub servers_per_node: usize,
-    /// When set, isolated queries use Adaptive Virtual Partitioning
-    /// (chunked dispatch + work stealing, `apuama::avp`) instead of SVP's
-    /// static ranges. Concurrent-workload runs always use SVP (the paper's
-    /// configuration).
-    pub avp: Option<apuama::AvpConfig>,
     /// Read load-balancing policy for pass-through queries in workload
     /// runs (the paper configures least-pending).
     pub balancer: SimBalancer,
-    /// How partial results are composed: `Staged` re-creates the paper's
-    /// HSQLDB staging table (all partials land, then one composition
-    /// statement); `Streaming` folds each partial as it arrives, so
-    /// composition work overlaps the still-running sub-queries.
-    pub composer: ComposerStrategy,
     /// The pricing model.
     pub cost: CostModel,
     /// Failure arm: when set, isolated SVP queries price the degraded-mode
@@ -49,9 +46,8 @@ pub struct SimClusterConfig {
 /// sub-queries. Mirrors `apuama::FaultPolicy`'s recovery protocol in
 /// virtual time: each attempt burns `detect_ms` (error round trip or
 /// timeout), `retries` same-node retries are exhausted, and the range then
-/// runs whole on a survivor, serialized after that survivor's own range
-/// (the engine picks its survivor differently: see
-/// `run_query_svp_degraded`).
+/// runs whole, from the moment the failure is detected, on the survivor
+/// the engine routes it to (see [`SimCluster::exec_svp`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimFault {
     /// The failing node.
@@ -80,9 +76,7 @@ impl SimClusterConfig {
             svp: true,
             force_index: true,
             servers_per_node: 2,
-            avp: None,
             balancer: SimBalancer::LeastPending,
-            composer: ComposerStrategy::Streaming,
             cost: CostModel::paper_2006(),
             fault: None,
         }
@@ -112,27 +106,35 @@ pub struct SimQueryResult {
     /// End-to-end latency assuming the sub-queries run concurrently on
     /// their nodes with no competing load.
     pub makespan_ms: f64,
-    /// Per-node sub-query durations (the DES enqueues these as tasks).
+    /// When each range's partial leaves its node (the DES enqueues the
+    /// healthy durations as tasks).
     pub node_task_ms: Vec<f64>,
     /// Total composition work (0 for pass-through queries).
     pub composition_ms: f64,
     /// Network time: partials in, final result out.
     pub transfer_ms: f64,
     /// Composition work that ran while sub-queries were still executing
-    /// (always 0 under the staged strategy and for pass-through queries).
+    /// (0 for pass-through queries).
     pub compose_overlap_ms: f64,
     /// The real query answer.
     pub output: QueryOutput,
 }
 
-/// Priced composition of one SVP/AVP query, given when each partial lands.
+/// The priced composition of one SVP query, given when each partial
+/// lands: one composition, through the streaming composer, on two
+/// timelines.
 #[derive(Debug, Clone)]
 pub struct ComposedTiming {
     /// The real composed answer (stats cleared — already priced).
     pub output: QueryOutput,
     /// Virtual time at which the final result reaches the client, with
-    /// partial `i` finishing its node-local execution at `finish_ms[i]`.
+    /// partial `i` finishing its node-local execution at `finish_ms[i]`:
+    /// each partial ships as its node finishes and is folded on arrival.
     pub done_ms: f64,
+    /// The same work staged, as the paper's HSQLDB staging table runs it:
+    /// every transfer, every fold and the final statement serialized
+    /// after the last partial. Never earlier than `done_ms`.
+    pub staged_done_ms: f64,
     /// Work left after the last sub-query finishes — the serialized part
     /// of composition that a DES charges as the job's tail.
     pub tail_ms: f64,
@@ -240,25 +242,32 @@ impl SimCluster {
         Ok(self.rewriter.rewrite(sql, self.nodes.len())?)
     }
 
-    /// Executes one SVP sub-query on a node **now** (in event-loop order),
-    /// applying the optimizer interference, and prices it.
+    /// Executes one sub-query text on a node **now** (in event-loop order),
+    /// applying the optimizer interference, and prices it — the AVP
+    /// executor's chunks.
     pub fn exec_subquery(&self, node: usize, sql: &str) -> EngineResult<(QueryOutput, f64)> {
         let req = ReadRequest::text(sql).avoiding_seqscan(self.config.force_index);
-        let out = self.nodes[node].read(&req)?;
-        let ms = self.config.cost.statement_ms(&out.stats);
-        Ok((out, ms))
+        self.exec_request(node, &req)
     }
 
-    /// Executes range `range` of `plan` on `node` — the template rendered
-    /// with the range's bounds as literals — and prices it.
+    /// Executes range `range` of `plan` on `node` as the engine does — its
+    /// prepared statement with the range's bounds bound, under the
+    /// optimizer interference — and prices it.
     pub fn exec_range(
         &self,
         node: usize,
         plan: &SvpPlan,
         range: usize,
     ) -> EngineResult<(QueryOutput, f64)> {
-        let (lo, hi) = plan.ranges[range];
-        self.exec_subquery(node, &plan.template.subquery_for_range(lo, hi))
+        let (sql, params) = &plan.prepared[range];
+        let req = ReadRequest::bound(sql, params).avoiding_seqscan(self.config.force_index);
+        self.exec_request(node, &req)
+    }
+
+    fn exec_request(&self, node: usize, req: &ReadRequest) -> EngineResult<(QueryOutput, f64)> {
+        let out = self.nodes[node].read(req)?;
+        let ms = self.config.cost.statement_ms(&out.stats);
+        Ok((out, ms))
     }
 
     /// Executes a pass-through read on one node and prices it (query time
@@ -277,17 +286,66 @@ impl SimCluster {
         Ok(self.config.cost.statement_ms(&out.stats))
     }
 
-    /// Composes partial results and prices composition + network against
-    /// the arrival schedule: partial `i` leaves its node at `finish_ms[i]`.
+    /// Executes every range of `plan` **now** — range `i` on node `i`, all
+    /// dispatched at once (the dispatch-time snapshot) — and prices their
+    /// composition. Returns when each partial leaves its node, beside the
+    /// priced composition.
     ///
-    /// Under [`ComposerStrategy::Staged`] every partial converges on the
-    /// controller after the last node finishes, then one composition
-    /// statement runs — the paper's HSQLDB staging-table timeline. Under
-    /// [`ComposerStrategy::Streaming`] each partial ships as soon as its
-    /// node finishes (the controller NIC serializes transfers) and the
-    /// composer folds it on arrival, so only the residual statement over
-    /// the folded rows — priced from the streaming composer's real
-    /// execution stats — remains after the last node.
+    /// With `fault` set, that node's range is not run there: every attempt
+    /// burns `detect_ms`, and once the last one fails the range runs whole
+    /// on the node [`apuama::route`] picks from the tickets the engine
+    /// still holds at that moment — the survivors still running and the
+    /// first to have finished. It runs at once, beside that node's own
+    /// range, so it lands `detect_ms × (retries + 1)` plus its own time
+    /// after dispatch. The partial keeps its range index, so the answer
+    /// matches the healthy cluster's exactly; only the arrival schedule
+    /// the composer is priced against degrades.
+    pub fn exec_svp(
+        &self,
+        plan: &SvpPlan,
+        fault: Option<SimFault>,
+    ) -> EngineResult<(Vec<f64>, ComposedTiming)> {
+        let failed = fault.map(|f| f.node);
+        let mut partials = Vec::with_capacity(plan.ranges.len());
+        let mut finish_ms = Vec::with_capacity(plan.ranges.len());
+        for i in (0..plan.ranges.len()).filter(|&i| Some(i) != failed) {
+            let (out, ms) = self.exec_range(i, plan, i)?;
+            partials.push(out);
+            finish_ms.push(ms);
+        }
+        if let Some(fault) = fault {
+            let detected_at = fault.detect_ms * (fault.retries + 1) as f64;
+            // The failed range lands at detection plus its own time.
+            finish_ms.insert(fault.node, detected_at);
+            let running = |j: usize| j != fault.node && finish_ms[j] > detected_at;
+            let spare = (0..finish_ms.len())
+                .filter(|&j| j != fault.node && !running(j))
+                .min_by(|&a, &b| finish_ms[a].total_cmp(&finish_ms[b]));
+            let outstanding: Vec<usize> = (0..finish_ms.len())
+                .map(|j| usize::from(running(j)))
+                .collect();
+            let target =
+                apuama::route(fault.node, &outstanding, |j| running(j) || Some(j) == spare)
+                    .expect("a survivor holds a ticket");
+            let (out, ms) = self.exec_range(target, plan, fault.node)?;
+            finish_ms[fault.node] += ms;
+            partials.insert(fault.node, out);
+        }
+        let timed = self.compose_timed(plan, &partials, &finish_ms)?;
+        Ok((finish_ms, timed))
+    }
+
+    /// Composes partial results once, through the streaming composer the
+    /// engine runs, and prices composition + network against the arrival
+    /// schedule: partial `i` leaves its node at `finish_ms[i]`.
+    ///
+    /// Streaming ([`ComposedTiming::done_ms`]): each partial ships as soon
+    /// as its node finishes (the controller NIC serializes transfers) and
+    /// is folded on arrival, so only the final statement over the folded
+    /// rows remains after the last node. Staged
+    /// ([`ComposedTiming::staged_done_ms`]): the same transfers, folds and
+    /// statement, all after the last node — the paper's HSQLDB
+    /// staging-table timeline.
     pub fn compose_timed(
         &self,
         plan: &SvpPlan,
@@ -295,89 +353,61 @@ impl SimCluster {
         finish_ms: &[f64],
     ) -> EngineResult<ComposedTiming> {
         let cost = &self.config.cost;
-        let composed = apuama::compose_with(self.config.composer, plan, partials)?;
+        let mut composer = StreamingComposer::new(plan);
+        for (node, p) in partials.iter().enumerate() {
+            composer.accept(node, p.clone())?;
+        }
+        let composed = composer.finish()?;
         let statement_ms = cost.statement_ms(&composed.composition_stats);
         let final_transfer = cost.transfer_ms(&composed.output.stats);
         let last = finish_ms.iter().cloned().fold(0.0, f64::max);
-        let (done, overlap, compose_ms, transfer) = match self.config.composer {
-            ComposerStrategy::Staged => {
-                let mut transfer = 0.0;
-                for p in partials {
-                    transfer += cost.transfer_ms(&p.stats);
-                }
-                let done = last + transfer + statement_ms + final_transfer;
-                (done, 0.0, statement_ms, transfer + final_transfer)
-            }
-            ComposerStrategy::Streaming => {
-                let mut order: Vec<usize> = (0..partials.len()).collect();
-                order.sort_by(|&a, &b| finish_ms[a].total_cmp(&finish_ms[b]).then(a.cmp(&b)));
-                let mut nic_free = 0.0;
-                let mut busy = 0.0;
-                let mut overlap = 0.0;
-                let mut transfer = 0.0;
-                let mut accept_total = 0.0;
-                for &i in &order {
-                    let t = cost.transfer_ms(&partials[i].stats);
-                    transfer += t;
-                    let arrive = finish_ms[i].max(nic_free) + t;
-                    nic_free = arrive;
-                    // Folding a partial costs roughly one tuple op per
-                    // cell: hash-probe the group key, fold each aggregate.
-                    let accept = partials[i].rows.len() as f64
-                        * partials[i].columns.len() as f64
-                        * cost.cpu_tuple_ms;
-                    accept_total += accept;
-                    let start = arrive.max(busy);
-                    busy = start + accept;
-                    overlap += (busy.min(last) - start.min(last)).max(0.0);
-                }
-                let done = busy.max(last) + statement_ms + final_transfer;
-                (
-                    done,
-                    overlap,
-                    accept_total + statement_ms,
-                    transfer + final_transfer,
-                )
-            }
-        };
+        let mut order: Vec<usize> = (0..partials.len()).collect();
+        order.sort_by(|&a, &b| finish_ms[a].total_cmp(&finish_ms[b]).then(a.cmp(&b)));
+        let mut nic_free = 0.0;
+        let mut busy = 0.0;
+        let mut overlap = 0.0;
+        let mut transfer = 0.0;
+        let mut accept_total = 0.0;
+        for &i in &order {
+            let t = cost.transfer_ms(&partials[i].stats);
+            transfer += t;
+            let arrive = finish_ms[i].max(nic_free) + t;
+            nic_free = arrive;
+            // Folding a partial costs roughly one tuple op per cell:
+            // hash-probe the group key, fold each aggregate.
+            let accept = partials[i].rows.len() as f64
+                * partials[i].columns.len() as f64
+                * cost.cpu_tuple_ms;
+            accept_total += accept;
+            let start = arrive.max(busy);
+            busy = start + accept;
+            overlap += (busy.min(last) - start.min(last)).max(0.0);
+        }
+        let done = busy.max(last) + statement_ms + final_transfer;
+        let compose_ms = accept_total + statement_ms;
+        let transfer_ms = transfer + final_transfer;
         let mut output = composed.output;
         output.stats = ExecStats::default();
         Ok(ComposedTiming {
             output,
             done_ms: done,
+            staged_done_ms: last + compose_ms + transfer_ms,
             tail_ms: done - last,
             overlap_ms: overlap,
             compose_ms,
-            transfer_ms: transfer,
+            transfer_ms,
         })
     }
 
     /// Runs a whole query in isolation (no competing load): SVP sub-queries
-    /// in parallel, AVP chunked dispatch when configured, or single-node
+    /// in parallel, degraded when the failure arm is set, or single-node
     /// pass-through.
     pub fn run_query_isolated(&self, sql: &str) -> EngineResult<SimQueryResult> {
-        if let Some(avp_cfg) = self.config.avp {
-            if self.config.svp {
-                if let Some(template) = self.template(sql)? {
-                    return self.run_query_avp(&template, avp_cfg);
-                }
-            }
-        }
         match self.rewrite(sql)? {
             Rewritten::Svp(plan) => {
-                if let Some(fault) = self.config.fault {
-                    if fault.node < self.nodes.len() && self.nodes.len() > 1 {
-                        return self.run_query_svp_degraded(&plan, fault);
-                    }
-                }
-                let mut partials = Vec::with_capacity(self.nodes.len());
-                let mut node_task_ms = Vec::with_capacity(self.nodes.len());
-                for i in 0..plan.ranges.len() {
-                    let (out, ms) = self.exec_range(i, &plan, i)?;
-                    node_task_ms.push(ms);
-                    partials.push(out);
-                }
-                let timed = self.compose_timed(&plan, &partials, &node_task_ms)?;
+                let n = self.nodes.len();
+                let fault = self.config.fault.filter(|f| f.node < n && n > 1);
+                let (node_task_ms, timed) = self.exec_svp(&plan, fault)?;
                 Ok(SimQueryResult {
                     makespan_ms: timed.done_ms,
                     node_task_ms,
@@ -399,103 +429,6 @@ impl SimCluster {
                 })
             }
         }
-    }
-
-    /// SVP execution with one node down, priced against the recovery
-    /// protocol: survivors run their ranges normally; the failed range
-    /// burns `detect_ms × (retries + 1)` of virtual time being detected,
-    /// then runs *whole* (rendered from the plan's template for the range,
-    /// which the engine runs bound, as `plan.prepared[range]`) on the
-    /// survivor whose own range finishes
-    /// earliest, serialized after it. The engine instead runs it as soon as
-    /// the failure arrives, on the node with the fewest ranges outstanding
-    /// (lowest index on ties) among those whose snapshot ticket the query
-    /// still holds: the nodes still running and the first to have served
-    /// all its ranges. The
-    /// partial keeps its original range index, so composition — and the
-    /// answer — match the healthy cluster exactly; only the arrival
-    /// schedule the composer is priced against degrades.
-    fn run_query_svp_degraded(
-        &self,
-        plan: &SvpPlan,
-        fault: SimFault,
-    ) -> EngineResult<SimQueryResult> {
-        let n = self.nodes.len();
-        let mut partials: Vec<Option<QueryOutput>> = vec![None; n];
-        let mut finish_ms = vec![0.0f64; n];
-        for i in 0..n {
-            if i == fault.node {
-                continue;
-            }
-            let (out, ms) = self.exec_range(i, plan, i)?;
-            finish_ms[i] = ms;
-            partials[i] = Some(out);
-        }
-        // Failure detection: every attempt on the dead node costs one
-        // detection interval (timeout or error round trip).
-        let detected_at = fault.detect_ms * (fault.retries + 1) as f64;
-        // Requeue to the earliest-finishing survivor; it serializes the extra
-        // range after its own, and cannot start before detection.
-        let survivor = (0..n)
-            .filter(|&j| j != fault.node)
-            .min_by(|&a, &b| finish_ms[a].total_cmp(&finish_ms[b]).then(a.cmp(&b)))
-            .expect("at least one survivor");
-        let (out, ms) = self.exec_range(survivor, plan, fault.node)?;
-        finish_ms[fault.node] = finish_ms[survivor].max(detected_at) + ms;
-        partials[fault.node] = Some(out);
-        let partials: Vec<QueryOutput> = partials.into_iter().map(Option::unwrap).collect();
-        let timed = self.compose_timed(plan, &partials, &finish_ms)?;
-        Ok(SimQueryResult {
-            makespan_ms: timed.done_ms,
-            node_task_ms: finish_ms,
-            composition_ms: timed.compose_ms,
-            transfer_ms: timed.transfer_ms,
-            compose_overlap_ms: timed.overlap_ms,
-            output: timed.output,
-        })
-    }
-
-    /// AVP execution of an eligible query: chunked sub-queries with work
-    /// stealing, priced per chunk. Each chunk's partial is timestamped
-    /// with its node's virtual clock at completion, so the streaming
-    /// composer's overlap is priced against the real chunk schedule.
-    fn run_query_avp(
-        &self,
-        template: &apuama::QueryTemplate,
-        avp_cfg: apuama::AvpConfig,
-    ) -> EngineResult<SimQueryResult> {
-        let n = self.nodes.len();
-        let clocks = std::cell::RefCell::new(vec![0.0f64; n]);
-        let mut partials = Vec::new();
-        let mut finish_ms = Vec::new();
-        let run = apuama::execute_avp_streaming(
-            template,
-            n,
-            avp_cfg,
-            |node, sub| {
-                let (out, ms) = self.exec_subquery(node, sub)?;
-                clocks.borrow_mut()[node] += ms;
-                Ok((out, ms))
-            },
-            |node, out| {
-                finish_ms.push(clocks.borrow()[node]);
-                partials.push(out);
-                Ok(())
-            },
-        )?;
-        let plan = template.svp_plan(n);
-        // The last chunk of the slowest node lands at `makespan_cost`, so
-        // `done_ms` is the end-to-end latency.
-        let timed = self.compose_timed(&plan, &partials, &finish_ms)?;
-        let node_task_ms: Vec<f64> = run.per_node.iter().map(|t| t.cost).collect();
-        Ok(SimQueryResult {
-            makespan_ms: timed.done_ms,
-            node_task_ms,
-            composition_ms: timed.compose_ms,
-            transfer_ms: timed.transfer_ms,
-            compose_overlap_ms: timed.overlap_ms,
-            output: timed.output,
-        })
     }
 
     /// Applies one update script to **every** replica (C-JDBC broadcast),
@@ -686,6 +619,63 @@ mod fault_arm_tests {
         assert!(r.makespan_ms >= r.node_task_ms[1]);
     }
 
+    /// Runs Q6 on three nodes with node 1 failing after `detect_ms`, and
+    /// returns when range 1 landed beside when it lands run at detection
+    /// on the node `target` picks from the survivors' finish times: after
+    /// that node's own range, as a cold twin cluster prices it.
+    fn requeue(detect_ms: f64, target: impl Fn(&[f64]) -> usize) -> (f64, f64) {
+        let mut cfg = SimClusterConfig::paper(3);
+        cfg.fault = Some(SimFault {
+            node: 1,
+            detect_ms,
+            retries: 0,
+        });
+        let degraded = SimCluster::new(&data(), cfg).unwrap();
+        let sql = TpchQuery::Q6.sql(&QueryParams::default());
+        let r = degraded.run_query_isolated(&sql).unwrap();
+        let target = target(&r.node_task_ms);
+        let twin = SimCluster::new(&data(), SimClusterConfig::paper(3)).unwrap();
+        let Rewritten::Svp(plan) = twin.rewrite(&sql).unwrap() else {
+            panic!("Q6 is SVP-eligible");
+        };
+        twin.exec_range(target, &plan, target).unwrap();
+        let (_, ms) = twin.exec_range(target, &plan, 1).unwrap();
+        (r.node_task_ms[1], detect_ms + ms)
+    }
+
+    #[test]
+    fn a_failed_range_is_requeued_where_the_engine_routes_it() {
+        // Detection lands before any survivor finishes, so the engine runs
+        // range 1 at once on the lowest-index survivor still running,
+        // node 0, beside node 0's own range — not after it.
+        let (landed, want) = requeue(0.001, |finish| {
+            assert!(finish[0] > 0.001 && finish[2] > 0.001, "{finish:?}");
+            0
+        });
+        assert!(
+            (landed - want).abs() < 1e-9,
+            "range 1 landed at {landed} ms, the engine's schedule lands it at {want} ms"
+        );
+    }
+
+    #[test]
+    fn a_range_failing_after_every_survivor_goes_to_the_first_to_finish() {
+        // Every survivor is done when the failure arrives: only the first
+        // to finish still holds its ticket, and the range runs there.
+        let (landed, want) = requeue(10_000.0, |finish| {
+            assert!(finish[0] < 10_000.0 && finish[2] < 10_000.0, "{finish:?}");
+            if finish[2] < finish[0] {
+                2
+            } else {
+                0
+            }
+        });
+        assert!(
+            (landed - want).abs() < 1e-9,
+            "range 1 landed at {landed} ms, the engine's schedule lands it at {want} ms"
+        );
+    }
+
     #[test]
     fn fault_on_a_single_node_cluster_is_ignored() {
         let mut cfg = SimClusterConfig::paper(1);
@@ -702,62 +692,68 @@ mod fault_arm_tests {
 }
 
 #[cfg(test)]
-mod composer_strategy_tests {
+mod composer_timing_tests {
     use super::*;
     use apuama_tpch::{generate, QueryParams, TpchConfig, TpchQuery};
 
-    fn cluster_with(strategy: ComposerStrategy, nodes: usize) -> SimCluster {
+    fn cluster(nodes: usize) -> SimCluster {
         let data = generate(TpchConfig {
             scale_factor: 0.002,
             seed: 11,
         });
-        let mut cfg = SimClusterConfig::paper(nodes);
-        cfg.composer = strategy;
-        SimCluster::new(&data, cfg).unwrap()
+        SimCluster::new(&data, SimClusterConfig::paper(nodes)).unwrap()
+    }
+
+    fn plan(c: &SimCluster, q: TpchQuery) -> SvpPlan {
+        let Rewritten::Svp(plan) = c.rewrite(&q.sql(&QueryParams::default())).unwrap() else {
+            panic!("{} is SVP-eligible", q.label());
+        };
+        plan
     }
 
     #[test]
     fn strategies_produce_identical_answers() {
-        let staged = cluster_with(ComposerStrategy::Staged, 4);
-        let streaming = cluster_with(ComposerStrategy::Streaming, 4);
+        // The one streaming composition answers what staging every partial
+        // and composing once answers, and prices both timelines.
+        let c = cluster(4);
         for q in [TpchQuery::Q1, TpchQuery::Q6, TpchQuery::Q12] {
-            let sql = q.sql(&QueryParams::default());
-            let a = staged.run_query_isolated(&sql).unwrap();
-            let b = streaming.run_query_isolated(&sql).unwrap();
-            assert_eq!(a.output.rows, b.output.rows, "{}", q.label());
+            let plan = plan(&c, q);
+            let partials: Vec<_> = (0..plan.ranges.len())
+                .map(|i| c.exec_range(i, &plan, i).unwrap().0)
+                .collect();
+            let timed = c.compose_timed(&plan, &partials, &[1.0; 4]).unwrap();
+            let staged = apuama::compose(&plan, &partials).unwrap();
+            assert_eq!(timed.output.rows, staged.output.rows, "{}", q.label());
+            assert!(timed.done_ms <= timed.staged_done_ms, "{}", q.label());
         }
     }
 
     #[test]
     fn streaming_composition_is_never_slower() {
-        let staged = cluster_with(ComposerStrategy::Staged, 4);
-        let streaming = cluster_with(ComposerStrategy::Streaming, 4);
-        let sql = TpchQuery::Q1.sql(&QueryParams::default());
-        let a = staged.run_query_isolated(&sql).unwrap();
-        let b = streaming.run_query_isolated(&sql).unwrap();
+        let c = cluster(4);
+        let (_, timed) = c.exec_svp(&plan(&c, TpchQuery::Q1), None).unwrap();
         assert!(
-            b.makespan_ms <= a.makespan_ms,
+            timed.done_ms <= timed.staged_done_ms,
             "staged {} ms vs streaming {} ms",
-            a.makespan_ms,
-            b.makespan_ms
+            timed.staged_done_ms,
+            timed.done_ms
         );
-        assert_eq!(a.compose_overlap_ms, 0.0, "staged never overlaps");
-        assert!(b.compose_overlap_ms >= 0.0);
+        assert!(timed.overlap_ms >= 0.0);
     }
 
     #[test]
     fn staged_timing_matches_the_serial_decomposition() {
-        // Under Staged the timed model must reduce to the classic
-        // slowest + composition + transfer formula.
-        let c = cluster_with(ComposerStrategy::Staged, 3);
-        let sql = TpchQuery::Q6.sql(&QueryParams::default());
-        let r = c.run_query_isolated(&sql).unwrap();
-        let slowest = r.node_task_ms.iter().cloned().fold(0.0, f64::max);
-        let expect = slowest + r.composition_ms + r.transfer_ms;
+        // The staged timeline is the classic slowest + composition +
+        // transfer formula: every fold, the final statement and every
+        // transfer after the last partial.
+        let c = cluster(3);
+        let (finish, timed) = c.exec_svp(&plan(&c, TpchQuery::Q6), None).unwrap();
+        let slowest = finish.iter().cloned().fold(0.0, f64::max);
+        let expect = slowest + timed.compose_ms + timed.transfer_ms;
         assert!(
-            (r.makespan_ms - expect).abs() < 1e-9,
+            (timed.staged_done_ms - expect).abs() < 1e-9,
             "{} vs {}",
-            r.makespan_ms,
+            timed.staged_done_ms,
             expect
         );
     }
@@ -767,11 +763,8 @@ mod composer_strategy_tests {
         // Feed compose_timed a skewed schedule directly: three partials
         // land early, the fourth is a straggler — the early folds must be
         // priced inside the straggler's window.
-        let c = cluster_with(ComposerStrategy::Streaming, 4);
-        let sql = TpchQuery::Q1.sql(&QueryParams::default());
-        let Rewritten::Svp(plan) = c.rewrite(&sql).unwrap() else {
-            panic!("Q1 is SVP-eligible");
-        };
+        let c = cluster(4);
+        let plan = plan(&c, TpchQuery::Q1);
         let partials: Vec<_> = (0..plan.ranges.len())
             .map(|i| c.exec_range(i, &plan, i).unwrap().0)
             .collect();
@@ -784,82 +777,6 @@ mod composer_strategy_tests {
         );
         assert!(timed.tail_ms < timed.compose_ms + timed.transfer_ms);
         assert!((timed.done_ms - (10_000.0 + timed.tail_ms)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn workload_strategies_agree_on_results_and_streaming_is_not_slower() {
-        let data = generate(TpchConfig {
-            scale_factor: 0.002,
-            seed: 21,
-        });
-        let spec = crate::workload::WorkloadSpec {
-            read_streams: 2,
-            rounds: 1,
-            update_txns: 0,
-            seed: 9,
-        };
-        let mut staged_cfg = SimClusterConfig::paper(2);
-        staged_cfg.composer = ComposerStrategy::Staged;
-        let mut staged = SimCluster::new(&data, staged_cfg).unwrap();
-        let r_staged = crate::workload::run_workload(&mut staged, spec).unwrap();
-        let mut streaming = SimCluster::new(&data, SimClusterConfig::paper(2)).unwrap();
-        let r_streaming = crate::workload::run_workload(&mut streaming, spec).unwrap();
-        assert_eq!(r_staged.read_queries_done, r_streaming.read_queries_done);
-        assert!(
-            r_streaming.read_span_ms() <= r_staged.read_span_ms(),
-            "staged {} ms vs streaming {} ms",
-            r_staged.read_span_ms(),
-            r_streaming.read_span_ms()
-        );
-    }
-}
-
-#[cfg(test)]
-mod avp_mode_tests {
-    use super::*;
-    use apuama_tpch::{generate, QueryParams, TpchConfig, TpchQuery};
-
-    #[test]
-    fn avp_mode_matches_svp_answers_and_is_comparable_in_time() {
-        let data = generate(TpchConfig {
-            scale_factor: 0.002,
-            seed: 33,
-        });
-        let sql = TpchQuery::Q6.sql(&QueryParams::default());
-        let svp = SimCluster::new(&data, SimClusterConfig::paper(4)).unwrap();
-        let mut avp_cfg = SimClusterConfig::paper(4);
-        avp_cfg.avp = Some(apuama::AvpConfig::default());
-        let avp = SimCluster::new(&data, avp_cfg).unwrap();
-        let r_svp = svp.run_query_isolated(&sql).unwrap();
-        let r_avp = avp.run_query_isolated(&sql).unwrap();
-        assert_eq!(r_svp.output.rows.len(), r_avp.output.rows.len());
-        let (a, b) = (
-            r_svp.output.rows[0][0].as_f64().unwrap_or(0.0),
-            r_avp.output.rows[0][0].as_f64().unwrap_or(0.0),
-        );
-        assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        // On uniform nodes AVP pays at most modest chunking overhead.
-        assert!(
-            r_avp.makespan_ms < r_svp.makespan_ms * 2.0,
-            "svp={} avp={}",
-            r_svp.makespan_ms,
-            r_avp.makespan_ms
-        );
-    }
-
-    #[test]
-    fn avp_mode_ineligible_query_passes_through() {
-        let data = generate(TpchConfig {
-            scale_factor: 0.002,
-            seed: 33,
-        });
-        let mut cfg = SimClusterConfig::paper(2);
-        cfg.avp = Some(apuama::AvpConfig::default());
-        let c = SimCluster::new(&data, cfg).unwrap();
-        let r = c
-            .run_query_isolated("select n_name from nation order by n_name limit 3")
-            .unwrap();
-        assert_eq!(r.output.rows.len(), 3);
-        assert_eq!(r.composition_ms, 0.0);
+        assert!(timed.done_ms < timed.staged_done_ms);
     }
 }

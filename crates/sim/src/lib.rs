@@ -21,9 +21,17 @@
 //! * update broadcasts place one task on *every* node plus an O(n)
 //!   coordination charge, producing the 16→32-node flattening of Fig. 4.
 //!
+//! Each kind of job is priced through one path: an SVP query through
+//! [`SimCluster::exec_svp`] (the engine's bound sub-queries, one streaming
+//! composition, the engine's requeue rule under a fault), a pass-through
+//! read through [`SimCluster::exec_read`], a write through
+//! [`SimCluster::broadcast_write`]; concurrent runs, closed- or open-loop,
+//! share one event core.
+//!
 //! Modules: [`cost`] (work → milliseconds), [`cluster`] (replicas + SVP
 //! machinery), [`des`] (event queue and node queues), [`isolated`]
-//! (Fig. 2 runs), [`workload`] (Figs. 3–4 runs).
+//! (Fig. 2 runs), [`workload`] (Figs. 3–4 runs and the overload storm),
+//! [`recovery`] (rejoin pricing).
 
 pub mod cluster;
 pub mod cost;

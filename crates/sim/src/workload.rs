@@ -13,10 +13,14 @@
 //! convergence); once dispatched, its sub-queries take priority in the node
 //! queues (the dispatch-time snapshot) and subsequent updates queue behind
 //! them.
+//!
+//! The closed loop ([`run_workload`]) and the open-loop storm
+//! ([`run_overload`]) share one event core; each keeps only its arrival
+//! policy.
 
 use std::collections::VecDeque;
 
-use apuama::{Rewritten, SvpPlan};
+use apuama::Rewritten;
 use apuama_engine::EngineResult;
 use apuama_tpch::{query_sequence, refresh_stream, QueryParams};
 use rand::{RngExt, SeedableRng};
@@ -95,25 +99,48 @@ impl SimReport {
     }
 }
 
-enum Ev {
-    SubmitRead { stream: usize },
-    SubmitUpdate,
-    TaskDone { node: usize, job: usize },
-    JobFinal { job: usize },
+/// The event core both arrival policies drive: the event queue, the nodes'
+/// k-server queues and the job table. A job is one read or one broadcast
+/// write: a task per node it occupies, then a tail charged after its last
+/// task (composition and transfer for an SVP read, the coordination charge
+/// for a write). The policy schedules its own events `A` and hears of each
+/// finished job, carrying its payload `J`; tasks and tails run here.
+struct Core<A, J> {
+    queue: EventQueue<Ev<A>>,
+    nodes: Vec<NodeQueue<Task>>,
+    jobs: Vec<Job<J>>,
+    balancer: SimBalancer,
+    rr_next: usize,
+    lb_rng: rand::rngs::StdRng,
 }
 
-enum JobKind {
-    Read { stream: usize, label: String },
-    Update,
+enum Ev<A> {
+    /// An event of the arrival policy's own.
+    Policy(A),
+    TaskDone {
+        node: usize,
+        job: usize,
+    },
+    JobFinal {
+        job: usize,
+    },
 }
 
-struct Job {
-    kind: JobKind,
+/// What the core hands its arrival policy.
+enum Step<A, J> {
+    Policy(A),
+    /// A job's last task and tail are done.
+    Finished {
+        job: J,
+        dispatched_ms: f64,
+    },
+}
+
+struct Job<J> {
+    payload: J,
+    dispatched_ms: f64,
     remaining: usize,
-    /// Charged after the last task completes (composition + transfer for
-    /// SVP reads; broadcast coordination for updates).
     tail_ms: f64,
-    start_ms: f64,
 }
 
 /// A task sitting in a node queue: which job it belongs to and how long it
@@ -124,9 +151,156 @@ struct Task {
     dur_ms: f64,
 }
 
+impl<A, J: Clone> Core<A, J> {
+    fn new(cluster: &SimCluster) -> Self {
+        let config = cluster.config();
+        Core {
+            queue: EventQueue::new(),
+            nodes: (0..cluster.node_count())
+                .map(|_| NodeQueue::new(config.servers_per_node))
+                .collect(),
+            jobs: Vec::new(),
+            balancer: config.balancer,
+            rr_next: 0,
+            lb_rng: rand::rngs::StdRng::seed_from_u64(match config.balancer {
+                SimBalancer::Random { seed } => seed,
+                _ => 0,
+            }),
+        }
+    }
+
+    fn schedule(&mut self, at: f64, event: A) {
+        self.queue.schedule(at, Ev::Policy(event));
+    }
+
+    /// The next event for the policy, with its virtual time; task
+    /// completions in between are handled here.
+    fn next(&mut self) -> Option<(f64, Step<A, J>)> {
+        while let Some((now, ev)) = self.queue.pop() {
+            match ev {
+                Ev::Policy(event) => return Some((now, Step::Policy(event))),
+                Ev::TaskDone { node, job } => self.task_done(node, job),
+                Ev::JobFinal { job } => {
+                    let j = &self.jobs[job];
+                    let step = Step::Finished {
+                        job: j.payload.clone(),
+                        dispatched_ms: j.dispatched_ms,
+                    };
+                    return Some((now, step));
+                }
+            }
+        }
+        None
+    }
+
+    /// Frees the node's server for its next task; the job's last task
+    /// schedules the job's end after its tail.
+    fn task_done(&mut self, node: usize, job: usize) {
+        if let Some(next) = self.nodes[node].complete() {
+            self.queue.schedule_in(
+                next.dur_ms,
+                Ev::TaskDone {
+                    node,
+                    job: next.job,
+                },
+            );
+        }
+        let j = &mut self.jobs[job];
+        j.remaining -= 1;
+        if j.remaining == 0 {
+            let tail = j.tail_ms;
+            self.queue.schedule_in(tail, Ev::JobFinal { job });
+        }
+    }
+
+    /// Starts a job of one `(node, ms)` task each, queued at the front of
+    /// their nodes when `priority` (an SVP query's dispatch-time snapshot).
+    fn start_job(
+        &mut self,
+        payload: J,
+        tasks: impl ExactSizeIterator<Item = (usize, f64)>,
+        tail_ms: f64,
+        priority: bool,
+    ) {
+        let job = self.jobs.len();
+        self.jobs.push(Job {
+            payload,
+            dispatched_ms: self.queue.now(),
+            remaining: tasks.len(),
+            tail_ms,
+        });
+        for (node, dur_ms) in tasks {
+            if let Some(t) = self.nodes[node].submit(Task { job, dur_ms }, priority) {
+                self.queue
+                    .schedule_in(t.dur_ms, Ev::TaskDone { node, job: t.job });
+            }
+        }
+    }
+
+    /// Dispatches a read now: an SVP plan executes and composes for real
+    /// (the dispatch-time snapshot) and occupies every node for its
+    /// measured durations; a pass-through read runs on the node the
+    /// balancer picks.
+    fn dispatch_read(
+        &mut self,
+        cluster: &SimCluster,
+        sql: &str,
+        rewritten: Rewritten,
+        payload: J,
+    ) -> EngineResult<()> {
+        match rewritten {
+            Rewritten::Svp(plan) => {
+                let (durs, timed) = cluster.exec_svp(&plan, None)?;
+                self.start_job(payload, durs.into_iter().enumerate(), timed.tail_ms, true);
+            }
+            Rewritten::Passthrough { .. } => {
+                let n = self.nodes.len();
+                let node = match self.balancer {
+                    SimBalancer::LeastPending => {
+                        (0..n).min_by_key(|&i| self.nodes[i].load()).expect("n > 0")
+                    }
+                    SimBalancer::RoundRobin => {
+                        self.rr_next = (self.rr_next + 1) % n;
+                        self.rr_next
+                    }
+                    SimBalancer::Random { .. } => self.lb_rng.random_range(0..n),
+                };
+                let (_, dur) = cluster.exec_read(node, sql)?;
+                self.start_job(payload, std::iter::once((node, dur)), 0.0, false);
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies a write script to every replica now and occupies every node
+    /// for its measured time, plus the coordination charge.
+    fn broadcast(
+        &mut self,
+        cluster: &mut SimCluster,
+        script: &str,
+        payload: J,
+    ) -> EngineResult<()> {
+        let (durs, coord) = cluster.broadcast_write(script)?;
+        self.start_job(payload, durs.into_iter().enumerate(), coord, false);
+        Ok(())
+    }
+}
+
+/// The closed loop's events.
+enum WorkloadEv {
+    SubmitRead { stream: usize },
+    SubmitUpdate,
+}
+
+/// A closed-loop job: a stream's read, or the update stream's write.
+#[derive(Clone)]
+enum JobKind {
+    Read { stream: usize, label: String },
+    Update,
+}
+
 /// Runs the workload to completion on the cluster.
 pub fn run_workload(cluster: &mut SimCluster, spec: WorkloadSpec) -> EngineResult<SimReport> {
-    let n = cluster.node_count();
     // Build each stream's query list: rounds × permuted sequences with
     // TPC-H-style randomized parameters.
     let mut streams: Vec<VecDeque<(String, String)>> = (0..spec.read_streams)
@@ -162,19 +336,10 @@ pub fn run_workload(cluster: &mut SimCluster, spec: WorkloadSpec) -> EngineResul
         VecDeque::new()
     };
 
-    let mut queue: EventQueue<Ev> = EventQueue::new();
-    let mut nodes: Vec<NodeQueue<Task>> = (0..n)
-        .map(|_| NodeQueue::new(cluster.config().servers_per_node))
-        .collect();
-    // Pass-through read balancing state.
-    let balancer = cluster.config().balancer;
-    let mut rr_next = 0usize;
-    let mut lb_rng = rand::rngs::StdRng::seed_from_u64(match balancer {
-        SimBalancer::Random { seed } => seed,
-        _ => 0,
-    });
-    let mut jobs: Vec<Job> = Vec::new();
-    let mut waiting_svp: VecDeque<(usize, String, SvpPlan)> = VecDeque::new();
+    let mut core: Core<WorkloadEv, JobKind> = Core::new(cluster);
+    // SVP reads that arrived while a broadcast was in flight: the gate
+    // holds them until the replicas converge.
+    let mut waiting_svp: VecDeque<(JobKind, String, Rewritten)> = VecDeque::new();
     let mut update_inflight = false;
     let mut report = SimReport {
         makespan_ms: 0.0,
@@ -184,197 +349,59 @@ pub fn run_workload(cluster: &mut SimCluster, spec: WorkloadSpec) -> EngineResul
     };
 
     for s in 0..spec.read_streams {
-        queue.schedule(0.0, Ev::SubmitRead { stream: s });
+        core.schedule(0.0, WorkloadEv::SubmitRead { stream: s });
     }
     if !updates.is_empty() {
-        queue.schedule(0.0, Ev::SubmitUpdate);
+        core.schedule(0.0, WorkloadEv::SubmitUpdate);
     }
 
-    // Starts a task on a node if a server is free.
-    fn start_if_free(
-        queue: &mut EventQueue<Ev>,
-        nodes: &mut [NodeQueue<Task>],
-        node: usize,
-        task: Task,
-        priority: bool,
-    ) {
-        if let Some(t) = nodes[node].submit(task, priority) {
-            queue.schedule_in(t.dur_ms, Ev::TaskDone { node, job: t.job });
-        }
-    }
-
-    // Dispatches an SVP query: real sub-query execution and composition
-    // happen now (the dispatch-time snapshot); the DES then models server
-    // occupancy for the measured durations.
-    let dispatch_svp = |cluster: &SimCluster,
-                        queue: &mut EventQueue<Ev>,
-                        nodes: &mut [NodeQueue<Task>],
-                        jobs: &mut Vec<Job>,
-                        stream: usize,
-                        label: String,
-                        plan: &SvpPlan|
-     -> EngineResult<()> {
-        let mut partials = Vec::with_capacity(plan.ranges.len());
-        let mut durs = Vec::with_capacity(plan.ranges.len());
-        for i in 0..plan.ranges.len() {
-            let (out, ms) = cluster.exec_range(i, plan, i)?;
-            partials.push(out);
-            durs.push(ms);
-        }
-        // Price composition against the sub-query durations as relative
-        // finish offsets (the dispatch-time snapshot): under the streaming
-        // composer the folds for fast nodes overlap the stragglers, and
-        // only `tail_ms` is charged after the last task completes.
-        let timed = cluster.compose_timed(plan, &partials, &durs)?;
-        let job_id = jobs.len();
-        jobs.push(Job {
-            kind: JobKind::Read { stream, label },
-            remaining: durs.len(),
-            tail_ms: timed.tail_ms,
-            start_ms: queue.now(),
-        });
-        for (node, dur) in durs.into_iter().enumerate() {
-            start_if_free(
-                queue,
-                nodes,
-                node,
-                Task {
-                    job: job_id,
-                    dur_ms: dur,
-                },
-                true,
-            );
-        }
-        Ok(())
-    };
-
-    while let Some((now, ev)) = queue.pop() {
+    while let Some((now, step)) = core.next() {
         report.makespan_ms = now;
-        match ev {
-            Ev::SubmitRead { stream } => {
+        match step {
+            Step::Policy(WorkloadEv::SubmitRead { stream }) => {
                 let Some((label, sql)) = streams[stream].pop_front() else {
                     continue;
                 };
-                match cluster.rewrite(&sql)? {
-                    Rewritten::Svp(plan) => {
-                        if update_inflight {
-                            waiting_svp.push_back((stream, label, plan));
-                        } else {
-                            dispatch_svp(
-                                cluster, &mut queue, &mut nodes, &mut jobs, stream, label, &plan,
-                            )?;
-                        }
-                    }
-                    Rewritten::Passthrough { .. } => {
-                        let node = match balancer {
-                            SimBalancer::LeastPending => {
-                                (0..n).min_by_key(|&i| nodes[i].load()).expect("n > 0")
-                            }
-                            SimBalancer::RoundRobin => {
-                                rr_next = (rr_next + 1) % n;
-                                rr_next
-                            }
-                            SimBalancer::Random { .. } => lb_rng.random_range(0..n),
-                        };
-                        let (_, dur) = cluster.exec_read(node, &sql)?;
-                        let job_id = jobs.len();
-                        jobs.push(Job {
-                            kind: JobKind::Read { stream, label },
-                            remaining: 1,
-                            tail_ms: 0.0,
-                            start_ms: now,
-                        });
-                        start_if_free(
-                            &mut queue,
-                            &mut nodes,
-                            node,
-                            Task {
-                                job: job_id,
-                                dur_ms: dur,
-                            },
-                            false,
-                        );
-                    }
+                let rewritten = cluster.rewrite(&sql)?;
+                let read = JobKind::Read { stream, label };
+                if update_inflight && matches!(rewritten, Rewritten::Svp(_)) {
+                    waiting_svp.push_back((read, sql, rewritten));
+                } else {
+                    core.dispatch_read(cluster, &sql, rewritten, read)?;
                 }
             }
-            Ev::SubmitUpdate => {
+            Step::Policy(WorkloadEv::SubmitUpdate) => {
                 let Some(script) = updates.pop_front() else {
                     continue;
                 };
                 update_inflight = true;
-                let (durs, coord) = cluster.broadcast_write(&script)?;
-                let job_id = jobs.len();
-                jobs.push(Job {
-                    kind: JobKind::Update,
-                    remaining: durs.len(),
-                    tail_ms: coord,
-                    start_ms: now,
+                core.broadcast(cluster, &script, JobKind::Update)?;
+            }
+            Step::Finished {
+                job: JobKind::Read { stream, label },
+                dispatched_ms,
+            } => {
+                report.read_queries_done += 1;
+                report.records.push(QueryRecord {
+                    stream,
+                    label,
+                    start_ms: dispatched_ms,
+                    end_ms: now,
                 });
-                for (node, dur) in durs.into_iter().enumerate() {
-                    start_if_free(
-                        &mut queue,
-                        &mut nodes,
-                        node,
-                        Task {
-                            job: job_id,
-                            dur_ms: dur,
-                        },
-                        false,
-                    );
-                }
+                core.schedule(now, WorkloadEv::SubmitRead { stream });
             }
-            Ev::TaskDone { node, job } => {
-                if let Some(next) = nodes[node].complete() {
-                    queue.schedule_in(
-                        next.dur_ms,
-                        Ev::TaskDone {
-                            node,
-                            job: next.job,
-                        },
-                    );
+            Step::Finished {
+                job: JobKind::Update,
+                ..
+            } => {
+                report.updates_done += 1;
+                update_inflight = false;
+                // Replicas converged: dispatch the SVP queries that were
+                // waiting on the gate.
+                while let Some((read, sql, rewritten)) = waiting_svp.pop_front() {
+                    core.dispatch_read(cluster, &sql, rewritten, read)?;
                 }
-                let j = &mut jobs[job];
-                j.remaining -= 1;
-                if j.remaining == 0 {
-                    let tail = j.tail_ms;
-                    queue.schedule_in(tail, Ev::JobFinal { job });
-                }
-            }
-            Ev::JobFinal { job } => {
-                let (kind, start_ms) = {
-                    let j = &jobs[job];
-                    (
-                        match &j.kind {
-                            JobKind::Read { stream, label } => Some((*stream, label.clone())),
-                            JobKind::Update => None,
-                        },
-                        j.start_ms,
-                    )
-                };
-                match kind {
-                    Some((stream, label)) => {
-                        report.read_queries_done += 1;
-                        report.records.push(QueryRecord {
-                            stream,
-                            label,
-                            start_ms,
-                            end_ms: now,
-                        });
-                        queue.schedule(now, Ev::SubmitRead { stream });
-                    }
-                    None => {
-                        report.updates_done += 1;
-                        update_inflight = false;
-                        // Replicas converged: dispatch the SVP queries that
-                        // were waiting on the gate.
-                        while let Some((stream, label, plan)) = waiting_svp.pop_front() {
-                            dispatch_svp(
-                                cluster, &mut queue, &mut nodes, &mut jobs, stream, label, &plan,
-                            )?;
-                        }
-                        queue.schedule(now, Ev::SubmitUpdate);
-                    }
-                }
+                core.schedule(now, WorkloadEv::SubmitUpdate);
             }
         }
     }
@@ -461,25 +488,17 @@ impl OverloadReport {
     }
 }
 
-enum OEv {
+/// The open loop's events.
+enum OverloadEv {
     Arrive { idx: usize },
-    TaskDone { node: usize, job: usize },
-    JobFinal { job: usize },
     QueueTimeout { ticket: usize },
-}
-
-struct OJob {
-    arrival_ms: f64,
-    remaining: usize,
-    tail_ms: f64,
 }
 
 /// Runs an open-loop arrival storm against the cluster. The read-only
 /// overload arm: every arrival is one of the eight evaluation queries with
-/// randomized parameters, dispatched SVP (or pass-through to the
-/// least-pending node when ineligible).
+/// randomized parameters, dispatched SVP (or, when ineligible, pass-through
+/// to the node the balancer picks).
 pub fn run_overload(cluster: &SimCluster, spec: OverloadSpec) -> EngineResult<OverloadReport> {
-    let n = cluster.node_count();
     // Arrival list: permuted 8-query rounds, TPC-H-style parameters.
     let mut arrivals: Vec<String> = Vec::with_capacity(spec.arrivals);
     let mut round = 0u64;
@@ -501,11 +520,12 @@ pub fn run_overload(cluster: &SimCluster, spec: OverloadSpec) -> EngineResult<Ov
         round += 1;
     }
 
-    let mut queue: EventQueue<OEv> = EventQueue::new();
-    let mut nodes: Vec<NodeQueue<Task>> = (0..n)
-        .map(|_| NodeQueue::new(cluster.config().servers_per_node))
-        .collect();
-    let mut jobs: Vec<OJob> = Vec::new();
+    // A job's payload is its arrival time: latency is anchored there, not
+    // at dispatch.
+    let mut core: Core<OverloadEv, f64> = Core::new(cluster);
+    let dispatch = |core: &mut Core<OverloadEv, f64>, sql: &str, arrival_ms: f64| {
+        core.dispatch_read(cluster, sql, cluster.rewrite(sql)?, arrival_ms)
+    };
     // Admission state (governed runs only).
     let mut running = 0usize;
     let mut pending: VecDeque<(usize, f64, String)> = VecDeque::new();
@@ -519,116 +539,38 @@ pub fn run_overload(cluster: &SimCluster, spec: OverloadSpec) -> EngineResult<Ov
         latencies_ms: Vec::new(),
     };
 
-    for (i, _) in arrivals.iter().enumerate() {
-        queue.schedule(spec.interval_ms * i as f64, OEv::Arrive { idx: i });
+    for i in 0..arrivals.len() {
+        core.schedule(spec.interval_ms * i as f64, OverloadEv::Arrive { idx: i });
     }
 
-    fn start_if_free(
-        queue: &mut EventQueue<OEv>,
-        nodes: &mut [NodeQueue<Task>],
-        node: usize,
-        task: Task,
-        priority: bool,
-    ) {
-        if let Some(t) = nodes[node].submit(task, priority) {
-            queue.schedule_in(t.dur_ms, OEv::TaskDone { node, job: t.job });
-        }
-    }
-
-    // Dispatches one query: sub-queries execute now (dispatch-time
-    // snapshot), the DES models server occupancy for the measured
-    // durations. Latency is anchored at `arrival_ms`, not dispatch time.
-    let dispatch = |cluster: &SimCluster,
-                    queue: &mut EventQueue<OEv>,
-                    nodes: &mut [NodeQueue<Task>],
-                    jobs: &mut Vec<OJob>,
-                    arrival_ms: f64,
-                    sql: &str|
-     -> EngineResult<()> {
-        match cluster.rewrite(sql)? {
-            Rewritten::Svp(plan) => {
-                let mut partials = Vec::with_capacity(plan.ranges.len());
-                let mut durs = Vec::with_capacity(plan.ranges.len());
-                for i in 0..plan.ranges.len() {
-                    let (out, ms) = cluster.exec_range(i, &plan, i)?;
-                    partials.push(out);
-                    durs.push(ms);
-                }
-                let timed = cluster.compose_timed(&plan, &partials, &durs)?;
-                let job_id = jobs.len();
-                jobs.push(OJob {
-                    arrival_ms,
-                    remaining: durs.len(),
-                    tail_ms: timed.tail_ms,
-                });
-                for (node, dur) in durs.into_iter().enumerate() {
-                    start_if_free(
-                        queue,
-                        nodes,
-                        node,
-                        Task {
-                            job: job_id,
-                            dur_ms: dur,
-                        },
-                        true,
-                    );
-                }
-            }
-            Rewritten::Passthrough { .. } => {
-                let node = (0..n).min_by_key(|&i| nodes[i].load()).expect("n > 0");
-                let (_, dur) = cluster.exec_read(node, sql)?;
-                let job_id = jobs.len();
-                jobs.push(OJob {
-                    arrival_ms,
-                    remaining: 1,
-                    tail_ms: 0.0,
-                });
-                start_if_free(
-                    queue,
-                    nodes,
-                    node,
-                    Task {
-                        job: job_id,
-                        dur_ms: dur,
-                    },
-                    false,
-                );
-            }
-        }
-        Ok(())
-    };
-
-    while let Some((now, ev)) = queue.pop() {
+    while let Some((now, step)) = core.next() {
         report.makespan_ms = now;
-        match ev {
-            OEv::Arrive { idx } => {
+        match step {
+            Step::Policy(OverloadEv::Arrive { idx }) => {
                 let sql = &arrivals[idx];
                 match spec.governance {
-                    None => {
-                        running += 1;
-                        dispatch(cluster, &mut queue, &mut nodes, &mut jobs, now, sql)?;
-                    }
-                    Some(gov) => {
-                        if running < gov.max_concurrent {
-                            running += 1;
-                            dispatch(cluster, &mut queue, &mut nodes, &mut jobs, now, sql)?;
-                        } else if pending.len() >= gov.queue_depth {
+                    Some(gov) if running >= gov.max_concurrent => {
+                        if pending.len() >= gov.queue_depth {
                             report.shed += 1;
                         } else {
                             pending.push_back((next_ticket, now, sql.clone()));
-                            queue.schedule_in(
-                                gov.queue_timeout_ms,
-                                OEv::QueueTimeout {
+                            core.schedule(
+                                now + gov.queue_timeout_ms,
+                                OverloadEv::QueueTimeout {
                                     ticket: next_ticket,
                                 },
                             );
                             next_ticket += 1;
                         }
                     }
+                    _ => {
+                        running += 1;
+                        dispatch(&mut core, sql, now)?;
+                    }
                 }
                 report.peak_backlog = report.peak_backlog.max(running + pending.len());
             }
-            OEv::QueueTimeout { ticket } => {
+            Step::Policy(OverloadEv::QueueTimeout { ticket }) => {
                 // Still waiting at the deadline → shed. (If the ticket is
                 // gone it was admitted in the meantime; nothing to do.)
                 if let Some(pos) = pending.iter().position(|(t, _, _)| *t == ticket) {
@@ -636,26 +578,11 @@ pub fn run_overload(cluster: &SimCluster, spec: OverloadSpec) -> EngineResult<Ov
                     report.shed += 1;
                 }
             }
-            OEv::TaskDone { node, job } => {
-                if let Some(next) = nodes[node].complete() {
-                    queue.schedule_in(
-                        next.dur_ms,
-                        OEv::TaskDone {
-                            node,
-                            job: next.job,
-                        },
-                    );
-                }
-                let j = &mut jobs[job];
-                j.remaining -= 1;
-                if j.remaining == 0 {
-                    let tail = j.tail_ms;
-                    queue.schedule_in(tail, OEv::JobFinal { job });
-                }
-            }
-            OEv::JobFinal { job } => {
+            Step::Finished {
+                job: arrival_ms, ..
+            } => {
                 report.completed += 1;
-                report.latencies_ms.push(now - jobs[job].arrival_ms);
+                report.latencies_ms.push(now - arrival_ms);
                 running -= 1;
                 // A slot freed: admit from the queue, oldest first.
                 if let Some(gov) = spec.governance {
@@ -664,7 +591,7 @@ pub fn run_overload(cluster: &SimCluster, spec: OverloadSpec) -> EngineResult<Ov
                             break;
                         };
                         running += 1;
-                        dispatch(cluster, &mut queue, &mut nodes, &mut jobs, arrival_ms, &sql)?;
+                        dispatch(&mut core, &sql, arrival_ms)?;
                     }
                 }
             }

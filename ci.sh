@@ -17,6 +17,9 @@ timeout "$BUILD_TIMEOUT" cargo fmt --check
 echo "== cargo clippy (workspace, all targets, warnings are errors) =="
 timeout "$BUILD_TIMEOUT" cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== docs: rustdoc warnings are errors =="
+timeout "$BUILD_TIMEOUT" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== tier-1: cargo build --release && cargo test -q =="
 timeout "$BUILD_TIMEOUT" cargo build --release
 timeout "$BUILD_TIMEOUT" cargo test -q
@@ -58,6 +61,12 @@ for _ in $(seq 20); do
   timeout "$SUITE_TIMEOUT" cargo test -q --test fault_tolerance --test consistency_under_concurrency -- a_requeued_range_sees_its_siblings_prefix faulted_svp_under_concurrent_writes_neither_deadlocks_nor_skews_counters interleaved_refreshes_leave_every_replica_the_same_prefix_and_answers the_readme_cluster_keeps_serving_after_disable_backend
   timeout "$SUITE_TIMEOUT" cargo test -q -p apuama --lib consistency
 done
+
+echo "== SVP dispatch: every arrival order and failure set (DESIGN.md §8) =="
+# By name: the dispatcher's exhaustive test walks every order in which runs
+# report and every set of failing attempts up to four nodes, and checks
+# routing, tickets, requeue, doom-cancel and the root-cause error.
+timeout "$SUITE_TIMEOUT" cargo test -q -p apuama --lib every_arrival_order_and_failure_set_keeps_the_invariants
 
 echo "== failure classes: only a node's fault counts against it (DESIGN.md §8) =="
 # By name: a statement error in SVP sub-queries, in a pass-through read and

@@ -22,6 +22,7 @@ use apuama_sql::{parse_statements, Value};
 use crate::catalog::DataCatalog;
 use crate::composer::StreamingComposer;
 use crate::consistency::UpdateGate;
+use crate::dispatch::{Action, Dispatch, Event, NodeState};
 use crate::fault::{FaultPolicy, RecoveryReport};
 use crate::node::NodeProcessor;
 use crate::rewrite::{Rewritten, SvpPlan, SvpRewriter};
@@ -210,43 +211,17 @@ impl ApuamaEngine {
     /// The Intra-Query Executor: consistency wait → parallel dispatch →
     /// early update release → pipelined composition, with fault recovery.
     ///
-    /// Sub-query results are not join-all'ed: each node thread sends its
-    /// partial through a channel the moment it completes, and the composer
-    /// — a [`StreamingComposer`] this call builds for its plan and owns —
-    /// folds it in while the remaining sub-queries are still running. The
-    /// update gate still releases at "dispatched and started" — composition
-    /// happens strictly after the release point.
-    ///
-    /// Sub-queries are dispatched as *prepared statements*
-    /// ([`SvpPlan::prepared`]): the first execution of a statement text on
-    /// a node parses and lowers it into that node's plan cache, and every
-    /// later one — retries and repeated runs of the same eval query
-    /// included — binds range values into the cached plan instead of
-    /// re-parsing and re-planning the rendered SQL. Connections without a
-    /// plan cache transparently fall back to executing the identically
-    /// rendered text.
-    ///
-    /// Fault handling (see DESIGN.md §8, driven by [`FaultPolicy`]):
-    ///
-    /// * Ranges owned by a node whose circuit is open are routed to
-    ///   available replicas at dispatch time.
-    /// * Each sub-query runs under an optional deadline and bounded
-    ///   same-node retries with exponential backoff.
-    /// * Only a failure that is the node's — it did not serve the request
-    ///   (`EngineError::Unavailable`) or outran the deadline — is retried
-    ///   or requeued. Any other error is the statement's own and fails the
-    ///   query at once.
-    /// * A range whose node exhausted its retries is requeued whole to
-    ///   another node this query dispatched to that is still running, or
-    ///   the first to have served all its ranges — the residual is the node's
-    ///   entire range, so the survivor runs the planned statement
-    ///   ([`SvpPlan::prepared`]) — with the partial attributed to the
-    ///   *original* range index, so the composed result is byte-identical to
-    ///   the healthy run (splitting the residual across survivors would
-    ///   change float-fold order).
-    /// * A requeued range runs on the calling thread, under the snapshot
-    ///   ticket this call took for the survivor before the gate released:
-    ///   every partial of the query sees the same converged prefix.
+    /// It carries out the [`Dispatch`] policy's actions (DESIGN.md §8): the
+    /// ranges are placed and the ticket of every node with one is taken
+    /// before updates are released ("sent and started", paper §3); one
+    /// worker per such node sends each partial the moment it completes,
+    /// and the composer — a [`StreamingComposer`] this call owns — folds it
+    /// in while the others run. A requeued range runs on the calling
+    /// thread under the ticket taken before the release, so every partial
+    /// sees the same prefix, and keeps its range index, so the answer is
+    /// byte-identical to the healthy run. Each sub-query is a prepared
+    /// statement ([`SvpPlan::prepared`]) bound to its range, run under the
+    /// [`FaultPolicy`]'s deadline and same-node retries.
     pub fn execute_svp(&self, plan: &SvpPlan) -> EngineResult<SvpExecution> {
         self.execute_svp_governed(plan, None)
     }
@@ -285,245 +260,139 @@ impl ApuamaEngine {
         };
         // 1. Wait for replica convergence; hold new updates.
         self.gate.block_updates_and_wait();
-        if let Err(e) = gov.check() {
-            self.gate.release_updates();
-            return Err(e);
-        }
+        gov.check().inspect_err(|_| self.gate.release_updates())?;
 
+        // 2. Place the ranges, take the ticket of every node with one, then
+        //    release updates. The tickets live here, on the coordinator, so
+        //    no worker waits for a requeue that may never come.
         let policy = self.config.fault;
-
-        // 2. Fill one queue per node: node i serves range i unless its
-        //    circuit is open or it is quarantined (disabled / catching up
-        //    after a failure), in which case `route` sends the range to an
-        //    available node. If every circuit is open, dispatch to the
-        //    non-quarantined nodes as planned — those attempts double as
-        //    probes; quarantine, by contrast, is a hard fence (a catching-up
-        //    replica would return stale rows), so a quarantined node never
-        //    receives a range, and an all-quarantined cluster is an error.
-        let may_serve: Vec<bool> = {
-            let available: Vec<bool> = (0..n).map(|i| self.health.is_available(i)).collect();
-            if available.contains(&true) {
-                available
-            } else {
-                (0..n).map(|i| !self.health.is_quarantined(i)).collect()
-            }
+        let health = &self.health;
+        let state = |j| match (health.is_available(j), health.is_quarantined(j)) {
+            (true, _) => NodeState::Available,
+            (false, false) => NodeState::Open,
+            (false, true) => NodeState::Quarantined,
         };
-        let mut outstanding = vec![0usize; n];
-        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let (home, away): (Vec<usize>, Vec<usize>) = (0..n).partition(|&r| may_serve[r]);
-        for range in home.into_iter().chain(away) {
-            let Some(node) = route(range, &outstanding, |j| may_serve[j]) else {
-                self.gate.release_updates();
-                return Err(EngineError::Unsupported(
-                    "every node is quarantined: no replica may serve SVP ranges".into(),
-                ));
-            };
-            outstanding[node] += 1;
-            queues[node].push(range);
+        let states: Vec<NodeState> = (0..n).map(state).collect();
+        let mut actions = Vec::new();
+        let mut dispatch = Dispatch::start(n, &states, policy.reassign, &mut actions)
+            .inspect_err(|_| self.gate.release_updates())?;
+        let mut queues = vec![Vec::new(); n];
+        for action in actions.drain(..) {
+            if let Action::Run { range, node } = action {
+                queues[node].push(range);
+            }
         }
-
-        // 3. Take the snapshot ticket of every node with a range to run, then
-        //    release updates: every sub-query — and every range requeued
-        //    later under one of these tickets — now reads the converged
-        //    prefix however late it starts ("sent and started", paper §3).
-        //    The tickets live here, on the coordinator, so no worker waits
-        //    for a requeue that may never come. A node with nothing to run
-        //    holds no ticket and so can take no requeued range.
-        let mut tickets: Vec<_> = (0..n)
-            .map(|i| (outstanding[i] > 0).then(|| self.nodes[i].begin_subquery()))
+        let mut tickets: Vec<_> = (queues.iter().zip(&self.nodes))
+            .map(|(ranges, node)| (!ranges.is_empty()).then(|| node.begin_subquery()))
             .collect();
         self.gate.release_updates();
         let dispatched = Instant::now();
+        let run = |range: usize, node: usize| {
+            let (sql, params) = &plan.prepared[range];
+            let (attempts, result) =
+                run_with_retries(&self.nodes[node], sql, params, &policy, &gov);
+            (range, node, attempts, result)
+        };
 
-        // 4. One worker per node with ranges; each sends a partial the moment
-        //    it completes.
+        // 3. One worker per node with ranges; each sends a partial the moment
+        //    it completes, and the receiver drains every message.
         let (tx, rx) = crossbeam::channel::unbounded();
         std::thread::scope(|s| {
-            for (i, ranges) in queues.into_iter().enumerate() {
+            for (node, ranges) in queues.into_iter().enumerate() {
                 if ranges.is_empty() {
                     continue;
                 }
-                let node = &self.nodes[i];
-                let tx = tx.clone();
-                let policy = &policy;
-                let gov = &gov;
+                let (tx, run) = (tx.clone(), &run);
                 s.spawn(move || {
                     for range in ranges {
-                        let (sql, params) = &plan.prepared[range];
-                        let (attempts, result) = run_with_retries(node, sql, params, policy, gov);
-                        // The receiver drains every message, but ignore send
-                        // errors anyway so a panicking main can't wedge a
-                        // node.
-                        let _ = tx.send((range, i, attempts, result));
+                        let _ = tx.send(run(range, node));
                     }
                 });
             }
             drop(tx);
 
-            // 5. Pipelined composition: consume partials as they complete,
-            //    requeue failures as they arrive. The composer is this
-            //    query's own — every early return below drops it, and no
-            //    other query waits on it.
+            // 4. Feed each outcome to the dispatcher and carry out its
+            //    actions; a requeued range's outcome goes first. The composer
+            //    is this query's own: an early return drops it.
+            let available = |j| health.is_available(j);
             let mut composer = StreamingComposer::new(plan);
-            let mut recovery = RecoveryReport::default();
             let mut timing = PhaseTiming::default();
             let mut per_node = vec![ExecStats::default(); n];
-            let mut tried: Vec<Vec<usize>> = vec![Vec::new(); n];
-            let mut failed: Vec<(usize, EngineError)> = Vec::new();
-            let mut accept_error: Option<EngineError> = None;
-            let mut first_composed = false;
-            let mut remaining = n;
-            let mut spare = None;
-            let mut requeued = None;
-            while let Some((range, node, attempts, result)) =
-                requeued.take().or_else(|| rx.recv().ok())
-            {
-                // A node done with its ranges drops its ticket, unless it is
-                // the first to have served them all: with reassignment on it
-                // keeps the ticket, the spare a failure can go to once every
-                // other node is done.
-                outstanding[node] -= 1;
-                if outstanding[node] == 0
-                    && !(policy.reassign && result.is_ok() && *spare.get_or_insert(node) == node)
-                {
-                    tickets[node] = None;
-                }
-                recovery.retries += attempts.saturating_sub(1);
-                match result {
-                    Ok(out) => {
-                        remaining -= 1;
-                        if remaining == 0 {
-                            // Every partial is in: no ticket covers the
-                            // composition tail.
-                            tickets.clear();
-                        }
-                        recovery.failed_attempts += attempts - 1;
-                        if node != range {
-                            recovery.reassigned.push((range, node));
-                        }
-                        per_node[range] = out.stats;
-                        if accept_error.is_none() {
+            let (mut accepted, mut partial, mut requeued, mut rejected) = (0, None, None, None);
+            loop {
+                for action in actions.drain(..) {
+                    match action {
+                        Action::Run { range, node } => requeued = Some(run(range, node)),
+                        Action::DropTicket(node) => tickets[node] = None,
+                        Action::CancelSiblings => gov.cancel(),
+                        Action::Accept { range, .. } => {
+                            let Some(out) = partial.take() else { continue };
                             let t = Instant::now();
-                            let accepted = composer.accept(range, out);
+                            let result = composer.accept(range, out);
                             let spent = t.elapsed().as_secs_f64() * 1e3;
-                            if remaining == 0 {
+                            accepted += 1;
+                            if accepted == n {
                                 timing.compose_tail_ms += spent;
                             } else {
                                 timing.compose_overlap_ms += spent;
                             }
-                            match accepted {
-                                // Stamped only by a successfully composed
-                                // partial — errored partials used to skew
-                                // this under fault injection.
-                                Ok(()) if !first_composed => {
-                                    first_composed = true;
-                                    timing.first_partial_ms =
-                                        dispatched.elapsed().as_secs_f64() * 1e3;
-                                }
-                                Ok(()) => {}
-                                Err(e) => accept_error = Some(e),
+                            if let Err(e) = result {
+                                rejected = Some(e);
+                                break;
+                            } else if accepted == 1 {
+                                timing.first_partial_ms = dispatched.elapsed().as_secs_f64() * 1e3;
                             }
                         }
-                    }
-                    Err(f) => {
-                        recovery.failed_attempts += attempts;
-                        tried[range].push(node);
-                        // A live query runs a range its node failed here, on
-                        // a node whose ticket it still holds and that has
-                        // not failed it yet; the partials that arrive
-                        // meanwhile wait in the channel.
-                        let live = policy.reassign
-                            && f.node_fault
-                            && failed.is_empty()
-                            && accept_error.is_none()
-                            && gov.check().is_ok();
-                        let target = route(range, &outstanding, |j| {
-                            live && tickets[j].is_some()
-                                && !tried[range].contains(&j)
-                                && self.health.is_available(j)
-                        });
-                        match target {
-                            Some(j) => {
-                                outstanding[j] += 1;
-                                let (sql, params) = &plan.prepared[range];
-                                let (attempts, result) =
-                                    run_with_retries(&self.nodes[j], sql, params, &policy, &gov);
-                                requeued = Some((range, j, attempts, result));
+                        Action::Fail(e) => return Err(e),
+                        Action::Finish => {
+                            // 5. The serial tail, under no ticket.
+                            let t = Instant::now();
+                            let composed = composer.finish()?;
+                            timing.compose_tail_ms += t.elapsed().as_secs_f64() * 1e3;
+                            timing.total_ms = dispatched.elapsed().as_secs_f64() * 1e3;
+                            let mut output = composed.output;
+                            output.stats = ExecStats::default();
+                            for s in per_node.iter().chain([&composed.composition_stats]) {
+                                output.stats.merge(s);
                             }
-                            None => failed.push((range, f.error)),
+                            return Ok(SvpExecution {
+                                output,
+                                per_node,
+                                composition_stats: composed.composition_stats,
+                                partial_rows: composed.partial_rows,
+                                timing,
+                                recovery: dispatch.recovery().clone(),
+                            });
                         }
                     }
                 }
-                // A range with nowhere left to go, or a broken composition:
-                // the query is doomed, so cancel the siblings — they stop at
-                // their next batch boundary instead of finishing work nobody
-                // will compose.
-                if accept_error.is_some() || !failed.is_empty() {
-                    gov.cancel();
-                }
-                if remaining == 0 {
-                    break;
-                }
+                let event = match rejected.take() {
+                    Some(e) => Event::Rejected(e),
+                    None => match requeued.take().or_else(|| rx.recv().ok()) {
+                        Some((range, node, attempts, Ok(out))) => {
+                            per_node[range] = out.stats;
+                            partial = Some(out);
+                            Event::Partial(range, node, attempts)
+                        }
+                        Some((range, node, attempts, Err(f))) => Event::Failed {
+                            range,
+                            node,
+                            attempts,
+                            node_fault: f.node_fault,
+                            error: f.error,
+                            live: gov.check().is_ok(),
+                            available: &available,
+                        },
+                        None => {
+                            let e = "SVP dispatch ended without an answer";
+                            return Err(EngineError::Unsupported(e.into()));
+                        }
+                    },
+                };
+                dispatch.on(event, &mut actions);
             }
-
-            // 6. Error out: the composer, with whatever it accepted, is
-            //    dropped.
-            if let Some(e) = accept_error {
-                return Err(e);
-            }
-            if !failed.is_empty() {
-                // Surface the root cause: a sibling's `Cancelled` is fallout
-                // from the doom-cancel above, not the reason the query died.
-                failed.sort_by_key(|(range, _)| *range);
-                let root = failed
-                    .iter()
-                    .position(|(_, e)| !matches!(e, EngineError::Cancelled(_)))
-                    .unwrap_or(0);
-                return Err(failed.swap_remove(root).1);
-            }
-
-            // 7. Finish the composition (serial tail). Every ticket is
-            //    dropped, so no write waits for it.
-            let t = Instant::now();
-            let composed = composer.finish()?;
-            timing.compose_tail_ms += t.elapsed().as_secs_f64() * 1e3;
-            timing.total_ms = dispatched.elapsed().as_secs_f64() * 1e3;
-
-            let mut merged = ExecStats::default();
-            for s in &per_node {
-                merged.merge(s);
-            }
-            merged.merge(&composed.composition_stats);
-            let mut output = composed.output;
-            output.stats = merged;
-            Ok(SvpExecution {
-                output,
-                per_node,
-                composition_stats: composed.composition_stats,
-                partial_rows: composed.partial_rows,
-                timing,
-                recovery,
-            })
         })
     }
-}
-
-/// The node `range` runs on: its home node when `may_serve` allows it,
-/// else the allowed node with the fewest ranges outstanding, the lowest
-/// index on ties — at dispatch, once every home range is placed, that is
-/// round-robin over the allowed nodes. `None` when no node is allowed.
-/// The simulator's degraded arm requeues a failed range through it too.
-pub fn route(
-    range: usize,
-    outstanding: &[usize],
-    may_serve: impl Fn(usize) -> bool,
-) -> Option<usize> {
-    if may_serve(range) {
-        return Some(range);
-    }
-    (0..outstanding.len())
-        .filter(|&j| may_serve(j))
-        .min_by_key(|&j| outstanding[j])
 }
 
 /// The engine side of the controller's rejoin protocol: a node leaving
@@ -612,7 +481,7 @@ fn run_attempt(
 ) -> Result<QueryOutput, Failure> {
     let Some(ms) = timeout_ms else {
         return node
-            .run_guarded(&ReadRequest::bound(sql, params).governed(gov))
+            .run_subquery(&ReadRequest::bound(sql, params).governed(gov))
             .map_err(Failure::of);
     };
     let (tx, rx) = std::sync::mpsc::channel();
@@ -623,7 +492,7 @@ fn run_attempt(
     let worker_gov = attempt_gov.clone();
     std::thread::spawn(move || {
         let req = ReadRequest::bound(&statement, &bound).governed(&worker_gov);
-        let _ = tx.send(worker_node.run_guarded(&req));
+        let _ = tx.send(worker_node.run_subquery(&req));
     });
     match rx.recv_timeout(std::time::Duration::from_millis(ms)) {
         Ok(result) => result.map_err(Failure::of),

@@ -29,12 +29,9 @@ pub struct FaultPolicy {
     /// Backoff before retry `k` (1-based): `retry_backoff_ms << (k - 1)`.
     pub retry_backoff_ms: u64,
     /// After same-node retries are exhausted, requeue the failed range's
-    /// planned statement (`SvpPlan::prepared[range]`) to another node this
-    /// query dispatched to whose ticket the query still holds (one still
-    /// running, or the first to have served all its ranges), where it runs
-    /// under the snapshot ticket taken for that node before the update gate
-    /// released; the partial is attributed to the original range index, so
-    /// composition is byte-identical to the healthy run.
+    /// planned statement whole to another node whose ticket the query
+    /// holds, as [`crate::Dispatch`] routes it; the partial keeps its range
+    /// index, so composition is byte-identical to the healthy run.
     pub reassign: bool,
     /// The engine's circuit breaker: SVP dispatch and the C-JDBC read
     /// balancer both skip open circuits.

@@ -25,14 +25,20 @@
 //!   replicas to converge, blocks newly arriving update transactions until
 //!   every sub-query has been dispatched, then lets updates flow again
 //!   under the DBMS's isolation;
-//! * **Intra-Query Executor** ([`engine`]) — ties it all together and
-//!   exposes per-node [`apuama_cjdbc::Connection`]s so C-JDBC plugs in
-//!   without source changes.
+//! * **dispatcher** ([`dispatch`]) — the SVP coordination policy as one
+//!   thread-free state machine: routing, snapshot tickets, requeue of
+//!   failed ranges, doom-cancel and the root-cause error. The engine and
+//!   the simulator both drive it;
+//! * **Intra-Query Executor** ([`engine`]) — ties it all together, driving
+//!   the dispatcher over one worker thread per node, and exposes per-node
+//!   [`apuama_cjdbc::Connection`]s so C-JDBC plugs in without source
+//!   changes.
 
 pub mod avp;
 pub mod catalog;
 pub mod composer;
 pub mod consistency;
+pub mod dispatch;
 pub mod engine;
 pub mod fault;
 pub mod node;
@@ -42,7 +48,8 @@ pub use avp::{execute_avp, AvpConfig, AvpOutcome, NodeTrace};
 pub use catalog::{DataCatalog, VirtualPartitioning};
 pub use composer::{compose, compose_with, Composed, ComposerStrategy, StreamingComposer};
 pub use consistency::UpdateGate;
-pub use engine::{route, ApuamaConfig, ApuamaConnection, ApuamaEngine, SvpExecution};
+pub use dispatch::{Action, Dispatch, Event, NodeState};
+pub use engine::{ApuamaConfig, ApuamaConnection, ApuamaEngine, SvpExecution};
 pub use fault::{FaultPolicy, RecoveryReport};
 pub use node::NodeProcessor;
 pub use rewrite::{

@@ -86,7 +86,7 @@ pub struct NodeProcessor {
     health: Arc<HealthTracker>,
     /// This node's index in the tracker.
     index: usize,
-    /// SVP sub-query statements currently inside `run_guarded` (queued on
+    /// SVP sub-query statements currently inside `run_subquery` (queued on
     /// the pool or executing). Observable for the timeout-reassignment
     /// leak regression: after an abandoned attempt is cancelled, this
     /// drains back to zero.
@@ -198,7 +198,7 @@ impl NodeProcessor {
     /// request the backend did not serve (`EngineError::Unavailable`), are
     /// reported to the health tracker; any other error is the statement's
     /// own and health-neutral.
-    pub(crate) fn run_guarded(&self, req: &ReadRequest<'_>) -> EngineResult<QueryOutput> {
+    pub fn run_subquery(&self, req: &ReadRequest<'_>) -> EngineResult<QueryOutput> {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         let _in_flight = InFlightGuard(&self.in_flight);
         self.pool.acquire();
@@ -215,16 +215,16 @@ impl NodeProcessor {
         result
     }
 
-    /// [`NodeProcessor::run_guarded`] on a statement's text (`EXPLAIN
-    /// ANALYZE` of a sub-query included: it plans under the same hint).
+    /// [`NodeProcessor::run_subquery`] on a statement's text; the
+    /// benchmark package's per-layer trace calls it.
     pub fn run_subquery_statement(&self, sql: &str) -> EngineResult<QueryOutput> {
-        self.run_guarded(&ReadRequest::text(sql))
+        self.run_subquery(&ReadRequest::text(sql))
     }
 
-    /// [`NodeProcessor::run_guarded`] on a prepared sub-query
-    /// ([`crate::rewrite::SvpPlan::prepared`]) with its range values bound.
+    /// [`NodeProcessor::run_subquery`] on a bound statement; the benchmark
+    /// package's per-layer trace calls it.
     pub fn run_subquery_bound(&self, sql: &str, params: &[Value]) -> EngineResult<QueryOutput> {
-        self.run_guarded(&ReadRequest::bound(sql, params))
+        self.run_subquery(&ReadRequest::bound(sql, params))
     }
 
     /// Marks an externally detected failure (the engine's sub-query
@@ -236,7 +236,7 @@ impl NodeProcessor {
 
 /// The dispatch ticket: holding it keeps this node's updates ordered after
 /// the sub-query. It is only the snapshot guard — the sub-query itself runs
-/// through the processor ([`NodeProcessor::run_subquery_bound`]), on
+/// through the processor ([`NodeProcessor::run_subquery`]), on
 /// whichever thread the dispatcher chooses.
 pub struct SubqueryTicket<'a> {
     _shared: parking_lot::RwLockReadGuard<'a, ()>,
@@ -303,7 +303,7 @@ mod tests {
     fn subquery_carries_the_hint_and_the_session_keeps_its_setting() {
         let (np, engine_node) = node();
         let ticket = np.begin_subquery();
-        let with_hint = np.run_subquery_statement(WIDE).unwrap();
+        let with_hint = np.run_subquery(&ReadRequest::text(WIDE)).unwrap();
         drop(ticket);
         let without = np.execute_read(&ReadRequest::text(WIDE)).unwrap();
         assert_eq!(with_hint.rows, without.rows);
@@ -311,7 +311,7 @@ mod tests {
         // EXPLAIN of a sub-query plans under the same hint; a pass-through
         // EXPLAIN plans as the session would.
         let explain = format!("explain {WIDE}");
-        let hinted_plan = plan_of(&np.run_subquery_statement(&explain).unwrap());
+        let hinted_plan = plan_of(&np.run_subquery(&ReadRequest::text(&explain)).unwrap());
         assert!(hinted_plan.contains("index range"), "{hinted_plan}");
         let plain_plan = plan_of(&np.execute_read(&ReadRequest::text(&explain)).unwrap());
         assert!(plain_plan.contains("seq scan"), "{plain_plan}");
@@ -325,11 +325,13 @@ mod tests {
         let sql = "select sum(v) as s from t where k >= $1 and k < $2";
         let ticket = np.begin_subquery();
         let want = np
-            .run_subquery_statement("select sum(v) as s from t where k >= 10 and k < 20")
+            .run_subquery(&ReadRequest::text(
+                "select sum(v) as s from t where k >= 10 and k < 20",
+            ))
             .unwrap();
         for _ in 0..3 {
             let got = np
-                .run_subquery_bound(sql, &[Value::Int(10), Value::Int(20)])
+                .run_subquery(&ReadRequest::bound(sql, &[Value::Int(10), Value::Int(20)]))
                 .unwrap();
             assert_eq!(got.rows, want.rows);
         }
@@ -363,7 +365,9 @@ mod tests {
         let overlapped = std::thread::scope(|s| {
             let sub = s.spawn(|| {
                 let _ticket = np.begin_subquery();
-                np.run_subquery_statement("select count(*) as n from t where k >= 0")
+                np.run_subquery(&ReadRequest::text(
+                    "select count(*) as n from t where k >= 0",
+                ))
             });
             while faulty.matching_calls() == 0 {
                 std::thread::yield_now();
@@ -406,10 +410,10 @@ mod tests {
     fn statement_outcomes_feed_the_health_tracker() {
         let (np, _) = node();
         let ticket = np.begin_subquery();
-        np.run_subquery_statement("select count(*) as n from t")
+        np.run_subquery(&ReadRequest::text("select count(*) as n from t"))
             .unwrap();
         assert!(np
-            .run_subquery_statement("select nope from missing")
+            .run_subquery(&ReadRequest::text("select nope from missing"))
             .is_err());
         drop(ticket);
         // The unknown table is the statement's error, not the node's.
@@ -421,7 +425,7 @@ mod tests {
             FaultPlan::fail_all(),
         ));
         let err = dead
-            .run_subquery_statement("select count(*) as n from t")
+            .run_subquery(&ReadRequest::text("select count(*) as n from t"))
             .unwrap_err();
         assert!(matches!(err, EngineError::Unavailable(_)), "{err:?}");
         assert_eq!(dead.health().failures(0), 1);

@@ -47,7 +47,7 @@ pub struct QueryOutput {
 }
 
 /// Session-level settings, typed: every `SET` name the engine acts on is
-/// parsed once in [`Database::apply_set`] and read back as one atomic load,
+/// parsed once in `Database::apply_set` and read back as one atomic load,
 /// so no statement path locks a map or re-parses a string. Any other name
 /// is accepted and only echoed ([`Database::setting`]) so drivers can
 /// round-trip it.

@@ -1,9 +1,9 @@
 //! Expression evaluation with SQL three-valued logic.
 //!
-//! There is one evaluator. [`compile_expr`] turns an [`Expr`] into a
-//! [`CompiledExpr`] — once per operator per execution, and it never fails —
-//! and [`eval_compiled`] runs that program against a row. Compiling resolves
-//! every name ([`Scope`]): a column of the operator's own row becomes a
+//! There is one evaluator. `compile_expr` turns an [`Expr`] into a
+//! `CompiledExpr` — once per operator per execution, and it never fails —
+//! and `eval_compiled` runs that program against a row. Compiling resolves
+//! every name (`Scope`): a column of the operator's own row becomes a
 //! position in it; a column of an enclosing query (the outer references of
 //! TPC-H Q4's and Q21's correlated subqueries) a position in one of the
 //! enclosing [`Frame`]s; an aggregate call inside an aggregation the cell its
@@ -22,7 +22,7 @@
 //! The three subquery forms compile to nodes holding their `Arc<Select>`;
 //! how each is evaluated — a semi-/anti-join probe for a single-table
 //! `EXISTS`, once per execution for an uncorrelated `IN` or scalar subquery,
-//! [`exec::run_select`] per evaluation otherwise — is [`crate::subquery`]'s.
+//! [`exec::run_select`] per evaluation otherwise — is `crate::subquery`'s.
 //!
 //! The row-at-a-time interpreter over `Expr` and a frame stack that this
 //! replaced is kept under `#[cfg(test)]` (`reference`, at the end of this

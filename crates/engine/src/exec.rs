@@ -1,8 +1,8 @@
 //! Execution infrastructure shared across the engine: the per-statement
 //! context and statistics, column binding/resolution, and the row-id scan
-//! the DML path mutates through (aggregation is [`crate::agg`]'s).
+//! the DML path mutates through (aggregation is `crate::agg`'s).
 //!
-//! SELECT execution itself lives in [`crate::physical`]: the planner lowers
+//! SELECT execution itself lives in `crate::physical`: the planner lowers
 //! every query to a batch-at-a-time physical operator tree, and
 //! [`run_select`] is now a thin wrapper that lowers and drains that tree.
 //! The pieces here are the parts both that pipeline and the write path
@@ -344,7 +344,7 @@ pub fn select_has_aggregates(q: &Select) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Rows per batch everywhere in the physical pipeline: operators exchange
-/// [`crate::physical`] batches of this many rows, and stats counters are
+/// `crate::physical` batches of this many rows, and stats counters are
 /// charged once per batch (identical totals to per-row charging, a
 /// fraction of the borrow traffic). Public so the cluster layer's
 /// streaming sinks can chunk at the same grain. It is the heap's segment

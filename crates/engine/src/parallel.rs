@@ -7,7 +7,7 @@
 //! [`WorkerPool`] is started lazily per [`crate::Database`] the first time
 //! a statement runs with `SET parallel_workers` ≥ 2 and lives for the
 //! database's lifetime; the physical layer
-//! ([`crate::physical`]) splits eligible scans into page-aligned morsels
+//! (`crate::physical`) splits eligible scans into page-aligned morsels
 //! and runs one scan→filter→partial-aggregate pipeline per morsel on this
 //! pool, merging partial states in morsel order so results and statistics
 //! stay byte-identical to serial execution.

@@ -3,9 +3,9 @@
 //! A clustered table also tracks its *ordered prefix*: how many leading
 //! slots of the heap are in clustering-key order. A key range on the
 //! clustering column is a slot interval of the prefix — two binary
-//! searches on the stored key column ([`Table::prefix_slots`]) — plus
+//! searches on the stored key column (`Table::prefix_slots`) — plus
 //! whichever rows of the *tail* behind it fall in the range
-//! ([`KeyRange::contains`]).
+//! (`KeyRange::contains`).
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;

@@ -1,18 +1,22 @@
 //! The simulated cluster: N real replicas plus the Apuama machinery,
 //! driven single-threaded by the event loop.
 //!
-//! An SVP query runs here as the engine runs it: range `i`'s bound
-//! sub-query (`plan.prepared[i]`) on node `i`, one composition through the
-//! [`apuama::StreamingComposer`], and, with a node failing, the failed
-//! range requeued by the engine's own [`apuama::route`]. Only time is
-//! priced: [`SimCluster::exec_svp`] is the one place a plan executes, and
+//! An SVP query runs here as the engine runs it: the engine's dispatcher
+//! ([`apuama::Dispatch`]) places each range's bound sub-query and requeues
+//! a failed one, and one composition runs through the
+//! [`apuama::StreamingComposer`]. Only time is priced:
+//! [`SimCluster::exec_svp`] is the one place a plan executes, and
 //! [`SimCluster::compose_timed`] prices its composition on two timelines.
 
-use apuama::{DataCatalog, Rewritten, StreamingComposer, SvpPlan, SvpRewriter};
-use apuama_engine::{Database, EngineResult, ExecStats, QueryOutput, ReadRequest};
+use apuama::{
+    Action, DataCatalog, Dispatch, Event, NodeState, Rewritten, StreamingComposer, SvpPlan,
+    SvpRewriter,
+};
+use apuama_engine::{Database, EngineError, EngineResult, ExecStats, QueryOutput, ReadRequest};
 use apuama_tpch::{load_into, TpchData};
 
 use crate::cost::CostModel;
+use crate::des::EventQueue;
 
 /// Cluster construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -47,7 +51,7 @@ pub struct SimClusterConfig {
 /// virtual time: each attempt burns `detect_ms` (error round trip or
 /// timeout), `retries` same-node retries are exhausted, and the range then
 /// runs whole, from the moment the failure is detected, on the survivor
-/// the engine routes it to (see [`SimCluster::exec_svp`]).
+/// the dispatcher requeues it to (see [`SimCluster::exec_svp`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimFault {
     /// The failing node.
@@ -286,53 +290,78 @@ impl SimCluster {
         Ok(self.config.cost.statement_ms(&out.stats))
     }
 
-    /// Executes every range of `plan` **now** — range `i` on node `i`, all
-    /// dispatched at once (the dispatch-time snapshot) — and prices their
-    /// composition. Returns when each partial leaves its node, beside the
-    /// priced composition.
+    /// Executes every range of `plan` **now**, where [`apuama::Dispatch`]
+    /// places it, all dispatched at once (the dispatch-time snapshot), and
+    /// prices their composition. Returns when each partial leaves its node,
+    /// beside the priced composition.
     ///
-    /// With `fault` set, that node's range is not run there: every attempt
-    /// burns `detect_ms`, and once the last one fails the range runs whole
-    /// on the node [`apuama::route`] picks from the tickets the engine
-    /// still holds at that moment — the survivors still running and the
-    /// first to have finished. It runs at once, beside that node's own
-    /// range, so it lands `detect_ms × (retries + 1)` plus its own time
-    /// after dispatch. The partial keeps its range index, so the answer
-    /// matches the healthy cluster's exactly; only the arrival schedule
-    /// the composer is priced against degrades.
+    /// With `fault` set, that node runs nothing: every attempt burns
+    /// `detect_ms`, and the failure reaches the dispatcher at `detect_ms ×
+    /// (retries + 1)`, after every partial landing by then, one landing at
+    /// that instant included. The range then runs whole from the detection
+    /// on, where the dispatcher requeues it, and keeps its range index, so
+    /// the answer matches the healthy cluster's exactly; only the arrival
+    /// schedule the composer is priced against degrades.
     pub fn exec_svp(
         &self,
         plan: &SvpPlan,
         fault: Option<SimFault>,
     ) -> EngineResult<(Vec<f64>, ComposedTiming)> {
-        let failed = fault.map(|f| f.node);
-        let mut partials = Vec::with_capacity(plan.ranges.len());
-        let mut finish_ms = Vec::with_capacity(plan.ranges.len());
-        for i in (0..plan.ranges.len()).filter(|&i| Some(i) != failed) {
-            let (out, ms) = self.exec_range(i, plan, i)?;
-            partials.push(out);
-            finish_ms.push(ms);
+        let ranges = plan.ranges.len();
+        let states = vec![NodeState::Available; self.nodes.len()];
+        let mut actions = Vec::new();
+        let mut dispatch = Dispatch::start(ranges, &states, true, &mut actions)?;
+        let (mut partials, mut finish_ms) = (vec![None; ranges], vec![0.0; ranges]);
+        // `(failed, range, node)` as each run reaches the dispatcher; ties
+        // go in scheduling order, and a failure is scheduled last.
+        let mut arrivals = EventQueue::new();
+        let mut failure = None;
+        loop {
+            for action in actions.drain(..) {
+                match action {
+                    Action::Run { range, node } => match fault.filter(|f| f.node == node) {
+                        Some(f) => {
+                            failure = Some((f.detect_ms * (f.retries + 1) as f64, range, node))
+                        }
+                        None => {
+                            let (out, ms) = self.exec_range(node, plan, range)?;
+                            partials[range] = Some(out);
+                            finish_ms[range] = arrivals.now() + ms;
+                            arrivals.schedule(finish_ms[range], (false, range, node));
+                        }
+                    },
+                    Action::Fail(e) => return Err(e),
+                    Action::Finish => {
+                        let partials: Vec<QueryOutput> = partials.into_iter().flatten().collect();
+                        let timed = self.compose_timed(plan, &partials, &finish_ms)?;
+                        return Ok((finish_ms, timed));
+                    }
+                    // Tickets, cancels and folds take no virtual time here:
+                    // `compose_timed` prices the composition.
+                    _ => {}
+                }
+            }
+            if let Some((at, range, node)) = failure.take() {
+                arrivals.schedule(at, (true, range, node));
+            }
+            let Some((_, (failed, range, node))) = arrivals.pop() else {
+                let e = "SVP dispatch ended without an answer";
+                return Err(EngineError::Unsupported(e.into()));
+            };
+            let event = match fault.filter(|_| failed) {
+                Some(f) => Event::Failed {
+                    range,
+                    node,
+                    attempts: f.retries + 1,
+                    node_fault: true,
+                    error: EngineError::Unavailable(format!("node {node} is down")),
+                    live: true,
+                    available: &|_| true,
+                },
+                None => Event::Partial(range, node, 1),
+            };
+            dispatch.on(event, &mut actions);
         }
-        if let Some(fault) = fault {
-            let detected_at = fault.detect_ms * (fault.retries + 1) as f64;
-            // The failed range lands at detection plus its own time.
-            finish_ms.insert(fault.node, detected_at);
-            let running = |j: usize| j != fault.node && finish_ms[j] > detected_at;
-            let spare = (0..finish_ms.len())
-                .filter(|&j| j != fault.node && !running(j))
-                .min_by(|&a, &b| finish_ms[a].total_cmp(&finish_ms[b]));
-            let outstanding: Vec<usize> = (0..finish_ms.len())
-                .map(|j| usize::from(running(j)))
-                .collect();
-            let target =
-                apuama::route(fault.node, &outstanding, |j| running(j) || Some(j) == spare)
-                    .expect("a survivor holds a ticket");
-            let (out, ms) = self.exec_range(target, plan, fault.node)?;
-            finish_ms[fault.node] += ms;
-            partials.insert(fault.node, out);
-        }
-        let timed = self.compose_timed(plan, &partials, &finish_ms)?;
-        Ok((finish_ms, timed))
     }
 
     /// Composes partial results once, through the streaming composer the

@@ -89,10 +89,14 @@ echo "== lifted text reads: plan-cache equivalence and hit accounting (DESIGN.md
 # By name: a text SELECT runs from the plan cache with its WHERE literals
 # lifted into bound values; it must answer what the statement with its
 # literals in place answers, counter for counter, and a thousand point
-# reads through the controller must cost each serving node one miss.
+# reads through the controller must cost each serving node one miss. A
+# cached single-table plan carries its scan and projection compiled; it must
+# re-plan after `create index` and after its table grows, and answer what
+# the uncached statement answers before and after.
 timeout "$SUITE_TIMEOUT" cargo test -q --test property_prepared -- lifted
 timeout "$SUITE_TIMEOUT" cargo test -q --test end_to_end -- distinct_key_point_reads_miss_once_per_serving_node
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine --lib lifted_tests
+timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine --lib a_cached_point_plan_replans_after_an_index_and_after_growth
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-sql --lib lift
 
 echo "== key filters on a join's driving scan against nested loops (DESIGN.md §10) =="

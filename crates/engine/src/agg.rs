@@ -268,6 +268,8 @@ impl Acc {
     /// a vectorized argument feeds in practice.
     pub(crate) fn update_f64(&mut self, x: f64) -> EngineResult<()> {
         match self {
+            // A `Float` is never NULL, NaN included: it counts.
+            Acc::CountStar(n) | Acc::Count { n, distinct: None } => *n += 1,
             Acc::Sum {
                 float,
                 any_float,
@@ -941,6 +943,48 @@ mod tests {
                     assert_eq!(floats, boxed, "{spec:?} over {values:?}");
                 }
             }
+        }
+    }
+
+    /// `count(x)` over a computed or a NULL-free `Float` column — the two
+    /// unboxed batch forms — counts what the boxed update counts, NaN
+    /// included; a `DISTINCT` one keeps the boxed path's answer.
+    #[test]
+    fn a_float_count_folds_to_the_boxed_count() {
+        let xs = [0.5, f64::NAN, -2.0, 0.5, f64::NAN, 7.25];
+        let slots: Vec<u32> = (0..xs.len() as u32).rev().collect();
+        for distinct in [false, true] {
+            let spec = AggSpec {
+                key: String::new(),
+                name: "count".into(),
+                arg: None,
+                distinct,
+                star: false,
+            };
+            let mut boxed = Acc::new(&spec);
+            for &x in &xs {
+                boxed.update(Some(Value::Float(x))).unwrap();
+            }
+            let boxed = boxed.finalize();
+            let fold = |values: BatchValues<'_>| {
+                let mut groups = Groups::new();
+                groups.push(
+                    Vec::new(),
+                    GroupState {
+                        rep_row: Vec::new(),
+                        accs: vec![Acc::new(&spec)],
+                    },
+                );
+                groups.fold_column(0, &[0; 6], values).unwrap();
+                let mut state = groups.into_states().pop().unwrap();
+                state.accs.pop().unwrap().finalize()
+            };
+            if !distinct {
+                assert_eq!(boxed, Value::Int(6));
+            }
+            assert_eq!(fold(BatchValues::Floats(&xs)), boxed, "distinct {distinct}");
+            let col = BatchValues::FloatCol(&xs, &slots);
+            assert_eq!(fold(col), boxed, "distinct {distinct}");
         }
     }
 

@@ -218,8 +218,9 @@ impl Database {
         self.catalog.get(name).map(|s| &self.tables[s.id as usize])
     }
 
-    /// The table a compiled plan fragment resolved by name earlier in the
-    /// same execution (ids index the table vector directly).
+    /// The table a compiled plan fragment resolved by name, earlier in the
+    /// same execution or at lowering (ids index the table vector directly;
+    /// tables are only ever appended, so an id keeps naming its table).
     pub(crate) fn table_by_id(&self, id: TableId) -> &Table {
         &self.tables[id as usize]
     }
@@ -457,7 +458,7 @@ impl Database {
     fn select_output(rel: exec::Relation, ctx: &ExecContext<'_>) -> QueryOutput {
         ctx.record_output(&rel);
         QueryOutput {
-            columns: rel.column_names(),
+            columns: rel.bindings.into_iter().map(|b| b.name).collect(),
             rows: rel.rows,
             rows_affected: 0,
             stats: ctx.take_stats(),
@@ -1609,6 +1610,57 @@ mod prepared_tests {
         d.query_bound(Q1ISH, &[Value::Int(0), Value::Int(10000)])
             .unwrap();
         assert_eq!(d.plan_cache_stats().replans, 1);
+    }
+
+    /// A cached point read holds its scan and projection compiled, so it
+    /// must be re-planned whenever they may be stale: after `create index`
+    /// (a new catalog version) and after the table grows (a new stats
+    /// token). Before and after each, a bound execution answers the rows
+    /// and work counters of the statement run uncached, literals in place.
+    #[test]
+    fn a_cached_point_plan_replans_after_an_index_and_after_growth() {
+        const POINT: &str = "select l_orderkey, l_quantity from lineitem \
+             where l_orderkey = $1 and l_quantity > $2";
+        let work = |s: &ExecStats| {
+            let pages = s.buffer.accesses();
+            (
+                s.rows_scanned,
+                s.cpu_tuple_ops,
+                s.index_probes,
+                s.rows_out,
+                pages,
+            )
+        };
+        let check = |d: &mut Database, key: i64| {
+            let params = [Value::Int(key), Value::Float(1.0)];
+            let bound = d.query_bound(POINT, &params).unwrap();
+            let text = POINT.replace("$1", &key.to_string()).replace("$2", "1.0");
+            let uncached = d.execute(&text).unwrap();
+            assert_eq!(bound.columns, uncached.columns);
+            assert_eq!(bound.rows, uncached.rows, "{text}");
+            assert_eq!(work(&bound.stats), work(&uncached.stats), "{text}");
+            bound.rows
+        };
+        let mut d = lineitem_db(500);
+        assert_eq!(check(&mut d, 8).len(), 1);
+        // `l_quantity` 0.25: the residual conjunct drops the row.
+        assert_eq!(check(&mut d, 14).len(), 0);
+        let s = d.plan_cache_stats();
+        assert_eq!((s.misses, s.hits), (1, 1), "{s:?}");
+
+        d.execute("create index li_qty on lineitem (l_quantity)")
+            .unwrap();
+        assert_eq!(check(&mut d, 9).len(), 1);
+        let s = d.plan_cache_stats();
+        assert_eq!((s.misses, s.invalidations), (2, 1), "{s:?}");
+
+        d.execute("insert into lineitem values (9000, 6.25, 'A')")
+            .unwrap();
+        let row = check(&mut d, 9000);
+        assert_eq!(row, vec![vec![Value::Int(9000), Value::Float(6.25)]]);
+        assert_eq!(check(&mut d, 10).len(), 1);
+        let s = d.plan_cache_stats();
+        assert_eq!((s.misses, s.hits, s.replans), (3, 2, 1), "{s:?}");
     }
 
     #[test]

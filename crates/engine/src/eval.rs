@@ -1,7 +1,8 @@
 //! Expression evaluation with SQL three-valued logic.
 //!
 //! There is one evaluator. `compile_expr` turns an [`Expr`] into a
-//! `CompiledExpr` — once per operator per execution, and it never fails —
+//! `CompiledExpr` — once per operator per execution, or once per cached
+//! plan where the program needs no execution, and it never fails —
 //! and `eval_compiled` runs that program against a row. Compiling resolves
 //! every name (`Scope`): a column of the operator's own row becomes a
 //! position in it; a column of an enclosing query (the outer references of

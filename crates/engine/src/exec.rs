@@ -44,13 +44,6 @@ pub struct Relation {
     pub rows: Vec<Row>,
 }
 
-impl Relation {
-    /// Output column names (used for final results).
-    pub fn column_names(&self) -> Vec<String> {
-        self.bindings.iter().map(|b| b.name.clone()).collect()
-    }
-}
-
 /// Resolves a column reference against a binding list.
 pub fn resolve_column(bindings: &[Binding], col: &apuama_sql::ColumnRef) -> EngineResult<usize> {
     let mut found = None;

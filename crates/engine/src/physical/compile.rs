@@ -180,21 +180,7 @@ pub(crate) fn plan_scan<'x>(
     single: &'x [Expr],
     ctx: &ExecContext<'_>,
 ) -> (planner::ScanChoice, Vec<&'x Expr>) {
-    let eval_const = |e: &Expr| -> Option<Value> {
-        if exec::expr_has_columns(e) {
-            None
-        } else {
-            eval::eval_once(e, ctx).ok()
-        }
-    };
-    let choice = planner::choose_access_path(
-        table,
-        binding_name,
-        single,
-        ctx.seqscan_allowed(),
-        ctx.db.indexscan_enabled(),
-        &eval_const,
-    );
+    let choice = choose_path(table, binding_name, single, ctx);
     let residual = single
         .iter()
         .enumerate()
@@ -202,6 +188,31 @@ pub(crate) fn plan_scan<'x>(
         .map(|(_, e)| e)
         .collect();
     (choice, residual)
+}
+
+/// [`plan_scan`]'s access path alone: the conjuncts it leaves are those
+/// whose positions `consumed` does not list.
+pub(crate) fn choose_path(
+    table: &Table,
+    binding_name: &str,
+    single: &[Expr],
+    ctx: &ExecContext<'_>,
+) -> planner::ScanChoice {
+    let eval_const = |e: &Expr| -> Option<Value> {
+        if exec::expr_has_columns(e) {
+            None
+        } else {
+            eval::eval_once(e, ctx).ok()
+        }
+    };
+    planner::choose_access_path(
+        table,
+        binding_name,
+        single,
+        ctx.seqscan_allowed(),
+        ctx.db.indexscan_enabled(),
+        &eval_const,
+    )
 }
 
 // ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
@@ -107,7 +108,7 @@ pub(crate) struct TimedExec<'e> {
 }
 
 impl<'e> Operator<'e> for TimedExec<'e> {
-    fn open(&mut self) -> EngineResult<Vec<Binding>> {
+    fn open(&mut self) -> EngineResult<Cow<'e, [Binding]>> {
         let start = Instant::now();
         let r = self.inner.open();
         self.az.record(self.idx, 0, 0, start.elapsed().as_nanos());

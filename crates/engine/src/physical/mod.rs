@@ -6,7 +6,9 @@
 //! [`Operator::next_batch`] over [`RowBatch`]es of up to
 //! [`exec::SCAN_BATCH_ROWS`] rows. One executor serves every shape, and
 //! each operator has one `next_batch` body, over programs compiled once at
-//! `open` ([`crate::eval::compile_expr`], which never fails): there is no
+//! `open` ([`crate::eval::compile_expr`], which never fails) — or once at
+//! lowering, where no execution is needed ([`FusedPlan`], a cached plan's
+//! [`CompiledSource`]): there is no
 //! interpreted arm beside it. What such an arm would stand for is carried
 //! by the program instead — one that evaluates a subquery
 //! ([`CompiledExpr::has_subquery`]) is not vectorized, is handed the whole
@@ -86,8 +88,11 @@
 //! statistics never do — and an error only a tuple the joins eliminate
 //! would have raised in a relocated subquery conjunct no longer surfaces.
 
+use std::borrow::Cow;
+
 use apuama_sql::ast::{ColumnRef, Expr, Select, SelectItem, SetQuantifier, TableRef};
 use apuama_sql::visit;
+use apuama_storage::TableId;
 
 use crate::agg::{self, AggSpec};
 use crate::db::Database;
@@ -139,6 +144,46 @@ pub(crate) struct GeneralPlan {
     edges: Vec<planner::JoinEdge>,
     post: Vec<(Expr, Vec<String>)>,
     aggregated: bool,
+    /// A lone base-table input compiled at lowering ([`compile_source`]);
+    /// `None` leaves its scan and projection to compile at `open`.
+    source: Option<Box<CompiledSource>>,
+}
+
+/// The general tree's single-table source compiled once, at lowering, the
+/// way the fusion rule compiles its plan: against the table alone, with no
+/// execution in hand, bound values folded per execution
+/// ([`eval::prebind_params`]). What is left to `open` is the access path,
+/// chosen from the values bound, and the residual list it leaves.
+#[derive(Debug, Clone)]
+pub(crate) struct CompiledSource {
+    pub(crate) scan: CompiledScan,
+    /// The projection over the scan's rows; `None` for an aggregation, or
+    /// a select list or ORDER BY that reaches past the row.
+    pub(crate) project: Option<CompiledProject>,
+}
+
+/// A base-table scan's bindings and conjunct programs, resolved at
+/// lowering.
+#[derive(Debug, Clone)]
+pub(crate) struct CompiledScan {
+    pub(crate) table: TableId,
+    /// Cells of the table's row: what the conjunct programs index.
+    pub(crate) width: usize,
+    /// Kept column positions, when the output is narrower than the table.
+    pub(crate) cols: Option<Vec<usize>>,
+    pub(crate) out_bindings: Vec<Binding>,
+    /// One program per pushed-down conjunct, aligned with the input's
+    /// `single`.
+    pub(crate) single: Vec<CompiledExpr>,
+}
+
+/// A projection's output and programs, resolved at lowering against the
+/// scan's output row.
+#[derive(Debug, Clone)]
+pub(crate) struct CompiledProject {
+    pub(crate) out_bindings: Vec<Binding>,
+    pub(crate) items: Vec<ItemProg>,
+    pub(crate) order: Vec<OrderKeyProg>,
 }
 
 /// One FROM item with its pushed-down single-scope conjuncts.
@@ -193,29 +238,44 @@ pub(crate) struct FusedPlan {
 /// Lowers a SELECT to its physical shape. Infallible by design: unknown
 /// tables and other execution-time errors surface when the tree is opened,
 /// exactly where the interpreter surfaced them.
+///
+/// This is the plan cache's lowering: the plan runs again for every bound
+/// execution, so the general tree's single-table source is compiled here
+/// too ([`CompiledSource`]).
 pub(crate) fn lower(q: Select, db: &Database, kernel_on: bool) -> PhysicalPlan {
+    lower_plan(q, db, kernel_on, true)
+}
+
+/// The shape of a statement lowered to run once — an uncached read, a
+/// subquery, `EXPLAIN` — whose general tree compiles at `open`.
+pub(crate) fn lower_shape(q: &Select, db: &Database, kernel_on: bool) -> Shape {
+    lower_shape_for(q, db, kernel_on, false)
+}
+
+/// `cached`: compile the general tree's single-table source at lowering.
+fn lower_plan(q: Select, db: &Database, kernel_on: bool, cached: bool) -> PhysicalPlan {
     PhysicalPlan {
-        shape: lower_shape(&q, db, kernel_on),
+        shape: lower_shape_for(&q, db, kernel_on, cached),
         // The plan owns its statement so the plan cache can keep it past
         // the parse.
         select: q,
     }
 }
 
-pub(crate) fn lower_shape(q: &Select, db: &Database, kernel_on: bool) -> Shape {
+fn lower_shape_for(q: &Select, db: &Database, kernel_on: bool, cached: bool) -> Shape {
     if kernel_on {
         if let Some(f) = compile_fused(q, db) {
             return Shape::Fused(f);
         }
     }
-    Shape::General(lower_general(q, db, kernel_on))
+    Shape::General(lower_general(q, db, kernel_on, cached))
 }
 
 /// The general lowering: classify WHERE conjuncts against the FROM scopes
 /// (single-scope → pushed into that scan, equality across two scopes → a
 /// join edge, the rest → post-filters) and lower derived tables
 /// recursively.
-pub(crate) fn lower_general(q: &Select, db: &Database, kernel_on: bool) -> GeneralPlan {
+fn lower_general(q: &Select, db: &Database, kernel_on: bool, cached: bool) -> GeneralPlan {
     let catalog = db.catalog();
     let scopes = planner::scopes_for_from(&q.from, catalog);
 
@@ -244,7 +304,7 @@ pub(crate) fn lower_general(q: &Select, db: &Database, kernel_on: bool) -> Gener
     }
 
     let used = input_columns(q, &edges, &post);
-    let inputs = q
+    let inputs: Vec<InputNode> = q
         .from
         .iter()
         .zip(single)
@@ -267,18 +327,106 @@ pub(crate) fn lower_general(q: &Select, db: &Database, kernel_on: bool) -> Gener
             },
             TableRef::Subquery { query, alias } => InputNode::Derived {
                 alias: alias.clone(),
-                plan: Box::new(lower(query.as_ref().clone(), db, kernel_on)),
+                plan: Box::new(lower_plan(query.as_ref().clone(), db, kernel_on, cached)),
                 single,
             },
         })
         .collect();
 
+    let aggregated = !q.group_by.is_empty() || exec::select_has_aggregates(q);
+    let source = match inputs.as_slice() {
+        [input] if cached => compile_source(q, input, aggregated, db).map(Box::new),
+        _ => None,
+    };
     GeneralPlan {
         inputs,
         edges,
         post,
-        aggregated: !q.group_by.is_empty() || exec::select_has_aggregates(q),
+        aggregated,
+        source,
     }
+}
+
+/// Compiles a lone base-table input — and, unless the statement
+/// aggregates, the projection above it — for [`CompiledSource`]. Every
+/// program must be positional ([`CompiledExpr::is_positional`]): one that
+/// evaluates a subquery, reads an enclosing frame or carries a name error
+/// needs the execution it runs in, so the whole source then keeps compiling
+/// at `open`. A positional program resolves every name against its own row,
+/// which the frames around an execution cannot shadow, so it is the program
+/// `open` would compile, parameters aside.
+fn compile_source(
+    q: &Select,
+    input: &InputNode,
+    aggregated: bool,
+    db: &Database,
+) -> Option<CompiledSource> {
+    let InputNode::Table {
+        name,
+        alias,
+        single,
+        keep,
+    } = input
+    else {
+        return None;
+    };
+    let table = db.table(name)?;
+    let bindings = exec::bindings_for_table(&table.schema, alias.as_deref());
+    let scope = Scope {
+        bindings: &bindings,
+        outer: &[],
+        aggs: &[],
+        ctx: None,
+    };
+    let compiled_single = (single.iter())
+        .map(|e| Some(eval::compile_expr(e, &scope)).filter(CompiledExpr::is_positional))
+        .collect::<Option<Vec<_>>>()?;
+    let cols = keep
+        .as_deref()
+        .and_then(|keep| kept_positions(&table.schema, keep));
+    let out_bindings: Vec<Binding> = match &cols {
+        Some(cols) => cols.iter().map(|&c| bindings[c].clone()).collect(),
+        None => bindings.clone(),
+    };
+    let project = (!aggregated)
+        .then(|| compile_project(q, &out_bindings))
+        .flatten();
+    Some(CompiledSource {
+        scan: CompiledScan {
+            table: table.schema.id,
+            width: bindings.len(),
+            cols,
+            out_bindings,
+            single: compiled_single,
+        },
+        project,
+    })
+}
+
+/// [`compile_output`] at lowering, over the scan's output row; `None` when
+/// a program is not positional.
+fn compile_project(q: &Select, in_bindings: &[Binding]) -> Option<CompiledProject> {
+    let out_bindings = exec::output_bindings(q, in_bindings);
+    let out_names: Vec<String> = out_bindings.iter().map(|b| b.name.clone()).collect();
+    let scope = Scope {
+        bindings: in_bindings,
+        outer: &[],
+        aggs: &[],
+        ctx: None,
+    };
+    let (items, order) = compile_output(q, &out_names, &scope);
+    let positional = items.iter().all(|i| match i {
+        ItemProg::Wildcard => true,
+        ItemProg::Expr(c) => c.is_positional(),
+    }) && order.iter().all(|o| match o {
+        OrderKeyProg::Output(_) => true,
+        OrderKeyProg::Expr(c) => c.is_positional(),
+    });
+    positional.then_some(CompiledProject {
+        out_bindings,
+        items,
+        order,
+    })
 }
 
 /// Every column reference a statement's inputs may have to serve: the
@@ -427,7 +575,7 @@ pub(crate) fn compile_fused(q: &Select, db: &Database) -> Option<FusedPlan> {
 /// stream is exhausted. A batch owns its rows: the heap stores columns, so
 /// there is no row for a scan to lend.
 pub(crate) trait Operator<'e> {
-    fn open(&mut self) -> EngineResult<Vec<Binding>>;
+    fn open(&mut self) -> EngineResult<Cow<'e, [Binding]>>;
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch>>;
 
     /// How the operator evaluates each of its subquery predicates (valid
@@ -460,7 +608,10 @@ pub(crate) fn execute_shape<'e>(
         ctx.check_interrupt()?;
         rows.extend(batch.rows);
     }
-    Ok(Relation { bindings, rows })
+    Ok(Relation {
+        bindings: bindings.into_owned(),
+        rows,
+    })
 }
 
 /// Wraps a freshly built operator in a timing probe when an `EXPLAIN
@@ -535,9 +686,10 @@ pub(crate) fn build_tree<'e>(
                     children,
                 )
             } else {
+                let project = g.source.as_ref().and_then(|s| s.project.as_ref());
                 instrument(
                     az,
-                    Box::new(ProjectExec::new(q, source, outer, ctx)),
+                    Box::new(ProjectExec::new(q, source, project, outer, ctx)),
                     || format!("project ({} column(s))", q.items.len()),
                     children,
                 )
@@ -582,7 +734,8 @@ pub(crate) fn build_source<'e>(
     az: Option<&'e Analyze>,
 ) -> (Box<dyn Operator<'e> + 'e>, Option<usize>) {
     if g.inputs.len() == 1 {
-        let (base, bidx) = build_input(&g.inputs[0], outer, ctx, az);
+        let compiled = g.source.as_ref().map(|s| &s.scan);
+        let (base, bidx) = build_input(&g.inputs[0], compiled, outer, ctx, az);
         // With one scope every post predicate is scope-free (single-scope
         // conjuncts were pushed into the scan), so all of them apply here.
         if g.post.is_empty() {
@@ -627,8 +780,11 @@ pub(crate) fn scan_label(
     label
 }
 
+/// One FROM item's operator; `compiled` is a base table's scan as lowering
+/// compiled it, when it could.
 pub(crate) fn build_input<'e>(
     node: &'e InputNode,
+    compiled: Option<&'e CompiledScan>,
     outer: &'e [Frame<'e>],
     ctx: &'e ExecContext<'e>,
     az: Option<&'e Analyze>,
@@ -641,7 +797,7 @@ pub(crate) fn build_input<'e>(
             keep,
         } => {
             let (alias, keep) = (alias.as_deref(), keep.as_deref());
-            let scan = ScanExec::new(name, alias, single, keep, outer, ctx);
+            let scan = ScanExec::new(name, alias, single, keep, outer, ctx).compiled(compiled);
             let label = || scan_label(name, alias, None, keep, ctx);
             instrument(az, Box::new(scan), label, Vec::new())
         }

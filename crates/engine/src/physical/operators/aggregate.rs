@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use apuama_sql::ast::Select;
 use apuama_sql::Value;
 use apuama_storage::Row;
@@ -81,8 +83,8 @@ impl<'e> AggregateExec<'e> {
 }
 
 impl<'e> Operator<'e> for AggregateExec<'e> {
-    fn open(&mut self) -> EngineResult<Vec<Binding>> {
-        self.in_bindings = self.child.open()?;
+    fn open(&mut self) -> EngineResult<Cow<'e, [Binding]>> {
+        self.in_bindings = self.child.open()?.into_owned();
         let scope = Scope::new(&self.in_bindings, self.outer, self.ctx);
         let keys = key_progs(
             self.q
@@ -97,7 +99,7 @@ impl<'e> Operator<'e> for AggregateExec<'e> {
             })
             .collect();
         self.progs = (keys, args);
-        Ok(exec::output_bindings(self.q, &self.in_bindings))
+        Ok(exec::output_bindings(self.q, &self.in_bindings).into())
     }
 
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {

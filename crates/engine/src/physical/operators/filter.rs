@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use apuama_sql::ast::Expr;
 use apuama_storage::Row;
 
@@ -73,7 +75,7 @@ impl<'e> FilterExec<'e> {
 }
 
 impl<'e> Operator<'e> for FilterExec<'e> {
-    fn open(&mut self) -> EngineResult<Vec<Binding>> {
+    fn open(&mut self) -> EngineResult<Cow<'e, [Binding]>> {
         let bindings = self.child.open()?;
         self.resolved = resolve_preds(&self.preds, &bindings, self.outer, self.ctx);
         self.memos = probe_memos(self.resolved.len());

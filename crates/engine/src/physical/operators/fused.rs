@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -677,8 +678,8 @@ impl<'e> FusedExec<'e> {
 }
 
 impl<'e> Operator<'e> for FusedExec<'e> {
-    fn open(&mut self) -> EngineResult<Vec<Binding>> {
-        Ok(exec::output_bindings(self.q, &self.plan.bindings))
+    fn open(&mut self) -> EngineResult<Cow<'e, [Binding]>> {
+        Ok(exec::output_bindings(self.q, &self.plan.bindings).into())
     }
 
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {

@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::hash::Hasher;
 use std::time::Instant;
@@ -112,7 +113,7 @@ impl<'e> JoinExec<'e> {
             keep,
         } = node
         else {
-            let (mut op, child) = build_input(node, outer, ctx, self.az);
+            let (mut op, child) = build_input(node, None, outer, ctx, self.az);
             if let (Some((az, idx)), Some(child)) = (self.probe(), child) {
                 az.add_child(idx, child);
             }
@@ -127,7 +128,10 @@ impl<'e> JoinExec<'e> {
                 ))?;
                 rows.extend(batch.rows);
             }
-            return Ok(Input::Rows(Relation { bindings, rows }));
+            return Ok(Input::Rows(Relation {
+                bindings: bindings.into_owned(),
+                rows,
+            }));
         };
         // Correlated frames cannot cross threads; the conjuncts that need
         // the coordinator's context — subqueries — the scan leaves alone.
@@ -159,7 +163,7 @@ impl<'e> JoinExec<'e> {
 }
 
 impl<'e> Operator<'e> for JoinExec<'e> {
-    fn open(&mut self) -> EngineResult<Vec<Binding>> {
+    fn open(&mut self) -> EngineResult<Cow<'e, [Binding]>> {
         let g = self.general;
         let (outer, ctx) = (self.outer, self.ctx);
         let names: Vec<String> = g
@@ -179,7 +183,7 @@ impl<'e> Operator<'e> for JoinExec<'e> {
             let preds: Vec<Expr> = post.into_iter().map(|(e, _)| e).collect();
             let Relation { bindings, rows } = filter_rows(one, &preds, outer, ctx)?;
             self.emitter = Some(BatchEmitter::rows_only(rows));
-            return Ok(bindings);
+            return Ok(bindings.into());
         }
 
         let inputs = (g.inputs.iter())
@@ -397,7 +401,7 @@ impl<'e> Operator<'e> for JoinExec<'e> {
         }
         ctx.bump_cpu(cpu);
         self.emitter = Some(BatchEmitter::rows_only(env.out));
-        Ok(bindings)
+        Ok(bindings.into())
     }
 
     fn subquery_lines(&self) -> Vec<SubqueryLine> {

@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use apuama_sql::ast::{Expr, Select, SelectItem};
 use apuama_sql::Value;
 use apuama_storage::Row;
@@ -13,6 +15,7 @@ use crate::physical::*;
 // ---------------------------------------------------------------------------
 
 /// One SELECT item, compiled.
+#[derive(Debug, Clone)]
 pub(crate) enum ItemProg {
     Wildcard,
     Expr(CompiledExpr),
@@ -21,6 +24,7 @@ pub(crate) enum ItemProg {
 /// One ORDER BY key, compiled: a position in the output row (a bare column
 /// naming an output column means that column, which takes precedence over
 /// input-scope resolution) or an expression over the input row.
+#[derive(Debug, Clone)]
 pub(crate) enum OrderKeyProg {
     Output(usize),
     Expr(CompiledExpr),
@@ -83,17 +87,21 @@ pub(crate) fn order_key_into(
 /// unless an item or ORDER BY expression contains a subquery: then the
 /// child is drained first, so the subqueries' page touches land after the
 /// child's. A pure `SELECT *` moves each input row into the output instead
-/// of cloning its values.
+/// of cloning its values. With `compiled` set — the projection lowering
+/// compiled ([`CompiledProject`]) — `open` compiles nothing: it borrows the
+/// plan's programs, which read a parameter, if any, as they evaluate.
 pub(crate) struct ProjectExec<'e> {
     q: &'e Select,
     child: Box<dyn Operator<'e> + 'e>,
+    compiled: Option<&'e CompiledProject>,
     outer: &'e [Frame<'e>],
     ctx: &'e ExecContext<'e>,
     breaker: bool,
     wildcard_only: bool,
     out_width: usize,
-    /// Item and order-key programs, compiled at `open`.
-    progs: (Vec<ItemProg>, Vec<OrderKeyProg>),
+    /// Item and order-key programs, compiled at `open` or borrowed from
+    /// the plan.
+    progs: (Cow<'e, [ItemProg]>, Cow<'e, [OrderKeyProg]>),
     emitter: Option<BatchEmitter>,
 }
 
@@ -101,6 +109,7 @@ impl<'e> ProjectExec<'e> {
     pub(crate) fn new(
         q: &'e Select,
         child: Box<dyn Operator<'e> + 'e>,
+        compiled: Option<&'e CompiledProject>,
         outer: &'e [Frame<'e>],
         ctx: &'e ExecContext<'e>,
     ) -> Self {
@@ -112,12 +121,13 @@ impl<'e> ProjectExec<'e> {
         ProjectExec {
             q,
             child,
+            compiled,
             outer,
             ctx,
             breaker: item_subquery || order_subquery,
             wildcard_only: matches!(q.items.as_slice(), [SelectItem::Wildcard]),
             out_width: 0,
-            progs: (Vec::new(), Vec::new()),
+            progs: (Cow::Borrowed(&[]), Cow::Borrowed(&[])),
             emitter: None,
         }
     }
@@ -141,7 +151,7 @@ impl<'e> ProjectExec<'e> {
             for row in &rows {
                 cpu += 1;
                 let mut out_row = Vec::with_capacity(self.out_width);
-                for item in items {
+                for item in items.iter() {
                     match item {
                         ItemProg::Wildcard => out_row.extend(row.iter().cloned()),
                         ItemProg::Expr(c) => out_row.push(eval::eval_compiled(c, row, outer, ctx)?),
@@ -157,12 +167,22 @@ impl<'e> ProjectExec<'e> {
 }
 
 impl<'e> Operator<'e> for ProjectExec<'e> {
-    fn open(&mut self) -> EngineResult<Vec<Binding>> {
+    fn open(&mut self) -> EngineResult<Cow<'e, [Binding]>> {
         let in_bindings = self.child.open()?;
-        let out_bindings = exec::output_bindings(self.q, &in_bindings);
-        let out_names: Vec<String> = out_bindings.iter().map(|b| b.name.clone()).collect();
-        let scope = Scope::new(&in_bindings, self.outer, self.ctx);
-        self.progs = compile_output(self.q, &out_names, &scope);
+        let out_bindings = match self.compiled {
+            Some(c) => {
+                self.progs = (Cow::Borrowed(&c.items), Cow::Borrowed(&c.order));
+                Cow::Borrowed(&c.out_bindings[..])
+            }
+            None => {
+                let out_bindings = exec::output_bindings(self.q, &in_bindings);
+                let out_names: Vec<String> = out_bindings.iter().map(|b| b.name.clone()).collect();
+                let scope = Scope::new(&in_bindings, self.outer, self.ctx);
+                let (items, order) = compile_output(self.q, &out_names, &scope);
+                self.progs = (Cow::Owned(items), Cow::Owned(order));
+                Cow::Owned(out_bindings)
+            }
+        };
         self.out_width = out_bindings.len();
         Ok(out_bindings)
     }

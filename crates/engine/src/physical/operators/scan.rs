@@ -6,7 +6,7 @@ use apuama_storage::{AccessKind, Heap, Row, RowId, Segment};
 
 use crate::catalog::TableSchema;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::Frame;
+use crate::eval::{self, Frame};
 use crate::exec::{self, Binding, ExecContext, Relation};
 use crate::planner::{AccessPath, ScanChoice};
 use crate::table::{KeyRange, Table};
@@ -407,19 +407,21 @@ struct PlannedScan<'e> {
 /// parameter values), then streams surviving rows in batches. The
 /// pushed-down predicates run on the stored columns ([`ScanPreds::filter`]);
 /// only the survivors become rows, and with `keep` set (anything but a
-/// top-level `*`) only their kept columns.
+/// top-level `*`) only their kept columns. A scan lowering compiled
+/// ([`CompiledScan`]) resolves nothing at open but the access path.
 pub(crate) struct ScanExec<'e> {
     name: &'e str,
     alias: Option<&'e str>,
     single: &'e [Expr],
     keep: Option<&'e [String]>,
+    compiled: Option<&'e CompiledScan>,
     outer: &'e [Frame<'e>],
     ctx: &'e ExecContext<'e>,
     /// The table's full bindings: what the predicates resolve against.
     /// Borrowed from the table when the scan has no alias.
     bindings: Cow<'e, [Binding]>,
     /// Kept column positions, when the output is narrower than the table.
-    cols: Option<Vec<usize>>,
+    cols: Option<Cow<'e, [usize]>>,
     state: Option<ScanState<'e>>,
 }
 
@@ -437,12 +439,18 @@ impl<'e> ScanExec<'e> {
             alias,
             single,
             keep,
+            compiled: None,
             outer,
             ctx,
             bindings: Cow::Borrowed(&[]),
             cols: None,
             state: None,
         }
+    }
+
+    /// Opens from `compiled`, the scan as lowering compiled it, when set.
+    pub(crate) fn compiled(self, compiled: Option<&'e CompiledScan>) -> Self {
+        ScanExec { compiled, ..self }
     }
 
     /// Resolves the table, chooses the access path and fixes the bindings
@@ -466,7 +474,8 @@ impl<'e> ScanExec<'e> {
         };
         self.cols = self
             .keep
-            .and_then(|keep| kept_positions(&table.schema, keep));
+            .and_then(|keep| kept_positions(&table.schema, keep))
+            .map(Cow::Owned);
         let out_bindings = match &self.cols {
             Some(cols) => cols.iter().map(|&c| self.bindings[c].clone()).collect(),
             None => self.bindings.to_vec(),
@@ -595,7 +604,7 @@ impl<'e> ScanExec<'e> {
         Ok(ScanSelection {
             bindings: planned.out_bindings,
             deferred: self.resolve(&deferred),
-            cols: self.cols,
+            cols: self.cols.map(Cow::into_owned),
             units,
             table_rows: planned.table.row_count() as usize,
         })
@@ -603,19 +612,42 @@ impl<'e> ScanExec<'e> {
 }
 
 impl<'e> Operator<'e> for ScanExec<'e> {
-    fn open(&mut self) -> EngineResult<Vec<Binding>> {
-        let planned = self.plan()?;
-        let residual = self.resolve(&planned.residual_exprs);
+    fn open(&mut self) -> EngineResult<Cow<'e, [Binding]>> {
         let ctx = self.ctx;
+        let (table, path, residual, out_bindings) = match self.compiled {
+            Some(c) => {
+                let table = ctx.db.table_by_id(c.table);
+                let binding_name = self.alias.unwrap_or(self.name);
+                let choice = choose_path(table, binding_name, self.single, ctx);
+                let preds = (c.single.iter().enumerate())
+                    .filter(|(i, _)| !choice.consumed.contains(i))
+                    .map(|(_, p)| ResidualPred::from_compiled(eval::prebind_params(p, ctx)))
+                    .collect();
+                self.cols = c.cols.as_deref().map(Cow::Borrowed);
+                let residual = ScanPreds::new(preds, c.width, ctx);
+                (
+                    table,
+                    choice.path,
+                    residual,
+                    Cow::Borrowed(&c.out_bindings[..]),
+                )
+            }
+            None => {
+                let planned = self.plan()?;
+                let residual = self.resolve(&planned.residual_exprs);
+                let out_bindings = Cow::Owned(planned.out_bindings);
+                (planned.table, planned.choice.path, residual, out_bindings)
+            }
+        };
         self.state = Some(ScanState {
-            cursor: ScanCursor::open(planned.table, &planned.choice.path, &residual, ctx),
+            cursor: ScanCursor::open(table, &path, &residual, ctx),
             scratch: residual.scratch(),
             residual,
             sel: Sel::new(),
             scanned: ScanTally::new(ctx),
-            width: planned.out_bindings.len(),
+            width: out_bindings.len(),
         });
-        Ok(planned.out_bindings)
+        Ok(out_bindings)
     }
 
     fn subquery_lines(&self) -> Vec<SubqueryLine> {
@@ -694,7 +726,7 @@ impl<'e> DerivedExec<'e> {
 }
 
 impl<'e> Operator<'e> for DerivedExec<'e> {
-    fn open(&mut self) -> EngineResult<Vec<Binding>> {
+    fn open(&mut self) -> EngineResult<Cow<'e, [Binding]>> {
         let mut rel = execute(self.plan, self.outer, self.ctx)?;
         for b in &mut rel.bindings {
             b.qualifier = Some(self.alias.to_string());
@@ -704,7 +736,7 @@ impl<'e> Operator<'e> for DerivedExec<'e> {
         }
         let Relation { bindings, rows } = rel;
         self.emitter = Some(BatchEmitter::rows_only(rows));
-        Ok(bindings)
+        Ok(bindings.into())
     }
 
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {

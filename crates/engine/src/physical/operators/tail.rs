@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 use apuama_sql::ast::Select;
@@ -34,7 +35,7 @@ impl<'e> DistinctExec<'e> {
 }
 
 impl<'e> Operator<'e> for DistinctExec<'e> {
-    fn open(&mut self) -> EngineResult<Vec<Binding>> {
+    fn open(&mut self) -> EngineResult<Cow<'e, [Binding]>> {
         self.child.open()
     }
 
@@ -103,7 +104,7 @@ impl<'e> SortExec<'e> {
 }
 
 impl<'e> Operator<'e> for SortExec<'e> {
-    fn open(&mut self) -> EngineResult<Vec<Binding>> {
+    fn open(&mut self) -> EngineResult<Cow<'e, [Binding]>> {
         self.child.open()
     }
 
@@ -174,7 +175,7 @@ impl<'e> LimitExec<'e> {
 }
 
 impl<'e> Operator<'e> for LimitExec<'e> {
-    fn open(&mut self) -> EngineResult<Vec<Binding>> {
+    fn open(&mut self) -> EngineResult<Cow<'e, [Binding]>> {
         self.child.open()
     }
 

@@ -159,12 +159,17 @@ impl Parser {
         self.tokens[self.pos.min(self.tokens.len() - 1)].1
     }
 
+    /// Consumes the current token. The parser never looks behind, so a
+    /// token it steps past is moved out, not cloned; the last one, `Eof`,
+    /// stays for every later peek.
     fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].0.clone();
-        if self.pos < self.tokens.len() - 1 {
+        let last = self.tokens.len() - 1;
+        if self.pos < last {
             self.pos += 1;
+            std::mem::replace(&mut self.tokens[self.pos - 1].0, Token::Eof)
+        } else {
+            self.tokens[last].0.clone()
         }
-        t
     }
 
     fn at_eof(&self) -> bool {

@@ -449,7 +449,10 @@ fn pred() -> impl Strategy<Value = Pred> {
 }
 
 /// Statement shapes around a generated WHERE clause: the general tree,
-/// the fused aggregate, an index-range candidate, LIMIT and DISTINCT.
+/// the fused aggregate, an index-range candidate, LIMIT and DISTINCT; then
+/// the single-table source lowering compiles — select-list expressions,
+/// `*`, an aliased table, the point read — and one it leaves to `open`, a
+/// subquery conjunct.
 const SHAPES: &[&str] = &[
     "select k, i, f, code, wide from m where {} order by k",
     "select code, count(*) as n, sum(f) as s, min(i) as lo, max(wide) as w from m \
@@ -457,6 +460,11 @@ const SHAPES: &[&str] = &[
     "select count(*) as n, sum(i) as s from m where {}",
     "select k, f from m where {} order by f desc, k limit 5",
     "select distinct code from m where {} order by code",
+    "select k + 1 as k1, f * 2.0 from m where {} order by k1",
+    "select * from m where {} order by k",
+    "select t.k, t.code, wide from m as t where {} order by t.k",
+    "select k, f from m where k = 7 and {}",
+    "select k, code from m where {} and k in (select k from m where i > 0) order by k",
 ];
 
 proptest! {

@@ -183,7 +183,12 @@ fn killed_node_catches_up_from_the_log_and_rejoins_rotation() {
     let served_before = controller.reads_served()[1];
     let served_by = std::thread::scope(|s| {
         let held = s.spawn(|| controller.execute(PROBE).unwrap().1);
+        let start = std::time::Instant::now();
         while controller.pending_counts()[0] == 0 {
+            assert!(
+                start.elapsed().as_secs() < 10,
+                "the held read never reached node 0"
+            );
             std::thread::yield_now();
         }
         let (_, served_by) = controller.execute(PROBE).unwrap();

@@ -99,6 +99,14 @@ timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine --lib lifted_tests
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine --lib a_cached_point_plan_replans_after_an_index_and_after_growth
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-sql --lib lift
 
+echo "== morsel tier: one pool per host (DESIGN.md §12) =="
+# By name: a 4-replica cluster at any parallel_workers holds at most one
+# morsel thread per core, with two replica streams and a fork sharing the
+# pool under a deadline; a join block's input scans read serially, so its
+# EXPLAIN ANALYZE carries no [parallel ×N] marker and no worker lines.
+timeout "$SUITE_TIMEOUT" cargo test -q --test morsel_pool
+timeout "$SUITE_TIMEOUT" cargo test -q --test explain_analyze -- explain_analyze_shows_parallel_marker_and_worker_breakdown
+
 echo "== key filters on a join's driving scan against nested loops (DESIGN.md §10) =="
 timeout "$SUITE_TIMEOUT" cargo test -q --test join_oracle -- key_filters_answer_what_nested_loops_answer probe_placement_divergences_are_the_documented_ones
 

@@ -22,6 +22,17 @@ use crate::recovery::{
 };
 use crate::scheduler::WriteScheduler;
 
+/// Entries replayed per live catch-up round of a rejoin (new writes keep
+/// flowing between rounds).
+const REJOIN_CATCHUP_BATCH: usize = 32;
+/// Once a rejoining backend's lag drops to this many entries, live replay
+/// stops and the rest drains under the write pause (the paper's
+/// update-blocking gate, applied to catch-up).
+const REJOIN_PAUSE_THRESHOLD: u64 = 4;
+/// Live rounds before the write-pause drain is forced: guards against a
+/// write rate that outruns replay forever.
+const REJOIN_MAX_LIVE_ROUNDS: usize = 64;
+
 /// One registered backend and its in-flight request counter.
 struct Backend {
     conn: Arc<dyn Connection>,
@@ -244,7 +255,8 @@ impl Controller {
     ///
     /// 1. **CatchingUp** — replay the missed suffix from the recovery log
     ///    in batches while new writes keep flowing (each round shrinks the
-    ///    lag; `max_live_rounds` bounds a write rate that outruns replay).
+    ///    lag; a bound on the rounds stops a write rate that outruns
+    ///    replay).
     /// 2. Once the lag is small (or the round budget is spent), drain the
     ///    rest under a **write pause** — the paper's update-blocking gate
     ///    applied to recovery — so the backend reaches the exact log head.
@@ -272,13 +284,12 @@ impl Controller {
         self.set_state(i, RejoinState::CatchingUp);
 
         // Phase 1: live replay, writes still flowing.
-        let batch_size = self.recovery.catchup_batch.max(1);
         let mut rounds = 0;
         while self.log.has_suffix_for(i)
-            && self.log.lag(i) > self.recovery.pause_threshold
-            && rounds < self.recovery.max_live_rounds
+            && self.log.lag(i) > REJOIN_PAUSE_THRESHOLD
+            && rounds < REJOIN_MAX_LIVE_ROUNDS
         {
-            for entry in self.log.suffix_for(i, batch_size) {
+            for entry in self.log.suffix_for(i, REJOIN_CATCHUP_BATCH) {
                 if let Err(e) = self.backends[i].conn.execute(&entry.sql) {
                     self.abort_rejoin(i);
                     return Err(e);

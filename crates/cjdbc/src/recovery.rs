@@ -64,16 +64,6 @@ pub struct RecoveryConfig {
     /// truncation. After the deadline, checkpointing reclaims them and the
     /// backend's rejoin degrades to a full re-clone.
     pub retention: Duration,
-    /// Entries replayed per live catch-up round (new writes keep flowing
-    /// between rounds).
-    pub catchup_batch: usize,
-    /// Once the backend's lag drops to this many entries, stop live replay
-    /// and drain the rest under the write pause (the paper's
-    /// update-blocking gate, applied to catch-up).
-    pub pause_threshold: u64,
-    /// Upper bound on live rounds before forcing the write-pause drain —
-    /// guards against a write rate that outruns replay forever.
-    pub max_live_rounds: usize,
     /// Optional probe statement executed against the backend after
     /// catch-up, before readmission. Must be a pass-through read (not
     /// SVP-eligible), or an interposing engine may fan it out instead of
@@ -90,9 +80,6 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             max_entries: 4096,
             retention: Duration::from_secs(60),
-            catchup_batch: 32,
-            pause_threshold: 4,
-            max_live_rounds: 64,
             probe_sql: None,
             clone_via: None,
         }
@@ -104,9 +91,6 @@ impl fmt::Debug for RecoveryConfig {
         f.debug_struct("RecoveryConfig")
             .field("max_entries", &self.max_entries)
             .field("retention", &self.retention)
-            .field("catchup_batch", &self.catchup_batch)
-            .field("pause_threshold", &self.pause_threshold)
-            .field("max_live_rounds", &self.max_live_rounds)
             .field("probe_sql", &self.probe_sql)
             .field("clone_via", &self.clone_via.is_some())
             .finish()

@@ -77,8 +77,8 @@ thread_local! {
 /// The machine's core count, asked of the OS once per process: the call
 /// reads cgroup files (~11 µs, all but 0.6 µs of building an in-memory
 /// database), and every fork, staging database and test database starts
-/// from it.
-fn core_count() -> usize {
+/// from it. It also sizes the host's worker pool.
+pub(crate) fn core_count() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| {
         #[cfg(test)]
@@ -174,9 +174,6 @@ pub struct Database {
     /// (`SET mem_budget_bytes` to enforce a budget; see
     /// [`crate::governor::MemoryGauge`]).
     mem_gauge: MemoryGauge,
-    /// Lazily-started worker pool for morsel-driven parallel execution
-    /// (`SET parallel_workers`); `None` until the first parallel statement.
-    workers: Mutex<Option<std::sync::Arc<crate::parallel::WorkerPool>>>,
 }
 
 impl Database {
@@ -203,7 +200,6 @@ impl Database {
             catalog_version: AtomicU64::new(0),
             plan_cache: Mutex::new(PlanCache::default()),
             mem_gauge: MemoryGauge::unlimited(),
-            workers: Mutex::new(None),
         }
     }
 
@@ -248,29 +244,15 @@ impl Database {
         self.settings.enable_kernel.load(Ordering::SeqCst)
     }
 
-    /// Worker count for morsel-driven intra-node parallel execution
-    /// (`SET parallel_workers = N`, `1..=64`; `0` and `1` both mean
-    /// serial). Defaults to the machine's cores as counted when this
-    /// database was built. The knob changes neither results nor statistics
-    /// — execution stays byte-identical to serial — so it is not part of
-    /// the plan-cache fingerprint: it is read at execution time, not
-    /// lowering time.
+    /// How many tasks one statement's morsel split runs as on the host's
+    /// worker pool (`SET parallel_workers = N`, `1..=64`; `0` and `1` both
+    /// mean serial). Not a thread count: the pool has one thread per core
+    /// whatever this says (`crate::parallel`). Defaults to the machine's
+    /// cores. The knob changes no statistic and no row (float sums up to
+    /// their reassociation), so it is not part of the plan-cache
+    /// fingerprint: it is read at execution time, not lowering time.
     pub fn parallel_workers(&self) -> usize {
         self.settings.parallel_workers.load(Ordering::Relaxed)
-    }
-
-    /// The node's lazily-started pool of execution workers, grown to at
-    /// least `workers` threads. Shared by every parallel statement on this
-    /// database.
-    pub(crate) fn worker_pool(
-        &self,
-        workers: usize,
-    ) -> std::sync::Arc<crate::parallel::WorkerPool> {
-        let mut slot = self.workers.lock();
-        let pool =
-            slot.get_or_insert_with(|| std::sync::Arc::new(crate::parallel::WorkerPool::new()));
-        pool.ensure_threads(workers);
-        pool.clone()
     }
 
     /// The node's memory gauge: pipeline-breaker state charged by every
@@ -994,8 +976,7 @@ impl Database {
             ));
         }
         // The clone starts with an empty plan cache (cached plans hold no
-        // data, only compiled shapes, and recompiling is cheap) and no
-        // worker pool.
+        // data, only compiled shapes, and recompiling is cheap).
         Ok(Database {
             catalog: self.catalog.clone(),
             tables: self.tables.clone(),

@@ -34,7 +34,7 @@ pub mod error;
 pub mod eval;
 pub mod exec;
 pub mod governor;
-pub mod parallel;
+mod parallel;
 mod physical;
 mod plan_cache;
 pub mod planner;

@@ -1,44 +1,68 @@
-//! The per-database worker pool behind morsel-driven parallel execution.
+//! The host's worker pool behind morsel-driven parallel execution.
 //!
 //! The paper's cluster exploits two parallelism tiers — inter-query (one
 //! query per node) and intra-query (one sub-query per virtual partition).
 //! This module supplies the third: intra-node parallelism across the cores
-//! of one node (the paper's testbed machines were 2-way SMPs). A
-//! [`WorkerPool`] is started lazily per [`crate::Database`] the first time
-//! a statement runs with `SET parallel_workers` ≥ 2 and lives for the
-//! database's lifetime; the physical layer
-//! (`crate::physical`) splits eligible scans into page-aligned morsels
-//! and runs one scan→filter→partial-aggregate pipeline per morsel on this
-//! pool, merging partial states in morsel order so results and statistics
-//! stay byte-identical to serial execution.
+//! of the host (the paper's testbed machines were 2-way SMPs). There is one
+//! [`WorkerPool`] per process, of one thread per core, started by the first
+//! statement that runs with `SET parallel_workers` ≥ 2 and never stopped:
+//! every [`crate::Database`] of the process — the replicas of an in-process
+//! cluster, their forks, the simulator's nodes — queues its morsels on it,
+//! so the tiers above share the cores instead of each assuming it owns
+//! them. `parallel_workers` is how many tasks one statement splits into,
+//! not a thread count. The physical layer (`crate::physical`) splits a
+//! fused aggregate's scan into page-aligned morsels and runs one
+//! scan→filter→partial-aggregate pipeline per morsel on this pool, merging
+//! partial states in morsel order so rows and statistics equal serial
+//! execution's (float sums up to their reassociation, DESIGN.md §12).
 //!
 //! The pool itself is deliberately generic: a queue of boxed jobs, a
 //! condvar, and [`WorkerPool::scoped_run`], which lets callers enqueue
 //! closures borrowing stack data and blocks until every one of them has
 //! finished — the same lifetime contract as [`std::thread::scope`], built
 //! on persistent threads so per-statement dispatch costs a queue push, not
-//! a thread spawn.
+//! a thread spawn. A job never queues jobs of its own (a fused plan holds
+//! no subquery, so no statement runs inside a fold), so callers waiting on
+//! the pool cannot starve it.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// State shared between the pool handle and its worker threads. Workers
-/// hold only this (not the pool), so dropping the pool handle is what
-/// initiates shutdown.
-struct PoolShared {
+/// A fixed set of execution worker threads draining one job queue.
+pub(crate) struct WorkerPool {
     queue: Mutex<VecDeque<Job>>,
     available: Condvar,
-    shutdown: AtomicBool,
 }
 
-impl PoolShared {
+/// The process's pool: one worker per core ([`crate::db::core_count`]),
+/// started on first use.
+pub(crate) fn host_pool() -> &'static WorkerPool {
+    static POOL: OnceLock<&'static WorkerPool> = OnceLock::new();
+    POOL.get_or_init(|| WorkerPool::start(crate::db::core_count()))
+}
+
+impl WorkerPool {
+    /// Starts `threads` workers on a pool that lives as long as the
+    /// process.
+    fn start(threads: usize) -> &'static WorkerPool {
+        let pool: &'static WorkerPool = Box::leak(Box::new(WorkerPool {
+            queue: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+        }));
+        for i in 0..threads {
+            std::thread::Builder::new()
+                .name(format!("apuama-worker-{i}"))
+                .spawn(move || pool.worker_loop())
+                .expect("spawning an execution worker");
+        }
+        pool
+    }
+
     fn worker_loop(&self) {
         loop {
             let job = {
@@ -47,70 +71,11 @@ impl PoolShared {
                     if let Some(job) = q.pop_front() {
                         break job;
                     }
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
                     self.available.wait(&mut q);
                 }
             };
             job();
         }
-    }
-}
-
-/// A fixed-overhead pool of execution worker threads, grown on demand and
-/// joined when dropped.
-pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("threads", &self.threads.lock().len())
-            .finish()
-    }
-}
-
-impl Default for WorkerPool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WorkerPool {
-    /// An empty pool; threads start on the first [`Self::ensure_threads`].
-    pub fn new() -> WorkerPool {
-        WorkerPool {
-            shared: Arc::new(PoolShared {
-                queue: Mutex::new(VecDeque::new()),
-                available: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-            }),
-            threads: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Grows the pool to at least `n` threads (never shrinks — a session
-    /// lowering `parallel_workers` just leaves the extras idle).
-    pub fn ensure_threads(&self, n: usize) {
-        let mut threads = self.threads.lock();
-        while threads.len() < n {
-            let shared = self.shared.clone();
-            let name = format!("apuama-worker-{}", threads.len());
-            threads.push(
-                std::thread::Builder::new()
-                    .name(name)
-                    .spawn(move || shared.worker_loop())
-                    .expect("spawning an execution worker"),
-            );
-        }
-    }
-
-    /// Current thread count.
-    pub fn threads(&self) -> usize {
-        self.threads.lock().len()
     }
 
     /// Runs every task on the pool and blocks until all of them have
@@ -118,14 +83,14 @@ impl WorkerPool {
     /// task does not poison the pool: the panic is captured, the remaining
     /// tasks still run, and the first payload is re-raised here on the
     /// calling thread.
-    pub fn scoped_run<'s>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 's>>) {
+    pub(crate) fn scoped_run<'s>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 's>>) {
         if tasks.is_empty() {
             return;
         }
         let done = Arc::new((Mutex::new(tasks.len()), Condvar::new()));
         let panic: Arc<Mutex<Option<Box<dyn std::any::Any + Send>>>> = Arc::new(Mutex::new(None));
         {
-            let mut q = self.shared.queue.lock();
+            let mut q = self.queue.lock();
             for task in tasks {
                 // SAFETY: the transmute erases the borrow lifetime `'s` so
                 // the job fits the queue's `'static` bound. The wait loop
@@ -151,7 +116,7 @@ impl WorkerPool {
                     }
                 }));
             }
-            self.shared.available.notify_all();
+            self.available.notify_all();
         }
         let (count, cv) = &*done;
         let mut remaining = count.lock();
@@ -166,25 +131,13 @@ impl WorkerPool {
     }
 }
 
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.available.notify_all();
-        for handle in self.threads.get_mut().drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn scoped_run_executes_every_task_and_sees_borrows() {
-        let pool = WorkerPool::new();
-        pool.ensure_threads(3);
         let sum = AtomicU64::new(0);
         let inputs: Vec<u64> = (1..=100).collect();
         let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = inputs
@@ -196,25 +149,13 @@ mod tests {
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        pool.scoped_run(tasks);
+        host_pool().scoped_run(tasks);
         assert_eq!(sum.load(Ordering::Relaxed), 5050);
     }
 
     #[test]
-    fn ensure_threads_grows_but_never_shrinks() {
-        let pool = WorkerPool::new();
-        pool.ensure_threads(2);
-        assert_eq!(pool.threads(), 2);
-        pool.ensure_threads(1);
-        assert_eq!(pool.threads(), 2);
-        pool.ensure_threads(4);
-        assert_eq!(pool.threads(), 4);
-    }
-
-    #[test]
     fn task_panic_propagates_without_poisoning_the_pool() {
-        let pool = WorkerPool::new();
-        pool.ensure_threads(2);
+        let pool = host_pool();
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.scoped_run(vec![
                 Box::new(|| panic!("worker exploded")) as Box<dyn FnOnce() + Send>,

@@ -759,11 +759,10 @@ pub(crate) fn build_source<'e>(
 }
 
 /// A base-table scan's `EXPLAIN ANALYZE` label: `scan lineitem as l1
-/// [parallel ×2] cols 4/16`.
+/// cols 4/16`.
 pub(crate) fn scan_label(
     name: &str,
     alias: Option<&str>,
-    workers: Option<usize>,
     keep: Option<&[String]>,
     ctx: &ExecContext<'_>,
 ) -> String {
@@ -771,9 +770,6 @@ pub(crate) fn scan_label(
         Some(alias) => format!("scan {name} as {alias}"),
         None => format!("scan {name}"),
     };
-    if let Some(workers) = workers {
-        label.push_str(&format!(" [parallel ×{workers}]"));
-    }
     if let (Some(keep), Some(table)) = (keep, ctx.db.table(name)) {
         label.push_str(&format!(" {}", cols_note(&table.schema, keep)));
     }
@@ -798,7 +794,7 @@ pub(crate) fn build_input<'e>(
         } => {
             let (alias, keep) = (alias.as_deref(), keep.as_deref());
             let scan = ScanExec::new(name, alias, single, keep, outer, ctx).compiled(compiled);
-            let label = || scan_label(name, alias, None, keep, ctx);
+            let label = || scan_label(name, alias, keep, ctx);
             instrument(az, Box::new(scan), label, Vec::new())
         }
         InputNode::Derived {

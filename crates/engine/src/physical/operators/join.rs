@@ -133,22 +133,14 @@ impl<'e> JoinExec<'e> {
                 rows,
             }));
         };
-        // Correlated frames cannot cross threads; the conjuncts that need
-        // the coordinator's context — subqueries — the scan leaves alone.
-        let workers = match outer {
-            [] => ctx.db.parallel_workers(),
-            _ => 1,
-        };
         let (alias, keep) = (alias.as_deref(), keep.as_deref());
         let child = self.probe().map(|(az, idx)| {
-            let label = scan_label(name, alias, (workers >= 2).then_some(workers), keep, ctx);
-            let child = az.register(label, Vec::new());
+            let child = az.register(scan_label(name, alias, keep, ctx), Vec::new());
             az.add_child(idx, child);
             child
         });
         let start = Instant::now();
-        let scan =
-            ScanExec::new(name, alias, single, keep, outer, ctx).select(workers, self.az, child)?;
+        let scan = ScanExec::new(name, alias, single, keep, outer, ctx).select()?;
         self.record(child, 0, start);
         Ok(Input::Selected(scan, child))
     }

@@ -559,48 +559,31 @@ impl ScanSelection<'_> {
 impl<'e> ScanExec<'e> {
     /// Reads the scan to its selection instead of to rows — how the join
     /// block reads a base-table input. The subquery-free conjuncts run as
-    /// in `next_batch`, on `workers` of the morsel tier when the scan
-    /// splits (workers hand back slots, not rows); the others are compiled
-    /// and handed on unevaluated.
-    pub(crate) fn select(
-        mut self,
-        workers: usize,
-        az: Option<&Analyze>,
-        probe: Option<usize>,
-    ) -> EngineResult<ScanSelection<'e>> {
+    /// in `next_batch`, serially; the others are compiled and handed on
+    /// unevaluated.
+    pub(crate) fn select(mut self) -> EngineResult<ScanSelection<'e>> {
         let planned = self.plan()?;
         let (outer, ctx) = (self.outer, self.ctx);
         let (deferred, free): (Vec<&Expr>, Vec<&Expr>) =
             (planned.residual_exprs.iter()).partition(|e| exec::contains_subquery(e));
         let residual = self.resolve(&free);
-        let morsels = (workers >= 2)
-            .then(|| plan_scan_morsels(planned.table, &residual, &planned.choice))
-            .filter(|sm| sm.len() >= 2);
-        let units = match morsels {
-            Some(sm) => sm.select(&residual, ctx, workers, az, probe)?,
-            None => {
-                let mut cursor =
-                    ScanCursor::open(planned.table, &planned.choice.path, &residual, ctx);
-                let mut scanned = ScanTally::new(ctx);
-                let (mut scratch, mut sel, mut cpu) = (residual.scratch(), Sel::new(), 0u64);
-                let mut units = Vec::new();
-                loop {
-                    ctx.check_interrupt()?;
-                    let Some((seg, _, slots)) = cursor.next(ctx) else {
-                        break;
-                    };
-                    scanned.rows += slots.len() as u64;
-                    let (kept, cost) =
-                        residual.filter(seg, slots, &mut sel, &mut scratch, outer, ctx)?;
-                    cpu += cost;
-                    if !kept.is_empty() {
-                        units.push((seg, kept.to_vec()));
-                    }
-                }
-                ctx.bump_cpu(cpu);
-                units
+        let mut cursor = ScanCursor::open(planned.table, &planned.choice.path, &residual, ctx);
+        let mut scanned = ScanTally::new(ctx);
+        let (mut scratch, mut sel, mut cpu) = (residual.scratch(), Sel::new(), 0u64);
+        let mut units = Vec::new();
+        loop {
+            ctx.check_interrupt()?;
+            let Some((seg, _, slots)) = cursor.next(ctx) else {
+                break;
+            };
+            scanned.rows += slots.len() as u64;
+            let (kept, cost) = residual.filter(seg, slots, &mut sel, &mut scratch, outer, ctx)?;
+            cpu += cost;
+            if !kept.is_empty() {
+                units.push((seg, kept.to_vec()));
             }
-        };
+        }
+        ctx.bump_cpu(cpu);
         Ok(ScanSelection {
             bindings: planned.out_bindings,
             deferred: self.resolve(&deferred),

@@ -60,33 +60,6 @@ impl<'e> ScanMorsels<'e> {
     pub(crate) fn len(&self) -> usize {
         self.morsels.len()
     }
-
-    /// Commits the decomposition and filters every morsel against
-    /// `residual` on the worker pool: the surviving slots of each segment,
-    /// in morsel order, morsels without a survivor dropped — the selection
-    /// the serial [`ScanExec::select`] loop produces, with its statistics
-    /// ([`run_scan_morsels`]). No row is built on either side of the
-    /// thread boundary.
-    pub(crate) fn select(
-        self,
-        residual: &ScanPreds,
-        ctx: &ExecContext<'_>,
-        workers: usize,
-        az: Option<&Analyze>,
-        probe: Option<usize>,
-    ) -> EngineResult<Vec<(&'e Segment, Sel)>> {
-        let survivors = run_scan_morsels(&self, ctx, workers, az, probe, |seg, slots, wctx| {
-            let mut sel = Sel::new();
-            let mut scratch = residual.scratch();
-            let (kept, cpu) = residual.filter(seg, slots, &mut sel, &mut scratch, &[], wctx)?;
-            Ok((kept.to_vec(), cpu))
-        })?;
-        let segments = self.table.heap.segments();
-        Ok((self.morsels.iter().zip(survivors))
-            .filter(|(_, kept)| !kept.is_empty())
-            .map(|((seg, _), kept)| (&segments[*seg], kept))
-            .collect())
-    }
 }
 
 /// Replays the serial scan's buffer-pool traffic on the coordinator:
@@ -94,7 +67,7 @@ impl<'e> ScanMorsels<'e> {
 /// operator produces ([`PageCharger`]), so the LRU state and hit/miss
 /// counters after a parallel scan are byte-identical to the serial ones.
 /// Workers never touch the pool.
-pub(crate) fn precharge_morsel_pages(sm: &ScanMorsels<'_>, ctx: &ExecContext<'_>) {
+fn precharge_morsel_pages(sm: &ScanMorsels<'_>, ctx: &ExecContext<'_>) {
     let slots = sm.table.heap.segment_slots();
     let mut pages = PageCharger::new(sm.table, sm.kind);
     for (seg, sel) in &sm.morsels {
@@ -104,16 +77,12 @@ pub(crate) fn precharge_morsel_pages(sm: &ScanMorsels<'_>, ctx: &ExecContext<'_>
 
 /// Per-worker execution tally, recorded as an `EXPLAIN ANALYZE` child
 /// probe: rows scanned, morsels processed, wall-clock nanoseconds.
-pub(crate) type WorkerTally = (u64, u64, u128);
+type WorkerTally = (u64, u64, u128);
 
 /// Registers one child probe per worker under a parallel operator's
 /// `[parallel ×N]` node, so `EXPLAIN ANALYZE` shows the per-worker
 /// row/morsel/time breakdown.
-pub(crate) fn record_worker_probes(
-    az: Option<&Analyze>,
-    probe: Option<usize>,
-    tallies: &[WorkerTally],
-) {
+fn record_worker_probes(az: Option<&Analyze>, probe: Option<usize>, tallies: &[WorkerTally]) {
     let (Some(az), Some(parent)) = (az, probe) else {
         return;
     };
@@ -125,15 +94,15 @@ pub(crate) fn record_worker_probes(
 }
 
 /// What folding one morsel produced, with the counters it stands for.
-pub(crate) struct MorselOut<T> {
-    pub(crate) out: T,
+struct MorselOut<T> {
+    out: T,
     /// Rows the morsel scanned.
-    pub(crate) rows: u64,
+    rows: u64,
     /// `cpu_tuple_ops` the morsel cost.
-    pub(crate) cpu: u64,
+    cpu: u64,
 }
 
-/// The morsel loop, written once: `workers` tasks on the node's pool claim
+/// The morsel loop, written once: `workers` tasks on the host's pool claim
 /// morsel indices `0..n_morsels` from a shared atomic and run `work` on
 /// each, under a context of their own — the statement's parameters, a
 /// child [`crate::governor::QueryGovernor`] (cancelling the statement
@@ -189,7 +158,7 @@ fn run_ordered<T: Send>(
             tallies.lock()[w] = (wrows, wmorsels, start.elapsed().as_nanos());
         }));
     }
-    db.worker_pool(workers).scoped_run(tasks);
+    crate::parallel::host_pool().scoped_run(tasks);
 
     let mut outs = Vec::with_capacity(n_morsels);
     for slot in results.into_inner() {

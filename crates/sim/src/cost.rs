@@ -37,12 +37,6 @@ pub struct CostModel {
     pub net_request_ms: f64,
     /// Per-node coordination overhead of one write broadcast (ms).
     pub write_coord_ms: f64,
-    /// Per-batch dispatch overhead of the engine's physical operator
-    /// pipeline (ms per `scan_batches` unit). Zero in the 2006
-    /// calibration — the paper's PostgreSQL nodes interpret row-at-a-time
-    /// and per-tuple CPU already covers them — but kept as a knob so
-    /// batch-pipeline experiments can price dispatch explicitly.
-    pub batch_dispatch_ms: f64,
     /// CPU cores a node devotes to one statement (morsel-driven intra-node
     /// parallelism — the third parallelism tier). The per-tuple CPU term
     /// divides by this; page faults and network do not parallelize. 1 in
@@ -64,24 +58,7 @@ impl CostModel {
             net_byte_ms: 0.000_01,
             net_request_ms: 0.3,
             write_coord_ms: 0.8,
-            batch_dispatch_ms: 0.0,
             cores: 1,
-        }
-    }
-
-    /// The same calibration with per-batch pipeline dispatch priced in.
-    ///
-    /// Calibrate from the benchmark's traced run: the pipeline moves rows
-    /// in `SCAN_BATCH_ROWS`-row batches, so `engine.scan_ms` divided by
-    /// the batches dispatched bounds the real per-batch overhead (operator
-    /// `next_batch` calls, batch assembly). On the
-    /// current numbers that is well under 0.1 ms/batch — per-tuple CPU
-    /// dominates — which is why [`CostModel::paper_2006`] keeps it at
-    /// zero; experiments that want the dispatch term explicit set it here.
-    pub fn with_batch_dispatch_ms(self, ms: f64) -> CostModel {
-        CostModel {
-            batch_dispatch_ms: ms,
-            ..self
         }
     }
 
@@ -95,15 +72,13 @@ impl CostModel {
 
     /// Time one statement takes on a node's CPU+disk. The per-tuple CPU
     /// term is divided across the node's `cores` (morsel workers share the
-    /// tuple work near-perfectly); page faults and batch dispatch are not —
-    /// one disk arm, one coordinator.
+    /// tuple work near-perfectly); page faults are not — one disk arm.
     pub fn statement_ms(&self, s: &ExecStats) -> f64 {
         s.buffer.misses_seq as f64 * self.seq_page_ms
             + s.buffer.misses_rand as f64 * self.rand_page_ms
             + s.buffer.hits as f64 * self.hit_page_ms
             + (s.rows_scanned + s.cpu_tuple_ops) as f64 * self.cpu_tuple_ms
                 / self.cores.max(1) as f64
-            + s.scan_batches as f64 * self.batch_dispatch_ms
     }
 
     /// Time to ship a statement's result over the network.
@@ -164,36 +139,6 @@ mod tests {
         let big = m.transfer_ms(&stats(0, 0, 0, 0, 10_000_000));
         assert!(big > small);
         assert!(small >= m.net_request_ms);
-    }
-
-    #[test]
-    fn batch_dispatch_priced_off_scan_batches() {
-        // Free in the 2006 calibration, linear once the knob is nonzero.
-        let m = CostModel::paper_2006();
-        let mut s = stats(0, 0, 0, 0, 0);
-        s.scan_batches = 100;
-        assert_eq!(m.statement_ms(&s), 0.0);
-        let tuned = CostModel {
-            batch_dispatch_ms: 0.01,
-            ..m
-        };
-        assert!((tuned.statement_ms(&s) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_dispatch_builder_changes_only_that_knob() {
-        let base = CostModel::paper_2006();
-        let tuned = base.with_batch_dispatch_ms(0.05);
-        assert_eq!(tuned.batch_dispatch_ms, 0.05);
-        assert_eq!(
-            CostModel {
-                batch_dispatch_ms: base.batch_dispatch_ms,
-                ..tuned
-            },
-            base
-        );
-        // The 2006 calibration itself stays dispatch-free.
-        assert_eq!(base.batch_dispatch_ms, 0.0);
     }
 
     #[test]

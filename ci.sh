@@ -99,6 +99,20 @@ timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine --lib lifted_tests
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine --lib a_cached_point_plan_replans_after_an_index_and_after_growth
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-sql --lib lift
 
+echo "== pass-through point reads: least-pending counts writes, the probe (DESIGN.md §5, §9) =="
+# By name: a write broadcast is pending on the backend it waits for or
+# applies on, so a read routes around it and comes back before the write
+# is released; a read issued after a write returned sees it on whichever
+# backend serves it; no exit of a write leaves a count behind. A text
+# read's lifted shape compares literals by their bits, and an equality on
+# an index probes one posting list: what the one-key range and a scan
+# answer, NULL and duplicate keys included (the clustered case is the
+# point rounds of the clustered_model step above).
+timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-cjdbc --lib -- a_read_routes_around_the_backend_a_write_is_on a_read_after_a_write_sees_it_on_every_backend a_failed_write_leaves_nothing_pending least_pending_avoids_the_busy_backend
+timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-sql --lib a_shape_compares_literals_by_their_bits
+timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-storage --lib a_probe_holds_what_the_one_key_range_holds
+timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine --lib an_equality_probe_on_a_secondary_index_answers_what_a_scan_answers
+
 echo "== morsel tier: one pool per host (DESIGN.md §12) =="
 # By name: a 4-replica cluster at any parallel_workers holds at most one
 # morsel thread per core, with two replica streams and a fork sharing the

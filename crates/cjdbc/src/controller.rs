@@ -36,6 +36,9 @@ const REJOIN_MAX_LIVE_ROUNDS: usize = 64;
 /// One registered backend and its in-flight request counter.
 struct Backend {
     conn: Arc<dyn Connection>,
+    /// Requests the backend is serving or waiting to serve: the reads
+    /// routed to it, and the write broadcast while it waits for or
+    /// applies the write (see [`Controller::pending_counts`]).
     pending: AtomicUsize,
     /// Rejoin state machine position ([`RejoinState`] as u8). Only
     /// `Enabled` backends receive routed traffic; a backend that failed a
@@ -45,6 +48,23 @@ struct Backend {
     state: AtomicU8,
     /// Reads this backend has served (load-balance diagnostics).
     reads_served: AtomicUsize,
+}
+
+/// One request counted pending on a backend for as long as it lives: the
+/// count drops on every exit, an error or a panic included.
+struct Pending<'a>(&'a AtomicUsize);
+
+impl<'a> Pending<'a> {
+    fn raise(count: &'a AtomicUsize) -> Self {
+        count.fetch_add(1, Ordering::SeqCst);
+        Pending(count)
+    }
+}
+
+impl Drop for Pending<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Controller construction options.
@@ -180,12 +200,13 @@ impl Controller {
 
     /// Indices of the backends currently in rotation.
     pub fn enabled_backends(&self) -> Vec<usize> {
-        self.backends
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.state.load(Ordering::SeqCst) == RejoinState::Enabled.as_u8())
-            .map(|(i, _)| i)
+        (0..self.backends.len())
+            .filter(|&i| self.is_enabled(i))
             .collect()
+    }
+
+    fn is_enabled(&self, i: usize) -> bool {
+        self.backends[i].state.load(Ordering::SeqCst) == RejoinState::Enabled.as_u8()
     }
 
     /// Administratively removes backend `i` from rotation: it stops
@@ -370,7 +391,15 @@ impl Controller {
         self.backends.len()
     }
 
-    /// Current pending-read counts (diagnostics / balancer input).
+    /// Current pending counts per backend: the balancer's input. A backend
+    /// counts each read routed to it until the read returns, and the write
+    /// broadcast for as long as it waits for or applies the write (the
+    /// broadcast visits the backends in turn, so it is pending on one at a
+    /// time), as C-JDBC's least-pending balancer counts every request in
+    /// flight. A read therefore routes around the replica a write is on.
+    /// Consistency is unchanged: a read concurrent with a write may see the
+    /// replica before or after it, and a read issued after the write
+    /// returned sees it on every backend.
     pub fn pending_counts(&self) -> Vec<usize> {
         self.backends
             .iter()
@@ -451,7 +480,9 @@ impl Controller {
     }
 
     /// The read path: admission, then the paper's balancer — the backend
-    /// with the fewest pending requests, the lowest index on ties — over
+    /// with the fewest pending requests ([`Controller::pending_counts`]:
+    /// reads and the write broadcast alike), the lowest index on ties,
+    /// picked under one acquisition of the health tracker's lock — over
     /// the enabled backends whose circuits admit traffic (if every enabled
     /// backend's circuit is open, the full enabled set — serving a request
     /// into a tripped backend beats refusing the query outright, and the
@@ -465,28 +496,20 @@ impl Controller {
     /// and stop within one batch of a cancel).
     pub fn read(&self, req: &ReadRequest<'_>) -> EngineResult<(QueryOutput, usize)> {
         let _permit = self.admission.admit(StatementKind::Read)?;
-        let enabled = self.enabled_backends();
-        if enabled.is_empty() {
+        let enabled = (0..self.backends.len()).filter(|&i| self.is_enabled(i));
+        let Some(chosen) = self
+            .health
+            .least_loaded(enabled, |i| self.backends[i].pending.load(Ordering::SeqCst))
+        else {
             return Err(EngineError::Unsupported(
                 "no enabled backends remain".into(),
             ));
-        }
-        let mut candidates: Vec<usize> = enabled
-            .iter()
-            .copied()
-            .filter(|&i| self.health.is_available(i))
-            .collect();
-        if candidates.is_empty() {
-            candidates = enabled;
-        }
-        let chosen = candidates
-            .into_iter()
-            .min_by_key(|&i| self.backends[i].pending.load(Ordering::SeqCst))
-            .expect("candidates are never empty");
+        };
         let backend = &self.backends[chosen];
-        backend.pending.fetch_add(1, Ordering::SeqCst);
-        let result = backend.conn.read(req);
-        backend.pending.fetch_sub(1, Ordering::SeqCst);
+        let result = {
+            let _pending = Pending::raise(&backend.pending);
+            backend.conn.read(req)
+        };
         self.note_outcome(&result);
         match &result {
             Ok(_) => {
@@ -527,14 +550,19 @@ impl Controller {
         let (mut unavailable, mut statement_error) = (None, None);
         let mut applied_on: Vec<usize> = Vec::new();
         for (i, backend) in self.backends.iter().enumerate() {
-            if self.backend_state(i) != RejoinState::Enabled {
+            if !self.is_enabled(i) {
                 continue;
             }
             // Writes are broadcast to every enabled backend regardless of
             // circuit state: skipping one would silently de-sync a replica
             // that the breaker expects to recover. The outcome still feeds
-            // the tracker.
-            match backend.conn.execute(sql) {
+            // the tracker. The write is pending on the backend while it
+            // waits for and applies it, so reads route around it.
+            let result = {
+                let _pending = Pending::raise(&backend.pending);
+                backend.conn.execute(sql)
+            };
+            match result {
                 Ok(out) => {
                     self.health.record_success(i);
                     applied_on.push(i);
@@ -582,6 +610,16 @@ impl Controller {
     /// Name of backend `i`.
     pub fn backend_name(&self, i: usize) -> &str {
         self.backends[i].conn.name()
+    }
+}
+
+/// Spins until `ready` holds, failing the test with `what` after 10 s.
+#[cfg(test)]
+fn wait_until(what: &str, ready: impl Fn() -> bool) {
+    let start = std::time::Instant::now();
+    while !ready() {
+        assert!(start.elapsed().as_secs() < 10, "{what}");
+        std::thread::yield_now();
     }
 }
 
@@ -813,6 +851,19 @@ mod failure_tests {
     }
 
     #[test]
+    fn a_failed_write_leaves_nothing_pending() {
+        for disable_failed in [true, false] {
+            let (c, flakies, _) = flaky_cluster(3, disable_failed);
+            flakies[1].failing.store(true, Ordering::SeqCst);
+            let _ = c.execute("insert into t values (1)");
+            assert_eq!(c.pending_counts(), vec![0, 0, 0], "after Unavailable");
+            flakies[1].failing.store(false, Ordering::SeqCst);
+            assert!(c.execute("insert into missing values (1)").is_err());
+            assert_eq!(c.pending_counts(), vec![0, 0, 0], "after a statement error");
+        }
+    }
+
+    #[test]
     fn strict_mode_surfaces_the_error_and_keeps_rotation() {
         let (c, flakies, _) = flaky_cluster(2, false);
         flakies[0].failing.store(true, Ordering::SeqCst);
@@ -1008,16 +1059,9 @@ mod balance_tests {
     use apuama_engine::Database;
 
     fn cluster(n: usize) -> Controller {
-        let mut conns: Vec<Arc<dyn Connection>> = Vec::new();
-        for i in 0..n {
-            let mut db = Database::in_memory();
-            db.execute("create table t (a int)").unwrap();
-            db.execute("insert into t values (1)").unwrap();
-            conns.push(Arc::new(NodeConnection::new(EngineNode::new(
-                format!("n{i}"),
-                db,
-            ))));
-        }
+        let conns = (nodes(n).into_iter())
+            .map(|node| Arc::new(NodeConnection::new(node)) as Arc<dyn Connection>)
+            .collect();
         Controller::new(conns, ControllerConfig::default())
     }
 
@@ -1037,15 +1081,26 @@ mod balance_tests {
         assert_eq!(c.reads_served().iter().sum::<usize>(), 200);
     }
 
-    /// A connection whose execution blocks until released — lets the test
-    /// hold a read in flight deterministically.
+    /// A connection whose statements containing `parks` block until
+    /// released — lets a test hold a read or a write in flight
+    /// deterministically.
     struct Parking {
         inner: NodeConnection,
+        parks: &'static str,
         hold: std::sync::Mutex<bool>,
         cv: std::sync::Condvar,
     }
 
     impl Parking {
+        fn new(node: Arc<EngineNode>, parks: &'static str) -> Arc<Parking> {
+            Arc::new(Parking {
+                inner: NodeConnection::new(node),
+                parks,
+                hold: std::sync::Mutex::new(true),
+                cv: std::sync::Condvar::new(),
+            })
+        }
+
         fn release(&self) {
             *self.hold.lock().unwrap() = false;
             self.cv.notify_all();
@@ -1054,11 +1109,12 @@ mod balance_tests {
 
     impl Connection for Parking {
         fn execute(&self, sql: &str) -> EngineResult<QueryOutput> {
-            let mut held = self.hold.lock().unwrap();
-            while *held {
-                held = self.cv.wait(held).unwrap();
+            if sql.contains(self.parks) {
+                let mut held = self.hold.lock().unwrap();
+                while *held {
+                    held = self.cv.wait(held).unwrap();
+                }
             }
-            drop(held);
             self.inner.execute(sql)
         }
 
@@ -1067,22 +1123,23 @@ mod balance_tests {
         }
     }
 
+    fn nodes(n: usize) -> Vec<Arc<EngineNode>> {
+        (0..n)
+            .map(|i| {
+                let mut db = Database::in_memory();
+                db.execute("create table t (a int)").unwrap();
+                db.execute("insert into t values (1)").unwrap();
+                EngineNode::new(format!("n{i}"), db)
+            })
+            .collect()
+    }
+
     #[test]
     fn least_pending_avoids_the_busy_backend() {
         // Backend 0 parks its first read; while it is in flight, a second
         // read must be routed to backend 1 (pending[0] = 1 > pending[1]).
-        let mut dbs = Vec::new();
-        for i in 0..2 {
-            let mut db = Database::in_memory();
-            db.execute("create table t (a int)").unwrap();
-            db.execute("insert into t values (1)").unwrap();
-            dbs.push(EngineNode::new(format!("n{i}"), db));
-        }
-        let parking = Arc::new(Parking {
-            inner: NodeConnection::new(dbs[0].clone()),
-            hold: std::sync::Mutex::new(true),
-            cv: std::sync::Condvar::new(),
-        });
+        let dbs = nodes(2);
+        let parking = Parking::new(dbs[0].clone(), "select");
         let conns: Vec<Arc<dyn Connection>> = vec![
             parking.clone(),
             Arc::new(NodeConnection::new(dbs[1].clone())),
@@ -1093,10 +1150,9 @@ mod balance_tests {
             let c = Arc::clone(&c);
             std::thread::spawn(move || c.execute("select a from t").unwrap())
         };
-        // Wait until the parked read is visibly pending on backend 0.
-        while c.pending_counts()[0] == 0 {
-            std::thread::yield_now();
-        }
+        wait_until("the parked read never became pending on backend 0", || {
+            c.pending_counts()[0] > 0
+        });
         let (_, served_by) = c.execute("select a from t").unwrap();
         assert_eq!(
             served_by, 1,
@@ -1106,6 +1162,79 @@ mod balance_tests {
         let (_, first_served_by) = blocked.join().unwrap();
         assert_eq!(first_served_by, 0);
         assert_eq!(c.reads_served(), vec![1, 1]);
+    }
+
+    #[test]
+    fn a_read_routes_around_the_backend_a_write_is_on() {
+        // Backend 0 parks the write broadcast; a read sent meanwhile is
+        // served by backend 1 and comes back before the write is released.
+        let dbs = nodes(2);
+        let parking = Parking::new(dbs[0].clone(), "insert");
+        let conns: Vec<Arc<dyn Connection>> = vec![
+            parking.clone(),
+            Arc::new(NodeConnection::new(dbs[1].clone())),
+        ];
+        let c = Arc::new(Controller::new(conns, ControllerConfig::default()));
+        let write = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || c.execute("insert into t values (2)").unwrap())
+        };
+        wait_until("the parked write never became pending on backend 0", || {
+            c.pending_counts()[0] > 0
+        });
+        let (out, served_by) = c.execute("select count(*) as n from t").unwrap();
+        assert_eq!(served_by, 1, "the read waited behind the write's backend");
+        // Backend 1 gets the write only after backend 0 applied it.
+        assert_eq!(out.rows[0][0], apuama_sql::Value::Int(1));
+        assert!(!write.is_finished(), "the write was released early");
+        parking.release();
+        write.join().unwrap();
+        assert_eq!(c.pending_counts(), vec![0, 0]);
+        for node in &dbs {
+            assert_eq!(node.with_db(|db| db.table("t").unwrap().row_count()), 2);
+        }
+    }
+
+    #[test]
+    fn a_read_after_a_write_sees_it_on_every_backend() {
+        // Reads parked on backends 0..k steer the next read to backend k:
+        // each backend in turn serves a read issued after a write returned.
+        let dbs = nodes(4);
+        let parkings: Vec<Arc<Parking>> = (dbs.iter())
+            .map(|n| Parking::new(n.clone(), "a < 0"))
+            .collect();
+        let conns = (parkings.iter())
+            .map(|p| p.clone() as Arc<dyn Connection>)
+            .collect();
+        let c = Arc::new(Controller::new(conns, ControllerConfig::default()));
+        for k in 0..4i64 {
+            c.execute(&format!("insert into t values ({})", 10 + k))
+                .unwrap();
+            std::thread::scope(|s| {
+                for busy in 0..k as usize {
+                    let c = &c;
+                    s.spawn(move || {
+                        let (_, by) = c.execute("select a from t where a < 0").unwrap();
+                        assert_eq!(by, busy);
+                    });
+                    wait_until("a parked read never became pending", || {
+                        c.pending_counts()[busy] > 0
+                    });
+                }
+                let (out, served_by) = c
+                    .execute(&format!("select count(*) as n from t where a = {}", 10 + k))
+                    .unwrap();
+                assert_eq!(served_by, k as usize);
+                assert_eq!(out.rows[0][0], apuama_sql::Value::Int(1), "backend {k}");
+                for p in &parkings {
+                    p.release();
+                }
+            });
+            for p in &parkings {
+                *p.hold.lock().unwrap() = true;
+            }
+        }
+        assert_eq!(c.pending_counts(), vec![0; 4]);
     }
 }
 
@@ -1215,9 +1344,9 @@ mod governance_tests {
             std::thread::spawn(move || c.execute("select count(*) as n from t").unwrap())
         };
         // Wait until the slow read holds the only OLAP slot.
-        while c.pending_counts()[0] == 0 {
-            std::thread::yield_now();
-        }
+        wait_until("the slow read never reached the backend", || {
+            c.pending_counts()[0] > 0
+        });
         let err = c.execute("select count(*) as n from t").unwrap_err();
         assert!(matches!(err, EngineError::ResourceExhausted(_)), "{err:?}");
         holder.join().unwrap();
@@ -1254,9 +1383,9 @@ mod governance_tests {
             let c = Arc::clone(&c);
             std::thread::spawn(move || c.execute("select count(*) as n from t").unwrap())
         };
-        while c.pending_counts()[0] == 0 {
-            std::thread::yield_now();
-        }
+        wait_until("the stalled read never reached the backend", || {
+            c.pending_counts()[0] > 0
+        });
         // Queues behind the stalled read, then runs.
         c.execute("select count(*) as n from t").unwrap();
         holder.join().unwrap();

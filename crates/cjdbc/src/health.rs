@@ -17,6 +17,7 @@
 //! sub-query past its deadline); a statement error is the statement's own
 //! and is recorded as neither success nor failure.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -55,7 +56,6 @@ struct NodeHealth {
     state: CircuitState,
     consecutive_failures: u32,
     opened_at: Option<Instant>,
-    successes: u64,
     failures: u64,
     /// Administratively fenced off (recovery-log catch-up in progress):
     /// unlike the breaker, quarantine never lifts on its own — the rejoin
@@ -70,7 +70,6 @@ impl NodeHealth {
             state: CircuitState::Closed,
             consecutive_failures: 0,
             opened_at: None,
-            successes: 0,
             failures: 0,
             quarantined: false,
         }
@@ -78,10 +77,18 @@ impl NodeHealth {
 }
 
 /// Shared health tracker for a fixed-size cluster.
+///
+/// One mutex guards every node's circuit. A success on a node whose
+/// circuit is already Closed with no failure streak — every request of a
+/// healthy cluster — changes nothing the mutex guards, so it is counted
+/// without taking it (`clean` mirrors that state, written under the lock).
 #[derive(Debug)]
 pub struct HealthTracker {
     policy: BreakerPolicy,
     nodes: Mutex<Vec<NodeHealth>>,
+    /// Per node: the circuit is Closed and the failure streak is zero.
+    clean: Vec<AtomicBool>,
+    successes: Vec<AtomicU64>,
 }
 
 impl HealthTracker {
@@ -94,12 +101,14 @@ impl HealthTracker {
         HealthTracker {
             policy,
             nodes: Mutex::new((0..nodes).map(|_| NodeHealth::new()).collect()),
+            clean: (0..nodes).map(|_| AtomicBool::new(true)).collect(),
+            successes: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
     /// Number of tracked nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.lock().len()
+        self.clean.len()
     }
 
     /// The active policy.
@@ -110,12 +119,16 @@ impl HealthTracker {
     /// Records a successful request: resets the failure streak and closes
     /// the circuit (a HalfOpen probe that succeeds recovers the node).
     pub fn record_success(&self, node: usize) {
+        self.successes[node].fetch_add(1, Ordering::Relaxed);
+        if self.clean[node].load(Ordering::SeqCst) {
+            return;
+        }
         let mut nodes = self.nodes.lock();
         let h = &mut nodes[node];
-        h.successes += 1;
         h.consecutive_failures = 0;
         h.state = CircuitState::Closed;
         h.opened_at = None;
+        self.clean[node].store(true, Ordering::SeqCst);
     }
 
     /// Records a failed request; opens the circuit after `threshold`
@@ -123,6 +136,7 @@ impl HealthTracker {
     pub fn record_failure(&self, node: usize) {
         let mut nodes = self.nodes.lock();
         let h = &mut nodes[node];
+        self.clean[node].store(false, Ordering::SeqCst);
         h.failures += 1;
         h.consecutive_failures += 1;
         match h.state {
@@ -157,8 +171,11 @@ impl HealthTracker {
     /// expired Open circuit to HalfOpen (admitting the probe). Quarantined
     /// nodes are never available.
     pub fn is_available(&self, node: usize) -> bool {
-        let mut nodes = self.nodes.lock();
-        let h = &mut nodes[node];
+        self.admits(&mut self.nodes.lock()[node])
+    }
+
+    /// [`Self::is_available`] on a node already locked.
+    fn admits(&self, h: &mut NodeHealth) -> bool {
         if h.quarantined {
             return false;
         }
@@ -176,6 +193,34 @@ impl HealthTracker {
                 }
             }
         }
+    }
+
+    /// The read balancer's pick, under one acquisition of the lock: of
+    /// `eligible` (ascending node indices), the available node with the
+    /// least `load`, the lowest index on ties — or, when none is available,
+    /// the least-loaded eligible node (serving into a tripped circuit beats
+    /// refusing the request, and the attempt doubles as a probe). Every
+    /// eligible node is asked, so each expired Open circuit still turns
+    /// HalfOpen. `None` when `eligible` is empty.
+    pub fn least_loaded(
+        &self,
+        eligible: impl Iterator<Item = usize>,
+        load: impl Fn(usize) -> usize,
+    ) -> Option<usize> {
+        let mut nodes = self.nodes.lock();
+        // `(load, node)` of the best available and the best eligible node.
+        let mut available: Option<(usize, usize)> = None;
+        let mut any: Option<(usize, usize)> = None;
+        for i in eligible {
+            let l = load(i);
+            if any.is_none_or(|(best, _)| l < best) {
+                any = Some((l, i));
+            }
+            if self.admits(&mut nodes[i]) && available.is_none_or(|(best, _)| l < best) {
+                available = Some((l, i));
+            }
+        }
+        available.or(any).map(|(_, i)| i)
     }
 
     /// Current circuit state of `node` (no probe transition).
@@ -198,7 +243,7 @@ impl HealthTracker {
 
     /// Total successful requests recorded for `node`.
     pub fn successes(&self, node: usize) -> u64 {
-        self.nodes.lock()[node].successes
+        self.successes[node].load(Ordering::Relaxed)
     }
 
     /// Current consecutive-failure streak for `node`.
@@ -283,6 +328,42 @@ mod tests {
         t.record_failure(0);
         assert!(!t.is_available(0));
         assert_eq!(t.state(0), CircuitState::Open);
+    }
+
+    #[test]
+    fn least_loaded_asks_every_node_and_falls_back_when_none_is_available() {
+        // probe_after = 0: both open circuits expire at once, and both turn
+        // HalfOpen although the tie goes to the lower index.
+        let t = tracker(1, 0);
+        t.record_failure(0);
+        t.record_failure(2);
+        assert_eq!(t.least_loaded(0..3, |i| [0, 5, 0][i]), Some(0));
+        assert_eq!(t.state(0), CircuitState::HalfOpen);
+        assert_eq!(t.state(2), CircuitState::HalfOpen);
+        // Every circuit open: the least-loaded eligible node serves.
+        let t = tracker(1, 60_000);
+        for i in 0..3 {
+            t.record_failure(i);
+        }
+        assert_eq!(t.least_loaded(0..3, |i| [3, 1, 1][i]), Some(1));
+        // An available node beats a less-loaded unavailable one.
+        let t = tracker(3, 60_000);
+        t.set_quarantined(0, true);
+        assert_eq!(t.least_loaded(0..3, |i| [0, 2, 1][i]), Some(2));
+        assert_eq!(t.least_loaded(std::iter::empty(), |_| 0), None);
+    }
+
+    #[test]
+    fn successes_are_counted_on_a_clean_circuit_and_a_tripped_one() {
+        let t = tracker(1, 0);
+        t.record_success(0);
+        t.record_failure(0);
+        assert_eq!(t.state(0), CircuitState::Open);
+        t.record_success(0);
+        assert_eq!(t.state(0), CircuitState::Closed);
+        assert_eq!(t.consecutive_failures(0), 0);
+        t.record_success(0);
+        assert_eq!((t.successes(0), t.failures(0)), (3, 1));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::eval::{self, split_conjuncts, Scope};
 use crate::exec::{self, ExecContext};
 use crate::governor::{MemoryGauge, QueryGovernor};
 use crate::physical;
-use crate::plan_cache::{self, CachedPlan, PlanCache, PlanCacheStats};
+use crate::plan_cache::{self, CachedPlan, PlanCache, PlanCacheStats, PlanSource};
 use crate::request::ReadRequest;
 use crate::stats::ExecStats;
 use crate::table::Table;
@@ -134,9 +134,10 @@ enum Planned {
 enum Source<'s> {
     /// A prepared or bound statement's exact text, parsed.
     Text(&'s str),
-    /// A text SELECT's parse, with the literals its key lifted replaced by
-    /// their placeholders.
-    Lifted(&'s Select),
+    /// A text SELECT's parse and its lifted key: lowered with the literals
+    /// the key lifted replaced by their placeholders, and what the entry's
+    /// shape must match.
+    Lifted(&'s Select, &'s visit::LiftedKey),
 }
 
 /// Undo-log entry for transaction rollback.
@@ -368,9 +369,10 @@ impl Database {
     /// plan cache — parsed and lowered once per key and `enable_kernel`
     /// setting, not once per execution. With bound values (`req.params`)
     /// the key is the exact text; a text SELECT is a bound read whose
-    /// values were lifted: its key is its text with the WHERE literals
-    /// [`visit::lift_where_literals`] lifts written as placeholders, and
-    /// the lifted literals are the values. Either way the result is
+    /// values were lifted: its key is its tree with the WHERE literals
+    /// [`visit::lift_where_literals`] lifts standing as placeholders,
+    /// hashed without rendering ([`visit::LiftedKey`]) and confirmed node
+    /// by node, and the lifted literals are the values. Either way the result is
     /// byte-identical to running the literals in place. The statement comes
     /// from `req.stmt` when the request carries it; otherwise `req.sql` is
     /// parsed here, once. The statement observes `req.governor` at
@@ -378,7 +380,7 @@ impl Database {
     /// enable_seqscan = off` without touching the session.
     pub fn read(&self, req: &ReadRequest<'_>) -> EngineResult<QueryOutput> {
         let kernel_on = self.kernel_enabled();
-        let parsed;
+        let (parsed, key);
         let (fp, source, values) = match req.params {
             Some(params) => (
                 plan_cache::fingerprint(req.sql, kernel_on),
@@ -396,8 +398,10 @@ impl Database {
                 let Statement::Select(q) = stmt else {
                     return self.read_stmt(stmt, req.governor, req.avoid_seqscan);
                 };
-                let visit::Lifted { text, values } = visit::lift_where_literals(q);
-                ((text, kernel_on), Source::Lifted(q), values)
+                let values;
+                (key, values) = visit::LiftedKey::of(q);
+                let fp = (plan_cache::Key::Lifted(key.hash), kernel_on);
+                (fp, Source::Lifted(q, &key), values)
             }
         };
         let plan = match self.plan_for(fp, source)? {
@@ -493,21 +497,14 @@ impl Database {
 
     // -- prepared statements ---------------------------------------------------
 
-    /// One `(table, pages, rows)` stats entry; missing tables get sentinel
-    /// values so a plan compiled before a DROP-like change never validates.
-    fn table_stats_entry(&self, name: &str) -> (String, u64, u64) {
-        match self.table(name) {
-            Some(t) => (name.to_string(), t.pages(), t.row_count()),
-            None => (name.to_string(), u64::MAX, u64::MAX),
-        }
-    }
-
     /// Whether every table of a cached plan's stats token still has the
-    /// pages and rows it had when the plan was compiled.
-    fn stats_token_current(&self, token: &[(String, u64, u64)]) -> bool {
-        token.iter().all(|(t, pages, rows)| match self.table(t) {
-            Some(t) => (t.pages(), t.row_count()) == (*pages, *rows),
-            None => (*pages, *rows) == (u64::MAX, u64::MAX),
+    /// pages and rows it had when the plan was compiled. The token holds
+    /// table ids, which keep naming their tables (tables are only ever
+    /// appended), so nothing is looked up by name.
+    fn stats_token_current(&self, token: &[(TableId, u64, u64)]) -> bool {
+        token.iter().all(|&(id, pages, rows)| {
+            let t = self.table_by_id(id);
+            (t.pages(), t.row_count()) == (pages, rows)
         })
     }
 
@@ -517,35 +514,46 @@ impl Database {
     /// those are never cached.
     fn plan_for(&self, fp: plan_cache::Fingerprint, source: Source<'_>) -> EngineResult<Planned> {
         let version = self.catalog_version.load(Ordering::SeqCst);
+        let is_it = |plan: &CachedPlan| match (&source, &plan.source) {
+            (Source::Text(sql), PlanSource::Text(text)) => sql.trim() == &**text,
+            (Source::Lifted(q, key), PlanSource::Lifted(shape)) => shape.matches(q, key),
+            _ => false,
+        };
         if let Some(plan) = self
             .plan_cache
             .lock()
-            .lookup(&fp, version, |token| self.stats_token_current(token))
+            .lookup(&fp, version, is_it, |token| self.stats_token_current(token))
         {
             return Ok(Planned::Select(plan));
         }
-        let q = match source {
+        let (q, plan_source) = match source {
             Source::Text(sql) => match parse_statement(sql)? {
-                Statement::Select(q) => q,
+                Statement::Select(q) => (q, PlanSource::Text(sql.trim().into())),
                 other => return Ok(Planned::Other(Box::new(other))),
             },
-            Source::Lifted(q) => {
+            Source::Lifted(q, key) => {
+                let shape = key.shape(q);
                 let mut q = q.clone();
                 visit::parameterize_where_literals(&mut q);
-                debug_assert_eq!(q.to_string(), fp.0, "the lifted statement is its key");
-                q
+                debug_assert_eq!(
+                    visit::LiftedKey::of(&q).0.shape(&q),
+                    shape,
+                    "the lifted statement is its shape"
+                );
+                (q, PlanSource::Lifted(shape))
             }
         };
         let n_params = visit::parameter_count(&q);
-        let stats_token = visit::referenced_tables(&q)
-            .iter()
-            .map(|t| self.table_stats_entry(t))
+        let stats_token = (visit::referenced_tables(&q).iter())
+            .filter_map(|name| self.table(name))
+            .map(|t| (t.schema.id, t.pages(), t.row_count()))
             .collect();
         let plan = Arc::new(CachedPlan {
             physical: physical::lower(q, self, fp.1),
             n_params,
             catalog_version: version,
             stats_token,
+            source: plan_source,
         });
         self.plan_cache.lock().insert(fp, Arc::clone(&plan));
         Ok(Planned::Select(plan))
@@ -1642,6 +1650,54 @@ mod prepared_tests {
         assert_eq!(check(&mut d, 10).len(), 1);
         let s = d.plan_cache_stats();
         assert_eq!((s.misses, s.hits, s.replans), (3, 2, 1), "{s:?}");
+    }
+
+    #[test]
+    fn an_equality_probe_on_a_secondary_index_answers_what_a_scan_answers() {
+        let mut d = Database::in_memory();
+        d.execute("create table s (k int, c int)").unwrap();
+        d.execute("create index s_c on s (c)").unwrap();
+        let rows = (0..400)
+            .map(|k| {
+                let c = match k % 5 {
+                    0 => Value::Null,
+                    r => Value::Int(r % 3),
+                };
+                vec![Value::Int(k), c]
+            })
+            .collect();
+        d.load_table("s", rows).unwrap();
+        // Removals reorder the posting lists (`swap_remove`).
+        d.execute("delete from s where k = 1 or k = 12").unwrap();
+        const PROBE: &str = "select k, c from s where c = $1";
+        let keys = [
+            Value::Null,
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Int(7),
+        ];
+        let sorted = |mut rows: Vec<Row>| {
+            rows.sort_by(|a, b| a[0].sort_cmp(&b[0]));
+            rows
+        };
+        let mut scanned = Vec::new();
+        d.execute("set enable_indexscan = off").unwrap();
+        for key in &keys {
+            let out = d.query_bound(PROBE, std::slice::from_ref(key)).unwrap();
+            assert_eq!(out.stats.index_probes, 0);
+            scanned.push(sorted(out.rows));
+        }
+        // NULL keys leave the index without a histogram: only a scan kept
+        // off makes the planner probe.
+        d.execute("set enable_indexscan = on").unwrap();
+        d.execute("set enable_seqscan = off").unwrap();
+        for (key, want) in keys.iter().zip(scanned) {
+            let out = d.query_bound(PROBE, std::slice::from_ref(key)).unwrap();
+            assert_eq!(out.stats.index_probes, 1, "{key:?}");
+            assert_eq!(sorted(out.rows), want, "{key:?}");
+        }
     }
 
     #[test]

@@ -175,6 +175,9 @@ pub(crate) struct CompiledScan {
     /// One program per pushed-down conjunct, aligned with the input's
     /// `single`.
     pub(crate) single: Vec<CompiledExpr>,
+    /// The access path's shape — which index, which operands bound it —
+    /// left to value per execution; `None` chooses it afresh each time.
+    pub(crate) access: Option<planner::AccessShape>,
 }
 
 /// A projection's output and programs, resolved at lowering against the
@@ -378,9 +381,19 @@ fn compile_source(
         aggs: &[],
         ctx: None,
     };
+    let positional = |e: &Expr, scope: &Scope<'_>| {
+        Some(eval::compile_expr(e, scope)).filter(CompiledExpr::is_positional)
+    };
     let compiled_single = (single.iter())
-        .map(|e| Some(eval::compile_expr(e, &scope)).filter(CompiledExpr::is_positional))
+        .map(|e| positional(e, &scope))
         .collect::<Option<Vec<_>>>()?;
+    let no_row = Scope {
+        bindings: &[],
+        ..scope
+    };
+    let access = planner::AccessShape::of(table, alias.as_deref().unwrap_or(name), single, &|e| {
+        positional(e, &no_row)
+    });
     let cols = keep
         .as_deref()
         .and_then(|keep| kept_positions(&table.schema, keep));
@@ -398,6 +411,7 @@ fn compile_source(
             cols,
             out_bindings,
             single: compiled_single,
+            access,
         },
         project,
     })

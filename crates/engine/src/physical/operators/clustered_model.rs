@@ -10,7 +10,8 @@
 //!
 //! * the table's prefix length is the model's and its key column is in
 //!   order up to it, tombstones included;
-//! * for random bounds of every `Bound` combination, the units
+//! * for random bounds of every `Bound` combination, and for one key (an
+//!   equality, read from the clustering index's posting list), the units
 //!   [`ScanUnits`] resolves are exactly the live rows of `Heap::iter` whose
 //!   key the range admits, in slot order, once each;
 //! * the same through SQL — `select` under discouraged sequential scans,
@@ -237,9 +238,18 @@ fn check(db: &Database, model: &Model, rng: &mut Rng, what: &str) {
 
     let ctx = ExecContext::new(db);
     let no_preds = ScanPreds::new(Vec::new(), 3, &ctx);
-    for round in 0..6 {
+    for round in 0..8 {
         let (low, high) = match round {
             0 => (Bound::Unbounded, Bound::Unbounded),
+            // One key, read from its posting list: as an integer (or NULL)
+            // and as the float equal to it.
+            1 | 2 => {
+                let key = match (round, random_key(rng)) {
+                    (2, Value::Int(k)) => Value::Float(k as f64),
+                    (_, key) => key,
+                };
+                (Bound::Included(key.clone()), Bound::Included(key))
+            }
             _ => (random_bound(rng), random_bound(rng)),
         };
         let what = format!("{what}, range ({low:?}, {high:?})");

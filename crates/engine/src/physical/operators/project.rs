@@ -86,8 +86,9 @@ pub(crate) fn order_key_into(
 /// Projects the SELECT list and computes ORDER BY keys per row. Streams
 /// unless an item or ORDER BY expression contains a subquery: then the
 /// child is drained first, so the subqueries' page touches land after the
-/// child's. A pure `SELECT *` moves each input row into the output instead
-/// of cloning its values. With `compiled` set — the projection lowering
+/// child's. A pure `SELECT *`, or a list that names the input's columns in
+/// their order (a point read of the columns its scan keeps), moves each
+/// input row into the output instead of cloning its values. With `compiled` set — the projection lowering
 /// compiled ([`CompiledProject`]) — `open` compiles nothing: it borrows the
 /// plan's programs, which read a parameter, if any, as they evaluate.
 pub(crate) struct ProjectExec<'e> {
@@ -97,7 +98,8 @@ pub(crate) struct ProjectExec<'e> {
     outer: &'e [Frame<'e>],
     ctx: &'e ExecContext<'e>,
     breaker: bool,
-    wildcard_only: bool,
+    /// Each input row is its output row: set at `open`.
+    pass_rows: bool,
     out_width: usize,
     /// Item and order-key programs, compiled at `open` or borrowed from
     /// the plan.
@@ -125,7 +127,7 @@ impl<'e> ProjectExec<'e> {
             outer,
             ctx,
             breaker: item_subquery || order_subquery,
-            wildcard_only: matches!(q.items.as_slice(), [SelectItem::Wildcard]),
+            pass_rows: false,
             out_width: 0,
             progs: (Cow::Borrowed(&[]), Cow::Borrowed(&[])),
             emitter: None,
@@ -138,28 +140,28 @@ impl<'e> ProjectExec<'e> {
         let (items, order) = &self.progs;
         let (outer, ctx) = (self.outer, self.ctx);
         let mut cpu = 0u64;
-        let mut out_rows = Vec::with_capacity(rows.len());
         let mut keys = KeyBuf::with_capacity(order.len(), rows.len());
-        if self.wildcard_only {
-            // `SELECT *`: the output row IS the input row, moved.
-            for row in rows {
-                cpu += 1;
-                order_key_into(order, &row, &row, outer, ctx, &mut keys)?;
-                out_rows.push(row);
-            }
-        } else {
+        if self.pass_rows {
+            // The output row IS the input row, moved.
             for row in &rows {
                 cpu += 1;
-                let mut out_row = Vec::with_capacity(self.out_width);
-                for item in items.iter() {
-                    match item {
-                        ItemProg::Wildcard => out_row.extend(row.iter().cloned()),
-                        ItemProg::Expr(c) => out_row.push(eval::eval_compiled(c, row, outer, ctx)?),
-                    }
-                }
-                order_key_into(order, row, &out_row, outer, ctx, &mut keys)?;
-                out_rows.push(out_row);
+                order_key_into(order, row, row, outer, ctx, &mut keys)?;
             }
+            ctx.bump_cpu(cpu);
+            return Ok((rows, keys));
+        }
+        let mut out_rows = Vec::with_capacity(rows.len());
+        for row in &rows {
+            cpu += 1;
+            let mut out_row = Vec::with_capacity(self.out_width);
+            for item in items.iter() {
+                match item {
+                    ItemProg::Wildcard => out_row.extend(row.iter().cloned()),
+                    ItemProg::Expr(c) => out_row.push(eval::eval_compiled(c, row, outer, ctx)?),
+                }
+            }
+            order_key_into(order, row, &out_row, outer, ctx, &mut keys)?;
+            out_rows.push(out_row);
         }
         ctx.bump_cpu(cpu);
         Ok((out_rows, keys))
@@ -184,6 +186,12 @@ impl<'e> Operator<'e> for ProjectExec<'e> {
             }
         };
         self.out_width = out_bindings.len();
+        let items = &self.progs.0;
+        self.pass_rows = matches!(self.q.items.as_slice(), [SelectItem::Wildcard])
+            || (items.len() == in_bindings.len()
+                && (items.iter().enumerate()).all(
+                    |(i, item)| matches!(item, ItemProg::Expr(CompiledExpr::Col(c)) if *c == i),
+                ));
         Ok(out_bindings)
     }
 

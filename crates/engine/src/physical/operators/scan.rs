@@ -1,5 +1,6 @@
 use std::borrow::Cow;
-use std::ops::Range;
+use std::cmp::Ordering;
+use std::ops::{Bound, Range};
 
 use apuama_sql::ast::Expr;
 use apuama_storage::{AccessKind, Heap, Row, RowId, Segment};
@@ -28,7 +29,7 @@ pub(crate) fn index_access_kind(clustered: bool) -> AccessKind {
 }
 
 /// Where a scan's units come from.
-enum UnitSource {
+enum UnitSource<'e> {
     /// The segments in order, minus the pages the zone maps refuted
     /// (`allowed[page]`; `None` reads every page).
     Seq {
@@ -51,8 +52,9 @@ enum UnitSource {
         next_seg: usize,
     },
     /// A secondary index range's row ids, in index order: by key, equal
-    /// keys in posting-list order.
-    Rids { rids: Vec<RowId>, pos: usize },
+    /// keys in posting-list order; or one key's posting list, read in
+    /// place (an equality, on any index: in slot order on a clustered one).
+    Rids { rids: Cow<'e, [RowId]>, pos: usize },
 }
 
 /// One base-table access path as a sequence of *units*: `(segment,
@@ -63,7 +65,7 @@ enum UnitSource {
 /// their input from here, so they see the same tuples in the same order.
 pub(crate) struct ScanUnits<'e> {
     heap: &'e Heap,
-    source: UnitSource,
+    source: UnitSource<'e>,
     pub(crate) kind: AccessKind,
     /// Pages the zone maps let the scan skip.
     pub(crate) pages_pruned: u64,
@@ -98,30 +100,57 @@ impl<'e> ScanUnits<'e> {
                 high,
                 clustered,
             } => {
-                let source = if *clustered {
-                    let range = KeyRange::new(low, high);
-                    let (prefix, tail) = (table.prefix_slots(&range), table.ordered_prefix());
-                    let first = if prefix.is_empty() {
-                        tail
-                    } else {
-                        prefix.start
-                    };
-                    UnitSource::Clustered {
-                        column: *column,
-                        range,
-                        prefix,
-                        tail,
-                        next_seg: (first / heap.segment_slots()) as usize,
+                let idx = table
+                    .index_on(*column)
+                    .expect("planner only chooses existing indexes");
+                // One key: its posting list, probed — what the range `[key,
+                // key]` holds, NULL keys in no range.
+                let point = match (low, high) {
+                    (Bound::Included(key), Bound::Included(high))
+                        if !key.is_null() && key.sort_cmp(high) == Ordering::Equal =>
+                    {
+                        Some(idx.get(key))
                     }
-                } else {
-                    let idx = table
-                        .index_on(*column)
-                        .expect("planner only chooses existing indexes");
-                    let rids = idx
-                        .range(exec::bound_ref(low), exec::bound_ref(high))
-                        .map(|(_, rid)| rid)
-                        .collect();
-                    UnitSource::Rids { rids, pos: 0 }
+                    _ => None,
+                };
+                let source = match (point, *clustered) {
+                    // A clustered range yields its rows in slot order (the
+                    // prefix run, then the tail), so a key's postings go
+                    // in ascending order too.
+                    (Some(rids), true) if !rids.is_sorted() => {
+                        let mut rids = rids.to_vec();
+                        rids.sort_unstable();
+                        UnitSource::Rids {
+                            rids: Cow::Owned(rids),
+                            pos: 0,
+                        }
+                    }
+                    (Some(rids), _) => UnitSource::Rids {
+                        rids: Cow::Borrowed(rids),
+                        pos: 0,
+                    },
+                    (None, true) => {
+                        let range = KeyRange::new(low, high);
+                        let (prefix, tail) = (table.prefix_slots(&range), table.ordered_prefix());
+                        let first = if prefix.is_empty() {
+                            tail
+                        } else {
+                            prefix.start
+                        };
+                        UnitSource::Clustered {
+                            column: *column,
+                            range,
+                            prefix,
+                            tail,
+                            next_seg: (first / heap.segment_slots()) as usize,
+                        }
+                    }
+                    (None, false) => UnitSource::Rids {
+                        rids: (idx.range(exec::bound_ref(low), exec::bound_ref(high)))
+                            .map(|(_, rid)| rid)
+                            .collect(),
+                        pos: 0,
+                    },
                 };
                 ScanUnits {
                     heap,
@@ -600,20 +629,30 @@ impl<'e> Operator<'e> for ScanExec<'e> {
         let (table, path, residual, out_bindings) = match self.compiled {
             Some(c) => {
                 let table = ctx.db.table_by_id(c.table);
-                let binding_name = self.alias.unwrap_or(self.name);
-                let choice = choose_path(table, binding_name, self.single, ctx);
+                let valued = c.access.as_ref().and_then(|access| {
+                    let value = |p: &CompiledExpr| eval::eval_compiled(p, &[], &[], ctx).ok();
+                    access.choose(
+                        table,
+                        ctx.seqscan_allowed(),
+                        ctx.db.indexscan_enabled(),
+                        &value,
+                    )
+                });
+                let (path, consumed) = match valued {
+                    Some((path, consumed)) => (path, Cow::Borrowed(consumed)),
+                    None => {
+                        let binding_name = self.alias.unwrap_or(self.name);
+                        let choice = choose_path(table, binding_name, self.single, ctx);
+                        (choice.path, Cow::Owned(choice.consumed))
+                    }
+                };
                 let preds = (c.single.iter().enumerate())
-                    .filter(|(i, _)| !choice.consumed.contains(i))
+                    .filter(|(i, _)| !consumed.contains(i))
                     .map(|(_, p)| ResidualPred::from_compiled(eval::prebind_params(p, ctx)))
                     .collect();
                 self.cols = c.cols.as_deref().map(Cow::Borrowed);
                 let residual = ScanPreds::new(preds, c.width, ctx);
-                (
-                    table,
-                    choice.path,
-                    residual,
-                    Cow::Borrowed(&c.out_bindings[..]),
-                )
+                (table, path, residual, Cow::Borrowed(&c.out_bindings[..]))
             }
             None => {
                 let planned = self.plan()?;

@@ -16,6 +16,8 @@ use apuama_sql::ast::{BinOp, Expr, Select, SelectItem, TableRef};
 use apuama_sql::{visit, Value};
 
 use crate::catalog::Catalog;
+use crate::eval::CompiledExpr;
+use crate::exec;
 use crate::table::Table;
 
 /// PostgreSQL-default planner constants.
@@ -131,23 +133,9 @@ pub fn choose_access_path(
     enable_indexscan: bool,
     eval_const: &dyn Fn(&Expr) -> Option<Value>,
 ) -> ScanChoice {
-    let rows = table.row_count() as f64;
-    let pages = table.pages() as f64;
-
     // Residual selectivity heuristics for conjuncts the index can't consume.
     let residual_selectivity: f64 = conjuncts.iter().map(default_selectivity).product();
-
-    let mut seq_cost = pages * SEQ_PAGE_COST + rows * CPU_TUPLE_COST;
-    if !enable_seqscan {
-        seq_cost += DISABLE_COST;
-    }
-    let mut best = ScanChoice {
-        path: AccessPath::SeqScan,
-        estimated_rows: (rows * residual_selectivity).max(1.0),
-        cost: seq_cost,
-        consumed: Vec::new(),
-    };
-
+    let mut best = seq_choice(table, residual_selectivity, enable_seqscan);
     for col in table.indexed_columns() {
         let col_name = &table.schema.columns[col].name;
         let mut bounds = ColumnBounds::default();
@@ -157,44 +145,185 @@ pub fn choose_access_path(
                 consumed.push(ci);
             }
         }
-        let Some(idx) = table.index_on(col) else {
-            continue;
-        };
-        let lo = bounds.low_bound();
-        let hi = bounds.high_bound();
-        let sel = if bounds.is_constraining() {
-            idx.range_selectivity(as_ref_bound(&lo), as_ref_bound(&hi))
-        } else {
-            1.0
-        };
-        let clustered = table.schema.clustered_by == Some(col);
-        let mut cost = if clustered {
-            // Contiguous slice of the heap plus a descent.
-            sel * pages * SEQ_PAGE_COST + sel * rows * CPU_TUPLE_COST + 10.0
-        } else {
-            // One random heap page per matching posting.
-            sel * rows * RANDOM_PAGE_COST + sel * rows * CPU_TUPLE_COST + 10.0
-        };
-        if !enable_indexscan {
-            cost += DISABLE_COST;
-        }
-        if cost < best.cost {
+        let costed = index_choice(
+            table,
+            col,
+            &bounds,
+            residual_selectivity,
+            enable_indexscan,
+            best.cost,
+        );
+        if let Some(choice) = costed {
             best = ScanChoice {
-                path: AccessPath::IndexRange {
-                    column: col,
-                    low: lo,
-                    high: hi,
-                    clustered,
-                },
-                estimated_rows: (rows * sel.max(1e-9) * residual_selectivity
-                    / default_selectivity_for_bounds(&bounds))
-                .max(1.0),
-                cost,
                 consumed: consumed.clone(),
+                ..choice
             };
         }
     }
     best
+}
+
+/// The sequential scan's choice: every conjunct left to the row level.
+fn seq_choice(table: &Table, residual_selectivity: f64, enable_seqscan: bool) -> ScanChoice {
+    let rows = table.row_count() as f64;
+    let pages = table.pages() as f64;
+    let mut seq_cost = pages * SEQ_PAGE_COST + rows * CPU_TUPLE_COST;
+    if !enable_seqscan {
+        seq_cost += DISABLE_COST;
+    }
+    ScanChoice {
+        path: AccessPath::SeqScan,
+        estimated_rows: (rows * residual_selectivity).max(1.0),
+        cost: seq_cost,
+        consumed: Vec::new(),
+    }
+}
+
+/// The index range `bounds` give on `col`, when the column is indexed and
+/// the range costs less than `to_beat`; `consumed` is left to the caller.
+fn index_choice(
+    table: &Table,
+    col: usize,
+    bounds: &ColumnBounds,
+    residual_selectivity: f64,
+    enable_indexscan: bool,
+    to_beat: f64,
+) -> Option<ScanChoice> {
+    let idx = table.index_on(col)?;
+    let rows = table.row_count() as f64;
+    let pages = table.pages() as f64;
+    let lo = bounds.low_bound();
+    let hi = bounds.high_bound();
+    let sel = if bounds.is_constraining() {
+        idx.range_selectivity(as_ref_bound(&lo), as_ref_bound(&hi))
+    } else {
+        1.0
+    };
+    let clustered = table.schema.clustered_by == Some(col);
+    let mut cost = if clustered {
+        // Contiguous slice of the heap plus a descent.
+        sel * pages * SEQ_PAGE_COST + sel * rows * CPU_TUPLE_COST + 10.0
+    } else {
+        // One random heap page per matching posting.
+        sel * rows * RANDOM_PAGE_COST + sel * rows * CPU_TUPLE_COST + 10.0
+    };
+    if !enable_indexscan {
+        cost += DISABLE_COST;
+    }
+    (cost < to_beat).then(|| ScanChoice {
+        path: AccessPath::IndexRange {
+            column: col,
+            low: lo,
+            high: hi,
+            clustered,
+        },
+        estimated_rows: (rows * sel.max(1e-9) * residual_selectivity
+            / default_selectivity_for_bounds(bounds))
+        .max(1.0),
+        cost,
+        consumed: Vec::new(),
+    })
+}
+
+/// One scan's access-path choice fixed at lowering up to its bound values:
+/// per indexed column, which conjuncts bound it and their value operands,
+/// compiled. A cached plan keeps it, so an execution only values the
+/// operands and costs the ranges ([`AccessShape::choose`]) — the choice
+/// [`choose_access_path`] makes from the same values.
+#[derive(Debug, Clone)]
+pub(crate) struct AccessShape {
+    residual_selectivity: f64,
+    columns: Vec<ColumnTerms>,
+}
+
+/// One indexed column's bounding conjuncts, in conjunct order.
+#[derive(Debug, Clone)]
+struct ColumnTerms {
+    column: usize,
+    terms: Vec<BoundTerm<CompiledExpr>>,
+    /// The conjuncts `terms` came from: what the range consumes.
+    consumed: Vec<usize>,
+}
+
+impl AccessShape {
+    /// The shape of `conjuncts`' access path over `table`, their operands
+    /// compiled by `compile`; `None` when an operand does not compile to a
+    /// program an execution can value alone (`compile` says so).
+    pub(crate) fn of(
+        table: &Table,
+        binding_name: &str,
+        conjuncts: &[Expr],
+        compile: &dyn Fn(&Expr) -> Option<CompiledExpr>,
+    ) -> Option<AccessShape> {
+        let mut columns = Vec::new();
+        for column in table.indexed_columns() {
+            let col_name = &table.schema.columns[column].name;
+            let (mut terms, mut consumed) = (Vec::new(), Vec::new());
+            for (ci, c) in conjuncts.iter().enumerate() {
+                let Some(term) = bound_term(c, binding_name, col_name) else {
+                    continue;
+                };
+                // An operand reading a column never values: not consumed.
+                let operands = match term {
+                    BoundTerm::Cmp(_, e) => [Some(e), None],
+                    BoundTerm::Between(lo, hi) => [Some(lo), Some(hi)],
+                };
+                if operands.iter().flatten().any(|e| exec::expr_has_columns(e)) {
+                    continue;
+                }
+                terms.push(match term {
+                    BoundTerm::Cmp(op, e) => BoundTerm::Cmp(op, compile(e)?),
+                    BoundTerm::Between(lo, hi) => BoundTerm::Between(compile(lo)?, compile(hi)?),
+                });
+                consumed.push(ci);
+            }
+            columns.push(ColumnTerms {
+                column,
+                terms,
+                consumed,
+            });
+        }
+        Some(AccessShape {
+            residual_selectivity: conjuncts.iter().map(default_selectivity).product(),
+            columns,
+        })
+    }
+
+    /// The access path and the conjuncts it consumes, from the operand
+    /// values `value` gives. `None` when an operand does not value (an
+    /// error or an unbound parameter): the caller then chooses through
+    /// [`choose_access_path`], which leaves that conjunct unconsumed.
+    pub(crate) fn choose(
+        &self,
+        table: &Table,
+        enable_seqscan: bool,
+        enable_indexscan: bool,
+        value: &dyn Fn(&CompiledExpr) -> Option<Value>,
+    ) -> Option<(AccessPath, &[usize])> {
+        let mut best = seq_choice(table, self.residual_selectivity, enable_seqscan);
+        let mut consumed: &[usize] = &[];
+        for c in &self.columns {
+            let mut bounds = ColumnBounds::default();
+            for term in &c.terms {
+                if !term.apply(&mut bounds, value) {
+                    return None;
+                }
+            }
+            let costed = index_choice(
+                table,
+                c.column,
+                &bounds,
+                self.residual_selectivity,
+                enable_indexscan,
+                best.cost,
+            );
+            if let Some(choice) = costed {
+                best = choice;
+                consumed = &c.consumed;
+            }
+        }
+        Some((best.path, consumed))
+    }
 }
 
 /// The heuristic selectivity a conjunct contributes when it is not consumed
@@ -251,6 +380,73 @@ fn is_column(e: &Expr, binding_name: &str, col_name: &str) -> bool {
     }
 }
 
+/// A conjunct's bound on one column before its operands are valued:
+/// `col op operand` (the operator flipped when the column stood on the
+/// right) or `col between low and high`.
+#[derive(Debug, Clone)]
+enum BoundTerm<E> {
+    Cmp(BinOp, E),
+    Between(E, E),
+}
+
+impl<E> BoundTerm<E> {
+    /// Adds the term to `bounds` when `value` values every operand; false,
+    /// adding nothing, otherwise.
+    fn apply(&self, bounds: &mut ColumnBounds, value: &dyn Fn(&E) -> Option<Value>) -> bool {
+        match self {
+            BoundTerm::Cmp(op, e) => match value(e) {
+                Some(v) => {
+                    apply_bound(bounds, *op, v);
+                    true
+                }
+                None => false,
+            },
+            BoundTerm::Between(low, high) => match (value(low), value(high)) {
+                (Some(lo), Some(hi)) => {
+                    bounds.tighten_low(lo, true);
+                    bounds.tighten_high(hi, true);
+                    true
+                }
+                _ => false,
+            },
+        }
+    }
+}
+
+/// The bound `conjunct` puts on `col_name` of `binding_name`, if it has the
+/// shape of one.
+fn bound_term<'x>(
+    conjunct: &'x Expr,
+    binding_name: &str,
+    col_name: &str,
+) -> Option<BoundTerm<&'x Expr>> {
+    match conjunct {
+        Expr::Binary { left, op, right } if op.is_comparison() && *op != BinOp::NotEq => {
+            if is_column(left, binding_name, col_name) {
+                Some(BoundTerm::Cmp(*op, right))
+            } else if is_column(right, binding_name, col_name) {
+                let flipped = match op {
+                    BinOp::Lt => BinOp::Gt,
+                    BinOp::LtEq => BinOp::GtEq,
+                    BinOp::Gt => BinOp::Lt,
+                    BinOp::GtEq => BinOp::LtEq,
+                    other => *other,
+                };
+                Some(BoundTerm::Cmp(flipped, left))
+            } else {
+                None
+            }
+        }
+        Expr::Between {
+            expr,
+            negated: false,
+            low,
+            high,
+        } if is_column(expr, binding_name, col_name) => Some(BoundTerm::Between(low, high)),
+        _ => None,
+    }
+}
+
 /// Accumulates index bounds contributed by one conjunct. Returns true when
 /// the conjunct is *fully captured* by the accumulated range (and can
 /// therefore be dropped from the residual filter).
@@ -261,46 +457,8 @@ fn extract_bounds(
     eval_const: &dyn Fn(&Expr) -> Option<Value>,
     bounds: &mut ColumnBounds,
 ) -> bool {
-    match conjunct {
-        Expr::Binary { left, op, right } if op.is_comparison() && *op != BinOp::NotEq => {
-            // col op const
-            if is_column(left, binding_name, col_name) {
-                if let Some(v) = eval_const(right) {
-                    apply_bound(bounds, *op, v);
-                    return true;
-                }
-            }
-            // const op col  (flip the operator)
-            else if is_column(right, binding_name, col_name) {
-                if let Some(v) = eval_const(left) {
-                    let flipped = match op {
-                        BinOp::Lt => BinOp::Gt,
-                        BinOp::LtEq => BinOp::GtEq,
-                        BinOp::Gt => BinOp::Lt,
-                        BinOp::GtEq => BinOp::LtEq,
-                        other => *other,
-                    };
-                    apply_bound(bounds, flipped, v);
-                    return true;
-                }
-            }
-            false
-        }
-        Expr::Between {
-            expr,
-            negated: false,
-            low,
-            high,
-        } if is_column(expr, binding_name, col_name) => {
-            if let (Some(lo), Some(hi)) = (eval_const(low), eval_const(high)) {
-                bounds.tighten_low(lo, true);
-                bounds.tighten_high(hi, true);
-                return true;
-            }
-            false
-        }
-        _ => false,
-    }
+    bound_term(conjunct, binding_name, col_name)
+        .is_some_and(|term| term.apply(bounds, &|e: &&Expr| eval_const(e)))
 }
 
 fn apply_bound(bounds: &mut ColumnBounds, op: BinOp, v: Value) {

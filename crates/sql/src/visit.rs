@@ -575,6 +575,507 @@ impl fmt::Display for LiftedExpr<'_> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Lifted shapes (the plan cache's key for a text read)
+// ---------------------------------------------------------------------------
+
+/// The key a text SELECT shares a cached plan under, found without
+/// rendering it: a hash of its *lifted shape* — the statement's tree with
+/// each literal [`lift_where_literals`] lifts standing as the placeholder it
+/// becomes. Two statements whose lifted texts are equal have equal shapes.
+/// The hash only finds a candidate: a cache confirms it with
+/// [`LiftedShape::matches`] against the shape it stored, a full structural
+/// comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LiftedKey {
+    pub hash: u64,
+    /// Whether the statement lifts at all: one with placeholders of its own
+    /// lifts nothing, as in [`lift_where_literals`].
+    lift: bool,
+}
+
+impl LiftedKey {
+    /// One walk of `select`: its key, and the lifted literals in
+    /// placeholder order (`values[N - 1]` is what `$N` stands for).
+    pub fn of(select: &Select) -> (LiftedKey, Vec<Value>) {
+        let mut hash = HashSink::default();
+        let lift = Walk::run(select, true, &mut hash);
+        if !lift {
+            hash = HashSink::default();
+            Walk::run(select, false, &mut hash);
+        }
+        (LiftedKey { hash: hash.h, lift }, hash.values)
+    }
+
+    /// `select`'s shape, owned, to store beside what the key finds.
+    /// `select` is the statement this key was made from.
+    pub fn shape(&self, select: &Select) -> LiftedShape {
+        let mut owned = OwnedSink::default();
+        Walk::run(select, self.lift, &mut owned);
+        LiftedShape(owned.atoms)
+    }
+}
+
+/// A hash of `text`, mixed as a shape mixes a name: what a cache keyed on
+/// exact statement text can look a text up by without copying it.
+pub fn hash_text(text: &str) -> u64 {
+    let mut sink = HashSink::default();
+    sink.name(text);
+    sink.h
+}
+
+/// A statement's lifted shape, stored: see [`LiftedKey`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LiftedShape(Vec<Atom>);
+
+impl LiftedShape {
+    /// Whether `select` (the statement `key` was made from) has this shape:
+    /// a node-by-node comparison of the two trees, literals by their bits,
+    /// lifted literals as placeholders.
+    pub fn matches(&self, select: &Select, key: &LiftedKey) -> bool {
+        let mut cmp = CompareSink {
+            atoms: &self.0,
+            pos: 0,
+            equal: true,
+        };
+        Walk::run(select, key.lift, &mut cmp);
+        cmp.equal && cmp.pos == self.0.len()
+    }
+}
+
+/// One token of a shape: a tag, a count or a scalar's bits, or a name.
+/// The walk writes every node as its tag and then its fields, and every
+/// list with its length first, so two trees write equal sequences exactly
+/// when they are equal.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Atom {
+    Word(u64),
+    Name(Box<str>),
+}
+
+/// Where a walk writes its atoms.
+trait Sink<'a> {
+    fn word(&mut self, w: u64);
+    fn name(&mut self, s: &'a str);
+    /// The `n`th lifted literal: written as placeholder `$n` would be.
+    fn lifted(&mut self, n: usize, _literal: &'a Value) {
+        self.word(tag::PARAM);
+        self.word(n as u64);
+    }
+}
+
+#[derive(Default)]
+struct HashSink {
+    h: u64,
+    values: Vec<Value>,
+}
+
+impl HashSink {
+    fn mix(&mut self, w: u64) {
+        self.h = (self.h.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl<'a> Sink<'a> for HashSink {
+    fn word(&mut self, w: u64) {
+        self.mix(w);
+    }
+    fn name(&mut self, s: &'a str) {
+        self.mix(s.len() as u64);
+        for chunk in s.as_bytes().chunks(8) {
+            let mut b = [0u8; 8];
+            b[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(b));
+        }
+    }
+    fn lifted(&mut self, n: usize, v: &'a Value) {
+        self.values.push(v.clone());
+        self.mix(tag::PARAM);
+        self.mix(n as u64);
+    }
+}
+
+#[derive(Default)]
+struct OwnedSink {
+    atoms: Vec<Atom>,
+}
+
+impl<'a> Sink<'a> for OwnedSink {
+    fn word(&mut self, w: u64) {
+        self.atoms.push(Atom::Word(w));
+    }
+    fn name(&mut self, s: &'a str) {
+        self.atoms.push(Atom::Name(s.into()));
+    }
+}
+
+struct CompareSink<'s> {
+    atoms: &'s [Atom],
+    pos: usize,
+    equal: bool,
+}
+
+impl CompareSink<'_> {
+    fn next(&mut self) -> Option<&Atom> {
+        let atom = self.atoms.get(self.pos);
+        self.pos += 1;
+        atom
+    }
+}
+
+impl<'a> Sink<'a> for CompareSink<'_> {
+    fn word(&mut self, w: u64) {
+        if self.equal {
+            self.equal = matches!(self.next(), Some(Atom::Word(x)) if *x == w);
+        }
+    }
+    fn name(&mut self, s: &'a str) {
+        if self.equal {
+            self.equal = matches!(self.next(), Some(Atom::Name(x)) if **x == *s);
+        }
+    }
+}
+
+/// Node tags of a shape.
+mod tag {
+    pub const COLUMN: u64 = 1;
+    pub const LITERAL: u64 = 2;
+    pub const PARAM: u64 = 3;
+    pub const UNARY: u64 = 4;
+    pub const BINARY: u64 = 5;
+    pub const FUNCTION: u64 = 6;
+    pub const CASE: u64 = 7;
+    pub const BETWEEN: u64 = 8;
+    pub const IN_LIST: u64 = 9;
+    pub const IN_SUBQUERY: u64 = 10;
+    pub const EXISTS: u64 = 11;
+    pub const SCALAR: u64 = 12;
+    pub const LIKE: u64 = 13;
+    pub const IS_NULL: u64 = 14;
+}
+
+/// The walk behind [`LiftedKey`] and [`LiftedShape`]: with `lift` set, the
+/// top-level WHERE's liftable literals ([`lifts`], the sites
+/// [`parameterize_where_literals`] replaces, in its order) go to the sink as
+/// placeholders.
+struct Walk<'s, S> {
+    sink: &'s mut S,
+    lift: bool,
+    lifted: usize,
+    saw_param: bool,
+}
+
+impl<'a, 's, S: Sink<'a>> Walk<'s, S> {
+    /// Walks `select`; false when it lifted a literal of a statement that
+    /// has placeholders of its own — the caller walks again without lifting.
+    fn run(select: &'a Select, lift: bool, sink: &'s mut S) -> bool {
+        let mut walk = Walk {
+            sink,
+            lift,
+            lifted: 0,
+            saw_param: false,
+        };
+        walk.select(select, lift);
+        !(walk.saw_param && walk.lifted > 0)
+    }
+
+    fn word(&mut self, w: u64) {
+        self.sink.word(w);
+    }
+
+    fn opt_name(&mut self, s: &'a Option<String>) {
+        match s {
+            None => self.word(0),
+            Some(s) => {
+                self.word(1);
+                self.sink.name(s);
+            }
+        }
+    }
+
+    fn select(&mut self, q: &'a Select, top: bool) {
+        self.word(q.quantifier as u64);
+        self.word(q.items.len() as u64);
+        for item in &q.items {
+            match item {
+                SelectItem::Wildcard => self.word(0),
+                SelectItem::Expr { expr, alias } => {
+                    self.word(1);
+                    self.expr(expr);
+                    self.opt_name(alias);
+                }
+            }
+        }
+        self.word(q.from.len() as u64);
+        for t in &q.from {
+            match t {
+                TableRef::Table { name, alias } => {
+                    self.word(0);
+                    self.sink.name(name);
+                    self.opt_name(alias);
+                }
+                TableRef::Subquery { query, alias } => {
+                    self.word(1);
+                    self.select(query, false);
+                    self.sink.name(alias);
+                }
+            }
+        }
+        match &q.selection {
+            None => self.word(0),
+            Some(e) => {
+                self.word(1);
+                if top && self.lift {
+                    self.where_expr(e);
+                } else {
+                    self.expr(e);
+                }
+            }
+        }
+        self.exprs(&q.group_by);
+        self.opt_expr(q.having.as_ref());
+        self.word(q.order_by.len() as u64);
+        for o in &q.order_by {
+            self.expr(&o.expr);
+            self.word(o.desc as u64);
+        }
+        match q.limit {
+            None => self.word(0),
+            Some(n) => {
+                self.word(1);
+                self.word(n);
+            }
+        }
+    }
+
+    fn exprs(&mut self, es: &'a [Expr]) {
+        self.word(es.len() as u64);
+        for e in es {
+            self.expr(e);
+        }
+    }
+
+    fn opt_expr(&mut self, e: Option<&'a Expr>) {
+        match e {
+            None => self.word(0),
+            Some(e) => {
+                self.word(1);
+                self.expr(e);
+            }
+        }
+    }
+
+    /// A lifting site's operand: its placeholder, or itself.
+    fn operand(&mut self, e: &'a Expr, lifted: bool) {
+        match e {
+            Expr::Literal(v) if lifted => {
+                self.lifted += 1;
+                self.sink.lifted(self.lifted, v);
+            }
+            other => self.expr(other),
+        }
+    }
+
+    /// The top-level WHERE, looking through `AND`, `OR` and `NOT` for the
+    /// sites [`parameterize`] lifts; each node written as [`Self::expr`]
+    /// writes it.
+    fn where_expr(&mut self, e: &'a Expr) {
+        match e {
+            Expr::Binary {
+                left,
+                op: op @ (BinOp::And | BinOp::Or),
+                right,
+            } => {
+                self.word(tag::BINARY);
+                self.word(*op as u64);
+                self.where_expr(left);
+                self.where_expr(right);
+            }
+            Expr::Unary {
+                op: UnaryOp::Not,
+                expr,
+            } => {
+                self.word(tag::UNARY);
+                self.word(UnaryOp::Not as u64);
+                self.where_expr(expr);
+            }
+            Expr::Binary { left, op, right } if op.is_comparison() => {
+                self.word(tag::BINARY);
+                self.word(*op as u64);
+                self.operand(left, lifts(left, right));
+                self.operand(right, lifts(right, left));
+            }
+            Expr::Between {
+                expr,
+                negated,
+                low,
+                high,
+            } => {
+                self.word(tag::BETWEEN);
+                self.expr(expr);
+                self.word(*negated as u64);
+                self.operand(low, lifts(low, expr));
+                self.operand(high, lifts(high, expr));
+            }
+            Expr::InList {
+                expr,
+                negated,
+                list,
+            } => {
+                self.word(tag::IN_LIST);
+                self.expr(expr);
+                self.word(*negated as u64);
+                self.word(list.len() as u64);
+                for item in list {
+                    self.operand(item, lifts(item, expr));
+                }
+            }
+            other => self.expr(other),
+        }
+    }
+
+    fn value(&mut self, v: &'a Value) {
+        match v {
+            Value::Null => self.word(0),
+            Value::Bool(b) => {
+                self.word(1);
+                self.word(*b as u64);
+            }
+            Value::Int(i) => {
+                self.word(2);
+                self.word(*i as u64);
+            }
+            Value::Float(f) => {
+                self.word(3);
+                self.word(f.to_bits());
+            }
+            Value::Str(s) => {
+                self.word(4);
+                self.sink.name(s);
+            }
+            Value::Date(d) => {
+                self.word(5);
+                self.word(d.0 as u64);
+            }
+            Value::Interval(iv) => {
+                self.word(6);
+                self.word(iv.months as u64);
+                self.word(iv.days as u64);
+            }
+        }
+    }
+
+    fn expr(&mut self, e: &'a Expr) {
+        match e {
+            Expr::Column(c) => {
+                self.word(tag::COLUMN);
+                self.opt_name(&c.table);
+                self.sink.name(&c.column);
+            }
+            Expr::Literal(v) => {
+                self.word(tag::LITERAL);
+                self.value(v);
+            }
+            Expr::Parameter(n) => {
+                self.saw_param = true;
+                self.word(tag::PARAM);
+                self.word(*n as u64);
+            }
+            Expr::Unary { op, expr } => {
+                self.word(tag::UNARY);
+                self.word(*op as u64);
+                self.expr(expr);
+            }
+            Expr::Binary { left, op, right } => {
+                self.word(tag::BINARY);
+                self.word(*op as u64);
+                self.expr(left);
+                self.expr(right);
+            }
+            Expr::Function {
+                name,
+                args,
+                distinct,
+                star,
+            } => {
+                self.word(tag::FUNCTION);
+                self.sink.name(name);
+                self.exprs(args);
+                self.word(*distinct as u64);
+                self.word(*star as u64);
+            }
+            Expr::Case {
+                branches,
+                else_expr,
+            } => {
+                self.word(tag::CASE);
+                self.word(branches.len() as u64);
+                for (cond, result) in branches {
+                    self.expr(cond);
+                    self.expr(result);
+                }
+                self.opt_expr(else_expr.as_deref());
+            }
+            Expr::Between {
+                expr,
+                negated,
+                low,
+                high,
+            } => {
+                self.word(tag::BETWEEN);
+                self.expr(expr);
+                self.word(*negated as u64);
+                self.expr(low);
+                self.expr(high);
+            }
+            Expr::InList {
+                expr,
+                negated,
+                list,
+            } => {
+                self.word(tag::IN_LIST);
+                self.expr(expr);
+                self.word(*negated as u64);
+                self.exprs(list);
+            }
+            Expr::InSubquery {
+                expr,
+                negated,
+                query,
+            } => {
+                self.word(tag::IN_SUBQUERY);
+                self.expr(expr);
+                self.word(*negated as u64);
+                self.select(query, false);
+            }
+            Expr::Exists { negated, query } => {
+                self.word(tag::EXISTS);
+                self.word(*negated as u64);
+                self.select(query, false);
+            }
+            Expr::ScalarSubquery(query) => {
+                self.word(tag::SCALAR);
+                self.select(query, false);
+            }
+            Expr::Like {
+                expr,
+                negated,
+                pattern,
+            } => {
+                self.word(tag::LIKE);
+                self.expr(expr);
+                self.word(*negated as u64);
+                self.expr(pattern);
+            }
+            Expr::IsNull { expr, negated } => {
+                self.word(tag::IS_NULL);
+                self.expr(expr);
+                self.word(*negated as u64);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,6 +1243,91 @@ mod tests {
         let none = lift_where_literals(&select_of("select 1 from t"));
         assert_eq!(none.text, "select 1 from t");
         assert!(none.values.is_empty());
+    }
+
+    #[test]
+    fn lifted_shapes_are_equal_exactly_when_lifted_texts_are() {
+        let texts = [
+            "select x from t where k = 1",
+            "select x from t where k = 'z'",
+            "select x from t where 1 = k",
+            "select x from t where k = 1 and j = 2",
+            "select x from t where k = 1 and j = 3",
+            "select x from t where k = 1 or j = 3",
+            "select x from t where k in (1, 2)",
+            "select x from t where k in (3, 4)",
+            "select x from t where k in (1, 2, 3)",
+            "select x from t where k between 1 and 2",
+            "select x from t where k not between 1 and 2",
+            "select x, 1 from t where k = 1",
+            "select x, 2 from t where k = 1",
+            "select x, 2.0 from t where k = 1",
+            "select x from t where k = 1 order by x",
+            "select x from t where k = 1 order by x desc",
+            "select x from t where k = 1 limit 5",
+            "select x from t where k = 1 limit 6",
+            "select x from t where k + 1 = 2",
+            "select x from t where k + 1 = 3",
+            "select x from t where k = $1 and j = 2",
+            "select x from t where k = $1 and j = 3",
+            "select x from t as t where k = 1",
+            "select y from t where k = 1",
+            "select x from u where k = 1",
+            "select x from t where exists (select 1 from u where u.k = 9)",
+            "select x from t where exists (select 1 from u where u.k = 8)",
+            "select x from t",
+        ];
+        let stmts: Vec<Select> = texts.iter().map(|t| select_of(t)).collect();
+        for (i, a) in stmts.iter().enumerate() {
+            let (text_a, (key_a, values_a)) = (lift_where_literals(a), LiftedKey::of(a));
+            assert_eq!(values_a, text_a.values, "{}", texts[i]);
+            let shape_a = key_a.shape(a);
+            for (j, b) in stmts.iter().enumerate() {
+                let (text_b, (key_b, _)) = (lift_where_literals(b), LiftedKey::of(b));
+                let same = text_a.text == text_b.text;
+                assert_eq!(
+                    shape_a.matches(b, &key_b),
+                    same,
+                    "{} / {}",
+                    texts[i],
+                    texts[j]
+                );
+                assert_eq!(
+                    key_b.shape(b) == shape_a,
+                    same,
+                    "{} / {}",
+                    texts[i],
+                    texts[j]
+                );
+                if same {
+                    assert_eq!(key_a.hash, key_b.hash, "{} / {}", texts[i], texts[j]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_shape_compares_literals_by_their_bits() {
+        let shape_of = |t: &str| {
+            let s = select_of(t);
+            LiftedKey::of(&s).0.shape(&s)
+        };
+        assert_ne!(shape_of("select 1 from t"), shape_of("select 1.0 from t"));
+        let zero = Select {
+            items: vec![SelectItem::Expr {
+                expr: Expr::Literal(Value::Float(0.0)),
+                alias: None,
+            }],
+            ..Select::default()
+        };
+        let mut negative_zero = zero.clone();
+        negative_zero.items[0] = SelectItem::Expr {
+            expr: Expr::Literal(Value::Float(-0.0)),
+            alias: None,
+        };
+        let (key, _) = LiftedKey::of(&negative_zero);
+        let (zero_key, _) = LiftedKey::of(&zero);
+        assert!(!zero_key.shape(&zero).matches(&negative_zero, &key));
     }
 
     #[test]

@@ -82,7 +82,9 @@ impl OrderedIndex {
         false
     }
 
-    /// Exact-match postings.
+    /// Exact-match postings, in place: for a non-NULL `key`, the postings
+    /// [`Self::range`] yields for `[key, key]`, in the same order; for NULL,
+    /// the NULL keys' postings, which no range with a bound holds.
     pub fn get(&self, key: &Value) -> &[RowId] {
         self.map
             .get(&IndexKey(key.clone()))
@@ -214,6 +216,36 @@ mod tests {
 
     fn iv(i: i64) -> Value {
         Value::Int(i)
+    }
+
+    #[test]
+    fn a_probe_holds_what_the_one_key_range_holds() {
+        let mut idx = OrderedIndex::new();
+        for row in 0..60u64 {
+            let key = match row % 4 {
+                0 => Value::Null,
+                1 => iv((row % 3) as i64),
+                2 => Value::Float((row % 3) as f64),
+                _ => iv(7),
+            };
+            idx.insert(key, row);
+        }
+        // Reorder the posting lists.
+        assert!(idx.remove(&iv(7), 3));
+        assert!(idx.remove(&Value::Float(1.0), 1));
+        for key in [iv(0), iv(1), Value::Float(2.0), iv(7), iv(8)] {
+            let ranged: Vec<RowId> = (idx.range(Bound::Included(&key), Bound::Included(&key)))
+                .map(|(_, rid)| rid)
+                .collect();
+            assert_eq!(idx.get(&key), &ranged[..], "{key:?}");
+        }
+        let null = Value::Null;
+        assert_eq!(
+            idx.range(Bound::Included(&null), Bound::Included(&null))
+                .count(),
+            0
+        );
+        assert_eq!(idx.get(&null).len(), 15);
     }
 
     #[test]

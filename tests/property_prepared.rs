@@ -19,7 +19,9 @@
 //!    float literals, dictionary-coded and over-cap string segments; random
 //!    predicates mix comparisons with the literal on either side, BETWEEN
 //!    and IN lists of varying length. The eight TPC-H evaluation queries
-//!    are checked the same way as pass-through text.
+//!    are checked the same way as pass-through text. Statements that
+//!    differ only outside the lifted literals (a select-list literal, ORDER
+//!    BY, LIMIT, an IN list's length) key apart.
 
 use proptest::prelude::*;
 
@@ -486,6 +488,55 @@ proptest! {
         let warm = SHAPES[shape].replace("{}", &pred.render(shift));
         let (lifted, unlifted) = lifted_and_unlifted(&base, &warm, &sql, kernel_on);
         prop_assert_eq!(lifted, unlifted, "{}", sql);
+    }
+}
+
+/// Pairs of statements that differ only outside the WHERE literals a text
+/// read lifts: a select-list literal, ORDER BY, LIMIT, an IN list's length.
+/// Each pair lifts to two shapes, so it must key apart.
+const APART: &[(&str, &str)] = &[
+    (
+        "select k, 1 as c from m where {} order by k",
+        "select k, 2 as c from m where {} order by k",
+    ),
+    (
+        "select k, f from m where {} order by k",
+        "select k, f from m where {} order by k desc",
+    ),
+    (
+        "select k from m where {} order by k limit 3",
+        "select k from m where {} order by k limit 4",
+    ),
+    (
+        "select k from m where k in (1, 2) and {} order by k",
+        "select k from m where k in (1, 2, 3) and {} order by k",
+    ),
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A statement differing from a cached one only outside its lifted
+    /// literals misses, and answers what it answers uncached.
+    #[test]
+    fn lifted_shapes_differing_outside_the_literals_key_apart(
+        rows in mixed_rows(),
+        pred in pred(),
+        pair in 0..APART.len(),
+        kernel_on in any::<bool>(),
+    ) {
+        let base = mixed_db(&rows);
+        let (a, b) = APART[pair];
+        let (a, b) = (a.replace("{}", &pred.render(0)), b.replace("{}", &pred.render(0)));
+        for (warm, sql) in [(&a, &b), (&b, &a)] {
+            let (lifted, unlifted) = lifted_and_unlifted(&base, warm, sql, kernel_on);
+            prop_assert_eq!(lifted, unlifted, "{} after {}", sql, warm);
+        }
+        let db = base.fork().unwrap();
+        let _ = db.query(&a);
+        let _ = db.query(&b);
+        let stats = db.plan_cache_stats();
+        prop_assert_eq!((stats.misses, stats.hits), (2, 0), "{} / {}", a, b);
     }
 }
 

@@ -28,7 +28,7 @@ echo "== every other suite once: storage, sql, engine, tpch, cjdbc, core, sim, c
 # Tier-1 is the root package (every file under tests/); this is every other
 # package of the workspace, each suite whole: the column heap against its row
 # model, parser and Display round-trip, evaluator against its reference and
-# morsel byte identity (DESIGN.md §12), cancellation/deadline/budget (§11),
+# the fused rule's byte identity (DESIGN.md §10), cancellation/deadline/budget (§11),
 # rewriter, composer, gate, fault and governance paths, controller,
 # admission, health, recovery log, overload_soak, the simulator.
 timeout "$SUITE_TIMEOUT" cargo test -q --workspace --exclude apuama-suite
@@ -113,13 +113,11 @@ timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-sql --lib a_shape_compares_lite
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-storage --lib a_probe_holds_what_the_one_key_range_holds
 timeout "$SUITE_TIMEOUT" cargo test -q -p apuama-engine --lib an_equality_probe_on_a_secondary_index_answers_what_a_scan_answers
 
-echo "== morsel tier: one pool per host (DESIGN.md §12) =="
-# By name: a 4-replica cluster at any parallel_workers holds at most one
-# morsel thread per core, with two replica streams and a fork sharing the
-# pool under a deadline; a join block's input scans read serially, so its
-# EXPLAIN ANALYZE carries no [parallel ×N] marker and no worker lines.
-timeout "$SUITE_TIMEOUT" cargo test -q --test morsel_pool
-timeout "$SUITE_TIMEOUT" cargo test -q --test explain_analyze -- explain_analyze_shows_parallel_marker_and_worker_breakdown
+echo "== serial nodes: a statement runs on the thread that sent it (DESIGN.md §12) =="
+# By name: every eval query on one database leaves the process's thread
+# count where it was; the cluster's SVP sub-queries are the only
+# intra-query split.
+timeout "$SUITE_TIMEOUT" cargo test -q --test statement_threads
 
 echo "== key filters on a join's driving scan against nested loops (DESIGN.md §10) =="
 timeout "$SUITE_TIMEOUT" cargo test -q --test join_oracle -- key_filters_answer_what_nested_loops_answer probe_placement_divergences_are_the_documented_ones

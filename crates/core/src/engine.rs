@@ -31,9 +31,9 @@ use crate::rewrite::{Rewritten, SvpPlan, SvpRewriter};
 /// are not configurable: every eligible read runs SVP, every sub-query
 /// carries the avoid-sequential-scans hint, and updates block until every
 /// sub-query is dispatched and started. A session setting such as
-/// `parallel_workers` goes through the controller
-/// (`Controller::execute("set parallel_workers = N")`), which broadcasts it
-/// in total order and records it in the recovery log.
+/// `statement_timeout_ms` goes through the controller
+/// (`Controller::execute("set statement_timeout_ms = N")`), which broadcasts
+/// it in total order and records it in the recovery log.
 #[derive(Debug, Clone, Copy)]
 pub struct ApuamaConfig {
     /// Per-node connection-pool size.
@@ -598,22 +598,24 @@ mod tests {
         assert!((a - b).abs() < 1e-9);
     }
 
-    /// The worker count is a session setting every replica must share: sent
-    /// through the controller it lands on each of them, and the SVP answer
-    /// is the one the nodes' own default gives.
+    /// The statement deadline is a session setting every replica must
+    /// share: sent through the controller it lands on each of them, and the
+    /// SVP answer is the one the nodes' own default gives.
     #[test]
-    fn parallel_workers_set_through_the_controller_reaches_every_node() {
+    fn statement_timeout_set_through_the_controller_reaches_every_node() {
         let (engine, nodes) = cluster(3, ApuamaConfig::default());
         let sql = "select sum(o_totalprice) as s from orders";
         let before = engine.read(0, &ReadRequest::text(sql)).unwrap();
         for node in &nodes {
-            assert_eq!(node.with_db(|db| db.setting("parallel_workers")), None);
+            assert_eq!(node.with_db(|db| db.setting("statement_timeout_ms")), None);
         }
         let controller = Controller::new(engine.connections(), ControllerConfig::default());
-        controller.execute("set parallel_workers = 3").unwrap();
+        controller
+            .execute("set statement_timeout_ms = 60000")
+            .unwrap();
         for node in &nodes {
-            let setting = node.with_db(|db| db.setting("parallel_workers"));
-            assert_eq!(setting.as_deref(), Some("3"), "{}", node.name());
+            let setting = node.with_db(|db| db.setting("statement_timeout_ms"));
+            assert_eq!(setting.as_deref(), Some("60000"), "{}", node.name());
         }
         // Sum of 1..=60: integer-valued floats, exact at any association.
         let (after, _) = controller.execute(sql).unwrap();
@@ -708,12 +710,14 @@ mod tests {
     fn set_through_the_controller_reaches_every_replica_session() {
         let (engine, nodes) = cluster(3, ApuamaConfig::default());
         let controller = Controller::new(engine.connections(), ControllerConfig::default());
-        let workers = |i: usize| nodes[i].with_db(|db| db.setting("parallel_workers"));
+        let timeout = |i: usize| nodes[i].with_db(|db| db.setting("statement_timeout_ms"));
         controller.disable_backend(2);
-        controller.execute("set parallel_workers = 3").unwrap();
-        assert_eq!(workers(0).as_deref(), Some("3"));
-        assert_eq!(workers(1).as_deref(), Some("3"));
-        assert_eq!(workers(2), None, "disabled during the SET");
+        controller
+            .execute("set statement_timeout_ms = 60000")
+            .unwrap();
+        assert_eq!(timeout(0).as_deref(), Some("60000"));
+        assert_eq!(timeout(1).as_deref(), Some("60000"));
+        assert_eq!(timeout(2), None, "disabled during the SET");
         // A SELECT after it is still one read on one backend.
         let reads = |c: &Controller| c.reads_served().iter().sum::<usize>();
         let before = reads(&controller);
@@ -725,7 +729,7 @@ mod tests {
         // The SET went into the recovery log: rejoining replays it.
         let rejoined = controller.rejoin_backend(2).unwrap();
         assert_eq!(rejoined.live_replayed + rejoined.pause_replayed, 1);
-        assert_eq!(workers(2).as_deref(), Some("3"));
+        assert_eq!(timeout(2).as_deref(), Some("60000"));
     }
 
     #[test]

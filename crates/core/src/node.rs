@@ -369,7 +369,12 @@ mod tests {
                     "select count(*) as n from t where k >= 0",
                 ))
             });
+            let start = std::time::Instant::now();
             while faulty.matching_calls() == 0 {
+                assert!(
+                    start.elapsed() < std::time::Duration::from_secs(10),
+                    "the sub-query never reached the connection"
+                );
                 std::thread::yield_now();
             }
             assert_eq!(np.subqueries_in_flight(), 1);

@@ -4,7 +4,7 @@
 //! two partial aggregates combine ([`Acc::merge`], [`Groups::merge`]).
 //!
 //! Every tier that adds goes through here: the general aggregation operator,
-//! the fused fold, the morsel tier's combine step and — through
+//! the fused fold and — through
 //! [`PartialAgg`], the module's whole public surface — the cluster layer's
 //! result composer. Composition is re-aggregation (paper §3: `avg` ships as
 //! `sum` and `count`, partial sums are re-summed), and it is only
@@ -345,15 +345,14 @@ impl Acc {
     }
 
     /// Folds another accumulator of the same shape into this one — the
-    /// combine step of partial aggregation, whichever tier cut the partials
-    /// (morsels of one scan, nodes of one cluster). Merging `other` after
+    /// combine step of partial aggregation (nodes of one cluster). Merging `other` after
     /// every row of the earlier partial has been applied is exactly
     /// equivalent to updating one accumulator with both partials' rows in
     /// partial order: counts add, sums add (the wrapping integer add and the
     /// float add are both associative over the engine's exact test data),
     /// and min/max keep the earlier value on ties ([`improves`], as
-    /// `update` has it). DISTINCT accumulators are never merged — the
-    /// parallel planner excludes them, because replaying a hash set's
+    /// `update` has it). DISTINCT accumulators are never merged — the SVP
+    /// rewrite keeps them off the composer, because replaying a hash set's
     /// insertion order is not order-free.
     fn merge(&mut self, other: Acc) {
         match (self, other) {
@@ -696,8 +695,7 @@ impl Groups {
 
     /// Folds another group table — a partial aggregate over rows that come
     /// *after* this one's — into this one. The caller merges in partial
-    /// order (the parallel coordinator in morsel order, the composer in
-    /// node-index order), which preserves global first-seen group order: a
+    /// order (the composer in node-index order), which preserves global first-seen group order: a
     /// group's first occurrence lives in the earliest partial containing it,
     /// so it is either already present (keeping its earlier key and
     /// representative row) or appended here exactly when one pass over the
@@ -831,8 +829,8 @@ mod tests {
         ];
         // min/max follow one comparability class per column and no NaN:
         // against a value `sql_cmp` cannot order, "first seen stays" makes
-        // the answer depend on where the input is cut — in the morsel tier
-        // and the composer alike, before and after this module.
+        // the answer depend on where the input is cut — in the composer,
+        // before and after this module.
         let text = prop_oneof![Just(Value::Null), "[a-c]{1,2}".prop_map(Value::Str)];
         let ties = prop_oneof![
             Just(Value::Null),

@@ -13,8 +13,8 @@
 //! connection to one node shares this one session.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -56,10 +56,6 @@ pub struct Settings {
     enable_seqscan: AtomicBool,
     enable_indexscan: AtomicBool,
     enable_kernel: AtomicBool,
-    /// `SET parallel_workers`, already clamped to `1..=64`. Starts at the
-    /// machine's core count, which is asked for in [`core_count`] and
-    /// nowhere else.
-    parallel_workers: AtomicUsize,
     /// Default per-statement deadline (`SET statement_timeout_ms`, 0 =
     /// none).
     statement_timeout_ms: AtomicU64,
@@ -68,39 +64,17 @@ pub struct Settings {
     misc: Mutex<HashMap<String, String>>,
 }
 
-#[cfg(test)]
-thread_local! {
-    /// How often this thread asked the OS for the core count.
-    static CORE_COUNT_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// The machine's core count, asked of the OS once per process: the call
-/// reads cgroup files (~11 µs, all but 0.6 µs of building an in-memory
-/// database), and every fork, staging database and test database starts
-/// from it. It also sizes the host's worker pool.
-pub(crate) fn core_count() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| {
-        #[cfg(test)]
-        CORE_COUNT_READS.with(|n| n.set(n.get() + 1));
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    })
-}
-
 impl Default for Settings {
     fn default() -> Self {
         Settings {
             enable_seqscan: AtomicBool::new(true),
             enable_indexscan: AtomicBool::new(true),
             enable_kernel: AtomicBool::new(true),
-            parallel_workers: AtomicUsize::new(core_count().clamp(1, MAX_PARALLEL_WORKERS)),
             statement_timeout_ms: AtomicU64::new(0),
             misc: Mutex::new(HashMap::new()),
         }
     }
 }
-
-const MAX_PARALLEL_WORKERS: usize = 64;
 
 /// A boolean `SET` value, in exactly the spellings PostgreSQL's common
 /// ones share.
@@ -245,15 +219,12 @@ impl Database {
         self.settings.enable_kernel.load(Ordering::SeqCst)
     }
 
-    /// How many tasks one statement's morsel split runs as on the host's
-    /// worker pool (`SET parallel_workers = N`, `1..=64`; `0` and `1` both
-    /// mean serial). Not a thread count: the pool has one thread per core
-    /// whatever this says (`crate::parallel`). Defaults to the machine's
-    /// cores. The knob changes no statistic and no row (float sums up to
-    /// their reassociation), so it is not part of the plan-cache
-    /// fingerprint: it is read at execution time, not lowering time.
+    /// Always 1: a statement runs on the thread that sent it (DESIGN.md
+    /// §12). Kept only for `benchmark/src/layers.rs`, whose
+    /// `engine.q{1,3}_ms.workers1` arms call it; ROADMAP item 1 removes
+    /// that call, and this method with it.
     pub fn parallel_workers(&self) -> usize {
-        self.settings.parallel_workers.load(Ordering::Relaxed)
+        1
     }
 
     /// The node's memory gauge: pipeline-breaker state charged by every
@@ -677,10 +648,6 @@ impl Database {
             "enable_seqscan" => flag(&s.enable_seqscan)?,
             "enable_indexscan" => flag(&s.enable_indexscan)?,
             "enable_kernel" => flag(&s.enable_kernel)?,
-            "parallel_workers" => {
-                let n = parse_uint_setting(name, value)?.clamp(1, MAX_PARALLEL_WORKERS as u64);
-                s.parallel_workers.store(n as usize, Ordering::Relaxed);
-            }
             "statement_timeout_ms" => s
                 .statement_timeout_ms
                 .store(parse_uint_setting(name, value)?, Ordering::Relaxed),
@@ -1145,7 +1112,6 @@ mod tests {
             "set enable_seqscan = off",
             "set enable_indexscan = no",
             "set enable_kernel = 0",
-            "set parallel_workers = 3",
             "set statement_timeout_ms = 60000",
             "set mem_budget_bytes = 123456",
         ] {
@@ -1155,7 +1121,6 @@ mod tests {
             "set enable_seqscan = banana",
             "set enable_indexscan = 2",
             "set enable_kernel = maybe",
-            "set parallel_workers = two",
             "set statement_timeout_ms = abc",
             "set mem_budget_bytes = 1.5",
         ] {
@@ -1167,14 +1132,13 @@ mod tests {
         assert!(!d.seqscan_enabled());
         assert!(!d.indexscan_enabled());
         assert!(!d.kernel_enabled());
-        assert_eq!(d.parallel_workers(), 3);
         assert_eq!(
             d.settings.statement_timeout_ms.load(Ordering::Relaxed),
             60_000
         );
         assert_eq!(d.mem_gauge().limit_bytes(), 123_456);
         // The echo keeps the accepted spelling too.
-        assert_eq!(d.setting("parallel_workers").as_deref(), Some("3"));
+        assert_eq!(d.setting("statement_timeout_ms").as_deref(), Some("60000"));
         assert_eq!(d.setting("enable_kernel").as_deref(), Some("0"));
     }
 
@@ -1186,19 +1150,19 @@ mod tests {
         assert_eq!(d.setting("enable_retired_knob"), None);
         d.query("set enable_retired_knob = off").unwrap();
         d.query("set application_name = 'psql'").unwrap();
+        d.query("set parallel_workers = two").unwrap();
         assert_eq!(d.setting("enable_retired_knob").as_deref(), Some("off"));
         assert_eq!(d.setting("application_name").as_deref(), Some("psql"));
+        assert_eq!(d.setting("parallel_workers").as_deref(), Some("two"));
     }
 
     #[test]
     fn fork_starts_from_default_settings() {
         let d = db();
-        let fresh = Database::in_memory();
         for set in [
             "set enable_seqscan = off",
             "set enable_indexscan = off",
             "set enable_kernel = off",
-            "set parallel_workers = 7",
             "set statement_timeout_ms = 5",
             "set some_driver_knob = x",
         ] {
@@ -1206,39 +1170,8 @@ mod tests {
         }
         let f = d.fork().unwrap();
         assert!(f.seqscan_enabled() && f.indexscan_enabled() && f.kernel_enabled());
-        assert_eq!(f.parallel_workers(), fresh.parallel_workers());
         assert_eq!(f.settings.statement_timeout_ms.load(Ordering::Relaxed), 0);
         assert_eq!(f.setting("some_driver_knob"), None);
-    }
-
-    /// The machine's core count is asked for once per process, by whichever
-    /// thread builds the first database, and never on a statement path:
-    /// with `parallel_workers` unset, a thousand point reads (text and
-    /// bound) leave the per-thread read count alone.
-    #[test]
-    fn statements_never_ask_the_os_for_the_core_count() {
-        let mut d = db();
-        for i in 0..64 {
-            d.execute(&format!("insert into t values ({i}, {i}.5, 'x')"))
-                .unwrap();
-        }
-        let before = CORE_COUNT_READS.with(|n| n.get());
-        assert!(
-            before <= 1,
-            "at most the process's one read was this thread's"
-        );
-        for i in 0..500i64 {
-            let k = i % 64;
-            let text = d.query(&format!("select v from t where k = {k}")).unwrap();
-            let bound = d
-                .query_bound("select v from t where k = $1", &[Value::Int(k)])
-                .unwrap();
-            assert_eq!(text.rows, bound.rows);
-            assert_eq!(text.rows, vec![vec![Value::Float(k as f64 + 0.5)]]);
-        }
-        // Nor does building the next database: the count is the process's.
-        let _next = Database::in_memory();
-        assert_eq!(CORE_COUNT_READS.with(|n| n.get()), before);
     }
 
     #[test]
@@ -1900,6 +1833,33 @@ mod explain_tests {
             "{plan}"
         );
         assert!(plan.contains("[10= .. 20)"), "{plan}");
+    }
+
+    /// NULL keys are no end of an index's key interval: an equality on a
+    /// secondary index over a column with NULLs is priced between its
+    /// non-NULL keys, so it probes while a scan is still allowed.
+    #[test]
+    fn an_equality_on_an_index_with_null_keys_picks_the_probe() {
+        let mut d = Database::in_memory();
+        d.execute("create table s (k int, c int)").unwrap();
+        d.execute("create index s_c on s (c)").unwrap();
+        let rows = (0..2000)
+            .map(|k| {
+                let c = if k % 5 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(k % 400)
+                };
+                vec![Value::Int(k), c]
+            })
+            .collect();
+        d.load_table("s", rows).unwrap();
+        assert!(d.seqscan_enabled());
+        let plan = plan_text(&d, "explain select k from s where c = 0");
+        assert!(plan.contains("secondary index range on c"), "{plan}");
+        let out = d.query("select count(*) as n from s where c = 1").unwrap();
+        assert_eq!(out.rows, vec![vec![Value::Int(5)]]);
+        assert_eq!(out.stats.index_probes, 1);
     }
 
     #[test]

@@ -121,8 +121,7 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Narrows the sequential-scan permission: `allowed = false` is the
-    /// request's avoid-sequential-scans hint (or, on a morsel worker, the
-    /// coordinating statement's own permission).
+    /// request's avoid-sequential-scans hint.
     pub(crate) fn restrict_seqscan(mut self, allowed: bool) -> Self {
         self.seqscan &= allowed;
         self
@@ -135,19 +134,6 @@ impl<'a> ExecContext<'a> {
 
     pub(crate) fn subqueries(&self) -> &SubqueryMemo {
         &self.subqueries
-    }
-
-    /// Snapshot of the bound parameter values, for spawning worker-thread
-    /// contexts that must resolve `$N` exactly as this one does.
-    pub(crate) fn params_snapshot(&self) -> Vec<Value> {
-        self.params.clone()
-    }
-
-    /// A child governor for one parallel worker: cancelling the statement
-    /// cancels the worker, a worker failing does not fire the statement's
-    /// token, and the deadline is shared. `None` when ungoverned.
-    pub(crate) fn child_governor(&self) -> Option<QueryGovernor> {
-        self.gov.as_ref().map(QueryGovernor::child)
     }
 
     /// Value bound to placeholder `$n` (1-based).
@@ -341,8 +327,7 @@ pub fn select_has_aggregates(q: &Select) -> bool {
 /// charged once per batch (identical totals to per-row charging, a
 /// fraction of the borrow traffic). Public so the cluster layer's
 /// streaming sinks can chunk at the same grain. It is the heap's segment
-/// size, so one stored segment is one batch of a scan and one morsel of a
-/// parallel one.
+/// size, so one stored segment is one batch of a scan.
 pub const SCAN_BATCH_ROWS: u64 = apuama_storage::SEGMENT_SLOTS;
 
 /// Scans a base table through the chosen access path collecting matching

@@ -34,7 +34,6 @@ pub mod error;
 pub mod eval;
 pub mod exec;
 pub mod governor;
-mod parallel;
 mod physical;
 mod plan_cache;
 pub mod planner;

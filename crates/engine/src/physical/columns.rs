@@ -5,8 +5,8 @@
 //!
 //! The heap stores tuples as typed columns (`apuama_storage::Segment`), so
 //! a scan never has a row to borrow. It receives `(segment, selection
-//! vector)` pairs from its access path ([`crate::physical::ScanCursor`],
-//! the morsel planner), runs its pushed-down predicates over them through
+//! vector)` pairs from its access path ([`crate::physical::ScanCursor`]),
+//! runs its pushed-down predicates over them through
 //! [`ScanPreds::filter`], and materializes the survivors — and only the
 //! survivors, and of them only the columns the statement reads.
 //!
@@ -571,8 +571,8 @@ fn filter_in<'v, C: TypedCells<'v>>(
 // ---------------------------------------------------------------------------
 
 /// What the row-major evaluators mutate from one tuple to the next: the
-/// scratch row and the `EXISTS` probes' memos. One per evaluating operator
-/// (per worker, in a morsel-parallel scan), per execution.
+/// scratch row and the `EXISTS` probes' memos. One per evaluating operator,
+/// per execution.
 pub(crate) struct RowScratch {
     row: Vec<Value>,
     memos: Vec<ProbeMemo>,

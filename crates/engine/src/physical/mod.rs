@@ -12,26 +12,27 @@
 //! interpreted arm beside it. What such an arm would stand for is carried
 //! by the program instead — one that evaluates a subquery
 //! ([`CompiledExpr::has_subquery`]) is not vectorized, is handed the whole
-//! row, and keeps its scan page-grained and off the morsel tier; a stage
-//! whose expressions hold a subquery is a pipeline breaker. The old fused
+//! row, and keeps its scan page-grained; a stage whose expressions hold a
+//! subquery is a pipeline breaker. The old fused
 //! aggregation kernel survives as the scan→filter→aggregate *fusion rule*
 //! applied during lowering ([`Shape::Fused`]), so `SET enable_kernel`
 //! toggles a plan rewrite, not a second executor, and there is no
 //! "unsupported shape" fallback left to take. What the aggregating operators
 //! accumulate into — `Acc`, the `Groups` table, the merge of two partial
-//! aggregates — is [`crate::agg`]'s, shared with the morsel tier's combine
-//! step and, above the engine, the cluster's result composer.
+//! aggregates — is [`crate::agg`]'s, shared with, above the engine, the
+//! cluster's result composer. Every operator runs on the thread that sent
+//! the statement (DESIGN.md §12): the cluster's sub-queries are the only
+//! intra-query split.
 //!
 //! # What is fixed, and what is only consistent
 //!
 //! **Rows and error classes are fixed forever**: every path answers a
 //! statement with the rows (order and float bits included) and the error
 //! class the row-at-a-time interpreter this module replaced gave it.
-//! **[`crate::ExecStats`] counters must agree across `enable_kernel` ×
-//! `parallel_workers` at HEAD** — the simulator prices from them, and the
-//! property suites compare the fused rule and the morsel tier against the
-//! general serial tree counter by counter — but they are no longer pinned
-//! to the interpreter's values: a change that legitimately lowers one
+//! **[`crate::ExecStats`] counters must agree across `enable_kernel` at
+//! HEAD** — the simulator prices from them, and the property suites compare
+//! the fused rule against the general tree counter by counter — but they
+//! are no longer pinned to the interpreter's values: a change that legitimately lowers one
 //! re-records the affected EXPERIMENTS.md tables and
 //! `ci/olap_power_smoke.counters` in the same change (DESIGN.md §10).
 //! One statement shape has moved so far — a join block with a subquery
@@ -106,14 +107,12 @@ mod columns;
 mod compile;
 mod explain;
 mod operators;
-mod parallel_exec;
 
 pub(crate) use batch::*;
 pub(crate) use columns::*;
 pub(crate) use compile::*;
 pub(crate) use explain::*;
 pub(crate) use operators::*;
-pub(crate) use parallel_exec::*;
 // ---------------------------------------------------------------------------
 // Plan
 // ---------------------------------------------------------------------------
@@ -642,8 +641,8 @@ pub(crate) fn instrument<'e>(
 }
 
 /// [`instrument`] for an operator whose probe node was registered before
-/// it was built, because it attaches children to the node as it runs (the
-/// join block its inputs, a parallel operator its workers).
+/// it was built, because it attaches to the node as it runs (the join
+/// block its inputs as children, the fused aggregate its fold's notes).
 fn timed<'e>(
     az: Option<&'e Analyze>,
     idx: Option<usize>,
@@ -669,24 +668,15 @@ pub(crate) fn build_tree<'e>(
 ) -> (Box<dyn Operator<'e> + 'e>, Option<usize>) {
     let (mut op, mut idx) = match shape {
         Shape::Fused(f) => {
-            // DISTINCT accumulators cannot be merged across partials and
-            // correlated frames cannot cross threads; both keep the serial
-            // pass.
-            let workers = match ctx.db.parallel_workers() {
-                w if outer.is_empty() && !f.specs.iter().any(|s| s.distinct) => w,
-                _ => 1,
-            };
-            let label = || {
-                let mut label = format!("fused aggregate over {}", f.binding_name);
-                if workers >= 2 {
-                    label.push_str(&format!(" [parallel ×{workers}]"));
-                }
-                label
-            };
             // Registered up front (like the join block) so the fold's tally
-            // and the workers' breakdowns can attach from the run.
-            let pidx = az.map(|a| a.register(label(), Vec::new()));
-            let fused = FusedExec::new(q, f, outer, ctx, workers, az, pidx);
+            // can attach its notes from the run.
+            let pidx = az.map(|a| {
+                a.register(
+                    format!("fused aggregate over {}", f.binding_name),
+                    Vec::new(),
+                )
+            });
+            let fused = FusedExec::new(q, f, outer, ctx, az, pidx);
             timed(az, pidx, Box::new(fused))
         }
         Shape::General(g) => {

@@ -15,7 +15,7 @@
 //!   [`ScanUnits`] resolves are exactly the live rows of `Heap::iter` whose
 //!   key the range admits, in slot order, once each;
 //! * the same through SQL — `select` under discouraged sequential scans,
-//!   serial and on the morsel tier, text and bound — and, as a step of the
+//!   text and bound — and, as a step of the
 //!   sequence, through `delete from … where k between` (`scan_rids`).
 
 use std::cmp::Ordering;
@@ -258,8 +258,8 @@ fn check(db: &Database, model: &Model, rng: &mut Rng, what: &str) {
             .map(|(rid, _)| *rid)
             .collect();
 
-        // The units of the range, as the cursor, the morsel planner and
-        // DML's row-id scan read them.
+        // The units of the range, as the cursor and DML's row-id scan read
+        // them.
         let path = AccessPath::IndexRange {
             column: 0,
             low: low.clone(),
@@ -291,25 +291,17 @@ fn check(db: &Database, model: &Model, rng: &mut Rng, what: &str) {
             .map(|(_, row)| vec![row[1].clone()])
             .collect();
         let (text, bound, params) = where_clause(&low, &high);
-        for workers in [1, 2] {
-            db.query(&format!("set parallel_workers = {workers}"))
-                .unwrap();
-            let sql = format!("select v from t{text}");
-            let out = db
-                .read(&ReadRequest::text(&sql).avoiding_seqscan(true))
-                .unwrap_or_else(|e| panic!("{what}: {sql}: {e}"));
-            assert_eq!(out.stats.index_probes, 1, "{what}: {sql}");
-            assert_same(&out.rows, &want, &format!("{what}, ×{workers}: {sql}"));
-            let sql = format!("select v from t{bound}");
-            let out = db
-                .read(&ReadRequest::bound(&sql, &params).avoiding_seqscan(true))
-                .unwrap_or_else(|e| panic!("{what}: {sql}: {e}"));
-            assert_same(
-                &out.rows,
-                &want,
-                &format!("{what}, ×{workers}: {sql} {params:?}"),
-            );
-        }
+        let sql = format!("select v from t{text}");
+        let out = db
+            .read(&ReadRequest::text(&sql).avoiding_seqscan(true))
+            .unwrap_or_else(|e| panic!("{what}: {sql}: {e}"));
+        assert_eq!(out.stats.index_probes, 1, "{what}: {sql}");
+        assert_same(&out.rows, &want, &format!("{what}: {sql}"));
+        let sql = format!("select v from t{bound}");
+        let out = db
+            .read(&ReadRequest::bound(&sql, &params).avoiding_seqscan(true))
+            .unwrap_or_else(|e| panic!("{what}: {sql}: {e}"));
+        assert_same(&out.rows, &want, &format!("{what}: {sql} {params:?}"));
     }
 }
 

@@ -1,6 +1,6 @@
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::hash::Hasher;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use apuama_sql::ast::Select;
 use apuama_sql::Value;
@@ -113,17 +113,17 @@ enum GroupKeys {
 /// How the batches of one execution ran, for `EXPLAIN ANALYZE` to say: the
 /// fold is chosen per batch by predicate shape and column representation,
 /// so nothing else shows whether a statement's batches took the vectorized
-/// form or fell to the row. Statistics only, hence relaxed.
+/// form or fell to the row.
 #[derive(Default)]
 pub(crate) struct FoldTally {
-    batches: AtomicU64,
+    batches: Cell<u64>,
     /// Batches in which a predicate, a group key or an argument was
     /// evaluated per tuple on the scratch row.
-    by_row: AtomicU64,
+    by_row: Cell<u64>,
     /// Batches whose survivors were folded one accumulator at a time.
-    column_major: AtomicU64,
+    column_major: Cell<u64>,
     /// Of those, batches whose group ids came from their key codes.
-    coded: AtomicU64,
+    coded: Cell<u64>,
 }
 
 /// How one batch was folded.
@@ -136,7 +136,7 @@ struct BatchForm {
 
 impl FoldTally {
     fn count(&self, form: BatchForm) {
-        let add = |n: &AtomicU64, yes: bool| n.fetch_add(yes as u64, Ordering::Relaxed);
+        let add = |n: &Cell<u64>, yes: bool| n.set(n.get() + yes as u64);
         add(&self.batches, true);
         add(&self.by_row, form.by_row);
         add(&self.column_major, form.column_major);
@@ -146,10 +146,7 @@ impl FoldTally {
     /// Lists the tally under the operator's `EXPLAIN ANALYZE` node.
     pub(crate) fn note(&self, az: Option<&Analyze>, probe: Option<usize>) {
         if let (Some(az), Some(probe)) = (az, probe) {
-            let (batches, by_row) = (
-                self.batches.load(Ordering::Relaxed),
-                self.by_row.load(Ordering::Relaxed),
-            );
+            let (batches, by_row) = (self.batches.get(), self.by_row.get());
             az.add_note(
                 probe,
                 format!(
@@ -157,10 +154,7 @@ impl FoldTally {
                     batches - by_row
                 ),
             );
-            let (column_major, coded) = (
-                self.column_major.load(Ordering::Relaxed),
-                self.coded.load(Ordering::Relaxed),
-            );
+            let (column_major, coded) = (self.column_major.get(), self.coded.get());
             az.add_note(
                 probe,
                 format!("column-major: {column_major} batch(es), {coded} by coded group keys"),
@@ -171,7 +165,7 @@ impl FoldTally {
 
 /// What one fold mutates from batch to batch: the predicates' scratch row
 /// and probe memos, the selection vector, and the buffers vectorized
-/// arguments are computed into. One per serial pass, one per morsel.
+/// arguments are computed into. One per pass.
 pub(crate) struct FoldScratch {
     row: RowScratch,
     sel: Sel,
@@ -182,9 +176,8 @@ pub(crate) struct FoldScratch {
     code_groups: Vec<u32>,
 }
 
-/// The fused kernel's fold, specialized once per execution and then shared
-/// read-only: [`FusedExec`] folds scan batches through it on its serial
-/// pass, and morsels on its workers. Residual scan predicates run before
+/// The fused kernel's fold, specialized once per execution: [`FusedExec`]
+/// folds scan batches through it. Residual scan predicates run before
 /// post predicates, in plan order; all programs have bound parameters
 /// folded in, group keys are positional programs.
 ///
@@ -401,7 +394,7 @@ impl<'p> FusedFold<'p> {
         Ok(false)
     }
 
-    /// Folds the `slots` of `seg` — a scan batch or a morsel — into
+    /// Folds the `slots` of `seg` — one scan batch — into
     /// `groups` and returns the `cpu_tuple_ops` they cost: one per
     /// predicate evaluated, one per surviving row's aggregation update.
     ///
@@ -535,23 +528,11 @@ struct FusedScan<'e> {
 /// through the same [`project_groups`] as the general tree, which is what
 /// keeps the two shapes byte-identical.
 ///
-/// With `workers` of two or more and a scan that splits into two or more
-/// morsels, the pass runs on the morsel tier — the engine's third
-/// parallelism tier (intra-node), below the cluster's inter-query and
-/// intra-query tiers. Each worker folds its morsels through the shared
-/// fold into private [`Groups`] partials, charging the transient partial
-/// state to the memory gauge through its own context; the coordinator
-/// merges the partials **in morsel-index order** — preserving the serial
-/// first-seen group order — and charges the merged total as the serial
-/// pass does. Counter identity with the serial pass is
-/// [`run_scan_morsels`]'s; a smaller scan takes the serial pass, so it pays
-/// no dispatch cost.
 pub(crate) struct FusedExec<'e> {
     q: &'e Select,
     plan: &'e FusedPlan,
     outer: &'e [Frame<'e>],
     ctx: &'e ExecContext<'e>,
-    workers: usize,
     /// The `EXPLAIN ANALYZE` collector and this operator's node in it.
     az: Option<&'e Analyze>,
     probe: Option<usize>,
@@ -564,7 +545,6 @@ impl<'e> FusedExec<'e> {
         plan: &'e FusedPlan,
         outer: &'e [Frame<'e>],
         ctx: &'e ExecContext<'e>,
-        workers: usize,
         az: Option<&'e Analyze>,
         probe: Option<usize>,
     ) -> Self {
@@ -573,7 +553,6 @@ impl<'e> FusedExec<'e> {
             plan,
             outer,
             ctx,
-            workers,
             az,
             probe,
             emitter: None,
@@ -594,25 +573,12 @@ impl<'e> FusedExec<'e> {
         })
     }
 
-    /// The pass: on the morsel tier when the scan splits, serial otherwise.
-    fn fold_groups(&self) -> EngineResult<Groups> {
-        let scan = self.plan_scan()?;
-        let morsels = (self.workers >= 2)
-            .then(|| plan_scan_morsels(scan.table, &scan.fold.preds, &scan.choice))
-            .filter(|sm| sm.len() >= 2);
-        let groups = match morsels {
-            Some(sm) => self.fold_morsels(&scan.fold, &sm)?,
-            None => self.fold_serial(&scan)?,
-        };
-        scan.fold.tally.note(self.az, self.probe);
-        Ok(groups)
-    }
-
-    /// The serial pass: the cursor's units, one at a time, through the
-    /// fold. Each unit is also the kernel's cancellation point and
-    /// memory-charge boundary.
-    fn fold_serial(&self, scan: &FusedScan<'e>) -> EngineResult<Groups> {
+    /// The pass: the cursor's units, one at a time, through the fold. Each
+    /// unit is also the kernel's cancellation point and memory-charge
+    /// boundary.
+    fn fold_serial(&self) -> EngineResult<Groups> {
         let ctx = self.ctx;
+        let scan = self.plan_scan()?;
         let mut groups = Groups::new();
         let mut charged_groups = 0u64;
         let mut cursor = ScanCursor::open(scan.table, &scan.choice.path, &scan.fold.preds, ctx);
@@ -629,39 +595,8 @@ impl<'e> FusedExec<'e> {
             ))?;
             charged_groups = n;
         }
+        scan.fold.tally.note(self.az, self.probe);
         Ok(groups)
-    }
-
-    /// The morsel pass. Counters are totals and groups merge in morsel
-    /// order, so where the access path cut its morsels changes no
-    /// observable statistic.
-    fn fold_morsels(&self, fold: &FusedFold<'e>, sm: &ScanMorsels<'_>) -> EngineResult<Groups> {
-        let ctx = self.ctx;
-        let partials = run_scan_morsels(
-            sm,
-            ctx,
-            self.workers,
-            self.az,
-            self.probe,
-            |seg, slots, wctx| {
-                let mut groups = Groups::new();
-                let cpu = fold.fold(seg, slots, &mut fold.scratch(), &mut groups, wctx)?;
-                wctx.charge_mem(exec::approx_state_bytes(
-                    groups.len() as u64,
-                    fold.state_width(),
-                ))?;
-                Ok((groups, cpu))
-            },
-        )?;
-        let mut merged = Groups::new();
-        for groups in partials {
-            merged.merge(groups);
-        }
-        ctx.charge_mem(exec::approx_state_bytes(
-            merged.len() as u64,
-            fold.state_width(),
-        ))?;
-        Ok(merged)
     }
 
     /// HAVING, the select list, ORDER BY keys.
@@ -684,7 +619,7 @@ impl<'e> Operator<'e> for FusedExec<'e> {
 
     fn next_batch(&mut self) -> EngineResult<Option<RowBatch>> {
         if self.emitter.is_none() {
-            let (rows, keys) = self.finish(self.fold_groups()?)?;
+            let (rows, keys) = self.finish(self.fold_serial()?)?;
             self.emitter = Some(BatchEmitter::new(rows, keys));
         }
         Ok(self.emitter.as_mut().and_then(BatchEmitter::next))

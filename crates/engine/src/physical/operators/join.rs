@@ -1681,26 +1681,18 @@ mod tests {
             .unwrap();
         let body = "from cust, ords, fact, supp where c_key = o_ckey and f_okey = o_key \
                     and f_skey = s_key and c_nat = s_nat and o_flag = 1";
-        for workers in [1, 2] {
-            db.query(&format!("set parallel_workers = {workers}"))
-                .unwrap();
-            let before = ROWS_MATERIALIZED.get();
-            let out = db
-                .query(&format!(
-                    "select c_nat, sum(f_price) as s {body} group by c_nat"
-                ))
-                .unwrap();
-            assert_eq!(out.rows.len(), 1);
-            assert_eq!(out.stats.rows_scanned, 5000 + 500 + 50 + 20);
-            // cust, the 100 flagged ords, supp — and the block's output.
-            assert_eq!(
-                ROWS_MATERIALIZED.get() - before,
-                50 + 100 + 20 + 200,
-                "×{workers}"
-            );
-            let n = db.query(&format!("select count(*) as n {body}")).unwrap();
-            assert_eq!(n.rows[0][0], Value::Int(200));
-        }
+        let before = ROWS_MATERIALIZED.get();
+        let out = db
+            .query(&format!(
+                "select c_nat, sum(f_price) as s {body} group by c_nat"
+            ))
+            .unwrap();
+        assert_eq!(out.rows.len(), 1);
+        assert_eq!(out.stats.rows_scanned, 5000 + 500 + 50 + 20);
+        // cust, the 100 flagged ords, supp — and the block's output.
+        assert_eq!(ROWS_MATERIALIZED.get() - before, 50 + 100 + 20 + 200);
+        let n = db.query(&format!("select count(*) as n {body}")).unwrap();
+        assert_eq!(n.rows[0][0], Value::Int(200));
     }
 
     #[test]

@@ -61,8 +61,8 @@ enum UnitSource<'e> {
 /// selection vector)` pairs that tile the path's live tuples in path
 /// order. A sequential scan and a clustered range yield one unit per
 /// segment; a row-id list is cut wherever the segment changes, and dead
-/// slots drop out by the tombstone bitmap. The serial cursor and the morsel planner both read
-/// their input from here, so they see the same tuples in the same order.
+/// slots drop out by the tombstone bitmap. The cursor ([`ScanCursor`])
+/// reads its input from here.
 pub(crate) struct ScanUnits<'e> {
     heap: &'e Heap,
     source: UnitSource<'e>,
@@ -269,8 +269,7 @@ impl<'e> ScanUnits<'e> {
 
 /// Charges a scan's heap pages in the serial scan's order and multiplicity:
 /// each tuple's page once per page change along the path, pages without a
-/// selected tuple never. Shared by the serial cursor and the morsel
-/// pre-charge, so the pool sees one sequence whichever runs.
+/// selected tuple never.
 pub(crate) struct PageCharger {
     table: apuama_storage::TableId,
     kind: AccessKind,

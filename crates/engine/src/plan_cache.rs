@@ -197,10 +197,9 @@ pub(crate) enum Key {
 
 /// The cache key: a statement key (exact text or lifted shape) plus the
 /// plan-shaping session knob. `enable_kernel` is part of the key because it
-/// selects the lowered shape (fused vs general). `enable_seqscan` and
-/// `parallel_workers` change how a lowered tree runs (which access path,
-/// how many workers), not what is lowered, and are deliberately *not*
-/// keyed.
+/// selects the lowered shape (fused vs general). `enable_seqscan` changes
+/// how a lowered tree runs (which access path), not what is lowered, and
+/// is deliberately *not* keyed.
 pub(crate) type Fingerprint = (Key, bool);
 
 /// The fingerprint of an exact statement text: trimmed, so surrounding

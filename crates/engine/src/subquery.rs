@@ -48,9 +48,8 @@
 //! sides of comparisons, the outer-only conjuncts — is [`CompiledExpr`]s
 //! compiled against the [`Scope`] of the expression the `EXISTS` stands in:
 //! the operator's row and the frames around it, bound parameters folded in.
-//! A probe borrows nothing from the statement's frames and is immutable, so
-//! it would be safe to evaluate on morsel workers; scans carrying subquery
-//! predicates are still kept serial today. What differs between probes is
+//! A probe borrows nothing from the statement's frames and is immutable.
+//! What differs between probes is
 //! who evaluates them: a top-level `EXISTS` conjunct whose outer side is
 //! positional is held by its operator, which keeps a [`ProbeMemo`] for it
 //! from row to row; an `EXISTS` anywhere else (under `OR`/`CASE`, in a

@@ -4,10 +4,7 @@
 //! engine answers the next, ungoverned run of the same statement
 //! byte-identically to a never-cancelled engine. Checked with
 //! `enable_kernel` on and off, so the general tree and the fused kernel
-//! honor the same unwind contract — and `parallel_workers` ∈ {1, 2, 4},
-//! so a cancel that lands while morsel workers are in flight must likewise
-//! unwind cleanly (worker-side memory charges released, no partial state
-//! surviving into the replay).
+//! honor the same unwind contract.
 
 use proptest::prelude::*;
 
@@ -36,11 +33,9 @@ fn db() -> Database {
     d
 }
 
-fn set_modes(d: &Database, kernel: bool, workers: usize) {
+fn set_kernel(d: &Database, kernel: bool) {
     let onoff = |b: bool| if b { "on" } else { "off" };
     d.query(&format!("set enable_kernel = {}", onoff(kernel)))
-        .unwrap();
-    d.query(&format!("set parallel_workers = {workers}"))
         .unwrap();
 }
 
@@ -61,17 +56,16 @@ proptest! {
         query_idx in 0usize..QUERIES.len(),
         fuse in 0u64..48,
         kernel in any::<bool>(),
-        workers in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
         let sql = QUERIES[query_idx];
 
         // Reference: an engine that never saw a cancellation.
         let clean = db();
-        set_modes(&clean, kernel, workers);
+        set_kernel(&clean, kernel);
         let want = clean.query(sql).unwrap();
 
         let d = db();
-        set_modes(&d, kernel, workers);
+        set_kernel(&d, kernel);
         let gov = QueryGovernor::new();
         gov.cancel_token().cancel_after_checks(fuse);
         match d.read(&ReadRequest::text(sql).governed(&gov)) {

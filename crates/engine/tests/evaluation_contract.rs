@@ -24,7 +24,6 @@ fn db() -> Database {
         ))
         .unwrap();
     }
-    d.query("set parallel_workers = 1").unwrap();
     d
 }
 

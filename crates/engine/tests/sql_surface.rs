@@ -617,7 +617,6 @@ fn unindexed_exists_stops_at_the_first_match() {
         .collect();
     d.load_table("outer_t", outer).unwrap();
     d.load_table("inner_t", inner).unwrap();
-    d.query("set parallel_workers = 1").unwrap();
     // (count, rows_scanned, cpu_tuple_ops, index_probes, page accesses)
     let run = |pred: &str| {
         let out = d

@@ -176,13 +176,12 @@ fn aggregates_skip_nulls_but_count_star_does_not() {
 /// keeps no such row, whichever kind of index resolves it — the clustered
 /// column by position (loaded in key order: the NULLs head the ordered
 /// prefix; inserted in arrival order: they sit in the tail), the secondary
-/// one by its B-tree, whose NULL postings sort first — serial and on the
-/// morsel tier, as text and bound. (Before PR 22 an open low bound began at
+/// one by its B-tree, whose NULL postings sort first — as text and bound. (Before PR 22 an open low bound began at
 /// the NULL keys: `k < 5` counted 4.)
 #[test]
 fn an_index_range_with_a_bound_keeps_no_null_key() {
     // k = j ∈ {1, NULL, 3, 7, NULL, 10, 11, …}; v is the row number. Three
-    // stored segments, so the wide ranges split into morsels.
+    // stored segments, so the wide ranges cross segment boundaries.
     let rows: Vec<Vec<Value>> = (0..2500i64)
         .map(|v| {
             let k = match v {
@@ -232,28 +231,24 @@ fn an_index_range_with_a_bound_keeps_no_null_key() {
     for (d, how) in [(&loaded, "loaded"), (&inserted, "inserted")] {
         for seqscan in ["off", "on"] {
             d.query(&format!("set enable_seqscan = {seqscan}")).unwrap();
-            for workers in [1, 2] {
-                d.query(&format!("set parallel_workers = {workers}"))
-                    .unwrap();
-                for col in ["k", "j"] {
-                    for (text, bound, params, want) in &cases {
-                        let what = format!("{how}, seqscan {seqscan}, ×{workers}: {col} / {text}");
-                        let (text, bound) = (text.replace('c', col), bound.replace('c', col));
-                        let count = format!("select count(*) as n from t where {text}");
-                        let out = d.query(&count).unwrap();
-                        assert_eq!(out.rows[0][0], Value::Int(*want), "{what}");
-                        if seqscan == "off" {
-                            assert_eq!(out.stats.index_probes, 1, "{what}");
-                        }
-                        let count = format!("select count(*) as n from t where {bound}");
-                        let out = d.query_bound(&count, params).unwrap();
-                        assert_eq!(out.rows[0][0], Value::Int(*want), "{what} (bound)");
-                        // The rows themselves: none has a NULL key.
-                        let list = format!("select {col}, v from t where {text}");
-                        let out = d.query(&list).unwrap();
-                        assert_eq!(out.rows.len() as i64, *want, "{what}");
-                        assert!(out.rows.iter().all(|r| !r[0].is_null()), "{what}");
+            for col in ["k", "j"] {
+                for (text, bound, params, want) in &cases {
+                    let what = format!("{how}, seqscan {seqscan}: {col} / {text}");
+                    let (text, bound) = (text.replace('c', col), bound.replace('c', col));
+                    let count = format!("select count(*) as n from t where {text}");
+                    let out = d.query(&count).unwrap();
+                    assert_eq!(out.rows[0][0], Value::Int(*want), "{what}");
+                    if seqscan == "off" {
+                        assert_eq!(out.stats.index_probes, 1, "{what}");
                     }
+                    let count = format!("select count(*) as n from t where {bound}");
+                    let out = d.query_bound(&count, params).unwrap();
+                    assert_eq!(out.rows[0][0], Value::Int(*want), "{what} (bound)");
+                    // The rows themselves: none has a NULL key.
+                    let list = format!("select {col}, v from t where {text}");
+                    let out = d.query(&list).unwrap();
+                    assert_eq!(out.rows.len() as i64, *want, "{what}");
+                    assert!(out.rows.iter().all(|r| !r[0].is_null()), "{what}");
                 }
             }
         }

@@ -552,7 +552,7 @@ mod tests {
     fn smp_cores_ablation_speeds_up_isolated_queries() {
         // The testbed's nodes were 2-way Opteron SMPs, but the paper's
         // PostgreSQL ran each statement on one core. Pricing the second
-        // core in (intra-node morsel parallelism) must shrink the
+        // core in (a modelled intra-node split) must shrink the
         // CPU-bound part of an isolated Q1 — but only that part, so the
         // speedup stays below 2× (disk and composition do not scale).
         let data = generate(TpchConfig {

@@ -37,8 +37,9 @@ pub struct CostModel {
     pub net_request_ms: f64,
     /// Per-node coordination overhead of one write broadcast (ms).
     pub write_coord_ms: f64,
-    /// CPU cores a node devotes to one statement (morsel-driven intra-node
-    /// parallelism — the third parallelism tier). The per-tuple CPU term
+    /// CPU cores a node devotes to one statement: a modelled intra-node
+    /// split with no engine counterpart (the engine runs each statement on
+    /// the thread that sent it, DESIGN.md §12). The per-tuple CPU term
     /// divides by this; page faults and network do not parallelize. 1 in
     /// the 2006 calibration: PostgreSQL 8 ran each statement on a single
     /// core even though the testbed nodes were 2-way SMPs — which is
@@ -63,16 +64,16 @@ impl CostModel {
     }
 
     /// The same calibration with `cores` CPUs per node — the intra-node
-    /// morsel-parallelism ablation. `with_cores(2)` models the testbed's
-    /// actual 2-way Opteron SMPs running the engine's third parallelism
-    /// tier instead of the paper's one-core-per-statement PostgreSQL.
+    /// split ablation. `with_cores(2)` models the testbed's actual 2-way
+    /// Opteron SMPs splitting each statement's tuple work across both
+    /// cores, instead of the paper's one-core-per-statement PostgreSQL.
     pub fn with_cores(self, cores: usize) -> CostModel {
         CostModel { cores, ..self }
     }
 
     /// Time one statement takes on a node's CPU+disk. The per-tuple CPU
-    /// term is divided across the node's `cores` (morsel workers share the
-    /// tuple work near-perfectly); page faults are not — one disk arm.
+    /// term is divided across the node's `cores` (the modelled split shares
+    /// the tuple work near-perfectly); page faults are not — one disk arm.
     pub fn statement_ms(&self, s: &ExecStats) -> f64 {
         s.buffer.misses_seq as f64 * self.seq_page_ms
             + s.buffer.misses_rand as f64 * self.rand_page_ms

@@ -50,7 +50,7 @@ use std::sync::Arc;
 /// its `SELECT`, so each level of subquery nesting takes two).
 ///
 /// Chosen from what a *debug* build survives on a 2 MiB thread — the stack
-/// of the cluster's node threads and of the engine's morsel workers —
+/// of the cluster's node threads, which run every statement —
 /// through parse, plan, evaluation and drop. Unbounded, the descent gives
 /// out first there: at about 100 nested function calls or `CASE`s, 125
 /// scopes of nested subqueries, 160 parentheses; evaluation gives out on a
@@ -1260,7 +1260,7 @@ mod tests {
         "from (select",
     ];
 
-    /// On the stack of a node thread or a morsel worker.
+    /// On the stack of a node thread.
     fn on_a_small_stack(f: impl FnOnce() + Send + 'static) {
         std::thread::Builder::new()
             .stack_size(2 << 20)

@@ -98,7 +98,7 @@ struct ZoneColumn {
 }
 
 /// How many slots a segment aims for: the engine's scan batch, so one
-/// segment is one batch of a scan and one morsel of a parallel one.
+/// segment is one batch of a scan.
 pub const SEGMENT_SLOTS: u64 = 1024;
 
 /// A run of whole pages stored column-wise: slot `i` of every column is

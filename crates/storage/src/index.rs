@@ -139,11 +139,15 @@ impl OrderedIndex {
             .flat_map(|(k, rows)| rows.iter().map(move |&r| (&k.0, r)))
     }
 
-    /// Smallest and largest keys currently present (planner statistics).
+    /// Smallest and largest non-NULL keys currently present (planner
+    /// statistics). NULL sorts first but no bounded range holds it, so it
+    /// is no end of the interval a range is priced against.
     pub fn min_max(&self) -> Option<(&Value, &Value)> {
-        let min = self.map.keys().next()?;
-        let max = self.map.keys().next_back()?;
-        Some((&min.0, &max.0))
+        let mut keys = (self.map)
+            .range::<IndexKey, _>((Bound::Excluded(IndexKey(Value::Null)), Bound::Unbounded))
+            .map(|(k, _)| &k.0);
+        let min = keys.next()?;
+        Some((min, keys.next_back().unwrap_or(min)))
     }
 
     /// Number of postings.
@@ -326,6 +330,31 @@ mod tests {
         assert!((sel - 0.5).abs() < 0.01, "sel={sel}");
         let all = idx.range_selectivity(Bound::Unbounded, Bound::Unbounded);
         assert!((all - 1.0).abs() < f64::EPSILON);
+    }
+
+    /// NULL keys sort first, but a range is priced between the smallest
+    /// and largest non-NULL keys.
+    #[test]
+    fn selectivity_interpolates_between_the_non_null_keys() {
+        let mut idx = OrderedIndex::new();
+        for i in 0..=100 {
+            idx.insert(iv(i), i as RowId);
+        }
+        for r in 101..130 {
+            idx.insert(Value::Null, r);
+        }
+        let (min, max) = idx.min_max().unwrap();
+        assert_eq!((min, max), (&iv(0), &iv(100)));
+        let sel = idx.range_selectivity(Bound::Included(&iv(0)), Bound::Included(&iv(50)));
+        assert!((sel - 0.5).abs() < 0.01, "sel={sel}");
+        let point = idx.range_selectivity(Bound::Included(&iv(7)), Bound::Included(&iv(7)));
+        assert_eq!(point, 0.0);
+        // One non-NULL key is both ends; only NULLs is no interval at all.
+        let mut one = OrderedIndex::new();
+        one.insert(Value::Null, 0);
+        assert_eq!(one.min_max(), None);
+        one.insert(iv(4), 1);
+        assert_eq!(one.min_max(), Some((&iv(4), &iv(4))));
     }
 
     #[test]

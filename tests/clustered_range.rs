@@ -25,7 +25,6 @@ const CONFIG: TpchConfig = TpchConfig {
 fn replica(data: &TpchData) -> Database {
     let mut db = Database::in_memory();
     load_into(&mut db, data).unwrap();
-    db.query("set parallel_workers = 1").unwrap();
     db
 }
 

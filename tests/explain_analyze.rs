@@ -4,7 +4,7 @@
 //! internally consistent with the reported total execution time.
 
 use apuama_engine::Database;
-use apuama_tpch::{generate, load_into, QueryParams, TpchConfig, TpchQuery, ALL_QUERIES};
+use apuama_tpch::{generate, load_into, QueryParams, TpchConfig, ALL_QUERIES};
 
 fn tpch_db() -> Database {
     let data = generate(TpchConfig {
@@ -41,10 +41,8 @@ fn field(line: &str, name: &str) -> f64 {
 #[test]
 fn explain_analyze_tpch_q1ish_reports_consistent_tree() {
     let db = tpch_db();
-    // Pinned serial: with morsel workers the per-worker probe lines report
-    // overlapping wall time, so the exclusive-time sum below is a
-    // serial-tree invariant. The parallel rendering has its own test.
-    db.query("set parallel_workers = 1").unwrap();
+    // Every operator runs on the statement's thread, so the exclusive
+    // times below sum to the execution time with nothing overlapping.
     let q = &ALL_QUERIES[0];
     let sql = q.sql(&QueryParams::random(7));
     let expected_rows = db.query(&sql).unwrap().rows.len() as f64;
@@ -107,64 +105,6 @@ fn explain_analyze_tpch_q1ish_reports_consistent_tree() {
     assert!(total_ms > 0.0, "{footer}");
 }
 
-/// With `parallel_workers` ≥ 2, the fused aggregate carries a `[parallel
-/// ×N]` marker and per-worker row/morsel/time breakdown lines, a join
-/// block's input scans carry neither (they read serially), and the reported
-/// row counts still reconcile with the plain query.
-#[test]
-fn explain_analyze_shows_parallel_marker_and_worker_breakdown() {
-    let db = tpch_db();
-    db.query("set parallel_workers = 2").unwrap();
-    let q = &ALL_QUERIES[0];
-    let sql = q.sql(&QueryParams::random(7));
-    let expected_rows = db.query(&sql).unwrap().rows.len() as f64;
-
-    // Fused shape: the parallel fused aggregate advertises its workers and
-    // attaches one probe line per worker.
-    let fused = plan_lines(&db, &format!("explain analyze {sql}"));
-    assert!(
-        fused
-            .iter()
-            .any(|l| l.contains("fused aggregate over") && l.contains("[parallel ×2]")),
-        "{fused:?}"
-    );
-    let workers: Vec<&String> = fused
-        .iter()
-        .filter(|l| l.trim_start().starts_with("parallel worker "))
-        .collect();
-    assert_eq!(workers.len(), 2, "{fused:?}");
-    for w in &workers {
-        assert!(w.contains("(actual rows=") && w.contains("self_ms="), "{w}");
-    }
-    // Workers together scanned every morsel's rows exactly once.
-    let scanned: f64 = workers.iter().map(|l| field(l, "rows")).sum();
-    let serial_scanned = {
-        db.query("set parallel_workers = 1").unwrap();
-        let out = db.query(&sql).unwrap();
-        db.query("set parallel_workers = 2").unwrap();
-        out.stats.rows_scanned as f64
-    };
-    assert_eq!(scanned, serial_scanned, "{fused:?}");
-    assert_eq!(field(&fused[0], "rows"), expected_rows, "{fused:?}");
-
-    // General shape: a join block reads its input scans serially, so no
-    // line of it carries the marker or a worker breakdown.
-    let join = TpchQuery::Q3.sql(&QueryParams::random(7));
-    let expected_rows = db.query(&join).unwrap().rows.len() as f64;
-    let lines = plan_lines(&db, &format!("explain analyze {join}"));
-    assert!(
-        lines.iter().any(|l| l.trim_start().starts_with("scan ")),
-        "{lines:?}"
-    );
-    assert!(
-        !lines
-            .iter()
-            .any(|l| l.contains("[parallel ×") || l.trim_start().starts_with("parallel worker ")),
-        "{lines:?}"
-    );
-    assert_eq!(field(&lines[0], "rows"), expected_rows, "{lines:?}");
-}
-
 /// The instrumented execution answers exactly like the plain one for every
 /// evaluation query — instrumentation must not change what runs.
 #[test]
@@ -193,7 +133,6 @@ fn count(line: &str, name: &str) -> u64 {
 #[test]
 fn explain_names_the_exists_probes_of_q4_and_q21() {
     let db = tpch_db();
-    db.query("set parallel_workers = 1").unwrap();
     let params = QueryParams::default();
 
     // Q4: one semi-join probe on the orders scan.
@@ -337,7 +276,6 @@ fn explain_names_the_exists_probes_of_q4_and_q21() {
 #[test]
 fn explain_names_the_interpreted_fallback_and_memo_probes() {
     let db = tpch_db();
-    db.query("set parallel_workers = 1").unwrap();
     // Grouped subquery: not a probe shape.
     let grouped = "select count(*) as n from orders where exists \
         (select l_orderkey from lineitem where l_orderkey = o_orderkey group by l_orderkey)";
@@ -411,7 +349,6 @@ fn join_block_lines(lines: &[String]) -> Vec<String> {
 #[test]
 fn explain_analyze_accounts_for_the_join_block_of_q3_and_q5() {
     let db = tpch_db();
-    db.query("set parallel_workers = 1").unwrap();
     let params = QueryParams::default();
 
     let q3 = plan_lines(
@@ -512,27 +449,22 @@ fn explain_analyze_shows_coded_group_ids_and_key_filters() {
     let params = QueryParams::random(7);
     let segments = db.table("lineitem").unwrap().heap.segments().len();
     assert_eq!(segments, 12);
-    for workers in [1, 2] {
-        db.query(&format!("set parallel_workers = {workers}"))
-            .unwrap();
-        for (q, coded) in [(0, segments), (4, 0)] {
-            let plan = plan_lines(
-                &db,
-                &format!("explain analyze {}", ALL_QUERIES[q].sql(&params)),
-            );
-            assert_eq!(
-                lines_starting(&plan, &["fold: ", "column-major: "]),
-                [
-                    format!("fold: {segments} batch(es) vectorized, 0 row-major"),
-                    format!("column-major: {segments} batch(es), {coded} by coded group keys"),
-                ],
-                "{} ×{workers}",
-                ALL_QUERIES[q].label()
-            );
-        }
+    for (q, coded) in [(0, segments), (4, 0)] {
+        let plan = plan_lines(
+            &db,
+            &format!("explain analyze {}", ALL_QUERIES[q].sql(&params)),
+        );
+        assert_eq!(
+            lines_starting(&plan, &["fold: ", "column-major: "]),
+            [
+                format!("fold: {segments} batch(es) vectorized, 0 row-major"),
+                format!("column-major: {segments} batch(es), {coded} by coded group keys"),
+            ],
+            "{}",
+            ALL_QUERIES[q].label()
+        );
     }
 
-    db.query("set parallel_workers = 1").unwrap();
     let blocks: [(usize, &[&str]); 5] = [
         (
             1,

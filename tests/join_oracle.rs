@@ -1,7 +1,6 @@
 //! Join answers checked against the data, not against another build of
 //! the engine: generated statements over two to four small tables run
-//! through the join block — serial and on the morsel tier, as text and
-//! bound — and their rows must be the ones nested loops over
+//! through the join block — as text and bound — and their rows must be the ones nested loops over
 //! [`apuama_storage::Heap::iter`], written here, produce: the same multiset
 //! always, the same sequence for the `ORDER BY` forms.
 //!
@@ -55,7 +54,8 @@ fn row(id: i64, (k, byte): Gen) -> Row {
 }
 
 /// How many rows `b` is padded to: three stored segments, so its scan
-/// splits into morsels and a clustered range can cross a segment boundary.
+/// spans several batches and a clustered range can cross a segment
+/// boundary.
 const B_ROWS: i64 = 2_200;
 
 /// The tables of one case. `b` is the large one (it drives every join it
@@ -228,7 +228,7 @@ fn ids(row: &Row) -> Vec<i64> {
     row.iter().step_by(3).map(|v| v.as_i64().unwrap()).collect()
 }
 
-/// Work counters that must not depend on workers or on text against bound.
+/// Work counters that must not depend on text against bound.
 fn counters(out: &QueryOutput) -> [u64; 7] {
     let s = &out.stats;
     [
@@ -242,9 +242,9 @@ fn counters(out: &QueryOutput) -> [u64; 7] {
     ]
 }
 
-/// Runs the case's two forms under workers × text/bound: the unordered
-/// form's rows are a permutation of the oracle's, the ordered form's are
-/// the oracle's, and the counters agree across the four executions.
+/// Runs the case's two forms as text and bound: the unordered form's rows
+/// are a permutation of the oracle's, the ordered form's are the oracle's,
+/// and the counters agree across the two executions.
 fn check(db: &Database, case: &Case<'_>, p: i64) {
     let want = case.oracle();
     for (sql, ordered) in [(case.select(), false), (case.ordered(), true)] {
@@ -255,26 +255,22 @@ fn check(db: &Database, case: &Case<'_>, p: i64) {
             .into_iter()
             .collect();
         let mut reference: Option<QueryOutput> = None;
-        for workers in [1, 4] {
-            db.query(&format!("set parallel_workers = {workers}"))
-                .unwrap();
-            for (path, out) in [
-                ("text", db.query(&text)),
-                ("bound", db.query_bound(&sql, &params)),
-            ] {
-                let what = format!("{path} ×{workers}: {text}");
-                let out = out.unwrap_or_else(|e| panic!("{what}: {e}"));
-                let mut got = out.rows.clone();
-                if !ordered {
-                    got.sort_by_key(ids);
-                }
-                assert_eq!(got, want, "{what}");
-                match &reference {
-                    None => reference = Some(out),
-                    Some(first) => {
-                        assert_eq!(out.rows, first.rows, "{what}");
-                        assert_eq!(counters(&out), counters(first), "{what}");
-                    }
+        for (path, out) in [
+            ("text", db.query(&text)),
+            ("bound", db.query_bound(&sql, &params)),
+        ] {
+            let what = format!("{path}: {text}");
+            let out = out.unwrap_or_else(|e| panic!("{what}: {e}"));
+            let mut got = out.rows.clone();
+            if !ordered {
+                got.sort_by_key(ids);
+            }
+            assert_eq!(got, want, "{what}");
+            match &reference {
+                None => reference = Some(out),
+                Some(first) => {
+                    assert_eq!(out.rows, first.rows, "{what}");
+                    assert_eq!(counters(&out), counters(first), "{what}");
                 }
             }
         }
@@ -1024,22 +1020,18 @@ fn probe_placement_divergences_are_the_documented_ones() {
         .unwrap();
     let sql = "select b.id from b, u where b.k = u.id \
                and exists (select * from p where p.k = b.id and p.s > b.w)";
-    for workers in [1, 4] {
-        db.query(&format!("set parallel_workers = {workers}"))
-            .unwrap();
-        // **Error divergence.** Evaluated in `b`'s scan — as the lone-input
-        // statement still does, and as the parent did under the join —
-        // tuple 500 raises. Behind the join nothing reaches the conjunct
-        // that would: the statement answers (with no row: `p` matches
-        // nothing the join keeps).
-        let scan_first = "select b.id from b \
-                          where exists (select * from p where p.k = b.id and p.s > b.w)";
-        assert!(matches!(
-            db.query(scan_first),
-            Err(EngineError::TypeError(_))
-        ));
-        assert_eq!(db.query(sql).unwrap().rows, Vec::<Row>::new());
-    }
+    // **Error divergence.** Evaluated in `b`'s scan — as the lone-input
+    // statement still does, and as the parent did under the join —
+    // tuple 500 raises. Behind the join nothing reaches the conjunct
+    // that would: the statement answers (with no row: `p` matches
+    // nothing the join keeps).
+    let scan_first = "select b.id from b \
+                      where exists (select * from p where p.k = b.id and p.s > b.w)";
+    assert!(matches!(
+        db.query(scan_first),
+        Err(EngineError::TypeError(_))
+    ));
+    assert_eq!(db.query(sql).unwrap().rows, Vec::<Row>::new());
 
     // The same divergence, from a build row shed through a leaf: `c`'s key
     // towards `b` is `c.s + 1`, a type error on the row whose `s` is text
@@ -1050,24 +1042,20 @@ fn probe_placement_divergences_are_the_documented_ones() {
         .unwrap();
     db.execute("insert into d values (0, 2, 2.0, 's2', 0)")
         .unwrap();
-    for workers in [1, 4] {
-        db.query(&format!("set parallel_workers = {workers}"))
-            .unwrap();
-        assert!(matches!(
-            db.query("select b.id from b, c where b.w = c.s + 1"),
-            Err(EngineError::TypeError(_))
-        ));
-        let shed = "select b.id from b, c, d where b.w = c.s + 1 and c.k = d.k";
-        assert_eq!(db.query(shed).unwrap().rows, Vec::<Row>::new());
-        assert_eq!(reductions(&db, shed), [("c by d".to_string(), 2, 1)]);
-        // A row whose key fails on the *probing* side of the leaf's edge is
-        // not shed — nothing says it matches nothing — and its step raises
-        // as it always did.
-        assert!(matches!(
-            db.query("select b.id from b, c, d where b.w = c.w and c.s + 1 = d.k"),
-            Err(EngineError::TypeError(_))
-        ));
-    }
+    assert!(matches!(
+        db.query("select b.id from b, c where b.w = c.s + 1"),
+        Err(EngineError::TypeError(_))
+    ));
+    let shed = "select b.id from b, c, d where b.w = c.s + 1 and c.k = d.k";
+    assert_eq!(db.query(shed).unwrap().rows, Vec::<Row>::new());
+    assert_eq!(reductions(&db, shed), [("c by d".to_string(), 2, 1)]);
+    // A row whose key fails on the *probing* side of the leaf's edge is
+    // not shed — nothing says it matches nothing — and its step raises
+    // as it always did.
+    assert!(matches!(
+        db.query("select b.id from b, c, d where b.w = c.w and c.s + 1 = d.k"),
+        Err(EngineError::TypeError(_))
+    ));
 
     // The same divergence, from a tuple a key filter drops: `d` holds key
     // 2 twice, so its step expands and the conjunct runs ahead of it — on
@@ -1079,24 +1067,16 @@ fn probe_placement_divergences_are_the_documented_ones() {
         .unwrap();
     db.execute("insert into p values (1, 500, 500.0, 'x', 0)")
         .unwrap();
-    for workers in [1, 4] {
-        db.query(&format!("set parallel_workers = {workers}"))
-            .unwrap();
-        let conjunct = "exists (select * from p where p.k = b.id and p.s > b.w)";
-        let filtered = format!("select b.id from b, d where b.k = d.k and {conjunct}");
-        assert_eq!(db.query(&filtered).unwrap().rows, Vec::<Row>::new());
-        assert_eq!(
-            key_filters(&db, &filtered),
-            [("d".to_string(), 2000, 1)],
-            "×{workers}"
-        );
-        let unfiltered = format!("select b.id from b, d where b.k + 0 = d.k and {conjunct}");
-        assert!(matches!(
-            db.query(&unfiltered),
-            Err(EngineError::TypeError(_))
-        ));
-        assert!(key_filters(&db, "select b.id from b, d where b.k + 0 = d.k").is_empty());
-    }
+    let conjunct = "exists (select * from p where p.k = b.id and p.s > b.w)";
+    let filtered = format!("select b.id from b, d where b.k = d.k and {conjunct}");
+    assert_eq!(db.query(&filtered).unwrap().rows, Vec::<Row>::new());
+    assert_eq!(key_filters(&db, &filtered), [("d".to_string(), 2000, 1)]);
+    let unfiltered = format!("select b.id from b, d where b.k + 0 = d.k and {conjunct}");
+    assert!(matches!(
+        db.query(&unfiltered),
+        Err(EngineError::TypeError(_))
+    ));
+    assert!(key_filters(&db, "select b.id from b, d where b.k + 0 = d.k").is_empty());
 
     // **Unordered output follows the new driver.** `x` is 1 000 rows of
     // which its `EXISTS` keeps 8, `y` is 40. Counting `x` after its probe,
@@ -1124,16 +1104,12 @@ fn probe_placement_divergences_are_the_documented_ones() {
     let mut y_major = x_major.clone();
     y_major.sort_by_key(|r| (r[1].as_i64(), r[0].as_i64()));
     assert_ne!(x_major, y_major);
-    for workers in [1, 4] {
-        db.query(&format!("set parallel_workers = {workers}"))
-            .unwrap();
-        let unordered = db.query(&format!("select x.id, y.id {body}")).unwrap();
-        assert_eq!(unordered.rows, x_major, "×{workers}");
-        let ordered = db
-            .query(&format!(
-                "select x.id as xi, y.id as yi {body} order by yi, xi"
-            ))
-            .unwrap();
-        assert_eq!(ordered.rows, y_major, "×{workers}");
-    }
+    let unordered = db.query(&format!("select x.id, y.id {body}")).unwrap();
+    assert_eq!(unordered.rows, x_major);
+    let ordered = db
+        .query(&format!(
+            "select x.id as xi, y.id as yi {body} order by yi, xi"
+        ))
+        .unwrap();
+    assert_eq!(ordered.rows, y_major);
 }

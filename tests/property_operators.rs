@@ -59,9 +59,8 @@ fn cluster_db(rows: &[(i64, i64, f64, u8)]) -> Database {
         .collect();
     let mut lineitem = lineitem;
     // Pad the fact table with rows outside the generated key range so full
-    // scans span several page-aligned morsels and the parallel execution
-    // path genuinely engages when `parallel_workers` > 1; range queries
-    // over the generated keys keep seeing exactly the generated rows.
+    // scans span several stored segments; range queries over the generated
+    // keys keep seeing exactly the generated rows.
     for k in 10_000i64..14_000 {
         lineitem.push(vec![
             Value::Int(k),
@@ -77,8 +76,7 @@ fn cluster_db(rows: &[(i64, i64, f64, u8)]) -> Database {
 
 /// Strategy: unique order keys with arbitrary payloads. Float payloads are
 /// quarter-steps (exactly representable, sums never round), so aggregate
-/// results are byte-identical regardless of how partial sums associate —
-/// the property the parallel-workers dimension depends on.
+/// results are byte-identical regardless of how partial sums associate.
 fn rows_strategy() -> impl Strategy<Value = Vec<(i64, i64, f64, u8)>> {
     proptest::collection::btree_map(0i64..500, (0i64..100, 0i64..4000, any::<u8>()), 1..150)
         .prop_map(|m| {
@@ -222,9 +220,7 @@ proptest! {
 
     /// For every generated statement, all four executions — text and
     /// bound, fusion rewrite on and off — are byte-identical in rows and
-    /// work counters, under every `parallel_workers` setting; the parallel
-    /// runs are additionally anchored to an explicitly serial
-    /// (`parallel_workers = 1`) reference.
+    /// work counters.
     #[test]
     fn pipeline_identical_across_kernel_toggle_and_bind_path(
         rows in rows_strategy(),
@@ -232,19 +228,13 @@ proptest! {
         lo in 0i64..400,
         width in 1i64..400,
         qty in 0i64..100,
-        workers in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
         let (template, n_params) = FAMILY[query_idx];
         let db = cluster_db(&rows);
         let params = params_for(n_params, lo, lo + width, qty);
         let text = render(template, &params);
 
-        db.query("set parallel_workers = 1").unwrap();
-        let serial = db.query(&text).unwrap();
-        db.query(&format!("set parallel_workers = {workers}")).unwrap();
-
         let text_on = db.query(&text).unwrap();
-        assert_identical(&text_on, &serial, &format!("parallel ×{workers}≡serial: {text}"));
         let bound_on = db.query_bound(template, &params).unwrap();
         db.query("set enable_kernel = off").unwrap();
         let text_off = db.query(&text).unwrap();
@@ -278,37 +268,28 @@ fn sort_is_stable_for_equal_keys() {
                 .map(move |k| vec![Value::Int(k), Value::Int(g)])
         })
         .collect();
-    // The sort runs serially at any worker count; the workers dimension
-    // checks that nothing under it reorders the ties.
-    for workers in [1usize, 4] {
-        db.query(&format!("set parallel_workers = {workers}"))
-            .unwrap();
-        let out = db.query(sql).unwrap();
-        assert_eq!(
-            out.rows, expected,
-            "ties must keep input order (workers {workers})"
-        );
-        let bound = db.query_bound(sql, &[]).unwrap();
-        assert_eq!(bound.rows, expected, "bound path (workers {workers})");
-        // DESC reverses key groups, not the tie order within a group.
-        let desc = db.query("select k, g from t order by g desc").unwrap();
-        let expected_desc: Vec<Vec<Value>> = (0..7i64)
-            .rev()
-            .flat_map(|g| {
-                (0..3000i64)
-                    .filter(move |k| k % 7 == g)
-                    .map(move |k| vec![Value::Int(k), Value::Int(g)])
-            })
-            .collect();
-        assert_eq!(desc.rows, expected_desc, "desc ties (workers {workers})");
-    }
+    let out = db.query(sql).unwrap();
+    assert_eq!(out.rows, expected, "ties must keep input order");
+    let bound = db.query_bound(sql, &[]).unwrap();
+    assert_eq!(bound.rows, expected, "bound path");
+    // DESC reverses key groups, not the tie order within a group.
+    let desc = db.query("select k, g from t order by g desc").unwrap();
+    let expected_desc: Vec<Vec<Value>> = (0..7i64)
+        .rev()
+        .flat_map(|g| {
+            (0..3000i64)
+                .filter(move |k| k % 7 == g)
+                .map(move |k| vec![Value::Int(k), Value::Int(g)])
+        })
+        .collect();
+    assert_eq!(desc.rows, expected_desc, "desc ties");
 }
 
 /// Columnar-fold edge cases (DESIGN.md §13). Each statement must answer
 /// with the rows computed here from the data alone, and byte-identically —
 /// rows and counters — on the fused shape (whose inner loop is the
-/// columnar fold wherever a batch allows it) and the general tree, serial
-/// and morsel-parallel, text and bound:
+/// columnar fold wherever a batch allows it) and the general tree, text and
+/// bound:
 ///
 /// * **empty batches** — a predicate range matching zero rows, so column
 ///   extraction and the selection vector both see empty input;
@@ -437,20 +418,15 @@ fn columnar_edge_cases_identical_across_modes() {
         ),
     ];
     for (sql, answer) in cases {
-        // Reference: the general tree, serial.
-        db.query("set parallel_workers = 1").unwrap();
+        // Reference: the general tree.
         db.query("set enable_kernel = off").unwrap();
         let want = db.query(sql).unwrap();
         assert_eq!(&want.rows, *answer, "{sql}");
-        for workers in [1usize, 4] {
-            db.query(&format!("set parallel_workers = {workers}"))
-                .unwrap();
-            for kernel in ["on", "off"] {
-                db.query(&format!("set enable_kernel = {kernel}")).unwrap();
-                let what = format!("kernel {kernel}, workers {workers}: {sql}");
-                assert_identical(&db.query(sql).unwrap(), &want, &what);
-                assert_identical(&db.query_bound(sql, &[]).unwrap(), &want, &what);
-            }
+        for kernel in ["on", "off"] {
+            db.query(&format!("set enable_kernel = {kernel}")).unwrap();
+            let what = format!("kernel {kernel}: {sql}");
+            assert_identical(&db.query(sql).unwrap(), &want, &what);
+            assert_identical(&db.query_bound(sql, &[]).unwrap(), &want, &what);
         }
     }
 }
@@ -465,13 +441,6 @@ fn tpch_eval_queries_identical_with_kernel_on_and_off() {
     });
     let mut db = Database::in_memory();
     load_into(&mut db, &data).unwrap();
-    // Pinned serial: TPC-H prices are hundredths (not exactly
-    // representable), so parallel partial-sum merging may legitimately
-    // differ from the serial fold in the last float bit — the strict
-    // byte-identity contract under this kernel toggle is a *serial*
-    // contract. The parallel≡serial property is proven on
-    // exactly-representable data by the operator property suite above.
-    db.query("set parallel_workers = 1").unwrap();
     let params = QueryParams::default();
     for q in ALL_QUERIES {
         let sql = q.sql(&params);
@@ -653,8 +622,8 @@ proptest! {
 
     /// Every statement of the family answers with the same rows — or fails
     /// with the same error class — through the index probe, on the text and
-    /// the bound path and under every `enable_kernel` × `parallel_workers`
-    /// setting, and through the un-keyed probe on an
+    /// the bound path and under either `enable_kernel` setting, and through
+    /// the un-keyed probe on an
     /// index-less copy of the data, as the interpreted `run_select`
     /// reference does.
     #[test]
@@ -672,25 +641,21 @@ proptest! {
         prop_assert_eq!(&outcome(plain.query(&text)), &want, "un-keyed≡interpreted: {}", &text);
 
         let db = probe_db(&outer, &inner, true);
-        db.query("set parallel_workers = 1").unwrap();
-        let serial = db.query(&text);
-        prop_assert_eq!(&outcome(serial.clone()), &want, "probe≡interpreted: {}", &text);
-        for workers in [1usize, 2, 4] {
-            db.query(&format!("set parallel_workers = {workers}")).unwrap();
-            for kernel in ["on", "off"] {
-                db.query(&format!("set enable_kernel = {kernel}")).unwrap();
-                let what = format!("kernel {kernel}, workers {workers}: {text}");
-                let got = db.query(&text);
-                let bound = db.query_bound(template, &params);
-                match (&serial, &got, &bound) {
-                    (Ok(s), Ok(g), Ok(b)) => {
-                        assert_identical(g, s, &what);
-                        assert_identical(b, s, &format!("bound, {what}"));
-                    }
-                    _ => {
-                        prop_assert_eq!(&outcome(got), &want, "{}", &what);
-                        prop_assert_eq!(&outcome(bound), &want, "bound, {}", &what);
-                    }
+        let first = db.query(&text);
+        prop_assert_eq!(&outcome(first.clone()), &want, "probe≡interpreted: {}", &text);
+        for kernel in ["on", "off"] {
+            db.query(&format!("set enable_kernel = {kernel}")).unwrap();
+            let what = format!("kernel {kernel}: {text}");
+            let got = db.query(&text);
+            let bound = db.query_bound(template, &params);
+            match (&first, &got, &bound) {
+                (Ok(s), Ok(g), Ok(b)) => {
+                    assert_identical(g, s, &what);
+                    assert_identical(b, s, &format!("bound, {what}"));
+                }
+                _ => {
+                    prop_assert_eq!(&outcome(got), &want, "{}", &what);
+                    prop_assert_eq!(&outcome(bound), &want, "bound, {}", &what);
                 }
             }
         }
@@ -706,7 +671,6 @@ proptest! {
     ) {
         let (outer, inner) = tables;
         let db = probe_db(&outer, &inner, true);
-        db.query("set parallel_workers = 1").unwrap();
         let sql = PROBE_FAMILY[anti_with_b as usize].0;
         let out = db.query(sql).unwrap();
         let mut rows = Vec::new();
@@ -814,7 +778,6 @@ fn exists_probe_counters_equal_the_parents() {
     let (outer, inner) = fixed_probe_tables();
     let mut db = probe_db(&outer, &inner, true);
     let mut plain = probe_db(&outer, &inner, false);
-    db.query("set parallel_workers = 1").unwrap();
     for after_delete in [false, true] {
         if after_delete {
             for d in [&mut db, &mut plain] {
@@ -888,7 +851,6 @@ fn exists_probe_key_memo_matches_the_unmemoized_probe() {
         (None, None, Some(7)),
     ];
     let mut db = probe_db(&outer, &inner, true);
-    db.query("set parallel_workers = 1").unwrap();
     let subquery = "(select * from i where i.k = o.ok and i.b > o.a)";
     for negated in ["", "not "] {
         let memoized = format!("select ok from o where {negated}exists {subquery}");
@@ -1000,7 +962,6 @@ fn exists_probe_corner_cases() {
     // (the un-keyed probe compares it with the first row and fails).
     let text_key = "select ok from o where exists (select * from i where i.k = o.s)";
     let db = build(&[(1, Value::Int(1), "x")], true);
-    db.query("set parallel_workers = 1").unwrap();
     let out = db.query(text_key).unwrap();
     assert_eq!(
         (
@@ -1027,7 +988,6 @@ fn exists_probe_corner_cases() {
     // Empty inner table: one probe per outer row, nothing fetched.
     let (outer, _) = fixed_probe_tables();
     let db = probe_db(&outer, &[], true);
-    db.query("set parallel_workers = 1").unwrap();
     let outer_pages = db.table("o").unwrap().pages();
     for (sql, rows) in [(PROBE_FAMILY[0].0, 0), (PROBE_FAMILY[1].0, outer.len())] {
         let out = db.query(sql).unwrap();
@@ -1088,7 +1048,6 @@ fn tpch_q4_q21_match_decorrelated_oracles_and_the_parents_counters() {
     });
     let mut db = Database::in_memory();
     load_into(&mut db, &data).unwrap();
-    db.query("set parallel_workers = 1").unwrap();
     // (rows_scanned, cpu_tuple_ops, index_probes, page accesses) of
     // (Q4, Q21) under the validation parameters and the benchmark's second
     // parameter set.
@@ -1176,8 +1135,7 @@ type JoinRow = (Option<i64>, Option<i64>, u8);
 /// Four tables for 2–4-way joins. `a.x` and `b.x` share a name (so an
 /// unqualified `x` is ambiguous), `b.a_id` and `c.b_id` are nullable
 /// foreign keys with duplicates, `u` has one row. `b` is padded with 2500
-/// rows that join nothing, so its scan spans several morsels and the
-/// parallel scan engages when `parallel_workers` > 1.
+/// rows that join nothing, so its scan spans several stored segments.
 fn join_db(a: &[JoinRow], b: &[JoinRow], c: &[JoinRow]) -> Database {
     let mut db = Database::in_memory();
     db.execute("create table a (ak int, x int, s text, v float)")
@@ -1407,7 +1365,7 @@ proptest! {
     /// same order — or fails with the same error class — as the same
     /// statement with every base table wrapped as a derived table, and,
     /// rows and work counters, the same on the text and the bound path
-    /// under every `enable_kernel` × `parallel_workers` setting.
+    /// under either `enable_kernel` setting.
     #[test]
     fn join_block_matches_the_unpruned_derived_table_form(
         tables in join_rows_strategy(),
@@ -1421,29 +1379,25 @@ proptest! {
         let unpruned = render(&from_items(template, Some(&db)), &params);
         let template = from_items(template, None);
         let text = render(&template, &params);
-        db.query("set parallel_workers = 1").unwrap();
         let want = outcome(db.query(&unpruned));
-        let serial = db.query(&text);
-        prop_assert_eq!(&outcome(serial.clone()), &want, "pruned≡unpruned: {}", &text);
-        for workers in [1usize, 2, 4] {
-            db.query(&format!("set parallel_workers = {workers}")).unwrap();
-            for kernel in ["on", "off"] {
-                db.query(&format!("set enable_kernel = {kernel}")).unwrap();
-                let what = format!("kernel {kernel}, workers {workers}: {text}");
-                let got = db.query(&text);
-                let bound = db.query_bound(&template, &params);
-                match (&serial, &got, &bound) {
-                    (Ok(s), Ok(g), Ok(b)) => {
-                        assert_identical(g, s, &what);
-                        assert_identical(b, s, &format!("bound, {what}"));
-                    }
-                    _ => {
-                        prop_assert_eq!(&outcome(got), &want, "{}", &what);
-                        prop_assert_eq!(&outcome(bound), &want, "bound, {}", &what);
-                    }
+        let first = db.query(&text);
+        prop_assert_eq!(&outcome(first.clone()), &want, "pruned≡unpruned: {}", &text);
+        for kernel in ["on", "off"] {
+            db.query(&format!("set enable_kernel = {kernel}")).unwrap();
+            let what = format!("kernel {kernel}: {text}");
+            let got = db.query(&text);
+            let bound = db.query_bound(&template, &params);
+            match (&first, &got, &bound) {
+                (Ok(s), Ok(g), Ok(b)) => {
+                    assert_identical(g, s, &what);
+                    assert_identical(b, s, &format!("bound, {what}"));
                 }
-                prop_assert_eq!(&outcome(db.query(&unpruned)), &want, "unpruned, {}", &what);
+                _ => {
+                    prop_assert_eq!(&outcome(got), &want, "{}", &what);
+                    prop_assert_eq!(&outcome(bound), &want, "bound, {}", &what);
+                }
             }
+            prop_assert_eq!(&outcome(db.query(&unpruned)), &want, "unpruned, {}", &what);
         }
     }
 }
@@ -1472,8 +1426,7 @@ fn join_inside_an_insert_matches_the_unpruned_form() {
     assert_eq!(sinks[0], sinks[1]);
 }
 
-/// The join table's key semantics, each outcome derived by hand, serial
-/// and with scan workers.
+/// The join table's key semantics, each outcome derived by hand.
 #[test]
 fn join_key_semantics_by_hand() {
     let mut db = Database::in_memory();
@@ -1537,57 +1490,53 @@ fn join_key_semantics_by_hand() {
             .map(|r| r.iter().map(|v| v.as_i64().unwrap()).collect())
             .collect()
     };
-    for workers in [1, 2] {
-        db.query(&format!("set parallel_workers = {workers}"))
-            .unwrap();
-        // Build on `r`: l-major, r ascending under each l row; NULL
-        // never matches NULL; duplicate build keys in row order.
-        assert_eq!(
-            ids("select l.id, r.id from l, r where l.k = r.k"),
-            [[0, 3], [1, 0], [1, 2], [2, 0], [2, 2]]
-        );
-        // `2 = 2.0`: the float column finds the same rows.
-        assert_eq!(
-            ids("select l.id, r.id from l, r where l.kf = r.k"),
-            [[0, 3], [1, 0], [1, 2], [2, 0], [2, 2]]
-        );
-        // Text never equals a number, and raises nothing.
-        assert!(ids("select l.id, r.id from l, r where l.ks = r.k").is_empty());
-        // A composite key from two edges.
-        assert_eq!(
-            ids("select l.id, r.id from l, r where l.k = r.k and l.k2 = r.k2"),
-            [[0, 3], [1, 0], [2, 2]]
-        );
-        // Expression keys, on either side.
-        assert_eq!(
-            ids("select l.id, r.id from l, r where l.k + 1 = r.k"),
-            [[0, 0], [0, 2], [4, 4]]
-        );
-        assert_eq!(
-            ids("select l.id, r.id from l, r where l.k = r.k - 1"),
-            [[0, 0], [0, 2], [4, 4]]
-        );
-        // The table sits on the joined input however few tuples are left
-        // to probe it: `one` cuts the stream down to l's two key-2 rows,
-        // fewer than m's four — and the output is l-major with m
-        // ascending.
-        let shrunk = "select l.id, m.id from l, one, m where l.k = one.w and l.k = m.k";
-        assert_eq!(ids(shrunk), [[1, 0], [1, 2], [2, 0], [2, 2]]);
-        let plan = db.query(&format!("explain analyze {shrunk}")).unwrap();
-        assert!(
-            plan.rows.iter().any(|r| r[0]
-                .as_str()
-                .unwrap()
-                .contains("⋈ m on l.k = m.k: build m 4, probe 2 → 4")),
-            "{:?}",
-            plan.rows
-        );
-        // A key that does not resolve raises what it always raised.
-        assert!(matches!(
-            db.query("select l.id from l, r where l.k = r.nosuch"),
-            Err(EngineError::UnknownColumn(_))
-        ));
-    }
+    // Build on `r`: l-major, r ascending under each l row; NULL
+    // never matches NULL; duplicate build keys in row order.
+    assert_eq!(
+        ids("select l.id, r.id from l, r where l.k = r.k"),
+        [[0, 3], [1, 0], [1, 2], [2, 0], [2, 2]]
+    );
+    // `2 = 2.0`: the float column finds the same rows.
+    assert_eq!(
+        ids("select l.id, r.id from l, r where l.kf = r.k"),
+        [[0, 3], [1, 0], [1, 2], [2, 0], [2, 2]]
+    );
+    // Text never equals a number, and raises nothing.
+    assert!(ids("select l.id, r.id from l, r where l.ks = r.k").is_empty());
+    // A composite key from two edges.
+    assert_eq!(
+        ids("select l.id, r.id from l, r where l.k = r.k and l.k2 = r.k2"),
+        [[0, 3], [1, 0], [2, 2]]
+    );
+    // Expression keys, on either side.
+    assert_eq!(
+        ids("select l.id, r.id from l, r where l.k + 1 = r.k"),
+        [[0, 0], [0, 2], [4, 4]]
+    );
+    assert_eq!(
+        ids("select l.id, r.id from l, r where l.k = r.k - 1"),
+        [[0, 0], [0, 2], [4, 4]]
+    );
+    // The table sits on the joined input however few tuples are left
+    // to probe it: `one` cuts the stream down to l's two key-2 rows,
+    // fewer than m's four — and the output is l-major with m
+    // ascending.
+    let shrunk = "select l.id, m.id from l, one, m where l.k = one.w and l.k = m.k";
+    assert_eq!(ids(shrunk), [[1, 0], [1, 2], [2, 0], [2, 2]]);
+    let plan = db.query(&format!("explain analyze {shrunk}")).unwrap();
+    assert!(
+        plan.rows.iter().any(|r| r[0]
+            .as_str()
+            .unwrap()
+            .contains("⋈ m on l.k = m.k: build m 4, probe 2 → 4")),
+        "{:?}",
+        plan.rows
+    );
+    // A key that does not resolve raises what it always raised.
+    assert!(matches!(
+        db.query("select l.id from l, r where l.k = r.nosuch"),
+        Err(EngineError::UnknownColumn(_))
+    ));
 }
 
 /// A FROM list without a join predicate is produced row by row under the
@@ -1622,7 +1571,6 @@ fn cross_join_is_governed_and_small_ones_are_unchanged() {
     assert_eq!(db.mem_gauge().used_bytes(), 0);
 
     // region (5 rows) drives, the two-row slice of nation varies fastest.
-    db.query("set parallel_workers = 1").unwrap();
     let small = db
         .query("select r_regionkey, n_nationkey from region, nation where n_nationkey < 2")
         .unwrap();
@@ -1792,7 +1740,6 @@ fn tpch_join_queries_match_the_parents_rows_and_counters() {
     });
     let mut db = Database::in_memory();
     load_into(&mut db, &data).unwrap();
-    db.query("set parallel_workers = 1").unwrap();
     let sets = [QueryParams::default(), QueryParams::random(0x5EED_0001)];
     for (params, pinned) in sets.iter().zip(PINNED) {
         for (q, want) in QUERIES.into_iter().zip(pinned) {
@@ -1824,25 +1771,20 @@ fn tpch_join_queries_match_the_parents_rows_and_counters() {
 // Stored columns: what runs vectorized against the general tree and the data
 // ---------------------------------------------------------------------------
 
-/// Runs `sql` on the general tree, serial — the reference — then under
-/// every kernel × workers × text/bound combination, which must agree with
+/// Runs `sql` on the general tree — the reference — then under
+/// every kernel × text/bound combination, which must agree with
 /// it: rows and counters, or the error's text.
 fn across_modes(db: &Database, sql: &str) -> Result<QueryOutput, String> {
-    db.query("set parallel_workers = 1").unwrap();
     db.query("set enable_kernel = off").unwrap();
     let want = db.query(sql).map_err(|e| e.to_string());
-    for workers in [1usize, 4] {
-        db.query(&format!("set parallel_workers = {workers}"))
-            .unwrap();
-        for kernel in ["on", "off"] {
-            db.query(&format!("set enable_kernel = {kernel}")).unwrap();
-            let what = format!("kernel {kernel}, workers {workers}: {sql}");
-            for got in [db.query(sql), db.query_bound(sql, &[])] {
-                match (&want, got.map_err(|e| e.to_string())) {
-                    (Ok(want), Ok(got)) => assert_identical(&got, want, &what),
-                    (Err(want), Err(got)) => assert_eq!(&got, want, "{what}"),
-                    (want, got) => panic!("{what}: {got:?} against the reference's {want:?}"),
-                }
+    for kernel in ["on", "off"] {
+        db.query(&format!("set enable_kernel = {kernel}")).unwrap();
+        let what = format!("kernel {kernel}: {sql}");
+        for got in [db.query(sql), db.query_bound(sql, &[])] {
+            match (&want, got.map_err(|e| e.to_string())) {
+                (Ok(want), Ok(got)) => assert_identical(&got, want, &what),
+                (Err(want), Err(got)) => assert_eq!(&got, want, "{what}"),
+                (want, got) => panic!("{what}: {got:?} against the reference's {want:?}"),
             }
         }
     }
@@ -2108,8 +2050,7 @@ fn the_vectorized_prefix_ends_where_the_row_loop_takes_over() {
 /// `p` boxed in its second segment (an `Int` among the floats), gives `q`
 /// a NULL in its third and `p` a NaN in its fourth, so one statement
 /// changes form three times mid-stream. Groups, their first-seen order and
-/// every float bit equal a fold over the data in key order; payloads are
-/// quarter steps, so morsel-parallel partial sums cannot round either.
+/// every float bit equal a fold over the data in key order.
 #[test]
 fn expression_aggregates_fall_back_mid_table_without_a_trace() {
     let mut db = Database::in_memory();
@@ -2193,7 +2134,6 @@ fn expression_aggregates_fall_back_mid_table_without_a_trace() {
     for (at, k) in [1500, 2500, 3700].into_iter().enumerate() {
         assert_eq!(k / heap.segment_slots(), at as u64 + 1);
     }
-    db.query("set parallel_workers = 1").unwrap();
     let plan = db.query(&format!("explain analyze {sql}")).unwrap();
     let fold = (plan.rows.iter())
         .map(|r| r[0].as_str().unwrap().trim_start().to_string())
@@ -2370,8 +2310,7 @@ fn scans_inside_and_after_a_rolled_back_transaction() {
 }
 
 /// At SF 0.01 the fused fold takes every batch of Q1 and of Q6 in its
-/// vectorized form — `EXPLAIN ANALYZE` lists the tally, serial and
-/// morsel-parallel — and a `lineitem` scan that keeps 3 of its 16 columns
+/// vectorized form — `EXPLAIN ANALYZE` lists the tally — and a `lineitem` scan that keeps 3 of its 16 columns
 /// (Q3's) builds no row through the heap's row API: survivors are
 /// materialized from the columns, kept columns only.
 #[test]
@@ -2387,49 +2326,41 @@ fn q1_and_q6_fold_vectorized_and_scans_derive_no_rows() {
     assert!(segments > 50);
     for params in [QueryParams::default(), QueryParams::random(7)] {
         for q in [ALL_QUERIES[0], ALL_QUERIES[4]] {
-            for workers in [1, 2] {
-                db.query(&format!("set parallel_workers = {workers}"))
-                    .unwrap();
-                let plan = db
-                    .query(&format!("explain analyze {}", q.sql(&params)))
-                    .unwrap();
-                let lines: Vec<&str> = plan.rows.iter().map(|r| r[0].as_str().unwrap()).collect();
-                assert!(lines[..2]
-                    .iter()
-                    .any(|l| l.contains("fused aggregate over lineitem")));
-                let fold = (lines.iter().map(|l| l.trim_start()))
-                    .find(|l| l.starts_with("fold: "))
-                    .unwrap_or_else(|| panic!("{lines:?}"));
-                assert_eq!(
-                    fold,
-                    format!("fold: {segments} batch(es) vectorized, 0 row-major"),
-                    "{} ×{workers}",
-                    q.label()
-                );
-            }
+            let plan = db
+                .query(&format!("explain analyze {}", q.sql(&params)))
+                .unwrap();
+            let lines: Vec<&str> = plan.rows.iter().map(|r| r[0].as_str().unwrap()).collect();
+            assert!(lines[..2]
+                .iter()
+                .any(|l| l.contains("fused aggregate over lineitem")));
+            let fold = (lines.iter().map(|l| l.trim_start()))
+                .find(|l| l.starts_with("fold: "))
+                .unwrap_or_else(|| panic!("{lines:?}"));
+            assert_eq!(
+                fold,
+                format!("fold: {segments} batch(es) vectorized, 0 row-major"),
+                "{}",
+                q.label()
+            );
         }
     }
 
     let derived = || db.table("lineitem").unwrap().heap.rows_derived();
     let before = derived();
-    for workers in [1, 2] {
-        db.query(&format!("set parallel_workers = {workers}"))
-            .unwrap();
-        let plan = db
-            .query(&format!(
-                "explain analyze {}",
-                ALL_QUERIES[1].sql(&QueryParams::default())
-            ))
-            .unwrap();
-        assert!(
-            (plan.rows.iter()).any(|r| r[0].as_str().unwrap().contains("scan lineitem")
-                && r[0].as_str().unwrap().contains("cols 3/16")),
-            "{:?}",
-            plan.rows
-        );
-        for q in ALL_QUERIES {
-            db.query(&q.sql(&QueryParams::default())).unwrap();
-        }
+    let plan = db
+        .query(&format!(
+            "explain analyze {}",
+            ALL_QUERIES[1].sql(&QueryParams::default())
+        ))
+        .unwrap();
+    assert!(
+        (plan.rows.iter()).any(|r| r[0].as_str().unwrap().contains("scan lineitem")
+            && r[0].as_str().unwrap().contains("cols 3/16")),
+        "{:?}",
+        plan.rows
+    );
+    for q in ALL_QUERIES {
+        db.query(&q.sql(&QueryParams::default())).unwrap();
     }
     assert_eq!(derived(), before, "a SELECT went through Heap::get");
 }
@@ -2457,9 +2388,9 @@ fn float_bits(rows: &[Vec<Value>]) -> Vec<Vec<String>> {
 /// another order, a segment whose second key outgrew its dictionary (ids
 /// probed), sums of tenths that round differently in any other order, an
 /// expression key, no GROUP BY, and the errors a non-numeric `sum` raises
-/// (which keep a batch on the row loop). Serially against the row loop bit
-/// for bit, and across workers, text and bound through [`across_modes`] on
-/// quarter steps, which a morsel-parallel partial sum cannot round.
+/// (which keep a batch on the row loop). Against the row loop bit for bit,
+/// and across the kernel, text and bound through [`across_modes`] on
+/// quarter steps.
 #[test]
 fn column_major_fold_equals_the_row_loop_bit_for_bit() {
     let build = |tenths: bool| {
@@ -2550,7 +2481,6 @@ fn column_major_fold_equals_the_row_loop_bit_for_bit() {
     assert_eq!(sorted(first), sorted(second));
     assert_eq!(dict(0, 1).len(), 4);
     assert!(dict(3, 2).is_empty(), "u outgrew segment 3's dictionary");
-    db.query("set parallel_workers = 1").unwrap();
     for sql in statements {
         db.query("set enable_kernel = off").unwrap();
         let row_loop = db.query(sql).map_err(|e| e.to_string());

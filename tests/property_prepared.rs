@@ -58,8 +58,7 @@ fn lineitem_db(rows: &[(i64, i64, f64, u8)]) -> Database {
 /// Strategy: unique order keys with arbitrary payloads. Float payloads are
 /// quarter-steps (exactly representable, sums never round), so the strict
 /// byte-identity assertions stay valid however partial aggregates
-/// associate — including under morsel-parallel execution on multi-core
-/// hosts, where `parallel_workers` defaults to the core count.
+/// associate.
 fn rows_strategy() -> impl Strategy<Value = Vec<(i64, i64, f64, u8)>> {
     proptest::collection::btree_map(0i64..500, (0i64..100, 0i64..4000, any::<u8>()), 0..150)
         .prop_map(|m| {
